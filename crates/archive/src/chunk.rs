@@ -126,11 +126,16 @@ impl ChunkManifest {
         self.chunks.iter().map(|c| c.digest).collect()
     }
 
-    /// Modeled wire size of the manifest itself in a delta upload:
-    /// a 16-byte header (total length + etag) plus 12 bytes per chunk
-    /// reference (8-byte digest + 4-byte length).
+    /// Modeled wire size of the manifest itself in a delta upload.
     pub fn encoded_len(&self) -> u64 {
-        16 + 12 * self.chunks.len() as u64
+        Self::encoded_len_of(self.chunks.len())
+    }
+
+    /// Modeled wire size of a manifest of `chunks` references: a
+    /// 16-byte header (total length + etag) plus 12 bytes per chunk
+    /// reference (8-byte digest + 4-byte length).
+    pub fn encoded_len_of(chunks: usize) -> u64 {
+        16 + 12 * chunks as u64
     }
 }
 
@@ -298,20 +303,22 @@ fn push_chunk(slice: &[u8], refs: &mut Vec<ChunkRef>, chunks: &mut Vec<Chunk>, e
 
 /// Reassemble a payload from its manifest and a chunk lookup.
 ///
-/// `lookup` maps a digest to that chunk's bytes; returns `None` if any
-/// referenced chunk is missing or a length disagrees with the
-/// manifest.
-pub fn assemble(
+/// `lookup` maps a digest to that chunk's bytes — owned or borrowed,
+/// so a store can lend its resident copy instead of cloning a handle
+/// per chunk; returns `None` if any referenced chunk is missing or a
+/// length disagrees with the manifest.
+pub fn assemble<B: AsRef<[u8]>>(
     manifest: &ChunkManifest,
-    mut lookup: impl FnMut(u64) -> Option<Bytes>,
+    mut lookup: impl FnMut(u64) -> Option<B>,
 ) -> Option<Vec<u8>> {
     let mut out = Vec::with_capacity(manifest.total_len as usize);
     for r in &manifest.chunks {
         let data = lookup(r.digest)?;
+        let data = data.as_ref();
         if data.len() as u32 != r.len {
             return None;
         }
-        out.extend_from_slice(&data);
+        out.extend_from_slice(data);
     }
     if out.len() as u64 != manifest.total_len {
         return None;
@@ -419,7 +426,7 @@ mod tests {
     fn assemble_rejects_missing_or_short_chunks() {
         let data = sample(5_000, 9);
         let (m, chunks) = chunk_bytes(&data, ChunkerParams::DEFAULT);
-        assert_eq!(assemble(&m, |_| None), None);
+        assert_eq!(assemble(&m, |_| None::<Bytes>), None);
         let truncated = Bytes::copy_from_slice(&chunks[0].data[..1]);
         assert_eq!(assemble(&m, |_| Some(truncated.clone())), None);
     }

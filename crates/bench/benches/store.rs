@@ -1,7 +1,9 @@
-//! Object-store micro-benchmarks: put/get at submission-archive sizes
-//! and the lifecycle sweep over a semester's worth of objects.
+//! Object-store micro-benchmarks: put/get at submission-archive sizes,
+//! the chunk path at the paper's mean upload size against a filled
+//! arena, and the lifecycle sweep over a semester's worth of objects.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use rai_archive::chunk::{chunk_bytes, ChunkerParams};
 use rai_sim::{SimDuration, VirtualClock};
 use rai_store::{LifecycleRule, ObjectStore};
 
@@ -31,6 +33,49 @@ fn bench_put_get(c: &mut Criterion) {
             b.iter(|| s.get("b", "k").expect("get"));
         });
     }
+    g.finish();
+}
+
+/// Incompressible bytes: every chunk of every tree is distinct.
+fn tree(len: usize, seed: u64) -> Vec<u8> {
+    let mut state = seed;
+    (0..len)
+        .map(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as u8
+        })
+        .collect()
+}
+
+/// The paper's mean upload (2.5 MiB, ≈56 k chunks at the default
+/// chunker) against an arena eight such trees already fill (≈450 k
+/// chunks). The KiB-size cases above touch ~20 chunks of a near-empty
+/// arena, where per-chunk index and guard costs do not show; these are
+/// the sizes `bulk_fresh` in `BENCHMARK.json` runs at.
+fn bench_bulk_tree(c: &mut Criterion) {
+    const TREE: usize = 2560 * 1024;
+    let s = store();
+    for i in 0..8u64 {
+        s.put("b", &format!("base{i}"), tree(TREE, i), []).expect("put");
+    }
+    assert!(s.usage().chunks >= 400_000, "arena must be filled: {}", s.usage().chunks);
+    let (manifest, chunks) = chunk_bytes(&tree(TREE, 99), ChunkerParams::DEFAULT);
+    let digests = manifest.digests();
+
+    let mut g = c.benchmark_group("store/bulk_tree");
+    g.sample_size(10);
+    g.throughput(Throughput::Bytes(TREE as u64));
+    g.bench_function("put_delta_fresh", |b| {
+        b.iter_with_setup(
+            // Untimed: free the previous round's chunks so every
+            // timed upload installs all of its chunks anew.
+            || drop(s.delete("b", "fresh")),
+            |()| s.put_delta("b", "fresh", &manifest, &chunks, []).expect("put_delta"),
+        );
+    });
+    g.bench_function("get", |b| b.iter(|| s.get("b", "fresh").expect("get")));
+    g.throughput(Throughput::Elements(digests.len() as u64));
+    g.bench_function("has_chunks", |b| b.iter(|| s.has_chunks(&digests).expect("has_chunks")));
     g.finish();
 }
 
@@ -90,5 +135,12 @@ fn bench_presign(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_put_get, bench_lifecycle_sweep, bench_list_prefix, bench_presign);
+criterion_group!(
+    benches,
+    bench_put_get,
+    bench_bulk_tree,
+    bench_lifecycle_sweep,
+    bench_list_prefix,
+    bench_presign
+);
 criterion_main!(benches);

@@ -14,7 +14,7 @@ use rai_archive::chunk::{chunk_bytes, chunk_bytes_on, Chunk, ChunkManifest, Chun
 use rai_exec::Executor;
 use rai_store::{ObjectStore, StoreError};
 use parking_lot::RwLock;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A payload already split into its chunk manifest, ready to commit.
@@ -78,10 +78,10 @@ pub struct DeltaReceipt {
 
 impl DeltaReceipt {
     /// Total bytes on the wire: sent chunks plus the manifest
-    /// encoding (16-byte header + 12 bytes per chunk reference,
-    /// mirroring [`rai_archive::chunk::ChunkManifest::encoded_len`]).
+    /// encoding ([`ChunkManifest::encoded_len_of`], the wire model's
+    /// one source).
     pub fn wire_bytes(&self) -> u64 {
-        self.bytes_sent + 16 + 12 * self.chunks_total as u64
+        self.bytes_sent + ChunkManifest::encoded_len_of(self.chunks_total)
     }
 }
 
@@ -126,19 +126,24 @@ impl DigestCache {
         self.generation.load(Ordering::Acquire)
     }
 
-    /// Shared-lock lookup: never blocks other readers.
-    fn contains(&self, digest: u64) -> bool {
-        self.stripes[self.stripe_of(digest)].read().contains(&digest)
+    /// Shared-lock lookup of a whole batch, one flag per digest in
+    /// order: each stripe's read guard is taken once per call, and
+    /// never blocks other readers.
+    fn probe(&self, digests: impl Iterator<Item = u64>) -> Vec<bool> {
+        let stripes: Vec<_> = self.stripes.iter().map(|s| s.read()).collect();
+        digests.map(|d| stripes[self.stripe_of(d)].contains(&d)).collect()
     }
 
     /// Insert `digests` only if no eviction intervened since
-    /// `observed_generation` was read (ABA guard; see type docs).
+    /// `observed_generation` was read (ABA guard; see type docs). Each
+    /// stripe's write guard is taken once per call, in stripe order.
     fn insert_if_current(&self, digests: impl Iterator<Item = u64>, observed_generation: u64) {
         if self.generation.load(Ordering::Acquire) != observed_generation {
             return;
         }
+        let mut stripes: Vec<_> = self.stripes.iter().map(|s| s.write()).collect();
         for d in digests {
-            self.stripes[self.stripe_of(d)].write().insert(d);
+            stripes[self.stripe_of(d)].insert(d);
         }
     }
 
@@ -238,8 +243,14 @@ impl DeltaUploader {
         user_meta: impl IntoIterator<Item = (String, String)>,
     ) -> Result<DeltaReceipt, StoreError> {
         let PreparedUpload { manifest, chunks } = prepared;
-        let by_digest: BTreeMap<u64, &Chunk> = chunks.iter().map(|c| (c.digest, c)).collect();
-        let user_meta: Vec<(String, String)> = user_meta.into_iter().collect();
+        // The distinct chunks, in first-occurrence manifest order. Every
+        // list below is a filtered copy of this one, so chunks pair
+        // with their probe answers by position.
+        let distinct: Vec<&Chunk> = {
+            let mut seen = HashSet::with_capacity(chunks.len());
+            chunks.iter().filter(|c| seen.insert(c.digest)).collect()
+        };
+        let mut user_meta: Vec<(String, String)> = user_meta.into_iter().collect();
 
         // First pass trusts the cache; a second pass (after a
         // MissingChunks rejection) bypasses it. The cache probe runs
@@ -248,22 +259,26 @@ impl DeltaUploader {
         // racing eviction wins (see [`DigestCache`]).
         for trust_cache in [true, false] {
             let observed_generation = self.cache.generation();
-            let unknown: Vec<u64> = by_digest
-                .keys()
-                .filter(|d| !(trust_cache && self.cache.contains(**d)))
-                .copied()
-                .collect();
-            let resident = store.has_chunks(&unknown)?;
+            let unknown: Vec<&Chunk> = if trust_cache {
+                let cached = self.cache.probe(distinct.iter().map(|c| c.digest));
+                distinct.iter().zip(cached).filter(|(_, hit)| !hit).map(|(c, _)| *c).collect()
+            } else {
+                distinct.clone()
+            };
+            let digests: Vec<u64> = unknown.iter().map(|c| c.digest).collect();
+            let resident = store.has_chunks(&digests)?;
             let to_send: Vec<Chunk> = unknown
                 .iter()
-                .zip(&resident)
-                .filter(|(_, &r)| !r)
-                .map(|(d, _)| (*by_digest.get(d).expect("digest from payload")).clone())
+                .zip(resident)
+                .filter(|(_, resident)| !resident)
+                .map(|(c, _)| (*c).clone())
                 .collect();
-            match store.put_delta(bucket, key, manifest, &to_send, user_meta.clone()) {
+            // The bypass pass is the last use of the metadata.
+            let meta = if trust_cache { user_meta.clone() } else { std::mem::take(&mut user_meta) };
+            match store.put_delta(bucket, key, manifest, &to_send, meta) {
                 Ok(etag) => {
                     self.cache
-                        .insert_if_current(by_digest.keys().copied(), observed_generation);
+                        .insert_if_current(distinct.iter().map(|c| c.digest), observed_generation);
                     return Ok(DeltaReceipt {
                         etag,
                         chunks_total: manifest.chunks.len(),
@@ -406,7 +421,7 @@ mod tests {
         let c = DigestCache::new();
         let g = c.generation();
         c.insert_if_current([1u64, 2, 3].into_iter(), g);
-        assert!(c.contains(1) && c.contains(2) && c.contains(3));
+        assert_eq!(c.probe([1u64, 2, 3, 4].into_iter()), [true, true, true, false]);
         assert_eq!(c.len(), 3);
         // An eviction invalidates any insert stamped with an older
         // generation — the lost-eviction interleaving from the type
@@ -414,11 +429,14 @@ mod tests {
         let stale = c.generation();
         c.evict(&[2]);
         c.insert_if_current([2u64, 9].into_iter(), stale);
-        assert!(!c.contains(2), "stale insert must not land after eviction");
-        assert!(!c.contains(9), "whole stale batch is dropped");
+        assert_eq!(
+            c.probe([2u64, 9].into_iter()),
+            [false, false],
+            "stale insert must not land after eviction; the whole stale batch is dropped"
+        );
         // A fresh observation inserts normally.
         c.insert_if_current([9u64].into_iter(), c.generation());
-        assert!(c.contains(9));
+        assert_eq!(c.probe([9u64].into_iter()), [true]);
     }
 
     #[test]
