@@ -1,11 +1,15 @@
 //! Minimal, API-compatible subset of the `bytes` crate: a cheaply
-//! cloneable, immutable byte buffer backed by `Arc<[u8]>`.
+//! cloneable, immutable view `(shared buffer, offset, len)` of a byte
+//! buffer. Clones and [`Bytes::slice`]s share the buffer — no bytes are
+//! copied — and the buffer is freed when its last view drops, so a
+//! view of any size keeps the whole buffer it was cut from alive.
+//! Safe code only.
 
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Cheaply cloneable contiguous slice of memory.
 #[derive(Clone)]
@@ -15,8 +19,10 @@ pub struct Bytes {
 
 #[derive(Clone)]
 enum Repr {
+    /// Static data is narrowed in place; there is no buffer to share.
     Static(&'static [u8]),
-    Shared(Arc<[u8]>),
+    /// `buf[off..off + len]`; the range is checked when the view is made.
+    Shared { buf: Arc<Vec<u8>>, off: usize, len: usize },
 }
 
 impl Bytes {
@@ -29,28 +35,33 @@ impl Bytes {
     }
 
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes { data: Repr::Shared(Arc::from(data)) }
+        Bytes::from(data.to_vec())
     }
 
     pub fn as_slice(&self) -> &[u8] {
         match &self.data {
             Repr::Static(s) => s,
-            Repr::Shared(s) => s,
+            Repr::Shared { buf, off, len } => &buf[*off..*off + *len],
         }
     }
 
     pub fn len(&self) -> usize {
-        self.as_slice().len()
+        match &self.data {
+            Repr::Static(s) => s.len(),
+            Repr::Shared { len, .. } => *len,
+        }
     }
 
     pub fn is_empty(&self) -> bool {
-        self.as_slice().is_empty()
+        self.len() == 0
     }
 
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_slice().to_vec()
     }
 
+    /// A view of `range` within this one, sharing its buffer: O(1), no
+    /// bytes copied. Panics if the range is decreasing or out of bounds.
     pub fn slice(&self, range: impl std::ops::RangeBounds<usize>) -> Bytes {
         use std::ops::Bound;
         let start = match range.start_bound() {
@@ -63,7 +74,30 @@ impl Bytes {
             Bound::Excluded(&n) => n,
             Bound::Unbounded => self.len(),
         };
-        Bytes::copy_from_slice(&self.as_slice()[start..end])
+        assert!(
+            start <= end && end <= self.len(),
+            "range {start}..{end} out of bounds of a {}-byte view",
+            self.len()
+        );
+        let data = match &self.data {
+            Repr::Static(s) => Repr::Static(&s[start..end]),
+            Repr::Shared { buf, off, .. } => {
+                Repr::Shared { buf: Arc::clone(buf), off: off + start, len: end - start }
+            }
+        };
+        Bytes { data }
+    }
+
+    /// Shim-only probe, absent from the published crate: a weak handle
+    /// on the buffer this view keeps alive (`None` for static data).
+    /// Tests use it to tell which views share an allocation, how many
+    /// bytes a view pins, and when the last view of a buffer is gone.
+    #[doc(hidden)]
+    pub fn buffer(&self) -> Option<Weak<Vec<u8>>> {
+        match &self.data {
+            Repr::Static(_) => None,
+            Repr::Shared { buf, .. } => Some(Arc::downgrade(buf)),
+        }
     }
 }
 
@@ -93,14 +127,16 @@ impl Borrow<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Takes the vector as the shared buffer: no bytes are copied.
     fn from(v: Vec<u8>) -> Self {
-        Bytes { data: Repr::Shared(Arc::from(v.into_boxed_slice())) }
+        let len = v.len();
+        Bytes { data: Repr::Shared { buf: Arc::new(v), off: 0, len } }
     }
 }
 
 impl From<Box<[u8]>> for Bytes {
     fn from(v: Box<[u8]>) -> Self {
-        Bytes { data: Repr::Shared(Arc::from(v)) }
+        Bytes::from(v.into_vec())
     }
 }
 
@@ -231,5 +267,56 @@ mod tests {
         let a = Bytes::from_static(b"abcdef");
         assert_eq!(a.slice(1..4).as_ref(), b"bcd");
         assert_eq!(a.slice(..).as_ref(), b"abcdef");
+        assert_eq!(a.slice(2..=3).as_ref(), b"cd");
+        assert!(a.slice(6..).is_empty());
+    }
+
+    #[test]
+    fn from_vec_and_slices_share_the_allocation() {
+        let v = b"0123456789".to_vec();
+        let ptr = v.as_ptr();
+        let a = Bytes::from(v);
+        assert_eq!(a.as_ptr(), ptr, "From<Vec<u8>> moves the vector");
+        let mid = a.slice(2..8);
+        assert_eq!(mid.as_ptr(), ptr.wrapping_add(2));
+        // Nested slices compose: offsets are relative to the view.
+        let inner = mid.slice(1..=3);
+        assert_eq!(inner.as_ref(), b"345");
+        assert_eq!(inner.as_ptr(), ptr.wrapping_add(3));
+        assert_eq!(mid.slice(..2).as_ref(), b"23");
+        let (a_buf, inner_buf) = (a.buffer().unwrap(), inner.buffer().unwrap());
+        assert!(a_buf.ptr_eq(&inner_buf));
+        assert_eq!(inner_buf.upgrade().unwrap().len(), 10, "a 3-byte view pins all 10 bytes");
+        assert!(Bytes::from_static(b"abc").slice(1..).buffer().is_none());
+    }
+
+    #[test]
+    fn buffer_is_freed_with_its_last_view() {
+        let body = Bytes::from(vec![7u8; 64]);
+        let probe = body.buffer().unwrap();
+        let views: Vec<Bytes> = (0..4).map(|i| body.slice(i * 16..(i + 1) * 16)).collect();
+        drop(body);
+        assert!(probe.upgrade().is_some(), "views keep the buffer alive");
+        let mut views = views.into_iter();
+        let last = views.next().unwrap();
+        drop(views);
+        assert_eq!(last.as_ref(), &[7u8; 16]);
+        assert!(probe.upgrade().is_some());
+        drop(last);
+        assert!(probe.upgrade().is_none(), "last view gone, buffer freed");
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn slice_past_the_view_panics() {
+        // In range of the buffer, out of range of the view.
+        Bytes::from(vec![0u8; 10]).slice(2..6).slice(..5);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn decreasing_slice_panics() {
+        let (start, end) = (4, 2);
+        Bytes::from_static(b"abcdef").slice(start..end);
     }
 }

@@ -1,10 +1,11 @@
 //! The top-level pack/unpack API: container + LZSS, playing the role of
 //! `tar cjf` / `tar xjf` on the client and worker.
 
-use crate::container::{read_container, write_container, ArchiveError};
+use crate::container::{read_container_shared, write_container, ArchiveError};
 use crate::fnv;
 use crate::lzss;
 use crate::tree::FileTree;
+use bytes::Bytes;
 use rai_exec::Executor;
 
 /// A packed project directory — what actually travels to the file
@@ -53,10 +54,10 @@ pub fn pack(tree: &FileTree) -> Bundle {
 }
 
 /// Unpack bytes produced by [`pack`] back into a file tree, verifying
-/// compression framing and container checksums.
+/// compression framing and container checksums. The tree's files are
+/// views of the decompressed container.
 pub fn unpack(bytes: &[u8]) -> Result<FileTree, ArchiveError> {
-    let container = lzss::decompress(bytes)?;
-    read_container(&container)
+    read_container_shared(&Bytes::from(lzss::decompress(bytes)?))
 }
 
 /// Restore a file tree from either archive format, sniffing the magic:
@@ -66,11 +67,21 @@ pub fn unpack(bytes: &[u8]) -> Result<FileTree, ArchiveError> {
 /// Readers use this instead of [`unpack`] so they keep working across
 /// the storage-model migration, where uploads switched from compressed
 /// bundles to chunked uncompressed containers (DESIGN.md §10).
+///
+/// Copies `bytes` once into a shared buffer and restores from that
+/// ([`restore_shared`]).
 pub fn restore(bytes: &[u8]) -> Result<FileTree, ArchiveError> {
+    restore_shared(&Bytes::copy_from_slice(bytes))
+}
+
+/// [`restore`] of a fetched object the caller holds as [`Bytes`]: a
+/// raw container is read in place, so the tree's files are views of
+/// `bytes` and no payload byte is copied.
+pub fn restore_shared(bytes: &Bytes) -> Result<FileTree, ArchiveError> {
     if bytes.starts_with(lzss::MAGIC) {
         unpack(bytes)
     } else {
-        read_container(bytes)
+        read_container_shared(bytes)
     }
 }
 

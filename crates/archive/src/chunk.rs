@@ -143,33 +143,81 @@ impl ChunkManifest {
 ///
 /// Deterministic: equal `(data, params)` always produces equal output.
 /// Empty input yields an empty manifest (zero chunks) whose etag is
-/// the FNV-1a etag of the empty string.
+/// the FNV-1a etag of the empty string. Copies `data` once into a
+/// shared buffer and chunks that ([`chunk_shared`]).
 pub fn chunk_bytes(data: &[u8], params: ChunkerParams) -> (ChunkManifest, Vec<Chunk>) {
+    chunk_shared(&Bytes::copy_from_slice(data), params)
+}
+
+/// [`chunk_bytes`] over a shared buffer: the chunk bodies are views of
+/// `data` — no per-chunk allocation, no bytes copied — and each keeps
+/// `data`'s whole buffer alive.
+///
+/// One pass over the payload: the Gear boundary scan, the chunk digest
+/// and the stream etag are three independent dependency chains
+/// advanced byte by byte in the same loop (see [`fnv::update2`] for
+/// why that costs about what the slowest of them does alone).
+pub fn chunk_shared(data: &Bytes, params: ChunkerParams) -> (ChunkManifest, Vec<Chunk>) {
     let mask = params.mask();
+    let bytes: &[u8] = data;
     let mut refs = Vec::new();
-    let mut chunks = Vec::new();
     let mut etag = Fnv1a::new();
     let mut start = 0usize;
-    while start < data.len() {
-        let cut = next_cut(data, start, params, mask);
-        push_chunk(&data[start..cut], &mut refs, &mut chunks, &mut etag);
+    while start < bytes.len() {
+        let mut digest = Fnv1a::new();
+        let cut = scan_chunk(bytes, start, params, mask, |b| {
+            digest.push(b);
+            etag.push(b);
+        });
+        refs.push(ChunkRef {
+            digest: digest.digest(),
+            len: (cut - start) as u32,
+        });
         start = cut;
     }
+    with_views(data, refs, format!("{:016x}", etag.digest()))
+}
+
+/// The tail both chunkers share: pair each reference with the view of
+/// `data` it describes. `refs` partition `data` in order.
+fn with_views(data: &Bytes, refs: Vec<ChunkRef>, etag: String) -> (ChunkManifest, Vec<Chunk>) {
+    let chunks = chunk_views(data, refs.iter().map(|r| (r.digest, r.len as usize)));
     let manifest = ChunkManifest {
         chunks: refs,
         total_len: data.len() as u64,
-        // The stream etag was folded in chunk-by-chunk (FNV-1a streams),
-        // saving the second whole-input pass `fnv::etag` would make.
-        etag: format!("{:016x}", etag.digest()),
+        etag,
     };
     (manifest, chunks)
 }
 
-/// Find the end of the chunk starting at `start`: the single source of
-/// boundary truth shared by [`chunk_bytes`] and [`chunk_bytes_on`], so
-/// the parallel path cannot drift from the sequential one.
-#[inline]
-fn next_cut(data: &[u8], start: usize, params: ChunkerParams, mask: u64) -> usize {
+/// Cut the front of `buffer` into consecutive chunks, one per
+/// `(digest, len)` of `parts`, each a view of `buffer`. Panics if the
+/// lengths add up to more than `buffer` holds.
+pub fn chunk_views(buffer: &Bytes, parts: impl IntoIterator<Item = (u64, usize)>) -> Vec<Chunk> {
+    let mut at = 0usize;
+    parts
+        .into_iter()
+        .map(|(digest, len)| {
+            let data = buffer.slice(at..at + len);
+            at += len;
+            Chunk { digest, data }
+        })
+        .collect()
+}
+
+/// Find the end of the chunk starting at `start`, handing each of its
+/// bytes to `fold` on the way: the single source of boundary truth
+/// shared by [`chunk_shared`], which folds its digests in the same
+/// pass, and [`chunk_shared_on`], which only wants the cut — so the
+/// parallel path cannot drift from the sequential one.
+#[inline(always)]
+fn scan_chunk(
+    data: &[u8],
+    start: usize,
+    params: ChunkerParams,
+    mask: u64,
+    mut fold: impl FnMut(u8),
+) -> usize {
     let end = data.len().min(start + params.max);
     // The first boundary test fires at len == min, i.e. after the
     // byte at start+min-1 folds in — so the first min-1 bytes only
@@ -180,9 +228,11 @@ fn next_cut(data: &[u8], start: usize, params: ChunkerParams, mask: u64) -> usiz
     let mut hash = 0u64;
     for &b in &data[start..test_from] {
         hash = (hash << 1).wrapping_add(GEAR[b as usize]);
+        fold(b);
     }
     for (i, &b) in data[test_from..end].iter().enumerate() {
         hash = (hash << 1).wrapping_add(GEAR[b as usize]);
+        fold(b);
         // Test a mixed window of the hash rather than its raw low
         // bits: the shift-accumulate form leaves the low bits
         // dominated by the most recent table entries, so fold the
@@ -194,6 +244,11 @@ fn next_cut(data: &[u8], start: usize, params: ChunkerParams, mask: u64) -> usiz
     end
 }
 
+/// [`scan_chunk`] for the cut alone.
+fn next_cut(data: &[u8], start: usize, params: ChunkerParams, mask: u64) -> usize {
+    scan_chunk(data, start, params, mask, |_| {})
+}
+
 /// Payloads smaller than this stay on the sequential path even under a
 /// pool executor: RAI containers are ~1 KiB, and for them the scope
 /// bookkeeping would cost more than the digests it farms out. Large
@@ -201,29 +256,42 @@ fn next_cut(data: &[u8], start: usize, params: ChunkerParams, mask: u64) -> usiz
 /// and split their digest work across workers.
 pub const PAR_CHUNK_MIN_BYTES: usize = 32 * 1024;
 
-/// [`chunk_bytes`] with the digest work routed onto `exec`.
-///
-/// Boundaries are found by the same sequential Gear scan (the rolling
-/// hash is inherently order-dependent), then per-chunk FNV digests and
-/// the whole-stream etag — the two passes that dominate — run as pool
-/// tasks over batched chunk ranges, joined in input order. Output is
-/// **byte-identical** to [`chunk_bytes`] for every input, executor,
-/// and parallelism: same boundaries (shared cut scan), same digests
-/// (pure per-chunk functions), same etag (whole-stream FNV equals the
-/// chunk-by-chunk fold because chunks partition the stream in order).
+/// [`chunk_bytes`] with the digest work routed onto `exec`. Copies
+/// `data` once into a shared buffer and chunks that
+/// ([`chunk_shared_on`]).
 pub fn chunk_bytes_on(
     exec: &Executor,
     data: &[u8],
     params: ChunkerParams,
 ) -> (ChunkManifest, Vec<Chunk>) {
+    chunk_shared_on(exec, &Bytes::copy_from_slice(data), params)
+}
+
+/// [`chunk_shared`] with the digest work routed onto `exec`.
+///
+/// Boundaries are found by the same sequential Gear scan (the rolling
+/// hash is inherently order-dependent), then per-chunk FNV digests and
+/// the whole-stream etag — the two passes that dominate — run as pool
+/// tasks over batched chunk ranges, joined in input order. Output is
+/// **byte-identical** to [`chunk_shared`] for every input, executor,
+/// and parallelism: same boundaries (shared cut scan), same digests
+/// (pure per-chunk functions), same etag (whole-stream FNV equals the
+/// chunk-by-chunk fold because chunks partition the stream in order),
+/// same views (shared tail).
+pub fn chunk_shared_on(
+    exec: &Executor,
+    data: &Bytes,
+    params: ChunkerParams,
+) -> (ChunkManifest, Vec<Chunk>) {
     if exec.is_sequential() || data.len() < PAR_CHUNK_MIN_BYTES {
-        return chunk_bytes(data, params);
+        return chunk_shared(data, params);
     }
     let mask = params.mask();
+    let bytes: &[u8] = data;
     let mut bounds: Vec<Range<usize>> = Vec::new();
     let mut start = 0usize;
-    while start < data.len() {
-        let cut = next_cut(data, start, params, mask);
+    while start < bytes.len() {
+        let cut = next_cut(bytes, start, params, mask);
         bounds.push(start..cut);
         start = cut;
     }
@@ -236,7 +304,7 @@ pub fn chunk_bytes_on(
     }
     enum Out {
         Etag(String),
-        Digests(Vec<(ChunkRef, Chunk)>),
+        Digests(Vec<ChunkRef>),
     }
     let mut tasks = vec![Task::Etag];
     tasks.extend(
@@ -245,60 +313,26 @@ pub fn chunk_bytes_on(
             .map(Task::Digests),
     );
     let outs = exec.par_map(tasks, |task| match task {
-        Task::Etag => Out::Etag(fnv::etag(data)),
+        Task::Etag => Out::Etag(fnv::etag(bytes)),
         Task::Digests(batch) => Out::Digests(
             bounds[batch]
                 .iter()
-                .map(|r| {
-                    let slice = &data[r.clone()];
-                    let digest = fnv::hash(slice);
-                    (
-                        ChunkRef {
-                            digest,
-                            len: slice.len() as u32,
-                        },
-                        Chunk {
-                            digest,
-                            data: Bytes::copy_from_slice(slice),
-                        },
-                    )
+                .map(|r| ChunkRef {
+                    digest: fnv::hash(&bytes[r.clone()]),
+                    len: r.len() as u32,
                 })
                 .collect(),
         ),
     });
     let mut refs = Vec::with_capacity(bounds.len());
-    let mut chunks = Vec::with_capacity(bounds.len());
     let mut etag = String::new();
     for out in outs {
         match out {
             Out::Etag(e) => etag = e,
-            Out::Digests(batch) => {
-                for (r, c) in batch {
-                    refs.push(r);
-                    chunks.push(c);
-                }
-            }
+            Out::Digests(batch) => refs.extend(batch),
         }
     }
-    let manifest = ChunkManifest {
-        chunks: refs,
-        total_len: data.len() as u64,
-        etag,
-    };
-    (manifest, chunks)
-}
-
-fn push_chunk(slice: &[u8], refs: &mut Vec<ChunkRef>, chunks: &mut Vec<Chunk>, etag: &mut Fnv1a) {
-    let digest = fnv::hash(slice);
-    etag.update(slice);
-    refs.push(ChunkRef {
-        digest,
-        len: slice.len() as u32,
-    });
-    chunks.push(Chunk {
-        digest,
-        data: Bytes::copy_from_slice(slice),
-    });
+    with_views(data, refs, etag)
 }
 
 /// Reassemble a payload from its manifest and a chunk lookup.
@@ -341,6 +375,7 @@ pub fn stream_etag<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample(len: usize, seed: u64) -> Vec<u8> {
         // Simple deterministic byte stream with enough entropy to
@@ -449,11 +484,87 @@ mod tests {
     }
 
     #[test]
+    fn chunk_bodies_are_views_of_one_buffer() {
+        let data = Bytes::from(sample(20_000, 17));
+        let (_, chunks) = chunk_shared(&data, ChunkerParams::DEFAULT);
+        let mut at = data.as_ptr();
+        for c in &chunks {
+            assert_eq!(c.data.as_ptr(), at, "chunk body is not a view of the payload");
+            at = at.wrapping_add(c.data.len());
+        }
+        assert_eq!(at, data.as_ptr_range().end);
+    }
+
+    #[test]
     fn stream_etag_matches_whole_etag() {
         let data = sample(4_096, 5);
         let (m, chunks) = chunk_bytes(&data, ChunkerParams::DEFAULT);
         let parts: Vec<&[u8]> = chunks.iter().map(|c| &c.data[..]).collect();
         assert_eq!(stream_etag(parts), m.etag);
         assert_eq!(m.etag, fnv::etag(&data));
+    }
+
+    /// The chunker as its definition reads, one pass per concern: a
+    /// boundary after the first byte at length >= min whose mixed
+    /// Gear hash clears the mask, or at max; then a digest per chunk
+    /// and an etag over the stream.
+    fn reference(data: &[u8], p: ChunkerParams) -> (ChunkManifest, Vec<Chunk>) {
+        let mut refs = Vec::new();
+        let mut chunks = Vec::new();
+        let mut start = 0;
+        while start < data.len() {
+            let mut hash = 0u64;
+            let mut len = 0;
+            for &b in &data[start..] {
+                hash = (hash << 1).wrapping_add(GEAR[b as usize]);
+                len += 1;
+                let boundary = (hash ^ (hash >> 32)) & (p.avg as u64 - 1) == 0;
+                if (len >= p.min && boundary) || len == p.max {
+                    break;
+                }
+            }
+            let body = &data[start..start + len];
+            let digest = fnv::hash(body);
+            refs.push(ChunkRef { digest, len: len as u32 });
+            chunks.push(Chunk { digest, data: Bytes::copy_from_slice(body) });
+            start += len;
+        }
+        let manifest = ChunkManifest {
+            chunks: refs,
+            total_len: data.len() as u64,
+            etag: fnv::etag(data),
+        };
+        (manifest, chunks)
+    }
+
+    fn arb_params() -> impl Strategy<Value = ChunkerParams> {
+        (2u32..7, 1usize..=64, 1usize..=4).prop_map(|(exp, min, mul)| {
+            let avg = 1usize << exp;
+            ChunkerParams { min: min.min(avg), avg, max: avg * mul }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn fused_chunker_equals_reference(
+            data in prop::collection::vec(any::<u8>(), 0..1024),
+            // Low-entropy streams repeat chunks and run to `max`.
+            alphabet in 1u8..=255,
+            params in arb_params(),
+        ) {
+            let data: Vec<u8> = data.into_iter().map(|b| b % alphabet).collect();
+            // Whole input, plus prefixes straddling one and two chunks'
+            // worth of `min` and `max`, plus the empty input.
+            let mut lens = vec![data.len(), 0];
+            for edge in [params.min, params.max, 2 * params.max] {
+                lens.extend([edge - 1, edge, edge + 1]);
+            }
+            for len in lens {
+                let prefix = &data[..len.min(data.len())];
+                prop_assert_eq!(chunk_bytes(prefix, params), reference(prefix, params));
+            }
+        }
     }
 }

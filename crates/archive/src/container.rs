@@ -15,7 +15,7 @@
 //! trailer checksum u64 FNV-1a over everything before it
 //! ```
 
-use crate::fnv::Fnv1a;
+use crate::fnv::{self, Fnv1a};
 use crate::tree::{normalize, FileTree};
 use bytes::Bytes;
 
@@ -85,39 +85,85 @@ impl From<crate::lzss::LzssError> for ArchiveError {
     }
 }
 
-/// Serialize a [`FileTree`] into the container format (uncompressed).
-pub fn write_container(tree: &FileTree) -> Vec<u8> {
-    let mut out = Vec::with_capacity(tree.total_size() as usize + 64 * tree.len() + 32);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&(tree.len() as u32).to_le_bytes());
-    for (path, data) in tree.iter() {
-        out.extend_from_slice(&(path.len() as u16).to_le_bytes());
-        out.extend_from_slice(path.as_bytes());
-        out.push(EntryKind::Regular as u8);
-        out.extend_from_slice(&(data.len() as u64).to_le_bytes());
-        out.extend_from_slice(data);
-        let mut h = Fnv1a::new();
-        h.update(path.as_bytes()).update(data);
-        out.extend_from_slice(&h.digest().to_le_bytes());
-    }
-    let mut trailer = Fnv1a::new();
-    trailer.update(&out);
-    out.extend_from_slice(&trailer.digest().to_le_bytes());
-    out
+/// Container bytes under construction, with the trailer chain folded
+/// as they are appended.
+struct Writer {
+    out: Vec<u8>,
+    trailer: Fnv1a,
 }
 
+impl Writer {
+    /// Append framing bytes: trailer chain only.
+    fn put(&mut self, bytes: &[u8]) {
+        self.out.extend_from_slice(bytes);
+        self.trailer.update(bytes);
+    }
+
+    /// Append bytes an entry checksum covers too: both chains, one pass.
+    fn put_into(&mut self, bytes: &[u8], entry: &mut Fnv1a) {
+        self.out.extend_from_slice(bytes);
+        fnv::update2(entry, &mut self.trailer, bytes);
+    }
+}
+
+/// Serialize a [`FileTree`] into the container format (uncompressed).
+/// Each file's bytes are read once for both checksums that cover them
+/// ([`fnv::update2`]).
+pub fn write_container(tree: &FileTree) -> Vec<u8> {
+    let mut w = Writer {
+        out: Vec::with_capacity(tree.total_size() as usize + 64 * tree.len() + 32),
+        trailer: Fnv1a::new(),
+    };
+    w.put(MAGIC);
+    w.put(&(tree.len() as u32).to_le_bytes());
+    for (path, data) in tree.iter() {
+        let mut entry = Fnv1a::new();
+        w.put(&(path.len() as u16).to_le_bytes());
+        w.put_into(path.as_bytes(), &mut entry);
+        w.put(&[EntryKind::Regular as u8]);
+        w.put(&(data.len() as u64).to_le_bytes());
+        w.put_into(data, &mut entry);
+        w.put(&entry.digest().to_le_bytes());
+    }
+    let trailer = w.trailer.digest();
+    w.out.extend_from_slice(&trailer.to_le_bytes());
+    w.out
+}
+
+/// Cursor over a container body that folds every byte it hands out
+/// into the trailer chain, so parsing and the whole-archive checksum
+/// share one pass.
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    trailer: Fnv1a,
 }
 
 impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ArchiveError> {
-        if self.pos + n > self.buf.len() {
+    /// The next `n` bytes, not yet folded into any chain. `n` comes
+    /// from the container, so it is compared against what remains
+    /// rather than added to the position.
+    fn take_unhashed(&mut self, n: usize) -> Result<&'a [u8], ArchiveError> {
+        if n > self.buf.len() - self.pos {
             return Err(ArchiveError::Truncated);
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
+        Ok(s)
+    }
+
+    /// The next `n` bytes, folded into the trailer chain.
+    fn take(&mut self, n: usize) -> Result<&'a [u8], ArchiveError> {
+        let s = self.take_unhashed(n)?;
+        self.trailer.update(s);
+        Ok(s)
+    }
+
+    /// The next `n` bytes, folded into the trailer chain and `entry`
+    /// in one pass.
+    fn take_into(&mut self, n: usize, entry: &mut Fnv1a) -> Result<&'a [u8], ArchiveError> {
+        let s = self.take_unhashed(n)?;
+        fnv::update2(entry, &mut self.trailer, s);
         Ok(s)
     }
 
@@ -135,52 +181,71 @@ impl<'a> Reader<'a> {
 }
 
 /// Deserialize a container back into a [`FileTree`], verifying every
-/// checksum.
+/// checksum. Copies `buf` once into a shared buffer and reads that
+/// ([`read_container_shared`]).
 pub fn read_container(buf: &[u8]) -> Result<FileTree, ArchiveError> {
-    // Verify the trailer first: cheap whole-archive integrity.
+    read_container_shared(&Bytes::copy_from_slice(buf))
+}
+
+/// [`read_container`] over a shared buffer: the files of the returned
+/// tree are views of `buf` — no file bytes are copied, and the tree
+/// keeps `buf`'s buffer alive.
+///
+/// The entries are parsed and the trailer checksum folded in the same
+/// pass, but the verdict is the two-pass one: the whole-archive
+/// checksum is judged first, so a trailer mismatch outranks whatever
+/// the parse made of the damaged bytes.
+pub fn read_container_shared(buf: &Bytes) -> Result<FileTree, ArchiveError> {
     if buf.len() < MAGIC.len() + 4 + 8 {
         return Err(ArchiveError::Truncated);
     }
     let (body, trailer_bytes) = buf.split_at(buf.len() - 8);
-    let mut trailer = Fnv1a::new();
-    trailer.update(body);
-    if trailer.digest().to_le_bytes() != trailer_bytes {
+    let mut r = Reader { buf: body, pos: 0, trailer: Fnv1a::new() };
+    let parsed = read_entries(&mut r, buf);
+    // A failed parse stopped early: the trailer covers the rest too.
+    r.trailer.update(&body[r.pos..]);
+    if r.trailer.digest().to_le_bytes() != trailer_bytes {
         return Err(ArchiveError::ChecksumMismatch { context: "trailer" });
     }
+    parsed
+}
 
-    let mut r = Reader { buf: body, pos: 0 };
+/// Parse the body under `r` (a prefix of `shared`) into a tree whose
+/// files are views of `shared`.
+fn read_entries(r: &mut Reader<'_>, shared: &Bytes) -> Result<FileTree, ArchiveError> {
     if r.take(MAGIC.len())? != MAGIC {
         return Err(ArchiveError::BadMagic);
     }
     let count = r.u32()?;
     let mut tree = FileTree::new();
     for _ in 0..count {
+        let mut entry = Fnv1a::new();
         let path_len = r.u16()? as usize;
-        let path_bytes = r.take(path_len)?;
+        let path_bytes = r.take_into(path_len, &mut entry)?;
         let path = std::str::from_utf8(path_bytes).map_err(|_| ArchiveError::BadPath)?;
         let norm = normalize(path).map_err(|_| ArchiveError::BadPath)?;
         if norm != path {
             return Err(ArchiveError::BadPath);
         }
-        let kind = match r.take(1)?[0] {
-            0 => EntryKind::Regular,
-            other => return Err(ArchiveError::BadKind(other)),
-        };
-        let _ = kind;
-        let data_len = r.u64()? as usize;
-        let data = r.take(data_len)?;
-        let stored = r.u64()?;
-        let mut h = Fnv1a::new();
-        h.update(path_bytes).update(data);
-        if h.digest() != stored {
+        let kind = r.take(1)?[0];
+        if kind != EntryKind::Regular as u8 {
+            return Err(ArchiveError::BadKind(kind));
+        }
+        // A length that does not fit the address space cannot fit the
+        // buffer either.
+        let data_len = usize::try_from(r.u64()?).map_err(|_| ArchiveError::Truncated)?;
+        let data_at = r.pos;
+        r.take_into(data_len, &mut entry)?;
+        if entry.digest() != r.u64()? {
             return Err(ArchiveError::ChecksumMismatch { context: "entry" });
         }
         if tree.contains(&norm) {
             return Err(ArchiveError::DuplicatePath(norm));
         }
-        tree.insert(&norm, data.to_vec()).map_err(|_| ArchiveError::BadPath)?;
+        tree.insert(&norm, shared.slice(data_at..data_at + data_len))
+            .map_err(|_| ArchiveError::BadPath)?;
     }
-    if r.pos != body.len() {
+    if r.pos != r.buf.len() {
         // Trailing garbage between last entry and trailer.
         return Err(ArchiveError::ChecksumMismatch { context: "length" });
     }
@@ -245,6 +310,38 @@ mod tests {
         let digest = h.digest().to_le_bytes();
         bytes[body_len..].copy_from_slice(&digest);
         assert_eq!(read_container(&bytes), Err(ArchiveError::BadMagic));
+    }
+
+    #[test]
+    fn entry_length_near_u64_max_is_truncated_not_a_panic() {
+        // 48 bytes any client can build: one entry whose data length
+        // would wrap `pos + n`, under a correctly recomputed trailer.
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&1u16.to_le_bytes());
+        bytes.push(b'a');
+        bytes.push(EntryKind::Regular as u8);
+        bytes.extend_from_slice(&(u64::MAX - 3).to_le_bytes());
+        bytes.extend_from_slice(&[0u8; 16]);
+        let trailer = fnv::hash(&bytes);
+        bytes.extend_from_slice(&trailer.to_le_bytes());
+        assert_eq!(bytes.len(), 48);
+        assert_eq!(read_container(&bytes), Err(ArchiveError::Truncated));
+    }
+
+    #[test]
+    fn shared_read_hands_out_views_of_the_container() {
+        let t = sample_tree();
+        let container = Bytes::from(write_container(&t));
+        let back = read_container_shared(&container).unwrap();
+        assert_eq!(back, t);
+        let span = container.as_ptr_range();
+        for (path, data) in back.iter() {
+            assert!(
+                span.contains(&data.as_ptr()) && data.as_ptr_range().end <= span.end,
+                "{path} was copied out of the container"
+            );
+        }
     }
 
     #[test]

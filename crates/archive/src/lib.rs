@@ -28,7 +28,13 @@ pub mod fnv;
 pub mod lzss;
 pub mod tree;
 
-pub use bundle::{pack, restore, unpack, Bundle};
-pub use chunk::{chunk_bytes, Chunk, ChunkManifest, ChunkRef, ChunkerParams};
-pub use container::{read_container, write_container, ArchiveError, Entry, EntryKind};
+pub use bundle::{pack, restore, restore_shared, unpack, Bundle};
+/// The shared byte-buffer view that file contents, chunk bodies and
+/// fetched objects are handed around as; re-exported so crates that
+/// take or return those need no dependency edge of their own.
+pub use bytes::Bytes;
+pub use chunk::{chunk_bytes, chunk_shared, Chunk, ChunkManifest, ChunkRef, ChunkerParams};
+pub use container::{
+    read_container, read_container_shared, write_container, ArchiveError, Entry, EntryKind,
+};
 pub use tree::FileTree;

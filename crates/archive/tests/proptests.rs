@@ -3,8 +3,10 @@
 //! detection.
 
 use proptest::prelude::*;
+use rai_archive::fnv::{self, Fnv1a};
 use rai_archive::lzss;
-use rai_archive::{pack, unpack, FileTree};
+use rai_archive::tree::normalize;
+use rai_archive::{pack, read_container, unpack, write_container, ArchiveError, FileTree};
 
 fn arb_tree() -> impl Strategy<Value = FileTree> {
     let path = proptest::string::string_regex("[a-z][a-z0-9_.]{0,8}(/[a-z][a-z0-9_.]{0,8}){0,3}")
@@ -130,5 +132,151 @@ proptest! {
             total += c.len as u64;
         }
         prop_assert_eq!(total, manifest.total_len);
+    }
+}
+
+/// `read_container` as two passes over the bytes: the whole-archive
+/// checksum first, the entries only once it holds. The fused reader
+/// must return exactly this for every input.
+fn read_container_two_pass(buf: &[u8]) -> Result<FileTree, ArchiveError> {
+    fn take<'a>(rest: &mut &'a [u8], n: u64) -> Result<&'a [u8], ArchiveError> {
+        if n > rest.len() as u64 {
+            return Err(ArchiveError::Truncated);
+        }
+        let (head, tail) = rest.split_at(n as usize);
+        *rest = tail;
+        Ok(head)
+    }
+    fn le(rest: &mut &[u8], width: u64) -> Result<u64, ArchiveError> {
+        let mut wide = [0u8; 8];
+        wide[..width as usize].copy_from_slice(take(rest, width)?);
+        Ok(u64::from_le_bytes(wide))
+    }
+
+    if buf.len() < 8 + 4 + 8 {
+        return Err(ArchiveError::Truncated);
+    }
+    let (body, trailer) = buf.split_at(buf.len() - 8);
+    if fnv::hash(body).to_le_bytes() != trailer {
+        return Err(ArchiveError::ChecksumMismatch { context: "trailer" });
+    }
+    let mut rest = body;
+    if take(&mut rest, 8)? != b"RAIAR1\0\0" {
+        return Err(ArchiveError::BadMagic);
+    }
+    let mut tree = FileTree::new();
+    for _ in 0..le(&mut rest, 4)? {
+        let path_len = le(&mut rest, 2)?;
+        let path_bytes = take(&mut rest, path_len)?;
+        let path = std::str::from_utf8(path_bytes).map_err(|_| ArchiveError::BadPath)?;
+        if normalize(path).ok().as_deref() != Some(path) {
+            return Err(ArchiveError::BadPath);
+        }
+        match le(&mut rest, 1)? {
+            0 => {}
+            other => return Err(ArchiveError::BadKind(other as u8)),
+        }
+        let data_len = le(&mut rest, 8)?;
+        let data = take(&mut rest, data_len)?;
+        let stored = le(&mut rest, 8)?;
+        if Fnv1a::new().update(path_bytes).update(data).digest() != stored {
+            return Err(ArchiveError::ChecksumMismatch { context: "entry" });
+        }
+        if tree.contains(path) {
+            return Err(ArchiveError::DuplicatePath(path.to_string()));
+        }
+        tree.insert(path, data.to_vec()).map_err(|_| ArchiveError::BadPath)?;
+    }
+    if !rest.is_empty() {
+        return Err(ArchiveError::ChecksumMismatch { context: "length" });
+    }
+    Ok(tree)
+}
+
+/// One way of damaging a container, placed by the seeds the test draws.
+#[derive(Clone, Copy, Debug)]
+enum Damage {
+    FlipBit,
+    /// Overwrite eight bytes with a length-like extreme.
+    Extreme(u64),
+    /// Copy the bytes from `at` over the ones before them: duplicates
+    /// paths and shifts framing with plausible content.
+    Smear,
+    Truncate,
+    Append,
+}
+
+fn arb_damage() -> impl Strategy<Value = Damage> {
+    prop_oneof![
+        Just(Damage::FlipBit),
+        prop_oneof![Just(0u64), Just(1), Just(u64::MAX), Just(u64::MAX - 7), Just(1 << 32)]
+            .prop_map(Damage::Extreme),
+        Just(Damage::Smear),
+        Just(Damage::Truncate),
+        Just(Damage::Append),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn two_chain_update_equals_two_updates(
+        data in prop::collection::vec(any::<u8>(), 0..2048),
+        cuts in prop::collection::vec(any::<u16>(), 0..6),
+        lead in prop::collection::vec(any::<u8>(), 0..16),
+    ) {
+        // The chains start from different states and the input arrives
+        // in arbitrary pieces, empty ones included.
+        let (mut a, mut b) = (Fnv1a::new(), Fnv1a::new());
+        a.update(&lead);
+        let (mut ref_a, mut ref_b) = (a, b);
+        let mut cuts: Vec<usize> = cuts.iter().map(|&c| c as usize % (data.len() + 1)).collect();
+        cuts.extend([0, data.len()]);
+        cuts.sort_unstable();
+        for piece in cuts.windows(2) {
+            fnv::update2(&mut a, &mut b, &data[piece[0]..piece[1]]);
+        }
+        ref_a.update(&data);
+        ref_b.update(&data);
+        prop_assert_eq!(a.digest(), ref_a.digest());
+        prop_assert_eq!(b.digest(), ref_b.digest());
+    }
+
+    #[test]
+    fn fused_container_read_equals_two_pass_read(
+        tree in arb_tree(),
+        damage in prop::collection::vec((arb_damage(), any::<u64>()), 0..3),
+        fix_trailer in any::<bool>(),
+    ) {
+        let mut bytes = write_container(&tree);
+        for (kind, seed) in damage {
+            let at = seed as usize % bytes.len().max(1);
+            match kind {
+                Damage::FlipBit => {
+                    if let Some(b) = bytes.get_mut(at) {
+                        *b ^= 1 << (seed >> 60 & 7);
+                    }
+                }
+                Damage::Extreme(v) => {
+                    let end = bytes.len().min(at + 8);
+                    bytes[at..end].copy_from_slice(&v.to_le_bytes()[..end - at]);
+                }
+                Damage::Smear => {
+                    let width = (seed >> 32) as usize % 64;
+                    bytes.copy_within(at.., at.saturating_sub(width));
+                }
+                Damage::Truncate => bytes.truncate(at),
+                Damage::Append => bytes.extend_from_slice(&seed.to_le_bytes()),
+            }
+        }
+        if fix_trailer && bytes.len() >= 8 {
+            // What any client can do: a damaged body under a trailer
+            // that vouches for it, so the structural checks decide.
+            let body = bytes.len() - 8;
+            let trailer = fnv::hash(&bytes[..body]).to_le_bytes();
+            bytes[body..].copy_from_slice(&trailer);
+        }
+        prop_assert_eq!(read_container(&bytes), read_container_two_pass(&bytes));
     }
 }

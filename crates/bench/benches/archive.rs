@@ -18,6 +18,19 @@ fn project_tree(kb: usize) -> FileTree {
     t
 }
 
+/// The next `len` bytes of the LCG stream `state` is at:
+/// incompressible, boundaries everywhere the chunker's mask allows.
+fn pseudorandom(len: usize, state: &mut u64) -> Vec<u8> {
+    (0..len)
+        .map(|_| {
+            *state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (*state >> 33) as u8
+        })
+        .collect()
+}
+
 fn bench_pack_unpack(c: &mut Criterion) {
     let mut g = c.benchmark_group("archive/pack_unpack");
     for kb in [16usize, 256, 2048] {
@@ -63,15 +76,7 @@ fn bench_chunker(c: &mut Criterion) {
     let mut g = c.benchmark_group("archive/chunker");
     // Pseudorandom bytes (worst case: boundaries everywhere the mask
     // allows) and repetitive project text (long forced-max chunks).
-    let mut state = 0x5EEDu64;
-    let random: Vec<u8> = (0..1 << 20)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as u8
-        })
-        .collect();
+    let random = pseudorandom(1 << 20, &mut 0x5EED);
     let text = "__global__ void conv(float* y, const float* x) { y[threadIdx.x] = x[threadIdx.x]; }\n"
         .repeat(12_000)
         .into_bytes();
@@ -84,5 +89,37 @@ fn bench_chunker(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_pack_unpack, bench_lzss, bench_chunker);
+/// The paper's mean upload — 2.5 MiB of incompressible files, the
+/// size `bulk_fresh` / `bulk_resubmit` in `BENCHMARK.json` run at —
+/// through the three archive stages of a submission as the client and
+/// worker call them: serialize, chunk, and read back in place. Each is
+/// one pass over the payload (DESIGN.md §10); watch them here without
+/// a full benchmark run. Companion of `store/bulk_tree/*`.
+fn bench_bulk_tree(c: &mut Criterion) {
+    use rai_archive::chunk::{chunk_shared, ChunkerParams};
+    use rai_archive::{read_container_shared, write_container, Bytes};
+    const FILES: usize = 16;
+    const FILE: usize = 160 * 1024;
+    let mut state = 0xB01C;
+    let mut tree = FileTree::new();
+    for i in 0..FILES {
+        tree.insert(&format!("data/part{i:02}.bin"), pseudorandom(FILE, &mut state))
+            .expect("static path");
+    }
+    let container = Bytes::from(write_container(&tree));
+
+    let mut g = c.benchmark_group("archive/bulk_tree");
+    g.sample_size(20);
+    g.throughput(Throughput::Bytes(container.len() as u64));
+    g.bench_function("write_container", |b| b.iter(|| write_container(&tree)));
+    g.bench_function("read_container", |b| {
+        b.iter(|| read_container_shared(&container).expect("valid container"));
+    });
+    g.bench_function("chunk_bytes", |b| {
+        b.iter(|| chunk_shared(&container, ChunkerParams::DEFAULT));
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_pack_unpack, bench_lzss, bench_chunker, bench_bulk_tree);
 criterion_main!(benches);

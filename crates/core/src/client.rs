@@ -356,19 +356,20 @@ impl RaiClient {
         // chunk manifest, so a resubmission uploads only the chunks
         // the file server does not already hold (DESIGN.md §10).
         let job_id = self.next_job_id.fetch_add(1, Ordering::Relaxed);
-        let container = write_container(&project.tree);
+        let prepared = self.delta.prepare_owned(write_container(&project.tree));
         let upload_key = format!("{}/{job_id:08x}.tar.bz2", self.team.replace(' ', "-"));
         // A transient file-server outage surfaces to the student as a
         // long upload, not a failed submission: retry a few times
-        // before giving up.
+        // before giving up. The container was chunked once, above; a
+        // retry only repeats the store conversation.
         let mut attempts = 0;
         loop {
             attempts += 1;
-            match self.delta.upload(
+            match self.delta.upload_prepared(
                 &self.store,
                 UPLOAD_BUCKET,
                 &upload_key,
-                &container,
+                &prepared,
                 [
                     ("team".to_string(), self.team.clone()),
                     (

@@ -10,7 +10,10 @@
 //! bytes instead of the whole archive — the paper's dominant workload
 //! (30 782 submissions in the final two weeks, most of them retries).
 
-use rai_archive::chunk::{chunk_bytes, chunk_bytes_on, Chunk, ChunkManifest, ChunkerParams};
+use rai_archive::chunk::{
+    chunk_shared, chunk_shared_on, chunk_views, Chunk, ChunkManifest, ChunkerParams,
+};
+use rai_archive::Bytes;
 use rai_exec::Executor;
 use rai_store::{ObjectStore, StoreError};
 use parking_lot::RwLock;
@@ -35,9 +38,10 @@ impl PreparedUpload {
     /// Chunk `payload` with the store's default parameters. Chunk
     /// boundaries and digests are a pure function of the bytes, so a
     /// prepared upload is byte-identical no matter where (or how
-    /// concurrently) it was prepared.
-    pub fn prepare(payload: &[u8]) -> Self {
-        let (manifest, chunks) = chunk_bytes(payload, ChunkerParams::DEFAULT);
+    /// concurrently) it was prepared. The payload is handed over by
+    /// value: nothing is copied, the prepared chunks are views of it.
+    pub fn prepare(payload: impl Into<Bytes>) -> Self {
+        let (manifest, chunks) = chunk_shared(&payload.into(), ChunkerParams::DEFAULT);
         PreparedUpload { manifest, chunks }
     }
 
@@ -209,8 +213,16 @@ impl DeltaUploader {
     /// Chunk `payload` on this uploader's executor, ready for
     /// [`DeltaUploader::upload_prepared`]. Identical to
     /// [`PreparedUpload::prepare`] byte for byte (DESIGN.md §12).
+    /// Copies `payload` once ([`DeltaUploader::prepare_owned`] takes
+    /// it instead).
     pub fn prepare(&self, payload: &[u8]) -> PreparedUpload {
-        let (manifest, chunks) = chunk_bytes_on(&self.executor, payload, self.params);
+        self.prepare_owned(Bytes::copy_from_slice(payload))
+    }
+
+    /// [`DeltaUploader::prepare`] of a payload handed over by value:
+    /// nothing is copied, the prepared chunks are views of it.
+    pub fn prepare_owned(&self, payload: impl Into<Bytes>) -> PreparedUpload {
+        let (manifest, chunks) = chunk_shared_on(&self.executor, &payload.into(), self.params);
         PreparedUpload { manifest, chunks }
     }
 
@@ -234,6 +246,11 @@ impl DeltaUploader {
     /// Commit an already-prepared upload, sending only the chunks the
     /// store is missing. Retrying a transient failure with the same
     /// [`PreparedUpload`] skips the chunking pass entirely.
+    ///
+    /// The missing chunks travel as views of one request body holding
+    /// exactly their bytes (`request_body`), so what the store keeps
+    /// resident pins the bytes that crossed the wire — never the
+    /// prepared payload, most of which a resubmission does not send.
     pub fn upload_prepared(
         &self,
         store: &ObjectStore,
@@ -267,12 +284,13 @@ impl DeltaUploader {
             };
             let digests: Vec<u64> = unknown.iter().map(|c| c.digest).collect();
             let resident = store.has_chunks(&digests)?;
-            let to_send: Vec<Chunk> = unknown
+            let missing: Vec<&Chunk> = unknown
                 .iter()
                 .zip(resident)
                 .filter(|(_, resident)| !resident)
-                .map(|(c, _)| (*c).clone())
+                .map(|(c, _)| *c)
                 .collect();
+            let to_send = request_body(&missing);
             // The bypass pass is the last use of the metadata.
             let meta = if trust_cache { user_meta.clone() } else { std::mem::take(&mut user_meta) };
             match store.put_delta(bucket, key, manifest, &to_send, meta) {
@@ -295,6 +313,16 @@ impl DeltaUploader {
         }
         unreachable!("second pass never yields MissingChunks: it queried every digest");
     }
+}
+
+/// Pack `missing` into one request body — the copy that stands for
+/// the wire hop — and return the same chunks as views of it.
+fn request_body(missing: &[&Chunk]) -> Vec<Chunk> {
+    let mut body = Vec::with_capacity(missing.iter().map(|c| c.data.len()).sum());
+    for c in missing {
+        body.extend_from_slice(&c.data);
+    }
+    chunk_views(&Bytes::from(body), missing.iter().map(|c| (c.digest, c.data.len())))
 }
 
 #[cfg(test)]
@@ -351,6 +379,42 @@ mod tests {
             r.bytes_sent,
             r.bytes_logical
         );
+        assert_eq!(s.get("b", "v2").unwrap().data.as_ref(), &edited[..]);
+    }
+
+    #[test]
+    fn resubmission_pins_its_request_body_not_its_payload() {
+        // The paper's mean upload, resubmitted with one byte changed.
+        let s = store();
+        let up = DeltaUploader::new();
+        let base = payload(2_500 * 1024, 8);
+        up.upload(&s, "b", "v1", &base, []).unwrap();
+        let mut edited = base.clone();
+        edited[1_000_000] ^= 0xFF;
+
+        let prepared = up.prepare_owned(edited.clone());
+        let payload_buffer = prepared.chunks[0].data.buffer().unwrap();
+        let resident: HashSet<u64> = PreparedUpload::prepare(base.clone()).chunk_digests().collect();
+        let missing: Vec<&Chunk> =
+            prepared.chunks.iter().filter(|c| !resident.contains(&c.digest)).collect();
+        assert!(!missing.is_empty() && missing.len() <= 8, "{} chunks changed", missing.len());
+
+        let r = up.upload_prepared(&s, "b", "v2", &prepared, []).unwrap();
+        assert_eq!(r.chunks_sent, missing.len());
+        // What crosses the wire is one body of exactly the sent bytes,
+        // and every sent chunk is a view of it.
+        let sent = request_body(&missing);
+        let body = sent[0].data.buffer().unwrap();
+        assert_eq!(body.upgrade().unwrap().len() as u64, r.bytes_sent);
+        assert!(sent.iter().all(|c| c.data.buffer().unwrap().ptr_eq(&body)));
+        assert!(!body.ptr_eq(&payload_buffer));
+        for (sent, chunk) in sent.iter().zip(&missing) {
+            assert_eq!((sent.digest, &sent.data), (chunk.digest, &chunk.data));
+        }
+        // The store holds the new chunks, yet nothing of the 2.5 MiB
+        // payload outlives the upload: no resident chunk aliases it.
+        drop((prepared, sent));
+        assert!(payload_buffer.upgrade().is_none(), "the store pinned the payload buffer");
         assert_eq!(s.get("b", "v2").unwrap().data.as_ref(), &edited[..]);
     }
 

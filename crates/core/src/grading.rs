@@ -12,7 +12,7 @@
 
 use crate::client::BUILD_BUCKET;
 use crate::spec::BuildSpec;
-use rai_archive::{restore, FileTree};
+use rai_archive::{restore_shared, FileTree};
 use rai_db::{doc, Database};
 use rai_sandbox::{Container, ImageRegistry, ResourceLimits};
 use rai_store::ObjectStore;
@@ -96,7 +96,7 @@ impl Grader {
             let Ok(obj) = self.store.get(BUILD_BUCKET, key) else {
                 continue;
             };
-            let Ok(tree) = restore(&obj.data) else { continue };
+            let Ok(tree) = restore_shared(&obj.data) else { continue };
             out.push(FinalSubmission {
                 team: team.to_string(),
                 recorded_secs: secs,

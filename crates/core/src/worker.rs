@@ -29,7 +29,7 @@ use crate::client::BUILD_BUCKET;
 use crate::delta::{DeltaUploader, PreparedUpload};
 use crate::protocol::{routes, JobKind, JobRequest, LogFrame};
 use crate::spec::BuildSpec;
-use rai_archive::{restore, write_container, FileTree};
+use rai_archive::{restore_shared, write_container, FileTree};
 use rai_auth::{CredentialRegistry, CredentialSnapshot};
 use rai_broker::{Broker, MessageId, Subscription};
 use rai_db::{doc, Database, DbError, Value};
@@ -842,7 +842,7 @@ impl Worker {
         let project = match fetched
             .result
             .map_err(|e| e.to_string())
-            .and_then(|obj| restore(&obj.data).map_err(|e| e.to_string()))
+            .and_then(|obj| restore_shared(&obj.data).map_err(|e| e.to_string()))
         {
             Ok(tree) => tree,
             Err(e) => {
@@ -972,7 +972,7 @@ impl Worker {
                 ExecOutcome::Built {
                     user,
                     container_len: build_container.len() as u64,
-                    prepared: PreparedUpload::prepare(&build_container),
+                    prepared: PreparedUpload::prepare(build_container),
                     build_key,
                     success: report.success(),
                     measured: report.internal_timer_secs(),
@@ -1406,7 +1406,7 @@ mod tests {
         // The /build archive includes the submitted source snapshot.
         let build_url = receipt.build_url.unwrap();
         let obj = rig.store.get_presigned(&build_url).unwrap();
-        let tree = restore(&obj.data).unwrap();
+        let tree = restore_shared(&obj.data).unwrap();
         assert!(tree.contains("submission_code/main.cu"));
     }
 

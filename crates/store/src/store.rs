@@ -16,7 +16,7 @@ use crate::lifecycle::LifecycleRule;
 use crate::object::{ObjectMeta, StoredObject};
 use bytes::Bytes;
 use parking_lot::RwLock;
-use rai_archive::chunk::{assemble, chunk_bytes_on, Chunk, ChunkManifest, ChunkerParams};
+use rai_archive::chunk::{assemble, chunk_shared_on, Chunk, ChunkManifest, ChunkerParams};
 use rai_archive::fnv;
 use rai_exec::Executor;
 use rai_sim::{SimTime, VirtualClock};
@@ -463,6 +463,9 @@ impl ObjectStore {
     /// still crosses the wire. Delta-aware clients use
     /// [`ObjectStore::has_chunks`] + [`ObjectStore::put_delta`] to
     /// avoid that.
+    ///
+    /// Newly admitted chunks are kept as views of `data`, so each
+    /// pins the payload it arrived in (DESIGN.md §10).
     pub fn put(
         &self,
         bucket: &str,
@@ -475,7 +478,7 @@ impl ObjectStore {
         }
         let data = data.into();
         let exec = self.inner.executor.read().clone();
-        let (manifest, chunks) = chunk_bytes_on(&exec, &data, self.inner.chunker);
+        let (manifest, chunks) = chunk_shared_on(&exec, &data, self.inner.chunker);
         let size = manifest.total_len;
         let etag = manifest.etag.clone();
         let user: BTreeMap<String, String> = user_meta.into_iter().collect();
@@ -578,6 +581,11 @@ impl ObjectStore {
     /// their claimed digest when not already resident (resident chunks
     /// dedup against the stored copy, so their provided bytes are
     /// never admitted and need no re-hash).
+    ///
+    /// Newly admitted chunks are kept as the views they were handed
+    /// in as — no bytes are copied — so each pins the buffer it is a
+    /// view of: the request body, for chunks an uploader packed
+    /// (DESIGN.md §10).
     pub fn put_delta(
         &self,
         bucket: &str,
@@ -1360,7 +1368,7 @@ pub struct StoreRecovery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rai_archive::chunk::chunk_bytes;
+    use rai_archive::chunk::{chunk_bytes, chunk_shared};
     use rai_sim::SimDuration;
 
     fn store() -> ObjectStore {
@@ -1601,6 +1609,30 @@ mod tests {
             "second upload ships the manifest only, no chunk bytes"
         );
         assert_eq!(u.bytes_physical, 5_000);
+    }
+
+    #[test]
+    fn resident_chunks_are_the_views_they_arrived_as() {
+        let s = store();
+        let payload = varied(20_000, 23);
+        // A request body and views of it, as an uploader sends them.
+        let (manifest, chunks) = chunk_shared(&Bytes::from(payload.clone()), ChunkerParams::DEFAULT);
+        let body = chunks[0].data.buffer().unwrap();
+        s.put_delta("keep", "k", &manifest, &chunks, []).unwrap();
+        {
+            let shards = s.inner.arena.read_for(manifest.chunks.iter().map(|r| r.digest));
+            for c in &chunks {
+                let held = shards.shard(c.digest).unwrap().data(c.digest).unwrap();
+                assert!(held.buffer().unwrap().ptr_eq(&body), "chunk {:x} was copied", c.digest);
+            }
+        }
+        // The store's views alone keep the body alive …
+        drop(chunks);
+        assert_eq!(body.upgrade().expect("pinned by resident chunks").len(), payload.len());
+        assert_eq!(s.get("keep", "k").unwrap().data.as_ref(), &payload[..]);
+        // … and the last object referencing it takes it along.
+        s.delete("keep", "k").unwrap();
+        assert!(body.upgrade().is_none(), "request body outlived its last chunk");
     }
 
     #[test]

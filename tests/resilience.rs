@@ -3,8 +3,9 @@
 //! paper's §V requirement: "since RAI is a distributed architecture,
 //! these operations need to happen in order and be robust to failures."
 
+use rai::archive::{fnv, write_container};
 use rai::broker::RecvError;
-use rai::core::client::{ProjectDir, SubmitMode};
+use rai::core::client::{ProjectDir, SubmitMode, UPLOAD_BUCKET};
 use rai::core::protocol::routes;
 use rai::core::system::{RaiSystem, SystemConfig};
 use std::time::Duration;
@@ -83,6 +84,36 @@ fn brief_file_server_blip_is_retried_transparently() {
     let outcomes = sys.drain();
     assert_eq!(outcomes.len(), 1);
     assert!(outcomes[0].success, "one 503 is absorbed by retry");
+    assert!(pending.wait(Duration::from_millis(500)).unwrap().success);
+}
+
+#[test]
+fn client_upload_rides_out_file_server_blips() {
+    let mut sys = system();
+    let creds = sys.register_team("patient", &[]);
+    let client = sys.client_for(&creds);
+    let project = ProjectDir::sample_cuda_project();
+
+    // Two 503s land on the client's upload conversation. It chunked
+    // the container once, up front; each retry repeats only the store
+    // round trips, and the third attempt goes through.
+    sys.store().inject_faults(2);
+    let before = sys.store().usage();
+    let pending = client.begin_submit(&project, SubmitMode::Run).unwrap();
+    let usage = sys.store().usage();
+    assert_eq!(usage.puts - before.puts, 1, "failed attempts stored nothing");
+    assert_eq!(usage.objects - before.objects, 1);
+    let uploads = sys.store().list(UPLOAD_BUCKET, "").unwrap();
+    assert_eq!(uploads.len(), 1);
+    assert_eq!(
+        uploads[0].etag,
+        fnv::etag(&write_container(&project.tree)),
+        "the retried upload is the container, byte for byte"
+    );
+
+    let outcomes = sys.drain();
+    assert_eq!(outcomes.len(), 1);
+    assert!(outcomes[0].success);
     assert!(pending.wait(Duration::from_millis(500)).unwrap().success);
 }
 
