@@ -56,19 +56,46 @@ pub struct ChunkerParams {
 }
 
 impl ChunkerParams {
-    /// Store defaults, tuned for RAI project bundles: containers are
-    /// only ~1 KiB and resubmissions differ in a few short embedded
-    /// values (the perf directive in `main.cu`, the profiler's
-    /// `span_ms` line, entry checksums), so chunks must be small
-    /// enough to quarantine each ~tens-of-bytes edit while the rest
-    /// of the container keeps its digests. The 12-byte-per-chunk
-    /// manifest overhead this costs on the wire is far smaller than
-    /// re-shipping whole archives.
+    /// The floor of [`ChunkerParams::for_len`]: what every payload
+    /// under 4 KiB chunks with. RAI project containers are ~1 KiB and
+    /// resubmissions differ in a few short embedded values (the perf
+    /// directive in `main.cu`, the profiler's `span_ms` line, entry
+    /// checksums), so chunks this small quarantine each
+    /// ~tens-of-bytes edit while the rest of the container keeps its
+    /// digests; the 12-byte-per-chunk manifest overhead that costs on
+    /// the wire is far smaller than re-shipping whole archives.
     pub const DEFAULT: ChunkerParams = ChunkerParams {
         min: 16,
         avg: 32,
         max: 256,
     };
+
+    /// The parameters a payload of `len` bytes is chunked with: `avg`
+    /// is the largest power of two ≤ √`len`, never below
+    /// [`ChunkerParams::DEFAULT`]'s 32, with `min = avg / 2` and
+    /// `max = 8 · avg` (`DEFAULT`'s proportions).
+    ///
+    /// A resubmission with *k* local edits costs ≈ `12 · len / avg`
+    /// manifest bytes plus ≈ `1.5 · k · avg` re-shipped chunk bytes,
+    /// least at `avg = √(8 · len / k)`; *k* ≈ 8 makes that √`len`,
+    /// which is `DEFAULT` at the ~1 KiB containers it was tuned on and
+    /// avg 1 024 (≈1 700 chunks instead of ≈55 000) at the paper's
+    /// 2.5 MiB mean upload. Both ends of the delta protocol derive the
+    /// parameters from the payload length alone, so they agree without
+    /// negotiating. The price: `avg` doubles each time `len` crosses a
+    /// power of four (4 KiB, 16 KiB, … 1 MiB, 4 MiB), and a payload
+    /// that grows or shrinks across one re-chunks: most of it crosses
+    /// the wire once more before deduplicating again (DESIGN.md §10).
+    ///
+    /// `avg` stops at 2²⁸ so that `max` fits [`ChunkRef::len`].
+    pub fn for_len(len: usize) -> ChunkerParams {
+        let avg = 1usize << (len.max(1).ilog2() / 2).clamp(5, 28);
+        ChunkerParams {
+            min: avg / 2,
+            avg,
+            max: 8 * avg,
+        }
+    }
 
     fn mask(&self) -> u64 {
         debug_assert!(self.avg.is_power_of_two(), "avg must be a power of two");
@@ -169,6 +196,7 @@ pub fn chunk_shared(data: &Bytes, params: ChunkerParams) -> (ChunkManifest, Vec<
             digest.push(b);
             etag.push(b);
         });
+        debug_assert!(cut - start <= u32::MAX as usize, "params.max fits ChunkRef::len");
         refs.push(ChunkRef {
             digest: digest.digest(),
             len: (cut - start) as u32,
@@ -349,7 +377,7 @@ pub fn assemble<B: AsRef<[u8]>>(
     for r in &manifest.chunks {
         let data = lookup(r.digest)?;
         let data = data.as_ref();
-        if data.len() as u32 != r.len {
+        if data.len() as u64 != u64::from(r.len) {
             return None;
         }
         out.extend_from_slice(data);
@@ -396,6 +424,35 @@ mod tests {
         assert!(chunks.is_empty());
         assert_eq!(m.total_len, 0);
         assert_eq!(m.etag, fnv::etag(b""));
+    }
+
+    #[test]
+    fn for_len_is_default_below_4_kib_then_tracks_the_square_root() {
+        for len in 0..4096 {
+            assert_eq!(ChunkerParams::for_len(len), ChunkerParams::DEFAULT, "len={len}");
+        }
+        // Exhaustively past 4^10: `avg` is the power of two with
+        // avg² ≤ len < (2·avg)², in DEFAULT's proportions.
+        for len in 4096..=(1 << 20) + 1 {
+            let p = ChunkerParams::for_len(len);
+            assert!(p.avg.is_power_of_two());
+            assert!(p.avg * p.avg <= len && len < 4 * p.avg * p.avg, "len={len} avg={}", p.avg);
+            assert_eq!((p.min, p.max), (p.avg / 2, 8 * p.avg));
+        }
+        // `avg` doubles at each power of four and nowhere else, up to
+        // the clamp that keeps `max` inside `ChunkRef::len`.
+        let mut avg = ChunkerParams::DEFAULT.avg;
+        for k in 6..usize::BITS / 2 {
+            let edge = 1usize << (2 * k);
+            assert_eq!(ChunkerParams::for_len(edge - 1).avg, avg, "below 4^{k}");
+            avg = (2 * avg).min(1 << 28);
+            for len in [edge, edge + 1, 2 * edge, 4 * (edge - 1) + 3] {
+                assert_eq!(ChunkerParams::for_len(len).avg, avg, "len={len}, from 4^{k}");
+            }
+        }
+        let top = ChunkerParams::for_len(usize::MAX);
+        assert_eq!(top.avg, avg);
+        assert!(top.min <= top.avg && top.avg <= top.max && top.max <= u32::MAX as usize);
     }
 
     #[test]
@@ -470,15 +527,19 @@ mod tests {
     fn parallel_chunking_is_byte_identical() {
         // The determinism gate in miniature: every executor shape must
         // produce the exact manifest+chunks the sequential path does,
-        // above and below the parallel threshold.
-        for len in [0, 1, 1_000, PAR_CHUNK_MIN_BYTES, 200_000] {
-            let data = sample(len, 13);
-            let (seq_m, seq_c) = chunk_bytes(&data, ChunkerParams::DEFAULT);
-            for threads in [1, 2, 8] {
-                let exec = Executor::new(threads);
-                let (m, c) = chunk_bytes_on(&exec, &data, ChunkerParams::DEFAULT);
-                assert_eq!(m, seq_m, "manifest drift at len={len} threads={threads}");
-                assert_eq!(c, seq_c, "chunk drift at len={len} threads={threads}");
+        // above and below the parallel threshold, at the floor
+        // parameters and at the ones each length selects — up to the
+        // paper's mean upload.
+        for len in [0, 1, 1_000, PAR_CHUNK_MIN_BYTES, 200_000, 2_500 * 1024] {
+            let data = Bytes::from(sample(len, 13));
+            for params in [ChunkerParams::DEFAULT, ChunkerParams::for_len(len)] {
+                let (seq_m, seq_c) = chunk_shared(&data, params);
+                for threads in [1, 2, 4, 8] {
+                    let exec = Executor::new(threads);
+                    let (m, c) = chunk_shared_on(&exec, &data, params);
+                    assert_eq!(m, seq_m, "manifest drift at len={len} threads={threads}");
+                    assert_eq!(c, seq_c, "chunk drift at len={len} threads={threads}");
+                }
             }
         }
     }
@@ -537,11 +598,17 @@ mod tests {
         (manifest, chunks)
     }
 
+    /// Arbitrary small parameters, or the ones [`ChunkerParams::for_len`]
+    /// selects on either side of a flip (4^5 is below the floor).
     fn arb_params() -> impl Strategy<Value = ChunkerParams> {
-        (2u32..7, 1usize..=64, 1usize..=4).prop_map(|(exp, min, mul)| {
-            let avg = 1usize << exp;
-            ChunkerParams { min: min.min(avg), avg, max: avg * mul }
-        })
+        prop_oneof![
+            (2u32..7, 1usize..=64, 1usize..=4).prop_map(|(exp, min, mul)| {
+                let avg = 1usize << exp;
+                ChunkerParams { min: min.min(avg), avg, max: avg * mul }
+            }),
+            (5u32..=8, 0usize..=2)
+                .prop_map(|(k, d)| ChunkerParams::for_len((1usize << (2 * k)) - 1 + d)),
+        ]
     }
 
     proptest! {
@@ -549,7 +616,7 @@ mod tests {
 
         #[test]
         fn fused_chunker_equals_reference(
-            data in prop::collection::vec(any::<u8>(), 0..1024),
+            data in prop::collection::vec(any::<u8>(), 0..4096),
             // Low-entropy streams repeat chunks and run to `max`.
             alphabet in 1u8..=255,
             params in arb_params(),

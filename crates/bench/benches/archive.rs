@@ -116,7 +116,7 @@ fn bench_bulk_tree(c: &mut Criterion) {
         b.iter(|| read_container_shared(&container).expect("valid container"));
     });
     g.bench_function("chunk_bytes", |b| {
-        b.iter(|| chunk_shared(&container, ChunkerParams::DEFAULT));
+        b.iter(|| chunk_shared(&container, ChunkerParams::for_len(container.len())));
     });
     g.finish();
 }

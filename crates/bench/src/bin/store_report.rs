@@ -1,5 +1,6 @@
 //! The **store dedup baseline**: measures what the content-addressed
-//! store saves on the semester and chaos workloads and writes the
+//! store saves on the semester and chaos workloads — KiB-size
+//! containers — and on one resubmitted 2.5 MiB tree, and writes the
 //! numbers to `BENCH_store.json` as the perf-trajectory baseline.
 //!
 //! Per seed, this bin:
@@ -15,10 +16,14 @@
 //!    and asserts the rendered JSON is byte-identical both times
 //!    (determinism gate; chunk boundaries and dedup accounting must
 //!    not move with the pool width);
-//! 5. measures chunker throughput on a synthetic buffer (printed to
+//! 5. uploads one 2.5 MiB tree (the paper's mean upload) fresh, then
+//!    again with one of its 64 KiB files regenerated, and reports the
+//!    exact chunk and byte counts of both — the large-payload regime,
+//!    where chunk size follows the payload (DESIGN.md §10);
+//! 6. measures chunker throughput on a synthetic buffer (printed to
 //!    stdout only — wall-clock numbers never go into the JSON).
 //!
-//! The four scenario runs are independent pure functions of the seed,
+//! The five scenario runs are independent pure functions of the seed,
 //! so they are fanned out across a `rai-exec` pool sized to the host;
 //! rendering and assertions stay sequential.
 //!
@@ -29,8 +34,11 @@
 //! The JSON schema is documented in EXPERIMENTS.md.
 
 use rai_archive::chunk::{chunk_bytes, ChunkerParams};
+use rai_archive::{write_container, FileTree};
+use rai_core::delta::{DeltaReceipt, DeltaUploader};
 use rai_exec::Executor;
-use rai_store::StoreUsage;
+use rai_sim::VirtualClock;
+use rai_store::{LifecycleRule, ObjectStore, StoreUsage};
 use rai_workload::chaos::{run_chaos, ChaosConfig};
 use rai_workload::semester::{run_semester, SemesterConfig};
 
@@ -72,10 +80,72 @@ fn usage_json(u: &StoreUsage, indent: &str) -> String {
     )
 }
 
-fn render(seed: u64, semester: &StoreUsage, submissions: u64, chaos: &StoreUsage, accepted: usize) -> String {
+/// Deterministic incompressible bytes.
+fn pseudorandom(len: usize, state: &mut u64) -> Vec<u8> {
+    (0..len)
+        .map(|_| {
+            *state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (*state >> 33) as u8
+        })
+        .collect()
+}
+
+/// One upload of the bulk scenario: its receipt, and the arena's
+/// physical bytes once it landed.
+struct BulkUpload {
+    receipt: DeltaReceipt,
+    bytes_physical: u64,
+}
+
+/// The large-payload regime: a 2.5 MiB tree of forty incompressible
+/// 64 KiB files, uploaded through the delta protocol into an empty
+/// store, then resubmitted with one file regenerated.
+fn run_bulk(seed: u64) -> [BulkUpload; 2] {
+    const FILES: usize = 40;
+    const FILE: usize = 64 * 1024;
+    let mut state = seed;
+    let mut tree = FileTree::new();
+    for i in 0..FILES {
+        tree.insert(&format!("data/part{i:02}.bin"), pseudorandom(FILE, &mut state))
+            .expect("static path");
+    }
+    let store = ObjectStore::new(VirtualClock::new());
+    store.create_bucket("uploads", LifecycleRule::Keep).expect("fresh store");
+    let uploader = DeltaUploader::new();
+    let upload = |tree: &FileTree, key: &str| {
+        let receipt = uploader
+            .upload(&store, "uploads", key, &write_container(tree), [])
+            .expect("no faults injected");
+        BulkUpload { receipt, bytes_physical: store.usage().bytes_physical }
+    };
+    let fresh = upload(&tree, "fresh");
+    tree.insert("data/part17.bin", pseudorandom(FILE, &mut state)).expect("static path");
+    [fresh, upload(&tree, "resubmit")]
+}
+
+fn bulk_json(b: &BulkUpload) -> String {
+    format!(
+        "{{ \"chunks_total\": {}, \"chunks_sent\": {}, \"bytes_wire\": {}, \"bytes_physical\": {} }}",
+        b.receipt.chunks_total,
+        b.receipt.chunks_sent,
+        b.receipt.wire_bytes(),
+        b.bytes_physical,
+    )
+}
+
+fn render(
+    seed: u64,
+    semester: &StoreUsage,
+    submissions: u64,
+    chaos: &StoreUsage,
+    accepted: usize,
+    bulk: &[BulkUpload; 2],
+) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"rai-store-bench/1\",\n");
+    out.push_str("  \"schema\": \"rai-store-bench/2\",\n");
     out.push_str(&format!("  \"seed\": {seed},\n"));
     out.push_str("  \"semester\": {\n");
     out.push_str(&format!("    \"teams\": {TEAMS},\n"));
@@ -87,7 +157,12 @@ fn render(seed: u64, semester: &StoreUsage, submissions: u64, chaos: &StoreUsage
     out.push_str(&format!("    \"accepted\": {accepted},\n"));
     out.push_str("    \"audit\": \"pass\",\n");
     out.push_str(&usage_json(chaos, "    "));
-    out.push_str("\n  }\n");
+    out.push_str("\n  },\n");
+    out.push_str("  \"bulk\": {\n");
+    out.push_str(&format!("    \"payload_bytes\": {},\n", bulk[0].receipt.bytes_logical));
+    out.push_str(&format!("    \"fresh\": {},\n", bulk_json(&bulk[0])));
+    out.push_str(&format!("    \"resubmit\": {}\n", bulk_json(&bulk[1])));
+    out.push_str("  }\n");
     out.push_str("}\n");
     out
 }
@@ -95,16 +170,9 @@ fn render(seed: u64, semester: &StoreUsage, submissions: u64, chaos: &StoreUsage
 fn chunker_throughput() {
     // 8 MiB of pseudorandom bytes; wall-clock only, never in the JSON.
     let mut state = 0x5EEDu64;
-    let buf: Vec<u8> = (0..8 << 20)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as u8
-        })
-        .collect();
+    let buf = pseudorandom(8 << 20, &mut state);
     let start = std::time::Instant::now();
-    let (manifest, _) = chunk_bytes(&buf, ChunkerParams::DEFAULT);
+    let (manifest, _) = chunk_bytes(&buf, ChunkerParams::for_len(buf.len()));
     let elapsed = start.elapsed().as_secs_f64();
     println!(
         "  chunker throughput          {:.0} MiB/s ({} chunks, mean {} B)",
@@ -123,7 +191,7 @@ fn main() {
     let sem_config = SemesterConfig::scaled(TEAMS, DAYS, seed);
     let chaos_config = ChaosConfig::acceptance(seed);
 
-    // All four scenario runs are pure functions of their configs: fan
+    // All five scenario runs are pure functions of their configs: fan
     // them out, then render and assert sequentially.
     let exec = Executor::new(
         std::thread::available_parallelism()
@@ -131,11 +199,13 @@ fn main() {
             .unwrap_or(1),
     );
     let (mut semester, mut semester2, mut pooled, mut chaos) = (None, None, None, None);
+    let mut bulk = None;
     exec.scope(|s| {
         s.spawn(|| semester = Some(run_semester(&sem_config)));
         s.spawn(|| semester2 = Some(run_semester(&sem_config)));
         s.spawn(|| pooled = Some(run_semester(&sem_config.clone().with_parallelism(4))));
         s.spawn(|| chaos = Some(run_chaos(&chaos_config)));
+        s.spawn(|| bulk = Some(run_bulk(seed)));
     });
     let (semester, semester2, pooled, chaos) = (
         semester.expect("semester run joined"),
@@ -143,6 +213,7 @@ fn main() {
         pooled.expect("pooled semester run joined"),
         chaos.expect("chaos run joined"),
     );
+    let bulk = bulk.expect("bulk run joined");
     chaos
         .verify()
         .expect("chaos no-lost/no-duplicated audit must hold with dedup enabled");
@@ -153,6 +224,7 @@ fn main() {
         semester.total_submissions,
         &chaos.store,
         chaos.accepted.len(),
+        &bulk,
     );
 
     // Determinism gate: a same-seed re-run must render byte-identical
@@ -167,6 +239,7 @@ fn main() {
             r.total_submissions,
             &chaos.store,
             chaos.accepted.len(),
+            &bulk,
         )
     };
     assert_eq!(
@@ -196,6 +269,17 @@ fn main() {
     println!("  chaos ({} accepted, audit pass)", chaos.accepted.len());
     println!("    dedup ratio               {:.2}x", ratio(c.bytes_stored, c.bytes_physical));
     println!("    wire savings              {:.2}x", ratio(c.bytes_uploaded, c.bytes_wire));
+    let [fresh, resubmit] = &bulk;
+    println!("  bulk ({} B tree, then one 64 KiB file regenerated)", fresh.receipt.bytes_logical);
+    for (label, b) in [("fresh", fresh), ("resubmit", resubmit)] {
+        println!(
+            "    {label:<9} {} of {} chunks sent, {} wire bytes, {} physical",
+            b.receipt.chunks_sent,
+            b.receipt.chunks_total,
+            b.receipt.wire_bytes(),
+            b.bytes_physical
+        );
+    }
     chunker_throughput();
 
     // The acceptance floor: dedup must collapse the semester's

@@ -35,13 +35,15 @@ pub struct PreparedUpload {
 }
 
 impl PreparedUpload {
-    /// Chunk `payload` with the store's default parameters. Chunk
-    /// boundaries and digests are a pure function of the bytes, so a
-    /// prepared upload is byte-identical no matter where (or how
+    /// Chunk `payload` with the parameters its length selects
+    /// ([`ChunkerParams::for_len`], as the store's own `put` does).
+    /// Chunk boundaries and digests are a pure function of the bytes,
+    /// so a prepared upload is byte-identical no matter where (or how
     /// concurrently) it was prepared. The payload is handed over by
     /// value: nothing is copied, the prepared chunks are views of it.
     pub fn prepare(payload: impl Into<Bytes>) -> Self {
-        let (manifest, chunks) = chunk_shared(&payload.into(), ChunkerParams::DEFAULT);
+        let payload = payload.into();
+        let (manifest, chunks) = chunk_shared(&payload, ChunkerParams::for_len(payload.len()));
         PreparedUpload { manifest, chunks }
     }
 
@@ -176,7 +178,6 @@ impl DigestCache {
 /// generation-stamped concurrent memo (`DigestCache`), so concurrent
 /// claim lanes probe it on shared locks without serializing.
 pub struct DeltaUploader {
-    params: ChunkerParams,
     cache: DigestCache,
     /// Executor the chunk/digest pass runs on. Sequential by default;
     /// a pool routes the re-hash of payload bytes across workers
@@ -191,7 +192,7 @@ impl Default for DeltaUploader {
 }
 
 impl DeltaUploader {
-    /// An uploader with the store's default chunker parameters.
+    /// An uploader whose chunking + digesting runs inline.
     pub fn new() -> Self {
         Self::with_executor(Executor::sequential())
     }
@@ -199,7 +200,6 @@ impl DeltaUploader {
     /// An uploader whose chunking + digesting runs on `exec`.
     pub fn with_executor(executor: Executor) -> Self {
         DeltaUploader {
-            params: ChunkerParams::DEFAULT,
             cache: DigestCache::new(),
             executor,
         }
@@ -222,7 +222,9 @@ impl DeltaUploader {
     /// [`DeltaUploader::prepare`] of a payload handed over by value:
     /// nothing is copied, the prepared chunks are views of it.
     pub fn prepare_owned(&self, payload: impl Into<Bytes>) -> PreparedUpload {
-        let (manifest, chunks) = chunk_shared_on(&self.executor, &payload.into(), self.params);
+        let payload = payload.into();
+        let params = ChunkerParams::for_len(payload.len());
+        let (manifest, chunks) = chunk_shared_on(&self.executor, &payload, params);
         PreparedUpload { manifest, chunks }
     }
 
@@ -328,6 +330,7 @@ fn request_body(missing: &[&Chunk]) -> Vec<Chunk> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rai_archive::chunk::ChunkRef;
     use rai_sim::VirtualClock;
     use rai_store::LifecycleRule;
 
@@ -416,6 +419,104 @@ mod tests {
         drop((prepared, sent));
         assert!(payload_buffer.upgrade().is_none(), "the store pinned the payload buffer");
         assert_eq!(s.get("b", "v2").unwrap().data.as_ref(), &edited[..]);
+    }
+
+    #[test]
+    fn bulk_one_byte_edit_ships_a_few_chunks_and_a_short_manifest() {
+        // What sizing chunks by the payload buys: at the floor
+        // parameters the manifest of a 2.5 MiB upload alone is a
+        // quarter of its size.
+        let s = store();
+        let up = DeltaUploader::new();
+        let base = payload(2_500 * 1024, 8);
+        let first = up.upload(&s, "b", "v1", &base, []).unwrap();
+        assert!((1_300..2_600).contains(&first.chunks_total), "{} chunks", first.chunks_total);
+        let mut edited = base;
+        edited[1_000_000] ^= 0xFF;
+        let r = up.upload(&s, "b", "v2", &edited, []).unwrap();
+        assert!((1..=3).contains(&r.chunks_sent), "{} chunks re-shipped", r.chunks_sent);
+        assert!(
+            r.wire_bytes() * 50 < r.bytes_logical,
+            "{} wire bytes for {} logical",
+            r.wire_bytes(),
+            r.bytes_logical
+        );
+        assert_eq!(s.get("b", "v2").unwrap().data.as_ref(), &edited[..]);
+    }
+
+    #[test]
+    fn growing_across_a_power_of_four_re_ships_most_of_the_payload_once() {
+        // What it costs: `avg` doubles at 4^10 bytes, so the grown
+        // payload is cut elsewhere and most of it (here 84 %: a cut at
+        // avg 1 024 is also one at avg 512, so some chunks survive)
+        // crosses the wire again. Once, not per upload.
+        let s = store();
+        let up = DeltaUploader::new();
+        let grown = payload((1 << 20) + 100, 12);
+        let base = &grown[..(1 << 20) - 100];
+        up.upload(&s, "b", "v1", base, []).unwrap();
+        let again = up.upload(&s, "b", "v1-again", base, []).unwrap();
+        assert_eq!(again.bytes_sent, 0);
+        let flip = up.upload(&s, "b", "v2", &grown, []).unwrap();
+        assert!(
+            flip.bytes_sent * 4 > flip.bytes_logical * 3 && flip.bytes_sent <= flip.bytes_logical,
+            "the flip re-shipped {} of {} bytes",
+            flip.bytes_sent,
+            flip.bytes_logical
+        );
+        let settled = up.upload(&s, "b", "v3", &grown, []).unwrap();
+        assert_eq!((settled.chunks_sent, settled.bytes_sent), (0, 0));
+        assert_eq!(s.get("b", "v3").unwrap().data.as_ref(), &grown[..]);
+    }
+
+    #[test]
+    fn sub_4_kib_container_chunks_as_it_always_has() {
+        // A semester-shaped project container sits under the 4 KiB
+        // floor of `ChunkerParams::for_len`; its manifest is pinned to
+        // the digests the fixed 16/32/256 chunker produced.
+        let container =
+            rai_archive::write_container(&crate::client::ProjectDir::sample_cuda_project().tree);
+        assert!((512..4096).contains(&container.len()), "{} bytes", container.len());
+        let prepared = PreparedUpload::prepare(container.clone());
+        assert_eq!(prepared.manifest, chunk_shared(&container.into(), ChunkerParams::DEFAULT).0);
+        let refs = &prepared.manifest.chunks;
+        assert_eq!((refs.len(), prepared.manifest.etag.as_str()), (14, "bba26439ca210c0d"));
+        let pinned = [
+            ChunkRef { digest: 0x3638_70a2_e3f1_1973, len: 59 },
+            ChunkRef { digest: 0xe8c2_39d6_b2a0_3f08, len: 162 },
+            ChunkRef { digest: 0xeb58_142c_01a3_69cd, len: 25 },
+        ];
+        assert_eq!([refs[0], refs[7], refs[13]], pinned);
+    }
+
+    #[test]
+    fn put_and_client_chunked_put_delta_dedup_against_each_other() {
+        // Server-side `put` and a client's `PreparedUpload` size their
+        // chunks from the same length, on both sides of the 4 KiB floor
+        // and at the paper's mean upload.
+        for len in [3 * 1024, 5 * 1024, 2_500 * 1024] {
+            let data = payload(len, len as u64);
+            let s = store();
+            s.put("b", "whole", data.clone(), []).unwrap();
+            let r = DeltaUploader::new().upload(&s, "b", "delta", &data, []).unwrap();
+            assert_eq!((r.chunks_sent, r.bytes_sent), (0, 0), "len={len}: put then put_delta");
+
+            let s = store();
+            DeltaUploader::new().upload(&s, "b", "delta", &data, []).unwrap();
+            let before = s.usage();
+            s.put("b", "whole", data.clone(), []).unwrap();
+            let after = s.usage();
+            assert_eq!(
+                (after.chunks, after.bytes_physical),
+                (before.chunks, before.bytes_physical),
+                "len={len}: put_delta then put"
+            );
+            assert_eq!(
+                after.chunks_dedup_total - before.chunks_dedup_total,
+                r.chunks_total as u64,
+                "len={len}: every reference of the put was a dedup hit"
+            );
+        }
     }
 
     #[test]

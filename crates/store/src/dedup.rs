@@ -267,6 +267,12 @@ impl<G: Deref<Target = ChunkStore>> Locked<'_, G> {
     pub fn contains(&self, digest: u64) -> bool {
         self.shard(digest).is_some_and(|cs| cs.contains(digest))
     }
+
+    /// The resident chunk's length (`None` if it is not resident, or
+    /// outside the batch's shards).
+    pub fn resident_len(&self, digest: u64) -> Option<usize> {
+        Some(self.shard(digest)?.data(digest)?.len())
+    }
 }
 
 impl<G: DerefMut<Target = ChunkStore>> Locked<'_, G> {

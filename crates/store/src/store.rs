@@ -119,8 +119,6 @@ struct StoreInner {
     clock: VirtualClock,
     /// Secret for presigned-URL signatures (per store instance).
     presign_secret: u64,
-    /// Chunker parameters used by whole-payload `put`s.
-    chunker: ChunkerParams,
     state: RwLock<StoreState>,
     /// The refcounted chunk arena, hash-partitioned by digest prefix
     /// into independent lock domains (1 shard = the reference config).
@@ -156,40 +154,47 @@ const PAR_VERIFY_MIN_BYTES: u64 = 32 * 1024;
 /// Decide, once per manifest reference and before anything mutates,
 /// where its bytes come from: `Some(bytes)` when the request carried
 /// the chunk (the last copy wins if it carried several), `None` when it
-/// dedups against the copy `resident` reports; a reference that is
-/// neither fails the request with [`StoreError::MissingChunks`].
-/// `verify` runs the delta-protocol checks first: provided bytes hash
-/// to their claimed digest — checked only for non-resident chunks, the
-/// ones that would actually be written; the rest dedup against the
-/// stored copy — then provided lengths agree with the manifest.
+/// dedups against the copy `resident` reports the length of; a
+/// reference that is neither fails the request with
+/// [`StoreError::MissingChunks`]. `verify` runs the delta-protocol
+/// checks first: provided bytes hash to their claimed digest — checked
+/// only for non-resident chunks, the ones that would actually be
+/// written; the rest dedup against the stored copy — then every
+/// reference's length agrees with the bytes it will read back: the
+/// carried copy's and, since a resident copy is the one kept, the
+/// resident copy's too.
 fn resolve<'a>(
     manifest: &ChunkManifest,
     provided: &'a [Chunk],
     pre_hashed: Option<&[u64]>,
     verify: bool,
-    resident: impl Fn(u64) -> bool,
+    resident: impl Fn(u64) -> Option<usize>,
 ) -> Result<Vec<Option<&'a Bytes>>, StoreError> {
     let mismatch = |reason| Err(StoreError::DeltaMismatch { reason });
-    if verify {
-        for (i, c) in provided.iter().enumerate() {
-            let actual = || pre_hashed.map_or_else(|| fnv::hash(&c.data), |h| h[i]);
-            if !resident(c.digest) && actual() != c.digest {
-                return mismatch("chunk bytes do not match claimed digest");
-            }
-        }
-    }
     // Keyed hasher: the digests are the uploader's to choose.
-    let carried: HashMap<u64, &Bytes> = provided.iter().map(|c| (c.digest, &c.data)).collect();
+    let mut carried: HashMap<u64, (&Bytes, Option<usize>)> = HashMap::with_capacity(provided.len());
+    for (i, c) in provided.iter().enumerate() {
+        let stored = resident(c.digest);
+        let actual = || pre_hashed.map_or_else(|| fnv::hash(&c.data), |h| h[i]);
+        if verify && stored.is_none() && actual() != c.digest {
+            return mismatch("chunk bytes do not match claimed digest");
+        }
+        carried.insert(c.digest, (&c.data, stored));
+    }
     let mut sources = Vec::with_capacity(manifest.chunks.len());
     let mut missing = Vec::new();
     for r in &manifest.chunks {
-        let source = carried.get(&r.digest).copied();
+        let (source, stored) = match carried.get(&r.digest) {
+            Some(&(data, stored)) => (Some(data), stored),
+            None => (None, resident(r.digest)),
+        };
         // A wrong length outranks a missing chunk wherever the two sit
         // in the manifest: it returns at once, `missing` at the end.
-        if verify && source.is_some_and(|data| data.len() as u32 != r.len) {
+        let lengths = [source.map(|data| data.len()), stored];
+        if verify && lengths.into_iter().flatten().any(|n| n as u64 != u64::from(r.len)) {
             return mismatch("chunk length disagrees with manifest");
         }
-        if source.is_none() && !resident(r.digest) {
+        if source.is_none() && stored.is_none() {
             missing.push(r.digest);
         }
         sources.push(source);
@@ -268,7 +273,6 @@ impl ObjectStore {
         ObjectStore {
             inner: Arc::new(StoreInner {
                 presign_secret: next_presign_secret(),
-                chunker: ChunkerParams::DEFAULT,
                 clock,
                 state: RwLock::new(StoreState {
                     buckets: BTreeMap::new(),
@@ -408,7 +412,7 @@ impl ObjectStore {
         let digests = manifest.chunks.iter().map(|r| r.digest);
         let mut shards = arena.lock_for(digests.clone().chain(provided.iter().map(|c| c.digest)));
         let sources: Vec<Option<&Bytes>> = if verify {
-            resolve(manifest, provided, pre_hashed, true, |d| shards.contains(d))?
+            resolve(manifest, provided, pre_hashed, true, |d| shards.resident_len(d))?
         } else {
             debug_assert!(digests.eq(provided.iter().map(|c| c.digest)));
             provided.iter().map(|c| Some(&c.data)).collect()
@@ -478,7 +482,7 @@ impl ObjectStore {
         }
         let data = data.into();
         let exec = self.inner.executor.read().clone();
-        let (manifest, chunks) = chunk_shared_on(&exec, &data, self.inner.chunker);
+        let (manifest, chunks) = chunk_shared_on(&exec, &data, ChunkerParams::for_len(data.len()));
         let size = manifest.total_len;
         let etag = manifest.etag.clone();
         let user: BTreeMap<String, String> = user_meta.into_iter().collect();
@@ -580,7 +584,10 @@ impl ObjectStore {
     /// bytes are verified against the manifest's lengths, and against
     /// their claimed digest when not already resident (resident chunks
     /// dedup against the stored copy, so their provided bytes are
-    /// never admitted and need no re-hash).
+    /// never admitted and need no re-hash); a reference to a resident
+    /// chunk must state the resident copy's length. Chunk boundaries
+    /// are the uploader's business: any partition whose digests and
+    /// lengths check out is accepted.
     ///
     /// Newly admitted chunks are kept as the views they were handed
     /// in as — no bytes are copied — so each pins the buffer it is a
@@ -1129,7 +1136,7 @@ impl ObjectStore {
                     // the bytes rode a WAL record that was dropped as
                     // corrupt — the object is unreadable and must not
                     // be installed.
-                    let resident = |d| shards.contains(d);
+                    let resident = |d| shards.resident_len(d);
                     let Ok(sources) = resolve(&manifest, &carried, None, false, resident) else {
                         return 1;
                     };
@@ -2027,7 +2034,7 @@ mod tests {
         let s = store_with_shards(4);
         let payload = varied(5000, 7);
         s.put("uploads", "team/proj.tar", payload.clone(), []).unwrap();
-        let (manifest, _) = chunk_bytes(&payload, ChunkerParams::DEFAULT);
+        let (manifest, _) = chunk_bytes(&payload, ChunkerParams::for_len(payload.len()));
         let mut digests: Vec<u64> = manifest.chunks.iter().map(|r| r.digest).collect();
         digests.push(0xdead_beef_dead_beef); // absent digest probes the same path
         assert!(digests.len() > 4 * s.shard_count(), "batch must dwarf the shard count");

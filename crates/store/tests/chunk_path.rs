@@ -206,6 +206,32 @@ fn hostile_deltas_get_the_pinned_answers() {
     bad[7].digest = chunks[7].digest;
     refused(&s, &manifest, &bad, BAD_LEN);
 
+    // Wrong length, resident, nothing carried: a manifest that moves
+    // one byte between two resident references still adds up to its
+    // `total_len`, and is refused here rather than at the next `get`
+    // of the key — alone, behind same-length garbage for the
+    // lengthened reference, and ahead of a missing chunk wherever that
+    // sits.
+    let (c0, c1) = (&chunks[0], &chunks[1]);
+    let absent = &extra[0];
+    let skew = |parts: &[&Chunk]| {
+        let (mut m, _) = manifest_of(parts);
+        for r in &mut m.chunks {
+            r.len = match r.digest {
+                d if d == c0.digest => r.len + 1,
+                d if d == c1.digest => r.len - 1,
+                _ => r.len,
+            };
+        }
+        m
+    };
+    refused(&s, &skew(&[c0, c1]), &[], BAD_LEN);
+    let padded = Chunk { digest: c0.digest, data: Bytes::from(vec![0xAB; c0.data.len() + 1]) };
+    refused(&s, &skew(&[c0, c1]), &[padded], BAD_LEN);
+    refused(&s, &skew(&[absent, c0, c1]), &[], BAD_LEN);
+    refused(&s, &skew(&[c0, c1, absent]), &[], BAD_LEN);
+    assert_eq!(s.get("keep", "base").unwrap().data.as_ref(), &payload[..]);
+
     // A wrong length outranks a missing chunk, wherever each sits.
     let (mut lying, _) = manifest_of(&[&chunks[0], &chunks[1]]);
     lying.chunks[1].len += 1;
@@ -215,7 +241,6 @@ fn hostile_deltas_get_the_pinned_answers() {
     // Missing: every unresolved reference, in manifest order,
     // repeats included.
     refused(&store(), &manifest, &[], StoreError::MissingChunks { missing: manifest.digests() });
-    let (c0, c1) = (&chunks[0], &chunks[1]);
     let (repeated, repeated_payload) = manifest_of(&[c0, c1, c0]);
     refused(
         &store(),
