@@ -73,11 +73,12 @@ impl Sha256 {
     /// Finish and produce the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.length_bits;
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
-        }
+        // Padding: 0x80, zeros up to byte 56 of a block (the next one
+        // if this one is past 55), 8-byte big-endian bit length.
+        let mut pad = [0u8; 64];
+        pad[0] = 0x80;
+        let pad_end = if self.buffered < 56 { 56 } else { 120 };
+        self.update(&pad[..pad_end - self.buffered]);
         // Write the length directly (bypassing update's length tracking).
         self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buffer;
@@ -141,9 +142,21 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
     h.finalize()
 }
 
-/// Digest rendered as lowercase hex.
+/// Digest rendered as lowercase hex: one pre-sized `String` filled
+/// from a nibble table (a signature renders three digests).
 pub fn hex(digest: &[u8]) -> String {
-    digest.iter().map(|b| format!("{b:02x}")).collect()
+    let mut out = String::with_capacity(digest.len() * 2);
+    push_hex(&mut out, digest);
+    out
+}
+
+/// Append `digest` to `out` as lowercase hex.
+pub(crate) fn push_hex(out: &mut String, digest: &[u8]) {
+    const NIBBLES: &[u8; 16] = b"0123456789abcdef";
+    for b in digest {
+        out.push(NIBBLES[usize::from(b >> 4)] as char);
+        out.push(NIBBLES[usize::from(b & 0xf)] as char);
+    }
 }
 
 #[cfg(test)]
@@ -164,6 +177,31 @@ mod tests {
             hex(&sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
         );
+    }
+
+    #[test]
+    fn hex_matches_format_for_every_byte() {
+        for b in 0..=255u8 {
+            assert_eq!(hex(&[b]), format!("{b:02x}"));
+        }
+        let all: Vec<u8> = (0..=255).collect();
+        let expected: String = all.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex(&all), expected);
+        assert_eq!(hex(&[]), "");
+    }
+
+    #[test]
+    fn one_shot_padding_matches_byte_at_a_time_at_every_length() {
+        // 55/56, 63/64 and 119/120 are where the pad changes length or
+        // spills into a second block.
+        let data: Vec<u8> = (0..=130u8).map(|i| i.wrapping_mul(37)).collect();
+        for len in 0..=130 {
+            let mut h = Sha256::new();
+            for b in &data[..len] {
+                h.update(std::slice::from_ref(b));
+            }
+            assert_eq!(h.finalize(), sha256(&data[..len]), "length {len}");
+        }
     }
 
     #[test]

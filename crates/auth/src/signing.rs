@@ -4,7 +4,7 @@
 //! request string with `RAI_SECRET_KEY`; workers verify against the
 //! registry before running anything.
 
-use crate::sha256::{hex, sha256, Sha256};
+use crate::sha256::{hex, push_hex, sha256, Sha256};
 
 const BLOCK: usize = 64;
 
@@ -45,7 +45,13 @@ pub fn verify_request(secret_key: &str, access_key: &str, body: &[u8], signature
 }
 
 fn canonical_request(access_key: &str, body: &[u8]) -> String {
-    format!("rai-v1\n{access_key}\n{}", hex(&sha256(body)))
+    const VERSION: &str = "rai-v1\n";
+    let mut out = String::with_capacity(VERSION.len() + access_key.len() + 1 + 64);
+    out.push_str(VERSION);
+    out.push_str(access_key);
+    out.push('\n');
+    push_hex(&mut out, &sha256(body));
+    out
 }
 
 fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {

@@ -275,13 +275,35 @@ impl RaiClient {
         store: ObjectStore,
         next_job_id: Arc<AtomicU64>,
     ) -> Self {
+        Self::with_executor(
+            creds,
+            team,
+            broker,
+            store,
+            next_job_id,
+            rai_exec::Executor::sequential(),
+        )
+    }
+
+    /// [`RaiClient::new`] with this client's chunking + digesting
+    /// routed onto `exec`. Uploads stay byte-identical at any
+    /// parallelism (DESIGN.md §12); the uploader's digest cache starts
+    /// empty either way.
+    pub fn with_executor(
+        creds: Credentials,
+        team: &str,
+        broker: Broker,
+        store: ObjectStore,
+        next_job_id: Arc<AtomicU64>,
+        exec: rai_exec::Executor,
+    ) -> Self {
         RaiClient {
             creds,
             team: team.to_string(),
             broker,
             store,
             next_job_id,
-            delta: DeltaUploader::new(),
+            delta: DeltaUploader::with_executor(exec),
             intents: None,
         }
     }
@@ -291,14 +313,6 @@ impl RaiClient {
     /// when `db` has a WAL attached.
     pub fn with_intent_ledger(mut self, db: Database) -> Self {
         self.intents = Some(db);
-        self
-    }
-
-    /// Route this client's chunking + digesting onto `exec`. Uploads
-    /// stay byte-identical at any parallelism (DESIGN.md §12); the
-    /// fresh uploader's empty digest cache matches `new`'s.
-    pub fn with_executor(mut self, exec: rai_exec::Executor) -> Self {
-        self.delta = DeltaUploader::with_executor(exec);
         self
     }
 

@@ -7,7 +7,8 @@
 //! / `err` frames and finishes with the `End` message the client waits
 //! for.
 
-use rai_yaml::{parse, to_string, Yaml};
+use rai_yaml::emit::{push_int_entry, push_str_entry};
+use rai_yaml::{parse, Yaml};
 
 /// Well-known queue routes.
 pub mod routes {
@@ -32,6 +33,16 @@ pub enum JobKind {
     Run,
     /// Final submission (`rai submit`), enforced build file + ranking.
     Submit,
+}
+
+impl JobKind {
+    /// The kind's name on the wire and in the signing payload.
+    fn as_str(self) -> &'static str {
+        match self {
+            JobKind::Run => "run",
+            JobKind::Submit => "submit",
+        }
+    }
 }
 
 /// A job request as published on `rai/tasks`.
@@ -66,57 +77,54 @@ impl JobRequest {
             self.team,
             self.upload_bucket,
             self.upload_key,
-            match self.kind {
-                JobKind::Run => "run",
-                JobKind::Submit => "submit",
-            },
+            self.kind.as_str(),
             self.build_yml,
         )
         .into_bytes()
     }
 
-    /// Serialize for the broker.
+    /// Serialize for the broker: the eight fields streamed as top-level
+    /// `key: value` lines — the bytes `rai_yaml::to_string` renders for
+    /// the equivalent mapping (the WAL's intent ledger stores them, so
+    /// byte equality is pinned by a proptest), without building it.
     pub fn encode(&self) -> String {
-        let doc = Yaml::Map(vec![
-            ("job_id".into(), Yaml::Int(self.job_id as i64)),
-            ("access_key".into(), Yaml::Str(self.access_key.clone())),
-            ("signature".into(), Yaml::Str(self.signature.clone())),
-            ("team".into(), Yaml::Str(self.team.clone())),
-            ("upload_bucket".into(), Yaml::Str(self.upload_bucket.clone())),
-            ("upload_key".into(), Yaml::Str(self.upload_key.clone())),
-            (
-                "kind".into(),
-                Yaml::Str(
-                    match self.kind {
-                        JobKind::Run => "run",
-                        JobKind::Submit => "submit",
-                    }
-                    .to_string(),
-                ),
-            ),
-            ("build_yml".into(), Yaml::Str(self.build_yml.clone())),
-        ]);
-        to_string(&doc)
+        // Keys, separators and the escapes of a typical build file.
+        let mut out = String::with_capacity(self.build_yml.len() + 320);
+        push_int_entry(&mut out, "job_id", self.job_id as i64);
+        push_str_entry(&mut out, "access_key", &self.access_key);
+        push_str_entry(&mut out, "signature", &self.signature);
+        push_str_entry(&mut out, "team", &self.team);
+        push_str_entry(&mut out, "upload_bucket", &self.upload_bucket);
+        push_str_entry(&mut out, "upload_key", &self.upload_key);
+        push_str_entry(&mut out, "kind", self.kind.as_str());
+        push_str_entry(&mut out, "build_yml", &self.build_yml);
+        out
     }
 
     /// Deserialize from the broker; `None` for malformed messages (the
-    /// worker drops them rather than crashing).
+    /// worker drops them rather than crashing). Strings are moved out
+    /// of the parsed document, not copied.
     pub fn decode(text: &str) -> Option<JobRequest> {
-        let doc = parse(text).ok()?;
-        let s = |k: &str| doc.get(k)?.as_str().map(str::to_string);
+        let mut doc = parse(text).ok()?;
+        let job_id = doc.get("job_id")?.as_i64()? as u64;
+        let kind = match doc.get("kind")?.as_str()? {
+            "submit" => JobKind::Submit,
+            "run" => JobKind::Run,
+            _ => return None,
+        };
+        let mut s = |k: &str| match doc.get_mut(k)? {
+            Yaml::Str(s) => Some(std::mem::take(s)),
+            _ => None,
+        };
         Some(JobRequest {
-            job_id: doc.get("job_id")?.as_i64()? as u64,
+            job_id,
             access_key: s("access_key")?,
             signature: s("signature")?,
             team: s("team")?,
             upload_bucket: s("upload_bucket")?,
             upload_key: s("upload_key")?,
             build_yml: s("build_yml")?,
-            kind: match doc.get("kind")?.as_str()? {
-                "submit" => JobKind::Submit,
-                "run" => JobKind::Run,
-                _ => return None,
-            },
+            kind,
         })
     }
 }

@@ -99,14 +99,13 @@ commands:
 ";
 
 impl BuildSpec {
-    /// Parse and validate a build file.
+    /// Parse and validate a build file. The parsed document is consumed:
+    /// the image and command strings are moved into the spec.
     pub fn parse(text: &str) -> Result<BuildSpec, SpecError> {
-        let doc = parse(text).map_err(|e| SpecError::Yaml(e.to_string()))?;
-        let rai = doc
-            .get("rai")
+        let mut doc = parse(text).map_err(|e| SpecError::Yaml(e.to_string()))?;
+        doc.get("rai")
             .and_then(Yaml::as_map)
             .ok_or(SpecError::MissingRaiSection)?;
-        let _ = rai;
         let version = match doc.path(&["rai", "version"]) {
             Some(v) => v
                 .as_f64()
@@ -116,22 +115,18 @@ impl BuildSpec {
         if version > SUPPORTED_VERSION {
             return Err(SpecError::UnsupportedVersion(version));
         }
-        let image = doc
-            .path(&["rai", "image"])
-            .and_then(Yaml::as_str)
-            .filter(|s| !s.is_empty())
-            .ok_or(SpecError::MissingImage)?
-            .to_string();
-        let build_yaml = doc
-            .path(&["commands", "build"])
-            .and_then(Yaml::as_seq)
-            .ok_or(SpecError::MissingBuildCommands)?;
-        if build_yaml.is_empty() {
-            return Err(SpecError::MissingBuildCommands);
-        }
+        let mut take = |section: &str, key: &str| doc.get_mut(section)?.get_mut(key).map(std::mem::take);
+        let image = match take("rai", "image") {
+            Some(Yaml::Str(image)) if !image.is_empty() => image,
+            _ => return Err(SpecError::MissingImage),
+        };
+        let build_yaml = match take("commands", "build") {
+            Some(Yaml::Seq(build)) if !build.is_empty() => build,
+            _ => return Err(SpecError::MissingBuildCommands),
+        };
         let mut build = Vec::with_capacity(build_yaml.len());
-        for (i, cmd) in build_yaml.iter().enumerate() {
-            match cmd.scalar_to_string() {
+        for (i, cmd) in build_yaml.into_iter().enumerate() {
+            match cmd.into_scalar_string() {
                 Some(s) if !s.is_empty() => build.push(s),
                 _ => return Err(SpecError::BadCommand(i)),
             }

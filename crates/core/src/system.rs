@@ -614,14 +614,14 @@ impl RaiSystem {
 
     /// A client handle for previously issued credentials.
     pub fn client_for(&self, creds: &Credentials) -> RaiClient {
-        let mut client = RaiClient::new(
+        let mut client = RaiClient::with_executor(
             creds.clone(),
             &creds.user_name,
             self.broker.clone(),
             self.store.clone(),
             self.next_job_id.clone(),
-        )
-        .with_executor(self.executor.clone());
+            self.executor.clone(),
+        );
         if self.db.wal().is_some() {
             // Durable deployments journal a submission intent before
             // publishing, closing the accepted-but-unqueued crash

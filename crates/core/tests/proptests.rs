@@ -4,7 +4,8 @@
 
 use proptest::prelude::*;
 use rai_core::protocol::{JobKind, JobRequest, LogFrame};
-use rai_core::spec::BuildSpec;
+use rai_core::spec::{BuildSpec, SpecError, SUPPORTED_VERSION};
+use rai_yaml::Yaml;
 
 fn arb_request() -> impl Strategy<Value = JobRequest> {
     (
@@ -30,8 +31,159 @@ fn arb_request() -> impl Strategy<Value = JobRequest> {
         })
 }
 
+/// A request field as an attacker (or an unlucky team name) would make
+/// it: printable ASCII plus `\n`/`\t`, and every shape the emitter has
+/// to quote.
+fn arb_field() -> impl Strategy<Value = String> {
+    const QUOTED: [&str; 24] = [
+        "", " lead", "trail ", "a: b", "ends:", "a #b", "#", "- x", "-", "42", "-7", "0.1", "0x1F", "1e3",
+        "~", "null", "true", "False", ".inf", "\"q\"", "'q'", "[x]", "{x}", "back\\slash\\",
+    ];
+    prop_oneof![
+        "[ -~\\n\\t]{0,40}",
+        (0..QUOTED.len()).prop_map(|i| QUOTED[i].to_string()),
+    ]
+}
+
+/// `encode` as it was before it streamed: build the mapping, render it.
+fn reference_encode(r: &JobRequest) -> String {
+    let s = |v: &str| Yaml::Str(v.to_string());
+    rai_yaml::to_string(&Yaml::Map(vec![
+        ("job_id".into(), Yaml::Int(r.job_id as i64)),
+        ("access_key".into(), s(&r.access_key)),
+        ("signature".into(), s(&r.signature)),
+        ("team".into(), s(&r.team)),
+        ("upload_bucket".into(), s(&r.upload_bucket)),
+        ("upload_key".into(), s(&r.upload_key)),
+        (
+            "kind".into(),
+            s(match r.kind {
+                JobKind::Run => "run",
+                JobKind::Submit => "submit",
+            }),
+        ),
+        ("build_yml".into(), s(&r.build_yml)),
+    ]))
+}
+
+/// `decode` as it was before it moved strings out of the document.
+fn reference_decode(text: &str) -> Option<JobRequest> {
+    let doc = rai_yaml::parse(text).ok()?;
+    let s = |k: &str| doc.get(k)?.as_str().map(str::to_string);
+    Some(JobRequest {
+        job_id: doc.get("job_id")?.as_i64()? as u64,
+        access_key: s("access_key")?,
+        signature: s("signature")?,
+        team: s("team")?,
+        upload_bucket: s("upload_bucket")?,
+        upload_key: s("upload_key")?,
+        build_yml: s("build_yml")?,
+        kind: match doc.get("kind")?.as_str()? {
+            "submit" => JobKind::Submit,
+            "run" => JobKind::Run,
+            _ => return None,
+        },
+    })
+}
+
+/// `BuildSpec::parse` as it was before it consumed the document.
+fn reference_spec(text: &str) -> Result<BuildSpec, SpecError> {
+    let doc = rai_yaml::parse(text).map_err(|e| SpecError::Yaml(e.to_string()))?;
+    doc.get("rai")
+        .and_then(Yaml::as_map)
+        .ok_or(SpecError::MissingRaiSection)?;
+    let version = match doc.path(&["rai", "version"]) {
+        Some(v) => v
+            .as_f64()
+            .ok_or_else(|| SpecError::BadVersion(format!("{v:?}")))?,
+        None => return Err(SpecError::BadVersion("missing".to_string())),
+    };
+    if version > SUPPORTED_VERSION {
+        return Err(SpecError::UnsupportedVersion(version));
+    }
+    let image = doc
+        .path(&["rai", "image"])
+        .and_then(Yaml::as_str)
+        .filter(|s| !s.is_empty())
+        .ok_or(SpecError::MissingImage)?
+        .to_string();
+    let build_yaml = doc
+        .path(&["commands", "build"])
+        .and_then(Yaml::as_seq)
+        .filter(|s| !s.is_empty())
+        .ok_or(SpecError::MissingBuildCommands)?;
+    let mut build = Vec::new();
+    for (i, cmd) in build_yaml.iter().enumerate() {
+        match cmd.scalar_to_string() {
+            Some(s) if !s.is_empty() => build.push(s),
+            _ => return Err(SpecError::BadCommand(i)),
+        }
+    }
+    Ok(BuildSpec {
+        version,
+        image,
+        build,
+        gpus: doc
+            .path(&["resources", "gpus"])
+            .and_then(Yaml::as_i64)
+            .map(|g| g.max(0) as u32),
+        network: doc
+            .path(&["resources", "network"])
+            .and_then(Yaml::as_bool)
+            .unwrap_or(false),
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The WAL's intent ledger stores encoded requests, so the streamed
+    /// encoder must produce the tree emitter's bytes, not merely text
+    /// that decodes to the same request.
+    #[test]
+    fn streamed_encode_equals_tree_rendering(
+        job_id in any::<u64>(),
+        fields in prop::collection::vec(arb_field(), 6),
+        kind in prop_oneof![Just(JobKind::Run), Just(JobKind::Submit)],
+    ) {
+        let [access_key, signature, team, upload_bucket, upload_key, build_yml]: [String; 6] =
+            fields.try_into().expect("six fields");
+        let req = JobRequest { job_id, access_key, signature, team, upload_bucket, upload_key, build_yml, kind };
+        let encoded = req.encode();
+        prop_assert_eq!(&encoded, &reference_encode(&req));
+        prop_assert_eq!(JobRequest::decode(&encoded), Some(req));
+    }
+
+    #[test]
+    fn decode_equals_reference(req in arb_request(), garbage in "[ -~\\n]{0,400}", cut in 0usize..400) {
+        let encoded = req.encode();
+        prop_assert_eq!(JobRequest::decode(&encoded), reference_decode(&encoded));
+        // A truncated message (a field missing, a scalar cut short).
+        let cut = &encoded[..cut.min(encoded.len())];
+        prop_assert_eq!(JobRequest::decode(cut), reference_decode(cut));
+        prop_assert_eq!(JobRequest::decode(&garbage), reference_decode(&garbage));
+    }
+
+    #[test]
+    fn build_spec_equals_reference(
+        image in "[a-z][a-z0-9/:.-]{0,20}",
+        commands in prop::collection::vec("[a-zA-Z.0-9\\[][a-zA-Z0-9 ./_-]{0,39}", 0..10),
+        version in 0usize..5,
+        resources in 0usize..3,
+        garbage in "[ -~\\n]{0,400}",
+    ) {
+        let version = ["0.1", "0.05", "9.9", "abc", "[1]"][version];
+        let gpus = ["", "resources:\n  gpus: 2\n  network: true\n", "resources:\n  gpus: -1\n"][resources];
+        let mut yml = format!("rai:\n  version: {version}\n  image: {image}\n{gpus}commands:\n  build:\n");
+        for c in &commands {
+            yml.push_str(&format!("    - {c}\n"));
+        }
+        prop_assert_eq!(BuildSpec::parse(&yml), reference_spec(&yml));
+        // Without the image line, and as arbitrary text.
+        let no_image = yml.replace("  image:", "  imago:");
+        prop_assert_eq!(BuildSpec::parse(&no_image), reference_spec(&no_image));
+        prop_assert_eq!(BuildSpec::parse(&garbage), reference_spec(&garbage));
+    }
 
     #[test]
     fn job_request_round_trips(req in arb_request()) {

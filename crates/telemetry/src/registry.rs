@@ -3,11 +3,13 @@
 //!
 //! Handles returned by the registry are cheap `Arc` clones — hot paths
 //! acquire their handle once and then update lock-free (counters,
-//! gauges) or under a short per-metric mutex (histograms).
+//! gauges) or under a short per-metric mutex (histograms). Call sites
+//! that look a handle up per event instead pay a binary search over
+//! borrowed strings and no allocation: an owned [`MetricKey`] is built
+//! only when a metric is first created.
 
 use crate::stats::Histogram;
 use parking_lot::{Mutex, RwLock};
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -44,6 +46,66 @@ impl MetricKey {
 
 fn escape_label_value(v: &str) -> String {
     v.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+}
+
+/// One kind's metrics, sorted by key (so a snapshot is an in-order
+/// copy) and searched by *borrowed* `(name, labels)`.
+#[derive(Debug)]
+struct Table<V>(RwLock<Vec<(MetricKey, V)>>);
+
+impl<V> Default for Table<V> {
+    fn default() -> Self {
+        Table(RwLock::new(Vec::new()))
+    }
+}
+
+impl<V: Clone> Table<V> {
+    /// Where `(name, sorted_labels)` is, or where it would be inserted:
+    /// the order is `MetricKey`'s own (name, then sorted label pairs).
+    fn search(entries: &[(MetricKey, V)], name: &str, sorted_labels: &[(&str, &str)]) -> Result<usize, usize> {
+        entries.binary_search_by(|(key, _)| {
+            key.name.as_str().cmp(name).then_with(|| {
+                key.labels
+                    .iter()
+                    .map(|(k, v)| (k.as_str(), v.as_str()))
+                    .cmp(sorted_labels.iter().copied())
+            })
+        })
+    }
+
+    fn get_or_create(&self, name: &str, labels: &[(&str, &str)], create: impl FnOnce() -> V) -> V {
+        // Sort a copy of the borrowed pairs, on the stack for any label
+        // count a metric really has.
+        let (mut stack, mut heap) = ([("", ""); 8], Vec::new());
+        let sorted = match stack.get_mut(..labels.len()) {
+            Some(stack) => stack,
+            None => {
+                heap.resize(labels.len(), ("", ""));
+                &mut heap[..]
+            }
+        };
+        sorted.copy_from_slice(labels);
+        sorted.sort_unstable();
+        {
+            let entries = self.0.read();
+            if let Ok(at) = Self::search(&entries, name, sorted) {
+                return entries[at].1.clone();
+            }
+        }
+        let mut entries = self.0.write();
+        match Self::search(&entries, name, sorted) {
+            Ok(at) => entries[at].1.clone(),
+            Err(at) => {
+                let value = create();
+                entries.insert(at, (MetricKey::new(name, labels), value.clone()));
+                value
+            }
+        }
+    }
+
+    fn snapshot<T>(&self, read: impl Fn(&V) -> T) -> Vec<(MetricKey, T)> {
+        self.0.read().iter().map(|(k, v)| (k.clone(), read(v))).collect()
+    }
 }
 
 /// Monotonically increasing counter handle.
@@ -171,12 +233,14 @@ impl MetricsSnapshot {
     }
 }
 
-/// The registry proper.
+/// The registry proper: one sorted table per metric kind. Looking up
+/// an existing metric compares the caller's borrowed name and labels
+/// (in any order) against the stored keys and allocates nothing.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    counters: RwLock<BTreeMap<MetricKey, Arc<AtomicU64>>>,
-    gauges: RwLock<BTreeMap<MetricKey, Arc<AtomicU64>>>,
-    histograms: RwLock<BTreeMap<MetricKey, Arc<Mutex<Histogram>>>>,
+    counters: Table<Arc<AtomicU64>>,
+    gauges: Table<Arc<AtomicU64>>,
+    histograms: Table<Arc<Mutex<Histogram>>>,
 }
 
 impl MetricsRegistry {
@@ -186,26 +250,15 @@ impl MetricsRegistry {
 
     /// Get or create a counter.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        let key = MetricKey::new(name, labels);
-        if let Some(cell) = self.counters.read().get(&key) {
-            return Counter(Arc::clone(cell));
-        }
-        let mut counters = self.counters.write();
-        let cell = counters.entry(key).or_insert_with(|| Arc::new(AtomicU64::new(0)));
-        Counter(Arc::clone(cell))
+        Counter(self.counters.get_or_create(name, labels, || Arc::new(AtomicU64::new(0))))
     }
 
     /// Get or create a gauge.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        let key = MetricKey::new(name, labels);
-        if let Some(cell) = self.gauges.read().get(&key) {
-            return Gauge(Arc::clone(cell));
-        }
-        let mut gauges = self.gauges.write();
-        let cell = gauges
-            .entry(key)
-            .or_insert_with(|| Arc::new(AtomicU64::new(0.0f64.to_bits())));
-        Gauge(Arc::clone(cell))
+        Gauge(
+            self.gauges
+                .get_or_create(name, labels, || Arc::new(AtomicU64::new(0.0f64.to_bits()))),
+        )
     }
 
     /// Get or create a fixed-bucket histogram. The shape parameters
@@ -219,38 +272,17 @@ impl MetricsRegistry {
         bin_width: f64,
         nbins: usize,
     ) -> HistogramHandle {
-        let key = MetricKey::new(name, labels);
-        if let Some(cell) = self.histograms.read().get(&key) {
-            return HistogramHandle(Arc::clone(cell));
-        }
-        let mut histograms = self.histograms.write();
-        let cell = histograms
-            .entry(key)
-            .or_insert_with(|| Arc::new(Mutex::new(Histogram::new(origin, bin_width, nbins))));
-        HistogramHandle(Arc::clone(cell))
+        HistogramHandle(self.histograms.get_or_create(name, labels, || {
+            Arc::new(Mutex::new(Histogram::new(origin, bin_width, nbins)))
+        }))
     }
 
     /// Copy out every metric, sorted by key.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: self
-                .counters
-                .read()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
-                .collect(),
-            gauges: self
-                .gauges
-                .read()
-                .iter()
-                .map(|(k, v)| (k.clone(), f64::from_bits(v.load(Ordering::Relaxed))))
-                .collect(),
-            histograms: self
-                .histograms
-                .read()
-                .iter()
-                .map(|(k, h)| (k.clone(), h.lock().clone()))
-                .collect(),
+            counters: self.counters.snapshot(|v| v.load(Ordering::Relaxed)),
+            gauges: self.gauges.snapshot(|v| f64::from_bits(v.load(Ordering::Relaxed))),
+            histograms: self.histograms.snapshot(|h| h.lock().clone()),
         }
     }
 }
@@ -279,6 +311,39 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.counters.len(), 1);
         assert_eq!(snap.counter_total("m"), 2);
+    }
+
+    #[test]
+    fn borrowed_search_orders_like_metric_key() {
+        // Names that prefix each other, label sets that prefix each
+        // other, repeated pairs, both orders of the lookup, and more
+        // labels than the lookup sorts on the stack.
+        let label_sets: [&[(&str, &str)]; 8] = [
+            &[],
+            &[("a", "1")],
+            &[("a", "1"), ("b", "2")],
+            &[("a", "1"), ("b", "2"), ("c", "0")],
+            &[("a", "2")],
+            &[("a", "1"), ("a", "1")],
+            &[("b", "1"), ("a", "9"), ("a", "10")],
+            &[("i", ""), ("h", ""), ("g", ""), ("f", ""), ("e", ""), ("d", ""), ("c", ""), ("b", ""), ("a", "")],
+        ];
+        let reg = MetricsRegistry::new();
+        let mut expected = Vec::new();
+        for name in ["m", "ma", "l"] {
+            for labels in label_sets {
+                reg.counter(name, labels).inc();
+                let mut reversed = labels.to_vec();
+                reversed.reverse();
+                reg.counter(name, &reversed).inc();
+                expected.push(MetricKey::new(name, labels));
+            }
+        }
+        expected.sort();
+        let snap = reg.snapshot();
+        let keys: Vec<MetricKey> = snap.counters.iter().map(|(k, _)| k.clone()).collect();
+        assert_eq!(keys, expected);
+        assert!(snap.counters.iter().all(|(_, n)| *n == 2));
     }
 
     #[test]

@@ -1,9 +1,17 @@
 //! Block-style emitter. `parse(to_string(v))` reconstructs `v` for every
 //! value the parser can produce (verified by a proptest round-trip in
 //! `tests/roundtrip.rs`).
+//!
+//! Everything is written straight into the one output buffer: there is
+//! one quoting routine (`push_string`), and a caller that knows the
+//! shape of its document can stream `key: value` lines through
+//! [`push_str_entry`] / [`push_int_entry`] and get the bytes
+//! [`to_string`] would produce for the equivalent top-level mapping
+//! without building the tree.
 
-use crate::scanner::infer_plain;
+use crate::scanner::infer_non_string;
 use crate::value::{format_float, Yaml};
+use std::fmt::Write;
 
 /// Serialize a value as a block-style YAML document (trailing newline
 /// included for non-empty documents).
@@ -11,6 +19,24 @@ pub fn to_string(v: &Yaml) -> String {
     let mut out = String::new();
     emit_node(v, 0, &mut out);
     out
+}
+
+/// Append the top-level mapping entry `key: value` for a string value,
+/// newline included — byte for byte what [`to_string`] emits for
+/// `(key, Yaml::Str(value))` in a root mapping.
+pub fn push_str_entry(out: &mut String, key: &str, value: &str) {
+    push_string(key, out);
+    out.push_str(": ");
+    push_string(value, out);
+    out.push('\n');
+}
+
+/// Append the top-level mapping entry `key: value` for an integer
+/// value, newline included — [`push_str_entry`]'s sibling for
+/// `(key, Yaml::Int(value))`.
+pub fn push_int_entry(out: &mut String, key: &str, value: i64) {
+    push_string(key, out);
+    writeln!(out, ": {value}").expect("writing to a String cannot fail");
 }
 
 fn push_indent(indent: usize, out: &mut String) {
@@ -24,7 +50,8 @@ fn emit_node(v: &Yaml, indent: usize, out: &mut String) {
         Yaml::Map(m) if !m.is_empty() => {
             for (k, val) in m {
                 push_indent(indent, out);
-                out.push_str(&emit_key(k));
+                // Keys never contain the separator pattern after quoting.
+                push_string(k, out);
                 out.push(':');
                 emit_value_after_key(val, indent, out);
             }
@@ -38,7 +65,7 @@ fn emit_node(v: &Yaml, indent: usize, out: &mut String) {
         }
         other => {
             push_indent(indent, out);
-            out.push_str(&emit_scalar_or_empty_flow(other));
+            push_scalar_or_empty_flow(other, out);
             out.push('\n');
         }
     }
@@ -51,60 +78,53 @@ fn emit_value_after_key(v: &Yaml, indent: usize, out: &mut String) {
         Yaml::Map(m) if !m.is_empty() => {
             out.push('\n');
             emit_node(v, indent + 2, out);
-            let _ = m;
         }
         Yaml::Seq(s) if !s.is_empty() => {
             out.push('\n');
             emit_node(v, indent + 2, out);
-            let _ = s;
         }
         Yaml::Null => out.push('\n'),
         other => {
             out.push(' ');
-            out.push_str(&emit_scalar_or_empty_flow(other));
+            push_scalar_or_empty_flow(other, out);
             out.push('\n');
         }
     }
 }
 
-fn emit_scalar_or_empty_flow(v: &Yaml) -> String {
+fn push_scalar_or_empty_flow(v: &Yaml, out: &mut String) {
     match v {
-        Yaml::Null => "~".to_string(),
-        Yaml::Bool(b) => b.to_string(),
-        Yaml::Int(i) => i.to_string(),
-        Yaml::Float(f) => format_float(*f),
-        Yaml::Str(s) => emit_string(s),
-        Yaml::Seq(_) => "[]".to_string(),
-        Yaml::Map(_) => "{}".to_string(),
+        Yaml::Null => out.push('~'),
+        Yaml::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Yaml::Int(i) => write!(out, "{i}").expect("writing to a String cannot fail"),
+        Yaml::Float(f) => out.push_str(&format_float(*f)),
+        Yaml::Str(s) => push_string(s, out),
+        Yaml::Seq(_) => out.push_str("[]"),
+        Yaml::Map(_) => out.push_str("{}"),
     }
 }
 
-fn emit_key(k: &str) -> String {
-    // Keys never contain the separator pattern after quoting.
-    emit_string(k)
-}
-
-/// Decide whether a string can be emitted plain or must be quoted.
-fn emit_string(s: &str) -> String {
-    if needs_quoting(s) {
-        let mut q = String::with_capacity(s.len() + 2);
-        q.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => q.push_str("\\\""),
-                '\\' => q.push_str("\\\\"),
-                '\n' => q.push_str("\\n"),
-                '\t' => q.push_str("\\t"),
-                '\r' => q.push_str("\\r"),
-                '\0' => q.push_str("\\0"),
-                other => q.push(other),
-            }
+/// Append a string scalar (or mapping key): plain when it reads back as
+/// the same string, double-quoted with escapes otherwise.
+fn push_string(s: &str, out: &mut String) {
+    if !needs_quoting(s) {
+        out.push_str(s);
+        return;
+    }
+    out.reserve(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            '\0' => out.push_str("\\0"),
+            other => out.push(other),
         }
-        q.push('"');
-        q
-    } else {
-        s.to_string()
     }
+    out.push('"');
 }
 
 fn needs_quoting(s: &str) -> bool {
@@ -116,7 +136,7 @@ fn needs_quoting(s: &str) -> bool {
         return true;
     }
     // Would be re-parsed as a different type or as structure.
-    if !matches!(infer_plain(s), Yaml::Str(_)) {
+    if infer_non_string(s).is_some() {
         return true;
     }
     if s == "-" || s.starts_with("- ") || s.starts_with('#') {

@@ -4,6 +4,7 @@
 use crate::error::{YamlError, YamlResult};
 use crate::scanner::{parse_scalar, scan, split_key, Line};
 use crate::value::Yaml;
+use std::borrow::Cow;
 
 /// Parse a single YAML document.
 ///
@@ -14,7 +15,7 @@ pub fn parse(src: &str) -> YamlResult<Yaml> {
         return Ok(Yaml::Null);
     }
     let root_indent = lines[0].indent;
-    let raw: Vec<String> = src.lines().map(str::to_string).collect();
+    let raw = src.lines().collect();
     let mut p = Parser { lines, pos: 0, raw };
     let value = p.parse_node(root_indent)?;
     if let Some(extra) = p.peek() {
@@ -26,21 +27,23 @@ pub fn parse(src: &str) -> YamlResult<Yaml> {
     Ok(value)
 }
 
-struct Parser {
-    lines: Vec<Line>,
+/// Everything the parser looks at borrows from the document (`'a`);
+/// it allocates only for the values it returns.
+struct Parser<'a> {
+    lines: Vec<Line<'a>>,
     pos: usize,
     /// The raw source lines (1-based via index+0): block scalars need
     /// them because the scanner strips comments and blank lines.
-    raw: Vec<String>,
+    raw: Vec<&'a str>,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Line> {
-        self.lines.get(self.pos)
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<Line<'a>> {
+        self.lines.get(self.pos).copied()
     }
 
-    fn bump(&mut self) -> Line {
-        let l = self.lines[self.pos].clone();
+    fn bump(&mut self) -> Line<'a> {
+        let l = self.lines[self.pos];
         self.pos += 1;
         l
     }
@@ -57,15 +60,14 @@ impl Parser {
                 format!("bad indentation: expected column {indent}, found {}", line.indent),
             ));
         }
-        if is_sequence_entry(&line.content) {
+        if is_sequence_entry(line.content) {
             self.parse_sequence(indent)
-        } else if split_key(&line.content).is_some() {
+        } else if split_key(line.content).is_some() {
             self.parse_mapping(indent)
         } else {
             // Top-level / nested scalar (or flow collection) with folding.
-            let line = self.bump();
-            let folded = self.fold_continuations(line.content.clone(), indent);
-            self.parse_inline_scalar_or_flow(&folded, line.number)
+            self.bump();
+            self.parse_inline_value(line.content, indent, line.number)
         }
     }
 
@@ -81,21 +83,21 @@ impl Parser {
                     format!("bad indentation inside mapping: expected column {indent}"),
                 ));
             }
-            if is_sequence_entry(&line.content) {
+            if is_sequence_entry(line.content) {
                 return Err(YamlError::new(
                     line.number,
                     "sequence entry found where a mapping key was expected",
                 ));
             }
-            let line = self.bump();
-            let Some((raw_key, rest)) = split_key(&line.content) else {
+            self.bump();
+            let Some((raw_key, rest)) = split_key(line.content) else {
                 return Err(YamlError::new(
                     line.number,
                     format!("expected `key: value`, found {:?}", line.content),
                 ));
             };
             let key = parse_scalar(raw_key, line.number)?
-                .scalar_to_string()
+                .into_scalar_string()
                 .ok_or_else(|| YamlError::new(line.number, "mapping key must be a scalar"))?;
             if map.iter().any(|(k, _)| *k == key) {
                 return Err(YamlError::new(line.number, format!("duplicate mapping key {key:?}")));
@@ -131,10 +133,10 @@ impl Parser {
                     format!("bad indentation inside sequence: expected column {indent}"),
                 ));
             }
-            if !is_sequence_entry(&line.content) {
+            if !is_sequence_entry(line.content) {
                 break;
             }
-            let line = self.bump();
+            self.bump();
             if line.content == "-" {
                 // Dash alone: nested block on following deeper lines.
                 match self.peek() {
@@ -146,9 +148,9 @@ impl Parser {
                 }
                 continue;
             }
-            let rest = line.content[1..].trim_start().to_string();
+            let rest = line.content[1..].trim_start();
             let rest_col = indent + (line.content.len() - rest.len());
-            if split_key(&rest).is_some() && !starts_quoted_or_flow(&rest) {
+            if split_key(rest).is_some() && !starts_quoted_or_flow(rest) {
                 // `- key: value` opens a mapping whose first entry sits on
                 // the dash line. Re-inject the remainder as a virtual line
                 // at the column where it begins.
@@ -161,11 +163,10 @@ impl Parser {
                     },
                 );
                 seq.push(self.parse_node(rest_col)?);
-            } else if let Some(style) = block_scalar_style(&rest) {
+            } else if let Some(style) = block_scalar_style(rest) {
                 seq.push(self.parse_block_scalar(style, indent, line.number)?);
             } else {
-                let folded = self.fold_continuations(rest, indent);
-                seq.push(self.parse_inline_scalar_or_flow(&folded, line.number)?);
+                seq.push(self.parse_inline_value(rest, indent, line.number)?);
             }
         }
         Ok(Yaml::Seq(seq))
@@ -182,21 +183,21 @@ impl Parser {
         header_line: usize,
     ) -> YamlResult<Yaml> {
         // Collect the raw content region.
-        let mut content: Vec<String> = Vec::new();
+        let mut content: Vec<&str> = Vec::new();
         let mut last_line = header_line;
-        for (idx, raw) in self.raw.iter().enumerate().skip(header_line) {
+        for (idx, &raw) in self.raw.iter().enumerate().skip(header_line) {
             let number = idx + 1;
             let trimmed = raw.trim_start_matches(' ');
             let indent = raw.len() - trimmed.len();
             if trimmed.is_empty() {
-                content.push(String::new());
+                content.push("");
                 last_line = number;
                 continue;
             }
             if indent <= parent_indent {
                 break;
             }
-            content.push(raw.clone());
+            content.push(raw);
             last_line = number;
         }
         // Trim trailing blank lines out of the region (they belong to
@@ -216,15 +217,9 @@ impl Parser {
             .find(|l| !l.trim().is_empty())
             .map(|l| l.len() - l.trim_start_matches(' ').len())
             .unwrap_or(parent_indent + 1);
-        let stripped: Vec<String> = content
+        let stripped: Vec<&str> = content
             .iter()
-            .map(|l| {
-                if l.len() >= block_indent {
-                    l[block_indent.min(l.len())..].to_string()
-                } else {
-                    String::new()
-                }
-            })
+            .map(|l| l.get(block_indent..).unwrap_or(""))
             .collect();
 
         // Skip the scanned lines consumed by this block.
@@ -266,32 +261,36 @@ impl Parser {
     /// Fold plain-scalar continuation lines (strictly deeper indent, not a
     /// new sequence entry) into `first`, joined with single spaces. This
     /// is what lets Listing 1 split `nvprof … ./ece408 …` over two lines.
-    fn fold_continuations(&mut self, first: String, indent: usize) -> String {
-        if starts_quoted_or_flow(&first) {
-            return first;
+    ///
+    /// Borrows `first` unless a continuation is actually folded in.
+    fn fold_continuations(&mut self, first: &'a str, indent: usize) -> Cow<'a, str> {
+        let mut out = Cow::Borrowed(first);
+        if starts_quoted_or_flow(first) {
+            return out;
         }
-        let mut out = first;
         while let Some(next) = self.peek() {
             // A deeper line that itself looks like structure (sequence
             // entry or mapping key) is not a continuation — leaving it
             // here lets the enclosing block report a clear indentation
             // error, as real YAML does.
             if next.indent <= indent
-                || is_sequence_entry(&next.content)
-                || split_key(&next.content).is_some()
+                || is_sequence_entry(next.content)
+                || split_key(next.content).is_some()
             {
                 break;
             }
-            let cont = self.bump();
-            out.push(' ');
-            out.push_str(cont.content.trim());
+            self.bump();
+            let folded = out.to_mut();
+            folded.push(' ');
+            folded.push_str(next.content.trim());
         }
         out
     }
 
-    /// Parse a mapping value appearing on the same line as its key.
-    fn parse_inline_value(&mut self, rest: &str, indent: usize, number: usize) -> YamlResult<Yaml> {
-        let folded = self.fold_continuations(rest.to_string(), indent);
+    /// Parse a value that starts on the current line (after `key:` or
+    /// `-`, or a bare scalar node) and may fold onto following lines.
+    fn parse_inline_value(&mut self, rest: &'a str, indent: usize, number: usize) -> YamlResult<Yaml> {
+        let folded = self.fold_continuations(rest, indent);
         self.parse_inline_scalar_or_flow(&folded, number)
     }
 
@@ -426,7 +425,7 @@ impl FlowParser {
                 _ => self.take_plain_until_colon(),
             };
             let key = parse_scalar(key_tok.trim(), self.line)?
-                .scalar_to_string()
+                .into_scalar_string()
                 .ok_or_else(|| YamlError::new(self.line, "flow mapping key must be a scalar"))?;
             self.skip_ws();
             if self.peek() != Some(':') {
@@ -630,6 +629,24 @@ commands:
         let doc = parse("s: |\nnext: 2\n").unwrap();
         assert_eq!(doc.get("s").and_then(Yaml::as_str), Some(""));
         assert_eq!(doc.get("next").and_then(Yaml::as_i64), Some(2));
+    }
+
+    #[test]
+    fn scalar_ending_in_escaped_backslash_closes() {
+        let doc = parse("a: \"x\\\\\" # c\n\"k\\\\\": v\ncmds:\n  - echo \"C:\\\\\" # note\n").unwrap();
+        assert_eq!(doc.get("a").and_then(Yaml::as_str), Some("x\\"));
+        assert_eq!(doc.get("k\\").and_then(Yaml::as_str), Some("v"));
+        let cmds = doc.get("cmds").unwrap().as_seq().unwrap();
+        assert_eq!(cmds[0].as_str(), Some("echo \"C:\\\\\""));
+    }
+
+    #[test]
+    fn under_indented_block_line_is_not_sliced_mid_character() {
+        // The block's indent (4) falls inside the `é` of the shallower
+        // second line; that line contributes nothing rather than
+        // panicking the worker on a student's build file.
+        let doc = parse("s: |\n    a\n  aé\n").unwrap();
+        assert_eq!(doc.get("s").and_then(Yaml::as_str), Some("a\n\n"));
     }
 
     #[test]

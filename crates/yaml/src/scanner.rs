@@ -5,22 +5,24 @@
 use crate::error::{YamlError, YamlResult};
 use crate::value::Yaml;
 
-/// One significant source line.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Line {
+/// One significant source line. `content` borrows from the document
+/// being parsed, so a `Line` is four words and `Copy`: scanning a
+/// document allocates the `Vec` of lines and nothing per line.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Line<'a> {
     /// 1-based source line number (for diagnostics).
     pub number: usize,
     /// Number of leading spaces.
     pub indent: usize,
     /// Content with indentation and trailing comment removed.
-    pub content: String,
+    pub content: &'a str,
 }
 
 /// Split a document into significant lines. Blank lines and whole-line
 /// comments are dropped; trailing comments are stripped unless the `#`
 /// appears inside a quoted span. Tabs in indentation are rejected, as in
 /// real YAML.
-pub fn scan(src: &str) -> YamlResult<Vec<Line>> {
+pub fn scan(src: &str) -> YamlResult<Vec<Line<'_>>> {
     let mut out = Vec::new();
     for (i, raw) in src.lines().enumerate() {
         let number = i + 1;
@@ -29,7 +31,7 @@ pub fn scan(src: &str) -> YamlResult<Vec<Line>> {
         if without_indent.starts_with('\t') {
             return Err(YamlError::new(number, "tab characters may not be used for indentation"));
         }
-        let content = strip_comment(without_indent).trim_end().to_string();
+        let content = strip_comment(without_indent).trim_end();
         if content.is_empty() {
             continue;
         }
@@ -58,11 +60,7 @@ fn strip_comment(s: &str) -> &str {
     while i < bytes.len() {
         match bytes[i] {
             b'\'' if !in_double => in_single = !in_single,
-            b'"' if !in_single
-                // Toggle unless escaped.
-                && (i == 0 || bytes[i - 1] != b'\\') => {
-                    in_double = !in_double;
-                }
+            b'"' if !in_single && !escaped(bytes, i) => in_double = !in_double,
             b'#' if !in_single && !in_double
                 && (i == 0 || bytes[i - 1] == b' ' || bytes[i - 1] == b'\t') => {
                     return &s[..i];
@@ -72,6 +70,12 @@ fn strip_comment(s: &str) -> &str {
         i += 1;
     }
     s
+}
+
+/// Whether the `"` at `bytes[i]` is escaped: preceded by an odd run of
+/// backslashes (`"x\\"` closes its scalar; `"x\""` does not).
+fn escaped(bytes: &[u8], i: usize) -> bool {
+    bytes[..i].iter().rev().take_while(|&&b| b == b'\\').count() % 2 == 1
 }
 
 /// Split a mapping line `key: value` at the first *separator* colon — a
@@ -86,7 +90,7 @@ pub fn split_key(content: &str) -> Option<(&str, &str)> {
     while i < bytes.len() {
         match bytes[i] {
             b'\'' if !in_double => in_single = !in_single,
-            b'"' if !in_single && (i == 0 || bytes[i - 1] != b'\\') => in_double = !in_double,
+            b'"' if !in_single && !escaped(bytes, i) => in_double = !in_double,
             b':' if !in_single && !in_double => {
                 if i + 1 == bytes.len() {
                     return Some((content[..i].trim_end(), ""));
@@ -119,29 +123,36 @@ pub fn parse_scalar(token: &str, line: usize) -> YamlResult<Yaml> {
 
 /// Type inference for plain (unquoted) scalars.
 pub fn infer_plain(t: &str) -> Yaml {
+    infer_non_string(t).unwrap_or_else(|| Yaml::Str(t.to_string()))
+}
+
+/// The non-string value a plain scalar reads as, if any. The emitter
+/// asks this to decide whether a string must be quoted, so it must not
+/// allocate for the (usual) answer "it is just a string".
+pub(crate) fn infer_non_string(t: &str) -> Option<Yaml> {
     match t {
-        "~" | "null" | "Null" | "NULL" => return Yaml::Null,
-        "true" | "True" | "TRUE" => return Yaml::Bool(true),
-        "false" | "False" | "FALSE" => return Yaml::Bool(false),
-        ".inf" | "+.inf" => return Yaml::Float(f64::INFINITY),
-        "-.inf" => return Yaml::Float(f64::NEG_INFINITY),
-        ".nan" => return Yaml::Float(f64::NAN),
+        "~" | "null" | "Null" | "NULL" => return Some(Yaml::Null),
+        "true" | "True" | "TRUE" => return Some(Yaml::Bool(true)),
+        "false" | "False" | "FALSE" => return Some(Yaml::Bool(false)),
+        ".inf" | "+.inf" => return Some(Yaml::Float(f64::INFINITY)),
+        "-.inf" => return Some(Yaml::Float(f64::NEG_INFINITY)),
+        ".nan" => return Some(Yaml::Float(f64::NAN)),
         _ => {}
     }
     if let Ok(i) = t.parse::<i64>() {
-        return Yaml::Int(i);
+        return Some(Yaml::Int(i));
     }
     if let Some(hex) = t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
         if let Ok(i) = i64::from_str_radix(hex, 16) {
-            return Yaml::Int(i);
+            return Some(Yaml::Int(i));
         }
     }
     if looks_numeric(t) {
         if let Ok(f) = t.parse::<f64>() {
-            return Yaml::Float(f);
+            return Some(Yaml::Float(f));
         }
     }
-    Yaml::Str(t.to_string())
+    None
 }
 
 /// Guard against `parse::<f64>` accepting things users mean as strings
@@ -154,12 +165,12 @@ fn looks_numeric(t: &str) -> bool {
 }
 
 fn parse_double_quoted(rest: &str, line: usize) -> YamlResult<Yaml> {
-    let mut out = String::new();
+    let mut out = String::with_capacity(rest.len());
     let mut chars = rest.chars();
     while let Some(c) = chars.next() {
         match c {
             '"' => {
-                let tail: String = chars.collect();
+                let tail = chars.as_str();
                 if !tail.trim().is_empty() {
                     return Err(YamlError::new(line, format!("trailing characters after closing quote: {tail:?}")));
                 }
@@ -184,16 +195,16 @@ fn parse_double_quoted(rest: &str, line: usize) -> YamlResult<Yaml> {
 }
 
 fn parse_single_quoted(rest: &str, line: usize) -> YamlResult<Yaml> {
-    let mut out = String::new();
-    let mut chars = rest.chars().peekable();
+    let mut out = String::with_capacity(rest.len());
+    let mut chars = rest.chars();
     while let Some(c) = chars.next() {
         if c == '\'' {
-            if chars.peek() == Some(&'\'') {
+            if chars.as_str().starts_with('\'') {
                 // '' is an escaped quote.
                 out.push('\'');
                 chars.next();
             } else {
-                let tail: String = chars.collect();
+                let tail = chars.as_str();
                 if !tail.trim().is_empty() {
                     return Err(YamlError::new(line, format!("trailing characters after closing quote: {tail:?}")));
                 }
@@ -261,6 +272,19 @@ mod tests {
     fn split_key_respects_quotes() {
         assert_eq!(split_key("'a: b': c"), Some(("'a: b'", "c")));
         assert_eq!(split_key("\"k: x\": v"), Some(("\"k: x\"", "v")));
+    }
+
+    #[test]
+    fn quote_closes_after_an_escaped_backslash() {
+        // `\\"` is an escaped backslash followed by the closing quote:
+        // the comment after it is a comment, the colon a separator.
+        let lines = scan("a: \"x\\\\\" # c\n- echo \"C:\\\\\" # note\n").unwrap();
+        assert_eq!(lines[0].content, "a: \"x\\\\\"");
+        assert_eq!(lines[1].content, "- echo \"C:\\\\\"");
+        assert_eq!(split_key("\"k\\\\\": v"), Some(("\"k\\\\\"", "v")));
+        // An odd run still escapes the quote.
+        assert_eq!(scan("a: \"x\\\" # c\"\n").unwrap()[0].content, "a: \"x\\\" # c\"");
+        assert_eq!(split_key("\"k\\\": v\": w"), Some(("\"k\\\": v\"", "w")));
     }
 
     #[test]

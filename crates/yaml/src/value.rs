@@ -6,9 +6,10 @@ use std::fmt;
 ///
 /// Mappings preserve insertion order (RAI build files are read top to
 /// bottom, and the emitter must round-trip the original ordering).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub enum Yaml {
     /// `~`, `null`, or an empty value.
+    #[default]
     Null,
     /// `true` / `false`.
     Bool(bool),
@@ -87,6 +88,15 @@ impl Yaml {
         }
     }
 
+    /// [`Yaml::get`] for a consumer that owns the document and wants to
+    /// move a value out of it (`std::mem::take` leaves `Null` behind).
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut Yaml> {
+        match self {
+            Yaml::Map(m) => m.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
     /// Nested lookup: `doc.path(&["rai", "commands", "build"])`.
     pub fn path(&self, keys: &[&str]) -> Option<&Yaml> {
         let mut cur = self;
@@ -106,6 +116,15 @@ impl Yaml {
             Yaml::Float(f) => Some(format_float(*f)),
             Yaml::Str(s) => Some(s.clone()),
             _ => None,
+        }
+    }
+
+    /// [`Yaml::scalar_to_string`] by value: a string scalar is moved
+    /// out, not cloned.
+    pub fn into_scalar_string(self) -> Option<String> {
+        match self {
+            Yaml::Str(s) => Some(s),
+            other => other.scalar_to_string(),
         }
     }
 }

@@ -12,7 +12,7 @@ fn arb_string() -> impl Strategy<Value = String> {
 
 fn arb_key() -> impl Strategy<Value = String> {
     // Keys must be unique within a map; uniqueness is enforced below.
-    proptest::string::string_regex("[a-zA-Z_][a-zA-Z0-9_ :.#-]{0,12}").expect("valid regex")
+    proptest::string::string_regex("[a-zA-Z_][a-zA-Z0-9_ :.#\\\\-]{0,12}").expect("valid regex")
 }
 
 fn arb_scalar() -> impl Strategy<Value = Yaml> {
