@@ -6,7 +6,6 @@ use crate::fnv;
 use crate::lzss;
 use crate::tree::FileTree;
 use bytes::Bytes;
-use rai_exec::Executor;
 
 /// A packed project directory — what actually travels to the file
 /// server.
@@ -85,29 +84,6 @@ pub fn restore_shared(bytes: &Bytes) -> Result<FileTree, ArchiveError> {
     }
 }
 
-/// Pack a batch of independent file trees, compressing each container
-/// as its own pool task.
-///
-/// LZSS (like the Gear chunker) is a pure function of one payload, so
-/// batches of containers — instructor exports, the grading archive of
-/// a whole section, report-scenario corpora — parallelize across trees
-/// with no coordination. Results come back in input order
-/// ([`Executor::par_map`]), so `pack_batch(exec, trees)[i]` is exactly
-/// `pack(&trees[i])` at every parallelism.
-pub fn pack_batch(exec: &Executor, trees: &[FileTree]) -> Vec<Bundle> {
-    exec.par_map(trees.iter().collect(), pack)
-}
-
-/// Unpack a batch of payloads (either archive format, as in
-/// [`restore`]), decompressing each as its own pool task. Results are
-/// in input order; each element is exactly `restore(&payloads[i])`.
-pub fn restore_batch(
-    exec: &Executor,
-    payloads: &[Vec<u8>],
-) -> Vec<Result<FileTree, ArchiveError>> {
-    exec.par_map(payloads.iter().collect(), |p: &Vec<u8>| restore(p))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,37 +133,5 @@ mod tests {
         let b = pack(&FileTree::new());
         let t = unpack(&b.bytes).unwrap();
         assert!(t.is_empty());
-    }
-
-    #[test]
-    fn batch_matches_per_item_calls_at_every_parallelism() {
-        let trees: Vec<FileTree> = (0..12)
-            .map(|i| {
-                FileTree::new()
-                    .with("src/main.cu", format!("// variant {i}\n").repeat(40).into_bytes())
-                    .with("rai-build.yml", &b"rai:\n  version: 0.1\n"[..])
-            })
-            .collect();
-        let expect: Vec<Bundle> = trees.iter().map(pack).collect();
-        for threads in [1, 2, 8] {
-            let exec = Executor::new(threads);
-            let bundles = pack_batch(&exec, &trees);
-            assert_eq!(bundles, expect, "pack_batch drift at threads={threads}");
-            let payloads: Vec<Vec<u8>> = bundles.iter().map(|b| b.bytes.clone()).collect();
-            let back = restore_batch(&exec, &payloads);
-            for (i, t) in back.into_iter().enumerate() {
-                assert_eq!(t.unwrap(), trees[i]);
-            }
-        }
-    }
-
-    #[test]
-    fn restore_batch_surfaces_per_item_errors() {
-        let good = pack(&project()).bytes;
-        let bad = vec![0xFFu8; 32];
-        let exec = Executor::new(2);
-        let out = restore_batch(&exec, &[good, bad]);
-        assert!(out[0].is_ok());
-        assert!(out[1].is_err());
     }
 }

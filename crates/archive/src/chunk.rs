@@ -14,10 +14,8 @@
 //! checksums. The chunker is fully deterministic: same input and
 //! [`ChunkerParams`] ⇒ same boundaries, digests, and manifest.
 
-use crate::fnv::{self, Fnv1a};
+use crate::fnv::Fnv1a;
 use bytes::Bytes;
-use rai_exec::Executor;
-use std::ops::Range;
 
 /// Per-byte mixing table for the Gear rolling hash, generated at
 /// compile time from splitmix64 so the table is deterministic and
@@ -133,7 +131,7 @@ pub struct Chunk {
 ///
 /// Reassembling the referenced chunks in order yields the original
 /// byte stream; `etag` is the FNV-1a etag of that whole stream (the
-/// same value [`fnv::etag`] returns for the concatenation), so a
+/// same value [`crate::fnv::etag`] returns for the concatenation), so a
 /// manifest-stored object keeps the etag a plain whole-object store
 /// would have produced.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -182,7 +180,7 @@ pub fn chunk_bytes(data: &[u8], params: ChunkerParams) -> (ChunkManifest, Vec<Ch
 ///
 /// One pass over the payload: the Gear boundary scan, the chunk digest
 /// and the stream etag are three independent dependency chains
-/// advanced byte by byte in the same loop (see [`fnv::update2`] for
+/// advanced byte by byte in the same loop (see [`crate::fnv::update2`] for
 /// why that costs about what the slowest of them does alone).
 pub fn chunk_shared(data: &Bytes, params: ChunkerParams) -> (ChunkManifest, Vec<Chunk>) {
     let mask = params.mask();
@@ -203,17 +201,11 @@ pub fn chunk_shared(data: &Bytes, params: ChunkerParams) -> (ChunkManifest, Vec<
         });
         start = cut;
     }
-    with_views(data, refs, format!("{:016x}", etag.digest()))
-}
-
-/// The tail both chunkers share: pair each reference with the view of
-/// `data` it describes. `refs` partition `data` in order.
-fn with_views(data: &Bytes, refs: Vec<ChunkRef>, etag: String) -> (ChunkManifest, Vec<Chunk>) {
     let chunks = chunk_views(data, refs.iter().map(|r| (r.digest, r.len as usize)));
     let manifest = ChunkManifest {
         chunks: refs,
         total_len: data.len() as u64,
-        etag,
+        etag: format!("{:016x}", etag.digest()),
     };
     (manifest, chunks)
 }
@@ -234,10 +226,8 @@ pub fn chunk_views(buffer: &Bytes, parts: impl IntoIterator<Item = (u64, usize)>
 }
 
 /// Find the end of the chunk starting at `start`, handing each of its
-/// bytes to `fold` on the way: the single source of boundary truth
-/// shared by [`chunk_shared`], which folds its digests in the same
-/// pass, and [`chunk_shared_on`], which only wants the cut — so the
-/// parallel path cannot drift from the sequential one.
+/// bytes to `fold` on the way, so [`chunk_shared`] folds its digests in
+/// the same pass that finds the boundary.
 #[inline(always)]
 fn scan_chunk(
     data: &[u8],
@@ -270,97 +260,6 @@ fn scan_chunk(
         }
     }
     end
-}
-
-/// [`scan_chunk`] for the cut alone.
-fn next_cut(data: &[u8], start: usize, params: ChunkerParams, mask: u64) -> usize {
-    scan_chunk(data, start, params, mask, |_| {})
-}
-
-/// Payloads smaller than this stay on the sequential path even under a
-/// pool executor: RAI containers are ~1 KiB, and for them the scope
-/// bookkeeping would cost more than the digests it farms out. Large
-/// payloads (dataset pushes, batched instructor exports) clear the bar
-/// and split their digest work across workers.
-pub const PAR_CHUNK_MIN_BYTES: usize = 32 * 1024;
-
-/// [`chunk_bytes`] with the digest work routed onto `exec`. Copies
-/// `data` once into a shared buffer and chunks that
-/// ([`chunk_shared_on`]).
-pub fn chunk_bytes_on(
-    exec: &Executor,
-    data: &[u8],
-    params: ChunkerParams,
-) -> (ChunkManifest, Vec<Chunk>) {
-    chunk_shared_on(exec, &Bytes::copy_from_slice(data), params)
-}
-
-/// [`chunk_shared`] with the digest work routed onto `exec`.
-///
-/// Boundaries are found by the same sequential Gear scan (the rolling
-/// hash is inherently order-dependent), then per-chunk FNV digests and
-/// the whole-stream etag — the two passes that dominate — run as pool
-/// tasks over batched chunk ranges, joined in input order. Output is
-/// **byte-identical** to [`chunk_shared`] for every input, executor,
-/// and parallelism: same boundaries (shared cut scan), same digests
-/// (pure per-chunk functions), same etag (whole-stream FNV equals the
-/// chunk-by-chunk fold because chunks partition the stream in order),
-/// same views (shared tail).
-pub fn chunk_shared_on(
-    exec: &Executor,
-    data: &Bytes,
-    params: ChunkerParams,
-) -> (ChunkManifest, Vec<Chunk>) {
-    if exec.is_sequential() || data.len() < PAR_CHUNK_MIN_BYTES {
-        return chunk_shared(data, params);
-    }
-    let mask = params.mask();
-    let bytes: &[u8] = data;
-    let mut bounds: Vec<Range<usize>> = Vec::new();
-    let mut start = 0usize;
-    while start < bytes.len() {
-        let cut = next_cut(bytes, start, params, mask);
-        bounds.push(start..cut);
-        start = cut;
-    }
-    // One task per batch of chunk ranges plus one for the stream etag,
-    // so the etag pass overlaps the digest passes instead of running
-    // after them.
-    enum Task {
-        Etag,
-        Digests(Range<usize>),
-    }
-    enum Out {
-        Etag(String),
-        Digests(Vec<ChunkRef>),
-    }
-    let mut tasks = vec![Task::Etag];
-    tasks.extend(
-        rai_exec::batch_ranges(bounds.len(), exec.parallelism() * 4)
-            .into_iter()
-            .map(Task::Digests),
-    );
-    let outs = exec.par_map(tasks, |task| match task {
-        Task::Etag => Out::Etag(fnv::etag(bytes)),
-        Task::Digests(batch) => Out::Digests(
-            bounds[batch]
-                .iter()
-                .map(|r| ChunkRef {
-                    digest: fnv::hash(&bytes[r.clone()]),
-                    len: r.len() as u32,
-                })
-                .collect(),
-        ),
-    });
-    let mut refs = Vec::with_capacity(bounds.len());
-    let mut etag = String::new();
-    for out in outs {
-        match out {
-            Out::Etag(e) => etag = e,
-            Out::Digests(batch) => refs.extend(batch),
-        }
-    }
-    with_views(data, refs, etag)
 }
 
 /// Reassemble a payload from its manifest and a chunk lookup.
@@ -403,6 +302,7 @@ pub fn stream_etag<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fnv;
     use proptest::prelude::*;
 
     fn sample(len: usize, seed: u64) -> Vec<u8> {
@@ -521,27 +421,6 @@ mod tests {
         assert_eq!(assemble(&m, |_| None::<Bytes>), None);
         let truncated = Bytes::copy_from_slice(&chunks[0].data[..1]);
         assert_eq!(assemble(&m, |_| Some(truncated.clone())), None);
-    }
-
-    #[test]
-    fn parallel_chunking_is_byte_identical() {
-        // The determinism gate in miniature: every executor shape must
-        // produce the exact manifest+chunks the sequential path does,
-        // above and below the parallel threshold, at the floor
-        // parameters and at the ones each length selects — up to the
-        // paper's mean upload.
-        for len in [0, 1, 1_000, PAR_CHUNK_MIN_BYTES, 200_000, 2_500 * 1024] {
-            let data = Bytes::from(sample(len, 13));
-            for params in [ChunkerParams::DEFAULT, ChunkerParams::for_len(len)] {
-                let (seq_m, seq_c) = chunk_shared(&data, params);
-                for threads in [1, 2, 4, 8] {
-                    let exec = Executor::new(threads);
-                    let (m, c) = chunk_shared_on(&exec, &data, params);
-                    assert_eq!(m, seq_m, "manifest drift at len={len} threads={threads}");
-                    assert_eq!(c, seq_c, "chunk drift at len={len} threads={threads}");
-                }
-            }
-        }
     }
 
     #[test]

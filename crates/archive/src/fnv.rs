@@ -23,6 +23,12 @@ impl Fnv1a {
         Self::default()
     }
 
+    /// A hasher starting from `basis` instead of [`OFFSET_BASIS`] — a
+    /// keyed chain when `basis` mixes in a secret.
+    pub fn with_basis(basis: u64) -> Self {
+        Fnv1a(basis)
+    }
+
     /// Fold bytes into the state.
     pub fn update(&mut self, bytes: &[u8]) -> &mut Self {
         let mut h = *self;

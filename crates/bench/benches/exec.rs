@@ -1,47 +1,9 @@
-//! `rai-exec` micro-benchmarks: ordered `par_map` against the plain
-//! sequential map on the chunker workload it actually offloads —
-//! content-defined chunking + FNV digesting of multi-MiB payloads.
-//!
-//! On a single-core host the pool adds only dispatch overhead (the
-//! interesting number is how small that overhead is); on a multi-core
-//! host the `pool*` rows should approach the width-fold speedup.
+//! `rai-exec` micro-benchmark: ordered `par_map` against the plain
+//! sequential map — the per-job dispatch + ordered-join cost of the
+//! pool (no product code uses it; see ROADMAP item 1).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rai_archive::chunk::{chunk_bytes, chunk_bytes_on, ChunkerParams};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rai_exec::Executor;
-
-/// Deterministic pseudorandom payload, same generator as the reports.
-fn synthetic_buffer(len: usize) -> Vec<u8> {
-    let mut state = 0x5EEDu64;
-    (0..len)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as u8
-        })
-        .collect()
-}
-
-fn bench_chunker_offload(c: &mut Criterion) {
-    let mut g = c.benchmark_group("exec/chunker");
-    let buf = synthetic_buffer(4 << 20);
-    g.throughput(Throughput::Bytes(buf.len() as u64));
-    g.bench_with_input(BenchmarkId::new("sequential", "4MiB"), &buf, |b, data| {
-        b.iter(|| chunk_bytes(data, ChunkerParams::DEFAULT));
-    });
-    for width in [2usize, 4, 8] {
-        let exec = Executor::new(width);
-        g.bench_with_input(
-            BenchmarkId::new("pool", format!("4MiB/w{width}")),
-            &buf,
-            |b, data| {
-                b.iter(|| chunk_bytes_on(&exec, data, ChunkerParams::DEFAULT));
-            },
-        );
-    }
-    g.finish();
-}
 
 fn bench_par_map_overhead(c: &mut Criterion) {
     // Many small pure tasks: the per-job dispatch + ordered-join cost.
@@ -66,5 +28,5 @@ fn bench_par_map_overhead(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_chunker_offload, bench_par_map_overhead);
+criterion_group!(benches, bench_par_map_overhead);
 criterion_main!(benches);

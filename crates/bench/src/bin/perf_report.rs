@@ -1,75 +1,35 @@
-//! The **end-to-end perf baseline**: wall-clock and throughput for the
-//! pinned semester and chaos workloads, per-subsystem micro-timings,
-//! and the speedup the hot-path overhaul buys over the pre-overhaul
-//! configuration — written to `BENCH_perf.json`.
+//! The **fingerprint baseline**: the pinned semester and chaos
+//! workloads' fingerprints plus per-subsystem micro-timings, written to
+//! `BENCH_perf.json`. Wall-clock and throughput of the pipeline itself
+//! are the repo benchmark's job (`benchmark/`, `BENCHMARK.json`).
 //!
-//! Write mode (default) runs, per seed:
+//! Write mode (default) runs:
 //!
 //! 1. an indexed-query micro scenario: the same query batch against an
 //!    indexed and an unindexed collection, asserting identical results
 //!    and a >= 2x speedup from the planner;
-//! 2. the semester workload twice — once as shipped and once with
-//!    `db_hot_indexes: false`, the pre-overhaul full-scan planner
-//!    configuration that serves as the recorded reference run —
-//!    asserting byte-identical fingerprints (the overhaul is
-//!    observationally pure) and a >= 1.3x end-to-end speedup;
-//! 3. the chaos acceptance scenario (audit must pass);
-//! 4. chunker, LZSS, and broker fan-out micro-timings;
-//! 5. a scaling sweep over the `rai-exec` pool (parallelism 1/2/4/8):
-//!    single-run semester wall at each width (fingerprints must be
-//!    byte-identical to the width-1 reference) and a replica fan-out
-//!    measure — four independent semester replicas `par_map`'d across
-//!    the pool. Since the job-level scheduler (DESIGN.md §15), the
-//!    single-run semester itself scales: independent submissions of a
-//!    scheduling round execute concurrently between their serial
-//!    claim/commit points, so `semester_speedup_at_4` is the headline
-//!    intra-run measure and the replica fan-out the embarrassingly
-//!    parallel ceiling;
-//! 6. the sharded commit-lane measure (DESIGN.md §16): a fault-free
-//!    `drive_until` drain of conflict-free jobs (distinct payloads,
-//!    distinct teams) at `shards` 1 vs 4, asserting identical outcome
-//!    digests and recording `commit_lane_speedup_at_4`. The semester
-//!    is also re-run at `shards = 4` and must reproduce the reference
-//!    fingerprint exactly;
-//! 7. the claim-lane measure (DESIGN.md §17): the same conflict-free
-//!    drain with the claim *tail* (auth, spec parse, image resolve,
-//!    payload fetch) fanned across `claim_lanes` 1 vs 4, asserting
-//!    identical outcome digests and recording `claim_speedup_at_4`.
-//!    The semester is also re-run at `claim_lanes = 4` and must
-//!    reproduce the reference fingerprint exactly.
+//! 2. the semester workload (fingerprint recorded);
+//! 3. the chaos acceptance scenario (audit must pass, fingerprint
+//!    recorded);
+//! 4. chunker, LZSS, and broker fan-out micro-timings.
 //!
-//! Check mode (`--check`, the CI smoke job) re-runs the semester and
-//! chaos scenarios at the requested pool width (`--parallelism N`,
-//! default 1), shard count (`--shards N`, default 1), and claim-lane
-//! count (`--claim-lanes N`, default 1), verifies the committed
-//! `BENCH_perf.json` schema, asserts the fingerprints still match the
-//! committed values exactly (the committed fingerprints were recorded
-//! at width 1 / shards 1 / lanes 1, so this *is* the cross-width,
-//! cross-shard, cross-lane determinism gate), and fails if semester
-//! wall-clock — one warmup run, then the median of three timed runs —
-//! regressed more than 25% over the committed baseline. When the
-//! requested width and the host both have >= 4 cores it re-measures
-//! the single-run semester and the replica fan-out at widths 1 and 4
-//! and enforces the >= 1.5x job-level speedup floor on both; when the
-//! requested shard count and the host both have >= 4, it re-measures
-//! the commit-lane drain at shards 1 and 4 and enforces the >= 1.3x
-//! lane floor; when the requested claim-lane count and the host both
-//! have >= 4, it re-measures the claim drain at lanes 1 and 4 and
-//! enforces the >= 1.3x claim floor. It writes nothing.
+//! Check mode (`--check`, the CI job) re-runs the semester and chaos
+//! scenarios, verifies the committed `BENCH_perf.json` schema, and
+//! asserts both fingerprints still match the committed values exactly.
+//! It writes nothing.
 //!
 //! ```text
-//! cargo run --release -p rai-bench --bin perf_report [--check] [--parallelism N] [--shards N] [--claim-lanes N] [seed]
+//! cargo run --release -p rai-bench --bin perf_report [--check] [seed]
 //! ```
 //!
 //! The JSON schema is documented in EXPERIMENTS.md. Fingerprints are
-//! exact gates; wall-clock numbers are machine-dependent and only
-//! gated within the 25% drift band.
+//! exact gates; the micro numbers are machine-dependent and recorded
+//! only.
 
 use rai_archive::chunk::{chunk_bytes, ChunkerParams};
 use rai_archive::lzss;
 use rai_broker::Broker;
 use rai_db::{doc, Collection};
-use rai_exec::Executor;
 use rai_workload::chaos::{run_chaos, ChaosConfig, ChaosResult};
 use rai_workload::semester::{run_semester, SemesterConfig, SemesterResult};
 use std::time::Instant;
@@ -78,48 +38,10 @@ use std::time::Instant;
 const TEAMS: usize = 12;
 const DAYS: u64 = 21;
 
-/// Allowed semester wall-clock drift over the committed baseline
-/// before `--check` fails (same machine class assumed).
-const MAX_WALL_DRIFT: f64 = 1.25;
+const SCHEMA: &str = "rai-perf-bench/6";
 
-/// Floors asserted in write mode (ISSUE acceptance criteria).
-const MIN_E2E_SPEEDUP: f64 = 1.3;
+/// Floor asserted in write mode: what the planner buys over a scan.
 const MIN_MICRO_SPEEDUP: f64 = 2.0;
-
-/// Pool widths swept by the scaling section.
-const SCALING_LEVELS: [usize; 4] = [1, 2, 4, 8];
-/// Independent semester replicas fanned out per width.
-const REPLICAS: usize = 4;
-/// Replica scale — small enough that the sweep stays a smoke job.
-const REPLICA_TEAMS: usize = 6;
-const REPLICA_DAYS: u64 = 10;
-/// Replica fan-out speedup floor at width 4 vs 1, enforced whenever
-/// the host actually has >= 4 cores to scale onto.
-const MIN_FANOUT_SPEEDUP: f64 = 1.5;
-/// Single-run semester speedup floor at width 4 vs 1 — the job-level
-/// scheduling gate (DESIGN.md §15). Same arming rule as the fan-out
-/// floor: a real multi-core gate needs real cores.
-const MIN_SEMESTER_SPEEDUP: f64 = 1.5;
-
-/// Commit-lane drain: jobs and fleet shape for the sharded scheduler
-/// measure (DESIGN.md §16), and its speedup floor at shards 4 vs 1 —
-/// armed under the same >= 4-core rule.
-const LANE_JOBS: usize = 48;
-const LANE_WORKERS: usize = 8;
-const MIN_LANE_SPEEDUP: f64 = 1.3;
-
-/// Claim drain: jobs and fleet shape for the claim-lane measure
-/// (DESIGN.md §17), and its speedup floor at claim lanes 4 vs 1 —
-/// armed under the same >= 4-core rule.
-const CLAIM_JOBS: usize = 48;
-const CLAIM_WORKERS: usize = 8;
-const MIN_CLAIM_SPEEDUP: f64 = 1.3;
-
-fn host_cpus() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
 
 struct Timed<T> {
     result: T,
@@ -250,422 +172,57 @@ fn broker_fanout_micro() -> f64 {
     (CHANNELS * MESSAGES) as f64 / t.wall
 }
 
-// -------------------------------------------------------------- scaling
-
-struct ScalingLevel {
-    parallelism: usize,
-    semester_wall: f64,
-    fanout_wall: f64,
-}
-
-/// Fan `REPLICAS` independent semester replicas (distinct seeds, each a
-/// pure function of its config) across a `width`-worker pool and return
-/// (wall, per-replica fingerprints). The fingerprint vector must be
-/// identical at every width — that is asserted by the callers.
-fn replica_fanout(width: usize, seed: u64) -> Timed<Vec<u64>> {
-    let exec = Executor::new(width);
-    timed(|| {
-        exec.par_map((0..REPLICAS as u64).collect(), |i: u64| {
-            run_semester(&SemesterConfig::scaled(
-                REPLICA_TEAMS,
-                REPLICA_DAYS,
-                seed ^ (i << 8),
-            ))
-            .fingerprint()
-        })
-    })
-}
-
-/// The write-mode scaling sweep. Asserts single-run semester
-/// fingerprints and replica fingerprint vectors are byte-identical at
-/// every width; returns the per-width walls.
-fn scaling_sweep(seed: u64, reference_fp: u64) -> Vec<ScalingLevel> {
-    let mut levels = Vec::new();
-    let mut reference_replicas: Option<Vec<u64>> = None;
-    for &width in &SCALING_LEVELS {
-        let cfg = SemesterConfig::scaled(TEAMS, DAYS, seed).with_parallelism(width);
-        let semester = timed(|| run_semester(&cfg));
-        assert_eq!(
-            semester.result.fingerprint(),
-            reference_fp,
-            "semester fingerprint diverged at parallelism {width}"
-        );
-        let fanout = replica_fanout(width, seed);
-        match &reference_replicas {
-            None => reference_replicas = Some(fanout.result.clone()),
-            Some(reference) => assert_eq!(
-                reference, &fanout.result,
-                "replica fingerprints diverged at parallelism {width}"
-            ),
-        }
-        levels.push(ScalingLevel {
-            parallelism: width,
-            semester_wall: semester.wall,
-            fanout_wall: fanout.wall,
-        });
-    }
-    levels
-}
-
-fn fanout_speedup_at_4(levels: &[ScalingLevel]) -> f64 {
-    let wall_at = |p: usize| {
-        levels
-            .iter()
-            .find(|l| l.parallelism == p)
-            .expect("swept width")
-            .fanout_wall
-    };
-    wall_at(1) / wall_at(4)
-}
-
-fn semester_speedup_at_4(levels: &[ScalingLevel]) -> f64 {
-    let wall_at = |p: usize| {
-        levels
-            .iter()
-            .find(|l| l.parallelism == p)
-            .expect("swept width")
-            .semester_wall
-    };
-    wall_at(1) / wall_at(4)
-}
-
-/// Enforce the replica fan-out floor — a real multi-core speedup gate,
-/// armed only when the host has the cores to show one.
-fn assert_fanout_floor(speedup: f64, cpus: usize) {
-    if cpus >= 4 {
-        assert!(
-            speedup >= MIN_FANOUT_SPEEDUP,
-            "replica fan-out speedup {speedup:.2}x at parallelism 4 below the \
-             {MIN_FANOUT_SPEEDUP}x floor on a {cpus}-core host"
-        );
-    } else {
-        println!(
-            "  (fan-out floor dormant: host has {cpus} core(s), needs >= 4 to scale)"
-        );
-    }
-}
-
-/// Queue `LANE_JOBS` conflict-free jobs (distinct payloads, distinct
-/// teams — no shared chunk digest, no shared ranking row) on a
-/// fault-free system and time the `drive_until` drain. At `shards = 1`
-/// every commit serializes in claim order; at `shards = 4` commits
-/// spread across four lanes keyed by `job_id % 4` (DESIGN.md §16).
-/// Returns (wall, outcome digest) — the digest must be identical at
-/// every shard count.
-fn lane_drain(shards: usize, seed: u64) -> Timed<u64> {
-    use rai_core::{ProjectDir, RaiSystem, SubmitMode, SystemConfig};
-    let mut system = RaiSystem::new(SystemConfig {
-        workers: LANE_WORKERS,
-        parallelism: 4,
-        shards,
-        rate_limit: None,
-        seed,
-        ..Default::default()
-    });
-    let teams: Vec<_> = (0..LANE_JOBS)
-        .map(|i| system.register_team(&format!("lane-{i:02}"), &[]))
-        .collect();
-    for (i, creds) in teams.iter().enumerate() {
-        let project = ProjectDir::cuda_project_with_perf(
-            250.0 + i as f64 * 13.7,
-            0.9,
-            512 + i as u64,
-        );
-        system
-            .client_for(creds)
-            .begin_submit(&project, SubmitMode::Run)
-            .expect("queue lane job");
-    }
-    timed(|| {
-        let outcomes = system.drain();
-        assert_eq!(outcomes.len(), LANE_JOBS, "every lane job terminated");
-        let mut digest = 0xcbf29ce484222325u64;
-        let mut fold = |v: u64| {
-            digest ^= v;
-            digest = digest.wrapping_mul(0x100000001b3);
-        };
-        for o in &outcomes {
-            fold(o.job_id);
-            fold(o.success as u64);
-            fold(o.service_time.as_secs_f64().to_bits());
-        }
-        digest
-    })
-}
-
-/// Enforce the commit-lane floor — the sharded scheduler's gate —
-/// under the same >= 4-core arming rule as the other live floors.
-fn assert_lane_floor(speedup: f64, cpus: usize) {
-    if cpus >= 4 {
-        assert!(
-            speedup >= MIN_LANE_SPEEDUP,
-            "commit-lane speedup {speedup:.2}x at shards 4 below the \
-             {MIN_LANE_SPEEDUP}x floor on a {cpus}-core host"
-        );
-    } else {
-        println!(
-            "  (commit-lane floor dormant: host has {cpus} core(s), needs >= 4 to scale)"
-        );
-    }
-}
-
-/// Queue `CLAIM_JOBS` conflict-free jobs on a fault-free system and
-/// time the `drive_until` drain with the claim tail — auth, build-spec
-/// parse, image resolve, payload fetch + restore — on 1 vs
-/// `claim_lanes` lanes keyed by a hash of each job's log topic
-/// (DESIGN.md §17). The claim tail is the serial prefix of every
-/// scheduling round, so fanning it out shortens the round's critical
-/// path. Returns (wall, outcome digest) — the digest must be identical
-/// at every lane count.
-fn claim_drain(claim_lanes: usize, seed: u64) -> Timed<u64> {
-    use rai_core::{ProjectDir, RaiSystem, SubmitMode, SystemConfig};
-    let mut system = RaiSystem::new(SystemConfig {
-        workers: CLAIM_WORKERS,
-        parallelism: 4,
-        claim_lanes,
-        rate_limit: None,
-        seed,
-        ..Default::default()
-    });
-    let teams: Vec<_> = (0..CLAIM_JOBS)
-        .map(|i| system.register_team(&format!("claim-{i:02}"), &[]))
-        .collect();
-    for (i, creds) in teams.iter().enumerate() {
-        let project = ProjectDir::cuda_project_with_perf(
-            275.0 + i as f64 * 11.3,
-            0.9,
-            768 + i as u64,
-        );
-        system
-            .client_for(creds)
-            .begin_submit(&project, SubmitMode::Run)
-            .expect("queue claim job");
-    }
-    timed(|| {
-        let outcomes = system.drain();
-        assert_eq!(outcomes.len(), CLAIM_JOBS, "every claim job terminated");
-        let mut digest = 0xcbf29ce484222325u64;
-        let mut fold = |v: u64| {
-            digest ^= v;
-            digest = digest.wrapping_mul(0x100000001b3);
-        };
-        for o in &outcomes {
-            fold(o.job_id);
-            fold(o.success as u64);
-            fold(o.service_time.as_secs_f64().to_bits());
-        }
-        digest
-    })
-}
-
-/// Enforce the claim-lane floor — the parallel claim pipeline's gate —
-/// under the same >= 4-core arming rule as the other live floors.
-fn assert_claim_floor(speedup: f64, cpus: usize) {
-    if cpus >= 4 {
-        assert!(
-            speedup >= MIN_CLAIM_SPEEDUP,
-            "claim-lane speedup {speedup:.2}x at claim_lanes 4 below the \
-             {MIN_CLAIM_SPEEDUP}x floor on a {cpus}-core host"
-        );
-    } else {
-        println!(
-            "  (claim-lane floor dormant: host has {cpus} core(s), needs >= 4 to scale)"
-        );
-    }
-}
-
-/// Enforce the single-run semester floor — the job-level scheduler's
-/// gate — under the same arming rule.
-fn assert_semester_floor(speedup: f64, cpus: usize) {
-    if cpus >= 4 {
-        assert!(
-            speedup >= MIN_SEMESTER_SPEEDUP,
-            "single-run semester speedup {speedup:.2}x at parallelism 4 below the \
-             {MIN_SEMESTER_SPEEDUP}x job-level floor on a {cpus}-core host"
-        );
-    } else {
-        println!(
-            "  (semester floor dormant: host has {cpus} core(s), needs >= 4 to scale)"
-        );
-    }
-}
-
 // ----------------------------------------------------------------- json
 
 struct Report {
     seed: u64,
-    semester: Timed<SemesterResult>,
-    reference_wall: f64,
-    chaos: Timed<ChaosResult>,
+    semester: SemesterResult,
+    chaos: ChaosResult,
     micro_indexed_wall: f64,
     micro_scan_wall: f64,
     chunker_mib_s: f64,
     lzss_mib_s: f64,
     fanout_msgs_s: f64,
-    scaling: Vec<ScalingLevel>,
-    host_cpus: usize,
-    lane_wall_at_1: f64,
-    lane_wall_at_4: f64,
-    claim_wall_at_1: f64,
-    claim_wall_at_4: f64,
 }
 
 fn render(r: &Report) -> String {
-    let sem = &r.semester.result;
-    let chaos = &r.chaos.result;
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"rai-perf-bench/5\",\n");
-    out.push_str(&format!("  \"seed\": {},\n", r.seed));
-    out.push_str("  \"reference\": {\n");
-    out.push_str(
-        "    \"description\": \"same semester workload with db_hot_indexes=false (pre-overhaul full-scan planner)\",\n",
-    );
-    out.push_str(&format!(
-        "    \"semester_wall_secs\": {:.4},\n",
-        r.reference_wall
-    ));
-    out.push_str(&format!(
-        "    \"speedup_vs_reference\": {:.2}\n",
-        r.reference_wall / r.semester.wall
-    ));
-    out.push_str("  },\n");
-    out.push_str("  \"semester\": {\n");
-    out.push_str(&format!("    \"teams\": {TEAMS},\n"));
-    out.push_str(&format!("    \"days\": {DAYS},\n"));
-    out.push_str(&format!(
-        "    \"submissions\": {},\n",
-        sem.total_submissions
-    ));
-    out.push_str(&format!("    \"wall_secs\": {:.4},\n", r.semester.wall));
-    out.push_str(&format!(
-        "    \"throughput_sub_per_sec\": {:.1},\n",
-        sem.total_submissions as f64 / r.semester.wall
-    ));
-    out.push_str(&format!(
-        "    \"fingerprint\": \"{:#018x}\"\n",
-        sem.fingerprint()
-    ));
-    out.push_str("  },\n");
-    out.push_str("  \"chaos\": {\n");
-    out.push_str(&format!("    \"accepted\": {},\n", chaos.accepted.len()));
-    out.push_str("    \"audit\": \"pass\",\n");
-    out.push_str(&format!("    \"wall_secs\": {:.4},\n", r.chaos.wall));
-    out.push_str(&format!(
-        "    \"throughput_sub_per_sec\": {:.1},\n",
-        chaos.accepted.len() as f64 / r.chaos.wall
-    ));
-    out.push_str(&format!(
-        "    \"fingerprint\": \"{:#018x}\"\n",
-        chaos.fingerprint
-    ));
-    out.push_str("  },\n");
-    out.push_str("  \"micro\": {\n");
-    out.push_str(&format!(
-        "    \"indexed_query_wall_secs\": {:.6},\n",
-        r.micro_indexed_wall
-    ));
-    out.push_str(&format!(
-        "    \"full_scan_wall_secs\": {:.6},\n",
-        r.micro_scan_wall
-    ));
-    out.push_str(&format!(
-        "    \"indexed_query_speedup\": {:.2},\n",
-        r.micro_scan_wall / r.micro_indexed_wall
-    ));
-    out.push_str(&format!(
-        "    \"chunker_mib_per_sec\": {:.0},\n",
-        r.chunker_mib_s
-    ));
-    out.push_str(&format!(
-        "    \"lzss_compress_mib_per_sec\": {:.0},\n",
-        r.lzss_mib_s
-    ));
-    out.push_str(&format!(
-        "    \"broker_fanout_msgs_per_sec\": {:.0}\n",
-        r.fanout_msgs_s
-    ));
-    out.push_str("  },\n");
-    out.push_str("  \"scaling\": {\n");
-    out.push_str(&format!("    \"host_cpus\": {},\n", r.host_cpus));
-    out.push_str(&format!("    \"replicas\": {REPLICAS},\n"));
-    out.push_str(&format!(
-        "    \"replica_scale\": \"{REPLICA_TEAMS} teams x {REPLICA_DAYS} days\",\n"
-    ));
-    out.push_str("    \"levels\": [\n");
-    for (i, l) in r.scaling.iter().enumerate() {
-        let sem = &r.semester.result;
-        out.push_str(&format!(
-            "      {{ \"parallelism\": {}, \"semester_wall_secs\": {:.4}, \"semester_throughput_sub_per_sec\": {:.1}, \"replica_fanout_wall_secs\": {:.4} }}{}\n",
-            l.parallelism,
-            l.semester_wall,
-            sem.total_submissions as f64 / l.semester_wall,
-            l.fanout_wall,
-            if i + 1 < r.scaling.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("    ],\n");
-    out.push_str(&format!(
-        "    \"semester_speedup_at_4\": {:.2},\n",
-        semester_speedup_at_4(&r.scaling)
-    ));
-    out.push_str(&format!(
-        "    \"replica_fanout_speedup_at_4\": {:.2},\n",
-        fanout_speedup_at_4(&r.scaling)
-    ));
-    out.push_str(&format!(
-        "    \"floor\": \"semester_speedup_at_4 >= {MIN_SEMESTER_SPEEDUP} and replica_fanout_speedup_at_4 >= {MIN_FANOUT_SPEEDUP} enforced when host_cpus >= 4\",\n"
-    ));
-    out.push_str(
-        "    \"note\": \"fingerprints are byte-identical at every width; the job-level scheduler executes independent submissions of a scheduling round concurrently between their serial claim/commit points (DESIGN.md 15), so the single-run semester scales with width and the replica fan-out is the embarrassingly parallel ceiling\"\n",
-    );
-    out.push_str("  },\n");
-    out.push_str("  \"sharding\": {\n");
-    out.push_str(&format!("    \"lane_jobs\": {LANE_JOBS},\n"));
-    out.push_str(&format!("    \"lane_workers\": {LANE_WORKERS},\n"));
-    out.push_str(&format!(
-        "    \"commit_lane_wall_secs_at_1\": {:.4},\n",
-        r.lane_wall_at_1
-    ));
-    out.push_str(&format!(
-        "    \"commit_lane_wall_secs_at_4\": {:.4},\n",
-        r.lane_wall_at_4
-    ));
-    out.push_str(&format!(
-        "    \"commit_lane_speedup_at_4\": {:.2},\n",
-        r.lane_wall_at_1 / r.lane_wall_at_4
-    ));
-    out.push_str(&format!(
-        "    \"floor\": \"commit_lane_speedup_at_4 >= {MIN_LANE_SPEEDUP} enforced when host_cpus >= 4\",\n"
-    ));
-    out.push_str(
-        "    \"note\": \"shard assignment is a pure function of digest/key/job id (DESIGN.md 16): outcome digests, semester fingerprints, and recovery audits are byte-identical at every shard count, while conflict-free commits of a round spread across shards lanes\"\n",
-    );
-    out.push_str("  },\n");
-    out.push_str("  \"claiming\": {\n");
-    out.push_str(&format!("    \"claim_jobs\": {CLAIM_JOBS},\n"));
-    out.push_str(&format!("    \"claim_workers\": {CLAIM_WORKERS},\n"));
-    out.push_str(&format!(
-        "    \"claim_wall_secs_at_1\": {:.4},\n",
-        r.claim_wall_at_1
-    ));
-    out.push_str(&format!(
-        "    \"claim_wall_secs_at_4\": {:.4},\n",
-        r.claim_wall_at_4
-    ));
-    out.push_str(&format!(
-        "    \"claim_speedup_at_4\": {:.2},\n",
-        r.claim_wall_at_1 / r.claim_wall_at_4
-    ));
-    out.push_str(&format!(
-        "    \"floor\": \"claim_speedup_at_4 >= {MIN_CLAIM_SPEEDUP} enforced when host_cpus >= 4\",\n"
-    ));
-    out.push_str(
-        "    \"note\": \"the pop half of a claim stays serial and order-defining while the claim tails (auth snapshot, spec parse, image resolve, payload fetch) fan across lanes keyed by a hash of the job's log topic and re-sort into pop order (DESIGN.md 17): outcome digests and semester fingerprints are byte-identical at every claim-lane count\"\n",
-    );
-    out.push_str("  }\n");
-    out.push_str("}\n");
-    out
+    format!(
+        r#"{{
+  "schema": "{SCHEMA}",
+  "seed": {seed},
+  "semester": {{
+    "teams": {TEAMS},
+    "days": {DAYS},
+    "submissions": {submissions},
+    "fingerprint": "{sem_fp:#018x}"
+  }},
+  "chaos": {{
+    "accepted": {accepted},
+    "audit": "pass",
+    "fingerprint": "{chaos_fp:#018x}"
+  }},
+  "micro": {{
+    "indexed_query_wall_secs": {indexed:.6},
+    "full_scan_wall_secs": {scan:.6},
+    "indexed_query_speedup": {speedup:.2},
+    "chunker_mib_per_sec": {chunker:.0},
+    "lzss_compress_mib_per_sec": {lzss:.0},
+    "broker_fanout_msgs_per_sec": {fanout:.0}
+  }}
+}}
+"#,
+        seed = r.seed,
+        submissions = r.semester.total_submissions,
+        sem_fp = r.semester.fingerprint(),
+        accepted = r.chaos.accepted.len(),
+        chaos_fp = r.chaos.fingerprint,
+        indexed = r.micro_indexed_wall,
+        scan = r.micro_scan_wall,
+        speedup = r.micro_scan_wall / r.micro_indexed_wall,
+        chunker = r.chunker_mib_s,
+        lzss = r.lzss_mib_s,
+        fanout = r.fanout_msgs_s,
+    )
 }
 
 /// Pull `"key": value` out of the named top-level section of the
@@ -691,244 +248,38 @@ fn extract<'a>(json: &'a str, section: &str, key: &str) -> &'a str {
 
 // ----------------------------------------------------------------- main
 
-fn check(seed: u64, parallelism: usize, shards: usize, claim_lanes: usize) {
+fn check(seed: u64) {
     let committed =
         std::fs::read_to_string("BENCH_perf.json").expect("read committed BENCH_perf.json");
-    let schema = extract(&committed, "schema", "schema");
-    assert_eq!(schema, "rai-perf-bench/5", "unexpected schema");
-    let committed_sem_fp = extract(&committed, "semester", "fingerprint").to_string();
-    let committed_chaos_fp = extract(&committed, "chaos", "fingerprint").to_string();
-    let committed_wall: f64 = extract(&committed, "semester", "wall_secs")
-        .parse()
-        .expect("semester wall_secs is a number");
-    // The scaling section must be present and well-formed; the
-    // committed speedup only gates when the *recording* machine had
-    // the cores to show one.
-    let committed_cpus: usize = extract(&committed, "scaling", "host_cpus")
-        .parse()
-        .expect("scaling host_cpus is a number");
-    let committed_fanout: f64 = extract(&committed, "scaling", "replica_fanout_speedup_at_4")
-        .parse()
-        .expect("scaling replica_fanout_speedup_at_4 is a number");
-    let committed_semester_speedup: f64 = extract(&committed, "scaling", "semester_speedup_at_4")
-        .parse()
-        .expect("scaling semester_speedup_at_4 is a number");
-    let committed_lane_speedup: f64 = extract(&committed, "sharding", "commit_lane_speedup_at_4")
-        .parse()
-        .expect("sharding commit_lane_speedup_at_4 is a number");
-    let committed_claim_speedup: f64 = extract(&committed, "claiming", "claim_speedup_at_4")
-        .parse()
-        .expect("claiming claim_speedup_at_4 is a number");
-    if committed_cpus >= 4 {
-        assert!(
-            committed_lane_speedup >= MIN_LANE_SPEEDUP,
-            "committed commit-lane speedup {committed_lane_speedup:.2}x below the \
-             {MIN_LANE_SPEEDUP}x floor (recorded on a {committed_cpus}-core host)"
-        );
-        assert!(
-            committed_claim_speedup >= MIN_CLAIM_SPEEDUP,
-            "committed claim-lane speedup {committed_claim_speedup:.2}x below the \
-             {MIN_CLAIM_SPEEDUP}x floor (recorded on a {committed_cpus}-core host)"
-        );
-        assert!(
-            committed_fanout >= MIN_FANOUT_SPEEDUP,
-            "committed replica fan-out speedup {committed_fanout:.2}x below the \
-             {MIN_FANOUT_SPEEDUP}x floor (recorded on a {committed_cpus}-core host)"
-        );
-        assert!(
-            committed_semester_speedup >= MIN_SEMESTER_SPEEDUP,
-            "committed single-run semester speedup {committed_semester_speedup:.2}x below the \
-             {MIN_SEMESTER_SPEEDUP}x job-level floor (recorded on a {committed_cpus}-core host)"
-        );
-    }
+    assert_eq!(extract(&committed, "schema", "schema"), SCHEMA, "unexpected schema");
+    let committed_sem_fp = extract(&committed, "semester", "fingerprint");
+    let committed_chaos_fp = extract(&committed, "chaos", "fingerprint");
 
-    // Wall-clock is noisy (cold caches, co-tenant load): one warmup
-    // run primes the allocator and page cache, then the gate reads the
-    // *median* of three timed runs — robust to a single co-tenant
-    // spike in either direction, where the old best-of-3 systematically
-    // under-reported steady-state cost. Fingerprints are exact and
-    // must match on every run, warmup included — the committed values
-    // were recorded at width 1 / shards 1 / lanes 1, so re-running at
-    // the requested configuration is the cross-config determinism gate.
-    let run_semester_once = || {
-        timed(|| {
-            run_semester(
-                &SemesterConfig::scaled(TEAMS, DAYS, seed)
-                    .with_parallelism(parallelism)
-                    .with_shards(shards)
-                    .with_claim_lanes(claim_lanes),
-            )
-        })
-    };
-    let assert_sem_fp = |semester: &Timed<SemesterResult>| {
-        let sem_fp = format!("{:#018x}", semester.result.fingerprint());
-        assert_eq!(
-            sem_fp, committed_sem_fp,
-            "semester fingerprint at parallelism {parallelism} shards {shards} claim_lanes {claim_lanes} drifted from the committed baseline"
-        );
-    };
-    let warmup = run_semester_once();
-    assert_sem_fp(&warmup);
-    let mut walls = Vec::with_capacity(3);
-    for _ in 0..3 {
-        let semester = run_semester_once();
-        assert_sem_fp(&semester);
-        walls.push(semester.wall);
-    }
-    walls.sort_by(f64::total_cmp);
-    let median_wall = walls[1];
-    let chaos = timed(|| {
-        run_chaos(
-            &ChaosConfig::acceptance(seed)
-                .with_parallelism(parallelism)
-                .with_shards(shards)
-                .with_claim_lanes(claim_lanes),
-        )
-    });
-    chaos.result.verify().expect("chaos audit");
-    let chaos_fp = format!("{:#018x}", chaos.result.fingerprint);
+    let semester = run_semester(&SemesterConfig::scaled(TEAMS, DAYS, seed));
+    let sem_fp = format!("{:#018x}", semester.fingerprint());
+    assert_eq!(
+        sem_fp, committed_sem_fp,
+        "semester fingerprint drifted from the committed baseline"
+    );
+    let chaos = run_chaos(&ChaosConfig::acceptance(seed));
+    chaos.verify().expect("chaos audit");
+    let chaos_fp = format!("{:#018x}", chaos.fingerprint);
     assert_eq!(
         chaos_fp, committed_chaos_fp,
-        "chaos fingerprint at parallelism {parallelism} shards {shards} claim_lanes {claim_lanes} drifted from the committed baseline"
+        "chaos fingerprint drifted from the committed baseline"
     );
-    // The drift band gates the reference configuration only: at width
-    // > 1 an under-provisioned host pays pool-parking overhead that
-    // says nothing about a code regression (the width-1 CI job already
-    // guards the wall; this job guards fingerprints and the floor).
-    if parallelism == 1 && shards == 1 && claim_lanes == 1 {
-        assert!(
-            median_wall <= committed_wall * MAX_WALL_DRIFT,
-            "semester wall {median_wall:.3}s (median of 3 after warmup) regressed more than {:.0}% over committed {committed_wall:.3}s",
-            (MAX_WALL_DRIFT - 1.0) * 100.0,
-        );
-    }
-
-    // Live scaling floors: when asked to check a multi-core width on a
-    // multi-core host, the speedups must still be there — not just in
-    // the committed file.
-    if parallelism >= 4 {
-        let cpus = host_cpus();
-        // Job-level floor: the same single semester, width 1 vs 4.
-        let seq_sem =
-            timed(|| run_semester(&SemesterConfig::scaled(TEAMS, DAYS, seed)));
-        let par_sem = timed(|| {
-            run_semester(&SemesterConfig::scaled(TEAMS, DAYS, seed).with_parallelism(4))
-        });
-        assert_eq!(
-            seq_sem.result.fingerprint(),
-            par_sem.result.fingerprint(),
-            "semester fingerprints diverged between widths 1 and 4"
-        );
-        let sem_speedup = seq_sem.wall / par_sem.wall;
-        println!(
-            "perf check: single-run semester {:.3}s -> {:.3}s ({sem_speedup:.2}x) on {cpus} core(s)",
-            seq_sem.wall, par_sem.wall
-        );
-        assert_semester_floor(sem_speedup, cpus);
-        let sequential = replica_fanout(1, seed);
-        let pooled = replica_fanout(4, seed);
-        assert_eq!(
-            sequential.result, pooled.result,
-            "replica fingerprints diverged between widths 1 and 4"
-        );
-        let speedup = sequential.wall / pooled.wall;
-        println!(
-            "perf check: replica fan-out {:.3}s -> {:.3}s ({speedup:.2}x) on {cpus} core(s)",
-            sequential.wall, pooled.wall
-        );
-        assert_fanout_floor(speedup, cpus);
-    }
-
-    // Live commit-lane gate: the sharded drain must reproduce the
-    // single-lock outcome digest exactly, and on a multi-core host the
-    // lane speedup must clear its floor.
-    if shards >= 4 {
-        let cpus = host_cpus();
-        let single = lane_drain(1, seed);
-        let sharded = lane_drain(4, seed);
-        assert_eq!(
-            single.result, sharded.result,
-            "lane-drain outcome digests diverged between shards 1 and 4"
-        );
-        let lane_speedup = single.wall / sharded.wall;
-        println!(
-            "perf check: commit-lane drain {:.3}s -> {:.3}s ({lane_speedup:.2}x) on {cpus} core(s)",
-            single.wall, sharded.wall
-        );
-        assert_lane_floor(lane_speedup, cpus);
-    }
-
-    // Live claim-lane gate: the fanned-out claim tail must reproduce
-    // the serial outcome digest exactly, and on a multi-core host the
-    // claim speedup must clear its floor.
-    if claim_lanes >= 4 {
-        let cpus = host_cpus();
-        let serial = claim_drain(1, seed);
-        let laned = claim_drain(4, seed);
-        assert_eq!(
-            serial.result, laned.result,
-            "claim-drain outcome digests diverged between claim lanes 1 and 4"
-        );
-        let claim_speedup = serial.wall / laned.wall;
-        println!(
-            "perf check: claim drain {:.3}s -> {:.3}s ({claim_speedup:.2}x) on {cpus} core(s)",
-            serial.wall, laned.wall
-        );
-        assert_claim_floor(claim_speedup, cpus);
-    }
-
-    if parallelism == 1 && shards == 1 && claim_lanes == 1 {
-        println!(
-            "perf check: fingerprints match ({committed_sem_fp} / {chaos_fp}) at parallelism 1, wall {median_wall:.3}s (median of 3) within {:.0}% of committed {committed_wall:.3}s",
-            (MAX_WALL_DRIFT - 1.0) * 100.0,
-        );
-    } else {
-        println!(
-            "perf check: fingerprints match ({committed_sem_fp} / {chaos_fp}) at parallelism {parallelism} shards {shards} claim_lanes {claim_lanes}, wall {median_wall:.3}s (committed {committed_wall:.3}s, drift gated by the width-1 job)"
-        );
-    }
+    println!("perf check: fingerprints match ({sem_fp} / {chaos_fp})");
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let check_mode = args.iter().any(|a| a == "--check");
-    let parallelism: usize = args
-        .iter()
-        .position(|a| a == "--parallelism")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--parallelism takes a positive integer"))
-        .unwrap_or(1);
-    let shards: usize = args
-        .iter()
-        .position(|a| a == "--shards")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--shards takes a positive integer"))
-        .unwrap_or(1);
-    let claim_lanes: usize = args
-        .iter()
-        .position(|a| a == "--claim-lanes")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--claim-lanes takes a positive integer"))
-        .unwrap_or(1);
-    let seed: u64 = args
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| {
-            // Skip the --parallelism/--shards/--claim-lanes values; any
-            // other bare integer is the seed.
-            args.get(i.wrapping_sub(1)).is_none_or(|prev| {
-                prev != "--parallelism" && prev != "--shards" && prev != "--claim-lanes"
-            })
-        })
-        .find_map(|(_, a)| a.parse().ok())
-        .unwrap_or(2016);
-
-    if check_mode {
-        check(seed, parallelism, shards, claim_lanes);
+    let seed: u64 = args.iter().find_map(|a| a.parse().ok()).unwrap_or(2016);
+    if args.iter().any(|a| a == "--check") {
+        check(seed);
         return;
     }
 
-    rai_bench::header(&format!("hot-path perf baseline — seed {seed}"));
+    rai_bench::header(&format!("fingerprint baseline — seed {seed}"));
 
     let (micro_indexed_wall, micro_scan_wall) = indexed_query_micro();
     let micro_speedup = micro_scan_wall / micro_indexed_wall;
@@ -937,44 +288,22 @@ fn main() {
         micro_indexed_wall * 1e3,
         micro_scan_wall * 1e3
     );
+    assert!(
+        micro_speedup >= MIN_MICRO_SPEEDUP,
+        "indexed-query micro speedup {micro_speedup:.2}x below the {MIN_MICRO_SPEEDUP}x floor"
+    );
 
-    let config = SemesterConfig::scaled(TEAMS, DAYS, seed);
-    let semester = timed(|| run_semester(&config));
-    let mut legacy_config = SemesterConfig::scaled(TEAMS, DAYS, seed);
-    legacy_config.db_hot_indexes = false;
-    let reference = timed(|| run_semester(&legacy_config));
-    let e2e_speedup = reference.wall / semester.wall;
+    let semester = run_semester(&SemesterConfig::scaled(TEAMS, DAYS, seed));
     println!(
         "  semester ({TEAMS} teams x {DAYS} days, {} submissions)",
-        semester.result.total_submissions
+        semester.total_submissions
     );
-    println!(
-        "    wall                      {:.3}s ({:.0} sub/s)",
-        semester.wall,
-        semester.result.total_submissions as f64 / semester.wall
-    );
-    println!("    reference (no indexes)    {:.3}s", reference.wall);
-    println!("    speedup                   {e2e_speedup:.2}x");
-    println!(
-        "    fingerprint               {:#018x}",
-        semester.result.fingerprint()
-    );
+    println!("    fingerprint               {:#018x}", semester.fingerprint());
 
-    let chaos = timed(|| run_chaos(&ChaosConfig::acceptance(seed)));
-    chaos.result.verify().expect("chaos audit");
-    println!(
-        "  chaos ({} accepted, audit pass)",
-        chaos.result.accepted.len()
-    );
-    println!(
-        "    wall                      {:.3}s ({:.0} sub/s)",
-        chaos.wall,
-        chaos.result.accepted.len() as f64 / chaos.wall
-    );
-    println!(
-        "    fingerprint               {:#018x}",
-        chaos.result.fingerprint
-    );
+    let chaos = run_chaos(&ChaosConfig::acceptance(seed));
+    chaos.verify().expect("chaos audit");
+    println!("  chaos ({} accepted, audit pass)", chaos.accepted.len());
+    println!("    fingerprint               {:#018x}", chaos.fingerprint);
 
     let chunker_mib_s = chunker_micro();
     let lzss_mib_s = lzss_micro();
@@ -983,100 +312,16 @@ fn main() {
     println!("  lzss compress               {lzss_mib_s:.0} MiB/s");
     println!("  broker fan-out (16ch)       {fanout_msgs_s:.0} msg/s");
 
-    let cpus = host_cpus();
-    let scaling = scaling_sweep(seed, semester.result.fingerprint());
-    println!("  scaling ({cpus} host core(s), {REPLICAS} replicas of {REPLICA_TEAMS} teams x {REPLICA_DAYS} days)");
-    for l in &scaling {
-        println!(
-            "    parallelism {}: semester {:.3}s, replica fan-out {:.3}s",
-            l.parallelism, l.semester_wall, l.fanout_wall
-        );
-    }
-    let sem_speedup = semester_speedup_at_4(&scaling);
-    println!("    semester speedup          {sem_speedup:.2}x at parallelism 4");
-    assert_semester_floor(sem_speedup, cpus);
-    let fanout_speedup = fanout_speedup_at_4(&scaling);
-    println!("    replica fan-out speedup   {fanout_speedup:.2}x at parallelism 4");
-    assert_fanout_floor(fanout_speedup, cpus);
-
-    // Sharded commit lanes (DESIGN.md §16): the conflict-free drain at
-    // 1 vs 4 lock shards, plus the semester fingerprint gate at 4.
-    let lane_single = lane_drain(1, seed);
-    let lane_sharded = lane_drain(4, seed);
-    assert_eq!(
-        lane_single.result, lane_sharded.result,
-        "lane-drain outcome digests diverged between shards 1 and 4"
-    );
-    let lane_speedup = lane_single.wall / lane_sharded.wall;
-    println!(
-        "  commit lanes ({LANE_JOBS} jobs, {LANE_WORKERS} workers): {:.3}s -> {:.3}s ({lane_speedup:.2}x at shards 4)",
-        lane_single.wall, lane_sharded.wall
-    );
-    assert_lane_floor(lane_speedup, cpus);
-    let sharded_semester = run_semester(&config.clone().with_shards(4));
-    assert_eq!(
-        sharded_semester.fingerprint(),
-        semester.result.fingerprint(),
-        "semester fingerprint diverged at shards 4"
-    );
-
-    // Claim lanes (DESIGN.md §17): the conflict-free drain with the
-    // claim tail on 1 vs 4 lanes, plus the semester fingerprint gate
-    // at claim_lanes 4.
-    let claim_serial = claim_drain(1, seed);
-    let claim_laned = claim_drain(4, seed);
-    assert_eq!(
-        claim_serial.result, claim_laned.result,
-        "claim-drain outcome digests diverged between claim lanes 1 and 4"
-    );
-    let claim_speedup = claim_serial.wall / claim_laned.wall;
-    println!(
-        "  claim lanes ({CLAIM_JOBS} jobs, {CLAIM_WORKERS} workers): {:.3}s -> {:.3}s ({claim_speedup:.2}x at claim_lanes 4)",
-        claim_serial.wall, claim_laned.wall
-    );
-    assert_claim_floor(claim_speedup, cpus);
-    let laned_semester = run_semester(&config.clone().with_claim_lanes(4));
-    assert_eq!(
-        laned_semester.fingerprint(),
-        semester.result.fingerprint(),
-        "semester fingerprint diverged at claim_lanes 4"
-    );
-
-    // The observational-purity gate: the planner, broker, chunker, and
-    // store optimisations must not change a single observable byte.
-    assert_eq!(
-        semester.result.fingerprint(),
-        reference.result.fingerprint(),
-        "optimised and reference semester runs diverged — the overhaul is not observationally pure"
-    );
-    assert!(
-        micro_speedup >= MIN_MICRO_SPEEDUP,
-        "indexed-query micro speedup {micro_speedup:.2}x below the {MIN_MICRO_SPEEDUP}x floor"
-    );
-    assert!(
-        e2e_speedup >= MIN_E2E_SPEEDUP,
-        "end-to-end semester speedup {e2e_speedup:.2}x below the {MIN_E2E_SPEEDUP}x floor"
-    );
-
     let report = Report {
         seed,
         semester,
-        reference_wall: reference.wall,
         chaos,
         micro_indexed_wall,
         micro_scan_wall,
         chunker_mib_s,
         lzss_mib_s,
         fanout_msgs_s,
-        scaling,
-        host_cpus: cpus,
-        lane_wall_at_1: lane_single.wall,
-        lane_wall_at_4: lane_sharded.wall,
-        claim_wall_at_1: claim_serial.wall,
-        claim_wall_at_4: claim_laned.wall,
     };
     std::fs::write("BENCH_perf.json", render(&report)).expect("write BENCH_perf.json");
-    println!(
-        "\nwrote BENCH_perf.json (e2e {e2e_speedup:.2}x >= {MIN_E2E_SPEEDUP}x, micro {micro_speedup:.1}x >= {MIN_MICRO_SPEEDUP}x)"
-    );
+    println!("\nwrote BENCH_perf.json (micro {micro_speedup:.1}x >= {MIN_MICRO_SPEEDUP}x)");
 }

@@ -11,21 +11,14 @@
 //! 2. runs the chaos acceptance scenario and asserts the
 //!    no-lost/no-duplicated audit still holds with dedup enabled;
 //! 3. asserts the dedup ratio floor (physical ≤ 1/3 of logical);
-//! 4. re-runs the semester on the same seed — once sequentially and
-//!    once with the payload pipeline on a 4-worker `rai-exec` pool —
-//!    and asserts the rendered JSON is byte-identical both times
-//!    (determinism gate; chunk boundaries and dedup accounting must
-//!    not move with the pool width);
+//! 4. re-runs the semester on the same seed and asserts the rendered
+//!    JSON is byte-identical (determinism gate);
 //! 5. uploads one 2.5 MiB tree (the paper's mean upload) fresh, then
 //!    again with one of its 64 KiB files regenerated, and reports the
 //!    exact chunk and byte counts of both — the large-payload regime,
 //!    where chunk size follows the payload (DESIGN.md §10);
 //! 6. measures chunker throughput on a synthetic buffer (printed to
 //!    stdout only — wall-clock numbers never go into the JSON).
-//!
-//! The five scenario runs are independent pure functions of the seed,
-//! so they are fanned out across a `rai-exec` pool sized to the host;
-//! rendering and assertions stay sequential.
 //!
 //! ```text
 //! cargo run --release -p rai-bench --bin store_report [seed]
@@ -36,7 +29,6 @@
 use rai_archive::chunk::{chunk_bytes, ChunkerParams};
 use rai_archive::{write_container, FileTree};
 use rai_core::delta::{DeltaReceipt, DeltaUploader};
-use rai_exec::Executor;
 use rai_sim::VirtualClock;
 use rai_store::{LifecycleRule, ObjectStore, StoreUsage};
 use rai_workload::chaos::{run_chaos, ChaosConfig};
@@ -191,67 +183,30 @@ fn main() {
     let sem_config = SemesterConfig::scaled(TEAMS, DAYS, seed);
     let chaos_config = ChaosConfig::acceptance(seed);
 
-    // All five scenario runs are pure functions of their configs: fan
-    // them out, then render and assert sequentially.
-    let exec = Executor::new(
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    );
-    let (mut semester, mut semester2, mut pooled, mut chaos) = (None, None, None, None);
-    let mut bulk = None;
-    exec.scope(|s| {
-        s.spawn(|| semester = Some(run_semester(&sem_config)));
-        s.spawn(|| semester2 = Some(run_semester(&sem_config)));
-        s.spawn(|| pooled = Some(run_semester(&sem_config.clone().with_parallelism(4))));
-        s.spawn(|| chaos = Some(run_chaos(&chaos_config)));
-        s.spawn(|| bulk = Some(run_bulk(seed)));
-    });
-    let (semester, semester2, pooled, chaos) = (
-        semester.expect("semester run joined"),
-        semester2.expect("semester re-run joined"),
-        pooled.expect("pooled semester run joined"),
-        chaos.expect("chaos run joined"),
-    );
-    let bulk = bulk.expect("bulk run joined");
+    let semester = run_semester(&sem_config);
+    let semester2 = run_semester(&sem_config);
+    let chaos = run_chaos(&chaos_config);
+    let bulk = run_bulk(seed);
     chaos
         .verify()
         .expect("chaos no-lost/no-duplicated audit must hold with dedup enabled");
 
-    let json = render(
-        seed,
-        &semester.store,
-        semester.total_submissions,
-        &chaos.store,
-        chaos.accepted.len(),
-        &bulk,
-    );
-
-    // Determinism gate: a same-seed re-run must render byte-identical
-    // JSON (the semester is the trajectory baseline; flapping numbers
-    // would poison every future comparison) — and so must a re-run
-    // with the payload pipeline on a 4-worker pool (chunk boundaries
-    // and dedup accounting are width-invariant).
-    let rerender = |r: &rai_workload::semester::SemesterResult| {
+    let render_with = |sem: &rai_workload::semester::SemesterResult| {
         render(
             seed,
-            &r.store,
-            r.total_submissions,
+            &sem.store,
+            sem.total_submissions,
             &chaos.store,
             chaos.accepted.len(),
             &bulk,
         )
     };
-    assert_eq!(
-        json,
-        rerender(&semester2),
-        "same-seed semester must be byte-identical"
-    );
-    assert_eq!(
-        json,
-        rerender(&pooled),
-        "parallelism-4 semester must render byte-identical store accounting"
-    );
+    let json = render_with(&semester);
+
+    // Determinism gate: a same-seed re-run must render byte-identical
+    // JSON (the semester is the trajectory baseline; flapping numbers
+    // would poison every future comparison).
+    assert_eq!(json, render_with(&semester2), "same-seed semester must be byte-identical");
 
     rai_bench::header(&format!("store dedup baseline — seed {seed}"));
     let u = &semester.store;

@@ -1,37 +1,34 @@
 //! **Causal-trace attribution report**: where does the semester wall
-//! go, and does the answer come out byte-identical at every exec pool
-//! width — written to `BENCH_trace.json`.
+//! go — written to `BENCH_trace.json`.
 //!
 //! Write mode (default) runs the pinned semester (12 teams x 21 days)
-//! and the chaos acceptance scenario at pool widths 1 and 4, and:
+//! and the chaos acceptance scenario, and:
 //!
 //! 1. extracts every job's critical path from its span tree and prints
 //!    the "where does the semester wall go" attribution table
 //!    (per-component/per-stage share, totals, exact p50/p95/p99/p99.9
 //!    from the deterministic log-bucketed histograms);
-//! 2. asserts the *entire deterministic artifact* — attribution tables,
+//! 2. folds the *entire deterministic artifact* — attribution tables,
 //!    queue-wait histogram encoding, end-to-end histogram encoding,
-//!    backpressure sparklines, and the Chrome trace-event export — is
-//!    byte-identical across widths (spans carry logical sim-times, so
-//!    host scheduling must not leak into a single byte);
+//!    backpressure sparklines, and the Chrome trace-event export — into
+//!    one fingerprint (spans carry logical sim-times, so the artifact
+//!    is a pure function of the seed);
 //! 3. writes the Perfetto-loadable Chrome trace JSON for a sample
 //!    window of jobs to `target/trace_semester.json` and
 //!    `target/trace_chaos.json`;
-//! 4. reports the exec pool's steal/park/spawn/inline-run counters —
-//!    host-scheduling facts, deliberately *outside* the artifact;
-//! 5. commits the artifact fingerprints, end-to-end quantiles, and the
+//! 4. commits the artifact fingerprint, end-to-end quantiles, and the
 //!    p99 SLO to `BENCH_trace.json`.
 //!
-//! Check mode (`--check`, the CI trace job) re-runs both scenarios at
-//! widths 1 and 4, re-asserts cross-width byte-identity, requires the
-//! artifact fingerprints and end-to-end p99 to match the committed
-//! values *exactly* (they are pure functions of the seed), and enforces
-//! the p99 SLO ceiling. It writes nothing.
+//! Check mode (`--check`, the CI trace job) re-runs both scenarios,
+//! requires the artifact fingerprint and end-to-end p99 to match the
+//! committed values *exactly*, and enforces the p99 SLO ceiling. It
+//! writes nothing.
 //!
 //! ```text
 //! cargo run --release -p rai-bench --bin trace_report [--check] [seed]
 //! ```
 
+use rai_archive::fnv::Fnv1a;
 use rai_telemetry::{attribute, names, render_chrome_trace, JobTrace};
 use rai_workload::chaos::{run_chaos, ChaosConfig, ChaosResult};
 use rai_workload::semester::{run_semester, SemesterConfig, SemesterResult};
@@ -39,10 +36,6 @@ use rai_workload::semester::{run_semester, SemesterConfig, SemesterResult};
 /// Pinned scale, matching the perf baseline (`perf_report`).
 const TEAMS: usize = 12;
 const DAYS: u64 = 21;
-
-/// Exec widths the byte-identity gate sweeps (ISSUE acceptance: the
-/// attribution table must be byte-identical at widths 1 and 4).
-const WIDTHS: [usize; 2] = [1, 4];
 
 /// Jobs included in the Chrome trace export sample window. Bounds the
 /// JSON size while still exercising every span shape.
@@ -53,15 +46,9 @@ const CHROME_SAMPLE_JOBS: usize = 256;
 /// tail latency past it fails CI even if it is deterministic.
 const E2E_P99_SLO_MICROS: u64 = 3_600_000_000; // one sim-hour
 
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for b in bytes {
-        *h ^= u64::from(*b);
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
-}
+const SCHEMA: &str = "rai-trace-bench/2";
 
-/// Everything deterministic one (semester, chaos) pair produces. Two
-/// runs at different pool widths must agree on every byte of this.
+/// Everything deterministic one (semester, chaos) pair produces.
 struct Artifact {
     semester_table: String,
     queue_encoding: String,
@@ -80,7 +67,7 @@ struct Artifact {
 
 impl Artifact {
     fn fingerprint(&self) -> u64 {
-        let mut fp: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut fp = Fnv1a::new();
         for s in [
             &self.semester_table,
             &self.queue_encoding,
@@ -91,31 +78,10 @@ impl Artifact {
             &self.chaos_table,
             &self.chrome_chaos,
         ] {
-            fnv1a(&mut fp, s.as_bytes());
+            fp.update(s.as_bytes());
         }
-        fnv1a(&mut fp, &self.chaos_wasted_micros.to_le_bytes());
-        fp
-    }
-
-    fn assert_identical(&self, other: &Artifact, widths: (usize, usize)) {
-        let (a, b) = widths;
-        let pairs: [(&str, &str, &str); 8] = [
-            ("semester attribution table", &self.semester_table, &other.semester_table),
-            ("queue-wait histogram", &self.queue_encoding, &other.queue_encoding),
-            ("end-to-end histogram", &self.e2e_encoding, &other.e2e_encoding),
-            ("depth sparkline", &self.depth_sparkline, &other.depth_sparkline),
-            ("in-flight sparkline", &self.in_flight_sparkline, &other.in_flight_sparkline),
-            ("semester Chrome trace", &self.chrome_semester, &other.chrome_semester),
-            ("chaos attribution table", &self.chaos_table, &other.chaos_table),
-            ("chaos Chrome trace", &self.chrome_chaos, &other.chrome_chaos),
-        ];
-        for (what, left, right) in pairs {
-            assert_eq!(left, right, "{what} differs between widths {a} and {b}");
-        }
-        assert_eq!(
-            self.chaos_wasted_micros, other.chaos_wasted_micros,
-            "chaos wasted-work total differs between widths {a} and {b}"
-        );
+        fp.update(&self.chaos_wasted_micros.to_le_bytes());
+        fp.digest()
     }
 }
 
@@ -123,11 +89,11 @@ fn chrome_sample(traces: &[JobTrace]) -> String {
     render_chrome_trace(&traces[..traces.len().min(CHROME_SAMPLE_JOBS)])
 }
 
-/// Run both pinned scenarios at one pool width and distil the artifact.
-fn run_at(width: usize, seed: u64) -> (Artifact, SemesterResult, ChaosResult) {
-    let sem = run_semester(&SemesterConfig::scaled(TEAMS, DAYS, seed).with_parallelism(width));
+/// Run both pinned scenarios and distil the artifact.
+fn run(seed: u64) -> (Artifact, SemesterResult, ChaosResult) {
+    let sem = run_semester(&SemesterConfig::scaled(TEAMS, DAYS, seed));
     let attr = attribute(&sem.traces);
-    let chaos = run_chaos(&ChaosConfig::acceptance(seed).with_parallelism(width));
+    let chaos = run_chaos(&ChaosConfig::acceptance(seed));
     chaos.verify().expect("chaos audit");
     let chaos_attr = attribute(&chaos.traces);
     let e2e = attr.end_to_end.summary();
@@ -149,29 +115,10 @@ fn run_at(width: usize, seed: u64) -> (Artifact, SemesterResult, ChaosResult) {
     (artifact, sem, chaos)
 }
 
-/// The report-only (host-scheduling-dependent) exec counters.
-fn print_exec_counters(label: &str, metrics: &rai_telemetry::MetricsSnapshot) {
-    println!("  {label} exec counters (host-scheduling facts, outside the artifact):");
-    for name in [
-        names::EXEC_SPAWNED_TOTAL,
-        names::EXEC_INLINE_RUNS_TOTAL,
-        names::EXEC_STOLEN_TOTAL,
-        names::EXEC_PARKED_TOTAL,
-        names::EXEC_INJECTED_TOTAL,
-    ] {
-        println!("    {name:<28} {}", metrics.counter_total(name));
-    }
-    println!(
-        "    {:<28} {}",
-        names::TRACES_DROPPED_LATE_TOTAL,
-        metrics.counter_total(names::TRACES_DROPPED_LATE_TOTAL)
-    );
-}
-
 fn render_json(seed: u64, artifact: &Artifact) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"rai-trace-bench/1\",\n");
+    out.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
     out.push_str(&format!("  \"seed\": {seed},\n"));
     out.push_str("  \"semester\": {\n");
     out.push_str(&format!("    \"teams\": {TEAMS},\n"));
@@ -202,12 +149,8 @@ fn render_json(seed: u64, artifact: &Artifact) -> String {
         "    \"e2e_p99_ceiling_micros\": {E2E_P99_SLO_MICROS}\n"
     ));
     out.push_str("  },\n");
-    out.push_str(&format!(
-        "  \"widths_checked\": [{}, {}],\n",
-        WIDTHS[0], WIDTHS[1]
-    ));
     out.push_str(
-        "  \"note\": \"the artifact (attribution tables, histogram encodings, sparklines, Chrome trace sample) is a pure function of the seed; exec steal/park counters are host facts and excluded\"\n",
+        "  \"note\": \"the artifact (attribution tables, histogram encodings, sparklines, Chrome trace sample) is a pure function of the seed\"\n",
     );
     out.push_str("}\n");
     out
@@ -233,37 +176,10 @@ fn extract<'a>(json: &'a str, section: &str, key: &str) -> &'a str {
         .trim_matches('"')
 }
 
-/// Run the cross-width sweep: the artifact must be byte-identical at
-/// every width; per-width results ride along for the report-only
-/// sections (exec counters differ by width — that is their point).
-fn sweep(seed: u64) -> (Artifact, Vec<(usize, SemesterResult, ChaosResult)>) {
-    let mut runs = Vec::new();
-    let mut reference: Option<Artifact> = None;
-    for &width in &WIDTHS {
-        let (artifact, sem, chaos) = run_at(width, seed);
-        if let Some(r) = &reference {
-            r.assert_identical(&artifact, (WIDTHS[0], width));
-            assert_eq!(
-                r.fingerprint(),
-                artifact.fingerprint(),
-                "artifact fingerprints diverged across widths"
-            );
-        } else {
-            reference = Some(artifact);
-        }
-        runs.push((width, sem, chaos));
-    }
-    (reference.expect("at least one width"), runs)
-}
-
 fn check(seed: u64) {
     let committed =
         std::fs::read_to_string("BENCH_trace.json").expect("read committed BENCH_trace.json");
-    assert_eq!(
-        extract(&committed, "schema", "schema"),
-        "rai-trace-bench/1",
-        "unexpected schema"
-    );
+    assert_eq!(extract(&committed, "schema", "schema"), SCHEMA, "unexpected schema");
     let committed_fp = extract(&committed, "semester", "artifact_fingerprint").to_string();
     let committed_p99: u64 = extract(&committed, "semester", "e2e_p99_micros")
         .parse()
@@ -272,7 +188,7 @@ fn check(seed: u64) {
         .parse()
         .expect("e2e_p99_ceiling_micros is a number");
 
-    let (artifact, _) = sweep(seed);
+    let (artifact, _, _) = run(seed);
     let fp = format!("{:#018x}", artifact.fingerprint());
     assert_eq!(
         fp, committed_fp,
@@ -292,8 +208,8 @@ fn check(seed: u64) {
         ceiling
     );
     println!(
-        "trace check: artifact {fp} byte-identical at widths {} and {}, e2e p99 {}µs == committed, under SLO {}µs",
-        WIDTHS[0], WIDTHS[1], artifact.e2e_p99_micros, ceiling
+        "trace check: artifact {fp} and e2e p99 {}µs == committed, under SLO {}µs",
+        artifact.e2e_p99_micros, ceiling
     );
 }
 
@@ -307,12 +223,8 @@ fn main() {
         return;
     }
 
-    rai_bench::header(&format!(
-        "causal-trace attribution — seed {seed}, widths {:?}",
-        WIDTHS
-    ));
-    let (artifact, runs) = sweep(seed);
-    let sem = &runs[0].1;
+    rai_bench::header(&format!("causal-trace attribution — seed {seed}"));
+    let (artifact, sem, chaos) = run(seed);
 
     rai_bench::header("where does the semester wall go (critical-path attribution)");
     print!("{}", artifact.semester_table);
@@ -330,10 +242,13 @@ fn main() {
         artifact.chaos_jobs
     );
 
-    rai_bench::header("exec pool + trace-store health");
-    for (width, sem_run, chaos_run) in &runs {
-        print_exec_counters(&format!("width-{width} semester"), &sem_run.metrics);
-        print_exec_counters(&format!("width-{width} chaos"), &chaos_run.metrics);
+    rai_bench::header("trace-store health");
+    for (label, metrics) in [("semester", &sem.metrics), ("chaos", &chaos.metrics)] {
+        println!(
+            "  {label:<9} {} {}",
+            names::TRACES_DROPPED_LATE_TOTAL,
+            metrics.counter_total(names::TRACES_DROPPED_LATE_TOTAL)
+        );
     }
 
     // The Perfetto-loadable exports (load via ui.perfetto.dev or

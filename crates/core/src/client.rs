@@ -8,7 +8,7 @@
 //! messages until `End`, ⑦ (submissions) let the server record
 //! execution time and team, ⑧ exit on `End`.
 
-use crate::delta::DeltaUploader;
+use crate::delta::{DeltaUploader, PreparedUpload};
 use crate::protocol::{routes, JobKind, JobRequest, LogFrame};
 use crate::spec::{BuildSpec, SpecError, DEFAULT_BUILD_YML, FINAL_SUBMISSION_YML};
 use rai_archive::{write_container, FileTree};
@@ -275,35 +275,13 @@ impl RaiClient {
         store: ObjectStore,
         next_job_id: Arc<AtomicU64>,
     ) -> Self {
-        Self::with_executor(
-            creds,
-            team,
-            broker,
-            store,
-            next_job_id,
-            rai_exec::Executor::sequential(),
-        )
-    }
-
-    /// [`RaiClient::new`] with this client's chunking + digesting
-    /// routed onto `exec`. Uploads stay byte-identical at any
-    /// parallelism (DESIGN.md §12); the uploader's digest cache starts
-    /// empty either way.
-    pub fn with_executor(
-        creds: Credentials,
-        team: &str,
-        broker: Broker,
-        store: ObjectStore,
-        next_job_id: Arc<AtomicU64>,
-        exec: rai_exec::Executor,
-    ) -> Self {
         RaiClient {
             creds,
             team: team.to_string(),
             broker,
             store,
             next_job_id,
-            delta: DeltaUploader::with_executor(exec),
+            delta: DeltaUploader::new(),
             intents: None,
         }
     }
@@ -370,7 +348,7 @@ impl RaiClient {
         // chunk manifest, so a resubmission uploads only the chunks
         // the file server does not already hold (DESIGN.md §10).
         let job_id = self.next_job_id.fetch_add(1, Ordering::Relaxed);
-        let prepared = self.delta.prepare_owned(write_container(&project.tree));
+        let prepared = PreparedUpload::prepare(write_container(&project.tree));
         let upload_key = format!("{}/{job_id:08x}.tar.bz2", self.team.replace(' ', "-"));
         // A transient file-server outage surfaces to the student as a
         // long upload, not a failed submission: retry a few times

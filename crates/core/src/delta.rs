@@ -10,11 +10,8 @@
 //! bytes instead of the whole archive — the paper's dominant workload
 //! (30 782 submissions in the final two weeks, most of them retries).
 
-use rai_archive::chunk::{
-    chunk_shared, chunk_shared_on, chunk_views, Chunk, ChunkManifest, ChunkerParams,
-};
+use rai_archive::chunk::{chunk_shared, chunk_views, Chunk, ChunkManifest, ChunkerParams};
 use rai_archive::Bytes;
-use rai_exec::Executor;
 use rai_store::{ObjectStore, StoreError};
 use parking_lot::RwLock;
 use std::collections::HashSet;
@@ -24,10 +21,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// Preparation (content-defined chunking + digesting) is the pure,
 /// CPU-bound half of a delta upload; committing it (`has_chunks` +
-/// `put_delta`) is the half that talks to the store. The job scheduler
-/// (DESIGN.md §15) prepares uploads on pool tasks during the execute
-/// phase and commits them serially, so store traffic — and with it the
-/// fault-draw stream — stays in deterministic claim order.
+/// `put_delta`) is the half that talks to the store. A worker prepares
+/// its upload in the execute phase and commits it in the commit phase
+/// (DESIGN.md §12), so store traffic — and with it the fault-draw
+/// stream — stays in claim order.
 #[derive(Clone, Debug)]
 pub struct PreparedUpload {
     manifest: ChunkManifest,
@@ -37,10 +34,8 @@ pub struct PreparedUpload {
 impl PreparedUpload {
     /// Chunk `payload` with the parameters its length selects
     /// ([`ChunkerParams::for_len`], as the store's own `put` does).
-    /// Chunk boundaries and digests are a pure function of the bytes,
-    /// so a prepared upload is byte-identical no matter where (or how
-    /// concurrently) it was prepared. The payload is handed over by
-    /// value: nothing is copied, the prepared chunks are views of it.
+    /// The payload is handed over by value: nothing is copied, the
+    /// prepared chunks are views of it.
     pub fn prepare(payload: impl Into<Bytes>) -> Self {
         let payload = payload.into();
         let (manifest, chunks) = chunk_shared(&payload, ChunkerParams::for_len(payload.len()));
@@ -55,15 +50,6 @@ impl PreparedUpload {
     /// Logical payload size in bytes.
     pub fn bytes_logical(&self) -> u64 {
         self.manifest.total_len
-    }
-
-    /// The chunk digests this upload references, in manifest order.
-    /// Lane schedulers compare these across a batch: two uploads
-    /// sharing a digest would race their dedup outcome (who admits,
-    /// who hits — and therefore who pays wire bytes), so overlapping
-    /// batches fall back to serial commit order.
-    pub fn chunk_digests(&self) -> impl Iterator<Item = u64> + '_ {
-        self.manifest.chunks.iter().map(|r| r.digest)
     }
 }
 
@@ -91,15 +77,11 @@ impl DeltaReceipt {
     }
 }
 
-/// Stripe count of the concurrent digest cache. Digests scatter by
-/// their low bits; readers on distinct stripes never share a lock.
-const CACHE_STRIPES: usize = 16;
-
-/// The uploader's generation-stamped concurrent digest memo (the
-/// cs431 concurrent-memoization shape). Lookups take a per-stripe
-/// *read* lock — concurrent claim lanes probing the cache never block
-/// one another — and the only writers are the post-commit insert and
-/// the `MissingChunks` self-heal eviction.
+/// The uploader's generation-stamped digest memo: one set behind one
+/// reader-writer lock. Lookups take the *read* half — concurrent
+/// uploads probing the cache never block one another — and the only
+/// writers are the post-commit insert and the `MissingChunks` self-heal
+/// eviction.
 ///
 /// The generation counter closes the lost-eviction race: an insert
 /// records the generation it *observed* before its store round trip,
@@ -109,61 +91,47 @@ const CACHE_STRIPES: usize = 16;
 /// `d`, upload B's failure evicts `d`, then A's late insert puts the
 /// now-stale `d` back. Skipping a racing insert merely costs one
 /// future `has_chunks` query; the cache is a hint either way.
+#[derive(Default)]
 struct DigestCache {
-    stripes: Vec<RwLock<HashSet<u64>>>,
+    digests: RwLock<HashSet<u64>>,
     generation: AtomicU64,
 }
 
 impl DigestCache {
-    fn new() -> Self {
-        DigestCache {
-            stripes: (0..CACHE_STRIPES).map(|_| RwLock::new(HashSet::new())).collect(),
-            generation: AtomicU64::new(0),
-        }
-    }
-
-    fn stripe_of(&self, digest: u64) -> usize {
-        (digest as usize) % self.stripes.len()
-    }
-
     /// Current eviction generation; pass the observed value back to
     /// [`DigestCache::insert_if_current`].
     fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
     }
 
-    /// Shared-lock lookup of a whole batch, one flag per digest in
-    /// order: each stripe's read guard is taken once per call, and
-    /// never blocks other readers.
+    /// Shared-lock lookup of a whole batch under one guard, one flag
+    /// per digest in order.
     fn probe(&self, digests: impl Iterator<Item = u64>) -> Vec<bool> {
-        let stripes: Vec<_> = self.stripes.iter().map(|s| s.read()).collect();
-        digests.map(|d| stripes[self.stripe_of(d)].contains(&d)).collect()
+        let cached = self.digests.read();
+        digests.map(|d| cached.contains(&d)).collect()
     }
 
     /// Insert `digests` only if no eviction intervened since
-    /// `observed_generation` was read (ABA guard; see type docs). Each
-    /// stripe's write guard is taken once per call, in stripe order.
+    /// `observed_generation` was read (ABA guard; see type docs).
     fn insert_if_current(&self, digests: impl Iterator<Item = u64>, observed_generation: u64) {
         if self.generation.load(Ordering::Acquire) != observed_generation {
             return;
         }
-        let mut stripes: Vec<_> = self.stripes.iter().map(|s| s.write()).collect();
-        for d in digests {
-            stripes[self.stripe_of(d)].insert(d);
-        }
+        self.digests.write().extend(digests);
     }
 
     /// Drop stale digests and advance the generation, invalidating any
     /// insert still in flight against the old one.
     fn evict(&self, digests: &[u64]) {
+        let mut cached = self.digests.write();
         for d in digests {
-            self.stripes[self.stripe_of(*d)].write().remove(d);
+            cached.remove(d);
         }
         self.generation.fetch_add(1, Ordering::Release);
     }
 
     fn len(&self) -> usize {
-        self.stripes.iter().map(|s| s.read().len()).sum()
+        self.digests.read().len()
     }
 }
 
@@ -174,35 +142,16 @@ impl DigestCache {
 /// unchanged chunks. It is only a hint: if the store garbage-collected
 /// a cached chunk in the meantime, `put_delta` fails atomically with
 /// [`StoreError::MissingChunks`], the stale entries are dropped, and
-/// the upload retries with a fresh query. The cache is a
-/// generation-stamped concurrent memo (`DigestCache`), so concurrent
-/// claim lanes probe it on shared locks without serializing.
+/// the upload retries with a fresh query (see `DigestCache`).
+#[derive(Default)]
 pub struct DeltaUploader {
     cache: DigestCache,
-    /// Executor the chunk/digest pass runs on. Sequential by default;
-    /// a pool routes the re-hash of payload bytes across workers
-    /// (DESIGN.md §12) without changing a single manifest byte.
-    executor: Executor,
-}
-
-impl Default for DeltaUploader {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl DeltaUploader {
-    /// An uploader whose chunking + digesting runs inline.
+    /// An uploader with an empty digest cache.
     pub fn new() -> Self {
-        Self::with_executor(Executor::sequential())
-    }
-
-    /// An uploader whose chunking + digesting runs on `exec`.
-    pub fn with_executor(executor: Executor) -> Self {
-        DeltaUploader {
-            cache: DigestCache::new(),
-            executor,
-        }
+        Self::default()
     }
 
     /// Digests currently cached as store-resident.
@@ -210,22 +159,11 @@ impl DeltaUploader {
         self.cache.len()
     }
 
-    /// Chunk `payload` on this uploader's executor, ready for
-    /// [`DeltaUploader::upload_prepared`]. Identical to
-    /// [`PreparedUpload::prepare`] byte for byte (DESIGN.md §12).
-    /// Copies `payload` once ([`DeltaUploader::prepare_owned`] takes
-    /// it instead).
+    /// Chunk a borrowed `payload`, ready for
+    /// [`DeltaUploader::upload_prepared`]: [`PreparedUpload::prepare`]
+    /// of one copy of it.
     pub fn prepare(&self, payload: &[u8]) -> PreparedUpload {
-        self.prepare_owned(Bytes::copy_from_slice(payload))
-    }
-
-    /// [`DeltaUploader::prepare`] of a payload handed over by value:
-    /// nothing is copied, the prepared chunks are views of it.
-    pub fn prepare_owned(&self, payload: impl Into<Bytes>) -> PreparedUpload {
-        let payload = payload.into();
-        let params = ChunkerParams::for_len(payload.len());
-        let (manifest, chunks) = chunk_shared_on(&self.executor, &payload, params);
-        PreparedUpload { manifest, chunks }
+        PreparedUpload::prepare(Bytes::copy_from_slice(payload))
     }
 
     /// Upload `payload` to `bucket/key` sending only missing chunks.
@@ -273,7 +211,7 @@ impl DeltaUploader {
 
         // First pass trusts the cache; a second pass (after a
         // MissingChunks rejection) bypasses it. The cache probe runs
-        // on shared stripe locks, and the post-commit insert carries
+        // on the shared lock, and the post-commit insert carries
         // the generation observed *before* the store round trip so a
         // racing eviction wins (see [`DigestCache`]).
         for trust_cache in [true, false] {
@@ -395,9 +333,10 @@ mod tests {
         let mut edited = base.clone();
         edited[1_000_000] ^= 0xFF;
 
-        let prepared = up.prepare_owned(edited.clone());
+        let prepared = PreparedUpload::prepare(edited.clone());
         let payload_buffer = prepared.chunks[0].data.buffer().unwrap();
-        let resident: HashSet<u64> = PreparedUpload::prepare(base.clone()).chunk_digests().collect();
+        let resident: HashSet<u64> =
+            PreparedUpload::prepare(base.clone()).manifest.digests().into_iter().collect();
         let missing: Vec<&Chunk> =
             prepared.chunks.iter().filter(|c| !resident.contains(&c.digest)).collect();
         assert!(!missing.is_empty() && missing.len() <= 8, "{} chunks changed", missing.len());
@@ -557,33 +496,8 @@ mod tests {
     }
 
     #[test]
-    fn pool_uploader_matches_sequential_receipts() {
-        // Large enough to clear the parallel chunking threshold, so
-        // the pool path really runs — receipts and stored bytes must
-        // be identical to the sequential reference at every width.
-        let base = payload(96_000, 7);
-        let mut edited = base.clone();
-        edited[48_000] ^= 0x5A;
-        let reference = {
-            let s = store();
-            let up = DeltaUploader::new();
-            let r1 = up.upload(&s, "b", "v1", &base, []).unwrap();
-            let r2 = up.upload(&s, "b", "v2", &edited, []).unwrap();
-            (r1, r2)
-        };
-        for threads in [2, 8] {
-            let s = store();
-            let up = DeltaUploader::with_executor(Executor::new(threads));
-            let r1 = up.upload(&s, "b", "v1", &base, []).unwrap();
-            let r2 = up.upload(&s, "b", "v2", &edited, []).unwrap();
-            assert_eq!((r1, r2), reference, "receipt drift at threads={threads}");
-            assert_eq!(s.get("b", "v2").unwrap().data.as_ref(), &edited[..]);
-        }
-    }
-
-    #[test]
     fn digest_cache_generation_guard_drops_racing_insert() {
-        let c = DigestCache::new();
+        let c = DigestCache::default();
         let g = c.generation();
         c.insert_if_current([1u64, 2, 3].into_iter(), g);
         assert_eq!(c.probe([1u64, 2, 3, 4].into_iter()), [true, true, true, false]);
@@ -608,7 +522,7 @@ mod tests {
     fn concurrent_cache_probes_share_read_locks() {
         // Many threads probing one warmed uploader cache concurrently:
         // all succeed with zero chunks sent, exercising the shared
-        // stripe-read path under real parallelism.
+        // read path under real parallelism.
         let s = store();
         let up = std::sync::Arc::new(DeltaUploader::new());
         let data = payload(32_000, 11);

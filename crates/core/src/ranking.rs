@@ -53,11 +53,7 @@ impl RankingBoard {
     /// Stable anonymous alias for a team (what other teams see).
     pub fn alias(team: &str) -> String {
         // FNV-1a over the name; stable across sessions.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in team.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let h = rai_archive::fnv::hash(team.as_bytes());
         let mixed = (h ^ (h >> 16) ^ (h >> 32) ^ (h >> 48)) as u16;
         format!("anonymous-{mixed:04x}")
     }

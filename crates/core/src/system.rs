@@ -9,13 +9,14 @@ use crate::client::{
 use crate::interactive::{InteractiveSession, SessionBroker, SessionConfig, SessionError};
 use crate::ranking::RankingBoard;
 use crate::ratelimit::{RateDecision, RateLimiter};
-use crate::worker::{ExecutedJob, JobOutcome, StepEvent, Worker, WorkerConfig};
+use crate::worker::{
+    ClaimedJob, ExecutedJob, JobOutcome, PoppedTask, StepEvent, Worker, WorkerConfig,
+};
 use parking_lot::RwLock;
 use rai_auth::{Credentials, CredentialRegistry, KeyGenerator};
 use rai_broker::{Broker, BrokerConfig, BrokerStats};
 use rai_faults::{CrashKind, FaultInjector, FaultPlan, RetryPolicy};
 use rai_db::{doc, Database};
-use rai_exec::Executor;
 use rai_sandbox::{ImageRegistry, ResourceLimits};
 use rai_sim::{SimDuration, VirtualClock};
 use rai_store::{LifecycleRule, ObjectStore, StoreRecovery, StoreUsage};
@@ -46,22 +47,6 @@ pub struct SystemConfig {
     /// Deterministic fault plan; `None` (and [`FaultPlan::none`]) run
     /// the system fault-free.
     pub fault_plan: Option<FaultPlan>,
-    /// Create the hot-path secondary indexes (submissions by `job_id`,
-    /// rankings by `team` and `runtime_secs`, teams by `team`) at
-    /// deployment time. On: every per-job upsert is a point lookup.
-    /// Off: those queries fall back to full collection scans — the
-    /// pre-overhaul behaviour, kept as `perf_report`'s reference run.
-    /// Results are identical either way; only wall-clock differs.
-    pub db_hot_indexes: bool,
-    /// Width of the [`rai_exec::Executor`] the payload pipeline
-    /// (chunking, digesting, chunk validation) runs on. `1` keeps
-    /// every transform inline on the event loop — the preserved
-    /// reference configuration — while `N > 1` stands up an N-worker
-    /// work-stealing pool. Offloaded work is pure and joined in input
-    /// order, so results (and `SemesterResult::fingerprint()`) are
-    /// byte-identical at every setting; only wall-clock differs
-    /// (DESIGN.md §12).
-    pub parallelism: usize,
     /// Durability knobs for the write-ahead logs behind the database
     /// and the object store. Disabled by default — the preserved
     /// in-memory configuration, byte-identical to pre-WAL behaviour.
@@ -69,27 +54,6 @@ pub struct SystemConfig {
     /// [`RaiSystem::recover_with_clock`], which supply the log
     /// backends (DESIGN.md §14).
     pub durability: DurabilityConfig,
-    /// Lock-domain shard count (DESIGN.md §16). Partitions the store's
-    /// chunk arena by digest prefix (with one WAL lane per shard under
-    /// durability), the database's collections by primary-key hash,
-    /// and — fault-free only — [`RaiSystem::drive_until`]'s commit
-    /// phase into `shards` lanes keyed by `job_id % shards`. Shard
-    /// assignment is a pure function of digest/key/job id, so results
-    /// and fingerprints are byte-identical at every setting; only
-    /// contention (and therefore wall-clock) changes. `1` — the
-    /// default — is the preserved single-lock reference configuration.
-    pub shards: usize,
-    /// Claim-lane count (DESIGN.md §17). Fault-free only,
-    /// [`RaiSystem::drive_until`]'s claim *tail* (auth, build-spec
-    /// parse, image resolve, payload fetch) fans out across
-    /// `claim_lanes` lanes keyed by a hash of the job's log topic; the
-    /// order-defining pop half stays serial and results are re-sorted
-    /// into pop order before execute, so outcomes and
-    /// `SemesterResult::fingerprint()` are byte-identical at every
-    /// setting. `1` — the default — is the preserved serial reference
-    /// claim schedule. Fault-plan runs always claim serially because
-    /// the injector's draw stream is ordering-visible.
-    pub claim_lanes: usize,
 }
 
 impl Default for SystemConfig {
@@ -103,11 +67,7 @@ impl Default for SystemConfig {
             seed: 0x5EED,
             broker_attempts: 8,
             fault_plan: None,
-            db_hot_indexes: true,
-            parallelism: 1,
             durability: DurabilityConfig::default(),
-            shards: 1,
-            claim_lanes: 1,
         }
     }
 }
@@ -151,34 +111,11 @@ pub struct RaiSystem {
     sessions: SessionBroker,
     telemetry: Telemetry,
     injector: Option<FaultInjector>,
-    executor: Executor,
-    /// Commit-lane count (`config.shards`); lanes are keyed by
-    /// `job_id % lanes` (DESIGN.md §16).
-    lanes: usize,
-    /// Claim-lane count (`config.claim_lanes`); lanes are keyed by a
-    /// hash of the job's log topic (DESIGN.md §17).
-    claim_lanes: usize,
 }
 
 /// In-flight timeout used when a stalled worker holds a claim: the
 /// driver advances the clock past it and reclaims.
 const MESSAGE_TIMEOUT: SimDuration = SimDuration::from_mins(10);
-
-/// Claim-lane assignment: FNV-1a over the job's log topic, reduced
-/// modulo the lane count. Hashing the topic (rather than taking
-/// `job_id % lanes` as the commit side does) spreads the adjacent job
-/// ids a burst produces across lanes instead of striping them, and
-/// keys the lane by the same name the broker's per-topic state is
-/// partitioned on (DESIGN.md §17).
-fn claim_lane_of(job_id: u64, lanes: usize) -> usize {
-    let topic = crate::protocol::routes::log_topic(job_id);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in topic.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % lanes as u64) as usize
-}
 
 impl RaiSystem {
     /// Stand up a deployment.
@@ -190,7 +127,7 @@ impl RaiSystem {
     /// Stand up a deployment on an existing clock (for discrete-event
     /// drivers).
     pub fn with_clock(config: SystemConfig, clock: VirtualClock) -> Self {
-        let store = ObjectStore::with_shards(clock.clone(), config.shards.max(1));
+        let store = ObjectStore::new(clock.clone());
         let db = Database::new();
         Self::finish_deploy(config, clock, db, store, None)
     }
@@ -205,18 +142,12 @@ impl RaiSystem {
         db_log: Arc<dyn LogBackend>,
         store_log: Arc<dyn LogBackend>,
     ) -> Self {
-        let shards = config.shards.max(1);
-        let store = ObjectStore::with_shards(clock.clone(), shards);
+        let store = ObjectStore::new(clock.clone());
         let db = Database::new();
         // Attach before the first mutation so the logs cover the whole
-        // history — bucket creation and index builds included. At
-        // `shards > 1` the store's backend is striped into a main
-        // object log plus one chunk lane per arena shard; at 1 it
-        // carries the legacy single log byte-for-byte.
+        // history — bucket creation and index builds included.
         db.attach_wal(Wal::open(db_log, config.durability));
-        let (main, chunk_wals) =
-            ObjectStore::open_store_logs(store_log, config.durability, shards);
-        store.attach_logs(main, chunk_wals);
+        store.attach_wal(Wal::open(store_log, config.durability));
         Self::finish_deploy(config, clock, db, store, None)
     }
 
@@ -243,13 +174,9 @@ impl RaiSystem {
         store_log: Arc<dyn LogBackend>,
         injector: Option<FaultInjector>,
     ) -> (Self, RecoveryReport) {
-        let shards = config.shards.max(1);
-        let (db, db_recovery) =
-            Database::recover_sharded(Wal::open(db_log, config.durability), shards);
-        let (main, chunk_wals) =
-            ObjectStore::open_store_logs(store_log, config.durability, shards);
+        let (db, db_recovery) = Database::recover(Wal::open(db_log, config.durability));
         let (store, store_recovery) =
-            ObjectStore::recover_sharded(clock.clone(), main, chunk_wals);
+            ObjectStore::recover(clock.clone(), Wal::open(store_log, config.durability));
         let system = Self::finish_deploy(config, clock, db, store, injector);
         // Job ids resume after the highest journaled intent so
         // post-recovery submissions never collide with replayed ones.
@@ -283,15 +210,6 @@ impl RaiSystem {
             },
             clock.clone(),
         );
-        // Hash-partition collections created from here on. A recovered
-        // database was already rebuilt at this count; re-stating it is
-        // idempotent and covers the fresh-deploy path.
-        db.set_shards(config.shards.max(1));
-        // One pool for the whole deployment: client uploads, worker
-        // uploads and server-side validation share it, mirroring how a
-        // real host's cores are shared across the pipeline.
-        let executor = Executor::new(config.parallelism);
-        store.set_executor(executor.clone());
         if !store.has_bucket(UPLOAD_BUCKET) {
             store
                 .create_bucket(UPLOAD_BUCKET, LifecycleRule::one_month_after_last_use())
@@ -302,17 +220,15 @@ impl RaiSystem {
                 .create_bucket(BUILD_BUCKET, LifecycleRule::AfterUpload(SimDuration::from_days(90)))
                 .expect("bucket absence just checked");
         }
-        if config.db_hot_indexes {
-            // The write paths these serve: one submissions upsert per
-            // job attempt (keyed by job_id), one rankings upsert per
-            // final submission (keyed by team), leaderboard reads
-            // sorted by runtime_secs, and team lookups at registration.
-            db.collection("submissions").write().create_index("job_id");
-            let rankings = db.collection("rankings");
-            rankings.write().create_index("team");
-            rankings.write().create_index("runtime_secs");
-            db.collection("teams").write().create_index("team");
-        }
+        // The write paths these serve: one submissions upsert per job
+        // attempt (keyed by job_id), one rankings upsert per final
+        // submission (keyed by team), leaderboard reads sorted by
+        // runtime_secs, and team lookups at registration.
+        db.collection("submissions").write().create_index("job_id");
+        let rankings = db.collection("rankings");
+        rankings.write().create_index("team");
+        rankings.write().create_index("runtime_secs");
+        db.collection("teams").write().create_index("team");
         if db.wal().is_some() {
             // The recovery path scans intents by job_id (one point
             // lookup per accepted submission).
@@ -350,7 +266,6 @@ impl RaiSystem {
                     images.clone(),
                 );
                 w.set_telemetry(telemetry.clone());
-                w.set_executor(executor.clone());
                 if let Some(inj) = &injector {
                     w.set_fault_injector(inj.clone());
                 }
@@ -397,17 +312,11 @@ impl RaiSystem {
                 reg.counter(names::STORE_CHUNKS_DEDUP_TOTAL, &[]).store(u.chunks_dedup_total);
                 reg.counter(names::STORE_BYTES_WIRE_TOTAL, &[]).store(u.bytes_wire);
                 reg.counter(names::STORE_DELTA_PUTS_TOTAL, &[]).store(u.delta_puts);
-                // Lock-domain health (DESIGN.md §16/§17): contended
-                // wait across the store's shard locks and the broker's
-                // dirty-list stripes, plus per-shard occupancy. Host
-                // facts — they vary with scheduling, never with the
-                // simulation.
+                // Contended wait on the store's arena lock and the
+                // broker's dirty-list stripes. A host fact — it varies
+                // with scheduling, never with the simulation.
                 reg.counter(names::LOCK_WAIT_MICROS_TOTAL, &[])
                     .store(store2.lock_wait_micros() + broker2.lock_wait_micros());
-                for (i, n) in store2.shard_chunk_counts().into_iter().enumerate() {
-                    let shard = i.to_string();
-                    reg.gauge(names::STORE_SHARD_CHUNKS, &[("shard", &shard)]).set(n as f64);
-                }
             });
             let db2 = db.clone();
             telemetry.register_collector(move |reg| {
@@ -415,25 +324,6 @@ impl RaiSystem {
                 reg.counter(names::DB_INSERTS_TOTAL, &[]).store(t.inserts);
                 reg.counter(names::DB_QUERIES_TOTAL, &[]).store(t.queries);
                 reg.counter(names::DB_UPDATES_TOTAL, &[]).store(t.updates);
-                for (i, n) in db2.shard_doc_counts().into_iter().enumerate() {
-                    let shard = i.to_string();
-                    reg.gauge(names::DB_SHARD_DOCS, &[("shard", &shard)]).set(n as f64);
-                }
-            });
-            // Executor scheduling counters. These describe the *host*
-            // machine's work-stealing behaviour, not the simulation, so
-            // they vary with pool width and OS scheduling — report-only,
-            // never folded into fingerprints or byte-identical exports.
-            let exec2 = executor.clone();
-            telemetry.register_collector(move |reg| {
-                let s = exec2.stats();
-                reg.counter(names::EXEC_SPAWNED_TOTAL, &[]).store(s.spawned);
-                reg.counter(names::EXEC_INLINE_RUNS_TOTAL, &[]).store(s.inline_runs);
-                reg.counter(names::EXEC_STOLEN_TOTAL, &[]).store(s.stolen);
-                reg.counter(names::EXEC_PARKED_TOTAL, &[]).store(s.parked);
-                reg.counter(names::EXEC_INJECTED_TOTAL, &[]).store(s.injected);
-                reg.counter(names::EXEC_BATCHES_TOTAL, &[]).store(s.batches);
-                reg.counter(names::EXEC_BATCH_JOBS_TOTAL, &[]).store(s.batch_jobs);
             });
             // Write-ahead log counters, one label set per journal.
             for (label, wal) in [("db", db.wal()), ("store", store.wal())] {
@@ -450,36 +340,6 @@ impl RaiSystem {
                     reg.counter(names::WAL_COMPACTIONS_TOTAL, l).store(s.compactions);
                     reg.gauge(names::WAL_SEGMENTS, l).set(s.segments as f64);
                     reg.gauge(names::WAL_LOG_BYTES, l).set(s.log_bytes as f64);
-                });
-            }
-            // Sharded layouts add one journal lane per arena shard;
-            // report them aggregated under a single label so the
-            // exposition stays stable as `shards` varies.
-            let lanes = store.chunk_wals();
-            if !lanes.is_empty() {
-                telemetry.register_collector(move |reg| {
-                    let mut agg = rai_wal::WalStats::default();
-                    for w in &lanes {
-                        let s = w.stats();
-                        agg.appends += s.appends;
-                        agg.bytes += s.bytes;
-                        agg.fsync_batches += s.fsync_batches;
-                        agg.replayed += s.replayed;
-                        agg.corrupt_dropped += s.corrupt_dropped;
-                        agg.compactions += s.compactions;
-                        agg.segments += s.segments;
-                        agg.log_bytes += s.log_bytes;
-                    }
-                    let l = &[("log", "store-chunks")];
-                    reg.counter(names::WAL_APPENDS_TOTAL, l).store(agg.appends);
-                    reg.counter(names::WAL_BYTES_TOTAL, l).store(agg.bytes);
-                    reg.counter(names::WAL_FSYNC_BATCHES_TOTAL, l).store(agg.fsync_batches);
-                    reg.counter(names::WAL_REPLAYED_RECORDS_TOTAL, l).store(agg.replayed);
-                    reg.counter(names::WAL_CORRUPT_RECORDS_DROPPED_TOTAL, l)
-                        .store(agg.corrupt_dropped);
-                    reg.counter(names::WAL_COMPACTIONS_TOTAL, l).store(agg.compactions);
-                    reg.gauge(names::WAL_SEGMENTS, l).set(agg.segments as f64);
-                    reg.gauge(names::WAL_LOG_BYTES, l).set(agg.log_bytes as f64);
                 });
             }
         }
@@ -501,9 +361,6 @@ impl RaiSystem {
             sessions: SessionBroker::new(images2),
             telemetry,
             injector,
-            executor,
-            lanes: config.shards.max(1),
-            claim_lanes: config.claim_lanes.max(1),
         }
     }
 
@@ -614,13 +471,12 @@ impl RaiSystem {
 
     /// A client handle for previously issued credentials.
     pub fn client_for(&self, creds: &Credentials) -> RaiClient {
-        let mut client = RaiClient::with_executor(
+        let mut client = RaiClient::new(
             creds.clone(),
             &creds.user_name,
             self.broker.clone(),
             self.store.clone(),
             self.next_job_id.clone(),
-            self.executor.clone(),
         );
         if self.db.wal().is_some() {
             // Durable deployments journal a submission intent before
@@ -683,44 +539,21 @@ impl RaiSystem {
     }
 
     /// Drive the fleet until `stop` matches an outcome or no worker
-    /// makes progress, scheduling whole submissions concurrently
-    /// (DESIGN.md §15).
+    /// makes progress, one scheduling round at a time (DESIGN.md §12).
     ///
-    /// Each round claims at most one job per worker (serially, in
-    /// worker order), runs every claim's execute phase on the shared
-    /// pool via [`rai_exec::Executor::run_jobs`], then commits in claim
-    /// order. Claim and commit are the only phases that touch
-    /// broker/store/db, so fault draws, trace artifacts and database
-    /// state are byte-identical at every pool width. The clock advances
-    /// once per round by the batch's summed service time — the same
-    /// total the sequential schedule accumulated job by job. Injected
-    /// crashes restart their worker after the round (and stalls
-    /// additionally wait out the in-flight timeout before the broker
-    /// reclaims the held messages); either way the job messages survive
-    /// to a later attempt. Returns all outcomes observed.
-    ///
-    /// When [`SystemConfig::shards`] > 1 and no fault injector is
-    /// attached, the commit phase itself runs across `shards` lanes
-    /// keyed by `job_id % lanes` (DESIGN.md §16): commits in different
-    /// lanes proceed concurrently, commits within a lane stay in claim
-    /// order. Likewise, when [`SystemConfig::claim_lanes`] > 1 the
-    /// claim *tail* (auth, spec parse, image resolve, payload fetch)
-    /// fans out across claim lanes keyed by a hash of the job's log
-    /// topic, while the order-defining pop half stays serial and the
-    /// results are re-sorted into pop order (DESIGN.md §17).
-    /// Fault-plan runs keep the single-lane reference schedule on both
-    /// phases because the injector's draw stream is ordering-visible.
+    /// Each round pops at most one job per worker (in worker order),
+    /// runs every claim tail, then every execute phase, then commits in
+    /// claim order. Claim and commit are the only phases that touch
+    /// broker/store/db, so commit order is the fault-draw order. The
+    /// clock advances once per round by the batch's summed service
+    /// time. Injected crashes restart their worker after the round (and
+    /// stalls additionally wait out the in-flight timeout before the
+    /// broker reclaims the held messages); either way the job messages
+    /// survive to a later attempt. Returns all outcomes observed.
     pub fn drive_until(&mut self, stop: impl Fn(&JobOutcome) -> bool) -> Vec<JobOutcome> {
         let mut outcomes = Vec::new();
-        let executor = self.executor.clone();
-        let lanes = if self.injector.is_none() { self.lanes } else { 1 };
-        let claim_lanes = if self.injector.is_none() { self.claim_lanes } else { 1 };
         loop {
-            // Pop phase: serial, round-robin worker order. Popping is
-            // the order-defining half of a claim (queue ordering,
-            // malformed acks, in-flight accounting), so it always runs
-            // on the event loop.
-            let popped: Vec<(usize, crate::worker::PoppedTask)> = self
+            let popped: Vec<(usize, PoppedTask)> = self
                 .workers
                 .iter_mut()
                 .enumerate()
@@ -729,31 +562,17 @@ impl RaiSystem {
             if popped.is_empty() {
                 return outcomes;
             }
-            // Claim tail: auth, spec parse, image resolve, payload
-            // fetch. Pure per-job against snapshot/read paths, so it
-            // may fan out across claim lanes (DESIGN.md §17); results
-            // come back re-sorted into pop order either way.
-            let claims = self.claim_lanes_run(popped, claim_lanes);
-            // Events come back in claim (rank) order on both paths, so
-            // the accounting below is path-independent.
-            let events: Vec<(usize, StepEvent)> = if lanes > 1 && claims.len() > 1 {
-                executor.note_batch(claims.len());
-                let executed: Vec<(usize, ExecutedJob)> =
-                    executor.par_map(claims, |(wi, claimed)| (wi, Worker::execute(claimed)));
-                self.commit_lanes(executed, lanes)
-            } else {
-                executor.run_jobs(
-                    claims,
-                    |(wi, claimed)| (wi, Worker::execute(claimed)),
-                    |(wi, executed)| (wi, self.workers[wi].commit(executed)),
-                )
-            };
+            let executed: Vec<(usize, ExecutedJob)> = self
+                .claim_tasks(popped)
+                .into_iter()
+                .map(|(wi, claimed)| (wi, Worker::execute(claimed)))
+                .collect();
             let mut advance = SimDuration::ZERO;
             let mut stalled = false;
             let mut crashed: Vec<usize> = Vec::new();
             let mut stop_hit = false;
-            for (wi, event) in events {
-                match event {
+            for (wi, executed) in executed {
+                match self.workers[wi].commit(executed) {
                     StepEvent::Idle => unreachable!("commit always seals its claim"),
                     StepEvent::Done(outcome) => {
                         advance += outcome.service_time;
@@ -783,165 +602,16 @@ impl RaiSystem {
         }
     }
 
-    /// Commit one round's executed jobs across `lanes` independent
-    /// lanes keyed by `job_id % lanes` (DESIGN.md §16). Lanes commit
-    /// concurrently on the shared pool; within a lane commits stay in
-    /// claim order. Two conflicts force the whole round back onto the
-    /// serial claim-order path, because interleaving them would be
-    /// outcome-visible: two uploads sharing a chunk digest (the dedup
-    /// hit and wire bytes would depend on which lane lands first) and
-    /// two ranking writes for the same team (a last-writer-wins
-    /// upsert). Returns `(worker, event)` pairs in claim order
-    /// regardless of which path ran.
-    fn commit_lanes(
-        &mut self,
-        executed: Vec<(usize, ExecutedJob)>,
-        lanes: usize,
-    ) -> Vec<(usize, StepEvent)> {
-        let conflict = {
-            let mut digests = std::collections::HashSet::new();
-            let mut teams = std::collections::HashSet::new();
-            let mut hit = false;
-            for (_, e) in &executed {
-                for d in e.upload_digests() {
-                    hit |= !digests.insert(d);
-                }
-                if e.writes_ranking() {
-                    hit |= !teams.insert(e.team().to_string());
-                }
-            }
-            hit
-        };
-        if conflict || executed.len() <= 1 {
-            return executed
-                .into_iter()
-                .map(|(wi, e)| (wi, self.workers[wi].commit(e)))
-                .collect();
-        }
-        let mut buckets: Vec<Vec<(usize, usize, ExecutedJob)>> =
-            (0..lanes).map(|_| Vec::new()).collect();
-        for (rank, (wi, e)) in executed.into_iter().enumerate() {
-            let lane = (e.job_id() % lanes as u64) as usize;
-            buckets[lane].push((rank, wi, e));
-        }
-        // Each worker holds at most one claim per round, so handing
-        // each lane exclusive `&mut Worker`s is race-free.
-        let mut slots: Vec<Option<&mut Worker>> = self.workers.iter_mut().map(Some).collect();
-        let lane_work: Vec<Vec<(usize, usize, &mut Worker, ExecutedJob)>> = buckets
+    /// Run the claim tail of each popped task on the worker that popped
+    /// it, in pop order. Drivers that pop on their own schedule — the
+    /// semester's dispatch loop pops in FIFO arrival order against a
+    /// capacity budget — share this step with
+    /// [`RaiSystem::drive_until`].
+    pub fn claim_tasks(&mut self, popped: Vec<(usize, PoppedTask)>) -> Vec<(usize, ClaimedJob)> {
+        popped
             .into_iter()
-            .map(|bucket| {
-                bucket
-                    .into_iter()
-                    .map(|(rank, wi, e)| {
-                        let w = slots[wi].take().expect("one claim per worker per round");
-                        (rank, wi, w, e)
-                    })
-                    .collect()
-            })
-            .filter(|work: &Vec<_>| !work.is_empty())
-            .collect();
-        let results: Vec<parking_lot::Mutex<Vec<(usize, usize, StepEvent)>>> =
-            (0..lane_work.len()).map(|_| parking_lot::Mutex::new(Vec::new())).collect();
-        self.executor.scope(|s| {
-            for (li, work) in lane_work.into_iter().enumerate() {
-                let out = &results[li];
-                s.spawn(move || {
-                    let mut events = Vec::with_capacity(work.len());
-                    for (rank, wi, w, e) in work {
-                        events.push((rank, wi, w.commit(e)));
-                    }
-                    *out.lock() = events;
-                });
-            }
-        });
-        let mut all: Vec<(usize, usize, StepEvent)> = results
-            .into_iter()
-            .flat_map(|m| m.into_inner())
-            .collect();
-        all.sort_by_key(|(rank, _, _)| *rank);
-        all.into_iter().map(|(_, wi, ev)| (wi, ev)).collect()
-    }
-
-    /// Run one round's claim tails across `lanes` independent lanes
-    /// keyed by [`claim_lane_of`] — an FNV-1a hash of the job's log
-    /// topic, so lane assignment is a pure function of the job id
-    /// (DESIGN.md §17). Lanes claim concurrently on the shared pool;
-    /// within a lane claims stay in pop order, and the flattened
-    /// result is re-sorted into pop order before execute, so the
-    /// downstream schedule is identical to the serial path. Returns
-    /// `(worker, claim)` pairs in pop order regardless of which path
-    /// ran.
-    fn claim_lanes_run(
-        &mut self,
-        popped: Vec<(usize, crate::worker::PoppedTask)>,
-        lanes: usize,
-    ) -> Vec<(usize, crate::worker::ClaimedJob)> {
-        if lanes <= 1 || popped.len() <= 1 {
-            return popped
-                .into_iter()
-                .map(|(wi, p)| (wi, self.workers[wi].claim_popped(p)))
-                .collect();
-        }
-        let mut buckets: Vec<Vec<(usize, usize, crate::worker::PoppedTask)>> =
-            (0..lanes).map(|_| Vec::new()).collect();
-        for (rank, (wi, p)) in popped.into_iter().enumerate() {
-            let lane = claim_lane_of(p.job_id(), lanes);
-            buckets[lane].push((rank, wi, p));
-        }
-        // Each worker pops at most one task per round, so handing each
-        // lane exclusive `&mut Worker`s is race-free (the same slot
-        // discipline as [`RaiSystem::commit_lanes`]).
-        let mut slots: Vec<Option<&mut Worker>> = self.workers.iter_mut().map(Some).collect();
-        let lane_work: Vec<Vec<(usize, usize, &mut Worker, crate::worker::PoppedTask)>> = buckets
-            .into_iter()
-            .map(|bucket| {
-                bucket
-                    .into_iter()
-                    .map(|(rank, wi, p)| {
-                        let w = slots[wi].take().expect("one pop per worker per round");
-                        (rank, wi, w, p)
-                    })
-                    .collect()
-            })
-            .filter(|work: &Vec<_>| !work.is_empty())
-            .collect();
-        let results: Vec<parking_lot::Mutex<Vec<(usize, usize, crate::worker::ClaimedJob)>>> =
-            (0..lane_work.len()).map(|_| parking_lot::Mutex::new(Vec::new())).collect();
-        self.executor.scope(|s| {
-            for (li, work) in lane_work.into_iter().enumerate() {
-                let out = &results[li];
-                s.spawn(move || {
-                    let mut claims = Vec::with_capacity(work.len());
-                    for (rank, wi, w, p) in work {
-                        claims.push((rank, wi, w.claim_popped(p)));
-                    }
-                    *out.lock() = claims;
-                });
-            }
-        });
-        let mut all: Vec<(usize, usize, crate::worker::ClaimedJob)> = results
-            .into_iter()
-            .flat_map(|m| m.into_inner())
-            .collect();
-        all.sort_by_key(|(rank, _, _)| *rank);
-        all.into_iter().map(|(_, wi, c)| (wi, c)).collect()
-    }
-
-    /// Run externally popped tasks' claim tails across the configured
-    /// claim lanes, returning `(worker, claim)` pairs in pop order.
-    /// Drivers that pop on their own schedule — the semester's
-    /// dispatch loop claims in FIFO arrival order against a capacity
-    /// budget — use this to share [`RaiSystem::drive_until`]'s claim
-    /// pipeline (DESIGN.md §17). The same serial-fallback rule
-    /// applies: fault-plan runs claim serially because the injector's
-    /// draw stream is ordering-visible. Callers must pop at most one
-    /// task per worker per call.
-    pub fn claim_tasks(
-        &mut self,
-        popped: Vec<(usize, crate::worker::PoppedTask)>,
-    ) -> Vec<(usize, crate::worker::ClaimedJob)> {
-        let lanes = if self.injector.is_none() { self.claim_lanes } else { 1 };
-        self.claim_lanes_run(popped, lanes)
+            .map(|(wi, p)| (wi, self.workers[wi].claim_popped(p)))
+            .collect()
     }
 
     /// Drain every queued job.
@@ -1003,12 +673,6 @@ impl RaiSystem {
     /// The attached fault injector, when a fault plan is active.
     pub fn fault_injector(&self) -> Option<&FaultInjector> {
         self.injector.as_ref()
-    }
-
-    /// The executor the payload pipeline runs on (sequential when
-    /// `parallelism <= 1`).
-    pub fn executor(&self) -> &Executor {
-        &self.executor
     }
 
     /// Direct worker access (ablation experiments).
@@ -1115,9 +779,6 @@ mod tests {
         assert_eq!(metrics.counter_total(names::JOBS_TOTAL), 1);
         assert!(metrics.counter(names::DB_INSERTS_TOTAL, &[]).unwrap() > 0);
         assert!(!metrics.histograms_named(names::JOB_STAGE_SECONDS).is_empty());
-        // The job went through the scheduler: one single-job round.
-        assert_eq!(metrics.counter_total(names::EXEC_BATCHES_TOTAL), 1);
-        assert_eq!(metrics.counter_total(names::EXEC_BATCH_JOBS_TOTAL), 1);
     }
 
     #[test]
@@ -1181,90 +842,50 @@ mod tests {
         }
     }
 
-    /// Outcome summaries, final standings, and dedup-visible byte
-    /// counters — everything a lane reordering could corrupt.
-    type LaneSnapshot = (Vec<(u64, bool, SimDuration)>, Vec<(String, f64)>, usize);
-
-    /// One full run-then-final scenario at a given lane/pool shape,
-    /// reduced to everything outcome-visible.
-    fn lane_scenario(shards: usize, parallelism: usize, claim_lanes: usize) -> LaneSnapshot {
-        let mut system = RaiSystem::new(SystemConfig {
-            workers: 4,
-            parallelism,
-            shards,
-            claim_lanes,
-            rate_limit: None,
-            ..Default::default()
-        });
-        let teams: Vec<Credentials> = (0..4)
-            .map(|i| system.register_team(&format!("team-{i}"), &[]))
-            .collect();
-        // Distinct payloads per job, so rounds have no shared chunk
-        // digests and the multi-lane commit path actually engages.
-        for (i, creds) in teams.iter().enumerate() {
-            let client = system.client_for(creds);
-            for j in 0..2 {
-                let n = (i * 2 + j) as f64;
-                let p = ProjectDir::cuda_project_with_perf(300.0 + n * 37.0, 0.9, 1024 + i as u64);
-                client.begin_submit(&p, SubmitMode::Run).unwrap();
-            }
-        }
-        let mut outcomes = system.drain();
-        for (i, creds) in teams.iter().enumerate() {
-            let client = system.client_for(creds);
-            let p = ProjectDir::cuda_project_with_perf(200.0 + i as f64 * 100.0, 0.95, 2048)
-                .with_final_artifacts();
-            client.begin_submit(&p, SubmitMode::Submit).unwrap();
-        }
-        outcomes.extend(system.drain());
-        let summary = outcomes
-            .into_iter()
-            .map(|o| (o.job_id, o.success, o.service_time))
-            .collect();
-        let usage = system.store().usage();
-        let dedup_visible =
-            (usage.bytes_wire + usage.chunks_dedup_total + usage.bytes_physical) as usize;
-        (summary, system.rankings().standings(), dedup_visible)
-    }
-
     #[test]
-    fn commit_lanes_match_single_lane_reference() {
-        // The single-lock, width-1 configuration is the reference
-        // schedule; lanes and pool width must not change anything
-        // outcome-visible (DESIGN.md §16).
-        let reference = lane_scenario(1, 1, 1);
-        for shards in [4, 16] {
-            for parallelism in [1, 8] {
-                assert_eq!(
-                    lane_scenario(shards, parallelism, 1),
-                    reference,
-                    "shards={shards} parallelism={parallelism} diverged"
-                );
-            }
-        }
-    }
+    fn a_round_executes_every_claim_before_the_first_commit() {
+        use crate::worker::phase_log;
+        let queue_four = || {
+            let mut system = RaiSystem::new(SystemConfig {
+                workers: 4,
+                rate_limit: None,
+                ..Default::default()
+            });
+            let creds = system.register_team("t", &[]);
+            let client = system.client_for(&creds);
+            let ids: Vec<u64> = (0..4)
+                .map(|i| {
+                    let p = ProjectDir::cuda_project_with_perf(300.0 + 50.0 * i as f64, 0.9, 1024);
+                    client.begin_submit(&p, SubmitMode::Run).unwrap().job_id
+                })
+                .collect();
+            (system, ids)
+        };
+        let summary = |o: &JobOutcome| (o.job_id, o.success, o.service_time, o.measured_secs);
 
-    #[test]
-    fn claim_lanes_match_serial_claim_reference() {
-        // The serial claim schedule (`claim_lanes == 1`) is the
-        // reference; fanning the claim tail across lanes — alone or
-        // combined with commit lanes and a wide pool — must not change
-        // anything outcome-visible (DESIGN.md §17).
-        let reference = lane_scenario(1, 1, 1);
-        for claim_lanes in [2, 4, 16] {
-            assert_eq!(
-                lane_scenario(1, 1, claim_lanes),
-                reference,
-                "claim_lanes={claim_lanes} diverged"
-            );
-        }
-        for (shards, parallelism, claim_lanes) in [(4, 8, 4), (16, 8, 16)] {
-            assert_eq!(
-                lane_scenario(shards, parallelism, claim_lanes),
-                reference,
-                "shards={shards} parallelism={parallelism} claim_lanes={claim_lanes} diverged"
-            );
-        }
+        let (mut system, ids) = queue_four();
+        phase_log::take();
+        let outcomes = system.drive_until(|_| false);
+        let log = phase_log::take();
+        // One round: four executes, then four commits, both in pop
+        // order (worker i popped job i).
+        let expect: Vec<(&str, u64)> = ids
+            .iter()
+            .map(|id| ("execute", *id))
+            .chain(ids.iter().map(|id| ("commit", *id)))
+            .collect();
+        assert_eq!(log, expect);
+        assert_eq!(outcomes.iter().map(|o| o.job_id).collect::<Vec<_>>(), ids);
+        assert_eq!(system.report().submissions, 4);
+
+        // The round is four back-to-back steps, regrouped.
+        let (mut stepped, _) = queue_four();
+        let steps: Vec<JobOutcome> =
+            stepped.workers_mut().iter_mut().map(|w| w.step().expect("one job each")).collect();
+        assert_eq!(
+            outcomes.iter().map(summary).collect::<Vec<_>>(),
+            steps.iter().map(summary).collect::<Vec<_>>()
+        );
     }
 
     #[test]

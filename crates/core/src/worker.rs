@@ -133,15 +133,13 @@ fn attempt_no(attempt: u64) -> u32 {
 }
 
 /// A task message popped from the broker but not yet claimed: the
-/// output of the serial, order-defining half of the claim phase
-/// (DESIGN.md §17).
+/// output of the order-defining half of the claim phase (DESIGN.md
+/// §12).
 ///
 /// The pop half — `try_recv_batch`, message decode, malformed-ack,
-/// in-flight accounting — is what fixes the round's job composition
-/// and claim order, so it always runs serially in worker order. The
-/// rest of the claim (auth, spec parse, image pull, project fetch) is
-/// per-worker work against thread-safe services, which is what lets
-/// [`Worker::claim_popped`] run on concurrent claim lanes.
+/// in-flight accounting — is what fixes a round's job composition and
+/// claim order. The rest of the claim (auth, spec parse, image pull,
+/// project fetch) is [`Worker::claim_popped`].
 pub struct PoppedTask {
     msg_id: MessageId,
     request: JobRequest,
@@ -150,7 +148,7 @@ pub struct PoppedTask {
 }
 
 impl PoppedTask {
-    /// Id of the popped job (claim lanes key on its log topic).
+    /// Id of the popped job.
     pub fn job_id(&self) -> u64 {
         self.request.job_id
     }
@@ -158,21 +156,13 @@ impl PoppedTask {
 
 /// A job claimed from the broker with its claim-phase work done.
 ///
-/// The claim phase (DESIGN.md §15) runs everything that touches shared
+/// The claim phase (DESIGN.md §12) runs everything that touches shared
 /// services or per-worker state — message pop, parse, auth, build-spec
 /// parse, image whitelist + pull accounting, and the project fetch from
-/// the store — so it must run serially on the event loop. What remains
-/// is pure: a `ClaimedJob` owns every input the build+run needs
-/// (project tree, image, limits, dilation, pre-drawn crash decisions),
-/// which is why [`Worker::execute`] can take it by value onto a pool
-/// task without touching the worker at all.
-///
-/// The one sanctioned relaxation is the claim-lane scheduler
-/// (DESIGN.md §17): the *pop* half stays serial, while the claim tail
-/// ([`Worker::claim_popped`]) may run on concurrent lanes when no
-/// fault injector is attached, because each lane owns its workers
-/// exclusively and every shared service it touches is thread-safe and
-/// order-insensitive there.
+/// the store. What remains is pure: a `ClaimedJob` owns every input
+/// the build+run needs (project tree, image, limits, dilation,
+/// pre-drawn crash decisions), which is why [`Worker::execute`] takes
+/// it by value without touching the worker at all.
 pub struct ClaimedJob {
     /// Broker message backing this claim (`None` when driven directly
     /// via [`Worker::run_job`], which manages queueing itself).
@@ -188,13 +178,6 @@ pub struct ClaimedJob {
     /// Log-frame bytes published during the claim phase.
     log_bytes: u64,
     plan: ClaimPlan,
-}
-
-impl ClaimedJob {
-    /// Id of the claimed job.
-    pub fn job_id(&self) -> u64 {
-        self.request.job_id
-    }
 }
 
 /// How the claim phase resolved.
@@ -227,7 +210,7 @@ enum ClaimPlan {
     },
 }
 
-/// A lifecycle span observed on a pool task, replayed through
+/// A lifecycle span observed in the execute phase, replayed through
 /// telemetry at commit so trace insertion stays in claim order.
 struct StagedSpan {
     stage: &'static str,
@@ -257,43 +240,10 @@ pub struct ExecutedJob {
     /// publishing is faultable, so frames must hit the broker in
     /// deterministic claim order.
     frames: Vec<LogFrame>,
-    /// BUILT/RAN spans observed on the pool task.
+    /// BUILT/RAN spans observed in the execute phase.
     spans: Vec<StagedSpan>,
     run_facts: Option<RunFacts>,
     outcome: ExecOutcome,
-}
-
-impl ExecutedJob {
-    /// Id of the executed job.
-    pub fn job_id(&self) -> u64 {
-        self.request.job_id
-    }
-
-    /// The submitting team.
-    pub fn team(&self) -> &str {
-        &self.request.team
-    }
-
-    /// Chunk digests the commit phase will try to upload (empty for
-    /// rejected or crashed jobs). Lane schedulers use these to detect
-    /// same-round dedup overlap — see
-    /// [`crate::delta::PreparedUpload::chunk_digests`].
-    pub fn upload_digests(&self) -> Vec<u64> {
-        match &self.outcome {
-            ExecOutcome::Built { prepared, .. } => prepared.chunk_digests().collect(),
-            _ => Vec::new(),
-        }
-    }
-
-    /// Whether the commit phase will write a leaderboard row. Two
-    /// ranking upserts for the same team are last-writer-wins, so a
-    /// lane scheduler must not let them race.
-    pub fn writes_ranking(&self) -> bool {
-        matches!(
-            &self.outcome,
-            ExecOutcome::Built { success: true, measured: Some(_), .. }
-        ) && self.request.kind == JobKind::Submit
-    }
 }
 
 /// How the execute phase resolved.
@@ -385,14 +335,6 @@ impl Worker {
         self.injector = Some(injector);
     }
 
-    /// Route this worker's `/build` chunking + digesting onto `exec`.
-    /// Call before traffic flows: the replacement uploader starts with
-    /// an empty digest cache (as at worker boot), and uploads are
-    /// byte-identical at any parallelism (DESIGN.md §12).
-    pub fn set_executor(&mut self, exec: rai_exec::Executor) {
-        self.delta = DeltaUploader::with_executor(exec);
-    }
-
     /// This worker's id.
     pub fn id(&self) -> &str {
         &self.config.worker_id
@@ -437,9 +379,8 @@ impl Worker {
     /// subscription; a `Stall` holds it until the broker's message
     /// timeout (`reclaim_expired`) fires.
     ///
-    /// Equivalent to claim → execute → commit back to back; batch
-    /// drivers call the three phases separately so independent jobs'
-    /// execute phases overlap on a pool (DESIGN.md §15).
+    /// Equivalent to claim → execute → commit back to back; round
+    /// drivers call the three phases separately (DESIGN.md §12).
     pub fn try_step(&mut self) -> StepEvent {
         match self.claim() {
             None => StepEvent::Idle,
@@ -458,15 +399,11 @@ impl Worker {
         self.pop_task().map(|p| self.claim_popped(p))
     }
 
-    /// The serial half of [`Worker::claim`]: pop one task message and
+    /// The first half of [`Worker::claim`]: pop one task message and
     /// run its order-defining bookkeeping (decode, malformed-ack,
     /// redelivery counting, in-flight accounting) without touching
     /// auth, images, or the store. Returns `None` when the queue is
     /// empty or this worker is at its in-flight limit.
-    ///
-    /// Claim-lane drivers (DESIGN.md §17) pop every worker serially —
-    /// fixing the round's composition and claim order — then fan the
-    /// popped tasks across lanes for [`Worker::claim_popped`].
     pub fn pop_task(&mut self) -> Option<PoppedTask> {
         loop {
             if self.active_jobs >= self.config.max_in_flight {
@@ -508,12 +445,7 @@ impl Worker {
     }
 
     /// The claim tail for an already-popped task: auth, build-spec
-    /// parse, image resolve/pull, and the project fetch. Everything it
-    /// touches is either worker-exclusive state or a thread-safe
-    /// shared service, so lanes holding distinct `&mut Worker`s may
-    /// run it concurrently (DESIGN.md §17); results are identical to
-    /// the serial schedule because each claim's inputs are independent
-    /// of its neighbours'.
+    /// parse, image resolve/pull, and the project fetch.
     pub fn claim_popped(&mut self, popped: PoppedTask) -> ClaimedJob {
         let PoppedTask { msg_id, request, attempt, co_scheduled } = popped;
         self.claim_request(&request, attempt, co_scheduled, Some(msg_id))
@@ -711,9 +643,9 @@ impl Worker {
         let log_topic = routes::log_topic(request.job_id);
         let attempt_no = attempt_no(attempt);
         // All stage timestamps are `started + accumulated service time`:
-        // the driver advances the shared clock only after the batch
+        // the driver advances the shared clock only after the round
         // commits, so stamping the logical time keeps per-job traces
-        // monotone (and identical at every pool width).
+        // monotone.
         let started = self.store.clock().now();
         if let Some(t) = &self.telemetry {
             // Delivery from the broker opens this attempt's subtree.
@@ -756,10 +688,9 @@ impl Worker {
         // ② Check the credentials — against the worker's read-only
         // snapshot, not the registry lock. One atomic load detects
         // staleness; the snapshot rebuilds only after a register or
-        // revoke, so steady-state claims (and every concurrent claim
-        // lane) authenticate without contending on the registry at
-        // all. `CredentialSnapshot::authenticate` has exactly the
-        // registry's semantics, so outcomes are byte-identical.
+        // revoke, so steady-state claims authenticate without touching
+        // the registry lock at all. `CredentialSnapshot::authenticate`
+        // has exactly the registry's semantics.
         let current_generation = self.auth_generation.load(Ordering::Acquire);
         if self.auth_snapshot.as_ref().map(CredentialSnapshot::generation)
             != Some(current_generation)
@@ -890,11 +821,9 @@ impl Worker {
     ///
     /// This is an associated function on purpose — it consumes the
     /// claim by value and touches neither the worker nor any shared
-    /// service, so independent claims execute concurrently on pool
-    /// tasks (`rai_exec::Executor::run_jobs`) with results that are
-    /// byte-identical at any width. Every side effect (log frames,
-    /// stage spans, the upload) is buffered into the returned
-    /// [`ExecutedJob`] for [`Worker::commit`] to apply in claim order.
+    /// service. Every side effect (log frames, stage spans, the
+    /// upload) is buffered into the returned [`ExecutedJob`] for
+    /// [`Worker::commit`] to apply in claim order.
     pub fn execute(claimed: ClaimedJob) -> ExecutedJob {
         let ClaimedJob {
             msg_id,
@@ -980,6 +909,8 @@ impl Worker {
                 }
             }
         };
+        #[cfg(test)]
+        phase_log::record("execute", request.job_id);
         ExecutedJob {
             msg_id,
             request,
@@ -997,14 +928,12 @@ impl Worker {
     /// Apply an executed job's buffered effects and seal it: flush log
     /// frames, replay spans, commit the upload and database records,
     /// then ack the message (terminal) or report the crash (unacked).
-    /// Batch schedulers must call this in claim order — it is the only
-    /// phase that talks to broker/store/db, so commit order *is* the
-    /// fault-draw order. The one sanctioned exception is the sharded
-    /// commit-lane scheduler (DESIGN.md §16): with no fault injector
-    /// attached, commits whose jobs share no chunk digest and no
-    /// ranking team commute, so lanes keyed by `job_id % lanes` may
-    /// run concurrently while each lane preserves claim order.
+    /// Round drivers must call this in claim order — it is the only
+    /// phase after the claim that talks to broker/store/db, so commit
+    /// order *is* the fault-draw order.
     pub fn commit(&mut self, executed: ExecutedJob) -> StepEvent {
+        #[cfg(test)]
+        phase_log::record("commit", executed.request.job_id);
         let msg_id = executed.msg_id;
         let result = self.commit_job(executed);
         if msg_id.is_some() {
@@ -1070,10 +999,9 @@ impl Worker {
             log_bytes.set(log_bytes.get() + encoded.len() as u64);
             let _ = broker.publish_ephemeral(&log_topic, encoded);
         };
-        // Flush the execute phase's buffered effects first, preserving
-        // the per-job order of the sequential pipeline: stdout/stderr
-        // frames (publishing is faultable — the draw stream must not
-        // depend on pool interleaving), then spans, then sandbox
+        // Flush the execute phase's buffered effects first, in the
+        // order a single pass would have produced them: stdout/stderr
+        // frames (publishing is faultable), then spans, then sandbox
         // metrics.
         for frame in frames {
             publish(&self.broker, frame);
@@ -1301,6 +1229,27 @@ impl Worker {
             true,
         );
         Ok(guarded.backoff)
+    }
+}
+
+/// Per-thread record of `(phase, job_id)` in call order, so a test can
+/// see how a round driver sequenced the otherwise unobservable (pure)
+/// execute phase against the commits.
+#[cfg(test)]
+pub(crate) mod phase_log {
+    use std::cell::RefCell;
+
+    thread_local! {
+        static LOG: RefCell<Vec<(&'static str, u64)>> = const { RefCell::new(Vec::new()) };
+    }
+
+    pub(crate) fn record(phase: &'static str, job_id: u64) {
+        LOG.with(|log| log.borrow_mut().push((phase, job_id)));
+    }
+
+    /// Drain this thread's record.
+    pub(crate) fn take() -> Vec<(&'static str, u64)> {
+        LOG.with(|log| std::mem::take(&mut *log.borrow_mut()))
     }
 }
 

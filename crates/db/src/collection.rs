@@ -1,38 +1,12 @@
 //! Collections: document storage, CRUD, cursors, and the (small) query
 //! planner that routes eligible predicates through secondary indexes.
-//!
-//! ## Sharding
-//!
-//! A collection is hash-partitioned into `N` shards by primary key:
-//! document `id` lives in shard `id % N`, a pure function of the key,
-//! so a given document lands in the same shard on every run and every
-//! replay. Each shard owns its slice of the document map *and* its own
-//! secondary indexes, which keeps index maintenance for concurrent
-//! writers on independent cache lines and lets the store-level lock
-//! domains shrink with the shard count.
-//!
-//! Every read path merges per-shard results canonically so results are
-//! byte-identical to a single-shard collection:
-//!
-//! * id-ordered paths (find/distinct/scans) concatenate per-shard id
-//!   sets and sort ascending — shards partition the keyspace, so the
-//!   sorted union is exactly the unsharded ascending walk;
-//! * the index-order `find_with` fast path k-way merges each shard's
-//!   `(key, id)` stream with ties broken by ascending id, reproducing
-//!   the exact global key order one big index would have produced;
-//! * planner candidate sets are per-shard supersets combined by sorted
-//!   union, and a predicate any shard's index cannot serve (array keys,
-//!   bare `Null`) falls back to a scan for the whole collection — the
-//!   same superset invariant as before, shard count invisible.
-//!
-//! `N = 1` (the default) is the preserved reference configuration.
 
 use crate::index::Index;
 use crate::journal::{DbRecord, JournalSink};
 use crate::query::matches;
 use crate::update::apply_update;
 use crate::value::{Document, Value};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -121,15 +95,29 @@ impl CollectionStats {
     }
 }
 
-/// One hash partition of a collection: its slice of the document map
-/// plus its own secondary indexes over exactly those documents.
+/// An in-memory document collection.
 #[derive(Default)]
-struct Shard {
+pub struct Collection {
     docs: BTreeMap<DocId, Document>,
+    /// Secondary indexes by dotted path.
     indexes: HashMap<String, Index>,
+    next_id: DocId,
+    // Atomics so read-path methods (&self) can count themselves.
+    inserts: AtomicU64,
+    queries: AtomicU64,
+    updates: AtomicU64,
+    /// Durability hook: when attached, every committed mutation appends
+    /// a logical [`DbRecord`] before applying. `None` (the default) is
+    /// the preserved zero-overhead in-memory configuration.
+    journal: Option<Arc<JournalSink>>,
 }
 
-impl Shard {
+impl Collection {
+    /// An empty collection.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
     fn index_doc(&mut self, id: DocId, doc: &Document) {
         for (field, idx) in self.indexes.iter_mut() {
             if let Some(v) = doc.get_path(field) {
@@ -160,79 +148,15 @@ impl Shard {
             }
         }
     }
-}
-
-/// An in-memory document collection.
-pub struct Collection {
-    shards: Vec<Shard>,
-    next_id: DocId,
-    /// Indexed dotted paths; every shard carries an index for each.
-    index_fields: BTreeSet<String>,
-    // Atomics so read-path methods (&self) can count themselves.
-    inserts: AtomicU64,
-    queries: AtomicU64,
-    updates: AtomicU64,
-    /// Durability hook: when attached, every committed mutation appends
-    /// a logical [`DbRecord`] before applying. `None` (the default) is
-    /// the preserved zero-overhead in-memory configuration.
-    journal: Option<Arc<JournalSink>>,
-}
-
-impl Default for Collection {
-    fn default() -> Self {
-        Self::with_shards(1)
-    }
-}
-
-impl Collection {
-    /// An empty single-shard collection (the reference configuration).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty collection hash-partitioned into `shards` partitions
-    /// (clamped to at least 1). Shard assignment is `id % shards` — a
-    /// pure function of the primary key.
-    pub fn with_shards(shards: usize) -> Self {
-        let shards = shards.max(1);
-        Collection {
-            shards: (0..shards).map(|_| Shard::default()).collect(),
-            next_id: 0,
-            index_fields: BTreeSet::new(),
-            inserts: AtomicU64::new(0),
-            queries: AtomicU64::new(0),
-            updates: AtomicU64::new(0),
-            journal: None,
-        }
-    }
-
-    /// Number of hash partitions.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Documents resident in each shard, by shard index — the
-    /// occupancy gauge surfaced in telemetry.
-    pub fn shard_sizes(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.docs.len()).collect()
-    }
-
-    fn shard_of(&self, id: DocId) -> usize {
-        (id % self.shards.len() as u64) as usize
-    }
-
-    fn doc(&self, id: DocId) -> Option<&Document> {
-        self.shards[self.shard_of(id)].docs.get(&id)
-    }
 
     /// Number of documents.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.docs.len()).sum()
+        self.docs.len()
     }
 
     /// Whether the collection is empty.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.docs.is_empty())
+        self.docs.is_empty()
     }
 
     /// Cumulative operation counters.
@@ -267,17 +191,12 @@ impl Collection {
         self.next_id += 1;
         let id = self.next_id;
         doc.insert("_id", id);
-        let s = self.shard_of(id);
-        let shard = &mut self.shards[s];
-        shard.index_doc(id, &doc);
-        shard.docs.insert(id, doc);
+        self.index_doc(id, &doc);
+        self.docs.insert(id, doc);
         id
     }
 
-    /// Insert many documents. Index maintenance is batched: documents
-    /// land first, then each shard updates its indexes in one pass over
-    /// its new rows (one cache-warm walk per index instead of an index
-    /// round per document).
+    /// Insert many documents, journaled as one record.
     pub fn insert_many(&mut self, docs: impl IntoIterator<Item = Document>) -> Vec<DocId> {
         let docs: Vec<Document> = docs.into_iter().collect();
         if let Some(j) = &self.journal {
@@ -293,15 +212,9 @@ impl Collection {
             self.next_id += 1;
             let id = self.next_id;
             doc.insert("_id", id);
-            let s = self.shard_of(id);
-            self.shards[s].docs.insert(id, doc);
+            self.index_doc(id, &doc);
+            self.docs.insert(id, doc);
             ids.push(id);
-        }
-        for id in &ids {
-            let s = self.shard_of(*id);
-            let shard = &mut self.shards[s];
-            let doc = shard.docs.get(id).cloned().expect("inserted above");
-            shard.index_doc(*id, &doc);
         }
         ids
     }
@@ -309,7 +222,7 @@ impl Collection {
     /// Build a secondary index on a dotted path (also indexes existing
     /// documents). Re-creating an existing index is a no-op.
     pub fn create_index(&mut self, field: &str) {
-        if !self.index_fields.contains(field) {
+        if !self.indexes.contains_key(field) {
             if let Some(j) = &self.journal {
                 j.append(&DbRecord::CreateIndex {
                     coll: j.coll().to_string(),
@@ -321,44 +234,32 @@ impl Collection {
     }
 
     pub(crate) fn create_index_inner(&mut self, field: &str) {
-        if !self.index_fields.insert(field.to_string()) {
+        if self.indexes.contains_key(field) {
             return;
         }
-        for shard in &mut self.shards {
-            let mut idx = Index::new();
-            for (id, doc) in &shard.docs {
-                if let Some(v) = doc.get_path(field) {
-                    idx.insert(v, *id);
-                }
+        let mut idx = Index::new();
+        for (id, doc) in &self.docs {
+            if let Some(v) = doc.get_path(field) {
+                idx.insert(v, *id);
             }
-            shard.indexes.insert(field.to_string(), idx);
         }
+        self.indexes.insert(field.to_string(), idx);
     }
 
     /// Compaction snapshot: `_id` allocator, indexed paths (sorted),
     /// and every document with its `_id`, in id order.
     pub(crate) fn snapshot(&self) -> (u64, Vec<String>, Vec<Document>) {
-        let indexes: Vec<String> = self.index_fields.iter().cloned().collect();
-        let mut docs: Vec<(DocId, &Document)> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.docs.iter().map(|(id, d)| (*id, d)))
-            .collect();
-        docs.sort_unstable_by_key(|(id, _)| *id);
-        (self.next_id, indexes, docs.into_iter().map(|(_, d)| d.clone()).collect())
+        let mut indexes: Vec<String> = self.indexes.keys().cloned().collect();
+        indexes.sort_unstable();
+        (self.next_id, indexes, self.docs.values().cloned().collect())
     }
 
     /// Restore from a compaction snapshot: documents land under their
-    /// recorded `_id`s (in their key-hash shard) and every index is
-    /// rebuilt. Journaling stays whatever it was (recovery runs
-    /// detached); the shard count is whatever this collection was
-    /// created with — snapshots are shard-count independent.
+    /// recorded `_id`s and every index is rebuilt. Journaling stays
+    /// whatever it was (recovery runs detached).
     pub(crate) fn restore(&mut self, next_id: u64, indexes: Vec<String>, docs: Vec<Document>) {
-        for shard in &mut self.shards {
-            shard.docs.clear();
-            shard.indexes.clear();
-        }
-        self.index_fields.clear();
+        self.docs.clear();
+        self.indexes.clear();
         self.next_id = next_id;
         for doc in docs {
             let id = match doc.get("_id") {
@@ -367,8 +268,7 @@ impl Collection {
                 // skip it rather than corrupt the keyspace.
                 _ => continue,
             };
-            let s = self.shard_of(id);
-            self.shards[s].docs.insert(id, doc);
+            self.docs.insert(id, doc);
         }
         for field in indexes {
             self.create_index_inner(&field);
@@ -377,7 +277,7 @@ impl Collection {
 
     /// Whether `field` has an index.
     pub fn has_index(&self, field: &str) -> bool {
-        self.index_fields.contains(field)
+        self.indexes.contains_key(field)
     }
 
     /// Candidate doc ids one indexed predicate admits, sorted
@@ -447,28 +347,6 @@ impl Collection {
         }
     }
 
-    /// Sharded candidate lookup for one indexed field: the sorted union
-    /// of every shard's candidate set. Shards partition the keyspace,
-    /// so the union is disjoint and the sorted result is exactly what a
-    /// single global index would return. If *any* shard cannot serve
-    /// the predicate (its index holds an array key, say), the whole
-    /// field is unusable — matching the global fallback rule, since the
-    /// disqualifying key would have lived in the one big index too.
-    fn field_candidates(&self, field: &str, cond: &Value) -> Option<Vec<DocId>> {
-        if !self.index_fields.contains(field) {
-            return None;
-        }
-        let mut ids = Vec::new();
-        for shard in &self.shards {
-            let idx = shard.indexes.get(field).expect("index exists in every shard");
-            ids.extend(Self::index_candidates(idx, cond)?);
-        }
-        if self.shards.len() > 1 {
-            ids.sort_unstable();
-        }
-        Some(ids)
-    }
-
     /// Ids of candidate documents for `query`, via indexes when any
     /// apply; `None` means "no usable index — scan everything". When
     /// several top-level predicates are indexed, their candidate sets
@@ -481,7 +359,8 @@ impl Collection {
             if field.starts_with('$') {
                 continue;
             }
-            if let Some(ids) = self.field_candidates(field, cond) {
+            let indexed = self.indexes.get(field);
+            if let Some(ids) = indexed.and_then(|idx| Self::index_candidates(idx, cond)) {
                 sets.push(ids);
             }
         }
@@ -507,45 +386,31 @@ impl Collection {
         self.candidates(query).map(|ids| ids.len())
     }
 
-    /// Full-scan matching ids, ascending: per-shard scans whose sorted
-    /// union is the global ascending id walk.
-    fn scan_matching_ids(&self, query: &Document) -> Vec<DocId> {
-        let mut out: Vec<DocId> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.docs.iter().filter(|(_, d)| matches(query, d)).map(|(id, _)| *id))
-            .collect();
-        if self.shards.len() > 1 {
-            out.sort_unstable();
-        }
-        out
-    }
-
     /// Ids of documents matching `query`, ascending — the shared scan
     /// core of the read path. No document is cloned here.
     fn matching_ids(&self, query: &Document) -> Vec<DocId> {
         match self.candidates(query) {
             Some(ids) => ids
                 .into_iter()
-                .filter(|id| self.doc(*id).is_some_and(|d| matches(query, d)))
+                .filter(|id| self.docs.get(id).is_some_and(|d| matches(query, d)))
                 .collect(),
-            None => self.scan_matching_ids(query),
+            None => self
+                .docs
+                .iter()
+                .filter(|(_, d)| matches(query, d))
+                .map(|(id, _)| *id)
+                .collect(),
         }
     }
 
-    /// The lowest-id matching document's id, if any (the scan-path
-    /// `find_one`): each shard early-exits at its first match, and the
-    /// global winner is the minimum across shards.
+    /// The lowest-id matching document's id, if any: the scan path
+    /// exits at its first match.
     fn first_matching_id(&self, query: &Document) -> Option<DocId> {
         match self.candidates(query) {
             Some(ids) => ids
                 .into_iter()
-                .find(|id| self.doc(*id).is_some_and(|d| matches(query, d))),
-            None => self
-                .shards
-                .iter()
-                .filter_map(|s| s.docs.iter().find(|(_, d)| matches(query, d)).map(|(id, _)| *id))
-                .min(),
+                .find(|id| self.docs.get(id).is_some_and(|d| matches(query, d))),
+            None => self.docs.iter().find(|(_, d)| matches(query, d)).map(|(id, _)| *id),
         }
     }
 
@@ -554,7 +419,7 @@ impl Collection {
         self.queries.fetch_add(1, Ordering::Relaxed);
         self.matching_ids(query)
             .iter()
-            .filter_map(|id| self.doc(*id))
+            .filter_map(|id| self.docs.get(id))
             .cloned()
             .collect()
     }
@@ -562,7 +427,7 @@ impl Collection {
     /// First matching document.
     pub fn find_one(&self, query: &Document) -> Option<Document> {
         self.queries.fetch_add(1, Ordering::Relaxed);
-        self.first_matching_id(query).and_then(|id| self.doc(id)).cloned()
+        self.first_matching_id(query).and_then(|id| self.docs.get(&id)).cloned()
     }
 
     /// Find with sort/skip/limit. Missing sort fields order first
@@ -571,58 +436,25 @@ impl Collection {
     /// Runs as a cursor: matching ids are collected and ordered first,
     /// and only the documents that survive skip/limit are cloned. When
     /// the sort field has an index covering every document, the rows
-    /// stream straight out of the per-shard indexes in merged key order
-    /// and the scan stops as soon as `skip + limit` rows matched —
+    /// stream straight out of the index in key order (ties by ascending
+    /// `_id`) and the scan stops as soon as `skip + limit` rows matched —
     /// `sort+limit` over a big collection never materialises it.
     pub fn find_with(&self, query: &Document, opts: &FindOptions) -> Vec<Document> {
         self.queries.fetch_add(1, Ordering::Relaxed);
         let limit = opts.limit.unwrap_or(usize::MAX);
         if let Some((field, order)) = &opts.sort_by {
             // Index-order fast path. The covering condition (every doc
-            // in every shard carries the field) guarantees no row would
-            // sort as a missing-field Null outside the indexes.
-            let covering = self.index_fields.contains(field)
-                && self.shards.iter().all(|s| {
-                    s.indexes.get(field).is_some_and(|idx| idx.len() == s.docs.len())
-                });
-            if covering {
-                let desc = *order == SortOrder::Desc;
+            // carries the field) guarantees no row would sort as a
+            // missing-field Null outside the index.
+            let covering = self.indexes.get(field).filter(|idx| idx.len() == self.docs.len());
+            if let Some(idx) = covering {
                 let mut out = Vec::new();
                 let mut to_skip = opts.skip;
-                // K-way merge of the shards' (key, id) streams. The
-                // pick rule — best key first, ties by ascending id —
-                // reproduces the exact order of one global index, so
-                // the output is byte-identical at any shard count.
-                let mut streams: Vec<_> = self
-                    .shards
-                    .iter()
-                    .map(|s| {
-                        s.indexes.get(field).expect("covering checked").entries_in_key_order(desc).peekable()
-                    })
-                    .collect();
-                loop {
+                for id in idx.ids_in_key_order(*order == SortOrder::Desc) {
                     if out.len() >= limit {
                         break;
                     }
-                    let mut best: Option<(usize, &Value, DocId)> = None;
-                    for (si, stream) in streams.iter_mut().enumerate() {
-                        if let Some(&(key, id)) = stream.peek() {
-                            let beats = match best {
-                                None => true,
-                                Some((_, bkey, bid)) => {
-                                    let ord = key.cmp_order(bkey);
-                                    let ord = if desc { ord.reverse() } else { ord };
-                                    ord.then(id.cmp(&bid)) == std::cmp::Ordering::Less
-                                }
-                            };
-                            if beats {
-                                best = Some((si, key, id));
-                            }
-                        }
-                    }
-                    let Some((si, _, id)) = best else { break };
-                    streams[si].next();
-                    let doc = self.doc(id).expect("index entry has a doc");
+                    let doc = self.docs.get(&id).expect("index entry has a doc");
                     if !matches(query, doc) {
                         continue;
                     }
@@ -639,7 +471,7 @@ impl Collection {
             let mut ids = self.matching_ids(query);
             let null = Value::Null;
             let key = |id: &DocId| {
-                self.doc(*id)
+                self.docs.get(id)
                     .and_then(|d| d.get_path(field))
                     .unwrap_or(&null)
             };
@@ -654,7 +486,7 @@ impl Collection {
                 .into_iter()
                 .skip(opts.skip)
                 .take(limit)
-                .filter_map(|id| self.doc(id))
+                .filter_map(|id| self.docs.get(&id))
                 .cloned()
                 .collect();
         }
@@ -662,7 +494,7 @@ impl Collection {
             .into_iter()
             .skip(opts.skip)
             .take(limit)
-            .filter_map(|id| self.doc(id))
+            .filter_map(|id| self.docs.get(&id))
             .cloned()
             .collect()
     }
@@ -673,15 +505,10 @@ impl Collection {
         match self.candidates(query) {
             Some(ids) => ids
                 .iter()
-                .filter_map(|id| self.doc(*id))
+                .filter_map(|id| self.docs.get(id))
                 .filter(|d| matches(query, d))
                 .count(),
-            // A count needs no ordering: per-shard totals just sum.
-            None => self
-                .shards
-                .iter()
-                .map(|s| s.docs.values().filter(|d| matches(query, d)).count())
-                .sum(),
+            None => self.docs.values().filter(|d| matches(query, d)).count(),
         }
     }
 
@@ -695,7 +522,7 @@ impl Collection {
         self.queries.fetch_add(1, Ordering::Relaxed);
         let mut out: Vec<Value> = Vec::new();
         for id in self.matching_ids(query) {
-            let d = self.doc(id).expect("matching id has a doc");
+            let d = self.docs.get(&id).expect("matching id has a doc");
             if let Some(v) = d.get_path(field) {
                 if !out.iter().any(|x| x.eq_loose(v)) {
                     out.push(v.clone());
@@ -722,14 +549,12 @@ impl Collection {
             ..Default::default()
         };
         for id in ids {
-            let s = self.shard_of(id);
-            let shard = &mut self.shards[s];
-            let doc = shard.docs.get_mut(&id).expect("id listed above");
+            let doc = self.docs.get_mut(&id).expect("id listed above");
             let before = doc.clone();
             if apply_update(update, doc) {
                 res.modified += 1;
                 let after = doc.clone();
-                shard.reindex(id, &before, &after);
+                self.reindex(id, &before, &after);
             }
         }
         res
@@ -751,14 +576,12 @@ impl Collection {
         self.updates.fetch_add(1, Ordering::Relaxed);
         match self.first_matching_id(query) {
             Some(id) => {
-                let s = self.shard_of(id);
-                let shard = &mut self.shards[s];
-                let doc = shard.docs.get_mut(&id).expect("id found above");
+                let doc = self.docs.get_mut(&id).expect("id found above");
                 let before = doc.clone();
                 let modified = apply_update(update, doc);
                 if modified {
                     let after = doc.clone();
-                    shard.reindex(id, &before, &after);
+                    self.reindex(id, &before, &after);
                 }
                 UpdateResult {
                     matched: 1,
@@ -795,10 +618,8 @@ impl Collection {
         self.updates.fetch_add(1, Ordering::Relaxed);
         let ids = self.matching_ids(query);
         for id in &ids {
-            let s = self.shard_of(*id);
-            let shard = &mut self.shards[s];
-            if let Some(doc) = shard.docs.remove(id) {
-                shard.unindex_doc(*id, &doc);
+            if let Some(doc) = self.docs.remove(id) {
+                self.unindex_doc(*id, &doc);
             }
         }
         ids.len()
@@ -811,11 +632,7 @@ mod tests {
     use crate::doc;
 
     fn rankings() -> Collection {
-        rankings_sharded(1)
-    }
-
-    fn rankings_sharded(shards: usize) -> Collection {
-        let mut c = Collection::with_shards(shards);
+        let mut c = Collection::new();
         c.insert_many([
             doc! { "team" => "a", "runtime" => 0.45, "final" => true },
             doc! { "team" => "b", "runtime" => 0.91, "final" => true },
@@ -1089,29 +906,18 @@ mod tests {
         assert!(c.is_empty());
     }
 
-    // ---- sharding ----------------------------------------------------
-
+    /// An identical mixed workload through an indexed and an unindexed
+    /// collection: every read path returns the same rows whether the
+    /// planner served it from an index or from the scan fallback, and a
+    /// snapshot restores to the same collection.
     #[test]
-    fn shard_assignment_is_pure_key_hash() {
-        let mut c = Collection::with_shards(4);
-        assert_eq!(c.shard_count(), 4);
-        for i in 0..20i64 {
-            c.insert_one(doc! { "n" => i });
-        }
-        // Ids are 1..=20; id % 4 spreads 5 per shard.
-        assert_eq!(c.shard_sizes(), vec![5, 5, 5, 5]);
-        assert_eq!(c.len(), 20);
-    }
-
-    /// Drives an identical mixed workload through shard counts 1/4/16
-    /// and asserts every read path returns byte-identical results —
-    /// the tentpole determinism contract at the collection level.
-    #[test]
-    fn sharded_collections_are_observationally_identical() {
-        let build = |shards: usize| {
-            let mut c = Collection::with_shards(shards);
-            c.create_index("runtime");
-            c.create_index("team");
+    fn indexed_and_scanned_collections_are_observationally_identical() {
+        let build = |indexed: bool| {
+            let mut c = Collection::new();
+            if indexed {
+                c.create_index("runtime");
+                c.create_index("team");
+            }
             for i in 0..120i64 {
                 c.insert_one(doc! {
                     "team" => format!("t{:02}", i % 17),
@@ -1132,62 +938,55 @@ mod tests {
             c.delete_many(&doc! { "runtime" => doc!{ "$gt" => 5.0, "$lt" => 5.3 } });
             c
         };
-        let reference = build(1);
-        for shards in [4usize, 16] {
-            let sharded = build(shards);
-            assert_eq!(sharded.len(), reference.len());
-            for q in [
-                doc! {},
-                doc! { "kind" => "run" },
-                doc! { "team" => "t03" },
-                doc! { "runtime" => doc!{ "$gte" => 1.0, "$lt" => 4.0 } },
-                doc! { "team" => doc!{ "$in" => vec!["t01", "t05", "none"] } },
-                doc! { "kind" => "submit", "final" => true },
+        let (indexed, scanned) = (build(true), build(false));
+        assert_eq!(indexed.len(), scanned.len());
+        for q in [
+            doc! {},
+            doc! { "kind" => "run" },
+            doc! { "team" => "t03" },
+            doc! { "runtime" => doc!{ "$gte" => 1.0, "$lt" => 4.0 } },
+            doc! { "team" => doc!{ "$in" => vec!["t01", "t05", "none"] } },
+            doc! { "kind" => "submit", "final" => true },
+        ] {
+            assert_eq!(indexed.find(&q), scanned.find(&q), "find diverged for {q}");
+            assert_eq!(indexed.count(&q), scanned.count(&q));
+            assert_eq!(indexed.find_one(&q), scanned.find_one(&q));
+            assert_eq!(
+                indexed.distinct("team", &q),
+                scanned.distinct("team", &q),
+                "distinct diverged for {q}"
+            );
+            for opts in [
+                FindOptions::sort_asc("runtime"),
+                FindOptions::sort_desc("runtime"),
+                FindOptions::sort_asc("runtime").skip(5).limit(10),
+                FindOptions::sort_desc("team").limit(7),
+                FindOptions::default().skip(3).limit(11),
             ] {
-                assert_eq!(sharded.find(&q), reference.find(&q), "find diverged for {q}");
-                assert_eq!(sharded.count(&q), reference.count(&q));
-                assert_eq!(sharded.find_one(&q), reference.find_one(&q));
                 assert_eq!(
-                    sharded.distinct("team", &q),
-                    reference.distinct("team", &q),
-                    "distinct diverged for {q}"
+                    indexed.find_with(&q, &opts),
+                    scanned.find_with(&q, &opts),
+                    "find_with diverged for {q} {opts:?}"
                 );
-                for opts in [
-                    FindOptions::sort_asc("runtime"),
-                    FindOptions::sort_desc("runtime"),
-                    FindOptions::sort_asc("runtime").skip(5).limit(10),
-                    FindOptions::sort_desc("team").limit(7),
-                    FindOptions::default().skip(3).limit(11),
-                ] {
-                    assert_eq!(
-                        sharded.find_with(&q, &opts),
-                        reference.find_with(&q, &opts),
-                        "find_with diverged for {q} {opts:?} at {shards} shards"
-                    );
-                }
             }
-            // Snapshots are shard-count independent: restoring a
-            // 16-shard snapshot into a 1-shard collection round-trips.
-            let (next_id, indexes, docs) = sharded.snapshot();
-            assert_eq!((next_id, &indexes, &docs), {
-                let (n, i, d) = reference.snapshot();
-                (n, &i.clone(), &d.clone())
-            });
-            let mut restored = Collection::with_shards(1);
-            restored.restore(next_id, indexes, docs);
-            assert_eq!(restored.find(&doc! {}), reference.find(&doc! {}));
         }
+        let (next_id, indexes, docs) = indexed.snapshot();
+        assert_eq!(indexes, ["runtime", "team"]);
+        let mut restored = Collection::new();
+        restored.restore(next_id, indexes, docs);
+        assert_eq!(restored.snapshot(), indexed.snapshot());
+        assert_eq!(restored.find(&doc! {}), indexed.find(&doc! {}));
+        assert_eq!(restored.insert_one(doc! { "n" => 1 }), next_id + 1);
     }
 
     #[test]
-    fn sharded_covering_sort_merges_key_streams() {
-        let mut c = Collection::with_shards(4);
+    fn covering_sort_breaks_duplicate_keys_by_ascending_id() {
+        let mut c = Collection::new();
         for i in 0..40i64 {
-            // Heavy duplicate keys force cross-shard ties everywhere.
             c.insert_one(doc! { "runtime" => (i % 3) as f64, "n" => i });
         }
         c.create_index("runtime");
-        // Covering: every doc carries the field in every shard.
+        // Covering: every doc carries the field.
         let asc = c.find_with(&doc! {}, &FindOptions::sort_asc("runtime"));
         let mut prev: Option<(f64, i64)> = None;
         for d in &asc {
@@ -1200,12 +999,12 @@ mod tests {
                 _ => unreachable!(),
             };
             if let Some((prt, pid)) = prev {
-                assert!(rt > prt || (rt == prt && id > pid), "merged order broken");
+                assert!(rt > prt || (rt == prt && id > pid), "key order broken");
             }
             prev = Some((rt, id));
         }
         assert_eq!(asc.len(), 40);
-        // Limit stops the merge early without disturbing order.
+        // Limit stops the walk early without disturbing order.
         let top3 = c.find_with(&doc! {}, &FindOptions::sort_desc("runtime").limit(3));
         assert_eq!(top3, c.find_with(&doc! {}, &FindOptions::sort_desc("runtime"))[..3].to_vec());
     }

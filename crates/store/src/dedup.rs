@@ -9,9 +9,9 @@
 //! safe in the presence of cross-object sharing (DESIGN.md §10).
 
 use bytes::Bytes;
-use parking_lot::{RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::hash_map::{Entry, HashMap};
-use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 struct ChunkEntry {
     data: Bytes,
@@ -42,9 +42,9 @@ pub(crate) struct ChunkStore {
 /// 124 against 133–137 unsplit, throughput equal).
 const SEGMENTS: usize = 16;
 
-/// Which table holds `digest`: bits 48–51, disjoint from the top byte
-/// the arena shards by. An uploader can aim every chunk at one table;
-/// that is the unsplit index again, still under its keyed hasher.
+/// Which table holds `digest`: bits 48–51. An uploader can aim every
+/// chunk at one table; that is the unsplit index again, still under
+/// its keyed hasher.
 fn segment_of(digest: u64) -> usize {
     (digest >> 48) as usize % SEGMENTS
 }
@@ -66,6 +66,11 @@ impl ChunkStore {
     /// The chunk's bytes, if resident.
     pub fn data(&self, digest: u64) -> Option<&Bytes> {
         self.segment(digest).get(&digest).map(|e| &e.data)
+    }
+
+    /// The resident chunk's length, if resident.
+    pub fn resident_len(&self, digest: u64) -> Option<usize> {
+        self.data(digest).map(Bytes::len)
     }
 
     /// Take one reference on `digest`. If the chunk is already
@@ -162,48 +167,6 @@ impl ChunkStore {
         self.dedup_hits = hits;
     }
 
-    /// Replay-mode retain, used when chunk bytes are restored up front
-    /// (per-shard chunk logs) rather than riding the object records.
-    ///
-    /// Replay pre-installs every logged chunk at refcount zero, so
-    /// "resident" no longer means what it meant live and plain
-    /// [`ChunkStore::retain`] would count phantom dedup hits. Here the
-    /// original run's outcome is re-derived from the refcount instead:
-    /// `refs > 0` means some earlier replayed object still references
-    /// the chunk, so the original op found it resident — a dedup hit;
-    /// `refs == 0` means the original op admitted it fresh — no hit.
-    /// Returns `None` when the bytes are absent entirely (lost with a
-    /// torn record; the object must be dropped).
-    pub fn retain_replay(&mut self, digest: u64) -> Option<bool> {
-        let entry = self.chunks[segment_of(digest)].get_mut(&digest)?;
-        let hit = entry.refs > 0;
-        entry.refs += 1;
-        if hit {
-            self.dedup_hits += 1;
-        }
-        Some(hit)
-    }
-
-    /// Replay-mode release: drops the reference but keeps the bytes
-    /// resident at refcount zero, because a later replayed object may
-    /// re-admit the same content (live, it would re-supply the bytes;
-    /// in replay they only exist here). Orphans are swept once at the
-    /// end by [`ChunkStore::prune_unreferenced`].
-    pub fn release_replay(&mut self, digest: u64) {
-        if let Some(entry) = self.chunks[segment_of(digest)].get_mut(&digest) {
-            entry.refs = entry.refs.saturating_sub(1);
-        }
-    }
-
-    /// Zero every refcount, keeping bytes resident — replaying a
-    /// snapshot record re-derives references from the snapshot's own
-    /// manifests, discarding whatever pre-snapshot replay accumulated.
-    pub fn reset_refs(&mut self) {
-        for entry in self.chunks.iter_mut().flat_map(HashMap::values_mut) {
-            entry.refs = 0;
-        }
-    }
-
     /// Drop chunks no surviving manifest references (objects discarded
     /// during a faulted replay leave their restored bytes orphaned).
     pub fn prune_unreferenced(&mut self) {
@@ -219,235 +182,73 @@ impl ChunkStore {
     }
 }
 
-// ---- sharded arena ---------------------------------------------------
-
-/// The chunk arena partitioned into independent lock domains by digest
-/// prefix: chunk `d` lives in shard `(d >> 56) % N`, a pure function of
-/// the digest, so a chunk lands in the same shard on every run and
-/// every replay (DESIGN.md §16). Gear digests diffuse content into the
-/// top byte, so shards load-balance without coordination.
-///
-/// Each shard is a [`ChunkStore`] behind its own reader-writer lock;
-/// admissions touching disjoint shards proceed concurrently, and pure
-/// presence reads (`read_for`, `totals`, occupancy gauges) share the
-/// read half without excluding each other. All cross-shard accounting
-/// is the sum over shards — shards partition the digest space, so sums
-/// are exact, not approximations.
-///
-/// `N = 1` (the default) is the preserved single-lock reference
-/// configuration.
+/// The chunk arena's lock domain: one [`ChunkStore`] behind one
+/// reader-writer lock. Pure reads (`has_chunks` probes, reassembly,
+/// accounting) share the read half; every mutation takes the write half
+/// once per call, however many chunks the call touches.
+#[derive(Default)]
 pub(crate) struct ChunkArena {
-    shards: Vec<parking_lot::RwLock<ChunkStore>>,
-    /// Cumulative microseconds spent waiting on contended shard locks.
-    /// A host fact (like `ExecStats`): surfaced in reports and
-    /// telemetry, never in fingerprints.
-    lock_wait_micros: std::sync::atomic::AtomicU64,
+    chunks: RwLock<ChunkStore>,
+    /// Cumulative microseconds spent waiting on the contended lock. A
+    /// host fact: surfaced in reports and telemetry, never in
+    /// fingerprints.
+    lock_wait_micros: AtomicU64,
     /// Exclusive (write) guard acquisitions — lets tests assert that a
-    /// pure read path never took a writer lock.
-    write_acquisitions: std::sync::atomic::AtomicU64,
+    /// pure read path never took the writer lock.
+    write_acquisitions: AtomicU64,
     /// Shared (read) guard acquisitions.
-    read_acquisitions: std::sync::atomic::AtomicU64,
-}
-
-/// The shards one batch of digests touches, each locked once for the
-/// whole batch ([`ChunkArena::lock_for`] / [`ChunkArena::read_for`]):
-/// guards by shard index, `None` where the batch touches nothing.
-pub(crate) struct Locked<'a, G> {
-    arena: &'a ChunkArena,
-    guards: Vec<Option<G>>,
-}
-
-impl<G: Deref<Target = ChunkStore>> Locked<'_, G> {
-    /// The shard owning `digest`, if this batch locked it.
-    pub fn shard(&self, digest: u64) -> Option<&ChunkStore> {
-        self.guards[self.arena.shard_of(digest)].as_deref()
-    }
-
-    /// Whether `digest` is resident (`false` outside the batch's shards).
-    pub fn contains(&self, digest: u64) -> bool {
-        self.shard(digest).is_some_and(|cs| cs.contains(digest))
-    }
-
-    /// The resident chunk's length (`None` if it is not resident, or
-    /// outside the batch's shards).
-    pub fn resident_len(&self, digest: u64) -> Option<usize> {
-        Some(self.shard(digest)?.data(digest)?.len())
-    }
-}
-
-impl<G: DerefMut<Target = ChunkStore>> Locked<'_, G> {
-    /// The shard owning `digest`, which must be one of the batch's own.
-    pub fn shard_mut(&mut self, digest: u64) -> &mut ChunkStore {
-        self.guards[self.arena.shard_of(digest)]
-            .as_deref_mut()
-            .expect("digest belongs to the batch the shards were locked for")
-    }
+    read_acquisitions: AtomicU64,
 }
 
 impl ChunkArena {
-    pub fn new(shards: usize) -> Self {
-        ChunkArena {
-            shards: (0..shards.max(1)).map(|_| Default::default()).collect(),
-            lock_wait_micros: std::sync::atomic::AtomicU64::new(0),
-            write_acquisitions: std::sync::atomic::AtomicU64::new(0),
-            read_acquisitions: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
-    /// Number of lock domains.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Which shard owns `digest` — pure function of the digest prefix.
-    pub fn shard_of(&self, digest: u64) -> usize {
-        ((digest >> 56) as usize) % self.shards.len()
-    }
-
-    /// Lock one shard exclusively (mutation path), charging contended
-    /// waits to the lock-wait counter. The uncontended fast path costs
+    /// Lock the arena exclusively (mutation path), charging a contended
+    /// wait to the lock-wait counter. The uncontended fast path costs
     /// one `try_write`.
-    pub fn lock(&self, shard: usize) -> RwLockWriteGuard<'_, ChunkStore> {
-        self.write_acquisitions
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        if let Some(g) = self.shards[shard].try_write() {
+    pub fn lock(&self) -> RwLockWriteGuard<'_, ChunkStore> {
+        self.write_acquisitions.fetch_add(1, Ordering::Relaxed);
+        if let Some(g) = self.chunks.try_write() {
             return g;
         }
         let start = std::time::Instant::now();
-        let g = self.shards[shard].write();
-        self.lock_wait_micros.fetch_add(
-            start.elapsed().as_micros() as u64,
-            std::sync::atomic::Ordering::Relaxed,
-        );
+        let g = self.chunks.write();
+        self.lock_wait_micros.fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
         g
     }
 
-    /// Lock one shard shared (pure read path): presence checks and
-    /// accounting sums run here without excluding each other — only a
-    /// concurrent admission on the *same* shard blocks, and that wait
-    /// is charged to the lock-wait counter like any other.
-    pub fn read(&self, shard: usize) -> RwLockReadGuard<'_, ChunkStore> {
-        self.read_acquisitions
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        if let Some(g) = self.shards[shard].try_read() {
+    /// Lock the arena shared (pure read path): readers never exclude
+    /// each other — only a concurrent mutation blocks, and that wait is
+    /// charged to the lock-wait counter like any other.
+    pub fn read(&self) -> RwLockReadGuard<'_, ChunkStore> {
+        self.read_acquisitions.fetch_add(1, Ordering::Relaxed);
+        if let Some(g) = self.chunks.try_read() {
             return g;
         }
         let start = std::time::Instant::now();
-        let g = self.shards[shard].read();
-        self.lock_wait_micros.fetch_add(
-            start.elapsed().as_micros() as u64,
-            std::sync::atomic::Ordering::Relaxed,
-        );
+        let g = self.chunks.read();
+        self.lock_wait_micros.fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
         g
     }
 
-    /// Take `acquire`'s guard on every shard `digests` touch, once
-    /// each, in ascending index order — the global order that makes
-    /// multi-shard admission deadlock-free — so a whole batch pays one
-    /// acquisition per shard, not one per chunk.
-    fn guard_each<G>(
-        &self,
-        digests: impl IntoIterator<Item = u64>,
-        acquire: impl Fn(usize) -> G,
-    ) -> Locked<'_, G> {
-        let mut involved = vec![false; self.shards.len()];
-        let mut untouched = involved.len();
-        for d in digests {
-            if untouched == 0 {
-                break;
-            }
-            let hit = &mut involved[self.shard_of(d)];
-            untouched -= usize::from(!*hit);
-            *hit = true;
-        }
-        let guards = involved.iter().enumerate().map(|(s, hit)| hit.then(|| acquire(s)));
-        Locked { arena: self, guards: guards.collect() }
-    }
-
-    /// Lock every shard `digests` touch exclusively (mutation paths).
-    pub fn lock_for(
-        &self,
-        digests: impl IntoIterator<Item = u64>,
-    ) -> Locked<'_, RwLockWriteGuard<'_, ChunkStore>> {
-        self.guard_each(digests, |s| self.lock(s))
-    }
-
-    /// Lock every shard `digests` touch shared, for pure reads
-    /// (presence probes, reassembly): never blocks other readers.
-    pub fn read_for(
-        &self,
-        digests: impl IntoIterator<Item = u64>,
-    ) -> Locked<'_, RwLockReadGuard<'_, ChunkStore>> {
-        self.guard_each(digests, |s| self.read(s))
-    }
-
-    /// Aggregate `(chunks, physical_bytes, dedup_hits)` over shards.
+    /// `(chunks, physical_bytes, dedup_hits)`.
     pub fn totals(&self) -> (u64, u64, u64) {
-        let mut t = (0, 0, 0);
-        for i in 0..self.shards.len() {
-            let g = self.read(i);
-            t.0 += g.count();
-            t.1 += g.physical_bytes();
-            t.2 += g.dedup_hits();
-        }
-        t
-    }
-
-    /// Resident chunks per shard, by shard index — the occupancy gauge
-    /// surfaced as `rai_store_shard_chunks`.
-    pub fn shard_chunk_counts(&self) -> Vec<u64> {
-        (0..self.shards.len()).map(|i| self.read(i).count()).collect()
+        let g = self.read();
+        (g.count(), g.physical_bytes(), g.dedup_hits())
     }
 
     /// Cumulative contended lock-wait time, in microseconds.
     pub fn lock_wait_micros(&self) -> u64 {
-        self.lock_wait_micros.load(std::sync::atomic::Ordering::Relaxed)
+        self.lock_wait_micros.load(Ordering::Relaxed)
     }
 
     /// Cumulative exclusive-guard acquisitions (tests assert read
     /// paths leave this untouched).
     pub fn write_acquisitions(&self) -> u64 {
-        self.write_acquisitions.load(std::sync::atomic::Ordering::Relaxed)
+        self.write_acquisitions.load(Ordering::Relaxed)
     }
 
     /// Cumulative shared-guard acquisitions.
     pub fn read_acquisitions(&self) -> u64 {
-        self.read_acquisitions.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    // ---- replay support (single-threaded recovery paths) -------------
-
-    /// Drop every shard's contents (legacy snapshot replay: the
-    /// snapshot record carries the full physical payload).
-    pub fn wipe(&self) {
-        for s in &self.shards {
-            *s.write() = ChunkStore::new();
-        }
-    }
-
-    /// Zero every refcount in every shard, keeping bytes resident
-    /// (sharded snapshot replay re-derives references from manifests).
-    pub fn reset_refs(&self) {
-        for s in &self.shards {
-            s.write().reset_refs();
-        }
-    }
-
-    /// Overwrite the cumulative dedup-hit total (snapshot restore).
-    /// The counter is a sum over shards; park the whole total on shard
-    /// 0 and zero the rest — per-shard attribution of pre-snapshot
-    /// hits is not reconstructible, only the total is journaled.
-    pub fn set_dedup_hits_total(&self, hits: u64) {
-        for (i, s) in self.shards.iter().enumerate() {
-            s.write().set_dedup_hits(if i == 0 { hits } else { 0 });
-        }
-    }
-
-    /// Drop refcount-zero chunks in every shard (end of replay).
-    pub fn prune_unreferenced(&self) {
-        for s in &self.shards {
-            s.write().prune_unreferenced();
-        }
+        self.read_acquisitions.load(Ordering::Relaxed)
     }
 }
 
@@ -493,72 +294,34 @@ mod tests {
     }
 
     #[test]
-    fn replay_retain_reconstructs_hits_through_release_cycles() {
-        // Mirrors the original run: A admits X, B dedups X (1 hit),
-        // A deleted, C re-admits X fresh (no hit). In replay, bytes are
-        // pre-installed at refs 0 and the hit/fresh outcome is
-        // re-derived from the refcount.
+    fn restored_chunks_hold_no_reference_until_a_manifest_takes_one() {
         let mut cs = ChunkStore::new();
-        cs.restore_chunk(7, b(b"chunk"));
-        assert_eq!(cs.retain_replay(7), Some(false), "A: fresh admission");
-        assert_eq!(cs.retain_replay(7), Some(true), "B: dedup hit");
-        assert_eq!(cs.dedup_hits(), 1);
-        cs.release_replay(7); // delete A
-        cs.release_replay(7); // delete B
-        assert!(cs.contains(7), "replay release keeps bytes at refs 0");
-        assert_eq!(cs.retain_replay(7), Some(false), "C: fresh again, no hit");
-        assert_eq!(cs.dedup_hits(), 1);
-        assert_eq!(cs.retain_replay(99), None, "absent bytes: object dropped");
-        cs.release_replay(7);
-        cs.prune_unreferenced();
-        assert!(!cs.contains(7), "final prune frees true orphans");
-        assert_eq!(cs.physical_bytes(), 0);
-    }
-
-    #[test]
-    fn reset_refs_keeps_bytes() {
-        let mut cs = ChunkStore::new();
-        cs.retain(1, Some(&b(b"xx"))).unwrap();
-        cs.retain(1, None).unwrap();
-        cs.reset_refs();
-        assert!(cs.contains(1));
+        cs.restore_chunk(1, b(b"xx"));
+        cs.restore_chunk(2, b(b"orphan"));
         assert!(cs.ref_existing(1), "snapshot replay re-references");
+        assert!(!cs.ref_existing(3), "absent bytes: the object must be dropped");
+        cs.prune_unreferenced();
+        assert!(cs.contains(1) && !cs.contains(2), "the prune frees true orphans only");
+        assert_eq!((cs.physical_bytes(), cs.resident_len(1)), (2, Some(2)));
         cs.release(1);
-        assert!(!cs.contains(1), "exactly one ref after reset");
+        assert!(!cs.contains(1), "exactly one ref after restore");
     }
 
     #[test]
-    fn arena_shards_partition_by_digest_prefix() {
-        let arena = ChunkArena::new(4);
-        assert_eq!(arena.shard_count(), 4);
-        // Digest prefix picks the shard; low bits are irrelevant.
-        let d0 = 0xABCDu64;
-        let d1 = 0x01u64 << 56 | 0xABCD;
-        let d5 = 0x05u64 << 56;
-        assert_eq!(arena.shard_of(d0), 0);
-        assert_eq!(arena.shard_of(d1), 1);
-        assert_eq!(arena.shard_of(d5), 1, "prefix mod shard count");
-        arena.lock(arena.shard_of(d0)).retain(d0, Some(&b(b"aa"))).unwrap();
-        arena.lock(arena.shard_of(d1)).retain(d1, Some(&b(b"bbb"))).unwrap();
+    fn arena_counts_one_acquisition_per_guard() {
+        let arena = ChunkArena::default();
+        arena.lock().retain(1, Some(&b(b"aa"))).unwrap();
+        arena.lock().retain(2, Some(&b(b"bbb"))).unwrap();
         assert_eq!(arena.totals(), (2, 5, 0));
-        assert_eq!(arena.shard_chunk_counts(), vec![1, 1, 0, 0]);
-        // A batch takes one guard per shard it touches, however many
-        // digests land there, and none for the rest.
         let (reads, writes) = (arena.read_acquisitions(), arena.write_acquisitions());
-        let batch = arena.read_for([d5, d1, d0, d0]);
-        let held: Vec<bool> = batch.guards.iter().map(Option::is_some).collect();
-        assert_eq!(held, vec![true, true, false, false]);
-        assert!(batch.contains(d0) && batch.contains(d1) && !batch.contains(d5));
-        assert!(batch.shard(2u64 << 56).is_none(), "untouched shards stay unlocked");
-        drop(batch);
-        assert_eq!(arena.read_acquisitions(), reads + 2);
-        let mut batch = arena.lock_for([3u64 << 56, d1, d1]);
-        let held: Vec<bool> = batch.guards.iter().map(Option::is_some).collect();
-        assert_eq!(held, vec![false, true, false, true]);
-        batch.shard_mut(d1).release(d1);
-        drop(batch);
-        assert_eq!(arena.write_acquisitions(), writes + 2);
-        assert_eq!(arena.totals(), (1, 2, 0));
+        {
+            let batch = arena.read();
+            assert!(batch.contains(1) && batch.contains(2) && !batch.contains(5));
+        }
+        assert_eq!((arena.read_acquisitions(), arena.write_acquisitions()), (reads + 1, writes));
+        arena.lock().release(1);
+        assert_eq!(arena.write_acquisitions(), writes + 1);
+        assert_eq!(arena.totals(), (1, 3, 0));
     }
 
     /// Wall-clock of retaining, probing and releasing `digests`: the

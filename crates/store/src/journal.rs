@@ -298,18 +298,6 @@ pub enum StoreRecord {
         /// Cumulative counters.
         counters: SnapCounters,
     },
-    /// A chunk newly admitted to one arena shard, journaled to that
-    /// shard's own log stream (sharded mode only; at `shards == 1`
-    /// chunk bytes ride [`StoreRecord::Put::new_chunks`] instead).
-    /// Replay pre-installs these at refcount zero before the main
-    /// object log runs, so `Put` records never carry bytes and the
-    /// main-log order is independent of shard-log order.
-    ChunkInstall {
-        /// The chunk's content digest (also selects the shard).
-        digest: u64,
-        /// The chunk's bytes.
-        bytes: Bytes,
-    },
 }
 
 impl StoreRecord {
@@ -386,11 +374,6 @@ impl StoreRecord {
                     put_u64(&mut out, v);
                 }
             }
-            StoreRecord::ChunkInstall { digest, bytes } => {
-                out.push(7);
-                put_u64(&mut out, *digest);
-                put_bytes(&mut out, bytes);
-            }
         }
         out
     }
@@ -455,7 +438,6 @@ impl StoreRecord {
                     },
                 }
             }
-            7 => StoreRecord::ChunkInstall { digest: r.u64()?, bytes: r.bytes()? },
             _ => return None,
         };
         r.done().then_some(rec)
@@ -517,10 +499,6 @@ mod tests {
                 }],
                 chunks: vec![(7, Bytes::from_static(b"zz"))],
                 counters: SnapCounters { puts: 3, dedup_hits: 1, ..SnapCounters::default() },
-            },
-            StoreRecord::ChunkInstall {
-                digest: 0xFEED_FACE,
-                bytes: Bytes::from_static(b"chunk body"),
             },
         ];
         for rec in records {

@@ -10,17 +10,16 @@
 //! re-uploads is stored once; `has_chunks` lets clients discover
 //! which chunks the store already holds and upload only the rest.
 
-use crate::dedup::ChunkArena;
+use crate::dedup::{ChunkArena, ChunkStore};
 use crate::journal::{SnapBucket, SnapCounters, SnapObject, StoreRecord};
 use crate::lifecycle::LifecycleRule;
 use crate::object::{ObjectMeta, StoredObject};
 use bytes::Bytes;
 use parking_lot::RwLock;
-use rai_archive::chunk::{assemble, chunk_shared_on, Chunk, ChunkManifest, ChunkerParams};
-use rai_archive::fnv;
-use rai_exec::Executor;
+use rai_archive::chunk::{assemble, chunk_shared, Chunk, ChunkManifest, ChunkerParams};
+use rai_archive::fnv::{self, Fnv1a};
 use rai_sim::{SimTime, VirtualClock};
-use rai_wal::{DurabilityConfig, LogBackend, StripedBackend, Wal};
+use rai_wal::Wal;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -86,19 +85,15 @@ struct BucketState {
     objects: BTreeMap<String, ObjRecord>,
 }
 
-/// Bucket and object metadata. Since the sharding change (DESIGN.md
-/// §16) the chunk arena lives in its own lock domains
-/// ([`crate::dedup::ChunkArena`]); this lock covers manifests only.
+/// Bucket and object metadata. The chunk arena lives behind its own
+/// lock ([`crate::dedup::ChunkArena`]); this one covers manifests only.
 ///
-/// Lock-order invariant: `state` before arena shards (shards among
-/// themselves in ascending index order), never the reverse. Chunk
-/// *releases* (overwrite, delete, sweep) always run under the state
-/// write lock, so a reader holding it (or even the read half — writers
-/// are excluded either way) can assemble a resident manifest from the
-/// arena without its chunks being freed mid-read. Chunk *admissions*
-/// only ever add bytes and references, so they may run outside the
-/// state lock — that is what lets concurrent `put_delta`s on disjoint
-/// digest prefixes proceed in parallel.
+/// Lock-order invariant: `state` before the arena, never the reverse.
+/// Every chunk admission and release (put, overwrite, delete, sweep)
+/// runs under the state write lock, so a reader holding it can
+/// assemble a resident manifest from the arena without its chunks being
+/// freed mid-read, and — with a log attached — admission order and log
+/// order agree. `has_chunks` is the one path that takes the arena alone.
 struct StoreState {
     buckets: BTreeMap<String, BucketState>,
 }
@@ -120,36 +115,18 @@ struct StoreInner {
     /// Secret for presigned-URL signatures (per store instance).
     presign_secret: u64,
     state: RwLock<StoreState>,
-    /// The refcounted chunk arena, hash-partitioned by digest prefix
-    /// into independent lock domains (1 shard = the reference config).
+    /// The refcounted chunk arena.
     arena: ChunkArena,
     counters: RwLock<Counters>,
     /// Remaining operations that should fail (fault injection).
     faults: std::sync::atomic::AtomicU64,
     /// Probability-driven fault injection (chaos runs).
     injector: RwLock<Option<rai_faults::FaultInjector>>,
-    /// Executor for server-side chunking and chunk verification.
-    /// Sequential by default; a pool spreads the per-chunk digest work
-    /// without changing any stored byte (DESIGN.md §12).
-    executor: RwLock<Executor>,
-    /// Optional write-ahead log for object mutations. When attached
-    /// without chunk logs (the legacy single-log layout), chunk bytes
-    /// ride `Put` records and every put serializes under the state
-    /// lock so log order matches application order.
+    /// Optional write-ahead log for object mutations. Newly admitted
+    /// chunk bytes ride the `Put` record of the upload that brought
+    /// them.
     wal: RwLock<Option<Wal>>,
-    /// Sharded-durable mode: one chunk log per arena shard (empty
-    /// otherwise). Newly admitted chunk bytes are journaled as
-    /// [`StoreRecord::ChunkInstall`] under the owning shard's lock, so
-    /// each shard's log order matches its admission order and the main
-    /// log's `Put` records carry no bytes — which is what lets
-    /// admissions run outside the state lock without racing replay.
-    chunk_wals: RwLock<Vec<Wal>>,
 }
-
-/// Minimum total provided-chunk bytes before `put_delta` pre-hashes on
-/// the pool instead of hashing inline under the state lock. Small
-/// deltas (the steady-state resubmission) stay on the inline path.
-const PAR_VERIFY_MIN_BYTES: u64 = 32 * 1024;
 
 /// Decide, once per manifest reference and before anything mutates,
 /// where its bytes come from: `Some(bytes)` when the request carried
@@ -166,17 +143,15 @@ const PAR_VERIFY_MIN_BYTES: u64 = 32 * 1024;
 fn resolve<'a>(
     manifest: &ChunkManifest,
     provided: &'a [Chunk],
-    pre_hashed: Option<&[u64]>,
     verify: bool,
     resident: impl Fn(u64) -> Option<usize>,
 ) -> Result<Vec<Option<&'a Bytes>>, StoreError> {
     let mismatch = |reason| Err(StoreError::DeltaMismatch { reason });
     // Keyed hasher: the digests are the uploader's to choose.
     let mut carried: HashMap<u64, (&Bytes, Option<usize>)> = HashMap::with_capacity(provided.len());
-    for (i, c) in provided.iter().enumerate() {
+    for c in provided {
         let stored = resident(c.digest);
-        let actual = || pre_hashed.map_or_else(|| fnv::hash(&c.data), |h| h[i]);
-        if verify && stored.is_none() && actual() != c.digest {
+        if verify && stored.is_none() && fnv::hash(&c.data) != c.digest {
             return mismatch("chunk bytes do not match claimed digest");
         }
         carried.insert(c.digest, (&c.data, stored));
@@ -258,18 +233,8 @@ fn next_presign_secret() -> u64 {
 }
 
 impl ObjectStore {
-    /// A store reading time from `clock`, with a single-lock chunk
-    /// arena (the reference configuration).
+    /// A store reading time from `clock`.
     pub fn new(clock: VirtualClock) -> Self {
-        Self::with_shards(clock, 1)
-    }
-
-    /// A store whose chunk arena is partitioned into `shards`
-    /// digest-prefix lock domains (clamped to at least 1). Shard
-    /// assignment is a pure function of the digest, and every
-    /// observable result is byte-identical at any shard count — only
-    /// contention changes.
-    pub fn with_shards(clock: VirtualClock, shards: usize) -> Self {
         ObjectStore {
             inner: Arc::new(StoreInner {
                 presign_secret: next_presign_secret(),
@@ -277,51 +242,32 @@ impl ObjectStore {
                 state: RwLock::new(StoreState {
                     buckets: BTreeMap::new(),
                 }),
-                arena: ChunkArena::new(shards),
+                arena: ChunkArena::default(),
                 counters: RwLock::new(Counters::default()),
                 faults: std::sync::atomic::AtomicU64::new(0),
                 injector: RwLock::new(None),
-                executor: RwLock::new(Executor::sequential()),
                 wal: RwLock::new(None),
-                chunk_wals: RwLock::new(Vec::new()),
             }),
         }
     }
 
-    /// Number of chunk-arena lock domains.
-    pub fn shard_count(&self) -> usize {
-        self.inner.arena.shard_count()
-    }
-
-    /// Resident chunks per arena shard (telemetry gauge).
-    pub fn shard_chunk_counts(&self) -> Vec<u64> {
-        self.inner.arena.shard_chunk_counts()
-    }
-
-    /// Cumulative microseconds spent waiting on contended arena shard
-    /// locks — a host fact (never fingerprinted), like `ExecStats`.
+    /// Cumulative microseconds spent waiting on the contended arena
+    /// lock — a host fact, never fingerprinted.
     pub fn lock_wait_micros(&self) -> u64 {
         self.inner.arena.lock_wait_micros()
     }
 
-    /// Exclusive (write) acquisitions of the arena's shard locks — a
-    /// host fact used to audit that pure presence reads stay off the
-    /// write path (DESIGN.md §17).
+    /// Exclusive (write) acquisitions of the arena lock — a host fact
+    /// used to audit that pure presence reads stay off the write path.
     pub fn arena_write_acquisitions(&self) -> u64 {
         self.inner.arena.write_acquisitions()
     }
 
-    /// Shared (read) acquisitions of the arena's shard locks — the
-    /// counterpart audit counter to
+    /// Shared (read) acquisitions of the arena lock — the counterpart
+    /// audit counter to
     /// [`ObjectStore::arena_write_acquisitions`].
     pub fn arena_read_acquisitions(&self) -> u64 {
         self.inner.arena.read_acquisitions()
-    }
-
-    /// Route server-side chunking/digesting onto `exec`. Results are
-    /// byte-identical at any parallelism; only wall-clock changes.
-    pub fn set_executor(&self, exec: Executor) {
-        *self.inner.executor.write() = exec;
     }
 
     /// Create a bucket with a lifecycle rule.
@@ -384,81 +330,53 @@ impl ObjectStore {
         }
     }
 
-    /// Take one arena reference per manifest chunk, atomically: every
-    /// shard a referenced (or provided) chunk hashes into is locked —
-    /// once, in ascending index order — for the whole
-    /// resolve-then-retain sequence, so an admission either fully
-    /// happens or (on [`StoreError::MissingChunks`] /
-    /// [`StoreError::DeltaMismatch`]) changes nothing.
+    /// Take one arena reference per manifest chunk, atomically: the
+    /// arena is locked once for the whole resolve-then-retain sequence,
+    /// so an admission either fully happens or (on
+    /// [`StoreError::MissingChunks`] / [`StoreError::DeltaMismatch`])
+    /// changes nothing. Must be called with the state write lock held
+    /// (see [`StoreState`]).
     ///
     /// `verify` marks a delta upload: `provided` is any subset of the
     /// manifest's chunks in any order and [`resolve`] runs the protocol
     /// checks. Otherwise `provided` is the chunker's own output, which
-    /// pairs with the manifest positionally and needs none. In
-    /// sharded-durable mode each newly admitted chunk is journaled as a
-    /// [`StoreRecord::ChunkInstall`] to its shard's log *under that
-    /// shard's lock*; otherwise (when `collect_new`) the new bytes are
-    /// returned, in manifest order, for the caller's `Put` record.
+    /// pairs with the manifest positionally and needs none. When
+    /// `collect_new`, the newly admitted bytes are returned, in
+    /// manifest order, for the caller's `Put` record.
     fn admit(
         &self,
         manifest: &ChunkManifest,
         provided: &[Chunk],
-        pre_hashed: Option<&[u64]>,
         verify: bool,
         collect_new: bool,
     ) -> Result<Vec<(u64, Bytes)>, StoreError> {
-        let arena = &self.inner.arena;
-        let chunk_wals = self.inner.chunk_wals.read();
-        let digests = manifest.chunks.iter().map(|r| r.digest);
-        let mut shards = arena.lock_for(digests.clone().chain(provided.iter().map(|c| c.digest)));
+        let mut arena = self.inner.arena.lock();
         let sources: Vec<Option<&Bytes>> = if verify {
-            resolve(manifest, provided, pre_hashed, true, |d| shards.resident_len(d))?
+            resolve(manifest, provided, true, |d| arena.resident_len(d))?
         } else {
+            let digests = manifest.chunks.iter().map(|r| r.digest);
             debug_assert!(digests.eq(provided.iter().map(|c| c.digest)));
             provided.iter().map(|c| Some(&c.data)).collect()
         };
 
         let mut new_chunks: Vec<(u64, Bytes)> = Vec::new();
         for (r, source) in manifest.chunks.iter().zip(sources) {
-            let hit = shards
-                .shard_mut(r.digest)
-                .retain(r.digest, source)
-                .expect("availability resolved above");
-            if !hit {
-                let data = source.expect("new chunk was provided").clone();
-                if let Some(w) = chunk_wals.get(arena.shard_of(r.digest)) {
-                    w.append(
-                        &StoreRecord::ChunkInstall { digest: r.digest, bytes: data }.encode(),
-                    );
-                } else if collect_new {
-                    new_chunks.push((r.digest, data));
-                }
+            let hit = arena.retain(r.digest, source).expect("availability resolved above");
+            if !hit && collect_new {
+                new_chunks.push((r.digest, source.expect("new chunk was provided").clone()));
             }
         }
         Ok(new_chunks)
     }
 
-    /// Drop one arena reference per manifest chunk, under one guard per
-    /// shard. Must be called with the state write lock held — releases
-    /// are serialized under it so concurrent readers can assemble
-    /// resident manifests safely (see [`StoreState`]).
-    fn release_manifest(&self, manifest: &ChunkManifest, replay: bool) {
-        let mut shards = self.inner.arena.lock_for(manifest.chunks.iter().map(|r| r.digest));
+    /// Drop one arena reference per manifest chunk, under one guard.
+    /// Must be called with the state write lock held (see
+    /// [`StoreState`]).
+    fn release_manifest(&self, manifest: &ChunkManifest) {
+        let mut arena = self.inner.arena.lock();
         for r in &manifest.chunks {
-            if replay {
-                shards.shard_mut(r.digest).release_replay(r.digest);
-            } else {
-                shards.shard_mut(r.digest).release(r.digest);
-            }
+            arena.release(r.digest);
         }
-    }
-
-    /// Whether the legacy single-log layout is active: a WAL is
-    /// attached with no per-shard chunk logs, so chunk bytes must ride
-    /// `Put` records and puts must serialize under the state lock
-    /// (admission order and main-log order must agree for replay).
-    fn legacy_log_layout(&self) -> bool {
-        self.inner.wal.read().is_some() && self.inner.chunk_wals.read().is_empty()
     }
 
     /// Upload (or overwrite) an object from a whole payload; returns
@@ -481,14 +399,13 @@ impl ObjectStore {
             return Err(StoreError::Unavailable);
         }
         let data = data.into();
-        let exec = self.inner.executor.read().clone();
-        let (manifest, chunks) = chunk_shared_on(&exec, &data, ChunkerParams::for_len(data.len()));
+        let (manifest, chunks) = chunk_shared(&data, ChunkerParams::for_len(data.len()));
         let size = manifest.total_len;
         let etag = manifest.etag.clone();
         let user: BTreeMap<String, String> = user_meta.into_iter().collect();
         // The chunker emits refs and chunk bodies in lockstep, so the
         // pairing is positional and needs no protocol checks.
-        self.commit_put(bucket, key, manifest, &chunks, None, false, user, size)?;
+        self.commit_put(bucket, key, manifest, &chunks, false, user, size)?;
 
         let mut c = self.inner.counters.write();
         c.puts += 1;
@@ -497,11 +414,8 @@ impl ObjectStore {
         Ok(etag)
     }
 
-    /// The shared admit → journal → install tail of `put`/`put_delta`.
-    /// In the legacy single-log layout the whole sequence holds the
-    /// state write lock (admission order must match log order); in
-    /// sharded or log-free mode only the install does, and admissions
-    /// on disjoint digest prefixes run concurrently.
+    /// The shared admit → journal → install tail of `put`/`put_delta`,
+    /// all of it under the state write lock (see [`StoreState`]).
     #[allow(clippy::too_many_arguments)]
     fn commit_put(
         &self,
@@ -509,29 +423,16 @@ impl ObjectStore {
         key: &str,
         manifest: ChunkManifest,
         provided: &[Chunk],
-        pre_hashed: Option<&[u64]>,
         delta: bool,
         user: BTreeMap<String, String>,
         wire_bytes: u64,
     ) -> Result<(), StoreError> {
         let wal = self.inner.wal.read().clone();
-        let (new_chunks, mut state) = if self.legacy_log_layout() {
-            let state = self.inner.state.write();
-            if !state.buckets.contains_key(bucket) {
-                return Err(StoreError::NoSuchBucket(bucket.to_string()));
-            }
-            let new = self.admit(&manifest, provided, pre_hashed, delta, wal.is_some())?;
-            (new, state)
-        } else {
-            if !self.inner.state.read().buckets.contains_key(bucket) {
-                return Err(StoreError::NoSuchBucket(bucket.to_string()));
-            }
-            // Buckets are monotonic (no deletion API), so the check
-            // above stays valid without holding the lock across the
-            // admission.
-            let new = self.admit(&manifest, provided, pre_hashed, delta, wal.is_some())?;
-            (new, self.inner.state.write())
-        };
+        let mut state = self.inner.state.write();
+        if !state.buckets.contains_key(bucket) {
+            return Err(StoreError::NoSuchBucket(bucket.to_string()));
+        }
+        let new_chunks = self.admit(&manifest, provided, delta, wal.is_some())?;
         let now = self.inner.clock.now();
         // The record takes the manifest and metadata by move and hands
         // them back for the install: journaling copies neither.
@@ -562,16 +463,15 @@ impl ObjectStore {
     /// delta-upload protocol; it is a metadata round trip and subject
     /// to the same transient faults as data reads.
     ///
-    /// Pure presence checks answer from the shard *read* locks, one
-    /// guard per shard the batch touches: many concurrent `has_chunks`
-    /// probes share each shard without excluding one another, and
-    /// never stall behind this call.
+    /// Pure presence checks answer from the arena *read* lock, one
+    /// guard per call: concurrent `has_chunks` probes share it without
+    /// excluding one another.
     pub fn has_chunks(&self, digests: &[u64]) -> Result<Vec<bool>, StoreError> {
         if self.take_fault() || self.injected_fault(rai_faults::FaultKind::StoreGet) {
             return Err(StoreError::Unavailable);
         }
-        let shards = self.inner.arena.read_for(digests.iter().copied());
-        Ok(digests.iter().map(|&d| shards.contains(d)).collect())
+        let arena = self.inner.arena.read();
+        Ok(digests.iter().map(|&d| arena.contains(d)).collect())
     }
 
     /// Upload (or overwrite) an object as a manifest plus only the
@@ -612,34 +512,12 @@ impl ObjectStore {
         }
         let user: BTreeMap<String, String> = user_meta.into_iter().collect();
 
-        // Under a pool executor, bulk deltas pre-hash their provided
-        // bytes in parallel *before* the state lock; the verification
-        // loop below then compares precomputed digests instead of
-        // hashing inline while writers wait. The accept/reject outcome
-        // is identical (same chunks checked, in the same order).
-        let exec = self.inner.executor.read().clone();
         let provided_bytes: u64 = provided.iter().map(|c| c.data.len() as u64).sum();
-        let pre_hashed: Option<Vec<u64>> =
-            if !exec.is_sequential() && provided_bytes >= PAR_VERIFY_MIN_BYTES {
-                Some(exec.par_map(provided.iter().collect(), |c: &Chunk| fnv::hash(&c.data)))
-            } else {
-                None
-            };
-
         let etag = manifest.etag.clone();
         let wire: u64 = provided_bytes + manifest.encoded_len();
 
         // The clone is the store's own copy of the caller's manifest.
-        self.commit_put(
-            bucket,
-            key,
-            manifest.clone(),
-            provided,
-            pre_hashed.as_deref(),
-            true,
-            user,
-            wire,
-        )?;
+        self.commit_put(bucket, key, manifest.clone(), provided, true, user, wire)?;
 
         let mut c = self.inner.counters.write();
         c.puts += 1;
@@ -679,7 +557,7 @@ impl ObjectStore {
             // New references were taken by `admit` before this release,
             // so an overwrite never frees chunks the new manifest
             // shares with the old.
-            self.release_manifest(&prev.manifest, false);
+            self.release_manifest(&prev.manifest);
         }
     }
 
@@ -705,10 +583,10 @@ impl ObjectStore {
         // Assembling while holding the state write lock is what makes
         // this safe: all chunk releases serialize under it, so every
         // chunk this resident manifest references stays resident. The
-        // arena is only read: shared guards, one per shard, suffice.
+        // arena is only read: one shared guard suffices.
         let data = {
-            let shards = self.inner.arena.read_for(rec.manifest.chunks.iter().map(|r| r.digest));
-            assemble(&rec.manifest, |d| shards.shard(d)?.data(d))
+            let arena = self.inner.arena.read();
+            assemble(&rec.manifest, |d| arena.data(d))
         }
         .expect("resident manifests always resolve");
         let out = StoredObject {
@@ -763,7 +641,7 @@ impl ObjectStore {
             bucket: bucket.to_string(),
             key: key.to_string(),
         })?;
-        self.release_manifest(&rec.manifest, false);
+        self.release_manifest(&rec.manifest);
         if let Some(w) = &wal {
             w.append(
                 &StoreRecord::Delete { bucket: bucket.to_string(), key: key.to_string() }
@@ -803,19 +681,12 @@ impl ObjectStore {
         // Keyed FNV-1a over (secret, bucket, key, expiry). Not
         // cryptographic — matches the store's integrity-not-secrecy
         // threat model; real deployments use SigV4.
-        let mut h = 0xcbf2_9ce4_8422_2325u64 ^ self.inner.presign_secret;
-        for b in bucket
-            .as_bytes()
-            .iter()
-            .chain(&[0u8])
-            .chain(key.as_bytes())
-            .chain(&[0u8])
-            .chain(&expires_at.as_millis().to_le_bytes())
-        {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        let mut h = Fnv1a::with_basis(fnv::OFFSET_BASIS ^ self.inner.presign_secret);
+        for field in [bucket.as_bytes(), key.as_bytes()] {
+            h.update(field).push(0);
         }
-        h
+        h.update(&expires_at.as_millis().to_le_bytes());
+        h.digest()
     }
 
     /// Fetch through a presigned URL, enforcing expiry and signature.
@@ -872,7 +743,7 @@ impl ObjectStore {
             }
         }
         for manifest in &released {
-            self.release_manifest(manifest, false);
+            self.release_manifest(manifest);
         }
         // A sweep that expired nothing is a no-op at any replay time
         // and is not journaled; one that did is replayed at its
@@ -925,82 +796,25 @@ impl ObjectStore {
 
     // ---- durability --------------------------------------------------
 
-    /// Attach a write-ahead log in the legacy single-log layout (chunk
-    /// bytes ride `Put` records): every committed mutation from here
+    /// Attach a write-ahead log: every committed mutation from here
     /// on is journaled. Attach before the first mutation — the log
     /// must cover the store's whole history (or start from a
     /// snapshot).
     pub fn attach_wal(&self, wal: Wal) {
-        self.attach_logs(wal, Vec::new());
+        *self.inner.wal.write() = Some(wal);
     }
 
-    /// Attach the sharded-durable log streams: a main object log plus
-    /// one chunk log per arena shard (or none, for the legacy layout).
-    /// Newly admitted chunk bytes go to their shard's log; `Put`
-    /// records in the main log then carry no bytes.
-    pub fn attach_logs(&self, main: Wal, chunk_wals: Vec<Wal>) {
-        assert!(
-            chunk_wals.is_empty() || chunk_wals.len() == self.inner.arena.shard_count(),
-            "one chunk log per arena shard"
-        );
-        *self.inner.wal.write() = Some(main);
-        *self.inner.chunk_wals.write() = chunk_wals;
-    }
-
-    /// The attached main WAL, if any.
+    /// The attached WAL, if any.
     pub fn wal(&self) -> Option<Wal> {
         self.inner.wal.read().clone()
     }
 
-    /// The attached per-shard chunk logs (empty in the legacy layout).
-    pub fn chunk_wals(&self) -> Vec<Wal> {
-        self.inner.chunk_wals.read().clone()
-    }
-
-    /// Force the attached logs' buffered appends to stable storage
-    /// (durability point). Chunk logs sync before the main log so a
-    /// crash between the two can lose an admitted chunk's `Put`, but
-    /// never a synced `Put`'s chunk bytes... except when the tear
-    /// itself lands on a chunk lane, which replay handles by dropping
-    /// (and counting) the unreadable object. No-op without a WAL.
+    /// Force the attached log's buffered appends to stable storage
+    /// (durability point). No-op without a WAL.
     pub fn sync_wal(&self) {
-        for w in self.inner.chunk_wals.read().iter() {
-            w.sync();
-        }
         if let Some(w) = self.inner.wal.read().as_ref() {
             w.sync();
         }
-    }
-
-    /// Open a store's log streams over one backend, per the arena
-    /// shard count. At `shards == 1` the backend carries the single
-    /// legacy log byte-for-byte (no striping, no chunk lanes); at
-    /// `shards > 1` the backend's segment-id space is striped into
-    /// `shards + 1` interleaved lanes — lane 0 the main object log,
-    /// lanes `1..=shards` one chunk log per arena shard — so drivers
-    /// keep provisioning exactly one store log either way.
-    pub fn open_store_logs(
-        backend: Arc<dyn LogBackend>,
-        config: DurabilityConfig,
-        shards: usize,
-    ) -> (Wal, Vec<Wal>) {
-        if shards <= 1 {
-            return (Wal::open(backend, config), Vec::new());
-        }
-        let stride = shards as u64 + 1;
-        let main = Wal::open(
-            Arc::new(StripedBackend::new(backend.clone(), 0, stride)),
-            config,
-        );
-        let chunks = (0..shards)
-            .map(|i| {
-                Wal::open(
-                    Arc::new(StripedBackend::new(backend.clone(), i as u64 + 1, stride)),
-                    config,
-                )
-            })
-            .collect();
-        (main, chunks)
     }
 
     /// Rebuild a store from `wal`, then attach the log to the rebuilt
@@ -1010,91 +824,33 @@ impl ObjectStore {
     /// counted in the returned [`StoreRecovery`] — replay never
     /// panics and never installs an unreadable object.
     pub fn recover(clock: VirtualClock, wal: Wal) -> (ObjectStore, StoreRecovery) {
-        Self::recover_sharded(clock, wal, Vec::new())
-    }
-
-    /// Rebuild a sharded-durable store: one chunk log per arena shard
-    /// plus the main object log. The arena shard count is implied by
-    /// the lane count (`chunk_wals.len()`, or 1 when empty — the
-    /// legacy layout).
-    ///
-    /// Replay runs in two phases. Phase 1 restores every lane's
-    /// [`StoreRecord::ChunkInstall`] bytes at refcount zero; phase 2
-    /// replays the main log, re-deriving each put's dedup outcome from
-    /// the refcount (see `ChunkStore::retain_replay`) so the rebuilt
-    /// state is byte-identical regardless of how installs interleaved
-    /// across lanes. Chunks left unreferenced at the end — orphaned by
-    /// dropped objects or freed before the crash — are pruned.
-    pub fn recover_sharded(
-        clock: VirtualClock,
-        main: Wal,
-        chunk_wals: Vec<Wal>,
-    ) -> (ObjectStore, StoreRecovery) {
-        fn add(into: &mut rai_wal::ReplayStats, s: rai_wal::ReplayStats) {
-            into.replayed += s.replayed;
-            into.corrupt_dropped += s.corrupt_dropped;
-            into.torn_bytes += s.torn_bytes;
-        }
-        let store = ObjectStore::with_shards(clock, chunk_wals.len().max(1));
-        let sharded = !chunk_wals.is_empty();
-        let mut recovery = StoreRecovery::default();
-        // Phase 1: restore the chunk lanes. Lane `i` holds exactly
-        // shard `i`'s admissions in admission order; a record lost to
-        // a torn lane tail surfaces in phase 2 as an unresolvable
-        // object (dropped, counted), never as a panic.
-        for (i, wal) in chunk_wals.iter().enumerate() {
-            let replay = wal.replay();
-            add(&mut recovery.stats, replay.stats);
-            let mut shard = store.inner.arena.lock(i);
-            for payload in &replay.records {
-                match StoreRecord::decode(payload) {
-                    Some(StoreRecord::ChunkInstall { digest, bytes }) => {
-                        shard.restore_chunk(digest, bytes);
-                        recovery.applied += 1;
-                    }
-                    _ => recovery.malformed_dropped += 1,
-                }
-            }
-        }
-        // Phase 2: the main object log.
-        let replay = main.replay();
-        add(&mut recovery.stats, replay.stats);
+        let store = ObjectStore::new(clock);
+        let replay = wal.replay();
+        let mut recovery = StoreRecovery { stats: replay.stats, ..StoreRecovery::default() };
         {
             let mut state = store.inner.state.write();
             let mut counters = store.inner.counters.write();
             for payload in &replay.records {
                 match StoreRecord::decode(payload) {
                     Some(rec) => {
-                        recovery.objects_dropped +=
-                            store.apply(&mut state, &mut counters, rec, sharded);
+                        recovery.objects_dropped += store.apply(&mut state, &mut counters, rec);
                         recovery.applied += 1;
                     }
                     None => recovery.malformed_dropped += 1,
                 }
             }
         }
-        // Chunks no surviving manifest references (snapshot leftovers,
-        // dropped objects, frees before the crash) would otherwise
-        // linger with a zero refcount.
-        store.inner.arena.prune_unreferenced();
-        store.attach_logs(main, chunk_wals);
+        // Chunks no surviving manifest references (a snapshot's, whose
+        // object was dropped) would otherwise linger with a zero
+        // refcount.
+        store.inner.arena.lock().prune_unreferenced();
+        store.attach_wal(wal);
         (store, recovery)
     }
 
     /// Apply one journaled mutation during replay. Returns how many
-    /// objects were dropped (chunk bytes unavailable). `sharded` picks
-    /// the chunk-reference semantics: chunk bytes pre-restored from
-    /// per-shard lanes (refcounts re-derived in place, releases keep
-    /// bytes) versus the legacy layout where bytes ride the `Put`
-    /// records themselves.
-    fn apply(
-        &self,
-        state: &mut StoreState,
-        counters: &mut Counters,
-        rec: StoreRecord,
-        sharded: bool,
-    ) -> u64 {
-        let arena = &self.inner.arena;
+    /// objects were dropped (chunk bytes unavailable).
+    fn apply(&self, state: &mut StoreState, counters: &mut Counters, rec: StoreRecord) -> u64 {
         match rec {
             StoreRecord::CreateBucket { name, rule } => {
                 state
@@ -1128,33 +884,18 @@ impl ObjectStore {
                 let carried: Vec<Chunk> =
                     new_chunks.into_iter().map(|(digest, data)| Chunk { digest, data }).collect();
                 {
-                    let referenced = manifest.chunks.iter().map(|r| r.digest);
-                    let mut shards =
-                        arena.lock_for(referenced.chain(carried.iter().map(|c| c.digest)));
+                    let mut arena = self.inner.arena.lock();
                     // Atomicity, as in put_delta: resolve every
                     // reference before mutating anything. A miss means
                     // the bytes rode a WAL record that was dropped as
                     // corrupt — the object is unreadable and must not
                     // be installed.
-                    let resident = |d| shards.resident_len(d);
-                    let Ok(sources) = resolve(&manifest, &carried, None, false, resident) else {
+                    let resident = |d| arena.resident_len(d);
+                    let Ok(sources) = resolve(&manifest, &carried, false, resident) else {
                         return 1;
                     };
                     for (r, source) in manifest.chunks.iter().zip(sources) {
-                        let shard = shards.shard_mut(r.digest);
-                        let retained = if sharded {
-                            // Bytes normally live in the shard's lane
-                            // already; a record that carried its own
-                            // bytes (mixed-layout log) installs them
-                            // first (a no-op when resident).
-                            if let Some(data) = source {
-                                shard.restore_chunk(r.digest, data.clone());
-                            }
-                            shard.retain_replay(r.digest)
-                        } else {
-                            shard.retain(r.digest, source).ok()
-                        };
-                        retained.expect("availability resolved above");
+                        arena.retain(r.digest, source).expect("availability resolved above");
                     }
                 }
                 let now = SimTime::from_millis(time_millis);
@@ -1172,7 +913,7 @@ impl ObjectStore {
                 let b = state.buckets.get_mut(&bucket).expect("existence checked above");
                 let prev = b.objects.insert(key, record);
                 if let Some(prev) = prev {
-                    self.release_manifest(&prev.manifest, sharded);
+                    self.release_manifest(&prev.manifest);
                 }
                 0
             }
@@ -1193,7 +934,7 @@ impl ObjectStore {
                 if let Some(rec) =
                     state.buckets.get_mut(&bucket).and_then(|b| b.objects.remove(&key))
                 {
-                    self.release_manifest(&rec.manifest, sharded);
+                    self.release_manifest(&rec.manifest);
                 }
                 0
             }
@@ -1217,46 +958,32 @@ impl ObjectStore {
                     }
                 }
                 for m in &released {
-                    self.release_manifest(m, sharded);
+                    self.release_manifest(m);
                 }
-                0
-            }
-            StoreRecord::ChunkInstall { digest, bytes } => {
-                // Chunk installs belong to the per-shard lanes; one in
-                // the main log (mixed-layout history) still restores.
-                arena.lock(arena.shard_of(digest)).restore_chunk(digest, bytes);
                 0
             }
             StoreRecord::SnapshotStore { buckets, chunks, counters: snap } => {
                 let mut dropped = 0u64;
                 state.buckets.clear();
-                if sharded {
-                    // The physical payload was already restored from
-                    // the chunk lanes in phase 1; discard whatever
-                    // references pre-snapshot replay accumulated and
-                    // re-derive them from the snapshot's manifests.
-                    arena.reset_refs();
-                } else {
-                    arena.wipe();
-                }
-                let mut shards = arena.lock_for(chunks.iter().map(|&(d, _)| d));
+                // The snapshot carries the full physical payload at
+                // refcount zero; references are re-derived from its
+                // manifests.
+                let mut arena = self.inner.arena.lock();
+                *arena = ChunkStore::new();
                 for (digest, data) in chunks {
-                    shards.shard_mut(digest).restore_chunk(digest, data);
+                    arena.restore_chunk(digest, data);
                 }
-                drop(shards);
                 for b in buckets {
                     let mut objects = BTreeMap::new();
                     for o in b.objects {
                         let digests = o.manifest.chunks.iter().map(|r| r.digest);
-                        let mut shards = arena.lock_for(digests.clone());
-                        if !digests.clone().all(|d| shards.contains(d)) {
+                        if !digests.clone().all(|d| arena.contains(d)) {
                             dropped += 1;
                             continue;
                         }
                         for d in digests {
-                            shards.shard_mut(d).ref_existing(d);
+                            arena.ref_existing(d);
                         }
-                        drop(shards);
                         objects.insert(
                             o.meta.key.clone(),
                             ObjRecord { meta: o.meta, manifest: o.manifest },
@@ -1266,7 +993,7 @@ impl ObjectStore {
                         .buckets
                         .insert(b.name, BucketState { rule: b.rule, objects });
                 }
-                arena.set_dedup_hits_total(snap.dedup_hits);
+                arena.set_dedup_hits(snap.dedup_hits);
                 *counters = Counters {
                     bytes_uploaded: snap.bytes_uploaded,
                     bytes_downloaded: snap.bytes_downloaded,
@@ -1282,39 +1009,20 @@ impl ObjectStore {
         }
     }
 
-    /// Compact the attached logs into snapshot records if any log's
-    /// size warrants it (per [`rai_wal::DurabilityConfig`]). All lanes
-    /// compact together — a snapshot is one consistent point, and the
-    /// main-log snapshot's manifests must resolve against exactly the
-    /// chunk set the lanes retain. Call only at quiesced points — the
-    /// snapshot must not interleave with concurrent mutations. Returns
-    /// whether a compaction ran.
+    /// Compact the attached log into one snapshot record if its size
+    /// warrants it (per [`rai_wal::DurabilityConfig`]). Call only at
+    /// quiesced points — the snapshot must not interleave with
+    /// concurrent mutations. Returns whether a compaction ran.
     pub fn maybe_compact(&self) -> bool {
         let Some(wal) = self.inner.wal.read().clone() else {
             return false;
         };
-        let chunk_wals = self.inner.chunk_wals.read().clone();
-        if !wal.should_compact() && !chunk_wals.iter().any(|w| w.should_compact()) {
+        if !wal.should_compact() {
             return false;
         }
         let state = self.inner.state.read();
         let counters = self.inner.counters.read();
-        let arena = &self.inner.arena;
-        // Legacy layout: the snapshot record itself carries the
-        // physical payload, digest-sorted (shard partitioning keeps
-        // per-shard maps sorted; the merge just re-sorts the
-        // concatenation). Sharded: the lanes carry it instead.
-        let snap_chunks: Vec<(u64, Bytes)> = if chunk_wals.is_empty() {
-            let mut all: Vec<(u64, Bytes)> = Vec::new();
-            for i in 0..arena.shard_count() {
-                all.extend(arena.read(i).snapshot_chunks());
-            }
-            all.sort_by_key(|&(d, _)| d);
-            all
-        } else {
-            Vec::new()
-        };
-        let (_, _, dedup_hits) = arena.totals();
+        let arena = self.inner.arena.read();
         let snapshot = StoreRecord::SnapshotStore {
             buckets: state
                 .buckets
@@ -1332,7 +1040,7 @@ impl ObjectStore {
                         .collect(),
                 })
                 .collect(),
-            chunks: snap_chunks,
+            chunks: arena.snapshot_chunks(),
             counters: SnapCounters {
                 bytes_uploaded: counters.bytes_uploaded,
                 bytes_downloaded: counters.bytes_downloaded,
@@ -1342,16 +1050,10 @@ impl ObjectStore {
                 gets: counters.gets,
                 deletes: counters.deletes,
                 expired: counters.expired,
-                dedup_hits,
+                dedup_hits: arena.dedup_hits(),
             },
         };
         wal.compact(std::iter::once(snapshot.encode()));
-        for (i, cw) in chunk_wals.iter().enumerate() {
-            let resident = arena.read(i).snapshot_chunks();
-            cw.compact(resident.into_iter().map(|(digest, bytes)| {
-                StoreRecord::ChunkInstall { digest, bytes }.encode()
-            }));
-        }
         true
     }
 }
@@ -1627,9 +1329,9 @@ mod tests {
         let body = chunks[0].data.buffer().unwrap();
         s.put_delta("keep", "k", &manifest, &chunks, []).unwrap();
         {
-            let shards = s.inner.arena.read_for(manifest.chunks.iter().map(|r| r.digest));
+            let arena = s.inner.arena.read();
             for c in &chunks {
-                let held = shards.shard(c.digest).unwrap().data(c.digest).unwrap();
+                let held = arena.data(c.digest).unwrap();
                 assert!(held.buffer().unwrap().ptr_eq(&body), "chunk {:x} was copied", c.digest);
             }
         }
@@ -1681,44 +1383,6 @@ mod tests {
             s.put_delta("keep", "a", &bad, &[], []),
             Err(StoreError::DeltaMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn pool_executor_store_matches_sequential() {
-        // Big enough to cross both PAR_CHUNK_MIN_BYTES (server-side
-        // put chunking) and PAR_VERIFY_MIN_BYTES (delta pre-hash), so
-        // the pool paths actually run.
-        let payload = varied(100_000, 9);
-        let (manifest, chunks) = chunk_bytes(&payload, ChunkerParams::DEFAULT);
-        let reference = {
-            let s = store();
-            let etag = s.put("keep", "whole", payload.clone(), []).unwrap();
-            let detag = s.put_delta("keep", "delta", &manifest, &chunks, []).unwrap();
-            (etag, detag, s.usage())
-        };
-        for threads in [2, 8] {
-            let s = store();
-            s.set_executor(Executor::new(threads));
-            let etag = s.put("keep", "whole", payload.clone(), []).unwrap();
-            let detag = s.put_delta("keep", "delta", &manifest, &chunks, []).unwrap();
-            assert_eq!(
-                (etag, detag, s.usage()),
-                reference,
-                "store accounting drift at threads={threads}"
-            );
-            assert_eq!(s.get("keep", "delta").unwrap().data.as_ref(), &payload[..]);
-            // Corruption is still rejected on the pre-hashed path
-            // (fresh store: the chunk must not already be resident,
-            // or its provided bytes would be ignored by design).
-            let fresh = store();
-            fresh.set_executor(Executor::new(threads));
-            let mut bad = chunks.clone();
-            bad[0].data = Bytes::from(vec![0xAB; bad[0].data.len()]);
-            assert!(matches!(
-                fresh.put_delta("keep", "x", &manifest, &bad, []),
-                Err(StoreError::DeltaMismatch { .. })
-            ));
-        }
     }
 
     #[test]
@@ -1965,24 +1629,12 @@ mod tests {
         assert_eq!(r.get("keep", "fresh").unwrap().data.as_ref(), b"ok");
     }
 
-    // ---- sharded arena and sharded-durable layout --------------------
-
-    fn store_with_shards(shards: usize) -> ObjectStore {
-        let s = ObjectStore::with_shards(VirtualClock::new(), shards);
-        s.create_bucket("uploads", LifecycleRule::one_month_after_last_use())
-            .unwrap();
-        s.create_bucket("builds", LifecycleRule::AfterUpload(SimDuration::from_days(90)))
-            .unwrap();
-        s.create_bucket("keep", LifecycleRule::Keep).unwrap();
-        s
-    }
-
-    /// A workload exercising every chunk-lifecycle transition replay
-    /// must reproduce: dedup'd delta puts, overwrites, deletes, expiry,
-    /// and — the subtle one — content re-admitted after its last
-    /// reference died (live, the bytes are freed and re-uploaded; in
-    /// sharded replay they stay resident at refcount zero).
-    fn sharded_workload(s: &ObjectStore) {
+    #[test]
+    fn replay_reproduces_every_chunk_lifecycle_transition() {
+        // Dedup'd delta puts, overwrites, deletes, expiry, and content
+        // re-admitted after its last reference died (the bytes are
+        // freed and ride the later `Put` record again).
+        let (s, disk) = durable_store(rai_wal::DurabilityConfig::durable());
         let payload = varied(5000, 77);
         s.put("uploads", "team/proj.tar", payload.clone(), []).unwrap();
         let (manifest, chunks) = chunk_bytes(&payload, ChunkerParams::DEFAULT);
@@ -1994,178 +1646,73 @@ mod tests {
         s.put("builds", "b3", varied(900, 103), []).unwrap(); // overwrite
         s.delete("keep", "copy").unwrap();
         s.delete("uploads", "team/proj.tar").unwrap();
-        s.put("keep", "reborn", payload, []).unwrap();
+        s.put("keep", "reborn", payload.clone(), []).unwrap();
         s.clock().advance(SimDuration::from_days(95));
         s.sweep_lifecycle();
+        s.sync_wal();
+        let clock = VirtualClock::new();
+        clock.advance(SimDuration::from_days(95));
+        let (r, recovery) = reopen(&disk, clock);
+        assert_eq!(recovery.stats.corrupt_dropped, 0);
+        assert_eq!(recovery.malformed_dropped, 0);
+        assert_eq!(recovery.objects_dropped, 0);
+        assert_eq!(fingerprint(&r), fingerprint(&s));
+        assert_eq!(r.get("keep", "reborn").unwrap().data.as_ref(), &payload[..]);
     }
 
-    fn durable_sharded(shards: usize) -> (ObjectStore, rai_wal::MemDisk) {
-        let disk = rai_wal::MemDisk::new();
-        let (main, lanes) = ObjectStore::open_store_logs(
-            Arc::new(disk.clone()),
-            rai_wal::DurabilityConfig::durable(),
-            shards,
-        );
-        let s = ObjectStore::with_shards(VirtualClock::new(), shards);
-        s.attach_logs(main, lanes);
-        s.create_bucket("uploads", LifecycleRule::one_month_after_last_use())
-            .unwrap();
-        s.create_bucket("builds", LifecycleRule::AfterUpload(SimDuration::from_days(90)))
-            .unwrap();
-        s.create_bucket("keep", LifecycleRule::Keep).unwrap();
-        (s, disk)
-    }
+    #[test]
+    fn replay_classifies_a_retired_record_tag_as_malformed() {
+        // Tag 7 framed a per-shard chunk install in a layout this store
+        // no longer writes. A log holding one is not this store's: the
+        // record is dropped and counted, everything else recovers.
+        let (s, disk) = durable_store(rai_wal::DurabilityConfig::durable());
+        let before = varied(3000, 51);
+        s.put("keep", "before", before.clone(), []).unwrap();
+        let mut retired = vec![7u8];
+        retired.extend_from_slice(&0xFEED_FACE_u64.to_le_bytes());
+        retired.extend_from_slice(&10u32.to_le_bytes());
+        retired.extend_from_slice(b"chunk body");
+        assert_eq!(StoreRecord::decode(&retired), None);
+        s.wal().unwrap().append(&retired);
+        let after = varied(3000, 52);
+        s.put("keep", "after", after.clone(), []).unwrap();
+        s.sync_wal();
 
-    fn reopen_sharded(
-        disk: &rai_wal::MemDisk,
-        shards: usize,
-        clock: VirtualClock,
-    ) -> (ObjectStore, StoreRecovery) {
-        let (main, lanes) = ObjectStore::open_store_logs(
-            Arc::new(disk.clone()),
-            rai_wal::DurabilityConfig::durable(),
-            shards,
-        );
-        ObjectStore::recover_sharded(clock, main, lanes)
+        let (r, recovery) = reopen(&disk, VirtualClock::new());
+        assert_eq!(recovery.malformed_dropped, 1, "the retired record is counted, not applied");
+        assert_eq!(recovery.stats.corrupt_dropped, 0, "its frame was intact");
+        assert_eq!(recovery.objects_dropped, 0);
+        assert_eq!(fingerprint(&r), fingerprint(&s));
+        assert!(!r.has_chunks(&[0xFEED_FACE]).unwrap()[0], "nothing of it was installed");
+        assert_eq!(r.get("keep", "before").unwrap().data.as_ref(), &before[..]);
+        assert_eq!(r.get("keep", "after").unwrap().data.as_ref(), &after[..]);
     }
 
     #[test]
     fn presence_reads_take_no_write_locks() {
-        let s = store_with_shards(4);
+        let s = store();
         let payload = varied(5000, 7);
         s.put("uploads", "team/proj.tar", payload.clone(), []).unwrap();
         let (manifest, _) = chunk_bytes(&payload, ChunkerParams::for_len(payload.len()));
         let mut digests: Vec<u64> = manifest.chunks.iter().map(|r| r.digest).collect();
         digests.push(0xdead_beef_dead_beef); // absent digest probes the same path
-        assert!(digests.len() > 4 * s.shard_count(), "batch must dwarf the shard count");
-        let arena = &s.inner.arena;
-        let (writes_before, reads_before) = (arena.write_acquisitions(), arena.read_acquisitions());
+        assert!(digests.len() > 4, "a batch, not a single probe");
+        let (writes_before, reads_before) =
+            (s.arena_write_acquisitions(), s.arena_read_acquisitions());
         let flags = s.has_chunks(&digests).unwrap();
         assert!(flags[..flags.len() - 1].iter().all(|&f| f));
         assert!(!flags[flags.len() - 1]);
         assert_eq!(s.get("uploads", "team/proj.tar").unwrap().data.as_ref(), &payload[..]);
         assert_eq!(
-            arena.write_acquisitions(),
+            s.arena_write_acquisitions(),
             writes_before,
-            "presence checks and reassembly must never take an exclusive shard lock"
-        );
-        let reads = arena.read_acquisitions() - reads_before;
-        assert!(
-            (2..=2 * s.shard_count() as u64).contains(&reads),
-            "each call costs at most one shared guard per shard, not one per chunk: {reads}"
-        );
-    }
-
-    #[test]
-    fn sharded_arena_matches_single_lock_reference() {
-        let run = |shards: usize| {
-            let s = store_with_shards(shards);
-            sharded_workload(&s);
-            (fingerprint(&s), s.get("keep", "reborn").unwrap().data)
-        };
-        let reference = run(1);
-        for shards in [4, 16] {
-            assert_eq!(run(shards), reference, "shards={shards} must be observationally identical");
-        }
-        // The occupancy gauge partitions the resident set exactly.
-        let s = store_with_shards(4);
-        sharded_workload(&s);
-        let counts = s.shard_chunk_counts();
-        assert_eq!(counts.len(), 4);
-        assert_eq!(counts.iter().sum::<u64>(), s.usage().chunks);
-    }
-
-    #[test]
-    fn sharded_durable_recovery_round_trip() {
-        let (s, disk) = durable_sharded(4);
-        sharded_workload(&s);
-        s.sync_wal();
-        let clock = VirtualClock::new();
-        clock.advance(SimDuration::from_days(95));
-        let (r, recovery) = reopen_sharded(&disk, 4, clock);
-        assert_eq!(recovery.stats.corrupt_dropped, 0);
-        assert_eq!(recovery.malformed_dropped, 0);
-        assert_eq!(recovery.objects_dropped, 0);
-        assert_eq!(fingerprint(&r), fingerprint(&s), "per-shard replay must be exact");
-        // ...and byte-identical to the legacy single-log reference run
-        // (compared before any reads — gets are journaled and counted).
-        let (legacy, _) = durable_store(rai_wal::DurabilityConfig::durable());
-        sharded_workload(&legacy);
-        assert_eq!(fingerprint(&r), fingerprint(&legacy));
-        // Read through `r` only: `s` still journals into the same
-        // disk, and a stray Touch would double-count on the reopen.
-        assert_eq!(r.get("keep", "reborn").unwrap().data.as_ref(), &varied(5000, 77)[..]);
-        // The recovered store keeps journaling into its lanes.
-        r.put("keep", "after", &b"post-recovery"[..], []).unwrap();
-        r.sync_wal();
-        let (r2, _) = reopen_sharded(&disk, 4, VirtualClock::new());
-        assert_eq!(fingerprint(&r2), fingerprint(&r));
-        assert_eq!(r2.get("keep", "after").unwrap().data.as_ref(), b"post-recovery");
-    }
-
-    #[test]
-    fn sharded_compaction_compacts_all_lanes_together() {
-        let disk = rai_wal::MemDisk::new();
-        let config = rai_wal::DurabilityConfig {
-            compact_min_bytes: 1,
-            compact_factor: 2,
-            ..rai_wal::DurabilityConfig::durable()
-        };
-        let (main, lanes) = ObjectStore::open_store_logs(Arc::new(disk.clone()), config, 4);
-        let s = ObjectStore::with_shards(VirtualClock::new(), 4);
-        s.attach_logs(main, lanes);
-        s.create_bucket("keep", LifecycleRule::Keep).unwrap();
-        for i in 0..50u64 {
-            s.put("keep", "hot", varied(1200, i), []).unwrap();
-        }
-        s.sync_wal();
-        let before = disk.total_bytes();
-        assert!(s.maybe_compact(), "50 dead overwrites must trip the threshold");
-        let after = disk.total_bytes();
-        assert!(
-            after * 4 < before,
-            "snapshot + resident lane chunks should be far smaller ({after} vs {before})"
-        );
-        let (r, recovery) = reopen_sharded(&disk, 4, VirtualClock::new());
-        assert_eq!(recovery.objects_dropped, 0);
-        assert_eq!(fingerprint(&r), fingerprint(&s));
-        assert_eq!(r.get("keep", "hot").unwrap().data, s.get("keep", "hot").unwrap().data);
-    }
-
-    #[test]
-    fn sharded_torn_lane_loses_only_unsynced_objects() {
-        let (s, disk) = durable_sharded(4);
-        let a = varied(2000, 31);
-        s.put("keep", "synced", a.clone(), []).unwrap();
-        s.sync_wal();
-        s.put("keep", "unsynced", varied(2000, 32), []).unwrap();
-        let profile = rai_faults::DiskFaultProfile {
-            torn_tail: 1.0,
-            ..rai_faults::DiskFaultProfile::none(9)
-        };
-        let faults = disk.crash_with(&profile, 0);
-        assert!(!faults.is_empty(), "profile guarantees a torn tail");
-        // The tear lands in whichever lane owns the highest physical
-        // segment — possibly a chunk lane (Put resolves nothing and is
-        // dropped) or the main lane (the Put itself is lost). Either
-        // way the synced object survives and nothing half-exists.
-        let (r, recovery) = reopen_sharded(&disk, 4, VirtualClock::new());
-        assert!(
-            recovery.stats.torn_bytes > 0 || recovery.stats.corrupt_dropped > 0,
-            "the tear must be detected, not silently accepted"
+            "presence checks and reassembly must never take the exclusive arena lock"
         );
         assert_eq!(
-            r.get("keep", "synced").unwrap().data.as_ref(),
-            &a[..],
-            "synced object survives intact"
+            s.arena_read_acquisitions() - reads_before,
+            2,
+            "each call costs one shared guard, not one per chunk"
         );
-        let objects = r.usage().objects;
-        assert!(objects == 1 || objects == 2, "unsynced put may or may not survive");
-        for meta in r.list("keep", "").unwrap() {
-            r.get("keep", &meta.key).unwrap();
-        }
-        let counts = r.shard_chunk_counts();
-        assert_eq!(counts.iter().sum::<u64>(), r.usage().chunks, "no orphaned chunks linger");
     }
 
     #[test]

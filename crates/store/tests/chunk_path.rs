@@ -11,7 +11,7 @@ use bytes::Bytes;
 use rai_archive::chunk::{chunk_bytes, Chunk, ChunkManifest, ChunkRef, ChunkerParams};
 use rai_sim::{SimDuration, VirtualClock};
 use rai_store::{LifecycleRule, ObjectMeta, ObjectStore, StoreError, StoreUsage};
-use rai_wal::{DurabilityConfig, LogBackend, MemDisk};
+use rai_wal::{DurabilityConfig, LogBackend, MemDisk, Wal};
 use std::sync::Arc;
 
 /// Non-repeating payload, so every chunk gets a distinct digest.
@@ -33,9 +33,8 @@ type Listing = Vec<(ObjectMeta, Bytes)>;
 
 /// Everything a store lets an observer see, read without touching it
 /// (`get` is journaled and counted, so payloads are read last).
-fn observe(s: &ObjectStore) -> (StoreUsage, Vec<u64>, Listing) {
+fn observe(s: &ObjectStore) -> (StoreUsage, Listing) {
     let usage = s.usage();
-    let occupancy = s.shard_chunk_counts();
     let listing = ["builds", "keep"]
         .iter()
         .flat_map(|b| s.list(b, "").unwrap().into_iter().map(move |m| (*b, m)))
@@ -44,7 +43,7 @@ fn observe(s: &ObjectStore) -> (StoreUsage, Vec<u64>, Listing) {
             (m, data)
         })
         .collect();
-    (usage, occupancy, listing)
+    (usage, listing)
 }
 
 #[derive(PartialEq, Debug)]
@@ -52,19 +51,18 @@ struct Run {
     log: Vec<(u64, Vec<u8>)>,
     snapshot: Vec<(u64, Vec<u8>)>,
     usage: StoreUsage,
-    recovered: (StoreUsage, Vec<u64>, Listing),
+    recovered: (StoreUsage, Listing),
 }
 
 /// One scripted history on a fresh durable store — dedup, overwrite,
 /// delete, expiry, a few hundred resident chunks at the end — then a
 /// compaction and a recovery from the compacted disk.
-fn scripted_run(shards: usize) -> Run {
+fn scripted_run() -> Run {
     let config =
         DurabilityConfig { compact_min_bytes: 1, compact_factor: 1, ..DurabilityConfig::durable() };
     let disk = MemDisk::new();
-    let (main, lanes) = ObjectStore::open_store_logs(Arc::new(disk.clone()), config, shards);
-    let s = ObjectStore::with_shards(VirtualClock::new(), shards);
-    s.attach_logs(main, lanes);
+    let s = ObjectStore::new(VirtualClock::new());
+    s.attach_wal(Wal::open(Arc::new(disk.clone()), config));
     s.create_bucket("builds", LifecycleRule::AfterUpload(SimDuration::from_days(90))).unwrap();
     s.create_bucket("keep", LifecycleRule::Keep).unwrap();
 
@@ -89,8 +87,8 @@ fn scripted_run(shards: usize) -> Run {
     let usage = s.usage();
     assert!(usage.chunks > 300, "enough chunks that two hashers disagree on order");
 
-    let (main, lanes) = ObjectStore::open_store_logs(Arc::new(disk.clone()), config, shards);
-    let (r, recovery) = ObjectStore::recover_sharded(s.clock().clone(), main, lanes);
+    let (r, recovery) =
+        ObjectStore::recover(s.clock().clone(), Wal::open(Arc::new(disk.clone()), config));
     assert_eq!((recovery.malformed_dropped, recovery.objects_dropped), (0, 0));
     assert_eq!(r.usage(), usage, "recovery from the snapshot is exact");
     Run { log, snapshot, usage, recovered: observe(&r) }
@@ -98,23 +96,15 @@ fn scripted_run(shards: usize) -> Run {
 
 #[test]
 fn nothing_observable_depends_on_the_index_hasher() {
-    let mut per_shards = Vec::new();
-    for shards in [1, 4] {
-        // Each store's arena draws its own hasher key.
-        let (a, b) = (scripted_run(shards), scripted_run(shards));
-        assert!(a == b, "log, snapshot, usage or recovered state drifted at shards={shards}");
-        per_shards.push(a);
-    }
-    // Shard count moves bytes between lanes, never what they add up to.
-    let (one, four) = (&per_shards[0], &per_shards[1]);
-    assert_eq!(one.usage, four.usage);
-    assert_eq!((&one.recovered.0, &one.recovered.2), (&four.recovered.0, &four.recovered.2));
+    // Each store's arena draws its own hasher key.
+    let (a, b) = (scripted_run(), scripted_run());
+    assert!(a == b, "log, snapshot, usage or recovered state drifted between two stores");
 }
 
 // ---- adversarial delta protocol ------------------------------------------
 
 fn store() -> ObjectStore {
-    let s = ObjectStore::with_shards(VirtualClock::new(), 4);
+    let s = ObjectStore::new(VirtualClock::new());
     s.create_bucket("keep", LifecycleRule::Keep).unwrap();
     s
 }
@@ -138,9 +128,9 @@ const BAD_LEN: StoreError =
 /// `put_delta` must refuse with `expected` and leave the store as it
 /// found it.
 fn refused(s: &ObjectStore, manifest: &ChunkManifest, provided: &[Chunk], expected: StoreError) {
-    let before = (s.usage(), s.shard_chunk_counts());
+    let before = s.usage();
     assert_eq!(s.put_delta("keep", "victim", manifest, provided, []), Err(expected));
-    assert_eq!((s.usage(), s.shard_chunk_counts()), before, "a refused delta changed state");
+    assert_eq!(s.usage(), before, "a refused delta changed state");
     assert!(s.head("keep", "victim").is_err());
 }
 

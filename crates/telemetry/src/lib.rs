@@ -18,8 +18,8 @@
 //!    [`render_chrome_trace`] exports Perfetto-loadable JSON.
 //!
 //! Instrumented hot paths push directly into the registry; components
-//! that already keep their own cumulative stats (broker, store, db,
-//! the `rai-exec` pool) register a *collector* closure instead, which
+//! that already keep their own cumulative stats (broker, store, db)
+//! register a *collector* closure instead, which
 //! mirrors those stats into the registry every time
 //! [`Telemetry::snapshot`] runs.
 //!
@@ -79,10 +79,8 @@ pub mod names {
     pub const STORE_CHUNKS_DEDUP_TOTAL: &str = "rai_store_chunks_dedup_total";
     pub const STORE_BYTES_WIRE_TOTAL: &str = "rai_store_bytes_wire_total";
     pub const STORE_DELTA_PUTS_TOTAL: &str = "rai_store_delta_puts_total";
-    // Sharded lock-domain metrics (DESIGN.md §16).
+    // Contended lock wait (store arena + broker stripes); a host fact.
     pub const LOCK_WAIT_MICROS_TOTAL: &str = "rai_lock_wait_micros_total";
-    pub const STORE_SHARD_CHUNKS: &str = "rai_store_shard_chunks";
-    pub const DB_SHARD_DOCS: &str = "rai_db_shard_docs";
     pub const DB_INSERTS_TOTAL: &str = "rai_db_inserts_total";
     pub const DB_QUERIES_TOTAL: &str = "rai_db_queries_total";
     pub const DB_UPDATES_TOTAL: &str = "rai_db_updates_total";
@@ -101,14 +99,6 @@ pub mod names {
     pub const WORKER_CRASHES_TOTAL: &str = "rai_worker_crashes_total";
     // Trace-store hygiene.
     pub const TRACES_DROPPED_LATE_TOTAL: &str = "rai_traces_dropped_late_total";
-    // Work-stealing executor pool counters (mirrored by a collector).
-    pub const EXEC_SPAWNED_TOTAL: &str = "rai_exec_spawned_total";
-    pub const EXEC_INLINE_RUNS_TOTAL: &str = "rai_exec_inline_runs_total";
-    pub const EXEC_STOLEN_TOTAL: &str = "rai_exec_stolen_total";
-    pub const EXEC_PARKED_TOTAL: &str = "rai_exec_parked_total";
-    pub const EXEC_INJECTED_TOTAL: &str = "rai_exec_injected_total";
-    pub const EXEC_BATCHES_TOTAL: &str = "rai_exec_batches_total";
-    pub const EXEC_BATCH_JOBS_TOTAL: &str = "rai_exec_batch_jobs_total";
     // Write-ahead log counters, labeled per log ("log" = "db"/"store").
     pub const WAL_APPENDS_TOTAL: &str = "rai_wal_appends_total";
     pub const WAL_BYTES_TOTAL: &str = "rai_wal_bytes_total";

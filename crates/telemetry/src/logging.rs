@@ -45,7 +45,7 @@ pub fn parse_level(value: &str) -> Option<Level> {
 }
 
 // Deliberate `std::sync` holdout in a parking_lot codebase (DESIGN.md
-// §14 "Lock policy"): this is write-once init, not a contended lock.
+// §12 "Store locks"): this is write-once init, not a contended lock.
 // `OnceLock` has no parking_lot equivalent, cannot poison (the closure
 // runs exactly once and a panic there aborts init, never wedging later
 // readers), and after init every read is a plain atomic load.

@@ -39,24 +39,6 @@ pub struct ChaosConfig {
     pub seed: u64,
     /// The fault plan to execute.
     pub plan: FaultPlan,
-    /// Job-pool width (1 = sequential reference). Whole submissions
-    /// execute concurrently at `N > 1`, but fault draws are consumed
-    /// only in the serial claim/commit phases — whose order is fixed
-    /// by the round structure, not the pool — so chaos fingerprints
-    /// are byte-identical at every setting (DESIGN.md §15).
-    pub parallelism: usize,
-    /// Lock-domain shard count (1 = single-lock reference). Fault-plan
-    /// runs always commit on the single-lane reference schedule, so
-    /// sharding only repartitions arena/collection locks — chaos
-    /// fingerprints stay byte-identical (DESIGN.md §16).
-    pub shards: usize,
-    /// Claim-lane count (1 = serial claim reference). A fault plan
-    /// pins the claim phase to the serial reference schedule — the
-    /// injector's draw stream is ordering-visible — so this knob is
-    /// structurally inert here and chaos fingerprints stay
-    /// byte-identical at every setting (DESIGN.md §17); the
-    /// determinism suite sweeps it to prove exactly that.
-    pub claim_lanes: usize,
 }
 
 impl ChaosConfig {
@@ -72,9 +54,6 @@ impl ChaosConfig {
             broker_attempts: 8,
             seed,
             plan: FaultPlan::chaos(seed),
-            parallelism: 1,
-            shards: 1,
-            claim_lanes: 1,
         }
     }
 
@@ -91,33 +70,9 @@ impl ChaosConfig {
             broker_attempts: 6,
             seed,
             plan,
-            parallelism: 1,
-            shards: 1,
-            claim_lanes: 1,
         }
     }
 
-    /// The same scenario with the payload pipeline on an `n`-worker
-    /// pool (1 = sequential reference).
-    pub fn with_parallelism(mut self, n: usize) -> Self {
-        self.parallelism = n;
-        self
-    }
-
-    /// The same scenario with `n` lock-domain shards (1 = single-lock
-    /// reference).
-    pub fn with_shards(mut self, n: usize) -> Self {
-        self.shards = n;
-        self
-    }
-
-    /// The same scenario with `n` claim lanes (1 = serial claim
-    /// reference; inert under a fault plan by the serial-fallback
-    /// rule).
-    pub fn with_claim_lanes(mut self, n: usize) -> Self {
-        self.claim_lanes = n;
-        self
-    }
 }
 
 /// Audited outputs of a chaos run.
@@ -211,21 +166,17 @@ impl Driver {
     }
 
     /// Drive every live worker until none makes progress, one
-    /// scheduling round at a time: deaths land at the round boundary,
-    /// each live worker claims at most one job (serially, in worker
-    /// order — fault draws included), the round executes on the job
-    /// pool, and commits apply serially in claim order. The round
-    /// shape is independent of pool width, so fault draws, crashes,
-    /// and the final fingerprint are too. Crashes restart the worker
-    /// at the end of the round; stalls wait out the in-flight timeout
-    /// so the broker reclaims the held message.
+    /// scheduling round at a time (DESIGN.md §12): deaths land at the
+    /// round boundary, each live worker claims at most one job (in
+    /// worker order — fault draws included), the round executes, and
+    /// commits apply in claim order. Crashes restart the worker at the
+    /// end of the round; stalls wait out the in-flight timeout so the
+    /// broker reclaims the held message.
     fn drive(&mut self) {
         loop {
             self.apply_due_deaths();
-            // Pop serially in worker order, then route the claim tails
-            // through the shared claim pipeline. With a fault plan
-            // attached `claim_tasks` always takes the serial reference
-            // path, so fault draws stay in pop order (DESIGN.md §17).
+            // Pop in worker order, then run the claim tails in pop
+            // order.
             let mut popped = Vec::new();
             for i in 0..self.alive.len() {
                 if !self.alive[i] {
@@ -238,15 +189,17 @@ impl Driver {
             if popped.is_empty() {
                 return;
             }
-            let claims = self.system.claim_tasks(popped);
-            let executor = self.system.executor().clone();
+            let executed: Vec<_> = self
+                .system
+                .claim_tasks(popped)
+                .into_iter()
+                .map(|(wi, claimed)| (wi, Worker::execute(claimed)))
+                .collect();
             let mut advance = SimDuration::ZERO;
             let mut stalled = false;
             let mut crashed = Vec::new();
-            executor.run_jobs(
-                claims,
-                |(wi, claimed)| (wi, Worker::execute(claimed)),
-                |(wi, executed)| match self.system.workers_mut()[wi].commit(executed) {
+            for (wi, executed) in executed {
+                match self.system.workers_mut()[wi].commit(executed) {
                     StepEvent::Idle => unreachable!("commit always seals its claim"),
                     StepEvent::Done(outcome) => advance += outcome.service_time,
                     StepEvent::Crashed(report) => {
@@ -254,8 +207,8 @@ impl Driver {
                         stalled |= report.kind == CrashKind::Stall;
                         crashed.push(wi);
                     }
-                },
-            );
+                }
+            }
             self.clock.advance(advance);
             if stalled {
                 self.clock.advance(MESSAGE_TIMEOUT);
@@ -357,9 +310,6 @@ pub fn run_chaos(config: &ChaosConfig) -> ChaosResult {
             seed: config.seed,
             broker_attempts: config.broker_attempts,
             fault_plan: Some(config.plan.clone()),
-            parallelism: config.parallelism,
-            shards: config.shards,
-            claim_lanes: config.claim_lanes,
             ..Default::default()
         },
         clock.clone(),

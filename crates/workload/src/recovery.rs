@@ -46,9 +46,8 @@ pub struct KillPoint {
     /// When within the round: `None` kills right after the round's
     /// submissions are accepted (jobs queued, none processed);
     /// `Some(n)` kills after `n` job commits of the round's
-    /// processing — between two serial commit points, whatever the
-    /// pool width; `Some(u64::MAX)` kills at the round boundary, after
-    /// the queue fully drains.
+    /// processing — between two commits; `Some(u64::MAX)` kills at the
+    /// round boundary, after the queue fully drains.
     pub after_steps: Option<u64>,
 }
 
@@ -231,14 +230,13 @@ impl Driver {
     /// cumulative *commit* count reaches `kill_at_step` (returns
     /// `true`: the process dies here, mid-queue, claims and all).
     ///
-    /// Rounds follow the chaos driver's shape — serial claims in
-    /// worker order, pooled execution, serial commits in claim order —
-    /// so the kill always lands between two commits regardless of pool
-    /// width. Execution is pure (commits are the only store/db/broker
-    /// mutation points), so a mid-round kill simply drops the round's
-    /// executed-but-uncommitted jobs on the floor: their claims were
-    /// never acked and their effects were never applied, exactly as if
-    /// the process had died holding them.
+    /// Rounds follow the chaos driver's shape — claims in worker
+    /// order, every execute, then commits in claim order — so the kill
+    /// always lands between two commits. Execution is pure (commits
+    /// are the only store/db/broker mutation points), so a mid-round
+    /// kill simply drops the round's executed-but-uncommitted jobs on
+    /// the floor: their claims were never acked and their effects were
+    /// never applied, exactly as if the process had died holding them.
     fn drive(&mut self, kill_at_step: Option<u64>) -> bool {
         let kill_due = |steps: u64| kill_at_step.is_some_and(|k| steps >= k);
         if kill_due(self.steps) {
@@ -258,33 +256,32 @@ impl Driver {
             if claims.is_empty() {
                 return false;
             }
-            let executor = self.system.executor().clone();
+            let executed: Vec<_> = claims
+                .into_iter()
+                .map(|(wi, claimed)| (wi, Worker::execute(claimed)))
+                .collect();
             let mut advance = SimDuration::ZERO;
             let mut stalled = false;
             let mut crashed = Vec::new();
             let mut killed = false;
-            executor.run_jobs(
-                claims,
-                |(wi, claimed)| (wi, Worker::execute(claimed)),
-                |(wi, executed)| {
-                    if killed {
-                        // The process is dead: un-acked, un-committed
-                        // work evaporates with it.
-                        return;
+            for (wi, executed) in executed {
+                match self.system.workers_mut()[wi].commit(executed) {
+                    StepEvent::Idle => unreachable!("commit always seals its claim"),
+                    StepEvent::Done(outcome) => advance += outcome.service_time,
+                    StepEvent::Crashed(report) => {
+                        advance += report.wasted;
+                        stalled |= report.kind == CrashKind::Stall;
+                        crashed.push(wi);
                     }
-                    match self.system.workers_mut()[wi].commit(executed) {
-                        StepEvent::Idle => unreachable!("commit always seals its claim"),
-                        StepEvent::Done(outcome) => advance += outcome.service_time,
-                        StepEvent::Crashed(report) => {
-                            advance += report.wasted;
-                            stalled |= report.kind == CrashKind::Stall;
-                            crashed.push(wi);
-                        }
-                    }
-                    self.steps += 1;
-                    killed = kill_due(self.steps);
-                },
-            );
+                }
+                self.steps += 1;
+                if kill_due(self.steps) {
+                    // The process is dead: un-acked, un-committed work
+                    // evaporates with it.
+                    killed = true;
+                    break;
+                }
+            }
             self.clock.advance(advance);
             if killed {
                 return true;
@@ -356,8 +353,6 @@ pub fn run_recovery(config: &RecoveryConfig) -> RecoveryResult {
         seed: chaos.seed,
         broker_attempts: chaos.broker_attempts,
         fault_plan: Some(chaos.plan.clone()),
-        parallelism: chaos.parallelism,
-        shards: chaos.shards,
         durability: config.durability,
         ..Default::default()
     };
@@ -594,21 +589,6 @@ mod tests {
             assert_eq!(resumed.accepted, baseline.accepted);
             assert_eq!(resumed.duplicated, Vec::<u64>::new());
         }
-    }
-
-    #[test]
-    fn clean_kill_resume_is_byte_identical_at_width_4() {
-        let kill = KillPoint::mid_drive(4, 3);
-        let mut base_cfg = RecoveryConfig::clean(11, kill);
-        base_cfg.chaos = base_cfg.chaos.with_parallelism(4);
-        let baseline = run_recovery(&RecoveryConfig { kill: None, ..base_cfg.clone() });
-        let resumed = run_recovery(&base_cfg);
-        assert!(resumed.killed);
-        resumed.verify().unwrap();
-        assert_eq!(resumed.fingerprint, baseline.fingerprint);
-        // And the pool width changes nothing vs the sequential run.
-        let sequential = run_recovery(&RecoveryConfig::clean(11, kill));
-        assert_eq!(resumed.fingerprint, sequential.fingerprint);
     }
 
     #[test]

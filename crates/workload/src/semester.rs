@@ -40,34 +40,6 @@ pub struct SemesterConfig {
     pub fleet: FleetPolicy,
     /// Arrival model.
     pub arrivals: CircadianModel,
-    /// Create the database's hot-path indexes (default). `false` is the
-    /// pre-overhaul full-scan configuration `perf_report` times as its
-    /// reference run; results and fingerprints are identical.
-    pub db_hot_indexes: bool,
-    /// Width of the `rai_exec` pool whole submissions execute on. `1`
-    /// — the preserved reference configuration — runs each job inline;
-    /// `N > 1` executes up to `N` independent submissions concurrently
-    /// between their serial claim and commit phases (plus the payload
-    /// pipeline's chunking/digesting offload). Claims and commits stay
-    /// on the event loop in FIFO order, so
-    /// [`SemesterResult::fingerprint`] is byte-identical at every
-    /// setting (DESIGN.md §15).
-    pub parallelism: usize,
-    /// Lock-domain shard count for the store arena, database
-    /// collections, and commit lanes (1 = the preserved single-lock
-    /// reference). Shard assignment is a pure function of
-    /// digest/key/job id, so fingerprints are byte-identical at every
-    /// setting (DESIGN.md §16).
-    pub shards: usize,
-    /// Claim-lane count: `1` — the preserved serial reference — claims
-    /// every popped job inline on the event loop; `N > 1` fans the
-    /// claim tails (auth, spec parse, image resolve, payload fetch)
-    /// across `N` lanes keyed by a hash of the job's log topic, with
-    /// results re-sorted into pop order before execute. Popping stays
-    /// serial and order-defining, so
-    /// [`SemesterResult::fingerprint`] is byte-identical at every
-    /// setting (DESIGN.md §17).
-    pub claim_lanes: usize,
 }
 
 /// Fleet provisioning policy for the semester (the elasticity
@@ -99,10 +71,6 @@ impl SemesterConfig {
             seed: 2016,
             fleet: FleetPolicy::PaperSchedule,
             arrivals: CircadianModel::paper_calibrated(),
-            db_hot_indexes: true,
-            parallelism: 1,
-            shards: 1,
-            claim_lanes: 1,
         }
     }
 
@@ -118,33 +86,9 @@ impl SemesterConfig {
             seed,
             fleet: FleetPolicy::PaperSchedule,
             arrivals,
-            db_hot_indexes: true,
-            parallelism: 1,
-            shards: 1,
-            claim_lanes: 1,
         }
     }
 
-    /// The same semester with the payload pipeline on an
-    /// `n`-worker pool (1 = sequential reference).
-    pub fn with_parallelism(mut self, n: usize) -> Self {
-        self.parallelism = n;
-        self
-    }
-
-    /// The same semester with `n` lock-domain shards (1 = single-lock
-    /// reference).
-    pub fn with_shards(mut self, n: usize) -> Self {
-        self.shards = n;
-        self
-    }
-
-    /// The same semester with `n` claim lanes (1 = serial claim
-    /// reference).
-    pub fn with_claim_lanes(mut self, n: usize) -> Self {
-        self.claim_lanes = n;
-        self
-    }
 }
 
 /// Semester outputs.
@@ -165,7 +109,7 @@ pub struct SemesterResult {
     /// log-bucketed histogram.
     pub queue_wait_secs: (f64, f64, f64),
     /// The full queue-wait latency distribution (µs resolution,
-    /// byte-identical across same-seed runs and pool widths).
+    /// byte-identical across same-seed runs).
     pub queue_wait: LogHistogram,
     /// Broker queue depth sampled at every submit/dispatch transition,
     /// bucketed hourly (per-bucket maxima show backpressure peaks).
@@ -299,9 +243,7 @@ fn dispatch(state: &mut SemState, sched: &mut Sched<'_>) {
     loop {
         // One scheduling round: claim up to the free capacity in FIFO
         // order (the broker is FIFO, so the head of `waiting` is what
-        // the next worker will pop), at most one job per worker so the
-        // batch shape — and therefore every per-worker draw sequence —
-        // is independent of pool width.
+        // the next worker will pop), at most one job per worker.
         let n_workers = state.system.workers_mut().len();
         let budget = state
             .capacity(now)
@@ -311,11 +253,8 @@ fn dispatch(state: &mut SemState, sched: &mut Sched<'_>) {
         if budget == 0 {
             return;
         }
-        // Pop serially — the order-defining half of a claim — then fan
-        // the claim tails across the configured claim lanes; results
-        // come back re-sorted into pop order (DESIGN.md §17). The
-        // round-robin assignment pops at most one task per worker per
-        // round (budget <= n_workers), as `claim_tasks` requires.
+        // Pop — the order-defining half of a claim — round-robin, then
+        // run the claim tails in pop order.
         let mut popped = Vec::with_capacity(budget);
         for _ in 0..budget {
             let expect_id = state.waiting.pop_front().expect("bounded by len");
@@ -327,40 +266,39 @@ fn dispatch(state: &mut SemState, sched: &mut Sched<'_>) {
             debug_assert_eq!(task.job_id(), expect_id);
             popped.push((wi, task));
         }
-        let claims = state.system.claim_tasks(popped);
-        // Execute the round on the job pool; commit serially in claim
-        // order, so db rows, waits, and follow-up events land exactly
-        // as the sequential reference does.
-        let executor = state.system.executor().clone();
-        executor.run_jobs(
-            claims,
-            |(wi, claimed)| (wi, Worker::execute(claimed)),
-            |(wi, executed)| {
-                let outcome = match state.system.workers_mut()[wi].commit(executed) {
-                    StepEvent::Done(outcome) => outcome,
-                    _ => unreachable!("semester jobs neither crash nor idle"),
-                };
-                let (pending, submitted_at) = state
-                    .pending
-                    .remove(&outcome.job_id)
-                    .expect("every queued job has a pending entry");
-                state
-                    .waits
-                    .record_micros(duration_micros(now.duration_since(submitted_at)));
-                if !outcome.success {
-                    state.failures += 1;
-                }
-                // Drain the log stream so the ephemeral topic is GC'd.
-                let _ = pending.wait(Duration::from_millis(50));
-                state.in_flight += 1;
-                sample_pressure(state, now);
-                sched.after(outcome.service_time, |state: &mut SemState, sched: &mut Sched<'_>| {
-                    state.in_flight -= 1;
-                    sample_pressure(state, sched.now());
-                    dispatch(state, sched);
-                });
-            },
-        );
+        // Execute the whole round, then commit in claim order
+        // (DESIGN.md §12).
+        let executed: Vec<_> = state
+            .system
+            .claim_tasks(popped)
+            .into_iter()
+            .map(|(wi, claimed)| (wi, Worker::execute(claimed)))
+            .collect();
+        for (wi, executed) in executed {
+            let outcome = match state.system.workers_mut()[wi].commit(executed) {
+                StepEvent::Done(outcome) => outcome,
+                _ => unreachable!("semester jobs neither crash nor idle"),
+            };
+            let (pending, submitted_at) = state
+                .pending
+                .remove(&outcome.job_id)
+                .expect("every queued job has a pending entry");
+            state
+                .waits
+                .record_micros(duration_micros(now.duration_since(submitted_at)));
+            if !outcome.success {
+                state.failures += 1;
+            }
+            // Drain the log stream so the ephemeral topic is GC'd.
+            let _ = pending.wait(Duration::from_millis(50));
+            state.in_flight += 1;
+            sample_pressure(state, now);
+            sched.after(outcome.service_time, |state: &mut SemState, sched: &mut Sched<'_>| {
+                state.in_flight -= 1;
+                sample_pressure(state, sched.now());
+                dispatch(state, sched);
+            });
+        }
     }
 }
 
@@ -407,10 +345,6 @@ pub fn run_semester(config: &SemesterConfig) -> SemesterResult {
             jobs_per_worker: 1,
             rate_limit: None, // spacing is enforced by the arrival model
             seed: config.seed,
-            db_hot_indexes: config.db_hot_indexes,
-            parallelism: config.parallelism,
-            shards: config.shards,
-            claim_lanes: config.claim_lanes,
             ..Default::default()
         },
         clock.clone(),

@@ -3,6 +3,8 @@
 //! server, broker).
 
 use rai::db::doc;
+use rai::workload::chaos::{run_chaos, ChaosConfig};
+use rai::workload::recovery::{run_recovery, KillPoint, RecoveryConfig};
 use rai::workload::semester::run_semester;
 use rai::workload::SemesterConfig;
 
@@ -54,12 +56,48 @@ fn seeds_reproduce_and_differ() {
     let b = run_semester(&SemesterConfig::scaled(4, 5, 77));
     assert_eq!(a.total_submissions, b.total_submissions, "same seed, same run");
     assert_eq!(a.final_standings, b.final_standings);
+    assert_eq!(a.fingerprint(), b.fingerprint());
+    // The trace exports are functions of the seed too, not just the
+    // scalar fingerprint.
+    let exports = |r: &rai::workload::semester::SemesterResult| {
+        let sample = r.traces.len().min(64);
+        (
+            rai::telemetry::attribute(&r.traces).table(),
+            r.queue_wait.encode(),
+            r.depth_series.sparkline(32),
+            rai::telemetry::render_chrome_trace(&r.traces[..sample]),
+        )
+    };
+    assert!(!exports(&a).0.is_empty(), "attribution table rendered");
+    assert_eq!(exports(&a), exports(&b));
     let c = run_semester(&SemesterConfig::scaled(4, 5, 78));
     assert_ne!(
         (a.total_submissions, a.final_standings.clone()),
         (c.total_submissions, c.final_standings.clone()),
         "different seed, different semester"
     );
+
+    // So are a fault-plan course and the same course killed three
+    // commits into round 4, recovered and resumed.
+    let chaos = |seed| {
+        let result = run_chaos(&ChaosConfig::quick(seed));
+        result.verify().expect("chaos invariants hold");
+        result.fingerprint
+    };
+    assert_eq!(chaos(77), chaos(77));
+    assert_ne!(chaos(77), chaos(78));
+    let resumed = |seed| {
+        let result = run_recovery(&RecoveryConfig {
+            chaos: ChaosConfig::quick(seed),
+            kill: Some(KillPoint::mid_drive(4, 3)),
+            disk_faults: None,
+            durability: rai_wal::DurabilityConfig::durable(),
+        });
+        assert!(result.killed, "seed {seed}: the mid-round kill fired");
+        result.verify().expect("no-lost across restart");
+        result.fingerprint
+    };
+    assert_eq!(resumed(77), resumed(77));
 }
 
 #[test]
