@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rai_archive::{lzss, pack, unpack, FileTree};
+use rai_bench::pseudorandom;
 
 /// A synthetic project tree of roughly `kb` KiB of source-like text.
 fn project_tree(kb: usize) -> FileTree {
@@ -16,19 +17,6 @@ fn project_tree(kb: usize) -> FileTree {
     t.insert("rai-build.yml", &b"rai:\n  version: 0.1\n  image: webgpu/rai:root\ncommands:\n  build:\n    - make\n"[..])
         .expect("static path");
     t
-}
-
-/// The next `len` bytes of the LCG stream `state` is at:
-/// incompressible, boundaries everywhere the chunker's mask allows.
-fn pseudorandom(len: usize, state: &mut u64) -> Vec<u8> {
-    (0..len)
-        .map(|_| {
-            *state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (*state >> 33) as u8
-        })
-        .collect()
 }
 
 fn bench_pack_unpack(c: &mut Criterion) {

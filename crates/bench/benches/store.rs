@@ -37,14 +37,8 @@ fn bench_put_get(c: &mut Criterion) {
 }
 
 /// Incompressible bytes: every chunk of every tree is distinct.
-fn tree(len: usize, seed: u64) -> Vec<u8> {
-    let mut state = seed;
-    (0..len)
-        .map(|_| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 33) as u8
-        })
-        .collect()
+fn tree(len: usize, mut seed: u64) -> Vec<u8> {
+    rai_bench::pseudorandom(len, &mut seed)
 }
 
 /// The paper's mean upload (2.5 MiB, ≈1 700 chunks at the parameters

@@ -18,13 +18,7 @@
 use rai_workload::chaos::{run_chaos, ChaosConfig};
 
 fn main() {
-    let seeds: Vec<u64> = {
-        let args: Vec<u64> = std::env::args()
-            .skip(1)
-            .filter_map(|a| a.parse().ok())
-            .collect();
-        if args.is_empty() { vec![2016, 408, 0xC405] } else { args }
-    };
+    let seeds = rai_bench::ReportArgs::from_env().seeds_or(&[2016, 408, 0xC405]);
 
     for &seed in &seeds {
         let config = ChaosConfig::acceptance(seed);

@@ -28,6 +28,7 @@
 
 use rai_archive::chunk::{chunk_bytes, ChunkerParams};
 use rai_archive::lzss;
+use rai_bench::extract;
 use rai_broker::Broker;
 use rai_db::{doc, Collection};
 use rai_workload::chaos::{run_chaos, ChaosConfig, ChaosResult};
@@ -115,21 +116,8 @@ fn indexed_query_micro() -> (f64, f64) {
     (fast.wall, slow.wall)
 }
 
-/// Deterministic pseudorandom buffer for the chunker timing.
-fn synthetic_buffer(len: usize) -> Vec<u8> {
-    let mut state = 0x5EEDu64;
-    (0..len)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as u8
-        })
-        .collect()
-}
-
 fn chunker_micro() -> f64 {
-    let buf = synthetic_buffer(8 << 20);
+    let buf = rai_bench::pseudorandom(8 << 20, &mut 0x5EED);
     let t = timed(|| chunk_bytes(&buf, ChunkerParams::DEFAULT));
     assert_eq!(t.result.0.total_len, buf.len() as u64);
     (buf.len() as f64 / (1 << 20) as f64) / t.wall
@@ -225,27 +213,6 @@ fn render(r: &Report) -> String {
     )
 }
 
-/// Pull `"key": value` out of the named top-level section of the
-/// committed report (the file is our own hand-rendered format, so a
-/// positional scan is exact).
-fn extract<'a>(json: &'a str, section: &str, key: &str) -> &'a str {
-    let sec = json
-        .find(&format!("\"{section}\""))
-        .unwrap_or_else(|| panic!("BENCH_perf.json: no \"{section}\" section"));
-    let rest = &json[sec..];
-    let k = rest
-        .find(&format!("\"{key}\""))
-        .unwrap_or_else(|| panic!("BENCH_perf.json: no \"{key}\" in \"{section}\""));
-    let after = &rest[k..];
-    let colon = after.find(':').expect("key has a value");
-    after[colon + 1..]
-        .split([',', '\n', '}'])
-        .next()
-        .expect("value before delimiter")
-        .trim()
-        .trim_matches('"')
-}
-
 // ----------------------------------------------------------------- main
 
 fn check(seed: u64) {
@@ -272,9 +239,9 @@ fn check(seed: u64) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let seed: u64 = args.iter().find_map(|a| a.parse().ok()).unwrap_or(2016);
-    if args.iter().any(|a| a == "--check") {
+    let args = rai_bench::ReportArgs::from_env();
+    let seed = args.seed();
+    if args.check {
         check(seed);
         return;
     }

@@ -303,12 +303,9 @@ fn print_seed(s: &SeedReport) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let check_mode = args.iter().any(|a| a == "--check");
-    let seeds: Vec<u64> = {
-        let parsed: Vec<u64> = args.iter().filter_map(|a| a.parse().ok()).collect();
-        if parsed.is_empty() { SEEDS.to_vec() } else { parsed }
-    };
+    let args = rai_bench::ReportArgs::from_env();
+    let check_mode = args.check;
+    let seeds = args.seeds_or(&SEEDS);
 
     rai_bench::header(&format!(
         "crash-recovery {} — seeds {seeds:?}",

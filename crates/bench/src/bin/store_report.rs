@@ -28,6 +28,7 @@
 
 use rai_archive::chunk::{chunk_bytes, ChunkerParams};
 use rai_archive::{write_container, FileTree};
+use rai_bench::pseudorandom;
 use rai_core::delta::{DeltaReceipt, DeltaUploader};
 use rai_sim::VirtualClock;
 use rai_store::{LifecycleRule, ObjectStore, StoreUsage};
@@ -70,18 +71,6 @@ fn usage_json(u: &StoreUsage, indent: &str) -> String {
         ratio(u.bytes_stored, u.bytes_physical),
         ratio(u.bytes_uploaded, u.bytes_wire),
     )
-}
-
-/// Deterministic incompressible bytes.
-fn pseudorandom(len: usize, state: &mut u64) -> Vec<u8> {
-    (0..len)
-        .map(|_| {
-            *state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (*state >> 33) as u8
-        })
-        .collect()
 }
 
 /// One upload of the bulk scenario: its receipt, and the arena's
@@ -175,10 +164,7 @@ fn chunker_throughput() {
 }
 
 fn main() {
-    let seed: u64 = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(2016);
+    let seed = rai_bench::ReportArgs::from_env().seed();
 
     let sem_config = SemesterConfig::scaled(TEAMS, DAYS, seed);
     let chaos_config = ChaosConfig::acceptance(seed);

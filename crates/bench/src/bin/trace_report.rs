@@ -29,6 +29,7 @@
 //! ```
 
 use rai_archive::fnv::Fnv1a;
+use rai_bench::extract;
 use rai_telemetry::{attribute, names, render_chrome_trace, JobTrace};
 use rai_workload::chaos::{run_chaos, ChaosConfig, ChaosResult};
 use rai_workload::semester::{run_semester, SemesterConfig, SemesterResult};
@@ -156,26 +157,6 @@ fn render_json(seed: u64, artifact: &Artifact) -> String {
     out
 }
 
-/// Pull `"key": value` out of the named top-level section of the
-/// committed report (our own hand-rendered format; positional scan).
-fn extract<'a>(json: &'a str, section: &str, key: &str) -> &'a str {
-    let sec = json
-        .find(&format!("\"{section}\""))
-        .unwrap_or_else(|| panic!("BENCH_trace.json: no \"{section}\" section"));
-    let rest = &json[sec..];
-    let k = rest
-        .find(&format!("\"{key}\""))
-        .unwrap_or_else(|| panic!("BENCH_trace.json: no \"{key}\" in \"{section}\""));
-    let after = &rest[k..];
-    let colon = after.find(':').expect("key has a value");
-    after[colon + 1..]
-        .split([',', '\n', '}'])
-        .next()
-        .expect("value before delimiter")
-        .trim()
-        .trim_matches('"')
-}
-
 fn check(seed: u64) {
     let committed =
         std::fs::read_to_string("BENCH_trace.json").expect("read committed BENCH_trace.json");
@@ -214,11 +195,10 @@ fn check(seed: u64) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let check_mode = args.iter().any(|a| a == "--check");
-    let seed: u64 = args.iter().find_map(|a| a.parse().ok()).unwrap_or(2016);
+    let args = rai_bench::ReportArgs::from_env();
+    let seed = args.seed();
 
-    if check_mode {
+    if args.check {
         check(seed);
         return;
     }

@@ -32,7 +32,8 @@
 //! * [`delta`] — the client side of the store's delta-upload protocol
 //!   ([`DeltaUploader`]), shared by [`client`] and [`worker`] so
 //!   resubmissions ship only new chunks (DESIGN.md §10);
-//! * [`system`] — [`system::RaiSystem`], a whole in-process deployment.
+//! * [`system`] — [`system::RaiSystem`], a whole in-process deployment,
+//!   and the one scheduling round every driver runs (DESIGN.md §12).
 
 pub mod audit;
 pub mod cli;
@@ -50,9 +51,13 @@ pub mod spec;
 pub mod system;
 pub mod worker;
 
+/// The workspace's one FNV-1a, re-exported so fingerprint code in
+/// crates with no `rai-archive` edge (`rai-workload`) shares it.
+pub use rai_archive::fnv::Fnv1a;
+
 pub use client::{PendingJob, ProjectDir, RaiClient, SubmitError, SubmitMode, SubmitReceipt};
 pub use delta::{DeltaReceipt, DeltaUploader, PreparedUpload};
 pub use ranking::{RankEntry, RankingBoard};
 pub use spec::{BuildSpec, SpecError};
-pub use system::{RaiSystem, RecoveryReport, SystemConfig};
+pub use system::{RaiSystem, RecoveryReport, RoundTally, SystemConfig};
 pub use worker::{ClaimedJob, CrashReport, ExecutedJob, JobOutcome, StepEvent, Worker, WorkerConfig};

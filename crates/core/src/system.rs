@@ -3,7 +3,7 @@
 //! the in-process equivalent of the paper's Fig. 1 deployment.
 
 use crate::client::{
-    ProjectDir, RaiClient, SubmitError, SubmitMode, SubmitReceipt, BUILD_BUCKET,
+    PendingJob, ProjectDir, RaiClient, SubmitError, SubmitMode, SubmitReceipt, BUILD_BUCKET,
     UPLOAD_BUCKET,
 };
 use crate::interactive::{InteractiveSession, SessionBroker, SessionConfig, SessionError};
@@ -15,13 +15,14 @@ use crate::worker::{
 use parking_lot::RwLock;
 use rai_auth::{Credentials, CredentialRegistry, KeyGenerator};
 use rai_broker::{Broker, BrokerConfig, BrokerStats};
-use rai_faults::{CrashKind, FaultInjector, FaultPlan, RetryPolicy};
+use rai_faults::{CrashKind, FaultInjector, FaultPlan};
 use rai_db::{doc, Database};
 use rai_sandbox::{ImageRegistry, ResourceLimits};
 use rai_sim::{SimDuration, VirtualClock};
 use rai_store::{LifecycleRule, ObjectStore, StoreRecovery, StoreUsage};
 use rai_telemetry::{component, names, stage, MetricsSnapshot, Telemetry};
 use rai_wal::{DurabilityConfig, LogBackend, Wal};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -29,12 +30,9 @@ use std::time::Duration;
 /// Deployment configuration.
 #[derive(Clone, Debug)]
 pub struct SystemConfig {
-    /// Worker count.
+    /// Worker count. Each worker runs one job at a time on a K80-speed
+    /// GPU ([`WorkerConfig::default`]).
     pub workers: usize,
-    /// Concurrent jobs per worker (paper: >1 early, 1 for benchmarking).
-    pub jobs_per_worker: usize,
-    /// Relative GPU speed of the fleet (K80 = 1.0).
-    pub gpu_speed: f64,
     /// Container limits.
     pub limits: ResourceLimits,
     /// Per-user minimum submission interval; `None` disables.
@@ -60,8 +58,6 @@ impl Default for SystemConfig {
     fn default() -> Self {
         SystemConfig {
             workers: 1,
-            jobs_per_worker: 1,
-            gpu_speed: 1.0,
             limits: ResourceLimits::default(),
             rate_limit: Some(SimDuration::from_secs(30)),
             seed: 0x5EED,
@@ -113,9 +109,25 @@ pub struct RaiSystem {
     injector: Option<FaultInjector>,
 }
 
-/// In-flight timeout used when a stalled worker holds a claim: the
-/// driver advances the clock past it and reclaims.
+/// In-flight timeout used when a stalled worker holds a claim:
+/// [`RaiSystem::settle`] advances the clock past it and reclaims.
 const MESSAGE_TIMEOUT: SimDuration = SimDuration::from_mins(10);
+
+/// What the commits of one [`RaiSystem::run_round`] left for
+/// [`RaiSystem::settle`].
+#[derive(Debug, Default)]
+#[must_use = "a driver that owns the clock settles the round"]
+pub struct RoundTally {
+    /// Summed service time (or wasted time, for crashes) of the
+    /// committed jobs.
+    advance: SimDuration,
+    /// Whether a committed job stalled, holding its claim.
+    stalled: bool,
+    /// Workers whose committed job crashed or stalled.
+    crashed: Vec<usize>,
+    /// Whether the visitor cut the round short.
+    cut_short: bool,
+}
 
 impl RaiSystem {
     /// Stand up a deployment.
@@ -253,11 +265,9 @@ impl RaiSystem {
                 let mut w = Worker::new(
                     WorkerConfig {
                         worker_id: format!("worker-{i:02}"),
-                        max_in_flight: config.jobs_per_worker.max(1),
-                        gpu_speed: config.gpu_speed,
                         limits: config.limits,
                         noise_seed: config.seed ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15),
-                        retry: RetryPolicy::default(),
+                        ..Default::default()
                     },
                     broker.clone(),
                     store.clone(),
@@ -523,36 +533,41 @@ impl RaiSystem {
         mode: SubmitMode,
     ) -> Result<SubmitReceipt, SubmitError> {
         self.check_rate(creds)?;
-        let client = self.client_for(creds);
-        let pending = client.begin_submit(project, mode)?;
+        let pending = self.begin_submit(creds, project, mode)?;
         let job_id = pending.job_id;
-        // The client uploads and publishes in one step, so submit and
-        // enqueue share a timestamp in the trace. Attempt 0 is the
-        // client's submit subtree; worker attempts start at 1.
-        let now = self.clock.now();
-        self.telemetry
-            .trace_span(job_id, 0, stage::SUBMITTED, component::CLIENT, now, now);
-        self.telemetry
-            .trace_span(job_id, 0, stage::ENQUEUED, component::BROKER, now, now);
         self.drive_until(|o| o.job_id == job_id);
         pending.wait(Duration::from_millis(500))
     }
 
+    /// Accept one submission without driving it: package, upload and
+    /// publish through a fresh client for `creds`, then open the job's
+    /// trace. Attempt 0 is the client's submit subtree (worker attempts
+    /// start at 1); the client uploads and publishes in one step, so
+    /// submit and enqueue share a timestamp.
+    pub fn begin_submit(
+        &self,
+        creds: &Credentials,
+        project: &ProjectDir,
+        mode: SubmitMode,
+    ) -> Result<PendingJob, SubmitError> {
+        let pending = self.client_for(creds).begin_submit(project, mode)?;
+        let now = self.clock.now();
+        self.telemetry
+            .trace_span(pending.job_id, 0, stage::SUBMITTED, component::CLIENT, now, now);
+        self.telemetry
+            .trace_span(pending.job_id, 0, stage::ENQUEUED, component::BROKER, now, now);
+        Ok(pending)
+    }
+
     /// Drive the fleet until `stop` matches an outcome or no worker
-    /// makes progress, one scheduling round at a time (DESIGN.md §12).
-    ///
-    /// Each round pops at most one job per worker (in worker order),
-    /// runs every claim tail, then every execute phase, then commits in
-    /// claim order. Claim and commit are the only phases that touch
-    /// broker/store/db, so commit order is the fault-draw order. The
-    /// clock advances once per round by the batch's summed service
-    /// time. Injected crashes restart their worker after the round (and
-    /// stalls additionally wait out the in-flight timeout before the
-    /// broker reclaims the held messages); either way the job messages
-    /// survive to a later attempt. Returns all outcomes observed.
+    /// makes progress, one settled round at a time: each round pops at
+    /// most one job per worker, in worker order. A round that matches
+    /// `stop` still commits and settles in full. Returns all outcomes
+    /// observed.
     pub fn drive_until(&mut self, stop: impl Fn(&JobOutcome) -> bool) -> Vec<JobOutcome> {
         let mut outcomes = Vec::new();
-        loop {
+        let mut stop_hit = false;
+        while !stop_hit {
             let popped: Vec<(usize, PoppedTask)> = self
                 .workers
                 .iter_mut()
@@ -560,58 +575,87 @@ impl RaiSystem {
                 .filter_map(|(wi, w)| w.pop_task().map(|p| (wi, p)))
                 .collect();
             if popped.is_empty() {
-                return outcomes;
+                break;
             }
-            let executed: Vec<(usize, ExecutedJob)> = self
-                .claim_tasks(popped)
-                .into_iter()
-                .map(|(wi, claimed)| (wi, Worker::execute(claimed)))
-                .collect();
-            let mut advance = SimDuration::ZERO;
-            let mut stalled = false;
-            let mut crashed: Vec<usize> = Vec::new();
-            let mut stop_hit = false;
-            for (wi, executed) in executed {
-                match self.workers[wi].commit(executed) {
-                    StepEvent::Idle => unreachable!("commit always seals its claim"),
-                    StepEvent::Done(outcome) => {
-                        advance += outcome.service_time;
-                        stop_hit |= stop(&outcome);
-                        outcomes.push(outcome);
-                    }
-                    StepEvent::Crashed(report) => {
-                        advance += report.wasted;
-                        stalled |= report.kind == CrashKind::Stall;
-                        crashed.push(wi);
-                    }
+            let tally = self.run_round(popped, |event| {
+                if let StepEvent::Done(outcome) = event {
+                    stop_hit |= stop(&outcome);
+                    outcomes.push(outcome);
                 }
-            }
-            self.clock.advance(advance);
-            if stalled {
-                // Frozen processes hold their claims until the broker's
-                // message timeout passes.
-                self.clock.advance(MESSAGE_TIMEOUT);
-                self.broker.reclaim_expired(MESSAGE_TIMEOUT);
-            }
-            for wi in crashed {
-                self.workers[wi].crash_recover();
-            }
-            if stop_hit {
-                return outcomes;
-            }
+                ControlFlow::Continue(())
+            });
+            self.settle(tally);
         }
+        outcomes
     }
 
-    /// Run the claim tail of each popped task on the worker that popped
-    /// it, in pop order. Drivers that pop on their own schedule — the
-    /// semester's dispatch loop pops in FIFO arrival order against a
-    /// capacity budget — share this step with
-    /// [`RaiSystem::drive_until`].
-    pub fn claim_tasks(&mut self, popped: Vec<(usize, PoppedTask)>) -> Vec<(usize, ClaimedJob)> {
-        popped
+    /// One scheduling round over already-popped tasks (DESIGN.md §12):
+    /// run each claim tail on the worker that popped it, in pop order;
+    /// execute every claim; then commit in claim order, handing each
+    /// event to `visit`. Who pops is the caller's policy; claim and
+    /// commit are the only phases that touch broker/store/db, so commit
+    /// order is the fault-draw order.
+    ///
+    /// `visit` runs between commits. Returning `Break` cuts the round
+    /// short — the process dies here: the remaining executions are
+    /// dropped with their claims neither acked nor released.
+    ///
+    /// The round never moves the clock. A driver that owns the clock
+    /// passes the tally to [`RaiSystem::settle`]; one whose clock an
+    /// event engine owns, and whose jobs cannot crash, drops it.
+    pub fn run_round(
+        &mut self,
+        popped: Vec<(usize, PoppedTask)>,
+        mut visit: impl FnMut(StepEvent) -> ControlFlow<()>,
+    ) -> RoundTally {
+        let claimed: Vec<(usize, ClaimedJob)> = popped
             .into_iter()
             .map(|(wi, p)| (wi, self.workers[wi].claim_popped(p)))
-            .collect()
+            .collect();
+        let executed: Vec<(usize, ExecutedJob)> = claimed
+            .into_iter()
+            .map(|(wi, claimed)| (wi, Worker::execute(claimed)))
+            .collect();
+        let mut tally = RoundTally::default();
+        for (wi, executed) in executed {
+            let event = self.workers[wi].commit(executed);
+            match &event {
+                StepEvent::Idle => unreachable!("commit always seals its claim"),
+                StepEvent::Done(outcome) => tally.advance += outcome.service_time,
+                StepEvent::Crashed(report) => {
+                    tally.advance += report.wasted;
+                    tally.stalled |= report.kind == CrashKind::Stall;
+                    tally.crashed.push(wi);
+                }
+            }
+            if visit(event).is_break() {
+                tally.cut_short = true;
+                break;
+            }
+        }
+        tally
+    }
+
+    /// Settle a round: advance the clock once by the committed jobs'
+    /// summed service time, then restart the workers whose job crashed
+    /// — after a stall, first waiting out the in-flight timeout so the
+    /// broker reclaims the held messages. Either way the job messages
+    /// survive to a later attempt. A round cut short only advances the
+    /// clock: nothing is reclaimed or restarted in a dead process.
+    pub fn settle(&mut self, tally: RoundTally) {
+        self.clock.advance(tally.advance);
+        if tally.cut_short {
+            return;
+        }
+        if tally.stalled {
+            // Frozen processes hold their claims until the broker's
+            // message timeout passes.
+            self.clock.advance(MESSAGE_TIMEOUT);
+            self.broker.reclaim_expired(MESSAGE_TIMEOUT);
+        }
+        for wi in tally.crashed {
+            self.workers[wi].crash_recover();
+        }
     }
 
     /// Drain every queued job.
@@ -842,25 +886,27 @@ mod tests {
         }
     }
 
+    /// Four workers, four queued jobs: worker i will pop job i.
+    fn queue_four() -> (RaiSystem, Vec<u64>) {
+        let mut system = RaiSystem::new(SystemConfig {
+            workers: 4,
+            rate_limit: None,
+            ..Default::default()
+        });
+        let creds = system.register_team("t", &[]);
+        let client = system.client_for(&creds);
+        let ids: Vec<u64> = (0..4)
+            .map(|i| {
+                let p = ProjectDir::cuda_project_with_perf(300.0 + 50.0 * i as f64, 0.9, 1024);
+                client.begin_submit(&p, SubmitMode::Run).unwrap().job_id
+            })
+            .collect();
+        (system, ids)
+    }
+
     #[test]
     fn a_round_executes_every_claim_before_the_first_commit() {
         use crate::worker::phase_log;
-        let queue_four = || {
-            let mut system = RaiSystem::new(SystemConfig {
-                workers: 4,
-                rate_limit: None,
-                ..Default::default()
-            });
-            let creds = system.register_team("t", &[]);
-            let client = system.client_for(&creds);
-            let ids: Vec<u64> = (0..4)
-                .map(|i| {
-                    let p = ProjectDir::cuda_project_with_perf(300.0 + 50.0 * i as f64, 0.9, 1024);
-                    client.begin_submit(&p, SubmitMode::Run).unwrap().job_id
-                })
-                .collect();
-            (system, ids)
-        };
         let summary = |o: &JobOutcome| (o.job_id, o.success, o.service_time, o.measured_secs);
 
         let (mut system, ids) = queue_four();
@@ -886,6 +932,51 @@ mod tests {
             outcomes.iter().map(summary).collect::<Vec<_>>(),
             steps.iter().map(summary).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn a_round_cut_short_drops_its_uncommitted_tail() {
+        let (mut system, ids) = queue_four();
+        let task_queue = |system: &RaiSystem| {
+            let t = system.broker().topic_stats(crate::protocol::routes::TASK_TOPIC).unwrap();
+            (t.depth, t.in_flight)
+        };
+        let popped: Vec<(usize, PoppedTask)> = system
+            .workers_mut()
+            .iter_mut()
+            .enumerate()
+            .map(|(wi, w)| (wi, w.pop_task().expect("one job each")))
+            .collect();
+        let started = system.clock().now();
+        let mut committed = SimDuration::ZERO;
+        let mut commits = 0;
+        let tally = system.run_round(popped, |event| {
+            let StepEvent::Done(outcome) = event else { panic!("fault-free jobs finish") };
+            committed += outcome.service_time;
+            commits += 1;
+            if commits == 2 { ControlFlow::Break(()) } else { ControlFlow::Continue(()) }
+        });
+        assert!(tally.cut_short);
+        system.settle(tally);
+        // The committed prefix landed; the tail's claims are neither
+        // acked nor released, and the clock moved by the prefix only.
+        assert_eq!(system.report().submissions, 2);
+        assert_eq!(task_queue(&system), (0, 2));
+        assert_eq!(system.clock().now(), started + committed);
+
+        // Restarting the two workers that held the tail releases it to
+        // run exactly once.
+        for w in &mut system.workers_mut()[2..] {
+            w.crash_recover();
+        }
+        assert_eq!(task_queue(&system), (2, 0));
+        let rest = system.drain();
+        assert_eq!(rest.iter().map(|o| o.job_id).collect::<Vec<_>>(), ids[2..]);
+        assert_eq!(task_queue(&system), (0, 0));
+        let rows = system.db().collection("submissions");
+        for id in ids {
+            assert_eq!(rows.read().find(&doc! { "job_id" => id as i64 }).len(), 1, "job {id}");
+        }
     }
 
     #[test]

@@ -10,9 +10,12 @@
 //! the container and sends `End`.
 //!
 //! "The worker can be configured to have multiple jobs in flight" —
-//! the `max_in_flight` knob; contention noise from co-scheduled jobs is
-//! what made the staff switch to single-job workers for the benchmark
-//! weeks (reproduced by the concurrency ablation).
+//! [`WorkerConfig::max_in_flight`]; contention noise from co-scheduled
+//! jobs is what made the staff switch to single-job workers for the
+//! benchmark weeks (reproduced by the concurrency ablation, which
+//! builds its workers directly). A [`crate::RaiSystem`] fleet is always
+//! single-job: its round commits every claim before the next pop, so a
+//! second slot could never fill.
 //!
 //! ## Failure model
 //!
@@ -165,7 +168,7 @@ impl PoppedTask {
 /// it by value without touching the worker at all.
 pub struct ClaimedJob {
     /// Broker message backing this claim (`None` when driven directly
-    /// via [`Worker::run_job`], which manages queueing itself).
+    /// via [`Worker::process_with_coscheduled`], which has no queue).
     msg_id: Option<MessageId>,
     request: JobRequest,
     attempt: u64,
@@ -340,11 +343,6 @@ impl Worker {
         &self.config.worker_id
     }
 
-    /// Jobs currently being executed (used by the in-flight constraint).
-    pub fn active_jobs(&self) -> usize {
-        self.active_jobs
-    }
-
     /// Contention-noise multiplier for the current load: a single job
     /// measures cleanly; co-scheduled jobs add up to ~12% noise each
     /// (PCIe/host contention on a shared K80 host).
@@ -379,31 +377,22 @@ impl Worker {
     /// subscription; a `Stall` holds it until the broker's message
     /// timeout (`reclaim_expired`) fires.
     ///
-    /// Equivalent to claim → execute → commit back to back; round
-    /// drivers call the three phases separately (DESIGN.md §12).
+    /// Claim → execute → commit back to back; the round
+    /// ([`crate::RaiSystem::run_round`]) runs the same phases regrouped
+    /// across workers (DESIGN.md §12).
     pub fn try_step(&mut self) -> StepEvent {
-        match self.claim() {
-            None => StepEvent::Idle,
-            Some(claimed) => {
-                let executed = Worker::execute(claimed);
-                self.commit(executed)
-            }
-        }
+        let Some(popped) = self.pop_task() else { return StepEvent::Idle };
+        let claimed = self.claim_popped(popped);
+        self.commit(Worker::execute(claimed))
     }
 
-    /// Claim one task message from the broker and run its claim phase.
-    /// Returns `None` when the queue is empty or this worker is at its
-    /// in-flight limit. The claim counts against `active_jobs` until
-    /// [`Worker::commit`] (or [`Worker::crash_recover`]) releases it.
-    pub fn claim(&mut self) -> Option<ClaimedJob> {
-        self.pop_task().map(|p| self.claim_popped(p))
-    }
-
-    /// The first half of [`Worker::claim`]: pop one task message and
-    /// run its order-defining bookkeeping (decode, malformed-ack,
-    /// redelivery counting, in-flight accounting) without touching
-    /// auth, images, or the store. Returns `None` when the queue is
-    /// empty or this worker is at its in-flight limit.
+    /// The first half of a claim: pop one task message and run its
+    /// order-defining bookkeeping (decode, malformed-ack, redelivery
+    /// counting, in-flight accounting) without touching auth, images,
+    /// or the store. Returns `None` when the queue is empty or this
+    /// worker is at its in-flight limit. The claim counts against the
+    /// limit until [`Worker::commit`] (or [`Worker::crash_recover`])
+    /// releases it.
     pub fn pop_task(&mut self) -> Option<PoppedTask> {
         loop {
             if self.active_jobs >= self.config.max_in_flight {
@@ -449,24 +438,6 @@ impl Worker {
     pub fn claim_popped(&mut self, popped: PoppedTask) -> ClaimedJob {
         let PoppedTask { msg_id, request, attempt, co_scheduled } = popped;
         self.claim_request(&request, attempt, co_scheduled, Some(msg_id))
-    }
-
-    /// Claim up to `max` task messages in one broker round trip
-    /// (`Subscription::try_recv_batch`), bounded by the remaining
-    /// in-flight budget, and run each claim phase in queue order.
-    ///
-    /// Malformed messages are dropped (batch-acked) — they can never
-    /// become valid — and do not count against `max`. Claims beyond the
-    /// first are flagged co-scheduled, reproducing the contention noise
-    /// the paper saw on multi-job workers; the deterministic drivers
-    /// keep `max_in_flight` at 1, so their claims always measure clean.
-    pub fn claim_batch(&mut self, max: usize) -> Vec<ClaimedJob> {
-        let mut claims = Vec::new();
-        while claims.len() < max {
-            let Some(popped) = self.pop_task() else { break };
-            claims.push(self.claim_popped(popped));
-        }
-        claims
     }
 
     /// Restart after a crash: a fresh subscription claims a new
@@ -588,19 +559,12 @@ impl Worker {
         }
     }
 
-    /// Process an already-accepted request (also used directly by the
-    /// discrete-event driver, which manages queueing itself).
-    pub fn process(&mut self, request: &JobRequest) -> JobOutcome {
-        let co = self.active_jobs.saturating_sub(1);
-        self.process_with_coscheduled(request, co)
-    }
-
     /// Process a request while `co_scheduled` other jobs share this
     /// host — the lever behind the paper's "the worker accepts only one
     /// task at a time – this makes the performance timing more accurate
-    /// and repeatable" (measured by the concurrency ablation). Crashes
-    /// are folded into a failed outcome; fault-aware drivers use
-    /// [`Worker::run_job`].
+    /// and repeatable" (measured by the concurrency ablation). The
+    /// request bypasses the broker; crashes are folded into a failed
+    /// outcome.
     pub fn process_with_coscheduled(&mut self, request: &JobRequest, co_scheduled: usize) -> JobOutcome {
         match self.run_job(request, 1, co_scheduled) {
             Ok(outcome) => outcome,
@@ -620,7 +584,7 @@ impl Worker {
     /// persisted; `Err` means an injected crash/stall (or a db record
     /// that outlasted its retries) aborted processing and the message
     /// must not be acked.
-    pub fn run_job(
+    fn run_job(
         &mut self,
         request: &JobRequest,
         attempt: u64,
@@ -960,7 +924,7 @@ impl Worker {
     }
 
     /// Commit an executed job without touching message or in-flight
-    /// accounting (shared by [`Worker::commit`] and [`Worker::run_job`]).
+    /// accounting (shared by [`Worker::commit`] and `run_job`).
     fn commit_job(&mut self, executed: ExecutedJob) -> Result<JobOutcome, CrashReport> {
         let attempt = executed.attempt;
         let started = executed.started;

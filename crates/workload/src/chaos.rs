@@ -11,15 +11,16 @@
 //! topic — with nothing lost, nothing double-counted, and the whole run
 //! byte-identical across same-seed executions.
 
-use rai_broker::dead_letter_topic;
+use rai_auth::Credentials;
+use rai_broker::{dead_letter_topic, Subscription};
 use rai_cluster::{InstanceId, InstanceType, WorkerPool};
 use rai_core::protocol::{routes, JobRequest};
-use rai_core::worker::StepEvent;
-use rai_core::{ProjectDir, RaiSystem, SubmitMode, SystemConfig, Worker};
-use rai_faults::{CrashKind, FaultKind, FaultPlan};
+use rai_core::{Fnv1a, PendingJob, ProjectDir, RaiSystem, SubmitMode, SystemConfig};
+use rai_faults::{FaultKind, FaultPlan};
 use rai_sim::{SimDuration, SimTime, VirtualClock};
-use rai_telemetry::{component, stage, JobTrace, MetricsSnapshot};
+use rai_telemetry::{JobTrace, MetricsSnapshot};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::{ControlFlow, Range};
 
 /// Chaos-run parameters.
 #[derive(Clone, Debug)]
@@ -73,6 +74,23 @@ impl ChaosConfig {
         }
     }
 
+    /// The deployment the course runs on (in-memory; the restart-resume
+    /// scenario adds its durability settings).
+    pub(crate) fn system_config(&self) -> SystemConfig {
+        SystemConfig {
+            workers: self.workers,
+            rate_limit: None,
+            seed: self.seed,
+            broker_attempts: self.broker_attempts,
+            fault_plan: Some(self.plan.clone()),
+            ..Default::default()
+        }
+    }
+
+    /// The course's team names, in registration order.
+    pub(crate) fn team_names(&self) -> impl Iterator<Item = String> {
+        (0..self.teams).map(|i| format!("chaos-team-{i:02}"))
+    }
 }
 
 /// Audited outputs of a chaos run.
@@ -133,25 +151,78 @@ impl ChaosResult {
     }
 }
 
-/// In-flight timeout used when a stalled worker holds a claim.
-const MESSAGE_TIMEOUT: SimDuration = SimDuration::from_mins(10);
-
-struct Driver {
-    system: RaiSystem,
-    clock: VirtualClock,
-    pool: WorkerPool,
+/// One life of the round-structured course, shared by [`run_chaos`]
+/// (in-memory deployment, never killed) and the restart-resume
+/// scenario (`crate::recovery`: durable deployment, one `Course` per
+/// life of the process) — so "recovered run equals uninterrupted run"
+/// compares the same loop and the same audit.
+///
+/// Field order is drop order: a kill drops the log subscriptions, then
+/// the audit tap, then the deployment.
+pub(crate) struct Course<'a> {
+    config: &'a ChaosConfig,
+    /// Log subscriptions, kept alive until the end so late frames from
+    /// redelivered attempts land somewhere.
+    pendings: Vec<PendingJob>,
+    /// Audit tap on the dead-letter topic.
+    dead_sub: Subscription,
+    pub system: RaiSystem,
+    /// A billing pool mirroring the worker fleet, so instance deaths
+    /// show up in cost and failure accounting.
+    pub pool: WorkerPool,
     instance_ids: Vec<InstanceId>,
     alive: Vec<bool>,
-    deaths: VecDeque<SimTime>,
+    /// Scheduled instance deaths still to come.
+    pub deaths: VecDeque<SimTime>,
+    /// Job ids the system accepted (client `begin_submit` returned Ok).
+    pub accepted: Vec<u64>,
+    /// Submit errors after the client's bounded retries: *visible*
+    /// failures, not lost submissions.
+    pub rejected: u64,
 }
 
-impl Driver {
+impl<'a> Course<'a> {
+    /// Tap the dead-letter topic (before any job can reach it) and
+    /// provision the fleet; the plan's instance deaths count from the
+    /// moment the fleet is up.
+    pub fn deploy(config: &'a ChaosConfig, system: RaiSystem) -> Self {
+        let dead_sub = system
+            .broker()
+            .subscribe(&dead_letter_topic(routes::TASK_TOPIC, routes::TASK_CHANNEL), "audit");
+        let clock = system.clock();
+        let pool = WorkerPool::new(clock.clone());
+        let instance_ids = pool.launch(InstanceType::p2(), config.workers);
+        clock.advance(InstanceType::p2().provision_latency);
+        let start = clock.now();
+        Course {
+            config,
+            pendings: Vec::new(),
+            dead_sub,
+            pool,
+            instance_ids,
+            alive: vec![true; config.workers],
+            deaths: config.plan.instance_deaths.iter().map(|d| start + *d).collect(),
+            accepted: Vec::new(),
+            rejected: 0,
+            system,
+        }
+    }
+
+    /// Register the course's teams, in the order recovery re-registers
+    /// them.
+    pub fn register_teams(&mut self) -> Vec<Credentials> {
+        self.config
+            .team_names()
+            .map(|name| self.system.register_team(&name, &[]))
+            .collect()
+    }
+
     /// Kill fleet instances whose scheduled death time has passed: the
     /// pool stops billing them, their worker releases its claims (the
     /// un-acked job redelivers elsewhere) and stops taking work.
     fn apply_due_deaths(&mut self) {
         while let Some(&at) = self.deaths.front() {
-            if self.clock.now() < at {
+            if self.system.clock().now() < at {
                 break;
             }
             self.deaths.pop_front();
@@ -165,85 +236,107 @@ impl Driver {
         }
     }
 
-    /// Drive every live worker until none makes progress, one
-    /// scheduling round at a time (DESIGN.md §12): deaths land at the
-    /// round boundary, each live worker claims at most one job (in
-    /// worker order — fault draws included), the round executes, and
-    /// commits apply in claim order. Crashes restart the worker at the
-    /// end of the round; stalls wait out the in-flight timeout so the
-    /// broker reclaims the held message.
-    fn drive(&mut self) {
-        loop {
-            self.apply_due_deaths();
-            // Pop in worker order, then run the claim tails in pop
-            // order.
-            let mut popped = Vec::new();
-            for i in 0..self.alive.len() {
-                if !self.alive[i] {
-                    continue;
+    /// One arrival gap later, every team submits once.
+    pub fn submit_round(&mut self, creds: &[Credentials], round: usize) {
+        let config = self.config;
+        self.system.clock().advance(config.arrival_gap);
+        self.apply_due_deaths();
+        for (i, cred) in creds.iter().enumerate() {
+            // Vary the project per (team, round) so runtimes differ
+            // deterministically.
+            let ms = 400.0 + ((config.seed ^ (round as u64) << 8 ^ i as u64) % 900) as f64;
+            let project = ProjectDir::cuda_project_with_perf(ms, 0.92, 1024).with_final_artifacts();
+            let mode = if round == config.rounds - 1 { SubmitMode::Submit } else { SubmitMode::Run };
+            match self.system.begin_submit(cred, &project, mode) {
+                Ok(pending) => {
+                    self.accepted.push(pending.job_id);
+                    self.pendings.push(pending);
                 }
-                if let Some(task) = self.system.workers_mut()[i].pop_task() {
-                    popped.push((i, task));
-                }
-            }
-            if popped.is_empty() {
-                return;
-            }
-            let executed: Vec<_> = self
-                .system
-                .claim_tasks(popped)
-                .into_iter()
-                .map(|(wi, claimed)| (wi, Worker::execute(claimed)))
-                .collect();
-            let mut advance = SimDuration::ZERO;
-            let mut stalled = false;
-            let mut crashed = Vec::new();
-            for (wi, executed) in executed {
-                match self.system.workers_mut()[wi].commit(executed) {
-                    StepEvent::Idle => unreachable!("commit always seals its claim"),
-                    StepEvent::Done(outcome) => advance += outcome.service_time,
-                    StepEvent::Crashed(report) => {
-                        advance += report.wasted;
-                        stalled |= report.kind == CrashKind::Stall;
-                        crashed.push(wi);
-                    }
-                }
-            }
-            self.clock.advance(advance);
-            if stalled {
-                self.clock.advance(MESSAGE_TIMEOUT);
-                self.system.broker().reclaim_expired(MESSAGE_TIMEOUT);
-            }
-            for wi in crashed {
-                self.system.workers_mut()[wi].crash_recover();
+                Err(_) => self.rejected += 1,
             }
         }
     }
-}
 
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for b in bytes {
-        *h ^= u64::from(*b);
-        *h = h.wrapping_mul(0x100_0000_01b3);
+    /// Drive every live worker until none makes progress, one settled
+    /// round at a time: deaths land at the round boundary, then each
+    /// live worker pops at most one job, in worker order. With
+    /// `kill_after = Some(n)` the process dies once `n` jobs have
+    /// committed — between two commits, mid-queue, claims and all —
+    /// unless the queue drains first.
+    pub fn drive(&mut self, kill_after: Option<u64>) {
+        let kill_due = |commits: u64| kill_after.is_some_and(|n| commits >= n);
+        let mut commits = 0;
+        while !kill_due(commits) {
+            self.apply_due_deaths();
+            let alive = &self.alive;
+            let popped: Vec<_> = self
+                .system
+                .workers_mut()
+                .iter_mut()
+                .enumerate()
+                .filter(|(wi, _)| alive[*wi])
+                .filter_map(|(wi, w)| w.pop_task().map(|task| (wi, task)))
+                .collect();
+            if popped.is_empty() {
+                return;
+            }
+            let tally = self.system.run_round(popped, |_| {
+                commits += 1;
+                if kill_due(commits) { ControlFlow::Break(()) } else { ControlFlow::Continue(()) }
+            });
+            self.system.settle(tally);
+        }
+    }
+
+    /// Submit and fully drive each of `rounds`. Round boundaries are
+    /// quiesced points: compact the logs if they have outgrown their
+    /// last snapshot, so a later kill recovers from snapshot + tail
+    /// instead of the full history (a no-op without a WAL).
+    pub fn run_rounds(&mut self, creds: &[Credentials], rounds: Range<usize>) {
+        for round in rounds {
+            self.submit_round(creds, round);
+            self.drive(None);
+            self.system.maybe_compact();
+        }
+    }
+
+    /// Final drain — anything still queued (e.g. claims released by
+    /// the last instance death) runs to completion — then the
+    /// terminal-state audit.
+    pub fn finish(&mut self) -> AuditOutcome {
+        self.drive(None);
+        self.system.sync_wals();
+        self.pendings.clear();
+        // Dead letters, in arrival order. At-least-once re-publish can
+        // (rarely) dead-letter the same job in both lives of a claim;
+        // the audit counts the first appearance.
+        let mut dead_lettered = Vec::new();
+        while let Some(msg) = self.dead_sub.try_recv() {
+            if let Some(req) = JobRequest::decode(&msg.body_str()) {
+                if !dead_lettered.contains(&req.job_id) {
+                    dead_lettered.push(req.job_id);
+                }
+            }
+            self.dead_sub.ack(msg.id);
+        }
+        audit_terminal_state(&self.system, &self.accepted, dead_lettered)
     }
 }
 
-/// The terminal-state audit shared by the chaos and restart-resume
-/// scenarios (`crate::recovery`): row/dead-letter accounting plus the
-/// run fingerprint. One implementation, so "recovered run equals
-/// uninterrupted run" compares the exact same bytes.
+/// Row/dead-letter accounting plus the run fingerprint.
 pub(crate) struct AuditOutcome {
     pub terminal: Vec<u64>,
+    pub dead_lettered: Vec<u64>,
     pub duplicated: Vec<u64>,
     pub lost: Vec<u64>,
     pub standings: Vec<(String, f64)>,
     pub fingerprint: u64,
 }
 
-pub(crate) fn audit_terminal_state(
+fn audit_terminal_state(
     system: &RaiSystem,
     accepted: &[u64],
-    dead_lettered: &[u64],
+    dead_lettered: Vec<u64>,
 ) -> AuditOutcome {
     let mut rows_per_id: BTreeMap<u64, u64> = BTreeMap::new();
     let submissions = system.db().collection("submissions");
@@ -270,135 +363,46 @@ pub(crate) fn audit_terminal_state(
     // Fingerprint: terminal rows (sorted by job id) + dead-letter order
     // + standings. Presigned URLs are deliberately excluded (their
     // secret is process-global, not seed-derived).
-    let mut fp: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut fp = Fnv1a::new();
     for id in rows_per_id.keys() {
         let row = submissions
             .read()
             .find_one(&rai_db::doc! { "job_id" => *id })
             .expect("counted above");
-        fnv1a(&mut fp, &id.to_le_bytes());
-        fnv1a(&mut fp, row.get("team").and_then(rai_db::Value::as_str).unwrap_or("").as_bytes());
-        fnv1a(&mut fp, row.get("kind").and_then(rai_db::Value::as_str).unwrap_or("").as_bytes());
-        fnv1a(&mut fp, &[u8::from(row.get("success").and_then(rai_db::Value::as_bool).unwrap_or(false))]);
+        fp.update(&id.to_le_bytes());
+        fp.update(row.get("team").and_then(rai_db::Value::as_str).unwrap_or("").as_bytes());
+        fp.update(row.get("kind").and_then(rai_db::Value::as_str).unwrap_or("").as_bytes());
+        fp.update(&[u8::from(row.get("success").and_then(rai_db::Value::as_bool).unwrap_or(false))]);
         let secs = row.get("internal_secs").and_then(rai_db::Value::as_f64).unwrap_or(0.0);
-        fnv1a(&mut fp, &secs.to_bits().to_le_bytes());
+        fp.update(&secs.to_bits().to_le_bytes());
     }
-    for id in dead_lettered {
-        fnv1a(&mut fp, &id.to_le_bytes());
+    for id in &dead_lettered {
+        fp.update(&id.to_le_bytes());
     }
     for (team, secs) in &standings {
-        fnv1a(&mut fp, team.as_bytes());
-        fnv1a(&mut fp, &secs.to_bits().to_le_bytes());
+        fp.update(team.as_bytes());
+        fp.update(&secs.to_bits().to_le_bytes());
     }
     AuditOutcome {
         terminal,
+        dead_lettered,
         duplicated,
         lost,
         standings,
-        fingerprint: fp,
+        fingerprint: fp.digest(),
     }
 }
 
 /// Run the chaos scenario and audit it.
 pub fn run_chaos(config: &ChaosConfig) -> ChaosResult {
-    let clock = VirtualClock::new();
-    let system = RaiSystem::with_clock(
-        SystemConfig {
-            workers: config.workers,
-            jobs_per_worker: 1,
-            rate_limit: None,
-            seed: config.seed,
-            broker_attempts: config.broker_attempts,
-            fault_plan: Some(config.plan.clone()),
-            ..Default::default()
-        },
-        clock.clone(),
-    );
-    // Audit tap on the dead-letter topic, created before any traffic.
-    let dead_sub = system.broker().subscribe(
-        &dead_letter_topic(routes::TASK_TOPIC, routes::TASK_CHANNEL),
-        "audit",
-    );
-    // A billing pool mirroring the worker fleet, so instance deaths
-    // show up in cost and failure accounting.
-    let pool = WorkerPool::new(clock.clone());
-    let instance_ids = pool.launch(InstanceType::p2(), config.workers);
-    clock.advance(InstanceType::p2().provision_latency);
+    let system = RaiSystem::with_clock(config.system_config(), VirtualClock::new());
+    let mut course = Course::deploy(config, system);
+    let creds = course.register_teams();
+    course.run_rounds(&creds, 0..config.rounds);
+    let audit = course.finish();
 
-    let start = clock.now();
-    let mut driver = Driver {
-        alive: vec![true; config.workers],
-        deaths: config
-            .plan
-            .instance_deaths
-            .iter()
-            .map(|d| start + *d)
-            .collect(),
-        system,
-        clock: clock.clone(),
-        pool,
-        instance_ids,
-    };
-
-    let creds: Vec<_> = (0..config.teams)
-        .map(|i| driver.system.register_team(&format!("chaos-team-{i:02}"), &[]))
-        .collect();
-
-    let mut accepted = Vec::new();
-    let mut rejected = 0u64;
-    let mut pendings = Vec::new();
-    for round in 0..config.rounds {
-        driver.clock.advance(config.arrival_gap);
-        driver.apply_due_deaths();
-        for (i, cred) in creds.iter().enumerate() {
-            // Vary the project per (team, round) so runtimes differ
-            // deterministically.
-            let ms = 400.0 + ((config.seed ^ (round as u64) << 8 ^ i as u64) % 900) as f64;
-            let project = ProjectDir::cuda_project_with_perf(ms, 0.92, 1024).with_final_artifacts();
-            let mode = if round == config.rounds - 1 { SubmitMode::Submit } else { SubmitMode::Run };
-            let client = driver.system.client_for(cred);
-            match client.begin_submit(&project, mode) {
-                Ok(pending) => {
-                    accepted.push(pending.job_id);
-                    let now = driver.clock.now();
-                    let t = driver.system.telemetry();
-                    t.trace_span(pending.job_id, 0, stage::SUBMITTED, component::CLIENT, now, now);
-                    t.trace_span(pending.job_id, 0, stage::ENQUEUED, component::BROKER, now, now);
-                    // Keep the log subscription alive until the end so
-                    // late frames from redelivered attempts land
-                    // somewhere; dropped in bulk after the run.
-                    pendings.push(pending);
-                }
-                // A submit error after the client's bounded retries is
-                // a *visible* failure, not a lost submission.
-                Err(_) => rejected += 1,
-            }
-        }
-        driver.drive();
-    }
-    // Final drain: anything still queued (e.g. claims released by the
-    // last instance death) runs to completion.
-    driver.drive();
-    drop(pendings);
-
-    // Audit. Dead letters, in arrival order.
-    let mut dead_lettered = Vec::new();
-    while let Some(msg) = dead_sub.try_recv() {
-        if let Some(req) = JobRequest::decode(&msg.body_str()) {
-            dead_lettered.push(req.job_id);
-        }
-        dead_sub.ack(msg.id);
-    }
-    let AuditOutcome {
-        terminal,
-        duplicated,
-        lost,
-        standings,
-        fingerprint: fp,
-    } = audit_terminal_state(&driver.system, &accepted, &dead_lettered);
-
-    let injected = driver
-        .system
+    let system = &course.system;
+    let injected = system
         .fault_injector()
         .map(|inj| {
             inj.injected_counts()
@@ -407,23 +411,20 @@ pub fn run_chaos(config: &ChaosConfig) -> ChaosResult {
                 .collect()
         })
         .unwrap_or_default();
-    let metrics = driver.system.telemetry().snapshot();
-    let traces = driver.system.telemetry().job_traces();
-    let store = driver.system.store().usage();
     ChaosResult {
-        accepted,
-        rejected,
-        terminal,
-        dead_lettered,
-        duplicated,
-        lost,
-        instances_failed: driver.pool.stats().failed,
+        rejected: course.rejected,
+        terminal: audit.terminal,
+        dead_lettered: audit.dead_lettered,
+        duplicated: audit.duplicated,
+        lost: audit.lost,
+        instances_failed: course.pool.stats().failed,
         injected,
-        standings,
-        fingerprint: fp,
-        metrics,
-        traces,
-        store,
+        standings: audit.standings,
+        fingerprint: audit.fingerprint,
+        metrics: system.telemetry().snapshot(),
+        traces: system.telemetry().job_traces(),
+        store: system.store().usage(),
+        accepted: course.accepted,
     }
 }
 

@@ -55,9 +55,10 @@ pub struct CompetitionResult {
 pub fn run_competition(config: &CompetitionConfig) -> CompetitionResult {
     let roster = TeamRoster::generate(config.teams, config.students, config.seed);
     let mut system = RaiSystem::new(SystemConfig {
+        // Benchmarking weeks: fleet workers run a single job each, so
+        // timings are clean.
         workers: 4,
-        jobs_per_worker: 1, // benchmarking weeks: single job for clean timing
-        rate_limit: None,   // irrelevant for one final submission per team
+        rate_limit: None, // irrelevant for one final submission per team
         seed: config.seed,
         ..Default::default()
     });

@@ -22,19 +22,15 @@
 //!   job that already completed;
 //! * with a clean kill and a fault-free plan, the recovered run's
 //!   fingerprint is **byte-identical** to an uninterrupted same-seed
-//!   run, at any payload-pipeline width.
+//!   run.
 
-use crate::chaos::{audit_terminal_state, AuditOutcome, ChaosConfig};
-use rai_broker::dead_letter_topic;
-use rai_cluster::{InstanceId, InstanceType, WorkerPool};
-use rai_core::protocol::{routes, JobRequest};
-use rai_core::worker::StepEvent;
-use rai_core::{ProjectDir, RaiSystem, RecoveryReport, SubmitMode, SystemConfig, Worker};
-use rai_faults::{CrashKind, DiskFault, DiskFaultProfile, FaultKind};
-use rai_sim::{SimDuration, SimTime, VirtualClock};
+use crate::chaos::{ChaosConfig, Course};
+use rai_cluster::InstanceType;
+use rai_core::{RaiSystem, RecoveryReport, SystemConfig};
+use rai_faults::{DiskFault, DiskFaultProfile};
+use rai_sim::VirtualClock;
 use rai_telemetry::MetricsSnapshot;
 use rai_wal::{DurabilityConfig, MemDisk, WalStats};
-use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// Where in the run the process dies.
@@ -174,359 +170,115 @@ impl RecoveryResult {
     }
 }
 
-/// In-flight timeout used when a stalled worker holds a claim.
-const MESSAGE_TIMEOUT: SimDuration = SimDuration::from_mins(10);
-
-/// The chaos driver, extended with a step budget so a kill can land
-/// between any two worker step events.
-struct Driver {
-    system: RaiSystem,
-    clock: VirtualClock,
-    pool: WorkerPool,
-    instance_ids: Vec<InstanceId>,
-    alive: Vec<bool>,
-    deaths: VecDeque<SimTime>,
-    steps: u64,
-}
-
-impl Driver {
-    fn deploy(
-        config: &ChaosConfig,
-        clock: VirtualClock,
-        system: RaiSystem,
-        deaths: VecDeque<SimTime>,
-    ) -> Self {
-        let pool = WorkerPool::new(clock.clone());
-        let instance_ids = pool.launch(InstanceType::p2(), config.workers);
-        clock.advance(InstanceType::p2().provision_latency);
-        Driver {
-            alive: vec![true; config.workers],
-            deaths,
-            system,
-            clock,
-            pool,
-            instance_ids,
-            steps: 0,
-        }
-    }
-
-    fn apply_due_deaths(&mut self) {
-        while let Some(&at) = self.deaths.front() {
-            if self.clock.now() < at {
-                break;
-            }
-            self.deaths.pop_front();
-            let Some(victim) = self.alive.iter().position(|a| *a) else { continue };
-            self.alive[victim] = false;
-            self.pool.fail(self.instance_ids[victim]);
-            self.system.workers_mut()[victim].crash_recover();
-            if let Some(inj) = self.system.fault_injector() {
-                inj.note_injected(FaultKind::InstanceDeath);
-            }
-        }
-    }
-
-    /// Drive every live worker until none makes progress, or until the
-    /// cumulative *commit* count reaches `kill_at_step` (returns
-    /// `true`: the process dies here, mid-queue, claims and all).
-    ///
-    /// Rounds follow the chaos driver's shape — claims in worker
-    /// order, every execute, then commits in claim order — so the kill
-    /// always lands between two commits. Execution is pure (commits
-    /// are the only store/db/broker mutation points), so a mid-round
-    /// kill simply drops the round's executed-but-uncommitted jobs on
-    /// the floor: their claims were never acked and their effects were
-    /// never applied, exactly as if the process had died holding them.
-    fn drive(&mut self, kill_at_step: Option<u64>) -> bool {
-        let kill_due = |steps: u64| kill_at_step.is_some_and(|k| steps >= k);
-        if kill_due(self.steps) {
-            return true;
-        }
-        loop {
-            self.apply_due_deaths();
-            let mut claims = Vec::new();
-            for i in 0..self.alive.len() {
-                if !self.alive[i] {
-                    continue;
-                }
-                if let Some(claimed) = self.system.workers_mut()[i].claim() {
-                    claims.push((i, claimed));
-                }
-            }
-            if claims.is_empty() {
-                return false;
-            }
-            let executed: Vec<_> = claims
-                .into_iter()
-                .map(|(wi, claimed)| (wi, Worker::execute(claimed)))
-                .collect();
-            let mut advance = SimDuration::ZERO;
-            let mut stalled = false;
-            let mut crashed = Vec::new();
-            let mut killed = false;
-            for (wi, executed) in executed {
-                match self.system.workers_mut()[wi].commit(executed) {
-                    StepEvent::Idle => unreachable!("commit always seals its claim"),
-                    StepEvent::Done(outcome) => advance += outcome.service_time,
-                    StepEvent::Crashed(report) => {
-                        advance += report.wasted;
-                        stalled |= report.kind == CrashKind::Stall;
-                        crashed.push(wi);
-                    }
-                }
-                self.steps += 1;
-                if kill_due(self.steps) {
-                    // The process is dead: un-acked, un-committed work
-                    // evaporates with it.
-                    killed = true;
-                    break;
-                }
-            }
-            self.clock.advance(advance);
-            if killed {
-                return true;
-            }
-            if stalled {
-                self.clock.advance(MESSAGE_TIMEOUT);
-                self.system.broker().reclaim_expired(MESSAGE_TIMEOUT);
-            }
-            for wi in crashed {
-                self.system.workers_mut()[wi].crash_recover();
-            }
-        }
-    }
-
-    /// Submit one round for every team — the exact chaos-round shape,
-    /// so same-seed runs produce the same projects and job ids.
-    fn submit_round(
-        &mut self,
-        config: &ChaosConfig,
-        creds: &[rai_auth::Credentials],
-        round: usize,
-        accepted: &mut Vec<u64>,
-        rejected: &mut u64,
-        pendings: &mut Vec<rai_core::PendingJob>,
-    ) {
-        self.clock.advance(config.arrival_gap);
-        self.apply_due_deaths();
-        for (i, cred) in creds.iter().enumerate() {
-            let ms = 400.0 + ((config.seed ^ (round as u64) << 8 ^ i as u64) % 900) as f64;
-            let project = ProjectDir::cuda_project_with_perf(ms, 0.92, 1024).with_final_artifacts();
-            let mode = if round == config.rounds - 1 { SubmitMode::Submit } else { SubmitMode::Run };
-            let client = self.system.client_for(cred);
-            match client.begin_submit(&project, mode) {
-                Ok(pending) => {
-                    accepted.push(pending.job_id);
-                    let now = self.clock.now();
-                    let t = self.system.telemetry();
-                    t.trace_span(
-                        pending.job_id,
-                        0,
-                        rai_telemetry::stage::SUBMITTED,
-                        rai_telemetry::component::CLIENT,
-                        now,
-                        now,
-                    );
-                    t.trace_span(
-                        pending.job_id,
-                        0,
-                        rai_telemetry::stage::ENQUEUED,
-                        rai_telemetry::component::BROKER,
-                        now,
-                        now,
-                    );
-                    pendings.push(pending);
-                }
-                Err(_) => *rejected += 1,
-            }
-        }
-    }
-}
-
 /// Run the restart-resume scenario and audit it.
 pub fn run_recovery(config: &RecoveryConfig) -> RecoveryResult {
     let chaos = &config.chaos;
     let sys_config = SystemConfig {
-        workers: chaos.workers,
-        jobs_per_worker: 1,
-        rate_limit: None,
-        seed: chaos.seed,
-        broker_attempts: chaos.broker_attempts,
-        fault_plan: Some(chaos.plan.clone()),
         durability: config.durability,
-        ..Default::default()
+        ..chaos.system_config()
     };
     let db_disk = MemDisk::new();
     let store_disk = MemDisk::new();
-    let clock = VirtualClock::new();
     let system = RaiSystem::with_clock_durable(
         sys_config.clone(),
-        clock.clone(),
+        VirtualClock::new(),
         Arc::new(db_disk.clone()),
         Arc::new(store_disk.clone()),
     );
-    let dead_sub = system
-        .broker()
-        .subscribe(&dead_letter_topic(routes::TASK_TOPIC, routes::TASK_CHANNEL), "audit");
-    let start_deaths = |start: SimTime| -> VecDeque<SimTime> {
-        chaos.plan.instance_deaths.iter().map(|d| start + *d).collect()
-    };
-    let mut driver = Driver::deploy(chaos, clock.clone(), system, VecDeque::new());
-    let start = clock.now();
-    driver.deaths = start_deaths(start);
+    let mut course = Course::deploy(chaos, system);
+    let creds = course.register_teams();
 
-    let team_names: Vec<String> = (0..chaos.teams).map(|i| format!("chaos-team-{i:02}")).collect();
-    let creds: Vec<_> = team_names
-        .iter()
-        .map(|name| driver.system.register_team(name, &[]))
-        .collect();
+    // A kill round past the end of the course never fires.
+    let kill = config.kill.filter(|k| k.round < chaos.rounds);
+    course.run_rounds(&creds, 0..kill.map_or(chaos.rounds, |k| k.round));
 
-    let mut accepted = Vec::new();
-    let mut rejected = 0u64;
-    let mut pendings = Vec::new();
-    let mut killed_after_round = None;
-    for round in 0..chaos.rounds {
-        driver.submit_round(chaos, &creds, round, &mut accepted, &mut rejected, &mut pendings);
-        let kill_here = config.kill.filter(|k| k.round == round);
-        if let Some(k) = kill_here {
-            if k.after_steps.is_none() {
-                killed_after_round = Some(round);
-                break;
-            }
-            let budget = k
-                .after_steps
-                .map(|n| driver.steps.saturating_add(n))
-                .filter(|_| k.after_steps != Some(u64::MAX));
-            driver.drive(budget);
-            // Mid-drive budgets that outlast the round's work, and
-            // explicit boundary kills, both land here: the queue is
-            // drained and the process dies between rounds.
-            killed_after_round = Some(round);
-            break;
+    let mut republished = 0;
+    let mut recovery = None;
+    let mut disk_faults = Vec::new();
+    if let Some(kill) = kill {
+        course.submit_round(&creds, kill.round);
+        // `None` dies with the round's jobs queued, none processed. A
+        // budget that outlasts the round's work (`at_boundary`'s
+        // `u64::MAX` always does) drains the queue, and the process
+        // dies between rounds.
+        if kill.after_steps.is_some() {
+            course.drive(kill.after_steps);
         }
-        driver.drive(None);
-        // Round boundaries are quiesced points: compact the logs if
-        // they have outgrown their last snapshot (a later kill then
-        // recovers from snapshot + tail instead of the full history).
-        driver.system.maybe_compact();
-    }
 
-    let (mut driver, dead_sub, killed, republished, recovery, disk_faults) =
-        if let Some(kill_round) = killed_after_round {
-            // ---- The process dies. ----
-            let kill_time = driver.clock.now();
-            let remaining_deaths: VecDeque<SimTime> =
-                driver.deaths.iter().copied().filter(|t| *t > kill_time).collect();
-            let injector = driver.system.fault_injector().cloned();
-            let pre_kill_failed = driver.pool.stats().failed;
-            drop(pendings);
-            drop(dead_sub);
-            drop(driver);
-            // The crash chews on the unsynced log tails (or doesn't,
-            // for a clean kill). Distinct crash indices keep the two
-            // logs' fault draws independent.
-            let mut faults = Vec::new();
-            match &config.disk_faults {
-                Some(profile) => {
-                    faults.extend(db_disk.crash_with(profile, 0));
-                    faults.extend(store_disk.crash_with(profile, 1));
-                }
-                None => {
-                    db_disk.crash_clean();
-                    store_disk.crash_clean();
-                }
+        // ---- The process dies. ----
+        let kill_time = course.system.clock().now();
+        let remaining_deaths = course.deaths.iter().copied().filter(|t| *t > kill_time).collect();
+        let injector = course.system.fault_injector().cloned();
+        let pre_kill_failed = course.pool.stats().failed;
+        let (accepted, rejected) = (std::mem::take(&mut course.accepted), course.rejected);
+        drop(course);
+        // The crash chews on the unsynced log tails (or doesn't, for a
+        // clean kill). Distinct crash indices keep the two logs' fault
+        // draws independent.
+        match &config.disk_faults {
+            Some(profile) => {
+                disk_faults.extend(db_disk.crash_with(profile, 0));
+                disk_faults.extend(store_disk.crash_with(profile, 1));
             }
-
-            // ---- Recovery: a fresh process, the same environment. ----
-            // The clock and the fault injector's draw state are the
-            // *world*, not process memory — the world does not rewind
-            // when a service restarts.
-            let clock2 = VirtualClock::starting_at(kill_time);
-            let (mut system, report) = RaiSystem::recover_with_clock(
-                sys_config.clone(),
-                clock2.clone(),
-                Arc::new(db_disk.clone()),
-                Arc::new(store_disk.clone()),
-                injector,
-            );
-            // Re-register teams in their original order: the key
-            // generator is deterministic in (seed, order), so the
-            // journaled job signatures verify against the re-issued
-            // credentials.
-            for name in &team_names {
-                system.reregister_team(name);
-            }
-            let dead_sub = system
-                .broker()
-                .subscribe(&dead_letter_topic(routes::TASK_TOPIC, routes::TASK_CHANNEL), "audit");
-            let republished = system.republish_pending();
-            let mut driver = Driver::deploy(chaos, clock2, system, remaining_deaths);
-            // Pre-seed the failure ledger with the first life's losses.
-            for _ in 0..pre_kill_failed {
-                let extra = driver.pool.launch(InstanceType::p2(), 1);
-                driver.pool.fail(extra[0]);
-            }
-            // Finish the killed round: re-published jobs and any the
-            // kill left queued run to completion here.
-            driver.drive(None);
-            // Resume the remaining rounds.
-            pendings = Vec::new();
-            for round in kill_round + 1..chaos.rounds {
-                driver.submit_round(chaos, &creds, round, &mut accepted, &mut rejected, &mut pendings);
-                driver.drive(None);
-                driver.system.maybe_compact();
-            }
-            (driver, dead_sub, true, republished, Some(report), faults)
-        } else {
-            (driver, dead_sub, false, 0, None, Vec::new())
-        };
-
-    // Final drain + audit, exactly as the chaos scenario does it.
-    driver.drive(None);
-    driver.system.sync_wals();
-    drop(pendings);
-
-    let mut dead_lettered = Vec::new();
-    let mut dead_seen = BTreeSet::new();
-    while let Some(msg) = dead_sub.try_recv() {
-        if let Some(req) = JobRequest::decode(&msg.body_str()) {
-            // At-least-once re-publish can (rarely) dead-letter the
-            // same job in both lives of a claim; the audit counts the
-            // first appearance.
-            if dead_seen.insert(req.job_id) {
-                dead_lettered.push(req.job_id);
+            None => {
+                db_disk.crash_clean();
+                store_disk.crash_clean();
             }
         }
-        dead_sub.ack(msg.id);
-    }
-    let AuditOutcome {
-        terminal,
-        duplicated,
-        lost,
-        standings,
-        fingerprint,
-    } = audit_terminal_state(&driver.system, &accepted, &dead_lettered);
 
-    let db_wal = driver.system.db().wal().expect("durable deployment").stats();
-    let store_wal = driver.system.store().wal().expect("durable deployment").stats();
-    let metrics = driver.system.telemetry().snapshot();
+        // ---- Recovery: a fresh process, the same environment. ----
+        // The clock and the fault injector's draw state are the
+        // *world*, not process memory — the world does not rewind when
+        // a service restarts.
+        let (mut system, report) = RaiSystem::recover_with_clock(
+            sys_config,
+            VirtualClock::starting_at(kill_time),
+            Arc::new(db_disk),
+            Arc::new(store_disk),
+            injector,
+        );
+        recovery = Some(report);
+        // Re-register teams in their original order: the key generator
+        // is deterministic in (seed, order), so the journaled job
+        // signatures verify against the re-issued credentials.
+        for name in chaos.team_names() {
+            system.reregister_team(&name);
+        }
+        republished = system.republish_pending();
+        course = Course::deploy(chaos, system);
+        course.deaths = remaining_deaths;
+        course.accepted = accepted;
+        course.rejected = rejected;
+        // Pre-seed the failure ledger with the first life's losses.
+        for _ in 0..pre_kill_failed {
+            let extra = course.pool.launch(InstanceType::p2(), 1);
+            course.pool.fail(extra[0]);
+        }
+        // Finish the killed round — re-published jobs and any the kill
+        // left queued run to completion — then resume the rest.
+        course.drive(None);
+        course.run_rounds(&creds, kill.round + 1..chaos.rounds);
+    }
+
+    let audit = course.finish();
+    let system = &course.system;
     RecoveryResult {
-        accepted,
-        rejected,
-        terminal,
-        dead_lettered,
-        duplicated,
-        lost,
-        standings,
-        fingerprint,
-        killed,
+        rejected: course.rejected,
+        terminal: audit.terminal,
+        dead_lettered: audit.dead_lettered,
+        duplicated: audit.duplicated,
+        lost: audit.lost,
+        standings: audit.standings,
+        fingerprint: audit.fingerprint,
+        killed: kill.is_some(),
         republished,
         recovery,
         disk_faults,
-        db_wal,
-        store_wal,
-        instances_failed: driver.pool.stats().failed,
-        metrics,
+        db_wal: system.db().wal().expect("durable deployment").stats(),
+        store_wal: system.store().wal().expect("durable deployment").stats(),
+        instances_failed: course.pool.stats().failed,
+        metrics: system.telemetry().snapshot(),
+        accepted: course.accepted,
     }
 }
 

@@ -10,17 +10,17 @@ use crate::teams::TeamRoster;
 use rai_cluster::{InstanceType, PhaseSchedule, ReactiveAutoscaler, ScaleAction, WorkerPool};
 use rai_core::client::PendingJob;
 use rai_core::worker::StepEvent;
-use rai_core::{RaiSystem, SubmitMode, SystemConfig, Worker};
+use rai_core::{Fnv1a, RaiSystem, SubmitMode, SystemConfig};
 use rai_sim::{SimDuration, SimTime, Simulation, VirtualClock};
 use rai_telemetry::{
-    component, duration_micros, names, stage, GaugeSeries, JobTrace, LogHistogram,
-    MetricsSnapshot, TimeSeries,
+    duration_micros, names, GaugeSeries, JobTrace, LogHistogram, MetricsSnapshot, TimeSeries,
 };
 use rai_store::StoreUsage;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use std::time::Duration;
 
 /// Semester parameters.
@@ -141,29 +141,23 @@ impl SemesterResult {
     /// value to `BENCH_perf.json` and CI re-checks it, so wall-clock
     /// optimisations have to be observationally pure.
     pub fn fingerprint(&self) -> u64 {
-        let mut fp: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for b in bytes {
-                fp ^= u64::from(*b);
-                fp = fp.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        eat(&self.total_submissions.to_le_bytes());
-        eat(&self.failures.to_le_bytes());
-        eat(&self.window_submissions.to_le_bytes());
+        let mut fp = Fnv1a::new();
+        fp.update(&self.total_submissions.to_le_bytes());
+        fp.update(&self.failures.to_le_bytes());
+        fp.update(&self.window_submissions.to_le_bytes());
         for series in [&self.full_timeline, &self.window_timeline] {
             for count in series.counts() {
-                eat(&count.to_le_bytes());
+                fp.update(&count.to_le_bytes());
             }
         }
         let (p50, p90, p99) = self.queue_wait_secs;
         for p in [p50, p90, p99] {
-            eat(&p.to_bits().to_le_bytes());
+            fp.update(&p.to_bits().to_le_bytes());
         }
         // The whole latency distribution, not just three quantiles: any
         // scheduling leak that shifts a single queue wait by one
         // microsecond breaks the fingerprint.
-        eat(self.queue_wait.encode().as_bytes());
+        fp.update(self.queue_wait.encode().as_bytes());
         for n in [
             self.store.bytes_stored,
             self.store.bytes_physical,
@@ -174,15 +168,15 @@ impl SemesterResult {
             self.store.puts,
             self.store.delta_puts,
         ] {
-            eat(&n.to_le_bytes());
+            fp.update(&n.to_le_bytes());
         }
-        eat(&self.cost_cents.to_le_bytes());
+        fp.update(&self.cost_cents.to_le_bytes());
         for (team, secs) in &self.final_standings {
-            eat(team.as_bytes());
-            eat(&secs.to_bits().to_le_bytes());
+            fp.update(team.as_bytes());
+            fp.update(&secs.to_bits().to_le_bytes());
         }
-        eat(&self.log_bytes.to_le_bytes());
-        fp
+        fp.update(&self.log_bytes.to_le_bytes());
+        fp.digest()
     }
 }
 
@@ -207,8 +201,7 @@ struct SemState {
     full_timeline: TimeSeries,
     window_timeline: TimeSeries,
     waits: LogHistogram,
-    depth_series: GaugeSeries,
-    in_flight_series: GaugeSeries,
+    pressure: Pressure,
     total: u64,
     failures: u64,
 }
@@ -230,20 +223,29 @@ impl SemState {
 
 type Sched<'a> = rai_sim::Scheduler<SemState>;
 
-/// Sample broker depth + fleet occupancy into the backpressure series.
-/// Called at every queue transition, so the hourly buckets hold true
+/// The backpressure series: broker depth and fleet occupancy, bucketed
+/// hourly. Sampled at every queue transition, so the buckets hold true
 /// per-bucket maxima (a sample *between* transitions can't differ).
-fn sample_pressure(state: &mut SemState, now: SimTime) {
-    state.depth_series.record(now, state.waiting.len() as u64);
-    state.in_flight_series.record(now, state.in_flight as u64);
+struct Pressure {
+    depth: GaugeSeries,
+    in_flight: GaugeSeries,
 }
 
+impl Pressure {
+    fn sample(&mut self, now: SimTime, waiting: usize, in_flight: usize) {
+        self.depth.record(now, waiting as u64);
+        self.in_flight.record(now, in_flight as u64);
+    }
+}
+
+/// The semester's pop policy over the shared round (DESIGN.md §12):
+/// FIFO arrival order, round-robin over the workers, up to the free
+/// fleet capacity.
 fn dispatch(state: &mut SemState, sched: &mut Sched<'_>) {
     let now = sched.now();
     loop {
-        // One scheduling round: claim up to the free capacity in FIFO
-        // order (the broker is FIFO, so the head of `waiting` is what
-        // the next worker will pop), at most one job per worker.
+        // The broker is FIFO, so the head of `waiting` is what the next
+        // worker will pop; at most one job per worker.
         let n_workers = state.system.workers_mut().len();
         let budget = state
             .capacity(now)
@@ -253,8 +255,6 @@ fn dispatch(state: &mut SemState, sched: &mut Sched<'_>) {
         if budget == 0 {
             return;
         }
-        // Pop — the order-defining half of a claim — round-robin, then
-        // run the claim tails in pop order.
         let mut popped = Vec::with_capacity(budget);
         for _ in 0..budget {
             let expect_id = state.waiting.pop_front().expect("bounded by len");
@@ -266,18 +266,12 @@ fn dispatch(state: &mut SemState, sched: &mut Sched<'_>) {
             debug_assert_eq!(task.job_id(), expect_id);
             popped.push((wi, task));
         }
-        // Execute the whole round, then commit in claim order
-        // (DESIGN.md §12).
-        let executed: Vec<_> = state
-            .system
-            .claim_tasks(popped)
-            .into_iter()
-            .map(|(wi, claimed)| (wi, Worker::execute(claimed)))
-            .collect();
-        for (wi, executed) in executed {
-            let outcome = match state.system.workers_mut()[wi].commit(executed) {
-                StepEvent::Done(outcome) => outcome,
-                _ => unreachable!("semester jobs neither crash nor idle"),
+        // Between commits: book the finished job and schedule its
+        // worker's release. The tally is dropped unsettled: the event
+        // engine owns the clock and, with no fault plan, nothing crashes.
+        let _ = state.system.run_round(popped, |event| {
+            let StepEvent::Done(outcome) = event else {
+                unreachable!("semester jobs neither crash nor idle")
             };
             let (pending, submitted_at) = state
                 .pending
@@ -292,13 +286,14 @@ fn dispatch(state: &mut SemState, sched: &mut Sched<'_>) {
             // Drain the log stream so the ephemeral topic is GC'd.
             let _ = pending.wait(Duration::from_millis(50));
             state.in_flight += 1;
-            sample_pressure(state, now);
+            state.pressure.sample(now, state.waiting.len(), state.in_flight);
             sched.after(outcome.service_time, |state: &mut SemState, sched: &mut Sched<'_>| {
                 state.in_flight -= 1;
-                sample_pressure(state, sched.now());
+                state.pressure.sample(sched.now(), state.waiting.len(), state.in_flight);
                 dispatch(state, sched);
             });
-        }
+            ControlFlow::Continue(())
+        });
     }
 }
 
@@ -313,17 +308,11 @@ fn submit_event(state: &mut SemState, sched: &mut Sched<'_>, team_idx: usize, mo
     let Some(creds) = state.creds.get(&team.name).cloned() else {
         return;
     };
-    let client = state.system.client_for(&creds);
-    let Ok(pending) = client.begin_submit(&project, mode) else {
+    let Ok(pending) = state.system.begin_submit(&creds, &project, mode) else {
         state.failures += 1;
         return;
     };
     state.total += 1;
-    // Attempt 0 is the client's submit subtree; upload + publish are
-    // one step, so the two spans share a timestamp.
-    let telemetry = state.system.telemetry();
-    telemetry.trace_span(pending.job_id, 0, stage::SUBMITTED, component::CLIENT, now, now);
-    telemetry.trace_span(pending.job_id, 0, stage::ENQUEUED, component::BROKER, now, now);
     state.full_timeline.record(now);
     if now >= state.window_start {
         state.window_timeline.record(now);
@@ -333,7 +322,7 @@ fn submit_event(state: &mut SemState, sched: &mut Sched<'_>, team_idx: usize, mo
     dispatch(state, sched);
     // Sample after dispatch: the series holds the *resting* depth, so a
     // non-zero bucket means capacity was saturated, not merely touched.
-    sample_pressure(state, now);
+    state.pressure.sample(now, state.waiting.len(), state.in_flight);
 }
 
 /// Run the semester.
@@ -342,7 +331,6 @@ pub fn run_semester(config: &SemesterConfig) -> SemesterResult {
     let mut system = RaiSystem::with_clock(
         SystemConfig {
             workers: 32,
-            jobs_per_worker: 1,
             rate_limit: None, // spacing is enforced by the arrival model
             seed: config.seed,
             ..Default::default()
@@ -409,8 +397,10 @@ pub fn run_semester(config: &SemesterConfig) -> SemesterResult {
         full_timeline: TimeSeries::new(SimTime::ZERO, SimDuration::HOUR),
         window_timeline: TimeSeries::new(window_start, SimDuration::HOUR),
         waits: LogHistogram::new(),
-        depth_series: GaugeSeries::new(SimTime::ZERO, SimDuration::HOUR),
-        in_flight_series: GaugeSeries::new(SimTime::ZERO, SimDuration::HOUR),
+        pressure: Pressure {
+            depth: GaugeSeries::new(SimTime::ZERO, SimDuration::HOUR),
+            in_flight: GaugeSeries::new(SimTime::ZERO, SimDuration::HOUR),
+        },
         total: 0,
         failures: 0,
     };
@@ -521,8 +511,8 @@ pub fn run_semester(config: &SemesterConfig) -> SemesterResult {
         window_timeline: state.window_timeline,
         queue_wait_secs,
         queue_wait: state.waits,
-        depth_series: state.depth_series,
-        in_flight_series: state.in_flight_series,
+        depth_series: state.pressure.depth,
+        in_flight_series: state.pressure.in_flight,
         traces: state.system.telemetry().job_traces(),
         store: state.system.store().usage(),
         cost_cents: state.pool.stats().cost_cents,
