@@ -57,8 +57,6 @@ pub enum ArchiveError {
     ChecksumMismatch { context: &'static str },
     /// Two entries shared a path.
     DuplicatePath(String),
-    /// Decompression failed (propagated by the bundle layer).
-    Compression(crate::lzss::LzssError),
 }
 
 impl std::fmt::Display for ArchiveError {
@@ -72,18 +70,11 @@ impl std::fmt::Display for ArchiveError {
                 write!(f, "archive: checksum mismatch ({context})")
             }
             ArchiveError::DuplicatePath(p) => write!(f, "archive: duplicate path {p:?}"),
-            ArchiveError::Compression(e) => write!(f, "archive: {e}"),
         }
     }
 }
 
 impl std::error::Error for ArchiveError {}
-
-impl From<crate::lzss::LzssError> for ArchiveError {
-    fn from(e: crate::lzss::LzssError) -> Self {
-        ArchiveError::Compression(e)
-    }
-}
 
 /// Container bytes under construction, with the trailer chain folded
 /// as they are appended.

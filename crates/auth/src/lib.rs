@@ -26,6 +26,6 @@ pub mod signing;
 
 pub use email::render_key_email;
 pub use keys::{Credentials, KeyGenerator};
-pub use registry::{AuthError, CredentialRegistry, CredentialSnapshot};
+pub use registry::{AuthError, CredentialRegistry};
 pub use roster::{Roster, RosterEntry, RosterError};
 pub use signing::{hmac_sha256, sign_request, verify_request};

@@ -5,8 +5,6 @@
 use crate::keys::Credentials;
 use crate::signing::verify_request;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Authentication failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -42,9 +40,6 @@ struct Entry {
 #[derive(Default)]
 pub struct CredentialRegistry {
     by_access_key: HashMap<String, Entry>,
-    // Bumped on every mutation. Shared with snapshot holders so they
-    // can detect staleness with one atomic load, no registry lock.
-    generation: Arc<AtomicU64>,
 }
 
 impl CredentialRegistry {
@@ -63,7 +58,6 @@ impl CredentialRegistry {
                 revoked: false,
             },
         );
-        self.generation.fetch_add(1, Ordering::Release);
     }
 
     /// Revoke an access key; returns whether it existed.
@@ -71,34 +65,9 @@ impl CredentialRegistry {
         match self.by_access_key.get_mut(access_key) {
             Some(e) => {
                 e.revoked = true;
-                self.generation.fetch_add(1, Ordering::Release);
                 true
             }
             None => false,
-        }
-    }
-
-    /// Handle on the mutation counter. A snapshot holder compares
-    /// [`CredentialSnapshot::generation`] against one atomic load of
-    /// this handle to decide whether its copy is still current —
-    /// steady-state credential checks then never touch the registry
-    /// lock at all.
-    pub fn generation_handle(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.generation)
-    }
-
-    /// An immutable point-in-time copy for lock-free read paths.
-    /// [`CredentialSnapshot::authenticate`] has exactly the semantics
-    /// of [`CredentialRegistry::authenticate`] over the state at the
-    /// snapshot instant.
-    pub fn snapshot(&self) -> CredentialSnapshot {
-        CredentialSnapshot {
-            by_access_key: self
-                .by_access_key
-                .iter()
-                .map(|(k, e)| (k.clone(), (e.creds.clone(), e.revoked)))
-                .collect(),
-            generation: self.generation.load(Ordering::Acquire),
         }
     }
 
@@ -137,51 +106,6 @@ impl CredentialRegistry {
             });
         }
         Ok(&entry.creds.user_name)
-    }
-}
-
-/// A frozen copy of the registry taken by
-/// [`CredentialRegistry::snapshot`]. Verification runs against the
-/// copy — no lock, no shared mutable state — which is what lets
-/// concurrent claim lanes authenticate without contending on the
-/// registry's `RwLock`.
-pub struct CredentialSnapshot {
-    by_access_key: HashMap<String, (Credentials, bool)>,
-    generation: u64,
-}
-
-impl CredentialSnapshot {
-    /// The registry generation this snapshot was taken at. Compare
-    /// against [`CredentialRegistry::generation_handle`]'s current
-    /// value: equal means the snapshot is current.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Verify a signed request against the snapshot; returns the
-    /// authenticated user name. Same error semantics as
-    /// [`CredentialRegistry::authenticate`].
-    pub fn authenticate(
-        &self,
-        access_key: &str,
-        body: &[u8],
-        signature: &str,
-    ) -> Result<&str, AuthError> {
-        let (creds, revoked) = self
-            .by_access_key
-            .get(access_key)
-            .ok_or_else(|| AuthError::UnknownAccessKey(access_key.to_string()))?;
-        if *revoked {
-            return Err(AuthError::Revoked {
-                access_key: access_key.to_string(),
-            });
-        }
-        if !verify_request(&creds.secret_key, access_key, body, signature) {
-            return Err(AuthError::BadSignature {
-                access_key: access_key.to_string(),
-            });
-        }
-        Ok(&creds.user_name)
     }
 }
 
@@ -249,31 +173,5 @@ mod tests {
         reg.revoke(&creds.access_key);
         reg.register(creds.clone());
         assert_eq!(reg.user_of(&creds.access_key), Some("team-x"));
-    }
-
-    #[test]
-    fn snapshot_matches_registry_and_tracks_generation() {
-        let (mut reg, creds) = setup();
-        let handle = reg.generation_handle();
-        let snap = reg.snapshot();
-        assert_eq!(snap.generation(), handle.load(std::sync::atomic::Ordering::Acquire));
-        let sig = sign_request(&creds.secret_key, &creds.access_key, b"payload");
-        assert_eq!(
-            snap.authenticate(&creds.access_key, b"payload", &sig).unwrap(),
-            "team-x"
-        );
-        assert!(matches!(
-            snap.authenticate("ghost", b"p", &sig),
-            Err(AuthError::UnknownAccessKey(_))
-        ));
-        // A mutation advances the handle past the snapshot: holders
-        // must rebuild, and the rebuilt copy sees the revocation.
-        reg.revoke(&creds.access_key);
-        assert_ne!(snap.generation(), handle.load(std::sync::atomic::Ordering::Acquire));
-        let snap2 = reg.snapshot();
-        assert!(matches!(
-            snap2.authenticate(&creds.access_key, b"payload", &sig),
-            Err(AuthError::Revoked { .. })
-        ));
     }
 }

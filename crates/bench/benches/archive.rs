@@ -1,63 +1,9 @@
-//! Archive micro-benchmarks: the pack/unpack path every submission
-//! takes, plus the compress-vs-store-raw ablation from DESIGN.md.
+//! Archive micro-benchmarks: the chunker and the container path every
+//! submission takes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rai_archive::{lzss, pack, unpack, FileTree};
+use rai_archive::FileTree;
 use rai_bench::pseudorandom;
-
-/// A synthetic project tree of roughly `kb` KiB of source-like text.
-fn project_tree(kb: usize) -> FileTree {
-    let unit = "__global__ void conv(float* y, const float* x) { y[threadIdx.x] = x[threadIdx.x]; }\n";
-    let per_file = unit.repeat(kb.max(1) * 1024 / unit.len() / 4 + 1);
-    let mut t = FileTree::new();
-    for i in 0..4 {
-        t.insert(&format!("src/kernel{i}.cu"), per_file.clone().into_bytes())
-            .expect("static path");
-    }
-    t.insert("rai-build.yml", &b"rai:\n  version: 0.1\n  image: webgpu/rai:root\ncommands:\n  build:\n    - make\n"[..])
-        .expect("static path");
-    t
-}
-
-fn bench_pack_unpack(c: &mut Criterion) {
-    let mut g = c.benchmark_group("archive/pack_unpack");
-    for kb in [16usize, 256, 2048] {
-        let tree = project_tree(kb);
-        g.throughput(Throughput::Bytes(tree.total_size()));
-        g.bench_with_input(BenchmarkId::new("pack", kb), &tree, |b, t| {
-            b.iter(|| pack(t));
-        });
-        let bundle = pack(&tree);
-        g.bench_with_input(BenchmarkId::new("unpack", kb), &bundle.bytes, |b, bytes| {
-            b.iter(|| unpack(bytes).expect("valid bundle"));
-        });
-    }
-    g.finish();
-}
-
-fn bench_lzss(c: &mut Criterion) {
-    let mut g = c.benchmark_group("archive/lzss");
-    let source = project_tree(512);
-    let container = {
-        let b = pack(&source);
-        lzss::decompress(&b.bytes).expect("round trip")
-    };
-    g.throughput(Throughput::Bytes(container.len() as u64));
-    g.bench_function("compress", |b| {
-        b.iter(|| lzss::compress(&container));
-    });
-    let compressed = lzss::compress(&container);
-    g.bench_function("decompress", |b| {
-        b.iter(|| lzss::decompress(&compressed).expect("valid"));
-    });
-    g.finish();
-    println!(
-        "lzss ratio on project trees: {:.3} ({} -> {} bytes)",
-        lzss::ratio(&container, &compressed),
-        container.len(),
-        compressed.len()
-    );
-}
 
 fn bench_chunker(c: &mut Criterion) {
     use rai_archive::chunk::{chunk_bytes, ChunkerParams};
@@ -109,5 +55,5 @@ fn bench_bulk_tree(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_pack_unpack, bench_lzss, bench_chunker, bench_bulk_tree);
+criterion_group!(benches, bench_chunker, bench_bulk_tree);
 criterion_main!(benches);

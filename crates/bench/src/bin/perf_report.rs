@@ -11,7 +11,7 @@
 //! 2. the semester workload (fingerprint recorded);
 //! 3. the chaos acceptance scenario (audit must pass, fingerprint
 //!    recorded);
-//! 4. chunker, LZSS, and broker fan-out micro-timings.
+//! 4. chunker and broker fan-out micro-timings.
 //!
 //! Check mode (`--check`, the CI job) re-runs the semester and chaos
 //! scenarios, verifies the committed `BENCH_perf.json` schema, and
@@ -27,7 +27,6 @@
 //! only.
 
 use rai_archive::chunk::{chunk_bytes, ChunkerParams};
-use rai_archive::lzss;
 use rai_bench::extract;
 use rai_broker::Broker;
 use rai_db::{doc, Collection};
@@ -39,7 +38,7 @@ use std::time::Instant;
 const TEAMS: usize = 12;
 const DAYS: u64 = 21;
 
-const SCHEMA: &str = "rai-perf-bench/6";
+const SCHEMA: &str = "rai-perf-bench/7";
 
 /// Floor asserted in write mode: what the planner buys over a scan.
 const MIN_MICRO_SPEEDUP: f64 = 2.0;
@@ -123,18 +122,6 @@ fn chunker_micro() -> f64 {
     (buf.len() as f64 / (1 << 20) as f64) / t.wall
 }
 
-fn lzss_micro() -> f64 {
-    // Repetitive project-log-like text: the shape the upload path sees.
-    let data = b"make && ./ece408 /data/test10.hdf5 /data/model.hdf5 10000\n".repeat(40_000);
-    let t = timed(|| lzss::compress(&data));
-    assert_eq!(
-        lzss::decompress(&t.result).expect("round trip"),
-        data,
-        "lzss round trip"
-    );
-    (data.len() as f64 / (1 << 20) as f64) / t.wall
-}
-
 fn broker_fanout_micro() -> f64 {
     const CHANNELS: usize = 16;
     const MESSAGES: usize = 10_000;
@@ -169,7 +156,6 @@ struct Report {
     micro_indexed_wall: f64,
     micro_scan_wall: f64,
     chunker_mib_s: f64,
-    lzss_mib_s: f64,
     fanout_msgs_s: f64,
 }
 
@@ -194,7 +180,6 @@ fn render(r: &Report) -> String {
     "full_scan_wall_secs": {scan:.6},
     "indexed_query_speedup": {speedup:.2},
     "chunker_mib_per_sec": {chunker:.0},
-    "lzss_compress_mib_per_sec": {lzss:.0},
     "broker_fanout_msgs_per_sec": {fanout:.0}
   }}
 }}
@@ -208,7 +193,6 @@ fn render(r: &Report) -> String {
         scan = r.micro_scan_wall,
         speedup = r.micro_scan_wall / r.micro_indexed_wall,
         chunker = r.chunker_mib_s,
-        lzss = r.lzss_mib_s,
         fanout = r.fanout_msgs_s,
     )
 }
@@ -273,10 +257,8 @@ fn main() {
     println!("    fingerprint               {:#018x}", chaos.fingerprint);
 
     let chunker_mib_s = chunker_micro();
-    let lzss_mib_s = lzss_micro();
     let fanout_msgs_s = broker_fanout_micro();
     println!("  chunker                     {chunker_mib_s:.0} MiB/s");
-    println!("  lzss compress               {lzss_mib_s:.0} MiB/s");
     println!("  broker fan-out (16ch)       {fanout_msgs_s:.0} msg/s");
 
     let report = Report {
@@ -286,7 +268,6 @@ fn main() {
         micro_indexed_wall,
         micro_scan_wall,
         chunker_mib_s,
-        lzss_mib_s,
         fanout_msgs_s,
     };
     std::fs::write("BENCH_perf.json", render(&report)).expect("write BENCH_perf.json");

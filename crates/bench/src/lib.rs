@@ -112,10 +112,10 @@ pub fn staged_final_request(
     project: &ProjectDir,
     job_id: u64,
 ) -> JobRequest {
-    let bundle = rai_archive::pack(&project.tree);
+    let container = rai_archive::write_container(&project.tree);
     let key = format!("{team}/{job_id:08x}.tar.bz2");
     store
-        .put(rai_core::client::UPLOAD_BUCKET, &key, bundle.bytes, [])
+        .put(rai_core::client::UPLOAD_BUCKET, &key, container, [])
         .expect("upload bucket exists");
     let mut request = JobRequest {
         job_id,

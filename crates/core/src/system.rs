@@ -322,8 +322,8 @@ impl RaiSystem {
                 reg.counter(names::STORE_CHUNKS_DEDUP_TOTAL, &[]).store(u.chunks_dedup_total);
                 reg.counter(names::STORE_BYTES_WIRE_TOTAL, &[]).store(u.bytes_wire);
                 reg.counter(names::STORE_DELTA_PUTS_TOTAL, &[]).store(u.delta_puts);
-                // Contended wait on the store's arena lock and the
-                // broker's dirty-list stripes. A host fact — it varies
+                // Contended wait on the store's state lock and the
+                // broker's dirty-list lock. A host fact — it varies
                 // with scheduling, never with the simulation.
                 reg.counter(names::LOCK_WAIT_MICROS_TOTAL, &[])
                     .store(store2.lock_wait_micros() + broker2.lock_wait_micros());

@@ -33,7 +33,7 @@ use crate::delta::{DeltaUploader, PreparedUpload};
 use crate::protocol::{routes, JobKind, JobRequest, LogFrame};
 use crate::spec::BuildSpec;
 use rai_archive::{restore_shared, write_container, FileTree};
-use rai_auth::{CredentialRegistry, CredentialSnapshot};
+use rai_auth::CredentialRegistry;
 use rai_broker::{Broker, MessageId, Subscription};
 use rai_db::{doc, Database, DbError, Value};
 use rai_faults::{CrashKind, CrashPoint, FaultInjector, RetryPolicy};
@@ -45,7 +45,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::Cell;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Worker configuration ("these limits can be changed using the RAI
@@ -285,13 +284,6 @@ pub struct Worker {
     /// across jobs, so near-identical build trees (the overwhelmingly
     /// common case for resubmissions) upload almost nothing.
     delta: DeltaUploader,
-    /// Read-only credential snapshot for claim-phase auth. Steady
-    /// state, authentication costs one atomic generation load and zero
-    /// registry locks; the snapshot rebuilds (one registry read lock)
-    /// only after a register/revoke bumps the generation.
-    auth_snapshot: Option<CredentialSnapshot>,
-    /// The registry's mutation counter, shared without a lock.
-    auth_generation: Arc<AtomicU64>,
 }
 
 impl Worker {
@@ -306,7 +298,6 @@ impl Worker {
     ) -> Self {
         let subscription = broker.subscribe(routes::TASK_TOPIC, routes::TASK_CHANNEL);
         let rng = StdRng::seed_from_u64(config.noise_seed);
-        let auth_generation = registry.read().generation_handle();
         Worker {
             config,
             broker,
@@ -321,8 +312,6 @@ impl Worker {
             telemetry: None,
             injector: None,
             delta: DeltaUploader::new(),
-            auth_snapshot: None,
-            auth_generation,
         }
     }
 
@@ -649,27 +638,11 @@ impl Worker {
             };
         }
 
-        // ② Check the credentials — against the worker's read-only
-        // snapshot, not the registry lock. One atomic load detects
-        // staleness; the snapshot rebuilds only after a register or
-        // revoke, so steady-state claims authenticate without touching
-        // the registry lock at all. `CredentialSnapshot::authenticate`
-        // has exactly the registry's semantics.
-        let current_generation = self.auth_generation.load(Ordering::Acquire);
-        if self.auth_snapshot.as_ref().map(CredentialSnapshot::generation)
-            != Some(current_generation)
-        {
-            self.auth_snapshot = Some(self.registry.read().snapshot());
-        }
+        // ② Check the credentials.
         let auth = self
-            .auth_snapshot
-            .as_ref()
-            .expect("snapshot just refreshed")
-            .authenticate(
-                &request.access_key,
-                &request.signing_payload(),
-                &request.signature,
-            )
+            .registry
+            .read()
+            .authenticate(&request.access_key, &request.signing_payload(), &request.signature)
             .map(str::to_string);
         let user = match auth {
             Ok(u) => u,
@@ -1107,8 +1080,6 @@ impl Worker {
                         started + service_time,
                         started + service_time,
                     );
-                    let span = t.span("worker.job").label("worker", &self.config.worker_id);
-                    span.finish_at(started + service_time);
                 }
                 self.note_outcome(&request, if success { "ok" } else { "failed" }, service_time);
 
@@ -1450,6 +1421,63 @@ mod tests {
             1,
             "malformed message counted"
         );
+    }
+
+    /// What a registered team can do without the client: upload any
+    /// bytes, sign any build file, publish. Such a job must end like
+    /// every rejected one — `outcome` counted, a terminal failed row,
+    /// the message acked — and never take the worker down.
+    fn assert_rejected(upload: Vec<u8>, build_yml: String, outcome: &str) {
+        let rig = rig();
+        let (client, mut worker) = client_and_worker(&rig, "team-a");
+        let telemetry = Telemetry::new(rig.store.clock().clone());
+        worker.set_telemetry(telemetry.clone());
+        let creds = client.credentials();
+        let upload_key = "team-a/00000001.tar.bz2";
+        rig.store.put(crate::client::UPLOAD_BUCKET, upload_key, upload, []).unwrap();
+        let mut request = JobRequest {
+            job_id: 1,
+            access_key: creds.access_key.clone(),
+            signature: String::new(),
+            team: "team-a".to_string(),
+            upload_bucket: crate::client::UPLOAD_BUCKET.to_string(),
+            upload_key: upload_key.to_string(),
+            build_yml,
+            kind: JobKind::Run,
+        };
+        request.signature =
+            rai_auth::sign_request(&creds.secret_key, &creds.access_key, &request.signing_payload());
+        rig.broker.publish(routes::TASK_TOPIC, request.encode()).unwrap();
+
+        assert!(!worker.step().expect("the job is claimed").success);
+        let counted = telemetry
+            .snapshot()
+            .counter(names::JOBS_TOTAL, &[("kind", "run"), ("outcome", outcome)]);
+        assert_eq!(counted, Some(1), "rejected as {outcome}");
+        let row = rig.db.collection("submissions").read().find_one(&doc! { "job_id" => 1u64 });
+        assert_eq!(row.expect("terminal row").get("success"), Some(&Value::Bool(false)));
+        let stats = rig.broker.topic_stats(routes::TASK_TOPIC).unwrap();
+        assert_eq!((stats.depth, stats.in_flight), (0, 0), "acked, not requeued");
+    }
+
+    #[test]
+    fn deeply_nested_build_file_is_a_rejected_job_not_a_dead_worker() {
+        // Uncapped, 10 000 brackets overflow this thread's stack, and
+        // an overflow aborts the process: nothing could catch it, and
+        // the message would redeliver to the next worker.
+        let build_yml = format!("a: {}1{}\n", "[".repeat(10_000), "]".repeat(10_000));
+        let upload = write_container(&ProjectDir::sample_cuda_project().tree);
+        assert_rejected(upload, build_yml, "bad-spec");
+    }
+
+    #[test]
+    fn retired_compressed_upload_is_rejected_like_any_non_container() {
+        // `RAIZ1` framed the LZSS bundle format workers once sniffed for
+        // and decompressed; it is no longer a format, just not a
+        // container.
+        let mut upload = b"RAIZ1\0\0\0".to_vec();
+        upload.extend_from_slice(&write_container(&ProjectDir::sample_cuda_project().tree));
+        assert_rejected(upload, crate::spec::DEFAULT_BUILD_YML.to_string(), "fetch-failed");
     }
 
     #[test]

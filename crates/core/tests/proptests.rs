@@ -31,6 +31,24 @@ fn arb_request() -> impl Strategy<Value = JobRequest> {
         })
 }
 
+/// `text` nested `depth` levels deep — inside brackets on one line, or
+/// (a quarter as deep: a block level costs a line of indentation) under
+/// indented keys. The shape that ran the recursive parser out of
+/// stack, which aborts the test binary instead of failing a case.
+fn nest(text: &str, depth: usize, flow: bool) -> String {
+    if flow {
+        return format!("k: {}{text}{}\n", "[".repeat(depth), "]".repeat(depth));
+    }
+    let depth = depth / 4;
+    let mut out: String = (0..depth).map(|i| format!("{}k:\n", " ".repeat(i))).collect();
+    for line in text.lines() {
+        out.push_str(&" ".repeat(depth));
+        out.push_str(line);
+        out.push('\n');
+    }
+    out
+}
+
 /// A request field as an attacker (or an unlucky team name) would make
 /// it: printable ASCII plus `\n`/`\t`, and every shape the emitter has
 /// to quote.
@@ -193,8 +211,13 @@ proptest! {
     }
 
     #[test]
-    fn job_request_decode_never_panics(text in "[ -~\\n]{0,400}") {
+    fn job_request_decode_never_panics(
+        text in "[ -~\\n]{0,400}",
+        depth in 0usize..4000,
+        flow in any::<bool>(),
+    ) {
         let _ = JobRequest::decode(&text);
+        let _ = JobRequest::decode(&nest(&text, depth, flow));
     }
 
     #[test]
@@ -221,8 +244,13 @@ proptest! {
     }
 
     #[test]
-    fn build_spec_parse_never_panics(text in "[ -~\\n]{0,400}") {
+    fn build_spec_parse_never_panics(
+        text in "[ -~\\n]{0,400}",
+        depth in 0usize..4000,
+        flow in any::<bool>(),
+    ) {
         let _ = BuildSpec::parse(&text);
+        let _ = BuildSpec::parse(&nest(&text, depth, flow));
     }
 
     #[test]

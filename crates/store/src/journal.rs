@@ -5,8 +5,9 @@
 //! A [`StoreRecord::Put`] journals the manifest plus only the chunk
 //! bytes that were *newly admitted* to the arena by that put — dedup
 //! hits reference bytes an earlier record already carries, so the log
-//! inherits the store's own dedup ratio. Replay re-runs the retain
-//! logic, which reconstructs refcounts and dedup accounting; an object
+//! inherits the store's own dedup ratio. Replay decodes a record and
+//! runs the state transition the live API ran when it wrote it, which
+//! reconstructs refcounts, dedup accounting and counters; an object
 //! whose chunk bytes were lost to a corrupt-record drop is itself
 //! dropped (and counted) rather than installed unreadable.
 //!
@@ -18,74 +19,8 @@ use crate::object::ObjectMeta;
 use bytes::Bytes;
 use rai_archive::chunk::{ChunkManifest, ChunkRef};
 use rai_sim::{SimDuration, SimTime};
+use rai_wal::codec::{put_bytes, put_str, put_u32, put_u64, Reader};
 use std::collections::BTreeMap;
-
-// ---- primitive codec -------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_u32(out, b.len() as u32);
-    out.extend_from_slice(b);
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.bytes.len() {
-            return None;
-        }
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
-        Some(out)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4).map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8).map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    fn str(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        String::from_utf8(self.take(len)?.to_vec()).ok()
-    }
-
-    fn bytes(&mut self) -> Option<Bytes> {
-        let len = self.u32()? as usize;
-        self.take(len).map(Bytes::copy_from_slice)
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-}
 
 fn encode_rule(rule: &LifecycleRule, out: &mut Vec<u8>) {
     match rule {
@@ -161,7 +96,7 @@ fn decode_chunk_list(r: &mut Reader<'_>) -> Option<Vec<(u64, Bytes)>> {
     let mut out = Vec::with_capacity(n.min(1 << 16));
     for _ in 0..n {
         let digest = r.u64()?;
-        out.push((digest, r.bytes()?));
+        out.push((digest, Bytes::copy_from_slice(r.bytes()?)));
     }
     Some(out)
 }
@@ -208,7 +143,8 @@ pub struct SnapBucket {
     pub objects: Vec<SnapObject>,
 }
 
-/// Cumulative store counters carried by a snapshot.
+/// Cumulative store counters: what the store state keeps and a
+/// snapshot carries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SnapCounters {
     /// Logical bytes ever uploaded.

@@ -22,7 +22,7 @@
 //! * a delta-upload protocol — [`ObjectStore::has_chunks`] +
 //!   [`ObjectStore::put_delta`] — so clients ship only chunks the
 //!   store does not already hold;
-//! * FNV-1a etags computed on upload (matching `rai_archive::Bundle`);
+//! * FNV-1a etags computed on upload ([`rai_archive::fnv::etag`]);
 //! * per-bucket lifecycle rules — expire N after creation or N after
 //!   last access — evaluated against the shared [`rai_sim::VirtualClock`];
 //!   expiry releases chunk references, never raw bytes, so chunks

@@ -10,17 +10,18 @@
 //! re-uploads is stored once; `has_chunks` lets clients discover
 //! which chunks the store already holds and upload only the rest.
 
-use crate::dedup::{ChunkArena, ChunkStore};
+use crate::dedup::ChunkStore;
 use crate::journal::{SnapBucket, SnapCounters, SnapObject, StoreRecord};
 use crate::lifecycle::LifecycleRule;
 use crate::object::{ObjectMeta, StoredObject};
 use bytes::Bytes;
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use rai_archive::chunk::{assemble, chunk_shared, Chunk, ChunkManifest, ChunkerParams};
 use rai_archive::fnv::{self, Fnv1a};
 use rai_sim::{SimTime, VirtualClock};
 use rai_wal::Wal;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Store errors.
@@ -85,29 +86,19 @@ struct BucketState {
     objects: BTreeMap<String, ObjRecord>,
 }
 
-/// Bucket and object metadata. The chunk arena lives behind its own
-/// lock ([`crate::dedup::ChunkArena`]); this one covers manifests only.
-///
-/// Lock-order invariant: `state` before the arena, never the reverse.
-/// Every chunk admission and release (put, overwrite, delete, sweep)
-/// runs under the state write lock, so a reader holding it can
-/// assemble a resident manifest from the arena without its chunks being
-/// freed mid-read, and — with a log attached — admission order and log
-/// order agree. `has_chunks` is the one path that takes the arena alone.
+/// Everything the store remembers: manifests, the chunk arena they
+/// reference and the cumulative counters, behind the one lock of
+/// [`StoreInner`]. Every mutation is one `&mut self` transition below
+/// that moves all three together; the live API validates and journals
+/// under the write lock and then runs the transition, replay
+/// ([`StoreState::apply`]) decodes a record and runs the same one.
+#[derive(Default)]
 struct StoreState {
     buckets: BTreeMap<String, BucketState>,
-}
-
-#[derive(Default)]
-struct Counters {
-    bytes_uploaded: u64,
-    bytes_downloaded: u64,
-    bytes_wire: u64,
-    puts: u64,
-    delta_puts: u64,
-    gets: u64,
-    deletes: u64,
-    expired: u64,
+    chunks: ChunkStore,
+    /// Cumulative counters, kept in the shape a compaction snapshot
+    /// carries them in.
+    counters: SnapCounters,
 }
 
 struct StoreInner {
@@ -115,11 +106,12 @@ struct StoreInner {
     /// Secret for presigned-URL signatures (per store instance).
     presign_secret: u64,
     state: RwLock<StoreState>,
-    /// The refcounted chunk arena.
-    arena: ChunkArena,
-    counters: RwLock<Counters>,
+    /// Cumulative microseconds spent waiting on the contended state
+    /// lock. A host fact: surfaced in reports and telemetry, never in
+    /// fingerprints.
+    lock_wait_micros: AtomicU64,
     /// Remaining operations that should fail (fault injection).
-    faults: std::sync::atomic::AtomicU64,
+    faults: AtomicU64,
     /// Probability-driven fault injection (chaos runs).
     injector: RwLock<Option<rai_faults::FaultInjector>>,
     /// Optional write-ahead log for object mutations. Newly admitted
@@ -180,6 +172,247 @@ fn resolve<'a>(
     Ok(sources)
 }
 
+impl StoreState {
+    fn object(&self, bucket: &str, key: &str) -> Result<&ObjRecord, StoreError> {
+        let b = self
+            .buckets
+            .get(bucket)
+            .ok_or_else(|| StoreError::NoSuchBucket(bucket.to_string()))?;
+        b.objects.get(key).ok_or_else(|| StoreError::NoSuchKey {
+            bucket: bucket.to_string(),
+            key: key.to_string(),
+        })
+    }
+
+    fn release(&mut self, manifest: &ChunkManifest) {
+        for r in &manifest.chunks {
+            self.chunks.release(r.digest);
+        }
+    }
+
+    /// The chunks an install of `manifest` will newly admit — the first
+    /// reference to each non-resident digest, in manifest order: the
+    /// bytes its `Put` record must carry.
+    fn newly_admitted(
+        &self,
+        manifest: &ChunkManifest,
+        sources: &[Option<&Bytes>],
+    ) -> Vec<(u64, Bytes)> {
+        let mut seen = HashSet::with_capacity(manifest.chunks.len());
+        let mut first_new = |d: u64| !self.chunks.contains(d) && seen.insert(d);
+        manifest
+            .chunks
+            .iter()
+            .zip(sources)
+            .filter(|(r, _)| first_new(r.digest))
+            .map(|(r, source)| (r.digest, source.expect("new chunk was provided").clone()))
+            .collect()
+    }
+
+    // ---- transitions: one body each, run by the live API and by replay
+
+    fn create_bucket(&mut self, name: String, rule: LifecycleRule) {
+        self.buckets
+            .entry(name)
+            .or_insert_with(|| BucketState { rule, objects: BTreeMap::new() });
+    }
+
+    /// A put happened: the cumulative counters say so whether or not
+    /// its object survives (see [`StoreState::apply`]).
+    fn count_put(&mut self, total_len: u64, wire_bytes: u64, delta: bool) {
+        self.counters.puts += 1;
+        self.counters.delta_puts += u64::from(delta);
+        self.counters.bytes_uploaded += total_len;
+        self.counters.bytes_wire += wire_bytes;
+    }
+
+    /// Put `manifest` under `bucket/key`, which must exist; `sources`
+    /// is [`resolve`]'s answer for it. New references are taken before
+    /// the previous object's are released, so an overwrite never frees
+    /// chunks the new manifest shares with the old.
+    #[allow(clippy::too_many_arguments)]
+    fn install(
+        &mut self,
+        bucket: &str,
+        key: String,
+        now: SimTime,
+        manifest: ChunkManifest,
+        sources: &[Option<&Bytes>],
+        user: BTreeMap<String, String>,
+        wire_bytes: u64,
+        delta: bool,
+    ) {
+        self.count_put(manifest.total_len, wire_bytes, delta);
+        for (r, source) in manifest.chunks.iter().zip(sources) {
+            let hit = self.chunks.retain(r.digest, *source).expect("availability resolved by caller");
+            self.counters.dedup_hits += u64::from(hit);
+        }
+        let record = ObjRecord {
+            meta: ObjectMeta {
+                key: key.clone(),
+                size: manifest.total_len,
+                etag: manifest.etag.clone(),
+                uploaded_at: now,
+                last_used: now,
+                user,
+            },
+            manifest,
+        };
+        let b = self.buckets.get_mut(bucket).expect("bucket checked by caller");
+        if let Some(prev) = b.objects.insert(key, record) {
+            self.release(&prev.manifest);
+        }
+    }
+
+    /// A `get` of `size` bytes happened at `now`: refresh `last_used`
+    /// (which is what makes the paper's "one month after the last use"
+    /// policy work) if the object is still there.
+    fn touch(&mut self, bucket: &str, key: &str, now: SimTime, size: u64) {
+        self.counters.gets += 1;
+        self.counters.bytes_downloaded += size;
+        if let Some(rec) = self.buckets.get_mut(bucket).and_then(|b| b.objects.get_mut(key)) {
+            rec.meta.last_used = now;
+        }
+    }
+
+    fn remove(&mut self, bucket: &str, key: &str) {
+        self.counters.deletes += 1;
+        if let Some(rec) = self.buckets.get_mut(bucket).and_then(|b| b.objects.remove(key)) {
+            self.release(&rec.manifest);
+        }
+    }
+
+    /// Expire every object its bucket's rule dooms at `now`; returns
+    /// how many. Expiry is manifest-aware: it releases the doomed
+    /// object's chunk references rather than deleting bytes, so chunks
+    /// shared with live objects survive and only unreferenced ones are
+    /// freed.
+    fn expire(&mut self, now: SimTime) -> u64 {
+        let mut released: Vec<ChunkManifest> = Vec::new();
+        for b in self.buckets.values_mut() {
+            let rule = b.rule;
+            let doomed: Vec<String> = b
+                .objects
+                .iter()
+                .filter(|(_, o)| rule.is_expired(o.meta.uploaded_at, o.meta.last_used, now))
+                .map(|(k, _)| k.clone())
+                .collect();
+            for k in doomed {
+                released.push(b.objects.remove(&k).expect("doomed key just listed").manifest);
+            }
+        }
+        for manifest in &released {
+            self.release(manifest);
+        }
+        self.counters.expired += released.len() as u64;
+        released.len() as u64
+    }
+
+    /// Replace everything with a compaction snapshot. It carries the
+    /// full physical payload at refcount zero; references are
+    /// re-derived from its manifests. Returns how many objects were
+    /// dropped because a chunk of theirs is missing.
+    fn load_snapshot(
+        &mut self,
+        buckets: Vec<SnapBucket>,
+        chunks: Vec<(u64, Bytes)>,
+        counters: SnapCounters,
+    ) -> u64 {
+        *self = StoreState { counters, ..StoreState::default() };
+        for (digest, data) in chunks {
+            self.chunks.restore_chunk(digest, data);
+        }
+        let mut dropped = 0;
+        for b in buckets {
+            let mut objects = BTreeMap::new();
+            for o in b.objects {
+                let digests = o.manifest.chunks.iter().map(|r| r.digest);
+                if !digests.clone().all(|d| self.chunks.contains(d)) {
+                    dropped += 1;
+                    continue;
+                }
+                for d in digests {
+                    self.chunks.retain(d, None).expect("residency checked above");
+                }
+                objects.insert(o.meta.key.clone(), ObjRecord { meta: o.meta, manifest: o.manifest });
+            }
+            self.buckets.insert(b.name, BucketState { rule: b.rule, objects });
+        }
+        dropped
+    }
+
+    /// The record [`StoreState::load_snapshot`] reads back.
+    fn snapshot(&self) -> StoreRecord {
+        StoreRecord::SnapshotStore {
+            buckets: self
+                .buckets
+                .iter()
+                .map(|(name, b)| SnapBucket {
+                    name: name.clone(),
+                    rule: b.rule,
+                    objects: b
+                        .objects
+                        .values()
+                        .map(|o| SnapObject { meta: o.meta.clone(), manifest: o.manifest.clone() })
+                        .collect(),
+                })
+                .collect(),
+            chunks: self.chunks.snapshot_chunks(),
+            counters: self.counters,
+        }
+    }
+
+    /// Replay one journaled mutation through the transition the live
+    /// API ran when it wrote the record. Returns how many objects were
+    /// dropped (chunk bytes unavailable).
+    fn apply(&mut self, rec: StoreRecord) -> u64 {
+        match rec {
+            StoreRecord::CreateBucket { name, rule } => self.create_bucket(name, rule),
+            StoreRecord::Put {
+                bucket,
+                key,
+                time_millis,
+                manifest,
+                new_chunks,
+                user,
+                wire_bytes,
+                delta,
+            } => {
+                let carried: Vec<Chunk> =
+                    new_chunks.into_iter().map(|(digest, data)| Chunk { digest, data }).collect();
+                // Atomicity, as in put_delta: every reference resolves
+                // before anything mutates. A miss means the bytes rode a
+                // WAL record that was dropped as corrupt — the object
+                // is unreadable and must not be installed.
+                let sources = if self.buckets.contains_key(&bucket) {
+                    resolve(&manifest, &carried, false, |d| self.chunks.resident_len(d)).ok()
+                } else {
+                    None
+                };
+                let Some(sources) = sources else {
+                    // The operation happened historically: the
+                    // cumulative counters say so without the object.
+                    self.count_put(manifest.total_len, wire_bytes, delta);
+                    return 1;
+                };
+                let now = SimTime::from_millis(time_millis);
+                self.install(&bucket, key, now, manifest, &sources, user, wire_bytes, delta);
+            }
+            StoreRecord::Touch { bucket, key, time_millis, size } => {
+                self.touch(&bucket, &key, SimTime::from_millis(time_millis), size);
+            }
+            StoreRecord::Delete { bucket, key } => self.remove(&bucket, &key),
+            StoreRecord::Sweep { time_millis } => {
+                self.expire(SimTime::from_millis(time_millis));
+            }
+            StoreRecord::SnapshotStore { buckets, chunks, counters } => {
+                return self.load_snapshot(buckets, chunks, counters);
+            }
+        }
+        0
+    }
+}
+
 /// Cumulative usage snapshot — backs the paper's §VII resource-usage
 /// numbers ("the file server held 100GB of data for 176 students"),
 /// extended with the dedup split between logical and physical bytes.
@@ -235,73 +468,77 @@ fn next_presign_secret() -> u64 {
 impl ObjectStore {
     /// A store reading time from `clock`.
     pub fn new(clock: VirtualClock) -> Self {
+        Self::with_state(clock, StoreState::default())
+    }
+
+    fn with_state(clock: VirtualClock, state: StoreState) -> Self {
         ObjectStore {
             inner: Arc::new(StoreInner {
                 presign_secret: next_presign_secret(),
                 clock,
-                state: RwLock::new(StoreState {
-                    buckets: BTreeMap::new(),
-                }),
-                arena: ChunkArena::default(),
-                counters: RwLock::new(Counters::default()),
-                faults: std::sync::atomic::AtomicU64::new(0),
+                state: RwLock::new(state),
+                lock_wait_micros: AtomicU64::new(0),
+                faults: AtomicU64::new(0),
                 injector: RwLock::new(None),
                 wal: RwLock::new(None),
             }),
         }
     }
 
-    /// Cumulative microseconds spent waiting on the contended arena
+    /// `fast` if the lock was free (the uncontended path costs one
+    /// `try_*`), else `slow()` with its wait charged to the lock-wait
+    /// counter.
+    fn charged<G>(&self, fast: Option<G>, slow: impl FnOnce() -> G) -> G {
+        fast.unwrap_or_else(|| {
+            let start = std::time::Instant::now();
+            let guard = slow();
+            let waited = start.elapsed().as_micros() as u64;
+            self.inner.lock_wait_micros.fetch_add(waited, Ordering::Relaxed);
+            guard
+        })
+    }
+
+    /// Lock the state exclusively: every mutation, `get` included.
+    fn write_state(&self) -> RwLockWriteGuard<'_, StoreState> {
+        self.charged(self.inner.state.try_write(), || self.inner.state.write())
+    }
+
+    /// Lock the state shared (`has_chunks` probes, `head`, `list`,
+    /// accounting): readers exclude only mutations.
+    fn read_state(&self) -> RwLockReadGuard<'_, StoreState> {
+        self.charged(self.inner.state.try_read(), || self.inner.state.read())
+    }
+
+    /// Cumulative microseconds spent waiting on the contended state
     /// lock — a host fact, never fingerprinted.
     pub fn lock_wait_micros(&self) -> u64 {
-        self.inner.arena.lock_wait_micros()
-    }
-
-    /// Exclusive (write) acquisitions of the arena lock — a host fact
-    /// used to audit that pure presence reads stay off the write path.
-    pub fn arena_write_acquisitions(&self) -> u64 {
-        self.inner.arena.write_acquisitions()
-    }
-
-    /// Shared (read) acquisitions of the arena lock — the counterpart
-    /// audit counter to
-    /// [`ObjectStore::arena_write_acquisitions`].
-    pub fn arena_read_acquisitions(&self) -> u64 {
-        self.inner.arena.read_acquisitions()
+        self.inner.lock_wait_micros.load(Ordering::Relaxed)
     }
 
     /// Create a bucket with a lifecycle rule.
     pub fn create_bucket(&self, name: &str, rule: LifecycleRule) -> Result<(), StoreError> {
         let wal = self.inner.wal.read().clone();
-        let mut state = self.inner.state.write();
+        let mut state = self.write_state();
         if state.buckets.contains_key(name) {
             return Err(StoreError::BucketExists(name.to_string()));
         }
         if let Some(w) = &wal {
             w.append(&StoreRecord::CreateBucket { name: name.to_string(), rule }.encode());
         }
-        state.buckets.insert(
-            name.to_string(),
-            BucketState {
-                rule,
-                objects: BTreeMap::new(),
-            },
-        );
+        state.create_bucket(name.to_string(), rule);
         Ok(())
     }
 
     /// Whether a bucket exists.
     pub fn has_bucket(&self, name: &str) -> bool {
-        self.inner.state.read().buckets.contains_key(name)
+        self.read_state().buckets.contains_key(name)
     }
 
     /// Make the next `n` data operations (put/get) fail with
     /// [`StoreError::Unavailable`] — chaos testing for the paper's
     /// "robust to failures" requirement.
     pub fn inject_faults(&self, n: u64) {
-        self.inner
-            .faults
-            .store(n, std::sync::atomic::Ordering::SeqCst);
+        self.inner.faults.store(n, Ordering::SeqCst);
     }
 
     /// Attach a seeded fault injector: each put/get additionally fails
@@ -315,11 +552,7 @@ impl ObjectStore {
     fn take_fault(&self) -> bool {
         self.inner
             .faults
-            .fetch_update(
-                std::sync::atomic::Ordering::SeqCst,
-                std::sync::atomic::Ordering::SeqCst,
-                |n| n.checked_sub(1),
-            )
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
             .is_ok()
     }
 
@@ -327,55 +560,6 @@ impl ObjectStore {
         match self.inner.injector.read().as_ref() {
             Some(inj) => inj.should_fail(kind),
             None => false,
-        }
-    }
-
-    /// Take one arena reference per manifest chunk, atomically: the
-    /// arena is locked once for the whole resolve-then-retain sequence,
-    /// so an admission either fully happens or (on
-    /// [`StoreError::MissingChunks`] / [`StoreError::DeltaMismatch`])
-    /// changes nothing. Must be called with the state write lock held
-    /// (see [`StoreState`]).
-    ///
-    /// `verify` marks a delta upload: `provided` is any subset of the
-    /// manifest's chunks in any order and [`resolve`] runs the protocol
-    /// checks. Otherwise `provided` is the chunker's own output, which
-    /// pairs with the manifest positionally and needs none. When
-    /// `collect_new`, the newly admitted bytes are returned, in
-    /// manifest order, for the caller's `Put` record.
-    fn admit(
-        &self,
-        manifest: &ChunkManifest,
-        provided: &[Chunk],
-        verify: bool,
-        collect_new: bool,
-    ) -> Result<Vec<(u64, Bytes)>, StoreError> {
-        let mut arena = self.inner.arena.lock();
-        let sources: Vec<Option<&Bytes>> = if verify {
-            resolve(manifest, provided, true, |d| arena.resident_len(d))?
-        } else {
-            let digests = manifest.chunks.iter().map(|r| r.digest);
-            debug_assert!(digests.eq(provided.iter().map(|c| c.digest)));
-            provided.iter().map(|c| Some(&c.data)).collect()
-        };
-
-        let mut new_chunks: Vec<(u64, Bytes)> = Vec::new();
-        for (r, source) in manifest.chunks.iter().zip(sources) {
-            let hit = arena.retain(r.digest, source).expect("availability resolved above");
-            if !hit && collect_new {
-                new_chunks.push((r.digest, source.expect("new chunk was provided").clone()));
-            }
-        }
-        Ok(new_chunks)
-    }
-
-    /// Drop one arena reference per manifest chunk, under one guard.
-    /// Must be called with the state write lock held (see
-    /// [`StoreState`]).
-    fn release_manifest(&self, manifest: &ChunkManifest) {
-        let mut arena = self.inner.arena.lock();
-        for r in &manifest.chunks {
-            arena.release(r.digest);
         }
     }
 
@@ -403,19 +587,20 @@ impl ObjectStore {
         let size = manifest.total_len;
         let etag = manifest.etag.clone();
         let user: BTreeMap<String, String> = user_meta.into_iter().collect();
-        // The chunker emits refs and chunk bodies in lockstep, so the
-        // pairing is positional and needs no protocol checks.
         self.commit_put(bucket, key, manifest, &chunks, false, user, size)?;
-
-        let mut c = self.inner.counters.write();
-        c.puts += 1;
-        c.bytes_uploaded += size;
-        c.bytes_wire += size;
         Ok(etag)
     }
 
-    /// The shared admit → journal → install tail of `put`/`put_delta`,
-    /// all of it under the state write lock (see [`StoreState`]).
+    /// The shared validate → journal → install tail of `put`/`put_delta`,
+    /// all of it under the state write lock, so a put either fully
+    /// happens or (on [`StoreError::MissingChunks`] /
+    /// [`StoreError::DeltaMismatch`]) changes nothing, and — with a log
+    /// attached — admission order and log order agree.
+    ///
+    /// `delta` marks a delta upload: `provided` is any subset of the
+    /// manifest's chunks in any order and [`resolve`] runs the protocol
+    /// checks. Otherwise `provided` is the chunker's own output, which
+    /// pairs with the manifest positionally and needs none.
     #[allow(clippy::too_many_arguments)]
     fn commit_put(
         &self,
@@ -428,11 +613,17 @@ impl ObjectStore {
         wire_bytes: u64,
     ) -> Result<(), StoreError> {
         let wal = self.inner.wal.read().clone();
-        let mut state = self.inner.state.write();
+        let mut state = self.write_state();
         if !state.buckets.contains_key(bucket) {
             return Err(StoreError::NoSuchBucket(bucket.to_string()));
         }
-        let new_chunks = self.admit(&manifest, provided, delta, wal.is_some())?;
+        let sources: Vec<Option<&Bytes>> = if delta {
+            resolve(&manifest, provided, true, |d| state.chunks.resident_len(d))?
+        } else {
+            let digests = manifest.chunks.iter().map(|r| r.digest);
+            debug_assert!(digests.eq(provided.iter().map(|c| c.digest)));
+            provided.iter().map(|c| Some(&c.data)).collect()
+        };
         let now = self.inner.clock.now();
         // The record takes the manifest and metadata by move and hands
         // them back for the install: journaling copies neither.
@@ -442,8 +633,8 @@ impl ObjectStore {
                     bucket: bucket.to_string(),
                     key: key.to_string(),
                     time_millis: now.as_millis(),
+                    new_chunks: state.newly_admitted(&manifest, &sources),
                     manifest,
-                    new_chunks,
                     user,
                     wire_bytes,
                     delta,
@@ -454,7 +645,7 @@ impl ObjectStore {
             }
             None => (manifest, user),
         };
-        self.install_record(&mut state, bucket, key, manifest, user, now);
+        state.install(bucket, key.to_string(), now, manifest, &sources, user, wire_bytes, delta);
         Ok(())
     }
 
@@ -463,15 +654,14 @@ impl ObjectStore {
     /// delta-upload protocol; it is a metadata round trip and subject
     /// to the same transient faults as data reads.
     ///
-    /// Pure presence checks answer from the arena *read* lock, one
-    /// guard per call: concurrent `has_chunks` probes share it without
-    /// excluding one another.
+    /// Pure presence checks answer under the shared half of the state
+    /// lock, one guard per call.
     pub fn has_chunks(&self, digests: &[u64]) -> Result<Vec<bool>, StoreError> {
         if self.take_fault() || self.injected_fault(rai_faults::FaultKind::StoreGet) {
             return Err(StoreError::Unavailable);
         }
-        let arena = self.inner.arena.read();
-        Ok(digests.iter().map(|&d| arena.contains(d)).collect())
+        let state = self.read_state();
+        Ok(digests.iter().map(|&d| state.chunks.contains(d)).collect())
     }
 
     /// Upload (or overwrite) an object as a manifest plus only the
@@ -518,47 +708,7 @@ impl ObjectStore {
 
         // The clone is the store's own copy of the caller's manifest.
         self.commit_put(bucket, key, manifest.clone(), provided, true, user, wire)?;
-
-        let mut c = self.inner.counters.write();
-        c.puts += 1;
-        c.delta_puts += 1;
-        c.bytes_uploaded += manifest.total_len;
-        c.bytes_wire += wire;
         Ok(etag)
-    }
-
-    /// Insert the new record (references already taken), releasing the
-    /// previous object under this key if any. New references are taken
-    /// before old ones are released so an overwrite never frees chunks
-    /// the new manifest shares with the old.
-    fn install_record(
-        &self,
-        state: &mut StoreState,
-        bucket: &str,
-        key: &str,
-        manifest: ChunkManifest,
-        user: BTreeMap<String, String>,
-        now: SimTime,
-    ) {
-        let record = ObjRecord {
-            meta: ObjectMeta {
-                key: key.to_string(),
-                size: manifest.total_len,
-                etag: manifest.etag.clone(),
-                uploaded_at: now,
-                last_used: now,
-                user,
-            },
-            manifest,
-        };
-        let b = state.buckets.get_mut(bucket).expect("bucket checked by caller");
-        let prev = b.objects.insert(key.to_string(), record);
-        if let Some(prev) = prev {
-            // New references were taken by `admit` before this release,
-            // so an overwrite never frees chunks the new manifest
-            // shares with the old.
-            self.release_manifest(&prev.manifest);
-        }
     }
 
     /// Download an object, reassembled from its chunks. Refreshes its
@@ -570,27 +720,14 @@ impl ObjectStore {
         }
         let now = self.inner.clock.now();
         let wal = self.inner.wal.read().clone();
-        let mut state = self.inner.state.write();
-        let b = state
-            .buckets
-            .get_mut(bucket)
-            .ok_or_else(|| StoreError::NoSuchBucket(bucket.to_string()))?;
-        let rec = b.objects.get_mut(key).ok_or_else(|| StoreError::NoSuchKey {
-            bucket: bucket.to_string(),
-            key: key.to_string(),
-        })?;
-        rec.meta.last_used = now;
-        // Assembling while holding the state write lock is what makes
-        // this safe: all chunk releases serialize under it, so every
-        // chunk this resident manifest references stays resident. The
-        // arena is only read: one shared guard suffices.
-        let data = {
-            let arena = self.inner.arena.read();
-            assemble(&rec.manifest, |d| arena.data(d))
-        }
-        .expect("resident manifests always resolve");
+        let mut state = self.write_state();
+        let rec = state.object(bucket, key)?;
+        // Manifests and chunks share this lock, so every chunk a
+        // resident manifest references is resident.
+        let data = assemble(&rec.manifest, |d| state.chunks.data(d))
+            .expect("resident manifests always resolve");
         let out = StoredObject {
-            meta: rec.meta.clone(),
+            meta: ObjectMeta { last_used: now, ..rec.meta.clone() },
             data: Bytes::from(data),
         };
         if let Some(w) = &wal {
@@ -606,57 +743,34 @@ impl ObjectStore {
                 .encode(),
             );
         }
-        drop(state);
-        let mut c = self.inner.counters.write();
-        c.gets += 1;
-        c.bytes_downloaded += out.meta.size;
+        state.touch(bucket, key, now, out.meta.size);
         Ok(out)
     }
 
     /// Metadata only, without touching `last_used`.
     pub fn head(&self, bucket: &str, key: &str) -> Result<ObjectMeta, StoreError> {
-        let state = self.inner.state.read();
-        let b = state
-            .buckets
-            .get(bucket)
-            .ok_or_else(|| StoreError::NoSuchBucket(bucket.to_string()))?;
-        b.objects
-            .get(key)
-            .map(|o| o.meta.clone())
-            .ok_or_else(|| StoreError::NoSuchKey {
-                bucket: bucket.to_string(),
-                key: key.to_string(),
-            })
+        self.read_state().object(bucket, key).map(|o| o.meta.clone())
     }
 
     /// Delete an object, releasing its chunk references.
     pub fn delete(&self, bucket: &str, key: &str) -> Result<(), StoreError> {
         let wal = self.inner.wal.read().clone();
-        let mut state = self.inner.state.write();
-        let b = state
-            .buckets
-            .get_mut(bucket)
-            .ok_or_else(|| StoreError::NoSuchBucket(bucket.to_string()))?;
-        let rec = b.objects.remove(key).ok_or_else(|| StoreError::NoSuchKey {
-            bucket: bucket.to_string(),
-            key: key.to_string(),
-        })?;
-        self.release_manifest(&rec.manifest);
+        let mut state = self.write_state();
+        state.object(bucket, key)?;
         if let Some(w) = &wal {
             w.append(
                 &StoreRecord::Delete { bucket: bucket.to_string(), key: key.to_string() }
                     .encode(),
             );
         }
-        drop(state);
-        self.inner.counters.write().deletes += 1;
+        state.remove(bucket, key);
         Ok(())
     }
 
     /// List object metadata under a key prefix, in key order. The
     /// instructor's "download all final submissions" tool drives this.
     pub fn list(&self, bucket: &str, prefix: &str) -> Result<Vec<ObjectMeta>, StoreError> {
-        let state = self.inner.state.read();
+        let state = self.read_state();
         let b = state
             .buckets
             .get(bucket)
@@ -718,33 +832,11 @@ impl ObjectStore {
 
     /// Run a lifecycle sweep at the clock's current time; returns how
     /// many objects were expired. A real deployment runs this daily.
-    ///
-    /// Expiry is manifest-aware: it releases the doomed object's chunk
-    /// references rather than deleting bytes, so chunks shared with
-    /// live objects survive and only unreferenced ones are freed.
     pub fn sweep_lifecycle(&self) -> u64 {
         let now = self.inner.clock.now();
         let wal = self.inner.wal.read().clone();
-        let mut expired = 0u64;
-        let mut state = self.inner.state.write();
-        let mut released: Vec<ChunkManifest> = Vec::new();
-        for b in state.buckets.values_mut() {
-            let rule = b.rule;
-            let doomed: Vec<String> = b
-                .objects
-                .iter()
-                .filter(|(_, o)| rule.is_expired(o.meta.uploaded_at, o.meta.last_used, now))
-                .map(|(k, _)| k.clone())
-                .collect();
-            for k in doomed {
-                let rec = b.objects.remove(&k).expect("doomed key just listed");
-                released.push(rec.manifest);
-                expired += 1;
-            }
-        }
-        for manifest in &released {
-            self.release_manifest(manifest);
-        }
+        let mut state = self.write_state();
+        let expired = state.expire(now);
         // A sweep that expired nothing is a no-op at any replay time
         // and is not journaled; one that did is replayed at its
         // recorded time (expiry depends on the journaled timestamps).
@@ -753,14 +845,12 @@ impl ObjectStore {
                 w.append(&StoreRecord::Sweep { time_millis: now.as_millis() }.encode());
             }
         }
-        drop(state);
-        self.inner.counters.write().expired += expired;
         expired
     }
 
     /// Usage snapshot.
     pub fn usage(&self) -> StoreUsage {
-        let state = self.inner.state.read();
+        let state = self.read_state();
         let mut bytes_stored = 0;
         let mut objects = 0;
         for b in state.buckets.values() {
@@ -769,14 +859,12 @@ impl ObjectStore {
                 objects += 1;
             }
         }
-        let (chunks, bytes_physical, chunks_dedup_total) = self.inner.arena.totals();
-        drop(state);
-        let c = self.inner.counters.read();
+        let c = state.counters;
         StoreUsage {
             bytes_stored,
-            bytes_physical,
-            chunks,
-            chunks_dedup_total,
+            bytes_physical: state.chunks.physical_bytes(),
+            chunks: state.chunks.count(),
+            chunks_dedup_total: c.dedup_hits,
             objects,
             bytes_uploaded: c.bytes_uploaded,
             bytes_wire: c.bytes_wire,
@@ -824,189 +912,25 @@ impl ObjectStore {
     /// counted in the returned [`StoreRecovery`] — replay never
     /// panics and never installs an unreadable object.
     pub fn recover(clock: VirtualClock, wal: Wal) -> (ObjectStore, StoreRecovery) {
-        let store = ObjectStore::new(clock);
         let replay = wal.replay();
         let mut recovery = StoreRecovery { stats: replay.stats, ..StoreRecovery::default() };
-        {
-            let mut state = store.inner.state.write();
-            let mut counters = store.inner.counters.write();
-            for payload in &replay.records {
-                match StoreRecord::decode(payload) {
-                    Some(rec) => {
-                        recovery.objects_dropped += store.apply(&mut state, &mut counters, rec);
-                        recovery.applied += 1;
-                    }
-                    None => recovery.malformed_dropped += 1,
+        let mut state = StoreState::default();
+        for payload in &replay.records {
+            match StoreRecord::decode(payload) {
+                Some(rec) => {
+                    recovery.objects_dropped += state.apply(rec);
+                    recovery.applied += 1;
                 }
+                None => recovery.malformed_dropped += 1,
             }
         }
         // Chunks no surviving manifest references (a snapshot's, whose
         // object was dropped) would otherwise linger with a zero
         // refcount.
-        store.inner.arena.lock().prune_unreferenced();
+        state.chunks.prune_unreferenced();
+        let store = ObjectStore::with_state(clock, state);
         store.attach_wal(wal);
         (store, recovery)
-    }
-
-    /// Apply one journaled mutation during replay. Returns how many
-    /// objects were dropped (chunk bytes unavailable).
-    fn apply(&self, state: &mut StoreState, counters: &mut Counters, rec: StoreRecord) -> u64 {
-        match rec {
-            StoreRecord::CreateBucket { name, rule } => {
-                state
-                    .buckets
-                    .entry(name)
-                    .or_insert_with(|| BucketState { rule, objects: BTreeMap::new() });
-                0
-            }
-            StoreRecord::Put {
-                bucket,
-                key,
-                time_millis,
-                manifest,
-                new_chunks,
-                user,
-                wire_bytes,
-                delta,
-            } => {
-                // The operation happened historically: reconstruct the
-                // cumulative counters whether or not the object itself
-                // survives.
-                counters.puts += 1;
-                counters.bytes_uploaded += manifest.total_len;
-                counters.bytes_wire += wire_bytes;
-                if delta {
-                    counters.delta_puts += 1;
-                }
-                if !state.buckets.contains_key(&bucket) {
-                    return 1;
-                }
-                let carried: Vec<Chunk> =
-                    new_chunks.into_iter().map(|(digest, data)| Chunk { digest, data }).collect();
-                {
-                    let mut arena = self.inner.arena.lock();
-                    // Atomicity, as in put_delta: resolve every
-                    // reference before mutating anything. A miss means
-                    // the bytes rode a WAL record that was dropped as
-                    // corrupt — the object is unreadable and must not
-                    // be installed.
-                    let resident = |d| arena.resident_len(d);
-                    let Ok(sources) = resolve(&manifest, &carried, false, resident) else {
-                        return 1;
-                    };
-                    for (r, source) in manifest.chunks.iter().zip(sources) {
-                        arena.retain(r.digest, source).expect("availability resolved above");
-                    }
-                }
-                let now = SimTime::from_millis(time_millis);
-                let record = ObjRecord {
-                    meta: ObjectMeta {
-                        key: key.clone(),
-                        size: manifest.total_len,
-                        etag: manifest.etag.clone(),
-                        uploaded_at: now,
-                        last_used: now,
-                        user,
-                    },
-                    manifest,
-                };
-                let b = state.buckets.get_mut(&bucket).expect("existence checked above");
-                let prev = b.objects.insert(key, record);
-                if let Some(prev) = prev {
-                    self.release_manifest(&prev.manifest);
-                }
-                0
-            }
-            StoreRecord::Touch { bucket, key, time_millis, size } => {
-                counters.gets += 1;
-                counters.bytes_downloaded += size;
-                if let Some(rec) = state
-                    .buckets
-                    .get_mut(&bucket)
-                    .and_then(|b| b.objects.get_mut(&key))
-                {
-                    rec.meta.last_used = SimTime::from_millis(time_millis);
-                }
-                0
-            }
-            StoreRecord::Delete { bucket, key } => {
-                counters.deletes += 1;
-                if let Some(rec) =
-                    state.buckets.get_mut(&bucket).and_then(|b| b.objects.remove(&key))
-                {
-                    self.release_manifest(&rec.manifest);
-                }
-                0
-            }
-            StoreRecord::Sweep { time_millis } => {
-                let now = SimTime::from_millis(time_millis);
-                let mut released: Vec<ChunkManifest> = Vec::new();
-                for b in state.buckets.values_mut() {
-                    let rule = b.rule;
-                    let doomed: Vec<String> = b
-                        .objects
-                        .iter()
-                        .filter(|(_, o)| {
-                            rule.is_expired(o.meta.uploaded_at, o.meta.last_used, now)
-                        })
-                        .map(|(k, _)| k.clone())
-                        .collect();
-                    for k in doomed {
-                        let rec = b.objects.remove(&k).expect("doomed key just listed");
-                        released.push(rec.manifest);
-                        counters.expired += 1;
-                    }
-                }
-                for m in &released {
-                    self.release_manifest(m);
-                }
-                0
-            }
-            StoreRecord::SnapshotStore { buckets, chunks, counters: snap } => {
-                let mut dropped = 0u64;
-                state.buckets.clear();
-                // The snapshot carries the full physical payload at
-                // refcount zero; references are re-derived from its
-                // manifests.
-                let mut arena = self.inner.arena.lock();
-                *arena = ChunkStore::new();
-                for (digest, data) in chunks {
-                    arena.restore_chunk(digest, data);
-                }
-                for b in buckets {
-                    let mut objects = BTreeMap::new();
-                    for o in b.objects {
-                        let digests = o.manifest.chunks.iter().map(|r| r.digest);
-                        if !digests.clone().all(|d| arena.contains(d)) {
-                            dropped += 1;
-                            continue;
-                        }
-                        for d in digests {
-                            arena.ref_existing(d);
-                        }
-                        objects.insert(
-                            o.meta.key.clone(),
-                            ObjRecord { meta: o.meta, manifest: o.manifest },
-                        );
-                    }
-                    state
-                        .buckets
-                        .insert(b.name, BucketState { rule: b.rule, objects });
-                }
-                arena.set_dedup_hits(snap.dedup_hits);
-                *counters = Counters {
-                    bytes_uploaded: snap.bytes_uploaded,
-                    bytes_downloaded: snap.bytes_downloaded,
-                    bytes_wire: snap.bytes_wire,
-                    puts: snap.puts,
-                    delta_puts: snap.delta_puts,
-                    gets: snap.gets,
-                    deletes: snap.deletes,
-                    expired: snap.expired,
-                };
-                dropped
-            }
-        }
     }
 
     /// Compact the attached log into one snapshot record if its size
@@ -1020,40 +944,8 @@ impl ObjectStore {
         if !wal.should_compact() {
             return false;
         }
-        let state = self.inner.state.read();
-        let counters = self.inner.counters.read();
-        let arena = self.inner.arena.read();
-        let snapshot = StoreRecord::SnapshotStore {
-            buckets: state
-                .buckets
-                .iter()
-                .map(|(name, b)| SnapBucket {
-                    name: name.clone(),
-                    rule: b.rule,
-                    objects: b
-                        .objects
-                        .values()
-                        .map(|o| SnapObject {
-                            meta: o.meta.clone(),
-                            manifest: o.manifest.clone(),
-                        })
-                        .collect(),
-                })
-                .collect(),
-            chunks: arena.snapshot_chunks(),
-            counters: SnapCounters {
-                bytes_uploaded: counters.bytes_uploaded,
-                bytes_downloaded: counters.bytes_downloaded,
-                bytes_wire: counters.bytes_wire,
-                puts: counters.puts,
-                delta_puts: counters.delta_puts,
-                gets: counters.gets,
-                deletes: counters.deletes,
-                expired: counters.expired,
-                dedup_hits: arena.dedup_hits(),
-            },
-        };
-        wal.compact(std::iter::once(snapshot.encode()));
+        let state = self.read_state();
+        wal.compact(std::iter::once(state.snapshot().encode()));
         true
     }
 }
@@ -1329,9 +1221,9 @@ mod tests {
         let body = chunks[0].data.buffer().unwrap();
         s.put_delta("keep", "k", &manifest, &chunks, []).unwrap();
         {
-            let arena = s.inner.arena.read();
+            let state = s.inner.state.read();
             for c in &chunks {
-                let held = arena.data(c.digest).unwrap();
+                let held = state.chunks.data(c.digest).unwrap();
                 assert!(held.buffer().unwrap().ptr_eq(&body), "chunk {:x} was copied", c.digest);
             }
         }
@@ -1686,33 +1578,6 @@ mod tests {
         assert!(!r.has_chunks(&[0xFEED_FACE]).unwrap()[0], "nothing of it was installed");
         assert_eq!(r.get("keep", "before").unwrap().data.as_ref(), &before[..]);
         assert_eq!(r.get("keep", "after").unwrap().data.as_ref(), &after[..]);
-    }
-
-    #[test]
-    fn presence_reads_take_no_write_locks() {
-        let s = store();
-        let payload = varied(5000, 7);
-        s.put("uploads", "team/proj.tar", payload.clone(), []).unwrap();
-        let (manifest, _) = chunk_bytes(&payload, ChunkerParams::for_len(payload.len()));
-        let mut digests: Vec<u64> = manifest.chunks.iter().map(|r| r.digest).collect();
-        digests.push(0xdead_beef_dead_beef); // absent digest probes the same path
-        assert!(digests.len() > 4, "a batch, not a single probe");
-        let (writes_before, reads_before) =
-            (s.arena_write_acquisitions(), s.arena_read_acquisitions());
-        let flags = s.has_chunks(&digests).unwrap();
-        assert!(flags[..flags.len() - 1].iter().all(|&f| f));
-        assert!(!flags[flags.len() - 1]);
-        assert_eq!(s.get("uploads", "team/proj.tar").unwrap().data.as_ref(), &payload[..]);
-        assert_eq!(
-            s.arena_write_acquisitions(),
-            writes_before,
-            "presence checks and reassembly must never take the exclusive arena lock"
-        );
-        assert_eq!(
-            s.arena_read_acquisitions() - reads_before,
-            2,
-            "each call costs one shared guard, not one per chunk"
-        );
     }
 
     #[test]

@@ -1,12 +1,16 @@
 //! Property tests for the content-addressed store: model-based
-//! put/get/delete round-trips, dedup idempotence under re-upload, and
-//! the physical-never-exceeds-logical invariant of the chunk arena.
+//! put/get/delete round-trips, dedup idempotence under re-upload, the
+//! physical-never-exceeds-logical invariant of the chunk arena, and
+//! live state equal to its own replay.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use proptest::prelude::*;
-use rai_sim::VirtualClock;
-use rai_store::{LifecycleRule, ObjectStore};
+use rai_archive::chunk::{chunk_bytes, Chunk, ChunkerParams};
+use rai_sim::{SimDuration, VirtualClock};
+use rai_store::{LifecycleRule, ObjectMeta, ObjectStore, StoreUsage};
+use rai_wal::{DurabilityConfig, MemDisk, Wal};
 
 fn store() -> ObjectStore {
     let s = ObjectStore::new(VirtualClock::new());
@@ -100,5 +104,120 @@ proptest! {
         prop_assert_eq!(u.bytes_stored, 0);
         prop_assert_eq!(u.bytes_physical, 0, "leaked chunk bytes after deleting all objects");
         prop_assert_eq!(u.chunks, 0, "leaked chunks after deleting all objects");
+    }
+}
+
+// ---- live state equals its replay ----------------------------------------
+
+const BUCKETS: [&str; 3] = ["uploads", "builds", "keep"];
+
+#[derive(Clone, Debug)]
+enum Op {
+    Put(u8, Vec<u8>),
+    /// `put_delta` carrying every chunk (`true`) or only the ones
+    /// `has_chunks` reports missing.
+    PutDelta(u8, Vec<u8>, bool),
+    Get(u8),
+    Delete(u8),
+    /// Advance the clock this many days, then sweep.
+    Sweep(u64),
+    Sync,
+    Compact,
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (0u8..9, arb_payload()).prop_map(|(k, p)| Op::Put(k, p)),
+        (0u8..9, arb_payload(), any::<bool>()).prop_map(|(k, p, full)| Op::PutDelta(k, p, full)),
+        (0u8..9).prop_map(Op::Get),
+        (0u8..9).prop_map(Op::Delete),
+        (0u64..60).prop_map(Op::Sweep),
+        Just(Op::Sync),
+        Just(Op::Compact),
+    ]
+}
+
+/// Nine keys over three buckets with three lifecycle rules, so keys
+/// collide, overwrite and expire.
+fn place(k: u8) -> (&'static str, String) {
+    (BUCKETS[k as usize % 3], format!("obj-{}", k / 3))
+}
+
+fn run(s: &ObjectStore, op: &Op) {
+    match op {
+        Op::Put(k, payload) => {
+            let (bucket, key) = place(*k);
+            s.put(bucket, &key, payload.clone(), []).unwrap();
+        }
+        Op::PutDelta(k, payload, full) => {
+            let (bucket, key) = place(*k);
+            let (manifest, chunks) = chunk_bytes(payload, ChunkerParams::for_len(payload.len()));
+            let resident = s.has_chunks(&manifest.digests()).unwrap();
+            let provided: Vec<Chunk> =
+                chunks.into_iter().zip(resident).filter(|(_, r)| *full || !r).map(|(c, _)| c).collect();
+            s.put_delta(bucket, &key, &manifest, &provided, [("k".to_string(), k.to_string())]).unwrap();
+        }
+        // Missing keys are refused and leave no trace, live or replayed.
+        Op::Get(k) => {
+            let (bucket, key) = place(*k);
+            let _ = s.get(bucket, &key);
+        }
+        Op::Delete(k) => {
+            let (bucket, key) = place(*k);
+            let _ = s.delete(bucket, &key);
+        }
+        Op::Sweep(days) => {
+            s.clock().advance(SimDuration::from_days(*days));
+            s.sweep_lifecycle();
+        }
+        Op::Sync => s.sync_wal(),
+        Op::Compact => {
+            s.maybe_compact();
+        }
+    }
+}
+
+fn observe(s: &ObjectStore) -> (StoreUsage, Vec<Vec<ObjectMeta>>) {
+    (s.usage(), BUCKETS.iter().map(|b| s.list(b, "").unwrap()).collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The store's restart path is its normal path: whatever history
+    /// the live API wrote, replaying the log rebuilds the same state,
+    /// and replaying that store's log changes nothing again.
+    #[test]
+    fn recovery_reproduces_the_live_store(ops in prop::collection::vec(arb_op(), 1..40)) {
+        // Thresholds this small compact on nearly every `Compact`.
+        let config =
+            DurabilityConfig { compact_min_bytes: 1, compact_factor: 1, ..DurabilityConfig::durable() };
+        let disk = MemDisk::new();
+        let open = || Wal::open(Arc::new(disk.clone()), config);
+        let live = ObjectStore::new(VirtualClock::new());
+        live.attach_wal(open());
+        live.create_bucket("uploads", LifecycleRule::one_month_after_last_use()).unwrap();
+        live.create_bucket("builds", LifecycleRule::AfterUpload(SimDuration::from_days(90))).unwrap();
+        live.create_bucket("keep", LifecycleRule::Keep).unwrap();
+        for op in &ops {
+            run(&live, op);
+        }
+        // Reads are journaled too, so the live store is read before its
+        // log is replayed and left alone afterwards.
+        let read_all = |s: &ObjectStore| -> Vec<_> {
+            let keys = BUCKETS.iter().flat_map(|b| s.list(b, "").unwrap().into_iter().map(move |m| (b, m.key)));
+            keys.map(|(b, key)| s.get(b, &key).unwrap()).collect()
+        };
+        let payloads = read_all(&live);
+        live.sync_wal();
+
+        let (replayed, recovery) = ObjectStore::recover(live.clock().clone(), open());
+        prop_assert_eq!((recovery.malformed_dropped, recovery.objects_dropped), (0, 0));
+        prop_assert_eq!(observe(&replayed), observe(&live));
+        prop_assert_eq!(read_all(&replayed), payloads);
+
+        replayed.sync_wal();
+        let (again, _) = ObjectStore::recover(live.clock().clone(), open());
+        prop_assert_eq!(observe(&again), observe(&replayed));
     }
 }

@@ -2,17 +2,17 @@
 //!
 //! One [`Telemetry`] handle is threaded through the whole pipeline
 //! (broker, workers, sandbox, object store, database, autoscaler) and
-//! provides four things:
+//! provides three things:
 //!
 //! 1. a thread-safe [`MetricsRegistry`] of counters, gauges, and
 //!    fixed-bucket histograms;
-//! 2. lightweight [`Span`]s stamped with [`VirtualClock`] sim-time;
-//! 3. per-job [`JobTrace`]s — attempt-aware *causal span trees* over
+//! 2. per-job [`JobTrace`]s — attempt-aware *causal span trees* over
 //!    the submission lifecycle (submit → enqueue → dequeue → fetch →
-//!    build → run → upload → grade), where every delivery attempt owns
+//!    build → run → upload → grade), stamped with [`VirtualClock`]
+//!    sim-time, where every delivery attempt owns
 //!    a root span, stages hang off it tagged with the component that
 //!    did the work, and retries become sibling attempt subtrees;
-//! 4. exposition of the registry as Prometheus text or JSON, plus
+//! 3. exposition of the registry as Prometheus text or JSON, plus
 //!    trace-derived reports: [`critical_path`] / [`attribute`] turn
 //!    span trees into wall-clock attribution tables and
 //!    [`render_chrome_trace`] exports Perfetto-loadable JSON.
@@ -35,7 +35,6 @@ pub mod json;
 pub mod latency;
 pub mod logging;
 pub mod registry;
-pub mod span;
 pub mod stats;
 pub mod trace;
 
@@ -45,7 +44,6 @@ pub use export::{parse_json_snapshot, parse_prometheus, render_json, render_prom
 pub use latency::{duration_micros, LatencySummary, LogHistogram};
 pub use logging::Level;
 pub use registry::{Counter, Gauge, HistogramHandle, MetricKey, MetricsRegistry, MetricsSnapshot};
-pub use span::{Span, SpanCollector, SpanRecord};
 pub use stats::{GaugeSeries, Histogram, OnlineStats, Percentiles, TimeSeries};
 pub use trace::{component, stage, JobTrace, SpanId, StageEvent, TraceSpan, TraceStore};
 
@@ -79,7 +77,7 @@ pub mod names {
     pub const STORE_CHUNKS_DEDUP_TOTAL: &str = "rai_store_chunks_dedup_total";
     pub const STORE_BYTES_WIRE_TOTAL: &str = "rai_store_bytes_wire_total";
     pub const STORE_DELTA_PUTS_TOTAL: &str = "rai_store_delta_puts_total";
-    // Contended lock wait (store arena + broker stripes); a host fact.
+    // Contended lock wait (store state + broker dirty list); a host fact.
     pub const LOCK_WAIT_MICROS_TOTAL: &str = "rai_lock_wait_micros_total";
     pub const DB_INSERTS_TOTAL: &str = "rai_db_inserts_total";
     pub const DB_QUERIES_TOTAL: &str = "rai_db_queries_total";
@@ -115,13 +113,12 @@ type Collector = Box<dyn Fn(&MetricsRegistry) + Send + Sync>;
 struct Inner {
     clock: VirtualClock,
     registry: MetricsRegistry,
-    spans: Arc<SpanCollector>,
     traces: TraceStore,
     collectors: parking_lot::Mutex<Vec<Collector>>,
 }
 
 /// Cheaply cloneable handle to the telemetry pipeline. All clones share
-/// the same registry, span collector, and trace store.
+/// the same registry and trace store.
 #[derive(Clone)]
 pub struct Telemetry {
     inner: Arc<Inner>,
@@ -130,7 +127,6 @@ pub struct Telemetry {
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Telemetry")
-            .field("spans", &self.inner.spans.len())
             .field("traces", &self.inner.traces.len())
             .finish_non_exhaustive()
     }
@@ -141,7 +137,6 @@ impl Telemetry {
     pub fn new(clock: VirtualClock) -> Self {
         Telemetry {
             inner: Arc::new(Inner {
-                spans: Arc::new(SpanCollector::new(clock.clone())),
                 clock,
                 registry: MetricsRegistry::new(),
                 traces: TraceStore::new(),
@@ -185,29 +180,6 @@ impl Telemetry {
         nbins: usize,
     ) -> HistogramHandle {
         self.inner.registry.histogram(name, labels, origin, bin_width, nbins)
-    }
-
-    /// Start a span at the current sim-time.
-    pub fn span(&self, name: &str) -> Span {
-        self.inner.spans.start(name)
-    }
-
-    /// Completed spans, oldest first.
-    pub fn spans(&self) -> Vec<SpanRecord> {
-        self.inner.spans.finished()
-    }
-
-    /// Record that a job reached a lifecycle stage at the current
-    /// sim-time.
-    pub fn trace_stage(&self, job_id: u64, stage: &'static str) {
-        self.inner.traces.record(job_id, stage, self.inner.clock.now());
-    }
-
-    /// Record a lifecycle stage at an explicit sim-time. Workers use
-    /// this to stamp logical completion times that the shared clock has
-    /// not reached yet.
-    pub fn trace_stage_at(&self, job_id: u64, stage: &'static str, at: SimTime) {
-        self.inner.traces.record(job_id, stage, at);
     }
 
     /// Record a causal span: `stage` work done by `component` on
@@ -297,28 +269,15 @@ mod tests {
     }
 
     #[test]
-    fn trace_stages_stamp_sim_time() {
-        let clock = VirtualClock::new();
-        let telemetry = Telemetry::new(clock.clone());
-        telemetry.trace_stage(1, stage::SUBMITTED);
-        clock.advance(SimDuration::from_secs(2));
-        telemetry.trace_stage(1, stage::ENQUEUED);
-        telemetry.trace_stage_at(1, stage::DEQUEUED, SimTime::from_secs(5));
+    fn trace_spans_share_one_job_tree() {
+        let telemetry = Telemetry::new(VirtualClock::new());
+        let t = SimTime::from_secs;
+        telemetry.trace_span(1, 0, stage::SUBMITTED, component::CLIENT, t(0), t(0));
+        telemetry.trace_span(1, 0, stage::ENQUEUED, component::BROKER, t(2), t(2));
+        telemetry.trace_span(1, 1, stage::DEQUEUED, component::BROKER, t(5), t(5));
         let trace = telemetry.job_trace(1).expect("trace exists");
         assert!(trace.is_monotone());
         assert_eq!(trace.total_duration(), SimDuration::from_secs(5));
-    }
-
-    #[test]
-    fn spans_use_shared_clock() {
-        let clock = VirtualClock::new();
-        let telemetry = Telemetry::new(clock.clone());
-        let span = telemetry.span("broker.publish").label("channel", "jobs");
-        clock.advance(SimDuration::from_millis(250));
-        span.finish();
-        let spans = telemetry.spans();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].duration(), SimDuration::from_millis(250));
     }
 
     #[test]

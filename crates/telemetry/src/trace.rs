@@ -424,26 +424,6 @@ impl TraceStore {
         });
     }
 
-    /// Record that `job_id` reached `stage` at `at` (legacy flat API).
-    /// Client-side stages land in the attempt-0 subtree; everything
-    /// else defaults to attempt 1 with the component implied by the
-    /// canonical pipeline.
-    pub fn record(&self, job_id: u64, stage_name: &'static str, at: SimTime) {
-        let (attempt, comp) = match stage_name {
-            s if s == stage::SUBMITTED => (0, component::CLIENT),
-            s if s == stage::ENQUEUED => (0, component::BROKER),
-            s if s == stage::DEQUEUED => (1, component::BROKER),
-            s if s == stage::FETCHED => (1, component::STORE),
-            s if s == stage::BUILT || s == stage::RAN || s == stage::PULLED => {
-                (1, component::SANDBOX)
-            }
-            s if s == stage::UPLOADED => (1, component::STORE),
-            s if s == stage::RECORDED => (1, component::DB),
-            _ => (1, component::WORKER),
-        };
-        self.record_span(job_id, attempt, stage_name, comp, at, at);
-    }
-
     /// Copy of one job's trace.
     pub fn get(&self, job_id: u64) -> Option<JobTrace> {
         self.inner.lock().traces.get(&job_id).cloned()
@@ -494,10 +474,11 @@ mod tests {
     #[test]
     fn trace_records_lifecycle_in_order() {
         let store = TraceStore::new();
-        store.record(7, stage::SUBMITTED, SimTime::from_secs(1));
-        store.record(7, stage::ENQUEUED, SimTime::from_secs(1));
-        store.record(7, stage::DEQUEUED, SimTime::from_secs(4));
-        store.record(7, stage::RAN, SimTime::from_secs(9));
+        let t = SimTime::from_secs;
+        store.record_span(7, 0, stage::SUBMITTED, component::CLIENT, t(1), t(1));
+        store.record_span(7, 0, stage::ENQUEUED, component::BROKER, t(1), t(1));
+        store.record_span(7, 1, stage::DEQUEUED, component::BROKER, t(4), t(4));
+        store.record_span(7, 1, stage::RAN, component::SANDBOX, t(9), t(9));
         let trace = store.get(7).expect("trace exists");
         assert!(trace.is_monotone());
         assert_eq!(trace.stage_time(stage::DEQUEUED), Some(SimTime::from_secs(4)));
@@ -512,9 +493,10 @@ mod tests {
     #[test]
     fn stage_durations_are_consecutive_deltas() {
         let store = TraceStore::new();
-        store.record(1, stage::SUBMITTED, SimTime::from_secs(0));
-        store.record(1, stage::ENQUEUED, SimTime::from_secs(2));
-        store.record(1, stage::DEQUEUED, SimTime::from_secs(5));
+        let t = SimTime::from_secs;
+        store.record_span(1, 0, stage::SUBMITTED, component::CLIENT, t(0), t(0));
+        store.record_span(1, 0, stage::ENQUEUED, component::BROKER, t(2), t(2));
+        store.record_span(1, 1, stage::DEQUEUED, component::BROKER, t(5), t(5));
         let trace = store.get(1).expect("trace exists");
         assert_eq!(
             trace.stage_durations(),
@@ -528,28 +510,30 @@ mod tests {
     #[test]
     fn store_evicts_oldest_job() {
         let store = TraceStore::with_capacity(2);
-        store.record(1, stage::SUBMITTED, SimTime::from_secs(1));
-        store.record(2, stage::SUBMITTED, SimTime::from_secs(2));
-        store.record(3, stage::SUBMITTED, SimTime::from_secs(3));
+        let t = SimTime::from_secs;
+        store.record_span(1, 0, stage::SUBMITTED, component::CLIENT, t(1), t(1));
+        store.record_span(2, 0, stage::SUBMITTED, component::CLIENT, t(2), t(2));
+        store.record_span(3, 0, stage::SUBMITTED, component::CLIENT, t(3), t(3));
         assert_eq!(store.len(), 2);
         assert!(store.get(1).is_none());
         assert!(store.get(2).is_some());
         assert!(store.get(3).is_some());
         // Appending to a surviving trace must not re-insert it.
-        store.record(2, stage::ENQUEUED, SimTime::from_secs(4));
+        store.record_span(2, 0, stage::ENQUEUED, component::BROKER, t(4), t(4));
         assert_eq!(store.get(2).expect("trace").events().len(), 2);
     }
 
     #[test]
     fn late_event_for_evicted_job_is_dropped_not_resurrected() {
         let store = TraceStore::with_capacity(2);
-        store.record(1, stage::SUBMITTED, SimTime::from_secs(1));
-        store.record(2, stage::SUBMITTED, SimTime::from_secs(2));
-        store.record(3, stage::SUBMITTED, SimTime::from_secs(3)); // evicts 1
+        let t = SimTime::from_secs;
+        store.record_span(1, 0, stage::SUBMITTED, component::CLIENT, t(1), t(1));
+        store.record_span(2, 0, stage::SUBMITTED, component::CLIENT, t(2), t(2));
+        store.record_span(3, 0, stage::SUBMITTED, component::CLIENT, t(3), t(3)); // evicts 1
         assert!(store.get(1).is_none());
         // A late event for the evicted job must not create a fresh
         // truncated trace (which would evict job 2 in turn).
-        store.record(1, stage::GRADED, SimTime::from_secs(9));
+        store.record_span(1, 1, stage::GRADED, component::WORKER, t(9), t(9));
         assert!(store.get(1).is_none(), "evicted job resurrected");
         assert!(store.get(2).is_some(), "live trace evicted by a zombie");
         assert_eq!(store.len(), 2);

@@ -46,6 +46,14 @@
 //! disk that tracks the synced prefix of each segment and can apply
 //! seeded [`DiskFault`]s to the unsynced tail at a crash, which keeps
 //! crash/recovery proptests byte-reproducible.
+//!
+//! ## Record payloads
+//!
+//! What goes *inside* a frame is the appender's business; [`codec`]
+//! holds the primitive writers and the checked reader both journaling
+//! crates build their logical records from.
+
+pub mod codec;
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;

@@ -6,6 +6,24 @@ use crate::scanner::{parse_scalar, scan, split_key, Line};
 use crate::value::Yaml;
 use std::borrow::Cow;
 
+/// Deepest nesting a document may have, block and flow levels counted
+/// together. Both parsers recurse once per level, and the documents
+/// are students' build files: without a cap a few KB of `[[[[…` run a
+/// worker thread out of stack, which aborts the process. The shipped
+/// build files nest 3 levels; a block level costs about 3.5 KB of
+/// stack in a debug build, so 32 of them fit a 256 KiB stack twice
+/// over.
+const MAX_DEPTH: usize = 32;
+
+/// Enter one more nesting level, on the line numbered `line`.
+fn descend(depth: &mut usize, line: usize) -> YamlResult<()> {
+    *depth += 1;
+    if *depth > MAX_DEPTH {
+        return Err(YamlError::new(line, format!("nesting deeper than {MAX_DEPTH} levels")));
+    }
+    Ok(())
+}
+
 /// Parse a single YAML document.
 ///
 /// An empty (or comment-only) document parses to [`Yaml::Null`].
@@ -16,7 +34,7 @@ pub fn parse(src: &str) -> YamlResult<Yaml> {
     }
     let root_indent = lines[0].indent;
     let raw = src.lines().collect();
-    let mut p = Parser { lines, pos: 0, raw };
+    let mut p = Parser { lines, pos: 0, raw, depth: 0 };
     let value = p.parse_node(root_indent)?;
     if let Some(extra) = p.peek() {
         return Err(YamlError::new(
@@ -35,6 +53,8 @@ struct Parser<'a> {
     /// The raw source lines (1-based via index+0): block scalars need
     /// them because the scanner strips comments and blank lines.
     raw: Vec<&'a str>,
+    /// Nesting levels open at `pos` (see [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -60,7 +80,8 @@ impl<'a> Parser<'a> {
                 format!("bad indentation: expected column {indent}, found {}", line.indent),
             ));
         }
-        if is_sequence_entry(line.content) {
+        descend(&mut self.depth, line.number)?;
+        let node = if is_sequence_entry(line.content) {
             self.parse_sequence(indent)
         } else if split_key(line.content).is_some() {
             self.parse_mapping(indent)
@@ -68,7 +89,9 @@ impl<'a> Parser<'a> {
             // Top-level / nested scalar (or flow collection) with folding.
             self.bump();
             self.parse_inline_value(line.content, indent, line.number)
-        }
+        }?;
+        self.depth -= 1;
+        Ok(node)
     }
 
     fn parse_mapping(&mut self, indent: usize) -> YamlResult<Yaml> {
@@ -301,6 +324,7 @@ impl<'a> Parser<'a> {
                 chars: t.char_indices().collect(),
                 pos: 0,
                 line: number,
+                depth: self.depth,
             };
             let v = fp.parse_value()?;
             fp.skip_ws();
@@ -347,6 +371,8 @@ struct FlowParser {
     chars: Vec<(usize, char)>,
     pos: usize,
     line: usize,
+    /// Nesting levels open at `pos`, the enclosing block's included.
+    depth: usize,
 }
 
 impl FlowParser {
@@ -363,8 +389,12 @@ impl FlowParser {
     fn parse_value(&mut self) -> YamlResult<Yaml> {
         self.skip_ws();
         match self.peek() {
-            Some('[') => self.parse_seq(),
-            Some('{') => self.parse_map(),
+            Some(open @ ('[' | '{')) => {
+                descend(&mut self.depth, self.line)?;
+                let node = if open == '[' { self.parse_seq() } else { self.parse_map() }?;
+                self.depth -= 1;
+                Ok(node)
+            }
             Some('"') | Some('\'') => {
                 let token = self.take_quoted()?;
                 parse_scalar(&token, self.line)
@@ -647,6 +677,52 @@ commands:
         // panicking the worker on a student's build file.
         let doc = parse("s: |\n    a\n  aé\n").unwrap();
         assert_eq!(doc.get("s").and_then(Yaml::as_str), Some("a\n\n"));
+    }
+
+    /// Nesting in each of the three recursive shapes: `flow` brackets
+    /// on one line, `block` levels of mapping and of sequence.
+    fn nested(flow: usize, block: usize) -> [String; 3] {
+        let brackets = format!("a: {}1{}\n", "[".repeat(flow), "]".repeat(flow));
+        let indented = |entry: &str| -> String {
+            (0..block).map(|i| format!("{}{entry}\n", " ".repeat(i))).collect()
+        };
+        [brackets, indented("k:"), indented("-")]
+    }
+
+    #[test]
+    fn nesting_up_to_the_cap_parses() {
+        // The `a:` mapping around the brackets is a level too.
+        for doc in nested(MAX_DEPTH - 1, MAX_DEPTH) {
+            parse(&doc).unwrap();
+        }
+        for doc in nested(MAX_DEPTH, MAX_DEPTH + 1) {
+            parse(&doc).unwrap_err();
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // An overflow aborts the process: it cannot be caught. On this
+        // stack uncapped recursion overflows within a few hundred
+        // levels. (Block levels cost a line each, indentation
+        // included, so 2 000 of them are a 2 MB document.)
+        let parsed = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| nested(10_000, 2_000).map(|doc| parse(&doc)))
+            .unwrap()
+            .join()
+            .unwrap();
+        let lines: Vec<usize> = parsed
+            .into_iter()
+            .map(|r| {
+                let err = r.unwrap_err();
+                assert!(err.message.contains("nesting deeper"), "got: {err}");
+                err.line
+            })
+            .collect();
+        // Flow nests on its one line under the `a:` mapping; a block
+        // level is a line.
+        assert_eq!(lines, [1, MAX_DEPTH + 1, MAX_DEPTH + 1]);
     }
 
     #[test]

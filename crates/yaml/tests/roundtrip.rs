@@ -45,6 +45,24 @@ fn arb_yaml() -> impl Strategy<Value = Yaml> {
     })
 }
 
+/// `text` nested `depth` levels deep — inside brackets on one line, or
+/// (a quarter as deep: a block level costs a line of indentation) under
+/// indented keys. The shape that ran the recursive parser out of
+/// stack, which aborts the test binary instead of failing a case.
+fn nest(text: &str, depth: usize, flow: bool) -> String {
+    if flow {
+        return format!("k: {}{text}{}\n", "[".repeat(depth), "]".repeat(depth));
+    }
+    let depth = depth / 4;
+    let mut out: String = (0..depth).map(|i| format!("{}k:\n", " ".repeat(i))).collect();
+    for line in text.lines() {
+        out.push_str(&" ".repeat(depth));
+        out.push_str(line);
+        out.push('\n');
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -57,9 +75,14 @@ proptest! {
     }
 
     #[test]
-    fn parser_never_panics_on_arbitrary_input(s in "[ -~\\n\\t]{0,200}") {
+    fn parser_never_panics_on_arbitrary_input(
+        s in "[ -~\\n\\t]{0,200}",
+        depth in 0usize..4000,
+        flow in any::<bool>(),
+    ) {
         // Errors are fine; panics are not.
         let _ = parse(&s);
+        let _ = parse(&nest(&s, depth, flow));
     }
 
     #[test]

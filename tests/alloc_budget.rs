@@ -55,13 +55,12 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
 }
 
 /// Allocations and requested bytes allowed per submission. Measured
-/// (EXPERIMENTS.md): 625 / 52 945 B at this commit, 650 / 55 361 B at
-/// its parent (the per-round job vectors, the digest cache's per-call
-/// guard `Vec`s and the arena's per-call guard tables left with the
-/// pool, stripes and shards), the same in the debug profile tier-1 runs
-/// this test in and in release. Both gates are 3 % above the
-/// measurement.
-const BUDGET: (u64, u64) = (643, 54_500);
+/// (EXPERIMENTS.md): 621 / 52 479 B at this commit, 625 / 52 945 B at
+/// its parent (the write-only `worker.job` span — a name, two label
+/// strings and a `Vec` per committed job — left with the span ring),
+/// the same in the debug profile tier-1 runs this test in and in
+/// release. Both gates are 3 % above the measurement.
+const BUDGET: (u64, u64) = (639, 54_050);
 
 #[test]
 fn request_path_stays_inside_its_allocation_budget() {
