@@ -8,6 +8,11 @@
 //! binary runs the same job stream with and without subscribers
 //! draining the log topics and reports broker growth.
 //!
+//! It counts topic-table entries. That a collected topic also gives
+//! its *bytes* back — nothing else holds its state — is the tier-1
+//! claim of `tests/alloc_budget.rs`, which runs the same cycle under a
+//! counting allocator.
+//!
 //! ```text
 //! cargo run --release -p rai-bench --bin ablation_log_gc
 //! ```

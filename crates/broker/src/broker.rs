@@ -10,7 +10,7 @@ use rai_faults::{FaultInjector, FaultKind};
 use rai_sim::{SimDuration, VirtualClock};
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -85,9 +85,6 @@ struct TopicState {
     /// Messages published before the first channel existed.
     backlog: Mutex<VecDeque<Message>>,
     published: AtomicU64,
-    /// Set while the topic sits on the broker's dirty list (it has had
-    /// a message claimed since the last `reclaim_expired` pass).
-    dirty: AtomicBool,
 }
 
 struct BrokerInner {
@@ -98,15 +95,6 @@ struct BrokerInner {
     /// the per-topic/per-channel locks; the write lock is taken once
     /// per topic lifetime (creation and GC).
     topics: RwLock<HashMap<String, Arc<TopicState>>>,
-    /// Topics with messages claimed since the last reclaim pass, so
-    /// `reclaim_expired` visits O(touched topics) instead of rescanning
-    /// the whole table (which is mostly short-lived `log_*` topics that
-    /// never hold a claim long).
-    dirty: Mutex<Vec<Arc<TopicState>>>,
-    /// Cumulative microseconds spent waiting on the contended dirty-list
-    /// lock. A host fact: surfaced via `rai_lock_wait_micros_total`,
-    /// never in fingerprints.
-    lock_wait_micros: AtomicU64,
     next_message_id: AtomicU64,
     next_subscriber_id: AtomicU64,
     injector: Mutex<Option<FaultInjector>>,
@@ -128,59 +116,9 @@ impl BrokerInner {
                     channels: Mutex::new(HashMap::new()),
                     backlog: Mutex::new(VecDeque::new()),
                     published: AtomicU64::new(0),
-                    dirty: AtomicBool::new(false),
                 })
             })
             .clone()
-    }
-
-    /// Lock the dirty list, charging contended waits to the
-    /// lock-wait counter. Uncontended cost is one `try_lock`.
-    fn dirty_list(&self) -> parking_lot::MutexGuard<'_, Vec<Arc<TopicState>>> {
-        if let Some(g) = self.dirty.try_lock() {
-            return g;
-        }
-        let start = std::time::Instant::now();
-        let g = self.dirty.lock();
-        self.lock_wait_micros
-            .fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
-        g
-    }
-
-    /// Note that `topic` just had a message claimed: it must be visited
-    /// by the next `reclaim_expired` pass. The flag swap happens under
-    /// the dirty-list lock so a concurrent
-    /// [`BrokerInner::clean_if_quiescent`] can never observe the flag
-    /// set without the list entry (or vice versa).
-    fn mark_dirty(&self, topic: &Arc<TopicState>) {
-        let mut dirty = self.dirty_list();
-        if !topic.dirty.swap(true, Ordering::AcqRel) {
-            dirty.push(topic.clone());
-        }
-    }
-
-    /// Drop `topic` from the dirty list if it no longer holds any
-    /// in-flight claim — the one-pass cleanup a fully-acked batch runs
-    /// so `reclaim_expired` doesn't visit a topic that settled between
-    /// passes. Safe against a racing claim: the claim increments its
-    /// channel's in-flight count *before* calling `mark_dirty`, so
-    /// either this check sees the claim (topic stays dirty) or the
-    /// claim's `mark_dirty` runs after the flag clears here and
-    /// re-registers the topic.
-    fn clean_if_quiescent(&self, topic: &Arc<TopicState>) {
-        let mut dirty = self.dirty_list();
-        if !topic.dirty.load(Ordering::Acquire) {
-            return;
-        }
-        let quiescent = topic
-            .channels
-            .lock()
-            .values()
-            .all(|ch| ch.in_flight_count() == 0);
-        if quiescent {
-            topic.dirty.store(false, Ordering::Release);
-            dirty.retain(|t| !Arc::ptr_eq(t, topic));
-        }
     }
 
     fn publish_raw(
@@ -284,8 +222,6 @@ impl Broker {
                 config,
                 clock,
                 topics: RwLock::new(HashMap::new()),
-                dirty: Mutex::new(Vec::new()),
-                lock_wait_micros: AtomicU64::new(0),
                 next_message_id: AtomicU64::new(1),
                 next_subscriber_id: AtomicU64::new(1),
                 injector: Mutex::new(None),
@@ -440,51 +376,32 @@ impl Broker {
     /// Requeue every in-flight message claimed more than `timeout` of
     /// sim time ago (run periodically, like nsqd's message timeout).
     /// Messages over the attempt cap are routed to their dead-letter
-    /// topic instead. Only topics on the dirty list — those with a
-    /// message claimed since the last pass — are visited; everything
-    /// else cannot hold an expired claim, so the pass is O(touched
-    /// topics), not O(all topics). Dirty topics are processed in name
-    /// order and messages in id order, so redelivery is deterministic.
-    /// Returns how many messages went back to ready queues.
+    /// topic instead. The pass walks the live topic table and keeps the
+    /// channels with a claim in flight — nothing else can hold an
+    /// expired one — so it costs O(live topics) per pass and nothing
+    /// per receive. Channels are visited in topic-name then
+    /// channel-name order and messages in id order, so redelivery is
+    /// deterministic. Returns how many messages went back to ready
+    /// queues.
     pub fn reclaim_expired(&self, timeout: SimDuration) -> usize {
-        // The list is in claim order; the name sort makes the visit
-        // order a function of the dirty set alone.
-        let mut dirty = std::mem::take(&mut *self.inner.dirty_list());
-        dirty.sort_by(|a, b| a.name.cmp(&b.name));
-        let mut n = 0;
-        for t in dirty {
-            t.dirty.store(false, Ordering::Release);
-            let mut channels: Vec<Arc<ChannelState>> =
-                t.channels.lock().values().cloned().collect();
-            channels.sort_by(|a, b| a.name.cmp(&b.name));
-            let mut still_in_flight = false;
-            for ch in channels {
-                let r = ch.reclaim_expired(timeout);
-                self.inner.route_dead(&t.name, &ch, &r);
-                n += r.requeued;
-                still_in_flight |= ch.in_flight_count() > 0;
-            }
-            if still_in_flight {
-                // Unexpired claims survive this pass; the next one must
-                // look at this topic again even if nothing new is
-                // claimed in between.
-                self.inner.mark_dirty(&t);
+        // Collected first: dead-letter routing below publishes, which
+        // takes the topic table again.
+        let mut claimed: Vec<(Arc<TopicState>, Arc<ChannelState>)> = Vec::new();
+        for t in self.inner.topics.read().values() {
+            for ch in t.channels.lock().values() {
+                if ch.in_flight_count() > 0 {
+                    claimed.push((t.clone(), ch.clone()));
+                }
             }
         }
+        claimed.sort_by(|(ta, ca), (tb, cb)| (&ta.name, &ca.name).cmp(&(&tb.name, &cb.name)));
+        let mut n = 0;
+        for (t, ch) in claimed {
+            let r = ch.reclaim_expired(timeout);
+            self.inner.route_dead(&t.name, &ch, &r);
+            n += r.requeued;
+        }
         n
-    }
-
-    /// Topics awaiting a `reclaim_expired` visit (they had a message
-    /// claimed since the last pass). Exposed for tests and benches.
-    pub fn dirty_topics(&self) -> usize {
-        self.inner.dirty_list().len()
-    }
-
-    /// Cumulative microseconds spent waiting on the contended dirty-list
-    /// lock — a host fact folded into `rai_lock_wait_micros_total`,
-    /// never into fingerprints.
-    pub fn lock_wait_micros(&self) -> u64 {
-        self.inner.lock_wait_micros.load(Ordering::Relaxed)
     }
 
     /// Whole-broker statistics snapshot.
@@ -571,58 +488,17 @@ impl Subscription {
     /// Blocking receive with timeout. The returned message is in flight
     /// until [`Subscription::ack`] or [`Subscription::requeue`].
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Message, RecvError> {
-        let msg = self.channel.recv_timeout(self.subscriber_id, timeout)?;
-        self.broker.mark_dirty(&self.topic);
-        Ok(msg)
+        self.channel.recv_timeout(self.subscriber_id, timeout)
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<Message> {
-        let msg = self.channel.try_recv(self.subscriber_id)?;
-        self.broker.mark_dirty(&self.topic);
-        Some(msg)
-    }
-
-    /// Claim up to `max` ready messages in one call, in queue order.
-    /// Every returned message is in flight until individually
-    /// [`Subscription::ack`]ed (or [`Subscription::ack_batch`]ed) —
-    /// a crash drops the whole batch back to the queue at once, which
-    /// is exactly the at-least-once story of a single claim, repeated.
-    /// Returns fewer than `max` (possibly zero) when the queue drains.
-    pub fn try_recv_batch(&self, max: usize) -> Vec<Message> {
-        let mut batch = Vec::new();
-        while batch.len() < max {
-            let Some(msg) = self.channel.try_recv(self.subscriber_id) else {
-                break;
-            };
-            batch.push(msg);
-        }
-        if !batch.is_empty() {
-            self.broker.mark_dirty(&self.topic);
-        }
-        batch
+        self.channel.try_recv(self.subscriber_id)
     }
 
     /// Acknowledge (complete) an in-flight message.
     pub fn ack(&self, id: MessageId) -> bool {
         self.channel.ack(self.subscriber_id, id)
-    }
-
-    /// Acknowledge a batch of in-flight messages. Returns how many were
-    /// actually in flight for this subscription. When the batch settles
-    /// the topic's last claim, the topic also leaves the broker's dirty
-    /// list in the same call — one pass, instead of parking it until
-    /// the next `reclaim_expired` scan discovers there is nothing to
-    /// reclaim.
-    pub fn ack_batch(&self, ids: &[MessageId]) -> usize {
-        let n = ids
-            .iter()
-            .filter(|id| self.channel.ack(self.subscriber_id, **id))
-            .count();
-        if n > 0 {
-            self.broker.clean_if_quiescent(&self.topic);
-        }
-        n
     }
 
     /// Decline an in-flight message, returning it to the queue for
@@ -709,49 +585,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_claim_preserves_queue_order_and_batch_ack_completes() {
-        let b = Broker::default();
-        let sub = b.subscribe("rai", "tasks");
-        for i in 0..5 {
-            b.publish("rai", format!("job-{i}").into_bytes()).unwrap();
-        }
-        let batch = sub.try_recv_batch(3);
-        assert_eq!(
-            batch.iter().map(|m| m.body_str().into_owned()).collect::<Vec<_>>(),
-            ["job-0", "job-1", "job-2"]
-        );
-        let s = b.topic_stats("rai").unwrap();
-        assert_eq!((s.depth, s.in_flight), (2, 3));
-        let ids: Vec<MessageId> = batch.iter().map(|m| m.id).collect();
-        assert_eq!(sub.ack_batch(&ids), 3);
-        // Re-acking is a no-op, and the tail drains below `max`.
-        assert_eq!(sub.ack_batch(&ids), 0);
-        let rest = sub.try_recv_batch(10);
-        assert_eq!(rest.len(), 2);
-        assert_eq!(sub.try_recv_batch(10).len(), 0);
-    }
-
-    #[test]
-    fn dropping_subscription_requeues_unacked_batch() {
-        let b = Broker::default();
-        let sub = b.subscribe("rai", "tasks");
-        for i in 0..3 {
-            b.publish("rai", format!("job-{i}").into_bytes()).unwrap();
-        }
-        let batch = sub.try_recv_batch(3);
-        assert_eq!(batch.len(), 3);
-        sub.ack(batch[1].id);
-        drop(sub); // crash: the two unacked claims return to the queue
-        let sub2 = b.subscribe("rai", "tasks");
-        let redelivered = sub2.try_recv_batch(10);
-        let mut bodies: Vec<String> =
-            redelivered.iter().map(|m| m.body_str().into_owned()).collect();
-        bodies.sort();
-        assert_eq!(bodies, ["job-0", "job-2"]);
-        assert!(redelivered.iter().all(|m| m.attempts == 2), "redelivery bumps attempts");
-    }
-
-    #[test]
     fn channel_fanout_and_load_balance() {
         let b = Broker::default();
         // Two channels: both see every message.
@@ -832,13 +665,20 @@ mod tests {
     fn dropped_subscription_requeues_in_flight() {
         let b = Broker::default();
         let w1 = b.subscribe("rai", "tasks");
-        b.publish("rai", &b"job"[..]).unwrap();
-        let _taken = w1.try_recv().unwrap();
-        drop(w1); // crash before ack
+        for i in 0..3 {
+            b.publish("rai", format!("job-{i}")).unwrap();
+        }
+        let taken: Vec<Message> = std::iter::from_fn(|| w1.try_recv()).collect();
+        assert_eq!(taken.len(), 3);
+        assert!(w1.ack(taken[1].id));
+        drop(w1); // crash: the two unacked claims return to the queue, in id order
         let w2 = b.subscribe("rai", "tasks");
-        let m = w2.recv_timeout(Duration::from_millis(100)).unwrap();
-        assert_eq!(m.body_str(), "job");
-        assert_eq!(m.attempts, 2);
+        for body in ["job-0", "job-2"] {
+            let m = w2.recv_timeout(Duration::from_millis(100)).unwrap();
+            assert_eq!(m.body_str(), body);
+            assert_eq!(m.attempts, 2, "redelivery bumps attempts");
+        }
+        assert!(w2.try_recv().is_none(), "the acked message stays gone");
     }
 
     #[test]
@@ -970,60 +810,62 @@ mod tests {
     }
 
     #[test]
-    fn reclaim_visits_only_dirty_topics() {
+    fn reclaim_requeues_only_expired_claims_in_topic_name_order() {
         let clock = VirtualClock::new();
-        let b = Broker::with_clock(BrokerConfig::default(), clock.clone());
-        // 50 topics with traffic but no claims: publish-only log streams.
-        let subs: Vec<Subscription> = (0..50)
-            .map(|i| {
-                let name = format!("log_{i:03}");
-                let sub = b.subscribe_ephemeral(&name, "ch");
-                b.publish_ephemeral(&name, &b"line"[..]).unwrap();
-                sub
-            })
-            .collect();
-        assert_eq!(b.dirty_topics(), 0, "ready messages never dirty a topic");
-        // One topic takes a claim.
-        let work = b.subscribe("rai", "tasks");
-        b.publish("rai", &b"job"[..]).unwrap();
-        let _held = work.try_recv().unwrap();
-        assert_eq!(b.dirty_topics(), 1, "only the claimed topic is dirty");
-        // An unexpired claim survives the pass and keeps the topic dirty.
-        assert_eq!(b.reclaim_expired(SimDuration::from_secs(5)), 0);
-        assert_eq!(b.dirty_topics(), 1);
-        // Once expired, the claim is requeued and the list empties.
+        let config = BrokerConfig { max_attempts: 2, ..Default::default() };
+        let b = Broker::with_clock(config, clock.clone());
+        let timeout = SimDuration::from_secs(5);
+        // A topic with traffic but no claim, and two topics that each
+        // take one: "b" at t = 0, "a" at t = 3.
+        let _ready = b.subscribe_ephemeral("log_0", "ch");
+        b.publish_ephemeral("log_0", &b"line"[..]).unwrap();
+        let claim = |topic: &str| {
+            let sub = b.subscribe(topic, "ch");
+            b.publish(topic, topic.as_bytes().to_vec()).unwrap();
+            assert_eq!(sub.try_recv().unwrap().attempts, 1);
+            sub
+        };
+        let sub_b = claim("b");
+        clock.advance(SimDuration::from_secs(3));
+        let sub_a = claim("a");
+        assert_eq!(b.reclaim_expired(timeout), 0, "nothing has expired");
+        // t = 6: only "b" is past the timeout; "a" keeps its claim
+        // through this pass and loses it to the next one.
+        clock.advance(SimDuration::from_secs(3));
+        assert_eq!(b.reclaim_expired(timeout), 1);
+        assert_eq!(sub_b.try_recv().unwrap().attempts, 2);
+        assert!(sub_a.try_recv().is_none(), "an unexpired claim survives the pass");
+        clock.advance(SimDuration::from_secs(3));
+        assert_eq!(b.reclaim_expired(timeout), 1);
+        assert_eq!(sub_a.try_recv().unwrap().attempts, 2);
+        // t = 15: both second deliveries have expired at the attempt
+        // cap. "b" was claimed first both times, yet "a" is visited
+        // first: its dead letter gets the lower message id.
         clock.advance(SimDuration::from_secs(6));
-        assert_eq!(b.reclaim_expired(SimDuration::from_secs(5)), 1);
-        assert_eq!(b.dirty_topics(), 0);
-        let again = work.recv_timeout(Duration::from_millis(100)).unwrap();
-        assert_eq!(again.attempts, 2);
-        work.ack(again.id);
-        assert_eq!(b.lock_wait_micros(), 0, "uncontended run never charges lock wait");
-        drop(subs);
+        assert_eq!(b.reclaim_expired(timeout), 0, "dead letters are not requeues");
+        let dead = |topic: &str| {
+            let audit = b.subscribe(&dead_letter_topic(topic, "ch"), "audit");
+            let m = audit.try_recv().expect("dead letter delivered");
+            assert_eq!(m.body_str(), topic);
+            m.id
+        };
+        assert!(dead("a") < dead("b"), "visit order is by topic name");
+        // The ready-only topic was never touched.
+        let s = b.topic_stats("log_0").unwrap();
+        assert_eq!((s.depth, s.in_flight, s.requeued), (1, 0, 0));
     }
 
     #[test]
-    fn ack_batch_cleans_dirty_mark_in_one_pass() {
+    fn a_drained_ephemeral_topic_is_freed_not_just_unlisted() {
         let b = Broker::default();
-        let work = b.subscribe("rai", "tasks");
-        for i in 0..6 {
-            b.publish("rai", format!("job-{i}")).unwrap();
-        }
-        let batch = work.try_recv_batch(6);
-        assert_eq!(batch.len(), 6);
-        assert_eq!(b.dirty_topics(), 1, "batch claim dirties the topic");
-        // A partial ack leaves claims in flight: the topic must stay
-        // queued for the reclaim pass.
-        let (head, tail) = batch.split_at(2);
-        assert_eq!(work.ack_batch(&head.iter().map(|m| m.id).collect::<Vec<_>>()), 2);
-        assert_eq!(b.dirty_topics(), 1, "partial batch keeps the dirty mark");
-        // Settling the batch clears the mark immediately — no
-        // reclaim_expired pass needed to discover the topic is idle.
-        assert_eq!(work.ack_batch(&tail.iter().map(|m| m.id).collect::<Vec<_>>()), 4);
-        assert_eq!(b.dirty_topics(), 0, "fully-acked batch self-cleans");
-        // And an empty/no-op batch on a clean topic stays a no-op.
-        assert_eq!(work.ack_batch(&[head[0].id]), 0);
-        assert_eq!(b.dirty_topics(), 0);
+        let sub = b.subscribe_ephemeral("log_j", "ch");
+        b.publish_ephemeral("log_j", &b"line"[..]).unwrap();
+        let m = sub.try_recv().unwrap();
+        assert!(sub.ack(m.id));
+        let topic = Arc::downgrade(&b.inner.topics.read()["log_j"]);
+        drop(sub);
+        assert!(!b.has_topic("log_j"));
+        assert!(topic.upgrade().is_none(), "something still holds the dead topic's state");
     }
 
     #[test]

@@ -258,8 +258,6 @@ pub struct RaiClient {
     broker: Broker,
     store: ObjectStore,
     next_job_id: Arc<AtomicU64>,
-    /// Delta uploader with this client's per-project-dir digest cache.
-    delta: DeltaUploader,
     /// Durable deployments journal a submission intent here before
     /// publishing, so a crash between "accepted" and "queued" is
     /// recoverable (DESIGN.md §14).
@@ -281,7 +279,6 @@ impl RaiClient {
             broker,
             store,
             next_job_id,
-            delta: DeltaUploader::new(),
             intents: None,
         }
     }
@@ -357,7 +354,7 @@ impl RaiClient {
         let mut attempts = 0;
         loop {
             attempts += 1;
-            match self.delta.upload_prepared(
+            match DeltaUploader::new().upload_prepared(
                 &self.store,
                 UPLOAD_BUCKET,
                 &upload_key,

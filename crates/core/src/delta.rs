@@ -2,20 +2,20 @@
 //!
 //! Both the client (project uploads) and the worker (`/build` output
 //! uploads) ship payloads as chunk manifests: the payload is split
-//! with the same content-defined chunker the store uses, a local
-//! digest cache plus one [`rai_store::ObjectStore::has_chunks`] round
-//! trip decide which chunks the store is missing, and only those cross
-//! the wire via [`rai_store::ObjectStore::put_delta`]. Re-submissions
-//! of a near-identical project tree therefore upload a few hundred
-//! bytes instead of the whole archive — the paper's dominant workload
-//! (30 782 submissions in the final two weeks, most of them retries).
+//! with the same content-defined chunker the store uses, one
+//! [`rai_store::ObjectStore::has_chunks`] round trip says which chunks
+//! the store is missing, and only those cross the wire via
+//! [`rai_store::ObjectStore::put_delta`]. The uploader keeps no state
+//! between uploads: the store is the only authority on what is
+//! resident. Re-submissions of a near-identical project tree therefore
+//! upload a few hundred bytes instead of the whole archive — the
+//! paper's dominant workload (30 782 submissions in the final two
+//! weeks, most of them retries).
 
 use rai_archive::chunk::{chunk_shared, chunk_views, Chunk, ChunkManifest, ChunkerParams};
 use rai_archive::Bytes;
 use rai_store::{ObjectStore, StoreError};
-use parking_lot::RwLock;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A payload already split into its chunk manifest, ready to commit.
 ///
@@ -77,86 +77,15 @@ impl DeltaReceipt {
     }
 }
 
-/// The uploader's generation-stamped digest memo: one set behind one
-/// reader-writer lock. Lookups take the *read* half — concurrent
-/// uploads probing the cache never block one another — and the only
-/// writers are the post-commit insert and the `MissingChunks` self-heal
-/// eviction.
-///
-/// The generation counter closes the lost-eviction race: an insert
-/// records the generation it *observed* before its store round trip,
-/// and is skipped if an eviction advanced the counter in between.
-/// Without the stamp, this interleaving re-poisons the cache —
-/// upload A observes digest `d` resident, the store garbage-collects
-/// `d`, upload B's failure evicts `d`, then A's late insert puts the
-/// now-stale `d` back. Skipping a racing insert merely costs one
-/// future `has_chunks` query; the cache is a hint either way.
+/// The stateless uploader of the delta protocol: every upload asks
+/// the store what it holds and sends the rest.
 #[derive(Default)]
-struct DigestCache {
-    digests: RwLock<HashSet<u64>>,
-    generation: AtomicU64,
-}
-
-impl DigestCache {
-    /// Current eviction generation; pass the observed value back to
-    /// [`DigestCache::insert_if_current`].
-    fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Acquire)
-    }
-
-    /// Shared-lock lookup of a whole batch under one guard, one flag
-    /// per digest in order.
-    fn probe(&self, digests: impl Iterator<Item = u64>) -> Vec<bool> {
-        let cached = self.digests.read();
-        digests.map(|d| cached.contains(&d)).collect()
-    }
-
-    /// Insert `digests` only if no eviction intervened since
-    /// `observed_generation` was read (ABA guard; see type docs).
-    fn insert_if_current(&self, digests: impl Iterator<Item = u64>, observed_generation: u64) {
-        if self.generation.load(Ordering::Acquire) != observed_generation {
-            return;
-        }
-        self.digests.write().extend(digests);
-    }
-
-    /// Drop stale digests and advance the generation, invalidating any
-    /// insert still in flight against the old one.
-    fn evict(&self, digests: &[u64]) {
-        let mut cached = self.digests.write();
-        for d in digests {
-            cached.remove(d);
-        }
-        self.generation.fetch_add(1, Ordering::Release);
-    }
-
-    fn len(&self) -> usize {
-        self.digests.read().len()
-    }
-}
-
-/// A delta-capable uploader with a digest cache.
-///
-/// The cache remembers digests the store has confirmed resident, so
-/// steady-state re-uploads skip even the `has_chunks` query for
-/// unchanged chunks. It is only a hint: if the store garbage-collected
-/// a cached chunk in the meantime, `put_delta` fails atomically with
-/// [`StoreError::MissingChunks`], the stale entries are dropped, and
-/// the upload retries with a fresh query (see `DigestCache`).
-#[derive(Default)]
-pub struct DeltaUploader {
-    cache: DigestCache,
-}
+pub struct DeltaUploader;
 
 impl DeltaUploader {
-    /// An uploader with an empty digest cache.
+    /// An uploader.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Digests currently cached as store-resident.
-    pub fn cached(&self) -> usize {
-        self.cache.len()
+        DeltaUploader
     }
 
     /// Chunk a borrowed `payload`, ready for
@@ -169,9 +98,7 @@ impl DeltaUploader {
     /// Upload `payload` to `bucket/key` sending only missing chunks.
     ///
     /// Transient [`StoreError::Unavailable`] from either protocol step
-    /// is returned to the caller, whose existing retry policy applies
-    /// (a retry is cheap: the cache already holds everything the first
-    /// attempt got confirmed or stored).
+    /// is returned to the caller, whose existing retry policy applies.
     pub fn upload(
         &self,
         store: &ObjectStore,
@@ -200,58 +127,41 @@ impl DeltaUploader {
         user_meta: impl IntoIterator<Item = (String, String)>,
     ) -> Result<DeltaReceipt, StoreError> {
         let PreparedUpload { manifest, chunks } = prepared;
-        // The distinct chunks, in first-occurrence manifest order. Every
-        // list below is a filtered copy of this one, so chunks pair
-        // with their probe answers by position.
+        // The distinct chunks, in first-occurrence manifest order, so
+        // they pair with the probe's answers by position.
         let distinct: Vec<&Chunk> = {
             let mut seen = HashSet::with_capacity(chunks.len());
             chunks.iter().filter(|c| seen.insert(c.digest)).collect()
         };
-        let mut user_meta: Vec<(String, String)> = user_meta.into_iter().collect();
+        let digests: Vec<u64> = distinct.iter().map(|c| c.digest).collect();
+        let user_meta: Vec<(String, String)> = user_meta.into_iter().collect();
 
-        // First pass trusts the cache; a second pass (after a
-        // MissingChunks rejection) bypasses it. The cache probe runs
-        // on the shared lock, and the post-commit insert carries
-        // the generation observed *before* the store round trip so a
-        // racing eviction wins (see [`DigestCache`]).
-        for trust_cache in [true, false] {
-            let observed_generation = self.cache.generation();
-            let unknown: Vec<&Chunk> = if trust_cache {
-                let cached = self.cache.probe(distinct.iter().map(|c| c.digest));
-                distinct.iter().zip(cached).filter(|(_, hit)| !hit).map(|(c, _)| *c).collect()
-            } else {
-                distinct.clone()
-            };
-            let digests: Vec<u64> = unknown.iter().map(|c| c.digest).collect();
+        let attempt = || {
             let resident = store.has_chunks(&digests)?;
-            let missing: Vec<&Chunk> = unknown
+            let missing: Vec<&Chunk> = distinct
                 .iter()
                 .zip(resident)
                 .filter(|(_, resident)| !resident)
                 .map(|(c, _)| *c)
                 .collect();
             let to_send = request_body(&missing);
-            // The bypass pass is the last use of the metadata.
-            let meta = if trust_cache { user_meta.clone() } else { std::mem::take(&mut user_meta) };
-            match store.put_delta(bucket, key, manifest, &to_send, meta) {
-                Ok(etag) => {
-                    self.cache
-                        .insert_if_current(distinct.iter().map(|c| c.digest), observed_generation);
-                    return Ok(DeltaReceipt {
-                        etag,
-                        chunks_total: manifest.chunks.len(),
-                        chunks_sent: to_send.len(),
-                        bytes_sent: to_send.iter().map(|c| c.data.len() as u64).sum(),
-                        bytes_logical: manifest.total_len,
-                    });
-                }
-                Err(StoreError::MissingChunks { missing }) if trust_cache => {
-                    self.cache.evict(&missing);
-                }
-                Err(e) => return Err(e),
-            }
+            let etag =
+                store.put_delta(bucket, key, manifest, &to_send, user_meta.iter().cloned())?;
+            Ok(DeltaReceipt {
+                etag,
+                chunks_total: manifest.chunks.len(),
+                chunks_sent: to_send.len(),
+                bytes_sent: to_send.iter().map(|c| c.data.len() as u64).sum(),
+                bytes_logical: manifest.total_len,
+            })
+        };
+        // A chunk the probe saw resident can be collected before the
+        // put lands; the store then refuses the whole put, and one
+        // fresh probe sends what went missing.
+        match attempt() {
+            Err(StoreError::MissingChunks { .. }) => attempt(),
+            outcome => outcome,
         }
-        unreachable!("second pass never yields MissingChunks: it queried every digest");
     }
 }
 
@@ -463,24 +373,22 @@ mod tests {
         let s = store();
         let data = payload(8000, 3);
         DeltaUploader::new().upload(&s, "b", "k1", &data, []).unwrap();
-        // New uploader, empty cache — the has_chunks query discovers
+        // New uploader — the has_chunks query discovers
         // the resident chunks (this is the per-client-process case).
         let r = DeltaUploader::new().upload(&s, "b", "k2", &data, []).unwrap();
         assert_eq!(r.chunks_sent, 0);
     }
 
     #[test]
-    fn stale_cache_recovers_after_store_gc() {
+    fn upload_after_store_gc_resends_everything() {
         let s = store();
         let up = DeltaUploader::new();
         let data = payload(8000, 4);
         up.upload(&s, "b", "k", &data, []).unwrap();
-        assert!(up.cached() > 0);
-        // The store drops the object (and with it every chunk), but
-        // the uploader's cache still claims residency.
+        // The store drops the object, and with it every chunk.
         s.delete("b", "k").unwrap();
         let r = up.upload(&s, "b", "k", &data, []).unwrap();
-        assert_eq!(r.chunks_sent, r.chunks_total, "retry resent everything");
+        assert_eq!(r.chunks_sent, r.chunks_total, "nothing was resident any more");
         assert_eq!(s.get("b", "k").unwrap().data.as_ref(), &data[..]);
     }
 
@@ -496,33 +404,9 @@ mod tests {
     }
 
     #[test]
-    fn digest_cache_generation_guard_drops_racing_insert() {
-        let c = DigestCache::default();
-        let g = c.generation();
-        c.insert_if_current([1u64, 2, 3].into_iter(), g);
-        assert_eq!(c.probe([1u64, 2, 3, 4].into_iter()), [true, true, true, false]);
-        assert_eq!(c.len(), 3);
-        // An eviction invalidates any insert stamped with an older
-        // generation — the lost-eviction interleaving from the type
-        // docs must not re-poison the cache.
-        let stale = c.generation();
-        c.evict(&[2]);
-        c.insert_if_current([2u64, 9].into_iter(), stale);
-        assert_eq!(
-            c.probe([2u64, 9].into_iter()),
-            [false, false],
-            "stale insert must not land after eviction; the whole stale batch is dropped"
-        );
-        // A fresh observation inserts normally.
-        c.insert_if_current([9u64].into_iter(), c.generation());
-        assert_eq!(c.probe([9u64].into_iter()), [true]);
-    }
-
-    #[test]
-    fn concurrent_cache_probes_share_read_locks() {
-        // Many threads probing one warmed uploader cache concurrently:
-        // all succeed with zero chunks sent, exercising the shared
-        // read path under real parallelism.
+    fn concurrent_uploads_of_resident_content_send_nothing() {
+        // Many threads uploading content the store already holds
+        // through one uploader: all succeed with zero chunks sent.
         let s = store();
         let up = std::sync::Arc::new(DeltaUploader::new());
         let data = payload(32_000, 11);
@@ -539,7 +423,7 @@ mod tests {
             .collect();
         for h in handles {
             let r = h.join().unwrap();
-            assert_eq!(r.chunks_sent, 0, "warm cache answers every probe");
+            assert_eq!(r.chunks_sent, 0, "the probe finds every chunk resident");
         }
     }
 

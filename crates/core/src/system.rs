@@ -45,12 +45,12 @@ pub struct SystemConfig {
     /// Deterministic fault plan; `None` (and [`FaultPlan::none`]) run
     /// the system fault-free.
     pub fault_plan: Option<FaultPlan>,
-    /// Durability knobs for the write-ahead logs behind the database
-    /// and the object store. Disabled by default — the preserved
-    /// in-memory configuration, byte-identical to pre-WAL behaviour.
-    /// Takes effect through [`RaiSystem::with_clock_durable`] /
-    /// [`RaiSystem::recover_with_clock`], which supply the log
-    /// backends (DESIGN.md §14).
+    /// Tuning for the write-ahead logs behind the database and the
+    /// object store. Whether they exist is chosen by constructor, not
+    /// here: [`RaiSystem::with_clock_durable`] and
+    /// [`RaiSystem::recover_with_clock`] attach them to the backends
+    /// they are given, [`RaiSystem::with_clock`] runs in memory and
+    /// never reads this (DESIGN.md §14).
     pub durability: DurabilityConfig,
 }
 
@@ -285,7 +285,6 @@ impl RaiSystem {
         // Pull-style collectors: broker / store / db keep their own
         // counters; these mirror them into the registry at snapshot time.
         {
-            let broker2 = broker.clone();
             let broker = broker.clone();
             telemetry.register_collector(move |reg| {
                 let s = broker.stats();
@@ -322,11 +321,10 @@ impl RaiSystem {
                 reg.counter(names::STORE_CHUNKS_DEDUP_TOTAL, &[]).store(u.chunks_dedup_total);
                 reg.counter(names::STORE_BYTES_WIRE_TOTAL, &[]).store(u.bytes_wire);
                 reg.counter(names::STORE_DELTA_PUTS_TOTAL, &[]).store(u.delta_puts);
-                // Contended wait on the store's state lock and the
-                // broker's dirty-list lock. A host fact — it varies
-                // with scheduling, never with the simulation.
-                reg.counter(names::LOCK_WAIT_MICROS_TOTAL, &[])
-                    .store(store2.lock_wait_micros() + broker2.lock_wait_micros());
+                // Contended wait on the store's state lock. A host
+                // fact — it varies with scheduling, never with the
+                // simulation.
+                reg.counter(names::LOCK_WAIT_MICROS_TOTAL, &[]).store(store2.lock_wait_micros());
             });
             let db2 = db.clone();
             telemetry.register_collector(move |reg| {

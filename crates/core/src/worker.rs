@@ -138,7 +138,7 @@ fn attempt_no(attempt: u64) -> u32 {
 /// output of the order-defining half of the claim phase (DESIGN.md
 /// §12).
 ///
-/// The pop half — `try_recv_batch`, message decode, malformed-ack,
+/// The pop half — `try_recv`, message decode, malformed-ack,
 /// in-flight accounting — is what fixes a round's job composition and
 /// claim order. The rest of the claim (auth, spec parse, image pull,
 /// project fetch) is [`Worker::claim_popped`].
@@ -280,10 +280,6 @@ pub struct Worker {
     rng: StdRng,
     telemetry: Option<Telemetry>,
     injector: Option<FaultInjector>,
-    /// Delta uploader for `/build` outputs; its digest cache persists
-    /// across jobs, so near-identical build trees (the overwhelmingly
-    /// common case for resubmissions) upload almost nothing.
-    delta: DeltaUploader,
 }
 
 impl Worker {
@@ -311,7 +307,6 @@ impl Worker {
             rng,
             telemetry: None,
             injector: None,
-            delta: DeltaUploader::new(),
         }
     }
 
@@ -387,7 +382,7 @@ impl Worker {
             if self.active_jobs >= self.config.max_in_flight {
                 return None;
             }
-            let msg = self.subscription.try_recv_batch(1).pop()?;
+            let msg = self.subscription.try_recv()?;
             let Some(request) = JobRequest::decode(&msg.body_str()) else {
                 if let Some(t) = &self.telemetry {
                     t.counter(names::JOBS_MALFORMED_TOTAL, &[]).inc();
@@ -399,9 +394,7 @@ impl Worker {
                     msg.id,
                     msg.body.len()
                 );
-                // Batch-ack so a settled topic leaves the broker's
-                // dirty list in the same call (one-pass cleanup).
-                self.subscription.ack_batch(&[msg.id]);
+                self.subscription.ack(msg.id);
                 continue;
             };
             let attempt = u64::from(msg.attempts.max(1));
@@ -997,7 +990,7 @@ impl Worker {
                 let upload = self.config.retry.run(
                     self.op_seed(request.job_id, attempt, 2),
                     |_| {
-                        self.delta.upload_prepared(
+                        DeltaUploader::new().upload_prepared(
                             &self.store,
                             BUILD_BUCKET,
                             &build_key,

@@ -75,8 +75,8 @@ impl Database {
 
     /// Attach a write-ahead log: every committed mutation on every
     /// collection (present and future) is journaled to it. Called by
-    /// the system boot path when durability is enabled; without it the
-    /// database keeps its original zero-overhead in-memory behavior.
+    /// the system's durable constructors; without it the database
+    /// keeps its original zero-overhead in-memory behavior.
     pub fn attach_wal(&self, wal: Wal) {
         *self.wal.write() = Some(wal.clone());
         for (name, coll) in self.collections.read().iter() {

@@ -39,10 +39,9 @@ pub enum StoreError {
     /// returns 503s under load and RAI must degrade gracefully).
     Unavailable,
     /// A delta upload referenced chunks that neither the request
-    /// carried nor the store holds — the uploader's digest cache was
-    /// stale (e.g. the chunks were garbage-collected since it was
-    /// filled). The fix is to re-query [`ObjectStore::has_chunks`]
-    /// and resend.
+    /// carried nor the store holds — e.g. they were garbage-collected
+    /// between the uploader's [`ObjectStore::has_chunks`] probe and
+    /// its put. The fix is to probe again and resend.
     MissingChunks {
         /// Digests that could not be resolved.
         missing: Vec<u64>,

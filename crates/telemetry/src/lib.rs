@@ -77,7 +77,7 @@ pub mod names {
     pub const STORE_CHUNKS_DEDUP_TOTAL: &str = "rai_store_chunks_dedup_total";
     pub const STORE_BYTES_WIRE_TOTAL: &str = "rai_store_bytes_wire_total";
     pub const STORE_DELTA_PUTS_TOTAL: &str = "rai_store_delta_puts_total";
-    // Contended lock wait (store state + broker dirty list); a host fact.
+    // Contended wait on the store's state lock; a host fact.
     pub const LOCK_WAIT_MICROS_TOTAL: &str = "rai_lock_wait_micros_total";
     pub const DB_INSERTS_TOTAL: &str = "rai_db_inserts_total";
     pub const DB_QUERIES_TOTAL: &str = "rai_db_queries_total";

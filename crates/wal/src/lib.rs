@@ -175,14 +175,11 @@ pub fn decode_segment(bytes: &[u8], records: &mut Vec<Vec<u8>>, stats: &mut Repl
     }
 }
 
-/// Knobs for the durability layer, threaded from `SystemConfig` down
-/// into each component's [`Wal`]. The default — durability disabled —
-/// is the preserved in-memory reference configuration.
+/// Sizing of a [`Wal`], threaded from `SystemConfig` down into each
+/// component's log. Whether a component journals at all is not decided
+/// here: a component with a `Wal` attached does, one without does not.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DurabilityConfig {
-    /// Journal mutations and support crash recovery. `false` keeps the
-    /// original all-in-RAM behavior (and zero WAL overhead).
-    pub enabled: bool,
     /// Rotate the active segment once it reaches this many bytes.
     pub segment_bytes: u64,
     /// Fsync once per this many appended records (1 = every record).
@@ -199,7 +196,6 @@ pub struct DurabilityConfig {
 impl Default for DurabilityConfig {
     fn default() -> Self {
         DurabilityConfig {
-            enabled: false,
             segment_bytes: 256 << 10,
             fsync_every: 8,
             compact_min_bytes: 1 << 20,
@@ -209,9 +205,10 @@ impl Default for DurabilityConfig {
 }
 
 impl DurabilityConfig {
-    /// Durability on, with default sizing.
+    /// The default sizing, named for the call sites that build a
+    /// durable deployment.
     pub fn durable() -> Self {
-        DurabilityConfig { enabled: true, ..DurabilityConfig::default() }
+        DurabilityConfig::default()
     }
 }
 
@@ -673,7 +670,6 @@ mod tests {
     #[test]
     fn segments_rotate_and_reopen_starts_fresh() {
         let config = DurabilityConfig {
-            enabled: true,
             segment_bytes: 64,
             fsync_every: 1,
             ..DurabilityConfig::default()
@@ -699,7 +695,6 @@ mod tests {
     #[test]
     fn fsync_batches_per_config() {
         let config = DurabilityConfig {
-            enabled: true,
             fsync_every: 5,
             segment_bytes: 1 << 20,
             ..DurabilityConfig::default()
@@ -769,7 +764,6 @@ mod tests {
     #[test]
     fn compaction_replaces_old_segments_and_preserves_order() {
         let config = DurabilityConfig {
-            enabled: true,
             segment_bytes: 64,
             fsync_every: 1,
             compact_min_bytes: 1,
@@ -798,7 +792,6 @@ mod tests {
     #[test]
     fn crash_with_faults_damages_only_unsynced_tail() {
         let config = DurabilityConfig {
-            enabled: true,
             fsync_every: 1000,
             segment_bytes: 1 << 20,
             ..DurabilityConfig::default()
@@ -839,7 +832,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let backend = Arc::new(FileBackend::new(&dir).expect("temp dir"));
         let config = DurabilityConfig {
-            enabled: true,
             segment_bytes: 64,
             fsync_every: 2,
             ..DurabilityConfig::default()

@@ -48,7 +48,6 @@ proptest! {
     fn wal_replay_round_trips(payloads in arb_payloads(), fsync_every in 1u64..8) {
         let disk = MemDisk::new();
         let config = DurabilityConfig {
-            enabled: true,
             segment_bytes: 128,
             fsync_every,
             ..DurabilityConfig::default()
