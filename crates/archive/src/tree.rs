@@ -29,21 +29,22 @@ impl std::error::Error for InvalidPath {}
 /// Validate and normalize a path: strips a leading `/`, rejects empty
 /// paths, `.`/`..` components, backslashes and empty components.
 pub fn normalize(path: &str) -> Result<String, InvalidPath> {
+    normalized(path).map(str::to_string)
+}
+
+/// [`normalize`] without the copy: a valid path's normal form is the
+/// path itself less its leading `/`, so lookups borrow it.
+fn normalized(path: &str) -> Result<&str, InvalidPath> {
     let trimmed = path.strip_prefix('/').unwrap_or(path);
-    if trimmed.is_empty() {
-        return Err(InvalidPath(path.to_string()));
+    let valid = !trimmed.is_empty()
+        && trimmed.split('/').all(|comp| {
+            !matches!(comp, "" | "." | "..") && !comp.contains(['\\', '\0'])
+        });
+    if valid {
+        Ok(trimmed)
+    } else {
+        Err(InvalidPath(path.to_string()))
     }
-    let mut parts = Vec::new();
-    for comp in trimmed.split('/') {
-        match comp {
-            "" | "." | ".." => return Err(InvalidPath(path.to_string())),
-            c if c.contains('\\') || c.contains('\0') => {
-                return Err(InvalidPath(path.to_string()))
-            }
-            c => parts.push(c),
-        }
-    }
-    Ok(parts.join("/"))
 }
 
 impl FileTree {
@@ -69,8 +70,7 @@ impl FileTree {
 
     /// Fetch a file's contents.
     pub fn get(&self, path: &str) -> Option<&Bytes> {
-        let norm = normalize(path).ok()?;
-        self.files.get(&norm)
+        self.files.get(normalized(path).ok()?)
     }
 
     /// Whether a file exists at `path`.
@@ -80,19 +80,18 @@ impl FileTree {
 
     /// Remove a file, returning its contents if present.
     pub fn remove(&mut self, path: &str) -> Option<Bytes> {
-        let norm = normalize(path).ok()?;
-        self.files.remove(&norm)
+        self.files.remove(normalized(path).ok()?)
     }
 
     /// Remove every file under the directory prefix `dir` (e.g. `"build"`
     /// removes `build/a` and `build/x/y`). Returns how many were removed.
     pub fn remove_dir(&mut self, dir: &str) -> usize {
-        let Ok(norm) = normalize(dir) else { return 0 };
-        let prefix = format!("{norm}/");
+        let Ok(norm) = normalized(dir) else { return 0 };
+        let prefix = [norm, "/"].concat();
         let doomed: Vec<String> = self
             .files
             .keys()
-            .filter(|k| k.starts_with(&prefix) || **k == norm)
+            .filter(|k| k.starts_with(&prefix) || *k == norm)
             .cloned()
             .collect();
         for k in &doomed {
@@ -129,8 +128,8 @@ impl FileTree {
     /// A sub-tree of all files under `dir`, with the prefix stripped.
     pub fn subtree(&self, dir: &str) -> FileTree {
         let mut out = FileTree::new();
-        let Ok(norm) = normalize(dir) else { return out };
-        let prefix = format!("{norm}/");
+        let Ok(norm) = normalized(dir) else { return out };
+        let prefix = [norm, "/"].concat();
         for (k, v) in &self.files {
             if let Some(rest) = k.strip_prefix(&prefix) {
                 out.files.insert(rest.to_string(), v.clone());
@@ -143,9 +142,9 @@ impl FileTree {
     /// (the inverse of [`FileTree::subtree`]): `mount("src", t)` places
     /// `t`'s `main.cu` at `src/main.cu`.
     pub fn mount(&mut self, dir: &str, other: &FileTree) -> Result<(), InvalidPath> {
-        let norm = normalize(dir)?;
+        let norm = normalized(dir)?;
         for (k, v) in &other.files {
-            self.files.insert(format!("{norm}/{k}"), v.clone());
+            self.files.insert([norm, "/", k].concat(), v.clone());
         }
         Ok(())
     }

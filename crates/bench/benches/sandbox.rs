@@ -12,7 +12,9 @@ fn bench_container_scripts(c: &mut Criterion) {
     let project = ProjectDir::sample_cuda_project();
 
     let mut g = c.benchmark_group("sandbox/container");
-    g.bench_function("listing1_dev_build", |b| {
+    // One development job as `Worker::execute` and the repo benchmark's
+    // `sandbox.job_us` run it: create + mount + run_script + destroy.
+    g.bench_function("listing1_job", |b| {
         let spec = BuildSpec::default_spec();
         b.iter(|| {
             let mut container = Container::create(&image, ResourceLimits::default());

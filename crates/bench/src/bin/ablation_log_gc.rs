@@ -3,10 +3,11 @@
 //! consumers."
 //!
 //! Without that garbage collection every job leaks a `log_${job_id}`
-//! topic (plus its undelivered backlog); over tens of thousands of
-//! submissions the broker's topic table grows without bound. This
-//! binary runs the same job stream with and without subscribers
-//! draining the log topics and reports broker growth.
+//! topic (plus its undelivered backlog — the three blocks a worker
+//! publishes per job: accepted, the output, url + end); over tens of
+//! thousands of submissions the broker's topic table grows without
+//! bound. This binary runs the same job stream with and without
+//! subscribers draining the log topics and reports broker growth.
 //!
 //! It counts topic-table entries. That a collected topic also gives
 //! its *bytes* back — nothing else holds its state — is the tier-1
@@ -18,7 +19,7 @@
 //! ```
 
 use rai_broker::Broker;
-use rai_core::protocol::routes;
+use rai_core::protocol::{push_output, routes, LogFrame};
 
 const JOBS: u64 = 20_000;
 const LOG_LINES: usize = 12;
@@ -32,14 +33,15 @@ fn run(drain: bool) -> (usize, usize) {
         // subscribes, emulating a worker publishing logs for a client
         // that vanished, with no producer/consumer-based deletion.
         let sub = drain.then(|| broker.subscribe_ephemeral(&topic, routes::LOG_CHANNEL));
+        let mut output = String::new();
         for line in 0..LOG_LINES {
-            broker
-                .publish_ephemeral(&topic, format!("out line {line}"))
-                .expect("publish");
+            push_output(&mut output, false, &format!("line {line}"));
         }
-        broker
-            .publish_ephemeral(&topic, "end ok")
-            .expect("publish");
+        let mut closing = LogFrame::BuildUrl(format!("rai-builds/{job_id:08x}")).encode();
+        LogFrame::End { success: true }.encode_into(&mut closing);
+        for block in ["sts job accepted by worker-0".to_string(), output, closing] {
+            broker.publish_ephemeral(&topic, block).expect("publish");
+        }
         if let Some(sub) = sub {
             while let Some(m) = sub.try_recv() {
                 sub.ack(m.id);

@@ -9,7 +9,7 @@
 //! execution time and team, ⑧ exit on `End`.
 
 use crate::delta::{DeltaUploader, PreparedUpload};
-use crate::protocol::{routes, JobKind, JobRequest, LogFrame};
+use crate::protocol::{decode_block, routes, JobKind, JobRequest, LogFrame};
 use crate::spec::{BuildSpec, SpecError, DEFAULT_BUILD_YML, FINAL_SUBMISSION_YML};
 use rai_archive::{write_container, FileTree};
 use rai_auth::{sign_request, Credentials};
@@ -214,7 +214,9 @@ pub struct PendingJob {
 }
 
 impl PendingJob {
-    /// Drain frames until `End` or `timeout` of wall-clock inactivity.
+    /// Drain frames until `End` or `timeout` of wall-clock inactivity:
+    /// one receive and one ack per message, each a block of frames
+    /// rendered in order.
     pub fn wait(self, timeout: Duration) -> Result<SubmitReceipt, SubmitError> {
         let mut log = Vec::new();
         let mut build_url = None;
@@ -225,26 +227,28 @@ impl PendingJob {
                 Err(RecvError::Timeout) | Err(RecvError::Closed) => return Err(SubmitError::Timeout),
             };
             self.subscription.ack(msg.id);
-            match LogFrame::decode(&msg.body_str()) {
-                LogFrame::Out(line) => {
-                    if let Some(rest) = line.split("elapsed = ").nth(1) {
-                        if let Some(v) = rest.split_whitespace().next() {
-                            internal = v.parse().ok().or(internal);
+            for frame in decode_block(&msg.body_str()) {
+                match frame {
+                    LogFrame::Out(line) => {
+                        if let Some(rest) = line.split("elapsed = ").nth(1) {
+                            if let Some(v) = rest.split_whitespace().next() {
+                                internal = v.parse().ok().or(internal);
+                            }
                         }
+                        log.push(line);
                     }
-                    log.push(line);
-                }
-                LogFrame::Err(line) => log.push(format!("[stderr] {line}")),
-                LogFrame::Status(line) => log.push(format!("[rai] {line}")),
-                LogFrame::BuildUrl(url) => build_url = Some(url),
-                LogFrame::End { success } => {
-                    return Ok(SubmitReceipt {
-                        job_id: self.job_id,
-                        success,
-                        log,
-                        build_url,
-                        internal_timer_secs: internal,
-                    })
+                    LogFrame::Err(line) => log.push(format!("[stderr] {line}")),
+                    LogFrame::Status(line) => log.push(format!("[rai] {line}")),
+                    LogFrame::BuildUrl(url) => build_url = Some(url),
+                    LogFrame::End { success } => {
+                        return Ok(SubmitReceipt {
+                            job_id: self.job_id,
+                            success,
+                            log,
+                            build_url,
+                            internal_timer_secs: internal,
+                        })
+                    }
                 }
             }
         }

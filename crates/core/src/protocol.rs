@@ -4,8 +4,17 @@
 //! Job requests are serialized as YAML (the same in-repo parser the
 //! build spec uses). Log messages are plain text with a small set of
 //! control frames; the worker forwards container stdout/stderr as `out`
-//! / `err` frames and finishes with the `End` message the client waits
+//! / `err` frames and finishes with the `End` frame the client waits
 //! for.
+//!
+//! A log message body is a **block**: one frame per line, in order
+//! (DESIGN.md §11 "Output path"). The worker sends a job's whole
+//! output as one block, so a job costs a handful of broker messages
+//! rather than one per line. A frame whose text holds a line break is
+//! written under its tag plus a backslash (`out\ a\nb`), with `\n` for
+//! the break and `\\` for a backslash, so every frame stays one line;
+//! any other frame is written verbatim, which makes a one-frame block
+//! the same bytes as [`LogFrame::encode`].
 
 use rai_yaml::emit::{push_int_entry, push_str_entry};
 use rai_yaml::{parse, Yaml};
@@ -145,32 +154,121 @@ pub enum LogFrame {
 }
 
 impl LogFrame {
-    /// Serialize as a single line.
-    pub fn encode(&self) -> String {
+    /// The frame's tag and the text after it.
+    fn parts(&self) -> (&'static str, &str) {
         match self {
-            LogFrame::Out(s) => format!("out {s}"),
-            LogFrame::Err(s) => format!("err {s}"),
-            LogFrame::Status(s) => format!("sts {s}"),
-            LogFrame::BuildUrl(s) => format!("url {s}"),
-            LogFrame::End { success } => format!("end {}", if *success { "ok" } else { "fail" }),
+            LogFrame::Out(s) => ("out", s),
+            LogFrame::Err(s) => ("err", s),
+            LogFrame::Status(s) => ("sts", s),
+            LogFrame::BuildUrl(s) => ("url", s),
+            LogFrame::End { success: true } => ("end", "ok"),
+            LogFrame::End { success: false } => ("end", "fail"),
         }
+    }
+
+    /// Serialize as a single message: tag, space, text. Its length is
+    /// what a frame counts for in the submissions row's `log_bytes`.
+    pub fn encode(&self) -> String {
+        let (tag, text) = self.parts();
+        format!("{tag} {text}")
+    }
+
+    /// Append this frame to `block` as its next line and return
+    /// `self.encode().len()` — block framing (the separator, escapes)
+    /// is not part of a frame's accounted size.
+    pub fn encode_into(&self, block: &mut String) -> usize {
+        let (tag, text) = self.parts();
+        push_line(block, tag, text)
     }
 
     /// Parse a frame line; unknown prefixes decode as stdout (forward
     /// compatibility with older clients, as the paper's two-branch
     /// release flow requires).
     pub fn decode(line: &str) -> LogFrame {
-        match line.split_once(' ') {
-            Some(("out", rest)) => LogFrame::Out(rest.to_string()),
-            Some(("err", rest)) => LogFrame::Err(rest.to_string()),
-            Some(("sts", rest)) => LogFrame::Status(rest.to_string()),
-            Some(("url", rest)) => LogFrame::BuildUrl(rest.to_string()),
-            Some(("end", rest)) => LogFrame::End {
+        let unknown = || LogFrame::Out(line.to_string());
+        let Some((tag, rest)) = line.split_once(' ') else { return unknown() };
+        let (tag, escaped) = match tag.strip_suffix('\\') {
+            Some(tag) => (tag, true),
+            None => (tag, false),
+        };
+        let text = || if escaped { unescape(rest) } else { rest.to_string() };
+        match tag {
+            "out" => LogFrame::Out(text()),
+            "err" => LogFrame::Err(text()),
+            "sts" => LogFrame::Status(text()),
+            "url" => LogFrame::BuildUrl(text()),
+            "end" if !escaped => LogFrame::End {
                 success: rest == "ok",
             },
-            _ => LogFrame::Out(line.to_string()),
+            _ => unknown(),
         }
     }
+}
+
+/// Append a container output line to `block` as the `out` (stderr:
+/// `err`) frame it is, without building the [`LogFrame`]; returns the
+/// frame's `encode().len()` like [`LogFrame::encode_into`].
+pub fn push_output(block: &mut String, stderr: bool, text: &str) -> usize {
+    push_line(block, if stderr { "err" } else { "out" }, text)
+}
+
+/// One frame line onto a block: verbatim unless `text` holds a line
+/// break, which the escaped form of the tag (`tag\`) carries as `\n`.
+fn push_line(block: &mut String, tag: &str, text: &str) -> usize {
+    block.reserve(tag.len() + 2 + text.len());
+    if !block.is_empty() {
+        block.push('\n');
+    }
+    block.push_str(tag);
+    if text.contains('\n') {
+        block.push_str("\\ ");
+        let mut rest = text;
+        while let Some(at) = rest.find(['\n', '\\']) {
+            block.push_str(&rest[..at]);
+            block.push_str(if rest.as_bytes()[at] == b'\n' { "\\n" } else { "\\\\" });
+            rest = &rest[at + 1..];
+        }
+        block.push_str(rest);
+    } else {
+        block.push(' ');
+        block.push_str(text);
+    }
+    tag.len() + 1 + text.len()
+}
+
+/// Undo [`push_line`]'s escapes. Lenient, never fails: a backslash
+/// before anything but `n` or `\` stands for itself.
+fn unescape(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    let mut rest = text;
+    while let Some(at) = rest.find('\\') {
+        out.push_str(&rest[..at]);
+        let (c, len) = match rest.as_bytes().get(at + 1) {
+            Some(b'n') => ('\n', 2),
+            Some(b'\\') => ('\\', 2),
+            _ => ('\\', 1),
+        };
+        out.push(c);
+        rest = &rest[at + len..];
+    }
+    out.push_str(rest);
+    out
+}
+
+/// The frames of a block, in order; each line is borrowed from `body`
+/// and decoded in turn. `End` terminates: nothing after it is yielded.
+/// An empty body holds no frame.
+pub fn decode_block(body: &str) -> impl Iterator<Item = LogFrame> + '_ {
+    let mut rest = (!body.is_empty()).then_some(body);
+    std::iter::from_fn(move || {
+        let (line, tail) = match rest?.split_once('\n') {
+            Some((line, tail)) => (line, Some(tail)),
+            None => (rest?, None),
+        };
+        let frame = LogFrame::decode(line);
+        rest = tail.filter(|_| !matches!(frame, LogFrame::End { .. }));
+        Some(frame)
+    })
 }
 
 #[cfg(test)]
@@ -239,6 +337,60 @@ mod tests {
             LogFrame::decode("v2-fancy-frame payload"),
             LogFrame::Out("v2-fancy-frame payload".into())
         );
+    }
+
+    #[test]
+    fn a_block_is_its_frames_one_per_line() {
+        let frames = [
+            LogFrame::Out("Building project".into()),
+            LogFrame::Err("multi\nline \\ with\r\n\nbreaks".into()),
+            LogFrame::Out("a literal \\n stays literal".into()),
+            LogFrame::BuildUrl(String::new()),
+            LogFrame::End { success: true },
+            LogFrame::Out("after the end".into()),
+        ];
+        let mut block = String::new();
+        let bytes: usize = frames.iter().map(|f| f.encode_into(&mut block)).sum();
+        assert_eq!(
+            block,
+            "out Building project\n\
+             err\\ multi\\nline \\\\ with\r\\n\\nbreaks\n\
+             out a literal \\n stays literal\n\
+             url \n\
+             end ok\n\
+             out after the end"
+        );
+        // Accounting is the frames', not the framing's.
+        assert_eq!(bytes, frames.iter().map(|f| f.encode().len()).sum::<usize>());
+        assert_eq!(decode_block(&block).collect::<Vec<_>>(), frames[..5]);
+        assert_eq!(decode_block("").count(), 0);
+
+        let mut borrowed = String::new();
+        push_output(&mut borrowed, false, "Building project");
+        push_output(&mut borrowed, true, "multi\nline \\ with\r\n\nbreaks");
+        assert!(block.starts_with(&borrowed));
+    }
+
+    #[test]
+    fn a_one_frame_block_is_the_message_it_always_was() {
+        for f in [
+            LogFrame::Status("job accepted by worker-0".into()),
+            LogFrame::Out("back\\slash and \r return".into()),
+            LogFrame::End { success: false },
+        ] {
+            let mut block = String::new();
+            assert_eq!(f.encode_into(&mut block), f.encode().len());
+            assert_eq!(block, f.encode());
+        }
+    }
+
+    #[test]
+    fn stray_escapes_decode_leniently() {
+        assert_eq!(LogFrame::decode("out\\ a\\"), LogFrame::Out("a\\".into()));
+        assert_eq!(LogFrame::decode("out\\ a\\tb"), LogFrame::Out("a\\tb".into()));
+        // Only text frames have an escaped form.
+        assert_eq!(LogFrame::decode("end\\ ok"), LogFrame::Out("end\\ ok".into()));
+        assert_eq!(LogFrame::decode("out\\"), LogFrame::Out("out\\".into()));
     }
 
     #[test]

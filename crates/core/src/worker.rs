@@ -30,20 +30,19 @@
 
 use crate::client::BUILD_BUCKET;
 use crate::delta::{DeltaUploader, PreparedUpload};
-use crate::protocol::{routes, JobKind, JobRequest, LogFrame};
+use crate::protocol::{push_output, routes, JobKind, JobRequest, LogFrame};
 use crate::spec::BuildSpec;
 use rai_archive::{restore_shared, write_container, FileTree};
 use rai_auth::CredentialRegistry;
 use rai_broker::{Broker, MessageId, Subscription};
 use rai_db::{doc, Database, DbError, Value};
 use rai_faults::{CrashKind, CrashPoint, FaultInjector, RetryPolicy};
-use rai_sandbox::{Container, ContainerStatus, Image, ImageRegistry, ResourceLimits};
+use rai_sandbox::{Container, ContainerStatus, Image, ImageRegistry, LogStream, ResourceLimits};
 use rai_sim::{SimDuration, SimTime};
 use rai_telemetry::{component, names, stage, Telemetry};
 use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cell::Cell;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -199,7 +198,7 @@ enum ClaimPlan {
     Run {
         user: String,
         spec: BuildSpec,
-        image: Image,
+        image: Arc<Image>,
         project: FileTree,
         limits: ResourceLimits,
         gpu_speed: f64,
@@ -237,11 +236,13 @@ pub struct ExecutedJob {
     attempt: u64,
     started: SimTime,
     service_time: SimDuration,
+    /// Frame bytes of the claim phase's messages and of `output`.
     log_bytes: u64,
-    /// Stdout/stderr frames from the container, unpublished: log
-    /// publishing is faultable, so frames must hit the broker in
-    /// deterministic claim order.
-    frames: Vec<LogFrame>,
+    /// The container's stdout/stderr, encoded as one block of `out` /
+    /// `err` frames and unpublished: log publishing is faultable, so
+    /// it must hit the broker in deterministic claim order. Empty when
+    /// no container ran or it printed nothing.
+    output: String,
     /// BUILT/RAN spans observed in the execute phase.
     spans: Vec<StagedSpan>,
     run_facts: Option<RunFacts>,
@@ -599,23 +600,18 @@ impl Worker {
         }
         // Bytes of log traffic this job generates (the paper reports
         // 25 GB of logs and metadata across the semester).
-        let log_bytes = Cell::new(0u64);
-        let publish = |broker: &Broker, frame: LogFrame| {
-            let encoded = frame.encode();
-            log_bytes.set(log_bytes.get() + encoded.len() as u64);
-            // Log publishing is best-effort: a full log topic must not
-            // take the worker down.
-            let _ = broker.publish_ephemeral(&log_topic, encoded);
-        };
-        let reject = |broker: &Broker, reason: String| {
-            publish(broker, LogFrame::Err(reason));
-            publish(broker, LogFrame::End { success: false });
-        };
-
-        publish(
+        let mut log_bytes = publish_frames(
             &self.broker,
-            LogFrame::Status(format!("job accepted by {}", self.config.worker_id)),
+            &log_topic,
+            &[LogFrame::Status(format!("job accepted by {}", self.config.worker_id))],
         );
+        let reject = |broker: &Broker, reason: String| {
+            publish_frames(
+                broker,
+                &log_topic,
+                &[LogFrame::Err(reason), LogFrame::End { success: false }],
+            )
+        };
         let mut service_time = SimDuration::ZERO;
         macro_rules! claimed {
             ($plan:expr) => {
@@ -625,7 +621,7 @@ impl Worker {
                     attempt,
                     started,
                     service_time,
-                    log_bytes: log_bytes.get(),
+                    log_bytes,
                     plan: $plan,
                 }
             };
@@ -640,7 +636,7 @@ impl Worker {
         let user = match auth {
             Ok(u) => u,
             Err(e) => {
-                reject(&self.broker, format!("authentication failed: {e}"));
+                log_bytes += reject(&self.broker, format!("authentication failed: {e}"));
                 // The recorded row carries the rejection in place of a
                 // user name — there is no authenticated user to name.
                 return claimed!(ClaimPlan::Reject {
@@ -654,7 +650,7 @@ impl Worker {
         let spec = match BuildSpec::parse(&request.build_yml) {
             Ok(s) => s,
             Err(e) => {
-                reject(&self.broker, e.to_string());
+                log_bytes += reject(&self.broker, e.to_string());
                 return claimed!(ClaimPlan::Reject { user, outcome: "bad-spec" });
             }
         };
@@ -663,14 +659,15 @@ impl Worker {
         let image = match self.images.resolve(&spec.image) {
             Ok(img) => img.clone(),
             Err(e) => {
-                reject(&self.broker, e.to_string());
+                log_bytes += reject(&self.broker, e.to_string());
                 return claimed!(ClaimPlan::Reject { user, outcome: "image-rejected" });
             }
         };
         if !self.cached_images.contains(&image.name) {
-            publish(
+            log_bytes += publish_frames(
                 &self.broker,
-                LogFrame::Status(format!("pulling image {}...", image.name)),
+                &log_topic,
+                &[LogFrame::Status(format!("pulling image {}...", image.name))],
             );
             let before_pull = service_time;
             service_time += self.images.pull_latency(&image.name);
@@ -707,7 +704,7 @@ impl Worker {
         {
             Ok(tree) => tree,
             Err(e) => {
-                reject(&self.broker, format!("failed to fetch project: {e}"));
+                log_bytes += reject(&self.broker, format!("failed to fetch project: {e}"));
                 return claimed!(ClaimPlan::Reject { user, outcome: "fetch-failed" });
             }
         };
@@ -761,10 +758,10 @@ impl Worker {
             attempt,
             started,
             mut service_time,
-            log_bytes,
+            mut log_bytes,
             plan,
         } = claimed;
-        let mut frames = Vec::new();
+        let mut output = String::new();
         let mut spans = Vec::new();
         let mut run_facts = None;
         let outcome = match plan {
@@ -792,11 +789,11 @@ impl Worker {
                 // ⑤ Execute the build commands, buffering output.
                 container.run_script(spec.build.iter().map(String::as_str));
                 let report = container.destroy();
+                // Tag, space and separator are five bytes a line.
+                output.reserve(report.log.iter().map(|l| l.text.len() + 5).sum());
                 for line in &report.log {
-                    frames.push(match line.stream {
-                        rai_sandbox::LogStream::Stdout => LogFrame::Out(line.text.clone()),
-                        rai_sandbox::LogStream::Stderr => LogFrame::Err(line.text.clone()),
-                    });
+                    let stderr = line.stream == LogStream::Stderr;
+                    log_bytes += push_output(&mut output, stderr, &line.text) as u64;
                 }
                 spans.push(StagedSpan {
                     stage: stage::BUILT,
@@ -848,15 +845,15 @@ impl Worker {
             started,
             service_time,
             log_bytes,
-            frames,
+            output,
             spans,
             run_facts,
             outcome,
         }
     }
 
-    /// Apply an executed job's buffered effects and seal it: flush log
-    /// frames, replay spans, commit the upload and database records,
+    /// Apply an executed job's buffered effects and seal it: publish the
+    /// output block, replay spans, commit the upload and database records,
     /// then ack the message (terminal) or report the crash (unacked).
     /// Round drivers must call this in claim order — it is the only
     /// phase after the claim that talks to broker/store/db, so commit
@@ -915,26 +912,20 @@ impl Worker {
             attempt,
             started,
             mut service_time,
-            log_bytes,
-            frames,
+            mut log_bytes,
+            output,
             spans,
             run_facts,
             outcome,
         } = executed;
         let attempt_no = attempt_no(attempt);
         let log_topic = routes::log_topic(request.job_id);
-        let log_bytes = Cell::new(log_bytes);
-        let publish = |broker: &Broker, frame: LogFrame| {
-            let encoded = frame.encode();
-            log_bytes.set(log_bytes.get() + encoded.len() as u64);
-            let _ = broker.publish_ephemeral(&log_topic, encoded);
-        };
         // Flush the execute phase's buffered effects first, in the
-        // order a single pass would have produced them: stdout/stderr
-        // frames (publishing is faultable), then spans, then sandbox
-        // metrics.
-        for frame in frames {
-            publish(&self.broker, frame);
+        // order a single pass would have produced them: the output
+        // block (publishing is faultable, and best-effort like every
+        // log publish), then spans, then sandbox metrics.
+        if !output.is_empty() {
+            let _ = self.broker.publish_ephemeral(&log_topic, output);
         }
         for s in &spans {
             self.note_stage(&request, attempt_no, s.stage, s.component, started, s.from, s.to);
@@ -959,7 +950,7 @@ impl Worker {
             }),
             ExecOutcome::Reject { user, outcome } => {
                 let backoff = self
-                    .record_submission(&request, &user, None, SimDuration::ZERO, false, log_bytes.get())
+                    .record_submission(&request, &user, None, SimDuration::ZERO, false, log_bytes)
                     .map_err(|_| self.db_crash(&request, service_time))?;
                 let total = service_time + backoff;
                 self.note_stage(&request, attempt_no, stage::RECORDED, component::DB, started, service_time, total);
@@ -982,10 +973,10 @@ impl Worker {
                 measured,
                 elapsed,
             } => {
-                // ⑥ Commit the upload and send the URL + End. The key
-                // is a pure function of (team, job_id): a redelivered
-                // attempt overwrites its own previous upload instead of
-                // duplicating it.
+                // ⑥ Commit the upload and send the URL + End, as one
+                // block. The key is a pure function of (team, job_id):
+                // a redelivered attempt overwrites its own previous
+                // upload instead of duplicating it.
                 let before_upload = service_time;
                 let upload = self.config.retry.run(
                     self.op_seed(request.job_id, attempt, 2),
@@ -1011,16 +1002,13 @@ impl Worker {
                 );
                 self.note_retries("store_put", upload.attempts);
                 service_time += upload.backoff;
-                if upload.result.is_ok() {
-                    // A presigned URL (valid 7 days) so the student
-                    // downloads the archive without holding file-server
-                    // credentials.
+                // A presigned URL (valid 7 days) so the student
+                // downloads the archive without holding file-server
+                // credentials.
+                let build_url = upload.result.is_ok().then(|| {
                     let expires = self.store.clock().now() + SimDuration::from_days(7);
-                    publish(
-                        &self.broker,
-                        LogFrame::BuildUrl(self.store.presign(BUILD_BUCKET, &build_key, expires)),
-                    );
-                }
+                    LogFrame::BuildUrl(self.store.presign(BUILD_BUCKET, &build_key, expires))
+                });
                 // Transfer time is charged on the bytes that actually
                 // crossed the wire: a delta upload of a near-identical
                 // build tree is a few manifest-sized writes, not a
@@ -1040,13 +1028,14 @@ impl Worker {
                     before_upload,
                     service_time,
                 );
-                publish(&self.broker, LogFrame::End { success });
+                let closing = [build_url, Some(LogFrame::End { success })];
+                log_bytes += publish_frames(&self.broker, &log_topic, closing.iter().flatten());
 
                 // ⑦ Record the submission metadata. Failure to persist
                 // is a crash: the message stays unacked and redelivers.
                 let before_record = service_time;
                 let mut backoff = self
-                    .record_submission(&request, &user, measured, elapsed, success, log_bytes.get())
+                    .record_submission(&request, &user, measured, elapsed, success, log_bytes)
                     .map_err(|_| self.db_crash(&request, service_time))?;
                 if request.kind == JobKind::Submit && success {
                     backoff += self
@@ -1158,6 +1147,22 @@ impl Worker {
         );
         Ok(guarded.backoff)
     }
+}
+
+/// Publish `frames` on a job's log topic as one block — one message,
+/// one fault draw — and return their accounted bytes (Σ
+/// `encode().len()`, which the submissions row keeps as `log_bytes`).
+/// Log publishing is best-effort: a refused publish or a full log
+/// topic must not take the worker down.
+fn publish_frames<'a>(
+    broker: &Broker,
+    log_topic: &str,
+    frames: impl IntoIterator<Item = &'a LogFrame>,
+) -> u64 {
+    let mut block = String::new();
+    let bytes: usize = frames.into_iter().map(|f| f.encode_into(&mut block)).sum();
+    let _ = broker.publish_ephemeral(log_topic, block);
+    bytes as u64
 }
 
 /// Per-thread record of `(phase, job_id)` in call order, so a test can
@@ -1418,9 +1423,9 @@ mod tests {
 
     /// What a registered team can do without the client: upload any
     /// bytes, sign any build file, publish. Such a job must end like
-    /// every rejected one — `outcome` counted, a terminal failed row,
-    /// the message acked — and never take the worker down.
-    fn assert_rejected(upload: Vec<u8>, build_yml: String, outcome: &str) {
+    /// every rejected or failed one — `outcome` counted, a terminal
+    /// failed row, the message acked — and never take the worker down.
+    fn assert_ends_failed(upload: Vec<u8>, build_yml: String, outcome: &str) {
         let rig = rig();
         let (client, mut worker) = client_and_worker(&rig, "team-a");
         let telemetry = Telemetry::new(rig.store.clock().clone());
@@ -1460,7 +1465,7 @@ mod tests {
         // the message would redeliver to the next worker.
         let build_yml = format!("a: {}1{}\n", "[".repeat(10_000), "]".repeat(10_000));
         let upload = write_container(&ProjectDir::sample_cuda_project().tree);
-        assert_rejected(upload, build_yml, "bad-spec");
+        assert_ends_failed(upload, build_yml, "bad-spec");
     }
 
     #[test]
@@ -1470,7 +1475,7 @@ mod tests {
         // container.
         let mut upload = b"RAIZ1\0\0\0".to_vec();
         upload.extend_from_slice(&write_container(&ProjectDir::sample_cuda_project().tree));
-        assert_rejected(upload, crate::spec::DEFAULT_BUILD_YML.to_string(), "fetch-failed");
+        assert_ends_failed(upload, crate::spec::DEFAULT_BUILD_YML.to_string(), "fetch-failed");
     }
 
     #[test]
@@ -1581,5 +1586,186 @@ mod tests {
         assert!(JobRequest::decode(&msg.body_str()).is_some());
         dead.ack(msg.id);
         assert_eq!(rig.db.collection("submissions").read().len(), 0, "never reached a record");
+    }
+
+    /// The 16 lines Listing 1 prints for the sample project, as the
+    /// client renders them.
+    const LISTING1_OUTPUT: [&str; 16] = [
+        "Building project",
+        "-- The CUDA compiler identification is NVIDIA",
+        "-- Hunter disabled: dependencies provided by the base image",
+        "-- Configuring done; generating Makefile for target 'ece408'",
+        "[ nvcc ] compiling (327 bytes)",
+        "[100%] Built target ece408",
+        "Loading fashion-mnist data...done",
+        "Loading model...done",
+        "Done with 10 queries in elapsed = 0.035 s",
+        "Correctness: 0.9300",
+        "[stderr] ==PROF== Profiling application: ./ece408 /data/test10.hdf5 /data/model.hdf5",
+        "Loading fashion-mnist data...done",
+        "Loading model...done",
+        "Done with 10 queries in elapsed = 0.035 s",
+        "Correctness: 0.9300",
+        "[stderr] ==PROF== Generated result file: timeline.nvprof",
+    ];
+
+    /// Submit the sample project, run it on `worker`, and return how
+    /// many messages its log topic carried (counted before the client
+    /// drains it) with the receipt.
+    fn submit_and_count(
+        rig: &Rig,
+        client: &RaiClient,
+        worker: &mut Worker,
+        mode: SubmitMode,
+    ) -> (u64, crate::client::SubmitReceipt) {
+        let project = ProjectDir::sample_cuda_project().with_final_artifacts();
+        let pending = client.begin_submit(&project, mode).unwrap();
+        worker.step().expect("job runs");
+        let topic = routes::log_topic(pending.job_id);
+        let published = rig.broker.topic_stats(&topic).expect("live until drained").published;
+        (published, pending.wait(Duration::from_millis(500)).unwrap())
+    }
+
+    #[test]
+    fn sample_project_transcripts_are_pinned() {
+        // What the student sees, entry for entry: the worker's status
+        // notes under `[rai]`, stdout bare, stderr under `[stderr]`;
+        // `url` and `end` surface as fields, not lines.
+        let rig = rig();
+        let (client, mut worker) = client_and_worker(&rig, "gpu-gophers");
+        let (_, run) = submit_and_count(&rig, &client, &mut worker, SubmitMode::Run);
+        let mut expected = vec!["[rai] job accepted by worker-0", "[rai] pulling image webgpu/rai:root..."];
+        expected.extend(LISTING1_OUTPUT);
+        assert_eq!(run.log, expected);
+        assert!(run.success);
+        assert_eq!(run.internal_timer_secs, Some(0.035));
+        let url = run.build_url.expect("url frame");
+        assert!(url.starts_with("rai-s3://rai-builds/gpu-gophers/00000001-build.tar.bz2?expires="), "{url}");
+
+        // The enforced Listing 2 file, on the now warm worker.
+        let (_, fin) = submit_and_count(&rig, &client, &mut worker, SubmitMode::Submit);
+        assert_eq!(
+            fin.log,
+            [
+                "[rai] job accepted by worker-0",
+                "Submitting project",
+                "-- The CUDA compiler identification is NVIDIA",
+                "-- Hunter disabled: dependencies provided by the base image",
+                "-- Configuring done; generating Makefile for target 'ece408'",
+                "[ nvcc ] compiling (327 bytes)",
+                "[100%] Built target ece408",
+                "Loading fashion-mnist data...done",
+                "Loading model...done",
+                "Done with 10000 queries in elapsed = 0.505 s",
+                "Correctness: 0.9300",
+                "[stderr] 0.49user 0.01system 0:00.51elapsed 99%CPU",
+            ]
+        );
+        assert!(fin.success);
+        assert_eq!(fin.internal_timer_secs, Some(0.505));
+        assert!(fin.build_url.expect("url frame").contains("/00000002-build.tar.bz2?"));
+    }
+
+    #[test]
+    fn a_job_is_three_log_messages() {
+        let rig = rig();
+        let (client, mut worker) = client_and_worker(&rig, "team-a");
+        // A worker's first job says it is pulling the image: one more.
+        let (cold, _) = submit_and_count(&rig, &client, &mut worker, SubmitMode::Run);
+        assert_eq!(cold, 4, "accepted | pulling image | output | url+end");
+        let (warm, receipt) = submit_and_count(&rig, &client, &mut worker, SubmitMode::Run);
+        assert_eq!(warm, 3, "accepted | output | url+end");
+        assert_eq!(receipt.log.len(), 1 + LISTING1_OUTPUT.len(), "one entry per frame all the same");
+
+        // A rejection is the accepted note, then `err` + `end` together.
+        let intruder = RaiClient::new(
+            KeyGenerator::from_seed(123).generate("intruder"),
+            "intruder",
+            rig.broker.clone(),
+            rig.store.clone(),
+            rig.next_id.clone(),
+        );
+        let (rejected, receipt) = submit_and_count(&rig, &intruder, &mut worker, SubmitMode::Run);
+        assert_eq!(rejected, 2, "accepted | err+end");
+        assert!(!receipt.success);
+        assert_eq!(receipt.log.len(), 2);
+        assert!(receipt.log[1].starts_with("[stderr] authentication failed"), "{:?}", receipt.log);
+    }
+
+    #[test]
+    fn log_bytes_is_the_sum_of_the_frames_not_of_the_framing() {
+        let rig = rig();
+        let (client, mut worker) = client_and_worker(&rig, "team-a");
+        let pending = client
+            .begin_submit(&ProjectDir::sample_cuda_project(), SubmitMode::Run)
+            .unwrap();
+        // A second channel on the log topic sees a copy of every message.
+        let topic = routes::log_topic(pending.job_id);
+        let audit = rig.broker.subscribe_ephemeral(&topic, "audit");
+        worker.step().expect("job runs");
+        let bodies: Vec<String> = std::iter::from_fn(|| audit.try_recv())
+            .map(|m| m.body_str().into_owned())
+            .collect();
+        assert_eq!(bodies.len(), 4);
+        assert_eq!(bodies[0], "sts job accepted by worker-0", "a one-frame block is the frame");
+        assert_eq!(bodies[2].lines().count(), LISTING1_OUTPUT.len());
+        assert!(bodies[3].starts_with("url rai-s3://") && bodies[3].ends_with("\nend ok"), "{}", bodies[3]);
+
+        let frames: Vec<LogFrame> = bodies.iter().flat_map(|b| crate::protocol::decode_block(b)).collect();
+        assert_eq!(frames.len(), 2 + LISTING1_OUTPUT.len() + 2);
+        let frame_bytes: usize = frames.iter().map(|f| f.encode().len()).sum();
+        let row = rig.db.collection("submissions").read().find_one(&doc! { "job_id" => 1u64 }).unwrap();
+        assert_eq!(row.get("log_bytes"), Some(&Value::from(frame_bytes as u64)));
+        // The line separators — fifteen in the output block, one in
+        // the closing block — are framing: carried, not counted.
+        let carried: usize = bodies.iter().map(String::len).sum();
+        assert_eq!(carried, frame_bytes + (LISTING1_OUTPUT.len() - 1) + 1);
+    }
+
+    #[test]
+    fn crash_at_upload_has_still_flushed_the_output() {
+        let plan_for = |seed: u64| FaultPlan {
+            worker_crash: 0.35,
+            ..FaultPlan::none(seed)
+        };
+        let seed = (0..2_000u64)
+            .find(|&s| {
+                let inj = FaultInjector::new(plan_for(s));
+                [CrashPoint::Fetch, CrashPoint::Build].iter().all(|&p| inj.crash_decision(1, 1, p).is_none())
+                    && inj.crash_decision(1, 1, CrashPoint::Upload).is_some()
+            })
+            .expect("some seed fails job 1 at Upload on attempt 1");
+        let rig = rig();
+        let (client, mut worker) = client_and_worker(&rig, "team-a");
+        worker.set_fault_injector(FaultInjector::new(plan_for(seed)));
+        let pending = client
+            .begin_submit(&ProjectDir::sample_cuda_project(), SubmitMode::Run)
+            .unwrap();
+        let audit = rig.broker.subscribe_ephemeral(&routes::log_topic(pending.job_id), "audit");
+        let StepEvent::Crashed(report) = worker.try_step() else { panic!("attempt 1 should crash") };
+        assert_eq!(report.point, CrashPoint::Upload);
+        // The build ran, so the student has its output — accepted,
+        // pulling image, the block — but no url and no end yet.
+        let bodies: Vec<String> = std::iter::from_fn(|| audit.try_recv())
+            .map(|m| m.body_str().into_owned())
+            .collect();
+        assert_eq!(bodies.len(), 3);
+        let output: Vec<LogFrame> = crate::protocol::decode_block(&bodies[2]).collect();
+        assert_eq!(output.len(), LISTING1_OUTPUT.len());
+        assert_eq!(output[0], LogFrame::Out("Building project".into()));
+        assert!(!bodies.iter().any(|b| b.contains("end ")));
+    }
+
+    #[test]
+    fn deeply_wrapped_command_is_a_failed_job_not_a_dead_worker() {
+        // One interpreter recursion per `time`: uncapped, this command
+        // overflows the worker thread's stack — an abort, so the
+        // message would redeliver and kill the next worker too.
+        let build_yml = format!(
+            "rai:\n  version: 0.1\n  image: webgpu/rai:root\ncommands:\n  build:\n    - {}true\n",
+            "time ".repeat(100_000)
+        );
+        let upload = write_container(&ProjectDir::sample_cuda_project().tree);
+        assert_ends_failed(upload, build_yml, "failed");
     }
 }

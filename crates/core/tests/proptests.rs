@@ -3,7 +3,7 @@
 //! wire formats round-trip.
 
 use proptest::prelude::*;
-use rai_core::protocol::{JobKind, JobRequest, LogFrame};
+use rai_core::protocol::{decode_block, push_output, JobKind, JobRequest, LogFrame};
 use rai_core::spec::{BuildSpec, SpecError, SUPPORTED_VERSION};
 use rai_yaml::Yaml;
 
@@ -29,6 +29,35 @@ fn arb_request() -> impl Strategy<Value = JobRequest> {
             build_yml,
             kind,
         })
+}
+
+/// Frame text with the right alphabet: what block framing has to
+/// survive is exactly what printable ASCII leaves out — line breaks,
+/// carriage returns, tabs, multi-byte characters, the empty string —
+/// plus the escape character next to everything it could be mistaken
+/// for escaping.
+const FRAME_TEXT: &str = "[ -~\\n\\r\\t\\\\é漢🦀\u{2028}]{0,120}";
+
+fn arb_text() -> impl Strategy<Value = String> {
+    const ESCAPES: [&str; 12] = [
+        "", "\n", "\\", "\\n", "\\\n", "\\\\n", "a\\\\\nb", "\r\n", "tail\\", "\n\n",
+        "out a\nerr b", "x\nend ok",
+    ];
+    prop_oneof![
+        FRAME_TEXT,
+        FRAME_TEXT,
+        (0..ESCAPES.len()).prop_map(|i| ESCAPES[i].to_string()),
+    ]
+}
+
+fn arb_frame() -> impl Strategy<Value = LogFrame> {
+    (0u8..5, arb_text()).prop_map(|(kind, text)| match kind {
+        0 => LogFrame::Out(text),
+        1 => LogFrame::Err(text),
+        2 => LogFrame::Status(text),
+        3 => LogFrame::BuildUrl(text),
+        _ => LogFrame::End { success: text.len() % 2 == 0 },
+    })
 }
 
 /// `text` nested `depth` levels deep — inside brackets on one line, or
@@ -229,18 +258,76 @@ proptest! {
     }
 
     #[test]
-    fn log_frames_round_trip(
-        kind in 0u8..5,
-        text in "[ -~]{0,120}",
-    ) {
-        let frame = match kind {
-            0 => LogFrame::Out(text),
-            1 => LogFrame::Err(text),
-            2 => LogFrame::Status(text),
-            3 => LogFrame::BuildUrl(text),
-            _ => LogFrame::End { success: text.len() % 2 == 0 },
-        };
+    fn log_frames_round_trip(frame in arb_frame()) {
         prop_assert_eq!(LogFrame::decode(&frame.encode()), frame);
+    }
+
+    #[test]
+    fn encode_into_equals_encode(frame in arb_frame(), before in prop::collection::vec(arb_frame(), 0..3)) {
+        // Wherever in a block a frame lands, it is accounted at its
+        // `encode()` length and decodes back to itself...
+        let mut block = String::new();
+        for f in &before {
+            f.encode_into(&mut block);
+        }
+        let at = block.len();
+        prop_assert_eq!(frame.encode_into(&mut block), frame.encode().len());
+        let line = block[at..].trim_start_matches('\n');
+        prop_assert!(!line.contains('\n'), "one frame, one line: {line:?}");
+        prop_assert_eq!(LogFrame::decode(line), frame.clone());
+        // ...and the line is `encode()` itself unless framing had a
+        // line break to escape.
+        let text_breaks = frame.encode().contains('\n');
+        prop_assert_eq!(line == frame.encode(), !text_breaks);
+    }
+
+    #[test]
+    fn one_frame_block_is_the_frame(frame in arb_frame()) {
+        prop_assume!(!frame.encode().contains('\n'));
+        let mut block = String::new();
+        frame.encode_into(&mut block);
+        prop_assert_eq!(&block, &frame.encode());
+        prop_assert_eq!(decode_block(&block).collect::<Vec<_>>(), vec![frame]);
+    }
+
+    #[test]
+    fn blocks_round_trip(frames in prop::collection::vec(arb_frame(), 0..40)) {
+        let mut block = String::new();
+        let bytes: usize = frames.iter().map(|f| f.encode_into(&mut block)).sum();
+        prop_assert_eq!(bytes, frames.iter().map(|f| f.encode().len()).sum::<usize>());
+        // `End` cuts the tail: it is delivered, nothing after it is.
+        let end = frames.iter().position(|f| matches!(f, LogFrame::End { .. }));
+        let delivered = &frames[..end.map_or(frames.len(), |at| at + 1)];
+        prop_assert_eq!(decode_block(&block).collect::<Vec<_>>(), delivered);
+        // Stdout/stderr lines go in borrowed, to the same bytes.
+        let mut borrowed = String::new();
+        for f in &frames {
+            match f {
+                LogFrame::Out(text) => push_output(&mut borrowed, false, text),
+                LogFrame::Err(text) => push_output(&mut borrowed, true, text),
+                other => other.encode_into(&mut borrowed),
+            };
+        }
+        prop_assert_eq!(borrowed, block);
+    }
+
+    #[test]
+    fn block_decode_never_panics(body in FRAME_TEXT, lines in prop::collection::vec(FRAME_TEXT, 0..6)) {
+        let _ = decode_block(&body).count();
+        // Line-structured too: every line a frame, known tags and
+        // their escaped forms in front of arbitrary text.
+        let tags = ["out ", "err\\ ", "sts ", "url\\ ", "end ", "end\\ ", "out\\", "\\ ", ""];
+        let block: Vec<String> = lines
+            .iter()
+            .enumerate()
+            .map(|(i, text)| format!("{}{text}", tags[(i + body.len()) % tags.len()]))
+            .collect();
+        for frame in decode_block(&block.join("\n")) {
+            // Whatever came back re-encodes and decodes to itself.
+            let mut again = String::new();
+            frame.encode_into(&mut again);
+            prop_assert_eq!(decode_block(&again).next(), Some(frame));
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@ use crate::image::Image;
 use crate::limits::ResourceLimits;
 use rai_archive::FileTree;
 use rai_sim::SimDuration;
+use std::borrow::Cow;
 
 /// Why a container was killed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -169,15 +170,23 @@ impl Container {
 
     /// Resolve a command-line path against the container filesystem:
     /// absolute paths strip the leading `/`; `./x` and bare names are
-    /// relative to the working directory.
-    pub fn resolve_path(&self, arg: &str) -> String {
-        if let Some(abs) = arg.strip_prefix('/') {
-            abs.to_string()
-        } else if let Some(rel) = arg.strip_prefix("./") {
-            format!("{}/{rel}", self.workdir)
-        } else {
-            format!("{}/{arg}", self.workdir)
+    /// relative to the working directory. An absolute path resolves to
+    /// a slice of itself.
+    pub fn resolve_path<'a>(&self, arg: &'a str) -> Cow<'a, str> {
+        match arg.strip_prefix('/') {
+            Some(abs) => Cow::Borrowed(abs),
+            None => {
+                let rel = arg.strip_prefix("./").unwrap_or(arg);
+                Cow::Owned(self.in_workdir(rel))
+            }
         }
+    }
+
+    /// `name` under the working directory, as a filesystem path. One
+    /// exact allocation (`format!` sizes a path this short at zero and
+    /// grows it twice).
+    pub(crate) fn in_workdir(&self, name: &str) -> String {
+        [self.workdir.as_str(), "/", name].concat()
     }
 
     /// Append a log line.
@@ -483,6 +492,67 @@ mod tests {
         assert!(report.log.iter().any(|l| l.text.contains("ece408")));
         assert!(report.log.iter().any(|l| l.text.contains("add_executable")));
         assert!(!report.build_dir.contains("Makefile"));
+    }
+
+    #[test]
+    fn rm_takes_recursion_from_flags_not_from_operand_spelling() {
+        // `mirror` has an `r` in it and `copy` does not; neither is a
+        // flag, so a plain `rm` refuses both directories alike.
+        for dir in ["mirror", "copy"] {
+            let mut c = make_container(&gpu_project(), ResourceLimits::default());
+            assert_eq!(c.run_command(&format!("cp -r /src /build/{dir}")).exit_code, 0);
+            assert_eq!(c.run_command(&format!("rm {dir}")).exit_code, 1);
+            assert!(c.fs.contains(&format!("build/{dir}/main.cu")), "rm {dir} kept the directory");
+            assert_eq!(c.run_command(&format!("rm -f {dir}/main.cu")).exit_code, 0, "files need no -r");
+            let report = c.destroy();
+            assert!(report.log.iter().any(|l| l.text.contains(&format!("cannot remove '/build/{dir}'"))));
+        }
+        for flag in ["-r", "-R", "-rf", "-fr"] {
+            let mut c = make_container(&gpu_project(), ResourceLimits::default());
+            c.run_command("cp -r /src /build/copy");
+            assert_eq!(c.run_command(&format!("rm {flag} copy")).exit_code, 0, "rm {flag}");
+            assert!(c.fs.subtree("build/copy").is_empty());
+        }
+    }
+
+    #[test]
+    fn wrappers_nest_to_a_bounded_depth() {
+        let run = |wrappers: usize| {
+            let mut c = make_container(&gpu_project(), ResourceLimits::default());
+            let r = c.run_command(&format!("{}true", "time ".repeat(wrappers)));
+            (r.exit_code, c.destroy().log)
+        };
+        let (code, log) = run(16);
+        assert_eq!(code, 0);
+        assert_eq!(log.iter().filter(|l| l.text.contains("elapsed")).count(), 16);
+        let (code, log) = run(17);
+        assert_eq!(code, 2);
+        assert!(log.iter().any(|l| {
+            l.stream == LogStream::Stderr && l.text == "sh: true: wrapper nesting too deep"
+        }));
+    }
+
+    #[test]
+    fn a_hundred_thousand_wrappers_fail_the_command_not_the_thread() {
+        // One level of interpreter recursion per wrapper word: without
+        // the depth cap this overflows the stack, and an overflow is an
+        // abort — no `join` would see it. 2 MiB is a worker thread's
+        // stack; 4 000 `time ` words (20 KB) were enough.
+        for wrapper in ["time ", "/usr/bin/time ", "nvprof ", "nvprof --export-profile p time "] {
+            let cmd = format!("{}true", wrapper.repeat(100_000));
+            let job = std::thread::Builder::new()
+                .stack_size(2 << 20)
+                .spawn(move || {
+                    let mut c = make_container(&gpu_project(), ResourceLimits::default());
+                    c.run_script([cmd.as_str(), "echo never-runs"]);
+                    c.destroy()
+                })
+                .expect("spawn");
+            let report = job.join().expect("the interpreter thread survives");
+            assert_eq!(report.status, ContainerStatus::Exited(2), "{wrapper}");
+            assert!(report.log.iter().any(|l| l.text.ends_with("wrapper nesting too deep")));
+            assert!(!report.log.iter().any(|l| l.text == "never-runs"));
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@ use crate::container::{Container, KillReason, LogStream};
 use crate::image::hdf5_item_count;
 use crate::perf::{ExecMode, PerfSpec};
 use rai_sim::SimDuration;
+use std::borrow::Cow;
 
 /// Outcome of one command.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -53,21 +54,35 @@ impl CmdResult {
 pub const BINARY_MAGIC: &str = "RAIBIN\n";
 
 /// Split a command line into words, honouring single/double quotes.
-pub fn shell_words(cmd: &str) -> Vec<String> {
+/// A word borrows from `cmd` while its characters are contiguous there
+/// (`make`, `"Building project"`); only a quote mark *inside* a word
+/// (`a"b c"d`) makes quote removal splice an owned one.
+pub fn shell_words(cmd: &str) -> Vec<Cow<'_, str>> {
     let mut words = Vec::new();
-    let mut cur = String::new();
+    let mut cur = Cow::Borrowed("");
+    // Where in `cmd` the borrowed `cur` ends.
+    let mut cur_end = 0;
     let mut in_single = false;
     let mut in_double = false;
-    for c in cmd.chars() {
+    for (at, c) in cmd.char_indices() {
         match c {
             '\'' if !in_double => in_single = !in_single,
             '"' if !in_single => in_double = !in_double,
             c if c.is_whitespace() && !in_single && !in_double => {
                 if !cur.is_empty() {
-                    words.push(std::mem::take(&mut cur));
+                    words.push(std::mem::replace(&mut cur, Cow::Borrowed("")));
                 }
             }
-            c => cur.push(c),
+            c => {
+                let next = at + c.len_utf8();
+                match cur {
+                    Cow::Borrowed(span) if span.is_empty() || cur_end == at => {
+                        cur = Cow::Borrowed(&cmd[at - span.len()..next]);
+                    }
+                    _ => cur.to_mut().push(c),
+                }
+                cur_end = next;
+            }
         }
     }
     if !cur.is_empty() {
@@ -82,45 +97,59 @@ const NETWORK_TOOLS: &[&str] = &[
 ];
 
 /// Split a command line on top-level `&&`, honouring quotes (students
-/// write `cmake /src && make` in their build files).
-pub fn split_chain(cmd: &str) -> Vec<String> {
-    let mut parts = Vec::new();
-    let mut cur = String::new();
-    let mut in_single = false;
-    let mut in_double = false;
-    let mut chars = cmd.chars().peekable();
-    while let Some(c) = chars.next() {
-        match c {
-            '\'' if !in_double => {
-                in_single = !in_single;
-                cur.push(c);
+/// write `cmake /src && make` in their build files). The pieces are
+/// trimmed slices of `cmd`.
+pub fn split_chain(cmd: &str) -> impl Iterator<Item = &str> {
+    let mut rest = Some(cmd);
+    std::iter::from_fn(move || {
+        let tail = rest?;
+        let bytes = tail.as_bytes();
+        let mut in_single = false;
+        let mut in_double = false;
+        let mut cut = None;
+        // Quote marks and `&` are ASCII, so a byte scan finds exactly
+        // the characters a `char` scan would.
+        for (at, &b) in bytes.iter().enumerate() {
+            match b {
+                b'\'' if !in_double => in_single = !in_single,
+                b'"' if !in_single => in_double = !in_double,
+                b'&' if !in_single && !in_double && bytes.get(at + 1) == Some(&b'&') => {
+                    cut = Some(at);
+                    break;
+                }
+                _ => {}
             }
-            '"' if !in_single => {
-                in_double = !in_double;
-                cur.push(c);
-            }
-            '&' if !in_single && !in_double && chars.peek() == Some(&'&') => {
-                chars.next();
-                parts.push(std::mem::take(&mut cur));
-            }
-            c => cur.push(c),
         }
-    }
-    parts.push(cur);
-    parts.into_iter().map(|p| p.trim().to_string()).collect()
+        let part = match cut {
+            Some(at) => {
+                rest = Some(&tail[at + 2..]);
+                &tail[..at]
+            }
+            None => {
+                rest = None;
+                tail
+            }
+        };
+        Some(part.trim())
+    })
 }
+
+/// How many wrappers (`time`, `nvprof`) may nest around a command.
+/// Each is a level of recursion in [`dispatch`], and the command line
+/// is the student's: unbounded, `time time time … true` overflows the
+/// worker thread's stack, which aborts the process.
+const MAX_WRAPPER_DEPTH: usize = 16;
 
 pub(crate) fn execute(container: &mut Container, cmd: &str) -> CmdResult {
     // `a && b && c` short-circuits like a shell.
-    let chain = split_chain(cmd);
     let mut total = SimDuration::ZERO;
     let mut last = CmdResult::ok(SimDuration::ZERO);
-    for part in chain {
-        let words = shell_words(&part);
+    for part in split_chain(cmd) {
+        let words = shell_words(part);
         if words.is_empty() {
             continue;
         }
-        last = dispatch(container, &words);
+        last = dispatch(container, &words, 0);
         total += last.duration;
         if last.exit_code != 0 {
             break;
@@ -133,15 +162,23 @@ pub(crate) fn execute(container: &mut Container, cmd: &str) -> CmdResult {
     }
 }
 
-fn dispatch(container: &mut Container, words: &[String]) -> CmdResult {
-    let argv0 = words[0].as_str();
+/// Run one command (`words` is never empty) under `depth` wrappers.
+fn dispatch(container: &mut Container, words: &[Cow<'_, str>], depth: usize) -> CmdResult {
+    let argv0 = words[0].as_ref();
     let args = &words[1..];
+    if depth > MAX_WRAPPER_DEPTH {
+        container.log(
+            LogStream::Stderr,
+            format!("sh: {argv0}: wrapper nesting too deep"),
+        );
+        return CmdResult::fail(2, SimDuration::MILLI);
+    }
     match argv0 {
         "echo" => run_echo(container, args),
         "cmake" => run_cmake(container, args),
         "make" => run_make(container, args),
-        "nvprof" => run_nvprof(container, args),
-        "/usr/bin/time" | "time" => run_time(container, args),
+        "nvprof" => run_nvprof(container, args, depth),
+        "/usr/bin/time" | "time" => run_time(container, args, depth),
         "cp" => run_cp(container, args),
         "ls" => run_ls(container, args),
         "cat" => run_cat(container, args),
@@ -198,12 +235,12 @@ fn is_program_invocation(argv0: &str) -> bool {
     argv0.starts_with("./") || argv0.starts_with('/')
 }
 
-fn run_echo(container: &mut Container, args: &[String]) -> CmdResult {
+fn run_echo(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
     container.log(LogStream::Stdout, args.join(" "));
     CmdResult::ok(SimDuration::MILLI)
 }
 
-fn run_sleep(container: &mut Container, args: &[String]) -> CmdResult {
+fn run_sleep(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
     let secs: f64 = args.first().and_then(|a| a.parse().ok()).unwrap_or(0.0);
     let _ = container;
     CmdResult::ok(SimDuration::from_secs_f64(secs))
@@ -211,14 +248,10 @@ fn run_sleep(container: &mut Container, args: &[String]) -> CmdResult {
 
 /// `cmake <srcdir>`: requires `CMakeLists.txt`, records the executable
 /// target, and "generates a Makefile" in the working directory.
-fn run_cmake(container: &mut Container, args: &[String]) -> CmdResult {
-    let srcdir = args
-        .iter()
-        .find(|a| !a.starts_with('-'))
-        .cloned()
-        .unwrap_or_else(|| "/src".to_string());
-    let src = container.resolve_path(&srcdir);
-    let lists_path = format!("{src}/CMakeLists.txt");
+fn run_cmake(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
+    let srcdir = args.iter().find(|a| !a.starts_with('-')).map_or("/src", |a| a);
+    let src = container.resolve_path(srcdir);
+    let lists_path = [&src, "/CMakeLists.txt"].concat();
     let Some(lists) = container.fs.get(&lists_path).cloned() else {
         container.log(
             LogStream::Stderr,
@@ -227,9 +260,9 @@ fn run_cmake(container: &mut Container, args: &[String]) -> CmdResult {
         return CmdResult::fail(1, SimDuration::from_millis(120));
     };
     let text = String::from_utf8_lossy(&lists);
-    let target = parse_add_executable(&text).unwrap_or_else(|| "a.out".to_string());
+    let target = parse_add_executable(&text).unwrap_or("a.out");
     let makefile = format!("# generated by rai cmake\nSRCDIR={src}\nTARGET={target}\n");
-    let makefile_path = format!("{}/Makefile", container.workdir());
+    let makefile_path = container.in_workdir("Makefile");
     container
         .fs
         .insert(&makefile_path, makefile.into_bytes())
@@ -247,24 +280,18 @@ fn run_cmake(container: &mut Container, args: &[String]) -> CmdResult {
     CmdResult::ok(SimDuration::from_millis(900))
 }
 
-fn parse_add_executable(cmake: &str) -> Option<String> {
+fn parse_add_executable(cmake: &str) -> Option<&str> {
     let idx = cmake.find("add_executable(")?;
     let rest = &cmake[idx + "add_executable(".len()..];
-    let name: String = rest
-        .chars()
-        .take_while(|c| !c.is_whitespace() && *c != ')' && *c != '(')
-        .collect();
-    if name.is_empty() {
-        None
-    } else {
-        Some(name)
-    }
+    let end = rest.find(|c: char| c.is_whitespace() || c == ')' || c == '(');
+    let name = &rest[..end.unwrap_or(rest.len())];
+    (!name.is_empty()).then_some(name)
 }
 
 /// `make`: "compiles" the sources — time proportional to source bytes,
 /// diagnostics for marked sources, and a binary carrying the perf spec.
-fn run_make(container: &mut Container, _args: &[String]) -> CmdResult {
-    let makefile_path = format!("{}/Makefile", container.workdir());
+fn run_make(container: &mut Container, _args: &[Cow<'_, str>]) -> CmdResult {
+    let makefile_path = container.in_workdir("Makefile");
     let Some(makefile) = container.fs.get(&makefile_path).cloned() else {
         container.log(
             LogStream::Stderr,
@@ -273,19 +300,24 @@ fn run_make(container: &mut Container, _args: &[String]) -> CmdResult {
         return CmdResult::fail(2, SimDuration::from_millis(10));
     };
     let text = String::from_utf8_lossy(&makefile);
-    let srcdir = extract_var(&text, "SRCDIR").unwrap_or_else(|| "src".to_string());
-    let target = extract_var(&text, "TARGET").unwrap_or_else(|| "a.out".to_string());
+    let srcdir = extract_var(&text, "SRCDIR=").unwrap_or("src");
+    let target = extract_var(&text, "TARGET=").unwrap_or("a.out");
 
-    // Collect compilable sources.
-    let mut sources: Vec<(String, String)> = Vec::new();
-    let prefix = format!("{srcdir}/");
-    for (path, data) in container.fs.iter() {
-        let in_srcdir = path.starts_with(&prefix);
-        let compilable = [".cu", ".cpp", ".cc", ".c"].iter().any(|s| path.ends_with(s));
-        if in_srcdir && compilable {
-            sources.push((path.to_string(), String::from_utf8_lossy(data).into_owned()));
-        }
-    }
+    // Collect compilable sources: shared handles on the file bytes,
+    // read as text in place.
+    let files: Vec<_> = container
+        .fs
+        .iter()
+        .filter(|(path, _)| {
+            let in_srcdir = path.strip_prefix(srcdir).is_some_and(|p| p.starts_with('/'));
+            in_srcdir && [".cu", ".cpp", ".cc", ".c"].iter().any(|s| path.ends_with(s))
+        })
+        .map(|(path, data)| (path.to_string(), data.clone()))
+        .collect();
+    let sources: Vec<(&str, Cow<'_, str>)> = files
+        .iter()
+        .map(|(path, data)| (path.as_str(), String::from_utf8_lossy(data)))
+        .collect();
     if sources.is_empty() {
         container.log(
             LogStream::Stderr,
@@ -321,15 +353,15 @@ fn run_make(container: &mut Container, _args: &[String]) -> CmdResult {
         }
     }
 
-    let spec = PerfSpec::from_sources(sources.iter().map(|(_, s)| s.as_str()));
+    let spec = PerfSpec::from_sources(sources.iter().map(|(_, s)| s.as_ref()));
     for (_, text) in &sources {
         container.log(
             LogStream::Stdout,
             format!("[ nvcc ] compiling ({} bytes)", text.len()),
         );
     }
-    let binary = format!("{BINARY_MAGIC}// {}\n", spec.to_directive());
-    let bin_path = format!("{}/{target}", container.workdir());
+    let binary = [BINARY_MAGIC, "// ", &spec.to_directive(), "\n"].concat();
+    let bin_path = container.in_workdir(target);
     container
         .fs
         .insert(&bin_path, binary.into_bytes())
@@ -338,15 +370,13 @@ fn run_make(container: &mut Container, _args: &[String]) -> CmdResult {
     CmdResult::ok(duration)
 }
 
-fn extract_var(makefile: &str, var: &str) -> Option<String> {
-    makefile
-        .lines()
-        .find_map(|l| l.strip_prefix(&format!("{var}=")))
-        .map(str::to_string)
+/// The value of the first `VAR=value` line; `assign` is `"VAR="`.
+fn extract_var<'a>(makefile: &'a str, assign: &str) -> Option<&'a str> {
+    makefile.lines().find_map(|l| l.strip_prefix(assign))
 }
 
 /// Run a compiled program (`./ece408 /data/test10.hdf5 /data/model.hdf5`).
-fn run_program(container: &mut Container, words: &[String]) -> CmdResult {
+fn run_program(container: &mut Container, words: &[Cow<'_, str>]) -> CmdResult {
     let prog_path = container.resolve_path(&words[0]);
     let Some(bin) = container.fs.get(&prog_path).cloned() else {
         container.log(
@@ -371,7 +401,7 @@ fn run_program(container: &mut Container, words: &[String]) -> CmdResult {
     let mut items: Option<u64> = words[1..]
         .iter()
         .find_map(|a| a.parse::<u64>().ok());
-    let mut missing_file: Option<String> = None;
+    let mut missing_file: Option<&str> = None;
     for arg in &words[1..] {
         if arg.ends_with(".hdf5") {
             let path = container.resolve_path(arg);
@@ -383,7 +413,7 @@ fn run_program(container: &mut Container, words: &[String]) -> CmdResult {
                         }
                     }
                 }
-                None => missing_file = Some(arg.clone()),
+                None => missing_file = Some(arg),
             }
         }
     }
@@ -433,7 +463,7 @@ fn run_program(container: &mut Container, words: &[String]) -> CmdResult {
 }
 
 /// `nvprof [--export-profile FILE] <cmd…>`: profile a program run.
-fn run_nvprof(container: &mut Container, args: &[String]) -> CmdResult {
+fn run_nvprof(container: &mut Container, args: &[Cow<'_, str>], depth: usize) -> CmdResult {
     if container.limits.gpus == 0 {
         container.log(
             LogStream::Stderr,
@@ -441,11 +471,11 @@ fn run_nvprof(container: &mut Container, args: &[String]) -> CmdResult {
         );
         return CmdResult::fail(1, SimDuration::from_millis(50));
     }
-    let mut profile_out: Option<String> = None;
+    let mut profile_out: Option<&str> = None;
     let mut rest = args;
     while let Some(first) = rest.first() {
         if first == "--export-profile" {
-            profile_out = rest.get(1).cloned();
+            profile_out = rest.get(1).map(|file| file.as_ref());
             rest = &rest[2.min(rest.len())..];
         } else if first.starts_with("--") {
             rest = &rest[1..];
@@ -457,19 +487,20 @@ fn run_nvprof(container: &mut Container, args: &[String]) -> CmdResult {
         container.log(LogStream::Stderr, "nvprof: no application specified".to_string());
         return CmdResult::fail(1, SimDuration::MILLI);
     }
+    let application = rest.join(" ");
     container.log(
         LogStream::Stderr,
-        format!("==PROF== Profiling application: {}", rest.join(" ")),
+        ["==PROF== Profiling application: ", &application].concat(),
     );
-    let inner = dispatch(container, rest);
+    let inner = dispatch(container, rest, depth + 1);
     if inner.killed.is_some() {
         return inner;
     }
     // Profiling overhead: ~10% of the profiled run.
     let overhead = inner.duration * 0.1;
     if let Some(file) = profile_out {
-        let path = container.resolve_path(&file);
-        let blob = format!("NVPROF-TIMELINE\ncmd={}\nspan_ms={}\n", rest.join(" "), inner.duration.as_millis());
+        let path = container.resolve_path(file);
+        let blob = format!("NVPROF-TIMELINE\ncmd={application}\nspan_ms={}\n", inner.duration.as_millis());
         container
             .fs
             .insert(&path, blob.into_bytes())
@@ -489,11 +520,11 @@ fn run_nvprof(container: &mut Container, args: &[String]) -> CmdResult {
 /// `/usr/bin/time <cmd…>`: run and report elapsed on stderr — "the
 /// results from the time command are shown to the instructors during
 /// grading."
-fn run_time(container: &mut Container, args: &[String]) -> CmdResult {
+fn run_time(container: &mut Container, args: &[Cow<'_, str>], depth: usize) -> CmdResult {
     if args.is_empty() {
         return CmdResult::fail(1, SimDuration::MILLI);
     }
-    let inner = dispatch(container, args);
+    let inner = dispatch(container, args, depth + 1);
     let secs = inner.duration.as_secs_f64();
     container.log(
         LogStream::Stderr,
@@ -509,9 +540,9 @@ fn run_time(container: &mut Container, args: &[String]) -> CmdResult {
 }
 
 /// `cp [-r] <src> <dst>`.
-fn run_cp(container: &mut Container, args: &[String]) -> CmdResult {
+fn run_cp(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
     let recursive = args.iter().any(|a| a == "-r" || a == "-R" || a == "-a");
-    let paths: Vec<&String> = args.iter().filter(|a| !a.starts_with('-')).collect();
+    let paths: Vec<&str> = args.iter().map(|a| a.as_ref()).filter(|a| !a.starts_with('-')).collect();
     if paths.len() != 2 {
         container.log(LogStream::Stderr, "cp: expected source and destination".to_string());
         return CmdResult::fail(1, SimDuration::MILLI);
@@ -545,13 +576,12 @@ fn run_cp(container: &mut Container, args: &[String]) -> CmdResult {
     CmdResult::ok(SimDuration::from_millis(5 + bytes / (200 * 1024)))
 }
 
-fn run_ls(container: &mut Container, args: &[String]) -> CmdResult {
+fn run_ls(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
     let dir = args
         .iter()
         .find(|a| !a.starts_with('-'))
-        .map(|a| container.resolve_path(a))
-        .unwrap_or_else(|| container.workdir().to_string());
-    let prefix = format!("{dir}/");
+        .map_or(Cow::Borrowed(container.workdir()), |a| container.resolve_path(a));
+    let prefix = [&dir, "/"].concat();
     let mut names: Vec<String> = Vec::new();
     for path in container.fs.paths() {
         if let Some(rest) = path.strip_prefix(&prefix) {
@@ -568,14 +598,13 @@ fn run_ls(container: &mut Container, args: &[String]) -> CmdResult {
     CmdResult::ok(SimDuration::MILLI)
 }
 
-fn run_cat(container: &mut Container, args: &[String]) -> CmdResult {
+fn run_cat(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
     let mut code = 0;
     for a in args.iter().filter(|a| !a.starts_with('-')) {
         let path = container.resolve_path(a);
         match container.fs.get(&path).cloned() {
             Some(data) => {
-                let text = String::from_utf8_lossy(&data).into_owned();
-                for line in text.lines() {
+                for line in String::from_utf8_lossy(&data).lines() {
                     container.log(LogStream::Stdout, line.to_string());
                 }
             }
@@ -597,8 +626,8 @@ fn run_cat(container: &mut Container, args: &[String]) -> CmdResult {
 
 /// `grep <pattern> <files…>`: substring match, exit 1 when nothing
 /// matches (students grep build logs and sources).
-fn run_grep(container: &mut Container, args: &[String]) -> CmdResult {
-    let positional: Vec<&String> = args.iter().filter(|a| !a.starts_with('-')).collect();
+fn run_grep(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
+    let positional: Vec<&str> = args.iter().map(|a| a.as_ref()).filter(|a| !a.starts_with('-')).collect();
     let Some((pattern, files)) = positional.split_first() else {
         container.log(LogStream::Stderr, "usage: grep PATTERN [FILE]...".to_string());
         return CmdResult::fail(2, SimDuration::MILLI);
@@ -608,8 +637,8 @@ fn run_grep(container: &mut Container, args: &[String]) -> CmdResult {
         let path = container.resolve_path(file);
         match container.fs.get(&path).cloned() {
             Some(data) => {
-                let text = String::from_utf8_lossy(&data).into_owned();
-                for line in text.lines().filter(|l| l.contains(pattern.as_str())) {
+                let text = String::from_utf8_lossy(&data);
+                for line in text.lines().filter(|l| l.contains(pattern)) {
                     matched = true;
                     container.log(LogStream::Stdout, line.to_string());
                 }
@@ -627,7 +656,7 @@ fn run_grep(container: &mut Container, args: &[String]) -> CmdResult {
 }
 
 /// `head [-n N] <file>`.
-fn run_head(container: &mut Container, args: &[String]) -> CmdResult {
+fn run_head(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
     let mut n = 10usize;
     let mut file = None;
     let mut iter = args.iter();
@@ -635,17 +664,16 @@ fn run_head(container: &mut Container, args: &[String]) -> CmdResult {
         if a == "-n" {
             n = iter.next().and_then(|v| v.parse().ok()).unwrap_or(10);
         } else if !a.starts_with('-') {
-            file = Some(a.clone());
+            file = Some(a.as_ref());
         }
     }
     let Some(file) = file else {
         return CmdResult::fail(1, SimDuration::MILLI);
     };
-    let path = container.resolve_path(&file);
+    let path = container.resolve_path(file);
     match container.fs.get(&path).cloned() {
         Some(data) => {
-            let text = String::from_utf8_lossy(&data).into_owned();
-            for line in text.lines().take(n) {
+            for line in String::from_utf8_lossy(&data).lines().take(n) {
                 container.log(LogStream::Stdout, line.to_string());
             }
             CmdResult::ok(SimDuration::MILLI)
@@ -661,7 +689,7 @@ fn run_head(container: &mut Container, args: &[String]) -> CmdResult {
 }
 
 /// `wc -l <file>`: line count (the only wc mode students use here).
-fn run_wc(container: &mut Container, args: &[String]) -> CmdResult {
+fn run_wc(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
     let Some(file) = args.iter().find(|a| !a.starts_with('-')) else {
         return CmdResult::fail(1, SimDuration::MILLI);
     };
@@ -679,15 +707,11 @@ fn run_wc(container: &mut Container, args: &[String]) -> CmdResult {
     }
 }
 
-fn run_rm(container: &mut Container, args: &[String]) -> CmdResult {
-    let recursive = args.iter().any(|a| a.contains('r'));
+fn run_rm(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
+    let recursive = args.iter().any(|a| matches!(a.as_ref(), "-r" | "-R" | "-rf" | "-fr"));
     let mut code = 0;
-    let paths: Vec<String> = args
-        .iter()
-        .filter(|a| !a.starts_with('-'))
-        .map(|a| container.resolve_path(a))
-        .collect();
-    for p in paths {
+    for a in args.iter().filter(|a| !a.starts_with('-')) {
+        let p = container.resolve_path(a);
         if container.fs.remove(&p).is_some() {
             continue;
         }
@@ -706,6 +730,96 @@ fn run_rm(container: &mut Container, args: &[String]) -> CmdResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The tokeniser this module shipped until the borrowed one
+    /// replaced it: every word an owned `String` built a character at
+    /// a time. Kept as the oracle the borrowed one must agree with.
+    fn reference_shell_words(cmd: &str) -> Vec<String> {
+        let mut words = Vec::new();
+        let mut cur = String::new();
+        let mut in_single = false;
+        let mut in_double = false;
+        for c in cmd.chars() {
+            match c {
+                '\'' if !in_double => in_single = !in_single,
+                '"' if !in_single => in_double = !in_double,
+                c if c.is_whitespace() && !in_single && !in_double => {
+                    if !cur.is_empty() {
+                        words.push(std::mem::take(&mut cur));
+                    }
+                }
+                c => cur.push(c),
+            }
+        }
+        if !cur.is_empty() {
+            words.push(cur);
+        }
+        words
+    }
+
+    /// The `&&` splitter of the same vintage.
+    fn reference_split_chain(cmd: &str) -> Vec<String> {
+        let mut parts = Vec::new();
+        let mut cur = String::new();
+        let mut in_single = false;
+        let mut in_double = false;
+        let mut chars = cmd.chars().peekable();
+        while let Some(c) = chars.next() {
+            match c {
+                '\'' if !in_double => {
+                    in_single = !in_single;
+                    cur.push(c);
+                }
+                '"' if !in_single => {
+                    in_double = !in_double;
+                    cur.push(c);
+                }
+                '&' if !in_single && !in_double && chars.peek() == Some(&'&') => {
+                    chars.next();
+                    parts.push(std::mem::take(&mut cur));
+                }
+                c => cur.push(c),
+            }
+        }
+        parts.push(cur);
+        parts.into_iter().map(|p| p.trim().to_string()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        // The alphabet is what the tokenisers branch on — both quote
+        // marks, `&`, ASCII and multi-byte whitespace — plus ordinary
+        // and multi-byte word characters, so quotes open, close, stay
+        // unterminated and land inside words.
+        #[test]
+        fn tokeniser_equals_reference(line in "[ab/.\\-'\"& \t\n\u{a0}\u{3000}é漢🦀]{0,40}") {
+            prop_assert_eq!(shell_words(&line), reference_shell_words(&line));
+        }
+
+        #[test]
+        fn chain_split_equals_reference(line in "[ab/.\\-'\"& \t\n\u{a0}\u{3000}é漢🦀]{0,40}") {
+            let parts: Vec<&str> = split_chain(&line).collect();
+            prop_assert_eq!(&parts, &reference_split_chain(&line));
+            // Word for word, the whole line as `execute` reads it.
+            for (part, reference) in parts.iter().zip(reference_split_chain(&line)) {
+                prop_assert_eq!(shell_words(part), reference_shell_words(&reference));
+            }
+        }
+    }
+
+    #[test]
+    fn words_borrow_unless_a_quote_splices() {
+        let borrowed = |cmd| shell_words(cmd).iter().all(|w| matches!(w, Cow::Borrowed(_)));
+        assert!(borrowed("cmake /src"));
+        assert!(borrowed("echo \"Building project\" 'and more'"));
+        assert!(borrowed("nvprof --export-profile timeline.nvprof ./ece408 /data/test10.hdf5"));
+        assert_eq!(shell_words("a\"b c\"d e''"), vec!["ab cd", "e"]);
+        assert!(!borrowed("a\"b c\"d"));
+        // Empty quotes make no word, as before.
+        assert_eq!(shell_words("echo \"\" ''"), vec!["echo"]);
+    }
 
     #[test]
     fn shell_word_splitting() {
@@ -719,21 +833,25 @@ mod tests {
         );
         assert_eq!(shell_words("echo 'a  b'  c"), vec!["echo", "a  b", "c"]);
         assert_eq!(shell_words("   "), Vec::<String>::new());
+        assert_eq!(shell_words("echo \u{a0}né  'unterminated q"), vec!["echo", "né", "unterminated q"]);
     }
 
     #[test]
     fn chain_splitting() {
-        assert_eq!(split_chain("cmake /src && make"), vec!["cmake /src", "make"]);
-        assert_eq!(split_chain("echo 'a && b'"), vec!["echo 'a && b'"]);
-        assert_eq!(split_chain("a&&b && c"), vec!["a", "b", "c"]);
-        assert_eq!(split_chain("single"), vec!["single"]);
+        let split = |cmd| split_chain(cmd).collect::<Vec<_>>();
+        assert_eq!(split("cmake /src && make"), vec!["cmake /src", "make"]);
+        assert_eq!(split("echo 'a && b'"), vec!["echo 'a && b'"]);
+        assert_eq!(split("a&&b && c"), vec!["a", "b", "c"]);
+        assert_eq!(split("single"), vec!["single"]);
+        assert_eq!(split("a &&& b &&"), vec!["a", "& b", ""]);
+        assert_eq!(split(""), vec![""]);
     }
 
     #[test]
     fn parse_add_executable_name() {
         assert_eq!(
             parse_add_executable("project(x)\nadd_executable(ece408 src/main.cu)\n"),
-            Some("ece408".to_string())
+            Some("ece408")
         );
         assert_eq!(parse_add_executable("nothing here"), None);
     }
@@ -741,8 +859,8 @@ mod tests {
     #[test]
     fn extract_makefile_var() {
         let m = "# generated\nSRCDIR=src\nTARGET=ece408\n";
-        assert_eq!(extract_var(m, "SRCDIR"), Some("src".into()));
-        assert_eq!(extract_var(m, "TARGET"), Some("ece408".into()));
-        assert_eq!(extract_var(m, "MISSING"), None);
+        assert_eq!(extract_var(m, "SRCDIR="), Some("src"));
+        assert_eq!(extract_var(m, "TARGET="), Some("ece408"));
+        assert_eq!(extract_var(m, "MISSING="), None);
     }
 }

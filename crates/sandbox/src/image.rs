@@ -10,6 +10,7 @@
 use rai_archive::FileTree;
 use rai_sim::SimDuration;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A container base image.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -44,10 +45,12 @@ impl std::fmt::Display for ImageError {
 
 impl std::error::Error for ImageError {}
 
-/// The image repository plus whitelist, shared by all workers.
+/// The image repository plus whitelist, shared by all workers. An
+/// image never changes once added, so the registry hands out shared
+/// handles: a job's claim clones the `Arc`, not the layer list.
 #[derive(Clone, Debug, Default)]
 pub struct ImageRegistry {
-    images: BTreeMap<String, Image>,
+    images: BTreeMap<String, Arc<Image>>,
     whitelist: Vec<String>,
 }
 
@@ -106,12 +109,12 @@ impl ImageRegistry {
     /// Add an image and whitelist it.
     pub fn add_image(&mut self, image: Image) {
         self.whitelist.push(image.name.clone());
-        self.images.insert(image.name.clone(), image);
+        self.add_unlisted_image(image);
     }
 
     /// Add an image to the repository without whitelisting it.
     pub fn add_unlisted_image(&mut self, image: Image) {
-        self.images.insert(image.name.clone(), image);
+        self.images.insert(image.name.clone(), Arc::new(image));
     }
 
     /// Whitelisted image names.
@@ -119,8 +122,9 @@ impl ImageRegistry {
         &self.whitelist
     }
 
-    /// Resolve a student-requested image, enforcing the whitelist.
-    pub fn resolve(&self, name: &str) -> Result<&Image, ImageError> {
+    /// Resolve a student-requested image, enforcing the whitelist. The
+    /// handle derefs to `&Image` wherever one is wanted.
+    pub fn resolve(&self, name: &str) -> Result<&Arc<Image>, ImageError> {
         if !self.whitelist.iter().any(|w| w == name) {
             return Err(ImageError::NotWhitelisted(name.to_string()));
         }

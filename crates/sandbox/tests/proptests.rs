@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use rai_archive::FileTree;
-use rai_sandbox::exec::shell_words;
+use rai_sandbox::exec::{shell_words, split_chain};
 use rai_sandbox::{Container, ContainerStatus, ImageRegistry, ResourceLimits};
 
 fn container() -> Container {
@@ -14,13 +14,32 @@ fn container() -> Container {
     Container::create(image, ResourceLimits::default())
 }
 
+/// Structure-aware mutation: `cmd` under `depth` wrapper words. Each
+/// wrapper is one level of interpreter recursion, and a stack overflow
+/// is an abort, not a panic — a flat 80-character draw never gets deep
+/// enough to find one.
+fn wrap(cmd: &str, depth: usize, kind: u8) -> String {
+    let wrapper = match kind % 4 {
+        0 => "time ",
+        1 => "/usr/bin/time ",
+        2 => "nvprof ",
+        _ => "nvprof --export-profile p.nvprof time ",
+    };
+    format!("{}{cmd}", wrapper.repeat(depth))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn arbitrary_command_lines_never_panic(cmd in "[ -~]{0,80}") {
+    fn arbitrary_command_lines_never_panic(
+        cmd in "[ -~\\t\\n\u{a0}é漢🦀]{0,80}",
+        depth in 0usize..6000,
+        kind in any::<u8>(),
+    ) {
         let mut c = container();
         let _ = c.run_command(&cmd);
+        let _ = c.run_command(&wrap(&cmd, depth, kind));
     }
 
     #[test]
@@ -48,8 +67,9 @@ proptest! {
     }
 
     #[test]
-    fn shell_words_never_panics(line in "[ -~]{0,120}") {
+    fn shell_words_never_panics(line in "[ -~\\t\\n\u{a0}é漢🦀]{0,120}") {
         let _ = shell_words(&line);
+        let _ = split_chain(&line).count();
     }
 
     #[test]
