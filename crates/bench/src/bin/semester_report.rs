@@ -64,6 +64,11 @@ fn main() {
         "  store operations: {} puts / {} gets, {} objects resident",
         result.store.puts, result.store.gets, result.store.objects
     );
+    println!(
+        "  resident per submission: {} B of chunk bytes, {} B of object records",
+        result.store.bytes_physical / result.total_submissions,
+        result.store.metadata_bytes / result.total_submissions
+    );
     let log_mb = result.log_bytes as f64 / 1e6;
     // Real program logs are far chattier than the simulated ~20 lines
     // per job; the paper's 25 GB / 40k jobs ≈ 640 KB per submission.

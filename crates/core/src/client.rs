@@ -364,12 +364,12 @@ impl RaiClient {
                 &upload_key,
                 &prepared,
                 [
-                    ("team".to_string(), self.team.clone()),
+                    ("team", self.team.as_str()),
                     (
-                        "kind".to_string(),
+                        "kind",
                         match mode {
-                            SubmitMode::Run => "run".to_string(),
-                            SubmitMode::Submit => "final".to_string(),
+                            SubmitMode::Run => "run",
+                            SubmitMode::Submit => "final",
                         },
                     ),
                 ],

@@ -124,10 +124,7 @@ impl DeliveryPipeline {
                 &self.bucket,
                 &key,
                 body.into_bytes(),
-                [
-                    ("commit".to_string(), commit.to_string()),
-                    ("channel".to_string(), channel.branch().to_string()),
-                ],
+                [("commit", commit), ("channel", channel.branch())],
             )?;
             out.push(ClientBinary {
                 os,

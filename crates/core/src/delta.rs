@@ -99,13 +99,13 @@ impl DeltaUploader {
     ///
     /// Transient [`StoreError::Unavailable`] from either protocol step
     /// is returned to the caller, whose existing retry policy applies.
-    pub fn upload(
+    pub fn upload<'m>(
         &self,
         store: &ObjectStore,
         bucket: &str,
         key: &str,
         payload: &[u8],
-        user_meta: impl IntoIterator<Item = (String, String)>,
+        user_meta: impl IntoIterator<Item = (&'m str, &'m str)> + Clone,
     ) -> Result<DeltaReceipt, StoreError> {
         self.upload_prepared(store, bucket, key, &self.prepare(payload), user_meta)
     }
@@ -118,13 +118,13 @@ impl DeltaUploader {
     /// exactly their bytes (`request_body`), so what the store keeps
     /// resident pins the bytes that crossed the wire — never the
     /// prepared payload, most of which a resubmission does not send.
-    pub fn upload_prepared(
+    pub fn upload_prepared<'m>(
         &self,
         store: &ObjectStore,
         bucket: &str,
         key: &str,
         prepared: &PreparedUpload,
-        user_meta: impl IntoIterator<Item = (String, String)>,
+        user_meta: impl IntoIterator<Item = (&'m str, &'m str)> + Clone,
     ) -> Result<DeltaReceipt, StoreError> {
         let PreparedUpload { manifest, chunks } = prepared;
         // The distinct chunks, in first-occurrence manifest order, so
@@ -134,7 +134,6 @@ impl DeltaUploader {
             chunks.iter().filter(|c| seen.insert(c.digest)).collect()
         };
         let digests: Vec<u64> = distinct.iter().map(|c| c.digest).collect();
-        let user_meta: Vec<(String, String)> = user_meta.into_iter().collect();
 
         let attempt = || {
             let resident = store.has_chunks(&digests)?;
@@ -145,8 +144,7 @@ impl DeltaUploader {
                 .map(|(c, _)| *c)
                 .collect();
             let to_send = request_body(&missing);
-            let etag =
-                store.put_delta(bucket, key, manifest, &to_send, user_meta.iter().cloned())?;
+            let etag = store.put_delta(bucket, key, manifest, &to_send, user_meta.clone())?;
             Ok(DeltaReceipt {
                 etag,
                 chunks_total: manifest.chunks.len(),
@@ -431,14 +429,7 @@ mod tests {
     fn user_metadata_travels_with_delta_puts() {
         let s = store();
         let up = DeltaUploader::new();
-        up.upload(
-            &s,
-            "b",
-            "k",
-            &payload(500, 6),
-            [("team".to_string(), "rust".to_string())],
-        )
-        .unwrap();
+        up.upload(&s, "b", "k", &payload(500, 6), [("team", "rust")]).unwrap();
         let meta = s.head("b", "k").unwrap();
         assert_eq!(meta.user.get("team").map(String::as_str), Some("rust"));
     }

@@ -317,6 +317,7 @@ impl RaiSystem {
                 // physical = distinct chunk bytes actually resident.
                 reg.gauge(names::STORE_BYTES_LOGICAL, &[]).set(u.bytes_stored as f64);
                 reg.gauge(names::STORE_BYTES_PHYSICAL, &[]).set(u.bytes_physical as f64);
+                reg.gauge(names::STORE_METADATA_BYTES, &[]).set(u.metadata_bytes as f64);
                 reg.gauge(names::STORE_CHUNKS, &[]).set(u.chunks as f64);
                 reg.counter(names::STORE_CHUNKS_DEDUP_TOTAL, &[]).store(u.chunks_dedup_total);
                 reg.counter(names::STORE_BYTES_WIRE_TOTAL, &[]).store(u.bytes_wire);

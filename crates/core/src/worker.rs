@@ -420,7 +420,7 @@ impl Worker {
     /// parse, image resolve/pull, and the project fetch.
     pub fn claim_popped(&mut self, popped: PoppedTask) -> ClaimedJob {
         let PoppedTask { msg_id, request, attempt, co_scheduled } = popped;
-        self.claim_request(&request, attempt, co_scheduled, Some(msg_id))
+        self.claim_request(request, attempt, co_scheduled, Some(msg_id))
     }
 
     /// Restart after a crash: a fresh subscription claims a new
@@ -573,7 +573,7 @@ impl Worker {
         attempt: u64,
         co_scheduled: usize,
     ) -> Result<JobOutcome, CrashReport> {
-        let claimed = self.claim_request(request, attempt, co_scheduled, None);
+        let claimed = self.claim_request(request.clone(), attempt, co_scheduled, None);
         let executed = Worker::execute(claimed);
         self.commit_job(executed)
     }
@@ -582,7 +582,7 @@ impl Worker {
     /// including) the project fetch, serially against shared services.
     fn claim_request(
         &mut self,
-        request: &JobRequest,
+        request: JobRequest,
         attempt: u64,
         co_scheduled: usize,
         msg_id: Option<MessageId>,
@@ -617,7 +617,7 @@ impl Worker {
             ($plan:expr) => {
                 ClaimedJob {
                     msg_id,
-                    request: request.clone(),
+                    request,
                     attempt,
                     started,
                     service_time,
@@ -673,7 +673,7 @@ impl Worker {
             service_time += self.images.pull_latency(&image.name);
             self.cached_images.insert(image.name.clone());
             self.note_stage(
-                request,
+                &request,
                 attempt_no,
                 stage::PULLED,
                 component::SANDBOX,
@@ -687,7 +687,7 @@ impl Worker {
         }
 
         // ④ Download the project archive and mount it.
-        if let Some(kind) = self.crash_decision_at(request, attempt, CrashPoint::Fetch) {
+        if let Some(kind) = self.crash_decision_at(&request, attempt, CrashPoint::Fetch) {
             return claimed!(ClaimPlan::Crashed { kind, point: CrashPoint::Fetch });
         }
         let before_fetch = service_time;
@@ -712,7 +712,7 @@ impl Worker {
         // covers backoff + transfer — everything the store fetch cost.
         service_time += SimDuration::from_millis(project.total_size() / (100 * 1024) + 1);
         self.note_stage(
-            request,
+            &request,
             attempt_no,
             stage::FETCHED,
             component::STORE,
@@ -728,8 +728,8 @@ impl Worker {
             limits.gpus = limits.gpus.min(gpus);
         }
         let dilation = self.contention_dilation(co_scheduled);
-        let crash_build = self.crash_decision_at(request, attempt, CrashPoint::Build);
-        let crash_upload = self.crash_decision_at(request, attempt, CrashPoint::Upload);
+        let crash_build = self.crash_decision_at(&request, attempt, CrashPoint::Build);
+        let crash_upload = self.crash_decision_at(&request, attempt, CrashPoint::Upload);
         claimed!(ClaimPlan::Run {
             user,
             spec,
@@ -987,15 +987,15 @@ impl Worker {
                             &build_key,
                             &prepared,
                             [
-                                ("team".to_string(), request.team.clone()),
+                                ("team", request.team.as_str()),
                                 (
-                                    "kind".to_string(),
+                                    "kind",
                                     match request.kind {
-                                        JobKind::Run => "run".to_string(),
-                                        JobKind::Submit => "final".to_string(),
+                                        JobKind::Run => "run",
+                                        JobKind::Submit => "final",
                                     },
                                 ),
-                                ("source".to_string(), request.upload_key.clone()),
+                                ("source", request.upload_key.as_str()),
                             ],
                         )
                     },

@@ -9,6 +9,11 @@
 use crate::collection::{Collection, SortOrder};
 use crate::query::matches;
 use crate::value::{Document, Value};
+use std::borrow::Cow;
+
+/// A document on its way through a pipeline: still the collection's
+/// until a stage builds a new one.
+type Row<'a> = Cow<'a, Document>;
 
 /// One accumulator inside a `$group`.
 #[derive(Clone, Debug, PartialEq)]
@@ -53,26 +58,27 @@ pub enum Stage {
     Project(Vec<String>),
 }
 
-/// Run a pipeline over a collection snapshot.
+/// Run a pipeline over a collection. The stages read the collection's
+/// own documents; only what the pipeline returns is copied out (a
+/// `$group` or `$project` builds its output anyway).
 pub fn aggregate(collection: &Collection, pipeline: &[Stage]) -> Vec<Document> {
-    let mut docs = collection.find(&Document::new());
-    for stage in pipeline {
-        docs = apply_stage(docs, stage);
-    }
-    docs
+    run(collection.scan().map(Cow::Borrowed).collect(), pipeline)
 }
 
 /// Run a pipeline over an already-materialized document set (lets
 /// callers chain custom sources).
 pub fn aggregate_docs(docs: Vec<Document>, pipeline: &[Stage]) -> Vec<Document> {
-    let mut docs = docs;
+    run(docs.into_iter().map(Cow::Owned).collect(), pipeline)
+}
+
+fn run(mut docs: Vec<Row<'_>>, pipeline: &[Stage]) -> Vec<Document> {
     for stage in pipeline {
         docs = apply_stage(docs, stage);
     }
-    docs
+    docs.into_iter().map(Cow::into_owned).collect()
 }
 
-fn apply_stage(docs: Vec<Document>, stage: &Stage) -> Vec<Document> {
+fn apply_stage<'a>(docs: Vec<Row<'a>>, stage: &Stage) -> Vec<Row<'a>> {
     match stage {
         Stage::Match(query) => docs.into_iter().filter(|d| matches(query, d)).collect(),
         Stage::Sort(field, order) => {
@@ -99,18 +105,20 @@ fn apply_stage(docs: Vec<Document>, stage: &Stage) -> Vec<Document> {
                         out.insert(f.clone(), v.clone());
                     }
                 }
-                out
+                Cow::Owned(out)
             })
             .collect(),
-        Stage::Group { by, fields } => group(docs, by.as_deref(), fields),
+        Stage::Group { by, fields } => {
+            group(docs, by.as_deref(), fields).into_iter().map(Cow::Owned).collect()
+        }
     }
 }
 
-fn group(docs: Vec<Document>, by: Option<&str>, fields: &[(String, Accumulator)]) -> Vec<Document> {
+fn group(docs: Vec<Row<'_>>, by: Option<&str>, fields: &[(String, Accumulator)]) -> Vec<Document> {
     // Group keys keep first-seen order, then output is sorted by key for
     // determinism.
     let mut keys: Vec<Value> = Vec::new();
-    let mut buckets: Vec<Vec<Document>> = Vec::new();
+    let mut buckets: Vec<Vec<Row<'_>>> = Vec::new();
     for d in docs {
         let key = match by {
             Some(path) => d.get_path(path).cloned().unwrap_or(Value::Null),
@@ -140,47 +148,43 @@ fn group(docs: Vec<Document>, by: Option<&str>, fields: &[(String, Accumulator)]
     out.into_iter().map(|(_, d)| d).collect()
 }
 
-fn run_accumulator(acc: &Accumulator, bucket: &[Document]) -> Value {
-    let values = |path: &str| {
-        bucket
-            .iter()
-            .filter_map(move |d| d.get_path(path))
-            .cloned()
-            .collect::<Vec<Value>>()
-    };
+fn run_accumulator(acc: &Accumulator, bucket: &[Row<'_>]) -> Value {
+    // The bucket's values at `path`, where they live.
+    fn values<'a>(bucket: &'a [Row<'_>], path: &'a str) -> impl Iterator<Item = &'a Value> {
+        bucket.iter().filter_map(move |d| d.get_path(path))
+    }
     match acc {
         Accumulator::Count => Value::Int(bucket.len() as i64),
         Accumulator::Sum(path) => {
-            let total: f64 = values(path).iter().filter_map(Value::as_f64).sum();
+            let total: f64 = values(bucket, path).filter_map(Value::as_f64).sum();
             // Keep integer sums integral when every input was an Int.
-            if values(path).iter().all(|v| matches!(v, Value::Int(_))) {
+            if values(bucket, path).all(|v| matches!(v, Value::Int(_))) {
                 Value::Int(total as i64)
             } else {
                 Value::Float(total)
             }
         }
         Accumulator::Avg(path) => {
-            let nums: Vec<f64> = values(path).iter().filter_map(Value::as_f64).collect();
-            if nums.is_empty() {
-                Value::Null
-            } else {
-                Value::Float(nums.iter().sum::<f64>() / nums.len() as f64)
+            let nums = || values(bucket, path).filter_map(Value::as_f64);
+            match nums().count() {
+                0 => Value::Null,
+                n => Value::Float(nums().sum::<f64>() / n as f64),
             }
         }
         // Min/Max skip explicit nulls: a failed submission records
         // `internal_secs: null` and must not become the "best" runtime.
-        Accumulator::Min(path) => values(path)
-            .into_iter()
+        Accumulator::Min(path) => values(bucket, path)
             .filter(|v| !matches!(v, Value::Null))
             .min_by(|a, b| a.cmp_order(b))
+            .cloned()
             .unwrap_or(Value::Null),
-        Accumulator::Max(path) => values(path)
-            .into_iter()
+        Accumulator::Max(path) => values(bucket, path)
             .filter(|v| !matches!(v, Value::Null))
             .max_by(|a, b| a.cmp_order(b))
+            .cloned()
             .unwrap_or(Value::Null),
-        Accumulator::First(path) => values(path).into_iter().next().unwrap_or(Value::Null),
-        Accumulator::Push(path) => Value::Array(values(path)),
+        Accumulator::First(path) => values(bucket, path).next().cloned().unwrap_or(Value::Null),
+        Accumulator::Push(path) => Value::Array(values(bucket, path).cloned().collect()),
     }
 }
 

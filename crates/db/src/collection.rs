@@ -359,7 +359,7 @@ impl Collection {
             if field.starts_with('$') {
                 continue;
             }
-            let indexed = self.indexes.get(field);
+            let indexed = self.indexes.get(field.as_str());
             if let Some(ids) = indexed.and_then(|idx| Self::index_candidates(idx, cond)) {
                 sets.push(ids);
             }
@@ -422,6 +422,13 @@ impl Collection {
             .filter_map(|id| self.docs.get(id))
             .cloned()
             .collect()
+    }
+
+    /// Every document, in `_id` order, where it lives: one read
+    /// operation, nothing copied.
+    pub(crate) fn scan(&self) -> impl Iterator<Item = &Document> {
+        self.queries.fetch_add(1, Ordering::Relaxed);
+        self.docs.values()
     }
 
     /// First matching document.

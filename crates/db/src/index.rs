@@ -6,6 +6,7 @@
 
 use crate::value::Value;
 use std::cmp::Ordering;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 
@@ -28,10 +29,42 @@ impl Ord for IndexKey {
     }
 }
 
+/// The doc ids under one index key, ascending. A key most often holds
+/// exactly one — every key of a unique field such as `job_id` does —
+/// and that one lives in the map entry itself; a set is allocated only
+/// when a second id arrives.
+#[derive(Clone, Debug)]
+enum Ids {
+    One(u64),
+    Many(BTreeSet<u64>),
+}
+
+impl Ids {
+    /// Add `id`; whether it was new.
+    fn insert(&mut self, id: u64) -> bool {
+        match self {
+            Ids::One(only) if *only == id => false,
+            Ids::One(only) => {
+                *self = Ids::Many(BTreeSet::from([*only, id]));
+                true
+            }
+            Ids::Many(set) => set.insert(id),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        let (one, many) = match self {
+            Ids::One(only) => (Some(*only), None),
+            Ids::Many(set) => (None, Some(set)),
+        };
+        one.into_iter().chain(many.into_iter().flatten().copied())
+    }
+}
+
 /// A single-field secondary index.
 #[derive(Clone, Debug, Default)]
 pub struct Index {
-    map: BTreeMap<IndexKey, BTreeSet<u64>>,
+    map: BTreeMap<IndexKey, Ids>,
     entries: usize,
     array_keys: usize,
 }
@@ -44,12 +77,14 @@ impl Index {
 
     /// Register `doc_id` under `value` (the document's field value).
     pub fn insert(&mut self, value: &Value, doc_id: u64) {
-        if self
-            .map
-            .entry(IndexKey(value.clone()))
-            .or_default()
-            .insert(doc_id)
-        {
+        let added = match self.map.entry(IndexKey(value.clone())) {
+            Entry::Vacant(slot) => {
+                slot.insert(Ids::One(doc_id));
+                true
+            }
+            Entry::Occupied(slot) => slot.into_mut().insert(doc_id),
+        };
+        if added {
             self.entries += 1;
             if matches!(value, Value::Array(_)) {
                 self.array_keys += 1;
@@ -59,15 +94,18 @@ impl Index {
 
     /// Remove `doc_id` from under `value`.
     pub fn remove(&mut self, value: &Value, doc_id: u64) {
-        if let Some(set) = self.map.get_mut(&IndexKey(value.clone())) {
-            if set.remove(&doc_id) {
-                self.entries -= 1;
-                if matches!(value, Value::Array(_)) {
-                    self.array_keys -= 1;
-                }
-            }
-            if set.is_empty() {
-                self.map.remove(&IndexKey(value.clone()));
+        let Entry::Occupied(mut slot) = self.map.entry(IndexKey(value.clone())) else { return };
+        let (removed, emptied) = match slot.get_mut() {
+            Ids::One(only) => (*only == doc_id, *only == doc_id),
+            Ids::Many(set) => (set.remove(&doc_id), set.is_empty()),
+        };
+        if emptied {
+            slot.remove();
+        }
+        if removed {
+            self.entries -= 1;
+            if matches!(value, Value::Array(_)) {
+                self.array_keys -= 1;
             }
         }
     }
@@ -97,8 +135,8 @@ impl Index {
     /// within one key come out in ascending id order either way,
     /// matching what a stable sort over `_id`-ordered rows produces.
     pub fn ids_in_key_order(&self, desc: bool) -> impl Iterator<Item = u64> + '_ {
-        let fwd = (!desc).then(|| self.map.values().flat_map(|s| s.iter().copied()));
-        let rev = desc.then(|| self.map.values().rev().flat_map(|s| s.iter().copied()));
+        let fwd = (!desc).then(|| self.map.values().flat_map(Ids::iter));
+        let rev = desc.then(|| self.map.values().rev().flat_map(Ids::iter));
         fwd.into_iter().flatten().chain(rev.into_iter().flatten())
     }
 
@@ -106,7 +144,7 @@ impl Index {
     pub fn lookup_eq(&self, value: &Value) -> Vec<u64> {
         self.map
             .get(&IndexKey(value.clone()))
-            .map(|s| s.iter().copied().collect())
+            .map(|ids| ids.iter().collect())
             .unwrap_or_default()
     }
 
@@ -119,7 +157,7 @@ impl Index {
         };
         let mut out = Vec::new();
         for (_, ids) in self.map.range((conv(lo), conv(hi))) {
-            out.extend(ids.iter().copied());
+            out.extend(ids.iter());
         }
         out
     }

@@ -85,7 +85,7 @@ fn decode_doc(r: &mut Reader<'_>) -> Option<Document> {
     for _ in 0..n {
         let k = r.str()?;
         let v = decode_value(r)?;
-        doc.0.insert(k, v);
+        doc.0.insert(k.into(), v);
     }
     Some(doc)
 }

@@ -6,7 +6,8 @@
 //! MongoDB. This crate is a from-scratch document database covering the
 //! query surface RAI needs:
 //!
-//! * dynamic [`Value`]/[`Document`] model with dotted-path access;
+//! * dynamic [`Value`]/[`Document`] model with dotted-path access,
+//!   whose [`FieldName`]s borrow their text when it is a literal;
 //! * Mongo-style query operators (`$eq`, `$ne`, `$gt(e)`, `$lt(e)`,
 //!   `$in`, `$nin`, `$exists`, `$contains`, `$and`, `$or`, `$not`);
 //! * update operators (`$set`, `$unset`, `$inc`, `$min`, `$max`,
@@ -31,6 +32,8 @@
 //! assert_eq!(top[0].get_path("team"), Some(&Value::from("gpu-gophers")));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod aggregate;
 pub mod collection;
 pub mod database;
@@ -46,4 +49,4 @@ pub use database::{Database, DbError, DbRecovery};
 pub use journal::DbRecord;
 pub use query::matches;
 pub use update::apply_update;
-pub use value::{Document, Value};
+pub use value::{Document, FieldName, Value};

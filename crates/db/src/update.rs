@@ -3,7 +3,7 @@
 //! An update document either contains only `$`-operators (field updates)
 //! or no operators at all (whole-document replacement, `_id` preserved).
 
-use crate::value::{Document, Value};
+use crate::value::{Document, FieldName, Value};
 
 /// Apply `update` to `doc`. Returns `true` if the document changed.
 pub fn apply_update(update: &Document, doc: &mut Document) -> bool {
@@ -29,10 +29,10 @@ pub fn apply_update(update: &Document, doc: &mut Document) -> bool {
     changed
 }
 
-fn apply_op(op: &str, path: &str, operand: &Value, doc: &mut Document) -> bool {
+fn apply_op(op: &str, path: &FieldName, operand: &Value, doc: &mut Document) -> bool {
     match op {
         "$set" => {
-            let slot = doc.entry_path(path);
+            let slot = doc.entry_path(path.clone());
             if slot != operand {
                 *slot = operand.clone();
                 true
@@ -43,7 +43,7 @@ fn apply_op(op: &str, path: &str, operand: &Value, doc: &mut Document) -> bool {
         "$unset" => doc.remove_path(path).is_some(),
         "$inc" => {
             let delta = operand.as_f64().unwrap_or(0.0);
-            let slot = doc.entry_path(path);
+            let slot = doc.entry_path(path.clone());
             let new = match &*slot {
                 Value::Int(i) if operand.as_i64().is_some() => {
                     Value::Int(i + operand.as_i64().expect("checked"))
@@ -61,7 +61,7 @@ fn apply_op(op: &str, path: &str, operand: &Value, doc: &mut Document) -> bool {
             }
         }
         "$min" => {
-            let slot = doc.entry_path(path);
+            let slot = doc.entry_path(path.clone());
             let replace = match &*slot {
                 Value::Null => true,
                 cur => operand.cmp_order(cur) == std::cmp::Ordering::Less,
@@ -72,7 +72,7 @@ fn apply_op(op: &str, path: &str, operand: &Value, doc: &mut Document) -> bool {
             replace
         }
         "$max" => {
-            let slot = doc.entry_path(path);
+            let slot = doc.entry_path(path.clone());
             let replace = match &*slot {
                 Value::Null => true,
                 cur => operand.cmp_order(cur) == std::cmp::Ordering::Greater,
@@ -83,7 +83,7 @@ fn apply_op(op: &str, path: &str, operand: &Value, doc: &mut Document) -> bool {
             replace
         }
         "$push" => {
-            let slot = doc.entry_path(path);
+            let slot = doc.entry_path(path.clone());
             match slot {
                 Value::Array(a) => {
                     a.push(operand.clone());
@@ -97,7 +97,7 @@ fn apply_op(op: &str, path: &str, operand: &Value, doc: &mut Document) -> bool {
             }
         }
         "$pull" => {
-            let slot = doc.entry_path(path);
+            let slot = doc.entry_path(path.clone());
             match slot {
                 Value::Array(a) => {
                     let before = a.len();
@@ -113,7 +113,7 @@ fn apply_op(op: &str, path: &str, operand: &Value, doc: &mut Document) -> bool {
             };
             match doc.remove_path(path) {
                 Some(v) => {
-                    *doc.entry_path(new_name) = v;
+                    *doc.entry_path(new_name.to_string()) = v;
                     true
                 }
                 None => false,

@@ -1,6 +1,7 @@
 //! The dynamic value/document model, with a total order matching the
 //! BSON comparison spirit (type rank first, then value).
 
+use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -24,10 +25,74 @@ pub enum Value {
     Doc(Document),
 }
 
+/// A document's field name. It borrows its text when that text is a
+/// literal — the keys of [`doc!`](crate::doc) and of rows written in
+/// code, which a million documents then share — and owns it when it was
+/// decoded from the journal, built at run time or split off an owned
+/// dotted path. Either way it orders, compares, hashes and prints as
+/// the `str` it holds.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct FieldName(Cow<'static, str>);
+
+impl FieldName {
+    /// The name's text.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+
+    /// Split a dotted path at its first dot: the leading segment and,
+    /// if there was a dot, the rest. Segments of a borrowed path stay
+    /// borrowed; a path without a dot is its own leading segment.
+    fn split_first(self) -> (FieldName, Option<FieldName>) {
+        match self.0 {
+            Cow::Borrowed(path) => match path.split_once('.') {
+                Some((head, rest)) => (head.into(), Some(rest.into())),
+                None => (self, None),
+            },
+            Cow::Owned(path) => match path.split_once('.') {
+                Some((head, rest)) => (head.to_string().into(), Some(rest.to_string().into())),
+                None => (path.into(), None),
+            },
+        }
+    }
+}
+
+impl From<&'static str> for FieldName {
+    fn from(name: &'static str) -> Self {
+        FieldName(Cow::Borrowed(name))
+    }
+}
+
+impl From<String> for FieldName {
+    fn from(name: String) -> Self {
+        FieldName(Cow::Owned(name))
+    }
+}
+
+impl std::ops::Deref for FieldName {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Borrow<str> for FieldName {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
+impl fmt::Display for FieldName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
 /// A document: field → value. Fields are kept sorted (BTreeMap), and
 /// dotted paths (`"meta.team"`) address nested documents.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct Document(pub BTreeMap<String, Value>);
+pub struct Document(pub BTreeMap<FieldName, Value>);
 
 impl Value {
     /// Type rank for cross-type ordering: Null < Bool < numbers <
@@ -152,7 +217,7 @@ impl Document {
     }
 
     /// Insert a field (replacing any existing value).
-    pub fn insert(&mut self, key: impl Into<String>, value: impl Into<Value>) -> &mut Self {
+    pub fn insert(&mut self, key: impl Into<FieldName>, value: impl Into<Value>) -> &mut Self {
         self.0.insert(key.into(), value.into());
         self
     }
@@ -175,14 +240,13 @@ impl Document {
     }
 
     /// Dotted-path mutable access, creating intermediate documents.
-    pub fn entry_path(&mut self, path: &str) -> &mut Value {
-        let mut parts: Vec<&str> = path.split('.').collect();
-        let last = parts.pop().expect("path is non-empty");
+    /// A field this creates is named by its segment of `path`, borrowed
+    /// where `path` is.
+    pub fn entry_path(&mut self, path: impl Into<FieldName>) -> &mut Value {
+        let (mut head, mut tail) = path.into().split_first();
         let mut cur = &mut self.0;
-        for p in parts {
-            let slot = cur
-                .entry(p.to_string())
-                .or_insert_with(|| Value::Doc(Document::new()));
+        while let Some(rest) = tail {
+            let slot = cur.entry(head).or_insert_with(|| Value::Doc(Document::new()));
             if !matches!(slot, Value::Doc(_)) {
                 *slot = Value::Doc(Document::new());
             }
@@ -190,8 +254,9 @@ impl Document {
                 Value::Doc(d) => cur = &mut d.0,
                 _ => unreachable!("coerced to Doc above"),
             }
+            (head, tail) = rest.split_first();
         }
-        cur.entry(last.to_string()).or_insert(Value::Null)
+        cur.entry(head).or_insert(Value::Null)
     }
 
     /// Remove a dotted path; returns the removed value.
@@ -219,7 +284,7 @@ impl Document {
     }
 
     /// Iterate fields in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&String, &Value)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&FieldName, &Value)> {
         self.0.iter()
     }
 }

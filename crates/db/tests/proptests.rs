@@ -3,7 +3,7 @@
 //! say, and sorting must respect the value order.
 
 use proptest::prelude::*;
-use rai_db::{doc, Collection, Document, FindOptions, Value};
+use rai_db::{doc, Collection, DbRecord, Document, FieldName, FindOptions, Value};
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -226,5 +226,146 @@ proptest! {
     #[test]
     fn matches_never_panics(d in arb_doc(), q in arb_doc()) {
         let _ = rai_db::matches(&q, &d);
+    }
+}
+
+// ---- field names: borrowed and owned text are one name -------------------
+
+/// Field names as literals — the empty name, dotted names, multi-byte
+/// text, a `$` — so the same text can be had borrowed and owned.
+const NAMES: [&str; 8] = ["a", "b", "", "a.b", "b..a", ".", "名", "$x"];
+
+fn arb_name() -> impl Strategy<Value = &'static str> {
+    (0usize..NAMES.len()).prop_map(|i| NAMES[i])
+}
+
+/// A field as text: its name, its value and — if not empty — the
+/// nested document that replaces the value.
+type Field = (&'static str, Value, Vec<(&'static str, Value)>);
+
+/// Values with nesting, so names occur at depth too. Names are given
+/// as text for the caller to own or borrow.
+fn arb_fields() -> impl Strategy<Value = Vec<Field>> {
+    let nested = prop::collection::vec((arb_name(), arb_value()), 0..3);
+    prop::collection::vec((arb_name(), arb_value(), nested), 0..6)
+}
+
+/// `fields` as a document whose every name is `name(text)`.
+fn build(fields: &[Field], name: impl Fn(&'static str) -> FieldName) -> Document {
+    let mut d = Document::new();
+    for (k, v, nested) in fields {
+        if nested.is_empty() {
+            d.insert(name(k), v.clone());
+        } else {
+            let mut inner = Document::new();
+            for (k, v) in nested {
+                inner.insert(name(k), v.clone());
+            }
+            d.insert(name(k), inner);
+        }
+    }
+    d
+}
+
+/// `entry_path` as it was when every name was a `String`: split on
+/// dots, own every segment.
+fn entry_path_reference<'d>(doc: &'d mut Document, path: &str) -> &'d mut Value {
+    let mut parts: Vec<&str> = path.split('.').collect();
+    let last = parts.pop().expect("path is non-empty");
+    let mut cur = &mut doc.0;
+    for p in parts {
+        let slot = cur.entry(p.to_string().into()).or_insert_with(|| Value::Doc(Document::new()));
+        if !matches!(slot, Value::Doc(_)) {
+            *slot = Value::Doc(Document::new());
+        }
+        match slot {
+            Value::Doc(d) => cur = &mut d.0,
+            _ => unreachable!("coerced to Doc above"),
+        }
+    }
+    cur.entry(last.to_string().into()).or_insert(Value::Null)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A document does not show whether its names borrow or own their
+    /// text: equality, the value order, `Display` and the journal bytes
+    /// agree, and the document replayed from its own record — whose
+    /// names are all owned — is the same document again.
+    #[test]
+    fn literal_and_owned_names_are_one_document(fields in arb_fields()) {
+        let literal = build(&fields, FieldName::from);
+        let owned = build(&fields, |k| k.to_string().into());
+        prop_assert_eq!(&literal, &owned);
+        let (l, o) = (Value::Doc(literal.clone()), Value::Doc(owned.clone()));
+        prop_assert_eq!(l.cmp_order(&o), std::cmp::Ordering::Equal);
+        prop_assert_eq!(literal.to_string(), owned.to_string());
+        let names = |d: &Document| d.iter().map(|(k, _)| k.as_str().to_string()).collect::<Vec<_>>();
+        prop_assert_eq!(names(&literal), names(&owned));
+
+        let record = |doc: &Document| DbRecord::InsertOne { coll: "c".into(), doc: doc.clone() };
+        let bytes = record(&literal).encode();
+        prop_assert_eq!(&bytes, &record(&owned).encode());
+        prop_assert_eq!(DbRecord::decode(&bytes), Some(record(&literal)));
+    }
+
+    /// Dotted paths over arbitrary names — empty segments, a scalar in
+    /// the way, a path that is one name — resolve as they did when names
+    /// were `String`s, whether the path's text is borrowed or owned, and
+    /// `$set` / `$unset` go the same way.
+    #[test]
+    fn dotted_paths_behave_as_before(fields in arb_fields(), path in arb_name(), v in arb_value()) {
+        let mut expected = build(&fields, FieldName::from);
+        *entry_path_reference(&mut expected, path) = v.clone();
+
+        let mut borrowed = build(&fields, FieldName::from);
+        *borrowed.entry_path(path) = v.clone();
+        let mut owned = build(&fields, |k| k.to_string().into());
+        *owned.entry_path(path.to_string()) = v.clone();
+        let mut set = build(&fields, FieldName::from);
+        rai_db::apply_update(&doc! { "$set" => doc!{ path => v.clone() } }, &mut set);
+        for got in [&borrowed, &owned, &set] {
+            prop_assert_eq!(got, &expected);
+            prop_assert_eq!(got.get_path(path), Some(&v));
+        }
+
+        prop_assert_eq!(borrowed.remove_path(path), Some(v));
+        prop_assert_eq!(borrowed.get_path(path), None);
+        rai_db::apply_update(&doc! { "$unset" => doc!{ path => true } }, &mut set);
+        prop_assert_eq!(&set, &borrowed);
+    }
+
+    /// An index key that holds one id, then several, then one, then
+    /// none answers as a scan does at every step.
+    #[test]
+    fn index_entries_of_one_and_of_many_agree_with_a_scan(
+        steps in prop::collection::vec((0u8..3, 0i64..4, 0i64..4), 1..40),
+    ) {
+        let mut plain = Collection::new();
+        let mut indexed = Collection::new();
+        indexed.create_index("k");
+        for (step, a, b) in steps {
+            for c in [&mut plain, &mut indexed] {
+                match step {
+                    0 => {
+                        c.insert_one(doc! { "k" => a, "n" => b });
+                    }
+                    1 => {
+                        c.update_one(&doc! { "k" => a }, &doc! { "$set" => doc!{ "k" => b } }, false);
+                    }
+                    _ => {
+                        c.delete_many(&doc! { "n" => b, "k" => a });
+                    }
+                }
+            }
+            for k in 0i64..4 {
+                prop_assert_eq!(plain.find(&doc! { "k" => k }), indexed.find(&doc! { "k" => k }));
+            }
+            let range = doc! { "k" => doc!{ "$gte" => 1 } };
+            prop_assert_eq!(plain.find(&range), indexed.find(&range));
+            let by_key = FindOptions::sort_desc("k");
+            prop_assert_eq!(plain.find_with(&doc! {}, &by_key), indexed.find_with(&doc! {}, &by_key));
+        }
     }
 }

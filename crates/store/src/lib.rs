@@ -14,7 +14,9 @@
 //! near-identical resubmissions of the same project tree, which dedup
 //! collapses:
 //!
-//! * buckets and keys, opaque byte payloads, user metadata;
+//! * buckets and keys, opaque byte payloads, user metadata (kept as one
+//!   packed block per object and capped; [`ObjectMeta`] is a view built
+//!   on read);
 //! * payloads split into content-defined chunks
 //!   ([`rai_archive::chunk`]); objects are chunk manifests over a
 //!   refcounted chunk arena ([`dedup`]), so identical content is
@@ -31,6 +33,8 @@
 //!   hits, object counts) backing the paper's §VII storage numbers.
 //!
 //! Entry point: [`ObjectStore`].
+
+#![forbid(unsafe_code)]
 
 pub mod dedup;
 pub mod journal;

@@ -19,6 +19,7 @@ use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use rai_archive::chunk::{assemble, chunk_shared, Chunk, ChunkManifest, ChunkerParams};
 use rai_archive::fnv::{self, Fnv1a};
 use rai_sim::{SimTime, VirtualClock};
+use rai_wal::codec::{put_str, Reader};
 use rai_wal::Wal;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,7 +54,20 @@ pub enum StoreError {
         /// What disagreed.
         reason: &'static str,
     },
+    /// An upload's user metadata exceeds [`MAX_USER_META_BYTES`] of
+    /// keys plus values.
+    MetadataTooLarge,
 }
+
+/// Most bytes of user metadata — keys plus values — one object may
+/// carry: S3's own limit. The store keeps metadata resident (and
+/// journals and snapshots it) for as long as the object lives, so how
+/// much of it there is cannot be the uploader's choice.
+pub const MAX_USER_META_BYTES: usize = 2048;
+
+/// Longest etag a delta upload may declare. The store's own etags
+/// ([`rai_archive::fnv::etag`]) are 16 bytes.
+pub const MAX_ETAG_BYTES: usize = 64;
 
 impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -67,17 +81,87 @@ impl std::fmt::Display for StoreError {
                 write!(f, "delta upload references {} unknown chunk(s)", missing.len())
             }
             StoreError::DeltaMismatch { reason } => write!(f, "delta upload mismatch: {reason}"),
+            StoreError::MetadataTooLarge => {
+                write!(f, "user metadata exceeds {MAX_USER_META_BYTES} bytes")
+            }
         }
     }
 }
 
 impl std::error::Error for StoreError {}
 
-/// One stored object: metadata plus the manifest of chunks its
-/// payload reassembles from.
+/// What the store keeps per object, under its key in the bucket's map:
+/// two timestamps, the user metadata packed into one block and the
+/// manifest of chunks the payload reassembles from — which is also the
+/// only copy of the object's size and etag. The public [`ObjectMeta`]
+/// is a view built on read ([`ObjRecord::meta`]).
 struct ObjRecord {
-    meta: ObjectMeta,
+    uploaded_at: SimTime,
+    last_used: SimTime,
+    /// [`pack_user`]'s block.
+    user: Box<[u8]>,
     manifest: ChunkManifest,
+}
+
+impl ObjRecord {
+    /// The object's public metadata, as `head`/`list`/`get`, a snapshot
+    /// and the journal see it.
+    fn meta(&self, key: &str) -> ObjectMeta {
+        ObjectMeta {
+            key: key.to_string(),
+            size: self.manifest.total_len,
+            etag: self.manifest.etag.clone(),
+            uploaded_at: self.uploaded_at,
+            last_used: self.last_used,
+            user: unpack_user(&self.user),
+        }
+    }
+}
+
+/// Pack user metadata into one block: the pairs in key order, each a
+/// length-prefixed key then value ([`put_str`]); of several pairs with
+/// one key the last wins, as collecting them into a map would have it.
+fn pack_user(mut pairs: Vec<(&str, &str)>) -> Box<[u8]> {
+    pairs.sort_by_key(|&(k, _)| k);
+    let bytes: usize = pairs.iter().map(|(k, v)| 8 + k.len() + v.len()).sum();
+    let mut block = Vec::with_capacity(bytes);
+    for (i, &(k, v)) in pairs.iter().enumerate() {
+        // The sort is stable: the last of a run of equal keys is the
+        // last one given.
+        if pairs.get(i + 1).is_none_or(|&(next, _)| next != k) {
+            put_str(&mut block, k);
+            put_str(&mut block, v);
+        }
+    }
+    block.into_boxed_slice()
+}
+
+/// [`pack_user`] of an upload's metadata, refused when the pairs as
+/// offered come to more than [`MAX_USER_META_BYTES`].
+fn pack_upload_meta<'m>(
+    pairs: impl IntoIterator<Item = (&'m str, &'m str)>,
+) -> Result<Box<[u8]>, StoreError> {
+    let pairs: Vec<(&str, &str)> = pairs.into_iter().collect();
+    if pairs.iter().map(|(k, v)| k.len() + v.len()).sum::<usize>() > MAX_USER_META_BYTES {
+        return Err(StoreError::MetadataTooLarge);
+    }
+    Ok(pack_user(pairs))
+}
+
+/// [`pack_user`] of a journaled or snapshotted metadata map.
+fn pack_map(user: &BTreeMap<String, String>) -> Box<[u8]> {
+    pack_user(user.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect())
+}
+
+/// The map a [`pack_user`] block stands for.
+fn unpack_user(block: &[u8]) -> BTreeMap<String, String> {
+    let mut r = Reader::new(block);
+    let mut user = BTreeMap::new();
+    while !r.done() {
+        let pair = r.str().zip(r.str()).expect("pack_user wrote whole pairs of UTF-8");
+        user.insert(pair.0, pair.1);
+    }
+    user
 }
 
 struct BucketState {
@@ -237,7 +321,7 @@ impl StoreState {
         now: SimTime,
         manifest: ChunkManifest,
         sources: &[Option<&Bytes>],
-        user: BTreeMap<String, String>,
+        user: Box<[u8]>,
         wire_bytes: u64,
         delta: bool,
     ) {
@@ -246,17 +330,7 @@ impl StoreState {
             let hit = self.chunks.retain(r.digest, *source).expect("availability resolved by caller");
             self.counters.dedup_hits += u64::from(hit);
         }
-        let record = ObjRecord {
-            meta: ObjectMeta {
-                key: key.clone(),
-                size: manifest.total_len,
-                etag: manifest.etag.clone(),
-                uploaded_at: now,
-                last_used: now,
-                user,
-            },
-            manifest,
-        };
+        let record = ObjRecord { uploaded_at: now, last_used: now, user, manifest };
         let b = self.buckets.get_mut(bucket).expect("bucket checked by caller");
         if let Some(prev) = b.objects.insert(key, record) {
             self.release(&prev.manifest);
@@ -270,7 +344,7 @@ impl StoreState {
         self.counters.gets += 1;
         self.counters.bytes_downloaded += size;
         if let Some(rec) = self.buckets.get_mut(bucket).and_then(|b| b.objects.get_mut(key)) {
-            rec.meta.last_used = now;
+            rec.last_used = now;
         }
     }
 
@@ -293,7 +367,7 @@ impl StoreState {
             let doomed: Vec<String> = b
                 .objects
                 .iter()
-                .filter(|(_, o)| rule.is_expired(o.meta.uploaded_at, o.meta.last_used, now))
+                .filter(|(_, o)| rule.is_expired(o.uploaded_at, o.last_used, now))
                 .map(|(k, _)| k.clone())
                 .collect();
             for k in doomed {
@@ -333,7 +407,10 @@ impl StoreState {
                 for d in digests {
                     self.chunks.retain(d, None).expect("residency checked above");
                 }
-                objects.insert(o.meta.key.clone(), ObjRecord { meta: o.meta, manifest: o.manifest });
+                let ObjectMeta { key, uploaded_at, last_used, user, .. } = o.meta;
+                let record =
+                    ObjRecord { uploaded_at, last_used, user: pack_map(&user), manifest: o.manifest };
+                objects.insert(key, record);
             }
             self.buckets.insert(b.name, BucketState { rule: b.rule, objects });
         }
@@ -351,8 +428,8 @@ impl StoreState {
                     rule: b.rule,
                     objects: b
                         .objects
-                        .values()
-                        .map(|o| SnapObject { meta: o.meta.clone(), manifest: o.manifest.clone() })
+                        .iter()
+                        .map(|(key, o)| SnapObject { meta: o.meta(key), manifest: o.manifest.clone() })
                         .collect(),
                 })
                 .collect(),
@@ -395,7 +472,7 @@ impl StoreState {
                     return 1;
                 };
                 let now = SimTime::from_millis(time_millis);
-                self.install(&bucket, key, now, manifest, &sources, user, wire_bytes, delta);
+                self.install(&bucket, key, now, manifest, &sources, pack_map(&user), wire_bytes, delta);
             }
             StoreRecord::Touch { bucket, key, time_millis, size } => {
                 self.touch(&bucket, &key, SimTime::from_millis(time_millis), size);
@@ -422,6 +499,10 @@ pub struct StoreUsage {
     pub bytes_stored: u64,
     /// Physical bytes currently resident (each distinct chunk once).
     pub bytes_physical: u64,
+    /// Bytes of object records currently resident: keys, packed user
+    /// metadata and manifests (chunk references and etag) — what the
+    /// store keeps *about* the objects, beside their bytes.
+    pub metadata_bytes: u64,
     /// Distinct chunks currently resident.
     pub chunks: u64,
     /// Cumulative chunk references resolved against already-resident
@@ -570,22 +651,24 @@ impl ObjectStore {
     /// avoid that.
     ///
     /// Newly admitted chunks are kept as views of `data`, so each
-    /// pins the payload it arrived in (DESIGN.md §10).
-    pub fn put(
+    /// pins the payload it arrived in (DESIGN.md §10). `user_meta` is
+    /// kept packed, for as long as the object lives: more than
+    /// [`MAX_USER_META_BYTES`] of it is [`StoreError::MetadataTooLarge`].
+    pub fn put<'m>(
         &self,
         bucket: &str,
         key: &str,
         data: impl Into<Bytes>,
-        user_meta: impl IntoIterator<Item = (String, String)>,
+        user_meta: impl IntoIterator<Item = (&'m str, &'m str)>,
     ) -> Result<String, StoreError> {
         if self.take_fault() || self.injected_fault(rai_faults::FaultKind::StorePut) {
             return Err(StoreError::Unavailable);
         }
+        let user = pack_upload_meta(user_meta)?;
         let data = data.into();
         let (manifest, chunks) = chunk_shared(&data, ChunkerParams::for_len(data.len()));
         let size = manifest.total_len;
         let etag = manifest.etag.clone();
-        let user: BTreeMap<String, String> = user_meta.into_iter().collect();
         self.commit_put(bucket, key, manifest, &chunks, false, user, size)?;
         Ok(etag)
     }
@@ -608,7 +691,7 @@ impl ObjectStore {
         manifest: ChunkManifest,
         provided: &[Chunk],
         delta: bool,
-        user: BTreeMap<String, String>,
+        user: Box<[u8]>,
         wire_bytes: u64,
     ) -> Result<(), StoreError> {
         let wal = self.inner.wal.read().clone();
@@ -624,9 +707,9 @@ impl ObjectStore {
             provided.iter().map(|c| Some(&c.data)).collect()
         };
         let now = self.inner.clock.now();
-        // The record takes the manifest and metadata by move and hands
-        // them back for the install: journaling copies neither.
-        let (manifest, user) = match &wal {
+        // The record takes the manifest by move and hands it back for
+        // the install: journaling does not copy it.
+        let manifest = match &wal {
             Some(w) => {
                 let record = StoreRecord::Put {
                     bucket: bucket.to_string(),
@@ -634,15 +717,15 @@ impl ObjectStore {
                     time_millis: now.as_millis(),
                     new_chunks: state.newly_admitted(&manifest, &sources),
                     manifest,
-                    user,
+                    user: unpack_user(&user),
                     wire_bytes,
                     delta,
                 };
                 w.append(&record.encode());
-                let StoreRecord::Put { manifest, user, .. } = record else { unreachable!() };
-                (manifest, user)
+                let StoreRecord::Put { manifest, .. } = record else { unreachable!() };
+                manifest
             }
-            None => (manifest, user),
+            None => manifest,
         };
         state.install(bucket, key.to_string(), now, manifest, &sources, user, wire_bytes, delta);
         Ok(())
@@ -676,19 +759,22 @@ impl ObjectStore {
     /// never admitted and need no re-hash); a reference to a resident
     /// chunk must state the resident copy's length. Chunk boundaries
     /// are the uploader's business: any partition whose digests and
-    /// lengths check out is accepted.
+    /// lengths check out is accepted. What the store then keeps per
+    /// object is not: an etag over [`MAX_ETAG_BYTES`] or metadata over
+    /// [`MAX_USER_META_BYTES`] is refused like any other mismatch,
+    /// before anything changes.
     ///
     /// Newly admitted chunks are kept as the views they were handed
     /// in as — no bytes are copied — so each pins the buffer it is a
     /// view of: the request body, for chunks an uploader packed
     /// (DESIGN.md §10).
-    pub fn put_delta(
+    pub fn put_delta<'m>(
         &self,
         bucket: &str,
         key: &str,
         manifest: &ChunkManifest,
         provided: &[Chunk],
-        user_meta: impl IntoIterator<Item = (String, String)>,
+        user_meta: impl IntoIterator<Item = (&'m str, &'m str)>,
     ) -> Result<String, StoreError> {
         if self.take_fault() || self.injected_fault(rai_faults::FaultKind::StorePut) {
             return Err(StoreError::Unavailable);
@@ -699,7 +785,10 @@ impl ObjectStore {
                 reason: "manifest total_len disagrees with chunk lengths",
             });
         }
-        let user: BTreeMap<String, String> = user_meta.into_iter().collect();
+        if manifest.etag.len() > MAX_ETAG_BYTES {
+            return Err(StoreError::DeltaMismatch { reason: "etag longer than 64 bytes" });
+        }
+        let user = pack_upload_meta(user_meta)?;
 
         let provided_bytes: u64 = provided.iter().map(|c| c.data.len() as u64).sum();
         let etag = manifest.etag.clone();
@@ -726,7 +815,7 @@ impl ObjectStore {
         let data = assemble(&rec.manifest, |d| state.chunks.data(d))
             .expect("resident manifests always resolve");
         let out = StoredObject {
-            meta: ObjectMeta { last_used: now, ..rec.meta.clone() },
+            meta: ObjectMeta { last_used: now, ..rec.meta(key) },
             data: Bytes::from(data),
         };
         if let Some(w) = &wal {
@@ -748,7 +837,7 @@ impl ObjectStore {
 
     /// Metadata only, without touching `last_used`.
     pub fn head(&self, bucket: &str, key: &str) -> Result<ObjectMeta, StoreError> {
-        self.read_state().object(bucket, key).map(|o| o.meta.clone())
+        self.read_state().object(bucket, key).map(|o| o.meta(key))
     }
 
     /// Delete an object, releasing its chunk references.
@@ -777,7 +866,7 @@ impl ObjectStore {
         Ok(b.objects
             .range(prefix.to_string()..)
             .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(_, o)| o.meta.clone())
+            .map(|(key, o)| o.meta(key))
             .collect())
     }
 
@@ -851,10 +940,13 @@ impl ObjectStore {
     pub fn usage(&self) -> StoreUsage {
         let state = self.read_state();
         let mut bytes_stored = 0;
+        let mut metadata_bytes = 0;
         let mut objects = 0;
         for b in state.buckets.values() {
-            for o in b.objects.values() {
-                bytes_stored += o.meta.size;
+            for (key, o) in &b.objects {
+                bytes_stored += o.manifest.total_len;
+                let manifest = std::mem::size_of_val(&o.manifest.chunks[..]) + o.manifest.etag.len();
+                metadata_bytes += (key.len() + o.user.len() + manifest) as u64;
                 objects += 1;
             }
         }
@@ -862,6 +954,7 @@ impl ObjectStore {
         StoreUsage {
             bytes_stored,
             bytes_physical: state.chunks.physical_bytes(),
+            metadata_bytes,
             chunks: state.chunks.count(),
             chunks_dedup_total: c.dedup_hits,
             objects,
@@ -1057,15 +1150,59 @@ mod tests {
     #[test]
     fn user_metadata_preserved() {
         let s = store();
-        s.put(
-            "uploads",
-            "k",
-            &b""[..],
-            [("team".to_string(), "rust".to_string())],
-        )
-        .unwrap();
+        s.put("uploads", "k", &b""[..], [("team", "rust")]).unwrap();
         let meta = s.head("uploads", "k").unwrap();
         assert_eq!(meta.user.get("team").map(String::as_str), Some("rust"));
+    }
+
+    #[test]
+    fn packed_metadata_reads_back_as_the_map_it_stands_for() {
+        let s = store();
+        // Out of order, an empty key, an empty value, multi-byte text
+        // and a key given twice: the later value wins.
+        let pairs = [("team", "old"), ("", "no key"), ("kind", ""), ("名", "🦀"), ("team", "rust")];
+        s.put("uploads", "k", &b"x"[..], pairs).unwrap();
+        let expected: BTreeMap<String, String> =
+            pairs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
+        assert_eq!(expected["team"], "rust");
+        assert_eq!(s.head("uploads", "k").unwrap().user, expected);
+        assert_eq!(s.get("uploads", "k").unwrap().meta.user, expected);
+        assert_eq!(s.list("uploads", "").unwrap()[0].user, expected);
+        // The block holds the pairs once, in key order.
+        let state = s.inner.state.read();
+        let block = &state.buckets["uploads"].objects["k"].user;
+        assert_eq!(block.len(), expected.iter().map(|(k, v)| 8 + k.len() + v.len()).sum::<usize>());
+        assert_eq!(pack_map(&expected), *block);
+    }
+
+    #[test]
+    fn oversized_etag_and_metadata_are_refused_before_anything_changes() {
+        let s = store();
+        let payload = varied(2000, 3);
+        let (manifest, chunks) = chunk_bytes(&payload, ChunkerParams::DEFAULT);
+        s.put_delta("keep", "k", &manifest, &chunks, [("team", "rust")]).unwrap();
+        let before = (s.usage(), s.head("keep", "k").unwrap());
+
+        // The uploader names the etag and the metadata; the store
+        // decides how much of either it keeps.
+        let long_etag = ChunkManifest { etag: "e".repeat(MAX_ETAG_BYTES + 1), ..manifest.clone() };
+        assert_eq!(
+            s.put_delta("keep", "k", &long_etag, &chunks, []),
+            Err(StoreError::DeltaMismatch { reason: "etag longer than 64 bytes" })
+        );
+        let value = "v".repeat(MAX_USER_META_BYTES - 3);
+        for bucket in ["keep", "nope"] {
+            let refused = Err(StoreError::MetadataTooLarge);
+            assert_eq!(s.put_delta(bucket, "k", &manifest, &chunks, [("team", value.as_str())]), refused);
+            assert_eq!(s.put(bucket, "k", payload.clone(), [("team", value.as_str())]), refused);
+        }
+        assert_eq!((s.usage(), s.head("keep", "k").unwrap()), before);
+
+        // At the cap exactly, and with an etag of 64 bytes, it is kept.
+        let at_cap = ChunkManifest { etag: "e".repeat(MAX_ETAG_BYTES), ..manifest.clone() };
+        s.put_delta("keep", "k", &at_cap, &[], [("tea", value.as_str())]).unwrap();
+        let meta = s.head("keep", "k").unwrap();
+        assert_eq!((meta.etag.len(), meta.user["tea"].len()), (MAX_ETAG_BYTES, MAX_USER_META_BYTES - 3));
     }
 
     #[test]
@@ -1382,7 +1519,7 @@ mod tests {
         // (the second Put journals zero new chunk bytes).
         let (manifest, chunks) = chunk_bytes(&payload, ChunkerParams::DEFAULT);
         s.put_delta("keep", "copy", &manifest, &chunks, []).unwrap();
-        s.put("builds", "b1", varied(800, 22), [("job".into(), "42".into())])
+        s.put("builds", "b1", varied(800, 22), [("job", "42")])
             .unwrap();
         s.clock().advance(SimDuration::from_days(10));
         s.get("uploads", "team1/proj.tar").unwrap();

@@ -71,7 +71,7 @@ fn scripted_run() -> Run {
     }
     let tree = varied(9000, 77);
     let (manifest, chunks) = chunk_bytes(&tree, ChunkerParams::DEFAULT);
-    s.put_delta("keep", "tree", &manifest, &chunks, [("team".into(), "rust".into())]).unwrap();
+    s.put_delta("keep", "tree", &manifest, &chunks, [("team", "rust")]).unwrap();
     s.put_delta("keep", "copy", &manifest, &[], []).unwrap();
     s.put("keep", "tree", varied(7000, 78), []).unwrap(); // overwrite: releases shared chunks
     s.delete("builds", "b2").unwrap();

@@ -155,7 +155,7 @@ fn run(s: &ObjectStore, op: &Op) {
             let resident = s.has_chunks(&manifest.digests()).unwrap();
             let provided: Vec<Chunk> =
                 chunks.into_iter().zip(resident).filter(|(_, r)| *full || !r).map(|(c, _)| c).collect();
-            s.put_delta(bucket, &key, &manifest, &provided, [("k".to_string(), k.to_string())]).unwrap();
+            s.put_delta(bucket, &key, &manifest, &provided, [("k", k.to_string().as_str())]).unwrap();
         }
         // Missing keys are refused and leave no trace, live or replayed.
         Op::Get(k) => {
@@ -219,5 +219,128 @@ proptest! {
         replayed.sync_wal();
         let (again, _) = ObjectStore::recover(live.clock().clone(), open());
         prop_assert_eq!(observe(&again), observe(&replayed));
+    }
+}
+
+// ---- the compact object record against a model -----------------------------
+
+/// Metadata text with the awkward cases in reach: the empty string,
+/// multi-byte characters, the codec's own length bytes, and few enough
+/// letters that two pairs of one upload share a key.
+fn arb_text() -> impl Strategy<Value = String> {
+    const ALPHABET: [char; 8] = ['a', 'b', '/', ' ', '\0', 'é', '漢', '🦀'];
+    prop::collection::vec(0usize..ALPHABET.len(), 0..4)
+        .prop_map(|letters| letters.into_iter().map(|i| ALPHABET[i]).collect())
+}
+
+fn arb_meta() -> impl Strategy<Value = Vec<(String, String)>> {
+    prop::collection::vec((arb_text(), arb_text()), 0..8)
+}
+
+#[derive(Clone, Debug)]
+enum MetaOp {
+    Put(u8, Vec<u8>, Vec<(String, String)>),
+    PutDelta(u8, Vec<u8>, Vec<(String, String)>),
+    Get(u8),
+    Delete(u8),
+    /// Advance the clock this many days, then sweep.
+    Sweep(u64),
+    /// Compact (`true`) or not, then carry on from the recovered store.
+    Recover(bool),
+}
+
+fn arb_meta_op() -> impl Strategy<Value = MetaOp> {
+    prop_oneof![
+        (0u8..6, arb_payload(), arb_meta()).prop_map(|(k, p, m)| MetaOp::Put(k, p, m)),
+        (0u8..6, arb_payload(), arb_meta()).prop_map(|(k, p, m)| MetaOp::PutDelta(k, p, m)),
+        (0u8..6).prop_map(MetaOp::Get),
+        (0u8..6).prop_map(MetaOp::Delete),
+        (0u64..25).prop_map(MetaOp::Sweep),
+        any::<bool>().prop_map(MetaOp::Recover),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// What the store keeps per object is a packed record; what it
+    /// answers with is the `ObjectMeta` a map-keeping store would: after
+    /// every step, and on the far side of a compaction and a recovery,
+    /// `head`, `list` and `get` equal the model exactly.
+    #[test]
+    fn object_metadata_matches_the_model(ops in prop::collection::vec(arb_meta_op(), 1..30)) {
+        let config =
+            DurabilityConfig { compact_min_bytes: 1, compact_factor: 1, ..DurabilityConfig::durable() };
+        let disk = MemDisk::new();
+        let open = || Wal::open(Arc::new(disk.clone()), config);
+        let rule = LifecycleRule::one_month_after_last_use();
+        let mut s = ObjectStore::new(VirtualClock::new());
+        s.attach_wal(open());
+        s.create_bucket("uploads", rule).unwrap();
+        let mut model: BTreeMap<String, ObjectMeta> = BTreeMap::new();
+        let key_of = |k: u8| format!("team-{}/obj-{k}", k % 2);
+
+        for op in &ops {
+            let now = s.clock().now();
+            match op {
+                MetaOp::Put(k, payload, meta) | MetaOp::PutDelta(k, payload, meta) => {
+                    let key = key_of(*k);
+                    let pairs = meta.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+                    let etag = if matches!(op, MetaOp::Put(..)) {
+                        s.put("uploads", &key, payload.clone(), pairs).unwrap()
+                    } else {
+                        let (manifest, chunks) = chunk_bytes(payload, ChunkerParams::for_len(payload.len()));
+                        s.put_delta("uploads", &key, &manifest, &chunks, pairs).unwrap()
+                    };
+                    prop_assert_eq!(&etag, &rai_archive::fnv::etag(payload));
+                    let expected = ObjectMeta {
+                        key: key.clone(),
+                        size: payload.len() as u64,
+                        etag,
+                        uploaded_at: now,
+                        last_used: now,
+                        // Of two pairs with one key the later wins.
+                        user: meta.iter().cloned().collect(),
+                    };
+                    model.insert(key, expected);
+                }
+                MetaOp::Get(k) => {
+                    let key = key_of(*k);
+                    if let Some(expected) = model.get_mut(&key) {
+                        expected.last_used = now;
+                    }
+                    prop_assert_eq!(s.get("uploads", &key).ok().map(|o| o.meta), model.get(&key).cloned());
+                }
+                MetaOp::Delete(k) => {
+                    let key = key_of(*k);
+                    prop_assert_eq!(s.delete("uploads", &key).is_ok(), model.remove(&key).is_some());
+                }
+                MetaOp::Sweep(days) => {
+                    s.clock().advance(SimDuration::from_days(*days));
+                    let now = s.clock().now();
+                    let before = model.len();
+                    model.retain(|_, m| !rule.is_expired(m.uploaded_at, m.last_used, now));
+                    prop_assert_eq!(s.sweep_lifecycle() as usize, before - model.len());
+                }
+                MetaOp::Recover(compact) => {
+                    s.sync_wal();
+                    if *compact {
+                        s.maybe_compact();
+                    }
+                    let (recovered, recovery) = ObjectStore::recover(s.clock().clone(), open());
+                    prop_assert_eq!((recovery.malformed_dropped, recovery.objects_dropped), (0, 0));
+                    prop_assert_eq!(recovered.usage(), s.usage());
+                    s = recovered;
+                }
+            }
+            let all: Vec<ObjectMeta> = model.values().cloned().collect();
+            prop_assert_eq!(s.list("uploads", "").unwrap(), all);
+            let team0: Vec<ObjectMeta> =
+                model.values().filter(|m| m.key.starts_with("team-0/")).cloned().collect();
+            prop_assert_eq!(s.list("uploads", "team-0/").unwrap(), team0);
+            for k in 0..6 {
+                prop_assert_eq!(s.head("uploads", &key_of(k)).ok(), model.get(&key_of(k)).cloned());
+            }
+        }
     }
 }

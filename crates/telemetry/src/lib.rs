@@ -28,6 +28,8 @@
 //! and the deterministic log-bucketed [`LogHistogram`]) that used to
 //! live in `rai-sim`, plus the [`log!`] leveled diagnostic macro.
 
+#![forbid(unsafe_code)]
+
 pub mod chrome;
 pub mod critical;
 pub mod export;
@@ -74,6 +76,9 @@ pub mod names {
     pub const STORE_BYTES_LOGICAL: &str = "rai_store_bytes_logical";
     pub const STORE_BYTES_PHYSICAL: &str = "rai_store_bytes_physical";
     pub const STORE_CHUNKS: &str = "rai_store_chunks";
+    // What the store keeps resident *about* its objects: keys, packed
+    // user metadata, manifests.
+    pub const STORE_METADATA_BYTES: &str = "rai_store_metadata_bytes";
     pub const STORE_CHUNKS_DEDUP_TOTAL: &str = "rai_store_chunks_dedup_total";
     pub const STORE_BYTES_WIRE_TOTAL: &str = "rai_store_bytes_wire_total";
     pub const STORE_DELTA_PUTS_TOTAL: &str = "rai_store_delta_puts_total";
@@ -97,6 +102,7 @@ pub mod names {
     pub const WORKER_CRASHES_TOTAL: &str = "rai_worker_crashes_total";
     // Trace-store hygiene.
     pub const TRACES_DROPPED_LATE_TOTAL: &str = "rai_traces_dropped_late_total";
+    pub const TRACES_RESIDENT: &str = "rai_traces_resident";
     // Write-ahead log counters, labeled per log ("log" = "db"/"store").
     pub const WAL_APPENDS_TOTAL: &str = "rai_wal_appends_total";
     pub const WAL_BYTES_TOTAL: &str = "rai_wal_bytes_total";
@@ -212,6 +218,13 @@ impl Telemetry {
         self.inner.traces.all()
     }
 
+    /// Move all retained job traces out, oldest job first, instead of
+    /// copying them: for the driver of a course that is over, building
+    /// its result. Live readers use [`Telemetry::job_traces`].
+    pub fn take_job_traces(&self) -> Vec<JobTrace> {
+        self.inner.traces.take_all()
+    }
+
     /// Register a pull-style collector: a closure that mirrors some
     /// component's internal stats into the registry. Collectors run, in
     /// registration order, at the start of every [`Telemetry::snapshot`].
@@ -231,6 +244,10 @@ impl Telemetry {
             .registry
             .counter(names::TRACES_DROPPED_LATE_TOTAL, &[])
             .store(self.inner.traces.dropped_late());
+        self.inner
+            .registry
+            .gauge(names::TRACES_RESIDENT, &[])
+            .set(self.inner.traces.len() as f64);
         self.inner.registry.snapshot()
     }
 

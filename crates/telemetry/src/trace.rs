@@ -422,6 +422,10 @@ impl TraceStore {
             start,
             end,
         });
+        if stage == stage::GRADED {
+            // The job is over: give back the list's doubling slack.
+            trace.spans.shrink_to_fit();
+        }
     }
 
     /// Copy of one job's trace.
@@ -437,6 +441,17 @@ impl TraceStore {
             .iter()
             .filter_map(|id| inner.traces.get(id).cloned())
             .collect()
+    }
+
+    /// Move every retained trace out, oldest job first, leaving the
+    /// store empty. For the owner of a course that is over: a job that
+    /// records a span after this starts a fresh, truncated trace.
+    pub fn take_all(&self) -> Vec<JobTrace> {
+        let mut inner = self.inner.lock();
+        let TraceStoreInner { traces, order, .. } = &mut *inner;
+        let mut all = Vec::with_capacity(order.len());
+        all.extend(order.drain(..).filter_map(|id| traces.remove(&id)));
+        all
     }
 
     /// Late span records dropped because their job was already evicted.
@@ -598,6 +613,30 @@ mod tests {
                 (stage::RAN, SimDuration::from_secs(5)),
             ]
         );
+    }
+
+    #[test]
+    fn take_all_moves_the_traces_out_in_order_and_a_graded_job_keeps_no_slack() {
+        let store = TraceStore::new();
+        let t = SimTime::from_secs;
+        for job_id in [3, 1, 2] {
+            store.record_span(job_id, 0, stage::SUBMITTED, component::CLIENT, t(job_id), t(job_id));
+            store.record_span(job_id, 1, stage::DEQUEUED, component::BROKER, t(job_id), t(job_id));
+            store.record_span(job_id, 1, stage::RAN, component::SANDBOX, t(job_id), t(job_id));
+        }
+        store.record_span(1, 1, stage::GRADED, component::WORKER, t(9), t(9));
+        let copied = store.all();
+        let moved = store.take_all();
+        assert_eq!(moved.iter().map(|tr| tr.job_id).collect::<Vec<_>>(), vec![3, 1, 2]);
+        for (m, c) in moved.iter().zip(&copied) {
+            assert_eq!(m.spans, c.spans, "the moved trace is the one a reader saw");
+        }
+        // Job 1 was graded at six spans; the others stopped at five in
+        // a list grown for eight.
+        assert_eq!((moved[1].spans.len(), moved[1].spans.capacity()), (6, 6));
+        assert!(moved[0].spans.capacity() > moved[0].spans.len());
+        assert!(store.is_empty() && store.all().is_empty() && store.get(3).is_none());
+        assert_eq!(moved.capacity(), 3, "sized once, for what was there");
     }
 
     #[test]

@@ -422,7 +422,7 @@ pub fn run_chaos(config: &ChaosConfig) -> ChaosResult {
         standings: audit.standings,
         fingerprint: audit.fingerprint,
         metrics: system.telemetry().snapshot(),
-        traces: system.telemetry().job_traces(),
+        traces: system.telemetry().take_job_traces(),
         store: system.store().usage(),
         accepted: course.accepted,
     }

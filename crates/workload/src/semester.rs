@@ -513,12 +513,15 @@ pub fn run_semester(config: &SemesterConfig) -> SemesterResult {
         queue_wait: state.waits,
         depth_series: state.pressure.depth,
         in_flight_series: state.pressure.in_flight,
-        traces: state.system.telemetry().job_traces(),
+        // The snapshot first: its resident-traces gauge reads the store
+        // the next line empties. The course is over, so its traces are
+        // moved out, not copied.
+        metrics: state.system.telemetry().snapshot(),
+        traces: state.system.telemetry().take_job_traces(),
         store: state.system.store().usage(),
         cost_cents: state.pool.stats().cost_cents,
         final_standings: standings,
         log_bytes,
-        metrics: state.system.telemetry().snapshot(),
     }
 }
 
