@@ -102,8 +102,9 @@ fn course(config: &SemesterConfig) -> (u64, u64, u64) {
 }
 
 fn main() {
-    let paper = std::env::args().any(|a| a == "--paper");
-    let seed = rai_bench::ReportArgs::from_env().seed();
+    let args = rai_bench::args_or_usage("heap_census [seed] [--paper]", 1, &["--paper"]);
+    let paper = !args.flags.is_empty();
+    let seed = args.seeds.first().copied().unwrap_or(rai_bench::baselines::SEED);
     let config = if paper {
         SemesterConfig { seed, ..SemesterConfig::paper() }
     } else {

@@ -1,7 +1,6 @@
 //! # rai-bench — the experiment harness
 //!
-//! One binary per paper table/figure (see `src/bin/`), plus criterion
-//! micro-benchmarks for every substrate (see `benches/`). The
+//! One binary per paper table/figure (see `src/bin/`). The
 //! `EXPERIMENTS.md` at the repository root indexes paper-vs-measured
 //! for each.
 //!
@@ -22,9 +21,14 @@
 //! | `trace_report`         | causal-trace attribution baseline (`BENCH_trace.json`, DESIGN.md §13) |
 //! | `recovery_report`      | crash-recovery baseline (`BENCH_recovery.json`, DESIGN.md §14) |
 //!
-//! The report bins share their argument scan ([`ReportArgs`]), their
-//! committed-baseline reader ([`extract`]) and their synthetic payload
-//! bytes ([`pseudorandom`]) through this library.
+//! The four `*_report` bins that write a committed `BENCH_*.json` render
+//! it with [`baselines`], the one place that knows what a valid
+//! baseline is; `cargo test` re-renders each and compares it with the
+//! committed file (`tests/baselines.rs`). The report bins share their
+//! argument scan ([`scan_args`]) and their synthetic payload bytes
+//! ([`pseudorandom`]) through this library.
+
+pub mod baselines;
 
 use rai_auth::{sign_request, Credentials};
 use rai_core::client::ProjectDir;
@@ -37,55 +41,47 @@ pub fn header(title: &str) {
     println!("\n=== {title} ===");
 }
 
-/// The arguments every report bin takes: `[--check] [seed...]`, in any
-/// order; anything that is neither is ignored.
+/// What a report bin was asked for: every argument that is a decimal
+/// `u64` is a seed, every other one must be in `flags`.
+#[derive(Debug, PartialEq, Eq)]
 pub struct ReportArgs {
-    /// `--check`: compare against the committed baseline, write nothing.
-    pub check: bool,
-    seeds: Vec<u64>,
+    pub seeds: Vec<u64>,
+    /// The members of `flags` that were given.
+    pub flags: Vec<String>,
 }
 
-impl ReportArgs {
-    /// Scan the process arguments.
-    pub fn from_env() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        ReportArgs {
-            check: args.iter().any(|a| a == "--check"),
-            seeds: args.iter().filter_map(|a| a.parse().ok()).collect(),
+/// Scan a report bin's arguments. More than `max_seeds` seeds, or an
+/// argument that is neither a seed nor one of `flags`, is an error that
+/// names it: a mistyped flag must not run the bin as if it were absent
+/// (the bins that take none overwrite a committed baseline).
+pub fn scan_args(
+    args: impl IntoIterator<Item = String>,
+    max_seeds: usize,
+    flags: &[&str],
+) -> Result<ReportArgs, String> {
+    let mut out = ReportArgs { seeds: Vec::new(), flags: Vec::new() };
+    for arg in args {
+        if let Ok(seed) = arg.parse() {
+            if out.seeds.len() == max_seeds {
+                return Err(format!("unexpected seed {arg}"));
+            }
+            out.seeds.push(seed);
+        } else if flags.contains(&arg.as_str()) {
+            out.flags.push(arg);
+        } else {
+            return Err(format!("unrecognised argument {arg:?}"));
         }
     }
-
-    /// The first seed given, or 2016 — the seed every committed
-    /// `BENCH_*.json` is pinned to.
-    pub fn seed(&self) -> u64 {
-        self.seeds.first().copied().unwrap_or(2016)
-    }
-
-    /// Every seed given, or `pinned` when none was.
-    pub fn seeds_or(self, pinned: &[u64]) -> Vec<u64> {
-        if self.seeds.is_empty() { pinned.to_vec() } else { self.seeds }
-    }
+    Ok(out)
 }
 
-/// Pull `"key": value` out of the named top-level section of a
-/// committed `BENCH_*.json` (the files are our own hand-rendered
-/// format, so a positional scan is exact).
-pub fn extract<'a>(json: &'a str, section: &str, key: &str) -> &'a str {
-    let sec = json
-        .find(&format!("\"{section}\""))
-        .unwrap_or_else(|| panic!("committed baseline: no \"{section}\" section"));
-    let rest = &json[sec..];
-    let k = rest
-        .find(&format!("\"{key}\""))
-        .unwrap_or_else(|| panic!("committed baseline: no \"{key}\" in \"{section}\""));
-    let after = &rest[k..];
-    let colon = after.find(':').expect("key has a value");
-    after[colon + 1..]
-        .split([',', '\n', '}'])
-        .next()
-        .expect("value before delimiter")
-        .trim()
-        .trim_matches('"')
+/// [`scan_args`] over the process arguments; on an error, print it and
+/// `usage` to stderr and exit 2 before anything runs.
+pub fn args_or_usage(usage: &str, max_seeds: usize, flags: &[&str]) -> ReportArgs {
+    scan_args(std::env::args().skip(1), max_seeds, flags).unwrap_or_else(|e| {
+        eprintln!("{e}\nusage: {usage}");
+        std::process::exit(2);
+    })
 }
 
 /// The next `len` bytes of the LCG stream `state` is at: deterministic
@@ -137,6 +133,29 @@ mod tests {
     use rai_auth::KeyGenerator;
     use rai_sim::VirtualClock;
     use rai_store::LifecycleRule;
+
+    fn scan(args: &[&str], max_seeds: usize, flags: &[&str]) -> Result<ReportArgs, String> {
+        scan_args(args.iter().map(|a| a.to_string()), max_seeds, flags)
+    }
+
+    #[test]
+    fn a_mistyped_argument_is_refused_not_ignored() {
+        // The bins that write a committed baseline take nothing at all.
+        assert_eq!(scan(&[], 0, &[]), Ok(ReportArgs { seeds: vec![], flags: vec![] }));
+        for typo in ["--chekc", "-check", "--write", "2016", "seed", ""] {
+            let err = scan(&[typo], 0, &[]).expect_err(typo);
+            assert!(err.contains(typo), "{err:?} does not name {typo:?}");
+        }
+        // `chaos_report`: seeds only, and only decimal ones.
+        assert_eq!(scan(&["2016", "408"], usize::MAX, &[]).unwrap().seeds, [2016, 408]);
+        assert!(scan(&["2016", "0xC405"], usize::MAX, &[]).is_err());
+        assert!(scan(&["-1"], usize::MAX, &[]).is_err());
+        // `heap_census`: one seed and its flag, in any order.
+        let args = scan(&["--paper", "7"], 1, &["--paper"]).unwrap();
+        assert_eq!((args.seeds, args.flags), (vec![7], vec!["--paper".to_string()]));
+        assert!(scan(&["7", "8"], 1, &["--paper"]).is_err());
+        assert!(scan(&["--papre"], 1, &["--paper"]).is_err());
+    }
 
     #[test]
     fn staged_request_round_trips() {

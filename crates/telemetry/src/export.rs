@@ -1,13 +1,11 @@
-//! Metric exposition: Prometheus text format and JSON.
+//! Metric exposition: the Prometheus text format.
 //!
 //! Histograms follow the Prometheus convention: cumulative `_bucket`
 //! series with an `le` label, plus `_sum` and `_count`. Samples below
 //! the histogram origin fold into every cumulative bucket (they are
 //! `<= le` for all finite `le`); overflow appears only in `+Inf`.
 
-use crate::json::{self, Value};
 use crate::registry::{MetricKey, MetricsSnapshot};
-use crate::stats::Histogram;
 use std::fmt::Write as _;
 
 /// Render a snapshot in the Prometheus text exposition format.
@@ -37,66 +35,6 @@ pub fn render_prometheus(snapshot: &MetricsSnapshot) -> String {
         let _ = writeln!(out, "{}_count{} {}", key.name, label_block(key), hist.total());
     }
     out
-}
-
-/// Render a snapshot as a JSON document.
-pub fn render_json(snapshot: &MetricsSnapshot) -> String {
-    let mut doc = Value::object();
-
-    let counters: Vec<Value> = snapshot
-        .counters
-        .iter()
-        .map(|(key, value)| {
-            let mut entry = metric_entry(key);
-            entry.set("value", (*value).into());
-            entry
-        })
-        .collect();
-    doc.set("counters", counters.into());
-
-    let gauges: Vec<Value> = snapshot
-        .gauges
-        .iter()
-        .map(|(key, value)| {
-            let mut entry = metric_entry(key);
-            entry.set("value", (*value).into());
-            entry
-        })
-        .collect();
-    doc.set("gauges", gauges.into());
-
-    let histograms: Vec<Value> = snapshot
-        .histograms
-        .iter()
-        .map(|(key, hist)| {
-            let mut entry = metric_entry(key);
-            entry.set("origin", hist.origin().into());
-            entry.set("bin_width", hist.bin_width().into());
-            entry.set(
-                "bins",
-                Value::Array((0..hist.num_bins()).map(|i| hist.bin(i).into()).collect()),
-            );
-            entry.set("underflow", hist.underflow().into());
-            entry.set("overflow", hist.overflow().into());
-            entry.set("sum", hist.sum().into());
-            entry.set("count", hist.total().into());
-            entry
-        })
-        .collect();
-    doc.set("histograms", histograms.into());
-
-    doc.render()
-}
-
-fn metric_entry(key: &MetricKey) -> Value {
-    let mut entry = Value::object();
-    entry.set("name", key.name.as_str().into());
-    let mut labels = Value::object();
-    for (k, v) in &key.labels {
-        labels.set(k, v.as_str().into());
-    }
-    entry.set("labels", labels);
-    entry
 }
 
 /// `{a="1",b="2"}` or empty string when there are no labels.
@@ -220,90 +158,6 @@ fn parse_labels(body: &str) -> Result<Vec<(String, String)>, String> {
     Ok(labels)
 }
 
-/// Parse a JSON exposition document back into a structured snapshot
-/// shape (used by round-trip tests).
-pub fn parse_json_snapshot(text: &str) -> Result<MetricsSnapshot, String> {
-    let doc = json::parse(text).map_err(|e| e.to_string())?;
-    let mut snapshot = MetricsSnapshot::default();
-
-    for entry in doc
-        .get("counters")
-        .and_then(Value::as_array)
-        .ok_or("missing counters")?
-    {
-        let (key, _) = parse_entry_key(entry)?;
-        let value = entry
-            .get("value")
-            .and_then(Value::as_f64)
-            .ok_or("counter missing value")?;
-        snapshot.counters.push((key, value as u64));
-    }
-
-    for entry in doc
-        .get("gauges")
-        .and_then(Value::as_array)
-        .ok_or("missing gauges")?
-    {
-        let (key, _) = parse_entry_key(entry)?;
-        let value = entry
-            .get("value")
-            .and_then(Value::as_f64)
-            .ok_or("gauge missing value")?;
-        snapshot.gauges.push((key, value));
-    }
-
-    for entry in doc
-        .get("histograms")
-        .and_then(Value::as_array)
-        .ok_or("missing histograms")?
-    {
-        let (key, _) = parse_entry_key(entry)?;
-        let origin = entry
-            .get("origin")
-            .and_then(Value::as_f64)
-            .ok_or("histogram missing origin")?;
-        let bin_width = entry
-            .get("bin_width")
-            .and_then(Value::as_f64)
-            .ok_or("histogram missing bin_width")?;
-        let bins = entry
-            .get("bins")
-            .and_then(Value::as_array)
-            .ok_or("histogram missing bins")?;
-        let mut hist = Histogram::new(origin, bin_width, bins.len().max(1));
-        // Rebuild counts by recording representative values per bin.
-        for (i, count) in bins.iter().enumerate() {
-            let count = count.as_f64().ok_or("bad bin count")? as u64;
-            let (lo, hi) = hist.bin_range(i);
-            let mid = (lo + hi) / 2.0;
-            for _ in 0..count {
-                hist.record(mid);
-            }
-        }
-        snapshot.histograms.push((key, hist));
-    }
-
-    Ok(snapshot)
-}
-
-fn parse_entry_key(entry: &Value) -> Result<(MetricKey, ()), String> {
-    let name = entry
-        .get("name")
-        .and_then(Value::as_str)
-        .ok_or("entry missing name")?;
-    let mut labels: Vec<(String, String)> = Vec::new();
-    if let Some(Value::Object(map)) = entry.get("labels") {
-        for (k, v) in map {
-            labels.push((
-                k.clone(),
-                v.as_str().ok_or("label not a string")?.to_string(),
-            ));
-        }
-    }
-    labels.sort();
-    Ok((MetricKey { name: name.to_string(), labels }, ()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,30 +273,8 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips() {
-        let snapshot = sample_registry().snapshot();
-        let text = render_json(&snapshot);
-        let parsed = parse_json_snapshot(&text).expect("parses");
-
-        assert_eq!(parsed.counters, snapshot.counters);
-        assert_eq!(parsed.gauges, snapshot.gauges);
-        assert_eq!(parsed.histograms.len(), snapshot.histograms.len());
-        for ((pk, ph), (sk, sh)) in parsed.histograms.iter().zip(&snapshot.histograms) {
-            assert_eq!(pk, sk);
-            assert_eq!(ph.num_bins(), sh.num_bins());
-            for i in 0..sh.num_bins() {
-                assert_eq!(ph.bin(i), sh.bin(i), "bin {i} of {}", sk.name);
-            }
-        }
-    }
-
-    #[test]
     fn empty_snapshot_renders_and_parses() {
         let snapshot = MetricsRegistry::new().snapshot();
         assert_eq!(parse_prometheus(&render_prometheus(&snapshot)).expect("parses"), vec![]);
-        let parsed = parse_json_snapshot(&render_json(&snapshot)).expect("parses");
-        assert!(parsed.counters.is_empty());
-        assert!(parsed.gauges.is_empty());
-        assert!(parsed.histograms.is_empty());
     }
 }

@@ -12,7 +12,7 @@
 //!    sim-time, where every delivery attempt owns
 //!    a root span, stages hang off it tagged with the component that
 //!    did the work, and retries become sibling attempt subtrees;
-//! 3. exposition of the registry as Prometheus text or JSON, plus
+//! 3. exposition of the registry as Prometheus text, plus
 //!    trace-derived reports: [`critical_path`] / [`attribute`] turn
 //!    span trees into wall-clock attribution tables and
 //!    [`render_chrome_trace`] exports Perfetto-loadable JSON.
@@ -24,7 +24,7 @@
 //! [`Telemetry::snapshot`] runs.
 //!
 //! The crate also owns the shared statistics toolkit ([`OnlineStats`],
-//! [`Histogram`], [`TimeSeries`], [`GaugeSeries`], [`Percentiles`],
+//! [`Histogram`], [`TimeSeries`], [`GaugeSeries`],
 //! and the deterministic log-bucketed [`LogHistogram`]) that used to
 //! live in `rai-sim`, plus the [`log!`] leveled diagnostic macro.
 
@@ -33,7 +33,6 @@
 pub mod chrome;
 pub mod critical;
 pub mod export;
-pub mod json;
 pub mod latency;
 pub mod logging;
 pub mod registry;
@@ -42,11 +41,11 @@ pub mod trace;
 
 pub use chrome::render_chrome_trace;
 pub use critical::{attribute, critical_path, segment, Attribution, CriticalPath, PathSegment};
-pub use export::{parse_json_snapshot, parse_prometheus, render_json, render_prometheus, PromSample};
+pub use export::{parse_prometheus, render_prometheus, PromSample};
 pub use latency::{duration_micros, LatencySummary, LogHistogram};
 pub use logging::Level;
 pub use registry::{Counter, Gauge, HistogramHandle, MetricKey, MetricsRegistry, MetricsSnapshot};
-pub use stats::{GaugeSeries, Histogram, OnlineStats, Percentiles, TimeSeries};
+pub use stats::{GaugeSeries, Histogram, OnlineStats, TimeSeries};
 pub use trace::{component, stage, JobTrace, SpanId, StageEvent, TraceSpan, TraceStore};
 
 use rai_sim::{SimTime, VirtualClock};
@@ -255,11 +254,6 @@ impl Telemetry {
     pub fn render_prometheus(&self) -> String {
         export::render_prometheus(&self.snapshot())
     }
-
-    /// Snapshot rendered as a JSON document.
-    pub fn render_json(&self) -> String {
-        export::render_json(&self.snapshot())
-    }
 }
 
 #[cfg(test)]
@@ -298,15 +292,14 @@ mod tests {
     }
 
     #[test]
-    fn render_outputs_parse() {
+    fn render_output_parses() {
         let telemetry = Telemetry::new(VirtualClock::new());
         telemetry.counter(names::BROKER_PUBLISHED_TOTAL, &[]).add(3);
         telemetry
             .histogram(names::JOB_STAGE_SECONDS, &[("stage", "queue")], 0.0, 1.0, 8)
             .record(2.5);
         let samples = parse_prometheus(&telemetry.render_prometheus()).expect("prom parses");
-        assert!(!samples.is_empty());
-        let parsed = parse_json_snapshot(&telemetry.render_json()).expect("json parses");
-        assert_eq!(parsed.counter(names::BROKER_PUBLISHED_TOTAL, &[]), Some(3));
+        let published = samples.iter().find(|s| s.name == names::BROKER_PUBLISHED_TOTAL);
+        assert_eq!(published.map(|s| s.value), Some(3.0));
     }
 }

@@ -5,8 +5,6 @@
 //!   with explicit underflow/overflow buckets and parallel merge.
 //! * [`TimeSeries`] — event counts bucketed by a fixed interval of
 //!   virtual time (paper Fig. 4 uses 1-hour buckets).
-//! * [`Percentiles`] — exact percentiles over a retained sample vector,
-//!   used for queue-wait summaries in the scalability experiments.
 //!
 //! This module moved here from `rai-sim` so every crate (workload,
 //! bench, core ranking, and the metrics registry itself) consumes one
@@ -496,54 +494,6 @@ impl GaugeSeries {
     }
 }
 
-/// Exact percentile summary over retained samples.
-#[derive(Clone, Debug, Default)]
-pub struct Percentiles {
-    samples: Vec<f64>,
-    sorted: bool,
-}
-
-impl Percentiles {
-    /// An empty sample set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add one sample.
-    pub fn push(&mut self, x: f64) {
-        self.samples.push(x);
-        self.sorted = false;
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// The `p`-th percentile (0.0..=100.0) by nearest-rank; NaN if empty.
-    pub fn percentile(&mut self, p: f64) -> f64 {
-        if self.samples.is_empty() {
-            return f64::NAN;
-        }
-        if !self.sorted {
-            self.samples
-                .sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            self.sorted = true;
-        }
-        let rank = ((p / 100.0) * (self.samples.len() - 1) as f64).round() as usize;
-        self.samples[rank.min(self.samples.len() - 1)]
-    }
-
-    /// Convenience: (p50, p90, p99).
-    pub fn summary(&mut self) -> (f64, f64, f64) {
-        (
-            self.percentile(50.0),
-            self.percentile(90.0),
-            self.percentile(99.0),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -761,20 +711,5 @@ mod tests {
         let ts = TimeSeries::new(SimTime::ZERO, SimDuration::SECOND);
         assert_eq!(ts.sparkline(20), "");
         assert_eq!(ts.peak(), None);
-    }
-
-    #[test]
-    fn percentiles_nearest_rank() {
-        let mut p = Percentiles::new();
-        for i in 1..=100 {
-            p.push(i as f64);
-        }
-        assert_eq!(p.percentile(0.0), 1.0);
-        assert_eq!(p.percentile(100.0), 100.0);
-        let (p50, p90, p99) = p.summary();
-        assert!((p50 - 51.0).abs() <= 1.0);
-        assert!((p90 - 90.0).abs() <= 1.5);
-        assert!((p99 - 99.0).abs() <= 1.5);
-        assert!(Percentiles::new().percentile(50.0).is_nan());
     }
 }

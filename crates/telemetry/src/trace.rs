@@ -48,11 +48,6 @@ pub mod stage {
     pub const SUBMIT_ROOT: &str = "submit";
     /// Root span of each worker delivery attempt subtree.
     pub const ATTEMPT_ROOT: &str = "attempt";
-
-    /// The canonical order, for reports.
-    pub const ORDER: [&str; 8] = [
-        SUBMITTED, ENQUEUED, DEQUEUED, FETCHED, BUILT, RAN, UPLOADED, GRADED,
-    ];
 }
 
 /// Component tags: who did the work a span covers.
@@ -63,11 +58,7 @@ pub mod component {
     pub const STORE: &str = "store";
     pub const SANDBOX: &str = "sandbox";
     pub const DB: &str = "db";
-    pub const EXEC: &str = "exec";
     pub const FAULT: &str = "fault";
-
-    /// Deterministic report order.
-    pub const ORDER: [&str; 8] = [CLIENT, BROKER, WORKER, STORE, SANDBOX, DB, EXEC, FAULT];
 }
 
 /// Identifier of a span within one job's trace.

@@ -1,10 +1,10 @@
 //! End-to-end telemetry: drive real submissions through a deployment
-//! and check that the job traces, registry snapshot, and both
-//! exposition formats reflect what happened.
+//! and check that the job traces, registry snapshot, and the
+//! exposition format reflect what happened.
 
 use rai::core::client::ProjectDir;
 use rai::core::system::{RaiSystem, SystemConfig};
-use rai::telemetry::{names, parse_json_snapshot, parse_prometheus, stage};
+use rai::telemetry::{names, parse_prometheus, stage};
 
 fn driven_system(jobs: usize) -> (RaiSystem, Vec<u64>) {
     let mut system = RaiSystem::new(SystemConfig {
@@ -185,24 +185,24 @@ fn every_exported_series_survives_the_prometheus_round_trip() {
     assert!(metrics.counter(names::LOCK_WAIT_MICROS_TOTAL, &[]).is_some());
     let text = rai::telemetry::render_prometheus(&metrics);
     let samples = parse_prometheus(&text).expect("exposition must parse");
-    let counters = metrics.counters.iter().map(|(k, _)| k);
-    for key in counters.chain(metrics.gauges.iter().map(|(k, _)| k)) {
-        assert!(samples.iter().any(|s| s.name == key.name), "{} missing from exposition", key.name);
+    // The sample with this name (plus suffix) and exactly these labels.
+    let exported = |key: &rai::telemetry::MetricKey, suffix: &str| -> f64 {
+        let name = format!("{}{suffix}", key.name);
+        samples
+            .iter()
+            .find(|s| s.name == name && s.labels == key.labels)
+            .unwrap_or_else(|| panic!("{name} {:?} missing from exposition", key.labels))
+            .value
+    };
+    assert!(metrics.counter_total(names::JOBS_TOTAL) > 0 && !metrics.histograms.is_empty());
+    for (key, value) in &metrics.counters {
+        assert_eq!(exported(key, ""), *value as f64, "counter {}", key.render());
     }
-}
-
-#[test]
-fn json_exposition_round_trips() {
-    let (system, _) = driven_system(2);
-    let metrics = system.report().metrics;
-    let text = rai::telemetry::render_json(&metrics);
-
-    let parsed = parse_json_snapshot(&text).expect("JSON must parse");
-    assert_eq!(parsed.counters, metrics.counters);
-    assert_eq!(parsed.gauges.len(), metrics.gauges.len());
-    assert_eq!(parsed.histograms.len(), metrics.histograms.len());
-    assert_eq!(
-        parsed.counter_total(names::JOBS_TOTAL),
-        metrics.counter_total(names::JOBS_TOTAL)
-    );
+    for (key, value) in &metrics.gauges {
+        assert_eq!(exported(key, ""), *value, "gauge {}", key.render());
+    }
+    for (key, hist) in &metrics.histograms {
+        assert_eq!(exported(key, "_count"), hist.total() as f64, "{}_count", key.render());
+        assert_eq!(exported(key, "_sum"), hist.sum(), "{}_sum", key.render());
+    }
 }
