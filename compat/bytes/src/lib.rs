@@ -5,6 +5,8 @@
 //! view of any size keeps the whole buffer it was cut from alive.
 //! Safe code only.
 
+#![forbid(unsafe_code)]
+
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};

@@ -4,6 +4,8 @@
 //! detection, plots) is intentionally absent — each benchmark is timed
 //! with a short calibrated loop and reported as mean ns/iter.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::time::{Duration, Instant};
 

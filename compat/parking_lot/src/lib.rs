@@ -6,6 +6,8 @@
 //! guards wrap the std guards in an `Option` so `Condvar::wait_for`
 //! can temporarily take ownership of the inner guard.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;

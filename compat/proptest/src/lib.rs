@@ -8,6 +8,8 @@
 //! failure persistence, and forked execution — a failing case panics
 //! with the generated inputs in the message instead.
 
+#![forbid(unsafe_code)]
+
 pub mod arbitrary;
 pub mod collection;
 pub mod num;

@@ -4,6 +4,8 @@
 //! they are deterministic per seed, uniform, and fast — which is all
 //! the simulation and tests rely on.
 
+#![forbid(unsafe_code)]
+
 pub mod distributions;
 pub mod rngs;
 

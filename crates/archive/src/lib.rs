@@ -18,6 +18,8 @@
 //!   [`ChunkManifest`] behind the store's dedup and delta uploads
 //!   (DESIGN.md §10).
 
+#![forbid(unsafe_code)]
+
 pub mod chunk;
 pub mod container;
 pub mod fnv;

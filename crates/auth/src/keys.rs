@@ -9,7 +9,6 @@
 //! ```
 
 use rand::distributions::Distribution;
-use rand::Rng;
 use rand::SeedableRng;
 
 /// Alphabet used for keys: URL-safe alphanumerics plus `-`, matching the
@@ -99,11 +98,6 @@ impl KeyGenerator {
             access_key: self.key(),
             secret_key: self.key(),
         }
-    }
-
-    /// Raw random bytes (for nonces / job ids).
-    pub fn nonce(&mut self) -> u64 {
-        self.rng.gen()
     }
 }
 

@@ -17,6 +17,8 @@
 //! * [`registry`] — the server-side credential registry used by workers
 //!   to check submissions.
 
+#![forbid(unsafe_code)]
+
 pub mod email;
 pub mod keys;
 pub mod registry;

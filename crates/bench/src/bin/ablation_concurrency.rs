@@ -3,9 +3,12 @@
 //! this makes the performance timing more accurate and repeatable."
 //!
 //! The same final submission is measured repeatedly on workers
-//! configured with 1, 2, 4 and 8 co-scheduled jobs; the coefficient of
-//! variation (std-dev / mean) of the measured runtime is the
-//! repeatability metric.
+//! configured with 1, 2, 4 and 8 job slots
+//! ([`WorkerConfig::max_in_flight`]: a job is measured with the other
+//! slots as neighbours); the coefficient of variation (std-dev / mean)
+//! of the measured runtime is the repeatability metric. Every job goes
+//! the way a student's does: a client submits it on the worker's
+//! broker and the worker steps once.
 //!
 //! ```text
 //! cargo run --release -p rai-bench --bin ablation_concurrency
@@ -13,15 +16,15 @@
 
 use parking_lot::RwLock;
 use rai_auth::{CredentialRegistry, KeyGenerator};
-use rai_bench::staged_final_request;
 use rai_broker::Broker;
-use rai_core::client::ProjectDir;
-use rai_core::worker::{Worker, WorkerConfig};
+use rai_core::client::{ProjectDir, RaiClient, SubmitMode};
+use rai_core::worker::{StepEvent, Worker, WorkerConfig};
 use rai_db::Database;
 use rai_sandbox::ImageRegistry;
 use rai_sim::VirtualClock;
 use rai_telemetry::OnlineStats;
 use rai_store::{LifecycleRule, ObjectStore};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 const RUNS: usize = 60;
@@ -45,7 +48,16 @@ fn main() {
         "jobs/worker", "mean (s)", "min (s)", "max (s)", "CV"
     );
     let mut cvs = Vec::new();
+    let next_job_id = Arc::new(AtomicU64::new(1));
     for jobs_per_worker in [1usize, 2, 4, 8] {
+        let broker = Broker::default();
+        let client = RaiClient::new(
+            creds.clone(),
+            "bench-team",
+            broker.clone(),
+            store.clone(),
+            next_job_id.clone(),
+        );
         let mut worker = Worker::new(
             WorkerConfig {
                 worker_id: format!("bench-{jobs_per_worker}"),
@@ -53,22 +65,18 @@ fn main() {
                 noise_seed: 42,
                 ..Default::default()
             },
-            Broker::default(),
+            broker,
             store.clone(),
             Database::new(),
             registry.clone(),
             Arc::new(ImageRegistry::course_default()),
         );
         let mut stats = OnlineStats::new();
-        for run in 0..RUNS {
-            let request = staged_final_request(
-                &store,
-                &creds,
-                "bench-team",
-                &project,
-                (jobs_per_worker * 1000 + run) as u64,
-            );
-            let outcome = worker.process_with_coscheduled(&request, jobs_per_worker - 1);
+        for _ in 0..RUNS {
+            client.begin_submit(&project, SubmitMode::Submit).expect("upload and publish");
+            let StepEvent::Done(outcome) = worker.try_step() else {
+                panic!("the worker runs the job it was just sent");
+            };
             assert!(outcome.success, "bench job must succeed");
             stats.push(outcome.measured_secs.expect("program ran"));
         }

@@ -12,7 +12,7 @@
 //! | `fig4_timeline`        | Fig. 4 submissions/hour, last 2 weeks |
 //! | `listing3_keys`        | Listing 3 key-delivery e-mails |
 //! | `semester_report`      | §VII resource-usage numbers |
-//! | `ablation_concurrency` | §V single-job timing-accuracy claim |
+//! | `ablation_concurrency` | §V single-job timing-accuracy claim (`WorkerConfig::max_in_flight` 1 / 2 / 4 / 8, each job submitted by a client and run by `Worker::try_step`) |
 //! | `ablation_elasticity`  | §IV/§VII elasticity claim |
 //! | `ablation_log_gc`      | ephemeral log-topic GC design choice |
 //! | `chaos_report`         | §IV crash-requeue guarantee, audited under chaos |
@@ -21,6 +21,10 @@
 //! | `trace_report`         | causal-trace attribution baseline (`BENCH_trace.json`, DESIGN.md §13) |
 //! | `recovery_report`      | crash-recovery baseline (`BENCH_recovery.json`, DESIGN.md §14) |
 //!
+//! The figure, listing, table and ablation bins assert the claim they
+//! reproduce and exit non-zero when it fails; CI runs the eight that
+//! take seconds after its release build.
+//!
 //! The four `*_report` bins that write a committed `BENCH_*.json` render
 //! it with [`baselines`], the one place that knows what a valid
 //! baseline is; `cargo test` re-renders each and compares it with the
@@ -28,13 +32,9 @@
 //! argument scan ([`scan_args`]) and their synthetic payload bytes
 //! ([`pseudorandom`]) through this library.
 
-pub mod baselines;
+#![forbid(unsafe_code)]
 
-use rai_auth::{sign_request, Credentials};
-use rai_core::client::ProjectDir;
-use rai_core::protocol::{JobKind, JobRequest};
-use rai_core::spec::FINAL_SUBMISSION_YML;
-use rai_store::ObjectStore;
+pub mod baselines;
 
 /// Print a section header for bench-binary output.
 pub fn header(title: &str) {
@@ -98,41 +98,9 @@ pub fn pseudorandom(len: usize, state: &mut u64) -> Vec<u8> {
         .collect()
 }
 
-/// Build a ready-to-process final-submission job request: uploads the
-/// project and returns the signed request. Shared by the ablation
-/// binaries, which drive `Worker::process_with_coscheduled` directly.
-pub fn staged_final_request(
-    store: &ObjectStore,
-    creds: &Credentials,
-    team: &str,
-    project: &ProjectDir,
-    job_id: u64,
-) -> JobRequest {
-    let container = rai_archive::write_container(&project.tree);
-    let key = format!("{team}/{job_id:08x}.tar.bz2");
-    store
-        .put(rai_core::client::UPLOAD_BUCKET, &key, container, [])
-        .expect("upload bucket exists");
-    let mut request = JobRequest {
-        job_id,
-        access_key: creds.access_key.clone(),
-        signature: String::new(),
-        team: team.to_string(),
-        upload_bucket: rai_core::client::UPLOAD_BUCKET.to_string(),
-        upload_key: key,
-        build_yml: FINAL_SUBMISSION_YML.to_string(),
-        kind: JobKind::Submit,
-    };
-    request.signature = sign_request(&creds.secret_key, &creds.access_key, &request.signing_payload());
-    request
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rai_auth::KeyGenerator;
-    use rai_sim::VirtualClock;
-    use rai_store::LifecycleRule;
 
     fn scan(args: &[&str], max_seeds: usize, flags: &[&str]) -> Result<ReportArgs, String> {
         scan_args(args.iter().map(|a| a.to_string()), max_seeds, flags)
@@ -155,20 +123,5 @@ mod tests {
         assert_eq!((args.seeds, args.flags), (vec![7], vec!["--paper".to_string()]));
         assert!(scan(&["7", "8"], 1, &["--paper"]).is_err());
         assert!(scan(&["--papre"], 1, &["--paper"]).is_err());
-    }
-
-    #[test]
-    fn staged_request_round_trips() {
-        let store = ObjectStore::new(VirtualClock::new());
-        store
-            .create_bucket(rai_core::client::UPLOAD_BUCKET, LifecycleRule::Keep)
-            .unwrap();
-        let creds = KeyGenerator::from_seed(1).generate("t");
-        let project = ProjectDir::sample_cuda_project().with_final_artifacts();
-        let req = staged_final_request(&store, &creds, "t", &project, 7);
-        assert_eq!(req.kind, JobKind::Submit);
-        assert!(store.get(rai_core::client::UPLOAD_BUCKET, &req.upload_key).is_ok());
-        let decoded = JobRequest::decode(&req.encode()).unwrap();
-        assert_eq!(decoded, req);
     }
 }

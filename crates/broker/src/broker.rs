@@ -11,7 +11,7 @@ use rai_sim::{SimDuration, VirtualClock};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Broker configuration.
@@ -97,7 +97,8 @@ struct BrokerInner {
     topics: RwLock<HashMap<String, Arc<TopicState>>>,
     next_message_id: AtomicU64,
     next_subscriber_id: AtomicU64,
-    injector: Mutex<Option<FaultInjector>>,
+    /// Deployment wiring: set at most once.
+    injector: OnceLock<FaultInjector>,
     dead_lettered: AtomicU64,
 }
 
@@ -128,13 +129,9 @@ impl BrokerInner {
         ephemeral: bool,
         faultable: bool,
     ) -> Result<MessageId, PublishError> {
-        if faultable {
-            let injector = self.injector.lock().clone();
-            if let Some(inj) = injector {
-                if inj.should_fail(FaultKind::BrokerPublish) {
-                    return Err(PublishError::Unavailable { topic: topic.to_string() });
-                }
-            }
+        let fails = |inj: &FaultInjector| inj.should_fail(FaultKind::BrokerPublish);
+        if faultable && self.injector.get().is_some_and(fails) {
+            return Err(PublishError::Unavailable { topic: topic.to_string() });
         }
         let t = self.topic(topic, ephemeral);
         let id = MessageId(self.next_message_id.fetch_add(1, Ordering::Relaxed));
@@ -224,7 +221,7 @@ impl Broker {
                 topics: RwLock::new(HashMap::new()),
                 next_message_id: AtomicU64::new(1),
                 next_subscriber_id: AtomicU64::new(1),
-                injector: Mutex::new(None),
+                injector: OnceLock::new(),
                 dead_lettered: AtomicU64::new(0),
             }),
         }
@@ -237,9 +234,10 @@ impl Broker {
 
     /// Attach a fault injector: subsequent external publishes may be
     /// rejected with [`PublishError::Unavailable`] per the injector's
-    /// plan. Internal dead-letter routing is exempt.
+    /// plan. Internal dead-letter routing is exempt. Deployment wiring:
+    /// a second injector panics.
     pub fn set_fault_injector(&self, injector: FaultInjector) {
-        *self.inner.injector.lock() = Some(injector);
+        assert!(self.inner.injector.set(injector).is_ok(), "broker fault injector is wired once");
     }
 
     /// Publish to a durable topic (created on first use).

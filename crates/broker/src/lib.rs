@@ -26,6 +26,8 @@
 //! condvars), exercised with real threads in its tests and benches, and
 //! driven single-threaded from the discrete-event simulation.
 
+#![forbid(unsafe_code)]
+
 pub mod broker;
 pub mod message;
 pub mod queue;

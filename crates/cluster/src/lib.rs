@@ -14,6 +14,8 @@
 //! * [`autoscaler`] — a reactive queue-depth policy plus the paper's
 //!   explicit phase schedule.
 
+#![forbid(unsafe_code)]
+
 pub mod autoscaler;
 pub mod instance;
 pub mod pool;

@@ -35,6 +35,8 @@
 //! * [`system`] — [`system::RaiSystem`], a whole in-process deployment,
 //!   and the one scheduling round every driver runs (DESIGN.md §12).
 
+#![forbid(unsafe_code)]
+
 pub mod audit;
 pub mod cli;
 pub mod client;

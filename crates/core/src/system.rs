@@ -804,6 +804,29 @@ mod tests {
     }
 
     #[test]
+    fn wired_once() {
+        // The injector and the log are deployment wiring: each slot is
+        // set at most once, and a second attach is a bug, not a swap.
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let injector = || FaultInjector::new(rai_faults::FaultPlan::none(1));
+        let wal = || Wal::open(Arc::new(rai_wal::MemDisk::new()), rai_wal::DurabilityConfig::durable());
+        let (store, db, broker) = (ObjectStore::new(VirtualClock::new()), Database::new(), Broker::default());
+        let attach: [(&str, &dyn Fn()); 5] = [
+            ("store injector", &|| store.set_fault_injector(injector())),
+            ("store WAL", &|| store.attach_wal(wal())),
+            ("database injector", &|| db.set_fault_injector(injector())),
+            ("database WAL", &|| db.attach_wal(wal())),
+            ("broker injector", &|| broker.set_fault_injector(injector())),
+        ];
+        for (slot, attach) in attach {
+            attach();
+            let again = catch_unwind(AssertUnwindSafe(attach)).expect_err(slot);
+            let message = again.downcast_ref::<&str>().expect("a literal panic message");
+            assert!(message.contains("wired once"), "{slot}: {message}");
+        }
+    }
+
+    #[test]
     fn telemetry_records_job_lifecycle() {
         let mut system = RaiSystem::new(SystemConfig {
             rate_limit: None,

@@ -10,12 +10,17 @@
 //! the container and sends `End`.
 //!
 //! "The worker can be configured to have multiple jobs in flight" —
-//! [`WorkerConfig::max_in_flight`]; contention noise from co-scheduled
-//! jobs is what made the staff switch to single-job workers for the
+//! [`WorkerConfig::max_in_flight`]; contention noise from the other
+//! slots is what made the staff switch to single-job workers for the
 //! benchmark weeks (reproduced by the concurrency ablation, which
 //! builds its workers directly). A [`crate::RaiSystem`] fleet is always
 //! single-job: its round commits every claim before the next pop, so a
 //! second slot could never fill.
+//!
+//! Every job takes the one path — pop, claim, execute, commit — and
+//! every worker holds a [`Telemetry`] and a [`FaultInjector`]: its own
+//! registry and an inert plan until a deployment hands it the shared
+//! ones.
 //!
 //! ## Failure model
 //!
@@ -36,7 +41,7 @@ use rai_archive::{restore_shared, write_container, FileTree};
 use rai_auth::CredentialRegistry;
 use rai_broker::{Broker, MessageId, Subscription};
 use rai_db::{doc, Database, DbError, Value};
-use rai_faults::{CrashKind, CrashPoint, FaultInjector, RetryPolicy};
+use rai_faults::{CrashKind, CrashPoint, FaultInjector, FaultPlan, RetryPolicy};
 use rai_sandbox::{Container, ContainerStatus, Image, ImageRegistry, LogStream, ResourceLimits};
 use rai_sim::{SimDuration, SimTime};
 use rai_telemetry::{component, names, stage, Telemetry};
@@ -52,10 +57,9 @@ use std::sync::Arc;
 pub struct WorkerConfig {
     /// Identifier recorded with each submission (e.g. `p2-worker-07`).
     pub worker_id: String,
-    /// Concurrent jobs accepted (1 during benchmarking weeks).
+    /// Job slots on this host (1 during benchmarking weeks). A job is
+    /// measured with the other `max_in_flight - 1` slots as neighbours.
     pub max_in_flight: usize,
-    /// Relative GPU throughput of this host (K80 = 1.0, K40 ≈ 0.6).
-    pub gpu_speed: f64,
     /// Container resource limits.
     pub limits: ResourceLimits,
     /// Seed for this worker's contention-noise RNG.
@@ -69,7 +73,6 @@ impl Default for WorkerConfig {
         WorkerConfig {
             worker_id: "worker-0".to_string(),
             max_in_flight: 1,
-            gpu_speed: 1.0,
             limits: ResourceLimits::default(),
             noise_seed: 0,
             retry: RetryPolicy::default(),
@@ -127,12 +130,6 @@ pub enum StepEvent {
     Crashed(CrashReport),
 }
 
-/// Clamp a broker delivery-attempt number into the span tree's `u32`
-/// attempt tag (attempt 0 is reserved for the client submit subtree).
-fn attempt_no(attempt: u64) -> u32 {
-    u32::try_from(attempt.max(1)).unwrap_or(u32::MAX)
-}
-
 /// A task message popped from the broker but not yet claimed: the
 /// output of the order-defining half of the claim phase (DESIGN.md
 /// §12).
@@ -145,7 +142,6 @@ pub struct PoppedTask {
     msg_id: MessageId,
     request: JobRequest,
     attempt: u64,
-    co_scheduled: usize,
 }
 
 impl PoppedTask {
@@ -153,6 +149,56 @@ impl PoppedTask {
     pub fn job_id(&self) -> u64 {
         self.request.job_id
     }
+}
+
+/// One delivery attempt of one job: what claim, execute and commit
+/// hand from each to the next.
+struct Attempt {
+    /// Broker message backing this attempt; acked at the terminal row.
+    msg_id: MessageId,
+    request: JobRequest,
+    /// Broker delivery count, from 1.
+    attempt: u64,
+    /// Claim-time clock: every stage span of this attempt is stamped
+    /// `started + accumulated service time`.
+    started: SimTime,
+    /// Service time accrued so far (pull, fetch backoff and transfer,
+    /// then the run, the upload and the record).
+    service_time: SimDuration,
+    /// Log-frame bytes accounted so far.
+    log_bytes: u64,
+}
+
+impl Attempt {
+    /// The span tree's `u32` attempt tag (attempt 0 is reserved for the
+    /// client submit subtree).
+    fn tag(&self) -> u32 {
+        u32::try_from(self.attempt.max(1)).unwrap_or(u32::MAX)
+    }
+
+    /// This attempt dying at `point` with everything so far wasted.
+    fn crashed(&self, point: CrashPoint, kind: CrashKind) -> CrashReport {
+        CrashReport {
+            job_id: self.request.job_id,
+            team: self.request.team.clone(),
+            point,
+            kind,
+            wasted: self.service_time,
+        }
+    }
+}
+
+/// An attempt that ends before its build output exists; claim and
+/// execute both pass it through to [`Worker::commit`] untouched.
+enum Halt {
+    /// Rejected before a container could start (auth, spec, image, or
+    /// fetch failure); commit records the terminal row and acks.
+    Reject {
+        user: String,
+        outcome: &'static str,
+    },
+    /// An injected crash/stall landed.
+    Crashed { kind: CrashKind, point: CrashPoint },
 }
 
 /// A job claimed from the broker with its claim-phase work done.
@@ -165,19 +211,7 @@ impl PoppedTask {
 /// pre-drawn crash decisions), which is why [`Worker::execute`] takes
 /// it by value without touching the worker at all.
 pub struct ClaimedJob {
-    /// Broker message backing this claim (`None` when driven directly
-    /// via [`Worker::process_with_coscheduled`], which has no queue).
-    msg_id: Option<MessageId>,
-    request: JobRequest,
-    attempt: u64,
-    /// Claim-time clock: every stage span of this attempt is stamped
-    /// `started + accumulated service time`.
-    started: SimTime,
-    /// Service time accrued during the claim phase (pull + fetch
-    /// backoff + transfer).
-    service_time: SimDuration,
-    /// Log-frame bytes published during the claim phase.
-    log_bytes: u64,
+    job: Attempt,
     plan: ClaimPlan,
 }
 
@@ -186,14 +220,7 @@ pub struct ClaimedJob {
 // the `Run` variant's size costs nothing worth an indirection.
 #[allow(clippy::large_enum_variant)]
 enum ClaimPlan {
-    /// Rejected before a container could start (auth, spec, image, or
-    /// fetch failure); commit records the terminal row and acks.
-    Reject {
-        user: String,
-        outcome: &'static str,
-    },
-    /// An injected crash/stall landed during the claim phase.
-    Crashed { kind: CrashKind, point: CrashPoint },
+    Halt(Halt),
     /// Everything the sandbox run needs, self-contained.
     Run {
         user: String,
@@ -201,7 +228,6 @@ enum ClaimPlan {
         image: Arc<Image>,
         project: FileTree,
         limits: ResourceLimits,
-        gpu_speed: f64,
         dilation: f64,
         /// Crash decisions are pure functions of (seed, job, attempt,
         /// point), so they are drawn at claim time; the execute phase
@@ -211,18 +237,12 @@ enum ClaimPlan {
     },
 }
 
-/// A lifecycle span observed in the execute phase, replayed through
-/// telemetry at commit so trace insertion stays in claim order.
-struct StagedSpan {
-    stage: &'static str,
-    component: &'static str,
+/// What the sandbox run looked like, in service time: commit derives
+/// the BUILT and RAN spans and both sandbox metrics from it, so trace
+/// insertion stays in claim order.
+struct RunFacts {
     from: SimDuration,
     to: SimDuration,
-}
-
-/// Sandbox facts recorded once the commit phase reaches telemetry.
-struct RunFacts {
-    elapsed: SimDuration,
     limit_killed: bool,
 }
 
@@ -231,31 +251,21 @@ struct RunFacts {
 /// is buffered, waiting for [`Worker::commit`] to apply it in claim
 /// order.
 pub struct ExecutedJob {
-    msg_id: Option<MessageId>,
-    request: JobRequest,
-    attempt: u64,
-    started: SimTime,
-    service_time: SimDuration,
-    /// Frame bytes of the claim phase's messages and of `output`.
-    log_bytes: u64,
+    /// `log_bytes` now counts the frames of `output` too.
+    job: Attempt,
     /// The container's stdout/stderr, encoded as one block of `out` /
     /// `err` frames and unpublished: log publishing is faultable, so
     /// it must hit the broker in deterministic claim order. Empty when
     /// no container ran or it printed nothing.
     output: String,
-    /// BUILT/RAN spans observed in the execute phase.
-    spans: Vec<StagedSpan>,
-    run_facts: Option<RunFacts>,
+    /// Set once a container ran, whatever became of the attempt after.
+    run: Option<RunFacts>,
     outcome: ExecOutcome,
 }
 
 /// How the execute phase resolved.
 enum ExecOutcome {
-    Reject {
-        user: String,
-        outcome: &'static str,
-    },
-    Crashed { kind: CrashKind, point: CrashPoint },
+    Halt(Halt),
     Built {
         user: String,
         prepared: PreparedUpload,
@@ -279,12 +289,14 @@ pub struct Worker {
     cached_images: HashSet<String>,
     active_jobs: usize,
     rng: StdRng,
-    telemetry: Option<Telemetry>,
-    injector: Option<FaultInjector>,
+    telemetry: Telemetry,
+    injector: FaultInjector,
 }
 
 impl Worker {
-    /// Create a worker and subscribe it to `rai/tasks`.
+    /// Create a worker and subscribe it to `rai/tasks`. It records into
+    /// a registry of its own, on the store's clock, and nothing is
+    /// injected, until a deployment replaces either.
     pub fn new(
         config: WorkerConfig,
         broker: Broker,
@@ -295,6 +307,7 @@ impl Worker {
     ) -> Self {
         let subscription = broker.subscribe(routes::TASK_TOPIC, routes::TASK_CHANNEL);
         let rng = StdRng::seed_from_u64(config.noise_seed);
+        let telemetry = Telemetry::new(store.clock().clone());
         Worker {
             config,
             broker,
@@ -306,21 +319,21 @@ impl Worker {
             cached_images: HashSet::new(),
             active_jobs: 0,
             rng,
-            telemetry: None,
-            injector: None,
+            telemetry,
+            injector: FaultInjector::new(FaultPlan::none(0)),
         }
     }
 
-    /// Attach a telemetry handle; stage timings, job traces, and the
-    /// active-jobs gauge are recorded through it from then on.
+    /// Record through `telemetry` (a deployment's shared handle) from
+    /// now on: stage timings, job traces, and the active-jobs gauge.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = Some(telemetry);
+        self.telemetry = telemetry;
     }
 
-    /// Attach a fault injector; crash/stall decisions consult it per
-    /// job attempt from then on.
+    /// Consult `injector` for crash/stall decisions, per job attempt,
+    /// from now on.
     pub fn set_fault_injector(&mut self, injector: FaultInjector) {
-        self.injector = Some(injector);
+        self.injector = injector;
     }
 
     /// This worker's id.
@@ -328,15 +341,19 @@ impl Worker {
         &self.config.worker_id
     }
 
-    /// Contention-noise multiplier for the current load: a single job
-    /// measures cleanly; co-scheduled jobs add up to ~12% noise each
-    /// (PCIe/host contention on a shared K80 host).
-    fn contention_dilation(&mut self, co_scheduled: usize) -> f64 {
-        if co_scheduled == 0 {
-            1.0
-        } else {
-            let per_job: f64 = self.rng.gen_range(0.02..0.12);
-            1.0 + per_job * co_scheduled as f64
+    /// Contention-noise multiplier for this host: a single-slot worker
+    /// measures cleanly; each of the other `max_in_flight - 1` slots
+    /// adds up to ~12% noise (PCIe/host contention on a shared K80
+    /// host) — the lever behind the paper's "the worker accepts only
+    /// one task at a time – this makes the performance timing more
+    /// accurate and repeatable", measured by the concurrency ablation.
+    fn contention_dilation(&mut self) -> f64 {
+        match self.config.max_in_flight.saturating_sub(1) {
+            0 => 1.0,
+            neighbours => {
+                let per_job: f64 = self.rng.gen_range(0.02..0.12);
+                1.0 + per_job * neighbours as f64
+            }
         }
     }
 
@@ -385,9 +402,7 @@ impl Worker {
             }
             let msg = self.subscription.try_recv()?;
             let Some(request) = JobRequest::decode(&msg.body_str()) else {
-                if let Some(t) = &self.telemetry {
-                    t.counter(names::JOBS_MALFORMED_TOTAL, &[]).inc();
-                }
+                self.telemetry.counter(names::JOBS_MALFORMED_TOTAL, &[]).inc();
                 rai_telemetry::log!(
                     warn,
                     "worker {}: dropping malformed task message {} ({} bytes)",
@@ -400,27 +415,12 @@ impl Worker {
             };
             let attempt = u64::from(msg.attempts.max(1));
             if attempt > 1 {
-                if let Some(t) = &self.telemetry {
-                    t.counter(names::REDELIVERIES_TOTAL, &[]).inc();
-                }
+                self.telemetry.counter(names::REDELIVERIES_TOTAL, &[]).inc();
             }
             self.active_jobs += 1;
             self.set_active_gauge();
-            let co_scheduled = self.active_jobs.saturating_sub(1);
-            return Some(PoppedTask {
-                msg_id: msg.id,
-                request,
-                attempt,
-                co_scheduled,
-            });
+            return Some(PoppedTask { msg_id: msg.id, request, attempt });
         }
-    }
-
-    /// The claim tail for an already-popped task: auth, build-spec
-    /// parse, image resolve/pull, and the project fetch.
-    pub fn claim_popped(&mut self, popped: PoppedTask) -> ClaimedJob {
-        let PoppedTask { msg_id, request, attempt, co_scheduled } = popped;
-        self.claim_request(request, attempt, co_scheduled, Some(msg_id))
     }
 
     /// Restart after a crash: a fresh subscription claims a new
@@ -435,32 +435,31 @@ impl Worker {
     }
 
     fn set_active_gauge(&self) {
-        if let Some(t) = &self.telemetry {
-            t.gauge(names::WORKER_ACTIVE_JOBS, &[("worker", &self.config.worker_id)])
-                .set(self.active_jobs as f64);
-        }
+        self.telemetry
+            .gauge(names::WORKER_ACTIVE_JOBS, &[("worker", &self.config.worker_id)])
+            .set(self.active_jobs as f64);
     }
 
     /// Count a finished job and record its end-to-end service time.
-    fn note_outcome(&self, request: &JobRequest, outcome: &str, service_time: SimDuration) {
-        if let Some(t) = &self.telemetry {
-            let kind = match request.kind {
-                JobKind::Run => "run",
-                JobKind::Submit => "submit",
-            };
-            t.counter(names::JOBS_TOTAL, &[("kind", kind), ("outcome", outcome)]).inc();
-            t.histogram(names::JOB_TOTAL_SECONDS, &[], 0.0, 30.0, 40)
-                .record(service_time.as_secs_f64());
-        }
+    fn note_outcome(&self, job: &Attempt, outcome: &str) {
+        let kind = match job.request.kind {
+            JobKind::Run => "run",
+            JobKind::Submit => "submit",
+        };
+        self.telemetry
+            .counter(names::JOBS_TOTAL, &[("kind", kind), ("outcome", outcome)])
+            .inc();
+        self.telemetry
+            .histogram(names::JOB_TOTAL_SECONDS, &[], 0.0, 30.0, 40)
+            .record(job.service_time.as_secs_f64());
     }
 
     /// Count the extra attempts a retried operation burnt.
     fn note_retries(&self, op: &'static str, attempts: u32) {
         if attempts > 1 {
-            if let Some(t) = &self.telemetry {
-                t.counter(names::RETRIES_TOTAL, &[("op", op)])
-                    .add(u64::from(attempts - 1));
-            }
+            self.telemetry
+                .counter(names::RETRIES_TOTAL, &[("op", op)])
+                .add(u64::from(attempts - 1));
         }
     }
 
@@ -468,22 +467,26 @@ impl Worker {
     /// started + to]` under this delivery attempt's subtree, and its
     /// duration in the per-stage histogram. A zero-width span
     /// (`from == to`) marks an instantaneous lifecycle event.
-    #[allow(clippy::too_many_arguments)]
     fn note_stage(
         &self,
-        request: &JobRequest,
-        attempt: u32,
+        job: &Attempt,
         stage_name: &'static str,
         comp: &'static str,
-        started: rai_sim::SimTime,
         from: SimDuration,
         to: SimDuration,
     ) {
-        if let Some(t) = &self.telemetry {
-            t.trace_span(request.job_id, attempt, stage_name, comp, started + from, started + to);
-            t.histogram(names::JOB_STAGE_SECONDS, &[("stage", stage_name)], 0.0, 5.0, 24)
-                .record((to.saturating_sub(from)).as_secs_f64());
-        }
+        let (start, end) = (job.started + from, job.started + to);
+        self.telemetry.trace_span(job.request.job_id, job.tag(), stage_name, comp, start, end);
+        self.telemetry
+            .histogram(names::JOB_STAGE_SECONDS, &[("stage", stage_name)], 0.0, 5.0, 24)
+            .record((to.saturating_sub(from)).as_secs_f64());
+    }
+
+    /// Record a lifecycle event that is not a timed stage: a zero-width
+    /// span at `started + at`, and no histogram sample.
+    fn mark(&self, job: &Attempt, stage_name: &'static str, comp: &'static str, at: SimDuration) {
+        let at = job.started + at;
+        self.telemetry.trace_span(job.request.job_id, job.tag(), stage_name, comp, at, at);
     }
 
     /// Seed for one operation's retry jitter, stable across runs.
@@ -497,114 +500,34 @@ impl Worker {
     /// The injector's crash/stall decision for `point`, if any. Pure in
     /// (seed, job, attempt, point) — drawing it early at claim time
     /// yields the same decision the sequential pipeline drew in place.
-    fn crash_decision_at(
-        &self,
-        request: &JobRequest,
-        attempt: u64,
-        point: CrashPoint,
-    ) -> Option<CrashKind> {
-        self.injector
-            .as_ref()
-            .and_then(|inj| inj.crash_decision(request.job_id, attempt, point))
+    fn crash_decision_at(&self, job: &Attempt, point: CrashPoint) -> Option<CrashKind> {
+        self.injector.crash_decision(job.request.job_id, job.attempt, point)
     }
 
-    /// Consult the injector (if any) for a crash/stall at `point`.
-    fn crash_check(
-        &self,
-        request: &JobRequest,
-        attempt: u64,
-        point: CrashPoint,
-        wasted: SimDuration,
-    ) -> Result<(), CrashReport> {
-        let Some(inj) = &self.injector else { return Ok(()) };
-        match inj.crash_decision(request.job_id, attempt, point) {
-            Some(kind) => Err(CrashReport {
-                job_id: request.job_id,
-                team: request.team.clone(),
-                point,
-                kind,
-                wasted,
-            }),
-            None => Ok(()),
-        }
-    }
-
-    /// The crash report for a database record that would not persist
-    /// even after retries: the worker gives up without acking so the
-    /// message redelivers to a (hopefully healthier) attempt.
-    fn db_crash(&self, request: &JobRequest, wasted: SimDuration) -> CrashReport {
-        CrashReport {
-            job_id: request.job_id,
-            team: request.team.clone(),
-            point: CrashPoint::Record,
-            kind: CrashKind::Crash,
-            wasted,
-        }
-    }
-
-    /// Process a request while `co_scheduled` other jobs share this
-    /// host — the lever behind the paper's "the worker accepts only one
-    /// task at a time – this makes the performance timing more accurate
-    /// and repeatable" (measured by the concurrency ablation). The
-    /// request bypasses the broker; crashes are folded into a failed
-    /// outcome.
-    pub fn process_with_coscheduled(&mut self, request: &JobRequest, co_scheduled: usize) -> JobOutcome {
-        match self.run_job(request, 1, co_scheduled) {
-            Ok(outcome) => outcome,
-            Err(report) => JobOutcome {
-                job_id: report.job_id,
-                team: report.team,
-                kind: request.kind,
-                success: false,
-                service_time: report.wasted,
-                measured_secs: None,
-            },
-        }
-    }
-
-    /// Run delivery `attempt` of a request end to end. `Ok` means the
-    /// job reached a terminal state *and* its database record
-    /// persisted; `Err` means an injected crash/stall (or a db record
-    /// that outlasted its retries) aborted processing and the message
-    /// must not be acked.
-    fn run_job(
-        &mut self,
-        request: &JobRequest,
-        attempt: u64,
-        co_scheduled: usize,
-    ) -> Result<JobOutcome, CrashReport> {
-        let claimed = self.claim_request(request.clone(), attempt, co_scheduled, None);
-        let executed = Worker::execute(claimed);
-        self.commit_job(executed)
-    }
-
-    /// Run the claim phase of a request: everything up to (and
-    /// including) the project fetch, serially against shared services.
-    fn claim_request(
-        &mut self,
-        request: JobRequest,
-        attempt: u64,
-        co_scheduled: usize,
-        msg_id: Option<MessageId>,
-    ) -> ClaimedJob {
+    /// The claim tail for an already-popped task: auth, build-spec
+    /// parse, image resolve/pull, and the project fetch — everything
+    /// up to the sandbox, serially against shared services.
+    pub fn claim_popped(&mut self, popped: PoppedTask) -> ClaimedJob {
+        let PoppedTask { msg_id, request, attempt } = popped;
         let log_topic = routes::log_topic(request.job_id);
-        let attempt_no = attempt_no(attempt);
-        // All stage timestamps are `started + accumulated service time`:
-        // the driver advances the shared clock only after the round
-        // commits, so stamping the logical time keeps per-job traces
-        // monotone.
-        let started = self.store.clock().now();
-        if let Some(t) = &self.telemetry {
-            // Delivery from the broker opens this attempt's subtree.
-            t.trace_span(request.job_id, attempt_no, stage::DEQUEUED, component::BROKER, started, started);
-        }
         // Bytes of log traffic this job generates (the paper reports
         // 25 GB of logs and metadata across the semester).
-        let mut log_bytes = publish_frames(
-            &self.broker,
-            &log_topic,
-            &[LogFrame::Status(format!("job accepted by {}", self.config.worker_id))],
-        );
+        let accepted = LogFrame::Status(format!("job accepted by {}", self.config.worker_id));
+        let mut job = Attempt {
+            msg_id,
+            request,
+            attempt,
+            // All stage timestamps are `started + accumulated service
+            // time`: the driver advances the shared clock only after
+            // the round commits, so stamping the logical time keeps
+            // per-job traces monotone.
+            started: self.store.clock().now(),
+            service_time: SimDuration::ZERO,
+            log_bytes: 0,
+        };
+        // Delivery from the broker opens this attempt's subtree.
+        self.mark(&job, stage::DEQUEUED, component::BROKER, SimDuration::ZERO);
+        job.log_bytes += publish_frames(&self.broker, &log_topic, &[accepted]);
         let reject = |broker: &Broker, reason: String| {
             publish_frames(
                 broker,
@@ -612,46 +535,31 @@ impl Worker {
                 &[LogFrame::Err(reason), LogFrame::End { success: false }],
             )
         };
-        let mut service_time = SimDuration::ZERO;
-        macro_rules! claimed {
-            ($plan:expr) => {
-                ClaimedJob {
-                    msg_id,
-                    request,
-                    attempt,
-                    started,
-                    service_time,
-                    log_bytes,
-                    plan: $plan,
-                }
-            };
-        }
+        let halted = |job: Attempt, halt: Halt| ClaimedJob { job, plan: ClaimPlan::Halt(halt) };
 
         // ② Check the credentials.
         let auth = self
             .registry
             .read()
-            .authenticate(&request.access_key, &request.signing_payload(), &request.signature)
+            .authenticate(&job.request.access_key, &job.request.signing_payload(), &job.request.signature)
             .map(str::to_string);
         let user = match auth {
             Ok(u) => u,
             Err(e) => {
-                log_bytes += reject(&self.broker, format!("authentication failed: {e}"));
+                job.log_bytes += reject(&self.broker, format!("authentication failed: {e}"));
                 // The recorded row carries the rejection in place of a
                 // user name — there is no authenticated user to name.
-                return claimed!(ClaimPlan::Reject {
-                    user: "auth-rejected".to_string(),
-                    outcome: "auth-rejected",
-                });
+                let user = "auth-rejected".to_string();
+                return halted(job, Halt::Reject { user, outcome: "auth-rejected" });
             }
         };
 
         // Parse the build file embedded in the job message.
-        let spec = match BuildSpec::parse(&request.build_yml) {
+        let spec = match BuildSpec::parse(&job.request.build_yml) {
             Ok(s) => s,
             Err(e) => {
-                log_bytes += reject(&self.broker, e.to_string());
-                return claimed!(ClaimPlan::Reject { user, outcome: "bad-spec" });
+                job.log_bytes += reject(&self.broker, e.to_string());
+                return halted(job, Halt::Reject { user, outcome: "bad-spec" });
             }
         };
 
@@ -659,44 +567,31 @@ impl Worker {
         let image = match self.images.resolve(&spec.image) {
             Ok(img) => img.clone(),
             Err(e) => {
-                log_bytes += reject(&self.broker, e.to_string());
-                return claimed!(ClaimPlan::Reject { user, outcome: "image-rejected" });
+                job.log_bytes += reject(&self.broker, e.to_string());
+                return halted(job, Halt::Reject { user, outcome: "image-rejected" });
             }
         };
         if !self.cached_images.contains(&image.name) {
-            log_bytes += publish_frames(
-                &self.broker,
-                &log_topic,
-                &[LogFrame::Status(format!("pulling image {}...", image.name))],
-            );
-            let before_pull = service_time;
-            service_time += self.images.pull_latency(&image.name);
+            let pulling = LogFrame::Status(format!("pulling image {}...", image.name));
+            job.log_bytes += publish_frames(&self.broker, &log_topic, &[pulling]);
+            let before_pull = job.service_time;
+            job.service_time += self.images.pull_latency(&image.name);
             self.cached_images.insert(image.name.clone());
-            self.note_stage(
-                &request,
-                attempt_no,
-                stage::PULLED,
-                component::SANDBOX,
-                started,
-                before_pull,
-                service_time,
-            );
-            if let Some(t) = &self.telemetry {
-                t.counter(names::SANDBOX_IMAGE_PULLS_TOTAL, &[]).inc();
-            }
+            self.note_stage(&job, stage::PULLED, component::SANDBOX, before_pull, job.service_time);
+            self.telemetry.counter(names::SANDBOX_IMAGE_PULLS_TOTAL, &[]).inc();
         }
 
         // ④ Download the project archive and mount it.
-        if let Some(kind) = self.crash_decision_at(&request, attempt, CrashPoint::Fetch) {
-            return claimed!(ClaimPlan::Crashed { kind, point: CrashPoint::Fetch });
+        if let Some(kind) = self.crash_decision_at(&job, CrashPoint::Fetch) {
+            return halted(job, Halt::Crashed { kind, point: CrashPoint::Fetch });
         }
-        let before_fetch = service_time;
+        let before_fetch = job.service_time;
         let fetched = self.config.retry.run(
-            self.op_seed(request.job_id, attempt, 1),
-            |_| self.store.get(&request.upload_bucket, &request.upload_key),
+            self.op_seed(job.request.job_id, attempt, 1),
+            |_| self.store.get(&job.request.upload_bucket, &job.request.upload_key),
         );
         self.note_retries("store_get", fetched.attempts);
-        service_time += fetched.backoff;
+        job.service_time += fetched.backoff;
         let project = match fetched
             .result
             .map_err(|e| e.to_string())
@@ -704,22 +599,14 @@ impl Worker {
         {
             Ok(tree) => tree,
             Err(e) => {
-                log_bytes += reject(&self.broker, format!("failed to fetch project: {e}"));
-                return claimed!(ClaimPlan::Reject { user, outcome: "fetch-failed" });
+                job.log_bytes += reject(&self.broker, format!("failed to fetch project: {e}"));
+                return halted(job, Halt::Reject { user, outcome: "fetch-failed" });
             }
         };
         // Transfer latency: 100 MB/s from the file server. The span
         // covers backoff + transfer — everything the store fetch cost.
-        service_time += SimDuration::from_millis(project.total_size() / (100 * 1024) + 1);
-        self.note_stage(
-            &request,
-            attempt_no,
-            stage::FETCHED,
-            component::STORE,
-            started,
-            before_fetch,
-            service_time,
-        );
+        job.service_time += SimDuration::from_millis(project.total_size() / (100 * 1024) + 1);
+        self.note_stage(&job, stage::FETCHED, component::STORE, before_fetch, job.service_time);
 
         let mut limits = self.config.limits;
         if let Some(gpus) = spec.gpus {
@@ -727,20 +614,17 @@ impl Worker {
             // requirements); it cannot exceed what the worker offers.
             limits.gpus = limits.gpus.min(gpus);
         }
-        let dilation = self.contention_dilation(co_scheduled);
-        let crash_build = self.crash_decision_at(&request, attempt, CrashPoint::Build);
-        let crash_upload = self.crash_decision_at(&request, attempt, CrashPoint::Upload);
-        claimed!(ClaimPlan::Run {
+        let plan = ClaimPlan::Run {
             user,
             spec,
             image,
             project,
             limits,
-            gpu_speed: self.config.gpu_speed,
-            dilation,
-            crash_build,
-            crash_upload,
-        })
+            dilation: self.contention_dilation(),
+            crash_build: self.crash_decision_at(&job, CrashPoint::Build),
+            crash_upload: self.crash_decision_at(&job, CrashPoint::Upload),
+        };
+        ClaimedJob { job, plan }
     }
 
     /// Run a claimed job's execute phase: the sandboxed build + run
@@ -752,38 +636,26 @@ impl Worker {
     /// upload) is buffered into the returned [`ExecutedJob`] for
     /// [`Worker::commit`] to apply in claim order.
     pub fn execute(claimed: ClaimedJob) -> ExecutedJob {
-        let ClaimedJob {
-            msg_id,
-            request,
-            attempt,
-            started,
-            mut service_time,
-            mut log_bytes,
-            plan,
-        } = claimed;
+        let ClaimedJob { mut job, plan } = claimed;
         let mut output = String::new();
-        let mut spans = Vec::new();
-        let mut run_facts = None;
+        let mut run = None;
         let outcome = match plan {
-            ClaimPlan::Reject { user, outcome } => ExecOutcome::Reject { user, outcome },
-            ClaimPlan::Crashed { kind, point } => ExecOutcome::Crashed { kind, point },
+            ClaimPlan::Halt(halt) => ExecOutcome::Halt(halt),
             ClaimPlan::Run {
                 user,
                 spec,
                 image,
                 project,
                 limits,
-                gpu_speed,
                 dilation,
                 crash_build,
                 crash_upload,
             } => 'run: {
                 if let Some(kind) = crash_build {
-                    break 'run ExecOutcome::Crashed { kind, point: CrashPoint::Build };
+                    break 'run ExecOutcome::Halt(Halt::Crashed { kind, point: CrashPoint::Build });
                 }
                 let mut container = Container::create(&image, limits);
                 container.mount("/src", &project);
-                container.set_gpu_speed(gpu_speed);
                 container.set_time_dilation(dilation);
 
                 // ⑤ Execute the build commands, buffering output.
@@ -793,37 +665,26 @@ impl Worker {
                 output.reserve(report.log.iter().map(|l| l.text.len() + 5).sum());
                 for line in &report.log {
                     let stderr = line.stream == LogStream::Stderr;
-                    log_bytes += push_output(&mut output, stderr, &line.text) as u64;
+                    job.log_bytes += push_output(&mut output, stderr, &line.text) as u64;
                 }
-                spans.push(StagedSpan {
-                    stage: stage::BUILT,
-                    component: component::SANDBOX,
-                    from: service_time,
-                    to: service_time,
-                });
-                let before_run = service_time;
-                service_time += report.elapsed;
-                spans.push(StagedSpan {
-                    stage: stage::RAN,
-                    component: component::SANDBOX,
-                    from: before_run,
-                    to: service_time,
-                });
-                run_facts = Some(RunFacts {
-                    elapsed: report.elapsed,
+                let from = job.service_time;
+                job.service_time += report.elapsed;
+                run = Some(RunFacts {
+                    from,
+                    to: job.service_time,
                     limit_killed: matches!(report.status, ContainerStatus::Killed(_)),
                 });
 
                 if let Some(kind) = crash_upload {
-                    break 'run ExecOutcome::Crashed { kind, point: CrashPoint::Upload };
+                    break 'run ExecOutcome::Halt(Halt::Crashed { kind, point: CrashPoint::Upload });
                 }
                 // The pure half of ⑥: archive /build and chunk it.
                 // The store conversation happens at commit.
                 let build_container = write_container(&report.build_dir);
                 let build_key = format!(
                     "{}/{:08x}-build.tar.bz2",
-                    request.team.replace(' ', "-"),
-                    request.job_id
+                    job.request.team.replace(' ', "-"),
+                    job.request.job_id
                 );
                 ExecOutcome::Built {
                     user,
@@ -837,89 +698,21 @@ impl Worker {
             }
         };
         #[cfg(test)]
-        phase_log::record("execute", request.job_id);
-        ExecutedJob {
-            msg_id,
-            request,
-            attempt,
-            started,
-            service_time,
-            log_bytes,
-            output,
-            spans,
-            run_facts,
-            outcome,
-        }
+        phase_log::record("execute", job.request.job_id);
+        ExecutedJob { job, output, run, outcome }
     }
 
     /// Apply an executed job's buffered effects and seal it: publish the
-    /// output block, replay spans, commit the upload and database records,
-    /// then ack the message (terminal) or report the crash (unacked).
-    /// Round drivers must call this in claim order — it is the only
-    /// phase after the claim that talks to broker/store/db, so commit
-    /// order *is* the fault-draw order.
+    /// output block, replay the run's spans, commit the upload and the
+    /// database records, then ack the message (terminal) or report the
+    /// crash (unacked). Round drivers must call this in claim order —
+    /// it is the only phase after the claim that talks to
+    /// broker/store/db, so commit order *is* the fault-draw order.
     pub fn commit(&mut self, executed: ExecutedJob) -> StepEvent {
+        let ExecutedJob { mut job, output, run, outcome } = executed;
         #[cfg(test)]
-        phase_log::record("commit", executed.request.job_id);
-        let msg_id = executed.msg_id;
-        let result = self.commit_job(executed);
-        if msg_id.is_some() {
-            self.active_jobs = self.active_jobs.saturating_sub(1);
-            self.set_active_gauge();
-        }
-        match result {
-            Ok(outcome) => {
-                if let Some(id) = msg_id {
-                    self.subscription.ack(id);
-                }
-                StepEvent::Done(outcome)
-            }
-            Err(report) => {
-                if msg_id.is_some() {
-                    if let Some(t) = &self.telemetry {
-                        t.counter(names::WORKER_CRASHES_TOTAL, &[("kind", report.kind.label())])
-                            .inc();
-                    }
-                }
-                StepEvent::Crashed(report)
-            }
-        }
-    }
-
-    /// Commit an executed job without touching message or in-flight
-    /// accounting (shared by [`Worker::commit`] and `run_job`).
-    fn commit_job(&mut self, executed: ExecutedJob) -> Result<JobOutcome, CrashReport> {
-        let attempt = executed.attempt;
-        let started = executed.started;
-        let job_id = executed.request.job_id;
-        let result = self.commit_apply(executed);
-        if let Err(report) = &result {
-            // Close the attempt's subtree with a zero-width crash
-            // marker so the trace shows where the wasted work ended —
-            // the next delivery opens a sibling attempt subtree.
-            if let Some(t) = &self.telemetry {
-                let at = started + report.wasted;
-                t.trace_span(job_id, attempt_no(attempt), stage::CRASHED, component::FAULT, at, at);
-            }
-        }
-        result
-    }
-
-    fn commit_apply(&mut self, executed: ExecutedJob) -> Result<JobOutcome, CrashReport> {
-        let ExecutedJob {
-            msg_id: _,
-            request,
-            attempt,
-            started,
-            mut service_time,
-            mut log_bytes,
-            output,
-            spans,
-            run_facts,
-            outcome,
-        } = executed;
-        let attempt_no = attempt_no(attempt);
-        let log_topic = routes::log_topic(request.job_id);
+        phase_log::record("commit", job.request.job_id);
+        let log_topic = routes::log_topic(job.request.job_id);
         // Flush the execute phase's buffered effects first, in the
         // order a single pass would have produced them: the output
         // block (publishing is faultable, and best-effort like every
@@ -927,42 +720,33 @@ impl Worker {
         if !output.is_empty() {
             let _ = self.broker.publish_ephemeral(&log_topic, output);
         }
-        for s in &spans {
-            self.note_stage(&request, attempt_no, s.stage, s.component, started, s.from, s.to);
-        }
-        if let Some(facts) = &run_facts {
-            if let Some(t) = &self.telemetry {
-                t.histogram(names::SANDBOX_RUN_SECONDS, &[], 0.0, 5.0, 24)
-                    .record(facts.elapsed.as_secs_f64());
-                if facts.limit_killed {
-                    t.counter(names::SANDBOX_LIMIT_KILLS_TOTAL, &[]).inc();
-                }
+        if let Some(run) = &run {
+            self.note_stage(&job, stage::BUILT, component::SANDBOX, run.from, run.from);
+            self.note_stage(&job, stage::RAN, component::SANDBOX, run.from, run.to);
+            self.telemetry
+                .histogram(names::SANDBOX_RUN_SECONDS, &[], 0.0, 5.0, 24)
+                .record((run.to - run.from).as_secs_f64());
+            if run.limit_killed {
+                self.telemetry.counter(names::SANDBOX_LIMIT_KILLS_TOTAL, &[]).inc();
             }
         }
 
-        match outcome {
-            ExecOutcome::Crashed { kind, point } => Err(CrashReport {
-                job_id: request.job_id,
-                team: request.team.clone(),
-                point,
-                kind,
-                wasted: service_time,
-            }),
-            ExecOutcome::Reject { user, outcome } => {
-                let backoff = self
-                    .record_submission(&request, &user, None, SimDuration::ZERO, false, log_bytes)
-                    .map_err(|_| self.db_crash(&request, service_time))?;
-                let total = service_time + backoff;
-                self.note_stage(&request, attempt_no, stage::RECORDED, component::DB, started, service_time, total);
-                self.note_outcome(&request, outcome, total);
-                Ok(JobOutcome {
-                    job_id: request.job_id,
-                    team: request.team.clone(),
-                    kind: request.kind,
-                    success: false,
-                    service_time: total,
-                    measured_secs: None,
-                })
+        // `Ok((success, measured))` once the terminal row has landed.
+        // Failure to persist it is a crash: the message stays unacked
+        // and redelivers to a (hopefully healthier) attempt.
+        let sealed = match outcome {
+            ExecOutcome::Halt(Halt::Crashed { kind, point }) => Err(job.crashed(point, kind)),
+            ExecOutcome::Halt(Halt::Reject { user, outcome }) => {
+                match self.record_submission(&job, &user, None, SimDuration::ZERO, false) {
+                    Ok(backoff) => {
+                        let before_record = job.service_time;
+                        job.service_time += backoff;
+                        self.note_stage(&job, stage::RECORDED, component::DB, before_record, job.service_time);
+                        self.note_outcome(&job, outcome);
+                        Ok((false, None))
+                    }
+                    Err(_) => Err(job.crashed(CrashPoint::Record, CrashKind::Crash)),
+                }
             }
             ExecOutcome::Built {
                 user,
@@ -972,14 +756,15 @@ impl Worker {
                 success,
                 measured,
                 elapsed,
-            } => {
+            } => 'built: {
                 // ⑥ Commit the upload and send the URL + End, as one
                 // block. The key is a pure function of (team, job_id):
                 // a redelivered attempt overwrites its own previous
                 // upload instead of duplicating it.
-                let before_upload = service_time;
+                let request = &job.request;
+                let before_upload = job.service_time;
                 let upload = self.config.retry.run(
-                    self.op_seed(request.job_id, attempt, 2),
+                    self.op_seed(request.job_id, job.attempt, 2),
                     |_| {
                         DeltaUploader::new().upload_prepared(
                             &self.store,
@@ -1001,7 +786,7 @@ impl Worker {
                     },
                 );
                 self.note_retries("store_put", upload.attempts);
-                service_time += upload.backoff;
+                job.service_time += upload.backoff;
                 // A presigned URL (valid 7 days) so the student
                 // downloads the archive without holding file-server
                 // credentials.
@@ -1018,61 +803,61 @@ impl Worker {
                     Ok(receipt) => receipt.wire_bytes(),
                     Err(_) => container_len,
                 };
-                service_time += SimDuration::from_millis(wire_bytes / (100 * 1024) + 1);
-                self.note_stage(
-                    &request,
-                    attempt_no,
-                    stage::UPLOADED,
-                    component::STORE,
-                    started,
-                    before_upload,
-                    service_time,
-                );
+                job.service_time += SimDuration::from_millis(wire_bytes / (100 * 1024) + 1);
+                self.note_stage(&job, stage::UPLOADED, component::STORE, before_upload, job.service_time);
                 let closing = [build_url, Some(LogFrame::End { success })];
-                log_bytes += publish_frames(&self.broker, &log_topic, closing.iter().flatten());
+                job.log_bytes += publish_frames(&self.broker, &log_topic, closing.iter().flatten());
 
-                // ⑦ Record the submission metadata. Failure to persist
-                // is a crash: the message stays unacked and redelivers.
-                let before_record = service_time;
-                let mut backoff = self
-                    .record_submission(&request, &user, measured, elapsed, success, log_bytes)
-                    .map_err(|_| self.db_crash(&request, service_time))?;
-                if request.kind == JobKind::Submit && success {
-                    backoff += self
-                        .record_ranking(&request, measured, elapsed, &build_key)
-                        .map_err(|_| self.db_crash(&request, service_time))?;
+                // ⑦ Record the submission metadata.
+                let recorded = self
+                    .record_submission(&job, &user, measured, elapsed, success)
+                    .and_then(|backoff| {
+                        if job.request.kind == JobKind::Submit && success {
+                            Ok(backoff + self.record_ranking(&job.request, measured, elapsed, &build_key)?)
+                        } else {
+                            Ok(backoff)
+                        }
+                    });
+                let Ok(backoff) = recorded else {
+                    break 'built Err(job.crashed(CrashPoint::Record, CrashKind::Crash));
+                };
+                let before_record = job.service_time;
+                job.service_time += backoff;
+                self.note_stage(&job, stage::RECORDED, component::DB, before_record, job.service_time);
+                if let Some(kind) = self.crash_decision_at(&job, CrashPoint::Ack) {
+                    break 'built Err(job.crashed(CrashPoint::Ack, kind));
                 }
-                service_time += backoff;
-                self.note_stage(
-                    &request,
-                    attempt_no,
-                    stage::RECORDED,
-                    component::DB,
-                    started,
-                    before_record,
-                    service_time,
-                );
-                self.crash_check(&request, attempt, CrashPoint::Ack, service_time)?;
-                if let Some(t) = &self.telemetry {
-                    t.trace_span(
-                        request.job_id,
-                        attempt_no,
-                        stage::GRADED,
-                        component::WORKER,
-                        started + service_time,
-                        started + service_time,
-                    );
-                }
-                self.note_outcome(&request, if success { "ok" } else { "failed" }, service_time);
+                self.mark(&job, stage::GRADED, component::WORKER, job.service_time);
+                self.note_outcome(&job, if success { "ok" } else { "failed" });
+                Ok((success, measured))
+            }
+        };
 
-                Ok(JobOutcome {
-                    job_id: request.job_id,
-                    team: request.team.clone(),
-                    kind: request.kind,
+        if let Err(report) = &sealed {
+            // Close the attempt's subtree with a zero-width crash
+            // marker so the trace shows where the wasted work ended —
+            // the next delivery opens a sibling attempt subtree.
+            self.mark(&job, stage::CRASHED, component::FAULT, report.wasted);
+        }
+        self.active_jobs = self.active_jobs.saturating_sub(1);
+        self.set_active_gauge();
+        match sealed {
+            Ok((success, measured_secs)) => {
+                self.subscription.ack(job.msg_id);
+                StepEvent::Done(JobOutcome {
+                    job_id: job.request.job_id,
+                    team: job.request.team,
+                    kind: job.request.kind,
                     success,
-                    service_time,
-                    measured_secs: measured,
+                    service_time: job.service_time,
+                    measured_secs,
                 })
+            }
+            Err(report) => {
+                self.telemetry
+                    .counter(names::WORKER_CRASHES_TOTAL, &[("kind", report.kind.label())])
+                    .inc();
+                StepEvent::Crashed(report)
             }
         }
     }
@@ -1082,16 +867,15 @@ impl Worker {
     /// Upserts keyed on `job_id` so a redelivered attempt overwrites
     /// its own row rather than double-counting the submission. Returns
     /// the retry backoff to fold into the job's service time.
-    #[allow(clippy::too_many_arguments)]
     fn record_submission(
         &self,
-        request: &JobRequest,
+        job: &Attempt,
         user: &str,
         measured_secs: Option<f64>,
         wall: SimDuration,
         success: bool,
-        log_bytes: u64,
     ) -> Result<SimDuration, DbError> {
+        let request = &job.request;
         let guarded = self.config.retry.run(
             self.op_seed(request.job_id, 0, 3),
             |_| self.db.guard("record_submission"),
@@ -1109,7 +893,7 @@ impl Worker {
                 "wall_secs" => wall.as_secs_f64(),
                 "worker" => self.config.worker_id.as_str(),
                 "upload_key" => request.upload_key.as_str(),
-                "log_bytes" => log_bytes,
+                "log_bytes" => job.log_bytes,
             } },
             true,
         );
@@ -1398,6 +1182,51 @@ mod tests {
         let rig = rig();
         let (_client, mut worker) = client_and_worker(&rig, "team-a");
         assert!(worker.step().is_none());
+    }
+
+    #[test]
+    fn a_bare_worker_records_its_jobs() {
+        // No `set_telemetry`: the worker's own registry, on the store's
+        // clock, holds the job's trace and counters.
+        let rig = rig();
+        let (client, mut worker) = client_and_worker(&rig, "team-a");
+        let pending = client
+            .begin_submit(&ProjectDir::sample_cuda_project(), SubmitMode::Run)
+            .unwrap();
+        assert!(worker.step().expect("job runs").success);
+        let trace = worker.telemetry.job_trace(pending.job_id).expect("the job is traced");
+        assert!(trace.is_monotone());
+        for stage in [stage::DEQUEUED, stage::PULLED, stage::FETCHED, stage::RAN, stage::GRADED] {
+            assert!(trace.stage_time(stage).is_some(), "no {stage} span");
+        }
+        let metrics = worker.telemetry.snapshot();
+        assert_eq!(metrics.counter(names::JOBS_TOTAL, &[("kind", "run"), ("outcome", "ok")]), Some(1));
+        assert_eq!(metrics.counter_total(names::SANDBOX_IMAGE_PULLS_TOTAL), 1);
+        assert_eq!(metrics.counter_total(names::WORKER_CRASHES_TOTAL), 0);
+    }
+
+    #[test]
+    fn a_job_among_neighbours_measures_slower() {
+        // `max_in_flight` has one reader: a host with four slots
+        // measures a job with three neighbours' contention.
+        let measured_with = |max_in_flight: usize| {
+            let rig = rig();
+            let (client, _) = client_and_worker(&rig, "team-a");
+            let mut worker = Worker::new(
+                WorkerConfig { max_in_flight, noise_seed: 42, ..Default::default() },
+                rig.broker.clone(),
+                rig.store.clone(),
+                rig.db.clone(),
+                rig.registry.clone(),
+                rig.images.clone(),
+            );
+            let project = ProjectDir::sample_cuda_project().with_final_artifacts();
+            client.begin_submit(&project, SubmitMode::Submit).unwrap();
+            worker.step().expect("job runs").measured_secs.expect("program ran")
+        };
+        let (alone, crowded) = (measured_with(1), measured_with(4));
+        assert_eq!(alone, 0.505, "a single slot measures the program, nothing else");
+        assert!(crowded > alone * 1.05, "three neighbours: {crowded} vs {alone}");
     }
 
     #[test]
@@ -1720,6 +1549,55 @@ mod tests {
         // the closing block — are framing: carried, not counted.
         let carried: usize = bodies.iter().map(String::len).sum();
         assert_eq!(carried, frame_bytes + (LISTING1_OUTPUT.len() - 1) + 1);
+    }
+
+    #[test]
+    fn a_flood_of_output_is_capped_everywhere_it_would_be_held() {
+        // 2 MiB of `cat`: uncapped, the container holds it, the block
+        // copies it, the topic keeps it, the client copies it again and
+        // the row counts it.
+        use rai_sandbox::MAX_OUTPUT_BYTES;
+        let rig = rig();
+        let (client, mut worker) = client_and_worker(&rig, "team-a");
+        let mut project = ProjectDir::sample_cuda_project();
+        let line = "0123456789abcdef".repeat(4);
+        project.tree.insert("big.txt", (line.clone() + "\n").repeat(1 << 14).into_bytes()).unwrap();
+        project
+            .tree
+            .insert(
+                "rai-build.yml",
+                &b"rai:\n  version: 0.1\n  image: webgpu/rai:root\ncommands:\n  build:\n    - cat /src/big.txt\n    - cat /src/big.txt\n"[..],
+            )
+            .unwrap();
+        let pending = client.begin_submit(&project, SubmitMode::Run).unwrap();
+        let topic = routes::log_topic(pending.job_id);
+        let audit = rig.broker.subscribe_ephemeral(&topic, "audit");
+        assert!(worker.step().expect("job runs").success, "the exit status is the commands'");
+
+        // What the worker itself says around the output — accepted,
+        // pulling image, truncated, url, end — fits in this.
+        const WORKER_FRAMES: usize = 512;
+        let bodies: Vec<String> = std::iter::from_fn(|| audit.try_recv())
+            .map(|m| m.body_str().into_owned())
+            .collect();
+        assert_eq!(bodies.len(), 4, "accepted | pulling image | output | url+end");
+        assert!(bodies[2].len() > MAX_OUTPUT_BYTES / 2, "the block is the flood");
+        assert!(bodies[2].len() <= MAX_OUTPUT_BYTES + WORKER_FRAMES, "block of {} bytes", bodies[2].len());
+        let on_topic: usize = bodies.iter().map(String::len).sum();
+        assert!(on_topic <= MAX_OUTPUT_BYTES + WORKER_FRAMES, "{on_topic} bytes on the topic");
+
+        let receipt = pending.wait(Duration::from_millis(500)).unwrap();
+        assert!(receipt.success && receipt.build_url.is_some());
+        let transcript: usize = receipt.log.iter().map(String::len).sum();
+        assert!(transcript <= MAX_OUTPUT_BYTES + WORKER_FRAMES, "{transcript} bytes of transcript");
+        // `End` is a field of the receipt, so the truncation note is
+        // the transcript's last line, after the last line that fit.
+        let [.., fit, note] = &receipt.log[..] else { panic!("a two-line transcript at least") };
+        assert_eq!((fit, note.as_str()), (&line, "[stderr] … output truncated"));
+
+        let row = rig.db.collection("submissions").read().find_one(&doc! { "job_id" => 1u64 }).unwrap();
+        let log_bytes = row.get("log_bytes").and_then(Value::as_i64).expect("counted") as usize;
+        assert!(bodies[2].len() / 2 < log_bytes && log_bytes <= MAX_OUTPUT_BYTES + WORKER_FRAMES, "{log_bytes}");
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::journal::{DbRecord, JournalSink};
 use parking_lot::RwLock;
 use rai_wal::Wal;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Database-level failure. The in-memory engine itself cannot fail;
 /// this models the *connection* to a real MongoDB deployment, which
@@ -42,9 +42,15 @@ pub struct DbRecovery {
 /// A handle to a database of named collections. Cloning shares state.
 #[derive(Clone, Default)]
 pub struct Database {
-    collections: Arc<RwLock<BTreeMap<String, Arc<RwLock<Collection>>>>>,
-    injector: Arc<RwLock<Option<rai_faults::FaultInjector>>>,
-    wal: Arc<RwLock<Option<Wal>>>,
+    inner: Arc<DbInner>,
+}
+
+#[derive(Default)]
+struct DbInner {
+    collections: RwLock<BTreeMap<String, Arc<RwLock<Collection>>>>,
+    /// Deployment wiring, like `wal`: set at most once.
+    injector: OnceLock<rai_faults::FaultInjector>,
+    wal: OnceLock<Wal>,
 }
 
 impl Database {
@@ -56,8 +62,9 @@ impl Database {
     /// Attach a seeded fault injector. The engine stays infallible;
     /// [`Database::guard`] consults the injector so callers can model
     /// connection failures at their transaction boundaries.
+    /// Deployment wiring: a second injector panics.
     pub fn set_fault_injector(&self, injector: rai_faults::FaultInjector) {
-        *self.injector.write() = Some(injector);
+        assert!(self.inner.injector.set(injector).is_ok(), "database fault injector is wired once");
     }
 
     /// Fail-fast check run at the start of a logical database
@@ -65,7 +72,7 @@ impl Database {
     /// injector (if any) decides this op's connection drops. Callers
     /// wrap `guard` + collection access in a retry policy.
     pub fn guard(&self, _op: &str) -> Result<(), DbError> {
-        match self.injector.read().as_ref() {
+        match self.inner.injector.get() {
             Some(inj) if inj.should_fail(rai_faults::FaultKind::DbOp) => {
                 Err(DbError::Unavailable)
             }
@@ -77,21 +84,22 @@ impl Database {
     /// collection (present and future) is journaled to it. Called by
     /// the system's durable constructors; without it the database
     /// keeps its original zero-overhead in-memory behavior.
+    /// Deployment wiring: a second log panics.
     pub fn attach_wal(&self, wal: Wal) {
-        *self.wal.write() = Some(wal.clone());
-        for (name, coll) in self.collections.read().iter() {
+        assert!(self.inner.wal.set(wal.clone()).is_ok(), "database WAL is wired once");
+        for (name, coll) in self.inner.collections.read().iter() {
             coll.write().set_journal(Some(JournalSink::new(wal.clone(), name)));
         }
     }
 
     /// The attached WAL, if any.
     pub fn wal(&self) -> Option<Wal> {
-        self.wal.read().clone()
+        self.inner.wal.get().cloned()
     }
 
     /// Force the journal durable. A no-op without an attached WAL.
     pub fn sync_wal(&self) {
-        if let Some(wal) = self.wal.read().as_ref() {
+        if let Some(wal) = self.inner.wal.get() {
             wal.sync();
         }
     }
@@ -140,7 +148,7 @@ impl Database {
                 self.collection(&coll).write().create_index_inner(&field);
             }
             DbRecord::DropCollection { coll } => {
-                self.collections.write().remove(&coll);
+                self.inner.collections.write().remove(&coll);
             }
             DbRecord::SnapshotCollection { coll, next_id, indexes, docs } => {
                 self.collection(&coll).write().restore(next_id, indexes, docs);
@@ -153,7 +161,7 @@ impl Database {
     /// the old segments are deleted. Call at quiesced points only.
     /// Returns whether a compaction ran.
     pub fn maybe_compact(&self) -> bool {
-        let Some(wal) = self.wal.read().clone() else {
+        let Some(wal) = self.inner.wal.get() else {
             return false;
         };
         if !wal.should_compact() {
@@ -175,17 +183,17 @@ impl Database {
     /// Get (creating on first use) a collection handle. Lock it with
     /// `.read()` / `.write()` for queries and mutations.
     pub fn collection(&self, name: &str) -> Arc<RwLock<Collection>> {
-        if let Some(c) = self.collections.read().get(name) {
+        if let Some(c) = self.inner.collections.read().get(name) {
             return c.clone();
         }
-        let wal = self.wal.read().clone();
-        self.collections
+        self.inner
+            .collections
             .write()
             .entry(name.to_string())
             .or_insert_with(|| {
                 let mut coll = Collection::new();
-                if let Some(wal) = wal {
-                    coll.set_journal(Some(JournalSink::new(wal, name)));
+                if let Some(wal) = self.inner.wal.get() {
+                    coll.set_journal(Some(JournalSink::new(wal.clone(), name)));
                 }
                 Arc::new(RwLock::new(coll))
             })
@@ -194,14 +202,14 @@ impl Database {
 
     /// Collection names, sorted.
     pub fn collection_names(&self) -> Vec<String> {
-        self.collections.read().keys().cloned().collect()
+        self.inner.collections.read().keys().cloned().collect()
     }
 
     /// Drop a collection; returns whether it existed.
     pub fn drop_collection(&self, name: &str) -> bool {
-        let existed = self.collections.write().remove(name).is_some();
+        let existed = self.inner.collections.write().remove(name).is_some();
         if existed {
-            if let Some(wal) = self.wal.read().as_ref() {
+            if let Some(wal) = self.inner.wal.get() {
                 wal.append(&DbRecord::DropCollection { coll: name.to_string() }.encode());
             }
         }
@@ -210,7 +218,8 @@ impl Database {
 
     /// Per-collection operation counters, sorted by collection name.
     pub fn stats(&self) -> Vec<(String, CollectionStats)> {
-        self.collections
+        self.inner
+            .collections
             .read()
             .iter()
             .map(|(name, coll)| (name.clone(), coll.read().stats()))

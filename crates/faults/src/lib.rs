@@ -19,6 +19,8 @@
 //! exponential backoff measured in [`SimDuration`] and deterministic
 //! seeded jitter, so retries cost virtual time instead of wall time.
 
+#![forbid(unsafe_code)]
+
 use parking_lot::Mutex;
 use rai_sim::SimDuration;
 use std::collections::BTreeMap;
@@ -179,8 +181,10 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// A plan that injects nothing. Attaching it is equivalent to not
-    /// attaching an injector at all.
+    /// A plan that injects nothing: its injector's `should_fail` and
+    /// `crash_decision` answer before touching a draw counter. This is
+    /// the one spelling of "no faults" below `SystemConfig` — a
+    /// standalone `Worker` holds one until a deployment replaces it.
     pub fn none(seed: u64) -> Self {
         FaultPlan {
             seed,

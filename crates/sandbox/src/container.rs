@@ -89,6 +89,18 @@ impl ExecutionReport {
     }
 }
 
+/// What one job may log: 640 KiB, the per-job share of the paper's
+/// 25 GB of logs over ≈ 40 000 submissions. Output is a resource like
+/// memory and lifetime — a job's lines are held here, copied into one
+/// log message, kept by the broker until the client drains it and
+/// summed into the submissions row — but running over it costs only
+/// the rest of the output, never the job: see [`Container::log`].
+pub const MAX_OUTPUT_BYTES: usize = 640 * 1024;
+
+/// What a line is charged beyond its text, so that a flood of empty
+/// lines is bounded too: the five bytes that frame it on the log topic.
+const LINE_OVERHEAD: usize = 5;
+
 /// A running (simulated) container.
 pub struct Container {
     /// The merged filesystem: image rootfs + mounted volumes + workdir.
@@ -99,6 +111,8 @@ pub struct Container {
     workdir: String,
     status: ContainerStatus,
     log: Vec<LogLine>,
+    /// Bytes charged against [`MAX_OUTPUT_BYTES`] so far.
+    logged: usize,
     elapsed: SimDuration,
     peak_memory: u64,
     command_durations: Vec<SimDuration>,
@@ -118,6 +132,7 @@ impl Container {
             workdir: "build".to_string(),
             status: ContainerStatus::Created,
             log: Vec::new(),
+            logged: 0,
             elapsed: SimDuration::ZERO,
             peak_memory: 0,
             command_durations: Vec::new(),
@@ -158,11 +173,6 @@ impl Container {
         &self.workdir
     }
 
-    /// Set the working directory.
-    pub fn set_workdir(&mut self, dir: &str) {
-        self.workdir = dir.trim_start_matches('/').to_string();
-    }
-
     /// The image this container was started from.
     pub fn image_name(&self) -> &str {
         &self.image_name
@@ -189,9 +199,20 @@ impl Container {
         [self.workdir.as_str(), "/", name].concat()
     }
 
-    /// Append a log line.
+    /// Append a log line. The line that takes the job past
+    /// [`MAX_OUTPUT_BYTES`] is replaced by one stderr line saying so,
+    /// and every later one is dropped; the commands keep running and
+    /// exit as they would have.
     pub fn log(&mut self, stream: LogStream, text: String) {
-        self.log.push(LogLine { stream, text });
+        if self.logged > MAX_OUTPUT_BYTES {
+            return;
+        }
+        self.logged += text.len() + LINE_OVERHEAD;
+        self.log.push(if self.logged > MAX_OUTPUT_BYTES {
+            LogLine { stream: LogStream::Stderr, text: "… output truncated".to_string() }
+        } else {
+            LogLine { stream, text }
+        });
     }
 
     /// Charge a command's resource use against the limits. Returns the
@@ -550,7 +571,14 @@ mod tests {
                 .expect("spawn");
             let report = job.join().expect("the interpreter thread survives");
             assert_eq!(report.status, ContainerStatus::Exited(2), "{wrapper}");
-            assert!(report.log.iter().any(|l| l.text.ends_with("wrapper nesting too deep")));
+            // `nvprof` echoes the command line it wraps — 700 KB here,
+            // at each of 16 levels — so its refusal comes after the
+            // output cap; `time` prints nothing on the way down.
+            let said_why = report.log.iter().any(|l| l.text.ends_with("wrapper nesting too deep"));
+            let truncated = report.log.last().is_some_and(|l| l.text == "… output truncated");
+            assert!(said_why || (truncated && wrapper.starts_with("nvprof")), "{wrapper}");
+            let kept: usize = report.log.iter().map(|l| l.text.len()).sum();
+            assert!(kept <= MAX_OUTPUT_BYTES, "{wrapper}: {kept} bytes of log");
             assert!(!report.log.iter().any(|l| l.text == "never-runs"));
         }
     }
@@ -602,6 +630,30 @@ mod tests {
         let report = c.destroy();
         assert!(report.success());
         assert!(report.log.iter().any(|l| l.text.contains("warning:")));
+    }
+
+    #[test]
+    fn output_past_the_cap_is_dropped_and_said_so_once() {
+        // 16 KiB lines: the 40th is the one that would cross 640 KiB.
+        let big = "x".repeat(16 * 1024 - 1) + "\n";
+        let tree = gpu_project().with("big.txt", big.repeat(64).into_bytes());
+        let mut c = make_container(&tree, ResourceLimits::default());
+        c.run_script(["cat /src/big.txt", "cat /src/big.txt", "echo after"]);
+        let report = c.destroy();
+        assert!(report.success(), "truncation is not a failure: {:?}", report.status);
+        assert_eq!(report.command_durations.len(), 3, "every command still ran");
+        let (last, kept) = report.log.split_last().unwrap();
+        assert_eq!((last.stream, last.text.as_str()), (LogStream::Stderr, "… output truncated"));
+        assert_eq!(kept.len(), 39);
+        let charged: usize = kept.iter().map(|l| l.text.len() + LINE_OVERHEAD).sum();
+        assert!(charged <= MAX_OUTPUT_BYTES && charged + big.len() + LINE_OVERHEAD > MAX_OUTPUT_BYTES);
+
+        // A job under the cap is untouched, to the line.
+        let mut c = make_container(&tree, ResourceLimits::default());
+        c.run_script(["head -n 39 /src/big.txt", "echo after"]);
+        let report = c.destroy();
+        assert_eq!(report.log.len(), 40);
+        assert_eq!(report.log[39].text, "after");
     }
 
     #[test]

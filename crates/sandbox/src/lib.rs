@@ -24,13 +24,17 @@
 //!   destroy), mounts, GPU attachment, and the execution report the
 //!   worker ships back.
 
+#![forbid(unsafe_code)]
+
 pub mod container;
 pub mod exec;
 pub mod image;
 pub mod limits;
 pub mod perf;
 
-pub use container::{Container, ContainerStatus, ExecutionReport, KillReason, LogLine, LogStream};
+pub use container::{
+    Container, ContainerStatus, ExecutionReport, KillReason, LogLine, LogStream, MAX_OUTPUT_BYTES,
+};
 pub use image::{Image, ImageError, ImageRegistry};
 pub use limits::ResourceLimits;
 pub use perf::PerfSpec;

@@ -3,8 +3,7 @@
 //! An event calendar (binary heap keyed on `(time, sequence)`) of boxed
 //! closures over a user-supplied state type `S`. Events scheduled at the
 //! same instant fire in scheduling order, which keeps simulations
-//! deterministic. Events may schedule further events and may cancel
-//! previously scheduled ones by [`EventId`].
+//! deterministic. Events may schedule further events.
 //!
 //! The engine deliberately stays single-threaded: RAI's *modelled*
 //! concurrency (many students, many workers) is expressed as interleaved
@@ -15,11 +14,7 @@
 use crate::clock::VirtualClock;
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering as CmpOrdering;
-use std::collections::{BinaryHeap, HashSet};
-
-/// Identifier of a scheduled event, usable for cancellation.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct EventId(u64);
+use std::collections::BinaryHeap;
 
 type EventFn<S> = Box<dyn FnOnce(&mut S, &mut Scheduler<S>)>;
 
@@ -52,7 +47,6 @@ impl<S> Ord for ScheduledEvent<S> {
 /// can enqueue follow-up work.
 pub struct Scheduler<S> {
     heap: BinaryHeap<ScheduledEvent<S>>,
-    cancelled: HashSet<u64>,
     next_seq: u64,
     now: SimTime,
     clock: VirtualClock,
@@ -62,7 +56,6 @@ impl<S> Scheduler<S> {
     fn new(clock: VirtualClock) -> Self {
         Scheduler {
             heap: BinaryHeap::new(),
-            cancelled: HashSet::new(),
             next_seq: 0,
             now: clock.now(),
             clock,
@@ -82,7 +75,7 @@ impl<S> Scheduler<S> {
     /// Schedule `f` to run at absolute time `at`. Scheduling in the past
     /// clamps to "now" (the event fires next, after already-queued events
     /// at the current instant).
-    pub fn at<F>(&mut self, at: SimTime, f: F) -> EventId
+    pub fn at<F>(&mut self, at: SimTime, f: F)
     where
         F: FnOnce(&mut S, &mut Scheduler<S>) + 'static,
     {
@@ -94,15 +87,14 @@ impl<S> Scheduler<S> {
             seq,
             run: Box::new(f),
         });
-        EventId(seq)
     }
 
     /// Schedule `f` to run `after` from now.
-    pub fn after<F>(&mut self, after: SimDuration, f: F) -> EventId
+    pub fn after<F>(&mut self, after: SimDuration, f: F)
     where
         F: FnOnce(&mut S, &mut Scheduler<S>) + 'static,
     {
-        self.at(self.now + after, f)
+        self.at(self.now + after, f);
     }
 
     /// Schedule `f` to run every `interval` starting one interval from
@@ -122,22 +114,6 @@ impl<S> Scheduler<S> {
             f(state, sched);
             sched.every(interval, until, f);
         });
-    }
-
-    /// Cancel a previously scheduled event. Cancelling an event that has
-    /// already fired (or was already cancelled) is a no-op and returns
-    /// `false`.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.next_seq {
-            return false;
-        }
-        self.cancelled.insert(id.0)
-    }
-
-    /// Number of events still pending (including cancelled tombstones not
-    /// yet popped).
-    pub fn pending(&self) -> usize {
-        self.heap.len().saturating_sub(self.cancelled.len())
     }
 }
 
@@ -170,11 +146,6 @@ impl<S> Simulation<S> {
         &self.state
     }
 
-    /// Mutable access to the simulated state.
-    pub fn state_mut(&mut self) -> &mut S {
-        &mut self.state
-    }
-
     /// The scheduler, for seeding initial events.
     pub fn scheduler(&mut self) -> &mut Scheduler<S> {
         &mut self.sched
@@ -185,29 +156,16 @@ impl<S> Simulation<S> {
         self.sched.now
     }
 
-    /// Total number of events executed so far.
-    pub fn events_executed(&self) -> u64 {
-        self.executed
-    }
-
     fn step(&mut self, horizon: SimTime) -> bool {
-        loop {
-            let Some(top) = self.sched.heap.peek() else {
-                return false;
-            };
-            if top.at > horizon {
-                return false;
-            }
-            let ev = self.sched.heap.pop().expect("peeked event must pop");
-            if self.sched.cancelled.remove(&ev.seq) {
-                continue;
-            }
-            self.sched.now = ev.at;
-            self.sched.clock.advance_to(ev.at);
-            (ev.run)(&mut self.state, &mut self.sched);
-            self.executed += 1;
-            return true;
+        if self.sched.heap.peek().is_none_or(|top| top.at > horizon) {
+            return false;
         }
+        let ev = self.sched.heap.pop().expect("peeked event must pop");
+        self.sched.now = ev.at;
+        self.sched.clock.advance_to(ev.at);
+        (ev.run)(&mut self.state, &mut self.sched);
+        self.executed += 1;
+        true
     }
 
     /// Run until the event calendar is empty. Returns the number of
@@ -227,16 +185,6 @@ impl<S> Simulation<S> {
             self.sched.clock.advance_to(horizon);
         }
         self.executed - before
-    }
-
-    /// Run at most `n` further events (ignoring any horizon); useful for
-    /// debugging stuck simulations. Returns how many actually ran.
-    pub fn run_steps(&mut self, n: u64) -> u64 {
-        let mut ran = 0;
-        while ran < n && self.step(SimTime::MAX) {
-            ran += 1;
-        }
-        ran
     }
 
     /// Consume the simulation, returning the final state.
@@ -311,23 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn cancellation() {
-        let mut sim = Simulation::new(Vec::<&str>::new());
-        let keep = sim.scheduler().at(SimTime::from_secs(1), |s: &mut Vec<&str>, _| s.push("keep"));
-        let drop_id = sim
-            .scheduler()
-            .at(SimTime::from_secs(2), |s: &mut Vec<&str>, _| s.push("drop"));
-        assert!(sim.scheduler().cancel(drop_id));
-        // Double-cancel is a no-op.
-        assert!(!sim.scheduler().cancel(drop_id));
-        // Cancelling an unknown id is a no-op.
-        assert!(!sim.scheduler().cancel(EventId(999)));
-        sim.run();
-        assert_eq!(sim.state(), &vec!["keep"]);
-        let _ = keep;
-    }
-
-    #[test]
     fn run_until_horizon() {
         let mut sim = Simulation::new(0u32);
         sim.scheduler().at(SimTime::from_secs(1), |s: &mut u32, _| *s += 1);
@@ -361,26 +292,5 @@ mod tests {
         sim.scheduler().at(SimTime::from_secs(42), |_, _| {});
         sim.run();
         assert_eq!(clock.now(), SimTime::from_secs(42));
-    }
-
-    #[test]
-    fn run_steps_limits_execution() {
-        let mut sim = Simulation::new(0u32);
-        for i in 0..10u64 {
-            sim.scheduler().at(SimTime::from_secs(i), |s: &mut u32, _| *s += 1);
-        }
-        assert_eq!(sim.run_steps(3), 3);
-        assert_eq!(*sim.state(), 3);
-        assert_eq!(sim.run_steps(100), 7);
-    }
-
-    #[test]
-    fn pending_excludes_cancelled() {
-        let mut sim = Simulation::new(());
-        let a = sim.scheduler().at(SimTime::from_secs(1), |_, _| {});
-        let _b = sim.scheduler().at(SimTime::from_secs(2), |_, _| {});
-        assert_eq!(sim.scheduler().pending(), 2);
-        sim.scheduler().cancel(a);
-        assert_eq!(sim.scheduler().pending(), 1);
     }
 }

@@ -19,10 +19,12 @@
 //! `rai-telemetry`, which also layers a metrics registry, spans, and
 //! per-job traces on top of this crate's virtual clock.
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod engine;
 pub mod time;
 
 pub use clock::VirtualClock;
-pub use engine::{EventId, Scheduler, Simulation};
+pub use engine::{Scheduler, Simulation};
 pub use time::{SimDuration, SimTime};

@@ -23,7 +23,7 @@ use rai_wal::codec::{put_str, Reader};
 use rai_wal::Wal;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Store errors.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -195,12 +195,13 @@ struct StoreInner {
     lock_wait_micros: AtomicU64,
     /// Remaining operations that should fail (fault injection).
     faults: AtomicU64,
-    /// Probability-driven fault injection (chaos runs).
-    injector: RwLock<Option<rai_faults::FaultInjector>>,
+    /// Probability-driven fault injection (chaos runs). Deployment
+    /// wiring, like `wal`: set at most once, before traffic flows.
+    injector: OnceLock<rai_faults::FaultInjector>,
     /// Optional write-ahead log for object mutations. Newly admitted
     /// chunk bytes ride the `Put` record of the upload that brought
     /// them.
-    wal: RwLock<Option<Wal>>,
+    wal: OnceLock<Wal>,
 }
 
 /// Decide, once per manifest reference and before anything mutates,
@@ -559,8 +560,8 @@ impl ObjectStore {
                 state: RwLock::new(state),
                 lock_wait_micros: AtomicU64::new(0),
                 faults: AtomicU64::new(0),
-                injector: RwLock::new(None),
-                wal: RwLock::new(None),
+                injector: OnceLock::new(),
+                wal: OnceLock::new(),
             }),
         }
     }
@@ -597,12 +598,11 @@ impl ObjectStore {
 
     /// Create a bucket with a lifecycle rule.
     pub fn create_bucket(&self, name: &str, rule: LifecycleRule) -> Result<(), StoreError> {
-        let wal = self.inner.wal.read().clone();
         let mut state = self.write_state();
         if state.buckets.contains_key(name) {
             return Err(StoreError::BucketExists(name.to_string()));
         }
-        if let Some(w) = &wal {
+        if let Some(w) = self.inner.wal.get() {
             w.append(&StoreRecord::CreateBucket { name: name.to_string(), rule }.encode());
         }
         state.create_bucket(name.to_string(), rule);
@@ -625,8 +625,9 @@ impl ObjectStore {
     /// with [`StoreError::Unavailable`] per the injector's plan
     /// (`store_put` / `store_get` probabilities). Coexists with the
     /// [`ObjectStore::inject_faults`] budget, which always fires first.
+    /// Deployment wiring: a second injector panics.
     pub fn set_fault_injector(&self, injector: rai_faults::FaultInjector) {
-        *self.inner.injector.write() = Some(injector);
+        assert!(self.inner.injector.set(injector).is_ok(), "store fault injector is wired once");
     }
 
     fn take_fault(&self) -> bool {
@@ -637,10 +638,7 @@ impl ObjectStore {
     }
 
     fn injected_fault(&self, kind: rai_faults::FaultKind) -> bool {
-        match self.inner.injector.read().as_ref() {
-            Some(inj) => inj.should_fail(kind),
-            None => false,
-        }
+        self.inner.injector.get().is_some_and(|inj| inj.should_fail(kind))
     }
 
     /// Upload (or overwrite) an object from a whole payload; returns
@@ -694,7 +692,6 @@ impl ObjectStore {
         user: Box<[u8]>,
         wire_bytes: u64,
     ) -> Result<(), StoreError> {
-        let wal = self.inner.wal.read().clone();
         let mut state = self.write_state();
         if !state.buckets.contains_key(bucket) {
             return Err(StoreError::NoSuchBucket(bucket.to_string()));
@@ -709,7 +706,7 @@ impl ObjectStore {
         let now = self.inner.clock.now();
         // The record takes the manifest by move and hands it back for
         // the install: journaling does not copy it.
-        let manifest = match &wal {
+        let manifest = match self.inner.wal.get() {
             Some(w) => {
                 let record = StoreRecord::Put {
                     bucket: bucket.to_string(),
@@ -807,7 +804,6 @@ impl ObjectStore {
             return Err(StoreError::Unavailable);
         }
         let now = self.inner.clock.now();
-        let wal = self.inner.wal.read().clone();
         let mut state = self.write_state();
         let rec = state.object(bucket, key)?;
         // Manifests and chunks share this lock, so every chunk a
@@ -818,7 +814,7 @@ impl ObjectStore {
             meta: ObjectMeta { last_used: now, ..rec.meta(key) },
             data: Bytes::from(data),
         };
-        if let Some(w) = &wal {
+        if let Some(w) = self.inner.wal.get() {
             // `last_used` drives lifecycle expiry, so reads are
             // journaled too (as a metadata touch, not the payload).
             w.append(
@@ -842,10 +838,9 @@ impl ObjectStore {
 
     /// Delete an object, releasing its chunk references.
     pub fn delete(&self, bucket: &str, key: &str) -> Result<(), StoreError> {
-        let wal = self.inner.wal.read().clone();
         let mut state = self.write_state();
         state.object(bucket, key)?;
-        if let Some(w) = &wal {
+        if let Some(w) = self.inner.wal.get() {
             w.append(
                 &StoreRecord::Delete { bucket: bucket.to_string(), key: key.to_string() }
                     .encode(),
@@ -922,14 +917,13 @@ impl ObjectStore {
     /// many objects were expired. A real deployment runs this daily.
     pub fn sweep_lifecycle(&self) -> u64 {
         let now = self.inner.clock.now();
-        let wal = self.inner.wal.read().clone();
         let mut state = self.write_state();
         let expired = state.expire(now);
         // A sweep that expired nothing is a no-op at any replay time
         // and is not journaled; one that did is replayed at its
         // recorded time (expiry depends on the journaled timestamps).
         if expired > 0 {
-            if let Some(w) = &wal {
+            if let Some(w) = self.inner.wal.get() {
                 w.append(&StoreRecord::Sweep { time_millis: now.as_millis() }.encode());
             }
         }
@@ -979,20 +973,20 @@ impl ObjectStore {
     /// Attach a write-ahead log: every committed mutation from here
     /// on is journaled. Attach before the first mutation — the log
     /// must cover the store's whole history (or start from a
-    /// snapshot).
+    /// snapshot). Deployment wiring: a second log panics.
     pub fn attach_wal(&self, wal: Wal) {
-        *self.inner.wal.write() = Some(wal);
+        assert!(self.inner.wal.set(wal).is_ok(), "store WAL is wired once");
     }
 
     /// The attached WAL, if any.
     pub fn wal(&self) -> Option<Wal> {
-        self.inner.wal.read().clone()
+        self.inner.wal.get().cloned()
     }
 
     /// Force the attached log's buffered appends to stable storage
     /// (durability point). No-op without a WAL.
     pub fn sync_wal(&self) {
-        if let Some(w) = self.inner.wal.read().as_ref() {
+        if let Some(w) = self.inner.wal.get() {
             w.sync();
         }
     }
@@ -1030,7 +1024,7 @@ impl ObjectStore {
     /// quiesced points — the snapshot must not interleave with
     /// concurrent mutations. Returns whether a compaction ran.
     pub fn maybe_compact(&self) -> bool {
-        let Some(wal) = self.inner.wal.read().clone() else {
+        let Some(wal) = self.inner.wal.get() else {
             return false;
         };
         if !wal.should_compact() {

@@ -7,6 +7,8 @@
 
 const STORE: &str = include_str!("../src/store.rs");
 const DEDUP: &str = include_str!("../src/dedup.rs");
+const DATABASE: &str = include_str!("../../db/src/database.rs");
+const BROKER: &str = include_str!("../../broker/src/broker.rs");
 
 #[test]
 fn store_state_sits_behind_exactly_one_lock() {
@@ -18,13 +20,19 @@ fn store_state_sits_behind_exactly_one_lock() {
     for lock in ["RwLock", "Mutex"] {
         assert!(!DEDUP.contains(lock), "dedup.rs names `{lock}`: the arena is guarded by the state lock");
     }
-    // One lock around state; the other two guard write-once deployment
-    // wiring (the fault injector and the log handle), not state.
-    let declared =
-        ["RwLock<StoreState>", "RwLock<Option<rai_faults::FaultInjector>>", "RwLock<Option<Wal>>"];
-    for lock in declared {
-        assert_eq!(STORE.matches(lock).count(), 1, "store.rs declares `{lock}` once");
-    }
+    // One lock, around state. Deployment wiring (the fault injector
+    // and the log handle) is write-once: `OnceLock`, not a lock.
+    assert_eq!(STORE.matches("RwLock<StoreState>").count(), 1, "store.rs declares the state lock once");
     let locks = STORE.matches("RwLock<").count() + STORE.matches("Mutex<").count();
-    assert_eq!(locks, declared.len(), "store.rs holds a lock that is neither the state lock nor wiring");
+    assert_eq!(locks, 1, "store.rs holds a lock that is not the state lock");
+}
+
+#[test]
+fn deployment_wiring_is_write_once_not_an_option_in_a_lock() {
+    for (file, source) in [("store.rs", STORE), ("database.rs", DATABASE), ("broker.rs", BROKER)] {
+        for slot in ["RwLock<Option<", "Mutex<Option<"] {
+            assert!(!source.contains(slot), "{file} names `{slot}`: wiring is a `OnceLock`");
+        }
+        assert!(source.contains("OnceLock<"), "{file} holds its wiring in a `OnceLock`");
+    }
 }

@@ -6,9 +6,8 @@
 //! above that is split into 32 sub-buckets, bounding the relative
 //! error of any bucket at 1/32 ≈ 3.1 %. Bucket boundaries are a pure
 //! function of the value — no configuration, no floating point — so
-//! two histograms built from the same samples in any order, on any
-//! thread count, are byte-identical, and [`LogHistogram::merge`] is a
-//! plain vector add that commutes exactly.
+//! two histograms built from the same samples in any order are
+//! byte-identical.
 //!
 //! Quantiles use the nearest-rank rule over bucket counts and report
 //! the bucket's inclusive upper bound, clamped to the exact observed
@@ -94,30 +93,6 @@ impl LogHistogram {
     /// Record a latency in (non-negative) seconds.
     pub fn record_secs(&mut self, secs: f64) {
         self.record_micros((secs.max(0.0) * 1e6).round() as u64);
-    }
-
-    /// Merge another histogram into this one. Pure per-bucket addition:
-    /// associative, commutative, and byte-identical to recording the
-    /// union of samples in any order.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        if other.count == 0 {
-            return;
-        }
-        if self.counts.len() < other.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (dst, src) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *dst += *src;
-        }
-        if self.count == 0 {
-            self.min_micros = other.min_micros;
-            self.max_micros = other.max_micros;
-        } else {
-            self.min_micros = self.min_micros.min(other.min_micros);
-            self.max_micros = self.max_micros.max(other.max_micros);
-        }
-        self.count += other.count;
-        self.sum_micros = self.sum_micros.saturating_add(other.sum_micros);
     }
 
     pub fn count(&self) -> u64 {
@@ -284,31 +259,6 @@ mod tests {
         let p50 = h.quantile_micros(0.5);
         assert!(p50 >= v);
         assert!((p50 - v) as f64 / v as f64 <= 1.0 / SUB_HALF as f64);
-    }
-
-    #[test]
-    fn merge_is_byte_identical_to_sequential() {
-        let samples: Vec<u64> = (0..500).map(|i| (i * 7919 + 13) % 3_000_000).collect();
-        let mut whole = LogHistogram::new();
-        for &s in &samples {
-            whole.record_micros(s);
-        }
-        let (left, right) = samples.split_at(137);
-        let mut a = LogHistogram::new();
-        for &s in left {
-            a.record_micros(s);
-        }
-        let mut b = LogHistogram::new();
-        for &s in right {
-            b.record_micros(s);
-        }
-        // Merge in both orders; all three encodings must agree.
-        let mut ba = b.clone();
-        ba.merge(&a);
-        a.merge(&b);
-        assert_eq!(a.encode(), whole.encode());
-        assert_eq!(ba.encode(), whole.encode());
-        assert_eq!(a, whole);
     }
 
     #[test]

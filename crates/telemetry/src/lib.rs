@@ -202,11 +202,6 @@ impl Telemetry {
         self.inner.traces.record_span(job_id, attempt, stage, component, start, end);
     }
 
-    /// Late span records dropped because their job's trace was evicted.
-    pub fn traces_dropped_late(&self) -> u64 {
-        self.inner.traces.dropped_late()
-    }
-
     /// One job's lifecycle trace, if retained.
     pub fn job_trace(&self, job_id: u64) -> Option<JobTrace> {
         self.inner.traces.get(job_id)

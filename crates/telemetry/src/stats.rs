@@ -2,7 +2,7 @@
 //!
 //! * [`OnlineStats`] — Welford's streaming mean/variance plus min/max.
 //! * [`Histogram`] — fixed-width binning (paper Fig. 2 uses 0.1 s bins)
-//!   with explicit underflow/overflow buckets and parallel merge.
+//!   with explicit underflow/overflow buckets.
 //! * [`TimeSeries`] — event counts bucketed by a fixed interval of
 //!   virtual time (paper Fig. 4 uses 1-hour buckets).
 //!
@@ -100,31 +100,6 @@ impl OnlineStats {
         } else {
             self.max
         }
-    }
-
-    /// Merge another accumulator into this one (parallel-combine).
-    ///
-    /// Zero-count operands are identity elements on either side: the
-    /// non-empty operand's statistics survive unchanged, and merging
-    /// two empty accumulators leaves an empty accumulator whose
-    /// `min`/`max` still report NaN rather than ±infinity.
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += delta * n2 / n;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -244,32 +219,6 @@ impl Histogram {
             }
         }
         Some(best)
-    }
-
-    /// Merge another histogram with the same shape (origin, bin width,
-    /// bin count) into this one. Panics on shape mismatch — merging
-    /// differently-binned histograms is a logic error.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert!(
-            self.origin == other.origin
-                && self.bin_width == other.bin_width
-                && self.bins.len() == other.bins.len(),
-            "histogram merge requires identical binning: \
-             ({}, {}, {}) vs ({}, {}, {})",
-            self.origin,
-            self.bin_width,
-            self.bins.len(),
-            other.origin,
-            other.bin_width,
-            other.bins.len(),
-        );
-        for (mine, theirs) in self.bins.iter_mut().zip(&other.bins) {
-            *mine += theirs;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
     }
 
     /// Render an ASCII bar chart, one row per non-empty bin. An empty
@@ -432,11 +381,6 @@ impl GaugeSeries {
         self.count[idx] += 1;
     }
 
-    /// Per-bucket maxima, in time order.
-    pub fn maxes(&self) -> &[u64] {
-        &self.max
-    }
-
     /// Integer mean of bucket `i` (0 when the bucket has no samples).
     pub fn mean(&self, i: usize) -> u64 {
         match self.count.get(i) {
@@ -523,66 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn online_stats_merge_matches_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..37] {
-            a.push(x);
-        }
-        for &x in &xs[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn online_stats_merge_empty_right_operand_is_identity() {
-        let mut s = OnlineStats::new();
-        s.push(3.0);
-        s.push(7.0);
-        let before = s.clone();
-        s.merge(&OnlineStats::new());
-        assert_eq!(s.count(), before.count());
-        assert_eq!(s.mean(), before.mean());
-        assert_eq!(s.variance(), before.variance());
-        assert_eq!(s.min(), before.min());
-        assert_eq!(s.max(), before.max());
-    }
-
-    #[test]
-    fn online_stats_merge_empty_left_operand_adopts_other() {
-        let mut other = OnlineStats::new();
-        other.push(3.0);
-        other.push(7.0);
-        let mut s = OnlineStats::new();
-        s.merge(&other);
-        assert_eq!(s.count(), 2);
-        assert_eq!(s.mean(), 5.0);
-        assert_eq!(s.min(), 3.0);
-        assert_eq!(s.max(), 7.0);
-    }
-
-    #[test]
-    fn online_stats_merge_both_empty_stays_empty() {
-        let mut s = OnlineStats::new();
-        s.merge(&OnlineStats::new());
-        assert_eq!(s.count(), 0);
-        assert!(s.min().is_nan());
-        assert!(s.max().is_nan());
-        assert_eq!(s.mean(), 0.0);
-    }
-
-    #[test]
     fn histogram_binning() {
         // The Fig. 2 configuration: 0.1 s bins from 0.
         let mut h = Histogram::new(0.0, 0.1, 25);
@@ -646,32 +530,6 @@ mod tests {
         h.record(1.5);
         let art = h.ascii(10);
         assert!(art.contains("below origin: 1"), "got: {art}");
-    }
-
-    #[test]
-    fn histogram_merge_accumulates() {
-        let mut a = Histogram::new(0.0, 1.0, 4);
-        let mut b = Histogram::new(0.0, 1.0, 4);
-        a.record(0.5);
-        a.record(9.0);
-        b.record(0.7);
-        b.record(-1.0);
-        b.record(3.2);
-        a.merge(&b);
-        assert_eq!(a.total(), 5);
-        assert_eq!(a.bin(0), 2);
-        assert_eq!(a.bin(3), 1);
-        assert_eq!(a.underflow(), 1);
-        assert_eq!(a.overflow(), 1);
-        assert!((a.sum() - 12.4).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "identical binning")]
-    fn histogram_merge_rejects_mismatched_shapes() {
-        let mut a = Histogram::new(0.0, 1.0, 4);
-        let b = Histogram::new(0.0, 0.5, 4);
-        a.merge(&b);
     }
 
     #[test]

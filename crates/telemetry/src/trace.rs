@@ -196,19 +196,6 @@ impl JobTrace {
             .collect()
     }
 
-    /// Stage deltas within one specific attempt subtree.
-    pub fn stage_durations_for(&self, attempt: u32) -> Vec<(&'static str, SimDuration)> {
-        let spans: Vec<&TraceSpan> = self
-            .spans
-            .iter()
-            .filter(|s| !s.is_root() && s.attempt == attempt)
-            .collect();
-        spans
-            .windows(2)
-            .map(|w| (w[1].stage, w[1].end.duration_since(w[0].end)))
-            .collect()
-    }
-
     /// The causal chain: attempt-0 events then final-attempt events.
     fn chain(&self) -> Vec<&TraceSpan> {
         let last = self.final_attempt();

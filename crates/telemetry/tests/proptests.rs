@@ -59,27 +59,6 @@ proptest! {
         prop_assert!((h.sum() - expected_sum).abs() < 1e-6 * (1.0 + expected_sum.abs()));
     }
 
-    /// Merging two histograms conserves every bucket and the sum.
-    #[test]
-    fn histogram_merge_conserves(
-        xs in prop::collection::vec(-20.0f64..120.0, 0..60),
-        ys in prop::collection::vec(-20.0f64..120.0, 0..60),
-    ) {
-        let mut a = Histogram::new(0.0, 5.0, 20);
-        let mut b = Histogram::new(0.0, 5.0, 20);
-        let mut whole = Histogram::new(0.0, 5.0, 20);
-        for &x in &xs { a.record(x); whole.record(x); }
-        for &y in &ys { b.record(y); whole.record(y); }
-        a.merge(&b);
-        prop_assert_eq!(a.total(), whole.total());
-        prop_assert_eq!(a.underflow(), whole.underflow());
-        prop_assert_eq!(a.overflow(), whole.overflow());
-        for i in 0..whole.num_bins() {
-            prop_assert_eq!(a.bin(i), whole.bin(i));
-        }
-        prop_assert!((a.sum() - whole.sum()).abs() < 1e-9 * (1.0 + whole.sum().abs()));
-    }
-
     /// OnlineStats matches a naive two-pass computation.
     #[test]
     fn online_stats_matches_naive(xs in prop::collection::vec(-1e3f64..1e3, 1..100)) {
@@ -92,25 +71,6 @@ proptest! {
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
         prop_assert!((s.mean() - mean).abs() < 1e-6 * (1.0 + mean.abs()));
         prop_assert!((s.variance() - var).abs() < 1e-5 * (1.0 + var.abs()));
-    }
-
-    /// Merging stats in any split equals the sequential result.
-    #[test]
-    fn stats_merge_associative(xs in prop::collection::vec(-1e3f64..1e3, 2..60), split in 1usize..59) {
-        let split = split.min(xs.len() - 1);
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let (left, right) = xs.split_at(split);
-        let mut a = OnlineStats::new();
-        for &x in left { a.push(x); }
-        let mut b = OnlineStats::new();
-        for &x in right { b.push(x); }
-        a.merge(&b);
-        prop_assert_eq!(a.count(), whole.count());
-        prop_assert!((a.mean() - whole.mean()).abs() < 1e-7 * (1.0 + whole.mean().abs()));
-        prop_assert!((a.variance() - whole.variance()).abs() < 1e-5 * (1.0 + whole.variance()));
     }
 
     /// Concurrent counter increments from several threads sum exactly.
@@ -195,33 +155,6 @@ proptest! {
         }
     }
 
-    /// LogHistogram merge is commutative and byte-identical to
-    /// recording the union sequentially, for any split of any sample
-    /// set — the property the cross-width export gate relies on.
-    #[test]
-    fn log_histogram_merge_matches_sequential(
-        xs in prop::collection::vec(0u64..10_000_000_000, 0..200),
-        split in 0usize..200,
-    ) {
-        let split = split.min(xs.len());
-        let mut whole = LogHistogram::new();
-        for &x in &xs {
-            whole.record_micros(x);
-        }
-        let (left, right) = xs.split_at(split);
-        let mut a = LogHistogram::new();
-        for &x in left { a.record_micros(x); }
-        let mut b = LogHistogram::new();
-        for &x in right { b.record_micros(x); }
-        let mut ba = b.clone();
-        ba.merge(&a);
-        a.merge(&b);
-        prop_assert_eq!(a.encode(), whole.encode());
-        prop_assert_eq!(ba.encode(), whole.encode());
-        prop_assert_eq!(&a, &whole);
-        prop_assert_eq!(&ba, &whole);
-    }
-
     /// Quantiles are monotone in q, never undershoot the true
     /// nearest-rank sample, and overshoot by at most one sub-bucket
     /// (relative error ≤ 1/32); min/max/count/sum are exact.
@@ -252,41 +185,6 @@ proptest! {
                 got as f64 <= truth as f64 * (1.0 + 1.0 / 32.0) + 1.0,
                 "q={} overshoots: {} vs true {}", q, got, truth
             );
-        }
-    }
-
-    /// Histogram totals are conserved when shards recorded on separate
-    /// threads are merged, matching a single sequential histogram.
-    #[test]
-    fn registry_histogram_totals_conserved_under_merge(
-        shards in prop::collection::vec(prop::collection::vec(0.0f64..100.0, 0..40), 1..6),
-    ) {
-        let shard_hists: Vec<Histogram> = {
-            let mut handles = Vec::new();
-            for shard in shards.clone() {
-                handles.push(std::thread::spawn(move || {
-                    let mut h = Histogram::new(0.0, 10.0, 10);
-                    for x in shard {
-                        h.record(x);
-                    }
-                    h
-                }));
-            }
-            handles.into_iter().map(|h| h.join().expect("thread finished")).collect()
-        };
-        let mut merged = Histogram::new(0.0, 10.0, 10);
-        for shard in &shard_hists {
-            merged.merge(shard);
-        }
-        let mut sequential = Histogram::new(0.0, 10.0, 10);
-        for shard in &shards {
-            for &x in shard {
-                sequential.record(x);
-            }
-        }
-        prop_assert_eq!(merged.total(), sequential.total());
-        for i in 0..sequential.num_bins() {
-            prop_assert_eq!(merged.bin(i), sequential.bin(i));
         }
     }
 }

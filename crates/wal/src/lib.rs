@@ -53,6 +53,8 @@
 //! holds the primitive writers and the checked reader both journaling
 //! crates build their logical records from.
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 
 use parking_lot::Mutex;
@@ -94,11 +96,6 @@ fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
         c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c
-}
-
-/// CRC-32 (IEEE 802.3) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    crc32_update(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
 }
 
 fn record_crc(len_le: [u8; 4], payload: &[u8]) -> u32 {

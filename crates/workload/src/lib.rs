@@ -30,6 +30,8 @@
 //!   and prove zero lost / zero duplicated submissions — byte-identical
 //!   to an uninterrupted run when the crash is clean and fault-free.
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 pub mod circadian;
 pub mod competition;

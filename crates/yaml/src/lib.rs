@@ -27,6 +27,8 @@
 //! assert_eq!(version.as_f64(), Some(0.1));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod emit;
 pub mod error;
 pub mod parser;

@@ -75,11 +75,6 @@ impl Yaml {
         }
     }
 
-    /// Whether this is `Null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Yaml::Null)
-    }
-
     /// Mapping lookup by key (first match wins).
     pub fn get(&self, key: &str) -> Option<&Yaml> {
         match self {

@@ -8,8 +8,9 @@
 //!
 //! * [`sim`] — discrete-event simulation engine (virtual clock, event queue).
 //! * [`yaml`] — parser for the YAML subset used by `rai-build.yml`.
-//! * [`archive`] — tar-like archive container plus LZSS compression
-//!   (the paper's `.tar.bz2` upload format).
+//! * [`archive`] — tar-like archive container (the paper's `.tar.bz2`
+//!   upload format, uncompressed) and the content-defined chunker behind
+//!   the store's dedup.
 //! * [`broker`] — NSQ-style pub/sub message broker with topics, channels
 //!   and ephemeral log topics.
 //! * [`store`] — S3-like object store with lifecycle (TTL) rules.
@@ -40,6 +41,8 @@
 //! let receipt = system.submit(&creds, &project).expect("submission should succeed");
 //! assert!(receipt.log.iter().any(|l| l.contains("Building project")));
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub use rai_archive as archive;
 pub use rai_auth as auth;

@@ -97,8 +97,11 @@ fn kept_per_item(n: u64, each: impl FnMut(u64)) -> (f64, f64) {
 }
 
 /// Allocations and requested bytes allowed per submission. Measured
-/// (EXPERIMENTS.md, "Resident-memory census"): 325 / 38 151 B at this
-/// commit, 406 / 42 228 B at its parent — upload metadata is borrowed
+/// (EXPERIMENTS.md, "Attachment census"): 323 / 37 907 B at this
+/// commit, 325 / 38 151 B at its parent — the run's two staged spans
+/// are one `RunFacts`, not a `Vec`, and the outcome takes the request's
+/// team instead of a copy. Before that ("Resident-memory census",
+/// 406 / 42 228 B): upload metadata is borrowed
 /// pairs packed once instead of a `String` per key and value collected
 /// into a map, a row's field names (and those of the `$set` document
 /// that writes it) borrow their literals, a unique index entry has no
@@ -106,7 +109,7 @@ fn kept_per_item(n: u64, each: impl FnMut(u64)) -> (f64, f64) {
 /// end-of-course copies of every trace and every row are gone. The same
 /// in the debug profile tier-1 runs this test in and in release. Both
 /// gates are 3 % above the measurement.
-const BUDGET: (u64, u64) = (334, 39_295);
+const BUDGET: (u64, u64) = (332, 39_044);
 
 /// Peak live heap allowed per submission over the same course, in
 /// bytes and blocks. Measured: 3 367 B in 18.8 blocks at this commit,
