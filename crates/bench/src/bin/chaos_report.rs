@@ -26,8 +26,7 @@ fn main() {
 
     for &seed in &seeds {
         let config = ChaosConfig::acceptance(seed);
-        rai_telemetry::log!(
-            info,
+        eprintln!(
             "chaos run: seed {seed}, {} teams x {} rounds, {} workers, plan {:?}",
             config.teams,
             config.rounds,

@@ -15,8 +15,7 @@ use rai_workload::{run_competition, CompetitionConfig};
 
 fn main() {
     let config = CompetitionConfig::default();
-    rai_telemetry::log!(
-        info,
+    eprintln!(
         "running the final competition: {} teams ({} students), seed {}",
         config.teams,
         config.students,

@@ -14,8 +14,7 @@ use rai_workload::SemesterConfig;
 
 fn main() {
     let config = SemesterConfig::paper();
-    rai_telemetry::log!(
-        info,
+    eprintln!(
         "simulating the semester: {} teams / {} students / {} days (seed {})",
         config.teams,
         config.students,

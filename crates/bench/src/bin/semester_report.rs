@@ -18,8 +18,7 @@ use rai_workload::SemesterConfig;
 
 fn main() {
     let config = SemesterConfig::paper();
-    rai_telemetry::log!(
-        info,
+    eprintln!(
         "simulating the paper semester ({} teams, {} days)",
         config.teams,
         config.duration_days

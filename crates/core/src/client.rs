@@ -28,15 +28,9 @@ const CLIENT_RETRY_ATTEMPTS: u32 = 4;
 /// Bucket workers upload `/build` outputs to.
 pub const BUILD_BUCKET: &str = "rai-builds";
 
-/// Development run vs final submission.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SubmitMode {
-    /// `rai` — regular development job.
-    Run,
-    /// `rai submit` — final submission (enforced build file, required
-    /// files, ranking record).
-    Submit,
-}
+/// Development run vs final submission: the client's name for the
+/// [`JobKind`] it puts in the request.
+pub type SubmitMode = JobKind;
 
 /// A student project directory.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -365,13 +359,7 @@ impl RaiClient {
                 &prepared,
                 [
                     ("team", self.team.as_str()),
-                    (
-                        "kind",
-                        match mode {
-                            SubmitMode::Run => "run",
-                            SubmitMode::Submit => "final",
-                        },
-                    ),
+                    ("kind", mode.upload_tag()),
                 ],
             ) {
                 Ok(_) => break,
@@ -389,10 +377,7 @@ impl RaiClient {
             upload_bucket: UPLOAD_BUCKET.to_string(),
             upload_key,
             build_yml,
-            kind: match mode {
-                SubmitMode::Run => JobKind::Run,
-                SubmitMode::Submit => JobKind::Submit,
-            },
+            kind: mode,
         };
         request.signature = sign_request(
             &self.creds.secret_key,
@@ -458,6 +443,8 @@ mod tests {
     #[test]
     fn effective_build_yml_per_mode() {
         let p = ProjectDir::sample_cuda_project();
+        // One enum under both names.
+        let _: JobKind = SubmitMode::Run;
         let run = RaiClient::effective_build_yml(&p, SubmitMode::Run).unwrap();
         assert!(run.contains("test10.hdf5"), "dev runs use the student's file");
         let fin = RaiClient::effective_build_yml(&p, SubmitMode::Submit).unwrap();

@@ -45,11 +45,21 @@ pub enum JobKind {
 }
 
 impl JobKind {
-    /// The kind's name on the wire and in the signing payload.
-    fn as_str(self) -> &'static str {
+    /// The kind's name on the wire, in the signing payload, in the
+    /// submissions row and on `rai_jobs_total`.
+    pub fn as_str(self) -> &'static str {
         match self {
             JobKind::Run => "run",
             JobKind::Submit => "submit",
+        }
+    }
+
+    /// The kind's name in an uploaded object's metadata, where a final
+    /// submission has always been tagged `final`.
+    pub fn upload_tag(self) -> &'static str {
+        match self {
+            JobKind::Run => "run",
+            JobKind::Submit => "final",
         }
     }
 }

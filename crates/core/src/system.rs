@@ -531,14 +531,14 @@ impl RaiSystem {
         project: &ProjectDir,
         mode: SubmitMode,
     ) -> Result<SubmitReceipt, SubmitError> {
-        self.check_rate(creds)?;
         let pending = self.begin_submit(creds, project, mode)?;
         let job_id = pending.job_id;
         self.drive_until(|o| o.job_id == job_id);
         pending.wait(Duration::from_millis(500))
     }
 
-    /// Accept one submission without driving it: package, upload and
+    /// Accept one submission without driving it — the one acceptance
+    /// path, so the rate limit is checked here: package, upload and
     /// publish through a fresh client for `creds`, then open the job's
     /// trace. Attempt 0 is the client's submit subtree (worker attempts
     /// start at 1); the client uploads and publishes in one step, so
@@ -549,6 +549,7 @@ impl RaiSystem {
         project: &ProjectDir,
         mode: SubmitMode,
     ) -> Result<PendingJob, SubmitError> {
+        self.check_rate(creds)?;
         let pending = self.client_for(creds).begin_submit(project, mode)?;
         let now = self.clock.now();
         self.telemetry
@@ -783,6 +784,22 @@ mod tests {
             }
             other => panic!("expected rate limit, got {other:?}"),
         }
+    }
+
+    /// The path both course drivers take: a default-config system (30 s
+    /// per user) limits `begin_submit` itself, not only `submit`.
+    #[test]
+    fn begin_submit_is_rate_limited() {
+        let mut system = RaiSystem::new(SystemConfig::default());
+        let creds = system.register_team("eager", &[]);
+        let p = ProjectDir::sample_cuda_project();
+        system.begin_submit(&creds, &p, SubmitMode::Run).unwrap();
+        match system.begin_submit(&creds, &p, SubmitMode::Run) {
+            Err(SubmitError::RateLimited { retry_after_secs }) => assert!(retry_after_secs <= 30),
+            other => panic!("expected rate limit, got {:?}", other.map(|pending| pending.job_id)),
+        }
+        let metrics = system.report().metrics;
+        assert_eq!(metrics.counter(names::RATELIMIT_DENIED_TOTAL, &[]), Some(1));
     }
 
     #[test]

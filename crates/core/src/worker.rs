@@ -403,8 +403,7 @@ impl Worker {
             let msg = self.subscription.try_recv()?;
             let Some(request) = JobRequest::decode(&msg.body_str()) else {
                 self.telemetry.counter(names::JOBS_MALFORMED_TOTAL, &[]).inc();
-                rai_telemetry::log!(
-                    warn,
+                eprintln!(
                     "worker {}: dropping malformed task message {} ({} bytes)",
                     self.config.worker_id,
                     msg.id,
@@ -442,12 +441,8 @@ impl Worker {
 
     /// Count a finished job and record its end-to-end service time.
     fn note_outcome(&self, job: &Attempt, outcome: &str) {
-        let kind = match job.request.kind {
-            JobKind::Run => "run",
-            JobKind::Submit => "submit",
-        };
         self.telemetry
-            .counter(names::JOBS_TOTAL, &[("kind", kind), ("outcome", outcome)])
+            .counter(names::JOBS_TOTAL, &[("kind", job.request.kind.as_str()), ("outcome", outcome)])
             .inc();
         self.telemetry
             .histogram(names::JOB_TOTAL_SECONDS, &[], 0.0, 30.0, 40)
@@ -773,13 +768,7 @@ impl Worker {
                             &prepared,
                             [
                                 ("team", request.team.as_str()),
-                                (
-                                    "kind",
-                                    match request.kind {
-                                        JobKind::Run => "run",
-                                        JobKind::Submit => "final",
-                                    },
-                                ),
+                                ("kind", request.kind.upload_tag()),
                                 ("source", request.upload_key.as_str()),
                             ],
                         )
@@ -878,7 +867,7 @@ impl Worker {
         let request = &job.request;
         let guarded = self.config.retry.run(
             self.op_seed(request.job_id, 0, 3),
-            |_| self.db.guard("record_submission"),
+            |_| self.db.guard(),
         );
         self.note_retries("db_record", guarded.attempts);
         guarded.result?;
@@ -887,7 +876,7 @@ impl Worker {
             &doc! { "$set" => doc!{
                 "team" => request.team.as_str(),
                 "user" => user,
-                "kind" => match request.kind { JobKind::Run => "run", JobKind::Submit => "submit" },
+                "kind" => request.kind.as_str(),
                 "success" => success,
                 "internal_secs" => measured_secs.map(Value::from).unwrap_or(Value::Null),
                 "wall_secs" => wall.as_secs_f64(),
@@ -915,7 +904,7 @@ impl Worker {
         let Some(secs) = measured_secs else { return Ok(SimDuration::ZERO) };
         let guarded = self.config.retry.run(
             self.op_seed(request.job_id, 0, 4),
-            |_| self.db.guard("record_ranking"),
+            |_| self.db.guard(),
         );
         self.note_retries("db_record", guarded.attempts);
         guarded.result?;

@@ -3,11 +3,10 @@
 //! auditing process"): per-team submission counts, success rates, mean
 //! runtimes per worker, and so on.
 //!
-//! A pipeline is a list of [`Stage`]s applied in order, Mongo-style:
-//! `$match → $group → $sort → $skip/$limit → $project`.
+//! A pipeline is a list of [`Stage`]s applied in order: `$group`, and
+//! a `$sort` of what it produced.
 
 use crate::collection::{Collection, SortOrder};
-use crate::query::matches;
 use crate::value::{Document, Value};
 use std::borrow::Cow;
 
@@ -26,19 +25,11 @@ pub enum Accumulator {
     Avg(String),
     /// Minimum by the database value order.
     Min(String),
-    /// Maximum by the database value order.
-    Max(String),
-    /// First value encountered (insertion order).
-    First(String),
-    /// All values collected into an array.
-    Push(String),
 }
 
 /// A pipeline stage.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Stage {
-    /// Filter with the standard query engine.
-    Match(Document),
     /// Group by a dotted path (`None` groups everything into one
     /// bucket); each output document carries `_id` (the group key) and
     /// one field per accumulator.
@@ -50,28 +41,13 @@ pub enum Stage {
     },
     /// Sort by a dotted path.
     Sort(String, SortOrder),
-    /// Drop the first N documents.
-    Skip(usize),
-    /// Keep at most N documents.
-    Limit(usize),
-    /// Keep only the listed top-level fields.
-    Project(Vec<String>),
 }
 
 /// Run a pipeline over a collection. The stages read the collection's
 /// own documents; only what the pipeline returns is copied out (a
-/// `$group` or `$project` builds its output anyway).
+/// `$group` builds its output anyway).
 pub fn aggregate(collection: &Collection, pipeline: &[Stage]) -> Vec<Document> {
-    run(collection.scan().map(Cow::Borrowed).collect(), pipeline)
-}
-
-/// Run a pipeline over an already-materialized document set (lets
-/// callers chain custom sources).
-pub fn aggregate_docs(docs: Vec<Document>, pipeline: &[Stage]) -> Vec<Document> {
-    run(docs.into_iter().map(Cow::Owned).collect(), pipeline)
-}
-
-fn run(mut docs: Vec<Row<'_>>, pipeline: &[Stage]) -> Vec<Document> {
+    let mut docs: Vec<Row<'_>> = collection.scan().map(Cow::Borrowed).collect();
     for stage in pipeline {
         docs = apply_stage(docs, stage);
     }
@@ -80,7 +56,6 @@ fn run(mut docs: Vec<Row<'_>>, pipeline: &[Stage]) -> Vec<Document> {
 
 fn apply_stage<'a>(docs: Vec<Row<'a>>, stage: &Stage) -> Vec<Row<'a>> {
     match stage {
-        Stage::Match(query) => docs.into_iter().filter(|d| matches(query, d)).collect(),
         Stage::Sort(field, order) => {
             let mut docs = docs;
             let null = Value::Null;
@@ -94,20 +69,6 @@ fn apply_stage<'a>(docs: Vec<Row<'a>>, stage: &Stage) -> Vec<Row<'a>> {
             });
             docs
         }
-        Stage::Skip(n) => docs.into_iter().skip(*n).collect(),
-        Stage::Limit(n) => docs.into_iter().take(*n).collect(),
-        Stage::Project(fields) => docs
-            .into_iter()
-            .map(|d| {
-                let mut out = Document::new();
-                for f in fields {
-                    if let Some(v) = d.get(f) {
-                        out.insert(f.clone(), v.clone());
-                    }
-                }
-                Cow::Owned(out)
-            })
-            .collect(),
         Stage::Group { by, fields } => {
             group(docs, by.as_deref(), fields).into_iter().map(Cow::Owned).collect()
         }
@@ -171,20 +132,13 @@ fn run_accumulator(acc: &Accumulator, bucket: &[Row<'_>]) -> Value {
                 n => Value::Float(nums().sum::<f64>() / n as f64),
             }
         }
-        // Min/Max skip explicit nulls: a failed submission records
+        // Min skips explicit nulls: a failed submission records
         // `internal_secs: null` and must not become the "best" runtime.
         Accumulator::Min(path) => values(bucket, path)
             .filter(|v| !matches!(v, Value::Null))
             .min_by(|a, b| a.cmp_order(b))
             .cloned()
             .unwrap_or(Value::Null),
-        Accumulator::Max(path) => values(bucket, path)
-            .filter(|v| !matches!(v, Value::Null))
-            .max_by(|a, b| a.cmp_order(b))
-            .cloned()
-            .unwrap_or(Value::Null),
-        Accumulator::First(path) => values(bucket, path).next().cloned().unwrap_or(Value::Null),
-        Accumulator::Push(path) => Value::Array(values(bucket, path).cloned().collect()),
     }
 }
 
@@ -223,26 +177,25 @@ mod tests {
     }
 
     #[test]
-    fn match_then_group_mean_runtime() {
+    fn group_mean_and_best_runtime() {
         let rows = aggregate(
             &submissions(),
-            &[
-                Stage::Match(doc! { "success" => true }),
-                Stage::Group {
-                    by: Some("team".into()),
-                    fields: vec![
-                        ("avg".into(), Accumulator::Avg("secs".into())),
-                        ("best".into(), Accumulator::Min("secs".into())),
-                        ("worst".into(), Accumulator::Max("secs".into())),
-                    ],
-                },
-            ],
+            &[Stage::Group {
+                by: Some("team".into()),
+                fields: vec![
+                    ("avg".into(), Accumulator::Avg("secs".into())),
+                    ("best".into(), Accumulator::Min("secs".into())),
+                ],
+            }],
         );
-        assert_eq!(rows.len(), 2, "team c has no successes");
+        assert_eq!(rows.len(), 3);
+        // Team a's failed row carries no `secs` and counts for nothing.
         let a = &rows[0];
         assert!((a.get("avg").unwrap().as_f64().unwrap() - 0.45).abs() < 1e-9);
         assert_eq!(a.get("best"), Some(&Value::Float(0.4)));
-        assert_eq!(a.get("worst"), Some(&Value::Float(0.5)));
+        // Team c has no numeric inputs at all.
+        assert_eq!(rows[2].get("avg"), Some(&Value::Null));
+        assert_eq!(rows[2].get("best"), Some(&Value::Null));
     }
 
     #[test]
@@ -277,67 +230,30 @@ mod tests {
     }
 
     #[test]
-    fn sort_skip_limit_project() {
-        let rows = aggregate(
-            &submissions(),
-            &[
-                Stage::Match(doc! { "success" => true }),
-                Stage::Sort("secs".into(), SortOrder::Desc),
-                Stage::Skip(1),
-                Stage::Limit(2),
-                Stage::Project(vec!["team".into(), "secs".into()]),
-            ],
-        );
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].get("secs"), Some(&Value::Float(1.1)));
-        assert_eq!(rows[0].len(), 2, "projection dropped other fields");
-    }
-
-    #[test]
-    fn push_and_first() {
-        let rows = aggregate(
-            &submissions(),
-            &[Stage::Group {
-                by: Some("worker".into()),
-                fields: vec![
-                    ("teams".into(), Accumulator::Push("team".into())),
-                    ("first_team".into(), Accumulator::First("team".into())),
-                ],
-            }],
-        );
-        assert_eq!(rows.len(), 2);
-        let w0 = &rows[0];
-        assert_eq!(w0.get("_id"), Some(&Value::from("w0")));
-        assert_eq!(
-            w0.get("teams"),
-            Some(&Value::Array(vec!["a".into(), "a".into(), "b".into()]))
-        );
-        assert_eq!(w0.get("first_team"), Some(&Value::from("a")));
-    }
-
-    #[test]
-    fn missing_fields_and_empty_inputs() {
-        let rows = aggregate(
-            &submissions(),
-            &[
-                Stage::Match(doc! { "team" => "c" }),
-                Stage::Group {
-                    by: Some("team".into()),
-                    fields: vec![("avg".into(), Accumulator::Avg("secs".into()))],
-                },
-            ],
-        );
-        assert_eq!(rows[0].get("avg"), Some(&Value::Null), "no numeric inputs");
+    fn group_then_sort() {
+        let by_worker = Stage::Group {
+            by: Some("worker".into()),
+            fields: vec![("busy".into(), Accumulator::Sum("secs".into()))],
+        };
+        let busy = |order| {
+            aggregate(&submissions(), &[by_worker.clone(), Stage::Sort("busy".into(), order)])
+                .iter()
+                .map(|row| row.get("_id").unwrap().as_str().unwrap().to_string())
+                .collect::<Vec<_>>()
+        };
+        // w0: 0.5 + 1.5, w1: 0.4 + 1.1.
+        assert_eq!(busy(SortOrder::Desc), ["w0", "w1"]);
+        assert_eq!(busy(SortOrder::Asc), ["w1", "w0"]);
         // Empty collection → empty output, no panics.
-        assert!(aggregate(&Collection::new(), &[Stage::Limit(5)]).is_empty());
+        assert!(aggregate(&Collection::new(), &[by_worker]).is_empty());
     }
 
     #[test]
     fn numeric_keys_unify_across_types() {
         let mut c = Collection::new();
         c.insert_many([doc! { "k" => 1, "v" => 1 }, doc! { "k" => 1.0, "v" => 2 }]);
-        let rows = aggregate_docs(
-            c.find(&Document::new()),
+        let rows = aggregate(
+            &c,
             &[Stage::Group {
                 by: Some("k".into()),
                 fields: vec![("n".into(), Accumulator::Count)],

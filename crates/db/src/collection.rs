@@ -1,5 +1,5 @@
 //! Collections: document storage, CRUD, cursors, and the (small) query
-//! planner that routes eligible predicates through secondary indexes.
+//! planner that routes an indexed literal through its secondary index.
 
 use crate::index::Index;
 use crate::journal::{DbRecord, JournalSink};
@@ -7,7 +7,6 @@ use crate::query::matches;
 use crate::update::apply_update;
 use crate::value::{Document, Value};
 use std::collections::{BTreeMap, HashMap};
-use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -28,8 +27,6 @@ pub enum SortOrder {
 pub struct FindOptions {
     /// Sort by this dotted path.
     pub sort_by: Option<(String, SortOrder)>,
-    /// Skip this many results (after sort).
-    pub skip: usize,
     /// Return at most this many results.
     pub limit: Option<usize>,
 }
@@ -54,12 +51,6 @@ impl FindOptions {
     /// Set a limit.
     pub fn limit(mut self, n: usize) -> Self {
         self.limit = Some(n);
-        self
-    }
-
-    /// Set a skip.
-    pub fn skip(mut self, n: usize) -> Self {
-        self.skip = n;
         self
     }
 }
@@ -183,10 +174,10 @@ impl Collection {
         self.insert_one_inner(doc)
     }
 
-    /// The journal-free insert path: shared by [`Collection::insert_one`],
-    /// upsert (whose enclosing update is journaled as one record), and
-    /// replay.
-    pub(crate) fn insert_one_inner(&mut self, mut doc: Document) -> DocId {
+    /// The journal-free insert: what [`Collection::insert_one`],
+    /// [`Collection::insert_many`] and upsert each run once their own
+    /// record is journaled.
+    fn insert_one_inner(&mut self, mut doc: Document) -> DocId {
         self.inserts.fetch_add(1, Ordering::Relaxed);
         self.next_id += 1;
         let id = self.next_id;
@@ -202,40 +193,20 @@ impl Collection {
         if let Some(j) = &self.journal {
             j.append(&DbRecord::InsertMany { coll: j.coll().to_string(), docs: docs.clone() });
         }
-        self.insert_many_inner(docs)
-    }
-
-    pub(crate) fn insert_many_inner(&mut self, docs: Vec<Document>) -> Vec<DocId> {
-        let mut ids = Vec::new();
-        for mut doc in docs {
-            self.inserts.fetch_add(1, Ordering::Relaxed);
-            self.next_id += 1;
-            let id = self.next_id;
-            doc.insert("_id", id);
-            self.index_doc(id, &doc);
-            self.docs.insert(id, doc);
-            ids.push(id);
-        }
-        ids
+        docs.into_iter().map(|doc| self.insert_one_inner(doc)).collect()
     }
 
     /// Build a secondary index on a dotted path (also indexes existing
     /// documents). Re-creating an existing index is a no-op.
     pub fn create_index(&mut self, field: &str) {
-        if !self.indexes.contains_key(field) {
-            if let Some(j) = &self.journal {
-                j.append(&DbRecord::CreateIndex {
-                    coll: j.coll().to_string(),
-                    field: field.to_string(),
-                });
-            }
-        }
-        self.create_index_inner(field);
-    }
-
-    pub(crate) fn create_index_inner(&mut self, field: &str) {
         if self.indexes.contains_key(field) {
             return;
+        }
+        if let Some(j) = &self.journal {
+            j.append(&DbRecord::CreateIndex {
+                coll: j.coll().to_string(),
+                field: field.to_string(),
+            });
         }
         let mut idx = Index::new();
         for (id, doc) in &self.docs {
@@ -255,8 +226,8 @@ impl Collection {
     }
 
     /// Restore from a compaction snapshot: documents land under their
-    /// recorded `_id`s and every index is rebuilt. Journaling stays
-    /// whatever it was (recovery runs detached).
+    /// recorded `_id`s and every index is rebuilt. Replay's alone, so
+    /// the collection is journal-detached and nothing is re-journaled.
     pub(crate) fn restore(&mut self, next_id: u64, indexes: Vec<String>, docs: Vec<Document>) {
         self.docs.clear();
         self.indexes.clear();
@@ -271,112 +242,27 @@ impl Collection {
             self.docs.insert(id, doc);
         }
         for field in indexes {
-            self.create_index_inner(&field);
+            self.create_index(&field);
         }
     }
 
-    /// Whether `field` has an index.
-    pub fn has_index(&self, field: &str) -> bool {
-        self.indexes.contains_key(field)
-    }
-
-    /// Candidate doc ids one indexed predicate admits, sorted
-    /// ascending, or `None` when the predicate can't use the index.
-    /// Every returned set is a superset of the documents the predicate
-    /// matches — callers always re-verify with [`matches`].
-    fn index_candidates(idx: &Index, cond: &Value) -> Option<Vec<DocId>> {
-        match cond {
-            Value::Doc(ops) if ops.iter().all(|(k, _)| k.starts_with('$')) && !ops.is_empty() => {
-                // $eq dominates: any other operator can only shrink the
-                // set further, and matches() applies it anyway.
-                if let Some(eq) = ops.get("$eq") {
-                    return Some(idx.lookup_eq(eq));
-                }
-                // $in: the union of one point lookup per element
-                // (eq_loose and the index key order agree exactly).
-                if let Some(Value::Array(elems)) = ops.get("$in") {
-                    let mut ids: Vec<DocId> = elems
-                        .iter()
-                        .flat_map(|e| idx.lookup_eq(e))
-                        .collect();
-                    ids.sort_unstable();
-                    ids.dedup();
-                    return Some(ids);
-                }
-                let mut lo: Bound<&Value> = Bound::Unbounded;
-                let mut hi: Bound<&Value> = Bound::Unbounded;
-                let mut usable = false;
-                for (op, operand) in ops.iter() {
-                    match op.as_str() {
-                        "$gt" => {
-                            lo = Bound::Excluded(operand);
-                            usable = true;
-                        }
-                        "$gte" => {
-                            lo = Bound::Included(operand);
-                            usable = true;
-                        }
-                        "$lt" => {
-                            hi = Bound::Excluded(operand);
-                            usable = true;
-                        }
-                        "$lte" => {
-                            hi = Bound::Included(operand);
-                            usable = true;
-                        }
-                        _ => {}
-                    }
-                }
-                if usable {
-                    // Range ids come out in key order, not id order.
-                    let mut ids = idx.lookup_range(lo, hi);
-                    ids.sort_unstable();
-                    return Some(ids);
-                }
-                None
-            }
-            // Implicit equality on a literal. Unusable for Null (a
-            // missing field also matches, and missing fields are not
-            // indexed) and while any indexed value is an array (bare
-            // literals have containment semantics a whole-value key
-            // lookup cannot serve). `$eq`/`$in`/ranges need neither
-            // guard: they only match documents carrying the field.
-            Value::Null => None,
-            _ if idx.has_array_keys() => None,
-            literal => Some(idx.lookup_eq(literal)),
-        }
-    }
-
-    /// Ids of candidate documents for `query`, via indexes when any
-    /// apply; `None` means "no usable index — scan everything". When
-    /// several top-level predicates are indexed, their candidate sets
-    /// are intersected in ascending-selectivity order (smallest set
-    /// first), so the result is never larger than the most selective
-    /// index's set. The returned ids are sorted ascending.
+    /// Ids of candidate documents for `query`, ascending, via the index
+    /// of the first filter field that has a usable one; `None` means
+    /// "scan everything". The set is a superset of the documents that
+    /// field's literal matches — callers always re-verify the whole
+    /// filter with [`matches`]. An index is unusable for a `Null`
+    /// literal (a missing field also matches, and missing fields are
+    /// not indexed) and while any indexed value is an array (a literal
+    /// has containment semantics a whole-value key lookup cannot serve).
     fn candidates(&self, query: &Document) -> Option<Vec<DocId>> {
-        let mut sets: Vec<Vec<DocId>> = Vec::new();
-        for (field, cond) in query.iter() {
-            if field.starts_with('$') {
-                continue;
+        query.iter().find_map(|(field, literal)| {
+            let idx = self.indexes.get(field.as_str())?;
+            match literal {
+                Value::Null => None,
+                _ if idx.has_array_keys() => None,
+                literal => Some(idx.lookup_eq(literal)),
             }
-            let indexed = self.indexes.get(field.as_str());
-            if let Some(ids) = indexed.and_then(|idx| Self::index_candidates(idx, cond)) {
-                sets.push(ids);
-            }
-        }
-        if sets.is_empty() {
-            return None;
-        }
-        sets.sort_by_key(Vec::len);
-        let mut iter = sets.into_iter();
-        let mut acc = iter.next().expect("non-empty checked");
-        for other in iter {
-            if acc.is_empty() {
-                break;
-            }
-            acc.retain(|id| other.binary_search(id).is_ok());
-        }
-        Some(acc)
+        })
     }
 
     /// Planner introspection: how many candidate ids the planner would
@@ -437,15 +323,15 @@ impl Collection {
         self.first_matching_id(query).and_then(|id| self.docs.get(&id)).cloned()
     }
 
-    /// Find with sort/skip/limit. Missing sort fields order first
-    /// (as `Null`).
+    /// Find with sort/limit. Missing sort fields order first (as
+    /// `Null`).
     ///
     /// Runs as a cursor: matching ids are collected and ordered first,
-    /// and only the documents that survive skip/limit are cloned. When
-    /// the sort field has an index covering every document, the rows
-    /// stream straight out of the index in key order (ties by ascending
-    /// `_id`) and the scan stops as soon as `skip + limit` rows matched —
-    /// `sort+limit` over a big collection never materialises it.
+    /// and only the documents inside the limit are cloned. When the
+    /// sort field has an index covering every document, the rows stream
+    /// straight out of the index in key order (ties by ascending `_id`)
+    /// and the scan stops as soon as `limit` rows matched — `sort+limit`
+    /// over a big collection never materialises it.
     pub fn find_with(&self, query: &Document, opts: &FindOptions) -> Vec<Document> {
         self.queries.fetch_add(1, Ordering::Relaxed);
         let limit = opts.limit.unwrap_or(usize::MAX);
@@ -456,17 +342,12 @@ impl Collection {
             let covering = self.indexes.get(field).filter(|idx| idx.len() == self.docs.len());
             if let Some(idx) = covering {
                 let mut out = Vec::new();
-                let mut to_skip = opts.skip;
                 for id in idx.ids_in_key_order(*order == SortOrder::Desc) {
                     if out.len() >= limit {
                         break;
                     }
                     let doc = self.docs.get(&id).expect("index entry has a doc");
                     if !matches(query, doc) {
-                        continue;
-                    }
-                    if to_skip > 0 {
-                        to_skip -= 1;
                         continue;
                     }
                     out.push(doc.clone());
@@ -491,7 +372,6 @@ impl Collection {
             });
             return ids
                 .into_iter()
-                .skip(opts.skip)
                 .take(limit)
                 .filter_map(|id| self.docs.get(&id))
                 .cloned()
@@ -499,7 +379,6 @@ impl Collection {
         }
         self.matching_ids(query)
             .into_iter()
-            .skip(opts.skip)
             .take(limit)
             .filter_map(|id| self.docs.get(&id))
             .cloned()
@@ -540,36 +419,9 @@ impl Collection {
         out
     }
 
-    /// Update every matching document.
-    pub fn update_many(&mut self, query: &Document, update: &Document) -> UpdateResult {
-        if let Some(j) = &self.journal {
-            j.append(&DbRecord::UpdateMany {
-                coll: j.coll().to_string(),
-                query: query.clone(),
-                update: update.clone(),
-            });
-        }
-        self.updates.fetch_add(1, Ordering::Relaxed);
-        let ids = self.matching_ids(query);
-        let mut res = UpdateResult {
-            matched: ids.len(),
-            ..Default::default()
-        };
-        for id in ids {
-            let doc = self.docs.get_mut(&id).expect("id listed above");
-            let before = doc.clone();
-            if apply_update(update, doc) {
-                res.modified += 1;
-                let after = doc.clone();
-                self.reindex(id, &before, &after);
-            }
-        }
-        res
-    }
-
     /// Update the first matching document; optionally insert when
-    /// nothing matches (upsert). On upsert the query's literal equality
-    /// fields seed the new document — this is how RAI's ranking table
+    /// nothing matches (upsert). On upsert the query's fields seed the
+    /// new document — this is how RAI's ranking table
     /// does "overwrite existing timing records" per team.
     pub fn update_one(&mut self, query: &Document, update: &Document, upsert: bool) -> UpdateResult {
         if let Some(j) = &self.journal {
@@ -597,12 +449,7 @@ impl Collection {
                 }
             }
             None if upsert => {
-                let mut seed = Document::new();
-                for (k, v) in query.iter() {
-                    if !k.starts_with('$') && !matches!(v, Value::Doc(_)) {
-                        seed.insert(k.clone(), v.clone());
-                    }
-                }
+                let mut seed = query.clone();
                 apply_update(update, &mut seed);
                 // The enclosing update_one was already journaled as one
                 // record; the upsert insert must not journal again.
@@ -664,7 +511,8 @@ mod tests {
     fn find_and_count() {
         let c = rankings();
         assert_eq!(c.find(&doc! { "final" => true }).len(), 3);
-        assert_eq!(c.count(&doc! { "runtime" => doc!{ "$lt" => 1.0 } }), 3);
+        assert_eq!(c.count(&doc! { "runtime" => 0.48, "final" => false }), 1);
+        assert_eq!(c.count(&doc! { "runtime" => 0.48, "final" => true }), 0);
         assert_eq!(c.count(&Document::new()), 4);
     }
 
@@ -683,28 +531,11 @@ mod tests {
     }
 
     #[test]
-    fn skip_and_desc() {
+    fn descending_sort_with_limit() {
         let c = rankings();
-        let second_slowest = c.find_with(&Document::new(), &FindOptions::sort_desc("runtime").skip(1).limit(1));
-        assert_eq!(second_slowest[0].get("team").unwrap().as_str(), Some("b"));
-    }
-
-    #[test]
-    fn update_many_and_modified_counts() {
-        let mut c = rankings();
-        let res = c.update_many(
-            &doc! { "final" => true },
-            &doc! { "$set" => doc!{ "graded" => false } },
-        );
-        assert_eq!(res.matched, 3);
-        assert_eq!(res.modified, 3);
-        // Second time: matched but nothing changes.
-        let res2 = c.update_many(
-            &doc! { "final" => true },
-            &doc! { "$set" => doc!{ "graded" => false } },
-        );
-        assert_eq!(res2.matched, 3);
-        assert_eq!(res2.modified, 0);
+        let slowest = c.find_with(&Document::new(), &FindOptions::sort_desc("runtime").limit(2));
+        let teams: Vec<_> = slowest.iter().map(|d| d.get("team").unwrap().as_str().unwrap()).collect();
+        assert_eq!(teams, ["d", "b"]);
     }
 
     #[test]
@@ -724,7 +555,14 @@ mod tests {
             &doc! { "$set" => doc!{ "runtime" => 0.7 } },
             true,
         );
-        assert_eq!(r2.matched, 1);
+        assert_eq!((r2.matched, r2.modified), (1, 1));
+        // The same update again: matched, but nothing changes.
+        let r3 = c.update_one(
+            &doc! { "team" => "x" },
+            &doc! { "$set" => doc!{ "runtime" => 0.7 } },
+            true,
+        );
+        assert_eq!((r3.matched, r3.modified, r3.upserted), (1, 0, None));
         assert_eq!(c.len(), 1);
         assert_eq!(
             c.find_one(&doc! { "team" => "x" }).unwrap().get("runtime"),
@@ -756,7 +594,7 @@ mod tests {
         for q in [
             doc! { "final" => true },
             doc! { "final" => false },
-            doc! { "final" => doc!{ "$gt" => 200.0 } },
+            doc! { "final" => 7 },
         ] {
             assert_eq!(
                 with_idx.distinct("team", &q),
@@ -772,10 +610,11 @@ mod tests {
         with_idx.create_index("runtime");
         let without_idx = rankings();
         for q in [
-            doc! { "runtime" => doc!{ "$lt" => 1.0 } },
-            doc! { "runtime" => doc!{ "$gte" => 0.48, "$lte" => 130.0 } },
             doc! { "runtime" => 0.45 },
-            doc! { "runtime" => doc!{ "$gt" => 200.0 } },
+            doc! { "runtime" => 120 },
+            doc! { "runtime" => 0.91, "final" => true },
+            doc! { "runtime" => 0.91, "final" => false },
+            doc! { "runtime" => 200.0 },
         ] {
             let a = with_idx.find(&q);
             let b = without_idx.find(&q);
@@ -784,12 +623,10 @@ mod tests {
     }
 
     #[test]
-    fn multi_index_intersection_starts_from_smallest_set() {
-        // 200 docs: "kind" is half-and-half (100-doc candidate sets),
-        // "job" is unique (1-doc sets). The planner must intersect in
-        // ascending-selectivity order so the query touches 1 candidate,
-        // not 100 — regression test for the old first-index-wins walk,
-        // whose HashMap iteration order could pick either.
+    fn one_indexed_literal_picks_the_candidates_and_matches_verifies_the_rest() {
+        // 200 docs: "kind" is half-and-half, "job" is unique. The first
+        // filter field with an index ("job", in key order) serves the
+        // candidates; the other field is checked on each of them.
         let mut c = Collection::new();
         for i in 0..200i64 {
             c.insert_one(doc! { "kind" => if i % 2 == 0 { "run" } else { "submit" }, "job" => i });
@@ -801,29 +638,14 @@ mod tests {
         let hit = c.find(&q);
         assert_eq!(hit.len(), 1);
         assert_eq!(hit[0].get("job"), Some(&Value::Int(42)));
-        // Contradictory predicates intersect to nothing.
-        assert_eq!(c.candidate_count(&doc! { "kind" => "submit", "job" => 42 }), Some(0));
-        assert!(c.find(&doc! { "kind" => "submit", "job" => 42 }).is_empty());
-        // A range plus an equality still intersects smallest-first.
-        let q = doc! { "job" => doc!{ "$gte" => 40, "$lt" => 60 }, "kind" => "run" };
-        assert!(c.candidate_count(&q).unwrap() <= 20);
-        assert_eq!(c.find(&q).len(), 10);
-    }
-
-    #[test]
-    fn in_predicate_uses_point_lookups() {
-        let mut c = rankings();
-        c.create_index("team");
-        let q = doc! { "team" => doc!{ "$in" => vec!["a", "d", "zz"] } };
-        assert_eq!(c.candidate_count(&q), Some(2));
-        let teams: Vec<_> = c
-            .find(&q)
-            .into_iter()
-            .map(|d| d.get("team").unwrap().as_str().unwrap().to_string())
-            .collect();
-        assert_eq!(teams, vec!["a", "d"]);
-        // Empty $in list: zero candidates, zero results.
-        assert_eq!(c.candidate_count(&doc! { "team" => doc!{ "$in" => Vec::<&str>::new() } }), Some(0));
+        // A candidate the rest of the filter contradicts is no result.
+        let contradictory = doc! { "kind" => "submit", "job" => 42 };
+        assert_eq!(c.candidate_count(&contradictory), Some(1));
+        assert!(c.find(&contradictory).is_empty());
+        assert_eq!(c.count(&contradictory), 0);
+        // An unindexed field beside an indexed one: same rule.
+        assert_eq!(c.candidate_count(&doc! { "kind" => "run", "n" => 1 }), Some(100));
+        assert_eq!(c.candidate_count(&doc! { "n" => 1 }), None);
     }
 
     #[test]
@@ -837,16 +659,12 @@ mod tests {
         // are not in the index — the planner must not use it.
         assert_eq!(c.candidate_count(&doc! { "b" => Value::Null }), None);
         assert_eq!(c.find(&doc! { "b" => Value::Null }).len(), 2);
-        // $eq Null requires the field present, so the index is usable.
-        assert_eq!(c.candidate_count(&doc! { "b" => doc!{ "$eq" => Value::Null } }), Some(1));
-        assert_eq!(c.find(&doc! { "b" => doc!{ "$eq" => Value::Null } }).len(), 1);
+        assert_eq!(c.candidate_count(&doc! { "b" => 5 }), Some(1));
         // Once an array value is indexed, bare-literal containment
         // semantics force non-Null literals back to a scan too.
         c.insert_one(doc! { "b" => vec![5, 6] });
         assert_eq!(c.candidate_count(&doc! { "b" => 5 }), None);
         assert_eq!(c.find(&doc! { "b" => 5 }).len(), 2, "scalar and containing array");
-        // Operator equality keeps whole-value semantics and the index.
-        assert_eq!(c.candidate_count(&doc! { "b" => doc!{ "$eq" => 5 } }), Some(1));
     }
 
     #[test]
@@ -863,8 +681,8 @@ mod tests {
         for opts in [
             FindOptions::sort_asc("runtime"),
             FindOptions::sort_desc("runtime"),
-            FindOptions::sort_asc("runtime").skip(3).limit(5),
-            FindOptions::sort_desc("runtime").skip(10).limit(40),
+            FindOptions::sort_asc("runtime").limit(5),
+            FindOptions::sort_desc("runtime").limit(40),
         ] {
             let a = indexed.find_with(&doc! { "final" => true }, &opts);
             let b = plain.find_with(&doc! { "final" => true }, &opts);
@@ -889,7 +707,7 @@ mod tests {
             &doc! { "$set" => doc!{ "runtime" => 5.0 } },
             false,
         );
-        assert_eq!(c.count(&doc! { "runtime" => doc!{ "$lt" => 1.0 } }), 2);
+        assert_eq!(c.count(&doc! { "runtime" => 0.45 }), 0);
         assert_eq!(c.count(&doc! { "runtime" => 5.0 }), 1);
         c.delete_many(&doc! { "team" => "a" });
         assert_eq!(c.count(&doc! { "runtime" => 5.0 }), 0);
@@ -899,7 +717,7 @@ mod tests {
     fn create_index_on_existing_data() {
         let mut c = rankings();
         c.create_index("team");
-        assert!(c.has_index("team"));
+        assert_eq!(c.candidate_count(&doc! { "team" => "b" }), Some(1));
         assert_eq!(c.find(&doc! { "team" => "b" }).len(), 1);
         // Recreating is a no-op.
         c.create_index("team");
@@ -933,16 +751,19 @@ mod tests {
                     "final" => i % 5 == 0,
                 });
             }
-            c.update_many(
-                &doc! { "kind" => "submit" },
-                &doc! { "$set" => doc!{ "graded" => true } },
-            );
+            for t in 0..6 {
+                c.update_one(
+                    &doc! { "team" => format!("t{t:02}"), "kind" => "submit" },
+                    &doc! { "$set" => doc!{ "graded" => true, "runtime" => 0.125 * t as f64 } },
+                    false,
+                );
+            }
             c.update_one(
                 &doc! { "team" => "t99" },
                 &doc! { "$set" => doc!{ "runtime" => 9.5 } },
                 true,
             );
-            c.delete_many(&doc! { "runtime" => doc!{ "$gt" => 5.0, "$lt" => 5.3 } });
+            c.delete_many(&doc! { "runtime" => 5.25 });
             c
         };
         let (indexed, scanned) = (build(true), build(false));
@@ -951,8 +772,10 @@ mod tests {
             doc! {},
             doc! { "kind" => "run" },
             doc! { "team" => "t03" },
-            doc! { "runtime" => doc!{ "$gte" => 1.0, "$lt" => 4.0 } },
-            doc! { "team" => doc!{ "$in" => vec!["t01", "t05", "none"] } },
+            doc! { "runtime" => 1.75 },
+            doc! { "runtime" => 0.125, "graded" => true },
+            doc! { "team" => "none" },
+            doc! { "team" => doc!{ "$in" => vec!["t01", "t05"] } },
             doc! { "kind" => "submit", "final" => true },
         ] {
             assert_eq!(indexed.find(&q), scanned.find(&q), "find diverged for {q}");
@@ -966,9 +789,9 @@ mod tests {
             for opts in [
                 FindOptions::sort_asc("runtime"),
                 FindOptions::sort_desc("runtime"),
-                FindOptions::sort_asc("runtime").skip(5).limit(10),
+                FindOptions::sort_asc("runtime").limit(10),
                 FindOptions::sort_desc("team").limit(7),
-                FindOptions::default().skip(3).limit(11),
+                FindOptions::default().limit(11),
             ] {
                 assert_eq!(
                     indexed.find_with(&q, &opts),

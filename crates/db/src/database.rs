@@ -71,7 +71,7 @@ impl Database {
     /// operation: returns [`DbError::Unavailable`] when the attached
     /// injector (if any) decides this op's connection drops. Callers
     /// wrap `guard` + collection access in a retry policy.
-    pub fn guard(&self, _op: &str) -> Result<(), DbError> {
+    pub fn guard(&self) -> Result<(), DbError> {
         match self.inner.injector.get() {
             Some(inj) if inj.should_fail(rai_faults::FaultKind::DbOp) => {
                 Err(DbError::Unavailable)
@@ -105,9 +105,10 @@ impl Database {
     }
 
     /// Rebuild a database from `wal`'s segments: replay every intact
-    /// record through the normal (journal-detached) mutation paths, so
-    /// `_id` assignment, upserts, and secondary indexes reproduce the
-    /// exact pre-crash state; then attach the WAL for new mutations.
+    /// record through the same mutators that wrote it, on a database
+    /// with no WAL yet (nothing is re-journaled), so `_id` assignment,
+    /// upserts, and secondary indexes reproduce the exact pre-crash
+    /// state; then attach the WAL for new mutations.
     /// Corrupt or malformed records are dropped and counted — recovery
     /// never panics on a damaged log.
     pub fn recover(wal: Wal) -> (Database, DbRecovery) {
@@ -130,13 +131,10 @@ impl Database {
     fn apply(&self, record: DbRecord) {
         match record {
             DbRecord::InsertOne { coll, doc } => {
-                self.collection(&coll).write().insert_one_inner(doc);
+                self.collection(&coll).write().insert_one(doc);
             }
             DbRecord::InsertMany { coll, docs } => {
-                self.collection(&coll).write().insert_many_inner(docs);
-            }
-            DbRecord::UpdateMany { coll, query, update } => {
-                self.collection(&coll).write().update_many(&query, &update);
+                self.collection(&coll).write().insert_many(docs);
             }
             DbRecord::UpdateOne { coll, query, update, upsert } => {
                 self.collection(&coll).write().update_one(&query, &update, upsert);
@@ -145,10 +143,7 @@ impl Database {
                 self.collection(&coll).write().delete_many(&query);
             }
             DbRecord::CreateIndex { coll, field } => {
-                self.collection(&coll).write().create_index_inner(&field);
-            }
-            DbRecord::DropCollection { coll } => {
-                self.inner.collections.write().remove(&coll);
+                self.collection(&coll).write().create_index(&field);
             }
             DbRecord::SnapshotCollection { coll, next_id, indexes, docs } => {
                 self.collection(&coll).write().restore(next_id, indexes, docs);
@@ -205,17 +200,6 @@ impl Database {
         self.inner.collections.read().keys().cloned().collect()
     }
 
-    /// Drop a collection; returns whether it existed.
-    pub fn drop_collection(&self, name: &str) -> bool {
-        let existed = self.inner.collections.write().remove(name).is_some();
-        if existed {
-            if let Some(wal) = self.inner.wal.get() {
-                wal.append(&DbRecord::DropCollection { coll: name.to_string() }.encode());
-            }
-        }
-        existed
-    }
-
     /// Per-collection operation counters, sorted by collection name.
     pub fn stats(&self) -> Vec<(String, CollectionStats)> {
         self.inner
@@ -253,23 +237,14 @@ mod tests {
     #[test]
     fn guard_fails_per_injector_plan() {
         let db = Database::new();
-        assert_eq!(db.guard("insert"), Ok(()), "no injector: infallible");
+        assert_eq!(db.guard(), Ok(()), "no injector: infallible");
         db.set_fault_injector(rai_faults::FaultInjector::new(rai_faults::FaultPlan {
             db_op: 1.0,
             ..rai_faults::FaultPlan::none(9)
         }));
-        assert_eq!(db.guard("insert"), Err(DbError::Unavailable));
+        assert_eq!(db.guard(), Err(DbError::Unavailable));
         let clone = db.clone();
-        assert_eq!(clone.guard("query"), Err(DbError::Unavailable), "clones share the injector");
-    }
-
-    #[test]
-    fn drop_collection() {
-        let db = Database::new();
-        db.collection("tmp");
-        assert!(db.drop_collection("tmp"));
-        assert!(!db.drop_collection("tmp"));
-        assert!(db.collection_names().is_empty());
+        assert_eq!(clone.guard(), Err(DbError::Unavailable), "clones share the injector");
     }
 
     #[test]
@@ -304,7 +279,7 @@ mod tests {
         coll.write().insert_one(doc! { "n" => 2 });
         coll.read().find(&doc! { "n" => 1 });
         coll.read().find_one(&doc! { "n" => 2 });
-        coll.write().update_many(&doc! { "n" => 1 }, &doc! { "$set" => doc!{ "n" => 3 } });
+        coll.write().update_one(&doc! { "n" => 1 }, &doc! { "$set" => doc!{ "n" => 3 } }, false);
         let stats = db.total_stats();
         assert_eq!(stats.inserts, 2);
         assert_eq!(stats.queries, 2);
@@ -354,18 +329,18 @@ mod tests {
         for i in 0..20i64 {
             coll.write().insert_one(doc! { "job_id" => i, "ok" => i % 3 == 0 });
         }
-        coll.write().update_many(
+        coll.write().update_one(
             &doc! { "ok" => true },
             &doc! { "$set" => doc!{ "graded" => true } },
+            false,
         );
         coll.write().update_one(
             &doc! { "team" => "x" },
             &doc! { "$set" => doc!{ "secs" => 0.5 } },
             true,
         );
-        coll.write().delete_many(&doc! { "job_id" => doc!{ "$gte" => 18 } });
-        db.collection("tmp").write().insert_one(doc! { "z" => 1 });
-        db.drop_collection("tmp");
+        coll.write().delete_many(&doc! { "job_id" => 18 });
+        db.collection("teams").write().insert_many([doc! { "team" => "x" }, doc! { "team" => "y" }]);
         db.sync_wal();
 
         let (recovered, recovery) = reopen(&disk);
@@ -374,7 +349,7 @@ mod tests {
         assert!(recovery.applied > 20);
         assert_eq!(fingerprint(&db), fingerprint(&recovered));
         // Secondary indexes are rebuilt, not just documents.
-        assert!(recovered.collection("submissions").read().has_index("job_id"));
+        assert_eq!(recovered.collection("submissions").read().snapshot().1, ["job_id"]);
         // Upsert inside update_one journaled as ONE record: no
         // duplicate row after replay.
         assert_eq!(recovered.collection("submissions").read().count(&doc! { "team" => "x" }), 1);
@@ -384,6 +359,76 @@ mod tests {
         recovered.sync_wal();
         let (again, _) = reopen(&disk);
         assert_eq!(fingerprint(&recovered), fingerprint(&again));
+    }
+
+    /// The store's `replay_classifies_a_retired_record_tag_as_malformed`,
+    /// for the database: tags 3 (`update_many`) and 7 (`drop_collection`)
+    /// went with their mutators, and a log that still holds them — here
+    /// byte for byte as they were written — loses those records only.
+    #[test]
+    fn a_retired_record_tag_replays_as_malformed() {
+        let (db, disk) = durable_db();
+        let wal = db.wal().expect("durable");
+        let coll = db.collection("events");
+        coll.write().insert_one(doc! { "n" => 1 });
+        // Tag 3 was tag 4's layout without the trailing upsert byte.
+        let mut update_many = DbRecord::UpdateOne {
+            coll: "events".into(),
+            query: doc! { "n" => 1 },
+            update: doc! { "$set" => doc!{ "n" => 9 } },
+            upsert: false,
+        }
+        .encode();
+        update_many[0] = 3;
+        update_many.pop();
+        wal.append(&update_many);
+        let mut drop_collection = vec![7];
+        rai_wal::codec::put_str(&mut drop_collection, "events");
+        wal.append(&drop_collection);
+        coll.write().insert_one(doc! { "n" => 2 });
+        db.sync_wal();
+
+        let (recovered, recovery) = reopen(&disk);
+        assert_eq!(recovery.malformed_dropped, 2);
+        assert_eq!(recovery.applied, 2);
+        assert_eq!(recovery.stats.corrupt_dropped, 0);
+        assert_eq!(fingerprint(&db), fingerprint(&recovered));
+        assert_eq!(recovered.collection("events").read().len(), 2);
+    }
+
+    /// The engine has no operators and stays total: a `$`-keyed filter
+    /// condition is a literal that no scalar equals, and an update that
+    /// is not a `$set` reports "unchanged" and changes nothing — live,
+    /// and again when replay feeds the same records back.
+    #[test]
+    fn operator_documents_are_literals() {
+        let (db, disk) = durable_db();
+        let coll = db.collection("rows");
+        coll.write().create_index("x");
+        coll.write().insert_many([doc! { "x" => 1 }, doc! { "x" => 5 }]);
+        let before = fingerprint(&db);
+
+        let range = doc! { "x" => doc!{ "$gt" => 1 } };
+        assert!(coll.read().find(&range).is_empty());
+        assert_eq!(coll.read().count(&range), 0);
+        assert_eq!(coll.write().delete_many(&range), 0);
+        for update in [
+            doc! { "$inc" => doc!{ "x" => 1 } },
+            doc! { "$unset" => doc!{ "x" => true } },
+            doc! { "x" => 7 },
+        ] {
+            let res = coll.write().update_one(&doc! { "x" => 5 }, &update, false);
+            assert_eq!((res.matched, res.modified, res.upserted), (1, 0, None), "{update}");
+            let res = coll.write().update_one(&range, &update, false);
+            assert_eq!((res.matched, res.modified, res.upserted), (0, 0, None), "{update}");
+        }
+        assert_eq!(fingerprint(&db), before);
+
+        db.sync_wal();
+        let (recovered, recovery) = reopen(&disk);
+        assert_eq!(recovery.malformed_dropped, 0);
+        assert_eq!(recovery.applied, 2 + 1 + 6);
+        assert_eq!(fingerprint(&recovered), before);
     }
 
     #[test]
@@ -415,7 +460,7 @@ mod tests {
         let (recovered, recovery) = reopen(&disk);
         assert_eq!(recovery.stats.corrupt_dropped, 0);
         assert_eq!(fingerprint(&db), fingerprint(&recovered));
-        assert!(recovered.collection("rankings").read().has_index("team"));
+        assert_eq!(recovered.collection("rankings").read().snapshot().1, ["team"]);
     }
 
     #[test]

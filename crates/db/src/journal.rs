@@ -108,7 +108,10 @@ fn decode_docs(r: &mut Reader<'_>) -> Option<Vec<Document>> {
 
 // ---- logical records -------------------------------------------------
 
-/// One committed database mutation, as journaled to the WAL.
+/// One committed database mutation, as journaled to the WAL. Each
+/// record's leading tag byte is fixed for good: 3 (`update_many`) and 7
+/// (`drop_collection`) are retired with their mutators and decode, like
+/// any unknown tag, to `None`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DbRecord {
     /// `insert_one` — `doc` is the document *before* `_id` assignment.
@@ -125,22 +128,13 @@ pub enum DbRecord {
         /// Documents as the caller passed them.
         docs: Vec<Document>,
     },
-    /// `update_many(query, update)`.
-    UpdateMany {
-        /// Target collection.
-        coll: String,
-        /// Match predicate.
-        query: Document,
-        /// Update operators.
-        update: Document,
-    },
     /// `update_one(query, update, upsert)`.
     UpdateOne {
         /// Target collection.
         coll: String,
         /// Match predicate.
         query: Document,
-        /// Update operators.
+        /// The `$set` document.
         update: Document,
         /// Insert when nothing matches.
         upsert: bool,
@@ -158,11 +152,6 @@ pub enum DbRecord {
         coll: String,
         /// Indexed dotted path.
         field: String,
-    },
-    /// `drop_collection(name)`.
-    DropCollection {
-        /// Dropped collection.
-        coll: String,
     },
     /// Compaction snapshot of one whole collection: docs carry their
     /// `_id`s and are restored verbatim (indexes rebuilt).
@@ -193,12 +182,6 @@ impl DbRecord {
                 put_str(&mut out, coll);
                 encode_docs(docs, &mut out);
             }
-            DbRecord::UpdateMany { coll, query, update } => {
-                out.push(3);
-                put_str(&mut out, coll);
-                encode_doc(query, &mut out);
-                encode_doc(update, &mut out);
-            }
             DbRecord::UpdateOne { coll, query, update, upsert } => {
                 out.push(4);
                 put_str(&mut out, coll);
@@ -215,10 +198,6 @@ impl DbRecord {
                 out.push(6);
                 put_str(&mut out, coll);
                 put_str(&mut out, field);
-            }
-            DbRecord::DropCollection { coll } => {
-                out.push(7);
-                put_str(&mut out, coll);
             }
             DbRecord::SnapshotCollection { coll, next_id, indexes, docs } => {
                 out.push(8);
@@ -241,11 +220,6 @@ impl DbRecord {
         let rec = match r.u8()? {
             1 => DbRecord::InsertOne { coll: r.str()?, doc: decode_doc(&mut r)? },
             2 => DbRecord::InsertMany { coll: r.str()?, docs: decode_docs(&mut r)? },
-            3 => DbRecord::UpdateMany {
-                coll: r.str()?,
-                query: decode_doc(&mut r)?,
-                update: decode_doc(&mut r)?,
-            },
             4 => DbRecord::UpdateOne {
                 coll: r.str()?,
                 query: decode_doc(&mut r)?,
@@ -254,7 +228,6 @@ impl DbRecord {
             },
             5 => DbRecord::DeleteMany { coll: r.str()?, query: decode_doc(&mut r)? },
             6 => DbRecord::CreateIndex { coll: r.str()?, field: r.str()? },
-            7 => DbRecord::DropCollection { coll: r.str()? },
             8 => {
                 let coll = r.str()?;
                 let next_id = r.u64()?;
@@ -295,11 +268,6 @@ impl JournalSink {
     pub fn append(&self, record: &DbRecord) {
         self.wal.append(&record.encode());
     }
-
-    /// Force the journal durable (used at commit points).
-    pub fn sync(&self) {
-        self.wal.sync();
-    }
 }
 
 #[cfg(test)]
@@ -318,20 +286,14 @@ mod tests {
                 coll: "teams".into(),
                 docs: vec![doc! { "team" => "a" }, doc! { "nested" => doc!{ "x" => 1 } }],
             },
-            DbRecord::UpdateMany {
-                coll: "rankings".into(),
-                query: doc! { "team" => "a" },
-                update: doc! { "$set" => doc!{ "secs" => 0.5 } },
-            },
             DbRecord::UpdateOne {
                 coll: "rankings".into(),
                 query: doc! { "team" => "b" },
-                update: doc! { "$inc" => doc!{ "n" => 1 } },
+                update: doc! { "$set" => doc!{ "secs" => 0.5 } },
                 upsert: true,
             },
             DbRecord::DeleteMany { coll: "tmp".into(), query: doc! {} },
             DbRecord::CreateIndex { coll: "submissions".into(), field: "job_id".into() },
-            DbRecord::DropCollection { coll: "tmp".into() },
             DbRecord::SnapshotCollection {
                 coll: "submissions".into(),
                 next_id: 42,
@@ -366,9 +328,12 @@ mod tests {
         assert_eq!(DbRecord::decode(&[99]), None);
         assert_eq!(DbRecord::decode(&[1, 5, 0, 0, 0, b'x']), None);
         // Trailing garbage after a valid record is rejected too.
-        let mut bytes =
-            DbRecord::DropCollection { coll: "c".into() }.encode();
+        let mut bytes = DbRecord::CreateIndex { coll: "c".into(), field: "f".into() }.encode();
         bytes.push(0);
         assert_eq!(DbRecord::decode(&bytes), None);
+        // A retired tag over a payload that parsed while the tag lived.
+        let mut retired = vec![7];
+        put_str(&mut retired, "c");
+        assert_eq!(DbRecord::decode(&retired), None);
     }
 }

@@ -1,123 +1,21 @@
-//! The query engine: Mongo-style declarative filters.
-//!
-//! A query is itself a [`Document`]. Each field is either
-//!
-//! * a literal → implicit `$eq` (`{"team": "x"}`), or
-//! * a nested document of operators (`{"runtime": {"$lt": 1.0}}`).
-//!
-//! Top-level logical operators `$and`, `$or`, `$not` take arrays of (or
-//! a single) sub-queries.
+//! The query engine: a filter is a [`Document`] of literals, and a
+//! document matches when every field of the filter equals its own.
 
 use crate::value::{Document, Value};
-use std::cmp::Ordering;
 
-/// Whether `doc` satisfies `query`.
+/// Whether `doc` satisfies `query`: each field of `query` (a dotted
+/// path) holds a literal the document's value at that path equals. Two
+/// Mongo semantics apply: a literal also matches an array field that
+/// contains it, and a `Null` literal matches a missing field. There are
+/// no operators — a `$`-keyed condition is the literal document it is.
 pub fn matches(query: &Document, doc: &Document) -> bool {
-    query.iter().all(|(field, cond)| match field.as_str() {
-        "$and" => match cond {
-            Value::Array(subs) => subs
-                .iter()
-                .all(|s| s.as_doc().is_some_and(|q| matches(q, doc))),
-            Value::Doc(q) => matches(q, doc),
-            _ => false,
-        },
-        "$or" => match cond {
-            Value::Array(subs) => subs
-                .iter()
-                .any(|s| s.as_doc().is_some_and(|q| matches(q, doc))),
-            Value::Doc(q) => matches(q, doc),
-            _ => false,
-        },
-        "$not" => match cond {
-            Value::Doc(q) => !matches(q, doc),
-            _ => false,
-        },
-        _ => field_matches(field, cond, doc),
-    })
-}
-
-fn field_matches(field: &str, cond: &Value, doc: &Document) -> bool {
-    let actual = doc.get_path(field);
-    match cond {
-        Value::Doc(ops) if is_operator_doc(ops) => ops.iter().all(|(op, operand)| {
-            op_matches(op, operand, actual)
-        }),
-        literal => match actual {
-            Some(v) => {
-                v.eq_loose(literal)
-                    // Mongo semantics: a literal also matches if the field
-                    // is an array containing it.
-                    || v.as_array()
-                        .is_some_and(|arr| arr.iter().any(|x| x.eq_loose(literal)))
-            }
-            None => matches!(literal, Value::Null),
-        },
-    }
-}
-
-fn is_operator_doc(d: &Document) -> bool {
-    !d.is_empty() && d.iter().all(|(k, _)| k.starts_with('$'))
-}
-
-fn op_matches(op: &str, operand: &Value, actual: Option<&Value>) -> bool {
-    match op {
-        "$exists" => {
-            let want = operand.as_bool().unwrap_or(true);
-            actual.is_some() == want
+    query.iter().all(|(field, literal)| match doc.get_path(field) {
+        Some(v) => {
+            v.eq_loose(literal)
+                || v.as_array().is_some_and(|arr| arr.iter().any(|x| x.eq_loose(literal)))
         }
-        "$eq" => actual.is_some_and(|v| v.eq_loose(operand)),
-        "$ne" => !actual.is_some_and(|v| v.eq_loose(operand)),
-        "$gt" => cmp_ok(actual, operand, |o| o == Ordering::Greater),
-        "$gte" => cmp_ok(actual, operand, |o| o != Ordering::Less),
-        "$lt" => cmp_ok(actual, operand, |o| o == Ordering::Less),
-        "$lte" => cmp_ok(actual, operand, |o| o != Ordering::Greater),
-        "$in" => match (actual, operand.as_array()) {
-            (Some(v), Some(set)) => set.iter().any(|x| x.eq_loose(v)),
-            _ => false,
-        },
-        "$nin" => match operand.as_array() {
-            Some(set) => match actual {
-                Some(v) => !set.iter().any(|x| x.eq_loose(v)),
-                None => true,
-            },
-            None => false,
-        },
-        "$contains" => match (actual, operand) {
-            // Substring match on strings, membership on arrays. Stands in
-            // for Mongo's `$regex` in RAI's queries (prefix/substring
-            // filters over team names and keys).
-            (Some(Value::Str(s)), Value::Str(needle)) => s.contains(needle.as_str()),
-            (Some(Value::Array(a)), x) => a.iter().any(|v| v.eq_loose(x)),
-            _ => false,
-        },
-        "$size" => match (actual, operand.as_i64()) {
-            (Some(Value::Array(a)), Some(n)) => a.len() as i64 == n,
-            _ => false,
-        },
-        _ => false, // unknown operator matches nothing
-    }
-}
-
-fn cmp_ok(actual: Option<&Value>, operand: &Value, pred: impl Fn(Ordering) -> bool) -> bool {
-    match actual {
-        // Range comparisons only apply within the same type rank, as in
-        // Mongo (comparing a string to a number matches nothing).
-        Some(v) if same_rank(v, operand) => pred(v.cmp_order(operand)),
-        _ => false,
-    }
-}
-
-fn same_rank(a: &Value, b: &Value) -> bool {
-    use Value::*;
-    matches!(
-        (a, b),
-        (Bool(_), Bool(_))
-            | (Int(_) | Float(_), Int(_) | Float(_))
-            | (Str(_), Str(_))
-            | (Array(_), Array(_))
-            | (Doc(_), Doc(_))
-            | (Null, Null)
-    )
+        None => matches!(literal, Value::Null),
+    })
 }
 
 #[cfg(test)]
@@ -142,6 +40,8 @@ mod tests {
         assert!(matches(&doc! { "team" => "gpu-gophers" }, &d));
         assert!(!matches(&doc! { "team" => "other" }, &d));
         assert!(matches(&doc! { "final" => true, "attempts" => 3 }, &d));
+        // Int/Float cross-type equality.
+        assert!(matches(&doc! { "attempts" => 3.0 }, &d));
     }
 
     #[test]
@@ -152,58 +52,10 @@ mod tests {
     }
 
     #[test]
-    fn numeric_ranges() {
+    fn null_literal_matches_a_missing_field() {
         let d = submission();
-        assert!(matches(&doc! { "runtime_s" => doc!{ "$lt" => 1.0 } }, &d));
-        assert!(matches(&doc! { "runtime_s" => doc!{ "$gte" => 0.47 } }, &d));
-        assert!(!matches(&doc! { "runtime_s" => doc!{ "$gt" => 0.47 } }, &d));
-        assert!(matches(
-            &doc! { "attempts" => doc!{ "$gt" => 1, "$lte" => 3 } },
-            &d
-        ));
-        // Int/Float cross-type comparisons work.
-        assert!(matches(&doc! { "attempts" => doc!{ "$lt" => 3.5 } }, &d));
-    }
-
-    #[test]
-    fn range_across_types_matches_nothing() {
-        let d = submission();
-        assert!(!matches(&doc! { "team" => doc!{ "$lt" => 99 } }, &d));
-    }
-
-    #[test]
-    fn in_nin() {
-        let d = submission();
-        assert!(matches(
-            &doc! { "team" => doc!{ "$in" => vec!["a", "gpu-gophers"] } },
-            &d
-        ));
-        assert!(matches(
-            &doc! { "team" => doc!{ "$nin" => vec!["a", "b"] } },
-            &d
-        ));
-        assert!(matches(
-            &doc! { "missing" => doc!{ "$nin" => vec!["a"] } },
-            &d
-        ));
-    }
-
-    #[test]
-    fn exists() {
-        let d = submission();
-        assert!(matches(&doc! { "meta" => doc!{ "$exists" => true } }, &d));
-        assert!(matches(&doc! { "nope" => doc!{ "$exists" => false } }, &d));
-        assert!(!matches(&doc! { "nope" => doc!{ "$exists" => true } }, &d));
-    }
-
-    #[test]
-    fn ne_and_null_semantics() {
-        let d = submission();
-        assert!(matches(&doc! { "team" => doc!{ "$ne" => "x" } }, &d));
-        // $ne matches when the field is missing (Mongo behaviour).
-        assert!(matches(&doc! { "missing" => doc!{ "$ne" => "x" } }, &d));
-        // Literal null matches a missing field.
         assert!(matches(&doc! { "missing" => Value::Null }, &d));
+        assert!(!matches(&doc! { "team" => Value::Null }, &d));
     }
 
     #[test]
@@ -214,50 +66,32 @@ mod tests {
     }
 
     #[test]
-    fn contains_and_size() {
-        let d = submission();
-        assert!(matches(&doc! { "team" => doc!{ "$contains" => "gopher" } }, &d));
-        assert!(matches(&doc! { "tags" => doc!{ "$contains" => "fast" } }, &d));
-        assert!(matches(&doc! { "tags" => doc!{ "$size" => 2 } }, &d));
-        assert!(!matches(&doc! { "tags" => doc!{ "$size" => 1 } }, &d));
-    }
-
-    #[test]
-    fn logical_operators() {
-        let d = submission();
-        assert!(matches(
-            &doc! { "$or" => vec![
-                Value::Doc(doc!{ "team" => "x" }),
-                Value::Doc(doc!{ "final" => true }),
-            ] },
-            &d
-        ));
-        assert!(matches(
-            &doc! { "$and" => vec![
-                Value::Doc(doc!{ "final" => true }),
-                Value::Doc(doc!{ "runtime_s" => doc!{ "$lt" => 1.0 } }),
-            ] },
-            &d
-        ));
-        assert!(matches(&doc! { "$not" => doc!{ "team" => "x" } }, &d));
-        assert!(!matches(&doc! { "$not" => doc!{ "team" => "gpu-gophers" } }, &d));
-    }
-
-    #[test]
     fn empty_query_matches_everything() {
         assert!(matches(&Document::new(), &submission()));
         assert!(matches(&Document::new(), &Document::new()));
     }
 
     #[test]
-    fn unknown_operator_matches_nothing() {
-        assert!(!matches(&doc! { "team" => doc!{ "$frob" => 1 } }, &submission()));
-    }
-
-    #[test]
-    fn non_operator_nested_doc_is_literal_equality() {
+    fn nested_doc_is_literal_equality() {
         let d = doc! { "meta" => doc!{ "gpu" => "K80" } };
         assert!(matches(&doc! { "meta" => doc!{ "gpu" => "K80" } }, &d));
         assert!(!matches(&doc! { "meta" => doc!{ "gpu" => "K40" } }, &d));
+    }
+
+    /// The engine is total: what used to be an operator is a literal
+    /// document or a field name, matches no scalar, and never panics.
+    #[test]
+    fn dollar_keyed_conditions_match_only_themselves() {
+        let d = submission();
+        for op in ["$gt", "$lt", "$eq", "$ne", "$in", "$exists", "$frob"] {
+            assert!(!matches(&doc! { "attempts" => doc!{ op => 1 } }, &d), "{op}");
+            assert!(!matches(&doc! { "missing" => doc!{ op => 1 } }, &d), "{op}");
+        }
+        // …but equals a field that holds that very document.
+        let odd = doc! { "x" => doc!{ "$gt" => 1 } };
+        assert!(matches(&doc! { "x" => doc!{ "$gt" => 1 } }, &odd));
+        // A `$`-named top-level field is a field name like any other.
+        assert!(!matches(&doc! { "$or" => vec![Value::Doc(doc!{ "final" => true })] }, &d));
+        assert!(!matches(&doc! { "$not" => doc!{ "team" => "x" } }, &d));
     }
 }

@@ -259,20 +259,6 @@ impl Document {
         cur.entry(head).or_insert(Value::Null)
     }
 
-    /// Remove a dotted path; returns the removed value.
-    pub fn remove_path(&mut self, path: &str) -> Option<Value> {
-        let mut parts: Vec<&str> = path.split('.').collect();
-        let last = parts.pop()?;
-        let mut cur = &mut self.0;
-        for p in parts {
-            match cur.get_mut(p) {
-                Some(Value::Doc(d)) => cur = &mut d.0,
-                _ => return None,
-            }
-        }
-        cur.remove(last)
-    }
-
     /// Number of top-level fields.
     pub fn len(&self) -> usize {
         self.0.len()
@@ -416,14 +402,6 @@ mod tests {
         let mut d2 = doc! { "a" => 1 };
         *d2.entry_path("a.b") = Value::from(2);
         assert_eq!(d2.get_path("a.b"), Some(&Value::Int(2)));
-    }
-
-    #[test]
-    fn remove_path() {
-        let mut d = doc! { "m" => doc!{ "x" => 1, "y" => 2 } };
-        assert_eq!(d.remove_path("m.x"), Some(Value::Int(1)));
-        assert_eq!(d.remove_path("m.x"), None);
-        assert_eq!(d.get_path("m.y"), Some(&Value::Int(2)));
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! The crate also owns the shared statistics toolkit ([`OnlineStats`],
 //! [`Histogram`], [`TimeSeries`], [`GaugeSeries`],
 //! and the deterministic log-bucketed [`LogHistogram`]) that used to
-//! live in `rai-sim`, plus the [`log!`] leveled diagnostic macro.
+//! live in `rai-sim`.
 
 #![forbid(unsafe_code)]
 
@@ -34,7 +34,6 @@ pub mod chrome;
 pub mod critical;
 pub mod export;
 pub mod latency;
-pub mod logging;
 pub mod registry;
 pub mod stats;
 pub mod trace;
@@ -43,7 +42,6 @@ pub use chrome::render_chrome_trace;
 pub use critical::{attribute, critical_path, segment, Attribution, CriticalPath, PathSegment};
 pub use export::{parse_prometheus, render_prometheus, PromSample};
 pub use latency::{duration_micros, LatencySummary, LogHistogram};
-pub use logging::Level;
 pub use registry::{Counter, Gauge, HistogramHandle, MetricKey, MetricsRegistry, MetricsSnapshot};
 pub use stats::{GaugeSeries, Histogram, OnlineStats, TimeSeries};
 pub use trace::{component, stage, JobTrace, SpanId, StageEvent, TraceSpan, TraceStore};

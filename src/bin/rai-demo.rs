@@ -26,7 +26,7 @@ fn main() {
     let command = match CliCommand::parse(&arg_refs) {
         Ok(c) => c,
         Err(e) => {
-            rai::telemetry::log!(error, "{e}");
+            eprintln!("{e}");
             eprint!("{USAGE}");
             std::process::exit(2);
         }
