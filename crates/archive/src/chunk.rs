@@ -178,36 +178,131 @@ pub fn chunk_bytes(data: &[u8], params: ChunkerParams) -> (ChunkManifest, Vec<Ch
 /// `data` — no per-chunk allocation, no bytes copied — and each keeps
 /// `data`'s whole buffer alive.
 ///
-/// One pass over the payload: the Gear boundary scan, the chunk digest
-/// and the stream etag are three independent dependency chains
-/// advanced byte by byte in the same loop (see [`crate::fnv::update2`] for
-/// why that costs about what the slowest of them does alone).
+/// One pass over the payload: the streaming cutter the container writer
+/// chunks with, fed the payload once, with the stream etag as the chain
+/// riding along.
 pub fn chunk_shared(data: &Bytes, params: ChunkerParams) -> (ChunkManifest, Vec<Chunk>) {
-    let mask = params.mask();
-    let bytes: &[u8] = data;
-    let mut refs = Vec::new();
+    let mut cutter = Cutter::new(params, data.len());
     let mut etag = Fnv1a::new();
-    let mut start = 0usize;
-    while start < bytes.len() {
-        let mut digest = Fnv1a::new();
-        let cut = scan_chunk(bytes, start, params, mask, |b| {
-            digest.push(b);
-            etag.push(b);
-        });
-        debug_assert!(cut - start <= u32::MAX as usize, "params.max fits ChunkRef::len");
-        refs.push(ChunkRef {
-            digest: digest.digest(),
-            len: (cut - start) as u32,
-        });
-        start = cut;
+    cutter.feed(data, |b| etag.push(b));
+    cutter.finish(data, etag.digest())
+}
+
+/// The content-defined chunker as a stream consumer: fed a payload in
+/// pieces of any size, it makes exactly the cuts [`chunk_shared`] makes
+/// on their concatenation, because everything a cut depends on — the
+/// Gear hash, the chunk digest and the length of the open chunk —
+/// carries over from one piece to the next.
+///
+/// [`Cutter::feed`] hands every byte to a caller's fold on the way, so
+/// a producer that writes the payload (the container writer) chunks it
+/// in the loop that writes it. The Gear hash, the chunk digest and the
+/// caller's chains are independent dependency chains advanced byte by
+/// byte in one loop (see [`crate::fnv::update2`] for why that costs
+/// about what the slowest of them does alone).
+pub(crate) struct Cutter {
+    params: ChunkerParams,
+    mask: u64,
+    /// Gear rolling hash of the open chunk.
+    hash: u64,
+    /// FNV-1a digest of the open chunk.
+    digest: Fnv1a,
+    /// Bytes in the open chunk.
+    len: usize,
+    refs: Vec<ChunkRef>,
+}
+
+impl Cutter {
+    /// A cutter for a payload of about `total_len` bytes.
+    pub fn new(params: ChunkerParams, total_len: usize) -> Self {
+        Cutter {
+            params,
+            mask: params.mask(),
+            hash: 0,
+            digest: Fnv1a::new(),
+            len: 0,
+            // Chunks average about `min + avg` bytes, so one reference
+            // per `avg` bytes is room to spare: a KiB container's cuts
+            // take one allocation. Past 256 the list grows as it is cut
+            // instead — reserving a bulk payload's whole list up front
+            // cost more in fresh pages than the doublings it saves.
+            refs: Vec::with_capacity((total_len / params.avg + 1).min(256)),
+        }
     }
-    let chunks = chunk_views(data, refs.iter().map(|r| (r.digest, r.len as usize)));
-    let manifest = ChunkManifest {
-        chunks: refs,
-        total_len: data.len() as u64,
-        etag: format!("{:016x}", etag.digest()),
-    };
-    (manifest, chunks)
+
+    /// Fold the next piece of the payload into the open chunk, cutting
+    /// where the content says to, and hand each byte to `also`.
+    #[inline(always)]
+    pub fn feed(&mut self, mut bytes: &[u8], mut also: impl FnMut(u8)) {
+        let (ChunkerParams { min, max, .. }, mask) = (self.params, self.mask);
+        // The state lives in locals for the loop — the cut list too,
+        // which keeps its length out of memory between cuts.
+        let (mut hash, mut digest, mut len) = (self.hash, self.digest, self.len);
+        let mut refs = std::mem::take(&mut self.refs);
+        while !bytes.is_empty() {
+            // The first boundary test fires at len == min, i.e. after
+            // the chunk's min-th byte folds in — so the first min-1
+            // bytes only accumulate the hash, no cut test. Splitting the
+            // loop this way skips roughly half the boundary tests at the
+            // default min=16/avg=32 without moving a single boundary.
+            let (quiet, rest) = bytes.split_at((min - 1).saturating_sub(len).min(bytes.len()));
+            for &b in quiet {
+                hash = (hash << 1).wrapping_add(GEAR[b as usize]);
+                digest.push(b);
+                also(b);
+            }
+            len += quiet.len();
+            let window = &rest[..(max - len).min(rest.len())];
+            let mut taken = window.len();
+            let mut cut = len + taken == max;
+            for (i, &b) in window.iter().enumerate() {
+                hash = (hash << 1).wrapping_add(GEAR[b as usize]);
+                digest.push(b);
+                also(b);
+                // Test a mixed window of the hash rather than its raw
+                // low bits: the shift-accumulate form leaves the low bits
+                // dominated by the most recent table entries, so fold
+                // the high half in.
+                if (hash ^ (hash >> 32)) & mask == 0 {
+                    (taken, cut) = (i + 1, true);
+                    break;
+                }
+            }
+            len += taken;
+            bytes = &rest[taken..];
+            if cut {
+                refs.push(ChunkRef { digest: digest.digest(), len: narrow(len) });
+                (hash, digest, len) = (0, Fnv1a::new(), 0);
+            }
+        }
+        (self.hash, self.digest, self.len, self.refs) = (hash, digest, len, refs);
+    }
+
+    /// Close the open chunk and return the manifest of `payload` — the
+    /// bytes this cutter was fed, whose etag is `etag` — with its chunk
+    /// bodies as views of it.
+    pub fn finish(mut self, payload: &Bytes, etag: u64) -> (ChunkManifest, Vec<Chunk>) {
+        if self.len > 0 {
+            self.refs.push(ChunkRef { digest: self.digest.digest(), len: narrow(self.len) });
+        }
+        let chunks = chunk_views(payload, self.refs.iter().map(|r| (r.digest, r.len as usize)));
+        let manifest = ChunkManifest {
+            chunks: self.refs,
+            total_len: payload.len() as u64,
+            etag: format!("{etag:016x}"),
+        };
+        debug_assert_eq!(
+            manifest.chunks.iter().map(|r| u64::from(r.len)).sum::<u64>(),
+            manifest.total_len,
+            "the cutter was fed exactly the payload"
+        );
+        (manifest, chunks)
+    }
+}
+
+/// A chunk length as [`ChunkRef::len`] holds it.
+fn narrow(len: usize) -> u32 {
+    u32::try_from(len).expect("ChunkerParams::max fits ChunkRef::len")
 }
 
 /// Cut the front of `buffer` into consecutive chunks, one per
@@ -223,43 +318,6 @@ pub fn chunk_views(buffer: &Bytes, parts: impl IntoIterator<Item = (u64, usize)>
             Chunk { digest, data }
         })
         .collect()
-}
-
-/// Find the end of the chunk starting at `start`, handing each of its
-/// bytes to `fold` on the way, so [`chunk_shared`] folds its digests in
-/// the same pass that finds the boundary.
-#[inline(always)]
-fn scan_chunk(
-    data: &[u8],
-    start: usize,
-    params: ChunkerParams,
-    mask: u64,
-    mut fold: impl FnMut(u8),
-) -> usize {
-    let end = data.len().min(start + params.max);
-    // The first boundary test fires at len == min, i.e. after the
-    // byte at start+min-1 folds in — so the first min-1 bytes only
-    // accumulate the hash, no cut test. Splitting the loop this way
-    // skips roughly half the boundary tests at the default
-    // min=16/avg=32 without moving a single boundary.
-    let test_from = data.len().min(start + params.min - 1);
-    let mut hash = 0u64;
-    for &b in &data[start..test_from] {
-        hash = (hash << 1).wrapping_add(GEAR[b as usize]);
-        fold(b);
-    }
-    for (i, &b) in data[test_from..end].iter().enumerate() {
-        hash = (hash << 1).wrapping_add(GEAR[b as usize]);
-        fold(b);
-        // Test a mixed window of the hash rather than its raw low
-        // bits: the shift-accumulate form leaves the low bits
-        // dominated by the most recent table entries, so fold the
-        // high half in.
-        if (hash ^ (hash >> 32)) & mask == 0 {
-            return test_from + i + 1;
-        }
-    }
-    end
 }
 
 /// Reassemble a payload from its manifest and a chunk lookup.
@@ -285,18 +343,6 @@ pub fn assemble<B: AsRef<[u8]>>(
         return None;
     }
     Some(out)
-}
-
-/// Incremental whole-stream etag helper for callers that chunk and
-/// hash in one pass (not used by [`chunk_bytes`], which has the full
-/// slice in hand, but part of the public surface so stores can verify
-/// reassembled streams cheaply).
-pub fn stream_etag<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> String {
-    let mut h = Fnv1a::new();
-    for p in parts {
-        h.update(p);
-    }
-    format!("{:016x}", h.digest())
 }
 
 #[cfg(test)]
@@ -435,15 +481,6 @@ mod tests {
         assert_eq!(at, data.as_ptr_range().end);
     }
 
-    #[test]
-    fn stream_etag_matches_whole_etag() {
-        let data = sample(4_096, 5);
-        let (m, chunks) = chunk_bytes(&data, ChunkerParams::DEFAULT);
-        let parts: Vec<&[u8]> = chunks.iter().map(|c| &c.data[..]).collect();
-        assert_eq!(stream_etag(parts), m.etag);
-        assert_eq!(m.etag, fnv::etag(&data));
-    }
-
     /// The chunker as its definition reads, one pass per concern: a
     /// boundary after the first byte at length >= min whose mixed
     /// Gear hash clears the mask, or at max; then a digest per chunk
@@ -511,6 +548,35 @@ mod tests {
                 let prefix = &data[..len.min(data.len())];
                 prop_assert_eq!(chunk_bytes(prefix, params), reference(prefix, params));
             }
+        }
+
+        #[test]
+        fn cutter_fed_in_pieces_cuts_as_if_fed_once(
+            data in prop::collection::vec(any::<u8>(), 0..4096),
+            alphabet in 1u8..=255,
+            params in arb_params(),
+            cuts in prop::collection::vec(any::<u16>(), 0..12),
+        ) {
+            let data: Vec<u8> = data.into_iter().map(|b| b % alphabet).collect();
+            // Pieces of any size, empty ones included, wherever they
+            // fall against the chunk boundaries.
+            let mut cuts: Vec<usize> =
+                cuts.iter().map(|&c| c as usize % (data.len() + 1)).collect();
+            cuts.extend([0, data.len()]);
+            cuts.sort_unstable();
+            let mut cutter = Cutter::new(params, 0);
+            let mut etag = Fnv1a::new();
+            let mut seen = Vec::with_capacity(data.len());
+            for piece in cuts.windows(2) {
+                cutter.feed(&data[piece[0]..piece[1]], |b| {
+                    etag.push(b);
+                    seen.push(b);
+                });
+            }
+            prop_assert_eq!(&seen, &data, "every byte reaches the fold once, in order");
+            let payload = Bytes::from(data);
+            let fed = cutter.finish(&payload, etag.digest());
+            prop_assert_eq!(fed, reference(&payload, params));
         }
     }
 }

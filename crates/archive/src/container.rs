@@ -15,6 +15,7 @@
 //! trailer checksum u64 FNV-1a over everything before it
 //! ```
 
+use crate::chunk::{Chunk, ChunkManifest, ChunkerParams, Cutter};
 use crate::fnv::{self, Fnv1a};
 use crate::tree::{normalize, FileTree};
 use bytes::Bytes;
@@ -76,49 +77,115 @@ impl std::fmt::Display for ArchiveError {
 
 impl std::error::Error for ArchiveError {}
 
-/// Container bytes under construction, with the trailer chain folded
-/// as they are appended.
-struct Writer {
-    out: Vec<u8>,
-    trailer: Fnv1a,
+// Framing bytes: the magic and entry count ahead of the entries, per
+// entry its path length, kind, data length and checksum, and the
+// trailer after them.
+const HEADER_BYTES: usize = MAGIC.len() + 4;
+const ENTRY_FRAMING_BYTES: usize = 2 + 1 + 8 + 8;
+const TRAILER_BYTES: usize = 8;
+
+/// The exact length of `tree`'s container, read off the tree alone.
+pub fn container_len(tree: &FileTree) -> usize {
+    let entries: usize = tree.iter().map(|(p, d)| ENTRY_FRAMING_BYTES + p.len() + d.len()).sum();
+    HEADER_BYTES + entries + TRAILER_BYTES
 }
 
-impl Writer {
+/// What else reads the container bytes as they are written: nothing,
+/// or a [`Cutter`] chunking them in the same loop.
+trait Ride {
+    /// Take `bytes`, handing each of them to `also` too.
+    fn ride(&mut self, bytes: &[u8], also: impl FnMut(u8));
+}
+
+impl Ride for () {
+    #[inline(always)]
+    fn ride(&mut self, bytes: &[u8], mut also: impl FnMut(u8)) {
+        for &b in bytes {
+            also(b);
+        }
+    }
+}
+
+impl Ride for Cutter {
+    #[inline(always)]
+    fn ride(&mut self, bytes: &[u8], also: impl FnMut(u8)) {
+        self.feed(bytes, also);
+    }
+}
+
+/// Container bytes under construction, with the trailer chain — and
+/// whatever rides along — folded as they are appended.
+struct Writer<R> {
+    out: Vec<u8>,
+    trailer: Fnv1a,
+    rider: R,
+}
+
+impl<R: Ride> Writer<R> {
     /// Append framing bytes: trailer chain only.
     fn put(&mut self, bytes: &[u8]) {
         self.out.extend_from_slice(bytes);
-        self.trailer.update(bytes);
+        let trailer = &mut self.trailer;
+        self.rider.ride(bytes, |b| trailer.push(b));
     }
 
     /// Append bytes an entry checksum covers too: both chains, one pass.
     fn put_into(&mut self, bytes: &[u8], entry: &mut Fnv1a) {
         self.out.extend_from_slice(bytes);
-        fnv::update2(entry, &mut self.trailer, bytes);
+        let trailer = &mut self.trailer;
+        self.rider.ride(bytes, |b| {
+            entry.push(b);
+            trailer.push(b);
+        });
     }
 }
 
-/// Serialize a [`FileTree`] into the container format (uncompressed).
-/// Each file's bytes are read once for both checksums that cover them
-/// ([`fnv::update2`]).
-pub fn write_container(tree: &FileTree) -> Vec<u8> {
-    let mut w = Writer {
-        out: Vec::with_capacity(tree.total_size() as usize + 64 * tree.len() + 32),
-        trailer: Fnv1a::new(),
-    };
+/// The container layout, written once for every caller: `tree`'s
+/// `len`-byte container, `rider` after it has read every byte, and the
+/// FNV-1a etag of the whole container — the trailer chain continued
+/// over the trailer's own bytes, so no third chain runs for it.
+fn write_with<R: Ride>(tree: &FileTree, len: usize, rider: R) -> (Vec<u8>, R, u64) {
+    let mut w = Writer { out: Vec::with_capacity(len), trailer: Fnv1a::new(), rider };
     w.put(MAGIC);
-    w.put(&(tree.len() as u32).to_le_bytes());
+    w.put(&u32::try_from(tree.len()).expect("a tree holds fewer than 2^32 files").to_le_bytes());
     for (path, data) in tree.iter() {
         let mut entry = Fnv1a::new();
-        w.put(&(path.len() as u16).to_le_bytes());
+        let path_len = u16::try_from(path.len()).expect("FileTree bounds paths at MAX_PATH_BYTES");
+        w.put(&path_len.to_le_bytes());
         w.put_into(path.as_bytes(), &mut entry);
         w.put(&[EntryKind::Regular as u8]);
         w.put(&(data.len() as u64).to_le_bytes());
         w.put_into(data, &mut entry);
         w.put(&entry.digest().to_le_bytes());
     }
-    let trailer = w.trailer.digest();
-    w.out.extend_from_slice(&trailer.to_le_bytes());
-    w.out
+    let trailer = w.trailer.digest().to_le_bytes();
+    let mut etag = w.trailer;
+    w.out.extend_from_slice(&trailer);
+    w.rider.ride(&trailer, |b| etag.push(b));
+    debug_assert_eq!(w.out.len(), len, "container_len is exact");
+    (w.out, w.rider, etag.digest())
+}
+
+/// Serialize a [`FileTree`] into the container format (uncompressed).
+/// Each file's bytes are read once for both checksums that cover them.
+pub fn write_container(tree: &FileTree) -> Vec<u8> {
+    write_with(tree, container_len(tree), ()).0
+}
+
+/// [`write_container`] and [`chunk_shared`] of its output, with the
+/// parameters its length selects ([`ChunkerParams::for_len`]), in one
+/// pass: each path and data byte advances the entry checksum, the
+/// trailer, the Gear hash and the chunk digest in the loop that writes
+/// it. Returns the container and its manifest, whose chunk bodies are
+/// views of it.
+///
+/// [`chunk_shared`]: crate::chunk::chunk_shared
+pub fn write_container_chunked(tree: &FileTree) -> (Bytes, ChunkManifest, Vec<Chunk>) {
+    let len = container_len(tree);
+    let (out, cutter, etag) = write_with(tree, len, Cutter::new(ChunkerParams::for_len(len), len));
+    let out = Bytes::from(out);
+    let (manifest, chunks) = cutter.finish(&out, etag);
+    (out, manifest, chunks)
 }
 
 /// Cursor over a container body that folds every byte it hands out

@@ -68,6 +68,64 @@ pub fn update2(a: &mut Fnv1a, b: &mut Fnv1a, bytes: &[u8]) {
     (*a, *b) = (x, y);
 }
 
+/// [`hash`] of every part, handing each tagged digest to `done`: four
+/// lanes run at once, each hashing its own part, and a lane that runs
+/// out hands its digest over and takes the next part. Fewer than four
+/// parts hash one after another.
+///
+/// The four chains fold *different* bytes, but that is no obstacle to
+/// interleaving them: what bounds a chain is the latency of each step
+/// waiting on the last, and steps of independent chains do not wait
+/// on each other, whatever bytes they read ([`update2`] overlaps two
+/// chains over the same bytes the same way). The lanes live on the
+/// stack; `done` is called once per part, not in part order.
+pub fn hash_lanes<'a, T>(
+    parts: impl IntoIterator<Item = (T, &'a [u8])>,
+    mut done: impl FnMut(T, u64),
+) {
+    struct Lane<'a, T> {
+        tag: T,
+        rest: &'a [u8],
+        hash: Fnv1a,
+    }
+    let mut parts = parts.into_iter().fuse();
+    let first = [(); 4].map(|_| parts.next());
+    let [Some(a), Some(b), Some(c), Some(d)] = first else {
+        for (tag, bytes) in first.into_iter().flatten() {
+            done(tag, hash(bytes));
+        }
+        return;
+    };
+    let mut lanes = [a, b, c, d].map(|(tag, rest)| Lane { tag, rest, hash: Fnv1a::new() });
+    'run: loop {
+        let step = lanes.iter().map(|l| l.rest.len()).min().unwrap_or(0);
+        let [w, x, y, z] = &mut lanes;
+        let (mut hw, mut hx, mut hy, mut hz) = (w.hash, x.hash, y.hash, z.hash);
+        let (w4, x4, y4, z4) = (&w.rest[..step], &x.rest[..step], &y.rest[..step], &z.rest[..step]);
+        for (((&bw, &bx), &by), &bz) in w4.iter().zip(x4).zip(y4).zip(z4) {
+            hw.push(bw);
+            hx.push(bx);
+            hy.push(by);
+            hz.push(bz);
+        }
+        (w.hash, x.hash, y.hash, z.hash) = (hw, hx, hy, hz);
+        for lane in &mut lanes {
+            lane.rest = &lane.rest[step..];
+        }
+        for lane in &mut lanes {
+            if lane.rest.is_empty() {
+                let Some((tag, rest)) = parts.next() else { break 'run };
+                let spent = std::mem::replace(lane, Lane { tag, rest, hash: Fnv1a::new() });
+                done(spent.tag, spent.hash.digest());
+            }
+        }
+    }
+    // The parts ran out: what the lanes hold finishes one by one.
+    for mut lane in lanes {
+        done(lane.tag, lane.hash.update(lane.rest).digest());
+    }
+}
+
 /// One-shot hash of a byte slice.
 pub fn hash(bytes: &[u8]) -> u64 {
     Fnv1a::new().update(bytes).digest()
@@ -106,6 +164,20 @@ mod tests {
         update2(&mut a, &mut b, b"bytes");
         assert_eq!(a.digest(), hash(b"only ashared bytes"));
         assert_eq!(b.digest(), hash(b"shared bytes"));
+    }
+
+    #[test]
+    fn lanes_hash_every_part_once() {
+        let lens = [5, 0, 300, 1, 0, 64, 7, 2, 0];
+        let parts: Vec<Vec<u8>> = lens.iter().map(|&n| vec![n as u8; n]).collect();
+        for n in 0..=parts.len() {
+            let mut got = vec![None; n];
+            hash_lanes(parts[..n].iter().enumerate().map(|(i, p)| (i, &p[..])), |i, h| {
+                assert!(got[i].replace(h).is_none(), "part {i} reported twice");
+            });
+            let want: Vec<Option<u64>> = parts[..n].iter().map(|p| Some(hash(p))).collect();
+            assert_eq!(got, want, "{n} parts");
+        }
     }
 
     #[test]

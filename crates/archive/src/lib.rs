@@ -10,11 +10,14 @@
 //!   grading tools (downloaded submissions).
 //! * [`fnv`] — FNV-1a hashing used for content checksums.
 //! * [`container`] — the tar-like entry container with per-entry and
-//!   whole-archive checksums: [`write_container`] on the way up,
-//!   [`restore`] / [`restore_shared`] on the way down. Uploads are
-//!   uncompressed containers — chunked dedup, not compression, is the
-//!   byte saver (DESIGN.md §10) — so there is one format and no sniff.
-//! * [`chunk`] — the content-defined chunker (Gear rolling hash) and
+//!   whole-archive checksums: [`write_container`] (or
+//!   [`write_container_chunked`], which chunks it as it writes) on the
+//!   way up, [`restore`] / [`restore_shared`] on the way down. Uploads
+//!   are uncompressed containers — chunked dedup, not compression, is
+//!   the byte saver (DESIGN.md §10) — so there is one format and no
+//!   sniff.
+//! * [`chunk`] — the content-defined chunker (Gear rolling hash, fed a
+//!   payload whole or, by the container writer, as it is written) and
 //!   [`ChunkManifest`] behind the store's dedup and delta uploads
 //!   (DESIGN.md §10).
 
@@ -31,7 +34,8 @@ pub mod tree;
 pub use bytes::Bytes;
 pub use chunk::{chunk_bytes, chunk_shared, Chunk, ChunkManifest, ChunkRef, ChunkerParams};
 pub use container::{
-    read_container, read_container_shared, write_container, ArchiveError, Entry, EntryKind,
+    container_len, read_container, read_container_shared, write_container,
+    write_container_chunked, ArchiveError, Entry, EntryKind,
 };
 /// The names the worker, the grading tools and the repo benchmark read
 /// an archive by.

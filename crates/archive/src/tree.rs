@@ -26,8 +26,14 @@ impl std::fmt::Display for InvalidPath {
 
 impl std::error::Error for InvalidPath {}
 
+/// Longest normalized path a tree holds, in bytes: Linux's `PATH_MAX`.
+/// The container format's own limit is 65 535 (a `u16` length); a tree
+/// that never holds more is one every container writer can write.
+pub const MAX_PATH_BYTES: usize = 4096;
+
 /// Validate and normalize a path: strips a leading `/`, rejects empty
-/// paths, `.`/`..` components, backslashes and empty components.
+/// paths, `.`/`..` components, backslashes, empty components and
+/// normal forms longer than [`MAX_PATH_BYTES`].
 pub fn normalize(path: &str) -> Result<String, InvalidPath> {
     normalized(path).map(str::to_string)
 }
@@ -37,6 +43,7 @@ pub fn normalize(path: &str) -> Result<String, InvalidPath> {
 fn normalized(path: &str) -> Result<&str, InvalidPath> {
     let trimmed = path.strip_prefix('/').unwrap_or(path);
     let valid = !trimmed.is_empty()
+        && trimmed.len() <= MAX_PATH_BYTES
         && trimmed.split('/').all(|comp| {
             !matches!(comp, "" | "." | "..") && !comp.contains(['\\', '\0'])
         });
@@ -140,9 +147,14 @@ impl FileTree {
 
     /// Graft `other` into this tree under the directory `dir`
     /// (the inverse of [`FileTree::subtree`]): `mount("src", t)` places
-    /// `t`'s `main.cu` at `src/main.cu`.
+    /// `t`'s `main.cu` at `src/main.cu`. All or nothing: a joined path
+    /// longer than [`MAX_PATH_BYTES`] refuses the mount before any file
+    /// is placed.
     pub fn mount(&mut self, dir: &str, other: &FileTree) -> Result<(), InvalidPath> {
         let norm = normalized(dir)?;
+        if let Some(k) = other.files.keys().find(|k| norm.len() + 1 + k.len() > MAX_PATH_BYTES) {
+            return Err(InvalidPath([norm, "/", k].concat()));
+        }
         for (k, v) in &other.files {
             self.files.insert([norm, "/", k].concat(), v.clone());
         }
@@ -268,6 +280,30 @@ mod tests {
         let mut container = FileTree::new();
         container.mount("src", &src).unwrap();
         assert_eq!(container.get("src/util/helper.h").unwrap().as_ref(), b"h");
+    }
+
+    #[test]
+    fn paths_are_bounded_at_path_max() {
+        let at_bound = "a".repeat(MAX_PATH_BYTES);
+        let past = "a".repeat(MAX_PATH_BYTES + 1);
+        let mut t = FileTree::new();
+        t.insert(&at_bound, &b"x"[..]).unwrap();
+        t.insert(&["/", &at_bound].concat(), &b"y"[..]).unwrap();
+        assert_eq!(t.insert(&past, &b"x"[..]), Err(InvalidPath(past.clone())));
+        assert!(normalize(&past).is_err() && !t.contains(&past));
+        assert_eq!(t.len(), 1);
+
+        // A mount checks every joined path before it places any.
+        let src = FileTree::new()
+            .with("ok.cu", &b"k"[..])
+            .with(&"b".repeat(MAX_PATH_BYTES - 4), &b"k"[..]);
+        let mut container = FileTree::new();
+        container.mount("src", &src).expect("src/ and 4 092 bytes is 4 096");
+        assert_eq!(container.len(), 2);
+        let mut container = FileTree::new();
+        let refused = container.mount("srcs", &src).unwrap_err();
+        assert_eq!(refused.0.len(), MAX_PATH_BYTES + 1);
+        assert!(container.is_empty(), "a refused mount placed nothing");
     }
 
     #[test]

@@ -1,10 +1,14 @@
 //! Property tests for the archive substrate: container and chunker
-//! round-trips over arbitrary data, and corruption detection.
+//! round-trips over arbitrary data, corruption detection, and the
+//! one-pass producers against the two-pass programs they replace.
 
 use proptest::prelude::*;
 use rai_archive::fnv::{self, Fnv1a};
 use rai_archive::tree::normalize;
-use rai_archive::{read_container, restore, write_container, ArchiveError, FileTree};
+use rai_archive::{
+    chunk_shared, container_len, read_container, restore, write_container,
+    write_container_chunked, ArchiveError, Bytes, ChunkerParams, FileTree,
+};
 
 fn arb_tree() -> impl Strategy<Value = FileTree> {
     let path = proptest::string::string_regex("[a-z][a-z0-9_.]{0,8}(/[a-z][a-z0-9_.]{0,8}){0,3}")
@@ -261,5 +265,99 @@ proptest! {
             bytes[body..].copy_from_slice(&trailer);
         }
         prop_assert_eq!(read_container(&bytes), read_container_two_pass(&bytes));
+    }
+}
+
+/// A file size: empty, small, anywhere up to a few KiB, or on either
+/// side of a chunk-size edge — `min`, `max` and `2·max` of the 4 KiB
+/// floor's parameters (16 / 256 / 512) and `max` of the next two
+/// `for_len` steps.
+fn arb_size() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(0usize),
+        1usize..64,
+        0usize..3000,
+        (0usize..5, 0usize..3).prop_map(|(edge, d)| [16, 256, 512, 512, 1024][edge] - 1 + d),
+    ]
+}
+
+/// `len` bytes drawn from `seed` over the first `alphabet` byte values:
+/// an alphabet of one or two repeats chunks and runs cuts to `max`.
+fn file_bytes(len: usize, alphabet: u8, seed: u64) -> Vec<u8> {
+    let mut state = seed;
+    (0..len)
+        .map(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as u8 % alphabet
+        })
+        .collect()
+}
+
+/// Trees of 0..12 files under multi-byte, nested paths whose container
+/// lands anywhere, or — padded by one last file — within two bytes of
+/// a `for_len` flip (4 096 or 16 384 bytes of container).
+fn arb_chunked_tree() -> impl Strategy<Value = FileTree> {
+    let path = "[a-zé名][a-z0-9_.é]{0,8}(/[a-z名][a-z0-9_.]{0,8}){0,3}";
+    let path = proptest::string::string_regex(path).expect("valid regex");
+    let alphabet = prop_oneof![1u8..=2, 1u8..=255];
+    let file = (path, arb_size(), alphabet, any::<u64>());
+    let target = prop_oneof![
+        Just(None),
+        (0usize..2, 0usize..5).prop_map(|(flip, d)| Some([4096, 16384][flip] - 2 + d)),
+    ];
+    (prop::collection::vec(file, 0..12), target).prop_map(|(files, target)| {
+        let mut tree = FileTree::new();
+        for (path, len, alphabet, seed) in files {
+            tree.insert(&path, file_bytes(len, alphabet, seed)).expect("generated path is valid");
+        }
+        const PAD: &str = "~pad";
+        let room = target.and_then(|t: usize| t.checked_sub(container_len(&tree) + 19 + PAD.len()));
+        if let Some(len) = room {
+            tree.insert(PAD, file_bytes(len, 251, 0)).expect("valid path");
+        }
+        tree
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn fused_producer_equals_write_then_chunk(tree in arb_chunked_tree()) {
+        let (container, manifest, chunks) = write_container_chunked(&tree);
+        let two_pass = write_container(&tree);
+        prop_assert_eq!(&container[..], &two_pass[..]);
+        prop_assert_eq!(container_len(&tree), two_pass.len());
+        let params = ChunkerParams::for_len(two_pass.len());
+        let (want_manifest, want_chunks) = chunk_shared(&Bytes::from(two_pass), params);
+        prop_assert_eq!(&manifest, &want_manifest);
+        prop_assert_eq!(&chunks, &want_chunks);
+        // Every chunk is a view of the one container buffer, in order.
+        let buffer = container.buffer().expect("a shared buffer");
+        let mut at = container.as_ptr();
+        for c in &chunks {
+            prop_assert!(c.data.buffer().expect("a view").ptr_eq(&buffer));
+            prop_assert_eq!(c.data.as_ptr(), at);
+            at = at.wrapping_add(c.data.len());
+        }
+        prop_assert_eq!(at, container.as_ptr_range().end);
+    }
+
+    #[test]
+    fn lanes_hash_each_part_as_one_chain_would(
+        parts in prop::collection::vec(
+            prop_oneof![Just(Vec::new()), prop::collection::vec(any::<u8>(), 0..300)],
+            0..12,
+        ),
+    ) {
+        let mut got = vec![None; parts.len()];
+        let mut calls = 0;
+        fnv::hash_lanes(parts.iter().enumerate().map(|(i, p)| (i, &p[..])), |i, digest| {
+            calls += 1;
+            got[i] = Some(digest);
+        });
+        prop_assert_eq!(calls, parts.len());
+        let want: Vec<Option<u64>> = parts.iter().map(|p| Some(fnv::hash(p))).collect();
+        prop_assert_eq!(got, want);
     }
 }

@@ -11,7 +11,7 @@
 use crate::delta::{DeltaUploader, PreparedUpload};
 use crate::protocol::{decode_block, routes, JobKind, JobRequest, LogFrame};
 use crate::spec::{BuildSpec, SpecError, DEFAULT_BUILD_YML, FINAL_SUBMISSION_YML};
-use rai_archive::{write_container, FileTree};
+use rai_archive::FileTree;
 use rai_auth::{sign_request, Credentials};
 use rai_broker::{Broker, PublishError, RecvError, Subscription};
 use rai_db::{doc, Database};
@@ -339,11 +339,12 @@ impl RaiClient {
         debug_assert!(!self.creds.access_key.is_empty() && !self.creds.secret_key.is_empty());
 
         // ③ Package and delta-upload the project directory: the tree
-        // is serialized to the archive container and shipped as a
-        // chunk manifest, so a resubmission uploads only the chunks
-        // the file server does not already hold (DESIGN.md §10).
+        // is serialized to the archive container — chunked as it is
+        // written — and shipped as a chunk manifest, so a resubmission
+        // uploads only the chunks the file server does not already
+        // hold (DESIGN.md §10).
         let job_id = self.next_job_id.fetch_add(1, Ordering::Relaxed);
-        let prepared = PreparedUpload::prepare(write_container(&project.tree));
+        let prepared = PreparedUpload::archive(&project.tree);
         let upload_key = format!("{}/{job_id:08x}.tar.bz2", self.team.replace(' ', "-"));
         // A transient file-server outage surfaces to the student as a
         // long upload, not a failed submission: retry a few times

@@ -13,7 +13,7 @@
 //! weeks, most of them retries).
 
 use rai_archive::chunk::{chunk_shared, chunk_views, Chunk, ChunkManifest, ChunkerParams};
-use rai_archive::Bytes;
+use rai_archive::{write_container_chunked, Bytes, FileTree};
 use rai_store::{ObjectStore, StoreError};
 use std::collections::HashSet;
 
@@ -39,6 +39,15 @@ impl PreparedUpload {
     pub fn prepare(payload: impl Into<Bytes>) -> Self {
         let payload = payload.into();
         let (manifest, chunks) = chunk_shared(&payload, ChunkerParams::for_len(payload.len()));
+        PreparedUpload { manifest, chunks }
+    }
+
+    /// Archive `tree` and chunk the container in the same pass
+    /// ([`write_container_chunked`]): exactly
+    /// `prepare(write_container(tree))`, reading each byte once. The
+    /// container's length is [`PreparedUpload::bytes_logical`].
+    pub fn archive(tree: &FileTree) -> Self {
+        let (_, manifest, chunks) = write_container_chunked(tree);
         PreparedUpload { manifest, chunks }
     }
 
@@ -334,6 +343,21 @@ mod tests {
             ChunkRef { digest: 0xeb58_142c_01a3_69cd, len: 25 },
         ];
         assert_eq!([refs[0], refs[7], refs[13]], pinned);
+    }
+
+    #[test]
+    fn archiving_a_tree_prepares_what_writing_then_chunking_does() {
+        let small = crate::client::ProjectDir::sample_cuda_project().tree;
+        let bulk = FileTree::new()
+            .with("src/a.bin", payload(1_300_000, 21))
+            .with("src/b.bin", payload(1_200_000, 22));
+        for tree in [small, bulk, FileTree::new()] {
+            let fused = PreparedUpload::archive(&tree);
+            let two_pass = PreparedUpload::prepare(rai_archive::write_container(&tree));
+            assert_eq!(fused.manifest, two_pass.manifest);
+            assert_eq!(fused.chunks, two_pass.chunks);
+            assert_eq!(fused.bytes_logical(), rai_archive::container_len(&tree) as u64);
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ use crate::client::BUILD_BUCKET;
 use crate::delta::{DeltaUploader, PreparedUpload};
 use crate::protocol::{push_output, routes, JobKind, JobRequest, LogFrame};
 use crate::spec::BuildSpec;
-use rai_archive::{restore_shared, write_container, FileTree};
+use rai_archive::{restore_shared, FileTree};
 use rai_auth::CredentialRegistry;
 use rai_broker::{Broker, MessageId, Subscription};
 use rai_db::{doc, Database, DbError, Value};
@@ -269,7 +269,6 @@ enum ExecOutcome {
     Built {
         user: String,
         prepared: PreparedUpload,
-        container_len: u64,
         build_key: String,
         success: bool,
         measured: Option<f64>,
@@ -673,9 +672,9 @@ impl Worker {
                 if let Some(kind) = crash_upload {
                     break 'run ExecOutcome::Halt(Halt::Crashed { kind, point: CrashPoint::Upload });
                 }
-                // The pure half of ⑥: archive /build and chunk it.
-                // The store conversation happens at commit.
-                let build_container = write_container(&report.build_dir);
+                // The pure half of ⑥: archive /build, chunking it as
+                // it is written. The store conversation happens at
+                // commit.
                 let build_key = format!(
                     "{}/{:08x}-build.tar.bz2",
                     job.request.team.replace(' ', "-"),
@@ -683,8 +682,7 @@ impl Worker {
                 );
                 ExecOutcome::Built {
                     user,
-                    container_len: build_container.len() as u64,
-                    prepared: PreparedUpload::prepare(build_container),
+                    prepared: PreparedUpload::archive(&report.build_dir),
                     build_key,
                     success: report.success(),
                     measured: report.internal_timer_secs(),
@@ -746,7 +744,6 @@ impl Worker {
             ExecOutcome::Built {
                 user,
                 prepared,
-                container_len,
                 build_key,
                 success,
                 measured,
@@ -790,7 +787,7 @@ impl Worker {
                 // mirroring the fetch span.
                 let wire_bytes = match &upload.result {
                     Ok(receipt) => receipt.wire_bytes(),
-                    Err(_) => container_len,
+                    Err(_) => prepared.bytes_logical(),
                 };
                 job.service_time += SimDuration::from_millis(wire_bytes / (100 * 1024) + 1);
                 self.note_stage(&job, stage::UPLOADED, component::STORE, before_upload, job.service_time);
@@ -963,6 +960,7 @@ pub(crate) mod phase_log {
 mod tests {
     use super::*;
     use crate::client::{ProjectDir, RaiClient, SubmitMode};
+    use rai_archive::write_container;
     use rai_auth::KeyGenerator;
     use rai_faults::FaultPlan;
     use rai_sim::VirtualClock;

@@ -161,11 +161,14 @@ impl Container {
         base * self.time_dilation
     }
 
-    /// Mount a read-only volume at an absolute path (e.g. `/src`).
+    /// Mount a read-only volume at an absolute path (e.g. `/src`). A
+    /// volume with a file whose path under the mount point would pass
+    /// [`rai_archive::tree::MAX_PATH_BYTES`] is not mounted; the log
+    /// says so and the commands run without it.
     pub fn mount(&mut self, path: &str, tree: &FileTree) {
-        self.fs
-            .mount(path.trim_start_matches('/'), tree)
-            .expect("mount path is valid");
+        if let Err(e) = self.fs.mount(path.trim_start_matches('/'), tree) {
+            self.log(LogStream::Stderr, format!("mount: {path} not mounted: {e}"));
+        }
     }
 
     /// The working directory (normalized, no leading slash).
@@ -534,6 +537,50 @@ mod tests {
             assert_eq!(c.run_command(&format!("rm {flag} copy")).exit_code, 0, "rm {flag}");
             assert!(c.fs.subtree("build/copy").is_empty());
         }
+    }
+
+    #[test]
+    fn paths_the_filesystem_refuses_fail_the_command_not_the_worker() {
+        let max = rai_archive::tree::MAX_PATH_BYTES;
+        let mut c = make_container(&gpu_project(), ResourceLimits::default());
+        // `/build/` and the name: one byte past the bound, for a
+        // directory and for a single file.
+        let long = "a".repeat(max + 1 - "build/".len());
+        assert_eq!(c.run_command(&format!("cp -r /src /build/{long}")).exit_code, 1);
+        assert_eq!(c.run_command(&format!("cp /src/main.cu /build/{long}")).exit_code, 1);
+        assert_eq!(c.run_command("cp /src/main.cu /build/../main.cu").exit_code, 1);
+        let fits = &long[1..];
+        assert_eq!(c.run_command(&format!("cp /src/main.cu /build/{fits}")).exit_code, 0);
+        // A project file whose /src path would pass the bound keeps
+        // the whole volume out; a target name past it fails the link.
+        let too_deep = FileTree::new().with(&"m".repeat(max - 3), &b"x"[..]);
+        let mut mounted = make_container(&too_deep, ResourceLimits::default());
+        assert!(mounted.fs.subtree("src").is_empty());
+        mounted.fs.insert("src/CMakeLists.txt", format!("add_executable({long})")).unwrap();
+        mounted.fs.insert("src/main.cu", &b"int main(){}"[..]).unwrap();
+        assert_eq!(mounted.run_command("cmake /src").exit_code, 0);
+        assert_eq!(mounted.run_command("make").exit_code, 2);
+        // So does one that is no file name at all (the worker used to
+        // panic on both).
+        mounted.fs.insert("src/CMakeLists.txt", &b"add_executable(..)"[..]).unwrap();
+        assert_eq!(mounted.run_command("cmake /src").exit_code, 0);
+        assert_eq!(mounted.run_command("make").exit_code, 2);
+
+        let report = c.destroy();
+        let refusals: Vec<&str> = report.log.iter().map(|l| l.text.as_str()).collect();
+        assert_eq!(refusals.len(), 3, "{refusals:?}");
+        assert!(refusals[..2].iter().all(|l| {
+            l.starts_with("cp: cannot create '/build/a") && l.ends_with("': File name too long")
+        }));
+        assert_eq!(refusals[2], "cp: cannot create '/build/../main.cu': Invalid argument");
+        assert_eq!(report.build_dir.paths().collect::<Vec<_>>(), [fits]);
+        let log = mounted.destroy().log;
+        assert!(log[0].text.starts_with("mount: /src not mounted: invalid path"), "{:?}", log[0]);
+        let links: Vec<&str> =
+            log.iter().map(|l| l.text.as_str()).filter(|l| l.contains("/usr/bin/ld")).collect();
+        assert_eq!(links.len(), 2, "{links:?}");
+        assert!(links[0].starts_with("/usr/bin/ld: cannot open output file a"));
+        assert_eq!(links[1], "/usr/bin/ld: cannot open output file ..");
     }
 
     #[test]

@@ -10,6 +10,7 @@
 use crate::container::{Container, KillReason, LogStream};
 use crate::image::hdf5_item_count;
 use crate::perf::{ExecMode, PerfSpec};
+use rai_archive::tree::{InvalidPath, MAX_PATH_BYTES};
 use rai_sim::SimDuration;
 use std::borrow::Cow;
 
@@ -361,11 +362,14 @@ fn run_make(container: &mut Container, _args: &[Cow<'_, str>]) -> CmdResult {
         );
     }
     let binary = [BINARY_MAGIC, "// ", &spec.to_directive(), "\n"].concat();
+    // The target name is the student's (`add_executable`): one the
+    // filesystem refuses fails the link, not the worker.
     let bin_path = container.in_workdir(target);
-    container
-        .fs
-        .insert(&bin_path, binary.into_bytes())
-        .expect("workdir path is valid");
+    if container.fs.insert(&bin_path, binary.into_bytes()).is_err() {
+        container.log(LogStream::Stderr, format!("/usr/bin/ld: cannot open output file {target}"));
+        container.log(LogStream::Stderr, format!("make: *** [{target}] Error 1"));
+        return CmdResult::fail(2, duration);
+    }
     container.log(LogStream::Stdout, format!("[100%] Built target {target}"));
     CmdResult::ok(duration)
 }
@@ -549,10 +553,20 @@ fn run_cp(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
     }
     let src = container.resolve_path(paths[0]);
     let dst = container.resolve_path(paths[1]);
+    // A destination the filesystem refuses (past `MAX_PATH_BYTES`,
+    // `..`, an empty component) fails the copy, as it fails `cp`.
+    let cannot_create = |container: &mut Container, e: InvalidPath| {
+        let reason =
+            if e.0.len() > MAX_PATH_BYTES { "File name too long" } else { "Invalid argument" };
+        container.log(LogStream::Stderr, format!("cp: cannot create '{}': {reason}", paths[1]));
+        CmdResult::fail(1, SimDuration::MILLI)
+    };
     if let Some(data) = container.fs.get(&src).cloned() {
         // Single file copy.
-        container.fs.insert(&dst, data).ok();
-        return CmdResult::ok(SimDuration::from_millis(5));
+        return match container.fs.insert(&dst, data) {
+            Ok(()) => CmdResult::ok(SimDuration::from_millis(5)),
+            Err(e) => cannot_create(container, e),
+        };
     }
     // Directory copy.
     let sub = container.fs.subtree(&src);
@@ -570,10 +584,11 @@ fn run_cp(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
         );
         return CmdResult::fail(1, SimDuration::MILLI);
     }
-    let bytes = sub.total_size();
-    container.fs.mount(&dst, &sub).ok();
+    if let Err(e) = container.fs.mount(&dst, &sub) {
+        return cannot_create(container, e);
+    }
     // Copy latency: 200 MB/s.
-    CmdResult::ok(SimDuration::from_millis(5 + bytes / (200 * 1024)))
+    CmdResult::ok(SimDuration::from_millis(5 + sub.total_size() / (200 * 1024)))
 }
 
 fn run_ls(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {

@@ -212,10 +212,10 @@ struct StoreInner {
 /// [`StoreError::MissingChunks`]. `verify` runs the delta-protocol
 /// checks first: provided bytes hash to their claimed digest — checked
 /// only for non-resident chunks, the ones that would actually be
-/// written; the rest dedup against the stored copy — then every
-/// reference's length agrees with the bytes it will read back: the
-/// carried copy's and, since a resident copy is the one kept, the
-/// resident copy's too.
+/// written, four at a time ([`fnv::hash_lanes`]); the rest dedup
+/// against the stored copy — then every reference's length agrees with
+/// the bytes it will read back: the carried copy's and, since a
+/// resident copy is the one kept, the resident copy's too.
 fn resolve<'a>(
     manifest: &ChunkManifest,
     provided: &'a [Chunk],
@@ -225,12 +225,22 @@ fn resolve<'a>(
     let mismatch = |reason| Err(StoreError::DeltaMismatch { reason });
     // Keyed hasher: the digests are the uploader's to choose.
     let mut carried: HashMap<u64, (&Bytes, Option<usize>)> = HashMap::with_capacity(provided.len());
-    for c in provided {
+    // Each provided chunk is looked up once, as the hash lanes pull it.
+    let fresh = provided.iter().filter(|c| {
         let stored = resident(c.digest);
-        if verify && stored.is_none() && fnv::hash(&c.data) != c.digest {
-            return mismatch("chunk bytes do not match claimed digest");
-        }
         carried.insert(c.digest, (&c.data, stored));
+        stored.is_none()
+    });
+    let mut sound = true;
+    if verify {
+        let claims = fresh.map(|c| (c.digest, &c.data[..]));
+        fnv::hash_lanes(claims, |claimed, digest| sound &= claimed == digest);
+    } else {
+        // Replay: its own log is trusted, only the lookups run.
+        fresh.for_each(drop);
+    }
+    if !sound {
+        return mismatch("chunk bytes do not match claimed digest");
     }
     let mut sources = Vec::with_capacity(manifest.chunks.len());
     let mut missing = Vec::new();

@@ -250,3 +250,46 @@ fn hostile_deltas_get_the_pinned_answers() {
     s.delete("keep", "k").unwrap();
     assert_eq!(s.usage().chunks, 0, "both references released");
 }
+
+#[test]
+fn a_bulk_delta_is_refused_wherever_its_lie_sits_among_the_hash_lanes() {
+    // The paper's mean upload, fresh: every chunk is verified, four
+    // hash lanes at a time. A lie in the first lane's first part, the
+    // last lane's, the first refill's and the drained tail's gets the
+    // same answer as anywhere else.
+    let payload = varied(2_500 * 1024, 9);
+    let (manifest, chunks) = chunk_bytes(&payload, ChunkerParams::for_len(payload.len()));
+    let last = chunks.len() - 1;
+    assert!(last > 1_000, "{} chunks", chunks.len());
+    let s = store();
+    let body = chunks[0].data.buffer().expect("chunk bodies are views of one buffer");
+    let held = body.strong_count();
+
+    for at in [0, 3, 4, last] {
+        let mut bad = chunks.clone();
+        let mut bytes = bad[at].data.to_vec();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        bad[at].data = Bytes::from(bytes);
+        refused(&s, &manifest, &bad, BAD_HASH);
+        // The hash outranks a lying length elsewhere in the manifest.
+        let mut lying = manifest.clone();
+        let other = if at == 0 { last } else { 0 };
+        lying.chunks[other].len += 1;
+        lying.total_len += 1;
+        refused(&s, &lying, &bad, BAD_HASH);
+    }
+    // A lying length behind bytes that hash true: refused on the length.
+    for at in [0, 3, 4, last] {
+        let mut lying = manifest.clone();
+        lying.chunks[at].len -= 1;
+        lying.total_len -= 1;
+        refused(&s, &lying, &chunks, BAD_LEN);
+    }
+    // Nothing of the refused requests stayed behind: no view of the
+    // request body is held but the caller's own.
+    assert_eq!(s.usage(), store().usage());
+    assert_eq!(body.strong_count(), held);
+    s.put_delta("keep", "k", &manifest, &chunks, []).unwrap();
+    assert_eq!(s.get("keep", "k").unwrap().data.as_ref(), &payload[..]);
+}

@@ -158,6 +158,39 @@ fn build_outputs_round_trip_through_file_server() {
 }
 
 #[test]
+fn a_build_path_past_the_bound_still_leaves_a_readable_build_archive() {
+    // A container path's length is a `u16` on the wire: a /build path
+    // of 70 000 bytes, once written, was an archive no reader could
+    // open behind a job reporting a download URL for it. The copy is
+    // refused instead, and the archive of what /build holds restores.
+    let mut sys = system();
+    let creds = sys.register_team("long-paths", &[]);
+    let mut project = ProjectDir::sample_cuda_project();
+    let long = "a".repeat(70_000);
+    let build_yml = [
+        "rai:\n  version: 0.1\n  image: webgpu/rai:root\ncommands:\n  build:\n",
+        "    - cmake /src\n    - make\n",
+        &format!("    - cp -r /src /build/{long}\n"),
+    ]
+    .concat();
+    project.tree.insert("rai-build.yml", build_yml).unwrap();
+    let receipt = sys.submit(&creds, &project).unwrap();
+    assert!(!receipt.success, "the refused copy fails the build");
+    assert!(
+        receipt.log.iter().any(|l| {
+            l.contains("cp: cannot create '/build/aaa") && l.ends_with("File name too long")
+        }),
+        "log: {:?}",
+        receipt.log.iter().map(|l| &l[..l.len().min(80)]).collect::<Vec<_>>()
+    );
+    let url = receipt.build_url.expect("the worker published a build URL");
+    let obj = sys.store().get_presigned(&url).expect("presigned URL valid");
+    let tree = rai::archive::restore(&obj.data).expect("the build archive restores");
+    assert!(tree.contains("ece408") && tree.contains("Makefile"));
+    assert!(tree.paths().all(|p| p.len() <= rai::archive::tree::MAX_PATH_BYTES));
+}
+
+#[test]
 fn student_build_file_with_block_scalar_and_chains() {
     // A power user's rai-build.yml: a literal block scalar holding a
     // chained one-liner, plus text-tool steps.
