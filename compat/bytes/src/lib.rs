@@ -28,7 +28,7 @@ enum Repr {
 }
 
 impl Bytes {
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Bytes { data: Repr::Static(&[]) }
     }
 
@@ -40,7 +40,7 @@ impl Bytes {
         Bytes::from(data.to_vec())
     }
 
-    pub fn as_slice(&self) -> &[u8] {
+    pub(crate) fn as_slice(&self) -> &[u8] {
         match &self.data {
             Repr::Static(s) => s,
             Repr::Shared { buf, off, len } => &buf[*off..*off + *len],
@@ -58,7 +58,7 @@ impl Bytes {
         self.len() == 0
     }
 
-    pub fn to_vec(&self) -> Vec<u8> {
+    pub(crate) fn to_vec(&self) -> Vec<u8> {
         self.as_slice().to_vec()
     }
 

@@ -28,10 +28,6 @@ impl<T> Mutex<T> {
     pub const fn new(value: T) -> Self {
         Mutex { inner: std::sync::Mutex::new(value) }
     }
-
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -48,10 +44,6 @@ impl<T: ?Sized> Mutex<T> {
             }
             Err(std::sync::TryLockError::WouldBlock) => None,
         }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -109,12 +101,6 @@ impl Condvar {
         self.inner.notify_all();
     }
 
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let std_guard = guard.inner.take().expect("guard present");
-        let std_guard = self.inner.wait(std_guard).unwrap_or_else(PoisonError::into_inner);
-        guard.inner = Some(std_guard);
-    }
-
     pub fn wait_for<T>(
         &self,
         guard: &mut MutexGuard<'_, T>,
@@ -157,10 +143,6 @@ impl<T> RwLock<T> {
     pub const fn new(value: T) -> Self {
         RwLock { inner: std::sync::RwLock::new(value) }
     }
-
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> RwLock<T> {
@@ -194,10 +176,6 @@ impl<T: ?Sized> RwLock<T> {
             }
             Err(std::sync::TryLockError::WouldBlock) => None,
         }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

@@ -18,7 +18,7 @@ pub mod string;
 pub mod test_runner;
 
 pub use arbitrary::any;
-pub use strategy::{BoxedStrategy, Just, Strategy, Union};
+pub use strategy::{Just, Strategy};
 
 /// Free-function generation entry point used by the `proptest!`
 /// expansion (avoids requiring the trait in scope at the call site).
@@ -28,15 +28,13 @@ pub fn generate<S: Strategy>(strategy: &S, rng: &mut test_runner::TestRng) -> S:
 
 pub mod prelude {
     pub use crate::arbitrary::any;
-    pub use crate::strategy::{BoxedStrategy, Just, Strategy};
-    pub use crate::test_runner::{ProptestConfig, TestCaseError};
+    pub use crate::strategy::{Just, Strategy};
+    pub use crate::test_runner::ProptestConfig;
     pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest};
 
     pub mod prop {
         pub use crate::collection;
         pub use crate::num;
-        pub use crate::strategy;
-        pub use crate::string;
     }
 }
 

@@ -6,20 +6,17 @@
 pub struct ProptestConfig {
     /// Number of generated cases per test.
     pub cases: u32,
-    /// Accepted for API compatibility; rejection is cheap here so the
-    /// limit is not enforced.
-    pub max_global_rejects: u32,
 }
 
 impl Default for ProptestConfig {
     fn default() -> Self {
-        ProptestConfig { cases: 256, max_global_rejects: 65_536 }
+        ProptestConfig { cases: 256 }
     }
 }
 
 impl ProptestConfig {
     pub fn with_cases(cases: u32) -> Self {
-        ProptestConfig { cases, ..Default::default() }
+        ProptestConfig { cases }
     }
 }
 

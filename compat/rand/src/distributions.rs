@@ -6,39 +6,6 @@ pub trait Distribution<T> {
     fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> T;
 }
 
-/// The "natural" distribution for a type (`rng.gen()`).
-pub struct Standard;
-
-impl Distribution<u64> for Standard {
-    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> u64 {
-        rng.next_u64()
-    }
-}
-
-impl Distribution<u32> for Standard {
-    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> u32 {
-        rng.next_u32()
-    }
-}
-
-impl Distribution<u8> for Standard {
-    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> u8 {
-        (rng.next_u64() >> 56) as u8
-    }
-}
-
-impl Distribution<bool> for Standard {
-    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> bool {
-        rng.next_u64() & 1 == 1
-    }
-}
-
-impl Distribution<f64> for Standard {
-    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
-        (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
-
 /// Uniform distribution over a half-open range.
 #[derive(Clone, Copy, Debug)]
 pub struct Uniform<T> {
@@ -49,11 +16,6 @@ pub struct Uniform<T> {
 impl<T: SampleUniform> Uniform<T> {
     pub fn new(lo: T, hi: T) -> Self {
         assert!(lo < hi, "Uniform::new requires lo < hi");
-        Uniform { lo, hi }
-    }
-
-    pub fn new_inclusive(lo: T, hi: T) -> Self {
-        assert!(lo <= hi, "Uniform::new_inclusive requires lo <= hi");
         Uniform { lo, hi }
     }
 }

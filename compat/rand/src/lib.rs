@@ -9,56 +9,18 @@
 pub mod distributions;
 pub mod rngs;
 
-pub use rngs::StdRng;
-
 /// Core entropy source: 64 random bits at a time.
 pub trait RngCore {
     fn next_u64(&mut self) -> u64;
-
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
 }
 
 /// Seedable construction, mirroring `rand::SeedableRng`.
 pub trait SeedableRng: Sized {
-    type Seed: AsMut<[u8]> + Default;
-
-    fn from_seed(seed: Self::Seed) -> Self;
-
     fn seed_from_u64(state: u64) -> Self;
-
-    fn from_entropy() -> Self {
-        use std::time::{SystemTime, UNIX_EPOCH};
-        let nanos = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0x9E37_79B9_7F4A_7C15);
-        let addr = {
-            let probe = 0u8;
-            &probe as *const u8 as u64
-        };
-        Self::seed_from_u64(nanos ^ addr.rotate_left(32))
-    }
 }
 
 /// Value-producing convenience layer, mirroring `rand::Rng`.
 pub trait Rng: RngCore {
-    fn gen<T>(&mut self) -> T
-    where
-        distributions::Standard: distributions::Distribution<T>,
-        Self: Sized,
-    {
-        distributions::Distribution::sample(&distributions::Standard, self)
-    }
-
     fn gen_range<T, R>(&mut self, range: R) -> T
     where
         T: SampleUniform,
@@ -66,13 +28,6 @@ pub trait Rng: RngCore {
         Self: Sized,
     {
         range.sample_single(self)
-    }
-
-    fn gen_bool(&mut self, p: f64) -> bool
-    where
-        Self: Sized,
-    {
-        uniform_f64(self.next_u64()) < p
     }
 }
 
@@ -147,15 +102,10 @@ impl<T: SampleUniform> SampleRange<T> for std::ops::RangeInclusive<T> {
     }
 }
 
-pub mod prelude {
-    pub use crate::distributions::Distribution;
-    pub use crate::rngs::StdRng;
-    pub use crate::{Rng, RngCore, SeedableRng};
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rngs::StdRng;
 
     #[test]
     fn deterministic_per_seed() {

@@ -20,14 +20,6 @@ impl RngCore for StdRng {
 }
 
 impl SeedableRng for StdRng {
-    type Seed = [u8; 32];
-
-    fn from_seed(seed: Self::Seed) -> Self {
-        let mut first = [0u8; 8];
-        first.copy_from_slice(&seed[..8]);
-        Self::seed_from_u64(u64::from_le_bytes(first))
-    }
-
     fn seed_from_u64(state: u64) -> Self {
         // Pre-mix so nearby seeds (0, 1, 2…) do not produce
         // correlated early outputs.

@@ -214,7 +214,7 @@ pub(crate) struct Cutter {
 
 impl Cutter {
     /// A cutter for a payload of about `total_len` bytes.
-    pub fn new(params: ChunkerParams, total_len: usize) -> Self {
+    pub(crate) fn new(params: ChunkerParams, total_len: usize) -> Self {
         Cutter {
             params,
             mask: params.mask(),
@@ -233,7 +233,7 @@ impl Cutter {
     /// Fold the next piece of the payload into the open chunk, cutting
     /// where the content says to, and hand each byte to `also`.
     #[inline(always)]
-    pub fn feed(&mut self, mut bytes: &[u8], mut also: impl FnMut(u8)) {
+    pub(crate) fn feed(&mut self, mut bytes: &[u8], mut also: impl FnMut(u8)) {
         let (ChunkerParams { min, max, .. }, mask) = (self.params, self.mask);
         // The state lives in locals for the loop — the cut list too,
         // which keeps its length out of memory between cuts.
@@ -281,7 +281,7 @@ impl Cutter {
     /// Close the open chunk and return the manifest of `payload` — the
     /// bytes this cutter was fed, whose etag is `etag` — with its chunk
     /// bodies as views of it.
-    pub fn finish(mut self, payload: &Bytes, etag: u64) -> (ChunkManifest, Vec<Chunk>) {
+    pub(crate) fn finish(mut self, payload: &Bytes, etag: u64) -> (ChunkManifest, Vec<Chunk>) {
         if self.len > 0 {
             self.refs.push(ChunkRef { digest: self.digest.digest(), len: narrow(self.len) });
         }

@@ -17,7 +17,7 @@
 
 use crate::chunk::{Chunk, ChunkManifest, ChunkerParams, Cutter};
 use crate::fnv::{self, Fnv1a};
-use crate::tree::{normalize, FileTree};
+use crate::tree::{normalize, FileTree, TreeError};
 use bytes::Bytes;
 
 const MAGIC: &[u8; 8] = b"RAIAR1\0\0";
@@ -27,20 +27,9 @@ const MAGIC: &[u8; 8] = b"RAIAR1\0\0";
 /// magic bump.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
-pub enum EntryKind {
+pub(crate) enum EntryKind {
     /// A regular file.
     Regular = 0,
-}
-
-/// One archived file.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Entry {
-    /// Normalized relative path.
-    pub path: String,
-    /// Entry kind.
-    pub kind: EntryKind,
-    /// File contents.
-    pub data: Bytes,
 }
 
 /// Error reading or writing an archive.
@@ -58,6 +47,9 @@ pub enum ArchiveError {
     ChecksumMismatch { context: &'static str },
     /// Two entries shared a path.
     DuplicatePath(String),
+    /// More files or bytes than a tree holds ([`crate::tree::MAX_ENTRIES`],
+    /// [`crate::tree::MAX_TREE_BYTES`]).
+    TooLarge,
 }
 
 impl std::fmt::Display for ArchiveError {
@@ -71,6 +63,7 @@ impl std::fmt::Display for ArchiveError {
                 write!(f, "archive: checksum mismatch ({context})")
             }
             ArchiveError::DuplicatePath(p) => write!(f, "archive: duplicate path {p:?}"),
+            ArchiveError::TooLarge => write!(f, "archive: more than a file tree holds"),
         }
     }
 }
@@ -300,8 +293,10 @@ fn read_entries(r: &mut Reader<'_>, shared: &Bytes) -> Result<FileTree, ArchiveE
         if tree.contains(&norm) {
             return Err(ArchiveError::DuplicatePath(norm));
         }
-        tree.insert(&norm, shared.slice(data_at..data_at + data_len))
-            .map_err(|_| ArchiveError::BadPath)?;
+        tree.insert(&norm, shared.slice(data_at..data_at + data_len)).map_err(|e| match e {
+            TreeError::NoSpace => ArchiveError::TooLarge,
+            TreeError::Path(_) => ArchiveError::BadPath,
+        })?;
     }
     if r.pos != r.buf.len() {
         // Trailing garbage between last entry and trailer.

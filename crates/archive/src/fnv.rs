@@ -5,7 +5,7 @@
 /// FNV-1a 64-bit offset basis.
 pub const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
-pub const PRIME: u64 = 0x0000_0100_0000_01b3;
+pub(crate) const PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Incremental FNV-1a hasher.
 #[derive(Clone, Copy, Debug)]

@@ -18,7 +18,7 @@
 //!   sniff.
 //! * [`chunk`] — the content-defined chunker (Gear rolling hash, fed a
 //!   payload whole or, by the container writer, as it is written) and
-//!   [`ChunkManifest`] behind the store's dedup and delta uploads
+//!   [`ChunkManifest`](chunk::ChunkManifest) behind the store's dedup and delta uploads
 //!   (DESIGN.md §10).
 
 #![forbid(unsafe_code)]
@@ -32,10 +32,10 @@ pub mod tree;
 /// fetched objects are handed around as; re-exported so crates that
 /// take or return those need no dependency edge of their own.
 pub use bytes::Bytes;
-pub use chunk::{chunk_bytes, chunk_shared, Chunk, ChunkManifest, ChunkRef, ChunkerParams};
+pub use chunk::{chunk_bytes, chunk_shared, ChunkerParams};
 pub use container::{
-    container_len, read_container, read_container_shared, write_container,
-    write_container_chunked, ArchiveError, Entry, EntryKind,
+    container_len, read_container, read_container_shared, write_container, write_container_chunked,
+    ArchiveError,
 };
 /// The names the worker, the grading tools and the repo benchmark read
 /// an archive by.

@@ -4,14 +4,19 @@
 //! on the grader's machine.
 
 use bytes::Bytes;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 /// Normalized, ordered path → file contents map. Directories are
 /// implicit (a file at `src/main.cu` implies `src/`). Paths are
-/// `/`-separated, relative, with no `.`/`..` components.
+/// `/`-separated, relative, with no `.`/`..` components. A tree holds
+/// at most [`MAX_ENTRIES`] files and [`MAX_TREE_BYTES`] bytes of them.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FileTree {
     files: BTreeMap<String, Bytes>,
+    /// Sum of the file sizes, kept as files come and go.
+    bytes: u64,
 }
 
 /// Error inserting an invalid path.
@@ -26,10 +31,48 @@ impl std::fmt::Display for InvalidPath {
 
 impl std::error::Error for InvalidPath {}
 
+/// Why a tree refused a write.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum TreeError {
+    /// The path is not one a tree holds (see [`normalize`]).
+    Path(InvalidPath),
+    /// The write would take the tree past [`MAX_ENTRIES`] files or
+    /// [`MAX_TREE_BYTES`] bytes.
+    NoSpace,
+}
+
+impl From<InvalidPath> for TreeError {
+    fn from(e: InvalidPath) -> Self {
+        TreeError::Path(e)
+    }
+}
+
+impl std::fmt::Display for TreeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TreeError::Path(e) => e.fmt(f),
+            TreeError::NoSpace => f.write_str("No space left on device"),
+        }
+    }
+}
+
+impl std::error::Error for TreeError {}
+
 /// Longest normalized path a tree holds, in bytes: Linux's `PATH_MAX`.
 /// The container format's own limit is 65 535 (a `u16` length); a tree
 /// that never holds more is one every container writer can write.
 pub const MAX_PATH_BYTES: usize = 4096;
+
+/// Most files a tree holds. Copies share their bytes, so without a
+/// bound each `cp -r /build /build/dN` line of a build file doubles the
+/// container's tree for free. The largest tree a workload or test
+/// builds holds 49 files (a `bulk_fresh` container).
+pub const MAX_ENTRIES: usize = 4096;
+
+/// Most bytes a tree's files add up to, each path counted in full even
+/// when copies share one buffer. The largest tree a workload or test
+/// builds holds 3.1 MB (a sandbox test's output flood).
+pub const MAX_TREE_BYTES: u64 = 64 << 20;
 
 /// Validate and normalize a path: strips a leading `/`, rejects empty
 /// paths, `.`/`..` components, backslashes, empty components and
@@ -61,15 +104,35 @@ impl FileTree {
     }
 
     /// Insert (or overwrite) a file. The path is normalized; invalid
-    /// paths (empty, traversal, absolute-only) are rejected.
-    pub fn insert(&mut self, path: &str, data: impl Into<Bytes>) -> Result<(), InvalidPath> {
-        let norm = normalize(path)?;
-        self.files.insert(norm, data.into());
+    /// paths (empty, traversal, absolute-only) are rejected, and so is a
+    /// file that would take the tree past [`MAX_ENTRIES`] or
+    /// [`MAX_TREE_BYTES`].
+    pub fn insert(&mut self, path: &str, data: impl Into<Bytes>) -> Result<(), TreeError> {
+        let data = data.into();
+        let len = self.files.len();
+        let entry = self.files.entry(normalize(path)?);
+        let (entries, replaced) = match &entry {
+            Entry::Occupied(e) => (len, e.get().len()),
+            Entry::Vacant(_) => (len + 1, 0),
+        };
+        let bytes = self.bytes - replaced as u64 + data.len() as u64;
+        if entries > MAX_ENTRIES || bytes > MAX_TREE_BYTES {
+            return Err(TreeError::NoSpace);
+        }
+        match entry {
+            Entry::Occupied(mut e) => {
+                e.insert(data);
+            }
+            Entry::Vacant(v) => {
+                v.insert(data);
+            }
+        }
+        self.bytes = bytes;
         Ok(())
     }
 
-    /// Builder-style insert for test/demo construction; panics on an
-    /// invalid path.
+    /// Builder-style insert for test/demo construction; panics where
+    /// [`FileTree::insert`] would refuse.
     pub fn with(mut self, path: &str, data: impl Into<Bytes>) -> Self {
         self.insert(path, data).expect("valid path in builder");
         self
@@ -87,7 +150,9 @@ impl FileTree {
 
     /// Remove a file, returning its contents if present.
     pub fn remove(&mut self, path: &str) -> Option<Bytes> {
-        self.files.remove(normalized(path).ok()?)
+        let data = self.files.remove(normalized(path).ok()?)?;
+        self.bytes -= data.len() as u64;
+        Some(data)
     }
 
     /// Remove every file under the directory prefix `dir` (e.g. `"build"`
@@ -102,7 +167,9 @@ impl FileTree {
             .cloned()
             .collect();
         for k in &doomed {
-            self.files.remove(k);
+            if let Some(data) = self.files.remove(k) {
+                self.bytes -= data.len() as u64;
+            }
         }
         doomed.len()
     }
@@ -119,7 +186,7 @@ impl FileTree {
 
     /// Sum of file sizes in bytes.
     pub fn total_size(&self) -> u64 {
-        self.files.values().map(|b| b.len() as u64).sum()
+        self.bytes
     }
 
     /// Iterate `(path, contents)` in path order.
@@ -140,6 +207,7 @@ impl FileTree {
         for (k, v) in &self.files {
             if let Some(rest) = k.strip_prefix(&prefix) {
                 out.files.insert(rest.to_string(), v.clone());
+                out.bytes += v.len() as u64;
             }
         }
         out
@@ -148,22 +216,36 @@ impl FileTree {
     /// Graft `other` into this tree under the directory `dir`
     /// (the inverse of [`FileTree::subtree`]): `mount("src", t)` places
     /// `t`'s `main.cu` at `src/main.cu`. All or nothing: a joined path
-    /// longer than [`MAX_PATH_BYTES`] refuses the mount before any file
-    /// is placed.
-    pub fn mount(&mut self, dir: &str, other: &FileTree) -> Result<(), InvalidPath> {
+    /// longer than [`MAX_PATH_BYTES`], or a result past [`MAX_ENTRIES`]
+    /// or [`MAX_TREE_BYTES`], refuses the mount before any file is
+    /// placed.
+    pub fn mount(&mut self, dir: &str, other: &FileTree) -> Result<(), TreeError> {
         let norm = normalized(dir)?;
         if let Some(k) = other.files.keys().find(|k| norm.len() + 1 + k.len() > MAX_PATH_BYTES) {
-            return Err(InvalidPath([norm, "/", k].concat()));
+            return Err(InvalidPath([norm, "/", k].concat()).into());
+        }
+        // The files `other` overwrites: those already under `dir/` with
+        // a path `other` holds too. Keys under `dir/` sort together
+        // among the keys that start with `dir`.
+        let (mut overwritten, mut freed) = (0, 0);
+        let under_dir = self.files.range::<str, _>((Bound::Included(norm), Bound::Unbounded));
+        for (k, v) in under_dir.take_while(|(k, _)| k.starts_with(norm)) {
+            let rest = k[norm.len()..].strip_prefix('/');
+            if rest.is_some_and(|rest| other.files.contains_key(rest)) {
+                overwritten += 1;
+                freed += v.len() as u64;
+            }
+        }
+        let entries = self.files.len() + other.files.len() - overwritten;
+        let bytes = self.bytes - freed + other.bytes;
+        if entries > MAX_ENTRIES || bytes > MAX_TREE_BYTES {
+            return Err(TreeError::NoSpace);
         }
         for (k, v) in &other.files {
             self.files.insert([norm, "/", k].concat(), v.clone());
         }
+        self.bytes = bytes;
         Ok(())
-    }
-
-    /// Files whose path matches a simple suffix pattern (e.g. `".cu"`).
-    pub fn with_suffix<'a>(&'a self, suffix: &'a str) -> impl Iterator<Item = (&'a str, &'a Bytes)> {
-        self.iter().filter(move |(p, _)| p.ends_with(suffix))
     }
 }
 
@@ -205,19 +287,6 @@ impl FileTree {
         let mut tree = FileTree::new();
         walk(root, root, &mut tree)?;
         Ok(tree)
-    }
-
-    /// Write the tree out to a real directory (the grader's un-archive
-    /// step). Creates intermediate directories as needed.
-    pub fn to_disk(&self, root: &std::path::Path) -> std::io::Result<()> {
-        for (path, data) in self.iter() {
-            let full = root.join(path);
-            if let Some(parent) = full.parent() {
-                std::fs::create_dir_all(parent)?;
-            }
-            std::fs::write(full, data)?;
-        }
-        Ok(())
     }
 }
 
@@ -289,7 +358,7 @@ mod tests {
         let mut t = FileTree::new();
         t.insert(&at_bound, &b"x"[..]).unwrap();
         t.insert(&["/", &at_bound].concat(), &b"y"[..]).unwrap();
-        assert_eq!(t.insert(&past, &b"x"[..]), Err(InvalidPath(past.clone())));
+        assert_eq!(t.insert(&past, &b"x"[..]), Err(TreeError::Path(InvalidPath(past.clone()))));
         assert!(normalize(&past).is_err() && !t.contains(&past));
         assert_eq!(t.len(), 1);
 
@@ -302,8 +371,48 @@ mod tests {
         assert_eq!(container.len(), 2);
         let mut container = FileTree::new();
         let refused = container.mount("srcs", &src).unwrap_err();
-        assert_eq!(refused.0.len(), MAX_PATH_BYTES + 1);
+        let TreeError::Path(InvalidPath(refused)) = refused else { panic!("a path refusal") };
+        assert_eq!(refused.len(), MAX_PATH_BYTES + 1);
         assert!(container.is_empty(), "a refused mount placed nothing");
+    }
+
+    #[test]
+    fn entries_and_bytes_are_bounded() {
+        // The entry bound: the last file fits, the next is refused, an
+        // overwrite at the bound is not a new file.
+        let mut t = FileTree::new();
+        for i in 0..MAX_ENTRIES {
+            t.insert(&format!("f{i}"), &b"x"[..]).unwrap();
+        }
+        assert_eq!(t.insert("one-more", &b"x"[..]), Err(TreeError::NoSpace));
+        t.insert("f0", &b"yy"[..]).unwrap();
+        assert_eq!((t.len(), t.total_size()), (MAX_ENTRIES, MAX_ENTRIES as u64 + 1));
+        t.remove("f0").unwrap();
+        t.insert("one-more", &b"x"[..]).unwrap();
+
+        // The byte bound counts a shared buffer once per path.
+        let mib = Bytes::from(vec![0u8; 1 << 20]);
+        let mut t = FileTree::new();
+        for i in 0..MAX_TREE_BYTES >> 20 {
+            t.insert(&format!("copy{i}"), mib.clone()).unwrap();
+        }
+        assert_eq!(t.total_size(), MAX_TREE_BYTES);
+        assert_eq!(t.insert("last", &b"x"[..]), Err(TreeError::NoSpace));
+        assert_eq!(t.remove_dir("copy1"), 1);
+        t.insert("last", &b"x"[..]).unwrap();
+
+        // A mount is all or nothing, and what it overwrites is freed
+        // before it is counted.
+        let half: FileTree =
+            (0..MAX_ENTRIES / 2).map(|i| (format!("f{i}"), Bytes::from_static(b"x"))).collect();
+        let mut t = FileTree::new();
+        t.mount("a", &half).unwrap();
+        t.mount("b", &half).unwrap();
+        assert_eq!(t.mount("c", &FileTree::new().with("f", &b"x"[..])), Err(TreeError::NoSpace));
+        assert_eq!(t.len(), MAX_ENTRIES, "a refused mount placed nothing");
+        t.mount("a", &half).expect("overwrites add no file");
+        assert_eq!((t.len(), t.total_size()), (MAX_ENTRIES, MAX_ENTRIES as u64));
+        assert_eq!(t.subtree("a").total_size(), MAX_ENTRIES as u64 / 2);
     }
 
     #[test]
@@ -317,15 +426,6 @@ mod tests {
     }
 
     #[test]
-    fn suffix_filter() {
-        let t = FileTree::new()
-            .with("a.cu", &b""[..])
-            .with("b.cpp", &b""[..])
-            .with("dir/c.cu", &b""[..]);
-        assert_eq!(t.with_suffix(".cu").count(), 2);
-    }
-
-    #[test]
     fn disk_round_trip() {
         let dir = std::env::temp_dir().join(format!("rai-tree-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -333,7 +433,11 @@ mod tests {
             .with("rai-build.yml", &b"rai:\n  version: 0.1\n"[..])
             .with("src/main.cu", &b"kernel"[..])
             .with("src/deep/util.h", &b"h"[..]);
-        tree.to_disk(&dir).expect("write tree");
+        for (path, data) in tree.iter() {
+            let full = dir.join(path);
+            std::fs::create_dir_all(full.parent().expect("a file has a parent")).expect("mkdir");
+            std::fs::write(full, data).expect("write");
+        }
         // Drop in noise that the loader must skip.
         std::fs::create_dir_all(dir.join(".git")).expect("mkdir");
         std::fs::write(dir.join(".git/HEAD"), b"ref").expect("write");

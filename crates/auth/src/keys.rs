@@ -15,7 +15,7 @@ use rand::SeedableRng;
 /// shape of the keys in the paper.
 const KEY_ALPHABET: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-";
 /// Key length from Listing 3.
-pub const KEY_LEN: usize = 26;
+pub(crate) const KEY_LEN: usize = 26;
 
 /// A student's (or team's) credential triple.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -74,13 +74,6 @@ impl KeyGenerator {
     pub fn from_seed(seed: u64) -> Self {
         KeyGenerator {
             rng: rand::rngs::StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// OS-entropy generator for real use.
-    pub fn from_entropy() -> Self {
-        KeyGenerator {
-            rng: rand::rngs::StdRng::from_entropy(),
         }
     }
 

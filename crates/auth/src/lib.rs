@@ -9,7 +9,7 @@
 //!
 //! * [`keys`] — credential generation in the paper's 26-character
 //!   format, plus the `.rai.profile` serialization.
-//! * [`sha256`] — from-scratch SHA-256 (FIPS 180-4).
+//! * `sha256` — from-scratch SHA-256 (FIPS 180-4).
 //! * [`signing`] — HMAC-SHA256 request signing and verification.
 //! * [`roster`] — the `{firstname,lastname,userid}` CSV the key-mailer
 //!   tool consumes.
@@ -23,11 +23,11 @@ pub mod email;
 pub mod keys;
 pub mod registry;
 pub mod roster;
-pub mod sha256;
+mod sha256;
 pub mod signing;
 
 pub use email::render_key_email;
 pub use keys::{Credentials, KeyGenerator};
-pub use registry::{AuthError, CredentialRegistry};
-pub use roster::{Roster, RosterEntry, RosterError};
+pub use registry::CredentialRegistry;
+pub use roster::Roster;
 pub use signing::{hmac_sha256, sign_request, verify_request};

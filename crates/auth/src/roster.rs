@@ -6,21 +6,21 @@
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RosterEntry {
     /// Student's first name.
-    pub first_name: String,
+    pub(crate) first_name: String,
     /// Student's last name.
-    pub last_name: String,
+    pub(crate) last_name: String,
     /// Unique user id (e-mail local part at UIUC).
     pub user_id: String,
 }
 
 impl RosterEntry {
     /// `FirstName LastName` as used in the e-mail salutation.
-    pub fn full_name(&self) -> String {
+    pub(crate) fn full_name(&self) -> String {
         format!("{} {}", self.first_name, self.last_name)
     }
 
     /// Delivery address (`userid@illinois.edu`-style).
-    pub fn email(&self, domain: &str) -> String {
+    pub(crate) fn email(&self, domain: &str) -> String {
         format!("{}@{}", self.user_id, domain)
     }
 }

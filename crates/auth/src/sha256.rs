@@ -19,7 +19,7 @@ const H0: [u32; 8] = [
 
 /// Incremental SHA-256 hasher.
 #[derive(Clone)]
-pub struct Sha256 {
+pub(crate) struct Sha256 {
     state: [u32; 8],
     buffer: [u8; 64],
     buffered: usize,
@@ -39,12 +39,12 @@ impl Default for Sha256 {
 
 impl Sha256 {
     /// Fresh hasher.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Fold in bytes.
-    pub fn update(&mut self, mut data: &[u8]) -> &mut Self {
+    pub(crate) fn update(&mut self, mut data: &[u8]) -> &mut Self {
         self.length_bits = self.length_bits.wrapping_add((data.len() as u64) * 8);
         if self.buffered > 0 {
             let need = 64 - self.buffered;
@@ -71,7 +71,7 @@ impl Sha256 {
     }
 
     /// Finish and produce the 32-byte digest.
-    pub fn finalize(mut self) -> [u8; 32] {
+    pub(crate) fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.length_bits;
         // Padding: 0x80, zeros up to byte 56 of a block (the next one
         // if this one is past 55), 8-byte big-endian bit length.
@@ -136,7 +136,7 @@ impl Sha256 {
 }
 
 /// One-shot SHA-256.
-pub fn sha256(data: &[u8]) -> [u8; 32] {
+pub(crate) fn sha256(data: &[u8]) -> [u8; 32] {
     let mut h = Sha256::new();
     h.update(data);
     h.finalize()
@@ -144,7 +144,7 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
 
 /// Digest rendered as lowercase hex: one pre-sized `String` filled
 /// from a nibble table (a signature renders three digests).
-pub fn hex(digest: &[u8]) -> String {
+pub(crate) fn hex(digest: &[u8]) -> String {
     let mut out = String::with_capacity(digest.len() * 2);
     push_hex(&mut out, digest);
     out

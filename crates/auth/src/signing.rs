@@ -1,4 +1,4 @@
-//! HMAC-SHA256 request signing (RFC 2104 over [`crate::sha256`]).
+//! HMAC-SHA256 request signing (RFC 2104 over `crate::sha256`).
 //!
 //! The RAI client authenticates each job message by signing a canonical
 //! request string with `RAI_SECRET_KEY`; workers verify against the

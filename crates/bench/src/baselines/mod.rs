@@ -15,7 +15,7 @@ mod store;
 mod trace;
 
 pub use recovery::{Recovery, SeedReport, KILL};
-pub use store::{ratio, BulkUpload, Store};
+pub use store::{ratio, Store};
 pub use trace::{Trace, CHROME_SAMPLE_JOBS, E2E_P99_SLO_MICROS};
 
 use rai_workload::chaos::{run_chaos, ChaosConfig, ChaosResult};

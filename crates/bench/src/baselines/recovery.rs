@@ -44,8 +44,8 @@ pub struct SeedReport {
     pub dirty_disk_faults: usize,
     pub dirty_corrupt_dropped: u64,
     pub dirty_torn_bytes: u64,
-    pub dirty_terminal: usize,
-    pub dirty_dead_lettered: usize,
+    pub(crate) dirty_terminal: usize,
+    pub(crate) dirty_dead_lettered: usize,
     /// Compaction-gate numbers.
     pub compactions: u64,
     /// Cumulative bytes ever appended across both logs vs bytes
@@ -53,13 +53,8 @@ pub struct SeedReport {
     pub compaction_ratio: f64,
 }
 
-fn aggressive(durability: DurabilityConfig) -> DurabilityConfig {
-    DurabilityConfig {
-        segment_bytes: 16 << 10,
-        compact_min_bytes: 4 << 10,
-        compact_factor: 2,
-        ..durability
-    }
+fn aggressive() -> DurabilityConfig {
+    DurabilityConfig { segment_bytes: 16 << 10, compact_min_bytes: 4 << 10, compact_factor: 2 }
 }
 
 fn run_seed(seed: u64) -> SeedReport {
@@ -117,7 +112,7 @@ fn run_seed(seed: u64) -> SeedReport {
     // 4. Compaction gate: snapshots mid-course, then a byte-identical
     // post-compaction recovery.
     let mut compact_cfg = RecoveryConfig::clean(seed, KillPoint::mid_drive(9, 1));
-    compact_cfg.durability = aggressive(compact_cfg.durability);
+    compact_cfg.durability = aggressive();
     let compact_base = run_recovery(&RecoveryConfig { kill: None, ..compact_cfg.clone() });
     assert!(
         compact_base.db_wal.compactions > 0 && compact_base.store_wal.compactions > 0,

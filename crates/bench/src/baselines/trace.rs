@@ -24,17 +24,17 @@ pub const E2E_P99_SLO_MICROS: u64 = 3_600_000_000;
 /// produce.
 pub struct Trace {
     pub semester_table: String,
-    pub queue_encoding: String,
-    pub e2e_encoding: String,
+    pub(crate) queue_encoding: String,
+    pub(crate) e2e_encoding: String,
     pub depth_sparkline: String,
     pub in_flight_sparkline: String,
     pub chrome_semester: String,
     pub chaos_table: String,
     pub chrome_chaos: String,
     pub chaos_wasted_micros: u64,
-    pub e2e_p50_micros: u64,
+    pub(crate) e2e_p50_micros: u64,
     pub e2e_p99_micros: u64,
-    pub semester_jobs: u64,
+    pub(crate) semester_jobs: u64,
     pub chaos_jobs: u64,
 }
 

@@ -63,7 +63,6 @@ fn main() {
                 worker_id: format!("bench-{jobs_per_worker}"),
                 max_in_flight: jobs_per_worker,
                 noise_seed: 42,
-                ..Default::default()
             },
             broker,
             store.clone(),

@@ -11,17 +11,12 @@
 //! cargo run --release -p rai-bench --bin fig2_histogram
 //! ```
 
-use rai_workload::{run_competition, CompetitionConfig};
+use rai_workload::competition::{SEED, STUDENTS, TEAMS};
+use rai_workload::run_competition;
 
 fn main() {
-    let config = CompetitionConfig::default();
-    eprintln!(
-        "running the final competition: {} teams ({} students), seed {}",
-        config.teams,
-        config.students,
-        config.seed
-    );
-    let result = run_competition(&config);
+    eprintln!("running the final competition: {TEAMS} teams ({STUDENTS} students), seed {SEED}");
+    let result = run_competition();
     assert!(result.failures.is_empty(), "failed finals: {:?}", result.failures);
 
     rai_bench::header("Figure 2 — top-30 final runtimes, 0.1 s bins");

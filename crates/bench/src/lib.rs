@@ -29,7 +29,7 @@
 //! it with [`baselines`], the one place that knows what a valid
 //! baseline is; `cargo test` re-renders each and compares it with the
 //! committed file (`tests/baselines.rs`). The report bins share their
-//! argument scan ([`scan_args`]) and their synthetic payload bytes
+//! argument scan (`scan_args`) and their synthetic payload bytes
 //! ([`pseudorandom`]) through this library.
 
 #![forbid(unsafe_code)]
@@ -54,7 +54,7 @@ pub struct ReportArgs {
 /// argument that is neither a seed nor one of `flags`, is an error that
 /// names it: a mistyped flag must not run the bin as if it were absent
 /// (the bins that take none overwrite a committed baseline).
-pub fn scan_args(
+pub(crate) fn scan_args(
     args: impl IntoIterator<Item = String>,
     max_seeds: usize,
     flags: &[&str],
@@ -75,7 +75,7 @@ pub fn scan_args(
     Ok(out)
 }
 
-/// [`scan_args`] over the process arguments; on an error, print it and
+/// `scan_args` over the process arguments; on an error, print it and
 /// `usage` to stderr and exit 2 before anything runs.
 pub fn args_or_usage(usage: &str, max_seeds: usize, flags: &[&str]) -> ReportArgs {
     scan_args(std::env::args().skip(1), max_seeds, flags).unwrap_or_else(|e| {

@@ -14,32 +14,24 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
+/// Maximum ready-queue depth per channel; publishing beyond this
+/// returns [`PublishError::ChannelFull`]. RAI uses this as crude
+/// back-pressure so a melting-down worker fleet surfaces as client
+/// errors instead of unbounded broker memory.
+const MAX_CHANNEL_DEPTH: usize = 100_000;
+
+/// Maximum number of messages retained in a topic backlog while the
+/// topic has no channels yet ([`PublishError::BacklogFull`]).
+const MAX_BACKLOG: usize = 10_000;
+
 /// Broker configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct BrokerConfig {
-    /// Maximum ready-queue depth per channel; publishing beyond this
-    /// returns [`PublishError::ChannelFull`]. RAI uses this as crude
-    /// back-pressure so a melting-down worker fleet surfaces as client
-    /// errors instead of unbounded broker memory.
-    pub max_channel_depth: usize,
-    /// Maximum number of messages retained in a topic backlog while the
-    /// topic has no channels yet.
-    pub max_backlog: usize,
     /// Per-message delivery-attempt cap. A message requeued after its
     /// `max_attempts`-th delivery is routed to the channel's dead-letter
     /// topic ([`dead_letter_topic`]) instead of redelivered forever.
     /// 0 (the default) disables the cap.
     pub max_attempts: u32,
-}
-
-impl Default for BrokerConfig {
-    fn default() -> Self {
-        BrokerConfig {
-            max_channel_depth: 100_000,
-            max_backlog: 10_000,
-            max_attempts: 0,
-        }
-    }
 }
 
 /// The dead-letter topic for `topic/channel`: the route reads
@@ -53,7 +45,7 @@ pub fn dead_letter_topic(topic: &str, channel: &str) -> String {
 /// Publish failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PublishError {
-    /// A channel of the topic is at `max_channel_depth`.
+    /// A channel of the topic is at its depth bound.
     ChannelFull { topic: String, channel: String },
     /// The topic's no-channel backlog is full.
     BacklogFull { topic: String },
@@ -144,7 +136,7 @@ impl BrokerInner {
         if channels.is_empty() {
             // Hold in the backlog until the first channel appears.
             let mut backlog = t.backlog.lock();
-            if backlog.len() >= self.config.max_backlog {
+            if backlog.len() >= MAX_BACKLOG {
                 return Err(PublishError::BacklogFull {
                     topic: topic.to_string(),
                 });
@@ -158,7 +150,7 @@ impl BrokerInner {
             // same handle). Depth is checked across all channels first
             // so a publish is all-or-nothing.
             for ch in channels.values() {
-                if ch.depth() >= self.config.max_channel_depth {
+                if ch.depth() >= MAX_CHANNEL_DEPTH {
                     return Err(PublishError::ChannelFull {
                         topic: topic.to_string(),
                         channel: ch.name.clone(),
@@ -225,11 +217,6 @@ impl Broker {
                 dead_lettered: AtomicU64::new(0),
             }),
         }
-    }
-
-    /// The clock stamping delivery claims.
-    pub fn clock(&self) -> &VirtualClock {
-        &self.inner.clock
     }
 
     /// Attach a fault injector: subsequent external publishes may be
@@ -327,14 +314,15 @@ impl Broker {
     }
 
     /// Names of live topics.
-    pub fn topic_names(&self) -> Vec<String> {
+    pub(crate) fn topic_names(&self) -> Vec<String> {
         let mut names: Vec<String> = self.inner.topics.read().keys().cloned().collect();
         names.sort();
         names
     }
 
     /// Whether a topic currently exists.
-    pub fn has_topic(&self, name: &str) -> bool {
+    #[cfg(test)]
+    fn has_topic(&self, name: &str) -> bool {
         self.inner.topics.read().contains_key(name)
     }
 
@@ -431,9 +419,9 @@ impl Broker {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TopicStats {
     /// Topic name.
-    pub name: String,
+    pub(crate) name: String,
     /// Channel count.
-    pub channels: usize,
+    pub(crate) channels: usize,
     /// Messages published to the topic.
     pub published: u64,
     /// Ready messages across channels (plus any backlog).
@@ -443,7 +431,7 @@ pub struct TopicStats {
     /// Acknowledged messages.
     pub acked: u64,
     /// Requeue events.
-    pub requeued: u64,
+    pub(crate) requeued: u64,
     /// Messages routed to this topic's dead-letter topics.
     pub dead_lettered: u64,
 }
@@ -517,11 +505,6 @@ impl Subscription {
     /// Ready depth of this subscription's channel.
     pub fn depth(&self) -> usize {
         self.channel.depth()
-    }
-
-    /// The queue route (`topic/channel`) this subscription consumes.
-    pub fn route(&self) -> String {
-        format!("{}/{}", self.topic.name, self.channel.name)
     }
 }
 
@@ -681,14 +664,11 @@ mod tests {
 
     #[test]
     fn backpressure_channel_full() {
-        let b = Broker::new(BrokerConfig {
-            max_channel_depth: 2,
-            max_backlog: 2,
-            ..Default::default()
-        });
+        let b = Broker::default();
         let _sub = b.subscribe("t", "ch");
-        b.publish("t", &b"1"[..]).unwrap();
-        b.publish("t", &b"2"[..]).unwrap();
+        for _ in 0..MAX_CHANNEL_DEPTH {
+            b.publish("t", &b"1"[..]).unwrap();
+        }
         assert!(matches!(
             b.publish("t", &b"3"[..]),
             Err(PublishError::ChannelFull { .. })
@@ -697,12 +677,10 @@ mod tests {
 
     #[test]
     fn backpressure_backlog_full() {
-        let b = Broker::new(BrokerConfig {
-            max_channel_depth: 10,
-            max_backlog: 1,
-            ..Default::default()
-        });
-        b.publish("t", &b"1"[..]).unwrap();
+        let b = Broker::default();
+        for _ in 0..MAX_BACKLOG {
+            b.publish("t", &b"1"[..]).unwrap();
+        }
         assert!(matches!(
             b.publish("t", &b"2"[..]),
             Err(PublishError::BacklogFull { .. })
@@ -740,9 +718,6 @@ mod tests {
 
     #[test]
     fn route_formatting() {
-        let b = Broker::default();
-        let sub = b.subscribe("rai", "tasks");
-        assert_eq!(sub.route(), "rai/tasks");
         assert_eq!(dead_letter_topic("rai", "tasks"), "rai/tasks#dead");
     }
 
@@ -763,10 +738,7 @@ mod tests {
 
     #[test]
     fn attempt_cap_routes_to_dead_letter_topic() {
-        let b = Broker::new(BrokerConfig {
-            max_attempts: 3,
-            ..Default::default()
-        });
+        let b = Broker::new(BrokerConfig { max_attempts: 3 });
         let dead = b.subscribe(&dead_letter_topic("rai", "tasks"), "audit");
         let sub = b.subscribe("rai", "tasks");
         b.publish("rai", &b"poison"[..]).unwrap();
@@ -790,13 +762,7 @@ mod tests {
     #[test]
     fn attempt_cap_applies_on_subscriber_crash() {
         let clock = VirtualClock::new();
-        let b = Broker::with_clock(
-            BrokerConfig {
-                max_attempts: 1,
-                ..Default::default()
-            },
-            clock,
-        );
+        let b = Broker::with_clock(BrokerConfig { max_attempts: 1 }, clock);
         let sub = b.subscribe("rai", "tasks");
         b.publish("rai", &b"one-shot"[..]).unwrap();
         let _taken = sub.try_recv().unwrap();
@@ -810,7 +776,7 @@ mod tests {
     #[test]
     fn reclaim_requeues_only_expired_claims_in_topic_name_order() {
         let clock = VirtualClock::new();
-        let config = BrokerConfig { max_attempts: 2, ..Default::default() };
+        let config = BrokerConfig { max_attempts: 2 };
         let b = Broker::with_clock(config, clock.clone());
         let timeout = SimDuration::from_secs(5);
         // A topic with traffic but no claim, and two topics that each

@@ -32,8 +32,6 @@ pub mod broker;
 pub mod message;
 pub mod queue;
 
-pub use broker::{
-    dead_letter_topic, Broker, BrokerConfig, BrokerStats, PublishError, Subscription, TopicStats,
-};
-pub use message::{Message, MessageId};
+pub use broker::{dead_letter_topic, Broker, BrokerConfig, PublishError, Subscription};
+pub use message::MessageId;
 pub use queue::RecvError;

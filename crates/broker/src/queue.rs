@@ -42,38 +42,38 @@ impl std::error::Error for RecvError {}
 #[derive(Debug, Default)]
 pub(crate) struct Requeued {
     /// Messages returned to the ready queue.
-    pub requeued: usize,
+    pub(crate) requeued: usize,
     /// Messages that exhausted their attempt cap.
-    pub dead: Vec<Message>,
+    pub(crate) dead: Vec<Message>,
 }
 
 pub(crate) struct ChannelQueue {
-    pub ready: VecDeque<Message>,
+    pub(crate) ready: VecDeque<Message>,
     /// message id → (subscriber id, message, delivery sim-time) awaiting
     /// ack. The timestamp drives NSQ-style message-timeout redelivery.
-    pub in_flight: HashMap<MessageId, (u64, Message, SimTime)>,
-    pub closed: bool,
+    pub(crate) in_flight: HashMap<MessageId, (u64, Message, SimTime)>,
+    pub(crate) closed: bool,
 }
 
 pub(crate) struct ChannelState {
-    pub name: String,
-    pub queue: Mutex<ChannelQueue>,
-    pub available: Condvar,
-    pub subscribers: AtomicUsize,
+    pub(crate) name: String,
+    pub(crate) queue: Mutex<ChannelQueue>,
+    pub(crate) available: Condvar,
+    pub(crate) subscribers: AtomicUsize,
     /// Clock stamping delivery claims (shared with the broker).
-    pub clock: VirtualClock,
+    pub(crate) clock: VirtualClock,
     /// Redeliveries allowed per message before it dead-letters;
     /// 0 disables the cap.
-    pub max_attempts: u32,
+    pub(crate) max_attempts: u32,
     // Counters for stats.
-    pub enqueued: AtomicU64,
-    pub acked: AtomicU64,
-    pub requeued: AtomicU64,
-    pub dead_lettered: AtomicU64,
+    pub(crate) enqueued: AtomicU64,
+    pub(crate) acked: AtomicU64,
+    pub(crate) requeued: AtomicU64,
+    pub(crate) dead_lettered: AtomicU64,
 }
 
 impl ChannelState {
-    pub fn new(name: &str, clock: VirtualClock, max_attempts: u32) -> Self {
+    pub(crate) fn new(name: &str, clock: VirtualClock, max_attempts: u32) -> Self {
         ChannelState {
             name: name.to_string(),
             queue: Mutex::new(ChannelQueue {
@@ -93,7 +93,7 @@ impl ChannelState {
     }
 
     /// Push a message to the ready queue and wake one consumer.
-    pub fn enqueue(&self, msg: Message) {
+    pub(crate) fn enqueue(&self, msg: Message) {
         {
             let mut q = self.queue.lock();
             q.ready.push_back(msg);
@@ -105,7 +105,11 @@ impl ChannelState {
     /// Blocking pop with timeout; the popped message moves to the
     /// in-flight table under `subscriber`. The timeout bounds the
     /// wall-clock wait; the claim itself is stamped in sim time.
-    pub fn recv_timeout(&self, subscriber: u64, timeout: Duration) -> Result<Message, RecvError> {
+    pub(crate) fn recv_timeout(
+        &self,
+        subscriber: u64,
+        timeout: Duration,
+    ) -> Result<Message, RecvError> {
         let mut q = self.queue.lock();
         loop {
             if q.closed {
@@ -123,7 +127,7 @@ impl ChannelState {
     }
 
     /// Non-blocking pop.
-    pub fn try_recv(&self, subscriber: u64) -> Option<Message> {
+    pub(crate) fn try_recv(&self, subscriber: u64) -> Option<Message> {
         let mut q = self.queue.lock();
         if q.closed {
             return None;
@@ -136,7 +140,7 @@ impl ChannelState {
 
     /// Acknowledge an in-flight message. Returns `false` if it was not
     /// in flight for this subscriber.
-    pub fn ack(&self, subscriber: u64, id: MessageId) -> bool {
+    pub(crate) fn ack(&self, subscriber: u64, id: MessageId) -> bool {
         let mut q = self.queue.lock();
         match q.in_flight.get(&id) {
             Some((owner, _, _)) if *owner == subscriber => {
@@ -185,7 +189,7 @@ impl ChannelState {
     /// Messages over the attempt cap come back in `dead` instead.
     /// Messages move in id order, so redelivery order is deterministic
     /// regardless of `HashMap` iteration order.
-    pub fn requeue_all_for(&self, subscriber: u64) -> Requeued {
+    pub(crate) fn requeue_all_for(&self, subscriber: u64) -> Requeued {
         let mut q = self.queue.lock();
         let mut ids: Vec<MessageId> = q
             .in_flight
@@ -202,7 +206,7 @@ impl ChannelState {
     /// crashing loses its claim). Expired messages over the attempt cap
     /// come back in `dead`. Deterministic: driven by sim time and
     /// processed in message-id order.
-    pub fn reclaim_expired(&self, timeout: SimDuration) -> Requeued {
+    pub(crate) fn reclaim_expired(&self, timeout: SimDuration) -> Requeued {
         let now = self.clock.now();
         let mut q = self.queue.lock();
         let mut ids: Vec<MessageId> = q
@@ -234,7 +238,7 @@ impl ChannelState {
     }
 
     /// Close the channel, waking all blocked consumers with `Closed`.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         let mut q = self.queue.lock();
         q.closed = true;
         drop(q);
@@ -242,12 +246,12 @@ impl ChannelState {
     }
 
     /// Ready-queue depth.
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.queue.lock().ready.len()
     }
 
     /// In-flight count.
-    pub fn in_flight_count(&self) -> usize {
+    pub(crate) fn in_flight_count(&self) -> usize {
         self.queue.lock().in_flight.len()
     }
 }

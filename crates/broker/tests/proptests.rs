@@ -129,7 +129,7 @@ proptest! {
         bodies in prop::collection::vec(any::<u8>(), 1..40),
         cap in 1u32..5,
     ) {
-        let broker = Broker::new(BrokerConfig { max_attempts: cap, ..Default::default() });
+        let broker = Broker::new(BrokerConfig { max_attempts: cap });
         let sub = broker.subscribe("t", "ch");
         let audit = broker.subscribe(&dead_letter_topic("t", "ch"), "audit");
         for b in &bodies {

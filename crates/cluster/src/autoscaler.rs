@@ -16,18 +16,21 @@ pub enum ScaleAction {
     Hold,
 }
 
-/// Reactive policy: keep queue depth per ready worker near a target,
-/// with bounds and a cooldown to avoid thrashing.
+/// Desired queued jobs per ready worker.
+const TARGET_DEPTH_PER_WORKER: f64 = 2.0;
+
+/// Minimum time between scaling actions.
+const COOLDOWN: SimDuration = SimDuration::from_mins(10);
+
+/// Reactive policy: keep queue depth per ready worker near
+/// `TARGET_DEPTH_PER_WORKER`, within bounds, acting at most once per
+/// `COOLDOWN` to avoid thrashing.
 #[derive(Clone, Debug)]
 pub struct ReactiveAutoscaler {
     /// Never fewer than this many live instances.
-    pub min_instances: usize,
+    min_instances: usize,
     /// Never more than this many live instances.
-    pub max_instances: usize,
-    /// Desired queued jobs per ready worker.
-    pub target_depth_per_worker: f64,
-    /// Minimum time between scaling actions.
-    pub cooldown: SimDuration,
+    max_instances: usize,
     last_action: Option<SimTime>,
 }
 
@@ -35,31 +38,19 @@ impl ReactiveAutoscaler {
     /// A policy bounded to the paper's observed fleet range (up to ~30
     /// single-job P2 instances).
     pub fn paper_bounds() -> Self {
-        ReactiveAutoscaler {
-            min_instances: 1,
-            max_instances: 30,
-            target_depth_per_worker: 2.0,
-            cooldown: SimDuration::from_mins(10),
-            last_action: None,
-        }
+        Self::new(1, 30)
     }
 
-    /// Custom policy.
-    pub fn new(min: usize, max: usize, target_depth_per_worker: f64, cooldown: SimDuration) -> Self {
-        ReactiveAutoscaler {
-            min_instances: min,
-            max_instances: max,
-            target_depth_per_worker,
-            cooldown,
-            last_action: None,
-        }
+    /// A policy keeping between `min` and `max` live instances.
+    pub fn new(min: usize, max: usize) -> Self {
+        ReactiveAutoscaler { min_instances: min, max_instances: max, last_action: None }
     }
 
     /// Decide given current state. `live` counts provisioning + running
     /// (capacity already paid for), `queue_depth` is ready jobs waiting.
     pub fn decide(&mut self, now: SimTime, queue_depth: usize, live: usize) -> ScaleAction {
         if let Some(last) = self.last_action {
-            if now.duration_since(last) < self.cooldown {
+            if now.duration_since(last) < COOLDOWN {
                 return ScaleAction::Hold;
             }
         }
@@ -67,10 +58,10 @@ impl ReactiveAutoscaler {
         let per_worker = queue_depth as f64 / live_f;
         let action = if live < self.min_instances {
             ScaleAction::Out(self.min_instances - live)
-        } else if per_worker > self.target_depth_per_worker && live < self.max_instances {
+        } else if per_worker > TARGET_DEPTH_PER_WORKER && live < self.max_instances {
             // Grow toward the depth target, capped.
-            let desired =
-                ((queue_depth as f64 / self.target_depth_per_worker).ceil() as usize).clamp(live + 1, self.max_instances);
+            let desired = ((queue_depth as f64 / TARGET_DEPTH_PER_WORKER).ceil() as usize)
+                .clamp(live + 1, self.max_instances);
             ScaleAction::Out(desired - live)
         } else if queue_depth == 0 && live > self.min_instances && per_worker == 0.0 {
             ScaleAction::In(1) // gentle scale-in, one at a time
@@ -153,7 +144,7 @@ mod tests {
 
     #[test]
     fn scales_out_under_backlog() {
-        let mut a = ReactiveAutoscaler::new(1, 30, 2.0, SimDuration::from_mins(5));
+        let mut a = ReactiveAutoscaler::new(1, 30);
         let t = SimTime::from_secs(0);
         match a.decide(t, 40, 5) {
             ScaleAction::Out(n) => assert!(n >= 1 && 5 + n <= 30, "n={n}"),
@@ -163,7 +154,7 @@ mod tests {
 
     #[test]
     fn respects_max() {
-        let mut a = ReactiveAutoscaler::new(1, 10, 1.0, SimDuration::ZERO);
+        let mut a = ReactiveAutoscaler::new(1, 10);
         match a.decide(SimTime::ZERO, 1000, 10) {
             ScaleAction::Hold => {}
             other => panic!("at max, expected Hold, got {other:?}"),
@@ -172,7 +163,7 @@ mod tests {
 
     #[test]
     fn cooldown_prevents_thrash() {
-        let mut a = ReactiveAutoscaler::new(1, 30, 2.0, SimDuration::from_mins(10));
+        let mut a = ReactiveAutoscaler::paper_bounds();
         assert!(matches!(a.decide(SimTime::ZERO, 50, 2), ScaleAction::Out(_)));
         // One minute later, still backlogged: held by cooldown.
         assert_eq!(
@@ -188,15 +179,15 @@ mod tests {
 
     #[test]
     fn scales_in_when_idle() {
-        let mut a = ReactiveAutoscaler::new(2, 30, 2.0, SimDuration::ZERO);
+        let mut a = ReactiveAutoscaler::new(2, 30);
         assert_eq!(a.decide(SimTime::ZERO, 0, 10), ScaleAction::In(1));
-        // Never below min.
-        assert_eq!(a.decide(SimTime::from_secs(60), 0, 2), ScaleAction::Hold);
+        // Never below min, cooldown or not.
+        assert_eq!(a.decide(SimTime::ZERO + COOLDOWN, 0, 2), ScaleAction::Hold);
     }
 
     #[test]
     fn grows_to_min() {
-        let mut a = ReactiveAutoscaler::new(5, 30, 2.0, SimDuration::ZERO);
+        let mut a = ReactiveAutoscaler::new(5, 30);
         assert_eq!(a.decide(SimTime::ZERO, 0, 1), ScaleAction::Out(4));
     }
 

@@ -20,31 +20,23 @@ pub struct InstanceType {
     /// GPU model string (as the paper describes the fleet).
     pub gpu_model: &'static str,
     /// GPUs per instance.
-    pub gpus: u32,
+    pub(crate) gpus: u32,
     /// Hourly price in USD cents.
-    pub hourly_cents: u64,
+    pub(crate) hourly_cents: u64,
     /// Boot + agent-start latency before the worker accepts jobs.
     pub provision_latency: SimDuration,
-    /// Relative GPU throughput (1.0 = K80 baseline); used to scale
-    /// simulated job runtimes per hardware generation.
-    pub gpu_speed: f64,
 }
 
 impl InstanceType {
     /// The early-project instance: "AWS G2 instances with NVIDIA Tesla
     /// K40 GPUs. These instances are cheaper…" (paper §VII).
-    pub const fn g2() -> &'static InstanceType {
+    pub(crate) const fn g2() -> &'static InstanceType {
         &G2
     }
 
     /// The main fleet: "AWS P2 instances with NVIDIA Tesla K80 GPUs".
     pub const fn p2() -> &'static InstanceType {
         &P2
-    }
-
-    /// A bigger P2 used in capacity experiments.
-    pub const fn p2_8x() -> &'static InstanceType {
-        &P2_8X
     }
 }
 
@@ -54,7 +46,6 @@ static G2: InstanceType = InstanceType {
     gpus: 1,
     hourly_cents: 65,
     provision_latency: SimDuration::from_millis(3 * 60_000),
-    gpu_speed: 0.6,
 };
 
 static P2: InstanceType = InstanceType {
@@ -63,21 +54,11 @@ static P2: InstanceType = InstanceType {
     gpus: 1,
     hourly_cents: 90,
     provision_latency: SimDuration::from_millis(4 * 60_000),
-    gpu_speed: 1.0,
-};
-
-static P2_8X: InstanceType = InstanceType {
-    name: "p2.8xlarge",
-    gpu_model: "NVIDIA Tesla K80",
-    gpus: 8,
-    hourly_cents: 720,
-    provision_latency: SimDuration::from_millis(4 * 60_000),
-    gpu_speed: 1.0,
 };
 
 /// Instance lifecycle state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum InstanceState {
+pub(crate) enum InstanceState {
     /// Booting; not yet accepting jobs.
     Provisioning,
     /// Accepting jobs.
@@ -88,25 +69,25 @@ pub enum InstanceState {
 
 /// A launched instance.
 #[derive(Clone, Debug)]
-pub struct Instance {
+pub(crate) struct Instance {
     /// Id.
-    pub id: InstanceId,
+    pub(crate) id: InstanceId,
     /// Type.
-    pub itype: &'static InstanceType,
+    pub(crate) itype: &'static InstanceType,
     /// Launch request time.
-    pub launched_at: SimTime,
+    pub(crate) launched_at: SimTime,
     /// When it becomes/became ready.
-    pub ready_at: SimTime,
+    pub(crate) ready_at: SimTime,
     /// Termination time, if terminated.
-    pub terminated_at: Option<SimTime>,
+    pub(crate) terminated_at: Option<SimTime>,
     /// Whether termination was a failure (spot reclaim, hardware
     /// death) rather than a planned scale-in.
-    pub failed: bool,
+    pub(crate) failed: bool,
 }
 
 impl Instance {
     /// State at time `now`.
-    pub fn state(&self, now: SimTime) -> InstanceState {
+    pub(crate) fn state(&self, now: SimTime) -> InstanceState {
         if self.terminated_at.is_some_and(|t| now >= t) {
             InstanceState::Terminated
         } else if now >= self.ready_at {
@@ -118,7 +99,7 @@ impl Instance {
 
     /// Billable cost in cents up to `now` (EC2-classic semantics: whole
     /// hours, rounded up, from launch to termination).
-    pub fn cost_cents(&self, now: SimTime) -> u64 {
+    pub(crate) fn cost_cents(&self, now: SimTime) -> u64 {
         let end = self.terminated_at.map_or(now, |t| t.min(now));
         if end <= self.launched_at {
             return 0;
@@ -137,7 +118,6 @@ mod tests {
         assert_eq!(InstanceType::g2().gpu_model, "NVIDIA Tesla K40");
         assert_eq!(InstanceType::p2().gpu_model, "NVIDIA Tesla K80");
         assert!(InstanceType::g2().hourly_cents < InstanceType::p2().hourly_cents);
-        assert_eq!(InstanceType::p2_8x().gpus, 8);
     }
 
     fn launched_at(t: SimTime) -> Instance {

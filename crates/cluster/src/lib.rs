@@ -21,5 +21,5 @@ pub mod instance;
 pub mod pool;
 
 pub use autoscaler::{PhaseSchedule, ReactiveAutoscaler, ScaleAction};
-pub use instance::{Instance, InstanceId, InstanceState, InstanceType};
-pub use pool::{PoolStats, WorkerPool};
+pub use instance::{InstanceId, InstanceType};
+pub use pool::WorkerPool;

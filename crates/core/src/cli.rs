@@ -108,7 +108,7 @@ impl CliCommand {
 
 /// Version string compiled into this client (see `delivery` for the
 /// cross-compile matrix that stamps real commits).
-pub fn version_string() -> String {
+pub(crate) fn version_string() -> String {
     format!(
         "rai client (reproduction) version {} spec-version {}",
         env!("CARGO_PKG_VERSION"),

@@ -41,12 +41,12 @@ pub struct ProjectDir {
 
 impl ProjectDir {
     /// Wrap an existing tree.
-    pub fn new(tree: FileTree) -> Self {
+    pub(crate) fn new(tree: FileTree) -> Self {
         ProjectDir { tree }
     }
 
     /// The project's `rai-build.yml`, if present.
-    pub fn build_yml(&self) -> Option<String> {
+    pub(crate) fn build_yml(&self) -> Option<String> {
         self.tree
             .get("rai-build.yml")
             .map(|b| String::from_utf8_lossy(b).into_owned())
@@ -284,19 +284,15 @@ impl RaiClient {
     /// Journal submission intents to `db`'s `intents` collection (and
     /// through its write-ahead log) before publishing. Only meaningful
     /// when `db` has a WAL attached.
-    pub fn with_intent_ledger(mut self, db: Database) -> Self {
+    pub(crate) fn with_intent_ledger(mut self, db: Database) -> Self {
         self.intents = Some(db);
         self
     }
 
     /// The credentials in use.
-    pub fn credentials(&self) -> &Credentials {
+    #[cfg(test)]
+    pub(crate) fn credentials(&self) -> &Credentials {
         &self.creds
-    }
-
-    /// The team this client submits for.
-    pub fn team(&self) -> &str {
-        &self.team
     }
 
     /// Resolve the effective build file for a submission: students'

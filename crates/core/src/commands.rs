@@ -8,7 +8,7 @@ use rai_db::{doc, Database, FindOptions, Value};
 
 /// `rai rankings` — the leaderboard as `team` sees it (own team named,
 /// others anonymized).
-pub fn rankings(board: &RankingBoard, team: &str) -> String {
+pub(crate) fn rankings(board: &RankingBoard, team: &str) -> String {
     let view = board.view_for(team);
     if view.is_empty() {
         return "no final submissions recorded yet\n".to_string();
@@ -28,22 +28,22 @@ pub fn rankings(board: &RankingBoard, team: &str) -> String {
 
 /// One row of `rai history`.
 #[derive(Clone, Debug, PartialEq)]
-pub struct HistoryEntry {
+pub(crate) struct HistoryEntry {
     /// Job id.
-    pub job_id: u64,
+    pub(crate) job_id: u64,
     /// `run` or `submit`.
-    pub kind: String,
+    pub(crate) kind: String,
     /// Whether it succeeded.
-    pub success: bool,
+    pub(crate) success: bool,
     /// Student-visible runtime, if a program ran.
-    pub internal_secs: Option<f64>,
+    pub(crate) internal_secs: Option<f64>,
     /// Worker that executed it.
-    pub worker: String,
+    pub(crate) worker: String,
 }
 
 /// Query a team's submission history from the metadata database,
 /// newest first.
-pub fn history(db: &Database, team: &str, limit: usize) -> Vec<HistoryEntry> {
+pub(crate) fn history(db: &Database, team: &str, limit: usize) -> Vec<HistoryEntry> {
     db.collection("submissions")
         .read()
         .find_with(
@@ -67,7 +67,7 @@ pub fn history(db: &Database, team: &str, limit: usize) -> Vec<HistoryEntry> {
 }
 
 /// `rai history` — rendered.
-pub fn history_text(db: &Database, team: &str, limit: usize) -> String {
+pub(crate) fn history_text(db: &Database, team: &str, limit: usize) -> String {
     let rows = history(db, team, limit);
     if rows.is_empty() {
         return format!("no submissions for team {team:?}\n");

@@ -33,7 +33,7 @@ pub const DIMENSIONS: [Dimension; 5] = [
 
 impl Dimension {
     /// Column header.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Dimension::Configurability => "Configurability",
             Dimension::Isolation => "Isolation",
@@ -52,12 +52,13 @@ pub struct SystemProfile {
     /// Feature support, aligned with [`DIMENSIONS`].
     pub features: [bool; 5],
     /// One-line rationale, from the paper's §III discussion.
-    pub rationale: &'static str,
+    pub(crate) rationale: &'static str,
 }
 
 impl SystemProfile {
     /// Whether the system supports a dimension.
-    pub fn supports(&self, d: Dimension) -> bool {
+    #[cfg(test)]
+    fn supports(&self, d: Dimension) -> bool {
         let idx = DIMENSIONS.iter().position(|&x| x == d).expect("d is in DIMENSIONS");
         self.features[idx]
     }

@@ -35,7 +35,7 @@ pub enum Channel {
 
 impl Channel {
     /// The branch that feeds this channel.
-    pub fn branch(self) -> &'static str {
+    pub(crate) fn branch(self) -> &'static str {
         match self {
             Channel::Stable => "master",
             Channel::Development => "devel",
@@ -47,17 +47,17 @@ impl Channel {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ClientBinary {
     /// Target OS.
-    pub os: &'static str,
+    pub(crate) os: &'static str,
     /// Target architecture.
-    pub arch: &'static str,
+    pub(crate) arch: &'static str,
     /// Channel.
-    pub channel: Channel,
+    pub(crate) channel: Channel,
     /// Commit hash embedded in the binary.
-    pub commit: String,
+    pub(crate) commit: String,
     /// Build date embedded in the binary.
-    pub build_date: String,
+    pub(crate) build_date: String,
     /// Object key on the download server.
-    pub key: String,
+    pub(crate) key: String,
 }
 
 impl ClientBinary {
@@ -136,21 +136,6 @@ impl DeliveryPipeline {
             });
         }
         Ok(out)
-    }
-
-    /// Latest release per target for a channel (what the homepage links
-    /// to). Returns rows in Fig. 3 order.
-    pub fn download_links(&self, binaries: &[ClientBinary]) -> Vec<(String, String, String)> {
-        TARGETS
-            .iter()
-            .filter_map(|(os, arch)| {
-                let b = binaries
-                    .iter()
-                    .rev()
-                    .find(|b| b.os == *os && b.arch == *arch)?;
-                Some((os.to_string(), arch.to_string(), b.key.clone()))
-            })
-            .collect()
     }
 
     /// Render the Fig. 3 table given the current stable and devel
@@ -236,16 +221,6 @@ mod tests {
         assert!(table.contains("armv7"));
         assert!(table.contains("master/"));
         assert!(table.contains("devel/"));
-    }
-
-    #[test]
-    fn download_links_prefer_latest() {
-        let p = pipeline();
-        let mut all = p.release(Channel::Stable, "old0000", "2016-10-01").unwrap();
-        all.extend(p.release(Channel::Stable, "new1111", "2016-11-01").unwrap());
-        let links = p.download_links(&all);
-        assert_eq!(links.len(), 10);
-        assert!(links.iter().all(|(_, _, key)| key.contains("new1111")));
     }
 
     #[test]

@@ -36,7 +36,7 @@ impl PreparedUpload {
     /// ([`ChunkerParams::for_len`], as the store's own `put` does).
     /// The payload is handed over by value: nothing is copied, the
     /// prepared chunks are views of it.
-    pub fn prepare(payload: impl Into<Bytes>) -> Self {
+    pub(crate) fn prepare(payload: impl Into<Bytes>) -> Self {
         let payload = payload.into();
         let (manifest, chunks) = chunk_shared(&payload, ChunkerParams::for_len(payload.len()));
         PreparedUpload { manifest, chunks }
@@ -46,18 +46,13 @@ impl PreparedUpload {
     /// ([`write_container_chunked`]): exactly
     /// `prepare(write_container(tree))`, reading each byte once. The
     /// container's length is [`PreparedUpload::bytes_logical`].
-    pub fn archive(tree: &FileTree) -> Self {
+    pub(crate) fn archive(tree: &FileTree) -> Self {
         let (_, manifest, chunks) = write_container_chunked(tree);
         PreparedUpload { manifest, chunks }
     }
 
-    /// Chunks the payload splits into.
-    pub fn chunks_total(&self) -> usize {
-        self.manifest.chunks.len()
-    }
-
     /// Logical payload size in bytes.
-    pub fn bytes_logical(&self) -> u64 {
+    pub(crate) fn bytes_logical(&self) -> u64 {
         self.manifest.total_len
     }
 }
@@ -66,13 +61,13 @@ impl PreparedUpload {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeltaReceipt {
     /// Etag of the uploaded object.
-    pub etag: String,
+    pub(crate) etag: String,
     /// Chunks the payload splits into.
     pub chunks_total: usize,
     /// Chunks that had to cross the wire.
     pub chunks_sent: usize,
     /// Chunk bytes that crossed the wire (manifest overhead excluded).
-    pub bytes_sent: u64,
+    pub(crate) bytes_sent: u64,
     /// Logical payload size.
     pub bytes_logical: u64,
 }
@@ -98,7 +93,7 @@ impl DeltaUploader {
     }
 
     /// Chunk a borrowed `payload`, ready for
-    /// [`DeltaUploader::upload_prepared`]: [`PreparedUpload::prepare`]
+    /// `DeltaUploader::upload_prepared`: `PreparedUpload::prepare`
     /// of one copy of it.
     pub fn prepare(&self, payload: &[u8]) -> PreparedUpload {
         PreparedUpload::prepare(Bytes::copy_from_slice(payload))
@@ -127,7 +122,7 @@ impl DeltaUploader {
     /// exactly their bytes (`request_body`), so what the store keeps
     /// resident pins the bytes that crossed the wire — never the
     /// prepared payload, most of which a resubmission does not send.
-    pub fn upload_prepared<'m>(
+    pub(crate) fn upload_prepared<'m>(
         &self,
         store: &ObjectStore,
         bucket: &str,

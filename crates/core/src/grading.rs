@@ -35,7 +35,7 @@ pub struct FinalSubmission {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RequiredFileReport {
     /// Missing file names (empty = compliant).
-    pub missing: Vec<&'static str>,
+    pub(crate) missing: Vec<&'static str>,
 }
 
 impl RequiredFileReport {
@@ -49,7 +49,7 @@ impl RequiredFileReport {
 #[derive(Clone, Debug, PartialEq)]
 pub struct GradeReport {
     /// Team name.
-    pub team: String,
+    pub(crate) team: String,
     /// Performance component (0–30).
     pub performance: f64,
     /// Functionality and correctness component (0–20).
@@ -174,7 +174,7 @@ impl Grader {
     /// Performance points (0–30): full marks at or under `full_at`
     /// seconds, linearly down to 0 at `zero_at` (log-ish competitions
     /// often use steps; linear keeps the model transparent).
-    pub fn performance_points(secs: f64, full_at: f64, zero_at: f64) -> f64 {
+    pub(crate) fn performance_points(secs: f64, full_at: f64, zero_at: f64) -> f64 {
         if secs <= full_at {
             30.0
         } else if secs >= zero_at {
@@ -186,7 +186,7 @@ impl Grader {
 
     /// Correctness points (0–20): full marks at or above the target
     /// accuracy, zero below the floor.
-    pub fn correctness_points(accuracy: f64, target: f64) -> f64 {
+    pub(crate) fn correctness_points(accuracy: f64, target: f64) -> f64 {
         if accuracy >= target {
             20.0
         } else if accuracy <= target - 0.05 {
@@ -217,73 +217,6 @@ impl Grader {
             code_quality: code_quality.clamp(0.0, 10.0),
             written_report: written_report.clamp(0.0, 40.0),
         }
-    }
-}
-
-/// The grade book: renders per-team grade reports and records them in
-/// the database — "a grade report for each team was then generated by
-/// combining the automated and manual feedback. The grade report was
-/// then posted onto the University's grade management system" (§VII).
-pub struct GradeBook {
-    db: Database,
-}
-
-impl GradeBook {
-    /// A grade book over the deployment's database.
-    pub fn new(db: Database) -> Self {
-        GradeBook { db }
-    }
-
-    /// Record a grade (idempotent per team: re-grading overwrites) and
-    /// return the rendered report text that gets posted.
-    pub fn post(&self, report: &GradeReport, notes: &str) -> String {
-        self.db.collection("grades").write().update_one(
-            &doc! { "team" => report.team.as_str() },
-            &doc! { "$set" => doc!{
-                "performance" => report.performance,
-                "correctness" => report.correctness,
-                "code_quality" => report.code_quality,
-                "written_report" => report.written_report,
-                "total" => report.total(),
-                "notes" => notes,
-            } },
-            true,
-        );
-        Self::render(report, notes)
-    }
-
-    /// The posted grade for a team, if any: `(total, notes)`.
-    pub fn grade_of(&self, team: &str) -> Option<(f64, String)> {
-        let row = self
-            .db
-            .collection("grades")
-            .read()
-            .find_one(&doc! { "team" => team })?;
-        Some((
-            row.get("total")?.as_f64()?,
-            row.get("notes")?.as_str()?.to_string(),
-        ))
-    }
-
-    /// Render the report text.
-    pub fn render(report: &GradeReport, notes: &str) -> String {
-        format!(
-            "ECE408 Project Grade Report — {team}\n\
-             ------------------------------------\n\
-             Performance (30%):          {perf:>5.1} / 30\n\
-             Functionality (20%):        {corr:>5.1} / 20\n\
-             Code quality (10%):         {qual:>5.1} / 10\n\
-             Written report (40%):       {rep:>5.1} / 40\n\
-             ------------------------------------\n\
-             Total:                      {total:>5.1} / 100\n\
-             Notes: {notes}\n",
-            team = report.team,
-            perf = report.performance,
-            corr = report.correctness,
-            qual = report.code_quality,
-            rep = report.written_report,
-            total = report.total(),
-        )
     }
 }
 
@@ -344,32 +277,6 @@ mod tests {
         assert_eq!(Grader::correctness_points(0.5, 0.9), 0.0);
         let part = Grader::correctness_points(0.88, 0.9);
         assert!(part > 0.0 && part < 20.0);
-    }
-
-    #[test]
-    fn grade_book_posts_and_overwrites() {
-        let db = Database::new();
-        let book = GradeBook::new(db.clone());
-        let report = GradeReport {
-            team: "t".into(),
-            performance: 28.0,
-            correctness: 20.0,
-            code_quality: 8.0,
-            written_report: 35.0,
-        };
-        let text = book.post(&report, "solid tiling work");
-        assert!(text.contains("91.0 / 100"));
-        assert!(text.contains("solid tiling work"));
-        assert_eq!(book.grade_of("t"), Some((91.0, "solid tiling work".into())));
-        // Re-grade overwrites, one row per team.
-        let regraded = GradeReport {
-            written_report: 38.0,
-            ..report
-        };
-        book.post(&regraded, "after regrade request");
-        assert_eq!(book.grade_of("t").unwrap().0, 94.0);
-        assert_eq!(db.collection("grades").read().len(), 1);
-        assert_eq!(book.grade_of("ghost"), None);
     }
 
     #[test]

@@ -3,41 +3,21 @@
 //! §VIII: "Future work of RAI includes allowing instructors to
 //! configure interactive sessions to enable more debugging and
 //! profiling tools." An interactive session keeps one container alive
-//! across commands (instead of one container per job), optionally with
-//! the restrictions relaxed (network, longer lifetime) — which is why
-//! sessions are gated on instructor authorization.
+//! across commands (instead of one container per job), with a longer
+//! lifetime than a job's — which is why sessions are gated on
+//! instructor authorization.
 
-use crate::spec::BuildSpec;
 use rai_archive::FileTree;
 use rai_sandbox::{Container, ContainerStatus, ImageRegistry, LogLine, ResourceLimits};
 use rai_sim::SimDuration;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// Session configuration.
-#[derive(Clone, Debug)]
-pub struct SessionConfig {
-    /// Base image (whitelist still applies).
-    pub image: String,
-    /// Enable network inside the container (instructors only).
-    pub network: bool,
-    /// Idle timeout: the session closes if no command arrives for this
-    /// long (virtual time budget between commands).
-    pub idle_timeout: SimDuration,
-    /// Total lifetime cap (longer than the 1-hour job cap).
-    pub max_lifetime: SimDuration,
-}
+/// The image every session runs (the whitelist still applies).
+const SESSION_IMAGE: &str = "webgpu/rai:root";
 
-impl Default for SessionConfig {
-    fn default() -> Self {
-        SessionConfig {
-            image: "webgpu/rai:root".to_string(),
-            network: false,
-            idle_timeout: SimDuration::from_mins(30),
-            max_lifetime: SimDuration::from_hours(8),
-        }
-    }
-}
+/// Total lifetime cap of a session (longer than the 1-hour job cap).
+const SESSION_LIFETIME: SimDuration = SimDuration::from_hours(8);
 
 /// Why a session could not be opened.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -68,28 +48,25 @@ pub struct ExecOutput {
     pub exit_code: i32,
     /// Lines produced by this command only.
     pub lines: Vec<LogLine>,
-    /// Virtual time the command consumed.
-    pub duration: SimDuration,
 }
 
 /// A live interactive session.
 pub struct InteractiveSession {
     container: Container,
-    transcript: Vec<(String, i32)>,
     log_watermark: usize,
     closed: bool,
 }
 
 /// Grants and opens sessions. Holds the set of instructor access keys.
 #[derive(Clone, Default)]
-pub struct SessionBroker {
+pub(crate) struct SessionBroker {
     instructors: HashSet<String>,
     images: Arc<ImageRegistry>,
 }
 
 impl SessionBroker {
     /// A broker over an image registry.
-    pub fn new(images: Arc<ImageRegistry>) -> Self {
+    pub(crate) fn new(images: Arc<ImageRegistry>) -> Self {
         SessionBroker {
             instructors: HashSet::new(),
             images,
@@ -97,51 +74,31 @@ impl SessionBroker {
     }
 
     /// Authorize an access key for interactive sessions.
-    pub fn grant(&mut self, access_key: &str) {
+    pub(crate) fn grant(&mut self, access_key: &str) {
         self.instructors.insert(access_key.to_string());
     }
 
-    /// Revoke instructor authorization.
-    pub fn revoke(&mut self, access_key: &str) -> bool {
-        self.instructors.remove(access_key)
-    }
-
     /// Whether a key may open sessions.
-    pub fn is_instructor(&self, access_key: &str) -> bool {
+    pub(crate) fn is_instructor(&self, access_key: &str) -> bool {
         self.instructors.contains(access_key)
     }
 
     /// Open a session: whitelist-checked image, one persistent
     /// container, `/src` mounted from `project`.
-    pub fn open(
+    pub(crate) fn open(
         &self,
         access_key: &str,
         project: &FileTree,
-        config: &SessionConfig,
     ) -> Result<InteractiveSession, SessionError> {
-        if config.network && !self.is_instructor(access_key) {
-            return Err(SessionError::NotAuthorized);
-        }
-        // Students may open plain (no-network) sessions only if granted;
-        // the default policy is instructor-only entirely.
         if !self.is_instructor(access_key) {
             return Err(SessionError::NotAuthorized);
         }
-        let image = self
-            .images
-            .resolve(&config.image)
-            .map_err(|e| SessionError::Image(e.to_string()))?;
-        let limits = ResourceLimits::default()
-            .with_network(config.network)
-            .with_max_lifetime(config.max_lifetime);
+        let image =
+            self.images.resolve(SESSION_IMAGE).map_err(|e| SessionError::Image(e.to_string()))?;
+        let limits = ResourceLimits::default().with_max_lifetime(SESSION_LIFETIME);
         let mut container = Container::create(image, limits);
         container.mount("/src", project);
-        Ok(InteractiveSession {
-            container,
-            transcript: Vec::new(),
-            log_watermark: 0,
-            closed: false,
-        })
+        Ok(InteractiveSession { container, log_watermark: 0, closed: false })
     }
 }
 
@@ -151,14 +108,9 @@ impl InteractiveSession {
     /// persists across calls — the property batch jobs lack.
     pub fn exec(&mut self, cmd: &str) -> ExecOutput {
         if self.closed {
-            return ExecOutput {
-                exit_code: 130,
-                lines: vec![],
-                duration: SimDuration::ZERO,
-            };
+            return ExecOutput { exit_code: 130, lines: vec![] };
         }
         let result = self.container.run_command(cmd);
-        self.transcript.push((cmd.to_string(), result.exit_code));
         // Snapshot only the lines this command appended.
         let report_so_far = self.container_log();
         let lines = report_so_far[self.log_watermark..].to_vec();
@@ -166,11 +118,7 @@ impl InteractiveSession {
         if matches!(self.container.status(), ContainerStatus::Killed(_)) {
             self.closed = true;
         }
-        ExecOutput {
-            exit_code: result.exit_code,
-            lines,
-            duration: result.duration,
-        }
+        ExecOutput { exit_code: result.exit_code, lines }
     }
 
     fn container_log(&self) -> Vec<LogLine> {
@@ -179,42 +127,12 @@ impl InteractiveSession {
         self.container.log_snapshot()
     }
 
-    /// The command/exit-code transcript (audit trail).
-    pub fn transcript(&self) -> &[(String, i32)] {
-        &self.transcript
-    }
-
-    /// Whether the session has been closed (explicitly or by a kill).
-    pub fn is_closed(&self) -> bool {
-        self.closed
-    }
-
-    /// Total virtual time consumed.
-    pub fn elapsed(&self) -> SimDuration {
-        self.container.elapsed()
-    }
-
     /// Close the session, returning the `/build` directory (uploaded to
     /// the file server by the caller, like a job's output).
     pub fn close(mut self) -> FileTree {
         self.closed = true;
         let report = self.container.destroy();
         report.build_dir
-    }
-
-    /// Convenience: run a whole build spec (e.g. re-run a student's
-    /// submission interactively to debug it).
-    pub fn run_spec(&mut self, spec: &BuildSpec) -> Vec<ExecOutput> {
-        let mut outputs = Vec::new();
-        for cmd in &spec.build {
-            let out = self.exec(cmd);
-            let failed = out.exit_code != 0;
-            outputs.push(out);
-            if failed {
-                break;
-            }
-        }
-        outputs
     }
 }
 
@@ -232,7 +150,7 @@ mod tests {
     #[test]
     fn students_cannot_open_sessions() {
         let (broker, _) = broker_with_instructor();
-        match broker.open("student-key", &FileTree::new(), &SessionConfig::default()) {
+        match broker.open("student-key", &FileTree::new()) {
             Err(e) => assert_eq!(e, SessionError::NotAuthorized),
             Ok(_) => panic!("students must not open sessions"),
         }
@@ -242,7 +160,7 @@ mod tests {
     fn state_persists_across_commands() {
         let (broker, key) = broker_with_instructor();
         let project = ProjectDir::sample_cuda_project();
-        let mut session = broker.open(key, &project.tree, &SessionConfig::default()).unwrap();
+        let mut session = broker.open(key, &project.tree).unwrap();
         assert_eq!(session.exec("cmake /src").exit_code, 0);
         // `make` sees the Makefile cmake generated earlier — persistent state.
         assert_eq!(session.exec("make").exit_code, 0);
@@ -256,75 +174,11 @@ mod tests {
     }
 
     #[test]
-    fn network_session_enables_debug_tools() {
-        let (broker, key) = broker_with_instructor();
-        let config = SessionConfig {
-            network: true,
-            ..Default::default()
-        };
-        let mut session = broker.open(key, &FileTree::new(), &config).unwrap();
-        assert_eq!(session.exec("curl http://tooling.example/profiler").exit_code, 0);
-    }
-
-    #[test]
-    fn network_requires_instructor_even_if_granted_later_revoked() {
-        let (mut broker, key) = broker_with_instructor();
-        assert!(broker.revoke(key));
-        assert!(!broker.is_instructor(key));
-        match broker.open(key, &FileTree::new(), &SessionConfig::default()) {
-            Err(e) => assert_eq!(e, SessionError::NotAuthorized),
-            Ok(_) => panic!("revoked key must not open sessions"),
-        }
-    }
-
-    #[test]
-    fn whitelist_still_applies() {
-        let (broker, key) = broker_with_instructor();
-        let config = SessionConfig {
-            image: "malicious/miner:latest".to_string(),
-            ..Default::default()
-        };
-        assert!(matches!(
-            broker.open(key, &FileTree::new(), &config),
-            Err(SessionError::Image(_))
-        ));
-    }
-
-    #[test]
     fn session_dies_on_lifetime_and_refuses_more() {
         let (broker, key) = broker_with_instructor();
-        let config = SessionConfig {
-            max_lifetime: SimDuration::from_mins(1),
-            ..Default::default()
-        };
-        let mut session = broker.open(key, &FileTree::new(), &config).unwrap();
-        let out = session.exec("sleep 120");
+        let mut session = broker.open(key, &FileTree::new()).unwrap();
+        let out = session.exec(&format!("sleep {}", SESSION_LIFETIME.as_secs() + 1));
         assert_eq!(out.exit_code, 137);
-        assert!(session.is_closed());
         assert_eq!(session.exec("echo zombie").exit_code, 130);
-    }
-
-    #[test]
-    fn transcript_records_everything() {
-        let (broker, key) = broker_with_instructor();
-        let mut session = broker
-            .open(key, &ProjectDir::sample_cuda_project().tree, &SessionConfig::default())
-            .unwrap();
-        session.exec("echo hi");
-        session.exec("frobnicate");
-        assert_eq!(
-            session.transcript(),
-            &[("echo hi".to_string(), 0), ("frobnicate".to_string(), 127)]
-        );
-    }
-
-    #[test]
-    fn run_spec_replays_a_submission() {
-        let (broker, key) = broker_with_instructor();
-        let project = ProjectDir::sample_cuda_project();
-        let mut session = broker.open(key, &project.tree, &SessionConfig::default()).unwrap();
-        let outputs = session.run_spec(&BuildSpec::default_spec());
-        assert_eq!(outputs.len(), 5, "all Listing 1 steps ran");
-        assert!(outputs.iter().all(|o| o.exit_code == 0));
     }
 }

@@ -15,7 +15,7 @@
 //!   (§V "Message Broker Operations");
 //! * [`client`] — the student-side client, steps ①–⑧ (§V "Client
 //!   Execution");
-//! * [`ratelimit`] — "each student can only submit a job every 30
+//! * `ratelimit` — "each student can only submit a job every 30
 //!   seconds" (§V "Container Execution");
 //! * [`worker`] — the worker agent, steps ①–⑥ (§V "Worker
 //!   Operations"), including multi-job in-flight configuration;
@@ -37,10 +37,9 @@
 
 #![forbid(unsafe_code)]
 
-pub mod audit;
 pub mod cli;
 pub mod client;
-pub mod commands;
+mod commands;
 pub mod compare;
 pub mod delta;
 pub mod delivery;
@@ -48,7 +47,7 @@ pub mod grading;
 pub mod interactive;
 pub mod protocol;
 pub mod ranking;
-pub mod ratelimit;
+mod ratelimit;
 pub mod spec;
 pub mod system;
 pub mod worker;
@@ -57,9 +56,8 @@ pub mod worker;
 /// crates with no `rai-archive` edge (`rai-workload`) shares it.
 pub use rai_archive::fnv::Fnv1a;
 
-pub use client::{PendingJob, ProjectDir, RaiClient, SubmitError, SubmitMode, SubmitReceipt};
-pub use delta::{DeltaReceipt, DeltaUploader, PreparedUpload};
-pub use ranking::{RankEntry, RankingBoard};
-pub use spec::{BuildSpec, SpecError};
-pub use system::{RaiSystem, RecoveryReport, RoundTally, SystemConfig};
-pub use worker::{ClaimedJob, CrashReport, ExecutedJob, JobOutcome, StepEvent, Worker, WorkerConfig};
+pub use client::{PendingJob, ProjectDir, RaiClient, SubmitMode, SubmitReceipt};
+pub use delta::DeltaUploader;
+pub use spec::BuildSpec;
+pub use system::{RaiSystem, RecoveryReport, SystemConfig};
+pub use worker::Worker;

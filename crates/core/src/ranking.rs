@@ -30,7 +30,7 @@ pub struct RankingBoard {
 
 impl RankingBoard {
     /// A board over `db`.
-    pub fn new(db: Database) -> Self {
+    pub(crate) fn new(db: Database) -> Self {
         RankingBoard { db }
     }
 
@@ -51,7 +51,7 @@ impl RankingBoard {
     }
 
     /// Stable anonymous alias for a team (what other teams see).
-    pub fn alias(team: &str) -> String {
+    pub(crate) fn alias(team: &str) -> String {
         // FNV-1a over the name; stable across sessions.
         let h = rai_archive::fnv::hash(team.as_bytes());
         let mixed = (h ^ (h >> 16) ^ (h >> 32) ^ (h >> 48)) as u16;

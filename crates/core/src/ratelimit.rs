@@ -7,7 +7,7 @@ use rai_sim::{SimDuration, SimTime, VirtualClock};
 use std::collections::HashMap;
 
 /// Per-key minimum-interval rate limiter over virtual time.
-pub struct RateLimiter {
+pub(crate) struct RateLimiter {
     min_interval: SimDuration,
     clock: VirtualClock,
     last_seen: Mutex<HashMap<String, SimTime>>,
@@ -15,7 +15,7 @@ pub struct RateLimiter {
 
 /// Result of a rate-limit check.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RateDecision {
+pub(crate) enum RateDecision {
     /// Allowed; the attempt is recorded.
     Allowed,
     /// Denied; retry after this long.
@@ -23,13 +23,8 @@ pub enum RateDecision {
 }
 
 impl RateLimiter {
-    /// The paper's 30-second policy.
-    pub fn paper_default(clock: VirtualClock) -> Self {
-        Self::new(clock, SimDuration::from_secs(30))
-    }
-
-    /// A limiter with a custom interval.
-    pub fn new(clock: VirtualClock, min_interval: SimDuration) -> Self {
+    /// A limiter admitting one attempt per key every `min_interval`.
+    pub(crate) fn new(clock: VirtualClock, min_interval: SimDuration) -> Self {
         RateLimiter {
             min_interval,
             clock,
@@ -38,7 +33,7 @@ impl RateLimiter {
     }
 
     /// Check (and on success record) an attempt for `key`.
-    pub fn check(&self, key: &str) -> RateDecision {
+    pub(crate) fn check(&self, key: &str) -> RateDecision {
         let now = self.clock.now();
         let mut seen = self.last_seen.lock();
         if let Some(&last) = seen.get(key) {
@@ -52,11 +47,6 @@ impl RateLimiter {
         seen.insert(key.to_string(), now);
         RateDecision::Allowed
     }
-
-    /// The configured interval.
-    pub fn min_interval(&self) -> SimDuration {
-        self.min_interval
-    }
 }
 
 #[cfg(test)]
@@ -66,7 +56,7 @@ mod tests {
     #[test]
     fn enforces_thirty_seconds() {
         let clock = VirtualClock::new();
-        let rl = RateLimiter::paper_default(clock.clone());
+        let rl = RateLimiter::new(clock.clone(), SimDuration::from_secs(30));
         assert_eq!(rl.check("alice"), RateDecision::Allowed);
         match rl.check("alice") {
             RateDecision::Denied { retry_after } => {
@@ -83,7 +73,7 @@ mod tests {
     #[test]
     fn keys_are_independent() {
         let clock = VirtualClock::new();
-        let rl = RateLimiter::paper_default(clock);
+        let rl = RateLimiter::new(clock, SimDuration::from_secs(30));
         assert_eq!(rl.check("alice"), RateDecision::Allowed);
         assert_eq!(rl.check("bob"), RateDecision::Allowed);
     }
@@ -91,7 +81,7 @@ mod tests {
     #[test]
     fn denied_attempts_do_not_reset_the_window() {
         let clock = VirtualClock::new();
-        let rl = RateLimiter::paper_default(clock.clone());
+        let rl = RateLimiter::new(clock.clone(), SimDuration::from_secs(30));
         rl.check("t");
         clock.advance(SimDuration::from_secs(20));
         assert!(matches!(rl.check("t"), RateDecision::Denied { .. }));
@@ -103,7 +93,7 @@ mod tests {
     #[test]
     fn retry_after_counts_down() {
         let clock = VirtualClock::new();
-        let rl = RateLimiter::paper_default(clock.clone());
+        let rl = RateLimiter::new(clock.clone(), SimDuration::from_secs(30));
         rl.check("t");
         clock.advance(SimDuration::from_secs(12));
         match rl.check("t") {

@@ -21,8 +21,8 @@ pub struct BuildSpec {
     /// `resources.gpus` — optional machine requirement (the paper names
     /// this as the expected future extension; supported here).
     pub gpus: Option<u32>,
-    /// `resources.network` — optional network request (instructor
-    /// sessions only; ignored for student jobs).
+    /// `resources.network` — parsed and ignored: no container reaches
+    /// the network.
     pub network: bool,
 }
 
@@ -84,7 +84,7 @@ commands:
 /// Paper Listing 2 — the enforced final-submission build file ("the
 /// student's local rai-build.yml file is ignored — this is used to
 /// maintain consistency between all team submissions").
-pub const FINAL_SUBMISSION_YML: &str = "\
+pub(crate) const FINAL_SUBMISSION_YML: &str = "\
 rai:
   version: 0.1
   image: webgpu/rai:root
@@ -154,7 +154,7 @@ impl BuildSpec {
     }
 
     /// The Listing 2 enforced final-submission spec.
-    pub fn final_submission_spec() -> BuildSpec {
+    pub(crate) fn final_submission_spec() -> BuildSpec {
         Self::parse(FINAL_SUBMISSION_YML).expect("bundled final spec must parse")
     }
 }

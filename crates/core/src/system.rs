@@ -6,7 +6,7 @@ use crate::client::{
     PendingJob, ProjectDir, RaiClient, SubmitError, SubmitMode, SubmitReceipt, BUILD_BUCKET,
     UPLOAD_BUCKET,
 };
-use crate::interactive::{InteractiveSession, SessionBroker, SessionConfig, SessionError};
+use crate::interactive::{InteractiveSession, SessionBroker, SessionError};
 use crate::ranking::RankingBoard;
 use crate::ratelimit::{RateDecision, RateLimiter};
 use crate::worker::{
@@ -14,10 +14,10 @@ use crate::worker::{
 };
 use parking_lot::RwLock;
 use rai_auth::{Credentials, CredentialRegistry, KeyGenerator};
-use rai_broker::{Broker, BrokerConfig, BrokerStats};
+use rai_broker::{Broker, BrokerConfig};
 use rai_faults::{CrashKind, FaultInjector, FaultPlan};
 use rai_db::{doc, Database};
-use rai_sandbox::{ImageRegistry, ResourceLimits};
+use rai_sandbox::ImageRegistry;
 use rai_sim::{SimDuration, VirtualClock};
 use rai_store::{LifecycleRule, ObjectStore, StoreRecovery, StoreUsage};
 use rai_telemetry::{component, names, stage, MetricsSnapshot, Telemetry};
@@ -33,8 +33,6 @@ pub struct SystemConfig {
     /// Worker count. Each worker runs one job at a time on a K80-speed
     /// GPU ([`WorkerConfig::default`]).
     pub workers: usize,
-    /// Container limits.
-    pub limits: ResourceLimits,
     /// Per-user minimum submission interval; `None` disables.
     pub rate_limit: Option<SimDuration>,
     /// Seed for key generation and worker noise.
@@ -58,7 +56,6 @@ impl Default for SystemConfig {
     fn default() -> Self {
         SystemConfig {
             workers: 1,
-            limits: ResourceLimits::default(),
             rate_limit: Some(SimDuration::from_secs(30)),
             seed: 0x5EED,
             broker_attempts: 8,
@@ -82,12 +79,6 @@ pub struct RecoveryReport {
 pub struct SystemReport {
     /// File-server usage.
     pub store: StoreUsage,
-    /// Broker statistics.
-    pub broker: BrokerStats,
-    /// Rows in the submissions collection.
-    pub submissions: usize,
-    /// Registered teams.
-    pub teams: usize,
     /// Telemetry snapshot (counters, gauges, stage histograms).
     pub metrics: MetricsSnapshot,
 }
@@ -216,10 +207,7 @@ impl RaiSystem {
         injector_override: Option<FaultInjector>,
     ) -> Self {
         let broker = Broker::with_clock(
-            BrokerConfig {
-                max_attempts: config.broker_attempts,
-                ..Default::default()
-            },
+            BrokerConfig { max_attempts: config.broker_attempts },
             clock.clone(),
         );
         if !store.has_bucket(UPLOAD_BUCKET) {
@@ -265,7 +253,6 @@ impl RaiSystem {
                 let mut w = Worker::new(
                     WorkerConfig {
                         worker_id: format!("worker-{i:02}"),
-                        limits: config.limits,
                         noise_seed: config.seed ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15),
                         ..Default::default()
                     },
@@ -401,7 +388,7 @@ impl RaiSystem {
     /// in job-id (= original publish) order: `(job_id, encoded
     /// request)`. These are the accepted submissions a crash left
     /// in flight.
-    pub fn pending_intents(&self) -> Vec<(u64, String)> {
+    pub(crate) fn pending_intents(&self) -> Vec<(u64, String)> {
         let intents = self.db.collection("intents");
         let submissions = self.db.collection("submissions");
         let mut out: Vec<(u64, String)> = Vec::new();
@@ -473,9 +460,8 @@ impl RaiSystem {
         &self,
         creds: &Credentials,
         project: &rai_archive::FileTree,
-        config: &SessionConfig,
     ) -> Result<InteractiveSession, SessionError> {
-        self.sessions.open(&creds.access_key, project, config)
+        self.sessions.open(&creds.access_key, project)
     }
 
     /// A client handle for previously issued credentials.
@@ -564,7 +550,7 @@ impl RaiSystem {
     /// most one job per worker, in worker order. A round that matches
     /// `stop` still commits and settles in full. Returns all outcomes
     /// observed.
-    pub fn drive_until(&mut self, stop: impl Fn(&JobOutcome) -> bool) -> Vec<JobOutcome> {
+    pub(crate) fn drive_until(&mut self, stop: impl Fn(&JobOutcome) -> bool) -> Vec<JobOutcome> {
         let mut outcomes = Vec::new();
         let mut stop_hit = false;
         while !stop_hit {
@@ -670,13 +656,7 @@ impl RaiSystem {
 
     /// Aggregate usage report.
     pub fn report(&self) -> SystemReport {
-        SystemReport {
-            store: self.store.usage(),
-            broker: self.broker.stats(),
-            submissions: self.db.collection("submissions").read().len(),
-            teams: self.db.collection("teams").read().len(),
-            metrics: self.telemetry.snapshot(),
-        }
+        SystemReport { store: self.store.usage(), metrics: self.telemetry.snapshot() }
     }
 
     /// The shared virtual clock.
@@ -738,8 +718,8 @@ mod tests {
             .expect("submission should succeed");
         assert!(receipt.success);
         assert!(receipt.log.iter().any(|l| l.contains("Building project")));
-        assert_eq!(system.report().submissions, 1);
-        assert_eq!(system.report().teams, 1);
+        assert_eq!(system.db().collection("submissions").read().len(), 1);
+        assert_eq!(system.db().collection("teams").read().len(), 1);
     }
 
     #[test]
@@ -813,11 +793,11 @@ mod tests {
             system.submit(&creds, &ProjectDir::sample_cuda_project()).unwrap();
         }
         let report = system.report();
-        assert_eq!(report.submissions, 3);
+        assert_eq!(system.db().collection("submissions").read().len(), 3);
         // 3 project uploads + 3 build-output uploads.
         assert_eq!(report.store.puts, 6);
         assert!(report.store.bytes_uploaded > 0);
-        assert!(report.broker.published >= 3);
+        assert!(system.broker().stats().published >= 3);
     }
 
     #[test]
@@ -892,7 +872,7 @@ mod tests {
         }
         system.drain();
         // Every accepted submission reached exactly one terminal row.
-        assert_eq!(system.report().submissions, submitted);
+        assert_eq!(system.db().collection("submissions").read().len(), submitted);
         let tasks = system
             .broker()
             .topic_stats(crate::protocol::routes::TASK_TOPIC)
@@ -961,7 +941,7 @@ mod tests {
             .collect();
         assert_eq!(log, expect);
         assert_eq!(outcomes.iter().map(|o| o.job_id).collect::<Vec<_>>(), ids);
-        assert_eq!(system.report().submissions, 4);
+        assert_eq!(system.db().collection("submissions").read().len(), 4);
 
         // The round is four back-to-back steps, regrouped.
         let (mut stepped, _) = queue_four();
@@ -999,7 +979,7 @@ mod tests {
         system.settle(tally);
         // The committed prefix landed; the tail's claims are neither
         // acked nor released, and the clock moved by the prefix only.
-        assert_eq!(system.report().submissions, 2);
+        assert_eq!(system.db().collection("submissions").read().len(), 2);
         assert_eq!(task_queue(&system), (0, 2));
         assert_eq!(system.clock().now(), started + committed);
 

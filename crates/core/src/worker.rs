@@ -26,7 +26,7 @@
 //!
 //! Processing is at-least-once: a job message is acked only after its
 //! terminal database record lands. Transient store/db faults are
-//! absorbed by a bounded [`RetryPolicy`] whose backoff accrues into the
+//! absorbed by a bounded [`retry`](rai_faults::retry) whose backoff accrues into the
 //! job's simulated service time. An injected crash or stall
 //! ([`FaultInjector::crash_decision`]) aborts processing *without*
 //! acking, so the broker redelivers; side effects are idempotent (the
@@ -41,7 +41,7 @@ use rai_archive::{restore_shared, FileTree};
 use rai_auth::CredentialRegistry;
 use rai_broker::{Broker, MessageId, Subscription};
 use rai_db::{doc, Database, DbError, Value};
-use rai_faults::{CrashKind, CrashPoint, FaultInjector, FaultPlan, RetryPolicy};
+use rai_faults::{CrashKind, CrashPoint, FaultInjector, FaultPlan};
 use rai_sandbox::{Container, ContainerStatus, Image, ImageRegistry, LogStream, ResourceLimits};
 use rai_sim::{SimDuration, SimTime};
 use rai_telemetry::{component, names, stage, Telemetry};
@@ -51,8 +51,9 @@ use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// Worker configuration ("these limits can be changed using the RAI
-/// worker configuration file").
+/// Worker configuration. Every worker runs its containers under the
+/// paper's limits ([`ResourceLimits::default`]) and retries store and
+/// database operations with [`rai_faults::retry`].
 #[derive(Clone, Debug)]
 pub struct WorkerConfig {
     /// Identifier recorded with each submission (e.g. `p2-worker-07`).
@@ -60,23 +61,13 @@ pub struct WorkerConfig {
     /// Job slots on this host (1 during benchmarking weeks). A job is
     /// measured with the other `max_in_flight - 1` slots as neighbours.
     pub max_in_flight: usize,
-    /// Container resource limits.
-    pub limits: ResourceLimits,
     /// Seed for this worker's contention-noise RNG.
     pub noise_seed: u64,
-    /// Retry policy wrapping worker↔store and worker↔db operations.
-    pub retry: RetryPolicy,
 }
 
 impl Default for WorkerConfig {
     fn default() -> Self {
-        WorkerConfig {
-            worker_id: "worker-0".to_string(),
-            max_in_flight: 1,
-            limits: ResourceLimits::default(),
-            noise_seed: 0,
-            retry: RetryPolicy::default(),
-        }
+        WorkerConfig { worker_id: "worker-0".to_string(), max_in_flight: 1, noise_seed: 0 }
     }
 }
 
@@ -86,10 +77,6 @@ impl Default for WorkerConfig {
 pub struct JobOutcome {
     /// Job id.
     pub job_id: u64,
-    /// Team that submitted.
-    pub team: String,
-    /// Run or final submission.
-    pub kind: JobKind,
     /// Whether the build+run succeeded.
     pub success: bool,
     /// Total simulated time the job occupied the worker (pull +
@@ -103,18 +90,14 @@ pub struct JobOutcome {
 /// holding an unacked message.
 #[derive(Clone, Debug)]
 pub struct CrashReport {
-    /// Job being processed when the fault hit.
-    pub job_id: u64,
-    /// Team that submitted it.
-    pub team: String,
     /// Pipeline point where the fault landed.
     pub point: CrashPoint,
     /// Death vs freeze (a freeze holds its claim until the broker's
     /// message timeout reclaims it).
-    pub kind: CrashKind,
+    pub(crate) kind: CrashKind,
     /// Simulated time burnt before the fault hit (the driver still
     /// advances the clock by this much).
-    pub wasted: SimDuration,
+    pub(crate) wasted: SimDuration,
 }
 
 /// What one scheduling step of the worker produced.
@@ -178,13 +161,7 @@ impl Attempt {
 
     /// This attempt dying at `point` with everything so far wasted.
     fn crashed(&self, point: CrashPoint, kind: CrashKind) -> CrashReport {
-        CrashReport {
-            job_id: self.request.job_id,
-            team: self.request.team.clone(),
-            point,
-            kind,
-            wasted: self.service_time,
-        }
+        CrashReport { point, kind, wasted: self.service_time }
     }
 }
 
@@ -325,19 +302,14 @@ impl Worker {
 
     /// Record through `telemetry` (a deployment's shared handle) from
     /// now on: stage timings, job traces, and the active-jobs gauge.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
+    pub(crate) fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
 
     /// Consult `injector` for crash/stall decisions, per job attempt,
     /// from now on.
-    pub fn set_fault_injector(&mut self, injector: FaultInjector) {
+    pub(crate) fn set_fault_injector(&mut self, injector: FaultInjector) {
         self.injector = injector;
-    }
-
-    /// This worker's id.
-    pub fn id(&self) -> &str {
-        &self.config.worker_id
     }
 
     /// Contention-noise multiplier for this host: a single-slot worker
@@ -580,10 +552,9 @@ impl Worker {
             return halted(job, Halt::Crashed { kind, point: CrashPoint::Fetch });
         }
         let before_fetch = job.service_time;
-        let fetched = self.config.retry.run(
-            self.op_seed(job.request.job_id, attempt, 1),
-            |_| self.store.get(&job.request.upload_bucket, &job.request.upload_key),
-        );
+        let fetched = rai_faults::retry(self.op_seed(job.request.job_id, attempt, 1), |_| {
+            self.store.get(&job.request.upload_bucket, &job.request.upload_key)
+        });
         self.note_retries("store_get", fetched.attempts);
         job.service_time += fetched.backoff;
         let project = match fetched
@@ -602,7 +573,7 @@ impl Worker {
         job.service_time += SimDuration::from_millis(project.total_size() / (100 * 1024) + 1);
         self.note_stage(&job, stage::FETCHED, component::STORE, before_fetch, job.service_time);
 
-        let mut limits = self.config.limits;
+        let mut limits = ResourceLimits::default();
         if let Some(gpus) = spec.gpus {
             // The spec may *lower* the GPU count (future machine
             // requirements); it cannot exceed what the worker offers.
@@ -755,9 +726,8 @@ impl Worker {
                 // upload instead of duplicating it.
                 let request = &job.request;
                 let before_upload = job.service_time;
-                let upload = self.config.retry.run(
-                    self.op_seed(request.job_id, job.attempt, 2),
-                    |_| {
+                let upload =
+                    rai_faults::retry(self.op_seed(request.job_id, job.attempt, 2), |_| {
                         DeltaUploader::new().upload_prepared(
                             &self.store,
                             BUILD_BUCKET,
@@ -832,8 +802,6 @@ impl Worker {
                 self.subscription.ack(job.msg_id);
                 StepEvent::Done(JobOutcome {
                     job_id: job.request.job_id,
-                    team: job.request.team,
-                    kind: job.request.kind,
                     success,
                     service_time: job.service_time,
                     measured_secs,
@@ -862,10 +830,7 @@ impl Worker {
         success: bool,
     ) -> Result<SimDuration, DbError> {
         let request = &job.request;
-        let guarded = self.config.retry.run(
-            self.op_seed(request.job_id, 0, 3),
-            |_| self.db.guard(),
-        );
+        let guarded = rai_faults::retry(self.op_seed(request.job_id, 0, 3), |_| self.db.guard());
         self.note_retries("db_record", guarded.attempts);
         guarded.result?;
         self.db.collection("submissions").write().update_one(
@@ -899,10 +864,7 @@ impl Worker {
         build_key: &str,
     ) -> Result<SimDuration, DbError> {
         let Some(secs) = measured_secs else { return Ok(SimDuration::ZERO) };
-        let guarded = self.config.retry.run(
-            self.op_seed(request.job_id, 0, 4),
-            |_| self.db.guard(),
-        );
+        let guarded = rai_faults::retry(self.op_seed(request.job_id, 0, 4), |_| self.db.guard());
         self.note_retries("db_record", guarded.attempts);
         guarded.result?;
         self.db.collection("rankings").write().update_one(
@@ -1373,10 +1335,7 @@ mod tests {
         let mut plan = FaultPlan::none(7);
         plan.poison_every = Some(1); // every job is poison
         let mut rig = rig();
-        rig.broker = Broker::new(rai_broker::BrokerConfig {
-            max_attempts: 3,
-            ..Default::default()
-        });
+        rig.broker = Broker::new(rai_broker::BrokerConfig { max_attempts: 3 });
         let (client, mut worker) = client_and_worker(&rig, "team-a");
         worker.set_fault_injector(FaultInjector::new(plan));
         let dead = rig.broker.subscribe(

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use rai_core::protocol::{decode_block, push_output, JobKind, JobRequest, LogFrame};
-use rai_core::spec::{BuildSpec, SpecError, SUPPORTED_VERSION};
+use rai_core::spec::{BuildSpec, SpecError, DEFAULT_BUILD_YML, SUPPORTED_VERSION};
 use rai_yaml::Yaml;
 
 fn arb_request() -> impl Strategy<Value = JobRequest> {
@@ -60,6 +60,12 @@ fn arb_frame() -> impl Strategy<Value = LogFrame> {
     })
 }
 
+/// Parser input with the right alphabet: printable ASCII plus what it
+/// leaves out — line breaks, tabs and other control characters (NUL,
+/// ESC, DEL, the C1 NEL, a byte-order mark), multi-byte characters and
+/// the Unicode line and paragraph separators.
+const TEXT: &str = "[ -~\\n\\r\\t\\0\u{1}\u{1b}\u{7f}\u{85}\u{feff}é漢🦀\u{2028}\u{2029}]{0,400}";
+
 /// `text` nested `depth` levels deep — inside brackets on one line, or
 /// (a quarter as deep: a block level costs a line of indentation) under
 /// indented keys. The shape that ran the recursive parser out of
@@ -76,6 +82,35 @@ fn nest(text: &str, depth: usize, flow: bool) -> String {
         out.push('\n');
     }
     out
+}
+
+/// A valid Listing-1 build file bent the way an editor bends one: cut
+/// at a char boundary, a line duplicated, a line re-indented by
+/// `shift` (±1–4 spaces), or a line nested one level deeper under a
+/// fresh key. The echo line carries multi-byte text so that cuts land
+/// next to multi-byte characters.
+fn edited_listing1(edit: u8, at: usize, shift: i32) -> String {
+    let doc = DEFAULT_BUILD_YML.replace("Building project", "Building 🦀 projét");
+    let mut lines: Vec<String> = doc.lines().map(str::to_string).collect();
+    let i = at % lines.len();
+    match edit {
+        0 => {
+            let cuts: Vec<usize> = doc.char_indices().map(|(p, _)| p).chain([doc.len()]).collect();
+            return doc[..cuts[at % cuts.len()]].to_string();
+        }
+        1 => lines.insert(i, lines[i].clone()),
+        2 => {
+            let indent = lines[i].len() - lines[i].trim_start().len();
+            let to = (indent as i32 + shift).max(0) as usize;
+            lines[i] = format!("{}{}", " ".repeat(to), lines[i].trim_start());
+        }
+        _ => {
+            let indent = " ".repeat(lines[i].len() - lines[i].trim_start().len());
+            lines.insert(i, format!("{indent}nested:"));
+            lines[i + 1] = format!("  {}", lines[i + 1]);
+        }
+    }
+    lines.join("\n") + "\n"
 }
 
 /// A request field as an attacker (or an unlucky team name) would make
@@ -202,7 +237,7 @@ proptest! {
     }
 
     #[test]
-    fn decode_equals_reference(req in arb_request(), garbage in "[ -~\\n]{0,400}", cut in 0usize..400) {
+    fn decode_equals_reference(req in arb_request(), garbage in TEXT, cut in 0usize..400) {
         let encoded = req.encode();
         prop_assert_eq!(JobRequest::decode(&encoded), reference_decode(&encoded));
         // A truncated message (a field missing, a scalar cut short).
@@ -217,7 +252,7 @@ proptest! {
         commands in prop::collection::vec("[a-zA-Z.0-9\\[][a-zA-Z0-9 ./_-]{0,39}", 0..10),
         version in 0usize..5,
         resources in 0usize..3,
-        garbage in "[ -~\\n]{0,400}",
+        garbage in TEXT,
     ) {
         let version = ["0.1", "0.05", "9.9", "abc", "[1]"][version];
         let gpus = ["", "resources:\n  gpus: 2\n  network: true\n", "resources:\n  gpus: -1\n"][resources];
@@ -241,7 +276,7 @@ proptest! {
 
     #[test]
     fn job_request_decode_never_panics(
-        text in "[ -~\\n]{0,400}",
+        text in TEXT,
         depth in 0usize..4000,
         flow in any::<bool>(),
     ) {
@@ -331,8 +366,18 @@ proptest! {
     }
 
     #[test]
+    fn edited_listing1_parses_as_the_reference_does(
+        edit in 0u8..4,
+        at in any::<usize>(),
+        shift in prop_oneof![-4i32..=-1, 1i32..=4],
+    ) {
+        let text = edited_listing1(edit, at, shift);
+        prop_assert_eq!(BuildSpec::parse(&text), reference_spec(&text), "{}", text);
+    }
+
+    #[test]
     fn build_spec_parse_never_panics(
-        text in "[ -~\\n]{0,400}",
+        text in TEXT,
         depth in 0usize..4000,
         flow in any::<bool>(),
     ) {

@@ -71,7 +71,7 @@ pub struct UpdateResult {
 pub struct CollectionStats {
     /// Documents inserted (including upsert inserts).
     pub inserts: u64,
-    /// Read operations (find/find_one/find_with/count/distinct).
+    /// Read operations (find/find_one/find_with/count/scan).
     pub queries: u64,
     /// Write operations other than inserts (updates and deletes).
     pub updates: u64,
@@ -250,7 +250,7 @@ impl Collection {
     /// of the first filter field that has a usable one; `None` means
     /// "scan everything". The set is a superset of the documents that
     /// field's literal matches — callers always re-verify the whole
-    /// filter with [`matches`]. An index is unusable for a `Null`
+    /// filter with [`matches()`]. An index is unusable for a `Null`
     /// literal (a missing field also matches, and missing fields are
     /// not indexed) and while any indexed value is an array (a literal
     /// has containment semantics a whole-value key lookup cannot serve).
@@ -312,7 +312,7 @@ impl Collection {
 
     /// Every document, in `_id` order, where it lives: one read
     /// operation, nothing copied.
-    pub(crate) fn scan(&self) -> impl Iterator<Item = &Document> {
+    pub fn scan(&self) -> impl Iterator<Item = &Document> {
         self.queries.fetch_add(1, Ordering::Relaxed);
         self.docs.values()
     }
@@ -396,27 +396,6 @@ impl Collection {
                 .count(),
             None => self.docs.values().filter(|d| matches(query, d)).count(),
         }
-    }
-
-    /// Distinct values of `field` among matching documents.
-    ///
-    /// Uses the same index-driven candidate planning as `find`/`count`
-    /// (both paths visit ids in `_id` order, so the surviving
-    /// loose-equality representative is identical either way), and
-    /// clones only the distinct values — never a document.
-    pub fn distinct(&self, field: &str, query: &Document) -> Vec<Value> {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        let mut out: Vec<Value> = Vec::new();
-        for id in self.matching_ids(query) {
-            let d = self.docs.get(&id).expect("matching id has a doc");
-            if let Some(v) = d.get_path(field) {
-                if !out.iter().any(|x| x.eq_loose(v)) {
-                    out.push(v.clone());
-                }
-            }
-        }
-        out.sort_by(|a, b| a.cmp_order(b));
-        out
     }
 
     /// Update the first matching document; optionally insert when
@@ -577,31 +556,6 @@ mod tests {
         assert_eq!(c.len(), 3);
         assert_eq!(c.delete_many(&Document::new()), 3);
         assert!(c.is_empty());
-    }
-
-    #[test]
-    fn distinct_values() {
-        let c = rankings();
-        let finals = c.distinct("final", &Document::new());
-        assert_eq!(finals, vec![Value::Bool(false), Value::Bool(true)]);
-    }
-
-    #[test]
-    fn distinct_uses_the_planner_and_matches_the_scan() {
-        let mut with_idx = rankings();
-        with_idx.create_index("final");
-        let without_idx = rankings();
-        for q in [
-            doc! { "final" => true },
-            doc! { "final" => false },
-            doc! { "final" => 7 },
-        ] {
-            assert_eq!(
-                with_idx.distinct("team", &q),
-                without_idx.distinct("team", &q),
-                "indexed vs scan distinct mismatch for {q}"
-            );
-        }
     }
 
     #[test]
@@ -781,11 +735,6 @@ mod tests {
             assert_eq!(indexed.find(&q), scanned.find(&q), "find diverged for {q}");
             assert_eq!(indexed.count(&q), scanned.count(&q));
             assert_eq!(indexed.find_one(&q), scanned.find_one(&q));
-            assert_eq!(
-                indexed.distinct("team", &q),
-                scanned.distinct("team", &q),
-                "distinct diverged for {q}"
-            );
             for opts in [
                 FindOptions::sort_asc("runtime"),
                 FindOptions::sort_desc("runtime"),

@@ -5,7 +5,7 @@
 //! coursework auditing process", plus the competition ranking, in
 //! MongoDB. This crate is a from-scratch document database the size of
 //! the traffic RAI sends it — insert, upsert by key, find by key, scan,
-//! index-ordered listing, count, group:
+//! index-ordered listing, count:
 //!
 //! * dynamic [`Value`]/[`Document`] model with dotted-path access,
 //!   whose [`FieldName`]s borrow their text when it is a literal;
@@ -13,8 +13,6 @@
 //!   field must equal the document's, no operators;
 //! * one update, `{"$set": {…}}`, with upsert;
 //! * sort / limit cursors;
-//! * aggregation pipelines (`$group`, then `$sort`) for the
-//!   auditing/reporting queries;
 //! * secondary indexes consulted automatically for a literal's point
 //!   lookup and for a sort they cover;
 //! * a thread-safe [`Database`] of named [`Collection`]s, journaled to a
@@ -41,7 +39,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod aggregate;
 pub mod collection;
 pub mod database;
 pub mod index;
@@ -50,7 +47,6 @@ pub mod query;
 pub mod update;
 pub mod value;
 
-pub use aggregate::{aggregate, Accumulator, Stage};
 pub use collection::{Collection, CollectionStats, DocId, FindOptions, SortOrder};
 pub use database::{Database, DbError, DbRecovery};
 pub use journal::DbRecord;

@@ -15,7 +15,7 @@
 //! `set_fault_injector` call and consulted at each instrumented
 //! operation.
 //!
-//! [`RetryPolicy`] is the recovery half: bounded attempts with
+//! [`retry`] is the recovery half: bounded attempts with
 //! exponential backoff measured in [`SimDuration`] and deterministic
 //! seeded jitter, so retries cost virtual time instead of wall time.
 
@@ -71,7 +71,7 @@ pub enum FaultKind {
 impl FaultKind {
     /// Stable label used as the `kind` value of
     /// `rai_faults_injected_total{kind=...}`.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             FaultKind::StorePut => "store_put",
             FaultKind::StoreGet => "store_get",
@@ -115,19 +115,6 @@ pub enum CrashPoint {
     /// idempotency stress case: redelivery reprocesses a job whose
     /// side effects already landed.
     Ack,
-}
-
-impl CrashPoint {
-    /// Stable label for logs and metrics.
-    pub fn label(self) -> &'static str {
-        match self {
-            CrashPoint::Fetch => "fetch",
-            CrashPoint::Build => "build",
-            CrashPoint::Upload => "upload",
-            CrashPoint::Record => "record",
-            CrashPoint::Ack => "ack",
-        }
-    }
 }
 
 /// How an injected worker fault manifests.
@@ -260,11 +247,6 @@ impl FaultInjector {
                 injected: Mutex::new(BTreeMap::new()),
             }),
         }
-    }
-
-    /// The plan this injector executes.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.inner.plan
     }
 
     /// Decide whether the next operation of `kind` fails. Only the four
@@ -445,37 +427,16 @@ impl DiskFaultProfile {
     }
 }
 
-/// Bounded-retry policy with exponential backoff in sim time.
-///
-/// `max_attempts` counts the first try: a policy with `max_attempts: 4`
-/// makes at most 4 calls. Backoff before attempt `n` (n ≥ 2) is
-/// `base * 2^(n-2)` capped at `cap`, with up to `jitter` of the value
-/// replaced by a deterministic seeded draw.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Total attempts, including the first. 0 is treated as 1.
-    pub max_attempts: u32,
-    /// Backoff before the second attempt.
-    pub base: SimDuration,
-    /// Ceiling on any single backoff.
-    pub cap: SimDuration,
-    /// Fraction of each backoff randomized, in `[0, 1]`.
-    pub jitter: f64,
-}
+/// Most calls [`retry`] makes, the first included.
+pub(crate) const RETRY_MAX_ATTEMPTS: u32 = 4;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base: SimDuration::from_millis(500),
-            cap: SimDuration::from_secs(30),
-            jitter: 0.5,
-        }
-    }
-}
+/// Backoff before the second attempt; it doubles per attempt after.
+const RETRY_BASE: SimDuration = SimDuration::from_millis(500);
 
-/// Outcome of [`RetryPolicy::run`]: the final result plus what the
-/// retrying cost.
+/// Ceiling on any single backoff.
+const RETRY_CAP: SimDuration = SimDuration::from_secs(30);
+
+/// Outcome of [`retry`]: the final result plus what the retrying cost.
 #[derive(Debug)]
 pub struct Retried<T, E> {
     /// Result of the last attempt.
@@ -486,46 +447,42 @@ pub struct Retried<T, E> {
     pub backoff: SimDuration,
 }
 
-impl RetryPolicy {
-    /// The deterministic backoff before attempt `attempt` (2-based:
-    /// attempt 2 is the first retry). `seed` keys the jitter so
-    /// different call sites decorrelate.
-    pub fn backoff(&self, seed: u64, attempt: u32) -> SimDuration {
-        if attempt < 2 {
-            return SimDuration::ZERO;
-        }
-        let exp = (attempt - 2).min(32);
-        let raw = self.base.as_millis().saturating_mul(1u64 << exp);
-        let capped = raw.min(self.cap.as_millis());
-        let jitter = self.jitter.clamp(0.0, 1.0);
-        if jitter == 0.0 || capped == 0 {
-            return SimDuration::from_millis(capped);
-        }
-        let fixed = (capped as f64 * (1.0 - jitter)) as u64;
-        let spread = capped - fixed;
-        let draw = mix(&[seed, 0x08AC_C0FF, attempt as u64]);
-        SimDuration::from_millis(fixed + draw % (spread + 1))
+/// The deterministic backoff before attempt `attempt` (2-based:
+/// attempt 2 is the first retry): `RETRY_BASE * 2^(attempt-2)` capped
+/// at `RETRY_CAP`, the upper half of it a draw keyed by `seed` so
+/// different call sites decorrelate.
+fn backoff(seed: u64, attempt: u32) -> SimDuration {
+    if attempt < 2 {
+        return SimDuration::ZERO;
     }
+    let exp = (attempt - 2).min(32);
+    let raw = RETRY_BASE.as_millis().saturating_mul(1u64 << exp);
+    let capped = raw.min(RETRY_CAP.as_millis());
+    let fixed = capped / 2;
+    let spread = capped - fixed;
+    let draw = mix(&[seed, 0x08AC_C0FF, attempt as u64]);
+    SimDuration::from_millis(fixed + draw % (spread + 1))
+}
 
-    /// Run `op` under this policy. `op` receives the 1-based attempt
-    /// number. Backoff is *accrued* in the returned [`Retried`], not
-    /// slept — callers fold it into their virtual service time.
-    pub fn run<T, E>(&self, seed: u64, mut op: impl FnMut(u32) -> Result<T, E>) -> Retried<T, E> {
-        let max = self.max_attempts.max(1);
-        let mut backoff = SimDuration::ZERO;
-        let mut attempt = 1;
-        loop {
-            match op(attempt) {
-                Ok(value) => {
-                    return Retried { result: Ok(value), attempts: attempt, backoff };
+/// Run `op` with bounded retries: at most `RETRY_MAX_ATTEMPTS`
+/// calls, exponential backoff between them in sim time. `op` receives
+/// the 1-based attempt number. Backoff is *accrued* in the returned
+/// [`Retried`], not slept — callers fold it into their virtual
+/// service time.
+pub fn retry<T, E>(seed: u64, mut op: impl FnMut(u32) -> Result<T, E>) -> Retried<T, E> {
+    let mut backoff_total = SimDuration::ZERO;
+    let mut attempt = 1;
+    loop {
+        match op(attempt) {
+            Ok(value) => {
+                return Retried { result: Ok(value), attempts: attempt, backoff: backoff_total };
+            }
+            Err(err) => {
+                if attempt >= RETRY_MAX_ATTEMPTS {
+                    return Retried { result: Err(err), attempts: attempt, backoff: backoff_total };
                 }
-                Err(err) => {
-                    if attempt >= max {
-                        return Retried { result: Err(err), attempts: attempt, backoff };
-                    }
-                    attempt += 1;
-                    backoff += self.backoff(seed, attempt);
-                }
+                attempt += 1;
+                backoff_total += backoff(seed, attempt);
             }
         }
     }
@@ -617,10 +574,8 @@ mod tests {
 
     #[test]
     fn poison_jobs_crash_every_attempt() {
-        let injector = FaultInjector::new(FaultPlan {
-            poison_every: Some(10),
-            ..FaultPlan::none(5)
-        });
+        let plan = FaultPlan { poison_every: Some(10), ..FaultPlan::none(5) };
+        let injector = FaultInjector::new(plan.clone());
         for attempt in 1..=50 {
             assert_eq!(
                 injector.crash_decision(40, attempt, CrashPoint::Build),
@@ -628,8 +583,8 @@ mod tests {
             );
         }
         assert!(injector.crash_decision(41, 1, CrashPoint::Build).is_none());
-        assert!(injector.plan().is_poison(40));
-        assert!(!injector.plan().is_poison(41));
+        assert!(plan.is_poison(40));
+        assert!(!plan.is_poison(41));
     }
 
     #[test]
@@ -659,38 +614,30 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially_and_caps() {
-        let policy = RetryPolicy {
-            max_attempts: 10,
-            base: SimDuration::from_millis(100),
-            cap: SimDuration::from_secs(2),
-            jitter: 0.0,
-        };
-        assert_eq!(policy.backoff(0, 1), SimDuration::ZERO);
-        assert_eq!(policy.backoff(0, 2), SimDuration::from_millis(100));
-        assert_eq!(policy.backoff(0, 3), SimDuration::from_millis(200));
-        assert_eq!(policy.backoff(0, 4), SimDuration::from_millis(400));
-        assert_eq!(policy.backoff(0, 9), SimDuration::from_secs(2));
+        assert_eq!(backoff(0, 1), SimDuration::ZERO);
+        for attempt in 2..12u32 {
+            let nominal = (500u64 << (attempt - 2)).min(30_000);
+            let got = backoff(0, attempt).as_millis();
+            assert!(
+                (nominal / 2..=nominal).contains(&got),
+                "attempt {attempt}: {got} ms of {nominal}"
+            );
+        }
     }
 
     #[test]
     fn jittered_backoff_is_deterministic_and_bounded() {
-        let policy = RetryPolicy::default();
         for attempt in 2..8 {
-            let a = policy.backoff(99, attempt);
-            let b = policy.backoff(99, attempt);
-            assert_eq!(a, b);
-            let nominal = policy.backoff(99, attempt).as_millis();
-            let cap = policy.cap.as_millis();
-            assert!(nominal <= cap);
+            assert_eq!(backoff(99, attempt), backoff(99, attempt));
+            assert!(backoff(99, attempt) <= RETRY_CAP);
         }
-        assert_ne!(policy.backoff(1, 4), policy.backoff(2, 4));
+        assert_ne!(backoff(1, 4), backoff(2, 4));
     }
 
     #[test]
     fn run_retries_until_success() {
-        let policy = RetryPolicy::default();
         let mut calls = 0;
-        let out = policy.run::<_, ()>(7, |attempt| {
+        let out = retry::<_, ()>(7, |attempt| {
             calls += 1;
             if attempt < 3 {
                 Err(())
@@ -706,9 +653,8 @@ mod tests {
 
     #[test]
     fn run_gives_up_after_max_attempts() {
-        let policy = RetryPolicy { max_attempts: 3, ..RetryPolicy::default() };
-        let out = policy.run::<(), _>(7, |_| Err("down"));
-        assert_eq!(out.attempts, 3);
+        let out = retry::<(), _>(7, |_| Err("down"));
+        assert_eq!(out.attempts, RETRY_MAX_ATTEMPTS);
         assert_eq!(out.result, Err("down"));
     }
 }

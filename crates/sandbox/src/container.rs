@@ -3,7 +3,7 @@
 
 use crate::exec::{execute, CmdResult};
 use crate::image::Image;
-use crate::limits::ResourceLimits;
+use crate::limits::{ResourceLimits, MEMORY_BYTES};
 use rai_archive::FileTree;
 use rai_sim::SimDuration;
 use std::borrow::Cow;
@@ -65,12 +65,8 @@ pub struct ExecutionReport {
     pub log: Vec<LogLine>,
     /// Total simulated wall-clock consumed.
     pub elapsed: SimDuration,
-    /// Peak resident memory observed.
-    pub peak_memory: u64,
     /// The `/build` directory contents (uploaded to the file server).
     pub build_dir: FileTree,
-    /// Per-command durations, in order (instructors' timing view).
-    pub command_durations: Vec<SimDuration>,
 }
 
 impl ExecutionReport {
@@ -94,7 +90,7 @@ impl ExecutionReport {
 /// memory and lifetime — a job's lines are held here, copied into one
 /// log message, kept by the broker until the client drains it and
 /// summed into the submissions row — but running over it costs only
-/// the rest of the output, never the job: see [`Container::log`].
+/// the rest of the output, never the job: see `Container::log`.
 pub const MAX_OUTPUT_BYTES: usize = 640 * 1024;
 
 /// What a line is charged beyond its text, so that a flood of empty
@@ -106,17 +102,13 @@ pub struct Container {
     /// The merged filesystem: image rootfs + mounted volumes + workdir.
     pub fs: FileTree,
     /// Resource limits in force.
-    pub limits: ResourceLimits,
-    image_name: String,
+    pub(crate) limits: ResourceLimits,
     workdir: String,
     status: ContainerStatus,
     log: Vec<LogLine>,
     /// Bytes charged against [`MAX_OUTPUT_BYTES`] so far.
     logged: usize,
     elapsed: SimDuration,
-    peak_memory: u64,
-    command_durations: Vec<SimDuration>,
-    gpu_speed: f64,
     time_dilation: f64,
 }
 
@@ -128,24 +120,13 @@ impl Container {
         Container {
             fs: image.rootfs.clone(),
             limits,
-            image_name: image.name.clone(),
             workdir: "build".to_string(),
             status: ContainerStatus::Created,
             log: Vec::new(),
             logged: 0,
             elapsed: SimDuration::ZERO,
-            peak_memory: 0,
-            command_durations: Vec::new(),
-            gpu_speed: 1.0,
             time_dilation: 1.0,
         }
-    }
-
-    /// Relative GPU throughput of the host (1.0 = the paper's K80
-    /// baseline; the early G2/K40 fleet is slower). Scales GPU-mode
-    /// program runtimes.
-    pub fn set_gpu_speed(&mut self, speed: f64) {
-        self.gpu_speed = speed.max(0.01);
     }
 
     /// Host-side time dilation (>1.0 = contention from co-scheduled
@@ -155,10 +136,10 @@ impl Container {
         self.time_dilation = dilation.max(1.0);
     }
 
-    /// Effective multiplier applied to GPU program runtimes.
-    pub(crate) fn program_time_scale(&self, gpu: bool) -> f64 {
-        let base = if gpu { 1.0 / self.gpu_speed } else { 1.0 };
-        base * self.time_dilation
+    /// Multiplier applied to program runtimes: the time dilation alone
+    /// (every host runs at the paper's K80 speed).
+    pub(crate) fn program_time_scale(&self) -> f64 {
+        self.time_dilation
     }
 
     /// Mount a read-only volume at an absolute path (e.g. `/src`). A
@@ -172,20 +153,15 @@ impl Container {
     }
 
     /// The working directory (normalized, no leading slash).
-    pub fn workdir(&self) -> &str {
+    pub(crate) fn workdir(&self) -> &str {
         &self.workdir
-    }
-
-    /// The image this container was started from.
-    pub fn image_name(&self) -> &str {
-        &self.image_name
     }
 
     /// Resolve a command-line path against the container filesystem:
     /// absolute paths strip the leading `/`; `./x` and bare names are
     /// relative to the working directory. An absolute path resolves to
     /// a slice of itself.
-    pub fn resolve_path<'a>(&self, arg: &'a str) -> Cow<'a, str> {
+    pub(crate) fn resolve_path<'a>(&self, arg: &'a str) -> Cow<'a, str> {
         match arg.strip_prefix('/') {
             Some(abs) => Cow::Borrowed(abs),
             None => {
@@ -206,7 +182,7 @@ impl Container {
     /// [`MAX_OUTPUT_BYTES`] is replaced by one stderr line saying so,
     /// and every later one is dropped; the commands keep running and
     /// exit as they would have.
-    pub fn log(&mut self, stream: LogStream, text: String) {
+    pub(crate) fn log(&mut self, stream: LogStream, text: String) {
         if self.logged > MAX_OUTPUT_BYTES {
             return;
         }
@@ -221,8 +197,7 @@ impl Container {
     /// Charge a command's resource use against the limits. Returns the
     /// kill reason if a limit is tripped.
     pub(crate) fn charge(&mut self, duration: SimDuration, memory: u64) -> Option<KillReason> {
-        self.peak_memory = self.peak_memory.max(memory);
-        if memory > self.limits.memory_bytes {
+        if memory > MEMORY_BYTES {
             return Some(KillReason::OutOfMemory);
         }
         if self.elapsed + duration > self.limits.max_lifetime {
@@ -258,7 +233,6 @@ impl Container {
         // Lifetime accrues even when the command is the one that tripped
         // the limit (clamped at the cap).
         self.elapsed = (self.elapsed + result.duration).min(self.limits.max_lifetime);
-        self.command_durations.push(result.duration);
         self.status = match result.killed {
             Some(reason) => ContainerStatus::Killed(reason),
             None => ContainerStatus::Exited(result.exit_code),
@@ -283,25 +257,13 @@ impl Container {
     /// container's /build directory").
     pub fn destroy(self) -> ExecutionReport {
         let build_dir = self.fs.subtree(&self.workdir);
-        ExecutionReport {
-            status: self.status,
-            log: self.log,
-            elapsed: self.elapsed,
-            peak_memory: self.peak_memory,
-            build_dir,
-            command_durations: self.command_durations,
-        }
+        ExecutionReport { status: self.status, log: self.log, elapsed: self.elapsed, build_dir }
     }
 
     /// Snapshot of the log so far (interactive sessions stream output
     /// incrementally instead of waiting for `destroy`).
     pub fn log_snapshot(&self) -> Vec<LogLine> {
         self.log.clone()
-    }
-
-    /// Elapsed simulated time so far.
-    pub fn elapsed(&self) -> SimDuration {
-        self.elapsed
     }
 
     /// Current status.
@@ -404,7 +366,8 @@ mod tests {
 
     #[test]
     fn gpu_program_without_gpu_fails() {
-        let mut c = make_container(&gpu_project(), ResourceLimits::cpu_only());
+        let mut c =
+            make_container(&gpu_project(), ResourceLimits { gpus: 0, ..Default::default() });
         c.run_script(["cmake /src", "make", "./ece408 /data/test10.hdf5 /data/model.hdf5"]);
         let report = c.destroy();
         assert!(!report.success());
@@ -483,15 +446,6 @@ mod tests {
             .log
             .iter()
             .any(|l| l.text.contains("network access is disabled")));
-    }
-
-    #[test]
-    fn network_enabled_session_allows_tools() {
-        let mut c = make_container(
-            &gpu_project(),
-            ResourceLimits::default().with_network(true),
-        );
-        assert_eq!(c.run_command("curl http://example.com").exit_code, 0);
     }
 
     #[test]
@@ -581,6 +535,81 @@ mod tests {
         assert_eq!(links.len(), 2, "{links:?}");
         assert!(links[0].starts_with("/usr/bin/ld: cannot open output file a"));
         assert_eq!(links[1], "/usr/bin/ld: cannot open output file ..");
+    }
+
+    #[test]
+    fn a_full_filesystem_fails_the_write_with_a_stderr_line() {
+        use rai_archive::tree::{MAX_ENTRIES, MAX_TREE_BYTES};
+        let stderr_of = |c: Container| -> Vec<String> {
+            let log = c.destroy().log;
+            log.into_iter().filter(|l| l.stream == LogStream::Stderr).map(|l| l.text).collect()
+        };
+        // Each `cp -r /build /build/dN` doubles `/build` for free (the
+        // copies share their bytes) until the entry bound stops it.
+        let mut c = make_container(&gpu_project(), ResourceLimits::default());
+        let mut script = vec!["cp -r /src /build/s".to_string()];
+        script.extend((0..17).map(|n| format!("cp -r /build /build/d{n}")));
+        let codes: Vec<i32> = script.iter().map(|cmd| c.run_command(cmd).exit_code).collect();
+        let refused =
+            codes.iter().position(|&code| code != 0).expect("the bound stops the doubling");
+        assert!(codes[..refused].iter().all(|&code| code == 0));
+        assert!(codes[refused..].iter().all(|&code| code == 1), "{codes:?}");
+        assert!((MAX_ENTRIES / 2..=MAX_ENTRIES).contains(&c.fs.len()), "{} files", c.fs.len());
+        let lines = stderr_of(c);
+        assert_eq!(lines.len(), codes.len() - refused);
+        assert_eq!(
+            lines[0],
+            format!("cp: cannot create '/build/d{}': No space left on device", refused - 1)
+        );
+
+        // Shared bytes count once per path: a big file doubled runs
+        // into the byte bound long before the entry bound.
+        let big = gpu_project().with("big.bin", vec![7u8; 8 << 20]);
+        let mut c = make_container(&big, ResourceLimits::default());
+        let codes: Vec<i32> = script.iter().map(|cmd| c.run_command(cmd).exit_code).collect();
+        assert!(codes.contains(&1), "{codes:?}");
+        assert!(c.fs.total_size() <= MAX_TREE_BYTES && c.fs.len() < 64, "{} files", c.fs.len());
+        assert!(stderr_of(c)[0].ends_with("': No space left on device"));
+
+        // A tree holding its last file: every command that would add
+        // one says so and exits 1; the worker is none the wiser.
+        let fill = |c: &mut Container| {
+            let mut i = 0;
+            while c.fs.insert(&format!("build/f{i}"), &b"x"[..]).is_ok() {
+                i += 1;
+            }
+            assert_eq!(c.fs.len(), MAX_ENTRIES);
+        };
+        let mut full = make_container(&gpu_project(), ResourceLimits::default());
+        fill(&mut full);
+        let mut linked = make_container(&gpu_project(), ResourceLimits::default());
+        linked.run_script(["cmake /src"]);
+        fill(&mut linked);
+        let mut profiled = make_container(&gpu_project(), ResourceLimits::default());
+        profiled.run_script(["cmake /src", "make"]);
+        fill(&mut profiled);
+        for cmd in ["cmake /src", "cp /src/main.cu /build/x", "cp -r /src /build/y"] {
+            assert_eq!(full.run_command(cmd).exit_code, 1, "{cmd}");
+        }
+        assert_eq!(linked.run_command("make").exit_code, 1);
+        let nvprof = "nvprof --export-profile t.nvprof ./ece408 /data/test10.hdf5 /data/model.hdf5";
+        assert_eq!(profiled.run_command(nvprof).exit_code, 1);
+        assert_eq!(
+            stderr_of(full),
+            [
+                "cmake: cannot write 'Makefile': No space left on device",
+                "cp: cannot create '/build/x': No space left on device",
+                "cp: cannot create '/build/y': No space left on device",
+            ]
+        );
+        assert_eq!(
+            stderr_of(linked),
+            ["/usr/bin/ld: cannot write 'ece408': No space left on device"]
+        );
+        assert_eq!(
+            stderr_of(profiled).last().map(String::as_str),
+            Some("nvprof: cannot write 't.nvprof': No space left on device")
+        );
     }
 
     #[test]
@@ -688,7 +717,6 @@ mod tests {
         c.run_script(["cat /src/big.txt", "cat /src/big.txt", "echo after"]);
         let report = c.destroy();
         assert!(report.success(), "truncation is not a failure: {:?}", report.status);
-        assert_eq!(report.command_durations.len(), 3, "every command still ran");
         let (last, kept) = report.log.split_last().unwrap();
         assert_eq!((last.stream, last.text.as_str()), (LogStream::Stderr, "… output truncated"));
         assert_eq!(kept.len(), 39);
@@ -701,36 +729,6 @@ mod tests {
         let report = c.destroy();
         assert_eq!(report.log.len(), 40);
         assert_eq!(report.log[39].text, "after");
-    }
-
-    #[test]
-    fn per_command_durations_recorded() {
-        let mut c = make_container(&gpu_project(), ResourceLimits::default());
-        c.run_script(["echo hi", "cmake /src", "make"]);
-        let report = c.destroy();
-        assert_eq!(report.command_durations.len(), 3);
-        assert!(report.command_durations[2] > report.command_durations[0]);
-        assert_eq!(
-            report.elapsed,
-            report
-                .command_durations
-                .iter()
-                .fold(SimDuration::ZERO, |a, &d| a + d)
-        );
-    }
-
-    #[test]
-    fn gpu_speed_scales_gpu_runtime_only() {
-        // Same program on a K40-class host (0.6× K80) runs ~1.67× longer.
-        let run = |speed: f64| {
-            let mut c = make_container(&gpu_project(), ResourceLimits::default());
-            c.set_gpu_speed(speed);
-            c.run_script(["cmake /src", "make", "./ece408 /data/testfull.hdf5 /data/model.hdf5"]);
-            c.destroy().internal_timer_secs().unwrap()
-        };
-        let k80 = run(1.0);
-        let k40 = run(0.6);
-        assert!((k40 / k80 - 1.0 / 0.6).abs() < 0.01, "k80={k80} k40={k40}");
     }
 
     #[test]

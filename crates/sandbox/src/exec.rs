@@ -10,7 +10,7 @@
 use crate::container::{Container, KillReason, LogStream};
 use crate::image::hdf5_item_count;
 use crate::perf::{ExecMode, PerfSpec};
-use rai_archive::tree::{InvalidPath, MAX_PATH_BYTES};
+use rai_archive::tree::{TreeError, MAX_PATH_BYTES};
 use rai_sim::SimDuration;
 use std::borrow::Cow;
 
@@ -20,9 +20,9 @@ pub struct CmdResult {
     /// Process exit code (0 = success; 137 = killed).
     pub exit_code: i32,
     /// Simulated wall-clock the command consumed.
-    pub duration: SimDuration,
+    pub(crate) duration: SimDuration,
     /// Set when the command tripped a resource limit.
-    pub killed: Option<KillReason>,
+    pub(crate) killed: Option<KillReason>,
 }
 
 impl CmdResult {
@@ -52,7 +52,7 @@ impl CmdResult {
 }
 
 /// Marker prefix for "compiled binaries" in the container filesystem.
-pub const BINARY_MAGIC: &str = "RAIBIN\n";
+pub(crate) const BINARY_MAGIC: &str = "RAIBIN\n";
 
 /// Split a command line into words, honouring single/double quotes.
 /// A word borrows from `cmd` while its characters are contiguous there
@@ -207,19 +207,11 @@ fn dispatch(container: &mut Container, words: &[Cow<'_, str>], depth: usize) -> 
         "false" => CmdResult::fail(1, SimDuration::MILLI),
         "sleep" => run_sleep(container, args),
         t if NETWORK_TOOLS.contains(&t) => {
-            if container.limits.network {
-                container.log(
-                    LogStream::Stdout,
-                    format!("{t}: ok (network enabled for this session)"),
-                );
-                CmdResult::ok(SimDuration::from_millis(200))
-            } else {
-                container.log(
-                    LogStream::Stderr,
-                    format!("{t}: network access is disabled inside RAI containers"),
-                );
-                CmdResult::fail(1, SimDuration::from_millis(5))
-            }
+            container.log(
+                LogStream::Stderr,
+                format!("{t}: network access is disabled inside RAI containers"),
+            );
+            CmdResult::fail(1, SimDuration::from_millis(5))
         }
         prog if is_program_invocation(prog) => run_program(container, words),
         other => {
@@ -264,10 +256,9 @@ fn run_cmake(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
     let target = parse_add_executable(&text).unwrap_or("a.out");
     let makefile = format!("# generated by rai cmake\nSRCDIR={src}\nTARGET={target}\n");
     let makefile_path = container.in_workdir("Makefile");
-    container
-        .fs
-        .insert(&makefile_path, makefile.into_bytes())
-        .expect("workdir path is valid");
+    if container.fs.insert(&makefile_path, makefile.into_bytes()).is_err() {
+        return no_space(container, "cmake", "Makefile", SimDuration::from_millis(120));
+    }
     container.log(LogStream::Stdout, "-- The CUDA compiler identification is NVIDIA".to_string());
     container.log(
         LogStream::Stdout,
@@ -365,10 +356,15 @@ fn run_make(container: &mut Container, _args: &[Cow<'_, str>]) -> CmdResult {
     // The target name is the student's (`add_executable`): one the
     // filesystem refuses fails the link, not the worker.
     let bin_path = container.in_workdir(target);
-    if container.fs.insert(&bin_path, binary.into_bytes()).is_err() {
-        container.log(LogStream::Stderr, format!("/usr/bin/ld: cannot open output file {target}"));
-        container.log(LogStream::Stderr, format!("make: *** [{target}] Error 1"));
-        return CmdResult::fail(2, duration);
+    match container.fs.insert(&bin_path, binary.into_bytes()) {
+        Ok(()) => {}
+        Err(TreeError::NoSpace) => return no_space(container, "/usr/bin/ld", target, duration),
+        Err(TreeError::Path(_)) => {
+            container
+                .log(LogStream::Stderr, format!("/usr/bin/ld: cannot open output file {target}"));
+            container.log(LogStream::Stderr, format!("make: *** [{target}] Error 1"));
+            return CmdResult::fail(2, duration);
+        }
     }
     container.log(LogStream::Stdout, format!("[100%] Built target {target}"));
     CmdResult::ok(duration)
@@ -444,7 +440,7 @@ fn run_program(container: &mut Container, words: &[Cow<'_, str>]) -> CmdResult {
         return CmdResult::fail(1, SimDuration::from_millis(60));
     }
 
-    let scale = container.program_time_scale(spec.mode == ExecMode::Gpu);
+    let scale = container.program_time_scale();
     let duration = SimDuration::from_secs_f64(spec.runtime_ms(items) * scale / 1000.0);
     if let Some(kill) = container.charge(duration, spec.memory_bytes) {
         if kill == KillReason::OutOfMemory {
@@ -505,10 +501,9 @@ fn run_nvprof(container: &mut Container, args: &[Cow<'_, str>], depth: usize) ->
     if let Some(file) = profile_out {
         let path = container.resolve_path(file);
         let blob = format!("NVPROF-TIMELINE\ncmd={application}\nspan_ms={}\n", inner.duration.as_millis());
-        container
-            .fs
-            .insert(&path, blob.into_bytes())
-            .ok();
+        if let Err(TreeError::NoSpace) = container.fs.insert(&path, blob.into_bytes()) {
+            return no_space(container, "nvprof", file, inner.duration + overhead);
+        }
         container.log(
             LogStream::Stderr,
             format!("==PROF== Generated result file: {file}"),
@@ -543,6 +538,15 @@ fn run_time(container: &mut Container, args: &[Cow<'_, str>], depth: usize) -> C
     inner
 }
 
+/// A write the filesystem refused because the tree is full
+/// (`MAX_ENTRIES` files or `MAX_TREE_BYTES` bytes): `who` says so on
+/// stderr and the command exits 1.
+fn no_space(container: &mut Container, who: &str, path: &str, duration: SimDuration) -> CmdResult {
+    container
+        .log(LogStream::Stderr, format!("{who}: cannot write '{path}': No space left on device"));
+    CmdResult::fail(1, duration)
+}
+
 /// `cp [-r] <src> <dst>`.
 fn run_cp(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
     let recursive = args.iter().any(|a| a == "-r" || a == "-R" || a == "-a");
@@ -554,10 +558,14 @@ fn run_cp(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
     let src = container.resolve_path(paths[0]);
     let dst = container.resolve_path(paths[1]);
     // A destination the filesystem refuses (past `MAX_PATH_BYTES`,
-    // `..`, an empty component) fails the copy, as it fails `cp`.
-    let cannot_create = |container: &mut Container, e: InvalidPath| {
-        let reason =
-            if e.0.len() > MAX_PATH_BYTES { "File name too long" } else { "Invalid argument" };
+    // `..`, an empty component, or no room left) fails the copy, as it
+    // fails `cp`.
+    let cannot_create = |container: &mut Container, e: TreeError| {
+        let reason = match e {
+            TreeError::Path(e) if e.0.len() > MAX_PATH_BYTES => "File name too long",
+            TreeError::Path(_) => "Invalid argument",
+            TreeError::NoSpace => "No space left on device",
+        };
         container.log(LogStream::Stderr, format!("cp: cannot create '{}': {reason}", paths[1]));
         CmdResult::fail(1, SimDuration::MILLI)
     };

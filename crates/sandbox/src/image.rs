@@ -18,11 +18,11 @@ pub struct Image {
     /// Full name, e.g. `webgpu/rai:root`.
     pub name: String,
     /// Files baked into the image (datasets, preinstalled tool markers).
-    pub rootfs: FileTree,
+    pub(crate) rootfs: FileTree,
     /// Download size in bytes (drives first-pull latency).
-    pub size_bytes: u64,
+    pub(crate) size_bytes: u64,
     /// Tools available inside (consulted by the command interpreter).
-    pub tools: Vec<String>,
+    pub(crate) tools: Vec<String>,
 }
 
 /// Image resolution errors.
@@ -59,7 +59,7 @@ const PULL_BYTES_PER_MS: u64 = 100 * 1024 * 1024 / 1000;
 
 impl ImageRegistry {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -107,19 +107,14 @@ impl ImageRegistry {
     }
 
     /// Add an image and whitelist it.
-    pub fn add_image(&mut self, image: Image) {
+    pub(crate) fn add_image(&mut self, image: Image) {
         self.whitelist.push(image.name.clone());
         self.add_unlisted_image(image);
     }
 
     /// Add an image to the repository without whitelisting it.
-    pub fn add_unlisted_image(&mut self, image: Image) {
+    pub(crate) fn add_unlisted_image(&mut self, image: Image) {
         self.images.insert(image.name.clone(), Arc::new(image));
-    }
-
-    /// Whitelisted image names.
-    pub fn whitelist(&self) -> &[String] {
-        &self.whitelist
     }
 
     /// Resolve a student-requested image, enforcing the whitelist. The
@@ -149,7 +144,7 @@ fn make_hdf5_stub(name: &str, items: u64) -> Vec<u8> {
 }
 
 /// Parse the item count out of a stub HDF5 file.
-pub fn hdf5_item_count(data: &[u8]) -> Option<u64> {
+pub(crate) fn hdf5_item_count(data: &[u8]) -> Option<u64> {
     let text = std::str::from_utf8(data).ok()?;
     text.lines()
         .find_map(|l| l.strip_prefix("items="))

@@ -10,9 +10,9 @@
 //! * [`image`] — base-image registry with the instructor's whitelist,
 //!   preloaded `/data` volumes (test datasets, model weights) and a pull
 //!   latency model;
-//! * [`limits`] — the paper's resource-limit set (memory, lifetime,
-//!   network) with its defaults;
-//! * [`perf`] — the performance model: student sources carry a
+//! * [`limits`] — the paper's resource limits: 8 GB of memory and the
+//!   lifetime (1 hour for a job); no container reaches the network;
+//! * `perf` — the performance model: student sources carry a
 //!   `rai:perf` directive (mode, full-dataset runtime, accuracy, memory
 //!   footprint) that the "compiler" bakes into the produced binary and
 //!   the "program" replays at run time — this is the substitution for
@@ -30,11 +30,8 @@ pub mod container;
 pub mod exec;
 pub mod image;
 pub mod limits;
-pub mod perf;
+mod perf;
 
-pub use container::{
-    Container, ContainerStatus, ExecutionReport, KillReason, LogLine, LogStream, MAX_OUTPUT_BYTES,
-};
-pub use image::{Image, ImageError, ImageRegistry};
+pub use container::{Container, ContainerStatus, LogLine, LogStream, MAX_OUTPUT_BYTES};
+pub use image::{Image, ImageRegistry};
 pub use limits::ResourceLimits;
-pub use perf::PerfSpec;

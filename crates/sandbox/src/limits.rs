@@ -2,62 +2,34 @@
 //!
 //! Paper §V: "the container is configured with limited RAM and no
 //! network access … only 8GB of memory, and a maximum lifetime of 1
-//! hour. These limits can be changed using the RAI worker configuration
-//! file."
+//! hour." No container reaches the network: the network tools fail
+//! whatever the limits say.
 
 use rai_sim::SimDuration;
+
+/// Maximum resident memory of any container: the paper's 8 GB.
+pub const MEMORY_BYTES: u64 = 8 * 1024 * 1024 * 1024;
 
 /// Resource limits applied to a container.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ResourceLimits {
-    /// Maximum resident memory in bytes.
-    pub memory_bytes: u64,
     /// Maximum container lifetime (wall clock inside the simulation).
     pub max_lifetime: SimDuration,
-    /// Whether the container may reach the network.
-    pub network: bool,
     /// Number of GPUs visible inside the container.
     pub gpus: u32,
 }
 
 impl Default for ResourceLimits {
-    /// The paper's defaults: 8 GB, 1 hour, no network, one GPU volume.
+    /// The paper's job defaults: 1 hour, one GPU volume.
     fn default() -> Self {
-        ResourceLimits {
-            memory_bytes: 8 * 1024 * 1024 * 1024,
-            max_lifetime: SimDuration::from_hours(1),
-            network: false,
-            gpus: 1,
-        }
+        ResourceLimits { max_lifetime: SimDuration::from_hours(1), gpus: 1 }
     }
 }
 
 impl ResourceLimits {
-    /// A CPU-only variant (early-project G2-era workers running the
-    /// baseline serial code don't need the GPU volume).
-    pub fn cpu_only() -> Self {
-        ResourceLimits {
-            gpus: 0,
-            // The serial baseline takes ~30 minutes; leave the 1 h cap.
-            ..Default::default()
-        }
-    }
-
-    /// Builder: override the memory cap.
-    pub fn with_memory_bytes(mut self, bytes: u64) -> Self {
-        self.memory_bytes = bytes;
-        self
-    }
-
-    /// Builder: override the lifetime cap.
+    /// Builder: override the lifetime cap (instructor sessions).
     pub fn with_max_lifetime(mut self, d: SimDuration) -> Self {
         self.max_lifetime = d;
-        self
-    }
-
-    /// Builder: enable network (instructor debugging sessions only).
-    pub fn with_network(mut self, enabled: bool) -> Self {
-        self.network = enabled;
         self
     }
 }
@@ -69,25 +41,14 @@ mod tests {
     #[test]
     fn paper_defaults() {
         let l = ResourceLimits::default();
-        assert_eq!(l.memory_bytes, 8 * 1024 * 1024 * 1024);
+        assert_eq!(MEMORY_BYTES, 8 * 1024 * 1024 * 1024);
         assert_eq!(l.max_lifetime, SimDuration::from_hours(1));
-        assert!(!l.network);
         assert_eq!(l.gpus, 1);
     }
 
     #[test]
     fn builders() {
-        let l = ResourceLimits::default()
-            .with_memory_bytes(1024)
-            .with_max_lifetime(SimDuration::from_mins(5))
-            .with_network(true);
-        assert_eq!(l.memory_bytes, 1024);
+        let l = ResourceLimits::default().with_max_lifetime(SimDuration::from_mins(5));
         assert_eq!(l.max_lifetime, SimDuration::from_mins(5));
-        assert!(l.network);
-    }
-
-    #[test]
-    fn cpu_only_has_no_gpu() {
-        assert_eq!(ResourceLimits::cpu_only().gpus, 0);
     }
 }

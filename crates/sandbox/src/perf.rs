@@ -22,7 +22,7 @@
 
 /// Execution mode of the student program.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecMode {
+pub(crate) enum ExecMode {
     /// Serial CPU implementation (the provided baseline).
     Cpu,
     /// CUDA implementation (requires a GPU in the container).
@@ -31,19 +31,19 @@ pub enum ExecMode {
 
 /// Parsed performance directive.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PerfSpec {
+pub(crate) struct PerfSpec {
     /// CPU or GPU execution.
-    pub mode: ExecMode,
+    pub(crate) mode: ExecMode,
     /// Milliseconds to process the full 10 000-item dataset.
-    pub full_dataset_ms: f64,
+    pub(crate) full_dataset_ms: f64,
     /// Reported accuracy in `[0, 1]`.
-    pub accuracy: f64,
+    pub(crate) accuracy: f64,
     /// Resident memory in bytes while running.
-    pub memory_bytes: u64,
+    pub(crate) memory_bytes: u64,
 }
 
 /// Items in the full dataset (`/data/testfull.hdf5`).
-pub const FULL_DATASET_ITEMS: u64 = 10_000;
+pub(crate) const FULL_DATASET_ITEMS: u64 = 10_000;
 
 impl Default for PerfSpec {
     /// The provided serial baseline: ~30 minutes on the full dataset.
@@ -59,7 +59,7 @@ impl Default for PerfSpec {
 
 impl PerfSpec {
     /// Parse the first `rai:perf` directive found in a source file.
-    pub fn parse(source: &str) -> Option<PerfSpec> {
+    pub(crate) fn parse(source: &str) -> Option<PerfSpec> {
         let line = source.lines().find(|l| l.contains("rai:perf"))?;
         let after = line.split("rai:perf").nth(1)?;
         let mut spec = PerfSpec::default();
@@ -97,7 +97,7 @@ impl PerfSpec {
 
     /// Scan a set of sources; the first directive wins, else the
     /// baseline default.
-    pub fn from_sources<'a>(sources: impl IntoIterator<Item = &'a str>) -> PerfSpec {
+    pub(crate) fn from_sources<'a>(sources: impl IntoIterator<Item = &'a str>) -> PerfSpec {
         for s in sources {
             if let Some(spec) = Self::parse(s) {
                 return spec;
@@ -109,14 +109,14 @@ impl PerfSpec {
     /// Runtime in milliseconds on a dataset of `items` items. Includes a
     /// fixed setup cost (model load, cuDNN init) so tiny datasets don't
     /// complete in zero time.
-    pub fn runtime_ms(&self, items: u64) -> f64 {
+    pub(crate) fn runtime_ms(&self, items: u64) -> f64 {
         const SETUP_MS: f64 = 35.0;
         SETUP_MS + self.full_dataset_ms * (items as f64 / FULL_DATASET_ITEMS as f64)
     }
 
     /// Serialize into the directive format (what `make` writes into the
     /// "binary").
-    pub fn to_directive(&self) -> String {
+    pub(crate) fn to_directive(self) -> String {
         format!(
             "rai:perf mode={} full_ms={} acc={} mem_mb={}",
             match self.mode {

@@ -101,7 +101,7 @@ proptest! {
         c.mount("/src", &tree);
         c.run_script(["cmake /src", "make", "./ece408 /data/test10.hdf5 /data/model.hdf5"]);
         let report = c.destroy();
-        let limit = ResourceLimits::default().memory_bytes;
+        let limit = rai_sandbox::limits::MEMORY_BYTES;
         if mem_mb * 1024 * 1024 > limit {
             prop_assert!(matches!(report.status, ContainerStatus::Killed(_)), "{mem_mb}MB should OOM");
         } else {

@@ -49,7 +49,7 @@ impl VirtualClock {
     /// Move the clock forward to `t`. If `t` is in the past the clock is
     /// left unchanged (monotonicity), and the actual current time is
     /// returned.
-    pub fn advance_to(&self, t: SimTime) -> SimTime {
+    pub(crate) fn advance_to(&self, t: SimTime) -> SimTime {
         let target = t.as_millis();
         let mut cur = self.now_ms.load(Ordering::SeqCst);
         while cur < target {

@@ -67,11 +67,6 @@ impl<S> Scheduler<S> {
         self.now
     }
 
-    /// The shared clock driven by this engine.
-    pub fn clock(&self) -> &VirtualClock {
-        &self.clock
-    }
-
     /// Schedule `f` to run at absolute time `at`. Scheduling in the past
     /// clamps to "now" (the event fires next, after already-queued events
     /// at the current instant).
@@ -142,7 +137,8 @@ impl<S> Simulation<S> {
     }
 
     /// Immutable access to the simulated state.
-    pub fn state(&self) -> &S {
+    #[cfg(test)]
+    fn state(&self) -> &S {
         &self.state
     }
 
@@ -152,7 +148,8 @@ impl<S> Simulation<S> {
     }
 
     /// Current virtual time.
-    pub fn now(&self) -> SimTime {
+    #[cfg(test)]
+    fn now(&self) -> SimTime {
         self.sched.now
     }
 
@@ -177,7 +174,7 @@ impl<S> Simulation<S> {
     /// Run events with timestamps `<= horizon`; the clock ends at the last
     /// executed event (or `horizon` if nothing was pending beyond it).
     /// Returns the number of events executed by this call.
-    pub fn run_until(&mut self, horizon: SimTime) -> u64 {
+    pub(crate) fn run_until(&mut self, horizon: SimTime) -> u64 {
         let before = self.executed;
         while self.step(horizon) {}
         if horizon != SimTime::MAX && self.sched.now < horizon {
@@ -236,15 +233,16 @@ mod tests {
 
     #[test]
     fn recurring_schedule_ticks_until_horizon() {
-        let mut sim = Simulation::new(Vec::<u64>::new());
+        let mut sim = Simulation::new(Vec::<SimTime>::new());
         sim.scheduler().every(
             SimDuration::from_secs(10),
             SimTime::from_secs(60),
-            |log: &mut Vec<u64>, sched| log.push(sched.now().as_secs()),
+            |log: &mut Vec<SimTime>, sched| log.push(sched.now()),
         );
         sim.run();
         // Fires at 10..50 (60 is excluded).
-        assert_eq!(sim.state(), &vec![10, 20, 30, 40, 50]);
+        let secs: Vec<SimTime> = [10, 20, 30, 40, 50].map(SimTime::from_secs).into();
+        assert_eq!(sim.state(), &secs);
     }
 
     #[test]
@@ -273,16 +271,16 @@ mod tests {
 
     #[test]
     fn scheduling_in_past_clamps_to_now() {
-        let mut sim = Simulation::new(Vec::<u64>::new());
-        sim.scheduler().at(SimTime::from_secs(5), |s: &mut Vec<u64>, sched| {
+        let mut sim = Simulation::new(Vec::<SimTime>::new());
+        sim.scheduler().at(SimTime::from_secs(5), |s: &mut Vec<SimTime>, sched| {
             // "Yesterday" clamps to now.
-            sched.at(SimTime::from_secs(1), |s: &mut Vec<u64>, sched2| {
-                s.push(sched2.now().as_secs());
+            sched.at(SimTime::from_secs(1), |s: &mut Vec<SimTime>, sched2| {
+                s.push(sched2.now());
             });
-            s.push(sched.now().as_secs());
+            s.push(sched.now());
         });
         sim.run();
-        assert_eq!(sim.state(), &vec![5, 5]);
+        assert_eq!(sim.state(), &vec![SimTime::from_secs(5); 2]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! milliseconds, deterministically:
 //!
 //! * [`time`] — [`SimTime`]/[`SimDuration`], millisecond-resolution
-//!   virtual timestamps with calendar-ish helpers (hours, days, weeks).
+//!   virtual timestamps with calendar-ish helpers (hours, days).
 //! * [`clock`] — [`VirtualClock`], a shared monotonically advancing
 //!   clock used by components that only need "what time is it?"
 //!   (object-store lifecycle expiry, rate limiters, container deadlines).

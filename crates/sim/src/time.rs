@@ -38,42 +38,16 @@ impl SimTime {
         self.0
     }
 
-    /// Whole seconds since the epoch (truncating).
-    pub const fn as_secs(self) -> u64 {
-        self.0 / 1_000
-    }
-
-    /// Seconds since the epoch as a float, for statistics.
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// Duration elapsed since `earlier`, saturating at zero if `earlier`
     /// is in the future.
     pub fn duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Checked addition; `None` on overflow.
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
-    }
-
     /// The zero-based hour-of-day this instant falls in, treating the
     /// epoch as midnight. Used by the circadian workload model.
     pub fn hour_of_day(self) -> u64 {
         (self.0 / SimDuration::HOUR.0) % 24
-    }
-
-    /// Zero-based day index since the epoch.
-    pub fn day_index(self) -> u64 {
-        self.0 / SimDuration::DAY.0
-    }
-
-    /// Zero-based hour index since the epoch (used for per-hour bucketing
-    /// in the Fig. 4 reproduction).
-    pub fn hour_index(self) -> u64 {
-        self.0 / SimDuration::HOUR.0
     }
 }
 
@@ -85,13 +59,11 @@ impl SimDuration {
     /// One second.
     pub const SECOND: SimDuration = SimDuration(1_000);
     /// One minute.
-    pub const MINUTE: SimDuration = SimDuration(60_000);
+    pub(crate) const MINUTE: SimDuration = SimDuration(60_000);
     /// One hour.
     pub const HOUR: SimDuration = SimDuration(3_600_000);
     /// One day.
     pub const DAY: SimDuration = SimDuration(86_400_000);
-    /// Seven days.
-    pub const WEEK: SimDuration = SimDuration(7 * 86_400_000);
 
     /// Construct from raw milliseconds.
     pub const fn from_millis(ms: u64) -> Self {
@@ -146,24 +118,6 @@ impl SimDuration {
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
-    }
-
-    /// The larger of two durations.
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The smaller of two durations.
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
     }
 }
 
@@ -299,7 +253,7 @@ mod tests {
     #[test]
     fn arithmetic_behaves() {
         let t = SimTime::from_secs(10) + SimDuration::from_secs(5);
-        assert_eq!(t.as_secs(), 15);
+        assert_eq!(t, SimTime::from_secs(15));
         assert_eq!(t - SimTime::from_secs(10), SimDuration::from_secs(5));
         // Saturating: subtracting a later time yields zero, not underflow.
         assert_eq!(SimTime::ZERO - SimTime::from_secs(1), SimDuration::ZERO);
@@ -315,10 +269,10 @@ mod tests {
 
     #[test]
     fn calendar_helpers() {
-        let t = SimTime::from_millis(SimDuration::DAY.as_millis() * 2 + SimDuration::HOUR.as_millis() * 5);
-        assert_eq!(t.day_index(), 2);
+        let t = SimTime::from_millis(
+            SimDuration::DAY.as_millis() * 2 + SimDuration::HOUR.as_millis() * 5,
+        );
         assert_eq!(t.hour_of_day(), 5);
-        assert_eq!(t.hour_index(), 53);
     }
 
     #[test]
@@ -343,13 +297,5 @@ mod tests {
         assert_eq!(SimDuration::SECOND * 30, SimDuration::from_secs(30));
         assert_eq!(SimDuration::from_secs(30) / 3, SimDuration::from_secs(10));
         assert_eq!(SimDuration::SECOND * 2.5, SimDuration::from_millis(2_500));
-    }
-
-    #[test]
-    fn min_max() {
-        let a = SimDuration::from_secs(1);
-        let b = SimDuration::from_secs(2);
-        assert_eq!(a.max(b), b);
-        assert_eq!(a.min(b), a);
     }
 }

@@ -34,17 +34,17 @@ pub(crate) struct ChunkStore {
 
 impl ChunkStore {
     /// Whether a chunk with this digest is resident.
-    pub fn contains(&self, digest: u64) -> bool {
+    pub(crate) fn contains(&self, digest: u64) -> bool {
         self.chunks.contains_key(&digest)
     }
 
     /// The chunk's bytes, if resident.
-    pub fn data(&self, digest: u64) -> Option<&Bytes> {
+    pub(crate) fn data(&self, digest: u64) -> Option<&Bytes> {
         self.chunks.get(&digest).map(|e| &e.data)
     }
 
     /// The resident chunk's length, if resident.
-    pub fn resident_len(&self, digest: u64) -> Option<usize> {
+    pub(crate) fn resident_len(&self, digest: u64) -> Option<usize> {
         self.data(digest).map(Bytes::len)
     }
 
@@ -52,7 +52,7 @@ impl ChunkStore {
     /// resident this is a dedup hit and `data` is ignored; otherwise
     /// `data` must carry the bytes, or `Err(())` is returned and no
     /// reference is taken. Returns `Ok(true)` on a dedup hit.
-    pub fn retain(&mut self, digest: u64, data: Option<&Bytes>) -> Result<bool, ()> {
+    pub(crate) fn retain(&mut self, digest: u64, data: Option<&Bytes>) -> Result<bool, ()> {
         match self.chunks.entry(digest) {
             Entry::Occupied(mut e) => {
                 e.get_mut().refs += 1;
@@ -73,7 +73,7 @@ impl ChunkStore {
     /// Drop one reference; frees the chunk bytes when the count hits
     /// zero. Releasing an unknown digest is a logic error upstream and
     /// is ignored in release builds.
-    pub fn release(&mut self, digest: u64) {
+    pub(crate) fn release(&mut self, digest: u64) {
         let Entry::Occupied(mut e) = self.chunks.entry(digest) else {
             debug_assert!(false, "release of untracked chunk {digest:016x}");
             return;
@@ -85,12 +85,12 @@ impl ChunkStore {
     }
 
     /// Number of distinct resident chunks.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.chunks.len() as u64
     }
 
     /// Bytes actually held (each distinct chunk counted once).
-    pub fn physical_bytes(&self) -> u64 {
+    pub(crate) fn physical_bytes(&self) -> u64 {
         self.physical_bytes
     }
 
@@ -99,7 +99,7 @@ impl ChunkStore {
     /// Every resident chunk in digest order — the physical payload of a
     /// compaction snapshot. Sorted here because the index is not:
     /// snapshot and WAL bytes must not depend on the hasher's key.
-    pub fn snapshot_chunks(&self) -> Vec<(u64, Bytes)> {
+    pub(crate) fn snapshot_chunks(&self) -> Vec<(u64, Bytes)> {
         let mut all: Vec<(u64, Bytes)> =
             self.chunks.iter().map(|(d, e)| (*d, e.data.clone())).collect();
         all.sort_unstable_by_key(|&(d, _)| d);
@@ -109,7 +109,7 @@ impl ChunkStore {
     /// Install chunk bytes with a zero refcount during snapshot
     /// restore; references are re-derived from object manifests via
     /// [`ChunkStore::retain`]. No-op if the digest is already resident.
-    pub fn restore_chunk(&mut self, digest: u64, data: Bytes) {
+    pub(crate) fn restore_chunk(&mut self, digest: u64, data: Bytes) {
         if let Entry::Vacant(v) = self.chunks.entry(digest) {
             self.physical_bytes += data.len() as u64;
             v.insert(ChunkEntry { data, refs: 0 });
@@ -118,7 +118,7 @@ impl ChunkStore {
 
     /// Drop chunks no surviving manifest references (objects discarded
     /// during a faulted replay leave their restored bytes orphaned).
-    pub fn prune_unreferenced(&mut self) {
+    pub(crate) fn prune_unreferenced(&mut self) {
         let physical_bytes = &mut self.physical_bytes;
         self.chunks.retain(|_, e| {
             if e.refs == 0 {

@@ -125,53 +125,53 @@ fn decode_meta(r: &mut Reader<'_>) -> Option<ObjectMeta> {
 
 /// One object inside a [`StoreRecord::SnapshotStore`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct SnapObject {
+pub(crate) struct SnapObject {
     /// Full metadata (timestamps included).
-    pub meta: ObjectMeta,
+    pub(crate) meta: ObjectMeta,
     /// The object's chunk manifest.
-    pub manifest: ChunkManifest,
+    pub(crate) manifest: ChunkManifest,
 }
 
 /// One bucket inside a [`StoreRecord::SnapshotStore`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct SnapBucket {
+pub(crate) struct SnapBucket {
     /// Bucket name.
-    pub name: String,
+    pub(crate) name: String,
     /// Lifecycle rule.
-    pub rule: LifecycleRule,
+    pub(crate) rule: LifecycleRule,
     /// Every object, in key order.
-    pub objects: Vec<SnapObject>,
+    pub(crate) objects: Vec<SnapObject>,
 }
 
 /// Cumulative store counters: what the store state keeps and a
 /// snapshot carries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SnapCounters {
+pub(crate) struct SnapCounters {
     /// Logical bytes ever uploaded.
-    pub bytes_uploaded: u64,
+    pub(crate) bytes_uploaded: u64,
     /// Bytes ever served.
-    pub bytes_downloaded: u64,
+    pub(crate) bytes_downloaded: u64,
     /// Wire bytes ever shipped on uploads.
-    pub bytes_wire: u64,
+    pub(crate) bytes_wire: u64,
     /// Put operations.
-    pub puts: u64,
+    pub(crate) puts: u64,
     /// Delta-put operations.
-    pub delta_puts: u64,
+    pub(crate) delta_puts: u64,
     /// Get operations.
-    pub gets: u64,
+    pub(crate) gets: u64,
     /// Explicit deletes.
-    pub deletes: u64,
+    pub(crate) deletes: u64,
     /// Lifecycle expirations.
-    pub expired: u64,
+    pub(crate) expired: u64,
     /// Dedup hits in the chunk arena.
-    pub dedup_hits: u64,
+    pub(crate) dedup_hits: u64,
 }
 
 // ---- logical records -------------------------------------------------
 
 /// One committed store mutation, as journaled to the WAL.
 #[derive(Debug, Clone, PartialEq)]
-pub enum StoreRecord {
+pub(crate) enum StoreRecord {
     /// `create_bucket(name, rule)`.
     CreateBucket {
         /// Bucket name.
@@ -238,7 +238,7 @@ pub enum StoreRecord {
 
 impl StoreRecord {
     /// Serialize to a WAL payload.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
             StoreRecord::CreateBucket { name, rule } => {
@@ -316,7 +316,7 @@ impl StoreRecord {
 
     /// Deserialize a WAL payload. `None` on malformed input (dropped
     /// and counted by recovery, never a panic).
-    pub fn decode(bytes: &[u8]) -> Option<StoreRecord> {
+    pub(crate) fn decode(bytes: &[u8]) -> Option<StoreRecord> {
         let mut r = Reader::new(bytes);
         let rec = match r.u8()? {
             1 => StoreRecord::CreateBucket { name: r.str()?, rule: decode_rule(&mut r)? },

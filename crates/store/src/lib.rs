@@ -19,7 +19,7 @@
 //!   on read);
 //! * payloads split into content-defined chunks
 //!   ([`rai_archive::chunk`]); objects are chunk manifests over a
-//!   refcounted chunk arena ([`dedup`]), so identical content is
+//!   refcounted chunk arena (`dedup`), so identical content is
 //!   stored once no matter how often it is uploaded;
 //! * a delta-upload protocol — [`ObjectStore::has_chunks`] +
 //!   [`ObjectStore::put_delta`] — so clients ship only chunks the
@@ -36,13 +36,12 @@
 
 #![forbid(unsafe_code)]
 
-pub mod dedup;
-pub mod journal;
+mod dedup;
+mod journal;
 pub mod lifecycle;
 pub mod object;
 pub mod store;
 
-pub use journal::StoreRecord;
 pub use lifecycle::LifecycleRule;
-pub use object::{ObjectMeta, StoredObject};
+pub use object::ObjectMeta;
 pub use store::{ObjectStore, StoreError, StoreRecovery, StoreUsage};

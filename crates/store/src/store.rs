@@ -6,7 +6,7 @@
 //! content-addressed: `put`/`put_delta` split payloads into
 //! content-defined chunks ([`rai_archive::chunk`]) and objects are
 //! manifests referencing a shared refcounted chunk arena
-//! ([`crate::dedup`]). Identical content across objects, buckets and
+//! (`crate::dedup`). Identical content across objects, buckets and
 //! re-uploads is stored once; `has_chunks` lets clients discover
 //! which chunks the store already holds and upload only the rest.
 
@@ -54,7 +54,7 @@ pub enum StoreError {
         /// What disagreed.
         reason: &'static str,
     },
-    /// An upload's user metadata exceeds [`MAX_USER_META_BYTES`] of
+    /// An upload's user metadata exceeds `MAX_USER_META_BYTES` of
     /// keys plus values.
     MetadataTooLarge,
 }
@@ -63,11 +63,11 @@ pub enum StoreError {
 /// carry: S3's own limit. The store keeps metadata resident (and
 /// journals and snapshots it) for as long as the object lives, so how
 /// much of it there is cannot be the uploader's choice.
-pub const MAX_USER_META_BYTES: usize = 2048;
+pub(crate) const MAX_USER_META_BYTES: usize = 2048;
 
 /// Longest etag a delta upload may declare. The store's own etags
 /// ([`rai_archive::fnv::etag`]) are 16 bytes.
-pub const MAX_ETAG_BYTES: usize = 64;
+pub(crate) const MAX_ETAG_BYTES: usize = 64;
 
 impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -661,7 +661,7 @@ impl ObjectStore {
     /// Newly admitted chunks are kept as views of `data`, so each
     /// pins the payload it arrived in (DESIGN.md §10). `user_meta` is
     /// kept packed, for as long as the object lives: more than
-    /// [`MAX_USER_META_BYTES`] of it is [`StoreError::MetadataTooLarge`].
+    /// `MAX_USER_META_BYTES` of it is [`StoreError::MetadataTooLarge`].
     pub fn put<'m>(
         &self,
         bucket: &str,
@@ -767,8 +767,8 @@ impl ObjectStore {
     /// chunk must state the resident copy's length. Chunk boundaries
     /// are the uploader's business: any partition whose digests and
     /// lengths check out is accepted. What the store then keeps per
-    /// object is not: an etag over [`MAX_ETAG_BYTES`] or metadata over
-    /// [`MAX_USER_META_BYTES`] is refused like any other mismatch,
+    /// object is not: an etag over `MAX_ETAG_BYTES` or metadata over
+    /// `MAX_USER_META_BYTES` is refused like any other mismatch,
     /// before anything changes.
     ///
     /// Newly admitted chunks are kept as the views they were handed
@@ -1054,7 +1054,7 @@ pub struct StoreRecovery {
     /// bytes).
     pub stats: rai_wal::ReplayStats,
     /// Logical records applied.
-    pub applied: u64,
+    pub(crate) applied: u64,
     /// Records whose payload failed to decode (dropped, counted).
     pub malformed_dropped: u64,
     /// Objects discarded because their chunk bytes were lost with a

@@ -54,7 +54,7 @@ mod tests {
         let t = SimTime::from_secs;
         store.record_span(3, 0, stage::SUBMITTED, component::CLIENT, t(0), t(0));
         store.record_span(3, 1, stage::RAN, component::SANDBOX, t(2), t(7));
-        let json = render_chrome_trace(&store.all());
+        let json = render_chrome_trace(&store.take_all());
         // Structural sanity (the repo has no JSON parser dependency; the
         // bench suite's parse helpers cover exposition JSON instead).
         assert!(json.starts_with('{') && json.ends_with('}'));
@@ -76,7 +76,7 @@ mod tests {
             let t = SimTime::from_secs;
             store.record_span(1, 1, stage::RAN, component::SANDBOX, t(1), t(4));
             store.record_span(2, 1, stage::RAN, component::SANDBOX, t(2), t(6));
-            render_chrome_trace(&store.all())
+            render_chrome_trace(&store.take_all())
         };
         assert_eq!(build(), build());
     }

@@ -18,42 +18,41 @@ use rai_sim::{SimDuration, SimTime};
 /// Synthetic segment labels (gaps that have no recorded span).
 pub mod segment {
     /// Broker queue wait before the first delivery.
-    pub const QUEUE_WAIT: &str = "queue-wait";
+    pub(crate) const QUEUE_WAIT: &str = "queue-wait";
     /// Redelivery wait between a failed attempt and the next one.
-    pub const RETRY_WAIT: &str = "retry-wait";
+    pub(crate) const RETRY_WAIT: &str = "retry-wait";
     /// Unattributed time inside an attempt (auth, validation, …).
-    pub const OTHER: &str = "other";
+    pub(crate) const OTHER: &str = "other";
 }
 
 /// One segment of a job's critical path.
 #[derive(Clone, Debug, PartialEq)]
-pub struct PathSegment {
-    pub stage: &'static str,
-    pub component: &'static str,
-    pub attempt: u32,
-    pub start: SimTime,
-    pub end: SimTime,
+pub(crate) struct PathSegment {
+    pub(crate) stage: &'static str,
+    pub(crate) component: &'static str,
+    pub(crate) attempt: u32,
+    pub(crate) start: SimTime,
+    pub(crate) end: SimTime,
     /// Work on a non-final attempt: it was redone after a crash.
-    pub wasted: bool,
+    pub(crate) wasted: bool,
 }
 
 impl PathSegment {
-    pub fn duration(&self) -> SimDuration {
+    pub(crate) fn duration(&self) -> SimDuration {
         self.end.duration_since(self.start)
     }
 }
 
 /// A job's end-to-end latency split into contiguous segments.
 #[derive(Clone, Debug)]
-pub struct CriticalPath {
-    pub job_id: u64,
-    pub start: SimTime,
-    pub end: SimTime,
-    pub segments: Vec<PathSegment>,
+pub(crate) struct CriticalPath {
+    pub(crate) start: SimTime,
+    pub(crate) end: SimTime,
+    pub(crate) segments: Vec<PathSegment>,
 }
 
 impl CriticalPath {
-    pub fn total(&self) -> SimDuration {
+    pub(crate) fn total(&self) -> SimDuration {
         self.end.duration_since(self.start)
     }
 }
@@ -61,7 +60,7 @@ impl CriticalPath {
 /// Extract the critical path of one trace. Returns `None` for an empty
 /// trace. Segments are contiguous, non-overlapping, and cover
 /// `[start, end]` exactly.
-pub fn critical_path(trace: &JobTrace) -> Option<CriticalPath> {
+pub(crate) fn critical_path(trace: &JobTrace) -> Option<CriticalPath> {
     if trace.spans.is_empty() {
         return None;
     }
@@ -151,25 +150,20 @@ pub fn critical_path(trace: &JobTrace) -> Option<CriticalPath> {
             cursor = root.end;
         }
     }
-    Some(CriticalPath {
-        job_id: trace.job_id,
-        start,
-        end,
-        segments,
-    })
+    Some(CriticalPath { start, end, segments })
 }
 
 /// One aggregate row: everything attributed to (`component`, `stage`).
 #[derive(Clone, Debug)]
-pub struct AttributionRow {
-    pub component: &'static str,
-    pub stage: &'static str,
-    pub total_micros: u64,
+pub(crate) struct AttributionRow {
+    pub(crate) component: &'static str,
+    pub(crate) stage: &'static str,
+    pub(crate) total_micros: u64,
     /// Number of segments (≥ jobs that hit this stage; retries add more).
-    pub count: u64,
+    pub(crate) count: u64,
     /// Micros attributed to non-final (redone) attempts.
-    pub wasted_micros: u64,
-    pub hist: LogHistogram,
+    pub(crate) wasted_micros: u64,
+    pub(crate) hist: LogHistogram,
 }
 
 /// The "where does the wall go" aggregate over many jobs.
@@ -177,11 +171,11 @@ pub struct AttributionRow {
 pub struct Attribution {
     pub jobs: u64,
     /// Sum of end-to-end latencies, µs.
-    pub total_micros: u64,
+    pub(crate) total_micros: u64,
     /// End-to-end latency distribution.
     pub end_to_end: LogHistogram,
     /// Rows sorted by attributed share, descending (ties by name).
-    pub rows: Vec<AttributionRow>,
+    pub(crate) rows: Vec<AttributionRow>,
 }
 
 /// Aggregate critical paths over every trace.

@@ -28,7 +28,7 @@ const SUB_HALF: u64 = SUB_COUNT / 2;
 /// Fixed log-linear histogram over latencies in microseconds.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LogHistogram {
-    /// counts[i] = samples whose bucket index is `i`. Grown on demand;
+    /// `counts[i]` = samples whose bucket index is `i`. Grown on demand;
     /// trailing zero buckets are never significant.
     counts: Vec<u64>,
     count: u64,
@@ -86,7 +86,7 @@ impl LogHistogram {
     }
 
     /// Record a sim-duration (millisecond resolution, stored as µs).
-    pub fn record(&mut self, d: SimDuration) {
+    pub(crate) fn record(&mut self, d: SimDuration) {
         self.record_micros(duration_micros(d));
     }
 
@@ -97,22 +97,6 @@ impl LogHistogram {
 
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    pub fn sum_micros(&self) -> u64 {
-        self.sum_micros
-    }
-
-    pub fn min_micros(&self) -> u64 {
-        self.min_micros
-    }
-
-    pub fn max_micros(&self) -> u64 {
-        self.max_micros
     }
 
     /// Integer mean in microseconds (0 when empty).
@@ -189,18 +173,18 @@ impl LogHistogram {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LatencySummary {
     pub count: u64,
-    pub mean_micros: u64,
-    pub min_micros: u64,
+    pub(crate) mean_micros: u64,
+    pub(crate) min_micros: u64,
     pub max_micros: u64,
     pub p50_micros: u64,
-    pub p95_micros: u64,
+    pub(crate) p95_micros: u64,
     pub p99_micros: u64,
     pub p999_micros: u64,
 }
 
 impl LatencySummary {
     /// Render one quantile in human seconds.
-    pub fn secs(micros: u64) -> f64 {
+    pub(crate) fn secs(micros: u64) -> f64 {
         micros as f64 / 1e6
     }
 

@@ -13,7 +13,7 @@
 //!    a root span, stages hang off it tagged with the component that
 //!    did the work, and retries become sibling attempt subtrees;
 //! 3. exposition of the registry as Prometheus text, plus
-//!    trace-derived reports: [`critical_path`] / [`attribute`] turn
+//!    trace-derived reports: `critical_path` / [`attribute`] turn
 //!    span trees into wall-clock attribution tables and
 //!    [`render_chrome_trace`] exports Perfetto-loadable JSON.
 //!
@@ -39,12 +39,13 @@ pub mod stats;
 pub mod trace;
 
 pub use chrome::render_chrome_trace;
-pub use critical::{attribute, critical_path, segment, Attribution, CriticalPath, PathSegment};
-pub use export::{parse_prometheus, render_prometheus, PromSample};
-pub use latency::{duration_micros, LatencySummary, LogHistogram};
-pub use registry::{Counter, Gauge, HistogramHandle, MetricKey, MetricsRegistry, MetricsSnapshot};
+pub use critical::attribute;
+pub use export::{parse_prometheus, render_prometheus};
+pub use latency::{duration_micros, LogHistogram};
+pub(crate) use registry::{Counter, Gauge, HistogramHandle};
+pub use registry::{MetricKey, MetricsRegistry, MetricsSnapshot};
 pub use stats::{GaugeSeries, Histogram, OnlineStats, TimeSeries};
-pub use trace::{component, stage, JobTrace, SpanId, StageEvent, TraceSpan, TraceStore};
+pub use trace::{component, stage, JobTrace, StageEvent, TraceSpan, TraceStore};
 
 use rai_sim::{SimTime, VirtualClock};
 use std::sync::Arc;
@@ -114,7 +115,6 @@ pub mod names {
 type Collector = Box<dyn Fn(&MetricsRegistry) + Send + Sync>;
 
 struct Inner {
-    clock: VirtualClock,
     registry: MetricsRegistry,
     traces: TraceStore,
     collectors: parking_lot::Mutex<Vec<Collector>>,
@@ -136,31 +136,18 @@ impl std::fmt::Debug for Telemetry {
 }
 
 impl Telemetry {
-    /// Telemetry sharing `clock` for all timestamps.
-    pub fn new(clock: VirtualClock) -> Self {
+    /// Telemetry for a deployment on `clock`. Every span and sample
+    /// carries the sim-time its caller passes, so the clock is not
+    /// kept; the argument stays because the repo benchmark
+    /// (`benchmark/src/layers.rs`) builds this constructor.
+    pub fn new(_clock: VirtualClock) -> Self {
         Telemetry {
             inner: Arc::new(Inner {
-                clock,
                 registry: MetricsRegistry::new(),
                 traces: TraceStore::new(),
                 collectors: parking_lot::Mutex::new(Vec::new()),
             }),
         }
-    }
-
-    /// The shared virtual clock.
-    pub fn clock(&self) -> &VirtualClock {
-        &self.inner.clock
-    }
-
-    /// Current sim-time.
-    pub fn now(&self) -> SimTime {
-        self.inner.clock.now()
-    }
-
-    /// The underlying registry, for direct handle acquisition.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.inner.registry
     }
 
     /// Get or create a counter.
@@ -205,14 +192,8 @@ impl Telemetry {
         self.inner.traces.get(job_id)
     }
 
-    /// All retained job traces, oldest job first.
-    pub fn job_traces(&self) -> Vec<JobTrace> {
-        self.inner.traces.all()
-    }
-
-    /// Move all retained job traces out, oldest job first, instead of
-    /// copying them: for the driver of a course that is over, building
-    /// its result. Live readers use [`Telemetry::job_traces`].
+    /// Move all retained job traces out, oldest job first: for the
+    /// driver of a course that is over, building its result.
     pub fn take_job_traces(&self) -> Vec<JobTrace> {
         self.inner.traces.take_all()
     }

@@ -21,7 +21,7 @@ pub struct MetricKey {
 }
 
 impl MetricKey {
-    pub fn new(name: &str, labels: &[(&str, &str)]) -> Self {
+    pub(crate) fn new(name: &str, labels: &[(&str, &str)]) -> Self {
         let mut labels: Vec<(String, String)> = labels
             .iter()
             .map(|(k, v)| (k.to_string(), v.to_string()))
@@ -126,10 +126,6 @@ impl Counter {
     pub fn store(&self, n: u64) {
         self.0.store(n, Ordering::Relaxed);
     }
-
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
 }
 
 /// Instantaneous value handle (f64 stored as bits in an atomic).
@@ -140,28 +136,6 @@ impl Gauge {
     pub fn set(&self, v: f64) {
         self.0.store(v.to_bits(), Ordering::Relaxed);
     }
-
-    pub fn add(&self, delta: f64) {
-        let mut current = self.0.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(current) + delta).to_bits();
-            match self
-                .0
-                .compare_exchange_weak(current, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(actual) => current = actual,
-            }
-        }
-    }
-
-    pub fn sub(&self, delta: f64) {
-        self.add(-delta);
-    }
-
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
 }
 
 /// Shared histogram handle.
@@ -171,10 +145,6 @@ pub struct HistogramHandle(Arc<Mutex<Histogram>>);
 impl HistogramHandle {
     pub fn record(&self, x: f64) {
         self.0.lock().record(x);
-    }
-
-    pub fn snapshot(&self) -> Histogram {
-        self.0.lock().clone()
     }
 }
 
@@ -215,12 +185,6 @@ impl MetricsSnapshot {
             .filter(|(k, _)| k.name == name)
             .map(|(k, v)| (k, *v))
             .collect()
-    }
-
-    /// Exact histogram lookup.
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<&Histogram> {
-        let key = MetricKey::new(name, labels);
-        self.histograms.iter().find(|(k, _)| *k == key).map(|(_, h)| h)
     }
 
     /// All histograms with the given metric name.
@@ -298,7 +262,6 @@ mod tests {
         let b = reg.counter("jobs_total", &[("kind", "run")]);
         a.inc();
         b.add(4);
-        assert_eq!(a.get(), 5);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("jobs_total", &[("kind", "run")]), Some(5));
     }
@@ -347,13 +310,11 @@ mod tests {
     }
 
     #[test]
-    fn gauge_set_add_sub() {
+    fn gauge_set_shows_in_the_snapshot() {
         let reg = MetricsRegistry::new();
         let g = reg.gauge("pool_size", &[]);
         g.set(4.0);
-        g.add(2.0);
-        g.sub(1.0);
-        assert_eq!(g.get(), 5.0);
+        g.set(5.0);
         assert_eq!(reg.snapshot().gauge("pool_size", &[]), Some(5.0));
     }
 
@@ -364,7 +325,8 @@ mod tests {
         h.record(0.7);
         h.record(1.2);
         let snap = reg.snapshot();
-        let hist = snap.histogram("latency", &[("stage", "run")]).expect("present");
+        let [(key, hist)] = snap.histograms_named("latency")[..] else { panic!("one histogram") };
+        assert_eq!(*key, MetricKey::new("latency", &[("stage", "run")]));
         assert_eq!(hist.total(), 2);
         assert_eq!(hist.bin(1), 1);
         assert_eq!(hist.bin(2), 1);

@@ -45,11 +45,6 @@ impl OnlineStats {
         self.max = self.max.max(x);
     }
 
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
     /// Arithmetic mean (0 if empty).
     pub fn mean(&self) -> f64 {
         if self.n == 0 {
@@ -69,7 +64,7 @@ impl OnlineStats {
     }
 
     /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
+    pub(crate) fn std_dev(&self) -> f64 {
         self.variance().sqrt()
     }
 
@@ -158,7 +153,7 @@ impl Histogram {
     }
 
     /// `[lo, hi)` bounds of bin `i`.
-    pub fn bin_range(&self, i: usize) -> (f64, f64) {
+    pub(crate) fn bin_range(&self, i: usize) -> (f64, f64) {
         let lo = self.origin + i as f64 * self.bin_width;
         (lo, lo + self.bin_width)
     }
@@ -166,16 +161,6 @@ impl Histogram {
     /// Number of bins.
     pub fn num_bins(&self) -> usize {
         self.bins.len()
-    }
-
-    /// Lower bound of the first bin.
-    pub fn origin(&self) -> f64 {
-        self.origin
-    }
-
-    /// Width of each bin.
-    pub fn bin_width(&self) -> f64 {
-        self.bin_width
     }
 
     /// Observations below the origin.
@@ -199,7 +184,7 @@ impl Histogram {
     }
 
     /// Iterator of `(lo, hi, count)` rows, including empty bins.
-    pub fn rows(&self) -> impl Iterator<Item = (f64, f64, u64)> + '_ {
+    pub(crate) fn rows(&self) -> impl Iterator<Item = (f64, f64, u64)> + '_ {
         (0..self.bins.len()).map(|i| {
             let (lo, hi) = self.bin_range(i);
             (lo, hi, self.bins[i])
@@ -299,11 +284,6 @@ impl TimeSeries {
         self.counts.iter().sum()
     }
 
-    /// The start time of bucket `i`.
-    pub fn bucket_start(&self, i: usize) -> SimTime {
-        self.start + self.bucket * i as u64
-    }
-
     /// Peak bucket as `(index, count)`, or `None` if empty.
     pub fn peak(&self) -> Option<(usize, u64)> {
         self.counts
@@ -340,14 +320,13 @@ impl TimeSeries {
 /// Sampled gauge values (queue depth, in-flight count, pool size)
 /// bucketed by fixed-width intervals of virtual time. Unlike
 /// [`TimeSeries`], which counts events, this tracks the *level* of a
-/// quantity: per bucket it keeps the max, the sum, and the sample
-/// count, so reports can plot peaks and means deterministically.
+/// quantity: per bucket it keeps the max and the sample count, so
+/// reports can plot peaks deterministically.
 #[derive(Clone, Debug)]
 pub struct GaugeSeries {
     start: SimTime,
     bucket: SimDuration,
     max: Vec<u64>,
-    sum: Vec<u64>,
     count: Vec<u64>,
 }
 
@@ -355,13 +334,7 @@ impl GaugeSeries {
     /// A series starting at `start` with buckets of width `bucket`.
     pub fn new(start: SimTime, bucket: SimDuration) -> Self {
         assert!(!bucket.is_zero(), "bucket width must be positive");
-        GaugeSeries {
-            start,
-            bucket,
-            max: Vec::new(),
-            sum: Vec::new(),
-            count: Vec::new(),
-        }
+        GaugeSeries { start, bucket, max: Vec::new(), count: Vec::new() }
     }
 
     /// Record one sample of the gauge at time `t`. Samples before
@@ -373,30 +346,15 @@ impl GaugeSeries {
         let idx = (t.duration_since(self.start).as_millis() / self.bucket.as_millis()) as usize;
         if idx >= self.max.len() {
             self.max.resize(idx + 1, 0);
-            self.sum.resize(idx + 1, 0);
             self.count.resize(idx + 1, 0);
         }
         self.max[idx] = self.max[idx].max(value);
-        self.sum[idx] = self.sum[idx].saturating_add(value);
         self.count[idx] += 1;
     }
 
-    /// Integer mean of bucket `i` (0 when the bucket has no samples).
-    pub fn mean(&self, i: usize) -> u64 {
-        match self.count.get(i) {
-            Some(&c) if c > 0 => self.sum[i] / c,
-            _ => 0,
-        }
-    }
-
     /// Total samples recorded.
-    pub fn samples(&self) -> u64 {
+    pub(crate) fn samples(&self) -> u64 {
         self.count.iter().sum()
-    }
-
-    /// Highest sampled value overall.
-    pub fn peak(&self) -> u64 {
-        self.max.iter().copied().max().unwrap_or(0)
     }
 
     /// The bucket with the highest max as `(index, max)`, earliest wins
@@ -448,7 +406,6 @@ mod tests {
         for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
             s.push(x);
         }
-        assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
         assert!((s.variance() - 4.0).abs() < 1e-12);
         assert!((s.std_dev() - 2.0).abs() < 1e-12);
@@ -542,7 +499,6 @@ mod tests {
         assert_eq!(ts.counts(), &[2, 1, 0, 1]);
         assert_eq!(ts.total(), 4);
         assert_eq!(ts.peak(), Some((0, 2)));
-        assert_eq!(ts.bucket_start(2), SimTime::from_secs(7200));
     }
 
     #[test]

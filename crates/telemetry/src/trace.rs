@@ -45,9 +45,9 @@ pub mod stage {
     pub const CRASHED: &str = "crashed";
 
     /// Root span of the client-side attempt-0 subtree.
-    pub const SUBMIT_ROOT: &str = "submit";
+    pub(crate) const SUBMIT_ROOT: &str = "submit";
     /// Root span of each worker delivery attempt subtree.
-    pub const ATTEMPT_ROOT: &str = "attempt";
+    pub(crate) const ATTEMPT_ROOT: &str = "attempt";
 }
 
 /// Component tags: who did the work a span covers.
@@ -63,39 +63,35 @@ pub mod component {
 
 /// Identifier of a span within one job's trace.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SpanId(pub u32);
+pub(crate) struct SpanId(pub u32);
 
 /// One node of a job's causal span tree: `stage` work done by
 /// `component` on delivery `attempt`, covering `[start, end]` sim-time.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceSpan {
-    pub id: SpanId,
+    pub(crate) id: SpanId,
     /// Parent span; `None` for an attempt root.
-    pub parent: Option<SpanId>,
-    pub stage: &'static str,
-    pub component: &'static str,
+    pub(crate) parent: Option<SpanId>,
+    pub(crate) stage: &'static str,
+    pub(crate) component: &'static str,
     /// Delivery attempt: 0 = client-side submit, 1.. = worker attempts.
-    pub attempt: u32,
-    pub start: SimTime,
-    pub end: SimTime,
+    pub(crate) attempt: u32,
+    pub(crate) start: SimTime,
+    pub(crate) end: SimTime,
 }
 
 impl TraceSpan {
     /// True for an attempt root (no parent edge).
-    pub fn is_root(&self) -> bool {
+    pub(crate) fn is_root(&self) -> bool {
         self.parent.is_none()
-    }
-
-    pub fn duration(&self) -> SimDuration {
-        self.end.duration_since(self.start)
     }
 }
 
 /// One flattened lifecycle event: the job reached `stage` at `at`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StageEvent {
-    pub stage: &'static str,
-    pub at: SimTime,
+    pub(crate) stage: &'static str,
+    pub(crate) at: SimTime,
 }
 
 /// Full lifecycle of one job as a forest of attempt subtrees.
@@ -104,7 +100,7 @@ pub struct JobTrace {
     pub job_id: u64,
     /// All spans in recording order. Roots are created lazily right
     /// before their first child, so a root always precedes its children.
-    pub spans: Vec<TraceSpan>,
+    pub(crate) spans: Vec<TraceSpan>,
 }
 
 impl JobTrace {
@@ -118,30 +114,13 @@ impl JobTrace {
             .collect()
     }
 
-    /// Attempt numbers present, ascending.
-    pub fn attempts(&self) -> Vec<u32> {
-        let mut seen: Vec<u32> = Vec::new();
-        for span in &self.spans {
-            if !seen.contains(&span.attempt) {
-                seen.push(span.attempt);
-            }
-        }
-        seen.sort_unstable();
-        seen
-    }
-
     /// All attempt roots, in recording order.
     pub fn roots(&self) -> Vec<&TraceSpan> {
         self.spans.iter().filter(|s| s.is_root()).collect()
     }
 
-    /// The root span of one attempt.
-    pub fn root_of(&self, attempt: u32) -> Option<&TraceSpan> {
-        self.spans.iter().find(|s| s.is_root() && s.attempt == attempt)
-    }
-
     /// Children of `id`, in recording order.
-    pub fn children(&self, id: SpanId) -> Vec<&TraceSpan> {
+    pub(crate) fn children(&self, id: SpanId) -> Vec<&TraceSpan> {
         self.spans.iter().filter(|s| s.parent == Some(id)).collect()
     }
 
@@ -157,54 +136,6 @@ impl JobTrace {
             .iter()
             .find(|s| !s.is_root() && s.stage == stage)
             .map(|s| s.end)
-    }
-
-    fn stage_in_attempt(&self, stage: &str, attempt: u32) -> Option<&TraceSpan> {
-        // Attempt-0 spans (client-side submit/enqueue) are shared
-        // ancestry for every worker attempt, so they match any attempt.
-        self.spans
-            .iter()
-            .find(|s| !s.is_root() && s.stage == stage && (s.attempt == attempt || s.attempt == 0))
-    }
-
-    /// Duration between two recorded stages, **attempt-scoped**: both
-    /// endpoints must come from the same worker attempt (attempt-0
-    /// client-side stages count as part of every attempt). Scans
-    /// attempts in ascending order and returns the first attempt that
-    /// contains both stages, so a crash-retry trace never pairs an
-    /// attempt-1 `DEQUEUED` with an attempt-2 `RAN`.
-    pub fn stage_duration(&self, from: &str, to: &str) -> Option<SimDuration> {
-        for attempt in self.attempts() {
-            if let (Some(f), Some(t)) = (
-                self.stage_in_attempt(from, attempt),
-                self.stage_in_attempt(to, attempt),
-            ) {
-                return Some(t.end.duration_since(f.end));
-            }
-        }
-        None
-    }
-
-    /// Durations of each consecutive stage pair along the job's causal
-    /// chain: attempt-0 client events followed by the **final** worker
-    /// attempt's events. Earlier (crashed) attempts are excluded so
-    /// retries cannot inflate the deltas.
-    pub fn stage_durations(&self) -> Vec<(&'static str, SimDuration)> {
-        self.chain()
-            .windows(2)
-            .map(|w| (w[1].stage, w[1].end.duration_since(w[0].end)))
-            .collect()
-    }
-
-    /// The causal chain: attempt-0 events then final-attempt events.
-    fn chain(&self) -> Vec<&TraceSpan> {
-        let last = self.final_attempt();
-        self.spans
-            .iter()
-            .filter(|s| {
-                !s.is_root() && (s.attempt == 0 || Some(s.attempt) == last)
-            })
-            .collect()
     }
 
     /// End-to-end latency from the earliest span start to the latest
@@ -284,7 +215,7 @@ impl JobTrace {
 /// Bounded store of job traces, evicting the oldest job once full.
 /// Evicted job ids are tombstoned (bounded FIFO) so a late stage event
 /// cannot resurrect an evicted job as a fresh truncated trace; such
-/// events are counted in [`TraceStore::dropped_late`] instead.
+/// events are counted in `TraceStore::dropped_late` instead.
 #[derive(Debug)]
 pub struct TraceStore {
     inner: Mutex<TraceStoreInner>,
@@ -302,7 +233,7 @@ struct TraceStoreInner {
 
 /// Default trace retention. A full semester replay submits ~40k jobs;
 /// the store keeps the most recent window rather than all of them.
-pub const DEFAULT_TRACE_CAPACITY: usize = 16_384;
+pub(crate) const DEFAULT_TRACE_CAPACITY: usize = 16_384;
 
 /// Tombstones retained per trace capacity (evicted ids remembered so
 /// late events are dropped, not resurrected).
@@ -319,7 +250,7 @@ impl TraceStore {
         Self::default()
     }
 
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         TraceStore {
             inner: Mutex::new(TraceStoreInner {
                 traces: HashMap::new(),
@@ -411,20 +342,10 @@ impl TraceStore {
         self.inner.lock().traces.get(&job_id).cloned()
     }
 
-    /// All retained traces, oldest job first.
-    pub fn all(&self) -> Vec<JobTrace> {
-        let inner = self.inner.lock();
-        inner
-            .order
-            .iter()
-            .filter_map(|id| inner.traces.get(id).cloned())
-            .collect()
-    }
-
     /// Move every retained trace out, oldest job first, leaving the
     /// store empty. For the owner of a course that is over: a job that
     /// records a span after this starts a fresh, truncated trace.
-    pub fn take_all(&self) -> Vec<JobTrace> {
+    pub(crate) fn take_all(&self) -> Vec<JobTrace> {
         let mut inner = self.inner.lock();
         let TraceStoreInner { traces, order, .. } = &mut *inner;
         let mut all = Vec::with_capacity(order.len());
@@ -433,16 +354,12 @@ impl TraceStore {
     }
 
     /// Late span records dropped because their job was already evicted.
-    pub fn dropped_late(&self) -> u64 {
+    pub(crate) fn dropped_late(&self) -> u64 {
         self.inner.lock().dropped_late
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().order.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().order.is_empty()
     }
 }
 
@@ -475,29 +392,8 @@ mod tests {
         let trace = store.get(7).expect("trace exists");
         assert!(trace.is_monotone());
         assert_eq!(trace.stage_time(stage::DEQUEUED), Some(SimTime::from_secs(4)));
-        assert_eq!(
-            trace.stage_duration(stage::ENQUEUED, stage::DEQUEUED),
-            Some(SimDuration::from_secs(3))
-        );
         assert_eq!(trace.total_duration(), SimDuration::from_secs(8));
         trace.well_formed().expect("tree is well-formed");
-    }
-
-    #[test]
-    fn stage_durations_are_consecutive_deltas() {
-        let store = TraceStore::new();
-        let t = SimTime::from_secs;
-        store.record_span(1, 0, stage::SUBMITTED, component::CLIENT, t(0), t(0));
-        store.record_span(1, 0, stage::ENQUEUED, component::BROKER, t(2), t(2));
-        store.record_span(1, 1, stage::DEQUEUED, component::BROKER, t(5), t(5));
-        let trace = store.get(1).expect("trace exists");
-        assert_eq!(
-            trace.stage_durations(),
-            vec![
-                (stage::ENQUEUED, SimDuration::from_secs(2)),
-                (stage::DEQUEUED, SimDuration::from_secs(3)),
-            ]
-        );
     }
 
     #[test]
@@ -550,47 +446,11 @@ mod tests {
         store.record_span(5, 2, stage::GRADED, component::WORKER, t(48), t(48));
         let trace = store.get(5).expect("trace exists");
         trace.well_formed().expect("tree is well-formed");
-        assert_eq!(trace.attempts(), vec![0, 1, 2]);
-        assert_eq!(trace.roots().len(), 3);
-        let r1 = trace.root_of(1).expect("attempt 1 root");
+        assert_eq!(trace.roots().iter().map(|r| r.attempt).collect::<Vec<_>>(), [0, 1, 2]);
+        let r1 = trace.roots()[1];
         assert_eq!((r1.start, r1.end), (t(10), t(13)));
         assert_eq!(trace.children(r1.id).len(), 3);
         assert_eq!(trace.final_attempt(), Some(2));
-    }
-
-    /// Regression: attempt-blind `find` used to pair attempt-1
-    /// `DEQUEUED` with attempt-2 `RAN`, inflating the duration across
-    /// the crash + redelivery gap.
-    #[test]
-    fn stage_duration_is_attempt_scoped_under_retries() {
-        let store = TraceStore::new();
-        let t = SimTime::from_secs;
-        store.record_span(9, 0, stage::ENQUEUED, component::BROKER, t(0), t(0));
-        store.record_span(9, 1, stage::DEQUEUED, component::BROKER, t(10), t(10));
-        store.record_span(9, 1, stage::CRASHED, component::FAULT, t(11), t(11));
-        store.record_span(9, 2, stage::DEQUEUED, component::BROKER, t(100), t(100));
-        store.record_span(9, 2, stage::RAN, component::SANDBOX, t(100), t(105));
-        let trace = store.get(9).expect("trace exists");
-        // Attempt-scoped: 5 s within attempt 2, not 95 s across attempts.
-        assert_eq!(
-            trace.stage_duration(stage::DEQUEUED, stage::RAN),
-            Some(SimDuration::from_secs(5))
-        );
-        // Queue wait pairs the shared attempt-0 enqueue with the FIRST
-        // dequeue (attempt 1).
-        assert_eq!(
-            trace.stage_duration(stage::ENQUEUED, stage::DEQUEUED),
-            Some(SimDuration::from_secs(10))
-        );
-        // stage_durations follows attempt 0 + the final attempt only.
-        let durations = trace.stage_durations();
-        assert_eq!(
-            durations,
-            vec![
-                (stage::DEQUEUED, SimDuration::from_secs(100)),
-                (stage::RAN, SimDuration::from_secs(5)),
-            ]
-        );
     }
 
     #[test]
@@ -603,7 +463,7 @@ mod tests {
             store.record_span(job_id, 1, stage::RAN, component::SANDBOX, t(job_id), t(job_id));
         }
         store.record_span(1, 1, stage::GRADED, component::WORKER, t(9), t(9));
-        let copied = store.all();
+        let copied: Vec<JobTrace> = [3, 1, 2].map(|id| store.get(id).expect("retained")).into();
         let moved = store.take_all();
         assert_eq!(moved.iter().map(|tr| tr.job_id).collect::<Vec<_>>(), vec![3, 1, 2]);
         for (m, c) in moved.iter().zip(&copied) {
@@ -613,7 +473,7 @@ mod tests {
         // a list grown for eight.
         assert_eq!((moved[1].spans.len(), moved[1].spans.capacity()), (6, 6));
         assert!(moved[0].spans.capacity() > moved[0].spans.len());
-        assert!(store.is_empty() && store.all().is_empty() && store.get(3).is_none());
+        assert!(store.len() == 0 && store.get(3).is_none());
         assert_eq!(moved.capacity(), 3, "sized once, for what was there");
     }
 

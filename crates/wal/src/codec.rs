@@ -38,7 +38,7 @@ impl<'a> Reader<'a> {
     }
 
     /// The next `n` bytes, or `None` if fewer remain.
-    pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+    pub(crate) fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         let end = self.pos.checked_add(n)?;
         if end > self.bytes.len() {
             return None;

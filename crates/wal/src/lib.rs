@@ -10,7 +10,7 @@
 //! the CRC-32 (IEEE) of the length prefix concatenated with the
 //! payload. Covering the length field means a bit flip in `len` cannot
 //! redirect the checksum window and be silently accepted: a corrupt
-//! length either fails the sanity bound ([`MAX_RECORD`]), runs past the
+//! length either fails the sanity bound (`MAX_RECORD`), runs past the
 //! segment end (treated as a torn tail), or lands on bytes whose CRC
 //! does not match.
 //!
@@ -18,7 +18,7 @@
 //!
 //! Records append to numbered segments; a segment rotates once it
 //! reaches `segment_bytes`. [`Wal::append`] batches `fsync` calls —
-//! one per `fsync_every` records — and [`Wal::sync`] forces a batch
+//! one per `FSYNC_EVERY` records — and [`Wal::sync`] forces a batch
 //! boundary at explicit durability points. [`Wal::open`] always starts
 //! a *fresh* segment (max existing id + 1) so recovery never appends
 //! after a possibly-torn tail.
@@ -67,10 +67,10 @@ pub use rai_faults::{DiskFault, DiskFaultProfile};
 
 /// Sanity bound on a single record payload. A decoded length above
 /// this is treated as corruption, not allocation advice.
-pub const MAX_RECORD: u32 = 64 << 20;
+pub(crate) const MAX_RECORD: u32 = 64 << 20;
 
 /// Bytes of framing overhead per record (`len` + `crc`).
-pub const HEADER_BYTES: u64 = 8;
+pub(crate) const HEADER_BYTES: u64 = 8;
 
 const CRC_TABLE: [u32; 256] = crc32_table();
 
@@ -172,6 +172,10 @@ pub fn decode_segment(bytes: &[u8], records: &mut Vec<Vec<u8>>, stats: &mut Repl
     }
 }
 
+/// Records appended per `fsync` batch. Explicit [`Wal::sync`] calls at
+/// durability points close a batch early.
+pub(crate) const FSYNC_EVERY: u64 = 8;
+
 /// Sizing of a [`Wal`], threaded from `SystemConfig` down into each
 /// component's log. Whether a component journals at all is not decided
 /// here: a component with a `Wal` attached does, one without does not.
@@ -179,10 +183,6 @@ pub fn decode_segment(bytes: &[u8], records: &mut Vec<Vec<u8>>, stats: &mut Repl
 pub struct DurabilityConfig {
     /// Rotate the active segment once it reaches this many bytes.
     pub segment_bytes: u64,
-    /// Fsync once per this many appended records (1 = every record).
-    /// Explicit [`Wal::sync`] calls at durability points force a batch
-    /// boundary early.
-    pub fsync_every: u64,
     /// Never compact while the log is smaller than this.
     pub compact_min_bytes: u64,
     /// Compact when the log exceeds this multiple of the last
@@ -192,12 +192,7 @@ pub struct DurabilityConfig {
 
 impl Default for DurabilityConfig {
     fn default() -> Self {
-        DurabilityConfig {
-            segment_bytes: 256 << 10,
-            fsync_every: 8,
-            compact_min_bytes: 1 << 20,
-            compact_factor: 4,
-        }
+        DurabilityConfig { segment_bytes: 256 << 10, compact_min_bytes: 1 << 20, compact_factor: 4 }
     }
 }
 
@@ -264,7 +259,8 @@ impl MemDisk {
     }
 
     /// Number of fsync calls the disk has served.
-    pub fn sync_count(&self) -> u64 {
+    #[cfg(test)]
+    fn sync_count(&self) -> u64 {
         self.inner.lock().syncs
     }
 
@@ -450,7 +446,7 @@ pub struct WalStats {
     /// Total framed bytes in live segments.
     pub log_bytes: u64,
     /// Framed bytes of the last compaction snapshot.
-    pub snapshot_bytes: u64,
+    pub(crate) snapshot_bytes: u64,
 }
 
 struct WalInner {
@@ -510,13 +506,8 @@ impl Wal {
         }
     }
 
-    /// The configuration this log runs under.
-    pub fn config(&self) -> &DurabilityConfig {
-        &self.inner.config
-    }
-
     /// Append one framed record, rotating the segment and batching
-    /// fsyncs per the config.
+    /// fsyncs every `FSYNC_EVERY` records.
     pub fn append(&self, payload: &[u8]) {
         let framed = encode_record(payload);
         let mut state = self.inner.state.lock();
@@ -527,7 +518,7 @@ impl Wal {
         state.unsynced_records += 1;
         self.inner.counters.appends.fetch_add(1, Ordering::Relaxed);
         self.inner.counters.bytes.fetch_add(framed.len() as u64, Ordering::Relaxed);
-        if state.unsynced_records >= self.inner.config.fsync_every.max(1) {
+        if state.unsynced_records >= FSYNC_EVERY {
             self.sync_locked(&mut state);
         }
         if state.active_len >= self.inner.config.segment_bytes.max(1) {
@@ -666,11 +657,7 @@ mod tests {
 
     #[test]
     fn segments_rotate_and_reopen_starts_fresh() {
-        let config = DurabilityConfig {
-            segment_bytes: 64,
-            fsync_every: 1,
-            ..DurabilityConfig::default()
-        };
+        let config = DurabilityConfig { segment_bytes: 64, ..DurabilityConfig::default() };
         let (wal, disk) = mem_wal(config);
         for i in 0..20u64 {
             wal.append(&i.to_le_bytes());
@@ -690,14 +677,10 @@ mod tests {
     }
 
     #[test]
-    fn fsync_batches_per_config() {
-        let config = DurabilityConfig {
-            fsync_every: 5,
-            segment_bytes: 1 << 20,
-            ..DurabilityConfig::default()
-        };
+    fn fsync_batches_every_eighth_record() {
+        let config = DurabilityConfig { segment_bytes: 1 << 20, ..DurabilityConfig::default() };
         let (wal, disk) = mem_wal(config);
-        for i in 0..10u64 {
+        for i in 0..2 * FSYNC_EVERY {
             wal.append(&i.to_le_bytes());
         }
         assert_eq!(disk.sync_count(), 2);
@@ -760,12 +743,8 @@ mod tests {
 
     #[test]
     fn compaction_replaces_old_segments_and_preserves_order() {
-        let config = DurabilityConfig {
-            segment_bytes: 64,
-            fsync_every: 1,
-            compact_min_bytes: 1,
-            compact_factor: 1,
-        };
+        let config =
+            DurabilityConfig { segment_bytes: 64, compact_min_bytes: 1, compact_factor: 1 };
         let (wal, disk) = mem_wal(config);
         for i in 0..50u64 {
             wal.append(format!("record-{i}").as_bytes());
@@ -788,17 +767,15 @@ mod tests {
 
     #[test]
     fn crash_with_faults_damages_only_unsynced_tail() {
-        let config = DurabilityConfig {
-            fsync_every: 1000,
-            segment_bytes: 1 << 20,
-            ..DurabilityConfig::default()
-        };
+        let config = DurabilityConfig { segment_bytes: 1 << 20, ..DurabilityConfig::default() };
         let (wal, disk) = mem_wal(config);
         for i in 0..10u64 {
             wal.append(format!("durable-{i}").as_bytes());
         }
         wal.sync(); // everything so far is durable
-        for i in 0..10u64 {
+
+        // One record short of a batch: the whole volatile tail is unsynced.
+        for i in 0..FSYNC_EVERY - 1 {
             wal.append(format!("volatile-{i}").as_bytes());
         }
         let profile = DiskFaultProfile::chaos(42);
@@ -820,7 +797,9 @@ mod tests {
         for (i, rec) in replay.records.iter().take(10).enumerate() {
             assert_eq!(rec, format!("durable-{i}").as_bytes());
         }
-        assert!(replay.records.len() < 20 || replay.stats.corrupt_dropped > 0);
+        assert!(
+            replay.records.len() < 9 + FSYNC_EVERY as usize || replay.stats.corrupt_dropped > 0
+        );
     }
 
     #[test]
@@ -828,11 +807,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("rai-wal-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let backend = Arc::new(FileBackend::new(&dir).expect("temp dir"));
-        let config = DurabilityConfig {
-            segment_bytes: 64,
-            fsync_every: 2,
-            ..DurabilityConfig::default()
-        };
+        let config = DurabilityConfig { segment_bytes: 64, ..DurabilityConfig::default() };
         let wal = Wal::open(backend.clone(), config);
         for i in 0..20u64 {
             wal.append(format!("file-{i}").as_bytes());

@@ -45,11 +45,10 @@ proptest! {
     }
 
     #[test]
-    fn wal_replay_round_trips(payloads in arb_payloads(), fsync_every in 1u64..8) {
+    fn wal_replay_round_trips(payloads in arb_payloads()) {
         let disk = MemDisk::new();
         let config = DurabilityConfig {
             segment_bytes: 128,
-            fsync_every,
             ..DurabilityConfig::default()
         };
         let wal = Wal::open(Arc::new(disk.clone()), config);

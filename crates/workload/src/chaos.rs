@@ -31,11 +31,11 @@ pub struct ChaosConfig {
     pub rounds: usize,
     /// Sim-time gap between rounds (the arrival spacing — what lets
     /// the run reach the plan's instance-death times).
-    pub arrival_gap: SimDuration,
+    pub(crate) arrival_gap: SimDuration,
     /// Worker fleet size (must exceed the plan's instance deaths).
     pub workers: usize,
     /// Per-message delivery cap before dead-lettering.
-    pub broker_attempts: u32,
+    pub(crate) broker_attempts: u32,
     /// Seed for teams, projects, and the fault plan.
     pub seed: u64,
     /// The fault plan to execute.
@@ -114,8 +114,6 @@ pub struct ChaosResult {
     pub instances_failed: usize,
     /// Injected-fault counts by kind label.
     pub injected: Vec<(String, u64)>,
-    /// Final leaderboard.
-    pub standings: Vec<(String, f64)>,
     /// FNV-1a digest of the terminal database state + dead-letter
     /// order: byte-identical across same-seed runs.
     pub fingerprint: u64,
@@ -166,26 +164,26 @@ pub(crate) struct Course<'a> {
     pendings: Vec<PendingJob>,
     /// Audit tap on the dead-letter topic.
     dead_sub: Subscription,
-    pub system: RaiSystem,
+    pub(crate) system: RaiSystem,
     /// A billing pool mirroring the worker fleet, so instance deaths
     /// show up in cost and failure accounting.
-    pub pool: WorkerPool,
+    pub(crate) pool: WorkerPool,
     instance_ids: Vec<InstanceId>,
     alive: Vec<bool>,
     /// Scheduled instance deaths still to come.
-    pub deaths: VecDeque<SimTime>,
+    pub(crate) deaths: VecDeque<SimTime>,
     /// Job ids the system accepted (client `begin_submit` returned Ok).
-    pub accepted: Vec<u64>,
+    pub(crate) accepted: Vec<u64>,
     /// Submit errors after the client's bounded retries: *visible*
     /// failures, not lost submissions.
-    pub rejected: u64,
+    pub(crate) rejected: u64,
 }
 
 impl<'a> Course<'a> {
     /// Tap the dead-letter topic (before any job can reach it) and
     /// provision the fleet; the plan's instance deaths count from the
     /// moment the fleet is up.
-    pub fn deploy(config: &'a ChaosConfig, system: RaiSystem) -> Self {
+    pub(crate) fn deploy(config: &'a ChaosConfig, system: RaiSystem) -> Self {
         let dead_sub = system
             .broker()
             .subscribe(&dead_letter_topic(routes::TASK_TOPIC, routes::TASK_CHANNEL), "audit");
@@ -210,7 +208,7 @@ impl<'a> Course<'a> {
 
     /// Register the course's teams, in the order recovery re-registers
     /// them.
-    pub fn register_teams(&mut self) -> Vec<Credentials> {
+    pub(crate) fn register_teams(&mut self) -> Vec<Credentials> {
         self.config
             .team_names()
             .map(|name| self.system.register_team(&name, &[]))
@@ -237,7 +235,7 @@ impl<'a> Course<'a> {
     }
 
     /// One arrival gap later, every team submits once.
-    pub fn submit_round(&mut self, creds: &[Credentials], round: usize) {
+    pub(crate) fn submit_round(&mut self, creds: &[Credentials], round: usize) {
         let config = self.config;
         self.system.clock().advance(config.arrival_gap);
         self.apply_due_deaths();
@@ -263,7 +261,7 @@ impl<'a> Course<'a> {
     /// `kill_after = Some(n)` the process dies once `n` jobs have
     /// committed — between two commits, mid-queue, claims and all —
     /// unless the queue drains first.
-    pub fn drive(&mut self, kill_after: Option<u64>) {
+    pub(crate) fn drive(&mut self, kill_after: Option<u64>) {
         let kill_due = |commits: u64| kill_after.is_some_and(|n| commits >= n);
         let mut commits = 0;
         while !kill_due(commits) {
@@ -292,7 +290,7 @@ impl<'a> Course<'a> {
     /// quiesced points: compact the logs if they have outgrown their
     /// last snapshot, so a later kill recovers from snapshot + tail
     /// instead of the full history (a no-op without a WAL).
-    pub fn run_rounds(&mut self, creds: &[Credentials], rounds: Range<usize>) {
+    pub(crate) fn run_rounds(&mut self, creds: &[Credentials], rounds: Range<usize>) {
         for round in rounds {
             self.submit_round(creds, round);
             self.drive(None);
@@ -303,7 +301,7 @@ impl<'a> Course<'a> {
     /// Final drain — anything still queued (e.g. claims released by
     /// the last instance death) runs to completion — then the
     /// terminal-state audit.
-    pub fn finish(&mut self) -> AuditOutcome {
+    pub(crate) fn finish(&mut self) -> AuditOutcome {
         self.drive(None);
         self.system.sync_wals();
         self.pendings.clear();
@@ -325,12 +323,11 @@ impl<'a> Course<'a> {
 
 /// Row/dead-letter accounting plus the run fingerprint.
 pub(crate) struct AuditOutcome {
-    pub terminal: Vec<u64>,
-    pub dead_lettered: Vec<u64>,
-    pub duplicated: Vec<u64>,
-    pub lost: Vec<u64>,
-    pub standings: Vec<(String, f64)>,
-    pub fingerprint: u64,
+    pub(crate) terminal: Vec<u64>,
+    pub(crate) dead_lettered: Vec<u64>,
+    pub(crate) duplicated: Vec<u64>,
+    pub(crate) lost: Vec<u64>,
+    pub(crate) fingerprint: u64,
 }
 
 fn audit_terminal_state(
@@ -383,14 +380,7 @@ fn audit_terminal_state(
         fp.update(team.as_bytes());
         fp.update(&secs.to_bits().to_le_bytes());
     }
-    AuditOutcome {
-        terminal,
-        dead_lettered,
-        duplicated,
-        lost,
-        standings,
-        fingerprint: fp.digest(),
-    }
+    AuditOutcome { terminal, dead_lettered, duplicated, lost, fingerprint: fp.digest() }
 }
 
 /// Run the chaos scenario and audit it.
@@ -419,7 +409,6 @@ pub fn run_chaos(config: &ChaosConfig) -> ChaosResult {
         lost: audit.lost,
         instances_failed: course.pool.stats().failed,
         injected,
-        standings: audit.standings,
         fingerprint: audit.fingerprint,
         metrics: system.telemetry().snapshot(),
         traces: system.telemetry().take_job_traces(),

@@ -9,32 +9,20 @@ use crate::teams::TeamRoster;
 use rai_core::{RaiSystem, SystemConfig};
 use rai_telemetry::{Histogram, LogHistogram};
 
-/// Competition parameters.
-#[derive(Clone, Debug)]
-pub struct CompetitionConfig {
-    /// Number of teams (paper: 58).
-    pub teams: usize,
-    /// Number of students (paper: 176).
-    pub students: u32,
-    /// RNG seed.
-    pub seed: u64,
-    /// Histogram: top N teams (paper: 30).
-    pub top_n: usize,
-    /// Histogram bin width in seconds (paper: 0.1).
-    pub bin_width: f64,
-}
+/// Teams in the competition (paper: 58).
+pub const TEAMS: usize = 58;
 
-impl Default for CompetitionConfig {
-    fn default() -> Self {
-        CompetitionConfig {
-            teams: 58,
-            students: 176,
-            seed: 2016,
-            top_n: 30,
-            bin_width: 0.1,
-        }
-    }
-}
+/// Students across those teams (paper: 176).
+pub const STUDENTS: u32 = 176;
+
+/// Seed of the class roster.
+pub const SEED: u64 = 2016;
+
+/// The histogram covers the top N teams (paper: 30)…
+const TOP_N: usize = 30;
+
+/// …in bins this many seconds wide (paper: 0.1).
+const BIN_WIDTH: f64 = 0.1;
 
 /// Competition outputs.
 #[derive(Debug)]
@@ -52,14 +40,14 @@ pub struct CompetitionResult {
 }
 
 /// Run the competition through a real deployment.
-pub fn run_competition(config: &CompetitionConfig) -> CompetitionResult {
-    let roster = TeamRoster::generate(config.teams, config.students, config.seed);
+pub fn run_competition() -> CompetitionResult {
+    let roster = TeamRoster::generate(TEAMS, STUDENTS, SEED);
     let mut system = RaiSystem::new(SystemConfig {
         // Benchmarking weeks: fleet workers run a single job each, so
         // timings are clean.
         workers: 4,
         rate_limit: None, // irrelevant for one final submission per team
-        seed: config.seed,
+        seed: SEED,
         ..Default::default()
     });
     let mut failures = Vec::new();
@@ -74,9 +62,9 @@ pub fn run_competition(config: &CompetitionConfig) -> CompetitionResult {
     let standings = board.standings();
     // 25 bins of 0.1 s covers the sub-2.5 s cluster; the straggler lands
     // in the overflow bucket, like the paper's "slowest … 2 minutes".
-    let histogram = board.top_n_histogram(config.top_n, config.bin_width, 25);
+    let histogram = board.top_n_histogram(TOP_N, BIN_WIDTH, 25);
     let mut runtimes = LogHistogram::new();
-    for (_, secs) in standings.iter().take(config.top_n) {
+    for (_, secs) in standings.iter().take(TOP_N) {
         runtimes.record_secs(*secs);
     }
     CompetitionResult {
@@ -91,39 +79,15 @@ pub fn run_competition(config: &CompetitionConfig) -> CompetitionResult {
 mod tests {
     use super::*;
 
-    /// A scaled-down competition that still checks the Fig. 2 shape; the
-    /// full 58-team run lives in the `fig2_histogram` bench binary.
-    #[test]
-    fn small_competition_end_to_end() {
-        let config = CompetitionConfig {
-            teams: 12,
-            students: 36,
-            seed: 5,
-            top_n: 8,
-            bin_width: 0.1,
-        };
-        let result = run_competition(&config);
-        assert!(result.failures.is_empty(), "failures: {:?}", result.failures);
-        assert_eq!(result.standings.len(), 12);
-        // Standings sorted ascending.
-        for w in result.standings.windows(2) {
-            assert!(w[0].1 <= w[1].1);
-        }
-        assert_eq!(result.histogram.total(), 8);
-        // The guaranteed straggler exists and is ~2 minutes.
-        let slowest = result.standings.last().unwrap().1;
-        assert!(slowest > 100.0, "slowest={slowest}");
-    }
-
     #[test]
     fn full_class_shape_matches_figure2() {
-        let result = run_competition(&CompetitionConfig {
-            // Full team count but smaller histogram assertions to keep
-            // the test quick; runtime distribution is what matters.
-            ..Default::default()
-        });
+        let result = run_competition();
         assert!(result.failures.is_empty());
         assert_eq!(result.standings.len(), 58);
+        for w in result.standings.windows(2) {
+            assert!(w[0].1 <= w[1].1, "standings sorted ascending");
+        }
+        assert_eq!(result.histogram.total(), 30);
         // Paper: most of the top 30 land under 1 second.
         let under_1s = result
             .standings

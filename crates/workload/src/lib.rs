@@ -39,9 +39,9 @@ pub mod recovery;
 pub mod semester;
 pub mod teams;
 
-pub use chaos::{run_chaos, ChaosConfig, ChaosResult};
-pub use recovery::{run_recovery, KillPoint, RecoveryConfig, RecoveryResult};
+pub use chaos::ChaosConfig;
 pub use circadian::CircadianModel;
-pub use competition::{run_competition, CompetitionConfig, CompetitionResult};
-pub use semester::{FleetPolicy, SemesterConfig, SemesterResult};
-pub use teams::{TeamModel, TeamRoster};
+pub use competition::run_competition;
+pub use recovery::{run_recovery, KillPoint, RecoveryConfig};
+pub use semester::{FleetPolicy, SemesterConfig};
+pub use teams::TeamRoster;

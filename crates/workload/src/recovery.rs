@@ -48,19 +48,9 @@ pub struct KillPoint {
 }
 
 impl KillPoint {
-    /// Kill after round `round`'s submissions, before any processing.
-    pub fn before_drive(round: usize) -> Self {
-        KillPoint { round, after_steps: None }
-    }
-
     /// Kill mid-drive, `steps` worker step events into round `round`.
     pub fn mid_drive(round: usize, steps: u64) -> Self {
         KillPoint { round, after_steps: Some(steps) }
-    }
-
-    /// Kill at the boundary after round `round` fully drains.
-    pub fn at_boundary(round: usize) -> Self {
-        KillPoint { round, after_steps: Some(u64::MAX) }
     }
 }
 
@@ -123,8 +113,6 @@ pub struct RecoveryResult {
     pub duplicated: Vec<u64>,
     /// Accepted ids never reaching a terminal state (must be empty).
     pub lost: Vec<u64>,
-    /// Final leaderboard.
-    pub standings: Vec<(String, f64)>,
     /// The chaos-scenario fingerprint of the terminal state.
     pub fingerprint: u64,
     /// Whether the kill actually fired.
@@ -139,8 +127,6 @@ pub struct RecoveryResult {
     pub db_wal: WalStats,
     /// Final store-log statistics.
     pub store_wal: WalStats,
-    /// Fleet instances that died mid-run (both lives).
-    pub instances_failed: usize,
     /// Telemetry snapshot of the final process.
     pub metrics: MetricsSnapshot,
 }
@@ -268,7 +254,6 @@ pub fn run_recovery(config: &RecoveryConfig) -> RecoveryResult {
         dead_lettered: audit.dead_lettered,
         duplicated: audit.duplicated,
         lost: audit.lost,
-        standings: audit.standings,
         fingerprint: audit.fingerprint,
         killed: kill.is_some(),
         republished,
@@ -276,7 +261,6 @@ pub fn run_recovery(config: &RecoveryConfig) -> RecoveryResult {
         disk_faults,
         db_wal: system.db().wal().expect("durable deployment").stats(),
         store_wal: system.store().wal().expect("durable deployment").stats(),
-        instances_failed: course.pool.stats().failed,
         metrics: system.telemetry().snapshot(),
         accepted: course.accepted,
     }
@@ -325,9 +309,9 @@ mod tests {
     #[test]
     fn clean_kill_resume_is_byte_identical_fault_free() {
         for kill in [
-            KillPoint::before_drive(3),
+            KillPoint { round: 3, after_steps: None },
             KillPoint::mid_drive(5, 2),
-            KillPoint::at_boundary(7),
+            KillPoint { round: 7, after_steps: Some(u64::MAX) },
         ] {
             let baseline = run_recovery(&RecoveryConfig { kill: None, ..RecoveryConfig::clean(9, kill) });
             let resumed = run_recovery(&RecoveryConfig::clean(9, kill));
@@ -371,7 +355,6 @@ mod tests {
             segment_bytes: 16 << 10,
             compact_min_bytes: 4 << 10,
             compact_factor: 2,
-            ..DurabilityConfig::durable()
         };
         let mut cfg = RecoveryConfig::clean(17, KillPoint::mid_drive(9, 1));
         cfg.durability = durability;

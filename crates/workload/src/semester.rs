@@ -381,9 +381,7 @@ pub fn run_semester(config: &SemesterConfig) -> SemesterResult {
         schedule: schedule.clone(),
         policy: config.fleet.clone(),
         autoscaler: match config.fleet {
-            FleetPolicy::Reactive { min, max } => {
-                ReactiveAutoscaler::new(min, max, 2.0, SimDuration::from_mins(10))
-            }
+            FleetPolicy::Reactive { min, max } => ReactiveAutoscaler::new(min, max),
             _ => ReactiveAutoscaler::paper_bounds(),
         },
         roster,
@@ -487,21 +485,14 @@ pub fn run_semester(config: &SemesterConfig) -> SemesterResult {
         state.waits.quantile_micros(0.99) as f64 / 1e6,
     );
     let standings = state.system.rankings().standings();
-    // Dogfood the database's aggregation pipeline for the log tally.
+    // The log tally reads the submissions table where it lives: one
+    // counted read, no row copied.
     let log_bytes = {
-        use rai_db::aggregate::{aggregate, Accumulator, Stage};
         let coll = state.system.db().collection("submissions");
-        let rows = aggregate(
-            &coll.read(),
-            &[Stage::Group {
-                by: None,
-                fields: vec![("bytes".into(), Accumulator::Sum("log_bytes".into()))],
-            }],
-        );
-        rows.first()
-            .and_then(|r| r.get("bytes"))
-            .and_then(rai_db::Value::as_i64)
-            .unwrap_or(0) as u64
+        let rows = coll.read();
+        rows.scan()
+            .filter_map(|row| row.get("log_bytes").and_then(rai_db::Value::as_i64))
+            .sum::<i64>() as u64
     };
     SemesterResult {
         total_submissions: state.total,

@@ -22,12 +22,12 @@ pub struct TeamModel {
     /// Relative submission activity (1.0 = average).
     pub activity: f64,
     /// The full-dataset runtime (ms) of their *final* tuned kernel.
-    pub final_full_ms: f64,
+    pub(crate) final_full_ms: f64,
     /// Accuracy their implementation reaches.
-    pub accuracy: f64,
+    pub(crate) accuracy: f64,
     /// When (days into the project) they first get a CUDA version
     /// running, before which submissions exercise the CPU baseline.
-    pub gpu_from_day: f64,
+    pub(crate) gpu_from_day: f64,
 }
 
 impl TeamModel {
@@ -35,7 +35,7 @@ impl TeamModel {
     /// CPU baseline before `gpu_from_day`, then a log-linear descent
     /// from the ~60 s first CUDA version to the final tuned runtime at
     /// the deadline.
-    pub fn perf_at(&self, t: SimTime, deadline: SimTime) -> (f64, bool) {
+    pub(crate) fn perf_at(&self, t: SimTime, deadline: SimTime) -> (f64, bool) {
         let day = t.as_millis() as f64 / SimDuration::DAY.as_millis() as f64;
         if day < self.gpu_from_day {
             return (30.0 * 60.0 * 1000.0, false);
@@ -134,11 +134,6 @@ impl TeamRoster {
         }
         TeamRoster { teams }
     }
-
-    /// Total students across teams.
-    pub fn total_students(&self) -> u32 {
-        self.teams.iter().map(|t| t.members).sum()
-    }
 }
 
 /// Box–Muller standard normal.
@@ -156,7 +151,7 @@ mod tests {
     fn roster_matches_class_shape() {
         let r = TeamRoster::generate(58, 176, 1);
         assert_eq!(r.teams.len(), 58);
-        assert_eq!(r.total_students(), 176);
+        assert_eq!(r.teams.iter().map(|t| t.members).sum::<u32>(), 176);
         assert!(r.teams.iter().all(|t| (2..=4).contains(&t.members)));
     }
 

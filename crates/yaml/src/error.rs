@@ -6,9 +6,9 @@ use std::fmt;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct YamlError {
     /// 1-based line number the error was detected on (0 = end of input).
-    pub line: usize,
+    pub(crate) line: usize,
     /// Human-readable description.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl YamlError {
@@ -33,7 +33,7 @@ impl fmt::Display for YamlError {
 impl std::error::Error for YamlError {}
 
 /// Convenience alias.
-pub type YamlResult<T> = Result<T, YamlError>;
+pub(crate) type YamlResult<T> = Result<T, YamlError>;
 
 #[cfg(test)]
 mod tests {

@@ -32,10 +32,9 @@
 pub mod emit;
 pub mod error;
 pub mod parser;
-pub mod scanner;
+mod scanner;
 pub mod value;
 
 pub use emit::to_string;
-pub use error::{YamlError, YamlResult};
 pub use parser::parse;
 pub use value::Yaml;

@@ -9,20 +9,20 @@ use crate::value::Yaml;
 /// being parsed, so a `Line` is four words and `Copy`: scanning a
 /// document allocates the `Vec` of lines and nothing per line.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Line<'a> {
+pub(crate) struct Line<'a> {
     /// 1-based source line number (for diagnostics).
-    pub number: usize,
+    pub(crate) number: usize,
     /// Number of leading spaces.
-    pub indent: usize,
+    pub(crate) indent: usize,
     /// Content with indentation and trailing comment removed.
-    pub content: &'a str,
+    pub(crate) content: &'a str,
 }
 
 /// Split a document into significant lines. Blank lines and whole-line
 /// comments are dropped; trailing comments are stripped unless the `#`
 /// appears inside a quoted span. Tabs in indentation are rejected, as in
 /// real YAML.
-pub fn scan(src: &str) -> YamlResult<Vec<Line<'_>>> {
+pub(crate) fn scan(src: &str) -> YamlResult<Vec<Line<'_>>> {
     let mut out = Vec::new();
     for (i, raw) in src.lines().enumerate() {
         let number = i + 1;
@@ -82,7 +82,7 @@ fn escaped(bytes: &[u8], i: usize) -> bool {
 /// colon followed by a space or end of content, outside quotes. Returns
 /// `(key, rest)` where `rest` may be empty. Returns `None` if the line is
 /// not a mapping entry (no separator colon).
-pub fn split_key(content: &str) -> Option<(&str, &str)> {
+pub(crate) fn split_key(content: &str) -> Option<(&str, &str)> {
     let bytes = content.as_bytes();
     let mut in_single = false;
     let mut in_double = false;
@@ -107,7 +107,7 @@ pub fn split_key(content: &str) -> Option<(&str, &str)> {
 }
 
 /// Parse a scalar token with YAML 1.1-ish type inference.
-pub fn parse_scalar(token: &str, line: usize) -> YamlResult<Yaml> {
+pub(crate) fn parse_scalar(token: &str, line: usize) -> YamlResult<Yaml> {
     let t = token.trim();
     if t.is_empty() {
         return Ok(Yaml::Null);
@@ -122,7 +122,7 @@ pub fn parse_scalar(token: &str, line: usize) -> YamlResult<Yaml> {
 }
 
 /// Type inference for plain (unquoted) scalars.
-pub fn infer_plain(t: &str) -> Yaml {
+pub(crate) fn infer_plain(t: &str) -> Yaml {
     infer_non_string(t).unwrap_or_else(|| Yaml::Str(t.to_string()))
 }
 

@@ -63,6 +63,12 @@ fn nest(text: &str, depth: usize, flow: bool) -> String {
     out
 }
 
+/// Parser input with the right alphabet: printable ASCII plus what it
+/// leaves out — line breaks, tabs and other control characters (NUL,
+/// ESC, DEL, the C1 NEL, a byte-order mark), multi-byte characters and
+/// the Unicode line and paragraph separators.
+const TEXT: &str = "[ -~\\n\\r\\t\\0\u{1}\u{1b}\u{7f}\u{85}\u{feff}é漢🦀\u{2028}\u{2029}]{0,200}";
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -76,7 +82,7 @@ proptest! {
 
     #[test]
     fn parser_never_panics_on_arbitrary_input(
-        s in "[ -~\\n\\t]{0,200}",
+        s in TEXT,
         depth in 0usize..4000,
         flow in any::<bool>(),
     ) {
@@ -86,7 +92,7 @@ proptest! {
     }
 
     #[test]
-    fn parse_is_deterministic(s in "[ -~\\n]{0,120}") {
+    fn parse_is_deterministic(s in TEXT) {
         let a = parse(&s);
         let b = parse(&s);
         prop_assert_eq!(a, b);

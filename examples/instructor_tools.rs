@@ -8,7 +8,6 @@
 
 use rai::core::client::ProjectDir;
 use rai::core::grading::Grader;
-use rai::core::interactive::SessionConfig;
 use rai::core::system::{RaiSystem, SystemConfig};
 use rai::auth::{render_key_email, KeyGenerator, Roster};
 
@@ -74,14 +73,10 @@ fn main() {
     //    paper's §VIII future work): a persistent container with the
     //    debugging tools available, gated on instructor credentials.
     let prof = system.register_instructor("prof-hwu");
-    let slow_code = submissions
-        .last()
-        .expect("submissions downloaded")
-        .tree
-        .subtree("submission_code");
-    let mut session = system
-        .open_session(&prof, &slow_code, &SessionConfig::default())
-        .expect("instructors may open sessions");
+    let slow_code =
+        submissions.last().expect("submissions downloaded").tree.subtree("submission_code");
+    let mut session =
+        system.open_session(&prof, &slow_code).expect("instructors may open sessions");
     println!("\ninteractive debugging session on {}:", submissions.last().unwrap().team);
     for cmd in ["cmake /src && make", "grep global /src/main.cu", "nvprof ./ece408 /data/test10.hdf5 /data/model.hdf5"] {
         let out = session.exec(cmd);
