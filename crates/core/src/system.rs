@@ -40,9 +40,9 @@ pub struct SystemConfig {
     /// Per-message delivery cap before the broker dead-letters it
     /// (0 disables). Bounds redelivery loops from poison jobs.
     pub broker_attempts: u32,
-    /// Deterministic fault plan; `None` (and [`FaultPlan::none`]) run
+    /// Deterministic fault plan; the default, [`FaultPlan::none`], runs
     /// the system fault-free.
-    pub fault_plan: Option<FaultPlan>,
+    pub fault_plan: FaultPlan,
     /// Tuning for the write-ahead logs behind the database and the
     /// object store. Whether they exist is chosen by constructor, not
     /// here: [`RaiSystem::with_clock_durable`] and
@@ -59,7 +59,7 @@ impl Default for SystemConfig {
             rate_limit: Some(SimDuration::from_secs(30)),
             seed: 0x5EED,
             broker_attempts: 8,
-            fault_plan: None,
+            fault_plan: FaultPlan::none(0),
             durability: DurabilityConfig::default(),
         }
     }
@@ -97,7 +97,7 @@ pub struct RaiSystem {
     next_job_id: Arc<AtomicU64>,
     sessions: SessionBroker,
     telemetry: Telemetry,
-    injector: Option<FaultInjector>,
+    injector: FaultInjector,
 }
 
 /// In-flight timeout used when a stalled worker holds a claim:
@@ -241,13 +241,11 @@ impl RaiSystem {
         // flows. A recovery pass hands in the pre-crash injector: its
         // draw counters model the environment, which does not reset
         // when the service restarts.
-        let injector = injector_override
-            .or_else(|| config.fault_plan.clone().map(FaultInjector::new));
-        if let Some(inj) = &injector {
-            store.set_fault_injector(inj.clone());
-            db.set_fault_injector(inj.clone());
-            broker.set_fault_injector(inj.clone());
-        }
+        let injector =
+            injector_override.unwrap_or_else(|| FaultInjector::new(config.fault_plan.clone()));
+        store.set_fault_injector(injector.clone());
+        db.set_fault_injector(injector.clone());
+        broker.set_fault_injector(injector.clone());
         let workers = (0..config.workers.max(1))
             .map(|i| {
                 let mut w = Worker::new(
@@ -263,9 +261,7 @@ impl RaiSystem {
                     images.clone(),
                 );
                 w.set_telemetry(telemetry.clone());
-                if let Some(inj) = &injector {
-                    w.set_fault_injector(inj.clone());
-                }
+                w.set_fault_injector(injector.clone());
                 w
             })
             .collect();
@@ -283,13 +279,12 @@ impl RaiSystem {
                 reg.gauge(names::BROKER_IN_FLIGHT, &[]).set(s.in_flight as f64);
                 reg.gauge(names::BROKER_CHANNELS, &[]).set(s.channels as f64);
             });
-            if let Some(inj) = injector.clone() {
-                telemetry.register_collector(move |reg| {
-                    for (kind, n) in inj.injected_counts() {
-                        reg.counter(names::FAULTS_INJECTED_TOTAL, &[("kind", kind)]).store(n);
-                    }
-                });
-            }
+            let inj = injector.clone();
+            telemetry.register_collector(move |reg| {
+                for (kind, n) in inj.injected_counts() {
+                    reg.counter(names::FAULTS_INJECTED_TOTAL, &[("kind", kind)]).store(n);
+                }
+            });
             let store2 = store.clone();
             telemetry.register_collector(move |reg| {
                 let u = store2.usage();
@@ -694,9 +689,10 @@ impl RaiSystem {
         &self.telemetry
     }
 
-    /// The attached fault injector, when a fault plan is active.
-    pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.injector.as_ref()
+    /// The fault injector attached to every service of the deployment
+    /// (one executing [`FaultPlan::none`] when no faults are planned).
+    pub fn fault_injector(&self) -> &FaultInjector {
+        &self.injector
     }
 
     /// Direct worker access (ablation experiments).
@@ -849,11 +845,11 @@ mod tests {
         let mut system = RaiSystem::new(SystemConfig {
             workers: 3,
             rate_limit: None,
-            fault_plan: Some(FaultPlan {
+            fault_plan: FaultPlan {
                 poison_every: None, // all jobs should eventually succeed
                 instance_deaths: Vec::new(),
                 ..FaultPlan::chaos(0xC0FFEE)
-            }),
+            },
             ..Default::default()
         });
         let creds = system.register_team("t", &[]);

@@ -2,26 +2,45 @@
 //!
 //! Renders [`JobTrace`]s in the Trace Event Format (the JSON flavour
 //! `chrome://tracing` and Perfetto's legacy importer load): one
-//! complete event (`"ph":"X"`) per span, timestamps and durations in
-//! microseconds of sim-time, one track (`tid`) per job, components as
-//! categories. Output is fully deterministic: traces render in store
-//! order, spans in recording order, all integers.
+//! complete event (`"ph":"X"`) per span and per attempt root,
+//! timestamps and durations in microseconds of sim-time, one track
+//! (`tid`) per job, components as categories. Output is fully
+//! deterministic: traces render in store order, spans in recording
+//! order, all integers.
 
-use crate::trace::JobTrace;
+use crate::trace::{JobTrace, TraceSpan};
 
 /// Render traces as a Trace Event Format JSON document.
 ///
 /// `pid` is a constant 1 (one simulated deployment); each job gets its
 /// own `tid` so Perfetto lays attempts of the same job on one track.
+/// Each attempt's root ([`JobTrace::roots`]) is written just ahead of
+/// the attempt's first span. A job's events are numbered in the order
+/// they are written (`span`), and a span's `parent` is its root's
+/// number (-1 for a root).
 pub fn render_chrome_trace(traces: &[JobTrace]) -> String {
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut first = true;
     for trace in traces {
+        let roots = trace.roots();
+        let mut events: Vec<(&TraceSpan, Option<usize>)> = Vec::new();
+        // Where each root went; roots are in order of first appearance,
+        // so a new attempt's root is the next one.
+        let mut root_at = Vec::with_capacity(roots.len());
         for span in &trace.spans {
-            if !first {
+            let k = roots
+                .iter()
+                .position(|r| r.attempt == span.attempt)
+                .expect("an attempt has a root");
+            if k == root_at.len() {
+                root_at.push(events.len());
+                events.push((&roots[k], None));
+            }
+            events.push((span, Some(root_at[k])));
+        }
+        for (id, (span, parent)) in events.into_iter().enumerate() {
+            if !out.ends_with('[') {
                 out.push(',');
             }
-            first = false;
             let ts = span.start.as_millis().saturating_mul(1_000);
             let dur = crate::latency::duration_micros(span.end.duration_since(span.start));
             out.push_str(&format!(
@@ -33,8 +52,8 @@ pub fn render_chrome_trace(traces: &[JobTrace]) -> String {
                 trace.job_id,
                 trace.job_id,
                 span.attempt,
-                span.id.0,
-                span.parent.map_or(-1i64, |p| i64::from(p.0)),
+                id,
+                parent.map_or(-1, |p| p as i64),
             ));
         }
     }

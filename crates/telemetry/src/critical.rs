@@ -4,12 +4,13 @@
 //! → queue → (attempt₁ … attemptₙ) → graded — so its critical path is
 //! the trace itself with every instant accounted to exactly one
 //! segment: a recorded span (attributed to its stage + component), a
-//! gap between attempt subtrees (queue wait or retry redelivery wait),
-//! or an unattributed gap inside an attempt (worker overhead such as
-//! auth/validation that has no dedicated span). Summing segments over
-//! every job answers "where does the semester wall go": per-stage /
-//! per-component totals, shares of the summed end-to-end latency, and
-//! a deterministic [`LogHistogram`] per segment kind.
+//! gap between attempt envelopes ([`JobTrace::roots`]: queue wait or
+//! retry redelivery wait), or an unattributed gap inside an attempt
+//! (worker overhead such as auth/validation that has no dedicated
+//! span). Summing segments over every job answers "where does the
+//! semester wall go": per-stage / per-component totals, shares of the
+//! summed end-to-end latency, and a deterministic [`LogHistogram`] per
+//! segment kind.
 
 use crate::latency::{duration_micros, LogHistogram};
 use crate::trace::{component, JobTrace, TraceSpan};
@@ -67,7 +68,7 @@ pub(crate) fn critical_path(trace: &JobTrace) -> Option<CriticalPath> {
     let start = trace.spans.iter().map(|s| s.start).min()?;
     let end = trace.spans.iter().map(|s| s.end).max()?;
     let final_attempt = trace.final_attempt().unwrap_or(0);
-    let mut roots: Vec<&TraceSpan> = trace.roots();
+    let mut roots = trace.roots();
     roots.sort_by_key(|r| r.attempt);
     let mut segments = Vec::new();
     let mut cursor = start;
@@ -102,8 +103,10 @@ pub(crate) fn critical_path(trace: &JobTrace) -> Option<CriticalPath> {
             cursor = root.start;
         }
         let wasted = root.attempt > 0 && root.attempt < final_attempt;
-        let mut children: Vec<&TraceSpan> = trace.children(root.id);
-        children.sort_by_key(|c| (c.start, c.id));
+        // The attempt's spans, by start; ties keep recording order.
+        let mut children: Vec<&TraceSpan> =
+            trace.spans.iter().filter(|s| s.attempt == root.attempt).collect();
+        children.sort_by_key(|c| c.start);
         for child in children {
             if child.start > cursor {
                 // Unattributed time inside the attempt.
@@ -180,10 +183,14 @@ pub struct Attribution {
 
 /// Aggregate critical paths over every trace.
 pub fn attribute(traces: &[JobTrace]) -> Attribution {
+    attribute_paths(traces.iter().filter_map(critical_path))
+}
+
+/// Fold critical paths into one row per (component, stage).
+pub(crate) fn attribute_paths(paths: impl IntoIterator<Item = CriticalPath>) -> Attribution {
     let mut out = Attribution::default();
     let mut rows: Vec<AttributionRow> = Vec::new();
-    for trace in traces {
-        let Some(path) = critical_path(trace) else { continue };
+    for path in paths {
         out.jobs += 1;
         let e2e = path.total();
         out.end_to_end.record(e2e);

@@ -50,7 +50,10 @@ fn index_for(v: u64) -> usize {
     }
 }
 
-/// Inclusive upper bound of bucket `i` (the largest value mapping to it).
+/// Inclusive upper bound of bucket `i` (the largest value mapping to it):
+/// the bucket's leading bits `sub` followed by `exp` one bits, joined
+/// with `|` so that the last bucket, which ends at `u64::MAX`, needs no
+/// intermediate past it.
 fn upper_bound(i: usize) -> u64 {
     let i = i as u64;
     if i < SUB_COUNT {
@@ -58,7 +61,7 @@ fn upper_bound(i: usize) -> u64 {
     } else {
         let exp = (i >> (SUB_BITS - 1)) - 1;
         let sub = (i & (SUB_HALF - 1)) + SUB_HALF;
-        ((sub + 1) << exp) - 1
+        (sub << exp) | ((1 << exp) - 1)
     }
 }
 
@@ -223,7 +226,8 @@ mod tests {
 
     #[test]
     fn bucket_bounds_invert_the_index() {
-        for v in [0u64, 1, 31, 32, 63, 64, 65, 127, 128, 1_000, 999_999, 1_000_000, u64::from(u32::MAX), 3_000_000_000_000] {
+        let (u32_max, top) = (u64::from(u32::MAX), 63 << 58);
+        for v in [0u64, 1, 31, 32, 63, 64, 65, 127, 128, 1_000, 999_999, 1_000_000, u32_max, 3_000_000_000_000, top, u64::MAX] {
             let idx = index_for(v);
             let hi = upper_bound(idx);
             assert!(v <= hi, "v={v} above its bucket upper bound {hi}");
@@ -233,6 +237,21 @@ mod tests {
                 assert_eq!(index_for(hi + 1), idx + 1, "bucket of {v} not tight at {hi}");
             }
         }
+    }
+
+    /// The last bucket holds every value from 63·2⁵⁸ µs up, including
+    /// the `u64::MAX` a saturated duration or an infinite
+    /// `record_secs` lands on; reading it back must not overflow.
+    #[test]
+    fn the_last_bucket_reads_back() {
+        let mut h = LogHistogram::new();
+        h.record_micros(u64::MAX);
+        h.record_secs(f64::INFINITY);
+        assert_eq!(h.quantile_micros(1.0), u64::MAX);
+        let s = h.summary();
+        assert_eq!(s.count, 2);
+        assert_eq!((s.p50_micros, s.p999_micros, s.max_micros), (u64::MAX, u64::MAX, u64::MAX));
+        assert_eq!(upper_bound(index_for(u64::MAX)), u64::MAX);
     }
 
     #[test]

@@ -6,16 +6,16 @@
 //!
 //! 1. a thread-safe [`MetricsRegistry`] of counters, gauges, and
 //!    fixed-bucket histograms;
-//! 2. per-job [`JobTrace`]s — attempt-aware *causal span trees* over
-//!    the submission lifecycle (submit → enqueue → dequeue → fetch →
+//! 2. per-job [`JobTrace`]s — the spans a job recorded over the
+//!    submission lifecycle (submit → enqueue → dequeue → fetch →
 //!    build → run → upload → grade), stamped with [`VirtualClock`]
-//!    sim-time, where every delivery attempt owns
-//!    a root span, stages hang off it tagged with the component that
-//!    did the work, and retries become sibling attempt subtrees;
+//!    sim-time and tagged with the delivery attempt and the component
+//!    that did the work; each attempt's root is the envelope of its
+//!    spans, so retries read as sibling attempt subtrees;
 //! 3. exposition of the registry as Prometheus text, plus
-//!    trace-derived reports: `critical_path` / [`attribute`] turn
-//!    span trees into wall-clock attribution tables and
-//!    [`render_chrome_trace`] exports Perfetto-loadable JSON.
+//!    trace-derived reports: [`attribute`] turns span trees into
+//!    wall-clock attribution tables and [`render_chrome_trace`]
+//!    exports Perfetto-loadable JSON.
 //!
 //! Instrumented hot paths push directly into the registry; components
 //! that already keep their own cumulative stats (broker, store, db)
@@ -45,7 +45,7 @@ pub use latency::{duration_micros, LogHistogram};
 pub(crate) use registry::{Counter, Gauge, HistogramHandle};
 pub use registry::{MetricKey, MetricsRegistry, MetricsSnapshot};
 pub use stats::{GaugeSeries, Histogram, OnlineStats, TimeSeries};
-pub use trace::{component, stage, JobTrace, StageEvent, TraceSpan, TraceStore};
+pub use trace::{component, stage, JobTrace, TraceSpan, TraceStore};
 
 use rai_sim::{SimTime, VirtualClock};
 use std::sync::Arc;

@@ -1,18 +1,21 @@
 //! Per-job causal span trees.
 //!
-//! Every submission that enters the system gets a [`JobTrace`]: an
-//! attempt-aware tree of [`TraceSpan`]s stamped with sim-time
-//! intervals. Each delivery attempt owns one root span; the pipeline
-//! stages a worker executes on that attempt (dequeue → fetch → build →
-//! run → upload → grade) hang off that root as children tagged with the
+//! Every submission that enters the system gets a [`JobTrace`]: the
+//! [`TraceSpan`]s its job recorded, in recording order, each stamped
+//! with a sim-time interval, the delivery attempt it belongs to and the
 //! component that did the work (broker, store, sandbox, db, …).
-//! Client-side work before the first delivery (submit, enqueue) lives
-//! under the attempt-0 root. Retries therefore become *sibling attempt
-//! subtrees* instead of duplicate stage events in one flat list, which
-//! keeps stage durations honest under crash/retry schedules.
+//! Client-side work before the first delivery (submit, enqueue) is
+//! attempt 0; the pipeline stages a worker executes on a delivery
+//! (dequeue → fetch → build → run → upload → grade) carry its attempt
+//! number. Retries therefore become *sibling attempt subtrees* instead
+//! of duplicate stage events in one flat list, which keeps stage
+//! durations honest under crash/retry schedules.
 //!
-//! The flat [`StageEvent`] view ([`JobTrace::events`]) is preserved for
-//! consumers that only care about "when did the job reach stage X".
+//! The tree is not stored: its shape is fixed by its leaves. Each
+//! attempt's root is the envelope of the attempt's spans
+//! ([`JobTrace::roots`]), and every span's parent is its attempt's
+//! root. The readers that need the tree — the critical path and the
+//! Chrome export — work it out where they read it.
 
 use parking_lot::Mutex;
 use rai_sim::{SimDuration, SimTime};
@@ -61,17 +64,10 @@ pub mod component {
     pub const FAULT: &str = "fault";
 }
 
-/// Identifier of a span within one job's trace.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub(crate) struct SpanId(pub u32);
-
-/// One node of a job's causal span tree: `stage` work done by
-/// `component` on delivery `attempt`, covering `[start, end]` sim-time.
+/// One span of a job's trace: `stage` work done by `component` on
+/// delivery `attempt`, covering `[start, end]` sim-time.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceSpan {
-    pub(crate) id: SpanId,
-    /// Parent span; `None` for an attempt root.
-    pub(crate) parent: Option<SpanId>,
     pub(crate) stage: &'static str,
     pub(crate) component: &'static str,
     /// Delivery attempt: 0 = client-side submit, 1.. = worker attempts.
@@ -80,48 +76,38 @@ pub struct TraceSpan {
     pub(crate) end: SimTime,
 }
 
-impl TraceSpan {
-    /// True for an attempt root (no parent edge).
-    pub(crate) fn is_root(&self) -> bool {
-        self.parent.is_none()
-    }
-}
-
-/// One flattened lifecycle event: the job reached `stage` at `at`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct StageEvent {
-    pub(crate) stage: &'static str,
-    pub(crate) at: SimTime,
-}
-
-/// Full lifecycle of one job as a forest of attempt subtrees.
+/// Full lifecycle of one job: the spans it recorded.
 #[derive(Clone, Debug, Default)]
 pub struct JobTrace {
     pub job_id: u64,
-    /// All spans in recording order. Roots are created lazily right
-    /// before their first child, so a root always precedes its children.
+    /// Every span recorded for the job, in recording order.
     pub(crate) spans: Vec<TraceSpan>,
 }
 
 impl JobTrace {
-    /// Flat stage-event view: every non-root span in recording order,
-    /// stamped with the time the stage *completed*.
-    pub fn events(&self) -> Vec<StageEvent> {
-        self.spans
-            .iter()
-            .filter(|s| !s.is_root())
-            .map(|s| StageEvent { stage: s.stage, at: s.end })
-            .collect()
-    }
-
-    /// All attempt roots, in recording order.
-    pub fn roots(&self) -> Vec<&TraceSpan> {
-        self.spans.iter().filter(|s| s.is_root()).collect()
-    }
-
-    /// Children of `id`, in recording order.
-    pub(crate) fn children(&self, id: SpanId) -> Vec<&TraceSpan> {
-        self.spans.iter().filter(|s| s.parent == Some(id)).collect()
+    /// One root per attempt, in order of first appearance: the
+    /// envelope (earliest start, latest end) of the attempt's spans,
+    /// named `submit` / `client` for attempt 0 and `attempt` / `worker`
+    /// after it.
+    pub fn roots(&self) -> Vec<TraceSpan> {
+        let mut roots: Vec<TraceSpan> = Vec::new();
+        for span in &self.spans {
+            match roots.iter_mut().find(|r| r.attempt == span.attempt) {
+                Some(root) => {
+                    root.start = root.start.min(span.start);
+                    root.end = root.end.max(span.end);
+                }
+                None => {
+                    let (stage, component) = if span.attempt == 0 {
+                        (stage::SUBMIT_ROOT, component::CLIENT)
+                    } else {
+                        (stage::ATTEMPT_ROOT, component::WORKER)
+                    };
+                    roots.push(TraceSpan { stage, component, ..span.clone() });
+                }
+            }
+        }
+        roots
     }
 
     /// The highest worker attempt number (ignores the submit subtree).
@@ -132,10 +118,7 @@ impl JobTrace {
     /// Time the job first reached `stage`, if it did (completion time of
     /// the earliest-recorded span with that name, any attempt).
     pub fn stage_time(&self, stage: &str) -> Option<SimTime> {
-        self.spans
-            .iter()
-            .find(|s| !s.is_root() && s.stage == stage)
-            .map(|s| s.end)
+        self.spans.iter().find(|s| s.stage == stage).map(|s| s.end)
     }
 
     /// End-to-end latency from the earliest span start to the latest
@@ -149,56 +132,22 @@ impl JobTrace {
         }
     }
 
-    /// True when recorded event timestamps never decrease.
+    /// True when the recorded spans' completion times never decrease.
     pub fn is_monotone(&self) -> bool {
-        self.events().windows(2).all(|w| w[0].at <= w[1].at)
+        self.spans.windows(2).all(|w| w[0].end <= w[1].end)
     }
 
-    /// Structural well-formedness: ids unique, parent edges resolve to
-    /// earlier-recorded roots, exactly one root per attempt, every
-    /// child's interval nests inside its parent's, every span interval
-    /// is ordered, and successive attempt roots do not overlap.
+    /// Well-formedness of a recording: every span interval is ordered,
+    /// and the attempts' envelopes, taken in attempt order, do not
+    /// overlap.
     pub fn well_formed(&self) -> Result<(), String> {
-        let mut ids = HashSet::new();
-        let mut roots_per_attempt: HashMap<u32, u32> = HashMap::new();
-        let by_id: HashMap<SpanId, &TraceSpan> =
-            self.spans.iter().map(|s| (s.id, s)).collect();
-        for span in &self.spans {
-            if !ids.insert(span.id) {
-                return Err(format!("duplicate span id {:?}", span.id));
-            }
-            if span.start > span.end {
-                return Err(format!("span {:?} ends before it starts", span.id));
-            }
-            match span.parent {
-                None => {
-                    *roots_per_attempt.entry(span.attempt).or_insert(0) += 1;
-                }
-                Some(pid) => {
-                    let parent = by_id
-                        .get(&pid)
-                        .ok_or_else(|| format!("span {:?} has dangling parent", span.id))?;
-                    if !parent.is_root() {
-                        return Err(format!("span {:?} parent is not a root", span.id));
-                    }
-                    if parent.attempt != span.attempt {
-                        return Err(format!("span {:?} crosses attempts", span.id));
-                    }
-                    if span.start < parent.start || span.end > parent.end {
-                        return Err(format!(
-                            "span {:?} [{:?},{:?}] escapes parent [{:?},{:?}]",
-                            span.id, span.start, span.end, parent.start, parent.end
-                        ));
-                    }
-                }
-            }
+        if let Some(span) = self.spans.iter().find(|s| s.start > s.end) {
+            return Err(format!(
+                "{} span of attempt {} ends before it starts",
+                span.stage, span.attempt
+            ));
         }
-        for (attempt, count) in &roots_per_attempt {
-            if *count != 1 {
-                return Err(format!("attempt {attempt} has {count} roots"));
-            }
-        }
-        let mut roots: Vec<&TraceSpan> = self.roots().into_iter().collect();
+        let mut roots = self.roots();
         roots.sort_by_key(|r| r.attempt);
         for w in roots.windows(2) {
             if w[1].start < w[0].end {
@@ -264,9 +213,8 @@ impl TraceStore {
     }
 
     /// Record a span for `job_id`: `stage` work by `component` on
-    /// delivery `attempt`, covering `[start, end]`. The attempt's root
-    /// span is created lazily before its first child and grows to
-    /// envelope every child recorded under it.
+    /// delivery `attempt`, covering `[start, end]` (the two are put in
+    /// order if they arrive swapped).
     pub fn record_span(
         &self,
         job_id: u64,
@@ -294,43 +242,8 @@ impl TraceStore {
                 .insert(job_id, JobTrace { job_id, spans: Vec::new() });
         }
         let trace = inner.traces.get_mut(&job_id).expect("just inserted");
-        let (end, start) = (end.max(start), start.min(end));
-        let root_id = match trace.spans.iter().position(|s| s.is_root() && s.attempt == attempt) {
-            Some(idx) => {
-                let root = &mut trace.spans[idx];
-                root.start = root.start.min(start);
-                root.end = root.end.max(end);
-                root.id
-            }
-            None => {
-                let id = SpanId(trace.spans.len() as u32);
-                let (root_stage, root_component) = if attempt == 0 {
-                    (stage::SUBMIT_ROOT, component::CLIENT)
-                } else {
-                    (stage::ATTEMPT_ROOT, component::WORKER)
-                };
-                trace.spans.push(TraceSpan {
-                    id,
-                    parent: None,
-                    stage: root_stage,
-                    component: root_component,
-                    attempt,
-                    start,
-                    end,
-                });
-                id
-            }
-        };
-        let id = SpanId(trace.spans.len() as u32);
-        trace.spans.push(TraceSpan {
-            id,
-            parent: Some(root_id),
-            stage,
-            component,
-            attempt,
-            start,
-            end,
-        });
+        let (start, end) = (start.min(end), end.max(start));
+        trace.spans.push(TraceSpan { stage, component, attempt, start, end });
         if stage == stage::GRADED {
             // The job is over: give back the list's doubling slack.
             trace.spans.shrink_to_fit();
@@ -409,7 +322,7 @@ mod tests {
         assert!(store.get(3).is_some());
         // Appending to a surviving trace must not re-insert it.
         store.record_span(2, 0, stage::ENQUEUED, component::BROKER, t(4), t(4));
-        assert_eq!(store.get(2).expect("trace").events().len(), 2);
+        assert_eq!(store.get(2).expect("trace").spans.len(), 2);
     }
 
     #[test]
@@ -446,11 +359,32 @@ mod tests {
         store.record_span(5, 2, stage::GRADED, component::WORKER, t(48), t(48));
         let trace = store.get(5).expect("trace exists");
         trace.well_formed().expect("tree is well-formed");
-        assert_eq!(trace.roots().iter().map(|r| r.attempt).collect::<Vec<_>>(), [0, 1, 2]);
-        let r1 = trace.roots()[1];
-        assert_eq!((r1.start, r1.end), (t(10), t(13)));
-        assert_eq!(trace.children(r1.id).len(), 3);
+        assert_eq!(trace.spans.len(), 9, "only what was recorded is stored");
+        let roots = trace.roots();
+        assert_eq!(roots.iter().map(|r| r.attempt).collect::<Vec<_>>(), [0, 1, 2]);
+        assert_eq!((roots[0].stage, roots[0].component), (stage::SUBMIT_ROOT, component::CLIENT));
+        assert_eq!((roots[1].stage, roots[1].component), (stage::ATTEMPT_ROOT, component::WORKER));
+        assert_eq!((roots[1].start, roots[1].end), (t(10), t(13)));
+        assert_eq!(trace.spans.iter().filter(|s| s.attempt == 1).count(), 3);
         assert_eq!(trace.final_attempt(), Some(2));
+    }
+
+    #[test]
+    fn overlapping_attempts_are_not_well_formed() {
+        let store = TraceStore::new();
+        let t = SimTime::from_secs;
+        store.record_span(6, 1, stage::RAN, component::SANDBOX, t(10), t(20));
+        // Swapped bounds are put in order, not stored inverted.
+        store.record_span(6, 2, stage::RAN, component::SANDBOX, t(25), t(15));
+        let trace = store.get(6).expect("trace exists");
+        assert_eq!((trace.spans[1].start, trace.spans[1].end), (t(15), t(25)));
+        let err = trace.well_formed().expect_err("attempt 2 starts inside attempt 1");
+        assert!(err.contains("attempt 2 root starts before attempt 1 root ends"), "{err}");
+    }
+
+    #[test]
+    fn a_span_is_two_names_an_attempt_and_an_interval() {
+        assert_eq!(std::mem::size_of::<TraceSpan>(), 56);
     }
 
     #[test]
@@ -469,9 +403,9 @@ mod tests {
         for (m, c) in moved.iter().zip(&copied) {
             assert_eq!(m.spans, c.spans, "the moved trace is the one a reader saw");
         }
-        // Job 1 was graded at six spans; the others stopped at five in
-        // a list grown for eight.
-        assert_eq!((moved[1].spans.len(), moved[1].spans.capacity()), (6, 6));
+        // Job 1 was graded at four spans; the others stopped at three in
+        // a list grown for four.
+        assert_eq!((moved[1].spans.len(), moved[1].spans.capacity()), (4, 4));
         assert!(moved[0].spans.capacity() > moved[0].spans.len());
         assert!(store.len() == 0 && store.get(3).is_none());
         assert_eq!(moved.capacity(), 3, "sized once, for what was there");
@@ -483,5 +417,241 @@ mod tests {
         assert_eq!(trace.total_duration(), SimDuration::ZERO);
         assert!(trace.is_monotone());
         trace.well_formed().expect("empty tree is well-formed");
+    }
+}
+
+/// The recorder this module shipped until a trace stopped storing its
+/// tree, with the two readers that walked the stored tree: each attempt
+/// got a root span, created just ahead of its first child and widened
+/// to cover every child after it, and every span carried its id (its
+/// position in the list) and its parent's. Kept as the oracle the flat
+/// recorder and its derived roots must read the same as.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use crate::critical::{attribute_paths, critical_path, segment, CriticalPath, PathSegment};
+    use crate::{attribute, render_chrome_trace};
+    use proptest::prelude::*;
+
+    /// A span with its id (its position in the list) and its parent's.
+    struct TreeSpan {
+        id: u32,
+        parent: Option<u32>,
+        span: TraceSpan,
+    }
+
+    struct TreeTrace {
+        job_id: u64,
+        spans: Vec<TreeSpan>,
+    }
+
+    impl TreeTrace {
+        fn record_span(
+            &mut self,
+            attempt: u32,
+            stage: &'static str,
+            component: &'static str,
+            start: SimTime,
+            end: SimTime,
+        ) {
+            let (end, start) = (end.max(start), start.min(end));
+            let root =
+                self.spans.iter().position(|s| s.parent.is_none() && s.span.attempt == attempt);
+            let root_id = match root {
+                Some(idx) => {
+                    let root = &mut self.spans[idx];
+                    root.span.start = root.span.start.min(start);
+                    root.span.end = root.span.end.max(end);
+                    root.id
+                }
+                None => {
+                    let id = self.spans.len() as u32;
+                    let (stage, component) = if attempt == 0 {
+                        (stage::SUBMIT_ROOT, component::CLIENT)
+                    } else {
+                        (stage::ATTEMPT_ROOT, component::WORKER)
+                    };
+                    let span = TraceSpan { stage, component, attempt, start, end };
+                    self.spans.push(TreeSpan { id, parent: None, span });
+                    id
+                }
+            };
+            let id = self.spans.len() as u32;
+            let span = TraceSpan { stage, component, attempt, start, end };
+            self.spans.push(TreeSpan { id, parent: Some(root_id), span });
+        }
+
+        fn roots(&self) -> Vec<&TreeSpan> {
+            self.spans.iter().filter(|s| s.parent.is_none()).collect()
+        }
+
+        fn children(&self, id: u32) -> Vec<&TreeSpan> {
+            self.spans.iter().filter(|s| s.parent == Some(id)).collect()
+        }
+
+        fn final_attempt(&self) -> Option<u32> {
+            self.spans.iter().map(|s| s.span.attempt).filter(|&a| a > 0).max()
+        }
+    }
+
+    fn tree_critical_path(trace: &TreeTrace) -> Option<CriticalPath> {
+        let start = trace.spans.iter().map(|s| s.span.start).min()?;
+        let end = trace.spans.iter().map(|s| s.span.end).max()?;
+        let final_attempt = trace.final_attempt().unwrap_or(0);
+        let mut roots = trace.roots();
+        roots.sort_by_key(|r| r.span.attempt);
+        let mut segments = Vec::new();
+        let mut cursor = start;
+        let mut push = |stage, component, attempt, start: SimTime, end: SimTime, wasted| {
+            if end > start {
+                segments.push(PathSegment { stage, component, attempt, start, end, wasted });
+            }
+        };
+        for root in &roots {
+            let root_span = &root.span;
+            if root_span.start > cursor && root_span.attempt > 0 {
+                let retry =
+                    roots.iter().any(|r| r.span.attempt > 0 && r.span.attempt < root_span.attempt);
+                let (label, wasted) =
+                    if retry { (segment::RETRY_WAIT, true) } else { (segment::QUEUE_WAIT, false) };
+                push(label, component::BROKER, root_span.attempt, cursor, root_span.start, wasted);
+                cursor = root_span.start;
+            }
+            let wasted = root_span.attempt > 0 && root_span.attempt < final_attempt;
+            let mut children = trace.children(root.id);
+            children.sort_by_key(|c| (c.span.start, c.id));
+            for child in children {
+                let TraceSpan { stage, component, attempt, start, end } = child.span;
+                if start > cursor {
+                    push(segment::OTHER, component::WORKER, attempt, cursor, start, wasted);
+                    cursor = start;
+                }
+                if end > cursor {
+                    push(stage, component, attempt, cursor.max(start), end, wasted);
+                    cursor = end;
+                }
+            }
+            if root_span.end > cursor {
+                let (attempt, end) = (root_span.attempt, root_span.end);
+                push(segment::OTHER, component::WORKER, attempt, cursor, end, wasted);
+                cursor = end;
+            }
+        }
+        Some(CriticalPath { start, end, segments })
+    }
+
+    fn tree_chrome_trace(traces: &[TreeTrace]) -> String {
+        let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
+        let mut first = true;
+        for trace in traces {
+            for s in &trace.spans {
+                if !first {
+                    out.push(',');
+                }
+                first = false;
+                let span = &s.span;
+                let ts = span.start.as_millis().saturating_mul(1_000);
+                let dur = crate::latency::duration_micros(span.end.duration_since(span.start));
+                out.push_str(&format!(
+                    "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{},\"args\":{{\"job\":{},\"attempt\":{},\"span\":{},\"parent\":{}}}}}",
+                    span.stage,
+                    span.component,
+                    ts,
+                    dur,
+                    trace.job_id,
+                    trace.job_id,
+                    span.attempt,
+                    s.id,
+                    s.parent.map_or(-1i64, i64::from),
+                ));
+            }
+        }
+        out.push_str("]}");
+        out
+    }
+
+    /// The worker-side stages a random attempt can record.
+    const ATTEMPT_STAGES: [(&str, &str); 9] = [
+        (stage::DEQUEUED, component::BROKER),
+        (stage::PULLED, component::SANDBOX),
+        (stage::FETCHED, component::STORE),
+        (stage::BUILT, component::SANDBOX),
+        (stage::RAN, component::SANDBOX),
+        (stage::UPLOADED, component::STORE),
+        (stage::RECORDED, component::DB),
+        (stage::GRADED, component::WORKER),
+        (stage::CRASHED, component::FAULT),
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Crash/retry schedules as the worker loop records them —
+        /// attempts in delivery order, time advancing — followed by
+        /// late spans for any attempt at any time (a stalled attempt's
+        /// marker, swapped bounds, an interval reaching back into an
+        /// earlier attempt). The flat recorder's derived roots, its
+        /// critical paths, attribution table and Chrome export equal
+        /// what the stored tree gave.
+        #[test]
+        fn flat_recorder_reads_as_the_tree_it_replaces(
+            jobs in prop::collection::vec(
+                (
+                    // 1..4 worker attempts, each 1..5 (stage, duration ms).
+                    prop::collection::vec(
+                        prop::collection::vec((0usize..9, 0u64..5_000), 1..5),
+                        1..4,
+                    ),
+                    // Late spans: (attempt, stage, start ms, end ms).
+                    prop::collection::vec((0u32..5, 0usize..9, 0u64..40_000, 0u64..40_000), 0..3),
+                ),
+                1..6,
+            ),
+            gap_ms in 0u64..10_000,
+        ) {
+            let store = TraceStore::new();
+            let mut trees = Vec::new();
+            for (job, (attempts, late)) in jobs.iter().enumerate() {
+                let mut tree = TreeTrace { job_id: job as u64, spans: Vec::new() };
+                let mut record = |attempt, (stage, component): (&'static str, _), start, end| {
+                    let (start, end) = (SimTime::from_millis(start), SimTime::from_millis(end));
+                    store.record_span(job as u64, attempt, stage, component, start, end);
+                    tree.record_span(attempt, stage, component, start, end);
+                };
+                let mut clock = 0u64;
+                record(0, (stage::SUBMITTED, component::CLIENT), clock, clock);
+                record(0, (stage::ENQUEUED, component::BROKER), clock, clock);
+                for (i, stages) in attempts.iter().enumerate() {
+                    clock += gap_ms;
+                    for &(stage_idx, dur_ms) in stages {
+                        record(i as u32 + 1, ATTEMPT_STAGES[stage_idx], clock, clock + dur_ms);
+                        clock += dur_ms;
+                    }
+                }
+                for &(attempt, stage_idx, start, end) in late {
+                    record(attempt, ATTEMPT_STAGES[stage_idx], start, end);
+                }
+                trees.push(tree);
+            }
+            let flat = store.take_all();
+            prop_assert_eq!(flat.len(), trees.len());
+            for (trace, tree) in flat.iter().zip(&trees) {
+                let tree_roots: Vec<TraceSpan> =
+                    tree.roots().iter().map(|r| r.span.clone()).collect();
+                prop_assert_eq!(trace.roots(), tree_roots);
+                prop_assert_eq!(trace.final_attempt(), tree.final_attempt());
+                prop_assert_eq!(trace.spans.len() + trace.roots().len(), tree.spans.len());
+                let (path, tree_path) = (critical_path(trace), tree_critical_path(tree));
+                prop_assert_eq!(
+                    path.map(|p| (p.start, p.end, p.segments)),
+                    tree_path.map(|p| (p.start, p.end, p.segments))
+                );
+            }
+            prop_assert_eq!(
+                attribute(&flat).table(),
+                attribute_paths(trees.iter().filter_map(tree_critical_path)).table()
+            );
+            prop_assert_eq!(render_chrome_trace(&flat), tree_chrome_trace(&trees));
+        }
     }
 }

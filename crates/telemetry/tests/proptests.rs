@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 use rai_sim::{SimDuration, SimTime};
 use rai_telemetry::{
-    component, stage, Histogram, LogHistogram, MetricsRegistry, OnlineStats, TimeSeries,
-    TraceStore,
+    component, render_chrome_trace, stage, Histogram, LogHistogram, MetricsRegistry, OnlineStats,
+    TimeSeries, TraceStore,
 };
 use std::sync::Arc;
 
@@ -101,9 +101,9 @@ proptest! {
 
     /// Any causal recording schedule (time advances within each job;
     /// attempts recorded in delivery order, as the worker loop does)
-    /// yields a structurally well-formed span tree: unique ids, one
-    /// root per attempt, children nested inside their roots, and
-    /// attempt roots in disjoint time order.
+    /// yields a well-formed trace: ordered intervals, one root per
+    /// attempt, and attempt roots in disjoint time order. The Chrome
+    /// export writes every recorded span and one root per attempt.
     #[test]
     fn span_trees_are_well_formed(
         jobs in prop::collection::vec(
@@ -151,7 +151,8 @@ proptest! {
             prop_assert_eq!(trace.roots().len(), attempts.len() + 1);
             prop_assert_eq!(trace.final_attempt(), Some(attempts.len() as u32));
             let recorded: usize = attempts.iter().map(Vec::len).sum();
-            prop_assert_eq!(trace.events().len(), recorded + 2);
+            let events = render_chrome_trace(&[trace]).matches("\"ph\":\"X\"").count();
+            prop_assert_eq!(events, recorded + 2 + attempts.len() + 1);
         }
     }
 
@@ -160,7 +161,9 @@ proptest! {
     /// (relative error ≤ 1/32); the count and the mean are exact.
     #[test]
     fn log_histogram_quantiles_are_sound(
-        xs in prop::collection::vec(0u64..100_000_000, 1..200),
+        // Half the draws span the whole range, so the top octave (and
+        // its last bucket, which ends at `u64::MAX`) is reached.
+        xs in prop::collection::vec(prop_oneof![0u64..100_000_000, any::<u64>()], 1..200),
     ) {
         let mut h = LogHistogram::new();
         for &x in &xs {
@@ -169,7 +172,8 @@ proptest! {
         let mut sorted = xs.clone();
         sorted.sort_unstable();
         prop_assert_eq!(h.count(), xs.len() as u64);
-        prop_assert_eq!(h.mean_micros(), xs.iter().sum::<u64>() / xs.len() as u64);
+        let sum = xs.iter().fold(0u64, |sum, &x| sum.saturating_add(x));
+        prop_assert_eq!(h.mean_micros(), sum / xs.len() as u64);
         prop_assert_eq!(h.count_le_micros(*sorted.last().unwrap()), h.count());
         let mut prev = 0u64;
         for q in [0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0] {

@@ -82,7 +82,7 @@ impl ChaosConfig {
             rate_limit: None,
             seed: self.seed,
             broker_attempts: self.broker_attempts,
-            fault_plan: Some(self.plan.clone()),
+            fault_plan: self.plan.clone(),
             ..Default::default()
         }
     }
@@ -228,9 +228,7 @@ impl<'a> Course<'a> {
             self.alive[victim] = false;
             self.pool.fail(self.instance_ids[victim]);
             self.system.workers_mut()[victim].crash_recover();
-            if let Some(inj) = self.system.fault_injector() {
-                inj.note_injected(FaultKind::InstanceDeath);
-            }
+            self.system.fault_injector().note_injected(FaultKind::InstanceDeath);
         }
     }
 
@@ -394,13 +392,10 @@ pub fn run_chaos(config: &ChaosConfig) -> ChaosResult {
     let system = &course.system;
     let injected = system
         .fault_injector()
-        .map(|inj| {
-            inj.injected_counts()
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect()
-        })
-        .unwrap_or_default();
+        .injected_counts()
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v))
+        .collect();
     ChaosResult {
         rejected: course.rejected,
         terminal: audit.terminal,

@@ -194,7 +194,7 @@ pub fn run_recovery(config: &RecoveryConfig) -> RecoveryResult {
         // ---- The process dies. ----
         let kill_time = course.system.clock().now();
         let remaining_deaths = course.deaths.iter().copied().filter(|t| *t > kill_time).collect();
-        let injector = course.system.fault_injector().cloned();
+        let injector = Some(course.system.fault_injector().clone());
         let pre_kill_failed = course.pool.stats().failed;
         let (accepted, rejected) = (std::mem::take(&mut course.accepted), course.rejected);
         drop(course);
