@@ -328,10 +328,21 @@ pub fn chunk_views(buffer: &Bytes, parts: impl IntoIterator<Item = (u64, usize)>
 /// length disagrees with the manifest.
 pub fn assemble<B: AsRef<[u8]>>(
     manifest: &ChunkManifest,
+    lookup: impl FnMut(u64) -> Option<B>,
+) -> Option<Vec<u8>> {
+    assemble_refs(manifest.chunks.iter().copied(), manifest.total_len, lookup)
+}
+
+/// [`assemble`] from the references alone, however their holder keeps
+/// them: `refs` in stream order, `total_len` the payload length they
+/// must add up to.
+pub fn assemble_refs<B: AsRef<[u8]>>(
+    refs: impl IntoIterator<Item = ChunkRef>,
+    total_len: u64,
     mut lookup: impl FnMut(u64) -> Option<B>,
 ) -> Option<Vec<u8>> {
-    let mut out = Vec::with_capacity(manifest.total_len as usize);
-    for r in &manifest.chunks {
+    let mut out = Vec::with_capacity(total_len as usize);
+    for r in refs {
         let data = lookup(r.digest)?;
         let data = data.as_ref();
         if data.len() as u64 != u64::from(r.len) {
@@ -339,7 +350,7 @@ pub fn assemble<B: AsRef<[u8]>>(
         }
         out.extend_from_slice(data);
     }
-    if out.len() as u64 != manifest.total_len {
+    if out.len() as u64 != total_len {
         return None;
     }
     Some(out)

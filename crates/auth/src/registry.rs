@@ -3,7 +3,7 @@
 //! registers/revokes keys as the roster changes.
 
 use crate::keys::Credentials;
-use crate::signing::verify_request;
+use crate::signing::HmacKey;
 use std::collections::HashMap;
 
 /// Authentication failure.
@@ -33,6 +33,8 @@ impl std::error::Error for AuthError {}
 
 struct Entry {
     creds: Credentials,
+    /// The secret key, scheduled once at registration.
+    key: HmacKey,
     revoked: bool,
 }
 
@@ -51,10 +53,12 @@ impl CredentialRegistry {
     /// Register newly issued credentials (replacing any previous entry
     /// for the same access key).
     pub fn register(&mut self, creds: Credentials) {
+        let key = HmacKey::new(creds.secret_key.as_bytes());
         self.by_access_key.insert(
             creds.access_key.clone(),
             Entry {
                 creds,
+                key,
                 revoked: false,
             },
         );
@@ -87,7 +91,7 @@ impl CredentialRegistry {
                 access_key: access_key.to_string(),
             });
         }
-        if !verify_request(&entry.creds.secret_key, access_key, body, signature) {
+        if !entry.key.verify(access_key, body, signature) {
             return Err(AuthError::BadSignature {
                 access_key: access_key.to_string(),
             });

@@ -8,40 +8,73 @@ use crate::sha256::{hex, push_hex, sha256, Sha256};
 
 const BLOCK: usize = 64;
 
+/// A key scheduled for HMAC-SHA256: the hasher states after its inner
+/// and outer padded blocks. Scheduling costs the two compressions (and,
+/// for a key over 64 bytes, the hash of the key) that every MAC under
+/// the key would otherwise repeat.
+#[derive(Clone)]
+pub(crate) struct HmacKey {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl HmacKey {
+    /// Schedule `key`.
+    pub(crate) fn new(key: &[u8]) -> Self {
+        let mut key_block = [0u8; BLOCK];
+        if key.len() > BLOCK {
+            key_block[..32].copy_from_slice(&sha256(key));
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
+        }
+        let mut ipad = [0x36u8; BLOCK];
+        let mut opad = [0x5cu8; BLOCK];
+        for i in 0..BLOCK {
+            ipad[i] ^= key_block[i];
+            opad[i] ^= key_block[i];
+        }
+        let (mut inner, mut outer) = (Sha256::new(), Sha256::new());
+        inner.update(&ipad);
+        outer.update(&opad);
+        HmacKey { inner, outer }
+    }
+
+    /// HMAC-SHA256 of `message` under this key.
+    pub(crate) fn mac(&self, message: &[u8]) -> [u8; 32] {
+        let mut inner = self.inner.clone();
+        inner.update(message);
+        let inner_digest = inner.finalize();
+        let mut outer = self.outer.clone();
+        outer.update(&inner_digest);
+        outer.finalize()
+    }
+
+    /// [`sign_request`] under this key.
+    pub(crate) fn sign(&self, access_key: &str, body: &[u8]) -> String {
+        hex(&self.mac(canonical_request(access_key, body).as_bytes()))
+    }
+
+    /// [`verify_request`] under this key.
+    pub(crate) fn verify(&self, access_key: &str, body: &[u8], signature: &str) -> bool {
+        constant_time_eq(self.sign(access_key, body).as_bytes(), signature.as_bytes())
+    }
+}
+
 /// HMAC-SHA256 of `message` under `key`.
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
-    let mut key_block = [0u8; BLOCK];
-    if key.len() > BLOCK {
-        key_block[..32].copy_from_slice(&sha256(key));
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
-    }
-    let mut ipad = [0x36u8; BLOCK];
-    let mut opad = [0x5cu8; BLOCK];
-    for i in 0..BLOCK {
-        ipad[i] ^= key_block[i];
-        opad[i] ^= key_block[i];
-    }
-    let mut inner = Sha256::new();
-    inner.update(&ipad).update(message);
-    let inner_digest = inner.finalize();
-    let mut outer = Sha256::new();
-    outer.update(&opad).update(&inner_digest);
-    outer.finalize()
+    HmacKey::new(key).mac(message)
 }
 
 /// Sign a canonical request `access_key \n body-hash` with the secret;
 /// returns a lowercase hex signature.
 pub fn sign_request(secret_key: &str, access_key: &str, body: &[u8]) -> String {
-    let canonical = canonical_request(access_key, body);
-    hex(&hmac_sha256(secret_key.as_bytes(), canonical.as_bytes()))
+    HmacKey::new(secret_key.as_bytes()).sign(access_key, body)
 }
 
 /// Verify a signature produced by [`sign_request`]. Constant-time
 /// comparison over the hex strings.
 pub fn verify_request(secret_key: &str, access_key: &str, body: &[u8], signature: &str) -> bool {
-    let expected = sign_request(secret_key, access_key, body);
-    constant_time_eq(expected.as_bytes(), signature.as_bytes())
+    HmacKey::new(secret_key.as_bytes()).verify(access_key, body, signature)
 }
 
 fn canonical_request(access_key: &str, body: &[u8]) -> String {
@@ -69,22 +102,30 @@ fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
 mod tests {
     use super::*;
 
+    /// The MAC of `message` under `key` by the one-shot function and by
+    /// a key scheduled once and used twice: all three the same.
+    fn both_paths(key: &[u8], message: &[u8]) -> String {
+        let once = hmac_sha256(key, message);
+        let scheduled = HmacKey::new(key);
+        assert_eq!(scheduled.mac(message), once);
+        assert_eq!(scheduled.mac(message), once, "a scheduled key is not used up");
+        hex(&once)
+    }
+
     #[test]
     fn rfc4231_test_case_1() {
         // RFC 4231 HMAC-SHA256 test case 1.
         let key = [0x0bu8; 20];
-        let mac = hmac_sha256(&key, b"Hi There");
         assert_eq!(
-            hex(&mac),
+            both_paths(&key, b"Hi There"),
             "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
         );
     }
 
     #[test]
     fn rfc4231_test_case_2() {
-        let mac = hmac_sha256(b"Jefe", b"what do ya want for nothing?");
         assert_eq!(
-            hex(&mac),
+            both_paths(b"Jefe", b"what do ya want for nothing?"),
             "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
         );
     }
@@ -93,9 +134,8 @@ mod tests {
     fn rfc4231_long_key() {
         // Test case 6: 131-byte key (forces the hash-the-key path).
         let key = [0xaau8; 131];
-        let mac = hmac_sha256(&key, b"Test Using Larger Than Block-Size Key - Hash Key First");
         assert_eq!(
-            hex(&mac),
+            both_paths(&key, b"Test Using Larger Than Block-Size Key - Hash Key First"),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
         );
     }

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use rai_auth::{
-    hmac_sha256, sign_request, verify_request, Credentials, Roster,
+    hmac_sha256, sign_request, verify_request, CredentialRegistry, Credentials, Roster,
 };
 
 /// Parser input with the right alphabet: printable ASCII plus what it
@@ -56,6 +56,35 @@ proptest! {
         let b = hmac_sha256(&key, b"msg");
         prop_assert_eq!(a, b);
         prop_assert_ne!(hmac_sha256(&key, b"msg"), hmac_sha256(&key, b"other"));
+    }
+
+    /// The registry verifies with the key it scheduled at registration,
+    /// and answers as `verify_request` does: for secrets shorter than,
+    /// as long as and longer than a SHA-256 block, any body, and the
+    /// true signature or one with a hex digit changed.
+    #[test]
+    fn registry_verification_equals_verify_request(
+        secret in prop_oneof!["[ -~]{0,63}", "[ -~]{64}", "[ -~]{65,200}"],
+        access in "[a-zA-Z0-9-]{1,30}",
+        body in prop::collection::vec(any::<u8>(), 0..400),
+        (tampered, at, by) in (any::<bool>(), 0usize..64, 1u32..16),
+    ) {
+        let tamper = tampered.then_some((at, by));
+        let mut registry = CredentialRegistry::new();
+        registry.register(Credentials {
+            user_name: "team-x".to_string(),
+            access_key: access.clone(),
+            secret_key: secret.clone(),
+        });
+        let mut sig = sign_request(&secret, &access, &body);
+        if let Some((at, by)) = tamper {
+            let old = char::from(sig.as_bytes()[at]).to_digit(16).expect("hex");
+            let digit = char::from_digit((old + by) % 16, 16).expect("a hex digit");
+            sig.replace_range(at..=at, digit.encode_utf8(&mut [0; 4]));
+        }
+        let expected = verify_request(&secret, &access, &body, &sig);
+        prop_assert_eq!(expected, tamper.is_none());
+        prop_assert_eq!(registry.authenticate(&access, &body, &sig).is_ok(), expected);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! copies the per-size table at that allocation (the simulation is
 //! single-threaded and deterministic, so the two runs allocate alike —
 //! asserted). Sizes name their owners: DESIGN.md §10 "What a
-//! submission leaves behind" lists which block is whose.
+//! submission leaves behind" lists which block is whose. At the paper's
+//! scale the peak must stay under `PAPER_CEILING`; the run fails if not.
 //!
 //! ```text
 //! cargo run --release -p rai-bench --bin heap_census [seed] [--paper]
@@ -40,6 +41,12 @@ static COPY_LARGE: [AtomicU64; LARGE_SLOTS] = [const { AtomicU64::new(0) }; LARG
 
 /// Set when a large block found no free slot: the table is then short.
 static LARGE_OVERFLOWED: AtomicBool = AtomicBool::new(false);
+
+/// Most live heap the paper's course (`--paper`) may peak at: 5 % above
+/// the 87 774 411 B measured at seed 2016 (EXPERIMENTS.md "What a
+/// submission leaves behind, round two"), under ROADMAP item 2's
+/// 100 MB bar.
+const PAPER_CEILING: u64 = 92_200_000;
 
 /// Turn the first `LARGE` slot holding `from` into `to`: 0 → size takes
 /// a slot for a new block, size → 0 gives one back.
@@ -137,4 +144,7 @@ fn main() {
     let share = 100.0 * large.iter().sum::<u64>() as f64 / peak as f64;
     println!("  blocks over {EXACT} B ({share:.1}%): {large:?}");
     println!("  {blocks_total} blocks = {:.1} per submission", blocks_total as f64 / n as f64);
+    if paper {
+        assert!(peak <= PAPER_CEILING, "the paper's course peaked at {peak} B");
+    }
 }

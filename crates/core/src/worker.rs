@@ -1537,9 +1537,11 @@ mod tests {
         let transcript: usize = receipt.log.iter().map(String::len).sum();
         assert!(transcript <= MAX_OUTPUT_BYTES + WORKER_FRAMES, "{transcript} bytes of transcript");
         // `End` is a field of the receipt, so the truncation note is
-        // the transcript's last line, after the last line that fit.
-        let [.., fit, note] = &receipt.log[..] else { panic!("a two-line transcript at least") };
+        // the transcript's last line, after what fit of the line that
+        // crossed the cap and the last line that fit whole.
+        let [.., fit, cut, note] = &receipt.log[..] else { panic!("three lines at least") };
         assert_eq!((fit, note.as_str()), (&line, "[stderr] … output truncated"));
+        assert!(cut.len() < line.len() && line.starts_with(cut.as_str()), "{cut:?}");
 
         let row = rig.db.collection("submissions").read().find_one(&doc! { "job_id" => 1u64 }).unwrap();
         let log_bytes = row.get("log_bytes").and_then(Value::as_i64).expect("counted") as usize;

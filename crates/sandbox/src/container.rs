@@ -97,6 +97,9 @@ pub const MAX_OUTPUT_BYTES: usize = 640 * 1024;
 /// lines is bounded too: the five bytes that frame it on the log topic.
 const LINE_OVERHEAD: usize = 5;
 
+/// The stderr line that ends a job's output at [`MAX_OUTPUT_BYTES`].
+const TRUNCATED: &str = "… output truncated";
+
 /// A running (simulated) container.
 pub struct Container {
     /// The merged filesystem: image rootfs + mounted volumes + workdir.
@@ -179,19 +182,29 @@ impl Container {
     }
 
     /// Append a log line. The line that takes the job past
-    /// [`MAX_OUTPUT_BYTES`] is replaced by one stderr line saying so,
-    /// and every later one is dropped; the commands keep running and
-    /// exit as they would have.
-    pub(crate) fn log(&mut self, stream: LogStream, text: String) {
+    /// [`MAX_OUTPUT_BYTES`] is cut to the longest prefix that fits the
+    /// cap together with one stderr line saying so ([`TRUNCATED`]),
+    /// which follows it; every later line is dropped. The commands keep
+    /// running and exit as they would have.
+    pub(crate) fn log(&mut self, stream: LogStream, mut text: String) {
         if self.logged > MAX_OUTPUT_BYTES {
             return;
         }
+        let room = MAX_OUTPUT_BYTES - self.logged;
         self.logged += text.len() + LINE_OVERHEAD;
-        self.log.push(if self.logged > MAX_OUTPUT_BYTES {
-            LogLine { stream: LogStream::Stderr, text: "… output truncated".to_string() }
-        } else {
-            LogLine { stream, text }
-        });
+        if self.logged <= MAX_OUTPUT_BYTES {
+            self.log.push(LogLine { stream, text });
+            return;
+        }
+        let mut keep = room.saturating_sub(2 * LINE_OVERHEAD + TRUNCATED.len());
+        while !text.is_char_boundary(keep) {
+            keep -= 1;
+        }
+        if keep > 0 {
+            text.truncate(keep);
+            self.log.push(LogLine { stream, text });
+        }
+        self.log.push(LogLine { stream: LogStream::Stderr, text: TRUNCATED.to_string() });
     }
 
     /// Charge a command's resource use against the limits. Returns the
@@ -709,19 +722,28 @@ mod tests {
     }
 
     #[test]
-    fn output_past_the_cap_is_dropped_and_said_so_once() {
-        // 16 KiB lines: the 40th is the one that would cross 640 KiB.
+    fn output_past_the_cap_is_cut_at_a_char_boundary_and_said_so_once() {
+        // 39 lines of 16 KiB fit; the 40th, 24 000 bytes of three-byte
+        // characters, crosses 640 KiB one byte into a character.
         let big = "x".repeat(16 * 1024 - 1) + "\n";
-        let tree = gpu_project().with("big.txt", big.repeat(64).into_bytes());
+        let wide = "漢".repeat(8_000);
+        let text = big.repeat(39) + &wide + "\nnever logged\n";
+        let tree = gpu_project().with("big.txt", text.into_bytes());
         let mut c = make_container(&tree, ResourceLimits::default());
         c.run_script(["cat /src/big.txt", "cat /src/big.txt", "echo after"]);
         let report = c.destroy();
         assert!(report.success(), "truncation is not a failure: {:?}", report.status);
         let (last, kept) = report.log.split_last().unwrap();
-        assert_eq!((last.stream, last.text.as_str()), (LogStream::Stderr, "… output truncated"));
-        assert_eq!(kept.len(), 39);
-        let charged: usize = kept.iter().map(|l| l.text.len() + LINE_OVERHEAD).sum();
-        assert!(charged <= MAX_OUTPUT_BYTES && charged + big.len() + LINE_OVERHEAD > MAX_OUTPUT_BYTES);
+        assert_eq!((last.stream, last.text.as_str()), (LogStream::Stderr, TRUNCATED));
+        let (cut, whole) = kept.split_last().unwrap();
+        assert_eq!(whole.len(), 39);
+        assert!(whole.iter().all(|l| l.text.len() == big.len() - 1));
+        // The crossing line keeps the most whole characters that fit
+        // with the note: one more byte would fit, one more character not.
+        assert_eq!(cut.stream, LogStream::Stdout);
+        assert!(!cut.text.is_empty() && wide.starts_with(&cut.text), "{} bytes", cut.text.len());
+        let charged: usize = report.log.iter().map(|l| l.text.len() + LINE_OVERHEAD).sum();
+        assert_eq!(MAX_OUTPUT_BYTES - charged, 1, "{charged} bytes charged");
 
         // A job under the cap is untouched, to the line.
         let mut c = make_container(&tree, ResourceLimits::default());

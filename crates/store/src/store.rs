@@ -16,12 +16,15 @@ use crate::lifecycle::LifecycleRule;
 use crate::object::{ObjectMeta, StoredObject};
 use bytes::Bytes;
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
-use rai_archive::chunk::{assemble, chunk_shared, Chunk, ChunkManifest, ChunkerParams};
+use rai_archive::chunk::{
+    assemble_refs, chunk_shared, Chunk, ChunkManifest, ChunkRef, ChunkerParams,
+};
 use rai_archive::fnv::{self, Fnv1a};
 use rai_sim::{SimTime, VirtualClock};
-use rai_wal::codec::{put_str, Reader};
+use rai_wal::codec::{put_str, put_u32, put_u64, Reader};
 use rai_wal::Wal;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -90,75 +93,124 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
+/// Bytes one chunk reference takes in an object record's block: its
+/// digest, then its length, little-endian — the 12 bytes a manifest
+/// costs per chunk on the wire.
+const REF_BYTES: usize = 12;
+
 /// What the store keeps per object, under its key in the bucket's map:
-/// two timestamps, the user metadata packed into one block and the
-/// manifest of chunks the payload reassembles from — which is also the
-/// only copy of the object's size and etag. The public [`ObjectMeta`]
-/// is a view built on read ([`ObjRecord::meta`]).
+/// two timestamps, the payload length and one block packed by
+/// [`ObjRecord::new`] — a `u32` count of chunk references, the
+/// references [`REF_BYTES`] each, the etag ([`put_str`]), then the user
+/// metadata pairs. The public [`ObjectMeta`] and the [`ChunkManifest`]
+/// a snapshot or the journal carries are views built on read.
 struct ObjRecord {
     uploaded_at: SimTime,
     last_used: SimTime,
-    /// [`pack_user`]'s block.
-    user: Box<[u8]>,
-    manifest: ChunkManifest,
+    /// Payload length: the sum of the references' lengths.
+    size: u64,
+    block: Box<[u8]>,
+}
+
+/// The little-endian `u32` at the front of `bytes`, as a length.
+fn word(bytes: &[u8]) -> usize {
+    u32::from_le_bytes(bytes[..4].try_into().expect("four bytes")) as usize
 }
 
 impl ObjRecord {
-    /// The object's public metadata, as `head`/`list`/`get`, a snapshot
-    /// and the journal see it.
-    fn meta(&self, key: &str) -> ObjectMeta {
-        ObjectMeta {
-            key: key.to_string(),
-            size: self.manifest.total_len,
-            etag: self.manifest.etag.clone(),
-            uploaded_at: self.uploaded_at,
-            last_used: self.last_used,
-            user: unpack_user(&self.user),
+    /// The record of `manifest` with user metadata `pairs`, uploaded at
+    /// `now`. The pairs are packed in key order, each a length-prefixed
+    /// key then value ([`put_str`]); of several pairs with one key the
+    /// last wins, as collecting them into a map would have it.
+    fn new(now: SimTime, manifest: &ChunkManifest, mut pairs: Vec<(&str, &str)>) -> Self {
+        // Reversed, the last pair given is the first of its key's run
+        // after the stable sort, and that is the one dedup keeps.
+        pairs.reverse();
+        pairs.sort_by_key(|&(k, _)| k);
+        pairs.dedup_by_key(|&mut (k, _)| k);
+        let user: usize = pairs.iter().map(|(k, v)| 8 + k.len() + v.len()).sum();
+        let refs = &manifest.chunks;
+        let mut block = Vec::with_capacity(8 + REF_BYTES * refs.len() + manifest.etag.len() + user);
+        put_u32(&mut block, u32::try_from(refs.len()).expect("a manifest under 2^32 chunks"));
+        for r in refs {
+            put_u64(&mut block, r.digest);
+            put_u32(&mut block, r.len);
         }
-    }
-}
-
-/// Pack user metadata into one block: the pairs in key order, each a
-/// length-prefixed key then value ([`put_str`]); of several pairs with
-/// one key the last wins, as collecting them into a map would have it.
-fn pack_user(mut pairs: Vec<(&str, &str)>) -> Box<[u8]> {
-    pairs.sort_by_key(|&(k, _)| k);
-    let bytes: usize = pairs.iter().map(|(k, v)| 8 + k.len() + v.len()).sum();
-    let mut block = Vec::with_capacity(bytes);
-    for (i, &(k, v)) in pairs.iter().enumerate() {
-        // The sort is stable: the last of a run of equal keys is the
-        // last one given.
-        if pairs.get(i + 1).is_none_or(|&(next, _)| next != k) {
+        put_str(&mut block, &manifest.etag);
+        for (k, v) in pairs {
             put_str(&mut block, k);
             put_str(&mut block, v);
         }
+        let block = block.into_boxed_slice();
+        ObjRecord { uploaded_at: now, last_used: now, size: manifest.total_len, block }
     }
-    block.into_boxed_slice()
+
+    /// The block split after the packed references.
+    fn split(&self) -> (&[u8], &[u8]) {
+        let (count, rest) = self.block.split_at(4);
+        rest.split_at(REF_BYTES * word(count))
+    }
+
+    /// The chunk references, in stream order.
+    fn refs(&self) -> impl Iterator<Item = ChunkRef> + '_ {
+        self.split().0.chunks_exact(REF_BYTES).map(|r| ChunkRef {
+            digest: u64::from_le_bytes(r[..8].try_into().expect("eight bytes")),
+            len: word(&r[8..]) as u32,
+        })
+    }
+
+    /// The etag, and the packed user metadata pairs.
+    fn etag_and_user(&self) -> (&str, &[u8]) {
+        let (len, rest) = self.split().1.split_at(4);
+        let (etag, user) = rest.split_at(word(len));
+        (std::str::from_utf8(etag).expect("packed from a String"), user)
+    }
+
+    /// The object's public metadata, as `head`/`list`/`get`, a snapshot
+    /// and the journal see it.
+    fn meta(&self, key: &str) -> ObjectMeta {
+        let (etag, user) = self.etag_and_user();
+        ObjectMeta {
+            key: key.to_string(),
+            size: self.size,
+            etag: etag.to_string(),
+            uploaded_at: self.uploaded_at,
+            last_used: self.last_used,
+            user: unpack_user(user),
+        }
+    }
+
+    /// The manifest this record was packed from, as a snapshot and the
+    /// journal carry it.
+    fn manifest(&self) -> ChunkManifest {
+        let etag = self.etag_and_user().0.to_string();
+        ChunkManifest { chunks: self.refs().collect(), total_len: self.size, etag }
+    }
 }
 
-/// [`pack_user`] of an upload's metadata, refused when the pairs as
-/// offered come to more than [`MAX_USER_META_BYTES`].
-fn pack_upload_meta<'m>(
+/// An upload's metadata pairs, refused when they come, as offered, to
+/// more than [`MAX_USER_META_BYTES`].
+fn upload_pairs<'m>(
     pairs: impl IntoIterator<Item = (&'m str, &'m str)>,
-) -> Result<Box<[u8]>, StoreError> {
+) -> Result<Vec<(&'m str, &'m str)>, StoreError> {
     let pairs: Vec<(&str, &str)> = pairs.into_iter().collect();
     if pairs.iter().map(|(k, v)| k.len() + v.len()).sum::<usize>() > MAX_USER_META_BYTES {
         return Err(StoreError::MetadataTooLarge);
     }
-    Ok(pack_user(pairs))
+    Ok(pairs)
 }
 
-/// [`pack_user`] of a journaled or snapshotted metadata map.
-fn pack_map(user: &BTreeMap<String, String>) -> Box<[u8]> {
-    pack_user(user.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect())
+/// The pairs of a journaled or snapshotted metadata map.
+fn map_pairs(user: &BTreeMap<String, String>) -> Vec<(&str, &str)> {
+    user.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect()
 }
 
-/// The map a [`pack_user`] block stands for.
+/// The map a record's packed pairs stand for.
 fn unpack_user(block: &[u8]) -> BTreeMap<String, String> {
     let mut r = Reader::new(block);
     let mut user = BTreeMap::new();
     while !r.done() {
-        let pair = r.str().zip(r.str()).expect("pack_user wrote whole pairs of UTF-8");
+        let pair = r.str().zip(r.str()).expect("ObjRecord::new wrote whole pairs of UTF-8");
         user.insert(pair.0, pair.1);
     }
     user
@@ -166,10 +218,10 @@ fn unpack_user(block: &[u8]) -> BTreeMap<String, String> {
 
 struct BucketState {
     rule: LifecycleRule,
-    objects: BTreeMap<String, ObjRecord>,
+    objects: BTreeMap<Box<str>, ObjRecord>,
 }
 
-/// Everything the store remembers: manifests, the chunk arena they
+/// Everything the store remembers: object records, the chunk arena they
 /// reference and the cumulative counters, behind the one lock of
 /// [`StoreInner`]. Every mutation is one `&mut self` transition below
 /// that moves all three together; the live API validates and journals
@@ -278,8 +330,8 @@ impl StoreState {
         })
     }
 
-    fn release(&mut self, manifest: &ChunkManifest) {
-        for r in &manifest.chunks {
+    fn release(&mut self, record: &ObjRecord) {
+        for r in record.refs() {
             self.chunks.release(r.digest);
         }
     }
@@ -320,31 +372,28 @@ impl StoreState {
         self.counters.bytes_wire += wire_bytes;
     }
 
-    /// Put `manifest` under `bucket/key`, which must exist; `sources`
-    /// is [`resolve`]'s answer for it. New references are taken before
-    /// the previous object's are released, so an overwrite never frees
-    /// chunks the new manifest shares with the old.
-    #[allow(clippy::too_many_arguments)]
+    /// Put `record` under `bucket/key`, which must exist; `sources` is
+    /// [`resolve`]'s answer for the manifest it was packed from. New
+    /// references are taken before the previous object's are released,
+    /// so an overwrite never frees chunks the new manifest shares with
+    /// the old.
     fn install(
         &mut self,
         bucket: &str,
-        key: String,
-        now: SimTime,
-        manifest: ChunkManifest,
+        key: Box<str>,
+        record: ObjRecord,
         sources: &[Option<&Bytes>],
-        user: Box<[u8]>,
         wire_bytes: u64,
         delta: bool,
     ) {
-        self.count_put(manifest.total_len, wire_bytes, delta);
-        for (r, source) in manifest.chunks.iter().zip(sources) {
+        self.count_put(record.size, wire_bytes, delta);
+        for (r, source) in record.refs().zip(sources) {
             let hit = self.chunks.retain(r.digest, *source).expect("availability resolved by caller");
             self.counters.dedup_hits += u64::from(hit);
         }
-        let record = ObjRecord { uploaded_at: now, last_used: now, user, manifest };
         let b = self.buckets.get_mut(bucket).expect("bucket checked by caller");
         if let Some(prev) = b.objects.insert(key, record) {
-            self.release(&prev.manifest);
+            self.release(&prev);
         }
     }
 
@@ -362,7 +411,7 @@ impl StoreState {
     fn remove(&mut self, bucket: &str, key: &str) {
         self.counters.deletes += 1;
         if let Some(rec) = self.buckets.get_mut(bucket).and_then(|b| b.objects.remove(key)) {
-            self.release(&rec.manifest);
+            self.release(&rec);
         }
     }
 
@@ -372,21 +421,21 @@ impl StoreState {
     /// shared with live objects survive and only unreferenced ones are
     /// freed.
     fn expire(&mut self, now: SimTime) -> u64 {
-        let mut released: Vec<ChunkManifest> = Vec::new();
+        let mut released: Vec<ObjRecord> = Vec::new();
         for b in self.buckets.values_mut() {
             let rule = b.rule;
-            let doomed: Vec<String> = b
+            let doomed: Vec<Box<str>> = b
                 .objects
                 .iter()
                 .filter(|(_, o)| rule.is_expired(o.uploaded_at, o.last_used, now))
                 .map(|(k, _)| k.clone())
                 .collect();
             for k in doomed {
-                released.push(b.objects.remove(&k).expect("doomed key just listed").manifest);
+                released.push(b.objects.remove(&k).expect("doomed key just listed"));
             }
         }
-        for manifest in &released {
-            self.release(manifest);
+        for record in &released {
+            self.release(record);
         }
         self.counters.expired += released.len() as u64;
         released.len() as u64
@@ -419,9 +468,9 @@ impl StoreState {
                     self.chunks.retain(d, None).expect("residency checked above");
                 }
                 let ObjectMeta { key, uploaded_at, last_used, user, .. } = o.meta;
-                let record =
-                    ObjRecord { uploaded_at, last_used, user: pack_map(&user), manifest: o.manifest };
-                objects.insert(key, record);
+                let record = ObjRecord::new(uploaded_at, &o.manifest, map_pairs(&user));
+                let record = ObjRecord { last_used, ..record };
+                objects.insert(key.into_boxed_str(), record);
             }
             self.buckets.insert(b.name, BucketState { rule: b.rule, objects });
         }
@@ -440,7 +489,7 @@ impl StoreState {
                     objects: b
                         .objects
                         .iter()
-                        .map(|(key, o)| SnapObject { meta: o.meta(key), manifest: o.manifest.clone() })
+                        .map(|(key, o)| SnapObject { meta: o.meta(key), manifest: o.manifest() })
                         .collect(),
                 })
                 .collect(),
@@ -483,7 +532,8 @@ impl StoreState {
                     return 1;
                 };
                 let now = SimTime::from_millis(time_millis);
-                self.install(&bucket, key, now, manifest, &sources, pack_map(&user), wire_bytes, delta);
+                let record = ObjRecord::new(now, &manifest, map_pairs(&user));
+                self.install(&bucket, key.into_boxed_str(), record, &sources, wire_bytes, delta);
             }
             StoreRecord::Touch { bucket, key, time_millis, size } => {
                 self.touch(&bucket, &key, SimTime::from_millis(time_millis), size);
@@ -510,9 +560,9 @@ pub struct StoreUsage {
     pub bytes_stored: u64,
     /// Physical bytes currently resident (each distinct chunk once).
     pub bytes_physical: u64,
-    /// Bytes of object records currently resident: keys, packed user
-    /// metadata and manifests (chunk references and etag) — what the
-    /// store keeps *about* the objects, beside their bytes.
+    /// Bytes of object records currently resident: each key and its
+    /// record's packed block (chunk references, etag and user metadata)
+    /// — what the store keeps *about* the objects, beside their bytes.
     pub metadata_bytes: u64,
     /// Distinct chunks currently resident.
     pub chunks: u64,
@@ -672,13 +722,11 @@ impl ObjectStore {
         if self.take_fault() || self.injected_fault(rai_faults::FaultKind::StorePut) {
             return Err(StoreError::Unavailable);
         }
-        let user = pack_upload_meta(user_meta)?;
+        let pairs = upload_pairs(user_meta)?;
         let data = data.into();
         let (manifest, chunks) = chunk_shared(&data, ChunkerParams::for_len(data.len()));
-        let size = manifest.total_len;
-        let etag = manifest.etag.clone();
-        self.commit_put(bucket, key, manifest, &chunks, false, user, size)?;
-        Ok(etag)
+        self.commit_put(bucket, key, &manifest, &chunks, false, pairs, manifest.total_len)?;
+        Ok(manifest.etag)
     }
 
     /// The shared validate → journal → install tail of `put`/`put_delta`,
@@ -691,15 +739,18 @@ impl ObjectStore {
     /// manifest's chunks in any order and [`resolve`] runs the protocol
     /// checks. Otherwise `provided` is the chunker's own output, which
     /// pairs with the manifest positionally and needs none.
+    ///
+    /// The store keeps the object as one record packed from `manifest`
+    /// and `pairs`; only a journal's `Put` record owns a manifest.
     #[allow(clippy::too_many_arguments)]
     fn commit_put(
         &self,
         bucket: &str,
         key: &str,
-        manifest: ChunkManifest,
+        manifest: &ChunkManifest,
         provided: &[Chunk],
         delta: bool,
-        user: Box<[u8]>,
+        pairs: Vec<(&str, &str)>,
         wire_bytes: u64,
     ) -> Result<(), StoreError> {
         let mut state = self.write_state();
@@ -707,34 +758,28 @@ impl ObjectStore {
             return Err(StoreError::NoSuchBucket(bucket.to_string()));
         }
         let sources: Vec<Option<&Bytes>> = if delta {
-            resolve(&manifest, provided, true, |d| state.chunks.resident_len(d))?
+            resolve(manifest, provided, true, |d| state.chunks.resident_len(d))?
         } else {
             let digests = manifest.chunks.iter().map(|r| r.digest);
             debug_assert!(digests.eq(provided.iter().map(|c| c.digest)));
             provided.iter().map(|c| Some(&c.data)).collect()
         };
         let now = self.inner.clock.now();
-        // The record takes the manifest by move and hands it back for
-        // the install: journaling does not copy it.
-        let manifest = match self.inner.wal.get() {
-            Some(w) => {
-                let record = StoreRecord::Put {
-                    bucket: bucket.to_string(),
-                    key: key.to_string(),
-                    time_millis: now.as_millis(),
-                    new_chunks: state.newly_admitted(&manifest, &sources),
-                    manifest,
-                    user: unpack_user(&user),
-                    wire_bytes,
-                    delta,
-                };
-                w.append(&record.encode());
-                let StoreRecord::Put { manifest, .. } = record else { unreachable!() };
-                manifest
-            }
-            None => manifest,
-        };
-        state.install(bucket, key.to_string(), now, manifest, &sources, user, wire_bytes, delta);
+        let record = ObjRecord::new(now, manifest, pairs);
+        if let Some(w) = self.inner.wal.get() {
+            let put = StoreRecord::Put {
+                bucket: bucket.to_string(),
+                key: key.to_string(),
+                time_millis: now.as_millis(),
+                new_chunks: state.newly_admitted(manifest, &sources),
+                manifest: manifest.clone(),
+                user: unpack_user(record.etag_and_user().1),
+                wire_bytes,
+                delta,
+            };
+            w.append(&put.encode());
+        }
+        state.install(bucket, key.into(), record, &sources, wire_bytes, delta);
         Ok(())
     }
 
@@ -795,15 +840,13 @@ impl ObjectStore {
         if manifest.etag.len() > MAX_ETAG_BYTES {
             return Err(StoreError::DeltaMismatch { reason: "etag longer than 64 bytes" });
         }
-        let user = pack_upload_meta(user_meta)?;
+        let pairs = upload_pairs(user_meta)?;
 
         let provided_bytes: u64 = provided.iter().map(|c| c.data.len() as u64).sum();
-        let etag = manifest.etag.clone();
         let wire: u64 = provided_bytes + manifest.encoded_len();
 
-        // The clone is the store's own copy of the caller's manifest.
-        self.commit_put(bucket, key, manifest.clone(), provided, true, user, wire)?;
-        Ok(etag)
+        self.commit_put(bucket, key, manifest, provided, true, pairs, wire)?;
+        Ok(manifest.etag.clone())
     }
 
     /// Download an object, reassembled from its chunks. Refreshes its
@@ -816,10 +859,10 @@ impl ObjectStore {
         let now = self.inner.clock.now();
         let mut state = self.write_state();
         let rec = state.object(bucket, key)?;
-        // Manifests and chunks share this lock, so every chunk a
-        // resident manifest references is resident.
-        let data = assemble(&rec.manifest, |d| state.chunks.data(d))
-            .expect("resident manifests always resolve");
+        // Records and chunks share this lock, so every chunk a resident
+        // record references is resident.
+        let data = assemble_refs(rec.refs(), rec.size, |d| state.chunks.data(d))
+            .expect("resident records always resolve");
         let out = StoredObject {
             meta: ObjectMeta { last_used: now, ..rec.meta(key) },
             data: Bytes::from(data),
@@ -869,7 +912,7 @@ impl ObjectStore {
             .get(bucket)
             .ok_or_else(|| StoreError::NoSuchBucket(bucket.to_string()))?;
         Ok(b.objects
-            .range(prefix.to_string()..)
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
             .take_while(|(k, _)| k.starts_with(prefix))
             .map(|(key, o)| o.meta(key))
             .collect())
@@ -948,9 +991,8 @@ impl ObjectStore {
         let mut objects = 0;
         for b in state.buckets.values() {
             for (key, o) in &b.objects {
-                bytes_stored += o.manifest.total_len;
-                let manifest = std::mem::size_of_val(&o.manifest.chunks[..]) + o.manifest.etag.len();
-                metadata_bytes += (key.len() + o.user.len() + manifest) as u64;
+                bytes_stored += o.size;
+                metadata_bytes += (key.len() + o.block.len()) as u64;
                 objects += 1;
             }
         }
@@ -1172,11 +1214,44 @@ mod tests {
         assert_eq!(s.head("uploads", "k").unwrap().user, expected);
         assert_eq!(s.get("uploads", "k").unwrap().meta.user, expected);
         assert_eq!(s.list("uploads", "").unwrap()[0].user, expected);
-        // The block holds the pairs once, in key order.
+        // The block ends with the pairs, once each, in key order.
         let state = s.inner.state.read();
-        let block = &state.buckets["uploads"].objects["k"].user;
-        assert_eq!(block.len(), expected.iter().map(|(k, v)| 8 + k.len() + v.len()).sum::<usize>());
-        assert_eq!(pack_map(&expected), *block);
+        let record = &state.buckets["uploads"].objects["k"];
+        let mut pairs = Vec::new();
+        for (k, v) in &expected {
+            put_str(&mut pairs, k);
+            put_str(&mut pairs, v);
+        }
+        assert_eq!(record.etag_and_user().1, &pairs[..]);
+    }
+
+    #[test]
+    fn a_record_is_its_manifest_and_metadata_in_one_block() {
+        let s = store();
+        let payload = varied(3000, 11);
+        let (manifest, chunks) = chunk_bytes(&payload, ChunkerParams::DEFAULT);
+        let pairs = [("team", "rust"), ("kind", "run")];
+        s.put_delta("keep", "k", &manifest, &chunks, pairs).unwrap();
+        let state = s.inner.state.read();
+        let record = &state.buckets["keep"].objects["k"];
+        // What a snapshot and the journal read back is what was put.
+        assert_eq!(record.manifest(), manifest);
+        let user: BTreeMap<String, String> =
+            pairs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
+        assert_eq!(unpack_user(record.etag_and_user().1), user);
+        // Count, references, etag, pairs: nothing else, nothing spare.
+        let user_bytes: usize = user.iter().map(|(k, v)| 8 + k.len() + v.len()).sum();
+        let expected = 4 + REF_BYTES * manifest.chunks.len() + 4 + manifest.etag.len() + user_bytes;
+        assert_eq!(record.block.len(), expected);
+        let metadata = (1 + expected) as u64;
+        drop(state);
+        assert_eq!(s.usage().metadata_bytes, metadata, "the key and the block");
+        // An object with no chunks, no etag and no metadata is the two
+        // length words.
+        let empty = ChunkManifest { chunks: Vec::new(), total_len: 0, etag: String::new() };
+        s.put_delta("keep", "", &empty, &[], []).unwrap();
+        assert_eq!(s.usage().metadata_bytes, metadata + 8);
+        assert_eq!(s.get("keep", "").unwrap().data.len(), 0);
     }
 
     #[test]

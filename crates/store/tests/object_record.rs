@@ -34,7 +34,7 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 #[test]
-fn a_semester_shaped_object_is_four_blocks_and_head_keeps_none() {
+fn a_semester_shaped_object_is_two_blocks_and_head_keeps_none() {
     let s = ObjectStore::new(VirtualClock::new());
     s.create_bucket("builds", LifecycleRule::Keep).unwrap();
     // A build archive as the semester uploads them: 14 chunks and the
@@ -52,7 +52,7 @@ fn a_semester_shaped_object_is_four_blocks_and_head_keeps_none() {
     let before = LIVE_BLOCKS.load(Ordering::Relaxed);
     s.put_delta("builds", "team-07/0000002a-build.tar.bz2", &manifest, &[], meta).unwrap();
     let kept = LIVE_BLOCKS.load(Ordering::Relaxed) - before;
-    assert!(kept <= 4, "key, packed metadata, chunk references, etag — and {} more", kept - 4);
+    assert!(kept <= 2, "key and record block — and {} more", kept - 2);
 
     let before = LIVE_BLOCKS.load(Ordering::Relaxed);
     let head = s.head("builds", "team-07/0000002a-build.tar.bz2").unwrap();

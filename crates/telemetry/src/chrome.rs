@@ -45,8 +45,8 @@ pub fn render_chrome_trace(traces: &[JobTrace]) -> String {
             let dur = crate::latency::duration_micros(span.end.duration_since(span.start));
             out.push_str(&format!(
                 "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{},\"args\":{{\"job\":{},\"attempt\":{},\"span\":{},\"parent\":{}}}}}",
-                span.stage,
-                span.component,
+                span.stage(),
+                span.component(),
                 ts,
                 dur,
                 trace.job_id,

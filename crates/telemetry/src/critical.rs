@@ -127,8 +127,8 @@ pub(crate) fn critical_path(trace: &JobTrace) -> Option<CriticalPath> {
                 push(
                     &mut segments,
                     PathSegment {
-                        stage: child.stage,
-                        component: child.component,
+                        stage: child.stage(),
+                        component: child.component(),
                         attempt: child.attempt,
                         start: cursor.max(child.start),
                         end: child.end,

@@ -174,7 +174,9 @@ impl Telemetry {
 
     /// Record a causal span: `stage` work done by `component` on
     /// delivery `attempt` of `job_id`, covering `[start, end]`
-    /// sim-time. Retries land in sibling attempt subtrees.
+    /// sim-time. Retries land in sibling attempt subtrees. `stage` and
+    /// `component` must be [`stage`] and [`component`] constants: a span
+    /// keeps each as a one-byte code, and any other name panics.
     pub fn trace_span(
         &self,
         job_id: u64,

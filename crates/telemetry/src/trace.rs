@@ -64,16 +64,88 @@ pub mod component {
     pub const FAULT: &str = "fault";
 }
 
+/// Every name a span's stage may be, [`stage`]'s constants in order; a
+/// span keeps its stage as a position in this table.
+const STAGES: [&str; 13] = [
+    stage::SUBMITTED,
+    stage::ENQUEUED,
+    stage::DEQUEUED,
+    stage::FETCHED,
+    stage::BUILT,
+    stage::RAN,
+    stage::UPLOADED,
+    stage::GRADED,
+    stage::PULLED,
+    stage::RECORDED,
+    stage::CRASHED,
+    stage::SUBMIT_ROOT,
+    stage::ATTEMPT_ROOT,
+];
+
+/// Every name a span's component may be, [`component`]'s constants in
+/// order; a span keeps its component as a position in this table.
+const COMPONENTS: [&str; 7] = [
+    component::CLIENT,
+    component::BROKER,
+    component::WORKER,
+    component::STORE,
+    component::SANDBOX,
+    component::DB,
+    component::FAULT,
+];
+
+/// `name`'s position in `table`. Spans are recorded with the
+/// `stage::*` and `component::*` constants, so any other name is a
+/// caller's bug, not input.
+fn code(table: &[&str], name: &str, kind: &str) -> u8 {
+    match table.iter().position(|&n| n == name) {
+        Some(at) => at as u8,
+        None => panic!("{name:?} is not a {kind} name: spans carry the `{kind}::*` constants"),
+    }
+}
+
 /// One span of a job's trace: `stage` work done by `component` on
-/// delivery `attempt`, covering `[start, end]` sim-time.
+/// delivery `attempt`, covering `[start, end]` sim-time. The two names
+/// are kept as one-byte positions in their tables, so a span is 24
+/// bytes; `stage()` and `component()` read them back.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceSpan {
-    pub(crate) stage: &'static str,
-    pub(crate) component: &'static str,
+    stage: u8,
+    component: u8,
     /// Delivery attempt: 0 = client-side submit, 1.. = worker attempts.
     pub(crate) attempt: u32,
     pub(crate) start: SimTime,
     pub(crate) end: SimTime,
+}
+
+impl TraceSpan {
+    /// A span named by a `stage::*` and a `component::*` constant.
+    /// Panics on any other name.
+    pub(crate) fn new(
+        stage: &str,
+        component: &str,
+        attempt: u32,
+        start: SimTime,
+        end: SimTime,
+    ) -> Self {
+        TraceSpan {
+            stage: code(&STAGES, stage, "stage"),
+            component: code(&COMPONENTS, component, "component"),
+            attempt,
+            start,
+            end,
+        }
+    }
+
+    /// The stage name.
+    pub(crate) fn stage(&self) -> &'static str {
+        STAGES[usize::from(self.stage)]
+    }
+
+    /// The component name.
+    pub(crate) fn component(&self) -> &'static str {
+        COMPONENTS[usize::from(self.component)]
+    }
 }
 
 /// Full lifecycle of one job: the spans it recorded.
@@ -103,7 +175,8 @@ impl JobTrace {
                     } else {
                         (stage::ATTEMPT_ROOT, component::WORKER)
                     };
-                    roots.push(TraceSpan { stage, component, ..span.clone() });
+                    let (attempt, start, end) = (span.attempt, span.start, span.end);
+                    roots.push(TraceSpan::new(stage, component, attempt, start, end));
                 }
             }
         }
@@ -118,7 +191,7 @@ impl JobTrace {
     /// Time the job first reached `stage`, if it did (completion time of
     /// the earliest-recorded span with that name, any attempt).
     pub fn stage_time(&self, stage: &str) -> Option<SimTime> {
-        self.spans.iter().find(|s| s.stage == stage).map(|s| s.end)
+        self.spans.iter().find(|s| s.stage() == stage).map(|s| s.end)
     }
 
     /// End-to-end latency from the earliest span start to the latest
@@ -144,7 +217,8 @@ impl JobTrace {
         if let Some(span) = self.spans.iter().find(|s| s.start > s.end) {
             return Err(format!(
                 "{} span of attempt {} ends before it starts",
-                span.stage, span.attempt
+                span.stage(),
+                span.attempt
             ));
         }
         let mut roots = self.roots();
@@ -214,7 +288,8 @@ impl TraceStore {
 
     /// Record a span for `job_id`: `stage` work by `component` on
     /// delivery `attempt`, covering `[start, end]` (the two are put in
-    /// order if they arrive swapped).
+    /// order if they arrive swapped). `stage` and `component` must be
+    /// [`stage`] and [`component`] constants: any other name panics.
     pub fn record_span(
         &self,
         job_id: u64,
@@ -224,6 +299,7 @@ impl TraceStore {
         start: SimTime,
         end: SimTime,
     ) {
+        let span = TraceSpan::new(stage, component, attempt, start.min(end), end.max(start));
         let mut inner = self.inner.lock();
         if inner.tombstones.contains(&job_id) {
             inner.dropped_late += 1;
@@ -242,8 +318,7 @@ impl TraceStore {
                 .insert(job_id, JobTrace { job_id, spans: Vec::new() });
         }
         let trace = inner.traces.get_mut(&job_id).expect("just inserted");
-        let (start, end) = (start.min(end), end.max(start));
-        trace.spans.push(TraceSpan { stage, component, attempt, start, end });
+        trace.spans.push(span);
         if stage == stage::GRADED {
             // The job is over: give back the list's doubling slack.
             trace.spans.shrink_to_fit();
@@ -362,8 +437,9 @@ mod tests {
         assert_eq!(trace.spans.len(), 9, "only what was recorded is stored");
         let roots = trace.roots();
         assert_eq!(roots.iter().map(|r| r.attempt).collect::<Vec<_>>(), [0, 1, 2]);
-        assert_eq!((roots[0].stage, roots[0].component), (stage::SUBMIT_ROOT, component::CLIENT));
-        assert_eq!((roots[1].stage, roots[1].component), (stage::ATTEMPT_ROOT, component::WORKER));
+        let names = |r: &TraceSpan| (r.stage(), r.component());
+        assert_eq!(names(&roots[0]), (stage::SUBMIT_ROOT, component::CLIENT));
+        assert_eq!(names(&roots[1]), (stage::ATTEMPT_ROOT, component::WORKER));
         assert_eq!((roots[1].start, roots[1].end), (t(10), t(13)));
         assert_eq!(trace.spans.iter().filter(|s| s.attempt == 1).count(), 3);
         assert_eq!(trace.final_attempt(), Some(2));
@@ -384,7 +460,62 @@ mod tests {
 
     #[test]
     fn a_span_is_two_names_an_attempt_and_an_interval() {
-        assert_eq!(std::mem::size_of::<TraceSpan>(), 56);
+        // Each name is one byte: its position in its table.
+        assert_eq!(std::mem::size_of::<TraceSpan>(), 24);
+    }
+
+    #[test]
+    fn every_stage_and_component_constant_reads_back_as_recorded() {
+        let stages = [
+            stage::SUBMITTED,
+            stage::ENQUEUED,
+            stage::DEQUEUED,
+            stage::FETCHED,
+            stage::BUILT,
+            stage::RAN,
+            stage::UPLOADED,
+            stage::GRADED,
+            stage::PULLED,
+            stage::RECORDED,
+            stage::CRASHED,
+            stage::SUBMIT_ROOT,
+            stage::ATTEMPT_ROOT,
+        ];
+        let components = [
+            component::CLIENT,
+            component::BROKER,
+            component::WORKER,
+            component::STORE,
+            component::SANDBOX,
+            component::DB,
+            component::FAULT,
+        ];
+        let store = TraceStore::new();
+        let t = SimTime::from_secs;
+        for (i, &st) in stages.iter().enumerate() {
+            for (j, &comp) in components.iter().enumerate() {
+                let at = t((i * components.len() + j) as u64);
+                store.record_span(1, i as u32, st, comp, at, at);
+            }
+        }
+        let trace = store.get(1).expect("recorded");
+        let read: Vec<(&str, &str)> =
+            trace.spans.iter().map(|s| (s.stage(), s.component())).collect();
+        let recorded: Vec<(&str, &str)> =
+            stages.iter().flat_map(|&st| components.iter().map(move |&comp| (st, comp))).collect();
+        assert_eq!(read, recorded);
+        // A name is equal to itself only: no two constants share a code.
+        let distinct = |names: &[&str]| names.iter().collect::<HashSet<_>>().len() == names.len();
+        assert!(distinct(&stages) && distinct(&components));
+        // The first `ran` span is the one with the first component.
+        assert_eq!(trace.stage_time(stage::RAN), Some(t(5 * components.len() as u64)));
+    }
+
+    #[test]
+    #[should_panic(expected = "\"compiled\" is not a stage name")]
+    fn a_name_outside_the_constants_is_a_caller_bug() {
+        let t = SimTime::from_secs(1);
+        TraceStore::new().record_span(1, 1, "compiled", component::WORKER, t, t);
     }
 
     #[test]
@@ -471,13 +602,13 @@ mod reference {
                     } else {
                         (stage::ATTEMPT_ROOT, component::WORKER)
                     };
-                    let span = TraceSpan { stage, component, attempt, start, end };
+                    let span = TraceSpan::new(stage, component, attempt, start, end);
                     self.spans.push(TreeSpan { id, parent: None, span });
                     id
                 }
             };
             let id = self.spans.len() as u32;
-            let span = TraceSpan { stage, component, attempt, start, end };
+            let span = TraceSpan::new(stage, component, attempt, start, end);
             self.spans.push(TreeSpan { id, parent: Some(root_id), span });
         }
 
@@ -521,7 +652,8 @@ mod reference {
             let mut children = trace.children(root.id);
             children.sort_by_key(|c| (c.span.start, c.id));
             for child in children {
-                let TraceSpan { stage, component, attempt, start, end } = child.span;
+                let (stage, component) = (child.span.stage(), child.span.component());
+                let TraceSpan { attempt, start, end, .. } = child.span;
                 if start > cursor {
                     push(segment::OTHER, component::WORKER, attempt, cursor, start, wasted);
                     cursor = start;
@@ -554,8 +686,8 @@ mod reference {
                 let dur = crate::latency::duration_micros(span.end.duration_since(span.start));
                 out.push_str(&format!(
                     "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{},\"args\":{{\"job\":{},\"attempt\":{},\"span\":{},\"parent\":{}}}}}",
-                    span.stage,
-                    span.component,
+                    span.stage(),
+                    span.component(),
                     ts,
                     dur,
                     trace.job_id,

@@ -99,10 +99,15 @@ fn kept_per_item(n: u64, each: impl FnMut(u64)) -> (f64, f64) {
 }
 
 /// Allocations and requested bytes allowed per submission. Measured
-/// (EXPERIMENTS.md, "A job trace is the spans its job recorded"):
-/// 315 / 36 521 B at this commit — a trace's list holds nine 56-byte
-/// spans where it held eleven of 64 B. Before that ("Traffic census,
-/// round two"): 315 / 36 945 B — a job's container no longer copies its
+/// (EXPERIMENTS.md, "What a submission leaves behind, round two"):
+/// 311 / 35 057 B at this commit — an object is kept as one packed
+/// block under its key, so a delta upload no longer copies the
+/// caller's manifest (two blocks) nor builds a metadata block apart
+/// from it, and a trace's spans are 24 bytes. Before that ("A job
+/// trace is the spans its job recorded"): 315 / 36 521 B — a trace's
+/// list holds nine 56-byte spans where it held eleven of 64 B. Before
+/// that ("Traffic census, round two"): 315 / 36 945 B — a job's
+/// container no longer copies its
 /// image name or keeps per-command durations nobody read. Before that
 /// ("One pass from tree to manifest"): 318 / 37 201 B, 322 / 37 811 B
 /// at its parent — each of the two containers a submission uploads is
@@ -120,26 +125,29 @@ fn kept_per_item(n: u64, each: impl FnMut(u64)) -> (f64, f64) {
 /// set, the claim takes the popped request instead of a copy, and the
 /// end-of-course copies of every trace and every row are gone. The same
 /// in the debug profile tier-1 runs this test in and in release. Both
-/// gates are 3 % above the 315 / 36 521 B measurement.
-const BUDGET: (u64, u64) = (324, 37_617);
+/// gates are 3 % above the 311 / 35 057 B measurement.
+const BUDGET: (u64, u64) = (320, 36_108);
 
 /// Peak live heap allowed per submission over the same course, in
-/// bytes and blocks. Measured: 3 106 B in 18.8 blocks at this commit,
-/// 3 307 B in 18.8 at its parent, 3 367 B in 18.8 before that, 5 984 B
-/// in 61.8 before the change that first set the gate. Both gates are
-/// 5 % above the 3 106 B / 18.8 measurement.
-const PEAK_LIVE_BUDGET: (f64, f64) = (3_262.0, 19.7);
+/// bytes and blocks. Measured: 2 538 B in 14.8 blocks at this commit,
+/// 3 106 B in 18.8 at its parent, 3 307 B in 18.8 before that, 3 367 B
+/// in 18.8 before that, 5 984 B in 61.8 before the change that first
+/// set the gate. Both gates are 5 % above the 2 538 B / 14.8
+/// measurement.
+const PEAK_LIVE_BUDGET: (f64, f64) = (2_665.0, 15.6);
 
 /// Bytes and blocks one more item may leave resident in its owner, each
-/// 5 % above the measurement: an object record 552 B in 4.17 blocks
-/// (key, packed metadata, chunk references, etag and its share of a map
-/// node; 1 235 B in 12.17 at the parent), a submissions row with its two
-/// index entries 893 B in 6.51 (1 057 B in 18.51), a finished trace of
-/// nine 56-byte spans 596 B in one (eleven spans of 64 B, two of them
-/// stored attempt roots, 796 B in one; 1 116 B in one before that).
-const OBJECT_BUDGET: (f64, f64) = (580.0, 4.38);
+/// 5 % above the measurement: an object record 402 B in 2.17 blocks
+/// (key, one block of chunk references, etag and packed metadata, and
+/// its share of a map node; 552 B in 4.17 at the parent, 1 235 B in
+/// 12.17 before that), a submissions row with its two index entries
+/// 893 B in 6.51 (1 057 B in 18.51), a finished trace of nine 24-byte
+/// spans 308 B in one (nine of 56 B, 596 B in one, at the parent;
+/// eleven of 64 B, two of them stored attempt roots, 796 B before that;
+/// 1 116 B before that).
+const OBJECT_BUDGET: (f64, f64) = (422.0, 2.28);
 const ROW_BUDGET: (f64, f64) = (938.0, 6.84);
-const TRACE_BUDGET: (f64, f64) = (626.0, 1.05);
+const TRACE_BUDGET: (f64, f64) = (324.0, 1.05);
 
 /// Allocations allowed for one Listing 1 job in the sandbox alone
 /// (`create` + `mount` + `run_script` + `destroy` of the sample
