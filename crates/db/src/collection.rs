@@ -2,7 +2,7 @@
 //! planner that routes an indexed literal through its secondary index.
 
 use crate::index::Index;
-use crate::journal::{DbRecord, JournalSink};
+use crate::journal::{self, JournalSink};
 use crate::query::matches;
 use crate::update::apply_update;
 use crate::value::{Document, Value};
@@ -98,8 +98,9 @@ pub struct Collection {
     queries: AtomicU64,
     updates: AtomicU64,
     /// Durability hook: when attached, every committed mutation appends
-    /// a logical [`DbRecord`] before applying. `None` (the default) is
-    /// the preserved zero-overhead in-memory configuration.
+    /// a logical [`DbRecord`](crate::DbRecord) before applying. `None`
+    /// (the default) is the preserved zero-overhead in-memory
+    /// configuration.
     journal: Option<Arc<JournalSink>>,
 }
 
@@ -169,7 +170,7 @@ impl Collection {
     /// Insert a document, assigning and returning its `_id`.
     pub fn insert_one(&mut self, doc: Document) -> DocId {
         if let Some(j) = &self.journal {
-            j.append(&DbRecord::InsertOne { coll: j.coll().to_string(), doc: doc.clone() });
+            j.append(|out, coll| journal::write_insert_one(out, coll, &doc));
         }
         self.insert_one_inner(doc)
     }
@@ -191,7 +192,7 @@ impl Collection {
     pub fn insert_many(&mut self, docs: impl IntoIterator<Item = Document>) -> Vec<DocId> {
         let docs: Vec<Document> = docs.into_iter().collect();
         if let Some(j) = &self.journal {
-            j.append(&DbRecord::InsertMany { coll: j.coll().to_string(), docs: docs.clone() });
+            j.append(|out, coll| journal::write_insert_many(out, coll, &docs));
         }
         docs.into_iter().map(|doc| self.insert_one_inner(doc)).collect()
     }
@@ -203,10 +204,7 @@ impl Collection {
             return;
         }
         if let Some(j) = &self.journal {
-            j.append(&DbRecord::CreateIndex {
-                coll: j.coll().to_string(),
-                field: field.to_string(),
-            });
+            j.append(|out, coll| journal::write_create_index(out, coll, field));
         }
         let mut idx = Index::new();
         for (id, doc) in &self.docs {
@@ -217,11 +215,32 @@ impl Collection {
         self.indexes.insert(field.to_string(), idx);
     }
 
-    /// Compaction snapshot: `_id` allocator, indexed paths (sorted),
-    /// and every document with its `_id`, in id order.
-    pub(crate) fn snapshot(&self) -> (u64, Vec<String>, Vec<Document>) {
-        let mut indexes: Vec<String> = self.indexes.keys().cloned().collect();
+    /// Indexed paths, sorted: the order a snapshot lists them in.
+    fn index_paths(&self) -> Vec<&str> {
+        let mut indexes: Vec<&str> = self.indexes.keys().map(String::as_str).collect();
         indexes.sort_unstable();
+        indexes
+    }
+
+    /// The compaction snapshot of this collection, written as `coll`'s
+    /// `SnapshotCollection` record from where the documents live: `_id`
+    /// allocator, indexed paths (sorted), and every document with its
+    /// `_id`, in id order.
+    pub(crate) fn write_snapshot(&self, out: &mut Vec<u8>, coll: &str) {
+        let indexes = self.index_paths();
+        journal::write_snapshot_collection(
+            out,
+            coll,
+            self.next_id,
+            indexes.into_iter(),
+            self.docs.values(),
+        );
+    }
+
+    /// What [`Collection::write_snapshot`] writes, as values.
+    #[cfg(test)]
+    pub(crate) fn snapshot(&self) -> (u64, Vec<String>, Vec<Document>) {
+        let indexes = self.index_paths().into_iter().map(str::to_string).collect();
         (self.next_id, indexes, self.docs.values().cloned().collect())
     }
 
@@ -404,12 +423,7 @@ impl Collection {
     /// does "overwrite existing timing records" per team.
     pub fn update_one(&mut self, query: &Document, update: &Document, upsert: bool) -> UpdateResult {
         if let Some(j) = &self.journal {
-            j.append(&DbRecord::UpdateOne {
-                coll: j.coll().to_string(),
-                query: query.clone(),
-                update: update.clone(),
-                upsert,
-            });
+            j.append(|out, coll| journal::write_update_one(out, coll, query, update, upsert));
         }
         self.updates.fetch_add(1, Ordering::Relaxed);
         match self.first_matching_id(query) {
@@ -446,7 +460,7 @@ impl Collection {
     /// Delete every matching document; returns how many were removed.
     pub fn delete_many(&mut self, query: &Document) -> usize {
         if let Some(j) = &self.journal {
-            j.append(&DbRecord::DeleteMany { coll: j.coll().to_string(), query: query.clone() });
+            j.append(|out, coll| journal::write_delete_many(out, coll, query));
         }
         self.updates.fetch_add(1, Ordering::Relaxed);
         let ids = self.matching_ids(query);

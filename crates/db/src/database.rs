@@ -113,17 +113,14 @@ impl Database {
     /// never panics on a damaged log.
     pub fn recover(wal: Wal) -> (Database, DbRecovery) {
         let db = Database::new();
-        let replay = wal.replay();
-        let mut recovery = DbRecovery { stats: replay.stats, ..DbRecovery::default() };
-        for payload in &replay.records {
-            match DbRecord::decode(payload) {
-                Some(record) => {
-                    db.apply(record);
-                    recovery.applied += 1;
-                }
-                None => recovery.malformed_dropped += 1,
+        let mut recovery = DbRecovery::default();
+        recovery.stats = wal.replay_each(|payload| match DbRecord::decode(payload) {
+            Some(record) => {
+                db.apply(record);
+                recovery.applied += 1;
             }
-        }
+            None => recovery.malformed_dropped += 1,
+        });
         db.attach_wal(wal);
         (db, recovery)
     }
@@ -164,12 +161,9 @@ impl Database {
         }
         let mut records = Vec::new();
         for name in self.collection_names() {
-            let coll = self.collection(&name);
-            let guard = coll.read();
-            let (next_id, indexes, docs) = guard.snapshot();
-            records.push(
-                DbRecord::SnapshotCollection { coll: name, next_id, indexes, docs }.encode(),
-            );
+            let mut record = Vec::new();
+            self.collection(&name).read().write_snapshot(&mut record, &name);
+            records.push(record);
         }
         wal.compact(records);
         true

@@ -10,6 +10,12 @@
 //! Compaction snapshots ([`DbRecord::SnapshotCollection`]) are the one
 //! exception: they capture docs *with* their `_id`s and are restored
 //! verbatim.
+//!
+//! Every record layout is spelled once, by one writer below: the
+//! collection mutators write through them from the documents and names
+//! they were handed, straight into the log's frame
+//! ([`rai_wal::Wal::append_with`]), and [`DbRecord::encode`] calls the
+//! same ones.
 
 use crate::value::{Document, Value};
 use rai_wal::codec::{put_str, put_u32, put_u64, Reader};
@@ -57,7 +63,7 @@ fn decode_value(r: &mut Reader<'_>) -> Option<Value> {
         1 => Value::Bool(r.u8()? != 0),
         2 => Value::Int(r.u64()? as i64),
         3 => Value::Float(f64::from_bits(r.u64()?)),
-        4 => Value::Str(r.str()?),
+        4 => Value::Str(r.str()?.to_string()),
         5 => {
             let n = r.u32()? as usize;
             let mut items = Vec::with_capacity(n.min(1 << 16));
@@ -83,14 +89,14 @@ fn decode_doc(r: &mut Reader<'_>) -> Option<Document> {
     let n = r.u32()? as usize;
     let mut doc = Document::new();
     for _ in 0..n {
-        let k = r.str()?;
+        let k = r.str()?.to_string();
         let v = decode_value(r)?;
         doc.0.insert(k.into(), v);
     }
     Some(doc)
 }
 
-fn encode_docs(docs: &[Document], out: &mut Vec<u8>) {
+fn encode_docs<'d>(docs: impl ExactSizeIterator<Item = &'d Document>, out: &mut Vec<u8>) {
     put_u32(out, docs.len() as u32);
     for d in docs {
         encode_doc(d, out);
@@ -104,6 +110,71 @@ fn decode_docs(r: &mut Reader<'_>) -> Option<Vec<Document>> {
         docs.push(decode_doc(r)?);
     }
     Some(docs)
+}
+
+// ---- writers: one per record layout, tagged by the first byte --------
+
+/// 1 — `insert_one`: `doc` as the caller passed it, before `_id`
+/// assignment.
+pub(crate) fn write_insert_one(out: &mut Vec<u8>, coll: &str, doc: &Document) {
+    out.push(1);
+    put_str(out, coll);
+    encode_doc(doc, out);
+}
+
+/// 2 — `insert_many`, same pre-`_id` convention.
+pub(crate) fn write_insert_many(out: &mut Vec<u8>, coll: &str, docs: &[Document]) {
+    out.push(2);
+    put_str(out, coll);
+    encode_docs(docs.iter(), out);
+}
+
+/// 4 — `update_one(query, update, upsert)`.
+pub(crate) fn write_update_one(
+    out: &mut Vec<u8>,
+    coll: &str,
+    query: &Document,
+    update: &Document,
+    upsert: bool,
+) {
+    out.push(4);
+    put_str(out, coll);
+    encode_doc(query, out);
+    encode_doc(update, out);
+    out.push(u8::from(upsert));
+}
+
+/// 5 — `delete_many(query)`.
+pub(crate) fn write_delete_many(out: &mut Vec<u8>, coll: &str, query: &Document) {
+    out.push(5);
+    put_str(out, coll);
+    encode_doc(query, out);
+}
+
+/// 6 — `create_index(field)`.
+pub(crate) fn write_create_index(out: &mut Vec<u8>, coll: &str, field: &str) {
+    out.push(6);
+    put_str(out, coll);
+    put_str(out, field);
+}
+
+/// 8 — a compaction snapshot of one whole collection: the `_id`
+/// allocator, the indexed paths and every document with its `_id`.
+pub(crate) fn write_snapshot_collection<'a>(
+    out: &mut Vec<u8>,
+    coll: &str,
+    next_id: u64,
+    indexes: impl ExactSizeIterator<Item = &'a str>,
+    docs: impl ExactSizeIterator<Item = &'a Document>,
+) {
+    out.push(8);
+    put_str(out, coll);
+    put_u64(out, next_id);
+    put_u32(out, indexes.len() as u32);
+    for f in indexes {
+        put_str(out, f);
+    }
+    encode_docs(docs, out);
 }
 
 // ---- logical records -------------------------------------------------
@@ -168,46 +239,21 @@ pub enum DbRecord {
 }
 
 impl DbRecord {
-    /// Serialize to a WAL payload.
+    /// Serialize to a WAL payload, through the writer of the record's
+    /// layout.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
-            DbRecord::InsertOne { coll, doc } => {
-                out.push(1);
-                put_str(&mut out, coll);
-                encode_doc(doc, &mut out);
-            }
-            DbRecord::InsertMany { coll, docs } => {
-                out.push(2);
-                put_str(&mut out, coll);
-                encode_docs(docs, &mut out);
-            }
+            DbRecord::InsertOne { coll, doc } => write_insert_one(&mut out, coll, doc),
+            DbRecord::InsertMany { coll, docs } => write_insert_many(&mut out, coll, docs),
             DbRecord::UpdateOne { coll, query, update, upsert } => {
-                out.push(4);
-                put_str(&mut out, coll);
-                encode_doc(query, &mut out);
-                encode_doc(update, &mut out);
-                out.push(u8::from(*upsert));
+                write_update_one(&mut out, coll, query, update, *upsert);
             }
-            DbRecord::DeleteMany { coll, query } => {
-                out.push(5);
-                put_str(&mut out, coll);
-                encode_doc(query, &mut out);
-            }
-            DbRecord::CreateIndex { coll, field } => {
-                out.push(6);
-                put_str(&mut out, coll);
-                put_str(&mut out, field);
-            }
+            DbRecord::DeleteMany { coll, query } => write_delete_many(&mut out, coll, query),
+            DbRecord::CreateIndex { coll, field } => write_create_index(&mut out, coll, field),
             DbRecord::SnapshotCollection { coll, next_id, indexes, docs } => {
-                out.push(8);
-                put_str(&mut out, coll);
-                put_u64(&mut out, *next_id);
-                put_u32(&mut out, indexes.len() as u32);
-                for f in indexes {
-                    put_str(&mut out, f);
-                }
-                encode_docs(docs, &mut out);
+                let indexes = indexes.iter().map(String::as_str);
+                write_snapshot_collection(&mut out, coll, *next_id, indexes, docs.iter());
             }
         }
         out
@@ -217,24 +263,25 @@ impl DbRecord {
     /// that passed its CRC but doesn't parse — dropped, never panics).
     pub fn decode(bytes: &[u8]) -> Option<DbRecord> {
         let mut r = Reader::new(bytes);
-        let rec = match r.u8()? {
-            1 => DbRecord::InsertOne { coll: r.str()?, doc: decode_doc(&mut r)? },
-            2 => DbRecord::InsertMany { coll: r.str()?, docs: decode_docs(&mut r)? },
+        let tag = r.u8()?;
+        let coll = r.str()?.to_string();
+        let rec = match tag {
+            1 => DbRecord::InsertOne { coll, doc: decode_doc(&mut r)? },
+            2 => DbRecord::InsertMany { coll, docs: decode_docs(&mut r)? },
             4 => DbRecord::UpdateOne {
-                coll: r.str()?,
+                coll,
                 query: decode_doc(&mut r)?,
                 update: decode_doc(&mut r)?,
                 upsert: r.u8()? != 0,
             },
-            5 => DbRecord::DeleteMany { coll: r.str()?, query: decode_doc(&mut r)? },
-            6 => DbRecord::CreateIndex { coll: r.str()?, field: r.str()? },
+            5 => DbRecord::DeleteMany { coll, query: decode_doc(&mut r)? },
+            6 => DbRecord::CreateIndex { coll, field: r.str()?.to_string() },
             8 => {
-                let coll = r.str()?;
                 let next_id = r.u64()?;
                 let n = r.u32()? as usize;
                 let mut indexes = Vec::with_capacity(n.min(1 << 10));
                 for _ in 0..n {
-                    indexes.push(r.str()?);
+                    indexes.push(r.str()?.to_string());
                 }
                 DbRecord::SnapshotCollection { coll, next_id, indexes, docs: decode_docs(&mut r)? }
             }
@@ -259,14 +306,11 @@ impl JournalSink {
         Arc::new(JournalSink { wal, coll: coll.to_string() })
     }
 
-    /// The collection this sink journals for.
-    pub fn coll(&self) -> &str {
-        &self.coll
-    }
-
-    /// Append one record for this sink's collection.
-    pub fn append(&self, record: &DbRecord) {
-        self.wal.append(&record.encode());
+    /// Append one record for this sink's collection: `write` is one of
+    /// the writers above, handed the log's frame and the collection's
+    /// name.
+    pub(crate) fn append(&self, write: impl FnOnce(&mut Vec<u8>, &str)) {
+        self.wal.append_with(|out| write(out, &self.coll));
     }
 }
 

@@ -116,6 +116,15 @@ impl ChunkStore {
         }
     }
 
+    /// Set every refcount to zero, keeping the bytes: where a snapshot
+    /// restore starts, so the chunks its `SnapshotChunks` records
+    /// restored ahead of it stay for its manifests to reference.
+    pub(crate) fn forget_references(&mut self) {
+        for e in self.chunks.values_mut() {
+            e.refs = 0;
+        }
+    }
+
     /// Drop chunks no surviving manifest references (objects discarded
     /// during a faulted replay leave their restored bytes orphaned).
     pub(crate) fn prune_unreferenced(&mut self) {

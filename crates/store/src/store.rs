@@ -11,9 +11,9 @@
 //! which chunks the store already holds and upload only the rest.
 
 use crate::dedup::ChunkStore;
-use crate::journal::{SnapBucket, SnapCounters, SnapObject, StoreRecord};
+use crate::journal::{self, SnapBucket, SnapCounters, StoreRecord};
 use crate::lifecycle::LifecycleRule;
-use crate::object::{ObjectMeta, StoredObject};
+use crate::object::{ObjRecord, ObjectMeta, StoredObject};
 use bytes::Bytes;
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use rai_archive::chunk::{
@@ -21,8 +21,7 @@ use rai_archive::chunk::{
 };
 use rai_archive::fnv::{self, Fnv1a};
 use rai_sim::{SimTime, VirtualClock};
-use rai_wal::codec::{put_str, put_u32, put_u64, Reader};
-use rai_wal::Wal;
+use rai_wal::{Wal, MAX_RECORD};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -93,101 +92,6 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-/// Bytes one chunk reference takes in an object record's block: its
-/// digest, then its length, little-endian — the 12 bytes a manifest
-/// costs per chunk on the wire.
-const REF_BYTES: usize = 12;
-
-/// What the store keeps per object, under its key in the bucket's map:
-/// two timestamps, the payload length and one block packed by
-/// [`ObjRecord::new`] — a `u32` count of chunk references, the
-/// references [`REF_BYTES`] each, the etag ([`put_str`]), then the user
-/// metadata pairs. The public [`ObjectMeta`] and the [`ChunkManifest`]
-/// a snapshot or the journal carries are views built on read.
-struct ObjRecord {
-    uploaded_at: SimTime,
-    last_used: SimTime,
-    /// Payload length: the sum of the references' lengths.
-    size: u64,
-    block: Box<[u8]>,
-}
-
-/// The little-endian `u32` at the front of `bytes`, as a length.
-fn word(bytes: &[u8]) -> usize {
-    u32::from_le_bytes(bytes[..4].try_into().expect("four bytes")) as usize
-}
-
-impl ObjRecord {
-    /// The record of `manifest` with user metadata `pairs`, uploaded at
-    /// `now`. The pairs are packed in key order, each a length-prefixed
-    /// key then value ([`put_str`]); of several pairs with one key the
-    /// last wins, as collecting them into a map would have it.
-    fn new(now: SimTime, manifest: &ChunkManifest, mut pairs: Vec<(&str, &str)>) -> Self {
-        // Reversed, the last pair given is the first of its key's run
-        // after the stable sort, and that is the one dedup keeps.
-        pairs.reverse();
-        pairs.sort_by_key(|&(k, _)| k);
-        pairs.dedup_by_key(|&mut (k, _)| k);
-        let user: usize = pairs.iter().map(|(k, v)| 8 + k.len() + v.len()).sum();
-        let refs = &manifest.chunks;
-        let mut block = Vec::with_capacity(8 + REF_BYTES * refs.len() + manifest.etag.len() + user);
-        put_u32(&mut block, u32::try_from(refs.len()).expect("a manifest under 2^32 chunks"));
-        for r in refs {
-            put_u64(&mut block, r.digest);
-            put_u32(&mut block, r.len);
-        }
-        put_str(&mut block, &manifest.etag);
-        for (k, v) in pairs {
-            put_str(&mut block, k);
-            put_str(&mut block, v);
-        }
-        let block = block.into_boxed_slice();
-        ObjRecord { uploaded_at: now, last_used: now, size: manifest.total_len, block }
-    }
-
-    /// The block split after the packed references.
-    fn split(&self) -> (&[u8], &[u8]) {
-        let (count, rest) = self.block.split_at(4);
-        rest.split_at(REF_BYTES * word(count))
-    }
-
-    /// The chunk references, in stream order.
-    fn refs(&self) -> impl Iterator<Item = ChunkRef> + '_ {
-        self.split().0.chunks_exact(REF_BYTES).map(|r| ChunkRef {
-            digest: u64::from_le_bytes(r[..8].try_into().expect("eight bytes")),
-            len: word(&r[8..]) as u32,
-        })
-    }
-
-    /// The etag, and the packed user metadata pairs.
-    fn etag_and_user(&self) -> (&str, &[u8]) {
-        let (len, rest) = self.split().1.split_at(4);
-        let (etag, user) = rest.split_at(word(len));
-        (std::str::from_utf8(etag).expect("packed from a String"), user)
-    }
-
-    /// The object's public metadata, as `head`/`list`/`get`, a snapshot
-    /// and the journal see it.
-    fn meta(&self, key: &str) -> ObjectMeta {
-        let (etag, user) = self.etag_and_user();
-        ObjectMeta {
-            key: key.to_string(),
-            size: self.size,
-            etag: etag.to_string(),
-            uploaded_at: self.uploaded_at,
-            last_used: self.last_used,
-            user: unpack_user(user),
-        }
-    }
-
-    /// The manifest this record was packed from, as a snapshot and the
-    /// journal carry it.
-    fn manifest(&self) -> ChunkManifest {
-        let etag = self.etag_and_user().0.to_string();
-        ChunkManifest { chunks: self.refs().collect(), total_len: self.size, etag }
-    }
-}
-
 /// An upload's metadata pairs, refused when they come, as offered, to
 /// more than [`MAX_USER_META_BYTES`].
 fn upload_pairs<'m>(
@@ -198,22 +102,6 @@ fn upload_pairs<'m>(
         return Err(StoreError::MetadataTooLarge);
     }
     Ok(pairs)
-}
-
-/// The pairs of a journaled or snapshotted metadata map.
-fn map_pairs(user: &BTreeMap<String, String>) -> Vec<(&str, &str)> {
-    user.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect()
-}
-
-/// The map a record's packed pairs stand for.
-fn unpack_user(block: &[u8]) -> BTreeMap<String, String> {
-    let mut r = Reader::new(block);
-    let mut user = BTreeMap::new();
-    while !r.done() {
-        let pair = r.str().zip(r.str()).expect("ObjRecord::new wrote whole pairs of UTF-8");
-        user.insert(pair.0, pair.1);
-    }
-    user
 }
 
 struct BucketState {
@@ -268,12 +156,12 @@ struct StoreInner {
 /// against the stored copy — then every reference's length agrees with
 /// the bytes it will read back: the carried copy's and, since a
 /// resident copy is the one kept, the resident copy's too.
-fn resolve<'a>(
-    manifest: &ChunkManifest,
-    provided: &'a [Chunk],
+fn resolve(
+    refs: impl ExactSizeIterator<Item = ChunkRef>,
+    provided: &[Chunk],
     verify: bool,
     resident: impl Fn(u64) -> Option<usize>,
-) -> Result<Vec<Option<&'a Bytes>>, StoreError> {
+) -> Result<Vec<Option<&Bytes>>, StoreError> {
     let mismatch = |reason| Err(StoreError::DeltaMismatch { reason });
     // Keyed hasher: the digests are the uploader's to choose.
     let mut carried: HashMap<u64, (&Bytes, Option<usize>)> = HashMap::with_capacity(provided.len());
@@ -294,9 +182,9 @@ fn resolve<'a>(
     if !sound {
         return mismatch("chunk bytes do not match claimed digest");
     }
-    let mut sources = Vec::with_capacity(manifest.chunks.len());
+    let mut sources = Vec::with_capacity(refs.len());
     let mut missing = Vec::new();
-    for r in &manifest.chunks {
+    for r in refs {
         let (source, stored) = match carried.get(&r.digest) {
             Some(&(data, stored)) => (Some(data), stored),
             None => (None, resident(r.digest)),
@@ -336,23 +224,26 @@ impl StoreState {
         }
     }
 
-    /// The chunks an install of `manifest` will newly admit — the first
+    /// The chunks an install of `record` will newly admit — the first
     /// reference to each non-resident digest, in manifest order: the
-    /// bytes its `Put` record must carry.
-    fn newly_admitted(
-        &self,
-        manifest: &ChunkManifest,
-        sources: &[Option<&Bytes>],
-    ) -> Vec<(u64, Bytes)> {
-        let mut seen = HashSet::with_capacity(manifest.chunks.len());
-        let mut first_new = |d: u64| !self.chunks.contains(d) && seen.insert(d);
-        manifest
-            .chunks
-            .iter()
-            .zip(sources)
-            .filter(|(r, _)| first_new(r.digest))
-            .map(|(r, source)| (r.digest, source.expect("new chunk was provided").clone()))
-            .collect()
+    /// bytes its `Put` record must carry. `sources` is [`resolve`]'s
+    /// answer for the record's references.
+    fn newly_admitted<'s>(
+        &'s self,
+        record: &'s ObjRecord,
+        sources: &'s [Option<&'s Bytes>],
+    ) -> impl Iterator<Item = (u64, &'s [u8])> + 's {
+        // Built on the first new chunk: a put that dedups throughout
+        // needs none.
+        let mut seen: Option<HashSet<u64>> = None;
+        let refs = record.refs();
+        let n = refs.len();
+        refs.zip(sources)
+            .filter(move |(r, _)| {
+                !self.chunks.contains(r.digest)
+                    && seen.get_or_insert_with(|| HashSet::with_capacity(n)).insert(r.digest)
+            })
+            .map(|(r, source)| (r.digest, &source.expect("new chunk was provided")[..]))
     }
 
     // ---- transitions: one body each, run by the live API and by replay
@@ -441,107 +332,136 @@ impl StoreState {
         released.len() as u64
     }
 
-    /// Replace everything with a compaction snapshot. It carries the
-    /// full physical payload at refcount zero; references are
-    /// re-derived from its manifests. Returns how many objects were
-    /// dropped because a chunk of theirs is missing.
+    /// Replace every bucket, object and counter with a compaction
+    /// snapshot's. It carries the physical payload at refcount zero —
+    /// in its own chunk list and in the `SnapshotChunks` records written
+    /// ahead of it, whose chunks are already restored and stay —
+    /// and references are re-derived from its objects. Returns how many
+    /// objects were dropped because a chunk of theirs is missing.
     fn load_snapshot(
         &mut self,
-        buckets: Vec<SnapBucket>,
-        chunks: Vec<(u64, Bytes)>,
+        buckets: Vec<SnapBucket<'_>>,
+        chunks: Vec<(u64, &[u8])>,
         counters: SnapCounters,
     ) -> u64 {
-        *self = StoreState { counters, ..StoreState::default() };
-        for (digest, data) in chunks {
-            self.chunks.restore_chunk(digest, data);
-        }
+        let mut arena = std::mem::take(&mut self.chunks);
+        arena.forget_references();
+        *self = StoreState { counters, chunks: arena, ..StoreState::default() };
+        self.restore_chunks(chunks);
         let mut dropped = 0;
         for b in buckets {
             let mut objects = BTreeMap::new();
-            for o in b.objects {
-                let digests = o.manifest.chunks.iter().map(|r| r.digest);
-                if !digests.clone().all(|d| self.chunks.contains(d)) {
+            for (key, record) in b.objects {
+                if !record.refs().all(|r| self.chunks.contains(r.digest)) {
                     dropped += 1;
                     continue;
                 }
-                for d in digests {
-                    self.chunks.retain(d, None).expect("residency checked above");
+                for r in record.refs() {
+                    self.chunks.retain(r.digest, None).expect("residency checked above");
                 }
-                let ObjectMeta { key, uploaded_at, last_used, user, .. } = o.meta;
-                let record = ObjRecord::new(uploaded_at, &o.manifest, map_pairs(&user));
-                let record = ObjRecord { last_used, ..record };
-                objects.insert(key.into_boxed_str(), record);
+                objects.insert(key.into(), record);
             }
-            self.buckets.insert(b.name, BucketState { rule: b.rule, objects });
+            self.buckets.insert(b.name.to_string(), BucketState { rule: b.rule, objects });
         }
         dropped
     }
 
-    /// The record [`StoreState::load_snapshot`] reads back.
-    fn snapshot(&self) -> StoreRecord {
-        StoreRecord::SnapshotStore {
-            buckets: self
-                .buckets
-                .iter()
-                .map(|(name, b)| SnapBucket {
-                    name: name.clone(),
-                    rule: b.rule,
-                    objects: b
-                        .objects
-                        .iter()
-                        .map(|(key, o)| SnapObject { meta: o.meta(key), manifest: o.manifest() })
-                        .collect(),
-                })
-                .collect(),
-            chunks: self.chunks.snapshot_chunks(),
-            counters: self.counters,
+    /// Install snapshot chunk bytes, unreferenced.
+    fn restore_chunks(&mut self, chunks: Vec<(u64, &[u8])>) {
+        for (digest, data) in chunks {
+            self.chunks.restore_chunk(digest, Bytes::copy_from_slice(data));
         }
+    }
+
+    /// The `SnapshotStore` record [`StoreState::load_snapshot`] reads
+    /// back, written with `chunks` as its chunk list.
+    fn write_snapshot(&self, out: &mut Vec<u8>, chunks: &[(u64, Bytes)]) {
+        let buckets = self.buckets.iter().map(|(name, b)| {
+            (name.as_str(), b.rule, b.objects.iter().map(|(key, o)| (&**key, o)))
+        });
+        let chunks = chunks.iter().map(|(digest, data)| (*digest, &data[..]));
+        journal::write_snapshot(out, buckets, chunks, &self.counters);
+    }
+
+    /// The records a compaction writes: the whole store as one
+    /// `SnapshotStore` record — unless its chunk bytes take it past
+    /// [`MAX_RECORD`]. Then the lowest digests go ahead of it into
+    /// `SnapshotChunks` records, each filled up to `MAX_RECORD`, until
+    /// what is left fits. Built one at a time, as the log takes them.
+    fn snapshot_records(&self) -> impl Iterator<Item = Vec<u8>> + '_ {
+        let mut chunks = self.chunks.snapshot_chunks();
+        let entry = |(_, data): &(u64, Bytes)| journal::chunk_entry_len(data.len());
+        let mut bare = Vec::new();
+        self.write_snapshot(&mut bare, &[]);
+        let whole = bare.len() + chunks.iter().map(entry).sum::<usize>();
+        let mut excess = whole.saturating_sub(MAX_RECORD as usize);
+        let mut runs = Vec::new();
+        let mut at = 0;
+        while excess > 0 {
+            let start = at;
+            let mut len = journal::SNAPSHOT_CHUNKS_HEAD;
+            while let Some(c) = chunks.get(at).filter(|c| len + entry(c) <= MAX_RECORD as usize) {
+                len += entry(c);
+                excess = excess.saturating_sub(entry(c));
+                at += 1;
+                if excess == 0 {
+                    break;
+                }
+            }
+            assert!(at > start, "the store's snapshot does not split under MAX_RECORD");
+            runs.push(start..at);
+        }
+        let kept = chunks.split_off(at);
+        let moved = chunks;
+        let continuation = runs.into_iter().map(move |run| {
+            let mut out = Vec::new();
+            let chunks = moved[run].iter().map(|(digest, data)| (*digest, &data[..]));
+            journal::write_snapshot_chunks(&mut out, chunks);
+            out
+        });
+        continuation.chain(std::iter::once_with(move || {
+            let mut out = Vec::with_capacity(bare.len() + kept.iter().map(entry).sum::<usize>());
+            self.write_snapshot(&mut out, &kept);
+            out
+        }))
     }
 
     /// Replay one journaled mutation through the transition the live
     /// API ran when it wrote the record. Returns how many objects were
     /// dropped (chunk bytes unavailable).
-    fn apply(&mut self, rec: StoreRecord) -> u64 {
+    fn apply(&mut self, rec: StoreRecord<'_>) -> u64 {
         match rec {
-            StoreRecord::CreateBucket { name, rule } => self.create_bucket(name, rule),
-            StoreRecord::Put {
-                bucket,
-                key,
-                time_millis,
-                manifest,
-                new_chunks,
-                user,
-                wire_bytes,
-                delta,
-            } => {
-                let carried: Vec<Chunk> =
-                    new_chunks.into_iter().map(|(digest, data)| Chunk { digest, data }).collect();
+            StoreRecord::CreateBucket { name, rule } => self.create_bucket(name.to_string(), rule),
+            StoreRecord::Put { bucket, key, object, new_chunks, wire_bytes, delta } => {
+                let carried: Vec<Chunk> = new_chunks
+                    .into_iter()
+                    .map(|(digest, data)| Chunk { digest, data: Bytes::copy_from_slice(data) })
+                    .collect();
                 // Atomicity, as in put_delta: every reference resolves
                 // before anything mutates. A miss means the bytes rode a
                 // WAL record that was dropped as corrupt — the object
                 // is unreadable and must not be installed.
-                let sources = if self.buckets.contains_key(&bucket) {
-                    resolve(&manifest, &carried, false, |d| self.chunks.resident_len(d)).ok()
+                let sources = if self.buckets.contains_key(bucket) {
+                    resolve(object.refs(), &carried, false, |d| self.chunks.resident_len(d)).ok()
                 } else {
                     None
                 };
                 let Some(sources) = sources else {
                     // The operation happened historically: the
                     // cumulative counters say so without the object.
-                    self.count_put(manifest.total_len, wire_bytes, delta);
+                    self.count_put(object.size, wire_bytes, delta);
                     return 1;
                 };
-                let now = SimTime::from_millis(time_millis);
-                let record = ObjRecord::new(now, &manifest, map_pairs(&user));
-                self.install(&bucket, key.into_boxed_str(), record, &sources, wire_bytes, delta);
+                self.install(bucket, key.into(), object, &sources, wire_bytes, delta);
             }
             StoreRecord::Touch { bucket, key, time_millis, size } => {
-                self.touch(&bucket, &key, SimTime::from_millis(time_millis), size);
+                self.touch(bucket, key, SimTime::from_millis(time_millis), size);
             }
-            StoreRecord::Delete { bucket, key } => self.remove(&bucket, &key),
+            StoreRecord::Delete { bucket, key } => self.remove(bucket, key),
             StoreRecord::Sweep { time_millis } => {
                 self.expire(SimTime::from_millis(time_millis));
             }
+            StoreRecord::SnapshotChunks { chunks } => self.restore_chunks(chunks),
             StoreRecord::SnapshotStore { buckets, chunks, counters } => {
                 return self.load_snapshot(buckets, chunks, counters);
             }
@@ -663,7 +583,7 @@ impl ObjectStore {
             return Err(StoreError::BucketExists(name.to_string()));
         }
         if let Some(w) = self.inner.wal.get() {
-            w.append(&StoreRecord::CreateBucket { name: name.to_string(), rule }.encode());
+            w.append_with(|out| journal::write_create_bucket(out, name, &rule));
         }
         state.create_bucket(name.to_string(), rule);
         Ok(())
@@ -758,7 +678,8 @@ impl ObjectStore {
             return Err(StoreError::NoSuchBucket(bucket.to_string()));
         }
         let sources: Vec<Option<&Bytes>> = if delta {
-            resolve(manifest, provided, true, |d| state.chunks.resident_len(d))?
+            let refs = manifest.chunks.iter().copied();
+            resolve(refs, provided, true, |d| state.chunks.resident_len(d))?
         } else {
             let digests = manifest.chunks.iter().map(|r| r.digest);
             debug_assert!(digests.eq(provided.iter().map(|c| c.digest)));
@@ -767,17 +688,10 @@ impl ObjectStore {
         let now = self.inner.clock.now();
         let record = ObjRecord::new(now, manifest, pairs);
         if let Some(w) = self.inner.wal.get() {
-            let put = StoreRecord::Put {
-                bucket: bucket.to_string(),
-                key: key.to_string(),
-                time_millis: now.as_millis(),
-                new_chunks: state.newly_admitted(manifest, &sources),
-                manifest: manifest.clone(),
-                user: unpack_user(record.etag_and_user().1),
-                wire_bytes,
-                delta,
-            };
-            w.append(&put.encode());
+            w.append_with(|out| {
+                let new_chunks = state.newly_admitted(&record, &sources);
+                journal::write_put(out, bucket, key, &record, new_chunks, wire_bytes, delta);
+            });
         }
         state.install(bucket, key.into(), record, &sources, wire_bytes, delta);
         Ok(())
@@ -870,15 +784,7 @@ impl ObjectStore {
         if let Some(w) = self.inner.wal.get() {
             // `last_used` drives lifecycle expiry, so reads are
             // journaled too (as a metadata touch, not the payload).
-            w.append(
-                &StoreRecord::Touch {
-                    bucket: bucket.to_string(),
-                    key: key.to_string(),
-                    time_millis: now.as_millis(),
-                    size: out.meta.size,
-                }
-                .encode(),
-            );
+            w.append_with(|o| journal::write_touch(o, bucket, key, now.as_millis(), out.meta.size));
         }
         state.touch(bucket, key, now, out.meta.size);
         Ok(out)
@@ -894,10 +800,7 @@ impl ObjectStore {
         let mut state = self.write_state();
         state.object(bucket, key)?;
         if let Some(w) = self.inner.wal.get() {
-            w.append(
-                &StoreRecord::Delete { bucket: bucket.to_string(), key: key.to_string() }
-                    .encode(),
-            );
+            w.append_with(|out| journal::write_delete(out, bucket, key));
         }
         state.remove(bucket, key);
         Ok(())
@@ -977,7 +880,7 @@ impl ObjectStore {
         // recorded time (expiry depends on the journaled timestamps).
         if expired > 0 {
             if let Some(w) = self.inner.wal.get() {
-                w.append(&StoreRecord::Sweep { time_millis: now.as_millis() }.encode());
+                w.append_with(|out| journal::write_sweep(out, now.as_millis()));
             }
         }
         expired
@@ -1050,18 +953,15 @@ impl ObjectStore {
     /// counted in the returned [`StoreRecovery`] — replay never
     /// panics and never installs an unreadable object.
     pub fn recover(clock: VirtualClock, wal: Wal) -> (ObjectStore, StoreRecovery) {
-        let replay = wal.replay();
-        let mut recovery = StoreRecovery { stats: replay.stats, ..StoreRecovery::default() };
+        let mut recovery = StoreRecovery::default();
         let mut state = StoreState::default();
-        for payload in &replay.records {
-            match StoreRecord::decode(payload) {
-                Some(rec) => {
-                    recovery.objects_dropped += state.apply(rec);
-                    recovery.applied += 1;
-                }
-                None => recovery.malformed_dropped += 1,
+        recovery.stats = wal.replay_each(|payload| match StoreRecord::decode(payload) {
+            Some(rec) => {
+                recovery.objects_dropped += state.apply(rec);
+                recovery.applied += 1;
             }
-        }
+            None => recovery.malformed_dropped += 1,
+        });
         // Chunks no surviving manifest references (a snapshot's, whose
         // object was dropped) would otherwise linger with a zero
         // refcount.
@@ -1072,9 +972,11 @@ impl ObjectStore {
     }
 
     /// Compact the attached log into one snapshot record if its size
-    /// warrants it (per [`rai_wal::DurabilityConfig`]). Call only at
-    /// quiesced points — the snapshot must not interleave with
-    /// concurrent mutations. Returns whether a compaction ran.
+    /// warrants it (per [`rai_wal::DurabilityConfig`]) — or into as
+    /// many as it takes to keep each under [`rai_wal::MAX_RECORD`]: chunk
+    /// bytes that do not fit ride `SnapshotChunks` records ahead of it.
+    /// Call only at quiesced points — the snapshot must not interleave
+    /// with concurrent mutations. Returns whether a compaction ran.
     pub fn maybe_compact(&self) -> bool {
         let Some(wal) = self.inner.wal.get() else {
             return false;
@@ -1083,7 +985,7 @@ impl ObjectStore {
             return false;
         }
         let state = self.read_state();
-        wal.compact(std::iter::once(state.snapshot().encode()));
+        wal.compact(state.snapshot_records());
         true
     }
 }
@@ -1109,6 +1011,7 @@ mod tests {
     use super::*;
     use rai_archive::chunk::{chunk_bytes, chunk_shared};
     use rai_sim::SimDuration;
+    use rai_wal::codec::put_str;
 
     fn store() -> ObjectStore {
         let s = ObjectStore::new(VirtualClock::new());
@@ -1222,7 +1125,7 @@ mod tests {
             put_str(&mut pairs, k);
             put_str(&mut pairs, v);
         }
-        assert_eq!(record.etag_and_user().1, &pairs[..]);
+        assert_eq!(record.packed_pairs(), &pairs[..]);
     }
 
     #[test]
@@ -1235,13 +1138,14 @@ mod tests {
         let state = s.inner.state.read();
         let record = &state.buckets["keep"].objects["k"];
         // What a snapshot and the journal read back is what was put.
-        assert_eq!(record.manifest(), manifest);
+        assert_eq!(record.refs().collect::<Vec<_>>(), manifest.chunks);
+        assert_eq!((record.size, record.etag()), (manifest.total_len, manifest.etag.as_str()));
         let user: BTreeMap<String, String> =
             pairs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
-        assert_eq!(unpack_user(record.etag_and_user().1), user);
+        assert_eq!(record.meta("k").user, user);
         // Count, references, etag, pairs: nothing else, nothing spare.
         let user_bytes: usize = user.iter().map(|(k, v)| 8 + k.len() + v.len()).sum();
-        let expected = 4 + REF_BYTES * manifest.chunks.len() + 4 + manifest.etag.len() + user_bytes;
+        let expected = 4 + 12 * manifest.chunks.len() + 4 + manifest.etag.len() + user_bytes;
         assert_eq!(record.block.len(), expected);
         let metadata = (1 + expected) as u64;
         drop(state);
@@ -1631,6 +1535,59 @@ mod tests {
         assert_eq!(r2.get("keep", "after").unwrap().data.as_ref(), b"post-recovery");
     }
 
+    /// A store holding more distinct chunk bytes than one log record may
+    /// carry — 70 MiB, past `MAX_RECORD`'s 64 — compacts into
+    /// `SnapshotChunks` records ahead of its snapshot, each one under
+    /// the bound, and recovers to the live store. One `SnapshotStore`
+    /// record used to be asked to hold it all and the log refused.
+    #[test]
+    fn a_store_past_max_record_compacts_into_records_that_fit() {
+        let config = rai_wal::DurabilityConfig {
+            compact_min_bytes: 1,
+            compact_factor: 1,
+            ..rai_wal::DurabilityConfig::durable()
+        };
+        let (s, disk) = durable_store(config);
+        const CHUNK: usize = 7 << 20;
+        // Ten distinct 7 MiB chunks over three uploads, each put record
+        // under the bound; a fourth object shares two of them.
+        let chunk = |i: u8| {
+            let data = Bytes::from(vec![i; CHUNK]);
+            Chunk { digest: fnv::hash(&data), data }
+        };
+        let manifest = |chunks: &[Chunk]| ChunkManifest {
+            chunks: chunks.iter().map(|c| ChunkRef { digest: c.digest, len: CHUNK as u32 }).collect(),
+            total_len: (chunks.len() * CHUNK) as u64,
+            etag: format!("etag-{}", chunks.len()),
+        };
+        let mut first = Vec::new();
+        for (key, ids) in [("a", 0..4u8), ("b", 4..7), ("c", 7..10)] {
+            let chunks: Vec<Chunk> = ids.map(chunk).collect();
+            s.put_delta("keep", key, &manifest(&chunks), &chunks, [("k", key)]).unwrap();
+            first.push(chunks[0].clone());
+        }
+        s.put_delta("keep", "shared", &manifest(&first[..2]), &[], []).unwrap();
+        s.sync_wal();
+        assert_eq!(s.usage().bytes_physical, 10 * CHUNK as u64);
+
+        assert!(s.maybe_compact());
+        let mut records = Vec::new();
+        Wal::open(Arc::new(disk.clone()), config).replay_each(|p| records.push((p[0], p.len())));
+        assert!(records.len() >= 2, "{records:?}");
+        let (snapshot, ahead) = records.split_last().unwrap();
+        assert_eq!(snapshot.0, 6);
+        assert!(ahead.iter().all(|&(tag, _)| tag == 8), "{records:?}");
+        assert!(records.iter().all(|&(_, len)| len <= MAX_RECORD as usize), "{records:?}");
+
+        let (r, recovery) = reopen(&disk, VirtualClock::new());
+        assert_eq!(recovery.stats.corrupt_dropped, 0);
+        assert_eq!((recovery.malformed_dropped, recovery.objects_dropped), (0, 0));
+        assert_eq!(fingerprint(&r), fingerprint(&s));
+        for key in ["a", "b", "c", "shared"] {
+            assert!(r.get("keep", key).unwrap().data == s.get("keep", key).unwrap().data, "{key}");
+        }
+    }
+
     #[test]
     fn store_compaction_preserves_state_and_shrinks_log() {
         let disk = rai_wal::MemDisk::new();
@@ -1707,25 +1664,11 @@ mod tests {
         );
         let payload = varied(3000, 41);
         let (manifest, _) = chunk_bytes(&payload, ChunkerParams::DEFAULT);
-        wal.append(
-            &StoreRecord::CreateBucket { name: "keep".into(), rule: LifecycleRule::Keep }
-                .encode(),
-        );
+        wal.append_with(|out| journal::write_create_bucket(out, "keep", &LifecycleRule::Keep));
         // A dedup'd Put whose chunk bytes rode an earlier record that
         // was dropped as corrupt: nothing in the log carries the bytes.
-        wal.append(
-            &StoreRecord::Put {
-                bucket: "keep".into(),
-                key: "orphan".into(),
-                time_millis: 0,
-                manifest,
-                new_chunks: Vec::new(),
-                user: BTreeMap::new(),
-                wire_bytes: 0,
-                delta: true,
-            }
-            .encode(),
-        );
+        let object = ObjRecord::new(SimTime::ZERO, &manifest, vec![]);
+        wal.append_with(|out| journal::write_put(out, "keep", "orphan", &object, [], 0, true));
         wal.sync();
         let (r, recovery) = reopen(&disk, VirtualClock::new());
         assert_eq!(recovery.objects_dropped, 1, "unreadable object must be dropped");

@@ -38,7 +38,7 @@ impl<'a> Reader<'a> {
     }
 
     /// The next `n` bytes, or `None` if fewer remain.
-    pub(crate) fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+    pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         let end = self.pos.checked_add(n)?;
         if end > self.bytes.len() {
             return None;
@@ -69,9 +69,22 @@ impl<'a> Reader<'a> {
         self.take(len)
     }
 
-    /// A length-prefixed UTF-8 string ([`put_str`]).
-    pub fn str(&mut self) -> Option<String> {
-        String::from_utf8(self.bytes()?.to_vec()).ok()
+    /// A length-prefixed UTF-8 string ([`put_str`]), as a view of the
+    /// payload.
+    pub fn str(&mut self) -> Option<&'a str> {
+        std::str::from_utf8(self.bytes()?).ok()
+    }
+
+    /// The bytes consumed since the cursor stood at `from` (a
+    /// [`Reader::pos`]): a run of fields read and checked one by one,
+    /// as one view.
+    pub fn since(&self, from: usize) -> &'a [u8] {
+        &self.bytes[from..self.pos]
+    }
+
+    /// The cursor's offset into the payload.
+    pub fn pos(&self) -> usize {
+        self.pos
     }
 
     /// Whether every byte has been consumed.
@@ -95,8 +108,10 @@ mod tests {
         assert_eq!(r.u8(), Some(7));
         assert_eq!(r.u32(), Some(0xDEAD_BEEF));
         assert_eq!(r.u64(), Some(u64::MAX - 1));
-        assert_eq!(r.str().as_deref(), Some("héllo"));
+        let from = r.pos();
+        assert_eq!(r.str(), Some("héllo"));
         assert_eq!(r.bytes(), Some(&b"\x00\xff"[..]));
+        assert_eq!(r.since(from), &out[13..]);
         assert!(r.done());
         assert_eq!(r.u8(), None, "reading past the end is None, not a panic");
 

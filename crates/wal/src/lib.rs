@@ -66,16 +66,22 @@ use std::sync::Arc;
 pub use rai_faults::{DiskFault, DiskFaultProfile};
 
 /// Sanity bound on a single record payload. A decoded length above
-/// this is treated as corruption, not allocation advice.
-pub(crate) const MAX_RECORD: u32 = 64 << 20;
+/// this is treated as corruption, not allocation advice, so no writer
+/// may frame a longer one: an appender whose state outgrows it splits
+/// the state over several records.
+pub const MAX_RECORD: u32 = 64 << 20;
 
 /// Bytes of framing overhead per record (`len` + `crc`).
-pub(crate) const HEADER_BYTES: u64 = 8;
+const HEADER_BYTES: usize = 8;
 
-const CRC_TABLE: [u32; 256] = crc32_table();
+/// Slicing-by-8 tables for CRC-32 (IEEE, reflected polynomial
+/// `0xEDB88320`): `CRC_TABLES[0]` is the classic byte-at-a-time table,
+/// and `CRC_TABLES[k][b]` is what byte `b` contributes with `k` more
+/// bytes behind it, so eight bytes fold in one step of eight lookups.
+const CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -84,16 +90,43 @@ const fn crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
+/// Fold `bytes` into a running CRC-32 state: eight bytes a step, the
+/// byte-at-a-time table for the tail.
 fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = state;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+        let lo = c ^ word as u32;
+        let hi = (word >> 32) as u32;
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c
 }
@@ -102,15 +135,33 @@ fn record_crc(len_le: [u8; 4], payload: &[u8]) -> u32 {
     crc32_update(crc32_update(0xFFFF_FFFF, &len_le), payload) ^ 0xFFFF_FFFF
 }
 
+/// Frame, at the end of `out`, the payload `write` appends there: an
+/// 8-byte header is reserved first and patched with `len` and `crc`
+/// once the payload is in place, so nothing is copied. The one framing
+/// routine — [`encode_record`], [`Wal::append_with`] and
+/// [`Wal::compact`] all frame through it. Returns the framed length.
+fn frame_into(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; HEADER_BYTES]);
+    write(out);
+    let body = start + HEADER_BYTES;
+    let len = out
+        .len()
+        .checked_sub(body)
+        .and_then(|len| u32::try_from(len).ok())
+        .filter(|&len| len <= MAX_RECORD)
+        .expect("record exceeds MAX_RECORD");
+    let len_le = len.to_le_bytes();
+    let crc = record_crc(len_le, &out[body..]);
+    out[start..start + 4].copy_from_slice(&len_le);
+    out[start + 4..body].copy_from_slice(&crc.to_le_bytes());
+    out.len() - start
+}
+
 /// Frame one payload as `[len][crc][payload]`.
 pub fn encode_record(payload: &[u8]) -> Vec<u8> {
-    assert!(payload.len() as u64 <= MAX_RECORD as u64, "record exceeds MAX_RECORD");
-    let len_le = (payload.len() as u32).to_le_bytes();
-    let crc = record_crc(len_le, payload);
-    let mut out = Vec::with_capacity(payload.len() + HEADER_BYTES as usize);
-    out.extend_from_slice(&len_le);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out.extend_from_slice(payload);
+    let mut out = Vec::with_capacity(HEADER_BYTES + payload.len());
+    frame_into(&mut out, |out| out.extend_from_slice(payload));
     out
 }
 
@@ -127,48 +178,47 @@ pub struct ReplayStats {
 }
 
 /// Decode one segment's bytes, appending intact payloads to `records`
-/// and accounting damage in `stats`. Never panics: a torn tail
-/// truncates, a corrupt record is dropped and decoding resyncs at the
-/// boundary its length field claimed.
+/// and accounting damage in `stats` — [`Wal::replay`]'s loop, for one
+/// segment. Never panics: a torn tail truncates, a corrupt record is
+/// dropped and decoding resyncs at the boundary its length field
+/// claimed.
 pub fn decode_segment(bytes: &[u8], records: &mut Vec<Vec<u8>>, stats: &mut ReplayStats) {
-    let total = bytes.len();
-    let mut off = 0usize;
-    while off < total {
-        let rem = total - off;
-        if rem < HEADER_BYTES as usize {
-            stats.torn_bytes += rem as u64;
+    decode_each(bytes, stats, |payload| records.push(payload.to_vec()));
+}
+
+/// The decode loop: hand each intact payload of one segment to `each`
+/// as a view into `bytes`, accounting damage in `stats`.
+fn decode_each(bytes: &[u8], stats: &mut ReplayStats, mut each: impl FnMut(&[u8])) {
+    let mut rest = bytes;
+    while !rest.is_empty() {
+        let Some((header, body)) = rest.split_first_chunk::<HEADER_BYTES>() else {
+            stats.torn_bytes += rest.len() as u64;
             return;
-        }
-        let len_le = [bytes[off], bytes[off + 1], bytes[off + 2], bytes[off + 3]];
+        };
+        let len_le = [header[0], header[1], header[2], header[3]];
         let len = u32::from_le_bytes(len_le);
         if len > MAX_RECORD {
             // A length no writer could have produced: corruption, not a
             // torn write. Nothing after it can be trusted to align.
             stats.corrupt_dropped += 1;
-            stats.torn_bytes += (rem - HEADER_BYTES as usize) as u64;
+            stats.torn_bytes += body.len() as u64;
             return;
         }
-        let len = len as usize;
-        if len > rem - HEADER_BYTES as usize {
+        if len as usize > body.len() {
             // The record runs past the segment end: a torn write (or a
             // flipped length bit — indistinguishable, same handling).
-            stats.torn_bytes += rem as u64;
+            stats.torn_bytes += rest.len() as u64;
             return;
         }
-        let crc = u32::from_le_bytes([
-            bytes[off + 4],
-            bytes[off + 5],
-            bytes[off + 6],
-            bytes[off + 7],
-        ]);
-        let payload = &bytes[off + HEADER_BYTES as usize..off + HEADER_BYTES as usize + len];
+        let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
+        let (payload, after) = body.split_at(len as usize);
         if record_crc(len_le, payload) == crc {
-            records.push(payload.to_vec());
+            each(payload);
             stats.replayed += 1;
         } else {
             stats.corrupt_dropped += 1;
         }
-        off += HEADER_BYTES as usize + len;
+        rest = after;
     }
 }
 
@@ -411,6 +461,9 @@ struct WalState {
     /// Framed bytes of the last compaction snapshot (0 before the
     /// first compaction).
     snapshot_bytes: u64,
+    /// The buffer every record is framed in, reused from one append to
+    /// the next and dropped once it holds more than a segment's worth.
+    frame: Vec<u8>,
 }
 
 #[derive(Default)]
@@ -500,6 +553,7 @@ impl Wal {
                     unsynced_records: 0,
                     log_bytes,
                     snapshot_bytes: 0,
+                    frame: Vec::new(),
                 }),
                 counters: WalCounters::default(),
             }),
@@ -509,23 +563,43 @@ impl Wal {
     /// Append one framed record, rotating the segment and batching
     /// fsyncs every `FSYNC_EVERY` records.
     pub fn append(&self, payload: &[u8]) {
-        let framed = encode_record(payload);
+        self.append_with(|out| out.extend_from_slice(payload));
+    }
+
+    /// Append one record whose payload `write` appends to the buffer it
+    /// is handed, as [`Wal::append`] does: the record is framed where
+    /// it is encoded, in a buffer the log keeps for the next append, and
+    /// reaches the backend in one call. `write` runs under the log's
+    /// lock, so it must not use this log.
+    pub fn append_with(&self, write: impl FnOnce(&mut Vec<u8>)) {
         let mut state = self.inner.state.lock();
-        let id = state.active;
-        self.inner.backend.append(id, &framed);
-        state.active_len += framed.len() as u64;
-        state.log_bytes += framed.len() as u64;
+        let state = &mut *state;
+        state.frame.clear();
+        let framed = frame_into(&mut state.frame, write) as u64;
+        self.inner.backend.append(state.active, &state.frame);
+        self.bound_frame(state);
+        state.active_len += framed;
+        state.log_bytes += framed;
         state.unsynced_records += 1;
         self.inner.counters.appends.fetch_add(1, Ordering::Relaxed);
-        self.inner.counters.bytes.fetch_add(framed.len() as u64, Ordering::Relaxed);
+        self.inner.counters.bytes.fetch_add(framed, Ordering::Relaxed);
         if state.unsynced_records >= FSYNC_EVERY {
-            self.sync_locked(&mut state);
+            self.sync_locked(state);
         }
         if state.active_len >= self.inner.config.segment_bytes.max(1) {
             // Rotation is a durability point: seal the full segment.
-            self.sync_locked(&mut state);
+            self.sync_locked(state);
             state.active += 1;
             state.active_len = 0;
+        }
+    }
+
+    /// Drop the frame buffer once it holds more than a segment's worth,
+    /// so one outsized record (a multi-MiB `Put`, a snapshot) does not
+    /// pin its capacity for the life of the log.
+    fn bound_frame(&self, state: &mut WalState) {
+        if state.frame.capacity() as u64 > self.inner.config.segment_bytes {
+            state.frame = Vec::new();
         }
     }
 
@@ -545,19 +619,28 @@ impl Wal {
         self.inner.counters.fsync_batches.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Replay every live segment in id order, recovering intact records
-    /// and accounting damage. Accumulates into the shared counters.
-    pub fn replay(&self) -> Replay {
-        let mut replay = Replay::default();
+    /// Replay every live segment in id order, handing each intact
+    /// record's payload to `each` as a view into the segment it lies in,
+    /// and accounting damage as [`decode_segment`] does. Accumulates
+    /// into the shared counters.
+    pub fn replay_each(&self, mut each: impl FnMut(&[u8])) -> ReplayStats {
+        let mut stats = ReplayStats::default();
         for id in self.inner.backend.list_segments() {
             let bytes = self.inner.backend.read_segment(id);
-            decode_segment(&bytes, &mut replay.records, &mut replay.stats);
+            decode_each(&bytes, &mut stats, &mut each);
         }
         let c = &self.inner.counters;
-        c.replayed.fetch_add(replay.stats.replayed, Ordering::Relaxed);
-        c.corrupt_dropped.fetch_add(replay.stats.corrupt_dropped, Ordering::Relaxed);
-        c.torn_bytes.fetch_add(replay.stats.torn_bytes, Ordering::Relaxed);
-        replay
+        c.replayed.fetch_add(stats.replayed, Ordering::Relaxed);
+        c.corrupt_dropped.fetch_add(stats.corrupt_dropped, Ordering::Relaxed);
+        c.torn_bytes.fetch_add(stats.torn_bytes, Ordering::Relaxed);
+        stats
+    }
+
+    /// [`Wal::replay_each`], collecting a copy of every payload.
+    pub fn replay(&self) -> Replay {
+        let mut records = Vec::new();
+        let stats = self.replay_each(|payload| records.push(payload.to_vec()));
+        Replay { records, stats }
     }
 
     /// True when the log has outgrown the last snapshot by the
@@ -577,22 +660,24 @@ impl Wal {
     /// while compaction is in flight.
     pub fn compact(&self, snapshot: impl IntoIterator<Item = Vec<u8>>) {
         let mut state = self.inner.state.lock();
+        let state = &mut *state;
         let old_ids = self.inner.backend.list_segments();
         let mut id = state.active + 1;
         let mut seg_len = 0u64;
         let mut written = 0u64;
         for payload in snapshot {
-            let framed = encode_record(&payload);
-            if seg_len > 0 && seg_len + framed.len() as u64 > self.inner.config.segment_bytes.max(1)
-            {
+            state.frame.clear();
+            let framed = frame_into(&mut state.frame, |out| out.extend_from_slice(&payload)) as u64;
+            if seg_len > 0 && seg_len + framed > self.inner.config.segment_bytes.max(1) {
                 self.inner.backend.sync(id);
                 id += 1;
                 seg_len = 0;
             }
-            self.inner.backend.append(id, &framed);
-            seg_len += framed.len() as u64;
-            written += framed.len() as u64;
+            self.inner.backend.append(id, &state.frame);
+            seg_len += framed;
+            written += framed;
         }
+        self.bound_frame(state);
         self.inner.backend.sync(id);
         for old in old_ids {
             self.inner.backend.remove_segment(old);
@@ -639,6 +724,68 @@ mod tests {
         let disk = MemDisk::new();
         let wal = Wal::open(Arc::new(disk.clone()), config);
         (wal, disk)
+    }
+
+    /// The fold slicing-by-8 replaced: one table lookup per byte.
+    fn crc32_bytewise(state: u32, bytes: &[u8]) -> u32 {
+        bytes.iter().fold(state, |c, &b| CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8))
+    }
+
+    #[test]
+    fn sliced_crc_equals_the_bytewise_fold() {
+        assert_eq!(crc32_update(0xFFFF_FFFF, b"123456789") ^ 0xFFFF_FFFF, 0xCBF4_3926);
+        let buf: Vec<u8> =
+            (0..4096u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        // Every length 0–63 at every alignment 0–8, from two states.
+        for state in [0xFFFF_FFFF, 0x1234_5678] {
+            for offset in 0..=8 {
+                for len in 0..64 {
+                    let bytes = &buf[offset..offset + len];
+                    let sliced = crc32_update(state, bytes);
+                    assert_eq!(sliced, crc32_bytewise(state, bytes), "{offset}+{len}");
+                }
+            }
+            assert_eq!(crc32_update(state, &buf), crc32_bytewise(state, &buf));
+        }
+    }
+
+    #[test]
+    fn a_record_framed_in_place_is_the_record_encoded_apart() {
+        let config = DurabilityConfig { segment_bytes: 4096, ..DurabilityConfig::default() };
+        let (wal, disk) = mem_wal(config);
+        let payloads: Vec<Vec<u8>> = [0usize, 1, 7, 8, 9, 300, 5000]
+            .iter()
+            .map(|&n| (0..n).map(|i| i as u8).collect())
+            .collect();
+        let mut expected = Vec::new();
+        for p in &payloads {
+            wal.append_with(|out| {
+                out.extend_from_slice(&p[..p.len() / 2]);
+                out.extend_from_slice(&p[p.len() / 2..]);
+            });
+            expected.extend_from_slice(&encode_record(p));
+        }
+        let written: Vec<u8> =
+            disk.list_segments().into_iter().flat_map(|id| disk.read_segment(id)).collect();
+        assert_eq!(written, expected);
+        // The 5 000-byte record outgrew a segment's worth of buffer, so
+        // the log let the buffer go; a small record reuses one again.
+        assert_eq!(wal.inner.state.lock().frame.capacity(), 0);
+        wal.append(b"small");
+        assert!((1..=4096).contains(&wal.inner.state.lock().frame.capacity()));
+        // Replay hands out the payloads as written, views and copies alike.
+        let mut viewed = Vec::new();
+        let stats = wal.replay_each(|payload| viewed.push(payload.to_vec()));
+        assert_eq!(stats.replayed, 8);
+        assert_eq!(viewed[..7], payloads[..]);
+        assert_eq!(wal.replay().records, viewed);
+    }
+
+    #[test]
+    #[should_panic(expected = "record exceeds MAX_RECORD")]
+    fn a_record_past_max_record_is_refused() {
+        let (wal, _disk) = mem_wal(DurabilityConfig::durable());
+        wal.append_with(|out| out.resize(out.len() + MAX_RECORD as usize + 1, 0));
     }
 
     #[test]

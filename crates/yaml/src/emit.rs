@@ -113,48 +113,64 @@ fn push_string(s: &str, out: &mut String) {
     }
     out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            '\0' => out.push_str("\\0"),
-            other => out.push(other),
-        }
+    // Every escaped character is ASCII, so the runs between them are
+    // whole characters, copied as they stand.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\t' => "\\t",
+            b'\r' => "\\r",
+            0 => "\\0",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        out.push_str(escape);
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
+/// Whether `s` must be quoted to read back as the same string: the
+/// first and last bytes are looked at once, the rest in one pass.
 fn needs_quoting(s: &str) -> bool {
-    if s.is_empty() {
+    let (Some(&first), Some(&last)) = (s.as_bytes().first(), s.as_bytes().last()) else {
         return true;
-    }
+    };
     // Leading/trailing whitespace would be eaten by trimming.
-    if s != s.trim() {
+    if s.starts_with(char::is_whitespace) || s.ends_with(char::is_whitespace) {
         return true;
     }
-    // Would be re-parsed as a different type or as structure.
+    // An indicator up front would be read as structure, a comment or a
+    // quoted scalar; a separator colon at the end as a mapping entry.
+    if matches!(
+        first,
+        b'#' | b'[' | b'{' | b'"' | b'\'' | b'&' | b'*' | b'!' | b'|' | b'>' | b'%' | b'@'
+    ) || s == "-"
+        || s.starts_with("- ")
+        || last == b':'
+    {
+        return true;
+    }
+    // Would be re-parsed as a different type.
     if infer_non_string(s).is_some() {
         return true;
     }
-    if s == "-" || s.starts_with("- ") || s.starts_with('#') {
-        return true;
-    }
-    if s.starts_with(['[', '{', '"', '\'', '&', '*', '!', '|', '>', '%', '@']) {
-        return true;
-    }
-    // A separator colon would make it look like a mapping entry.
-    if s.ends_with(':') || s.contains(": ") {
-        return true;
-    }
-    if s.contains('\n') || s.contains('\t') || s.contains('\r') || s.contains('\0') {
-        return true;
-    }
-    // A ` #` would be scanned as a trailing comment.
-    if s.contains(" #") {
-        return true;
+    // Anywhere: a line break, tab or NUL; a separator colon (`: `); a
+    // trailing comment (` #`). Multi-byte characters are bytes of 0x80
+    // and above, so none of them match.
+    let mut prev = 0u8;
+    for &b in s.as_bytes() {
+        if matches!(b, b'\n' | b'\t' | b'\r' | 0)
+            || (prev, b) == (b':', b' ')
+            || (prev, b) == (b' ', b'#')
+        {
+            return true;
+        }
+        prev = b;
     }
     false
 }
@@ -163,6 +179,114 @@ fn needs_quoting(s: &str) -> bool {
 mod tests {
     use super::*;
     use crate::parser::parse;
+    use proptest::prelude::*;
+
+    /// `push_string` as it was before it went over a string once: the
+    /// decision below, then an escape or a push per character.
+    fn push_string_reference(s: &str, out: &mut String) {
+        if !needs_quoting_reference(s) {
+            out.push_str(s);
+            return;
+        }
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\t' => out.push_str("\\t"),
+                '\r' => out.push_str("\\r"),
+                '\0' => out.push_str("\\0"),
+                other => out.push(other),
+            }
+        }
+        out.push('"');
+    }
+
+    /// `needs_quoting` as it was: one `trim`, `contains` or prefix
+    /// search per rule.
+    fn needs_quoting_reference(s: &str) -> bool {
+        if s.is_empty() {
+            return true;
+        }
+        if s != s.trim() {
+            return true;
+        }
+        if infer_non_string(s).is_some() {
+            return true;
+        }
+        if s == "-" || s.starts_with("- ") || s.starts_with('#') {
+            return true;
+        }
+        if s.starts_with(['[', '{', '"', '\'', '&', '*', '!', '|', '>', '%', '@']) {
+            return true;
+        }
+        if s.ends_with(':') || s.contains(": ") {
+            return true;
+        }
+        if s.contains('\n') || s.contains('\t') || s.contains('\r') || s.contains('\0') {
+            return true;
+        }
+        if s.contains(" #") {
+            return true;
+        }
+        false
+    }
+
+    /// Every shape the emitter quotes, and near misses of each.
+    const QUOTED: [&str; 40] = [
+        "", " lead", "trail ", "a: b", "ends:", "a #b", "#", "- x", "-", "42", "-7", "0.1", "0x1F",
+        "1e3", "~", "null", "true", "False", ".inf", "\"q\"", "'q'", "[x]", "{x}", "b\\s\\", "a:b",
+        "a#b", "-x", "--", "+5", ".nan", "0X1f", "nul", "Tru", "1e", "\u{a0}a", "\u{2028}",
+        "\u{85}", "tab\tin", "nul\0in", "cr\rin",
+    ];
+
+    /// Printable ASCII with line breaks and tabs, the request fields'
+    /// alphabet, and a second one of the bytes the rules look at, with
+    /// multi-byte and Unicode whitespace characters among them.
+    fn arb_scalar() -> impl Strategy<Value = String> {
+        const ALPHABET: [char; 16] = [
+            ' ', ':', '#', '-', '.', '0', '7', 'e', 'x', 't', '\n', '\0', 'é', '\u{a0}',
+            '\u{2028}', '漢',
+        ];
+        prop_oneof![
+            "[ -~\\n\\t]{0,40}",
+            prop::collection::vec(0..ALPHABET.len(), 0..12)
+                .prop_map(|letters| letters.into_iter().map(|i| ALPHABET[i]).collect()),
+            (0..QUOTED.len()).prop_map(|i| QUOTED[i].to_string()),
+        ]
+    }
+
+    /// `s` as [`push_string`] and as its reference write it.
+    fn both_ways(s: &str) -> (String, String) {
+        let (mut one_pass, mut reference) = (String::new(), String::new());
+        push_string(s, &mut one_pass);
+        push_string_reference(s, &mut reference);
+        (one_pass, reference)
+    }
+
+    #[test]
+    fn one_pass_quoting_writes_as_the_reference_on_every_quoted_shape() {
+        for s in QUOTED {
+            assert_eq!(needs_quoting(s), needs_quoting_reference(s), "{s:?}");
+            let (one_pass, reference) = both_ways(s);
+            assert_eq!(one_pass, reference);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The intent ledger journals encoded requests, so neither the
+        /// quoting decision nor a byte of the quoted form may move for
+        /// any string.
+        #[test]
+        fn one_pass_quoting_writes_as_the_reference(s in arb_scalar()) {
+            prop_assert_eq!(needs_quoting(&s), needs_quoting_reference(&s), "{:?}", s);
+            let (one_pass, reference) = both_ways(&s);
+            prop_assert_eq!(one_pass, reference);
+        }
+    }
 
     fn round_trip(v: &Yaml) {
         let text = to_string(v);

@@ -130,6 +130,16 @@ pub(crate) fn infer_plain(t: &str) -> Yaml {
 /// asks this to decide whether a string must be quoted, so it must not
 /// allocate for the (usual) answer "it is just a string".
 pub(crate) fn infer_non_string(t: &str) -> Option<Yaml> {
+    // Every non-string plain scalar starts with one of these bytes: the
+    // null, boolean and special-float spellings below, a sign, a digit
+    // or a decimal point.
+    let lead = t.as_bytes().first().copied();
+    if !matches!(
+        lead,
+        Some(b'~' | b'n' | b'N' | b't' | b'T' | b'f' | b'F' | b'.' | b'+' | b'-' | b'0'..=b'9')
+    ) {
+        return None;
+    }
     match t {
         "~" | "null" | "Null" | "NULL" => return Some(Yaml::Null),
         "true" | "True" | "TRUE" => return Some(Yaml::Bool(true)),

@@ -6,7 +6,8 @@
 //! the *text* of the job request (build-file parse, request codec,
 //! signing) and the bookkeeping around it. This binary installs a
 //! counting allocator and pins how many allocations one submission
-//! makes (DESIGN.md §11 "Request path" and "Output path"), how much of
+//! makes (DESIGN.md §11 "Request path" and "Output path"; and one of the
+//! durable course, journal and recovery included, §14), how much of
 //! the heap a course holds per submission at its fullest and how much
 //! of that each owner — object record, submissions row, job trace —
 //! keeps per item (§10 "What a submission leaves behind"), how many
@@ -27,8 +28,12 @@ use rai::sandbox::{Container, ImageRegistry, ResourceLimits};
 use rai::sim::{SimTime, VirtualClock};
 use rai::store::{LifecycleRule, ObjectStore, StoreError};
 use rai::telemetry::{component, stage, MetricsRegistry, TraceStore};
+use rai::workload::chaos::ChaosConfig;
+use rai::workload::recovery::{run_recovery, KillPoint, RecoveryConfig};
 use rai::workload::semester::run_semester;
 use rai::workload::SemesterConfig;
+use rai_faults::DiskFaultProfile;
+use rai_wal::DurabilityConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -128,6 +133,18 @@ fn kept_per_item(n: u64, each: impl FnMut(u64)) -> (f64, f64) {
 /// gates are 3 % above the 311 / 35 057 B measurement.
 const BUDGET: (u64, u64) = (320, 36_108);
 
+/// Allocations and requested bytes allowed per submission of the
+/// benchmark's `durable_chaos` course (960 submissions on a WAL-backed
+/// deployment, killed mid-run with damaged log tails, recovered and
+/// resumed). Measured (EXPERIMENTS.md, "The durable path at memory
+/// speed"): 411.2 / 58 045 B at this commit, 512.8 / 75 650 B at its
+/// parent — a journal record is written from the caller's documents,
+/// names and object record straight into a frame the log reuses, where
+/// it was copied into an owned record, encoded into a `Vec` and framed
+/// into another, and replay decodes views of the segment instead of a
+/// copy of every payload. Both gates are 3 % above the measurement.
+const DURABLE_BUDGET: (f64, f64) = (423.5, 59_786.0);
+
 /// Peak live heap allowed per submission over the same course, in
 /// bytes and blocks. Measured: 2 538 B in 14.8 blocks at this commit,
 /// 3 106 B in 18.8 at its parent, 3 307 B in 18.8 before that, 3 367 B
@@ -193,6 +210,31 @@ fn request_path_stays_inside_its_allocation_budget() {
         "peak live heap of {peak_bytes:.0} B / {peak_blocks:.1} blocks per submission exceeds {PEAK_LIVE_BUDGET:?}"
     );
     drop(result);
+
+    // One submission of the benchmark's `durable_chaos` course: the
+    // chaos course on a WAL-backed deployment, killed mid-run with its
+    // log tails damaged, recovered and resumed.
+    let config = RecoveryConfig {
+        chaos: ChaosConfig::acceptance(2016),
+        kill: Some(KillPoint::mid_drive(80, 2)),
+        disk_faults: Some(DiskFaultProfile::chaos(2016)),
+        durability: DurabilityConfig::durable(),
+    };
+    let (durable, calls, bytes) = counted(|| run_recovery(&config));
+    durable.verify().expect("nothing lost, nothing duplicated");
+    let fingerprint = format!("\"fingerprint\": \"{:#018x}\"", durable.fingerprint);
+    assert!(
+        include_str!("../BENCH_perf.json").contains(&fingerprint),
+        "priced a durable course BENCH_perf.json does not pin: {fingerprint}"
+    );
+    let n = (durable.accepted.len() as u64 + durable.rejected) as f64;
+    let (per_calls, per_bytes) = (calls as f64 / n, bytes as f64 / n);
+    println!("durable_chaos: {n} submissions, {per_calls:.1} allocations and {per_bytes:.0} requested bytes each");
+    assert!(
+        per_calls <= DURABLE_BUDGET.0 && per_bytes <= DURABLE_BUDGET.1,
+        "{per_calls:.1} allocations / {per_bytes:.0} B per durable submission exceed {DURABLE_BUDGET:?}"
+    );
+    drop(durable);
 
     // The three owners of that heap, each alone: what one more item
     // leaves in a bare store, collection and trace store, averaged over
