@@ -183,9 +183,9 @@ pub fn chunk_bytes(data: &[u8], params: ChunkerParams) -> (ChunkManifest, Vec<Ch
 /// riding along.
 pub fn chunk_shared(data: &Bytes, params: ChunkerParams) -> (ChunkManifest, Vec<Chunk>) {
     let mut cutter = Cutter::new(params, data.len());
-    let mut etag = Fnv1a::new();
-    cutter.feed(data, |b| etag.push(b));
-    cutter.finish(data, etag.digest())
+    let mut etag = [Fnv1a::new()];
+    cutter.feed(data, &mut etag);
+    cutter.finish(data, etag[0].digest())
 }
 
 /// The content-defined chunker as a stream consumer: fed a payload in
@@ -194,12 +194,13 @@ pub fn chunk_shared(data: &Bytes, params: ChunkerParams) -> (ChunkManifest, Vec<
 /// Gear hash, the chunk digest and the length of the open chunk —
 /// carries over from one piece to the next.
 ///
-/// [`Cutter::feed`] hands every byte to a caller's fold on the way, so
-/// a producer that writes the payload (the container writer) chunks it
-/// in the loop that writes it. The Gear hash, the chunk digest and the
-/// caller's chains are independent dependency chains advanced byte by
-/// byte in one loop (see [`crate::fnv::update2`] for why that costs
-/// about what the slowest of them does alone).
+/// [`Cutter::feed`] folds every byte into a caller's FNV-1a chains on
+/// the way, so a producer that writes the payload (the container
+/// writer) chunks it in the loop that writes it. The Gear hash, the
+/// chunk digest and the caller's chains are independent dependency
+/// chains advanced byte by byte in one loop (see
+/// [`crate::fnv::update_all`] for why that costs about what the slowest
+/// of them does alone).
 pub(crate) struct Cutter {
     params: ChunkerParams,
     mask: u64,
@@ -231,13 +232,20 @@ impl Cutter {
     }
 
     /// Fold the next piece of the payload into the open chunk, cutting
-    /// where the content says to, and hand each byte to `also`.
+    /// where the content says to, and fold each byte into every one of
+    /// `chains` too.
+    ///
+    /// The chains arrive as an array, not as a closure over `&mut`
+    /// chains: a closure's captures are memory the loop must store to
+    /// on every byte, lest they alias, while an array copied into a
+    /// local lives in registers and is written back once per call.
     #[inline(always)]
-    pub(crate) fn feed(&mut self, mut bytes: &[u8], mut also: impl FnMut(u8)) {
+    pub(crate) fn feed<const N: usize>(&mut self, mut bytes: &[u8], chains: &mut [Fnv1a; N]) {
         let (ChunkerParams { min, max, .. }, mask) = (self.params, self.mask);
         // The state lives in locals for the loop — the cut list too,
         // which keeps its length out of memory between cuts.
         let (mut hash, mut digest, mut len) = (self.hash, self.digest, self.len);
+        let mut held = *chains;
         let mut refs = std::mem::take(&mut self.refs);
         while !bytes.is_empty() {
             // The first boundary test fires at len == min, i.e. after
@@ -249,7 +257,9 @@ impl Cutter {
             for &b in quiet {
                 hash = (hash << 1).wrapping_add(GEAR[b as usize]);
                 digest.push(b);
-                also(b);
+                for chain in &mut held {
+                    chain.push(b);
+                }
             }
             len += quiet.len();
             let window = &rest[..(max - len).min(rest.len())];
@@ -258,7 +268,9 @@ impl Cutter {
             for (i, &b) in window.iter().enumerate() {
                 hash = (hash << 1).wrapping_add(GEAR[b as usize]);
                 digest.push(b);
-                also(b);
+                for chain in &mut held {
+                    chain.push(b);
+                }
                 // Test a mixed window of the hash rather than its raw
                 // low bits: the shift-accumulate form leaves the low bits
                 // dominated by the most recent table entries, so fold
@@ -276,6 +288,7 @@ impl Cutter {
             }
         }
         (self.hash, self.digest, self.len, self.refs) = (hash, digest, len, refs);
+        *chains = held;
     }
 
     /// Close the open chunk and return the manifest of `payload` — the
@@ -567,6 +580,7 @@ mod tests {
             alphabet in 1u8..=255,
             params in arb_params(),
             cuts in prop::collection::vec(any::<u16>(), 0..12),
+            lead in prop::collection::vec(any::<u8>(), 0..16),
         ) {
             let data: Vec<u8> = data.into_iter().map(|b| b % alphabet).collect();
             // Pieces of any size, empty ones included, wherever they
@@ -575,19 +589,39 @@ mod tests {
                 cuts.iter().map(|&c| c as usize % (data.len() + 1)).collect();
             cuts.extend([0, data.len()]);
             cuts.sort_unstable();
-            let mut cutter = Cutter::new(params, 0);
-            let mut etag = Fnv1a::new();
-            let mut seen = Vec::with_capacity(data.len());
-            for piece in cuts.windows(2) {
-                cutter.feed(&data[piece[0]..piece[1]], |b| {
-                    etag.push(b);
-                    seen.push(b);
-                });
-            }
-            prop_assert_eq!(&seen, &data, "every byte reaches the fold once, in order");
             let payload = Bytes::from(data);
-            let fed = cutter.finish(&payload, etag.digest());
-            prop_assert_eq!(fed, reference(&payload, params));
+            let want = reference(&payload, params);
+            check_pieces::<0>(&payload, params, &cuts, &lead, &want)?;
+            check_pieces::<1>(&payload, params, &cuts, &lead, &want)?;
+            check_pieces::<2>(&payload, params, &cuts, &lead, &want)?;
+            check_pieces::<3>(&payload, params, &cuts, &lead, &want)?;
         }
+    }
+
+    /// Feed `payload` to a cutter in the pieces `cuts` marks, riding
+    /// `N` chains that start from different states — chain `i` has
+    /// folded the first `lead.len() >> i` bytes of `lead` — and check
+    /// each chain against one hash of its prefix plus the payload, and
+    /// the cuts against the reference chunker's.
+    fn check_pieces<const N: usize>(
+        payload: &Bytes,
+        params: ChunkerParams,
+        cuts: &[usize],
+        lead: &[u8],
+        want: &(ChunkManifest, Vec<Chunk>),
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let prefix = |i: usize| &lead[..lead.len() >> i];
+        let mut chains: [Fnv1a; N] = std::array::from_fn(|i| *Fnv1a::new().update(prefix(i)));
+        let mut cutter = Cutter::new(params, 0);
+        for piece in cuts.windows(2) {
+            cutter.feed(&payload[piece[0]..piece[1]], &mut chains);
+        }
+        for (i, chain) in chains.iter().enumerate() {
+            let whole = [prefix(i), &payload[..]].concat();
+            prop_assert_eq!(chain.digest(), fnv::hash(&whole), "chain {} of {}", i, N);
+        }
+        let fed = cutter.finish(payload, fnv::hash(payload));
+        prop_assert_eq!(&fed, want, "{} chains", N);
+        Ok(())
     }
 }

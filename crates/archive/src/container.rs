@@ -86,23 +86,21 @@ pub fn container_len(tree: &FileTree) -> usize {
 /// What else reads the container bytes as they are written: nothing,
 /// or a [`Cutter`] chunking them in the same loop.
 trait Ride {
-    /// Take `bytes`, handing each of them to `also` too.
-    fn ride(&mut self, bytes: &[u8], also: impl FnMut(u8));
+    /// Take `bytes`, folding each of them into every one of `chains`.
+    fn ride<const N: usize>(&mut self, bytes: &[u8], chains: &mut [Fnv1a; N]);
 }
 
 impl Ride for () {
     #[inline(always)]
-    fn ride(&mut self, bytes: &[u8], mut also: impl FnMut(u8)) {
-        for &b in bytes {
-            also(b);
-        }
+    fn ride<const N: usize>(&mut self, bytes: &[u8], chains: &mut [Fnv1a; N]) {
+        fnv::update_all(chains, bytes);
     }
 }
 
 impl Ride for Cutter {
     #[inline(always)]
-    fn ride(&mut self, bytes: &[u8], also: impl FnMut(u8)) {
-        self.feed(bytes, also);
+    fn ride<const N: usize>(&mut self, bytes: &[u8], chains: &mut [Fnv1a; N]) {
+        self.feed(bytes, chains);
     }
 }
 
@@ -118,18 +116,15 @@ impl<R: Ride> Writer<R> {
     /// Append framing bytes: trailer chain only.
     fn put(&mut self, bytes: &[u8]) {
         self.out.extend_from_slice(bytes);
-        let trailer = &mut self.trailer;
-        self.rider.ride(bytes, |b| trailer.push(b));
+        self.rider.ride(bytes, std::array::from_mut(&mut self.trailer));
     }
 
     /// Append bytes an entry checksum covers too: both chains, one pass.
     fn put_into(&mut self, bytes: &[u8], entry: &mut Fnv1a) {
         self.out.extend_from_slice(bytes);
-        let trailer = &mut self.trailer;
-        self.rider.ride(bytes, |b| {
-            entry.push(b);
-            trailer.push(b);
-        });
+        let mut chains = [*entry, self.trailer];
+        self.rider.ride(bytes, &mut chains);
+        [*entry, self.trailer] = chains;
     }
 }
 
@@ -152,11 +147,11 @@ fn write_with<R: Ride>(tree: &FileTree, len: usize, rider: R) -> (Vec<u8>, R, u6
         w.put(&entry.digest().to_le_bytes());
     }
     let trailer = w.trailer.digest().to_le_bytes();
-    let mut etag = w.trailer;
+    let mut etag = [w.trailer];
     w.out.extend_from_slice(&trailer);
-    w.rider.ride(&trailer, |b| etag.push(b));
+    w.rider.ride(&trailer, &mut etag);
     debug_assert_eq!(w.out.len(), len, "container_len is exact");
-    (w.out, w.rider, etag.digest())
+    (w.out, w.rider, etag[0].digest())
 }
 
 /// Serialize a [`FileTree`] into the container format (uncompressed).
@@ -214,7 +209,9 @@ impl<'a> Reader<'a> {
     /// in one pass.
     fn take_into(&mut self, n: usize, entry: &mut Fnv1a) -> Result<&'a [u8], ArchiveError> {
         let s = self.take_unhashed(n)?;
-        fnv::update2(entry, &mut self.trailer, s);
+        let mut chains = [*entry, self.trailer];
+        fnv::update_all(&mut chains, s);
+        [*entry, self.trailer] = chains;
         Ok(s)
     }
 

@@ -31,16 +31,12 @@ impl Fnv1a {
 
     /// Fold bytes into the state.
     pub fn update(&mut self, bytes: &[u8]) -> &mut Self {
-        let mut h = *self;
-        for &b in bytes {
-            h.push(b);
-        }
-        *self = h;
+        update_all(std::array::from_mut(self), bytes);
         self
     }
 
     /// Fold one byte into the state: the step every multi-chain loop
-    /// is built from (see [`update2`]).
+    /// is built from (see [`update_all`]).
     #[inline(always)]
     pub fn push(&mut self, byte: u8) {
         self.0 = (self.0 ^ byte as u64).wrapping_mul(PRIME);
@@ -52,20 +48,23 @@ impl Fnv1a {
     }
 }
 
-/// Fold `bytes` into two independent chains in one pass: exactly
-/// `a.update(bytes); b.update(bytes)`, at close to the cost of one.
+/// Fold `bytes` into each of `chains` in one pass: exactly
+/// `update(bytes)` on every chain, at close to the cost of one.
 ///
 /// An FNV-1a chain is bound by the latency of its multiply, each step
-/// waiting on the last, so a second chain over the same bytes fills
-/// pipeline slots the first leaves idle. The container codec folds an
-/// entry checksum and the trailer this way.
-pub fn update2(a: &mut Fnv1a, b: &mut Fnv1a, bytes: &[u8]) {
-    let (mut x, mut y) = (*a, *b);
+/// waiting on the last, so more chains over the same bytes fill
+/// pipeline slots the first leaves idle. The chains are copied into
+/// locals for the loop and written back once, so none of them is stored
+/// to memory per byte. The container codec folds an entry checksum and
+/// the trailer this way.
+pub fn update_all<const N: usize>(chains: &mut [Fnv1a; N], bytes: &[u8]) {
+    let mut held = *chains;
     for &byte in bytes {
-        x.push(byte);
-        y.push(byte);
+        for chain in &mut held {
+            chain.push(byte);
+        }
     }
-    (*a, *b) = (x, y);
+    *chains = held;
 }
 
 /// [`hash`] of every part, handing each tagged digest to `done`: four
@@ -76,7 +75,7 @@ pub fn update2(a: &mut Fnv1a, b: &mut Fnv1a, bytes: &[u8]) {
 /// The four chains fold *different* bytes, but that is no obstacle to
 /// interleaving them: what bounds a chain is the latency of each step
 /// waiting on the last, and steps of independent chains do not wait
-/// on each other, whatever bytes they read ([`update2`] overlaps two
+/// on each other, whatever bytes they read ([`update_all`] overlaps
 /// chains over the same bytes the same way). The lanes live on the
 /// stack; `done` is called once per part, not in part order.
 pub fn hash_lanes<'a, T>(
@@ -157,11 +156,12 @@ mod tests {
 
     #[test]
     fn two_chain_update_matches_two_updates() {
-        let (mut a, mut b) = (Fnv1a::new(), Fnv1a::new());
-        a.update(b"only a");
-        update2(&mut a, &mut b, b"shared ");
-        update2(&mut a, &mut b, b"");
-        update2(&mut a, &mut b, b"bytes");
+        let mut chains = [Fnv1a::new(), Fnv1a::new()];
+        chains[0].update(b"only a");
+        update_all(&mut chains, b"shared ");
+        update_all(&mut chains, b"");
+        update_all(&mut chains, b"bytes");
+        let [a, b] = chains;
         assert_eq!(a.digest(), hash(b"only ashared bytes"));
         assert_eq!(b.digest(), hash(b"shared bytes"));
     }

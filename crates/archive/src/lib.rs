@@ -40,4 +40,4 @@ pub use container::{
 /// The names the worker, the grading tools and the repo benchmark read
 /// an archive by.
 pub use container::{read_container as restore, read_container_shared as restore_shared};
-pub use tree::FileTree;
+pub use tree::{text, FileTree};

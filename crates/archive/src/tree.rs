@@ -4,6 +4,7 @@
 //! on the grader's machine.
 
 use bytes::Bytes;
+use std::borrow::Cow;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -297,6 +298,18 @@ impl FromIterator<(String, Bytes)> for FileTree {
             t.insert(&k, v).expect("valid path in FromIterator");
         }
         t
+    }
+}
+
+/// A file's bytes read as text: borrowed when they are valid UTF-8,
+/// else a copy with each invalid sequence replaced by U+FFFD — exactly
+/// [`String::from_utf8_lossy`], but valid bytes (what sources, build
+/// files and logs are) take the fast validator alone instead of the
+/// lossy decoder's byte-at-a-time walk.
+pub fn text(bytes: &[u8]) -> Cow<'_, str> {
+    match std::str::from_utf8(bytes) {
+        Ok(valid) => Cow::Borrowed(valid),
+        Err(_) => String::from_utf8_lossy(bytes),
     }
 }
 

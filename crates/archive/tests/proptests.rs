@@ -204,6 +204,54 @@ fn arb_damage() -> impl Strategy<Value = Damage> {
     ]
 }
 
+/// Fold `data` into `N` chains in the pieces `cuts` marks, chain `i`
+/// having folded the first `lead.len() >> i` bytes of `lead` before,
+/// and check each against one hash of its prefix plus `data`.
+fn update_all_in_pieces<const N: usize>(
+    data: &[u8],
+    cuts: &[usize],
+    lead: &[u8],
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let prefix = |i: usize| &lead[..lead.len() >> i];
+    let mut chains: [Fnv1a; N] = std::array::from_fn(|i| *Fnv1a::new().update(prefix(i)));
+    for piece in cuts.windows(2) {
+        fnv::update_all(&mut chains, &data[piece[0]..piece[1]]);
+    }
+    for (i, chain) in chains.iter().enumerate() {
+        let whole = [prefix(i), data].concat();
+        prop_assert_eq!(chain.digest(), fnv::hash(&whole), "chain {} of {}", i, N);
+    }
+    Ok(())
+}
+
+/// One piece of a byte string that may or may not be UTF-8: a whole
+/// character of one to four bytes, a multi-byte character cut short, a
+/// lone continuation byte, an encoding UTF-8 forbids (overlong,
+/// surrogate, past U+10FFFF, a byte no encoding uses), or any byte.
+fn arb_utf8_piece() -> impl Strategy<Value = Vec<u8>> {
+    let encode = |c: u32| char::from_u32(c).unwrap_or('\u{FFFD}').to_string().into_bytes();
+    prop_oneof![
+        (0u32..0x80).prop_map(encode),
+        (0x80u32..0x800).prop_map(encode),
+        (0x800u32..0x1_0000).prop_map(encode),
+        (0x1_0000u32..=0x10_FFFF).prop_map(encode),
+        (0x80u32..=0x10_FFFF, 1usize..4).prop_map(move |(c, keep)| {
+            let mut bytes = encode(c);
+            bytes.truncate(keep.min(bytes.len() - 1));
+            bytes
+        }),
+        (0x80u8..0xC0).prop_map(|b| vec![b]),
+        prop_oneof![
+            Just(vec![0xC0, 0x80]),
+            Just(vec![0xE0, 0x80, 0x80]),
+            Just(vec![0xED, 0xA0, 0x80]),
+            Just(vec![0xF4, 0x90, 0x80, 0x80]),
+            Just(vec![0xFF]),
+        ],
+        any::<u8>().prop_map(|b| vec![b]),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -214,20 +262,24 @@ proptest! {
         lead in prop::collection::vec(any::<u8>(), 0..16),
     ) {
         // The chains start from different states and the input arrives
-        // in arbitrary pieces, empty ones included.
-        let (mut a, mut b) = (Fnv1a::new(), Fnv1a::new());
-        a.update(&lead);
-        let (mut ref_a, mut ref_b) = (a, b);
+        // in arbitrary pieces, empty ones included; zero to three chains
+        // ride one pass.
         let mut cuts: Vec<usize> = cuts.iter().map(|&c| c as usize % (data.len() + 1)).collect();
         cuts.extend([0, data.len()]);
         cuts.sort_unstable();
-        for piece in cuts.windows(2) {
-            fnv::update2(&mut a, &mut b, &data[piece[0]..piece[1]]);
-        }
-        ref_a.update(&data);
-        ref_b.update(&data);
-        prop_assert_eq!(a.digest(), ref_a.digest());
-        prop_assert_eq!(b.digest(), ref_b.digest());
+        update_all_in_pieces::<0>(&data, &cuts, &lead)?;
+        update_all_in_pieces::<1>(&data, &cuts, &lead)?;
+        update_all_in_pieces::<2>(&data, &cuts, &lead)?;
+        update_all_in_pieces::<3>(&data, &cuts, &lead)?;
+    }
+
+    #[test]
+    fn text_equals_lossy_decode(pieces in prop::collection::vec(arb_utf8_piece(), 0..24)) {
+        let bytes = pieces.concat();
+        let got = rai_archive::text(&bytes);
+        prop_assert_eq!(&got, &String::from_utf8_lossy(&bytes));
+        let borrowed = matches!(got, std::borrow::Cow::Borrowed(_));
+        prop_assert_eq!(borrowed, std::str::from_utf8(&bytes).is_ok(), "borrowed iff valid");
     }
 
     #[test]

@@ -20,10 +20,12 @@
 //! | `perf_report`          | fingerprint baseline (`BENCH_perf.json`, DESIGN.md §11) |
 //! | `trace_report`         | causal-trace attribution baseline (`BENCH_trace.json`, DESIGN.md §13) |
 //! | `recovery_report`      | crash-recovery baseline (`BENCH_recovery.json`, DESIGN.md §14) |
+//! | `hash_floor`           | bulk-path passes at the cost of one FNV-1a chain (DESIGN.md §10) |
 //!
 //! The figure, listing, table and ablation bins assert the claim they
 //! reproduce and exit non-zero when it fails; CI runs the eight that
-//! take seconds after its release build.
+//! take seconds after its release build, and `hash_floor`, which fails
+//! a bulk-path pass that costs more than 1.3 chains.
 //!
 //! The four `*_report` bins that write a committed `BENCH_*.json` render
 //! it with [`baselines`], the one place that knows what a valid

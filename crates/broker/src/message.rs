@@ -25,9 +25,14 @@ pub struct Message {
 }
 
 impl Message {
-    /// Body as UTF-8, lossily. Log-stream messages are plain text.
+    /// Body as UTF-8, lossily. Log-stream messages are plain text, so
+    /// the body is validated first and decoded lossily only if that
+    /// fails: the same result, without the lossy decoder's slow walk.
     pub fn body_str(&self) -> std::borrow::Cow<'_, str> {
-        String::from_utf8_lossy(&self.body)
+        match std::str::from_utf8(&self.body) {
+            Ok(text) => std::borrow::Cow::Borrowed(text),
+            Err(_) => String::from_utf8_lossy(&self.body),
+        }
     }
 }
 

@@ -49,7 +49,7 @@ impl ProjectDir {
     pub(crate) fn build_yml(&self) -> Option<String> {
         self.tree
             .get("rai-build.yml")
-            .map(|b| String::from_utf8_lossy(b).into_owned())
+            .map(|b| rai_archive::text(b).into_owned())
     }
 
     /// A plausible CUDA project with the given performance directive —

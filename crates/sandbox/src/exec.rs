@@ -10,6 +10,7 @@
 use crate::container::{Container, KillReason, LogStream};
 use crate::image::hdf5_item_count;
 use crate::perf::{ExecMode, PerfSpec};
+use rai_archive::text;
 use rai_archive::tree::{TreeError, MAX_PATH_BYTES};
 use rai_sim::SimDuration;
 use std::borrow::Cow;
@@ -252,8 +253,8 @@ fn run_cmake(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
         );
         return CmdResult::fail(1, SimDuration::from_millis(120));
     };
-    let text = String::from_utf8_lossy(&lists);
-    let target = parse_add_executable(&text).unwrap_or("a.out");
+    let lists = text(&lists);
+    let target = parse_add_executable(&lists).unwrap_or("a.out");
     let makefile = format!("# generated by rai cmake\nSRCDIR={src}\nTARGET={target}\n");
     let makefile_path = container.in_workdir("Makefile");
     if container.fs.insert(&makefile_path, makefile.into_bytes()).is_err() {
@@ -291,9 +292,9 @@ fn run_make(container: &mut Container, _args: &[Cow<'_, str>]) -> CmdResult {
         );
         return CmdResult::fail(2, SimDuration::from_millis(10));
     };
-    let text = String::from_utf8_lossy(&makefile);
-    let srcdir = extract_var(&text, "SRCDIR=").unwrap_or("src");
-    let target = extract_var(&text, "TARGET=").unwrap_or("a.out");
+    let makefile = text(&makefile);
+    let srcdir = extract_var(&makefile, "SRCDIR=").unwrap_or("src");
+    let target = extract_var(&makefile, "TARGET=").unwrap_or("a.out");
 
     // Collect compilable sources: shared handles on the file bytes,
     // read as text in place.
@@ -308,7 +309,7 @@ fn run_make(container: &mut Container, _args: &[Cow<'_, str>]) -> CmdResult {
         .collect();
     let sources: Vec<(&str, Cow<'_, str>)> = files
         .iter()
-        .map(|(path, data)| (path.as_str(), String::from_utf8_lossy(data)))
+        .map(|(path, data)| (path.as_str(), text(data)))
         .collect();
     if sources.is_empty() {
         container.log(
@@ -385,7 +386,7 @@ fn run_program(container: &mut Container, words: &[Cow<'_, str>]) -> CmdResult {
         );
         return CmdResult::fail(127, SimDuration::MILLI);
     };
-    let content = String::from_utf8_lossy(&bin);
+    let content = text(&bin);
     let Some(spec_text) = content.strip_prefix(BINARY_MAGIC) else {
         container.log(
             LogStream::Stderr,
@@ -627,7 +628,7 @@ fn run_cat(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
         let path = container.resolve_path(a);
         match container.fs.get(&path).cloned() {
             Some(data) => {
-                for line in String::from_utf8_lossy(&data).lines() {
+                for line in text(&data).lines() {
                     container.log(LogStream::Stdout, line.to_string());
                 }
             }
@@ -660,8 +661,7 @@ fn run_grep(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
         let path = container.resolve_path(file);
         match container.fs.get(&path).cloned() {
             Some(data) => {
-                let text = String::from_utf8_lossy(&data);
-                for line in text.lines().filter(|l| l.contains(pattern)) {
+                for line in text(&data).lines().filter(|l| l.contains(pattern)) {
                     matched = true;
                     container.log(LogStream::Stdout, line.to_string());
                 }
@@ -696,7 +696,7 @@ fn run_head(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
     let path = container.resolve_path(file);
     match container.fs.get(&path).cloned() {
         Some(data) => {
-            for line in String::from_utf8_lossy(&data).lines().take(n) {
+            for line in text(&data).lines().take(n) {
                 container.log(LogStream::Stdout, line.to_string());
             }
             CmdResult::ok(SimDuration::MILLI)
@@ -719,7 +719,7 @@ fn run_wc(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
     let path = container.resolve_path(file);
     match container.fs.get(&path).cloned() {
         Some(data) => {
-            let lines = String::from_utf8_lossy(&data).lines().count();
+            let lines = text(&data).lines().count();
             container.log(LogStream::Stdout, format!("{lines} {file}"));
             CmdResult::ok(SimDuration::MILLI)
         }

@@ -86,7 +86,9 @@ impl PerfSpec {
                 }
                 "mem_mb" => {
                     if let Ok(x) = v.parse::<u64>() {
-                        spec.memory_bytes = x * 1024 * 1024;
+                        // The student's number: a size past u64 is
+                        // "more than any cap", not a wrapped small one.
+                        spec.memory_bytes = x.saturating_mul(1024 * 1024);
                     }
                 }
                 _ => {}
@@ -178,6 +180,16 @@ mod tests {
         };
         let text = format!("// {}\n", s.to_directive());
         assert_eq!(PerfSpec::parse(&text).unwrap(), s);
+    }
+
+    #[test]
+    fn a_size_past_u64_saturates_rather_than_wrapping() {
+        // 2^44 MiB is 2^64 bytes: multiplied plainly it panics in debug
+        // and wraps to 0 B in release.
+        let s = PerfSpec::parse("// rai:perf mode=gpu mem_mb=17592186044416").unwrap();
+        assert_eq!(s.memory_bytes, u64::MAX);
+        let s = PerfSpec::parse(&format!("// rai:perf mem_mb={}", u64::MAX)).unwrap();
+        assert_eq!(s.memory_bytes, u64::MAX);
     }
 
     #[test]

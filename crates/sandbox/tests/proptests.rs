@@ -5,6 +5,7 @@
 
 use proptest::prelude::*;
 use rai_archive::FileTree;
+use rai_sandbox::container::{ExecutionReport, KillReason};
 use rai_sandbox::exec::{shell_words, split_chain};
 use rai_sandbox::{Container, ContainerStatus, ImageRegistry, ResourceLimits};
 
@@ -90,22 +91,47 @@ proptest! {
     }
 
     #[test]
-    fn memory_limit_always_enforced(mem_mb in 1u64..20_000) {
-        let tree = FileTree::new()
-            .with("CMakeLists.txt", &b"add_executable(ece408 main.cu)"[..])
-            .with(
-                "main.cu",
-                format!("// rai:perf mode=gpu full_ms=10 acc=0.9 mem_mb={mem_mb}\n").into_bytes(),
-            );
-        let mut c = container();
-        c.mount("/src", &tree);
-        c.run_script(["cmake /src", "make", "./ece408 /data/test10.hdf5 /data/model.hdf5"]);
-        let report = c.destroy();
-        let limit = rai_sandbox::limits::MEMORY_BYTES;
-        if mem_mb * 1024 * 1024 > limit {
-            prop_assert!(matches!(report.status, ContainerStatus::Killed(_)), "{mem_mb}MB should OOM");
-        } else {
+    fn memory_limit_always_enforced(mem_mb in arb_mem_mb()) {
+        let report = run_with_mem_mb(mem_mb);
+        let fits = mem_mb
+            .checked_mul(1024 * 1024)
+            .is_some_and(|bytes| bytes <= rai_sandbox::limits::MEMORY_BYTES);
+        if fits {
             prop_assert!(report.success(), "{mem_mb}MB fits under the cap");
+        } else {
+            prop_assert!(matches!(report.status, ContainerStatus::Killed(_)), "{mem_mb}MB should OOM");
         }
     }
+}
+
+/// Any `mem_mb` a student can write: both sides of the 8 GiB cap, the
+/// whole `u64` domain, and sizes whose byte count wraps onto a small
+/// one (multiples of 2^44 MiB = 2^64 B, plus a little).
+fn arb_mem_mb() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0u64..20_000,
+        any::<u64>(),
+        (1u64..=16, 0u64..20_000).prop_map(|(k, mb)| (k << 44) + mb),
+    ]
+}
+
+/// Build and run the course's program with `mem_mb` declared.
+fn run_with_mem_mb(mem_mb: u64) -> ExecutionReport {
+    let tree = FileTree::new()
+        .with("CMakeLists.txt", &b"add_executable(ece408 main.cu)"[..])
+        .with(
+            "main.cu",
+            format!("// rai:perf mode=gpu full_ms=10 acc=0.9 mem_mb={mem_mb}\n").into_bytes(),
+        );
+    let mut c = container();
+    c.mount("/src", &tree);
+    c.run_script(["cmake /src", "make", "./ece408 /data/test10.hdf5 /data/model.hdf5"]);
+    c.destroy()
+}
+
+#[test]
+fn a_memory_size_past_u64_is_killed_not_wrapped() {
+    // 2^44 MiB: 2^64 bytes, which a plain multiply wraps to 0 B.
+    let report = run_with_mem_mb(1 << 44);
+    assert_eq!(report.status, ContainerStatus::Killed(KillReason::OutOfMemory));
 }
