@@ -90,48 +90,55 @@ impl Sha256 {
         out
     }
 
+    /// One block into the state. The schedule is a rolling 16 words
+    /// (word `i` in slot `i % 16`, written over the word 16 back), and
+    /// the rounds run eight to a macro that renames the working
+    /// variables instead of moving them.
     fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().expect("len 4"));
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
+        let mut w = [0u32; 16];
+        for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_be_bytes(bytes.try_into().expect("len 4"));
         }
         let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let temp1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
+        // Round `i` of the eight that rotate through `a..h`: the new `a`
+        // lands in `h`'s name and the new `e` in `d`'s.
+        macro_rules! round {
+            ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $i:expr) => {
+                let t1 = $h
+                    .wrapping_add($e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25))
+                    .wrapping_add($g ^ ($e & ($f ^ $g)))
+                    .wrapping_add(K[$i])
+                    .wrapping_add(w[$i % 16]);
+                $d = $d.wrapping_add(t1);
+                $h = t1
+                    .wrapping_add($a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22))
+                    .wrapping_add(($a & $b) | ($c & ($a | $b)));
+            };
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for i in (0..64).step_by(8) {
+            if i >= 16 {
+                for j in i..i + 8 {
+                    let (w15, w2) = (w[(j + 1) % 16], w[(j + 14) % 16]);
+                    let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+                    let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+                    w[j % 16] = w[j % 16]
+                        .wrapping_add(s0)
+                        .wrapping_add(w[(j + 9) % 16])
+                        .wrapping_add(s1);
+                }
+            }
+            round!(a, b, c, d, e, f, g, h, i);
+            round!(h, a, b, c, d, e, f, g, i + 1);
+            round!(g, h, a, b, c, d, e, f, i + 2);
+            round!(f, g, h, a, b, c, d, e, i + 3);
+            round!(e, f, g, h, a, b, c, d, i + 4);
+            round!(d, e, f, g, h, a, b, c, i + 5);
+            round!(c, d, e, f, g, h, a, b, i + 6);
+            round!(b, c, d, e, f, g, h, a, i + 7);
+        }
+        for (word, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *word = word.wrapping_add(v);
+        }
     }
 }
 
@@ -159,9 +166,70 @@ pub(crate) fn push_hex(out: &mut String, digest: &[u8]) {
     }
 }
 
+/// `compress` as it was before it rolled its schedule and unrolled its
+/// rounds: the 64-word schedule up front, one round per iteration.
+#[cfg(test)]
+fn compress_reference(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for i in 0..16 {
+        w[i] = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().expect("len 4"));
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let temp1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let temp2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(temp1);
+        d = c;
+        c = b;
+        b = a;
+        a = temp1.wrapping_add(temp2);
+    }
+    for (word, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *word = word.wrapping_add(v);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn unrolled_compress_equals_the_reference(
+            state in prop::collection::vec(any::<u32>(), 8),
+            block in prop::collection::vec(any::<u8>(), 64),
+        ) {
+            let state: [u32; 8] = state.try_into().expect("8 words");
+            let block: [u8; 64] = block.try_into().expect("64 bytes");
+            let mut h = Sha256 { state, ..Sha256::new() };
+            h.compress(&block);
+            let mut reference = state;
+            compress_reference(&mut reference, &block);
+            prop_assert_eq!(h.state, reference);
+        }
+    }
 
     #[test]
     fn fips_vectors() {

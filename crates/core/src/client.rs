@@ -224,7 +224,7 @@ impl PendingJob {
             for frame in decode_block(&msg.body_str()) {
                 match frame {
                     LogFrame::Out(line) => {
-                        if let Some(rest) = line.split("elapsed = ").nth(1) {
+                        if let Some(rest) = rai_sandbox::exec::after_elapsed(&line) {
                             if let Some(v) = rest.split_whitespace().next() {
                                 internal = v.parse().ok().or(internal);
                             }

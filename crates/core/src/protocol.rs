@@ -1,11 +1,12 @@
 //! The wire protocol: job requests and log-stream messages exchanged
 //! over the broker (paper §V "Message Broker Operations").
 //!
-//! Job requests are serialized as YAML (the same in-repo parser the
-//! build spec uses). Log messages are plain text with a small set of
-//! control frames; the worker forwards container stdout/stderr as `out`
-//! / `err` frames and finishes with the `End` frame the client waits
-//! for.
+//! Job requests are serialized as YAML, eight top-level `key: value`
+//! lines, and read back line by line with the in-repo parser's own
+//! one-line entry reader (DESIGN.md §11 "Request path"). Log messages
+//! are plain text with a small set of control frames; the worker
+//! forwards container stdout/stderr as `out` / `err` frames and
+//! finishes with the `End` frame the client waits for.
 //!
 //! A log message body is a **block**: one frame per line, in order
 //! (DESIGN.md §11 "Output path"). The worker sends a job's whole
@@ -16,8 +17,9 @@
 //! any other frame is written verbatim, which makes a one-frame block
 //! the same bytes as [`LogFrame::encode`].
 
-use rai_yaml::emit::{push_int_entry, push_str_entry};
-use rai_yaml::{parse, Yaml};
+use rai_yaml::emit::{push_int_entry, push_str_entry, read_entry, read_int_entry, read_str_entry};
+use rai_yaml::Yaml;
+use std::io::Write;
 
 /// Well-known queue routes.
 pub mod routes {
@@ -87,19 +89,24 @@ pub struct JobRequest {
 
 impl JobRequest {
     /// The byte string that gets signed: everything except the
-    /// signature itself.
+    /// signature itself, one field a line.
     pub fn signing_payload(&self) -> Vec<u8> {
-        format!(
-            "{}\n{}\n{}\n{}\n{}\n{}\n{}",
-            self.job_id,
-            self.access_key,
-            self.team,
-            self.upload_bucket,
-            self.upload_key,
+        let fields = [
+            self.access_key.as_str(),
+            &self.team,
+            &self.upload_bucket,
+            &self.upload_key,
             self.kind.as_str(),
-            self.build_yml,
-        )
-        .into_bytes()
+            &self.build_yml,
+        ];
+        // 20 digits hold any job id.
+        let mut out = Vec::with_capacity(20 + fields.iter().map(|f| 1 + f.len()).sum::<usize>());
+        write!(out, "{}", self.job_id).expect("writing to a Vec cannot fail");
+        for field in fields {
+            out.push(b'\n');
+            out.extend_from_slice(field.as_bytes());
+        }
+        out
     }
 
     /// Serialize for the broker: the eight fields streamed as top-level
@@ -121,28 +128,55 @@ impl JobRequest {
     }
 
     /// Deserialize from the broker; `None` for malformed messages (the
-    /// worker drops them rather than crashing). Strings are moved out
-    /// of the parsed document, not copied.
+    /// worker drops them rather than crashing).
+    ///
+    /// A request is read in the layout [`encode`](Self::encode) writes:
+    /// its eight lines in order, each the very bytes the writer puts
+    /// there, and nothing after them. Each value is read by the YAML
+    /// parser's own rules, so a request reads as the whole document
+    /// always read; YAML that says the same in another layout (keys
+    /// reordered, repeated or extra, comment or blank lines, another
+    /// quoting, indentation, continuation, flow or block forms) is
+    /// malformed. A message cut short before its last line break reads
+    /// that line as the parser reads it.
     pub fn decode(text: &str) -> Option<JobRequest> {
-        let mut doc = parse(text).ok()?;
-        let job_id = doc.get("job_id")?.as_i64()? as u64;
-        let kind = match doc.get("kind")?.as_str()? {
+        let (body, whole) = match text.strip_suffix('\n') {
+            Some(body) => (body, true),
+            None => (text, false),
+        };
+        let mut lines = body.split('\n');
+        let job_id = read_int_entry(lines.next()?, "job_id")? as u64;
+        let mut s = |key: &str| read_str_entry(lines.next()?, key);
+        let access_key = s("access_key")?;
+        let signature = s("signature")?;
+        let team = s("team")?;
+        let upload_bucket = s("upload_bucket")?;
+        let upload_key = s("upload_key")?;
+        let kind = match s("kind")?.as_str() {
             "submit" => JobKind::Submit,
             "run" => JobKind::Run,
             _ => return None,
         };
-        let mut s = |k: &str| match doc.get_mut(k)? {
-            Yaml::Str(s) => Some(std::mem::take(s)),
-            _ => None,
+        let last = lines.next()?;
+        let build_yml = if whole {
+            read_str_entry(last, "build_yml")?
+        } else {
+            match read_entry(last)? {
+                (key, Yaml::Str(s)) if key == "build_yml" => s,
+                _ => return None,
+            }
         };
+        if lines.next().is_some() {
+            return None;
+        }
         Some(JobRequest {
             job_id,
-            access_key: s("access_key")?,
-            signature: s("signature")?,
-            team: s("team")?,
-            upload_bucket: s("upload_bucket")?,
-            upload_key: s("upload_key")?,
-            build_yml: s("build_yml")?,
+            access_key,
+            signature,
+            team,
+            upload_bucket,
+            upload_key,
+            build_yml,
             kind,
         })
     }
@@ -315,6 +349,47 @@ mod tests {
         let mut r = sample().encode();
         r = r.replace("kind: submit", "kind: explode");
         assert!(JobRequest::decode(&r).is_none());
+    }
+
+    #[test]
+    fn a_request_is_read_only_in_the_layout_it_was_written() {
+        let text = sample().encode();
+        let lines: Vec<&str> = text.lines().collect();
+        let mut reordered = lines.clone();
+        reordered.swap(1, 3);
+        let relaid = [
+            reordered.join("\n") + "\n",
+            format!("{text}job_id: 1\n"),
+            format!("{text}priority: high\n"),
+            format!("# a request\n{text}"),
+            format!("{text}\n"),
+            text.replace("team: gpu gophers", "team: gpu gophers # the team"),
+            text.replace("team: gpu gophers", "team: \"gpu gophers\""),
+            text.replace("kind: submit", "kind: 'submit'"),
+            text.replace("job_id: 57005", "job_id: 0xDEAD"),
+            text.replace("\nteam:", "\n  team:"),
+            text.replace("\nteam:", "\r\nteam:"),
+            text.replace("team: gpu gophers", "team: gpu\n  gophers"),
+            text.replace("upload_bucket: rai-uploads", "upload_bucket: [rai-uploads]"),
+        ];
+        for other in &relaid {
+            assert_eq!(JobRequest::decode(other), None, "{other}");
+        }
+        // Cut before its last line break, the last line reads as the
+        // parser reads it.
+        assert_eq!(JobRequest::decode(text.strip_suffix('\n').unwrap()), Some(sample()));
+        let cut = text.strip_suffix("\"\n").unwrap();
+        assert_eq!(JobRequest::decode(cut), None);
+    }
+
+    #[test]
+    fn signing_payload_is_the_fields_one_a_line() {
+        let r = sample();
+        let expected = format!(
+            "{}\n{}\n{}\n{}\n{}\nsubmit\n{}",
+            r.job_id, r.access_key, r.team, r.upload_bucket, r.upload_key, r.build_yml
+        );
+        assert_eq!(r.signing_payload(), expected.into_bytes());
     }
 
     #[test]

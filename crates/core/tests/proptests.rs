@@ -127,6 +127,59 @@ fn arb_field() -> impl Strategy<Value = String> {
     ]
 }
 
+/// A request whose fields take every shape the writer quotes.
+fn arb_quoted_request() -> impl Strategy<Value = JobRequest> {
+    (
+        any::<u64>(),
+        prop::collection::vec(arb_field(), 6),
+        prop_oneof![Just(JobKind::Run), Just(JobKind::Submit)],
+    )
+        .prop_map(|(job_id, fields, kind)| {
+            let [access_key, signature, team, upload_bucket, upload_key, build_yml]: [String; 6] =
+                fields.try_into().expect("six fields");
+            JobRequest { job_id, access_key, signature, team, upload_bucket, upload_key, build_yml, kind }
+        })
+}
+
+/// An encoded request (one `key: value` line per field) bent out of
+/// its writer's layout by one edit: line `at` dropped, duplicated or
+/// swapped with line `other`; a comment line, a trailing comment, a
+/// blank line, a carriage return or indentation added; the value
+/// re-quoted; or a ninth key appended. A swap of a line with itself
+/// leaves the text as it was.
+fn edited_request(text: &str, edit: u8, at: usize, other: usize) -> String {
+    let mut lines: Vec<String> = text.split_terminator('\n').map(str::to_string).collect();
+    if lines.is_empty() {
+        return text.to_string();
+    }
+    let (i, j) = (at % lines.len(), other % lines.len());
+    match edit {
+        0 => drop(lines.remove(i)),
+        1 => lines.insert(i, lines[i].clone()),
+        2 => lines.swap(i, j),
+        3 => lines.insert(i, "# a comment".to_string()),
+        4 => lines[i].push_str(" # a comment"),
+        5 => lines.insert(i, String::new()),
+        6 => lines[i].push('\r'),
+        7 => lines[i].insert_str(0, &" ".repeat(1 + other % 4)),
+        8 => {
+            // Plain to double-quoted, double-quoted to single-quoted or
+            // plain: the same value, to the parser, where the quoting
+            // allows it.
+            if let Some((key, value)) = lines[i].split_once(": ") {
+                let requoted = match value.strip_prefix('"').and_then(|v| v.strip_suffix('"')) {
+                    Some(inner) if other.is_multiple_of(2) => inner.to_string(),
+                    Some(inner) => format!("'{}'", inner.replace('\'', "''")),
+                    None => format!("\"{value}\""),
+                };
+                lines[i] = format!("{key}: {requoted}");
+            }
+        }
+        _ => lines.push("priority: 1".to_string()),
+    }
+    lines.join("\n") + "\n"
+}
+
 /// `encode` as it was before it streamed: build the mapping, render it.
 fn reference_encode(r: &JobRequest) -> String {
     let s = |v: &str| Yaml::Str(v.to_string());
@@ -244,6 +297,37 @@ proptest! {
         let cut = &encoded[..cut.min(encoded.len())];
         prop_assert_eq!(JobRequest::decode(cut), reference_decode(cut));
         prop_assert_eq!(JobRequest::decode(&garbage), reference_decode(&garbage));
+    }
+
+    /// A request is read only in the layout it was written: whatever
+    /// edited text decodes is the encoding of what it decodes to, and
+    /// reads the same as the whole YAML document.
+    #[test]
+    fn decode_reads_only_what_encode_writes(
+        req in prop_oneof![arb_request(), arb_quoted_request()],
+        edits in prop::collection::vec((0u8..10, any::<usize>(), any::<usize>()), 1..4),
+    ) {
+        let mut text = req.encode();
+        for (edit, at, other) in edits {
+            text = edited_request(&text, edit, at, other);
+        }
+        if let Some(decoded) = JobRequest::decode(&text) {
+            prop_assert_eq!(&decoded.encode(), &text);
+            prop_assert_eq!(reference_decode(&text), Some(decoded));
+        }
+    }
+
+    #[test]
+    fn decode_never_panics_on_frame_text(text in FRAME_TEXT, req in arb_request(), at in any::<usize>()) {
+        let _ = JobRequest::decode(&text);
+        // Spliced into a request, at a character boundary of it.
+        let encoded = req.encode();
+        let cuts: Vec<usize> = encoded.char_indices().map(|(p, _)| p).chain([encoded.len()]).collect();
+        let at = cuts[at % cuts.len()];
+        let spliced = format!("{}{text}{}", &encoded[..at], &encoded[at..]);
+        if let Some(decoded) = JobRequest::decode(&spliced) {
+            prop_assert_eq!(&decoded.encode(), &spliced);
+        }
     }
 
     #[test]

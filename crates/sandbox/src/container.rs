@@ -79,7 +79,7 @@ impl ExecutionReport {
     /// *internal timer* students see; `None` if no program ran.
     pub fn internal_timer_secs(&self) -> Option<f64> {
         self.log.iter().rev().find_map(|l| {
-            let rest = l.text.split("elapsed = ").nth(1)?;
+            let rest = crate::exec::after_elapsed(&l.text)?;
             rest.split_whitespace().next()?.parse().ok()
         })
     }

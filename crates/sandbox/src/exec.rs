@@ -55,6 +55,36 @@ impl CmdResult {
 /// Marker prefix for "compiled binaries" in the container filesystem.
 pub(crate) const BINARY_MAGIC: &str = "RAIBIN\n";
 
+/// What a program run prints its internal timer after (`Done with N
+/// queries in elapsed = X.XXX s`, see `run_program`).
+const ELAPSED: &[u8] = b"elapsed = ";
+
+/// The text after the first `elapsed = ` of an output line, up to the
+/// next one: exactly `line.split("elapsed = ").nth(1)`, found from the
+/// line's `=` bytes instead of a substring searcher built per line.
+pub fn after_elapsed(line: &str) -> Option<&str> {
+    let start = find_elapsed(line, 0)? + ELAPSED.len();
+    let end = find_elapsed(line, start).unwrap_or(line.len());
+    Some(&line[start..end])
+}
+
+/// Where the first `elapsed = ` that begins at or after byte `from` of
+/// `line` begins. The needle overlaps no shifted copy of itself, so
+/// matches taken left to right from the end of the last are `split`'s.
+fn find_elapsed(line: &str, from: usize) -> Option<usize> {
+    let bytes = line.as_bytes();
+    // The `=` is the needle's ninth byte.
+    let mut eq = from + 8;
+    while eq < bytes.len() {
+        eq += bytes[eq..].iter().position(|&b| b == b'=')?;
+        if bytes[eq - 8..].starts_with(ELAPSED) {
+            return Some(eq - 8);
+        }
+        eq += 1;
+    }
+    None
+}
+
 /// Split a command line into words, honouring single/double quotes.
 /// A word borrows from `cmd` while its characters are contiguous there
 /// (`make`, `"Building project"`); only a quote mark *inside* a word
@@ -830,6 +860,36 @@ mod tests {
                 prop_assert_eq!(shell_words(part), reference_shell_words(&reference));
             }
         }
+
+        // Lines made of the needle, its pieces and near misses: none,
+        // one, several, back to back or sharing bytes, amid multi-byte
+        // text.
+        #[test]
+        fn after_elapsed_equals_split(pieces in prop::collection::vec(0usize..10, 0..10)) {
+            const PIECES: [&str; 10] = [
+                "elapsed = ", "elapsed", " = ", "=", "elapsed =", "lapsed = ", "elapsed == ", "1.234 s", " ", "é",
+            ];
+            let line: String = pieces.iter().map(|&i| PIECES[i]).collect();
+            prop_assert_eq!(after_elapsed(&line), line.split("elapsed = ").nth(1));
+        }
+    }
+
+    #[test]
+    fn after_elapsed_reads_what_split_does() {
+        for line in [
+            "",
+            "Correctness: 0.8451",
+            "Done with 10000 queries in elapsed = 1.234 s",
+            "elapsed = ",
+            "elapsed = 1 s elapsed = 2 s",
+            "elapsed = elapsed = elapsed = ",
+            "elapsedelapsed = 3 s",
+            "elapsed == 4 s, elapsed =5 s",
+            "é elapsed = ü",
+        ] {
+            assert_eq!(after_elapsed(line), line.split("elapsed = ").nth(1), "{line:?}");
+        }
+        assert_eq!(after_elapsed("in elapsed = 1.234 s"), Some("1.234 s"));
     }
 
     #[test]

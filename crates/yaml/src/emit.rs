@@ -7,9 +7,12 @@
 //! shape of its document can stream `key: value` lines through
 //! [`push_str_entry`] / [`push_int_entry`] and get the bytes
 //! [`to_string`] would produce for the equivalent top-level mapping
-//! without building the tree.
+//! without building the tree. [`read_str_entry`] / [`read_int_entry`]
+//! read such a line back with the parser's own rules ([`read_entry`]),
+//! and only a line the writer wrote.
 
-use crate::scanner::infer_non_string;
+use crate::parser::{block_scalar_style, is_sequence_entry, read_inline, read_key};
+use crate::scanner::{infer_non_string, scan_line, split_key};
 use crate::value::{format_float, Yaml};
 use std::fmt::Write;
 
@@ -37,6 +40,87 @@ pub fn push_str_entry(out: &mut String, key: &str, value: &str) {
 pub fn push_int_entry(out: &mut String, key: &str, value: i64) {
     push_string(key, out);
     writeln!(out, ": {value}").expect("writing to a String cannot fail");
+}
+
+/// The entry of the one-line document `line` (line break excluded) as
+/// [`parse`](crate::parse) reads it: a `key: value` mapping entry at
+/// column 0, trailing comment stripped, key and value by the scalar,
+/// quoting and flow rules of a block mapping. A value whose body would
+/// follow on later lines reads as the document's end leaves it: `key:`
+/// is null, a block scalar header the empty string. `None` when that
+/// document is not one such entry, or does not parse.
+pub fn read_entry(line: &str) -> Option<(String, Yaml)> {
+    let line = scan_line(line, 1).ok()??;
+    if line.indent != 0 || is_sequence_entry(line.content) {
+        return None;
+    }
+    let (raw_key, rest) = split_key(line.content)?;
+    let key = read_key(raw_key, 1).ok()?;
+    let value = if rest.is_empty() {
+        Yaml::Null
+    } else if block_scalar_style(rest).is_some() {
+        Yaml::Str(String::new())
+    } else {
+        // The mapping around the entry is one nesting level.
+        read_inline(rest, 1, 1).ok()?
+    };
+    Some((key, value))
+}
+
+/// The value of a line [`push_str_entry`] wrote for `key` (line break
+/// excluded), as [`read_entry`] reads it; `None` for any line but the
+/// one the writer writes for that value, however the parser reads it.
+///
+/// The writer's line is the key's written bytes, `: ` and the value's,
+/// which the parser reads back as that key and value; so only the
+/// value is read, and its written bytes compared with the line's. The
+/// writer leaves a string plain exactly when the parser reads it back
+/// as itself (`needs_quoting`), so a plain value is its own reading;
+/// a quoted one is read by the parser's scalar rules.
+pub fn read_str_entry(line: &str, key: &str) -> Option<String> {
+    let written = after_key(line, key)?;
+    if !written.starts_with('"') {
+        return (!needs_quoting(written)).then(|| written.to_string());
+    }
+    let Yaml::Str(value) = read_inline(written, 1, 1).ok()? else {
+        return None;
+    };
+    (strip_written(&value, written) == Some("")).then_some(value)
+}
+
+/// [`read_str_entry`]'s sibling for a line [`push_int_entry`] wrote.
+pub fn read_int_entry(line: &str, key: &str) -> Option<i64> {
+    let written = after_key(line, key)?;
+    let Yaml::Int(value) = read_inline(written, 1, 1).ok()? else {
+        return None;
+    };
+    // `i64::MIN` is the longest, at 20 bytes.
+    let mut digits = [0u8; 20];
+    let mut free = &mut digits[..];
+    std::io::Write::write_fmt(&mut free, format_args!("{value}")).expect("20 bytes hold any i64");
+    let len = 20 - free.len();
+    (written.as_bytes() == &digits[..len]).then_some(value)
+}
+
+/// What follows the `key: ` the entry writers put at the front of `line`.
+fn after_key<'l>(line: &'l str, key: &str) -> Option<&'l str> {
+    strip_written(key, line)?.strip_prefix(": ")
+}
+
+/// `raw` past the bytes [`push_string`] writes for `s`, if it starts
+/// with them.
+fn strip_written<'r>(s: &str, raw: &'r str) -> Option<&'r str> {
+    if !needs_quoting(s) {
+        return raw.strip_prefix(s);
+    }
+    let mut raw = raw.strip_prefix('"')?;
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let Some(escape) = escape(b) else { continue };
+        raw = raw.strip_prefix(&s[run..i])?.strip_prefix(escape)?;
+        run = i + 1;
+    }
+    raw.strip_prefix(&s[run..])?.strip_prefix('"')
 }
 
 fn push_indent(indent: usize, out: &mut String) {
@@ -117,21 +201,26 @@ fn push_string(s: &str, out: &mut String) {
     // whole characters, copied as they stand.
     let mut run = 0;
     for (i, b) in s.bytes().enumerate() {
-        let escape = match b {
-            b'"' => "\\\"",
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\t' => "\\t",
-            b'\r' => "\\r",
-            0 => "\\0",
-            _ => continue,
-        };
+        let Some(escape) = escape(b) else { continue };
         out.push_str(&s[run..i]);
         out.push_str(escape);
         run = i + 1;
     }
     out.push_str(&s[run..]);
     out.push('"');
+}
+
+/// The escape a quoted string writes for byte `b`, if it needs one.
+fn escape(b: u8) -> Option<&'static str> {
+    Some(match b {
+        b'"' => "\\\"",
+        b'\\' => "\\\\",
+        b'\n' => "\\n",
+        b'\t' => "\\t",
+        b'\r' => "\\r",
+        0 => "\\0",
+        _ => return None,
+    })
 }
 
 /// Whether `s` must be quoted to read back as the same string: the
@@ -286,6 +375,98 @@ mod tests {
             let (one_pass, reference) = both_ways(&s);
             prop_assert_eq!(one_pass, reference);
         }
+
+        /// The one-line reader is the parser: on any line, it reads the
+        /// one entry of the mapping at column 0 the line parses to, and
+        /// nothing else.
+        #[test]
+        fn read_entry_reads_as_the_parser(pieces in prop::collection::vec(0usize..28, 0..12)) {
+            const PIECES: [&str; 28] = [
+                "k", "v", ": ", ":", " ", "#", " #", "\"", "'", "[", "]", "{", "}", ", ", "- ", "-", "|", ">-",
+                "\\", "\\n", "0", "1.5", "~", "true", "\t", "\r", "é", "---",
+            ];
+            let line: String = pieces.iter().map(|&i| PIECES[i]).collect();
+            let parsed = match parse(&line) {
+                Ok(Yaml::Map(mut m)) if m.len() == 1 && !line.starts_with(' ') => m.pop(),
+                _ => None,
+            };
+            prop_assert_eq!(read_entry(&line), parsed, "{:?}", line);
+        }
+
+        /// Only the writer's own line reads back, and it reads back as
+        /// what was written.
+        #[test]
+        fn entries_read_back_only_as_written(s in arb_scalar(), n in any::<i64>(), pad in 0usize..4) {
+            let mut line = String::new();
+            push_str_entry(&mut line, "key", &s);
+            let line = line.strip_suffix('\n').expect("an entry ends its line");
+            prop_assert_eq!(read_str_entry(line, "key"), Some(s.clone()));
+            prop_assert_eq!(read_str_entry(line, "other"), None);
+            // The same value to the parser, in other bytes.
+            let padded = format!("{line}{}", " ".repeat(pad + 1));
+            prop_assert_eq!(read_str_entry(&padded, "key"), None);
+            prop_assert_eq!(read_str_entry(&format!("{line} # c"), "key"), None);
+            let mut int_line = String::new();
+            push_int_entry(&mut int_line, "id", n);
+            let int_line = int_line.strip_suffix('\n').expect("an entry ends its line");
+            prop_assert_eq!(read_int_entry(int_line, "id"), Some(n));
+            prop_assert_eq!(read_str_entry(int_line, "id"), None);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The strict readers are their definition: the whole line read
+        /// as the parser reads it, kept only if the writer writes
+        /// exactly that line for what was read.
+        #[test]
+        fn strict_readers_are_the_parser_and_the_writer(pieces in prop::collection::vec(0usize..26, 0..10)) {
+            const PIECES: [&str; 26] = [
+                "k", "v", ": ", ":", " ", " #", "\"", "'", "[", "{", "}", ", ", "- ", "-", "|",
+                "\\", "\\n", "\\t", "0", "1.5", "~", "true", "\t", "é", "\"q\\n\"", "\"q\"",
+            ];
+            let value: String = pieces.iter().map(|&i| PIECES[i]).collect();
+            let line = format!("k: {value}");
+            let written = |v: &Yaml| {
+                let mut out = String::new();
+                match v {
+                    Yaml::Str(s) => push_str_entry(&mut out, "k", s),
+                    Yaml::Int(n) => push_int_entry(&mut out, "k", *n),
+                    _ => return None,
+                }
+                out.pop();
+                Some(out)
+            };
+            let definition = read_entry(&line)
+                .filter(|(k, v)| k == "k" && written(v).as_deref() == Some(line.as_str()))
+                .map(|(_, v)| v);
+            let strict = read_str_entry(&line, "k")
+                .map(Yaml::Str)
+                .or_else(|| read_int_entry(&line, "k").map(Yaml::Int));
+            prop_assert_eq!(strict, definition, "{:?}", line);
+        }
+    }
+
+    #[test]
+    fn entries_in_other_spellings_do_not_read_back() {
+        for (line, key) in [
+            ("id: +7", "id"),
+            ("id: 07", "id"),
+            ("id: 0x7", "id"),
+            ("id: -0", "id"),
+            ("id:  7", "id"),
+            (" id: 7", "id"),
+            ("\"id\": 7", "id"),
+        ] {
+            assert_eq!(read_int_entry(line, key), None, "{line:?}");
+        }
+        assert_eq!(read_int_entry("id: -7", "id"), Some(-7));
+        for line in ["k: \"v\"", "k: 'v'", "k: v\r", "k: \"a\tb\"", "k: [v]", "'k': v", "k: \"a\\x41\""] {
+            assert_eq!(read_str_entry(line, "k"), None, "{line:?}");
+        }
+        assert_eq!(read_str_entry("k: \"a\\tb\"", "k").as_deref(), Some("a\tb"));
+        assert_eq!(read_str_entry("k: v", "k").as_deref(), Some("v"));
     }
 
     fn round_trip(v: &Yaml) {

@@ -5,6 +5,7 @@ use crate::error::{YamlError, YamlResult};
 use crate::scanner::{parse_scalar, scan, split_key, Line};
 use crate::value::Yaml;
 use std::borrow::Cow;
+use std::collections::HashSet;
 
 /// Deepest nesting a document may have, block and flow levels counted
 /// together. Both parsers recurse once per level, and the documents
@@ -33,8 +34,14 @@ pub fn parse(src: &str) -> YamlResult<Yaml> {
         return Ok(Yaml::Null);
     }
     let root_indent = lines[0].indent;
-    let raw = src.lines().collect();
-    let mut p = Parser { lines, pos: 0, raw, depth: 0 };
+    let mut p = Parser {
+        src,
+        lines,
+        pos: 0,
+        pending: None,
+        raw: Vec::new(),
+        depth: 0,
+    };
     let value = p.parse_node(root_indent)?;
     if let Some(extra) = p.peek() {
         return Err(YamlError::new(
@@ -48,10 +55,15 @@ pub fn parse(src: &str) -> YamlResult<Yaml> {
 /// Everything the parser looks at borrows from the document (`'a`);
 /// it allocates only for the values it returns.
 struct Parser<'a> {
+    src: &'a str,
     lines: Vec<Line<'a>>,
     pos: usize,
-    /// The raw source lines (1-based via index+0): block scalars need
-    /// them because the scanner strips comments and blank lines.
+    /// A line read before `lines[pos]`: the entry that opens a mapping
+    /// on a `- key: value` line, at the column where it begins.
+    pending: Option<Line<'a>>,
+    /// The raw source lines (line `n` at index `n - 1`), for block
+    /// scalars, which the scanner's view (comments and blank lines
+    /// gone) cannot serve. Indexed on the first block scalar, once.
     raw: Vec<&'a str>,
     /// Nesting levels open at `pos` (see [`MAX_DEPTH`]).
     depth: usize,
@@ -59,10 +71,13 @@ struct Parser<'a> {
 
 impl<'a> Parser<'a> {
     fn peek(&self) -> Option<Line<'a>> {
-        self.lines.get(self.pos).copied()
+        self.pending.or_else(|| self.lines.get(self.pos).copied())
     }
 
     fn bump(&mut self) -> Line<'a> {
+        if let Some(l) = self.pending.take() {
+            return l;
+        }
         let l = self.lines[self.pos];
         self.pos += 1;
         l
@@ -83,8 +98,8 @@ impl<'a> Parser<'a> {
         descend(&mut self.depth, line.number)?;
         let node = if is_sequence_entry(line.content) {
             self.parse_sequence(indent)
-        } else if split_key(line.content).is_some() {
-            self.parse_mapping(indent)
+        } else if let Some(entry) = split_key(line.content) {
+            self.parse_mapping(indent, entry)
         } else {
             // Top-level / nested scalar (or flow collection) with folding.
             self.bump();
@@ -94,8 +109,12 @@ impl<'a> Parser<'a> {
         Ok(node)
     }
 
-    fn parse_mapping(&mut self, indent: usize) -> YamlResult<Yaml> {
+    /// Parse the mapping whose first line, at `self.pos`, splits into
+    /// `first`.
+    fn parse_mapping(&mut self, indent: usize, first: (&'a str, &'a str)) -> YamlResult<Yaml> {
         let mut map: Vec<(String, Yaml)> = Vec::new();
+        let mut keys = Keys::default();
+        let mut entry = Some(first);
         while let Some(line) = self.peek() {
             if line.indent < indent {
                 break;
@@ -113,16 +132,14 @@ impl<'a> Parser<'a> {
                 ));
             }
             self.bump();
-            let Some((raw_key, rest)) = split_key(line.content) else {
+            let Some((raw_key, rest)) = entry.take().or_else(|| split_key(line.content)) else {
                 return Err(YamlError::new(
                     line.number,
                     format!("expected `key: value`, found {:?}", line.content),
                 ));
             };
-            let key = parse_scalar(raw_key, line.number)?
-                .into_scalar_string()
-                .ok_or_else(|| YamlError::new(line.number, "mapping key must be a scalar"))?;
-            if map.iter().any(|(k, _)| *k == key) {
+            let key = read_key(raw_key, line.number)?;
+            if keys.repeats(&map, &key) {
                 return Err(YamlError::new(line.number, format!("duplicate mapping key {key:?}")));
             }
             let value = if rest.is_empty() {
@@ -175,16 +192,13 @@ impl<'a> Parser<'a> {
             let rest_col = indent + (line.content.len() - rest.len());
             if split_key(rest).is_some() && !starts_quoted_or_flow(rest) {
                 // `- key: value` opens a mapping whose first entry sits on
-                // the dash line. Re-inject the remainder as a virtual line
-                // at the column where it begins.
-                self.lines.insert(
-                    self.pos,
-                    Line {
-                        number: line.number,
-                        indent: rest_col,
-                        content: rest,
-                    },
-                );
+                // the dash line: its remainder is read next, as a line at
+                // the column where it begins.
+                self.pending = Some(Line {
+                    number: line.number,
+                    indent: rest_col,
+                    content: rest,
+                });
                 seq.push(self.parse_node(rest_col)?);
             } else if let Some(style) = block_scalar_style(rest) {
                 seq.push(self.parse_block_scalar(style, indent, line.number)?);
@@ -205,6 +219,9 @@ impl<'a> Parser<'a> {
         parent_indent: usize,
         header_line: usize,
     ) -> YamlResult<Yaml> {
+        if self.raw.is_empty() {
+            self.raw = self.src.lines().collect();
+        }
         // Collect the raw content region.
         let mut content: Vec<&str> = Vec::new();
         let mut last_line = header_line;
@@ -250,7 +267,7 @@ impl<'a> Parser<'a> {
             .peek()
             .is_some_and(|l| l.number > header_line && l.number <= last_line)
         {
-            self.pos += 1;
+            self.bump();
         }
 
         let mut text = match style.folded {
@@ -314,40 +331,72 @@ impl<'a> Parser<'a> {
     /// `-`, or a bare scalar node) and may fold onto following lines.
     fn parse_inline_value(&mut self, rest: &'a str, indent: usize, number: usize) -> YamlResult<Yaml> {
         let folded = self.fold_continuations(rest, indent);
-        self.parse_inline_scalar_or_flow(&folded, number)
+        read_inline(&folded, number, self.depth)
     }
+}
 
-    fn parse_inline_scalar_or_flow(&mut self, text: &str, number: usize) -> YamlResult<Yaml> {
-        let t = text.trim();
-        if t.starts_with('[') || t.starts_with('{') {
-            let mut fp = FlowParser {
-                chars: t.char_indices().collect(),
-                pos: 0,
-                line: number,
-                depth: self.depth,
-            };
-            let v = fp.parse_value()?;
-            fp.skip_ws();
-            if fp.pos < fp.chars.len() {
-                return Err(YamlError::new(number, "trailing characters after flow collection"));
-            }
-            Ok(v)
-        } else {
-            parse_scalar(t, number)
+/// A value complete on its line (continuations folded in), on the line
+/// numbered `line` under `depth` open nesting levels: a flow collection
+/// or a scalar.
+pub(crate) fn read_inline(text: &str, line: usize, depth: usize) -> YamlResult<Yaml> {
+    let t = text.trim();
+    if !(t.starts_with('[') || t.starts_with('{')) {
+        return parse_scalar(t, line);
+    }
+    let mut fp = FlowParser {
+        text: t,
+        chars: t.char_indices().collect(),
+        pos: 0,
+        line,
+        depth,
+    };
+    let v = fp.parse_value()?;
+    fp.skip_ws();
+    if fp.pos < fp.chars.len() {
+        return Err(YamlError::new(line, "trailing characters after flow collection"));
+    }
+    Ok(v)
+}
+
+/// A block mapping's key as the parser reads it.
+pub(crate) fn read_key(raw: &str, line: usize) -> YamlResult<String> {
+    parse_scalar(raw, line)?
+        .into_scalar_string()
+        .ok_or_else(|| YamlError::new(line, "mapping key must be a scalar"))
+}
+
+/// How many keys a mapping is scanned for a repeat before it keeps a set
+/// of them. Every mapping a build file has is scanned, and allocates
+/// nothing for it; a student's mapping of 64 000 keys costs linear time.
+const SCANNED_KEYS: usize = 16;
+
+/// The keys of a mapping under construction once it is past
+/// [`SCANNED_KEYS`].
+#[derive(Default)]
+struct Keys(Option<HashSet<String>>);
+
+impl Keys {
+    /// Whether `key` is already a key of `map`, the mapping so far, every
+    /// key of which went through here.
+    fn repeats(&mut self, map: &[(String, Yaml)], key: &str) -> bool {
+        if map.len() < SCANNED_KEYS {
+            return map.iter().any(|(k, _)| k == key);
         }
+        let set = self.0.get_or_insert_with(|| map.iter().map(|(k, _)| k.clone()).collect());
+        !set.insert(key.to_string())
     }
 }
 
 /// Block-scalar header style.
 #[derive(Clone, Copy)]
-struct BlockStyle {
+pub(crate) struct BlockStyle {
     /// `>` (folded) vs `|` (literal).
     folded: bool,
     /// `-` chomping indicator: strip the final newline.
     chomp: bool,
 }
 
-fn block_scalar_style(rest: &str) -> Option<BlockStyle> {
+pub(crate) fn block_scalar_style(rest: &str) -> Option<BlockStyle> {
     match rest {
         "|" => Some(BlockStyle { folded: false, chomp: false }),
         "|-" => Some(BlockStyle { folded: false, chomp: true }),
@@ -357,7 +406,7 @@ fn block_scalar_style(rest: &str) -> Option<BlockStyle> {
     }
 }
 
-fn is_sequence_entry(content: &str) -> bool {
+pub(crate) fn is_sequence_entry(content: &str) -> bool {
     content == "-" || content.starts_with("- ")
 }
 
@@ -366,8 +415,9 @@ fn starts_quoted_or_flow(s: &str) -> bool {
 }
 
 /// Minimal flow-style parser: `[a, b]`, `{k: v, …}`, nesting allowed;
-/// must be complete on one (folded) line.
-struct FlowParser {
+/// must be complete on one (folded) line. Tokens are slices of `text`.
+struct FlowParser<'t> {
+    text: &'t str,
     chars: Vec<(usize, char)>,
     pos: usize,
     line: usize,
@@ -375,7 +425,7 @@ struct FlowParser {
     depth: usize,
 }
 
-impl FlowParser {
+impl<'t> FlowParser<'t> {
     fn skip_ws(&mut self) {
         while self.pos < self.chars.len() && self.chars[self.pos].1 == ' ' {
             self.pos += 1;
@@ -397,11 +447,11 @@ impl FlowParser {
             }
             Some('"') | Some('\'') => {
                 let token = self.take_quoted()?;
-                parse_scalar(&token, self.line)
+                parse_scalar(token, self.line)
             }
             Some(_) => {
                 let token = self.take_plain();
-                parse_scalar(&token, self.line)
+                parse_scalar(token, self.line)
             }
             None => Err(YamlError::new(self.line, "unexpected end of flow value")),
         }
@@ -440,6 +490,7 @@ impl FlowParser {
     fn parse_map(&mut self) -> YamlResult<Yaml> {
         self.pos += 1; // consume '{'
         let mut map = Vec::new();
+        let mut keys = Keys::default();
         loop {
             self.skip_ws();
             match self.peek() {
@@ -463,7 +514,7 @@ impl FlowParser {
             }
             self.pos += 1;
             let value = self.parse_value()?;
-            if map.iter().any(|(k, _)| *k == key) {
+            if keys.repeats(&map, &key) {
                 return Err(YamlError::new(self.line, format!("duplicate mapping key {key:?}")));
             }
             map.push((key, value));
@@ -483,8 +534,14 @@ impl FlowParser {
         }
     }
 
+    /// The text from char `start` up to the current position.
+    fn since(&self, start: usize) -> &'t str {
+        let at = |pos: usize| self.chars.get(pos).map_or(self.text.len(), |&(i, _)| i);
+        &self.text[at(start)..at(self.pos)]
+    }
+
     /// Take a quoted token including its quotes, handling escapes.
-    fn take_quoted(&mut self) -> YamlResult<String> {
+    fn take_quoted(&mut self) -> YamlResult<&'t str> {
         let quote = self.peek().expect("caller checked");
         let start = self.pos;
         self.pos += 1;
@@ -500,15 +557,14 @@ impl FlowParser {
                     continue;
                 }
                 self.pos += 1;
-                let token: String = self.chars[start..self.pos].iter().map(|&(_, c)| c).collect();
-                return Ok(token);
+                return Ok(self.since(start));
             }
             self.pos += 1;
         }
         Err(YamlError::new(self.line, "unterminated quoted scalar in flow context"))
     }
 
-    fn take_plain(&mut self) -> String {
+    fn take_plain(&mut self) -> &'t str {
         let start = self.pos;
         while let Some(c) = self.peek() {
             if matches!(c, ',' | ']' | '}' | '[' | '{') {
@@ -516,15 +572,10 @@ impl FlowParser {
             }
             self.pos += 1;
         }
-        self.chars[start..self.pos]
-            .iter()
-            .map(|&(_, c)| c)
-            .collect::<String>()
-            .trim()
-            .to_string()
+        self.since(start).trim()
     }
 
-    fn take_plain_until_colon(&mut self) -> String {
+    fn take_plain_until_colon(&mut self) -> &'t str {
         let start = self.pos;
         while let Some(c) = self.peek() {
             if matches!(c, ':' | ',' | ']' | '}') {
@@ -532,12 +583,7 @@ impl FlowParser {
             }
             self.pos += 1;
         }
-        self.chars[start..self.pos]
-            .iter()
-            .map(|&(_, c)| c)
-            .collect::<String>()
-            .trim()
-            .to_string()
+        self.since(start).trim()
     }
 }
 
@@ -723,6 +769,49 @@ commands:
         // Flow nests on its one line under the `a:` mapping; a block
         // level is a line.
         assert_eq!(lines, [1, MAX_DEPTH + 1, MAX_DEPTH + 1]);
+    }
+
+    /// A mapping, a flow mapping and a sequence of one-key mappings,
+    /// `entries` keys each: the shapes whose parse was quadratic (a scan
+    /// of the keys so far per key; a line inserted into the line list
+    /// per `- key: value` entry).
+    fn wide(entries: usize) -> [String; 3] {
+        let map = (0..entries).map(|i| format!("k{i}: v\n")).collect();
+        let flow: Vec<String> = (0..entries).map(|i| format!("k{i}: v")).collect();
+        let seq = (0..entries).map(|i| format!("- k{i}: v\n")).collect();
+        [map, format!("m: {{{}}}\n", flow.join(", ")), seq]
+    }
+
+    #[test]
+    fn a_wide_build_file_parses_in_linear_time() {
+        // A file tree admits a 64 MiB build file, parsed by the client
+        // and again by the worker before any sandbox limit applies. At
+        // 2^16 entries (0.6–0.8 MB) each shape takes 0.26–0.35 s in a
+        // debug build and 40–60 ms in release; the quadratic parser took
+        // 37 s, 24 s and 1.9 s in debug.
+        let entries = 1 << 16;
+        for (shape, doc) in ["mapping", "flow mapping", "sequence"].into_iter().zip(wide(entries)) {
+            let start = std::time::Instant::now();
+            let parsed = parse(&doc).unwrap();
+            let took = start.elapsed();
+            let len = match &parsed {
+                Yaml::Map(m) if m.len() == 1 => m[0].1.as_map().map_or(0, <[_]>::len),
+                Yaml::Map(m) => m.len(),
+                Yaml::Seq(s) => s.len(),
+                _ => 0,
+            };
+            assert_eq!(len, entries, "{shape}");
+            assert!(took < std::time::Duration::from_secs(1), "{shape} of {entries} entries took {took:?}");
+        }
+        // A repeat past the scanned keys is found, of a key from before
+        // the set was built or after.
+        for doc in &wide(64)[..2] {
+            for (late, early) in [("k40", "k7"), ("k50", "k40")] {
+                let repeated = doc.replacen(&format!("{late}: v"), &format!("{early}: v"), 1);
+                let err = parse(&repeated).unwrap_err();
+                assert!(err.message.contains(&format!("duplicate mapping key \"{early}\"")), "{err}");
+            }
+        }
     }
 
     #[test]

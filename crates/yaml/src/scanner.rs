@@ -23,30 +23,36 @@ pub(crate) struct Line<'a> {
 /// appears inside a quoted span. Tabs in indentation are rejected, as in
 /// real YAML.
 pub(crate) fn scan(src: &str) -> YamlResult<Vec<Line<'_>>> {
-    let mut out = Vec::new();
+    // A build file's lines run 15–30 bytes; the estimate is bounded by
+    // the document, so a file of blank lines cannot reserve a slot each.
+    let mut out = Vec::with_capacity(src.len() / 16 + 1);
     for (i, raw) in src.lines().enumerate() {
-        let number = i + 1;
-        let without_indent = raw.trim_start_matches(' ');
-        let indent = raw.len() - without_indent.len();
-        if without_indent.starts_with('\t') {
-            return Err(YamlError::new(number, "tab characters may not be used for indentation"));
+        if let Some(line) = scan_line(raw, i + 1)? {
+            out.push(line);
         }
-        let content = strip_comment(without_indent).trim_end();
-        if content.is_empty() {
-            continue;
-        }
-        if content == "---" || content == "..." {
-            // Document markers: tolerated, treated as separators we skip
-            // (RAI build files are single-document).
-            continue;
-        }
-        out.push(Line {
-            number,
-            indent,
-            content,
-        });
     }
     Ok(out)
+}
+
+/// One source line (line break excluded) as [`scan`] sees it: `None`
+/// for a blank line, a whole-line comment or a document marker.
+pub(crate) fn scan_line(raw: &str, number: usize) -> YamlResult<Option<Line<'_>>> {
+    let without_indent = raw.trim_start_matches(' ');
+    let indent = raw.len() - without_indent.len();
+    if without_indent.starts_with('\t') {
+        return Err(YamlError::new(number, "tab characters may not be used for indentation"));
+    }
+    let content = strip_comment(without_indent).trim_end();
+    // Document markers: tolerated, treated as separators we skip (RAI
+    // build files are single-document).
+    if content.is_empty() || content == "---" || content == "..." {
+        return Ok(None);
+    }
+    Ok(Some(Line {
+        number,
+        indent,
+        content,
+    }))
 }
 
 /// Remove a trailing `#`-comment, honouring single/double quotes.
@@ -176,30 +182,32 @@ fn looks_numeric(t: &str) -> bool {
 
 fn parse_double_quoted(rest: &str, line: usize) -> YamlResult<Yaml> {
     let mut out = String::with_capacity(rest.len());
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => {
-                let tail = chars.as_str();
-                if !tail.trim().is_empty() {
-                    return Err(YamlError::new(line, format!("trailing characters after closing quote: {tail:?}")));
-                }
-                return Ok(Yaml::Str(out));
+    // Every byte that ends a run is ASCII, so the runs between them are
+    // whole characters, copied as they stand.
+    let mut tail = rest;
+    while let Some(at) = tail.bytes().position(|b| b == b'"' || b == b'\\') {
+        out.push_str(&tail[..at]);
+        let after = &tail[at + 1..];
+        if tail.as_bytes()[at] == b'"' {
+            if !after.trim().is_empty() {
+                return Err(YamlError::new(line, format!("trailing characters after closing quote: {after:?}")));
             }
-            '\\' => match chars.next() {
-                Some('n') => out.push('\n'),
-                Some('t') => out.push('\t'),
-                Some('r') => out.push('\r'),
-                Some('0') => out.push('\0'),
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some(other) => {
-                    return Err(YamlError::new(line, format!("unknown escape \\{other}")));
-                }
-                None => return Err(YamlError::new(line, "unterminated escape")),
-            },
-            other => out.push(other),
+            return Ok(Yaml::Str(out));
         }
+        out.push(match after.as_bytes().first() {
+            Some(b'n') => '\n',
+            Some(b't') => '\t',
+            Some(b'r') => '\r',
+            Some(b'0') => '\0',
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(_) => {
+                let other = after.chars().next().expect("a byte starts a character");
+                return Err(YamlError::new(line, format!("unknown escape \\{other}")));
+            }
+            None => return Err(YamlError::new(line, "unterminated escape")),
+        });
+        tail = &after[1..];
     }
     Err(YamlError::new(line, "unterminated double-quoted scalar"))
 }
