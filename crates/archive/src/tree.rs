@@ -86,16 +86,28 @@ pub fn normalize(path: &str) -> Result<String, InvalidPath> {
 /// path itself less its leading `/`, so lookups borrow it.
 fn normalized(path: &str) -> Result<&str, InvalidPath> {
     let trimmed = path.strip_prefix('/').unwrap_or(path);
-    let valid = !trimmed.is_empty()
-        && trimmed.len() <= MAX_PATH_BYTES
-        && trimmed.split('/').all(|comp| {
-            !matches!(comp, "" | "." | "..") && !comp.contains(['\\', '\0'])
-        });
-    if valid {
+    let bounded = !trimmed.is_empty() && trimmed.len() <= MAX_PATH_BYTES;
+    if bounded && components_valid(trimmed.as_bytes()) {
         Ok(trimmed)
     } else {
         Err(InvalidPath(path.to_string()))
     }
+}
+
+/// Whether no `/`-separated component of `path` is empty, `.` or `..`
+/// and no byte is a backslash or NUL: one pass over the bytes (every
+/// byte tested is ASCII, so a multi-byte character never matches).
+fn components_valid(path: &[u8]) -> bool {
+    let mut start = 0;
+    for (at, &b) in path.iter().enumerate() {
+        match b {
+            b'\\' | b'\0' => return false,
+            b'/' if matches!(&path[start..at], b"" | b"." | b"..") => return false,
+            b'/' => start = at + 1,
+            _ => {}
+        }
+    }
+    !matches!(&path[start..], b"" | b"." | b"..")
 }
 
 impl FileTree {
@@ -107,11 +119,26 @@ impl FileTree {
     /// Insert (or overwrite) a file. The path is normalized; invalid
     /// paths (empty, traversal, absolute-only) are rejected, and so is a
     /// file that would take the tree past [`MAX_ENTRIES`] or
-    /// [`MAX_TREE_BYTES`].
-    pub fn insert(&mut self, path: &str, data: impl Into<Bytes>) -> Result<(), TreeError> {
+    /// [`MAX_TREE_BYTES`]. An owned path becomes the key, normalized in
+    /// place; a borrowed one is copied.
+    pub fn insert<'p>(
+        &mut self,
+        path: impl Into<Cow<'p, str>>,
+        data: impl Into<Bytes>,
+    ) -> Result<(), TreeError> {
+        let key = match path.into() {
+            Cow::Borrowed(path) => normalize(path)?,
+            Cow::Owned(mut path) => {
+                normalized(&path)?;
+                if path.starts_with('/') {
+                    path.remove(0);
+                }
+                path
+            }
+        };
         let data = data.into();
         let len = self.files.len();
-        let entry = self.files.entry(normalize(path)?);
+        let entry = self.files.entry(key);
         let (entries, replaced) = match &entry {
             Entry::Occupied(e) => (len, e.get().len()),
             Entry::Vacant(_) => (len + 1, 0),
@@ -204,14 +231,22 @@ impl FileTree {
     pub fn subtree(&self, dir: &str) -> FileTree {
         let mut out = FileTree::new();
         let Ok(norm) = normalized(dir) else { return out };
-        let prefix = [norm, "/"].concat();
-        for (k, v) in &self.files {
-            if let Some(rest) = k.strip_prefix(&prefix) {
-                out.files.insert(rest.to_string(), v.clone());
-                out.bytes += v.len() as u64;
-            }
+        for (rest, v) in self.under(norm) {
+            out.files.insert(rest.to_string(), v.clone());
+            out.bytes += v.len() as u64;
         }
         out
+    }
+
+    /// The files under the directory `norm` (a normalized path), each
+    /// with its path past `norm/`: a walk of the key range that starts
+    /// with `norm`, where keys under `norm/` sort together with the
+    /// likes of `norm.x` and `normal`.
+    fn under<'a>(&'a self, norm: &'a str) -> impl Iterator<Item = (&'a str, &'a Bytes)> {
+        self.files
+            .range::<str, _>((Bound::Included(norm), Bound::Unbounded))
+            .take_while(move |(k, _)| k.starts_with(norm))
+            .filter_map(move |(k, v)| Some((k[norm.len()..].strip_prefix('/')?, v)))
     }
 
     /// Graft `other` into this tree under the directory `dir`
@@ -226,13 +261,10 @@ impl FileTree {
             return Err(InvalidPath([norm, "/", k].concat()).into());
         }
         // The files `other` overwrites: those already under `dir/` with
-        // a path `other` holds too. Keys under `dir/` sort together
-        // among the keys that start with `dir`.
+        // a path `other` holds too.
         let (mut overwritten, mut freed) = (0, 0);
-        let under_dir = self.files.range::<str, _>((Bound::Included(norm), Bound::Unbounded));
-        for (k, v) in under_dir.take_while(|(k, _)| k.starts_with(norm)) {
-            let rest = k[norm.len()..].strip_prefix('/');
-            if rest.is_some_and(|rest| other.files.contains_key(rest)) {
+        for (rest, v) in self.under(norm) {
+            if other.files.contains_key(rest) {
                 overwritten += 1;
                 freed += v.len() as u64;
             }
@@ -316,6 +348,30 @@ pub fn text(bytes: &[u8]) -> Cow<'_, str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The validation `normalized` did until the byte pass: a `split`
+    /// and a two-character `contains` per component. The oracle.
+    fn reference_normalized(path: &str) -> Option<&str> {
+        let trimmed = path.strip_prefix('/').unwrap_or(path);
+        let valid = !trimmed.is_empty()
+            && trimmed.len() <= MAX_PATH_BYTES
+            && trimmed.split('/').all(|comp| {
+                !matches!(comp, "" | "." | "..") && !comp.contains(['\\', '\0'])
+            });
+        valid.then_some(trimmed)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        // Components empty, `.`, `..`, dotted names and plain ones,
+        // backslashes, NULs and multi-byte characters.
+        #[test]
+        fn normalized_equals_split_form(path in "[a/./\\\\\u{0}é]{0,12}") {
+            prop_assert_eq!(normalized(&path).ok(), reference_normalized(&path));
+        }
+    }
 
     #[test]
     fn normalize_paths() {
@@ -327,6 +383,9 @@ mod tests {
         assert!(normalize("./a").is_err());
         assert!(normalize("a//b").is_err());
         assert!(normalize("a\\b").is_err());
+        assert!(normalize("a/\0").is_err());
+        assert!(normalize("a/..").is_err());
+        assert!(normalize("a/...").is_ok() && normalize(".a/b.").is_ok());
     }
 
     #[test]
@@ -357,6 +416,14 @@ mod tests {
             .with("report.pdf", &b"pdf"[..]);
         let src = project.subtree("src");
         assert_eq!(src.len(), 2);
+        // Keys that share the name and sort among `src/…` are not in it.
+        let siblings = project
+            .clone()
+            .with("src", &b"f"[..])
+            .with("src.bak/x", &b"x"[..])
+            .with("srcs", &b"s"[..]);
+        assert_eq!(siblings.subtree("src"), src);
+        assert_eq!(siblings.subtree("/src/util").paths().collect::<Vec<_>>(), ["helper.h"]);
         assert_eq!(src.get("main.cu").unwrap().as_ref(), b"kernel");
 
         let mut container = FileTree::new();
@@ -370,7 +437,7 @@ mod tests {
         let past = "a".repeat(MAX_PATH_BYTES + 1);
         let mut t = FileTree::new();
         t.insert(&at_bound, &b"x"[..]).unwrap();
-        t.insert(&["/", &at_bound].concat(), &b"y"[..]).unwrap();
+        t.insert(["/", &at_bound].concat(), &b"y"[..]).unwrap();
         assert_eq!(t.insert(&past, &b"x"[..]), Err(TreeError::Path(InvalidPath(past.clone()))));
         assert!(normalize(&past).is_err() && !t.contains(&past));
         assert_eq!(t.len(), 1);
@@ -395,7 +462,7 @@ mod tests {
         // overwrite at the bound is not a new file.
         let mut t = FileTree::new();
         for i in 0..MAX_ENTRIES {
-            t.insert(&format!("f{i}"), &b"x"[..]).unwrap();
+            t.insert(format!("f{i}"), &b"x"[..]).unwrap();
         }
         assert_eq!(t.insert("one-more", &b"x"[..]), Err(TreeError::NoSpace));
         t.insert("f0", &b"yy"[..]).unwrap();
@@ -407,7 +474,7 @@ mod tests {
         let mib = Bytes::from(vec![0u8; 1 << 20]);
         let mut t = FileTree::new();
         for i in 0..MAX_TREE_BYTES >> 20 {
-            t.insert(&format!("copy{i}"), mib.clone()).unwrap();
+            t.insert(format!("copy{i}"), mib.clone()).unwrap();
         }
         assert_eq!(t.total_size(), MAX_TREE_BYTES);
         assert_eq!(t.insert("last", &b"x"[..]), Err(TreeError::NoSpace));

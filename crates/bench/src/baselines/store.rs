@@ -62,7 +62,7 @@ fn run_bulk() -> [BulkUpload; 2] {
     let mut state = SEED;
     let mut tree = FileTree::new();
     for i in 0..FILES {
-        tree.insert(&format!("data/part{i:02}.bin"), pseudorandom(FILE, &mut state))
+        tree.insert(format!("data/part{i:02}.bin"), pseudorandom(FILE, &mut state))
             .expect("static path");
     }
     let store = ObjectStore::new(VirtualClock::new());

@@ -111,20 +111,14 @@ impl InteractiveSession {
             return ExecOutput { exit_code: 130, lines: vec![] };
         }
         let result = self.container.run_command(cmd);
-        // Snapshot only the lines this command appended.
-        let report_so_far = self.container_log();
-        let lines = report_so_far[self.log_watermark..].to_vec();
-        self.log_watermark = report_so_far.len();
+        // Only the lines this command appended.
+        let output = self.container.output();
+        let lines = output.lines_from(self.log_watermark).map(LogLine::from).collect();
+        self.log_watermark = output.len();
         if matches!(self.container.status(), ContainerStatus::Killed(_)) {
             self.closed = true;
         }
         ExecOutput { exit_code: result.exit_code, lines }
-    }
-
-    fn container_log(&self) -> Vec<LogLine> {
-        // Container exposes its log only via destroy(); mirror by
-        // cloning here through a cheap accessor.
-        self.container.log_snapshot()
     }
 
     /// Close the session, returning the `/build` directory (uploaded to

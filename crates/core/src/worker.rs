@@ -627,10 +627,10 @@ impl Worker {
                 container.run_script(spec.build.iter().map(String::as_str));
                 let report = container.destroy();
                 // Tag, space and separator are five bytes a line.
-                output.reserve(report.log.iter().map(|l| l.text.len() + 5).sum());
-                for line in &report.log {
+                output.reserve(report.output.text_len() + 5 * report.output.len());
+                for line in report.lines() {
                     let stderr = line.stream == LogStream::Stderr;
-                    job.log_bytes += push_output(&mut output, stderr, &line.text) as u64;
+                    job.log_bytes += push_output(&mut output, stderr, line.text) as u64;
                 }
                 let from = job.service_time;
                 job.service_time += report.elapsed;

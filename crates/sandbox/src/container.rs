@@ -7,6 +7,7 @@ use crate::limits::{ResourceLimits, MEMORY_BYTES};
 use rai_archive::FileTree;
 use rai_sim::SimDuration;
 use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
 /// Why a container was killed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,7 +38,8 @@ pub enum LogStream {
     Stderr,
 }
 
-/// One line of container output, as forwarded to the log topic.
+/// One line of container output, owned: what an interactive session
+/// hands back for the command it ran.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LogLine {
     /// stdout or stderr.
@@ -56,13 +58,132 @@ impl LogLine {
     }
 }
 
+/// One line of a [`JobOutput`], borrowed from its buffer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct OutputLine<'a> {
+    /// stdout or stderr.
+    pub stream: LogStream,
+    /// The text (no trailing newline).
+    pub text: &'a str,
+}
+
+impl From<OutputLine<'_>> for LogLine {
+    fn from(line: OutputLine<'_>) -> Self {
+        LogLine { stream: line.stream, text: line.text.to_string() }
+    }
+}
+
+/// A job's output lines: their text back to back in one buffer, and
+/// per line the stream it went to and where in the buffer it ends.
+/// Lines are charged against [`MAX_OUTPUT_BYTES`] as they are written
+/// (see [`Container`]'s `log`).
+#[derive(Clone)]
+pub struct JobOutput {
+    text: String,
+    /// Per line in order, its stream and where its text ends in `text`.
+    ends: Vec<(LogStream, u32)>,
+    /// Bytes charged against [`MAX_OUTPUT_BYTES`] so far.
+    charged: usize,
+}
+
+impl JobOutput {
+    /// Room for a Listing 1 or Listing 2 job's whole output (16 lines
+    /// of 584 bytes; 11 lines of 395 bytes), so that neither buffer
+    /// grows on the course's own build files.
+    fn with_room() -> Self {
+        JobOutput {
+            text: String::with_capacity(640),
+            ends: Vec::with_capacity(16),
+            charged: 0,
+        }
+    }
+
+    /// Number of lines.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether nothing was logged.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Total bytes of line text (no separators).
+    pub fn text_len(&self) -> usize {
+        self.text.len()
+    }
+
+    /// The lines in order.
+    pub fn lines(&self) -> impl DoubleEndedIterator<Item = OutputLine<'_>> + ExactSizeIterator {
+        self.lines_from(0)
+    }
+
+    /// The lines from the `first`th on (none if there are fewer).
+    pub fn lines_from(
+        &self,
+        first: usize,
+    ) -> impl DoubleEndedIterator<Item = OutputLine<'_>> + ExactSizeIterator {
+        (first.min(self.ends.len())..self.ends.len()).map(move |i| {
+            let start = i.checked_sub(1).map_or(0, |prev| self.ends[prev].1 as usize);
+            let (stream, end) = self.ends[i];
+            OutputLine { stream, text: &self.text[start..end as usize] }
+        })
+    }
+
+    /// Write one line. The line that takes the job past
+    /// [`MAX_OUTPUT_BYTES`] is cut to the longest prefix that fits the
+    /// cap together with one stderr line saying so ([`TRUNCATED`]),
+    /// which follows it; every later line is dropped.
+    fn push(&mut self, stream: LogStream, line: fmt::Arguments<'_>) {
+        if self.charged > MAX_OUTPUT_BYTES {
+            return;
+        }
+        let start = self.text.len();
+        match line.as_str() {
+            Some(literal) => self.text.push_str(literal),
+            None => {
+                // Writing into a `String` cannot fail.
+                let _ = self.text.write_fmt(line);
+            }
+        }
+        let room = MAX_OUTPUT_BYTES - self.charged;
+        self.charged += self.text.len() - start + LINE_OVERHEAD;
+        if self.charged <= MAX_OUTPUT_BYTES {
+            self.end_line(stream);
+            return;
+        }
+        let mut keep = room.saturating_sub(2 * LINE_OVERHEAD + TRUNCATED.len());
+        while !self.text.is_char_boundary(start + keep) {
+            keep -= 1;
+        }
+        self.text.truncate(start + keep);
+        if keep > 0 {
+            self.end_line(stream);
+        }
+        self.text.push_str(TRUNCATED);
+        self.end_line(LogStream::Stderr);
+    }
+
+    /// Close the line the buffer's tail holds. Kept text is under
+    /// [`MAX_OUTPUT_BYTES`], so its end fits a `u32`.
+    fn end_line(&mut self, stream: LogStream) {
+        self.ends.push((stream, self.text.len() as u32));
+    }
+}
+
+impl fmt::Debug for JobOutput {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.lines()).finish()
+    }
+}
+
 /// What the worker ships back after the container is destroyed.
 #[derive(Clone, Debug)]
 pub struct ExecutionReport {
     /// Final status.
     pub status: ContainerStatus,
     /// All output lines in order.
-    pub log: Vec<LogLine>,
+    pub output: JobOutput,
     /// Total simulated wall-clock consumed.
     pub elapsed: SimDuration,
     /// The `/build` directory contents (uploaded to the file server).
@@ -75,11 +196,16 @@ impl ExecutionReport {
         matches!(self.status, ContainerStatus::Exited(0))
     }
 
+    /// The output lines in order.
+    pub fn lines(&self) -> impl DoubleEndedIterator<Item = OutputLine<'_>> + ExactSizeIterator {
+        self.output.lines()
+    }
+
     /// The program-reported elapsed time ("elapsed = X.XXX s"), i.e. the
     /// *internal timer* students see; `None` if no program ran.
     pub fn internal_timer_secs(&self) -> Option<f64> {
-        self.log.iter().rev().find_map(|l| {
-            let rest = crate::exec::after_elapsed(&l.text)?;
+        self.lines().rev().find_map(|l| {
+            let rest = crate::exec::after_elapsed(l.text)?;
             rest.split_whitespace().next()?.parse().ok()
         })
     }
@@ -87,8 +213,8 @@ impl ExecutionReport {
 
 /// What one job may log: 640 KiB, the per-job share of the paper's
 /// 25 GB of logs over ≈ 40 000 submissions. Output is a resource like
-/// memory and lifetime — a job's lines are held here, copied into one
-/// log message, kept by the broker until the client drains it and
+/// memory and lifetime — a job's lines are held in one buffer, copied
+/// into one log message, kept by the broker until the client drains it and
 /// summed into the submissions row — but running over it costs only
 /// the rest of the output, never the job: see `Container::log`.
 pub const MAX_OUTPUT_BYTES: usize = 640 * 1024;
@@ -100,17 +226,17 @@ const LINE_OVERHEAD: usize = 5;
 /// The stderr line that ends a job's output at [`MAX_OUTPUT_BYTES`].
 const TRUNCATED: &str = "… output truncated";
 
+/// The working directory (normalized, no leading slash): `/build`.
+pub(crate) const WORKDIR: &str = "build";
+
 /// A running (simulated) container.
 pub struct Container {
     /// The merged filesystem: image rootfs + mounted volumes + workdir.
     pub fs: FileTree,
     /// Resource limits in force.
     pub(crate) limits: ResourceLimits,
-    workdir: String,
     status: ContainerStatus,
-    log: Vec<LogLine>,
-    /// Bytes charged against [`MAX_OUTPUT_BYTES`] so far.
-    logged: usize,
+    output: JobOutput,
     elapsed: SimDuration,
     time_dilation: f64,
 }
@@ -123,10 +249,8 @@ impl Container {
         Container {
             fs: image.rootfs.clone(),
             limits,
-            workdir: "build".to_string(),
             status: ContainerStatus::Created,
-            log: Vec::new(),
-            logged: 0,
+            output: JobOutput::with_room(),
             elapsed: SimDuration::ZERO,
             time_dilation: 1.0,
         }
@@ -151,13 +275,8 @@ impl Container {
     /// says so and the commands run without it.
     pub fn mount(&mut self, path: &str, tree: &FileTree) {
         if let Err(e) = self.fs.mount(path.trim_start_matches('/'), tree) {
-            self.log(LogStream::Stderr, format!("mount: {path} not mounted: {e}"));
+            self.log(LogStream::Stderr, format_args!("mount: {path} not mounted: {e}"));
         }
-    }
-
-    /// The working directory (normalized, no leading slash).
-    pub(crate) fn workdir(&self) -> &str {
-        &self.workdir
     }
 
     /// Resolve a command-line path against the container filesystem:
@@ -178,33 +297,16 @@ impl Container {
     /// exact allocation (`format!` sizes a path this short at zero and
     /// grows it twice).
     pub(crate) fn in_workdir(&self, name: &str) -> String {
-        [self.workdir.as_str(), "/", name].concat()
+        [WORKDIR, "/", name].concat()
     }
 
-    /// Append a log line. The line that takes the job past
-    /// [`MAX_OUTPUT_BYTES`] is cut to the longest prefix that fits the
-    /// cap together with one stderr line saying so ([`TRUNCATED`]),
-    /// which follows it; every later line is dropped. The commands keep
-    /// running and exit as they would have.
-    pub(crate) fn log(&mut self, stream: LogStream, mut text: String) {
-        if self.logged > MAX_OUTPUT_BYTES {
-            return;
-        }
-        let room = MAX_OUTPUT_BYTES - self.logged;
-        self.logged += text.len() + LINE_OVERHEAD;
-        if self.logged <= MAX_OUTPUT_BYTES {
-            self.log.push(LogLine { stream, text });
-            return;
-        }
-        let mut keep = room.saturating_sub(2 * LINE_OVERHEAD + TRUNCATED.len());
-        while !text.is_char_boundary(keep) {
-            keep -= 1;
-        }
-        if keep > 0 {
-            text.truncate(keep);
-            self.log.push(LogLine { stream, text });
-        }
-        self.log.push(LogLine { stream: LogStream::Stderr, text: TRUNCATED.to_string() });
+    /// Write a line of output: a literal is copied, anything else is
+    /// formatted straight into the job's buffer. Past
+    /// [`MAX_OUTPUT_BYTES`] the line is cut and the output ends (see
+    /// [`JobOutput`]); the commands keep running and exit as they
+    /// would have.
+    pub(crate) fn log(&mut self, stream: LogStream, line: fmt::Arguments<'_>) {
+        self.output.push(stream, line);
     }
 
     /// Charge a command's resource use against the limits. Returns the
@@ -269,14 +371,15 @@ impl Container {
     /// the execution is complete, the worker creates a .tar.bz2 of the
     /// container's /build directory").
     pub fn destroy(self) -> ExecutionReport {
-        let build_dir = self.fs.subtree(&self.workdir);
-        ExecutionReport { status: self.status, log: self.log, elapsed: self.elapsed, build_dir }
+        let build_dir = self.fs.subtree(WORKDIR);
+        let Container { status, output, elapsed, .. } = self;
+        ExecutionReport { status, output, elapsed, build_dir }
     }
 
-    /// Snapshot of the log so far (interactive sessions stream output
-    /// incrementally instead of waiting for `destroy`).
-    pub fn log_snapshot(&self) -> Vec<LogLine> {
-        self.log.clone()
+    /// The output so far (interactive sessions read each command's
+    /// lines from it instead of waiting for `destroy`).
+    pub fn output(&self) -> &JobOutput {
+        &self.output
     }
 
     /// Current status.
@@ -289,6 +392,92 @@ impl Container {
 mod tests {
     use super::*;
     use crate::image::ImageRegistry;
+    use proptest::prelude::*;
+
+    /// The log this module kept until the output buffer replaced it: a
+    /// `Vec` of owned lines, each charged, cut and capped as it came.
+    /// Kept as the oracle the buffer must agree with.
+    fn reference_log(lines: &[(LogStream, String)]) -> Vec<LogLine> {
+        let mut log = Vec::new();
+        let mut logged = 0;
+        for (stream, text) in lines {
+            if logged > MAX_OUTPUT_BYTES {
+                break;
+            }
+            let mut text = text.clone();
+            let room = MAX_OUTPUT_BYTES - logged;
+            logged += text.len() + LINE_OVERHEAD;
+            if logged <= MAX_OUTPUT_BYTES {
+                log.push(LogLine { stream: *stream, text });
+                continue;
+            }
+            let mut keep = room.saturating_sub(2 * LINE_OVERHEAD + TRUNCATED.len());
+            while !text.is_char_boundary(keep) {
+                keep -= 1;
+            }
+            if keep > 0 {
+                text.truncate(keep);
+                log.push(LogLine { stream: *stream, text });
+            }
+            log.push(LogLine { stream: LogStream::Stderr, text: TRUNCATED.to_string() });
+        }
+        log
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        // Lines of one- to four-byte characters and empty ones, short
+        // and long, on both streams: under the cap, across it and past
+        // it, the crossing line cut inside a character.
+        #[test]
+        fn output_buffer_equals_per_line_log(
+            shapes in prop::collection::vec(
+                (any::<bool>(), 0usize..5, 0usize..3, 0usize..60_000),
+                0..40,
+            ),
+        ) {
+            const PIECES: [&str; 5] = ["", "a", "é", "漢", "🦀"];
+            let lines: Vec<(LogStream, String)> = shapes
+                .iter()
+                .map(|&(stderr, piece, long, n)| {
+                    let stream = if stderr { LogStream::Stderr } else { LogStream::Stdout };
+                    let n = if long == 0 { n } else { n % 8 };
+                    (stream, PIECES[piece].repeat(n))
+                })
+                .collect();
+            let mut output = JobOutput::with_room();
+            for (stream, text) in &lines {
+                output.push(*stream, format_args!("{text}"));
+            }
+            let written: Vec<LogLine> = output.lines().map(LogLine::from).collect();
+            prop_assert_eq!(written, reference_log(&lines));
+            // Watermarked reads see the same lines from any point.
+            let from = shapes.len() / 2;
+            let tail: Vec<LogLine> = output.lines_from(from).map(LogLine::from).collect();
+            prop_assert_eq!(&tail[..], &reference_log(&lines)[from.min(output.len())..]);
+        }
+    }
+
+    #[test]
+    fn literal_lines_are_copied_and_charged_like_formatted_ones() {
+        let mut output = JobOutput::with_room();
+        output.push(LogStream::Stdout, format_args!("Loading model...done"));
+        output.push(LogStream::Stderr, format_args!("{}", "Killed"));
+        output.push(LogStream::Stdout, format_args!(""));
+        let lines: Vec<OutputLine<'_>> = output.lines().collect();
+        assert_eq!(lines.len(), 3);
+        assert_eq!((lines[0].stream, lines[0].text), (LogStream::Stdout, "Loading model...done"));
+        assert_eq!((lines[1].stream, lines[1].text), (LogStream::Stderr, "Killed"));
+        assert_eq!(lines[2].text, "");
+        assert_eq!(output.charged, 20 + 6 + 3 * LINE_OVERHEAD);
+        // A flood of empty lines is charged its framing and capped.
+        for _ in 0..MAX_OUTPUT_BYTES {
+            output.push(LogStream::Stdout, format_args!(""));
+        }
+        assert_eq!(output.lines().last().map(|l| l.text), Some(TRUNCATED));
+        assert!(output.len() < MAX_OUTPUT_BYTES / LINE_OVERHEAD + 2);
+    }
 
     /// A student project with a GPU implementation at 470 ms full-dataset.
     fn project(perf: &str) -> FileTree {
@@ -305,6 +494,11 @@ mod tests {
 
     fn gpu_project() -> FileTree {
         project("rai:perf mode=gpu full_ms=470 acc=0.93 mem_mb=2048")
+    }
+
+    /// A report's lines, owned.
+    fn owned_log(report: ExecutionReport) -> Vec<LogLine> {
+        report.lines().map(LogLine::from).collect()
     }
 
     fn make_container(tree: &FileTree, limits: ResourceLimits) -> Container {
@@ -329,9 +523,9 @@ mod tests {
         let mut c = make_container(&gpu_project(), ResourceLimits::default());
         c.run_script(LISTING1_CMDS);
         let report = c.destroy();
-        assert!(report.success(), "log: {:#?}", report.log);
+        assert!(report.success(), "log: {:#?}", report.output);
         // echo landed in the log.
-        assert!(report.log.iter().any(|l| l.text == "Building project"));
+        assert!(report.lines().any(|l| l.text == "Building project"));
         // The run reported its internal timer.
         let secs = report.internal_timer_secs().unwrap();
         // test10 = 10 items: 35ms setup + 470 * 10/10000 ≈ 0.035s.
@@ -353,7 +547,7 @@ mod tests {
             "/usr/bin/time ./ece408 /data/testfull.hdf5 /data/model.hdf5 10000",
         ]);
         let report = c.destroy();
-        assert!(report.success(), "log: {:#?}", report.log);
+        assert!(report.success(), "log: {:#?}", report.output);
         // Source snapshot captured for the graders.
         assert!(report.build_dir.contains("submission_code/main.cu"));
         // Internal timer ≈ 470ms + 35ms setup.
@@ -361,8 +555,7 @@ mod tests {
         assert!((secs - 0.505).abs() < 0.01, "got {secs}");
         // /usr/bin/time reported to stderr for the instructors.
         assert!(report
-            .log
-            .iter()
+            .lines()
             .any(|l| l.stream == LogStream::Stderr && l.text.contains("elapsed")));
     }
 
@@ -372,7 +565,7 @@ mod tests {
         let mut c = make_container(&tree, ResourceLimits::default());
         c.run_script(["cmake /src", "make", "./ece408 /data/testfull.hdf5 /data/model.hdf5"]);
         let report = c.destroy();
-        assert!(report.success(), "log: {:#?}", report.log);
+        assert!(report.success(), "log: {:#?}", report.output);
         let secs = report.internal_timer_secs().unwrap();
         assert!((1_790.0..=1_810.0).contains(&secs), "~30 min, got {secs}");
     }
@@ -385,8 +578,7 @@ mod tests {
         let report = c.destroy();
         assert!(!report.success());
         assert!(report
-            .log
-            .iter()
+            .lines()
             .any(|l| l.text.contains("no CUDA-capable device")));
     }
 
@@ -399,7 +591,7 @@ mod tests {
         c.run_script(["cmake /src", "make", "./ece408 /data/test10.hdf5 /data/model.hdf5"]);
         let report = c.destroy();
         assert_eq!(report.status, ContainerStatus::Exited(2));
-        assert!(report.log.iter().any(|l| l.text.contains("error:")));
+        assert!(report.lines().any(|l| l.text.contains("error:")));
         // The program never ran.
         assert!(report.internal_timer_secs().is_none());
     }
@@ -411,7 +603,7 @@ mod tests {
         c.run_script(["cmake /src", "make"]);
         let report = c.destroy();
         assert!(!report.success());
-        assert!(report.log.iter().any(|l| l.text.contains("CMakeLists.txt")));
+        assert!(report.lines().any(|l| l.text.contains("CMakeLists.txt")));
     }
 
     #[test]
@@ -421,7 +613,7 @@ mod tests {
         c.run_script(["cmake /src", "make", "./ece408 /data/test10.hdf5 /data/model.hdf5"]);
         let report = c.destroy();
         assert_eq!(report.status, ContainerStatus::Killed(KillReason::OutOfMemory));
-        assert!(report.log.iter().any(|l| l.text == "Killed"));
+        assert!(report.lines().any(|l| l.text == "Killed"));
     }
 
     #[test]
@@ -444,7 +636,7 @@ mod tests {
         let r = c.run_command("echo should-not-run");
         assert_eq!(r.exit_code, 137);
         let report = c.destroy();
-        assert!(!report.log.iter().any(|l| l.text == "should-not-run"));
+        assert!(!report.lines().any(|l| l.text == "should-not-run"));
     }
 
     #[test]
@@ -456,8 +648,7 @@ mod tests {
         }
         let report = c.destroy();
         assert!(report
-            .log
-            .iter()
+            .lines()
             .any(|l| l.text.contains("network access is disabled")));
     }
 
@@ -479,9 +670,9 @@ mod tests {
             "rm /build/Makefile",
         ]);
         let report = c.destroy();
-        assert!(report.success(), "log: {:#?}", report.log);
-        assert!(report.log.iter().any(|l| l.text.contains("ece408")));
-        assert!(report.log.iter().any(|l| l.text.contains("add_executable")));
+        assert!(report.success(), "log: {:#?}", report.output);
+        assert!(report.lines().any(|l| l.text.contains("ece408")));
+        assert!(report.lines().any(|l| l.text.contains("add_executable")));
         assert!(!report.build_dir.contains("Makefile"));
     }
 
@@ -496,7 +687,7 @@ mod tests {
             assert!(c.fs.contains(&format!("build/{dir}/main.cu")), "rm {dir} kept the directory");
             assert_eq!(c.run_command(&format!("rm -f {dir}/main.cu")).exit_code, 0, "files need no -r");
             let report = c.destroy();
-            assert!(report.log.iter().any(|l| l.text.contains(&format!("cannot remove '/build/{dir}'"))));
+            assert!(report.lines().any(|l| l.text.contains(&format!("cannot remove '/build/{dir}'"))));
         }
         for flag in ["-r", "-R", "-rf", "-fr"] {
             let mut c = make_container(&gpu_project(), ResourceLimits::default());
@@ -534,14 +725,14 @@ mod tests {
         assert_eq!(mounted.run_command("make").exit_code, 2);
 
         let report = c.destroy();
-        let refusals: Vec<&str> = report.log.iter().map(|l| l.text.as_str()).collect();
+        let refusals: Vec<&str> = report.lines().map(|l| l.text).collect();
         assert_eq!(refusals.len(), 3, "{refusals:?}");
         assert!(refusals[..2].iter().all(|l| {
             l.starts_with("cp: cannot create '/build/a") && l.ends_with("': File name too long")
         }));
         assert_eq!(refusals[2], "cp: cannot create '/build/../main.cu': Invalid argument");
         assert_eq!(report.build_dir.paths().collect::<Vec<_>>(), [fits]);
-        let log = mounted.destroy().log;
+        let log = owned_log(mounted.destroy());
         assert!(log[0].text.starts_with("mount: /src not mounted: invalid path"), "{:?}", log[0]);
         let links: Vec<&str> =
             log.iter().map(|l| l.text.as_str()).filter(|l| l.contains("/usr/bin/ld")).collect();
@@ -554,7 +745,7 @@ mod tests {
     fn a_full_filesystem_fails_the_write_with_a_stderr_line() {
         use rai_archive::tree::{MAX_ENTRIES, MAX_TREE_BYTES};
         let stderr_of = |c: Container| -> Vec<String> {
-            let log = c.destroy().log;
+            let log = owned_log(c.destroy());
             log.into_iter().filter(|l| l.stream == LogStream::Stderr).map(|l| l.text).collect()
         };
         // Each `cp -r /build /build/dN` doubles `/build` for free (the
@@ -588,7 +779,7 @@ mod tests {
         // one says so and exits 1; the worker is none the wiser.
         let fill = |c: &mut Container| {
             let mut i = 0;
-            while c.fs.insert(&format!("build/f{i}"), &b"x"[..]).is_ok() {
+            while c.fs.insert(format!("build/f{i}"), &b"x"[..]).is_ok() {
                 i += 1;
             }
             assert_eq!(c.fs.len(), MAX_ENTRIES);
@@ -630,7 +821,7 @@ mod tests {
         let run = |wrappers: usize| {
             let mut c = make_container(&gpu_project(), ResourceLimits::default());
             let r = c.run_command(&format!("{}true", "time ".repeat(wrappers)));
-            (r.exit_code, c.destroy().log)
+            (r.exit_code, owned_log(c.destroy()))
         };
         let (code, log) = run(16);
         assert_eq!(code, 0);
@@ -663,12 +854,12 @@ mod tests {
             // `nvprof` echoes the command line it wraps — 700 KB here,
             // at each of 16 levels — so its refusal comes after the
             // output cap; `time` prints nothing on the way down.
-            let said_why = report.log.iter().any(|l| l.text.ends_with("wrapper nesting too deep"));
-            let truncated = report.log.last().is_some_and(|l| l.text == "… output truncated");
+            let said_why = report.lines().any(|l| l.text.ends_with("wrapper nesting too deep"));
+            let truncated = report.lines().last().is_some_and(|l| l.text == "… output truncated");
             assert!(said_why || (truncated && wrapper.starts_with("nvprof")), "{wrapper}");
-            let kept: usize = report.log.iter().map(|l| l.text.len()).sum();
+            let kept: usize = report.lines().map(|l| l.text.len()).sum();
             assert!(kept <= MAX_OUTPUT_BYTES, "{wrapper}: {kept} bytes of log");
-            assert!(!report.log.iter().any(|l| l.text == "never-runs"));
+            assert!(!report.lines().any(|l| l.text == "never-runs"));
         }
     }
 
@@ -682,8 +873,8 @@ mod tests {
         let r = c.run_command("false && echo never-runs");
         assert_eq!(r.exit_code, 1);
         let report = c.destroy();
-        assert!(report.log.iter().any(|l| l.text.contains("elapsed =")));
-        assert!(!report.log.iter().any(|l| l.text == "never-runs"));
+        assert!(report.lines().any(|l| l.text.contains("elapsed =")));
+        assert!(!report.lines().any(|l| l.text == "never-runs"));
     }
 
     #[test]
@@ -697,10 +888,10 @@ mod tests {
             "env",
         ]);
         let report = c.destroy();
-        assert!(report.success(), "log: {:#?}", report.log);
-        assert!(report.log.iter().any(|l| l.text.contains("__global__")));
-        assert!(report.log.iter().any(|l| l.text == "/build"));
-        assert!(report.log.iter().any(|l| l.text.starts_with("PATH=")));
+        assert!(report.success(), "log: {:#?}", report.output);
+        assert!(report.lines().any(|l| l.text.contains("__global__")));
+        assert!(report.lines().any(|l| l.text == "/build"));
+        assert!(report.lines().any(|l| l.text.starts_with("PATH=")));
         // grep with no match exits 1.
         let mut c = make_container(&gpu_project(), ResourceLimits::default());
         assert_eq!(c.run_command("grep nonexistent-needle /src/main.cu").exit_code, 1);
@@ -718,7 +909,37 @@ mod tests {
         c.run_script(["cmake /src", "make"]);
         let report = c.destroy();
         assert!(report.success());
-        assert!(report.log.iter().any(|l| l.text.contains("warning:")));
+        assert!(report.lines().any(|l| l.text.contains("warning:")));
+    }
+
+    #[test]
+    fn make_over_thousands_of_marked_sources_takes_linear_time() {
+        // 4 000 one-line sources, each marked: every `make` names each
+        // in a warning. Looking a marked source's path up by walking
+        // the tree again made one `make` ≈ 8M steps here, and a build
+        // file may repeat `make` until the container's lifetime ends.
+        const SOURCES: usize = 4_000;
+        const MAKES: usize = 40;
+        let mut tree =
+            FileTree::new().with("CMakeLists.txt", &b"add_executable(ece408 k0.cu)"[..]);
+        for i in 0..SOURCES {
+            tree.insert(format!("k{i}.cu"), &b"RAI_WARNING\n"[..]).unwrap();
+        }
+        let mut c = make_container(&tree, ResourceLimits::default());
+        assert_eq!(c.run_command("cmake /src").exit_code, 0);
+        let started = std::time::Instant::now();
+        for _ in 0..MAKES {
+            assert_eq!(c.run_command("make").exit_code, 0);
+        }
+        let elapsed = started.elapsed();
+        let report = c.destroy();
+        const WARNING: &str = "(1): warning: variable declared but never referenced";
+        // The first `make`'s warnings fit under the output cap; the
+        // rest of the makes run past it.
+        assert!(report.lines().filter(|l| l.text.ends_with(WARNING)).count() >= SOURCES);
+        assert!(report.lines().any(|l| l.text == ["/src/k3999.cu", WARNING].concat()));
+        assert_eq!(report.lines().last().map(|l| l.text), Some("… output truncated"));
+        assert!(elapsed < std::time::Duration::from_secs(2), "{MAKES} makes took {elapsed:?}");
     }
 
     #[test]
@@ -733,7 +954,8 @@ mod tests {
         c.run_script(["cat /src/big.txt", "cat /src/big.txt", "echo after"]);
         let report = c.destroy();
         assert!(report.success(), "truncation is not a failure: {:?}", report.status);
-        let (last, kept) = report.log.split_last().unwrap();
+        let log = owned_log(report);
+        let (last, kept) = log.split_last().unwrap();
         assert_eq!((last.stream, last.text.as_str()), (LogStream::Stderr, TRUNCATED));
         let (cut, whole) = kept.split_last().unwrap();
         assert_eq!(whole.len(), 39);
@@ -742,15 +964,15 @@ mod tests {
         // with the note: one more byte would fit, one more character not.
         assert_eq!(cut.stream, LogStream::Stdout);
         assert!(!cut.text.is_empty() && wide.starts_with(&cut.text), "{} bytes", cut.text.len());
-        let charged: usize = report.log.iter().map(|l| l.text.len() + LINE_OVERHEAD).sum();
+        let charged: usize = log.iter().map(|l| l.text.len() + LINE_OVERHEAD).sum();
         assert_eq!(MAX_OUTPUT_BYTES - charged, 1, "{charged} bytes charged");
 
         // A job under the cap is untouched, to the line.
         let mut c = make_container(&tree, ResourceLimits::default());
         c.run_script(["head -n 39 /src/big.txt", "echo after"]);
         let report = c.destroy();
-        assert_eq!(report.log.len(), 40);
-        assert_eq!(report.log[39].text, "after");
+        assert_eq!(report.output.len(), 40);
+        assert_eq!(report.lines().nth(39).unwrap().text, "after");
     }
 
     #[test]
@@ -776,8 +998,7 @@ mod tests {
         let report = c.destroy();
         assert!(!report.success());
         assert!(report
-            .log
-            .iter()
+            .lines()
             .any(|l| l.text.contains("unable to open dataset")));
     }
 }

@@ -7,13 +7,15 @@
 //! `/usr/bin/time`, `cp -r`) plus the obvious student variations
 //! (`ls`, `cat`, `mkdir`, `rm`) and the *denied* network tools.
 
-use crate::container::{Container, KillReason, LogStream};
+use crate::container::{Container, KillReason, LogStream, WORKDIR};
+use crate::decimal::{Clock, Fixed4, Millis};
 use crate::image::hdf5_item_count;
 use crate::perf::{ExecMode, PerfSpec};
 use rai_archive::text;
 use rai_archive::tree::{TreeError, MAX_PATH_BYTES};
 use rai_sim::SimDuration;
 use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
 /// Outcome of one command.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -55,6 +57,15 @@ impl CmdResult {
 /// Marker prefix for "compiled binaries" in the container filesystem.
 pub(crate) const BINARY_MAGIC: &str = "RAIBIN\n";
 
+/// Where `cmake` writes the Makefile and `make` reads it: `Makefile`
+/// in [`WORKDIR`].
+const MAKEFILE: &str = "build/Makefile";
+
+/// What `make` reserves for a binary: the magic, `// `, a directive
+/// whose numbers print in up to 20 characters each, and the newline.
+/// A longer one (a student's 300-digit `full_ms`) grows the buffer.
+const BINARY_BYTES: usize = 128;
+
 /// What a program run prints its internal timer after (`Done with N
 /// queries in elapsed = X.XXX s`, see `run_program`).
 const ELAPSED: &[u8] = b"elapsed = ";
@@ -63,64 +74,156 @@ const ELAPSED: &[u8] = b"elapsed = ";
 /// next one: exactly `line.split("elapsed = ").nth(1)`, found from the
 /// line's `=` bytes instead of a substring searcher built per line.
 pub fn after_elapsed(line: &str) -> Option<&str> {
-    let start = find_elapsed(line, 0)? + ELAPSED.len();
-    let end = find_elapsed(line, start).unwrap_or(line.len());
+    // The `=` is the needle's ninth byte.
+    let start = find_from(line, ELAPSED, 8, 0)? + ELAPSED.len();
+    let end = find_from(line, ELAPSED, 8, start).unwrap_or(line.len());
     Some(&line[start..end])
 }
 
-/// Where the first `elapsed = ` that begins at or after byte `from` of
-/// `line` begins. The needle overlaps no shifted copy of itself, so
-/// matches taken left to right from the end of the last are `split`'s.
-fn find_elapsed(line: &str, from: usize) -> Option<usize> {
-    let bytes = line.as_bytes();
-    // The `=` is the needle's ninth byte.
-    let mut eq = from + 8;
-    while eq < bytes.len() {
-        eq += bytes[eq..].iter().position(|&b| b == b'=')?;
-        if bytes[eq - 8..].starts_with(ELAPSED) {
-            return Some(eq - 8);
+/// Where the first `needle` that begins at or after byte `from` of
+/// `hay` begins: a `memchr` for the needle's byte at `rare` (an ASCII
+/// byte the haystack seldom holds), then a compare around each hit.
+/// `from` is a char boundary. A needle that overlaps no shifted copy of
+/// itself (every one here) read left to right from the end of the last
+/// match finds `split`'s matches.
+pub(crate) fn find_from(hay: &str, needle: &[u8], rare: usize, from: usize) -> Option<usize> {
+    let probe = char::from(needle[rare]);
+    let mut scan = from;
+    // `str::find` of one ASCII char is core's word-at-a-time memchr,
+    // and a hit is a char boundary to resume after.
+    while let Some(hit) = hay[scan..].find(probe) {
+        let at = scan + hit;
+        if at >= from + rare && hay.as_bytes()[at - rare..].starts_with(needle) {
+            return Some(at - rare);
         }
-        eq += 1;
+        scan = at + 1;
     }
     None
 }
 
+/// The ASCII bytes `char::is_whitespace` accepts, as bits of a mask
+/// over the bytes below 64. `\x0B` (vertical tab) is one of them, and
+/// not one of `u8::is_ascii_whitespace`'s.
+const SPACES: u64 = 1 << b' ' | 1 << b'\t' | 1 << b'\n' | 1 << 0x0B | 1 << 0x0C | 1 << b'\r';
+
+/// The ASCII bytes a word ends at in a command line: a space or a
+/// quote mark.
+const WORD_ENDS: u64 = SPACES | 1 << b'\'' | 1 << b'"';
+
+/// Whether `b` is one of the bytes in `mask` (all below 64).
+fn in_mask(mask: u64, b: u8) -> bool {
+    b < 64 && mask >> b & 1 == 1
+}
+
+/// The length of the character at byte `at` of `s` if
+/// `char::is_whitespace` accepts it, else 0. Only the lead byte of a
+/// multi-byte character is decoded; a continuation byte begins none.
+fn space_at(s: &str, at: usize) -> usize {
+    match s.as_bytes()[at] {
+        b @ 0..=0x7F => usize::from(in_mask(SPACES, b)),
+        0x80..=0xBF => 0,
+        _ => s[at..].chars().next().filter(|c| c.is_whitespace()).map_or(0, char::len_utf8),
+    }
+}
+
+/// Whether a word ends at byte `at` of `s`: a quote mark or a space.
+fn ends_word(s: &str, at: usize) -> bool {
+    match s.as_bytes()[at] {
+        b @ 0..=0x7F => in_mask(WORD_ENDS, b),
+        _ => space_at(s, at) > 0,
+    }
+}
+
+/// Words a command line is expected to hold at most: `nvprof
+/// --export-profile FILE ./prog ARG ARG` is six.
+const WORDS: usize = 8;
+
 /// Split a command line into words, honouring single/double quotes.
 /// A word borrows from `cmd` while its characters are contiguous there
-/// (`make`, `"Building project"`); only a quote mark *inside* a word
-/// (`a"b c"d`) makes quote removal splice an owned one.
+/// (`make`, `"Building project"`): it is kept as the span `start..end`
+/// of `cmd` (empty when `start == end`), and only a quote mark *inside*
+/// it (`a"b c"d`) makes quote removal splice an owned one. The line is
+/// read a run of word bytes at a time, sliced once where a word ends.
 pub fn shell_words(cmd: &str) -> Vec<Cow<'_, str>> {
-    let mut words = Vec::new();
-    let mut cur = Cow::Borrowed("");
-    // Where in `cmd` the borrowed `cur` ends.
-    let mut cur_end = 0;
+    let bytes = cmd.as_bytes();
+    let mut words = Vec::with_capacity(WORDS);
+    let (mut start, mut end) = (0, 0);
+    let mut spliced: Option<String> = None;
     let mut in_single = false;
     let mut in_double = false;
-    for (at, c) in cmd.char_indices() {
-        match c {
-            '\'' if !in_double => in_single = !in_single,
-            '"' if !in_single => in_double = !in_double,
-            c if c.is_whitespace() && !in_single && !in_double => {
-                if !cur.is_empty() {
-                    words.push(std::mem::replace(&mut cur, Cow::Borrowed("")));
-                }
+    let mut at = 0;
+    while at < bytes.len() {
+        let run_start = at;
+        let b = bytes[at];
+        match b {
+            b'\'' if !in_double => {
+                in_single = !in_single;
+                at += 1;
+                continue;
             }
-            c => {
-                let next = at + c.len_utf8();
-                match cur {
-                    Cow::Borrowed(span) if span.is_empty() || cur_end == at => {
-                        cur = Cow::Borrowed(&cmd[at - span.len()..next]);
-                    }
-                    _ => cur.to_mut().push(c),
+            b'"' if !in_single => {
+                in_double = !in_double;
+                at += 1;
+                continue;
+            }
+            _ => {}
+        }
+        let space = space_at(cmd, at);
+        if space > 0 && !in_single && !in_double {
+            if let Some(word) = spliced.take() {
+                words.push(Cow::Owned(word));
+            } else if start < end {
+                words.push(Cow::Borrowed(&cmd[start..end]));
+            }
+            (start, end) = (0, 0);
+            at += space;
+            continue;
+        }
+        // A space inside quotes or a quote of the other kind is part of
+        // the word, a run of one character; anything else starts a run
+        // of word bytes.
+        if space > 0 {
+            at += space;
+        } else {
+            at += 1;
+            if b != b'\'' && b != b'"' {
+                while at < bytes.len() && !ends_word(cmd, at) {
+                    at += 1;
                 }
-                cur_end = next;
             }
         }
+        if let Some(word) = &mut spliced {
+            word.push_str(&cmd[run_start..at]);
+        } else if start == end {
+            (start, end) = (run_start, at);
+        } else if end == run_start {
+            end = at;
+        } else {
+            spliced = Some([&cmd[start..end], &cmd[run_start..at]].concat());
+        }
     }
-    if !cur.is_empty() {
-        words.push(cur);
+    if let Some(word) = spliced {
+        words.push(Cow::Owned(word));
+    } else if start < end {
+        words.push(Cow::Borrowed(&cmd[start..end]));
     }
     words
+}
+
+/// Words printed with `sep` between them, straight into whatever the
+/// formatter writes to (`echo`'s line, `ls`'s listing).
+struct Joined<'a, W>(&'a [W], &'a str);
+
+impl<W: AsRef<str>> fmt::Display for Joined<'_, W> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, word) in self.0.iter().enumerate() {
+            if i > 0 {
+                f.write_str(self.1)?;
+            }
+            f.write_str(word.as_ref())?;
+        }
+        Ok(())
+    }
 }
 
 /// Commands that would require network access.
@@ -140,8 +243,10 @@ pub fn split_chain(cmd: &str) -> impl Iterator<Item = &str> {
         let mut in_double = false;
         let mut cut = None;
         // Quote marks and `&` are ASCII, so a byte scan finds exactly
-        // the characters a `char` scan would.
-        for (at, &b) in bytes.iter().enumerate() {
+        // the characters a `char` scan would; a line without `&` (most
+        // of them) is one piece.
+        let scan = if bytes.contains(&b'&') { bytes } else { &[] };
+        for (at, &b) in scan.iter().enumerate() {
             match b {
                 b'\'' if !in_double => in_single = !in_single,
                 b'"' if !in_single => in_double = !in_double,
@@ -201,7 +306,7 @@ fn dispatch(container: &mut Container, words: &[Cow<'_, str>], depth: usize) -> 
     if depth > MAX_WRAPPER_DEPTH {
         container.log(
             LogStream::Stderr,
-            format!("sh: {argv0}: wrapper nesting too deep"),
+            format_args!("sh: {argv0}: wrapper nesting too deep"),
         );
         return CmdResult::fail(2, SimDuration::MILLI);
     }
@@ -220,8 +325,7 @@ fn dispatch(container: &mut Container, words: &[Cow<'_, str>], depth: usize) -> 
         "head" => run_head(container, args),
         "wc" => run_wc(container, args),
         "pwd" => {
-            let d = format!("/{}", container.workdir());
-            container.log(LogStream::Stdout, d);
+            container.log(LogStream::Stdout, format_args!("/{WORKDIR}"));
             CmdResult::ok(SimDuration::MILLI)
         }
         "env" => {
@@ -230,7 +334,7 @@ fn dispatch(container: &mut Container, words: &[Cow<'_, str>], depth: usize) -> 
                 "CUDA_HOME=/usr/local/cuda",
                 "HOME=/root",
             ] {
-                container.log(LogStream::Stdout, line.to_string());
+                container.log(LogStream::Stdout, format_args!("{line}"));
             }
             CmdResult::ok(SimDuration::MILLI)
         }
@@ -240,7 +344,7 @@ fn dispatch(container: &mut Container, words: &[Cow<'_, str>], depth: usize) -> 
         t if NETWORK_TOOLS.contains(&t) => {
             container.log(
                 LogStream::Stderr,
-                format!("{t}: network access is disabled inside RAI containers"),
+                format_args!("{t}: network access is disabled inside RAI containers"),
             );
             CmdResult::fail(1, SimDuration::from_millis(5))
         }
@@ -248,7 +352,7 @@ fn dispatch(container: &mut Container, words: &[Cow<'_, str>], depth: usize) -> 
         other => {
             container.log(
                 LogStream::Stderr,
-                format!("sh: {other}: command not found"),
+                format_args!("sh: {other}: command not found"),
             );
             CmdResult::fail(127, SimDuration::MILLI)
         }
@@ -260,7 +364,7 @@ fn is_program_invocation(argv0: &str) -> bool {
 }
 
 fn run_echo(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
-    container.log(LogStream::Stdout, args.join(" "));
+    container.log(LogStream::Stdout, format_args!("{}", Joined(args, " ")));
     CmdResult::ok(SimDuration::MILLI)
 }
 
@@ -279,32 +383,32 @@ fn run_cmake(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
     let Some(lists) = container.fs.get(&lists_path).cloned() else {
         container.log(
             LogStream::Stderr,
-            format!("CMake Error: The source directory \"{srcdir}\" does not appear to contain CMakeLists.txt."),
+            format_args!("CMake Error: The source directory \"{srcdir}\" does not appear to contain CMakeLists.txt."),
         );
         return CmdResult::fail(1, SimDuration::from_millis(120));
     };
     let lists = text(&lists);
     let target = parse_add_executable(&lists).unwrap_or("a.out");
-    let makefile = format!("# generated by rai cmake\nSRCDIR={src}\nTARGET={target}\n");
-    let makefile_path = container.in_workdir("Makefile");
-    if container.fs.insert(&makefile_path, makefile.into_bytes()).is_err() {
+    let makefile = ["# generated by rai cmake\nSRCDIR=", &src, "\nTARGET=", target, "\n"].concat();
+    if container.fs.insert(MAKEFILE, makefile.into_bytes()).is_err() {
         return no_space(container, "cmake", "Makefile", SimDuration::from_millis(120));
     }
-    container.log(LogStream::Stdout, "-- The CUDA compiler identification is NVIDIA".to_string());
+    container.log(LogStream::Stdout, format_args!("-- The CUDA compiler identification is NVIDIA"));
     container.log(
         LogStream::Stdout,
-        "-- Hunter disabled: dependencies provided by the base image".to_string(),
+        format_args!("-- Hunter disabled: dependencies provided by the base image"),
     );
     container.log(
         LogStream::Stdout,
-        format!("-- Configuring done; generating Makefile for target '{target}'"),
+        format_args!("-- Configuring done; generating Makefile for target '{target}'"),
     );
     // cmake configure latency: fixed, small.
     CmdResult::ok(SimDuration::from_millis(900))
 }
 
 fn parse_add_executable(cmake: &str) -> Option<&str> {
-    let idx = cmake.find("add_executable(")?;
+    // `x` is the needle's sixth byte.
+    let idx = find_from(cmake, b"add_executable(", 5, 0)?;
     let rest = &cmake[idx + "add_executable(".len()..];
     let end = rest.find(|c: char| c.is_whitespace() || c == ')' || c == '(');
     let name = &rest[..end.unwrap_or(rest.len())];
@@ -314,11 +418,10 @@ fn parse_add_executable(cmake: &str) -> Option<&str> {
 /// `make`: "compiles" the sources — time proportional to source bytes,
 /// diagnostics for marked sources, and a binary carrying the perf spec.
 fn run_make(container: &mut Container, _args: &[Cow<'_, str>]) -> CmdResult {
-    let makefile_path = container.in_workdir("Makefile");
-    let Some(makefile) = container.fs.get(&makefile_path).cloned() else {
+    let Some(makefile) = container.fs.get(MAKEFILE).cloned() else {
         container.log(
             LogStream::Stderr,
-            "make: *** No targets specified and no makefile found.  Stop.".to_string(),
+            format_args!("make: *** No targets specified and no makefile found.  Stop."),
         );
         return CmdResult::fail(2, SimDuration::from_millis(10));
     };
@@ -326,30 +429,43 @@ fn run_make(container: &mut Container, _args: &[Cow<'_, str>]) -> CmdResult {
     let srcdir = extract_var(&makefile, "SRCDIR=").unwrap_or("src");
     let target = extract_var(&makefile, "TARGET=").unwrap_or("a.out");
 
-    // Collect compilable sources: shared handles on the file bytes,
-    // read as text in place.
-    let files: Vec<_> = container
+    // One pass over the sources reads each as text once: its length,
+    // its markers and, until one is found, its directive. Only a marked
+    // source's path is copied, for the diagnostic that names it.
+    // (`str::contains` of a short needle is a SIMD scan; a course-sized
+    // source holds the bytes any one-byte probe would look for.)
+    let is_source = |path: &str| {
+        let in_srcdir = path.strip_prefix(srcdir).is_some_and(|p| p.starts_with('/'));
+        in_srcdir && [".cu", ".cpp", ".cc", ".c"].iter().any(|s| path.ends_with(s))
+    };
+    let mut spec = None;
+    let sources: Vec<Source> = container
         .fs
         .iter()
-        .filter(|(path, _)| {
-            let in_srcdir = path.strip_prefix(srcdir).is_some_and(|p| p.starts_with('/'));
-            in_srcdir && [".cu", ".cpp", ".cc", ".c"].iter().any(|s| path.ends_with(s))
+        .filter(|(path, _)| is_source(path))
+        .map(|(path, data)| {
+            let text = text(data);
+            if spec.is_none() {
+                spec = PerfSpec::parse(&text);
+            }
+            let syntax_error = text.contains("RAI_SYNTAX_ERROR");
+            let marked = syntax_error || text.contains("RAI_WARNING");
+            Source {
+                len: text.len(),
+                syntax_error,
+                path: marked.then(|| path.to_string()),
+            }
         })
-        .map(|(path, data)| (path.to_string(), data.clone()))
-        .collect();
-    let sources: Vec<(&str, Cow<'_, str>)> = files
-        .iter()
-        .map(|(path, data)| (path.as_str(), text(data)))
         .collect();
     if sources.is_empty() {
         container.log(
             LogStream::Stderr,
-            format!("make: *** no source files found under {srcdir}.  Stop."),
+            format_args!("make: *** no source files found under {srcdir}.  Stop."),
         );
         return CmdResult::fail(2, SimDuration::from_millis(10));
     }
 
-    let total_bytes: usize = sources.iter().map(|(_, s)| s.len()).sum();
+    let total_bytes: usize = sources.iter().map(|s| s.len).sum();
     // Compile-time model: fixed nvcc startup plus per-KB cost.
     let duration =
         SimDuration::from_millis(1_500) + SimDuration::from_millis((total_bytes as u64 / 1024) * 40);
@@ -359,51 +475,87 @@ fn run_make(container: &mut Container, _args: &[Cow<'_, str>]) -> CmdResult {
     }
 
     // Diagnostics: a marked syntax error aborts the build.
-    for (path, text) in &sources {
-        if text.contains("RAI_SYNTAX_ERROR") {
+    for source in &sources {
+        let Some(path) = &source.path else { continue };
+        if source.syntax_error {
             container.log(
                 LogStream::Stderr,
-                format!("/{path}(1): error: expected a ';' (nvcc exited with status 2)"),
+                format_args!("/{path}(1): error: expected a ';' (nvcc exited with status 2)"),
             );
-            container.log(LogStream::Stderr, format!("make: *** [{target}] Error 2"));
+            container.log(LogStream::Stderr, format_args!("make: *** [{target}] Error 2"));
             return CmdResult::fail(2, duration);
         }
-        if text.contains("RAI_WARNING") {
-            container.log(
-                LogStream::Stderr,
-                format!("/{path}(1): warning: variable declared but never referenced"),
-            );
-        }
-    }
-
-    let spec = PerfSpec::from_sources(sources.iter().map(|(_, s)| s.as_ref()));
-    for (_, text) in &sources {
         container.log(
-            LogStream::Stdout,
-            format!("[ nvcc ] compiling ({} bytes)", text.len()),
+            LogStream::Stderr,
+            format_args!("/{path}(1): warning: variable declared but never referenced"),
         );
     }
-    let binary = [BINARY_MAGIC, "// ", &spec.to_directive(), "\n"].concat();
+
+    // The first directive wins, else the baseline default.
+    let spec = spec.unwrap_or_default();
+    for source in &sources {
+        container.log(
+            LogStream::Stdout,
+            format_args!("[ nvcc ] compiling ({} bytes)", source.len),
+        );
+    }
+    // The binary is the magic and the directive, written into a buffer
+    // sized for any directive a course's numbers make.
+    let mut binary = String::with_capacity(BINARY_BYTES);
+    binary.push_str(BINARY_MAGIC);
+    binary.push_str("// ");
+    spec.write_directive(&mut binary);
+    binary.push('\n');
     // The target name is the student's (`add_executable`): one the
     // filesystem refuses fails the link, not the worker.
-    let bin_path = container.in_workdir(target);
-    match container.fs.insert(&bin_path, binary.into_bytes()) {
+    match container.fs.insert(container.in_workdir(target), binary.into_bytes()) {
         Ok(()) => {}
         Err(TreeError::NoSpace) => return no_space(container, "/usr/bin/ld", target, duration),
         Err(TreeError::Path(_)) => {
             container
-                .log(LogStream::Stderr, format!("/usr/bin/ld: cannot open output file {target}"));
-            container.log(LogStream::Stderr, format!("make: *** [{target}] Error 1"));
+                .log(LogStream::Stderr, format_args!("/usr/bin/ld: cannot open output file {target}"));
+            container.log(LogStream::Stderr, format_args!("make: *** [{target}] Error 1"));
             return CmdResult::fail(2, duration);
         }
     }
-    container.log(LogStream::Stdout, format!("[100%] Built target {target}"));
+    container.log(LogStream::Stdout, format_args!("[100%] Built target {target}"));
     CmdResult::ok(duration)
 }
 
-/// The value of the first `VAR=value` line; `assign` is `"VAR="`.
+/// What `make` reads from a source.
+struct Source {
+    /// Bytes of its text.
+    len: usize,
+    /// It holds `RAI_SYNTAX_ERROR`.
+    syntax_error: bool,
+    /// Its path, kept only when it holds `RAI_SYNTAX_ERROR` or
+    /// `RAI_WARNING`, for the diagnostic that names it.
+    path: Option<String>,
+}
+
+/// The value of the first `VAR=value` line; `assign` is `"VAR="`:
+/// exactly `makefile.lines().find_map(|l| l.strip_prefix(assign))`,
+/// found from the `=` bytes, which a Makefile holds one of a line.
 fn extract_var<'a>(makefile: &'a str, assign: &str) -> Option<&'a str> {
-    makefile.lines().find_map(|l| l.strip_prefix(assign))
+    let needle = assign.as_bytes();
+    let mut from = 0;
+    let at = loop {
+        let at = find_from(makefile, needle, needle.len() - 1, from)?;
+        if at == 0 || makefile.as_bytes()[at - 1] == b'\n' {
+            break at;
+        }
+        from = at + 1;
+    };
+    Some(to_line_end(&makefile[at + needle.len()..]))
+}
+
+/// `text` up to the end of its first line, as `str::lines` ends it: at
+/// a `\n`, taking one `\r` before it along.
+pub(crate) fn to_line_end(text: &str) -> &str {
+    match text.find('\n') {
+        Some(nl) => text[..nl].strip_suffix('\r').unwrap_or(&text[..nl]),
+        None => text,
+    }
 }
 
 /// Run a compiled program (`./ece408 /data/test10.hdf5 /data/model.hdf5`).
@@ -412,7 +564,7 @@ fn run_program(container: &mut Container, words: &[Cow<'_, str>]) -> CmdResult {
     let Some(bin) = container.fs.get(&prog_path).cloned() else {
         container.log(
             LogStream::Stderr,
-            format!("sh: {}: No such file or directory", words[0]),
+            format_args!("sh: {}: No such file or directory", words[0]),
         );
         return CmdResult::fail(127, SimDuration::MILLI);
     };
@@ -420,7 +572,7 @@ fn run_program(container: &mut Container, words: &[Cow<'_, str>]) -> CmdResult {
     let Some(spec_text) = content.strip_prefix(BINARY_MAGIC) else {
         container.log(
             LogStream::Stderr,
-            format!("sh: {}: Permission denied (not an executable)", words[0]),
+            format_args!("sh: {}: Permission denied (not an executable)", words[0]),
         );
         return CmdResult::fail(126, SimDuration::MILLI);
     };
@@ -451,14 +603,14 @@ fn run_program(container: &mut Container, words: &[Cow<'_, str>]) -> CmdResult {
     if let Some(missing) = missing_file {
         container.log(
             LogStream::Stderr,
-            format!("unable to open dataset file {missing}"),
+            format_args!("unable to open dataset file {missing}"),
         );
         return CmdResult::fail(1, SimDuration::from_millis(40));
     }
     let Some(items) = items else {
         container.log(
             LogStream::Stderr,
-            "usage: ece408 <data.hdf5> <model.hdf5> [count]".to_string(),
+            format_args!("usage: ece408 <data.hdf5> <model.hdf5> [count]"),
         );
         return CmdResult::fail(1, SimDuration::from_millis(5));
     };
@@ -466,7 +618,7 @@ fn run_program(container: &mut Container, words: &[Cow<'_, str>]) -> CmdResult {
     if spec.mode == ExecMode::Gpu && container.limits.gpus == 0 {
         container.log(
             LogStream::Stderr,
-            "CUDA error: no CUDA-capable device is detected".to_string(),
+            format_args!("CUDA error: no CUDA-capable device is detected"),
         );
         return CmdResult::fail(1, SimDuration::from_millis(60));
     }
@@ -475,21 +627,18 @@ fn run_program(container: &mut Container, words: &[Cow<'_, str>]) -> CmdResult {
     let duration = SimDuration::from_secs_f64(spec.runtime_ms(items) * scale / 1000.0);
     if let Some(kill) = container.charge(duration, spec.memory_bytes) {
         if kill == KillReason::OutOfMemory {
-            container.log(LogStream::Stderr, "Killed".to_string());
+            container.log(LogStream::Stderr, format_args!("Killed"));
         }
         return CmdResult::killed(kill, duration);
     }
 
-    container.log(LogStream::Stdout, "Loading fashion-mnist data...done".to_string());
-    container.log(LogStream::Stdout, "Loading model...done".to_string());
+    container.log(LogStream::Stdout, format_args!("Loading fashion-mnist data...done"));
+    container.log(LogStream::Stdout, format_args!("Loading model...done"));
     container.log(
         LogStream::Stdout,
-        format!(
-            "Done with {items} queries in elapsed = {:.3} s",
-            duration.as_secs_f64()
-        ),
+        format_args!("Done with {items} queries in elapsed = {} s", Millis(duration.as_millis())),
     );
-    container.log(LogStream::Stdout, format!("Correctness: {:.4}", spec.accuracy));
+    container.log(LogStream::Stdout, format_args!("Correctness: {}", Fixed4(spec.accuracy)));
     CmdResult::ok(duration)
 }
 
@@ -498,7 +647,7 @@ fn run_nvprof(container: &mut Container, args: &[Cow<'_, str>], depth: usize) ->
     if container.limits.gpus == 0 {
         container.log(
             LogStream::Stderr,
-            "======== Error: unified memory profiling failed (no CUDA device).".to_string(),
+            format_args!("======== Error: unified memory profiling failed (no CUDA device)."),
         );
         return CmdResult::fail(1, SimDuration::from_millis(50));
     }
@@ -515,14 +664,11 @@ fn run_nvprof(container: &mut Container, args: &[Cow<'_, str>], depth: usize) ->
         }
     }
     if rest.is_empty() {
-        container.log(LogStream::Stderr, "nvprof: no application specified".to_string());
+        container.log(LogStream::Stderr, format_args!("nvprof: no application specified"));
         return CmdResult::fail(1, SimDuration::MILLI);
     }
-    let application = rest.join(" ");
-    container.log(
-        LogStream::Stderr,
-        ["==PROF== Profiling application: ", &application].concat(),
-    );
+    let application = Joined(rest, " ");
+    container.log(LogStream::Stderr, format_args!("==PROF== Profiling application: {application}"));
     let inner = dispatch(container, rest, depth + 1);
     if inner.killed.is_some() {
         return inner;
@@ -531,13 +677,20 @@ fn run_nvprof(container: &mut Container, args: &[Cow<'_, str>], depth: usize) ->
     let overhead = inner.duration * 0.1;
     if let Some(file) = profile_out {
         let path = container.resolve_path(file);
-        let blob = format!("NVPROF-TIMELINE\ncmd={application}\nspan_ms={}\n", inner.duration.as_millis());
-        if let Err(TreeError::NoSpace) = container.fs.insert(&path, blob.into_bytes()) {
+        let words: usize = rest.iter().map(|w| w.len() + 1).sum();
+        // Header, the command, `span_ms=` and a u64's digits.
+        let mut blob = String::with_capacity(21 + words + 29);
+        let _ = write!(
+            blob,
+            "NVPROF-TIMELINE\ncmd={application}\nspan_ms={}\n",
+            inner.duration.as_millis()
+        );
+        if let Err(TreeError::NoSpace) = container.fs.insert(path, blob.into_bytes()) {
             return no_space(container, "nvprof", file, inner.duration + overhead);
         }
         container.log(
             LogStream::Stderr,
-            format!("==PROF== Generated result file: {file}"),
+            format_args!("==PROF== Generated result file: {file}"),
         );
     }
     CmdResult {
@@ -558,12 +711,11 @@ fn run_time(container: &mut Container, args: &[Cow<'_, str>], depth: usize) -> C
     let secs = inner.duration.as_secs_f64();
     container.log(
         LogStream::Stderr,
-        format!(
-            "{:.2}user {:.2}system {}:{:05.2}elapsed 99%CPU",
+        format_args!(
+            "{:.2}user {:.2}system {}elapsed 99%CPU",
             secs * 0.98,
             secs * 0.02,
-            (secs as u64) / 60,
-            secs % 60.0,
+            Clock(secs),
         ),
     );
     inner
@@ -574,7 +726,7 @@ fn run_time(container: &mut Container, args: &[Cow<'_, str>], depth: usize) -> C
 /// stderr and the command exits 1.
 fn no_space(container: &mut Container, who: &str, path: &str, duration: SimDuration) -> CmdResult {
     container
-        .log(LogStream::Stderr, format!("{who}: cannot write '{path}': No space left on device"));
+        .log(LogStream::Stderr, format_args!("{who}: cannot write '{path}': No space left on device"));
     CmdResult::fail(1, duration)
 }
 
@@ -583,7 +735,7 @@ fn run_cp(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
     let recursive = args.iter().any(|a| a == "-r" || a == "-R" || a == "-a");
     let paths: Vec<&str> = args.iter().map(|a| a.as_ref()).filter(|a| !a.starts_with('-')).collect();
     if paths.len() != 2 {
-        container.log(LogStream::Stderr, "cp: expected source and destination".to_string());
+        container.log(LogStream::Stderr, format_args!("cp: expected source and destination"));
         return CmdResult::fail(1, SimDuration::MILLI);
     }
     let src = container.resolve_path(paths[0]);
@@ -597,12 +749,12 @@ fn run_cp(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
             TreeError::Path(_) => "Invalid argument",
             TreeError::NoSpace => "No space left on device",
         };
-        container.log(LogStream::Stderr, format!("cp: cannot create '{}': {reason}", paths[1]));
+        container.log(LogStream::Stderr, format_args!("cp: cannot create '{}': {reason}", paths[1]));
         CmdResult::fail(1, SimDuration::MILLI)
     };
     if let Some(data) = container.fs.get(&src).cloned() {
         // Single file copy.
-        return match container.fs.insert(&dst, data) {
+        return match container.fs.insert(&*dst, data) {
             Ok(()) => CmdResult::ok(SimDuration::from_millis(5)),
             Err(e) => cannot_create(container, e),
         };
@@ -612,14 +764,14 @@ fn run_cp(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
     if sub.is_empty() {
         container.log(
             LogStream::Stderr,
-            format!("cp: cannot stat '{}': No such file or directory", paths[0]),
+            format_args!("cp: cannot stat '{}': No such file or directory", paths[0]),
         );
         return CmdResult::fail(1, SimDuration::MILLI);
     }
     if !recursive {
         container.log(
             LogStream::Stderr,
-            format!("cp: -r not specified; omitting directory '{}'", paths[0]),
+            format_args!("cp: -r not specified; omitting directory '{}'", paths[0]),
         );
         return CmdResult::fail(1, SimDuration::MILLI);
     }
@@ -634,7 +786,7 @@ fn run_ls(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
     let dir = args
         .iter()
         .find(|a| !a.starts_with('-'))
-        .map_or(Cow::Borrowed(container.workdir()), |a| container.resolve_path(a));
+        .map_or(Cow::Borrowed(WORKDIR), |a| container.resolve_path(a));
     let prefix = [&dir, "/"].concat();
     let mut names: Vec<String> = Vec::new();
     for path in container.fs.paths() {
@@ -648,7 +800,7 @@ fn run_ls(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
         }
     }
     names.sort();
-    container.log(LogStream::Stdout, names.join("  "));
+    container.log(LogStream::Stdout, format_args!("{}", Joined(&names, "  ")));
     CmdResult::ok(SimDuration::MILLI)
 }
 
@@ -659,13 +811,13 @@ fn run_cat(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
         match container.fs.get(&path).cloned() {
             Some(data) => {
                 for line in text(&data).lines() {
-                    container.log(LogStream::Stdout, line.to_string());
+                    container.log(LogStream::Stdout, format_args!("{line}"));
                 }
             }
             None => {
                 container.log(
                     LogStream::Stderr,
-                    format!("cat: {a}: No such file or directory"),
+                    format_args!("cat: {a}: No such file or directory"),
                 );
                 code = 1;
             }
@@ -683,7 +835,7 @@ fn run_cat(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
 fn run_grep(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
     let positional: Vec<&str> = args.iter().map(|a| a.as_ref()).filter(|a| !a.starts_with('-')).collect();
     let Some((pattern, files)) = positional.split_first() else {
-        container.log(LogStream::Stderr, "usage: grep PATTERN [FILE]...".to_string());
+        container.log(LogStream::Stderr, format_args!("usage: grep PATTERN [FILE]..."));
         return CmdResult::fail(2, SimDuration::MILLI);
     };
     let mut matched = false;
@@ -693,13 +845,13 @@ fn run_grep(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
             Some(data) => {
                 for line in text(&data).lines().filter(|l| l.contains(pattern)) {
                     matched = true;
-                    container.log(LogStream::Stdout, line.to_string());
+                    container.log(LogStream::Stdout, format_args!("{line}"));
                 }
             }
             None => {
                 container.log(
                     LogStream::Stderr,
-                    format!("grep: {file}: No such file or directory"),
+                    format_args!("grep: {file}: No such file or directory"),
                 );
                 return CmdResult::fail(2, SimDuration::MILLI);
             }
@@ -727,14 +879,14 @@ fn run_head(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
     match container.fs.get(&path).cloned() {
         Some(data) => {
             for line in text(&data).lines().take(n) {
-                container.log(LogStream::Stdout, line.to_string());
+                container.log(LogStream::Stdout, format_args!("{line}"));
             }
             CmdResult::ok(SimDuration::MILLI)
         }
         None => {
             container.log(
                 LogStream::Stderr,
-                format!("head: cannot open '{file}' for reading"),
+                format_args!("head: cannot open '{file}' for reading"),
             );
             CmdResult::fail(1, SimDuration::MILLI)
         }
@@ -750,11 +902,11 @@ fn run_wc(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
     match container.fs.get(&path).cloned() {
         Some(data) => {
             let lines = text(&data).lines().count();
-            container.log(LogStream::Stdout, format!("{lines} {file}"));
+            container.log(LogStream::Stdout, format_args!("{lines} {file}"));
             CmdResult::ok(SimDuration::MILLI)
         }
         None => {
-            container.log(LogStream::Stderr, format!("wc: {file}: No such file or directory"));
+            container.log(LogStream::Stderr, format_args!("wc: {file}: No such file or directory"));
             CmdResult::fail(1, SimDuration::MILLI)
         }
     }
@@ -773,7 +925,7 @@ fn run_rm(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
         }
         container.log(
             LogStream::Stderr,
-            format!("rm: cannot remove '/{p}': No such file or directory"),
+            format_args!("rm: cannot remove '/{p}': No such file or directory"),
         );
         code = 1;
     }
@@ -843,11 +995,15 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(1024))]
 
         // The alphabet is what the tokenisers branch on — both quote
-        // marks, `&`, ASCII and multi-byte whitespace — plus ordinary
-        // and multi-byte word characters, so quotes open, close, stay
-        // unterminated and land inside words.
+        // marks, `&`, every ASCII space (the vertical tab and form feed
+        // `char::is_whitespace` accepts among them) and multi-byte ones
+        // (NEL, the line separator) — plus ordinary and multi-byte word
+        // characters, so quotes open, close, stay unterminated and land
+        // inside words.
         #[test]
-        fn tokeniser_equals_reference(line in "[ab/.\\-'\"& \t\n\u{a0}\u{3000}é漢🦀]{0,40}") {
+        fn tokeniser_equals_reference(
+            line in "[ab/.\\-'\"& \t\n\r\u{0B}\u{0C}\u{85}\u{2028}\u{a0}\u{3000}é漢🦀]{0,40}",
+        ) {
             prop_assert_eq!(shell_words(&line), reference_shell_words(&line));
         }
 
@@ -871,6 +1027,21 @@ mod tests {
             ];
             let line: String = pieces.iter().map(|&i| PIECES[i]).collect();
             prop_assert_eq!(after_elapsed(&line), line.split("elapsed = ").nth(1));
+        }
+
+        // Makefiles of `VAR=` lines, near misses, values, CRs and
+        // line breaks.
+        #[test]
+        fn makefile_vars_equal_line_search(picks in prop::collection::vec(0usize..9, 0..16)) {
+            const PIECES: [&str; 9] =
+                ["SRCDIR=", "TARGET=", "XSRCDIR=", "SRCDIR", "=", "src", "\n", "\r", "\r\n"];
+            let makefile: String = picks.iter().map(|&i| PIECES[i]).collect();
+            for assign in ["SRCDIR=", "TARGET="] {
+                prop_assert_eq!(
+                    extract_var(&makefile, assign),
+                    makefile.lines().find_map(|l| l.strip_prefix(assign))
+                );
+            }
         }
     }
 
@@ -931,6 +1102,23 @@ mod tests {
     }
 
     #[test]
+    fn time_carries_rounded_seconds_into_the_minutes() {
+        use crate::image::ImageRegistry;
+        use crate::limits::ResourceLimits;
+        let registry = ImageRegistry::course_default();
+        let image = registry.resolve("webgpu/rai:root").expect("whitelisted");
+        let cases =
+            [("59.994", " 0:59.99elapsed"), ("59.996", " 1:00.00elapsed"), ("119.996", " 2:00.00elapsed")];
+        for (sleep, clock) in cases {
+            let mut container = Container::create(image, ResourceLimits::default());
+            assert_eq!(container.run_command(&format!("/usr/bin/time sleep {sleep}")).exit_code, 0);
+            let report = container.destroy();
+            let line = report.lines().last().expect("time reports").text;
+            assert!(line.contains(clock), "{sleep} s: {line}");
+        }
+    }
+
+    #[test]
     fn parse_add_executable_name() {
         assert_eq!(
             parse_add_executable("project(x)\nadd_executable(ece408 src/main.cu)\n"),
@@ -945,5 +1133,6 @@ mod tests {
         assert_eq!(extract_var(m, "SRCDIR="), Some("src"));
         assert_eq!(extract_var(m, "TARGET="), Some("ece408"));
         assert_eq!(extract_var(m, "MISSING="), None);
+        assert_eq!(MAKEFILE, [WORKDIR, "/Makefile"].concat());
     }
 }

@@ -17,21 +17,28 @@
 //!   footprint) that the "compiler" bakes into the produced binary and
 //!   the "program" replays at run time — this is the substitution for
 //!   real CUDA execution, and what the workload models tune per team;
+//! * `decimal` — how the interpreter prints numbers: simulated time
+//!   and a program's accuracy from the integers they are, byte for byte
+//!   what `format!` printed;
 //! * [`exec`] — the build-command interpreter (`echo`, `cmake`, `make`,
 //!   `nvprof`, `/usr/bin/time`, `cp -r`, program invocation), charging
 //!   simulated time/memory and enforcing the limits;
 //! * [`container`] — container lifecycle (create → run commands →
-//!   destroy), mounts, GPU attachment, and the execution report the
+//!   destroy), mounts, GPU attachment, the job's output (one buffer of
+//!   lines, capped at [`MAX_OUTPUT_BYTES`]) and the execution report the
 //!   worker ships back.
 
 #![forbid(unsafe_code)]
 
 pub mod container;
+mod decimal;
 pub mod exec;
 pub mod image;
 pub mod limits;
 mod perf;
 
-pub use container::{Container, ContainerStatus, LogLine, LogStream, MAX_OUTPUT_BYTES};
+pub use container::{
+    Container, ContainerStatus, JobOutput, LogLine, LogStream, OutputLine, MAX_OUTPUT_BYTES,
+};
 pub use image::{Image, ImageRegistry};
 pub use limits::ResourceLimits;

@@ -20,6 +20,9 @@
 //! baseline: a serial CPU implementation that "took around 30 minutes to
 //! complete using the full dataset" (paper §VI).
 
+use crate::exec::{find_from, to_line_end};
+use std::fmt::Write as _;
+
 /// Execution mode of the student program.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum ExecMode {
@@ -60,8 +63,7 @@ impl Default for PerfSpec {
 impl PerfSpec {
     /// Parse the first `rai:perf` directive found in a source file.
     pub(crate) fn parse(source: &str) -> Option<PerfSpec> {
-        let line = source.lines().find(|l| l.contains("rai:perf"))?;
-        let after = line.split("rai:perf").nth(1)?;
+        let after = directive_args(source)?;
         let mut spec = PerfSpec::default();
         for token in after.split_whitespace() {
             let Some((k, v)) = token.split_once('=') else {
@@ -97,17 +99,6 @@ impl PerfSpec {
         Some(spec)
     }
 
-    /// Scan a set of sources; the first directive wins, else the
-    /// baseline default.
-    pub(crate) fn from_sources<'a>(sources: impl IntoIterator<Item = &'a str>) -> PerfSpec {
-        for s in sources {
-            if let Some(spec) = Self::parse(s) {
-                return spec;
-            }
-        }
-        PerfSpec::default()
-    }
-
     /// Runtime in milliseconds on a dataset of `items` items. Includes a
     /// fixed setup cost (model load, cuDNN init) so tiny datasets don't
     /// complete in zero time.
@@ -116,25 +107,89 @@ impl PerfSpec {
         SETUP_MS + self.full_dataset_ms * (items as f64 / FULL_DATASET_ITEMS as f64)
     }
 
-    /// Serialize into the directive format (what `make` writes into the
-    /// "binary").
-    pub(crate) fn to_directive(self) -> String {
-        format!(
-            "rai:perf mode={} full_ms={} acc={} mem_mb={}",
-            match self.mode {
-                ExecMode::Cpu => "cpu",
-                ExecMode::Gpu => "gpu",
-            },
+    /// Write the directive (what `make` bakes into the "binary") onto
+    /// `out`.
+    pub(crate) fn write_directive(self, out: &mut String) {
+        let mode = match self.mode {
+            ExecMode::Cpu => "cpu",
+            ExecMode::Gpu => "gpu",
+        };
+        // Writing into a `String` cannot fail.
+        let _ = write!(
+            out,
+            "rai:perf mode={mode} full_ms={} acc={} mem_mb={}",
             self.full_dataset_ms,
             self.accuracy,
-            self.memory_bytes / (1024 * 1024),
-        )
+            self.memory_bytes / (1024 * 1024)
+        );
     }
+}
+
+/// What marks a directive.
+const DIRECTIVE: &str = "rai:perf";
+
+/// [`DIRECTIVE`]'s bytes. Its `:` is the byte a scan looks for.
+const MARKER: &[u8] = DIRECTIVE.as_bytes();
+
+/// The text after the first `rai:perf` of `source`, up to the end of
+/// its line or the next `rai:perf` on it: exactly
+/// `source.lines().find(|l| l.contains("rai:perf"))` and then
+/// `.split("rai:perf").nth(1)`, found in one scan of the source instead
+/// of a substring searcher built per line.
+fn directive_args(source: &str) -> Option<&str> {
+    // Most sources of a large project hold none: a SIMD `contains`
+    // says so without stopping at every `:` of the text.
+    if !source.contains(DIRECTIVE) {
+        return None;
+    }
+    let start = find_from(source, MARKER, 3, 0)? + MARKER.len();
+    let line = to_line_end(&source[start..]);
+    let end = find_from(line, MARKER, 3, 0).unwrap_or(line.len());
+    Some(&line[..end])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// How a directive was found until the scan replaced it: the first
+    /// line that holds `rai:perf`, then what follows it up to the next.
+    fn reference_args(source: &str) -> Option<&str> {
+        let line = source.lines().find(|l| l.contains("rai:perf"))?;
+        line.split("rai:perf").nth(1)
+    }
+
+    /// Sources made of directive markers, their near misses, line
+    /// breaks with and without `\r`, every ASCII space, tokens and
+    /// multi-byte text: none, one or several directives, on one line
+    /// or several.
+    fn arb_source() -> impl Strategy<Value = String> {
+        const PIECES: [&str; 18] = [
+            "rai:perf", "rai:per", "ai:perf", "rai:", ":", "\r", "\n", "\r\n", " ", "\t", "\u{0B}",
+            "\u{85}", "mode=gpu", "full_ms=470", "acc=0.93", "mem_mb=2048", "é", "x=",
+        ];
+        prop::collection::vec(0usize..PIECES.len(), 0..24)
+            .prop_map(|picks| picks.iter().map(|&i| PIECES[i]).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn directive_scan_equals_line_search(source in arb_source()) {
+            prop_assert_eq!(directive_args(&source), reference_args(&source));
+        }
+    }
+
+    #[test]
+    fn the_first_directive_of_the_first_line_wins_up_to_the_next() {
+        assert_eq!(directive_args("no directive"), None);
+        assert_eq!(directive_args("a rai:perf x=1\r\nrai:perf y"), Some(" x=1"));
+        assert_eq!(directive_args("rai:perf x=1 rai:perf y=2"), Some(" x=1 "));
+        assert_eq!(directive_args("// rai:perf mode=gpu\r"), Some(" mode=gpu\r"));
+        assert_eq!(directive_args("rai:perf\r\n"), Some(""));
+    }
 
     #[test]
     fn parses_directive() {
@@ -156,9 +211,6 @@ mod tests {
     #[test]
     fn no_directive_returns_none() {
         assert!(PerfSpec::parse("int main() { return 0; }").is_none());
-        // But from_sources falls back to the baseline.
-        let s = PerfSpec::from_sources(["int main(){}"]);
-        assert_eq!(s, PerfSpec::default());
     }
 
     #[test]
@@ -178,7 +230,9 @@ mod tests {
             accuracy: 0.91,
             memory_bytes: 3 * 1024 * 1024 * 1024,
         };
-        let text = format!("// {}\n", s.to_directive());
+        let mut text = String::from("// ");
+        s.write_directive(&mut text);
+        text.push('\n');
         assert_eq!(PerfSpec::parse(&text).unwrap(), s);
     }
 
