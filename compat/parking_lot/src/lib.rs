@@ -10,6 +10,7 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::PoisonError;
 use std::time::Duration;
 
@@ -74,8 +75,23 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
 
 // -------------------------------------------------------------- Condvar
 
+/// A condition variable that makes a wake-up syscall only when a thread
+/// waits on it, as `parking_lot`'s does (std's futex condvar wakes
+/// unconditionally).
+///
+/// The waiter count is raised under the mutex before a thread parks and
+/// lowered after it wakes, so a notifier that changed the condition
+/// under the same mutex sees every thread that could have missed the
+/// change: the raise precedes the waiter's unlock inside the wait
+/// (release), which precedes the notifier's lock (acquire), which
+/// precedes its load. The mutex orders the count, and the count
+/// publishes no data, so its operations are `Relaxed`. A notifier that
+/// changes the condition under another lock, or none, can find the
+/// count at zero while a thread is about to park, and that thread then
+/// sleeps out its timeout.
 pub struct Condvar {
     inner: std::sync::Condvar,
+    waiters: AtomicUsize,
 }
 
 pub struct WaitTimeoutResult {
@@ -90,15 +106,19 @@ impl WaitTimeoutResult {
 
 impl Condvar {
     pub const fn new() -> Self {
-        Condvar { inner: std::sync::Condvar::new() }
+        Condvar { inner: std::sync::Condvar::new(), waiters: AtomicUsize::new(0) }
     }
 
     pub fn notify_one(&self) {
-        self.inner.notify_one();
+        if self.waiters.load(Ordering::Relaxed) > 0 {
+            self.inner.notify_one();
+        }
     }
 
     pub fn notify_all(&self) {
-        self.inner.notify_all();
+        if self.waiters.load(Ordering::Relaxed) > 0 {
+            self.inner.notify_all();
+        }
     }
 
     pub fn wait_for<T>(
@@ -107,6 +127,8 @@ impl Condvar {
         timeout: Duration,
     ) -> WaitTimeoutResult {
         let std_guard = guard.inner.take().expect("guard present");
+        // Raised while the mutex is held (see the type's docs).
+        self.waiters.fetch_add(1, Ordering::Relaxed);
         let (std_guard, result) = match self.inner.wait_timeout(std_guard, timeout) {
             Ok((g, r)) => (g, r),
             Err(poisoned) => {
@@ -114,6 +136,7 @@ impl Condvar {
                 (g, r)
             }
         };
+        self.waiters.fetch_sub(1, Ordering::Relaxed);
         guard.inner = Some(std_guard);
         WaitTimeoutResult { timed_out: result.timed_out() }
     }

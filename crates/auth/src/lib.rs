@@ -17,7 +17,7 @@
 //! * [`registry`] — the server-side credential registry used by workers
 //!   to check submissions.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod email;
 pub mod keys;

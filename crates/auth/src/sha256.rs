@@ -24,23 +24,29 @@ pub(crate) struct Sha256 {
     buffer: [u8; 64],
     buffered: usize,
     length_bits: u64,
+    kernel: Kernel,
 }
 
 impl Default for Sha256 {
     fn default() -> Self {
+        Sha256::with_kernel(Kernel::detect())
+    }
+}
+
+impl Sha256 {
+    /// Fresh hasher on the fastest kernel this CPU runs.
+    pub(crate) fn new() -> Self {
+        Self::default()
+    }
+
+    fn with_kernel(kernel: Kernel) -> Self {
         Sha256 {
             state: H0,
             buffer: [0; 64],
             buffered: 0,
             length_bits: 0,
+            kernel,
         }
-    }
-}
-
-impl Sha256 {
-    /// Fresh hasher.
-    pub(crate) fn new() -> Self {
-        Self::default()
     }
 
     /// Fold in bytes.
@@ -53,14 +59,13 @@ impl Sha256 {
             self.buffered += take;
             data = &data[take..];
             if self.buffered == 64 {
-                let block = self.buffer;
-                self.compress(&block);
+                self.kernel.compress(&mut self.state, &self.buffer);
                 self.buffered = 0;
             }
         }
         while data.len() >= 64 {
             let (block, rest) = data.split_at(64);
-            self.compress(block.try_into().expect("len 64"));
+            self.kernel.compress(&mut self.state, block.try_into().expect("len 64"));
             data = rest;
         }
         if !data.is_empty() {
@@ -81,64 +86,161 @@ impl Sha256 {
         self.update(&pad[..pad_end - self.buffered]);
         // Write the length directly (bypassing update's length tracking).
         self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buffer;
-        self.compress(&block);
+        self.kernel.compress(&mut self.state, &self.buffer);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    /// One block into the state. The schedule is a rolling 16 words
-    /// (word `i` in slot `i % 16`, written over the word 16 back), and
-    /// the rounds run eight to a macro that renames the working
-    /// variables instead of moving them.
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 16];
-        for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
-            *word = u32::from_be_bytes(bytes.try_into().expect("len 4"));
+/// Which compression a hasher runs, chosen once per hasher from what
+/// the CPU reports. Every kernel computes the same function.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kernel {
+    /// [`compress_scalar`]: every CPU.
+    Scalar,
+    /// [`sha_ni::compress`]. Constructed only by [`Kernel::detect`],
+    /// after the CPU reported every feature the kernel is compiled for.
+    #[cfg(target_arch = "x86_64")]
+    ShaNi,
+}
+
+impl Kernel {
+    /// The fastest kernel this CPU runs.
+    fn detect() -> Kernel {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+        {
+            return Kernel::ShaNi;
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        // Round `i` of the eight that rotate through `a..h`: the new `a`
-        // lands in `h`'s name and the new `e` in `d`'s.
-        macro_rules! round {
-            ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $i:expr) => {
-                let t1 = $h
-                    .wrapping_add($e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25))
-                    .wrapping_add($g ^ ($e & ($f ^ $g)))
-                    .wrapping_add(K[$i])
-                    .wrapping_add(w[$i % 16]);
-                $d = $d.wrapping_add(t1);
-                $h = t1
-                    .wrapping_add($a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22))
-                    .wrapping_add(($a & $b) | ($c & ($a | $b)));
-            };
+        Kernel::Scalar
+    }
+
+    /// One block into `state`.
+    #[inline]
+    fn compress(self, state: &mut [u32; 8], block: &[u8; 64]) {
+        match self {
+            Kernel::Scalar => compress_scalar(state, block),
+            // SAFETY: `ShaNi` is only constructed by `Kernel::detect`,
+            // after `is_x86_feature_detected!` reported `sha`, `ssse3`
+            // and `sse4.1`, the features `sha_ni::compress` enables.
+            #[cfg(target_arch = "x86_64")]
+            #[allow(unsafe_code)]
+            Kernel::ShaNi => unsafe { sha_ni::compress(state, block) },
         }
-        for i in (0..64).step_by(8) {
-            if i >= 16 {
-                for j in i..i + 8 {
-                    let (w15, w2) = (w[(j + 1) % 16], w[(j + 14) % 16]);
-                    let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
-                    let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
-                    w[j % 16] = w[j % 16]
-                        .wrapping_add(s0)
-                        .wrapping_add(w[(j + 9) % 16])
-                        .wrapping_add(s1);
-                }
+    }
+}
+
+/// One block into the state. The schedule is a rolling 16 words
+/// (word `i` in slot `i % 16`, written over the word 16 back), and
+/// the rounds run eight to a macro that renames the working
+/// variables instead of moving them.
+fn compress_scalar(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 16];
+    for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes(bytes.try_into().expect("len 4"));
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    // Round `i` of the eight that rotate through `a..h`: the new `a`
+    // lands in `h`'s name and the new `e` in `d`'s.
+    macro_rules! round {
+        ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $i:expr) => {
+            let t1 = $h
+                .wrapping_add($e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25))
+                .wrapping_add($g ^ ($e & ($f ^ $g)))
+                .wrapping_add(K[$i])
+                .wrapping_add(w[$i % 16]);
+            $d = $d.wrapping_add(t1);
+            $h = t1
+                .wrapping_add($a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22))
+                .wrapping_add(($a & $b) | ($c & ($a | $b)));
+        };
+    }
+    for i in (0..64).step_by(8) {
+        if i >= 16 {
+            for j in i..i + 8 {
+                let (w15, w2) = (w[(j + 1) % 16], w[(j + 14) % 16]);
+                let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+                let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+                w[j % 16] = w[j % 16]
+                    .wrapping_add(s0)
+                    .wrapping_add(w[(j + 9) % 16])
+                    .wrapping_add(s1);
             }
-            round!(a, b, c, d, e, f, g, h, i);
-            round!(h, a, b, c, d, e, f, g, i + 1);
-            round!(g, h, a, b, c, d, e, f, i + 2);
-            round!(f, g, h, a, b, c, d, e, i + 3);
-            round!(e, f, g, h, a, b, c, d, i + 4);
-            round!(d, e, f, g, h, a, b, c, i + 5);
-            round!(c, d, e, f, g, h, a, b, i + 6);
-            round!(b, c, d, e, f, g, h, a, i + 7);
         }
-        for (word, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
-            *word = word.wrapping_add(v);
+        round!(a, b, c, d, e, f, g, h, i);
+        round!(h, a, b, c, d, e, f, g, i + 1);
+        round!(g, h, a, b, c, d, e, f, i + 2);
+        round!(f, g, h, a, b, c, d, e, i + 3);
+        round!(e, f, g, h, a, b, c, d, i + 4);
+        round!(d, e, f, g, h, a, b, c, i + 5);
+        round!(c, d, e, f, g, h, a, b, i + 6);
+        round!(b, c, d, e, f, g, h, a, i + 7);
+    }
+    for (word, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *word = word.wrapping_add(v);
+    }
+}
+
+/// The compression on the x86 SHA extensions. The state is held as
+/// two vectors, `ABEF` and `CDGH` (highest lane first), the layout
+/// `sha256rnds2` reads; each `sha256rnds2` runs two rounds, so four
+/// message words plus their `K` words feed two of them.
+#[cfg(target_arch = "x86_64")]
+mod sha_ni {
+    use super::K;
+    use std::arch::x86_64::*;
+
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    pub(super) fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+        let [a, b, c, d, e, f, g, h] = state.map(|word| word as i32);
+        let (abef_in, cdgh_in) = (_mm_set_epi32(a, b, e, f), _mm_set_epi32(c, d, g, h));
+        let (mut abef, mut cdgh) = (abef_in, cdgh_in);
+        let word = |j: usize| i32::from_be_bytes(block[4 * j..4 * j + 4].try_into().expect("len 4"));
+        // Slot `i` holds words 4i..4i+4, lowest lane first.
+        let mut w: [__m128i; 4] = std::array::from_fn(|i| {
+            _mm_set_epi32(word(4 * i + 3), word(4 * i + 2), word(4 * i + 1), word(4 * i))
+        });
+        for i in 0..16 {
+            if i >= 4 {
+                // Words 4i..4i+4 into the slot of the four 16 back,
+                // from the 16 words before them: σ0 of the oldest four
+                // and the words 16 and 7 back by `msg1` and `alignr`,
+                // σ1 of the newest four by `msg2`.
+                let (oldest, newest) = (w[i % 4], w[(i + 3) % 4]);
+                let sum = _mm_add_epi32(
+                    _mm_sha256msg1_epu32(oldest, w[(i + 1) % 4]),
+                    _mm_alignr_epi8(newest, w[(i + 2) % 4], 4),
+                );
+                w[i % 4] = _mm_sha256msg2_epu32(sum, newest);
+            }
+            let k = _mm_set_epi32(
+                K[4 * i + 3] as i32,
+                K[4 * i + 2] as i32,
+                K[4 * i + 1] as i32,
+                K[4 * i] as i32,
+            );
+            // Two rounds on the low two words of `wk`, two on the high.
+            let wk = _mm_add_epi32(w[i % 4], k);
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
         }
+        let (abef, cdgh) = (_mm_add_epi32(abef, abef_in), _mm_add_epi32(cdgh, cdgh_in));
+        *state = [
+            _mm_extract_epi32(abef, 3),
+            _mm_extract_epi32(abef, 2),
+            _mm_extract_epi32(cdgh, 3),
+            _mm_extract_epi32(cdgh, 2),
+            _mm_extract_epi32(abef, 1),
+            _mm_extract_epi32(abef, 0),
+            _mm_extract_epi32(cdgh, 1),
+            _mm_extract_epi32(cdgh, 0),
+        ]
+        .map(|word| word as u32);
     }
 }
 
@@ -213,6 +315,23 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Every kernel this CPU runs: the scalar one, and the detected one
+    /// if that is another.
+    fn kernels() -> Vec<Kernel> {
+        let mut kernels = vec![Kernel::Scalar];
+        if Kernel::detect() != Kernel::Scalar {
+            kernels.push(Kernel::detect());
+        }
+        kernels
+    }
+
+    /// One-shot SHA-256 on `kernel`.
+    fn sha256_on(kernel: Kernel, data: &[u8]) -> [u8; 32] {
+        let mut h = Sha256::with_kernel(kernel);
+        h.update(data);
+        h.finalize()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -223,28 +342,46 @@ mod tests {
         ) {
             let state: [u32; 8] = state.try_into().expect("8 words");
             let block: [u8; 64] = block.try_into().expect("64 bytes");
-            let mut h = Sha256 { state, ..Sha256::new() };
-            h.compress(&block);
+            let mut dispatched = state;
+            Kernel::detect().compress(&mut dispatched, &block);
             let mut reference = state;
             compress_reference(&mut reference, &block);
-            prop_assert_eq!(h.state, reference);
+            prop_assert_eq!(dispatched, reference);
+        }
+
+        #[test]
+        fn every_kernel_equals_the_reference(
+            state in prop::collection::vec(any::<u32>(), 8),
+            block in prop::collection::vec(any::<u8>(), 64),
+        ) {
+            let state: [u32; 8] = state.try_into().expect("8 words");
+            let block: [u8; 64] = block.try_into().expect("64 bytes");
+            let mut reference = state;
+            compress_reference(&mut reference, &block);
+            for kernel in kernels() {
+                let mut out = state;
+                kernel.compress(&mut out, &block);
+                prop_assert_eq!(out, reference, "{:?}", kernel);
+            }
         }
     }
 
     #[test]
     fn fips_vectors() {
-        assert_eq!(
-            hex(&sha256(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-        assert_eq!(
-            hex(&sha256(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        assert_eq!(
-            hex(&sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
+        let vectors: [(&[u8], &str); 3] = [
+            (b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            (b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+        ];
+        for (data, digest) in vectors {
+            assert_eq!(hex(&sha256(data)), digest);
+            for kernel in kernels() {
+                assert_eq!(hex(&sha256_on(kernel, data)), digest, "{kernel:?}");
+            }
+        }
     }
 
     #[test]
@@ -264,25 +401,32 @@ mod tests {
         // spills into a second block.
         let data: Vec<u8> = (0..=130u8).map(|i| i.wrapping_mul(37)).collect();
         for len in 0..=130 {
-            let mut h = Sha256::new();
-            for b in &data[..len] {
-                h.update(std::slice::from_ref(b));
+            let one_shot = sha256(&data[..len]);
+            for kernel in kernels() {
+                let mut h = Sha256::with_kernel(kernel);
+                for b in &data[..len] {
+                    h.update(std::slice::from_ref(b));
+                }
+                assert_eq!(h.finalize(), one_shot, "length {len}, {kernel:?}");
+                assert_eq!(sha256_on(kernel, &data[..len]), one_shot, "length {len}, {kernel:?}");
             }
-            assert_eq!(h.finalize(), sha256(&data[..len]), "length {len}");
         }
     }
 
     #[test]
     fn million_a() {
-        let mut h = Sha256::new();
-        let chunk = [b'a'; 1000];
-        for _ in 0..1000 {
-            h.update(&chunk);
+        for kernel in kernels() {
+            let mut h = Sha256::with_kernel(kernel);
+            let chunk = [b'a'; 1000];
+            for _ in 0..1000 {
+                h.update(&chunk);
+            }
+            assert_eq!(
+                hex(&h.finalize()),
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+                "{kernel:?}"
+            );
         }
-        assert_eq!(
-            hex(&h.finalize()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
     }
 
     #[test]

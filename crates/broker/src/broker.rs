@@ -700,6 +700,31 @@ mod tests {
     }
 
     #[test]
+    fn a_gated_wake_is_never_lost() {
+        // Ping-pong: each message is published only once the previous
+        // one was received, so the publish races the receiver parking
+        // again. One lost wake-up would cost its 10 s timeout.
+        const ROUNDS: u64 = 2_000;
+        let b = Broker::default();
+        let sub = b.subscribe("t", "ch");
+        let (received, next) = std::sync::mpsc::channel();
+        let start = std::time::Instant::now();
+        let t = std::thread::spawn(move || {
+            for _ in 0..ROUNDS {
+                let m = sub.recv_timeout(Duration::from_secs(10)).expect("woken, not timed out");
+                sub.ack(m.id);
+                received.send(()).unwrap();
+            }
+        });
+        for _ in 0..ROUNDS {
+            b.publish("t", &b"ping"[..]).unwrap();
+            next.recv().unwrap();
+        }
+        t.join().unwrap();
+        assert!(start.elapsed() < Duration::from_secs(5), "took {:?}", start.elapsed());
+    }
+
+    #[test]
     fn stats_aggregate() {
         let b = Broker::default();
         let s1 = b.subscribe("rai", "tasks");

@@ -14,7 +14,7 @@ use parking_lot::{Condvar, Mutex};
 use rai_sim::{SimDuration, SimTime, VirtualClock};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Error from a blocking receive.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -104,12 +104,15 @@ impl ChannelState {
 
     /// Blocking pop with timeout; the popped message moves to the
     /// in-flight table under `subscriber`. The timeout bounds the
-    /// wall-clock wait; the claim itself is stamped in sim time.
+    /// wall-clock wait as a whole, however many wake-ups find the ready
+    /// queue empty; the claim itself is stamped in sim time.
     pub(crate) fn recv_timeout(
         &self,
         subscriber: u64,
         timeout: Duration,
     ) -> Result<Message, RecvError> {
+        // When the first wait began; taken only once a wait is due.
+        let mut started = None;
         let mut q = self.queue.lock();
         loop {
             if q.closed {
@@ -120,7 +123,9 @@ impl ChannelState {
                 q.in_flight.insert(msg.id, (subscriber, msg.clone(), self.clock.now()));
                 return Ok(msg);
             }
-            if self.available.wait_for(&mut q, timeout).timed_out() {
+            let now = Instant::now();
+            let left = timeout.saturating_sub(now.duration_since(*started.get_or_insert(now)));
+            if left.is_zero() || self.available.wait_for(&mut q, left).timed_out() {
                 return Err(RecvError::Timeout);
             }
         }
@@ -325,6 +330,32 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         ch.close();
         assert_eq!(t.join().unwrap(), Err(RecvError::Closed));
+    }
+
+    #[test]
+    fn empty_wake_ups_do_not_restart_the_timeout() {
+        // A message that another subscription takes first wakes the
+        // parked receiver to an empty queue every 100 ms for 1 s; its
+        // 300 ms timeout still runs out at 300 ms, not 300 ms after the
+        // last wake-up.
+        let (ch, _clock) = chan(0);
+        let ch = std::sync::Arc::new(ch);
+        let ch2 = ch.clone();
+        let start = Instant::now();
+        let t = std::thread::spawn(move || {
+            let result = ch2.recv_timeout(1, Duration::from_millis(300));
+            (result, start.elapsed())
+        });
+        for i in 0..10 {
+            std::thread::sleep(Duration::from_millis(100));
+            let mut q = ch.queue.lock();
+            q.ready.push_back(msg(i));
+            ch.available.notify_one();
+            q.ready.pop_front();
+        }
+        let (result, waited) = t.join().unwrap();
+        assert_eq!(result, Err(RecvError::Timeout));
+        assert!(waited < Duration::from_millis(800), "parked {waited:?} on a 300 ms timeout");
     }
 
     #[test]
