@@ -33,5 +33,7 @@ pub mod message;
 pub mod queue;
 
 pub use broker::{dead_letter_topic, Broker, BrokerConfig, PublishError, Subscription};
+/// A message body: shared, so a consumer keeps one without copying it.
+pub use bytes::Bytes;
 pub use message::MessageId;
 pub use queue::RecvError;

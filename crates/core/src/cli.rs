@@ -154,7 +154,7 @@ pub fn execute(
 fn render_receipt(receipt: &SubmitReceipt) -> String {
     let mut out = String::new();
     for line in &receipt.log {
-        out.push_str(line);
+        out.push_str(&line);
         out.push('\n');
     }
     if let Some(url) = &receipt.build_url {

@@ -9,13 +9,14 @@
 //! execution time and team, ⑧ exit on `End`.
 
 use crate::delta::{DeltaUploader, PreparedUpload};
-use crate::protocol::{decode_block, routes, JobKind, JobRequest, LogFrame};
+use crate::protocol::{block_lines, routes, FrameLine, JobKind, JobRequest, Tag};
 use crate::spec::{BuildSpec, SpecError, DEFAULT_BUILD_YML, FINAL_SUBMISSION_YML};
 use rai_archive::FileTree;
 use rai_auth::{sign_request, Credentials};
-use rai_broker::{Broker, PublishError, RecvError, Subscription};
+use rai_broker::{Broker, Bytes, PublishError, RecvError, Subscription};
 use rai_db::{doc, Database};
 use rai_store::{ObjectStore, StoreError};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -27,6 +28,44 @@ pub const UPLOAD_BUCKET: &str = "rai-uploads";
 const CLIENT_RETRY_ATTEMPTS: u32 = 4;
 /// Bucket workers upload `/build` outputs to.
 pub const BUILD_BUCKET: &str = "rai-builds";
+
+/// Write the object key of `team`'s upload for job `job_id`:
+/// `{team}/{job_id:08x}.tar.bz2`, the team's spaces written as dashes.
+/// The one derivation of it: the client stores a job's upload under
+/// this key ([`upload_key`]), and the worker runs a job only from it
+/// ([`is_upload_key`]).
+fn write_upload_key(out: &mut impl std::fmt::Write, team: &str, job_id: u64) -> std::fmt::Result {
+    let mut words = team.split(' ');
+    out.write_str(words.next().unwrap_or_default())?;
+    for word in words {
+        out.write_str("-")?;
+        out.write_str(word)?;
+    }
+    write!(out, "/{job_id:08x}.tar.bz2")
+}
+
+/// The object key the client uploads job `job_id` of `team` under.
+fn upload_key(team: &str, job_id: u64) -> String {
+    // `/`, eight hex digits and `.tar.bz2`.
+    let mut key = String::with_capacity(team.len() + 17);
+    write_upload_key(&mut key, team, job_id).expect("writing to a String cannot fail");
+    key
+}
+
+/// Whether `key` is the object key of `team`'s upload for job `job_id`,
+/// compared as the key is written, without building it.
+pub(crate) fn is_upload_key(key: &str, team: &str, job_id: u64) -> bool {
+    /// A writer that takes what is written off the front of the key.
+    struct Expect<'k>(&'k str);
+    impl std::fmt::Write for Expect<'_> {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.0 = self.0.strip_prefix(s).ok_or(std::fmt::Error)?;
+            Ok(())
+        }
+    }
+    let mut rest = Expect(key);
+    write_upload_key(&mut rest, team, job_id).is_ok() && rest.0.is_empty()
+}
 
 /// Development run vs final submission: the client's name for the
 /// [`JobKind`] it puts in the request.
@@ -192,12 +231,144 @@ pub struct SubmitReceipt {
     pub job_id: u64,
     /// Whether the job succeeded end-to-end.
     pub success: bool,
-    /// Rendered log lines, in order (what the student saw).
-    pub log: Vec<String>,
+    /// The log, line by line (what the student saw).
+    pub log: Transcript,
     /// Key of the uploaded `/build` archive on the file server.
     pub build_url: Option<String>,
     /// The program's self-reported runtime (the student-visible timer).
     pub internal_timer_secs: Option<f64>,
+}
+
+/// A job's log as the student sees it, kept as the blocks its messages
+/// carried and rendered into lines only when read (DESIGN.md §11
+/// "Output path"): stdout text as it stands, stderr as `[stderr] …`,
+/// worker notes as `[rai] …`; the build URL and `End` are not lines,
+/// and nothing after `End` is. A frame with an unknown tag is stdout,
+/// an escaped frame reads unescaped, and a body that is not UTF-8 reads
+/// lossily. `Debug` prints the lines.
+#[derive(Clone)]
+pub struct Transcript {
+    blocks: Vec<Bytes>,
+    lines: usize,
+}
+
+impl Transcript {
+    /// How many lines the log has.
+    pub fn len(&self) -> usize {
+        self.lines
+    }
+
+    /// Whether the log has no line.
+    pub fn is_empty(&self) -> bool {
+        self.lines == 0
+    }
+
+    /// The lines, in order: borrowed from the blocks unless a line is
+    /// tagged (`[stderr]`, `[rai]`), escaped or not UTF-8.
+    pub fn iter(&self) -> Lines<'_> {
+        Lines { blocks: self.blocks.iter(), frames: Frames(None) }
+    }
+}
+
+impl std::fmt::Debug for Transcript {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'t> IntoIterator for &'t Transcript {
+    type Item = Cow<'t, str>;
+    type IntoIter = Lines<'t>;
+
+    fn into_iter(self) -> Lines<'t> {
+        self.iter()
+    }
+}
+
+/// The lines of a [`Transcript`].
+pub struct Lines<'t> {
+    blocks: std::slice::Iter<'t, Bytes>,
+    frames: Frames<'t>,
+}
+
+impl<'t> Iterator for Lines<'t> {
+    type Item = Cow<'t, str>;
+
+    fn next(&mut self) -> Option<Cow<'t, str>> {
+        loop {
+            let Some(line) = self.frames.next() else {
+                self.frames = Frames::new(self.blocks.next()?);
+                continue;
+            };
+            // A line break is never part of a character, so each line
+            // reads as it did in the whole body, lossily if need be.
+            let line = match std::str::from_utf8(line) {
+                Ok(line) => render(FrameLine::read(line)),
+                Err(_) => {
+                    let line = String::from_utf8_lossy(line);
+                    render(FrameLine::read(&line)).map(|l| Cow::Owned(l.into_owned()))
+                }
+            };
+            match line {
+                Rendered::Line(line) => return Some(line),
+                Rendered::Url => {}
+                Rendered::End => {
+                    (self.blocks, self.frames) = ([].iter(), Frames(None));
+                    return None;
+                }
+            }
+        }
+    }
+}
+
+/// The frame lines of a block body, in order; an empty body has none.
+struct Frames<'b>(Option<&'b [u8]>);
+
+impl<'b> Frames<'b> {
+    fn new(body: &'b [u8]) -> Self {
+        Frames((!body.is_empty()).then_some(body))
+    }
+}
+
+impl<'b> Iterator for Frames<'b> {
+    type Item = &'b [u8];
+
+    fn next(&mut self) -> Option<&'b [u8]> {
+        let body = self.0?;
+        let (line, rest) = match body.iter().position(|&b| b == b'\n') {
+            Some(at) => (&body[..at], Some(&body[at + 1..])),
+            None => (body, None),
+        };
+        self.0 = rest;
+        Some(line)
+    }
+}
+
+/// A frame as the transcript shows it.
+enum Rendered<'l> {
+    Line(Cow<'l, str>),
+    Url,
+    End,
+}
+
+impl<'l> Rendered<'l> {
+    fn map(self, f: impl FnOnce(Cow<'l, str>) -> Cow<'static, str>) -> Rendered<'static> {
+        match self {
+            Rendered::Line(line) => Rendered::Line(f(line)),
+            Rendered::Url => Rendered::Url,
+            Rendered::End => Rendered::End,
+        }
+    }
+}
+
+fn render(frame: FrameLine<'_>) -> Rendered<'_> {
+    Rendered::Line(match frame.tag {
+        Tag::Out => frame.text(),
+        Tag::Err => Cow::Owned(format!("[stderr] {}", frame.text())),
+        Tag::Status => Cow::Owned(format!("[rai] {}", frame.text())),
+        Tag::BuildUrl => return Rendered::Url,
+        Tag::End => return Rendered::End,
+    })
 }
 
 /// A job in flight: hold it and drain frames until `End`.
@@ -209,41 +380,56 @@ pub struct PendingJob {
 
 impl PendingJob {
     /// Drain frames until `End` or `timeout` of wall-clock inactivity:
-    /// one receive and one ack per message, each a block of frames
-    /// rendered in order.
+    /// one receive and one ack per message. Each block is kept as it
+    /// arrived and read once in place, for its line count, the build
+    /// URL, the internal timer and `End`; no line is rendered.
     pub fn wait(self, timeout: Duration) -> Result<SubmitReceipt, SubmitError> {
-        let mut log = Vec::new();
-        let mut build_url = None;
-        let mut internal = None;
+        // A job is three or four messages (DESIGN.md §11).
+        let mut log = Transcript { blocks: Vec::with_capacity(4), lines: 0 };
+        let (mut build_url, mut internal) = (None, None);
         loop {
             let msg = match self.subscription.recv_timeout(timeout) {
                 Ok(m) => m,
                 Err(RecvError::Timeout) | Err(RecvError::Closed) => return Err(SubmitError::Timeout),
             };
             self.subscription.ack(msg.id);
-            for frame in decode_block(&msg.body_str()) {
-                match frame {
-                    LogFrame::Out(line) => {
-                        if let Some(rest) = rai_sandbox::exec::after_elapsed(&line) {
-                            if let Some(v) = rest.split_whitespace().next() {
-                                internal = v.parse().ok().or(internal);
+            let body = msg.body_str();
+            let end = block_lines(&body).find_map(|line| {
+                let frame = FrameLine::read(line);
+                match frame.tag {
+                    Tag::Out => {
+                        log.lines += 1;
+                        // The timer is read from the unescaped text; an
+                        // escape never makes or breaks the marker. Most
+                        // lines hold no `=`, which a loop over their few
+                        // bytes rules out sooner than a searcher.
+                        if frame.raw.bytes().any(|b| b == b'=')
+                            && rai_sandbox::exec::after_elapsed(frame.raw).is_some()
+                        {
+                            let text = frame.text();
+                            if let Some(rest) = rai_sandbox::exec::after_elapsed(&text) {
+                                if let Some(v) = rest.split_whitespace().next() {
+                                    internal = v.parse().ok().or(internal);
+                                }
                             }
                         }
-                        log.push(line);
                     }
-                    LogFrame::Err(line) => log.push(format!("[stderr] {line}")),
-                    LogFrame::Status(line) => log.push(format!("[rai] {line}")),
-                    LogFrame::BuildUrl(url) => build_url = Some(url),
-                    LogFrame::End { success } => {
-                        return Ok(SubmitReceipt {
-                            job_id: self.job_id,
-                            success,
-                            log,
-                            build_url,
-                            internal_timer_secs: internal,
-                        })
-                    }
+                    Tag::Err | Tag::Status => log.lines += 1,
+                    Tag::BuildUrl => build_url = Some(frame.text().into_owned()),
+                    Tag::End => return Some(frame.raw == "ok"),
                 }
+                None
+            });
+            drop(body);
+            log.blocks.push(msg.body);
+            if let Some(success) = end {
+                return Ok(SubmitReceipt {
+                    job_id: self.job_id,
+                    success,
+                    log,
+                    build_url,
+                    internal_timer_secs: internal,
+                });
             }
         }
     }
@@ -306,7 +492,7 @@ impl RaiClient {
                 .unwrap_or_else(|| DEFAULT_BUILD_YML.to_string()),
         };
         // Validate before shipping: cheap client-side feedback.
-        BuildSpec::parse(&text)?;
+        BuildSpec::check(&text)?;
         Ok(text)
     }
 
@@ -341,7 +527,7 @@ impl RaiClient {
         // hold (DESIGN.md §10).
         let job_id = self.next_job_id.fetch_add(1, Ordering::Relaxed);
         let prepared = PreparedUpload::archive(&project.tree);
-        let upload_key = format!("{}/{job_id:08x}.tar.bz2", self.team.replace(' ', "-"));
+        let upload_key = upload_key(&self.team, job_id);
         // A transient file-server outage surfaces to the student as a
         // long upload, not a failed submission: retry a few times
         // before giving up. The container was chunked once, above; a
@@ -436,6 +622,7 @@ impl RaiClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn effective_build_yml_per_mode() {
@@ -472,6 +659,22 @@ mod tests {
     }
 
     #[test]
+    fn the_upload_key_is_written_and_checked_by_one_derivation() {
+        let key = upload_key("gpu gophers", 0xDEAD);
+        assert_eq!(key, "gpu-gophers/0000dead.tar.bz2");
+        assert!(is_upload_key(&key, "gpu gophers", 0xDEAD));
+        for (other, team, job_id) in [
+            ("gpu-gophers/0000dead.tar.bz2", "gpu-gophers", 0xBEEF),
+            ("gpu-gophers/0000dead.tar.bz2", "gpu gopher", 0xDEAD),
+            ("gpu-gophers/0000dead.tar.bz2x", "gpu gophers", 0xDEAD),
+            ("gpu-gophers/0000dead.tar", "gpu gophers", 0xDEAD),
+            ("team-b/0000dead.tar.bz2", "gpu gophers", 0xDEAD),
+        ] {
+            assert!(!is_upload_key(other, team, job_id), "{other} for {team} {job_id:x}");
+        }
+    }
+
+    #[test]
     fn final_artifacts_helper() {
         let p = ProjectDir::sample_cuda_project().with_final_artifacts();
         assert!(p.tree.contains("USAGE"));
@@ -486,5 +689,96 @@ mod tests {
         let cpu = ProjectDir::baseline_cpu_project();
         let src = cpu.tree.get("main.cpp").unwrap();
         assert!(!String::from_utf8_lossy(src).contains("rai:perf"));
+    }
+
+    /// What `wait` made of a job's messages before it kept their
+    /// bodies: every frame decoded and rendered into a `String` as it
+    /// arrived. `(lines, success, build URL, timer)`.
+    type Eager = (Vec<String>, bool, Option<String>, Option<f64>);
+
+    fn reference_wait(bodies: &[Vec<u8>]) -> Option<Eager> {
+        use crate::protocol::{decode_block, LogFrame};
+        let (mut log, mut build_url, mut internal) = (Vec::new(), None, None);
+        for body in bodies {
+            for frame in decode_block(&String::from_utf8_lossy(body)) {
+                match frame {
+                    LogFrame::Out(line) => {
+                        if let Some(rest) = rai_sandbox::exec::after_elapsed(&line) {
+                            if let Some(v) = rest.split_whitespace().next() {
+                                internal = v.parse().ok().or(internal);
+                            }
+                        }
+                        log.push(line);
+                    }
+                    LogFrame::Err(line) => log.push(format!("[stderr] {line}")),
+                    LogFrame::Status(line) => log.push(format!("[rai] {line}")),
+                    LogFrame::BuildUrl(url) => build_url = Some(url),
+                    LogFrame::End { success } => return Some((log, success, build_url, internal)),
+                }
+            }
+        }
+        None
+    }
+
+    /// A block body: frame lines of known, escaped and unknown tags
+    /// over text with escapes, `elapsed = ` markers, and bytes that are
+    /// not UTF-8; sometimes a line break at the end, or nothing at all.
+    fn arb_body() -> impl Strategy<Value = Vec<u8>> {
+        const TAGS: [&[u8]; 13] = [
+            b"out ", b"err ", b"sts ", b"url ", b"end ", b"out\\ ", b"err\\ ", b"sts\\ ", b"url\\ ",
+            b"end\\ ", b"v2 ", b"", b"out",
+        ];
+        const TEXT: [&[u8]; 15] = [
+            b"a", b" ", b"\\", b"\\n", b"\\\\", b"elapsed = ", b"0.5", b"1e3", b"x", "é".as_bytes(),
+            b"\xff", b"\xc3", b"ok", b"\r", b"fail",
+        ];
+        let line = (0..TAGS.len(), prop::collection::vec(0..TEXT.len(), 0..6)).prop_map(|(tag, text)| {
+            let mut line = TAGS[tag].to_vec();
+            text.into_iter().for_each(|t| line.extend_from_slice(TEXT[t]));
+            line
+        });
+        (prop::collection::vec(line, 0..6), any::<bool>()).prop_map(|(lines, trailing)| {
+            let mut body = lines.join(&b'\n');
+            if trailing && !body.is_empty() {
+                body.push(b'\n');
+            }
+            body
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The transcript kept as blocks reads as the lines the eager
+        /// loop rendered, and `wait` finds what that loop found.
+        #[test]
+        fn a_transcript_reads_as_the_eager_rendering(
+            mut bodies in prop::collection::vec(arb_body(), 0..5),
+            closing in arb_body(),
+            success in any::<bool>(),
+        ) {
+            // However the random blocks end, a last one ends the job.
+            let mut last = closing;
+            last.extend_from_slice(if success { b"\nend ok" } else { b"\nend fail" });
+            bodies.push(last);
+            let expected = reference_wait(&bodies).expect("the last block ends the job");
+
+            let broker = Broker::default();
+            let topic = routes::log_topic(1);
+            let subscription = broker.subscribe_ephemeral(&topic, routes::LOG_CHANNEL);
+            for body in &bodies {
+                broker.publish_ephemeral(&topic, body.clone()).expect("publish");
+            }
+            let pending = PendingJob { job_id: 1, subscription };
+            let receipt = pending.wait(Duration::from_secs(5)).expect("the job ends");
+            let lines: Vec<String> = receipt.log.iter().map(Cow::into_owned).collect();
+            prop_assert_eq!(&lines, &expected.0);
+            prop_assert_eq!(receipt.log.len(), expected.0.len());
+            prop_assert_eq!(format!("{:?}", receipt.log), format!("{:?}", expected.0));
+            prop_assert_eq!(format!("{:?}", receipt.log.clone()), format!("{:?}", expected.0));
+            prop_assert_eq!(receipt.success, expected.1);
+            prop_assert_eq!(receipt.build_url, expected.2);
+            prop_assert_eq!(receipt.internal_timer_secs.map(f64::to_bits), expected.3.map(f64::to_bits));
+        }
     }
 }

@@ -19,6 +19,7 @@
 
 use rai_yaml::emit::{push_int_entry, push_str_entry, read_entry, read_int_entry, read_str_entry};
 use rai_yaml::Yaml;
+use std::borrow::Cow;
 use std::io::Write;
 
 /// Well-known queue routes.
@@ -144,7 +145,7 @@ impl JobRequest {
             Some(body) => (body, true),
             None => (text, false),
         };
-        let mut lines = body.split('\n');
+        let mut lines = split_lines(body);
         let job_id = read_int_entry(lines.next()?, "job_id")? as u64;
         let mut s = |key: &str| read_str_entry(lines.next()?, key);
         let access_key = s("access_key")?;
@@ -152,9 +153,10 @@ impl JobRequest {
         let team = s("team")?;
         let upload_bucket = s("upload_bucket")?;
         let upload_key = s("upload_key")?;
-        let kind = match s("kind")?.as_str() {
-            "submit" => JobKind::Submit,
-            "run" => JobKind::Run,
+        // The two lines the writer writes for a kind, compared whole.
+        let kind = match lines.next()? {
+            "kind: submit" => JobKind::Submit,
+            "kind: run" => JobKind::Run,
             _ => return None,
         };
         let last = lines.next()?;
@@ -180,6 +182,22 @@ impl JobRequest {
             kind,
         })
     }
+}
+
+/// `body` split at each `\n`, as `str::split('\n')` splits it, each
+/// line found by a loop over its bytes: for a request's short lines
+/// that is cheaper than a `memchr` call's setup.
+fn split_lines(body: &str) -> impl Iterator<Item = &str> {
+    let mut rest = Some(body);
+    std::iter::from_fn(move || {
+        let text = rest?;
+        let Some(at) = text.bytes().position(|b| b == b'\n') else {
+            rest = None;
+            return Some(text);
+        };
+        rest = Some(&text[at + 1..]);
+        Some(&text[..at])
+    })
 }
 
 /// Frames published on the per-job log topic.
@@ -229,22 +247,67 @@ impl LogFrame {
     /// compatibility with older clients, as the paper's two-branch
     /// release flow requires).
     pub fn decode(line: &str) -> LogFrame {
-        let unknown = || LogFrame::Out(line.to_string());
-        let Some((tag, rest)) = line.split_once(' ') else { return unknown() };
+        let frame = FrameLine::read(line);
+        match frame.tag {
+            Tag::Out => LogFrame::Out(frame.text().into_owned()),
+            Tag::Err => LogFrame::Err(frame.text().into_owned()),
+            Tag::Status => LogFrame::Status(frame.text().into_owned()),
+            Tag::BuildUrl => LogFrame::BuildUrl(frame.text().into_owned()),
+            Tag::End => LogFrame::End { success: frame.raw == "ok" },
+        }
+    }
+}
+
+/// What a frame line says it is.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Tag {
+    Out,
+    Err,
+    Status,
+    BuildUrl,
+    End,
+}
+
+/// A frame line read where it lies: its tag and its text, still
+/// escaped when `escaped` — the one reading of a frame that
+/// [`LogFrame::decode`] and the client's transcript share.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct FrameLine<'l> {
+    pub(crate) tag: Tag,
+    /// The text after the tag, as written.
+    pub(crate) raw: &'l str,
+    escaped: bool,
+}
+
+impl<'l> FrameLine<'l> {
+    /// Read one line of a block; a line without a known tag is stdout,
+    /// the whole line its text.
+    pub(crate) fn read(line: &'l str) -> Self {
+        let unknown = FrameLine { tag: Tag::Out, raw: line, escaped: false };
+        // A tag is a few bytes: a loop finds its space sooner than `memchr`.
+        let Some(at) = line.bytes().position(|b| b == b' ') else { return unknown };
+        let (tag, raw) = (&line[..at], &line[at + 1..]);
         let (tag, escaped) = match tag.strip_suffix('\\') {
             Some(tag) => (tag, true),
             None => (tag, false),
         };
-        let text = || if escaped { unescape(rest) } else { rest.to_string() };
-        match tag {
-            "out" => LogFrame::Out(text()),
-            "err" => LogFrame::Err(text()),
-            "sts" => LogFrame::Status(text()),
-            "url" => LogFrame::BuildUrl(text()),
-            "end" if !escaped => LogFrame::End {
-                success: rest == "ok",
-            },
-            _ => unknown(),
+        let tag = match tag {
+            "out" => Tag::Out,
+            "err" => Tag::Err,
+            "sts" => Tag::Status,
+            "url" => Tag::BuildUrl,
+            "end" if !escaped => Tag::End,
+            _ => return unknown,
+        };
+        FrameLine { tag, raw, escaped }
+    }
+
+    /// The frame's text, its escapes undone: borrowed unless it had any.
+    pub(crate) fn text(&self) -> Cow<'l, str> {
+        if self.escaped {
+            Cow::Owned(unescape(self.raw))
+        } else {
+            Cow::Borrowed(self.raw)
         }
     }
 }
@@ -264,7 +327,7 @@ fn push_line(block: &mut String, tag: &str, text: &str) -> usize {
         block.push('\n');
     }
     block.push_str(tag);
-    if text.contains('\n') {
+    if text.bytes().any(|b| b == b'\n') {
         block.push_str("\\ ");
         let mut rest = text;
         while let Some(at) = rest.find(['\n', '\\']) {
@@ -303,16 +366,18 @@ fn unescape(text: &str) -> String {
 /// and decoded in turn. `End` terminates: nothing after it is yielded.
 /// An empty body holds no frame.
 pub fn decode_block(body: &str) -> impl Iterator<Item = LogFrame> + '_ {
-    let mut rest = (!body.is_empty()).then_some(body);
+    let mut lines = block_lines(body);
+    let mut ended = false;
     std::iter::from_fn(move || {
-        let (line, tail) = match rest?.split_once('\n') {
-            Some((line, tail)) => (line, Some(tail)),
-            None => (rest?, None),
-        };
-        let frame = LogFrame::decode(line);
-        rest = tail.filter(|_| !matches!(frame, LogFrame::End { .. }));
+        let frame = LogFrame::decode(lines.next().filter(|_| !ended)?);
+        ended = matches!(frame, LogFrame::End { .. });
         Some(frame)
     })
+}
+
+/// The frame lines of a block body, in order: none in an empty body.
+pub(crate) fn block_lines(body: &str) -> impl Iterator<Item = &str> {
+    (!body.is_empty()).then(|| split_lines(body)).into_iter().flatten()
 }
 
 #[cfg(test)]

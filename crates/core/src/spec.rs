@@ -4,7 +4,8 @@
 //! section… architected to be minimal, allowing it to be extended for
 //! future changes."
 
-use rai_yaml::{parse, Yaml};
+use rai_yaml::{parse_with, Consumer, Scalar};
+use std::borrow::Cow;
 
 /// The client/spec version this implementation understands.
 pub const SUPPORTED_VERSION: f64 = 0.1;
@@ -99,53 +100,18 @@ commands:
 ";
 
 impl BuildSpec {
-    /// Parse and validate a build file. The parsed document is consumed:
-    /// the image and command strings are moved into the spec.
+    /// Parse and validate a build file. The file is read straight into
+    /// the spec: only the five fields are kept, each scalar borrowed
+    /// from the text until it is, and the errors are the ones the
+    /// YAML document would give, YAML errors first.
     pub fn parse(text: &str) -> Result<BuildSpec, SpecError> {
-        let mut doc = parse(text).map_err(|e| SpecError::Yaml(e.to_string()))?;
-        doc.get("rai")
-            .and_then(Yaml::as_map)
-            .ok_or(SpecError::MissingRaiSection)?;
-        let version = match doc.path(&["rai", "version"]) {
-            Some(v) => v
-                .as_f64()
-                .ok_or_else(|| SpecError::BadVersion(format!("{v:?}")))?,
-            None => return Err(SpecError::BadVersion("missing".to_string())),
-        };
-        if version > SUPPORTED_VERSION {
-            return Err(SpecError::UnsupportedVersion(version));
-        }
-        let mut take = |section: &str, key: &str| doc.get_mut(section)?.get_mut(key).map(std::mem::take);
-        let image = match take("rai", "image") {
-            Some(Yaml::Str(image)) if !image.is_empty() => image,
-            _ => return Err(SpecError::MissingImage),
-        };
-        let build_yaml = match take("commands", "build") {
-            Some(Yaml::Seq(build)) if !build.is_empty() => build,
-            _ => return Err(SpecError::MissingBuildCommands),
-        };
-        let mut build = Vec::with_capacity(build_yaml.len());
-        for (i, cmd) in build_yaml.into_iter().enumerate() {
-            match cmd.into_scalar_string() {
-                Some(s) if !s.is_empty() => build.push(s),
-                _ => return Err(SpecError::BadCommand(i)),
-            }
-        }
-        let gpus = doc
-            .path(&["resources", "gpus"])
-            .and_then(Yaml::as_i64)
-            .map(|g| g.max(0) as u32);
-        let network = doc
-            .path(&["resources", "network"])
-            .and_then(Yaml::as_bool)
-            .unwrap_or(false);
-        Ok(BuildSpec {
-            version,
-            image,
-            build,
-            gpus,
-            network,
-        })
+        Fields::read(text, true)?.into_spec(text)
+    }
+
+    /// Validate a build file as [`parse`](Self::parse) does, keeping
+    /// nothing: what the client checks before it uploads.
+    pub(crate) fn check(text: &str) -> Result<(), SpecError> {
+        Fields::read(text, false)?.check(text).map(drop)
     }
 
     /// The Listing 1 default spec.
@@ -156,6 +122,207 @@ impl BuildSpec {
     /// The Listing 2 enforced final-submission spec.
     pub(crate) fn final_submission_spec() -> BuildSpec {
         Self::parse(FINAL_SUBMISSION_YML).expect("bundled final spec must parse")
+    }
+}
+
+/// Where a node of a build file sits, as far as the spec tells places
+/// apart: the five fields, the sections and the root that lead to
+/// them, and everywhere else.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Field {
+    Root,
+    Rai,
+    Version,
+    Image,
+    Commands,
+    Build,
+    /// The build command at this index.
+    Command(usize),
+    Resources,
+    Gpus,
+    Network,
+    Other,
+}
+
+/// How `rai.version` read.
+#[derive(Default)]
+enum Version {
+    #[default]
+    Missing,
+    Number(f64),
+    /// Anything but a number.
+    Other,
+}
+
+/// What a build file's parse found of the spec's fields: the block
+/// parser's consumer for [`BuildSpec`].
+#[derive(Default)]
+struct Fields<'a> {
+    /// Whether the build commands are kept, or only checked.
+    keep: bool,
+    /// `rai` is a mapping under the root mapping.
+    rai: bool,
+    version: Version,
+    /// `rai.image`, a non-empty string.
+    image: Option<Cow<'a, str>>,
+    /// How many items `commands.build` has, if it is a sequence.
+    commands: Option<usize>,
+    /// The commands, when kept.
+    build: Vec<String>,
+    /// The first command that is not a non-empty scalar.
+    bad_command: Option<usize>,
+    gpus: Option<i64>,
+    network: Option<bool>,
+}
+
+impl<'a> Fields<'a> {
+    fn read(text: &'a str, keep: bool) -> Result<Self, SpecError> {
+        let mut fields = Fields { keep, ..Fields::default() };
+        parse_with(text, &mut fields, Field::Root).map_err(|e| SpecError::Yaml(e.to_string()))?;
+        Ok(fields)
+    }
+
+    /// The spec, or the first check the file fails.
+    fn into_spec(self, text: &str) -> Result<BuildSpec, SpecError> {
+        let version = self.check(text)?;
+        Ok(BuildSpec {
+            version,
+            image: self.image.expect("checked").into_owned(),
+            build: self.build,
+            gpus: self.gpus.map(|g| g.max(0) as u32),
+            network: self.network.unwrap_or(false),
+        })
+    }
+
+    /// The version, or the first check the file fails, in the order the
+    /// checks have always run.
+    fn check(&self, text: &str) -> Result<f64, SpecError> {
+        if !self.rai {
+            return Err(SpecError::MissingRaiSection);
+        }
+        let version = match self.version {
+            Version::Number(v) => v,
+            Version::Missing => return Err(SpecError::BadVersion("missing".to_string())),
+            Version::Other => {
+                // The error names the value as the document holds it;
+                // only this error builds the document to say so.
+                let doc = rai_yaml::parse(text).expect("the text parsed once already");
+                let v = doc.path(&["rai", "version"]).expect("a version was read");
+                return Err(SpecError::BadVersion(format!("{v:?}")));
+            }
+        };
+        if version > SUPPORTED_VERSION {
+            return Err(SpecError::UnsupportedVersion(version));
+        }
+        if self.image.is_none() {
+            return Err(SpecError::MissingImage);
+        }
+        if matches!(self.commands, None | Some(0)) {
+            return Err(SpecError::MissingBuildCommands);
+        }
+        if let Some(i) = self.bad_command {
+            return Err(SpecError::BadCommand(i));
+        }
+        Ok(version)
+    }
+
+    /// The command at `i` is not a non-empty scalar.
+    fn bad(&mut self, i: usize) {
+        self.bad_command.get_or_insert(i);
+    }
+}
+
+impl<'a> Consumer<'a> for Fields<'a> {
+    type Slot = Field;
+    type Node = ();
+    type Map = Field;
+    /// The sequence's slot and how many items it has read.
+    type Seq = (Field, usize);
+
+    fn scalar(&mut self, at: Field, value: Scalar<'a>) {
+        match at {
+            Field::Version => {
+                self.version = value.as_f64().map_or(Version::Other, Version::Number);
+            }
+            Field::Image => match value {
+                Scalar::Str(image) if !image.is_empty() => self.image = Some(image),
+                _ => {}
+            },
+            Field::Command(i) => {
+                let command = value.into_string();
+                if command.is_empty() {
+                    self.bad(i);
+                } else if self.keep && self.bad_command.is_none() {
+                    self.build.push(command.into_owned());
+                }
+            }
+            Field::Gpus => {
+                if let Scalar::Int(g) = value {
+                    self.gpus = Some(g);
+                }
+            }
+            Field::Network => {
+                if let Scalar::Bool(b) = value {
+                    self.network = Some(b);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn map(&mut self, at: Field) -> Field {
+        match at {
+            Field::Rai => self.rai = true,
+            Field::Version => self.version = Version::Other,
+            Field::Command(i) => self.bad(i),
+            _ => {}
+        }
+        at
+    }
+
+    fn key(&mut self, map: &Field, key: &str) -> Field {
+        match (map, key) {
+            (Field::Root, "rai") => Field::Rai,
+            (Field::Root, "commands") => Field::Commands,
+            (Field::Root, "resources") => Field::Resources,
+            (Field::Rai, "version") => Field::Version,
+            (Field::Rai, "image") => Field::Image,
+            (Field::Commands, "build") => Field::Build,
+            (Field::Resources, "gpus") => Field::Gpus,
+            (Field::Resources, "network") => Field::Network,
+            _ => Field::Other,
+        }
+    }
+
+    fn entry(&mut self, _: &mut Field, _: Cow<'a, str>, _: ()) {}
+
+    fn end_map(&mut self, _: Field) {}
+
+    fn seq(&mut self, at: Field, len: usize) -> (Field, usize) {
+        match at {
+            Field::Build if self.keep => self.build = Vec::with_capacity(len),
+            Field::Version => self.version = Version::Other,
+            Field::Command(i) => self.bad(i),
+            _ => {}
+        }
+        (at, 0)
+    }
+
+    fn item(&mut self, seq: &(Field, usize)) -> Field {
+        match seq {
+            (Field::Build, i) => Field::Command(*i),
+            _ => Field::Other,
+        }
+    }
+
+    fn push(&mut self, seq: &mut (Field, usize), _: ()) {
+        seq.1 += 1;
+    }
+
+    fn end_seq(&mut self, seq: (Field, usize)) {
+        if let (Field::Build, len) = seq {
+            self.commands = Some(len);
+        }
     }
 }
 
@@ -231,6 +398,35 @@ mod tests {
             BuildSpec::parse("rai: 'unterminated"),
             Err(SpecError::Yaml(_))
         ));
+    }
+
+    #[test]
+    fn the_client_check_is_the_parse_keeping_nothing() {
+        for text in [
+            DEFAULT_BUILD_YML,
+            FINAL_SUBMISSION_YML,
+            "",
+            "- rai: {version: 0.1}\n",
+            "rai: {version: 0.1, image: x}\ncommands: {build: [make, 7, 0.5, true]}\n",
+            "rai:\n  version: [1]\n  image: x\n",
+            "rai:\n  version:\n    a: 1\n",
+            "rai:\n  version: ~\n",
+            "rai:\n  version: 0.1\n  image: ''\ncommands:\n  build:\n    - make\n",
+            "rai:\n  version: 0.1\n  image: x\ncommands:\n  build:\n    - make\n    - ''\n    - {a: 1}\n",
+            "rai:\n  version: 0.1\n  image: x\ncommands:\n  build:\n    - make\n    -\n      - cc\n",
+            "rai:\n  version: 0.1\n  image: x\ncommands:\n  build: make\n",
+            "rai:\n  version: 0.1\n  image: x\ncommands:\n  build:\n    - make\n  build:\n    - cc\n",
+        ] {
+            assert_eq!(BuildSpec::check(text), BuildSpec::parse(text).map(drop), "{text}");
+        }
+        assert_eq!(
+            BuildSpec::parse("rai:\n  version: [1]\n"),
+            Err(SpecError::BadVersion("Seq([Int(1)])".into()))
+        );
+        assert_eq!(
+            BuildSpec::parse("rai: {version: 0.1, image: x}\ncommands: {build: [make, 7]}\n").map(|s| s.build),
+            Ok(vec!["make".to_string(), "7".to_string()])
+        );
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! `/build` upload overwrites the same key, the submission row is an
 //! upsert keyed on `job_id`), so redelivered work records exactly once.
 
-use crate::client::BUILD_BUCKET;
+use crate::client::{is_upload_key, BUILD_BUCKET, UPLOAD_BUCKET};
 use crate::delta::{DeltaUploader, PreparedUpload};
 use crate::protocol::{push_output, routes, JobKind, JobRequest, LogFrame};
 use crate::spec::BuildSpec;
@@ -503,12 +503,20 @@ impl Worker {
         };
         let halted = |job: Attempt, halt: Halt| ClaimedJob { job, plan: ClaimPlan::Halt(halt) };
 
-        // ② Check the credentials.
+        // ② Check the credentials, and that they are the team's: a key
+        // acts for its own team only.
         let auth = self
             .registry
             .read()
             .authenticate(&job.request.access_key, &job.request.signing_payload(), &job.request.signature)
-            .map(str::to_string);
+            .map_err(|e| e.to_string())
+            .and_then(|user| {
+                if acts_for(user, &job.request) {
+                    Ok(user.to_string())
+                } else {
+                    Err(format!("the key of {user:?} does not act for this job's team and upload"))
+                }
+            });
         let user = match auth {
             Ok(u) => u,
             Err(e) => {
@@ -879,6 +887,16 @@ impl Worker {
         );
         Ok(guarded.backoff)
     }
+}
+
+/// Whether `user`, the owner of the key that signed `request`, may
+/// have it run: the user is the request's team (credentials are per
+/// team), and the upload it names is the one the team's client stores
+/// for the job. Compared in place; nothing is allocated.
+fn acts_for(user: &str, request: &JobRequest) -> bool {
+    user == request.team
+        && request.upload_bucket == UPLOAD_BUCKET
+        && is_upload_key(&request.upload_key, &request.team, request.job_id)
 }
 
 /// Publish `frames` on a job's log topic as one block — one message,
@@ -1411,7 +1429,8 @@ mod tests {
         let (_, run) = submit_and_count(&rig, &client, &mut worker, SubmitMode::Run);
         let mut expected = vec!["[rai] job accepted by worker-0", "[rai] pulling image webgpu/rai:root..."];
         expected.extend(LISTING1_OUTPUT);
-        assert_eq!(run.log, expected);
+        assert_eq!(run.log.iter().collect::<Vec<_>>(), expected);
+        assert_eq!(run.log.len(), expected.len());
         assert!(run.success);
         assert_eq!(run.internal_timer_secs, Some(0.035));
         let url = run.build_url.expect("url frame");
@@ -1420,7 +1439,7 @@ mod tests {
         // The enforced Listing 2 file, on the now warm worker.
         let (_, fin) = submit_and_count(&rig, &client, &mut worker, SubmitMode::Submit);
         assert_eq!(
-            fin.log,
+            fin.log.iter().collect::<Vec<_>>(),
             [
                 "[rai] job accepted by worker-0",
                 "Submitting project",
@@ -1464,7 +1483,8 @@ mod tests {
         assert_eq!(rejected, 2, "accepted | err+end");
         assert!(!receipt.success);
         assert_eq!(receipt.log.len(), 2);
-        assert!(receipt.log[1].starts_with("[stderr] authentication failed"), "{:?}", receipt.log);
+        let rejection = receipt.log.iter().nth(1).expect("two lines");
+        assert!(rejection.starts_with("[stderr] authentication failed"), "{:?}", receipt.log);
     }
 
     #[test]
@@ -1534,14 +1554,15 @@ mod tests {
 
         let receipt = pending.wait(Duration::from_millis(500)).unwrap();
         assert!(receipt.success && receipt.build_url.is_some());
-        let transcript: usize = receipt.log.iter().map(String::len).sum();
+        let transcript: usize = receipt.log.iter().map(|l| l.len()).sum();
         assert!(transcript <= MAX_OUTPUT_BYTES + WORKER_FRAMES, "{transcript} bytes of transcript");
         // `End` is a field of the receipt, so the truncation note is
         // the transcript's last line, after what fit of the line that
         // crossed the cap and the last line that fit whole.
-        let [.., fit, cut, note] = &receipt.log[..] else { panic!("three lines at least") };
-        assert_eq!((fit, note.as_str()), (&line, "[stderr] … output truncated"));
-        assert!(cut.len() < line.len() && line.starts_with(cut.as_str()), "{cut:?}");
+        let lines: Vec<_> = receipt.log.iter().collect();
+        let [.., fit, cut, note] = &lines[..] else { panic!("three lines at least") };
+        assert_eq!((fit.as_ref(), note.as_ref()), (line.as_str(), "[stderr] … output truncated"));
+        assert!(cut.len() < line.len() && line.starts_with(cut.as_ref()), "{cut:?}");
 
         let row = rig.db.collection("submissions").read().find_one(&doc! { "job_id" => 1u64 }).unwrap();
         let log_bytes = row.get("log_bytes").and_then(Value::as_i64).expect("counted") as usize;

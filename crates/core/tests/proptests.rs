@@ -86,9 +86,10 @@ fn nest(text: &str, depth: usize, flow: bool) -> String {
 
 /// A valid Listing-1 build file bent the way an editor bends one: cut
 /// at a char boundary, a line duplicated, a line re-indented by
-/// `shift` (±1–4 spaces), or a line nested one level deeper under a
-/// fresh key. The echo line carries multi-byte text so that cuts land
-/// next to multi-byte characters.
+/// `shift` (±1–4 spaces), a line nested one level deeper under a fresh
+/// key, or a quote typed into a line, mid-scalar or where one begins,
+/// with a comment after it. The echo line carries multi-byte text so
+/// that cuts land next to multi-byte characters.
 fn edited_listing1(edit: u8, at: usize, shift: i32) -> String {
     let doc = DEFAULT_BUILD_YML.replace("Building project", "Building 🦀 projét");
     let mut lines: Vec<String> = doc.lines().map(str::to_string).collect();
@@ -104,10 +105,17 @@ fn edited_listing1(edit: u8, at: usize, shift: i32) -> String {
             let to = (indent as i32 + shift).max(0) as usize;
             lines[i] = format!("{}{}", " ".repeat(to), lines[i].trim_start());
         }
-        _ => {
+        3 => {
             let indent = " ".repeat(lines[i].len() - lines[i].trim_start().len());
             lines.insert(i, format!("{indent}nested:"));
             lines[i + 1] = format!("  {}", lines[i + 1]);
+        }
+        _ => {
+            let line = &mut lines[i];
+            let cuts: Vec<usize> = line.char_indices().map(|(p, _)| p).chain([line.len()]).collect();
+            let quote = if shift > 0 { "'" } else { "\"" };
+            line.insert_str(cuts[at / 7 % cuts.len()], quote);
+            line.push_str(if shift % 2 == 0 { " # it's a note" } else { ": x # c" });
         }
     }
     lines.join("\n") + "\n"
@@ -333,7 +341,9 @@ proptest! {
     #[test]
     fn build_spec_equals_reference(
         image in "[a-z][a-z0-9/:.-]{0,20}",
-        commands in prop::collection::vec("[a-zA-Z.0-9\\[][a-zA-Z0-9 ./_-]{0,39}", 0..10),
+        // Quotes, colons and `#` inside a command: a quote mid-scalar is
+        // literal, and a comment after it is still a comment.
+        commands in prop::collection::vec("[a-zA-Z.0-9\\[\"'][a-zA-Z0-9 ./_'\"#:-]{0,39}", 0..10),
         version in 0usize..5,
         resources in 0usize..3,
         garbage in TEXT,
@@ -451,7 +461,7 @@ proptest! {
 
     #[test]
     fn edited_listing1_parses_as_the_reference_does(
-        edit in 0u8..4,
+        edit in 0u8..5,
         at in any::<usize>(),
         shift in prop_oneof![-4i32..=-1, 1i32..=4],
     ) {

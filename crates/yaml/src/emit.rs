@@ -14,7 +14,6 @@
 use crate::parser::{block_scalar_style, is_sequence_entry, read_inline, read_key};
 use crate::scanner::{infer_non_string, scan_line, split_key};
 use crate::value::{format_float, Yaml};
-use std::fmt::Write;
 
 /// Serialize a value as a block-style YAML document (trailing newline
 /// included for non-empty documents).
@@ -26,9 +25,11 @@ pub fn to_string(v: &Yaml) -> String {
 
 /// Append the top-level mapping entry `key: value` for a string value,
 /// newline included — byte for byte what [`to_string`] emits for
-/// `(key, Yaml::Str(value))` in a root mapping.
+/// `(key, Yaml::Str(value))` in a root mapping. `key` is a plain key,
+/// one the emitter writes as it stands (a literal such as `job_id`).
 pub fn push_str_entry(out: &mut String, key: &str, value: &str) {
-    push_string(key, out);
+    debug_assert!(!needs_quoting(key), "{key:?} is not a plain key");
+    out.push_str(key);
     out.push_str(": ");
     push_string(value, out);
     out.push('\n');
@@ -38,8 +39,11 @@ pub fn push_str_entry(out: &mut String, key: &str, value: &str) {
 /// value, newline included — [`push_str_entry`]'s sibling for
 /// `(key, Yaml::Int(value))`.
 pub fn push_int_entry(out: &mut String, key: &str, value: i64) {
-    push_string(key, out);
-    writeln!(out, ": {value}").expect("writing to a String cannot fail");
+    debug_assert!(!needs_quoting(key), "{key:?} is not a plain key");
+    out.push_str(key);
+    out.push_str(": ");
+    out.push_str(decimal(value, &mut [0; 20]));
+    out.push('\n');
 }
 
 /// The entry of the one-line document `line` (line break excluded) as
@@ -55,7 +59,7 @@ pub fn read_entry(line: &str) -> Option<(String, Yaml)> {
         return None;
     }
     let (raw_key, rest) = split_key(line.content)?;
-    let key = read_key(raw_key, 1).ok()?;
+    let key = read_key(raw_key, 1).ok()?.into_owned();
     let value = if rest.is_empty() {
         Yaml::Null
     } else if block_scalar_style(rest).is_some() {
@@ -71,56 +75,83 @@ pub fn read_entry(line: &str) -> Option<(String, Yaml)> {
 /// excluded), as [`read_entry`] reads it; `None` for any line but the
 /// one the writer writes for that value, however the parser reads it.
 ///
-/// The writer's line is the key's written bytes, `: ` and the value's,
-/// which the parser reads back as that key and value; so only the
-/// value is read, and its written bytes compared with the line's. The
+/// The writer's line is `key`, `: ` and the value's written bytes,
+/// which the parser reads back as that key and value; so the key is
+/// compared as the literal it is and only the value is read. The
 /// writer leaves a string plain exactly when the parser reads it back
-/// as itself (`needs_quoting`), so a plain value is its own reading;
-/// a quoted one is read by the parser's scalar rules.
+/// as itself (`needs_quoting`), so a plain value is its own reading. A
+/// quoted one is unescaped in one pass that holds it to the writer's
+/// form as it goes: every `"` and `\` and every byte the writer escapes
+/// is escaped, by an escape the writer writes, and the closing quote
+/// ends the line.
 pub fn read_str_entry(line: &str, key: &str) -> Option<String> {
     let written = after_key(line, key)?;
-    if !written.starts_with('"') {
+    let Some(quoted) = written.strip_prefix('"') else {
         return (!needs_quoting(written)).then(|| written.to_string());
-    }
-    let Yaml::Str(value) = read_inline(written, 1, 1).ok()? else {
-        return None;
     };
-    (strip_written(&value, written) == Some("")).then_some(value)
+    let mut rest = quoted.strip_suffix('"')?;
+    let mut value = String::with_capacity(rest.len());
+    // Whether an escape stood for a byte that quotes a string wherever
+    // it is; otherwise the value is asked whether it needs its quotes.
+    let mut forced = false;
+    while let Some(at) = rest.bytes().position(|b| CLASS[usize::from(b)] & ESCAPED != 0) {
+        // A bare `"` or a raw byte the writer escapes is not its line.
+        if rest.as_bytes()[at] != b'\\' {
+            return None;
+        }
+        value.push_str(&rest[..at]);
+        let (c, forces) = match rest.as_bytes().get(at + 1)? {
+            b'n' => ('\n', true),
+            b't' => ('\t', true),
+            b'r' => ('\r', true),
+            b'0' => ('\0', true),
+            b'"' => ('"', false),
+            b'\\' => ('\\', false),
+            _ => return None,
+        };
+        value.push(c);
+        forced |= forces;
+        rest = &rest[at + 2..];
+    }
+    value.push_str(rest);
+    (forced || needs_quoting(&value)).then_some(value)
 }
 
 /// [`read_str_entry`]'s sibling for a line [`push_int_entry`] wrote.
+/// The parser reads a plain scalar that `i64::from_str` takes as that
+/// integer, so a value the writer wrote is read by the one and checked
+/// against the writer's digits.
 pub fn read_int_entry(line: &str, key: &str) -> Option<i64> {
     let written = after_key(line, key)?;
-    let Yaml::Int(value) = read_inline(written, 1, 1).ok()? else {
-        return None;
-    };
-    // `i64::MIN` is the longest, at 20 bytes.
-    let mut digits = [0u8; 20];
-    let mut free = &mut digits[..];
-    std::io::Write::write_fmt(&mut free, format_args!("{value}")).expect("20 bytes hold any i64");
-    let len = 20 - free.len();
-    (written.as_bytes() == &digits[..len]).then_some(value)
+    let value = written.parse().ok()?;
+    (decimal(value, &mut [0; 20]) == written).then_some(value)
 }
 
-/// What follows the `key: ` the entry writers put at the front of `line`.
+/// `value` in decimal, as `Display` writes it, in `digits` (`i64::MIN`
+/// is the longest, at 20 bytes).
+fn decimal(value: i64, digits: &mut [u8; 20]) -> &str {
+    let mut at = digits.len();
+    let mut rest = value.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if value < 0 {
+        at -= 1;
+        digits[at] = b'-';
+    }
+    std::str::from_utf8(&digits[at..]).expect("ASCII digits")
+}
+
+/// What follows the `key: ` the entry writers put at the front of
+/// `line`, `key` being the plain key they write as it stands.
 fn after_key<'l>(line: &'l str, key: &str) -> Option<&'l str> {
-    strip_written(key, line)?.strip_prefix(": ")
-}
-
-/// `raw` past the bytes [`push_string`] writes for `s`, if it starts
-/// with them.
-fn strip_written<'r>(s: &str, raw: &'r str) -> Option<&'r str> {
-    if !needs_quoting(s) {
-        return raw.strip_prefix(s);
-    }
-    let mut raw = raw.strip_prefix('"')?;
-    let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        let Some(escape) = escape(b) else { continue };
-        raw = raw.strip_prefix(&s[run..i])?.strip_prefix(escape)?;
-        run = i + 1;
-    }
-    raw.strip_prefix(&s[run..])?.strip_prefix('"')
+    debug_assert!(!needs_quoting(key), "{key:?} is not a plain key");
+    line.strip_prefix(key)?.strip_prefix(": ")
 }
 
 fn push_indent(indent: usize, out: &mut String) {
@@ -180,7 +211,7 @@ fn push_scalar_or_empty_flow(v: &Yaml, out: &mut String) {
     match v {
         Yaml::Null => out.push('~'),
         Yaml::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Yaml::Int(i) => write!(out, "{i}").expect("writing to a String cannot fail"),
+        Yaml::Int(i) => out.push_str(decimal(*i, &mut [0; 20])),
         Yaml::Float(f) => out.push_str(&format_float(*f)),
         Yaml::Str(s) => push_string(s, out),
         Yaml::Seq(_) => out.push_str("[]"),
@@ -189,18 +220,26 @@ fn push_scalar_or_empty_flow(v: &Yaml, out: &mut String) {
 }
 
 /// Append a string scalar (or mapping key): plain when it reads back as
-/// the same string, double-quoted with escapes otherwise.
+/// the same string, double-quoted with escapes otherwise. One pass over
+/// the bytes decides both: it stops once it knows the string is quoted
+/// and where its first escape is, and the copy resumes from there.
 fn push_string(s: &str, out: &mut String) {
-    if !needs_quoting(s) {
+    let (quoted, first_escape) = body_pass(s.as_bytes(), quoted_by_its_ends(s), true);
+    if !quoted {
         out.push_str(s);
         return;
     }
     out.reserve(s.len() + 2);
     out.push('"');
+    let Some(mut run) = first_escape else {
+        out.push_str(s);
+        out.push('"');
+        return;
+    };
+    out.push_str(&s[..run]);
     // Every escaped character is ASCII, so the runs between them are
     // whole characters, copied as they stand.
-    let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
+    for (i, &b) in s.as_bytes().iter().enumerate().skip(run) {
         let Some(escape) = escape(b) else { continue };
         out.push_str(&s[run..i]);
         out.push_str(escape);
@@ -212,20 +251,77 @@ fn push_string(s: &str, out: &mut String) {
 
 /// The escape a quoted string writes for byte `b`, if it needs one.
 fn escape(b: u8) -> Option<&'static str> {
+    if CLASS[usize::from(b)] & ESCAPED == 0 {
+        return None;
+    }
     Some(match b {
         b'"' => "\\\"",
         b'\\' => "\\\\",
         b'\n' => "\\n",
         b'\t' => "\\t",
         b'\r' => "\\r",
-        0 => "\\0",
-        _ => return None,
+        _ => "\\0",
     })
 }
 
-/// Whether `s` must be quoted to read back as the same string: the
-/// first and last bytes are looked at once, the rest in one pass.
+/// A byte a quoted string writes as an escape: `"`, `\`, a line break,
+/// tab or NUL.
+const ESCAPED: u8 = 1;
+/// A byte that quotes a string wherever it stands: a line break, tab
+/// or NUL.
+const FORCES: u8 = 2;
+/// Half of a pair that quotes a string: `: ` (a separator colon) or
+/// ` #` (a trailing comment).
+const PAIRS: u8 = 4;
+
+/// The classes of each byte. Multi-byte characters are bytes of 0x80
+/// and above, so none of them has one.
+const CLASS: [u8; 256] = {
+    let mut class = [0u8; 256];
+    class[b'"' as usize] = ESCAPED;
+    class[b'\\' as usize] = ESCAPED;
+    class[b'\n' as usize] = ESCAPED | FORCES;
+    class[b'\t' as usize] = ESCAPED | FORCES;
+    class[b'\r' as usize] = ESCAPED | FORCES;
+    class[0] = ESCAPED | FORCES;
+    class[b':' as usize] = PAIRS;
+    class[b' ' as usize] = PAIRS;
+    class[b'#' as usize] = PAIRS;
+    class
+};
+
+/// The one pass over a string's bytes: whether it is quoted (`quoted`
+/// says what its ends decided), and, when `escapes` asks, where the
+/// first byte its quoted form escapes is. Stops as soon as both are
+/// known.
+fn body_pass(bytes: &[u8], mut quoted: bool, escapes: bool) -> (bool, Option<usize>) {
+    let mut first_escape = None;
+    let mut prev = 0u8;
+    for (i, &b) in bytes.iter().enumerate() {
+        let class = CLASS[usize::from(b)];
+        if class != 0 {
+            quoted |= class & FORCES != 0 || (prev, b) == (b':', b' ') || (prev, b) == (b' ', b'#');
+            if class & ESCAPED != 0 && first_escape.is_none() {
+                first_escape = Some(i);
+            }
+            if quoted && (first_escape.is_some() || !escapes) {
+                break;
+            }
+        }
+        prev = b;
+    }
+    (quoted, first_escape)
+}
+
+/// Whether `s` must be quoted to read back as the same string.
 fn needs_quoting(s: &str) -> bool {
+    quoted_by_its_ends(s) || body_pass(s.as_bytes(), false, false).0
+}
+
+/// The quoting rules that look at a string as a whole, its first and
+/// last characters and the type it would read as; [`body_pass`] looks
+/// at the rest.
+fn quoted_by_its_ends(s: &str) -> bool {
     let (Some(&first), Some(&last)) = (s.as_bytes().first(), s.as_bytes().last()) else {
         return true;
     };
@@ -245,23 +341,7 @@ fn needs_quoting(s: &str) -> bool {
         return true;
     }
     // Would be re-parsed as a different type.
-    if infer_non_string(s).is_some() {
-        return true;
-    }
-    // Anywhere: a line break, tab or NUL; a separator colon (`: `); a
-    // trailing comment (` #`). Multi-byte characters are bytes of 0x80
-    // and above, so none of them match.
-    let mut prev = 0u8;
-    for &b in s.as_bytes() {
-        if matches!(b, b'\n' | b'\t' | b'\r' | 0)
-            || (prev, b) == (b':', b' ')
-            || (prev, b) == (b' ', b'#')
-        {
-            return true;
-        }
-        prev = b;
-    }
-    false
+    infer_non_string(s).is_some()
 }
 
 #[cfg(test)]
@@ -374,6 +454,13 @@ mod tests {
             prop_assert_eq!(needs_quoting(&s), needs_quoting_reference(&s), "{:?}", s);
             let (one_pass, reference) = both_ways(&s);
             prop_assert_eq!(one_pass, reference);
+        }
+
+        /// Integers are written as `Display` writes them.
+        #[test]
+        fn decimal_is_display(n in prop_oneof![any::<i64>(), Just(i64::MIN), Just(i64::MAX), -10i64..10]) {
+            let mut digits = [0; 20];
+            prop_assert_eq!(decimal(n, &mut digits), n.to_string());
         }
 
         /// The one-line reader is the parser: on any line, it reads the

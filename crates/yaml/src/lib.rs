@@ -36,5 +36,5 @@ mod scanner;
 pub mod value;
 
 pub use emit::to_string;
-pub use parser::parse;
-pub use value::Yaml;
+pub use parser::{parse, parse_with, Consumer};
+pub use value::{Scalar, Yaml};

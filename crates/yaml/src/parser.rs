@@ -1,9 +1,15 @@
 //! Recursive-descent block parser over scanned lines, plus a small flow
 //! (`[..]` / `{..}`) parser for inline collections.
+//!
+//! The block parser hands what it reads to a [`Consumer`], in document
+//! order. [`parse`] reads into the [`Yaml`] tree; a reader that wants a
+//! few fields of a document keeps those and lets the rest go by, with
+//! the same grammar, the same checks and the same errors
+//! ([`parse_with`]).
 
 use crate::error::{YamlError, YamlResult};
-use crate::scanner::{parse_scalar, scan, split_key, Line};
-use crate::value::Yaml;
+use crate::scanner::{lines, read_scalar, scan, split_key, trim, trim_start, Line, LINES_IN_PLACE};
+use crate::value::{Scalar, Yaml};
 use std::borrow::Cow;
 use std::collections::HashSet;
 
@@ -25,13 +31,126 @@ fn descend(depth: &mut usize, line: usize) -> YamlResult<()> {
     Ok(())
 }
 
+/// What the block parser hands its reads to, in document order. Each
+/// node is read in a *slot* the consumer names — the root's, the one
+/// [`key`](Consumer::key) gives the value under a key, the one
+/// [`item`](Consumer::item) gives a sequence's next item — so a
+/// consumer can tell where it is without keeping a path.
+pub trait Consumer<'a> {
+    /// Where a node sits, as far as the consumer tells places apart.
+    type Slot: Copy;
+    /// What a node is read into.
+    type Node;
+    /// A mapping being read.
+    type Map;
+    /// A sequence being read.
+    type Seq;
+
+    /// A scalar, read in slot `at`.
+    fn scalar(&mut self, at: Self::Slot, value: Scalar<'a>) -> Self::Node;
+    /// A mapping opens in slot `at`.
+    fn map(&mut self, at: Self::Slot) -> Self::Map;
+    /// The slot of the value under `key`, read next. `key` is not a
+    /// repeat: a repeated key is an error before this is asked.
+    fn key(&mut self, map: &Self::Map, key: &str) -> Self::Slot;
+    /// The value read under `key`.
+    fn entry(&mut self, map: &mut Self::Map, key: Cow<'a, str>, value: Self::Node);
+    /// The mapping is complete.
+    fn end_map(&mut self, map: Self::Map) -> Self::Node;
+    /// A sequence of `len` items opens in slot `at`.
+    fn seq(&mut self, at: Self::Slot, len: usize) -> Self::Seq;
+    /// The slot of the sequence's next item, read next.
+    fn item(&mut self, seq: &Self::Seq) -> Self::Slot;
+    /// The item read.
+    fn push(&mut self, seq: &mut Self::Seq, item: Self::Node);
+    /// The sequence is complete.
+    fn end_seq(&mut self, seq: Self::Seq) -> Self::Node;
+
+    /// A flow collection (`[..]`, `{..}`), read whole in slot `at`.
+    /// Handed on as the block collection of the same content, entry by
+    /// entry, unless the consumer keeps the value as it is.
+    fn flow(&mut self, at: Self::Slot, value: Yaml) -> Self::Node {
+        match value {
+            Yaml::Map(entries) => {
+                let mut map = self.map(at);
+                for (key, value) in entries {
+                    let slot = self.key(&map, &key);
+                    let node = self.flow(slot, value);
+                    self.entry(&mut map, Cow::Owned(key), node);
+                }
+                self.end_map(map)
+            }
+            Yaml::Seq(items) => {
+                let mut seq = self.seq(at, items.len());
+                for item in items {
+                    let slot = self.item(&seq);
+                    let node = self.flow(slot, item);
+                    self.push(&mut seq, node);
+                }
+                self.end_seq(seq)
+            }
+            Yaml::Null => self.scalar(at, Scalar::Null),
+            Yaml::Bool(b) => self.scalar(at, Scalar::Bool(b)),
+            Yaml::Int(i) => self.scalar(at, Scalar::Int(i)),
+            Yaml::Float(f) => self.scalar(at, Scalar::Float(f)),
+            Yaml::Str(s) => self.scalar(at, Scalar::Str(Cow::Owned(s))),
+        }
+    }
+}
+
+/// [`parse`]'s consumer: every node into its [`Yaml`] value.
+struct Tree;
+
+impl<'a> Consumer<'a> for Tree {
+    type Slot = ();
+    type Node = Yaml;
+    type Map = Vec<(String, Yaml)>;
+    type Seq = Vec<Yaml>;
+
+    fn scalar(&mut self, _: (), value: Scalar<'a>) -> Yaml {
+        value.into()
+    }
+    fn map(&mut self, _: ()) -> Self::Map {
+        Vec::new()
+    }
+    fn key(&mut self, _: &Self::Map, _: &str) {}
+    fn entry(&mut self, map: &mut Self::Map, key: Cow<'a, str>, value: Yaml) {
+        map.push((key.into_owned(), value));
+    }
+    fn end_map(&mut self, map: Self::Map) -> Yaml {
+        Yaml::Map(map)
+    }
+    fn seq(&mut self, _: (), len: usize) -> Self::Seq {
+        Vec::with_capacity(len)
+    }
+    fn item(&mut self, _: &Self::Seq) {}
+    fn push(&mut self, seq: &mut Self::Seq, item: Yaml) {
+        seq.push(item);
+    }
+    fn end_seq(&mut self, seq: Self::Seq) -> Yaml {
+        Yaml::Seq(seq)
+    }
+    fn flow(&mut self, _: (), value: Yaml) -> Yaml {
+        value
+    }
+}
+
 /// Parse a single YAML document.
 ///
 /// An empty (or comment-only) document parses to [`Yaml::Null`].
 pub fn parse(src: &str) -> YamlResult<Yaml> {
-    let lines = scan(src)?;
+    parse_with(src, &mut Tree, ())
+}
+
+/// Read a single YAML document into `consumer`, its root in slot
+/// `root`: [`parse`]'s grammar, checks and errors, with every node
+/// handed to the consumer instead of built. An empty (or comment-only)
+/// document is a null scalar.
+pub fn parse_with<'a, C: Consumer<'a>>(src: &'a str, consumer: &mut C, root: C::Slot) -> YamlResult<C::Node> {
+    let (mut in_place, mut spilled) = ([Line::default(); LINES_IN_PLACE], Vec::new());
+    let lines = scan(src, &mut in_place, &mut spilled)?;
     if lines.is_empty() {
-        return Ok(Yaml::Null);
+        return Ok(consumer.scalar(root, Scalar::Null));
     }
     let root_indent = lines[0].indent;
     let mut p = Parser {
@@ -41,8 +160,9 @@ pub fn parse(src: &str) -> YamlResult<Yaml> {
         pending: None,
         raw: Vec::new(),
         depth: 0,
+        out: consumer,
     };
-    let value = p.parse_node(root_indent)?;
+    let value = p.parse_node(root_indent, root)?;
     if let Some(extra) = p.peek() {
         return Err(YamlError::new(
             extra.number,
@@ -53,10 +173,10 @@ pub fn parse(src: &str) -> YamlResult<Yaml> {
 }
 
 /// Everything the parser looks at borrows from the document (`'a`);
-/// it allocates only for the values it returns.
-struct Parser<'a> {
+/// it allocates only for what its consumer keeps.
+struct Parser<'a, 'l, 'c, C> {
     src: &'a str,
-    lines: Vec<Line<'a>>,
+    lines: &'l [Line<'a>],
     pos: usize,
     /// A line read before `lines[pos]`: the entry that opens a mapping
     /// on a `- key: value` line, at the column where it begins.
@@ -67,9 +187,10 @@ struct Parser<'a> {
     raw: Vec<&'a str>,
     /// Nesting levels open at `pos` (see [`MAX_DEPTH`]).
     depth: usize,
+    out: &'c mut C,
 }
 
-impl<'a> Parser<'a> {
+impl<'a, C: Consumer<'a>> Parser<'a, '_, '_, C> {
     fn peek(&self) -> Option<Line<'a>> {
         self.pending.or_else(|| self.lines.get(self.pos).copied())
     }
@@ -84,8 +205,8 @@ impl<'a> Parser<'a> {
     }
 
     /// Parse the node whose first line is at `self.pos`, expected at
-    /// exactly `indent`.
-    fn parse_node(&mut self, indent: usize) -> YamlResult<Yaml> {
+    /// exactly `indent`, in slot `at`.
+    fn parse_node(&mut self, indent: usize, at: C::Slot) -> YamlResult<C::Node> {
         let line = self
             .peek()
             .ok_or_else(|| YamlError::new(0, "unexpected end of document"))?;
@@ -97,13 +218,13 @@ impl<'a> Parser<'a> {
         }
         descend(&mut self.depth, line.number)?;
         let node = if is_sequence_entry(line.content) {
-            self.parse_sequence(indent)
+            self.parse_sequence(indent, at)
         } else if let Some(entry) = split_key(line.content) {
-            self.parse_mapping(indent, entry)
+            self.parse_mapping(indent, entry, at)
         } else {
             // Top-level / nested scalar (or flow collection) with folding.
             self.bump();
-            self.parse_inline_value(line.content, indent, line.number)
+            self.parse_inline_value(line.content, indent, line.number, at)
         }?;
         self.depth -= 1;
         Ok(node)
@@ -111,8 +232,8 @@ impl<'a> Parser<'a> {
 
     /// Parse the mapping whose first line, at `self.pos`, splits into
     /// `first`.
-    fn parse_mapping(&mut self, indent: usize, first: (&'a str, &'a str)) -> YamlResult<Yaml> {
-        let mut map: Vec<(String, Yaml)> = Vec::new();
+    fn parse_mapping(&mut self, indent: usize, first: (&'a str, &'a str), at: C::Slot) -> YamlResult<C::Node> {
+        let mut map = self.out.map(at);
         let mut keys = Keys::default();
         let mut entry = Some(first);
         while let Some(line) = self.peek() {
@@ -139,30 +260,28 @@ impl<'a> Parser<'a> {
                 ));
             };
             let key = read_key(raw_key, line.number)?;
-            if keys.repeats(&map, &key) {
+            if keys.repeats(key.clone()) {
                 return Err(YamlError::new(line.number, format!("duplicate mapping key {key:?}")));
             }
+            let slot = self.out.key(&map, &key);
             let value = if rest.is_empty() {
                 // `key:` — nested block, or null if nothing deeper follows.
                 match self.peek() {
-                    Some(next) if next.indent > indent => {
-                        let child_indent = next.indent;
-                        self.parse_node(child_indent)?
-                    }
-                    _ => Yaml::Null,
+                    Some(next) if next.indent > indent => self.parse_node(next.indent, slot)?,
+                    _ => self.out.scalar(slot, Scalar::Null),
                 }
             } else if let Some(style) = block_scalar_style(rest) {
-                self.parse_block_scalar(style, indent, line.number)?
+                self.parse_block_scalar(style, indent, line.number, slot)?
             } else {
-                self.parse_inline_value(rest, indent, line.number)?
+                self.parse_inline_value(rest, indent, line.number, slot)?
             };
-            map.push((key, value));
+            self.out.entry(&mut map, key, value);
         }
-        Ok(Yaml::Map(map))
+        Ok(self.out.end_map(map))
     }
 
-    fn parse_sequence(&mut self, indent: usize) -> YamlResult<Yaml> {
-        let mut seq = Vec::new();
+    fn parse_sequence(&mut self, indent: usize, at: C::Slot) -> YamlResult<C::Node> {
+        let mut seq = self.out.seq(at, self.entries_at(indent));
         while let Some(line) = self.peek() {
             if line.indent < indent {
                 break;
@@ -177,36 +296,49 @@ impl<'a> Parser<'a> {
                 break;
             }
             self.bump();
-            if line.content == "-" {
+            let slot = self.out.item(&seq);
+            let item = if line.content == "-" {
                 // Dash alone: nested block on following deeper lines.
                 match self.peek() {
-                    Some(next) if next.indent > indent => {
-                        let child_indent = next.indent;
-                        seq.push(self.parse_node(child_indent)?);
-                    }
-                    _ => seq.push(Yaml::Null),
+                    Some(next) if next.indent > indent => self.parse_node(next.indent, slot)?,
+                    _ => self.out.scalar(slot, Scalar::Null),
                 }
-                continue;
-            }
-            let rest = line.content[1..].trim_start();
-            let rest_col = indent + (line.content.len() - rest.len());
-            if split_key(rest).is_some() && !starts_quoted_or_flow(rest) {
-                // `- key: value` opens a mapping whose first entry sits on
-                // the dash line: its remainder is read next, as a line at
-                // the column where it begins.
-                self.pending = Some(Line {
-                    number: line.number,
-                    indent: rest_col,
-                    content: rest,
-                });
-                seq.push(self.parse_node(rest_col)?);
-            } else if let Some(style) = block_scalar_style(rest) {
-                seq.push(self.parse_block_scalar(style, indent, line.number)?);
             } else {
-                seq.push(self.parse_inline_value(rest, indent, line.number)?);
-            }
+                let rest = trim_start(&line.content[1..]);
+                let rest_col = indent + (line.content.len() - rest.len());
+                if split_key(rest).is_some() && !starts_quoted_or_flow(rest) {
+                    // `- key: value` opens a mapping whose first entry sits
+                    // on the dash line: its remainder is read next, as a
+                    // line at the column where it begins.
+                    self.pending = Some(Line {
+                        number: line.number,
+                        indent: rest_col,
+                        content: rest,
+                    });
+                    self.parse_node(rest_col, slot)?
+                } else if let Some(style) = block_scalar_style(rest) {
+                    self.parse_block_scalar(style, indent, line.number, slot)?
+                } else {
+                    self.parse_inline_value(rest, indent, line.number, slot)?
+                }
+            };
+            self.out.push(&mut seq, item);
         }
-        Ok(Yaml::Seq(seq))
+        Ok(self.out.end_seq(seq))
+    }
+
+    /// How many entries the sequence at column `indent` that opens at
+    /// the next line reads, if it reads to its end: the entries at that
+    /// column up to the first shallower line or other line at it.
+    fn entries_at(&self, indent: usize) -> usize {
+        // A pending line is the sequence's first entry.
+        let pending = usize::from(self.pending.is_some());
+        pending
+            + self.lines[self.pos..]
+                .iter()
+                .take_while(|l| l.indent > indent || (l.indent == indent && is_sequence_entry(l.content)))
+                .filter(|l| l.indent == indent)
+                .count()
     }
 
     /// Parse a block scalar whose header (`|`, `|-`, `>`, `>-`) sat on
@@ -218,9 +350,10 @@ impl<'a> Parser<'a> {
         style: BlockStyle,
         parent_indent: usize,
         header_line: usize,
-    ) -> YamlResult<Yaml> {
+        at: C::Slot,
+    ) -> YamlResult<C::Node> {
         if self.raw.is_empty() {
-            self.raw = self.src.lines().collect();
+            self.raw = lines(self.src).collect();
         }
         // Collect the raw content region.
         let mut content: Vec<&str> = Vec::new();
@@ -248,7 +381,7 @@ impl<'a> Parser<'a> {
         }
         if content.is_empty() {
             // An empty block scalar is the empty string.
-            return Ok(Yaml::Str(String::new()));
+            return Ok(self.out.scalar(at, Scalar::Str(Cow::Borrowed(""))));
         }
         // The block's own indentation is the indent of its first
         // non-blank line.
@@ -295,53 +428,86 @@ impl<'a> Parser<'a> {
         if !style.chomp {
             text.push('\n');
         }
-        Ok(Yaml::Str(text))
+        Ok(self.out.scalar(at, Scalar::Str(Cow::Owned(text))))
     }
 
     /// Fold plain-scalar continuation lines (strictly deeper indent, not a
     /// new sequence entry) into `first`, joined with single spaces. This
     /// is what lets Listing 1 split `nvprof … ./ece408 …` over two lines.
     ///
-    /// Borrows `first` unless a continuation is actually folded in.
+    /// Borrows `first` unless a continuation is actually folded in, and
+    /// sizes the folded text before it writes it.
     fn fold_continuations(&mut self, first: &'a str, indent: usize) -> Cow<'a, str> {
-        let mut out = Cow::Borrowed(first);
         if starts_quoted_or_flow(first) {
-            return out;
+            return Cow::Borrowed(first);
         }
-        while let Some(next) = self.peek() {
-            // A deeper line that itself looks like structure (sequence
-            // entry or mapping key) is not a continuation — leaving it
-            // here lets the enclosing block report a clear indentation
-            // error, as real YAML does.
-            if next.indent <= indent
-                || is_sequence_entry(next.content)
-                || split_key(next.content).is_some()
-            {
-                break;
-            }
-            self.bump();
-            let folded = out.to_mut();
+        // The value's own line has been read, and it is no pending one.
+        debug_assert!(self.pending.is_none());
+        // A deeper line that itself looks like structure (sequence
+        // entry or mapping key) is not a continuation — leaving it
+        // here lets the enclosing block report a clear indentation
+        // error, as real YAML does.
+        let (count, len) = self.lines[self.pos..]
+            .iter()
+            .take_while(|next| {
+                next.indent > indent && !is_sequence_entry(next.content) && split_key(next.content).is_none()
+            })
+            .fold((0, first.len()), |(count, len), next| (count + 1, len + 1 + trim(next.content).len()));
+        if count == 0 {
+            return Cow::Borrowed(first);
+        }
+        let mut folded = String::with_capacity(len);
+        folded.push_str(first);
+        for next in &self.lines[self.pos..self.pos + count] {
             folded.push(' ');
-            folded.push_str(next.content.trim());
+            folded.push_str(trim(next.content));
         }
-        out
+        self.pos += count;
+        Cow::Owned(folded)
     }
 
     /// Parse a value that starts on the current line (after `key:` or
     /// `-`, or a bare scalar node) and may fold onto following lines.
-    fn parse_inline_value(&mut self, rest: &'a str, indent: usize, number: usize) -> YamlResult<Yaml> {
-        let folded = self.fold_continuations(rest, indent);
-        read_inline(&folded, number, self.depth)
+    fn parse_inline_value(&mut self, rest: &'a str, indent: usize, number: usize, at: C::Slot) -> YamlResult<C::Node> {
+        let depth = self.depth;
+        let text = match self.fold_continuations(rest, indent) {
+            Cow::Borrowed(text) => {
+                return Ok(match read_inline_parts(text, number, depth)? {
+                    Inline::Scalar(value) => self.out.scalar(at, value),
+                    Inline::Flow(value) => self.out.flow(at, value),
+                })
+            }
+            Cow::Owned(text) => text,
+        };
+        let value = match read_inline_parts(&text, number, depth)? {
+            Inline::Scalar(value) => value,
+            Inline::Flow(value) => return Ok(self.out.flow(at, value)),
+        };
+        // A folded plain scalar is the folded text: moved, not copied.
+        let whole = matches!(&value, Scalar::Str(Cow::Borrowed(s)) if s.len() == text.len());
+        let value = if whole {
+            drop(value);
+            Scalar::Str(Cow::Owned(text))
+        } else {
+            value.into_owned()
+        };
+        Ok(self.out.scalar(at, value))
     }
 }
 
+/// A value complete on its line: a scalar, borrowed from the line where
+/// it can be, or a flow collection.
+enum Inline<'t> {
+    Scalar(Scalar<'t>),
+    Flow(Yaml),
+}
+
 /// A value complete on its line (continuations folded in), on the line
-/// numbered `line` under `depth` open nesting levels: a flow collection
-/// or a scalar.
-pub(crate) fn read_inline(text: &str, line: usize, depth: usize) -> YamlResult<Yaml> {
-    let t = text.trim();
+/// numbered `line` under `depth` open nesting levels.
+fn read_inline_parts(text: &str, line: usize, depth: usize) -> YamlResult<Inline<'_>> {
+    let t = trim(text);
     if !(t.starts_with('[') || t.starts_with('{')) {
-        return parse_scalar(t, line);
+        return read_scalar(t, line).map(Inline::Scalar);
     }
     let mut fp = FlowParser {
         text: t,
@@ -355,14 +521,21 @@ pub(crate) fn read_inline(text: &str, line: usize, depth: usize) -> YamlResult<Y
     if fp.pos < fp.chars.len() {
         return Err(YamlError::new(line, "trailing characters after flow collection"));
     }
-    Ok(v)
+    Ok(Inline::Flow(v))
 }
 
-/// A block mapping's key as the parser reads it.
-pub(crate) fn read_key(raw: &str, line: usize) -> YamlResult<String> {
-    parse_scalar(raw, line)?
-        .into_scalar_string()
-        .ok_or_else(|| YamlError::new(line, "mapping key must be a scalar"))
+/// [`read_inline_parts`] as a [`Yaml`] value.
+pub(crate) fn read_inline(text: &str, line: usize, depth: usize) -> YamlResult<Yaml> {
+    Ok(match read_inline_parts(text, line, depth)? {
+        Inline::Scalar(value) => value.into(),
+        Inline::Flow(value) => value,
+    })
+}
+
+/// A block mapping's key as the parser reads it: a scalar, rendered as
+/// a string.
+pub(crate) fn read_key(raw: &str, line: usize) -> YamlResult<Cow<'_, str>> {
+    Ok(read_scalar(raw, line)?.into_string())
 }
 
 /// How many keys a mapping is scanned for a repeat before it keeps a set
@@ -370,20 +543,39 @@ pub(crate) fn read_key(raw: &str, line: usize) -> YamlResult<String> {
 /// nothing for it; a student's mapping of 64 000 keys costs linear time.
 const SCANNED_KEYS: usize = 16;
 
-/// The keys of a mapping under construction once it is past
-/// [`SCANNED_KEYS`].
-#[derive(Default)]
-struct Keys(Option<HashSet<String>>);
+/// The keys of a mapping under construction: while there are at most
+/// [`SCANNED_KEYS`] and each is a slice of the document, in place; past
+/// that, in a set.
+struct Keys<'k> {
+    first: [&'k str; SCANNED_KEYS],
+    len: usize,
+    set: Option<HashSet<Cow<'k, str>>>,
+}
 
-impl Keys {
-    /// Whether `key` is already a key of `map`, the mapping so far, every
-    /// key of which went through here.
-    fn repeats(&mut self, map: &[(String, Yaml)], key: &str) -> bool {
-        if map.len() < SCANNED_KEYS {
-            return map.iter().any(|(k, _)| k == key);
+impl Default for Keys<'_> {
+    fn default() -> Self {
+        Keys { first: [""; SCANNED_KEYS], len: 0, set: None }
+    }
+}
+
+impl<'k> Keys<'k> {
+    /// Whether `key` is already a key of the mapping; it is one after.
+    fn repeats(&mut self, key: Cow<'k, str>) -> bool {
+        match (&mut self.set, key) {
+            (None, Cow::Borrowed(key)) if self.len < SCANNED_KEYS => {
+                if self.first[..self.len].contains(&key) {
+                    return true;
+                }
+                self.first[self.len] = key;
+                self.len += 1;
+                false
+            }
+            (set, key) => {
+                let first = &self.first[..self.len];
+                let set = set.get_or_insert_with(|| first.iter().map(|&k| Cow::Borrowed(k)).collect());
+                !set.insert(key)
+            }
         }
-        let set = self.0.get_or_insert_with(|| map.iter().map(|(k, _)| k.clone()).collect());
-        !set.insert(key.to_string())
     }
 }
 
@@ -447,11 +639,11 @@ impl<'t> FlowParser<'t> {
             }
             Some('"') | Some('\'') => {
                 let token = self.take_quoted()?;
-                parse_scalar(token, self.line)
+                Ok(read_scalar(token, self.line)?.into())
             }
             Some(_) => {
                 let token = self.take_plain();
-                parse_scalar(token, self.line)
+                Ok(read_scalar(token, self.line)?.into())
             }
             None => Err(YamlError::new(self.line, "unexpected end of flow value")),
         }
@@ -505,19 +697,17 @@ impl<'t> FlowParser<'t> {
                 Some('"') | Some('\'') => self.take_quoted()?,
                 _ => self.take_plain_until_colon(),
             };
-            let key = parse_scalar(key_tok.trim(), self.line)?
-                .into_scalar_string()
-                .ok_or_else(|| YamlError::new(self.line, "flow mapping key must be a scalar"))?;
+            let key = read_scalar(key_tok.trim(), self.line)?.into_string();
             self.skip_ws();
             if self.peek() != Some(':') {
                 return Err(YamlError::new(self.line, "expected `:` in flow mapping"));
             }
             self.pos += 1;
             let value = self.parse_value()?;
-            if keys.repeats(&map, &key) {
+            if keys.repeats(key.clone()) {
                 return Err(YamlError::new(self.line, format!("duplicate mapping key {key:?}")));
             }
-            map.push((key, value));
+            map.push((key.into_owned(), value));
             self.skip_ws();
             match self.peek() {
                 Some(',') => {

@@ -1,5 +1,6 @@
 //! The YAML value model.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A parsed YAML value.
@@ -120,6 +121,69 @@ impl Yaml {
         match self {
             Yaml::Str(s) => Some(s),
             other => other.scalar_to_string(),
+        }
+    }
+}
+
+/// A scalar as the parser reads it, before anyone keeps it: a plain
+/// scalar, and a quoted one without escapes, is a slice of the
+/// document; a folded or unescaped one is owned.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Scalar<'a> {
+    /// `~`, `null`, or an empty value.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// Integer scalar.
+    Int(i64),
+    /// Floating-point scalar.
+    Float(f64),
+    /// String scalar (plain or quoted).
+    Str(Cow<'a, str>),
+}
+
+impl<'a> Scalar<'a> {
+    /// Numeric view: ints widen to floats ([`Yaml::as_f64`]).
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Scalar::Float(f) => Some(*f),
+            Scalar::Int(i) => Some(*i as f64),
+            _ => None,
+        }
+    }
+
+    /// The scalar as [`Yaml::into_scalar_string`] renders it, borrowed
+    /// where the text is.
+    pub fn into_string(self) -> Cow<'a, str> {
+        match self {
+            Scalar::Null => Cow::Borrowed(""),
+            Scalar::Bool(b) => Cow::Borrowed(if b { "true" } else { "false" }),
+            Scalar::Int(i) => Cow::Owned(i.to_string()),
+            Scalar::Float(f) => Cow::Owned(format_float(f)),
+            Scalar::Str(s) => s,
+        }
+    }
+
+    /// The same scalar, owning its text.
+    pub fn into_owned(self) -> Scalar<'static> {
+        match self {
+            Scalar::Null => Scalar::Null,
+            Scalar::Bool(b) => Scalar::Bool(b),
+            Scalar::Int(i) => Scalar::Int(i),
+            Scalar::Float(f) => Scalar::Float(f),
+            Scalar::Str(s) => Scalar::Str(Cow::Owned(s.into_owned())),
+        }
+    }
+}
+
+impl From<Scalar<'_>> for Yaml {
+    fn from(s: Scalar<'_>) -> Self {
+        match s {
+            Scalar::Null => Yaml::Null,
+            Scalar::Bool(b) => Yaml::Bool(b),
+            Scalar::Int(i) => Yaml::Int(i),
+            Scalar::Float(f) => Yaml::Float(f),
+            Scalar::Str(s) => Yaml::Str(s.into_owned()),
         }
     }
 }

@@ -39,7 +39,11 @@
 //! // A student project: source tree + rai-build.yml.
 //! let project = ProjectDir::sample_cuda_project();
 //! let receipt = system.submit(&creds, &project).expect("submission should succeed");
+//!
+//! // The log the student saw: the client keeps the message bodies and
+//! // renders a line when it is read.
 //! assert!(receipt.log.iter().any(|l| l.contains("Building project")));
+//! assert_eq!(receipt.log.iter().count(), receipt.log.len());
 //! ```
 
 #![forbid(unsafe_code)]

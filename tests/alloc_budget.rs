@@ -20,10 +20,11 @@
 
 use rai::archive::chunk::{chunk_bytes, ChunkManifest, ChunkerParams};
 use rai::broker::Broker;
-use rai::core::client::ProjectDir;
-use rai::core::protocol::{push_output, routes, LogFrame};
-use rai::core::spec::BuildSpec;
+use rai::core::client::{ProjectDir, RaiClient, SubmitMode, UPLOAD_BUCKET};
+use rai::core::protocol::{push_output, routes, JobKind, JobRequest, LogFrame};
+use rai::core::spec::{BuildSpec, DEFAULT_BUILD_YML};
 use rai::core::system::{RaiSystem, SystemConfig};
+use rai::core::worker::StepEvent;
 use rai::db::{doc, Collection};
 use rai::sandbox::{Container, ImageRegistry, ResourceLimits};
 use rai::sim::{SimTime, VirtualClock};
@@ -37,6 +38,7 @@ use rai_faults::DiskFaultProfile;
 use rai_wal::DurabilityConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 /// Counts calls, requested bytes, live bytes and blocks and their
 /// high-water marks, then delegates to [`System`]. `realloc` and `alloc_zeroed` are the trait's defaults,
@@ -105,8 +107,14 @@ fn kept_per_item(n: u64, each: impl FnMut(u64)) -> (f64, f64) {
 }
 
 /// Allocations and requested bytes allowed per submission. Measured
-/// (EXPERIMENTS.md, "The job's run at its floor"): 250 / 30 612 B at
-/// this commit, 279 / 31 740 B at its parent — a sandbox job writes
+/// (EXPERIMENTS.md, "A job's text read where it lies"): 186 / 24 540 B
+/// at this commit, 250 / 30 724 B at its parent — the client keeps a
+/// job's log as the message bodies it received instead of a `String`
+/// per line, a build file is read into its spec (or only checked, on
+/// the client) without a YAML tree, in place on the stack, and a
+/// request's kind is compared as the line it is.
+/// Before that ("The job's run at its floor"): 250 / 30 612 B,
+/// 279 / 31 740 B at its parent — a sandbox job writes
 /// its output lines into one buffer instead of a `String` each, `make`
 /// reads its sources without copying their paths or keeping a second
 /// list, and the Makefile, the binary and the profile are inserted
@@ -144,14 +152,16 @@ fn kept_per_item(n: u64, each: impl FnMut(u64)) -> (f64, f64) {
 /// set, the claim takes the popped request instead of a copy, and the
 /// end-of-course copies of every trace and every row are gone. The same
 /// in the debug profile tier-1 runs this test in and in release. Both
-/// gates are 3 % above the 250 / 30 612 B measurement.
-const BUDGET: (u64, u64) = (257, 31_530);
+/// gates are 3 % above the 186 / 24 540 B measurement.
+const BUDGET: (u64, u64) = (192, 25_276);
 
 /// Allocations and requested bytes allowed per submission of the
 /// benchmark's `durable_chaos` course (960 submissions on a WAL-backed
 /// deployment, killed mid-run with damaged log tails, recovered and
-/// resumed). Measured (EXPERIMENTS.md, "The job's run at its
-/// floor"): 345.9 / 53 326 B at this commit, 375.4 / 54 355 B at its
+/// resumed). Measured (EXPERIMENTS.md, "A job's text read where it
+/// lies"): 305.6 / 49 048 B at this commit, 345.9 / 53 440 B at its
+/// parent — the same text, read where it lies. Before that ("The
+/// job's run at its floor"): 345.9 / 53 326 B, 375.4 / 54 355 B at its
 /// parent — the same sandbox job, in one output buffer. Before that
 /// ("The job's text at its floor"): 375.4 / 54 355 B, 411.2 / 58 045 B
 /// at its parent — a request is read line by line, not as a YAML tree,
@@ -161,9 +171,9 @@ const BUDGET: (u64, u64) = (257, 31_530);
 /// names and object record straight into a frame the log reuses, where
 /// it was copied into an owned record, encoded into a `Vec` and framed
 /// into another, and replay decodes views of the segment instead of a
-/// copy of every payload. Both gates are 3 % above the 345.9 /
-/// 53 326 B measurement.
-const DURABLE_BUDGET: (f64, f64) = (356.3, 54_926.0);
+/// copy of every payload. Both gates are 3 % above the 305.6 /
+/// 49 048 B measurement.
+const DURABLE_BUDGET: (f64, f64) = (314.8, 50_519.0);
 
 /// Peak live heap allowed per submission over the same course, in
 /// bytes and blocks. Measured: 2 538 B in 14.8 blocks at this commit,
@@ -198,6 +208,27 @@ const TRACE_BUDGET: (f64, f64) = (324.0, 1.05);
 /// sources twice (2), and built the directive apart from the binary.
 /// The gate is 3 % above the 31 measurement.
 const SANDBOX_JOB_BUDGET: u64 = 31;
+
+/// Allocations allowed for the client's check of a build file, the
+/// copy it returns included: the copy, and a folded command's text.
+/// Measured: 1 for the course's four-command file, 2 for Listings 1
+/// and 2 (each folds a command); 17, 22 and 21 at the parent, which
+/// built a YAML tree of the file to check it.
+const CLIENT_CHECK_BUDGET: u64 = 2;
+/// Allocations allowed for the worker's spec past one per command: the
+/// image and the command list. Measured: 6, 7 and 7 for the course's
+/// file and Listings 1 and 2 (16, 21 and 20 at the parent).
+const SPEC_FIXED_BUDGET: u64 = 2;
+/// Allocations `JobRequest::encode` and `JobRequest::decode` make: the
+/// encoded text; each of the six string fields (the kind is compared
+/// as the line it is). 1 and 7 at the parent.
+const CODEC_BUDGET: (u64, u64) = (1, 6);
+/// Allocations allowed for the client's wait for one job: the list of
+/// the job's message bodies, kept as they arrived, the build URL, and
+/// the broker's first delivery on the job's fresh channel (its
+/// in-flight table). Measured: 3 (32 and 29 at the parent, a `String` per frame
+/// and a second for each `[stderr]` / `[rai]` line).
+const WAIT_BUDGET: u64 = 3;
 
 /// Peak live heap allowed for a job whose build file doubles `/build`
 /// eighteen times: 2.7 MB measured, its tree stopped at `MAX_ENTRIES`
@@ -367,6 +398,58 @@ fn request_path_stays_inside_its_allocation_budget() {
         job_calls <= SANDBOX_JOB_BUDGET,
         "{job_calls} allocations per sandbox job exceed the budget {SANDBOX_JOB_BUDGET}"
     );
+
+    // A job's text, call by call (DESIGN.md §11 "Request path" and
+    // "Output path"): the client's check of the build file, the
+    // request's codec, the worker's read of the build file into its
+    // spec, and the client's wait for the job's log.
+    let team_file = "rai:\n  version: 0.1\n  image: webgpu/rai:root\ncommands:\n  build:\n    \
+                     - echo \"Building project\"\n    - cmake /src\n    - make\n    \
+                     - ./ece408 /data/testfull.hdf5 /data/model.hdf5\n";
+    let mut team_project = ProjectDir::sample_cuda_project().with_final_artifacts();
+    for (mode, file) in [(SubmitMode::Run, Some(team_file)), (SubmitMode::Run, None), (SubmitMode::Submit, None)] {
+        if let Some(file) = file {
+            team_project.tree.insert("rai-build.yml", file.as_bytes().to_vec()).expect("valid path");
+        }
+        let (text, calls, _) = counted(|| RaiClient::effective_build_yml(&team_project, mode).expect("valid"));
+        println!("client check: {calls} allocations for {mode:?} ({} bytes)", text.len());
+        assert!(calls <= CLIENT_CHECK_BUDGET, "{calls} allocations to check a build file");
+        let (spec, calls, _) = counted(|| BuildSpec::parse(&text).expect("valid"));
+        let commands = spec.build.len() as u64;
+        println!("worker spec: {calls} allocations for {commands} commands");
+        assert!(calls <= commands + SPEC_FIXED_BUDGET, "{calls} allocations to read a spec of {commands} commands");
+        team_project.tree.remove("rai-build.yml");
+    }
+    let mut request = JobRequest {
+        job_id: 0x1234,
+        access_key: "BsqJuFUI2ZtK4g1aLXf-OjmML6".to_string(),
+        signature: "0".repeat(64),
+        team: "team-07".to_string(),
+        upload_bucket: UPLOAD_BUCKET.to_string(),
+        upload_key: "team-07/00001234.tar.bz2".to_string(),
+        build_yml: team_file.to_string(),
+        kind: JobKind::Run,
+    };
+    for build_yml in [team_file, DEFAULT_BUILD_YML] {
+        request.build_yml = build_yml.to_string();
+        let (encoded, encode_calls, _) = counted(|| request.encode());
+        let (decoded, decode_calls, _) = counted(|| JobRequest::decode(&encoded));
+        assert_eq!(decoded.as_ref(), Some(&request));
+        println!("request codec: {encode_calls} allocations to encode, {decode_calls} to decode");
+        assert_eq!((encode_calls, decode_calls), CODEC_BUDGET, "encode and decode allocations");
+    }
+    let mut system = RaiSystem::new(SystemConfig { rate_limit: None, ..Default::default() });
+    let creds = system.register_team("team-07", &[]);
+    let client = system.client_for(&creds);
+    for round in 0..2 {
+        // The first job of a worker pulls its image: one more message.
+        let pending = client.begin_submit(&ProjectDir::sample_cuda_project(), SubmitMode::Run).expect("submits");
+        assert!(matches!(system.workers_mut()[0].try_step(), StepEvent::Done(_)));
+        let (receipt, calls, _) = counted(|| pending.wait(Duration::from_millis(500)).expect("completes"));
+        println!("wait: {calls} allocations for a job of {} log lines (round {round})", receipt.log.len());
+        assert!(receipt.success && calls <= WAIT_BUDGET, "{calls} allocations to wait for a job");
+    }
+    drop(system);
 
     // An interactive session hands back the lines its command appended
     // and no others: once the session's output is at its cap, a command

@@ -181,7 +181,7 @@ fn a_build_path_past_the_bound_still_leaves_a_readable_build_archive() {
             l.contains("cp: cannot create '/build/aaa") && l.ends_with("File name too long")
         }),
         "log: {:?}",
-        receipt.log.iter().map(|l| &l[..l.len().min(80)]).collect::<Vec<_>>()
+        receipt.log.iter().map(|l| l[..l.len().min(80)].to_string()).collect::<Vec<_>>()
     );
     let url = receipt.build_url.expect("the worker published a build URL");
     let obj = sys.store().get_presigned(&url).expect("presigned URL valid");
