@@ -17,8 +17,7 @@
 //! any other frame is written verbatim, which makes a one-frame block
 //! the same bytes as [`LogFrame::encode`].
 
-use rai_yaml::emit::{push_int_entry, push_str_entry, read_entry, read_int_entry, read_str_entry};
-use rai_yaml::Yaml;
+use rai_yaml::emit::{push_int_entry, push_str_entry, read_int_entry, read_str_entry};
 use std::borrow::Cow;
 use std::io::Write;
 
@@ -138,14 +137,10 @@ impl JobRequest {
     /// always read; YAML that says the same in another layout (keys
     /// reordered, repeated or extra, comment or blank lines, another
     /// quoting, indentation, continuation, flow or block forms) is
-    /// malformed. A message cut short before its last line break reads
-    /// that line as the parser reads it.
+    /// malformed, and so is a message cut short before its last line
+    /// break.
     pub fn decode(text: &str) -> Option<JobRequest> {
-        let (body, whole) = match text.strip_suffix('\n') {
-            Some(body) => (body, true),
-            None => (text, false),
-        };
-        let mut lines = split_lines(body);
+        let mut lines = split_lines(text.strip_suffix('\n')?);
         let job_id = read_int_entry(lines.next()?, "job_id")? as u64;
         let mut s = |key: &str| read_str_entry(lines.next()?, key);
         let access_key = s("access_key")?;
@@ -159,15 +154,7 @@ impl JobRequest {
             "kind: run" => JobKind::Run,
             _ => return None,
         };
-        let last = lines.next()?;
-        let build_yml = if whole {
-            read_str_entry(last, "build_yml")?
-        } else {
-            match read_entry(last)? {
-                (key, Yaml::Str(s)) if key == "build_yml" => s,
-                _ => return None,
-            }
-        };
+        let build_yml = read_str_entry(lines.next()?, "build_yml")?;
         if lines.next().is_some() {
             return None;
         }
@@ -440,9 +427,9 @@ mod tests {
         for other in &relaid {
             assert_eq!(JobRequest::decode(other), None, "{other}");
         }
-        // Cut before its last line break, the last line reads as the
-        // parser reads it.
-        assert_eq!(JobRequest::decode(text.strip_suffix('\n').unwrap()), Some(sample()));
+        // Cut before its last line break, it is not a line the writer
+        // wrote.
+        assert_eq!(JobRequest::decode(text.strip_suffix('\n').unwrap()), None);
         let cut = text.strip_suffix("\"\n").unwrap();
         assert_eq!(JobRequest::decode(cut), None);
     }

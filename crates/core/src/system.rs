@@ -197,8 +197,7 @@ impl RaiSystem {
     }
 
     /// Shared tail of every constructor: buckets/indexes (idempotent —
-    /// replayed state is left alone), fault layer, worker fleet,
-    /// telemetry collectors.
+    /// replayed state is left alone), fault layer, worker fleet.
     fn finish_deploy(
         config: SystemConfig,
         clock: VirtualClock,
@@ -265,75 +264,6 @@ impl RaiSystem {
                 w
             })
             .collect();
-        // Pull-style collectors: broker / store / db keep their own
-        // counters; these mirror them into the registry at snapshot time.
-        {
-            let broker = broker.clone();
-            telemetry.register_collector(move |reg| {
-                let s = broker.stats();
-                reg.counter(names::BROKER_PUBLISHED_TOTAL, &[]).store(s.published);
-                reg.counter(names::BROKER_ACKED_TOTAL, &[]).store(s.acked);
-                reg.counter(names::BROKER_REQUEUED_TOTAL, &[]).store(s.requeued);
-                reg.counter(names::DEAD_LETTERED_TOTAL, &[]).store(s.dead_lettered);
-                reg.gauge(names::BROKER_QUEUE_DEPTH, &[]).set(s.depth as f64);
-                reg.gauge(names::BROKER_IN_FLIGHT, &[]).set(s.in_flight as f64);
-                reg.gauge(names::BROKER_CHANNELS, &[]).set(s.channels as f64);
-            });
-            let inj = injector.clone();
-            telemetry.register_collector(move |reg| {
-                for (kind, n) in inj.injected_counts() {
-                    reg.counter(names::FAULTS_INJECTED_TOTAL, &[("kind", kind)]).store(n);
-                }
-            });
-            let store2 = store.clone();
-            telemetry.register_collector(move |reg| {
-                let u = store2.usage();
-                reg.counter(names::STORE_BYTES_UPLOADED_TOTAL, &[]).store(u.bytes_uploaded);
-                reg.counter(names::STORE_BYTES_DOWNLOADED_TOTAL, &[]).store(u.bytes_downloaded);
-                reg.counter(names::STORE_PUTS_TOTAL, &[]).store(u.puts);
-                reg.counter(names::STORE_GETS_TOTAL, &[]).store(u.gets);
-                reg.counter(names::STORE_EXPIRED_TOTAL, &[]).store(u.expired);
-                reg.gauge(names::STORE_BYTES_STORED, &[]).set(u.bytes_stored as f64);
-                reg.gauge(names::STORE_OBJECTS, &[]).set(u.objects as f64);
-                // Dedup split: logical = what a plain store would hold,
-                // physical = distinct chunk bytes actually resident.
-                reg.gauge(names::STORE_BYTES_LOGICAL, &[]).set(u.bytes_stored as f64);
-                reg.gauge(names::STORE_BYTES_PHYSICAL, &[]).set(u.bytes_physical as f64);
-                reg.gauge(names::STORE_METADATA_BYTES, &[]).set(u.metadata_bytes as f64);
-                reg.gauge(names::STORE_CHUNKS, &[]).set(u.chunks as f64);
-                reg.counter(names::STORE_CHUNKS_DEDUP_TOTAL, &[]).store(u.chunks_dedup_total);
-                reg.counter(names::STORE_BYTES_WIRE_TOTAL, &[]).store(u.bytes_wire);
-                reg.counter(names::STORE_DELTA_PUTS_TOTAL, &[]).store(u.delta_puts);
-                // Contended wait on the store's state lock. A host
-                // fact — it varies with scheduling, never with the
-                // simulation.
-                reg.counter(names::LOCK_WAIT_MICROS_TOTAL, &[]).store(store2.lock_wait_micros());
-            });
-            let db2 = db.clone();
-            telemetry.register_collector(move |reg| {
-                let t = db2.total_stats();
-                reg.counter(names::DB_INSERTS_TOTAL, &[]).store(t.inserts);
-                reg.counter(names::DB_QUERIES_TOTAL, &[]).store(t.queries);
-                reg.counter(names::DB_UPDATES_TOTAL, &[]).store(t.updates);
-            });
-            // Write-ahead log counters, one label set per journal.
-            for (label, wal) in [("db", db.wal()), ("store", store.wal())] {
-                let Some(wal) = wal else { continue };
-                telemetry.register_collector(move |reg| {
-                    let s = wal.stats();
-                    let l = &[("log", label)];
-                    reg.counter(names::WAL_APPENDS_TOTAL, l).store(s.appends);
-                    reg.counter(names::WAL_BYTES_TOTAL, l).store(s.bytes);
-                    reg.counter(names::WAL_FSYNC_BATCHES_TOTAL, l).store(s.fsync_batches);
-                    reg.counter(names::WAL_REPLAYED_RECORDS_TOTAL, l).store(s.replayed);
-                    reg.counter(names::WAL_CORRUPT_RECORDS_DROPPED_TOTAL, l)
-                        .store(s.corrupt_dropped);
-                    reg.counter(names::WAL_COMPACTIONS_TOTAL, l).store(s.compactions);
-                    reg.gauge(names::WAL_SEGMENTS, l).set(s.segments as f64);
-                    reg.gauge(names::WAL_LOG_BYTES, l).set(s.log_bytes as f64);
-                });
-            }
-        }
         let rate_limiter = config
             .rate_limit
             .map(|d| RateLimiter::new(clock.clone(), d));
@@ -649,9 +579,52 @@ impl RaiSystem {
         RankingBoard::new(self.db.clone())
     }
 
-    /// Aggregate usage report.
+    /// Aggregate usage report: the file server's usage and a telemetry
+    /// snapshot. The broker, store, db, WAL and fault injector keep
+    /// their own cumulative stats; the report copies them into the
+    /// registry as they stand now, the store's from the one `usage()`
+    /// it returns.
     pub fn report(&self) -> SystemReport {
-        SystemReport { store: self.store.usage(), metrics: self.telemetry.snapshot() }
+        let t = &self.telemetry;
+        let b = self.broker.stats();
+        t.counter(names::BROKER_PUBLISHED_TOTAL, &[]).store(b.published);
+        t.counter(names::BROKER_ACKED_TOTAL, &[]).store(b.acked);
+        t.counter(names::BROKER_REQUEUED_TOTAL, &[]).store(b.requeued);
+        t.counter(names::DEAD_LETTERED_TOTAL, &[]).store(b.dead_lettered);
+        t.gauge(names::BROKER_QUEUE_DEPTH, &[]).set(b.depth as f64);
+        t.gauge(names::BROKER_IN_FLIGHT, &[]).set(b.in_flight as f64);
+        t.gauge(names::BROKER_CHANNELS, &[]).set(b.channels as f64);
+        let injected = self.injector.injected_counts().iter().map(|&(_, n)| n).sum();
+        t.counter(names::FAULTS_INJECTED_TOTAL, &[]).store(injected);
+        let u = self.store.usage();
+        t.counter(names::STORE_BYTES_UPLOADED_TOTAL, &[]).store(u.bytes_uploaded);
+        t.counter(names::STORE_BYTES_DOWNLOADED_TOTAL, &[]).store(u.bytes_downloaded);
+        t.counter(names::STORE_PUTS_TOTAL, &[]).store(u.puts);
+        t.counter(names::STORE_GETS_TOTAL, &[]).store(u.gets);
+        t.gauge(names::STORE_BYTES_STORED, &[]).set(u.bytes_stored as f64);
+        t.gauge(names::STORE_BYTES_PHYSICAL, &[]).set(u.bytes_physical as f64);
+        t.gauge(names::STORE_METADATA_BYTES, &[]).set(u.metadata_bytes as f64);
+        t.gauge(names::STORE_CHUNKS, &[]).set(u.chunks as f64);
+        t.counter(names::STORE_CHUNKS_DEDUP_TOTAL, &[]).store(u.chunks_dedup_total);
+        t.counter(names::STORE_BYTES_WIRE_TOTAL, &[]).store(u.bytes_wire);
+        // Contended wait on the store's state lock. A host fact — it
+        // varies with scheduling, never with the simulation.
+        t.counter(names::LOCK_WAIT_MICROS_TOTAL, &[]).store(self.store.lock_wait_micros());
+        let d = self.db.total_stats();
+        t.counter(names::DB_INSERTS_TOTAL, &[]).store(d.inserts);
+        t.counter(names::DB_QUERIES_TOTAL, &[]).store(d.queries);
+        t.counter(names::DB_UPDATES_TOTAL, &[]).store(d.updates);
+        // One label set per journal, on durable deployments.
+        for (label, wal) in [("db", self.db.wal()), ("store", self.store.wal())] {
+            let Some(wal) = wal else { continue };
+            let w = wal.stats();
+            let l = &[("log", label)];
+            t.counter(names::WAL_APPENDS_TOTAL, l).store(w.appends);
+            t.counter(names::WAL_BYTES_TOTAL, l).store(w.bytes);
+            t.counter(names::WAL_FSYNC_BATCHES_TOTAL, l).store(w.fsync_batches);
+            t.counter(names::WAL_REPLAYED_RECORDS_TOTAL, l).store(w.replayed);
+        }
+        SystemReport { store: u, metrics: t.snapshot() }
     }
 
     /// The shared virtual clock.

@@ -40,9 +40,9 @@ use crate::spec::BuildSpec;
 use rai_archive::{restore_shared, FileTree};
 use rai_auth::CredentialRegistry;
 use rai_broker::{Broker, MessageId, Subscription};
-use rai_db::{doc, Database, DbError, Value};
+use rai_db::{doc, Database, DbError, Document, Value};
 use rai_faults::{CrashKind, CrashPoint, FaultInjector, FaultPlan};
-use rai_sandbox::{Container, ContainerStatus, Image, ImageRegistry, LogStream, ResourceLimits};
+use rai_sandbox::{Container, Image, ImageRegistry, LogStream, ResourceLimits};
 use rai_sim::{SimDuration, SimTime};
 use rai_telemetry::{component, names, stage, Telemetry};
 use parking_lot::RwLock;
@@ -165,6 +165,11 @@ impl Attempt {
     }
 }
 
+/// The outcome, and the user name on the submissions row, of a request
+/// whose signature did not verify or whose key does not act for its
+/// team and upload.
+const AUTH_REJECTED: &str = "auth-rejected";
+
 /// An attempt that ends before its build output exists; claim and
 /// execute both pass it through to [`Worker::commit`] untouched.
 enum Halt {
@@ -215,12 +220,11 @@ enum ClaimPlan {
 }
 
 /// What the sandbox run looked like, in service time: commit derives
-/// the BUILT and RAN spans and both sandbox metrics from it, so trace
-/// insertion stays in claim order.
+/// the BUILT and RAN spans from it, so trace insertion stays in claim
+/// order.
 struct RunFacts {
     from: SimDuration,
     to: SimDuration,
-    limit_killed: bool,
 }
 
 /// A claim after its execute phase: the container ran (or the claim
@@ -421,11 +425,9 @@ impl Worker {
     }
 
     /// Count the extra attempts a retried operation burnt.
-    fn note_retries(&self, op: &'static str, attempts: u32) {
+    fn note_retries(&self, attempts: u32) {
         if attempts > 1 {
-            self.telemetry
-                .counter(names::RETRIES_TOTAL, &[("op", op)])
-                .add(u64::from(attempts - 1));
+            self.telemetry.counter(names::RETRIES_TOTAL, &[]).add(u64::from(attempts - 1));
         }
     }
 
@@ -523,8 +525,8 @@ impl Worker {
                 job.log_bytes += reject(&self.broker, format!("authentication failed: {e}"));
                 // The recorded row carries the rejection in place of a
                 // user name — there is no authenticated user to name.
-                let user = "auth-rejected".to_string();
-                return halted(job, Halt::Reject { user, outcome: "auth-rejected" });
+                let user = AUTH_REJECTED.to_string();
+                return halted(job, Halt::Reject { user, outcome: AUTH_REJECTED });
             }
         };
 
@@ -563,7 +565,7 @@ impl Worker {
         let fetched = rai_faults::retry(self.op_seed(job.request.job_id, attempt, 1), |_| {
             self.store.get(&job.request.upload_bucket, &job.request.upload_key)
         });
-        self.note_retries("store_get", fetched.attempts);
+        self.note_retries(fetched.attempts);
         job.service_time += fetched.backoff;
         let project = match fetched
             .result
@@ -642,11 +644,7 @@ impl Worker {
                 }
                 let from = job.service_time;
                 job.service_time += report.elapsed;
-                run = Some(RunFacts {
-                    from,
-                    to: job.service_time,
-                    limit_killed: matches!(report.status, ContainerStatus::Killed(_)),
-                });
+                run = Some(RunFacts { from, to: job.service_time });
 
                 if let Some(kind) = crash_upload {
                     break 'run ExecOutcome::Halt(Halt::Crashed { kind, point: CrashPoint::Upload });
@@ -688,19 +686,13 @@ impl Worker {
         // Flush the execute phase's buffered effects first, in the
         // order a single pass would have produced them: the output
         // block (publishing is faultable, and best-effort like every
-        // log publish), then spans, then sandbox metrics.
+        // log publish), then the spans.
         if !output.is_empty() {
             let _ = self.broker.publish_ephemeral(&log_topic, output);
         }
         if let Some(run) = &run {
-            self.note_stage(&job, stage::BUILT, component::SANDBOX, run.from, run.from);
+            self.mark(&job, stage::BUILT, component::SANDBOX, run.from);
             self.note_stage(&job, stage::RAN, component::SANDBOX, run.from, run.to);
-            self.telemetry
-                .histogram(names::SANDBOX_RUN_SECONDS, &[], 0.0, 5.0, 24)
-                .record((run.to - run.from).as_secs_f64());
-            if run.limit_killed {
-                self.telemetry.counter(names::SANDBOX_LIMIT_KILLS_TOTAL, &[]).inc();
-            }
         }
 
         // `Ok((success, measured))` once the terminal row has landed.
@@ -709,7 +701,7 @@ impl Worker {
         let sealed = match outcome {
             ExecOutcome::Halt(Halt::Crashed { kind, point }) => Err(job.crashed(point, kind)),
             ExecOutcome::Halt(Halt::Reject { user, outcome }) => {
-                match self.record_submission(&job, &user, None, SimDuration::ZERO, false) {
+                match self.record_submission(&job, &user, None, SimDuration::ZERO, false, true) {
                     Ok(backoff) => {
                         let before_record = job.service_time;
                         job.service_time += backoff;
@@ -749,7 +741,7 @@ impl Worker {
                         )
                     },
                 );
-                self.note_retries("store_put", upload.attempts);
+                self.note_retries(upload.attempts);
                 job.service_time += upload.backoff;
                 // A presigned URL (valid 7 days) so the student
                 // downloads the archive without holding file-server
@@ -774,7 +766,7 @@ impl Worker {
 
                 // ⑦ Record the submission metadata.
                 let recorded = self
-                    .record_submission(&job, &user, measured, elapsed, success)
+                    .record_submission(&job, &user, measured, elapsed, success, false)
                     .and_then(|backoff| {
                         if job.request.kind == JobKind::Submit && success {
                             Ok(backoff + self.record_ranking(&job.request, measured, elapsed, &build_key)?)
@@ -816,9 +808,7 @@ impl Worker {
                 })
             }
             Err(report) => {
-                self.telemetry
-                    .counter(names::WORKER_CRASHES_TOTAL, &[("kind", report.kind.label())])
-                    .inc();
+                self.telemetry.counter(names::WORKER_CRASHES_TOTAL, &[]).inc();
                 StepEvent::Crashed(report)
             }
         }
@@ -827,8 +817,12 @@ impl Worker {
     /// Submission metadata — "execution times, run-times, and logs …
     /// useful for grading or any other coursework auditing process."
     /// Upserts keyed on `job_id` so a redelivered attempt overwrites
-    /// its own row rather than double-counting the submission. Returns
-    /// the retry backoff to fold into the job's service time.
+    /// its own row rather than double-counting the submission. The row
+    /// of a `rejected` request replaces only a row of its own team, and
+    /// one whose key was not proven to act for its team
+    /// ([`AUTH_REJECTED`]) speaks for no team: it lands only where no
+    /// row holds its job id. Returns the retry backoff to fold into the
+    /// job's service time.
     fn record_submission(
         &self,
         job: &Attempt,
@@ -836,13 +830,26 @@ impl Worker {
         measured_secs: Option<f64>,
         wall: SimDuration,
         success: bool,
+        rejected: bool,
     ) -> Result<SimDuration, DbError> {
         let request = &job.request;
         let guarded = rai_faults::retry(self.op_seed(request.job_id, 0, 3), |_| self.db.guard());
-        self.note_retries("db_record", guarded.attempts);
+        self.note_retries(guarded.attempts);
         guarded.result?;
-        self.db.collection("submissions").write().update_one(
-            &doc! { "job_id" => request.job_id },
+        let submissions = self.db.collection("submissions");
+        let mut rows = submissions.write();
+        let key = doc! { "job_id" => request.job_id };
+        if rejected {
+            let own = |row: &Document| {
+                user != AUTH_REJECTED
+                    && row.get("team").and_then(Value::as_str) == Some(request.team.as_str())
+            };
+            if rows.find_one(&key).is_some_and(|row| !own(&row)) {
+                return Ok(guarded.backoff);
+            }
+        }
+        rows.update_one(
+            &key,
             &doc! { "$set" => doc!{
                 "team" => request.team.as_str(),
                 "user" => user,
@@ -873,7 +880,7 @@ impl Worker {
     ) -> Result<SimDuration, DbError> {
         let Some(secs) = measured_secs else { return Ok(SimDuration::ZERO) };
         let guarded = rai_faults::retry(self.op_seed(request.job_id, 0, 4), |_| self.db.guard());
-        self.note_retries("db_record", guarded.attempts);
+        self.note_retries(guarded.attempts);
         guarded.result?;
         self.db.collection("rankings").write().update_one(
             &doc! { "team" => request.team.as_str() },

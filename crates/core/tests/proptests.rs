@@ -209,8 +209,13 @@ fn reference_encode(r: &JobRequest) -> String {
     ]))
 }
 
-/// `decode` as it was before it moved strings out of the document.
+/// `decode` as it was before it moved strings out of the document,
+/// with its rule for a message cut before its last line break: `encode`
+/// ends every line it writes, so such a message is malformed.
 fn reference_decode(text: &str) -> Option<JobRequest> {
+    if !text.ends_with('\n') {
+        return None;
+    }
     let doc = rai_yaml::parse(text).ok()?;
     let s = |k: &str| doc.get(k)?.as_str().map(str::to_string);
     Some(JobRequest {

@@ -1,8 +1,7 @@
 //! # rai-telemetry — structured telemetry for the RAI reproduction
 //!
-//! One [`Telemetry`] handle is threaded through the whole pipeline
-//! (broker, workers, sandbox, object store, database, autoscaler) and
-//! provides three things:
+//! One [`Telemetry`] handle is shared by a deployment and its workers
+//! and provides three things:
 //!
 //! 1. a thread-safe [`MetricsRegistry`] of counters, gauges, and
 //!    fixed-bucket histograms;
@@ -17,11 +16,10 @@
 //!    wall-clock attribution tables and [`render_chrome_trace`]
 //!    exports Perfetto-loadable JSON.
 //!
-//! Instrumented hot paths push directly into the registry; components
-//! that already keep their own cumulative stats (broker, store, db)
-//! register a *collector* closure instead, which
-//! mirrors those stats into the registry every time
-//! [`Telemetry::snapshot`] runs.
+//! Instrumented hot paths push directly into the registry. Components
+//! that already keep their own cumulative stats (broker, store, db,
+//! WAL, fault injector) are copied into it by their owner when it
+//! reports (`RaiSystem::report` in `rai-core`).
 //!
 //! The crate also owns the shared statistics toolkit ([`OnlineStats`],
 //! [`Histogram`], [`TimeSeries`], [`GaugeSeries`],
@@ -67,11 +65,8 @@ pub mod names {
     pub const STORE_BYTES_DOWNLOADED_TOTAL: &str = "rai_store_bytes_downloaded_total";
     pub const STORE_PUTS_TOTAL: &str = "rai_store_puts_total";
     pub const STORE_GETS_TOTAL: &str = "rai_store_gets_total";
-    pub const STORE_EXPIRED_TOTAL: &str = "rai_store_expired_total";
     pub const STORE_BYTES_STORED: &str = "rai_store_bytes_stored";
-    pub const STORE_OBJECTS: &str = "rai_store_objects";
     // Dedup (content-addressed storage) metrics.
-    pub const STORE_BYTES_LOGICAL: &str = "rai_store_bytes_logical";
     pub const STORE_BYTES_PHYSICAL: &str = "rai_store_bytes_physical";
     pub const STORE_CHUNKS: &str = "rai_store_chunks";
     // What the store keeps resident *about* its objects: keys, packed
@@ -79,17 +74,15 @@ pub mod names {
     pub const STORE_METADATA_BYTES: &str = "rai_store_metadata_bytes";
     pub const STORE_CHUNKS_DEDUP_TOTAL: &str = "rai_store_chunks_dedup_total";
     pub const STORE_BYTES_WIRE_TOTAL: &str = "rai_store_bytes_wire_total";
-    pub const STORE_DELTA_PUTS_TOTAL: &str = "rai_store_delta_puts_total";
     // Contended wait on the store's state lock; a host fact.
     pub const LOCK_WAIT_MICROS_TOTAL: &str = "rai_lock_wait_micros_total";
     pub const DB_INSERTS_TOTAL: &str = "rai_db_inserts_total";
     pub const DB_QUERIES_TOTAL: &str = "rai_db_queries_total";
     pub const DB_UPDATES_TOTAL: &str = "rai_db_updates_total";
     pub const SANDBOX_IMAGE_PULLS_TOTAL: &str = "rai_sandbox_image_pulls_total";
+    // Not emitted: it held the samples of `JOB_STAGE_SECONDS{stage="ran"}`.
+    // The repo benchmark's replay (`benchmark/src/layers.rs`) names it.
     pub const SANDBOX_RUN_SECONDS: &str = "rai_sandbox_run_seconds";
-    pub const SANDBOX_LIMIT_KILLS_TOTAL: &str = "rai_sandbox_limit_kills_total";
-    pub const AUTOSCALER_POOL_SIZE: &str = "rai_autoscaler_pool_size";
-    pub const AUTOSCALER_SCALE_EVENTS_TOTAL: &str = "rai_autoscaler_scale_events_total";
     pub const RATELIMIT_DENIED_TOTAL: &str = "rai_ratelimit_denied_total";
     // Failure & recovery (chaos) metrics.
     pub const RETRIES_TOTAL: &str = "rai_retries_total";
@@ -106,18 +99,11 @@ pub mod names {
     pub const WAL_BYTES_TOTAL: &str = "rai_wal_bytes_total";
     pub const WAL_FSYNC_BATCHES_TOTAL: &str = "rai_wal_fsync_batches_total";
     pub const WAL_REPLAYED_RECORDS_TOTAL: &str = "rai_wal_replayed_records_total";
-    pub const WAL_CORRUPT_RECORDS_DROPPED_TOTAL: &str = "rai_wal_corrupt_records_dropped_total";
-    pub const WAL_COMPACTIONS_TOTAL: &str = "rai_wal_compactions_total";
-    pub const WAL_SEGMENTS: &str = "rai_wal_segments";
-    pub const WAL_LOG_BYTES: &str = "rai_wal_log_bytes";
 }
-
-type Collector = Box<dyn Fn(&MetricsRegistry) + Send + Sync>;
 
 struct Inner {
     registry: MetricsRegistry,
     traces: TraceStore,
-    collectors: parking_lot::Mutex<Vec<Collector>>,
 }
 
 /// Cheaply cloneable handle to the telemetry pipeline. All clones share
@@ -145,7 +131,6 @@ impl Telemetry {
             inner: Arc::new(Inner {
                 registry: MetricsRegistry::new(),
                 traces: TraceStore::new(),
-                collectors: parking_lot::Mutex::new(Vec::new()),
             }),
         }
     }
@@ -200,21 +185,9 @@ impl Telemetry {
         self.inner.traces.take_all()
     }
 
-    /// Register a pull-style collector: a closure that mirrors some
-    /// component's internal stats into the registry. Collectors run, in
-    /// registration order, at the start of every [`Telemetry::snapshot`].
-    pub fn register_collector<F>(&self, collector: F)
-    where
-        F: Fn(&MetricsRegistry) + Send + Sync + 'static,
-    {
-        self.inner.collectors.lock().push(Box::new(collector));
-    }
-
-    /// Run all collectors, then copy out the registry.
+    /// Copy out the registry, with the trace store's two series read
+    /// as they stand now.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        for collector in self.inner.collectors.lock().iter() {
-            collector(&self.inner.registry);
-        }
         self.inner
             .registry
             .counter(names::TRACES_DROPPED_LATE_TOTAL, &[])
@@ -224,11 +197,6 @@ impl Telemetry {
             .gauge(names::TRACES_RESIDENT, &[])
             .set(self.inner.traces.len() as f64);
         self.inner.registry.snapshot()
-    }
-
-    /// Snapshot rendered in the Prometheus text exposition format.
-    pub fn render_prometheus(&self) -> String {
-        export::render_prometheus(&self.snapshot())
     }
 }
 
@@ -247,15 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn collectors_run_on_snapshot() {
-        let telemetry = Telemetry::new(VirtualClock::new());
-        telemetry.register_collector(|registry| {
-            registry.gauge("collected", &[]).set(7.0);
-        });
-        assert_eq!(telemetry.snapshot().gauge("collected", &[]), Some(7.0));
-    }
-
-    #[test]
     fn trace_spans_share_one_job_tree() {
         let telemetry = Telemetry::new(VirtualClock::new());
         let t = SimTime::from_secs;
@@ -265,17 +224,5 @@ mod tests {
         let trace = telemetry.job_trace(1).expect("trace exists");
         assert!(trace.is_monotone());
         assert_eq!(trace.total_duration(), SimDuration::from_secs(5));
-    }
-
-    #[test]
-    fn render_output_parses() {
-        let telemetry = Telemetry::new(VirtualClock::new());
-        telemetry.counter(names::BROKER_PUBLISHED_TOTAL, &[]).add(3);
-        telemetry
-            .histogram(names::JOB_STAGE_SECONDS, &[("stage", "queue")], 0.0, 1.0, 8)
-            .record(2.5);
-        let samples = parse_prometheus(&telemetry.render_prometheus()).expect("prom parses");
-        let published = samples.iter().find(|s| s.name == names::BROKER_PUBLISHED_TOTAL);
-        assert_eq!(published.map(|s| s.value), Some(3.0));
     }
 }

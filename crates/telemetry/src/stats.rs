@@ -11,7 +11,6 @@
 //! shared implementation.
 
 use rai_sim::{SimDuration, SimTime};
-use std::fmt;
 
 /// Streaming univariate statistics (Welford's algorithm).
 #[derive(Clone, Debug, Default)]
@@ -64,7 +63,7 @@ impl OnlineStats {
     }
 
     /// Population standard deviation.
-    pub(crate) fn std_dev(&self) -> f64 {
+    fn std_dev(&self) -> f64 {
         self.variance().sqrt()
     }
 
@@ -233,12 +232,6 @@ impl Histogram {
             out.push_str(&format!("overflow: {}\n", self.overflow));
         }
         out
-    }
-}
-
-impl fmt::Display for Histogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.ascii(50))
     }
 }
 

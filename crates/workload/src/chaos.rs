@@ -396,6 +396,9 @@ pub fn run_chaos(config: &ChaosConfig) -> ChaosResult {
         .into_iter()
         .map(|(k, v)| (k.to_string(), v))
         .collect();
+    // The report first: its resident-traces gauge reads the trace store
+    // the traces are then moved out of.
+    let report = system.report();
     ChaosResult {
         rejected: course.rejected,
         terminal: audit.terminal,
@@ -405,9 +408,9 @@ pub fn run_chaos(config: &ChaosConfig) -> ChaosResult {
         instances_failed: course.pool.stats().failed,
         injected,
         fingerprint: audit.fingerprint,
-        metrics: system.telemetry().snapshot(),
+        metrics: report.metrics,
         traces: system.telemetry().take_job_traces(),
-        store: system.store().usage(),
+        store: report.store,
         accepted: course.accepted,
     }
 }

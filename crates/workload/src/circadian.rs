@@ -9,8 +9,11 @@
 //! ```
 //!
 //! sampled by thinning, then post-processed with the client's 30-second
-//! minimum spacing. `base` is calibrated so a 58-team class produces
-//! ≈30 800 submissions over the last 14 days, the paper's count.
+//! minimum spacing. With `base` at 3.6, the paper's class
+//! (`SemesterConfig::paper()`: 58 teams, 35 days) produces 26 796
+//! submissions over the last 14 days and 35 713 in all, as
+//! `fig4_timeline` prints them: 13 % and 11 % under the paper's 30 782
+//! and > 40 000. ROADMAP item 13 recalibrates the model.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -33,9 +36,9 @@ const RAMP_POWER: f64 = 3.0;
 /// Floor on the ramp (early-period activity never hits zero).
 const RAMP_FLOOR: f64 = 0.08;
 
-/// The arrival-intensity model, calibrated to the paper's
-/// last-two-weeks volume: 58 teams × 14 days ⇒ ≈30.8k submissions,
-/// with a late-evening peak and a 4–9 am trough.
+/// The arrival-intensity model: 58 teams × the last 14 days ⇒ 26 796
+/// submissions (the paper counted 30 782; ROADMAP item 13), with a
+/// late-evening peak and a 4–9 am trough.
 #[derive(Clone, Debug)]
 pub struct CircadianModel {
     /// Project length in days (the ramp peaks at the end).

@@ -261,7 +261,7 @@ pub fn run_recovery(config: &RecoveryConfig) -> RecoveryResult {
         disk_faults,
         db_wal: system.db().wal().expect("durable deployment").stats(),
         store_wal: system.store().wal().expect("durable deployment").stats(),
-        metrics: system.telemetry().snapshot(),
+        metrics: system.report().metrics,
         accepted: course.accepted,
     }
 }
@@ -289,7 +289,7 @@ mod tests {
         assert_eq!(durable.accepted, chaos.accepted);
         assert!(durable.db_wal.appends > 0, "db mutations journaled");
         assert!(durable.store_wal.appends > 0, "store mutations journaled");
-        // The per-log telemetry collectors see the same numbers.
+        // The report's per-log series carry the same numbers.
         for (label, stats) in [("db", &durable.db_wal), ("store", &durable.store_wal)] {
             assert_eq!(
                 durable

@@ -12,9 +12,7 @@ use rai_core::client::PendingJob;
 use rai_core::worker::StepEvent;
 use rai_core::{Fnv1a, RaiSystem, SubmitMode, SystemConfig};
 use rai_sim::{SimDuration, SimTime, Simulation, VirtualClock};
-use rai_telemetry::{
-    duration_micros, names, GaugeSeries, JobTrace, LogHistogram, MetricsSnapshot, TimeSeries,
-};
+use rai_telemetry::{duration_micros, GaugeSeries, JobTrace, LogHistogram, MetricsSnapshot, TimeSeries};
 use rai_store::StoreUsage;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -129,7 +127,7 @@ pub struct SemesterResult {
     /// "25GB of logs and meta-data").
     pub log_bytes: u64,
     /// Telemetry snapshot at semester end (job counters, stage
-    /// histograms, broker / store / db mirrors, pool-size gauge).
+    /// histograms, broker / store / db series).
     pub metrics: MetricsSnapshot,
 }
 
@@ -347,13 +345,6 @@ pub fn run_semester(config: &SemesterConfig) -> SemesterResult {
     let deadline = SimTime::ZERO + SimDuration::from_days(config.duration_days);
     let window_start = deadline - SimDuration::from_days(config.window_days);
     let pool = WorkerPool::new(clock.clone());
-    {
-        let pool = pool.clone();
-        system.telemetry().register_collector(move |reg| {
-            reg.gauge(names::AUTOSCALER_POOL_SIZE, &[])
-                .set(pool.live_count() as f64);
-        });
-    }
     let schedule = PhaseSchedule::paper_semester();
 
     // Pre-sample every team's submission instants.
@@ -440,23 +431,12 @@ pub fn run_semester(config: &SemesterConfig) -> SemesterResult {
                 match action {
                     ScaleAction::Out(n) => {
                         state.pool.launch(InstanceType::p2(), n);
-                        state
-                            .system
-                            .telemetry()
-                            .counter(names::AUTOSCALER_SCALE_EVENTS_TOTAL, &[("direction", "out")])
-                            .inc();
                     }
                     ScaleAction::In(n) => {
                         // Never terminate busier than idle capacity.
                         let ready = state.pool.ready_instances().len();
                         let idle = ready.saturating_sub(state.in_flight);
-                        if state.pool.terminate_n(n.min(idle)) > 0 {
-                            state
-                                .system
-                                .telemetry()
-                                .counter(names::AUTOSCALER_SCALE_EVENTS_TOTAL, &[("direction", "in")])
-                                .inc();
-                        }
+                        state.pool.terminate_n(n.min(idle));
                     }
                     ScaleAction::Hold => {}
                 }
@@ -494,6 +474,9 @@ pub fn run_semester(config: &SemesterConfig) -> SemesterResult {
             .filter_map(|row| row.get("log_bytes").and_then(rai_db::Value::as_i64))
             .sum::<i64>() as u64
     };
+    // The report before the traces are moved out: its resident-traces
+    // gauge reads the trace store they leave empty.
+    let report = state.system.report();
     SemesterResult {
         total_submissions: state.total,
         failures: state.failures,
@@ -504,12 +487,10 @@ pub fn run_semester(config: &SemesterConfig) -> SemesterResult {
         queue_wait: state.waits,
         depth_series: state.pressure.depth,
         in_flight_series: state.pressure.in_flight,
-        // The snapshot first: its resident-traces gauge reads the store
-        // the next line empties. The course is over, so its traces are
-        // moved out, not copied.
-        metrics: state.system.telemetry().snapshot(),
+        metrics: report.metrics,
+        // The course is over, so its traces are moved out, not copied.
         traces: state.system.telemetry().take_job_traces(),
-        store: state.system.store().usage(),
+        store: report.store,
         cost_cents: state.pool.stats().cost_cents,
         final_standings: standings,
         log_bytes,
@@ -519,6 +500,7 @@ pub fn run_semester(config: &SemesterConfig) -> SemesterResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rai_telemetry::names;
 
     #[test]
     fn scaled_semester_end_to_end() {
@@ -543,7 +525,6 @@ mod tests {
             result.total_submissions
         );
         assert!(!result.metrics.histograms_named(names::JOB_STAGE_SECONDS).is_empty());
-        assert!(result.metrics.gauge(names::AUTOSCALER_POOL_SIZE, &[]).is_some());
     }
 
     #[test]

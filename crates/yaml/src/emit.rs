@@ -8,11 +8,10 @@
 //! [`push_str_entry`] / [`push_int_entry`] and get the bytes
 //! [`to_string`] would produce for the equivalent top-level mapping
 //! without building the tree. [`read_str_entry`] / [`read_int_entry`]
-//! read such a line back with the parser's own rules ([`read_entry`]),
-//! and only a line the writer wrote.
+//! read such a line back as the parser reads it, and only a line the
+//! writer wrote.
 
-use crate::parser::{block_scalar_style, is_sequence_entry, read_inline, read_key};
-use crate::scanner::{infer_non_string, scan_line, split_key};
+use crate::scanner::infer_non_string;
 use crate::value::{format_float, Yaml};
 
 /// Serialize a value as a block-style YAML document (trailing newline
@@ -46,33 +45,8 @@ pub fn push_int_entry(out: &mut String, key: &str, value: i64) {
     out.push('\n');
 }
 
-/// The entry of the one-line document `line` (line break excluded) as
-/// [`parse`](crate::parse) reads it: a `key: value` mapping entry at
-/// column 0, trailing comment stripped, key and value by the scalar,
-/// quoting and flow rules of a block mapping. A value whose body would
-/// follow on later lines reads as the document's end leaves it: `key:`
-/// is null, a block scalar header the empty string. `None` when that
-/// document is not one such entry, or does not parse.
-pub fn read_entry(line: &str) -> Option<(String, Yaml)> {
-    let line = scan_line(line, 1).ok()??;
-    if line.indent != 0 || is_sequence_entry(line.content) {
-        return None;
-    }
-    let (raw_key, rest) = split_key(line.content)?;
-    let key = read_key(raw_key, 1).ok()?.into_owned();
-    let value = if rest.is_empty() {
-        Yaml::Null
-    } else if block_scalar_style(rest).is_some() {
-        Yaml::Str(String::new())
-    } else {
-        // The mapping around the entry is one nesting level.
-        read_inline(rest, 1, 1).ok()?
-    };
-    Some((key, value))
-}
-
 /// The value of a line [`push_str_entry`] wrote for `key` (line break
-/// excluded), as [`read_entry`] reads it; `None` for any line but the
+/// excluded), as the parser reads it; `None` for any line but the
 /// one the writer writes for that value, however the parser reads it.
 ///
 /// The writer's line is `key`, `: ` and the value's written bytes,
@@ -347,8 +321,35 @@ fn quoted_by_its_ends(s: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse;
+    use crate::parser::{block_scalar_style, is_sequence_entry, parse, read_inline, read_key};
+    use crate::scanner::{scan_line, split_key};
     use proptest::prelude::*;
+
+    /// The entry of the one-line document `line` (line break excluded) as
+    /// [`parse`](crate::parse) reads it: a `key: value` mapping entry at
+    /// column 0, trailing comment stripped, key and value by the scalar,
+    /// quoting and flow rules of a block mapping. A value whose body would
+    /// follow on later lines reads as the document's end leaves it: `key:`
+    /// is null, a block scalar header the empty string. `None` when that
+    /// document is not one such entry, or does not parse.
+    fn read_entry(line: &str) -> Option<(String, Yaml)> {
+        let line = scan_line(line, 1).ok()??;
+        if line.indent != 0 || is_sequence_entry(line.content) {
+            return None;
+        }
+        let (raw_key, rest) = split_key(line.content)?;
+        let key = read_key(raw_key, 1).ok()?.into_owned();
+        let value = if rest.is_empty() {
+            Yaml::Null
+        } else if block_scalar_style(rest).is_some() {
+            Yaml::Str(String::new())
+        } else {
+            // The mapping around the entry is one nesting level.
+            read_inline(rest, 1, 1).ok()?
+        };
+        Some((key, value))
+    }
+
 
     /// `push_string` as it was before it went over a string once: the
     /// decision below, then an escape or a push per character.

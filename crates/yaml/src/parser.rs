@@ -524,7 +524,9 @@ fn read_inline_parts(text: &str, line: usize, depth: usize) -> YamlResult<Inline
     Ok(Inline::Flow(v))
 }
 
-/// [`read_inline_parts`] as a [`Yaml`] value.
+/// [`read_inline_parts`] as a [`Yaml`] value: the reading the tests'
+/// one-line reference reader takes a value by.
+#[cfg(test)]
 pub(crate) fn read_inline(text: &str, line: usize, depth: usize) -> YamlResult<Yaml> {
     Ok(match read_inline_parts(text, line, depth)? {
         Inline::Scalar(value) => value.into(),

@@ -97,19 +97,14 @@ fn prometheus_exposition_parses_and_matches() {
 const NOT_EMITTED_BY_THE_CATALOGUE_RUNS: &[(&str, &str)] = &[
     (names::RATELIMIT_DENIED_TOTAL, "both drivers deploy with rate_limit: None"),
     (names::JOBS_MALFORMED_TOTAL, "only a task message that fails to decode moves it"),
-    (names::SANDBOX_LIMIT_KILLS_TOTAL, "only a job that exceeds a container limit moves it"),
     (
-        names::AUTOSCALER_SCALE_EVENTS_TOTAL,
-        "only FleetPolicy::Reactive scales; the default is the paper schedule",
+        names::SANDBOX_RUN_SECONDS,
+        "never emitted: its samples were `rai_job_stage_seconds{stage=\"ran\"}`'s; the repo benchmark's replay names it",
     ),
     (names::WAL_APPENDS_TOTAL, "durable deployments only"),
     (names::WAL_BYTES_TOTAL, "durable deployments only"),
     (names::WAL_FSYNC_BATCHES_TOTAL, "durable deployments only"),
     (names::WAL_REPLAYED_RECORDS_TOTAL, "durable deployments only"),
-    (names::WAL_CORRUPT_RECORDS_DROPPED_TOTAL, "durable deployments only"),
-    (names::WAL_COMPACTIONS_TOTAL, "durable deployments only"),
-    (names::WAL_SEGMENTS, "durable deployments only"),
-    (names::WAL_LOG_BYTES, "durable deployments only"),
 ];
 
 /// Every `pub const` of `rai_telemetry::names`, read from its source.
@@ -135,7 +130,7 @@ fn every_metric_name_is_documented_and_emitted() {
     use rai::workload::SemesterConfig;
 
     let catalogue = catalogued_names();
-    assert!(catalogue.len() > 40, "parsed {} names", catalogue.len());
+    assert_eq!(catalogue.len(), 39, "parsed {} names", catalogue.len());
     let design = include_str!("../DESIGN.md");
     let emitted: std::collections::BTreeSet<String> = [
         run_semester(&SemesterConfig::scaled(4, 3, 2016)).metrics,
@@ -205,4 +200,115 @@ fn every_exported_series_survives_the_prometheus_round_trip() {
         assert_eq!(exported(key, "_count"), hist.total() as f64, "{}_count", key.render());
         assert_eq!(exported(key, "_sum"), hist.sum(), "{}_sum", key.render());
     }
+}
+
+/// `system.report()`'s broker, store, db, WAL and fault series read
+/// what each component's own stats read, and it carries no other
+/// series of those components.
+fn assert_report_is_the_components(system: &RaiSystem) {
+    let report = system.report();
+    let m = &report.metrics;
+    let (b, u, d) = (system.broker().stats(), system.store().usage(), system.db().total_stats());
+    assert_eq!(report.store, u);
+    let injected = system.fault_injector().injected_counts().iter().map(|&(_, n)| n).sum();
+    let counters = [
+        (names::BROKER_PUBLISHED_TOTAL, b.published),
+        (names::BROKER_ACKED_TOTAL, b.acked),
+        (names::BROKER_REQUEUED_TOTAL, b.requeued),
+        (names::DEAD_LETTERED_TOTAL, b.dead_lettered),
+        (names::FAULTS_INJECTED_TOTAL, injected),
+        (names::STORE_BYTES_UPLOADED_TOTAL, u.bytes_uploaded),
+        (names::STORE_BYTES_DOWNLOADED_TOTAL, u.bytes_downloaded),
+        (names::STORE_PUTS_TOTAL, u.puts),
+        (names::STORE_GETS_TOTAL, u.gets),
+        (names::STORE_CHUNKS_DEDUP_TOTAL, u.chunks_dedup_total),
+        (names::STORE_BYTES_WIRE_TOTAL, u.bytes_wire),
+        (names::DB_INSERTS_TOTAL, d.inserts),
+        (names::DB_QUERIES_TOTAL, d.queries),
+        (names::DB_UPDATES_TOTAL, d.updates),
+    ];
+    let gauges = [
+        (names::BROKER_QUEUE_DEPTH, b.depth as u64),
+        (names::BROKER_IN_FLIGHT, b.in_flight as u64),
+        (names::BROKER_CHANNELS, b.channels as u64),
+        (names::STORE_BYTES_STORED, u.bytes_stored),
+        (names::STORE_BYTES_PHYSICAL, u.bytes_physical),
+        (names::STORE_METADATA_BYTES, u.metadata_bytes),
+        (names::STORE_CHUNKS, u.chunks),
+    ];
+    let mut checked = vec![names::LOCK_WAIT_MICROS_TOTAL];
+    for (name, want) in counters {
+        assert_eq!(m.counter(name, &[]), Some(want), "{name}");
+        checked.push(name);
+    }
+    for (name, want) in gauges {
+        assert_eq!(m.gauge(name, &[]), Some(want as f64), "{name}");
+        checked.push(name);
+    }
+    let mut wal_series = 0;
+    for (log, wal) in [("db", system.db().wal()), ("store", system.store().wal())] {
+        let Some(wal) = wal else { continue };
+        let w = wal.stats();
+        for (name, want) in [
+            (names::WAL_APPENDS_TOTAL, w.appends),
+            (names::WAL_BYTES_TOTAL, w.bytes),
+            (names::WAL_FSYNC_BATCHES_TOTAL, w.fsync_batches),
+            (names::WAL_REPLAYED_RECORDS_TOTAL, w.replayed),
+        ] {
+            assert_eq!(m.counter(name, &[("log", log)]), Some(want), "{name}{{log={log:?}}}");
+            checked.push(name);
+            wal_series += 1;
+        }
+    }
+    let components = ["rai_broker_", "rai_store_", "rai_db_", "rai_wal_", "rai_dead_", "rai_faults_", "rai_lock_"];
+    let keys = m.counters.iter().map(|(k, _)| k).chain(m.gauges.iter().map(|(k, _)| k));
+    let theirs: Vec<_> = keys.filter(|k| components.iter().any(|p| k.name.starts_with(p))).collect();
+    for key in &theirs {
+        assert!(checked.contains(&key.name.as_str()), "{} is not checked", key.render());
+    }
+    assert_eq!(theirs.len(), counters.len() + gauges.len() + 1 + wal_series);
+}
+
+#[test]
+fn a_report_carries_the_component_series() {
+    use rai::sim::VirtualClock;
+    use rai_wal::MemDisk;
+    use std::sync::Arc;
+
+    // In memory: no WAL series.
+    let (system, _) = driven_system(3);
+    assert!(system.db().wal().is_none());
+    assert_report_is_the_components(&system);
+
+    // Durable, after a crash and a recovery: the WAL series carry what
+    // replay recovered beside what the new process appended.
+    let config = || SystemConfig { workers: 2, rate_limit: None, ..Default::default() };
+    let (db_disk, store_disk) = (MemDisk::new(), MemDisk::new());
+    let clock = VirtualClock::new();
+    let mut system = RaiSystem::with_clock_durable(
+        config(),
+        clock.clone(),
+        Arc::new(db_disk.clone()),
+        Arc::new(store_disk.clone()),
+    );
+    let creds = system.register_team("observed", &["ada"]);
+    for _ in 0..3 {
+        assert!(system.submit(&creds, &ProjectDir::sample_cuda_project()).expect("accepted").success);
+    }
+    system.sync_wals();
+    drop(system);
+    let (mut system, _) = RaiSystem::recover_with_clock(
+        config(),
+        clock,
+        Arc::new(db_disk.clone()),
+        Arc::new(store_disk.clone()),
+        None,
+    );
+    let creds = system.reregister_team("observed");
+    system.republish_pending();
+    system.drain();
+    assert!(system.submit(&creds, &ProjectDir::sample_cuda_project()).expect("accepted").success);
+    let replayed = system.db().wal().expect("durable").stats().replayed;
+    assert!(replayed > 0, "the recovery replayed the db log");
+    assert_report_is_the_components(&system);
 }
