@@ -23,9 +23,10 @@
 //! | `hash_floor`           | bulk-path passes at the cost of one FNV-1a chain (DESIGN.md §10) |
 //!
 //! The figure, listing, table and ablation bins assert the claim they
-//! reproduce and exit non-zero when it fails; CI runs the eight that
-//! take seconds after its release build, and `hash_floor`, which fails
-//! a bulk-path pass that costs more than 1.3 chains.
+//! reproduce and exit non-zero when it fails; CI runs the nine that
+//! take seconds after its release build, then `heap_census --paper`,
+//! which fails above its live-heap ceiling, and `hash_floor`, which
+//! fails a bulk-path pass that costs more than 1.3 chains.
 //!
 //! The four `*_report` bins that write a committed `BENCH_*.json` render
 //! it with [`baselines`], the one place that knows what a valid

@@ -35,12 +35,6 @@ pub struct ReactiveAutoscaler {
 }
 
 impl ReactiveAutoscaler {
-    /// A policy bounded to the paper's observed fleet range (up to ~30
-    /// single-job P2 instances).
-    pub fn paper_bounds() -> Self {
-        Self::new(1, 30)
-    }
-
     /// A policy keeping between `min` and `max` live instances.
     pub fn new(min: usize, max: usize) -> Self {
         ReactiveAutoscaler { min_instances: min, max_instances: max, last_action: None }
@@ -163,7 +157,7 @@ mod tests {
 
     #[test]
     fn cooldown_prevents_thrash() {
-        let mut a = ReactiveAutoscaler::paper_bounds();
+        let mut a = ReactiveAutoscaler::new(1, 30);
         assert!(matches!(a.decide(SimTime::ZERO, 50, 2), ScaleAction::Out(_)));
         // One minute later, still backlogged: held by cooldown.
         assert_eq!(

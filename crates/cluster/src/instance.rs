@@ -2,16 +2,6 @@
 
 use rai_sim::{SimDuration, SimTime};
 
-/// Unique id of a launched instance.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct InstanceId(pub u64);
-
-impl std::fmt::Display for InstanceId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "i-{:08x}", self.0)
-    }
-}
-
 /// An AWS-style instance type.
 #[derive(Clone, Debug, PartialEq)]
 pub struct InstanceType {
@@ -19,8 +9,6 @@ pub struct InstanceType {
     pub name: &'static str,
     /// GPU model string (as the paper describes the fleet).
     pub gpu_model: &'static str,
-    /// GPUs per instance.
-    pub(crate) gpus: u32,
     /// Hourly price in USD cents.
     pub(crate) hourly_cents: u64,
     /// Boot + agent-start latency before the worker accepts jobs.
@@ -43,7 +31,6 @@ impl InstanceType {
 static G2: InstanceType = InstanceType {
     name: "g2.2xlarge",
     gpu_model: "NVIDIA Tesla K40",
-    gpus: 1,
     hourly_cents: 65,
     provision_latency: SimDuration::from_millis(3 * 60_000),
 };
@@ -51,7 +38,6 @@ static G2: InstanceType = InstanceType {
 static P2: InstanceType = InstanceType {
     name: "p2.xlarge",
     gpu_model: "NVIDIA Tesla K80",
-    gpus: 1,
     hourly_cents: 90,
     provision_latency: SimDuration::from_millis(4 * 60_000),
 };
@@ -68,10 +54,8 @@ pub(crate) enum InstanceState {
 }
 
 /// A launched instance.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct Instance {
-    /// Id.
-    pub(crate) id: InstanceId,
     /// Type.
     pub(crate) itype: &'static InstanceType,
     /// Launch request time.
@@ -80,9 +64,6 @@ pub(crate) struct Instance {
     pub(crate) ready_at: SimTime,
     /// Termination time, if terminated.
     pub(crate) terminated_at: Option<SimTime>,
-    /// Whether termination was a failure (spot reclaim, hardware
-    /// death) rather than a planned scale-in.
-    pub(crate) failed: bool,
 }
 
 impl Instance {
@@ -122,12 +103,10 @@ mod tests {
 
     fn launched_at(t: SimTime) -> Instance {
         Instance {
-            id: InstanceId(1),
             itype: InstanceType::p2(),
             launched_at: t,
             ready_at: t + InstanceType::p2().provision_latency,
             terminated_at: None,
-            failed: false,
         }
     }
 
@@ -153,10 +132,5 @@ mod tests {
         // Terminated at 2h: cost frozen afterwards.
         inst.terminated_at = Some(t0 + SimDuration::from_hours(2));
         assert_eq!(inst.cost_cents(t0 + SimDuration::from_days(5)), 180);
-    }
-
-    #[test]
-    fn display_id() {
-        assert_eq!(InstanceId(255).to_string(), "i-000000ff");
     }
 }

@@ -21,5 +21,5 @@ pub mod instance;
 pub mod pool;
 
 pub use autoscaler::{PhaseSchedule, ReactiveAutoscaler, ScaleAction};
-pub use instance::{InstanceId, InstanceType};
+pub use instance::InstanceType;
 pub use pool::WorkerPool;

@@ -13,9 +13,10 @@
 //! [`WorkerConfig::max_in_flight`]; contention noise from the other
 //! slots is what made the staff switch to single-job workers for the
 //! benchmark weeks (reproduced by the concurrency ablation, which
-//! builds its workers directly). A [`crate::RaiSystem`] fleet is always
-//! single-job: its round commits every claim before the next pop, so a
-//! second slot could never fill.
+//! builds its workers directly). The slots are a contention model, not
+//! a gate: every driver commits (or restarts) a worker's claim before
+//! that worker pops again, so no worker ever holds a second claim and
+//! none counts them. A [`crate::RaiSystem`] fleet is always single-job.
 //!
 //! Every job takes the one path — pop, claim, execute, commit — and
 //! every worker holds a [`Telemetry`] and a [`FaultInjector`]: its own
@@ -103,7 +104,7 @@ pub struct CrashReport {
 /// What one scheduling step of the worker produced.
 #[derive(Clone, Debug)]
 pub enum StepEvent {
-    /// Queue empty or at the in-flight limit.
+    /// Queue empty.
     Idle,
     /// A job ran to a terminal state and its message was acked.
     Done(JobOutcome),
@@ -118,7 +119,7 @@ pub enum StepEvent {
 /// §12).
 ///
 /// The pop half — `try_recv`, message decode, malformed-ack,
-/// in-flight accounting — is what fixes a round's job composition and
+/// redelivery counting — is what fixes a round's job composition and
 /// claim order. The rest of the claim (auth, spec parse, image pull,
 /// project fetch) is [`Worker::claim_popped`].
 pub struct PoppedTask {
@@ -267,7 +268,6 @@ pub struct Worker {
     images: Arc<ImageRegistry>,
     subscription: Subscription,
     cached_images: HashSet<String>,
-    active_jobs: usize,
     rng: StdRng,
     telemetry: Telemetry,
     injector: FaultInjector,
@@ -297,7 +297,6 @@ impl Worker {
             images,
             subscription,
             cached_images: HashSet::new(),
-            active_jobs: 0,
             rng,
             telemetry,
             injector: FaultInjector::new(FaultPlan::none(0)),
@@ -305,7 +304,7 @@ impl Worker {
     }
 
     /// Record through `telemetry` (a deployment's shared handle) from
-    /// now on: stage timings, job traces, and the active-jobs gauge.
+    /// now on: stage timings and job traces.
     pub(crate) fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
@@ -333,10 +332,9 @@ impl Worker {
     }
 
     /// Pop and fully process one task message. Returns `None` when the
-    /// queue is empty, this worker is at its in-flight limit, or the
-    /// job crashed mid-flight (in which case the worker restarts
-    /// immediately and the message redelivers). Fault-aware drivers
-    /// should use [`Worker::try_step`] instead.
+    /// queue is empty or the job crashed mid-flight (in which case the
+    /// worker restarts immediately and the message redelivers).
+    /// Fault-aware drivers should use [`Worker::try_step`] instead.
     pub fn step(&mut self) -> Option<JobOutcome> {
         match self.try_step() {
             StepEvent::Idle => None,
@@ -365,16 +363,12 @@ impl Worker {
 
     /// The first half of a claim: pop one task message and run its
     /// order-defining bookkeeping (decode, malformed-ack, redelivery
-    /// counting, in-flight accounting) without touching auth, images,
-    /// or the store. Returns `None` when the queue is empty or this
-    /// worker is at its in-flight limit. The claim counts against the
-    /// limit until [`Worker::commit`] (or [`Worker::crash_recover`])
-    /// releases it.
+    /// counting) without touching auth, images, or the store. Returns
+    /// `None` when the queue is empty. Every driver commits (or
+    /// restarts) a worker's claim before that worker pops again, so a
+    /// worker holds at most one claim and keeps no count of them.
     pub fn pop_task(&mut self) -> Option<PoppedTask> {
         loop {
-            if self.active_jobs >= self.config.max_in_flight {
-                return None;
-            }
             let msg = self.subscription.try_recv()?;
             let Some(request) = JobRequest::decode(&msg.body_str()) else {
                 self.telemetry.counter(names::JOBS_MALFORMED_TOTAL, &[]).inc();
@@ -391,8 +385,6 @@ impl Worker {
             if attempt > 1 {
                 self.telemetry.counter(names::REDELIVERIES_TOTAL, &[]).inc();
             }
-            self.active_jobs += 1;
-            self.set_active_gauge();
             return Some(PoppedTask { msg_id: msg.id, request, attempt });
         }
     }
@@ -404,14 +396,6 @@ impl Worker {
     pub fn crash_recover(&mut self) {
         let fresh = self.broker.subscribe(routes::TASK_TOPIC, routes::TASK_CHANNEL);
         drop(std::mem::replace(&mut self.subscription, fresh));
-        self.active_jobs = 0;
-        self.set_active_gauge();
-    }
-
-    fn set_active_gauge(&self) {
-        self.telemetry
-            .gauge(names::WORKER_ACTIVE_JOBS, &[("worker", &self.config.worker_id)])
-            .set(self.active_jobs as f64);
     }
 
     /// Count a finished job and record its end-to-end service time.
@@ -795,8 +779,6 @@ impl Worker {
             // the next delivery opens a sibling attempt subtree.
             self.mark(&job, stage::CRASHED, component::FAULT, report.wasted);
         }
-        self.active_jobs = self.active_jobs.saturating_sub(1);
-        self.set_active_gauge();
         match sealed {
             Ok((success, measured_secs)) => {
                 self.subscription.ack(job.msg_id);

@@ -116,30 +116,14 @@ impl<S> Scheduler<S> {
 pub struct Simulation<S> {
     state: S,
     sched: Scheduler<S>,
-    executed: u64,
 }
 
 impl<S> Simulation<S> {
-    /// Create a simulation with its own fresh clock.
-    pub fn new(state: S) -> Self {
-        Self::with_clock(state, VirtualClock::new())
-    }
-
     /// Create a simulation driving an externally shared clock, so that
     /// clock-reading components (store lifecycle, rate limiters) observe
     /// simulated time.
     pub fn with_clock(state: S, clock: VirtualClock) -> Self {
-        Simulation {
-            state,
-            sched: Scheduler::new(clock),
-            executed: 0,
-        }
-    }
-
-    /// Immutable access to the simulated state.
-    #[cfg(test)]
-    fn state(&self) -> &S {
-        &self.state
+        Simulation { state, sched: Scheduler::new(clock) }
     }
 
     /// The scheduler, for seeding initial events.
@@ -147,41 +131,14 @@ impl<S> Simulation<S> {
         &mut self.sched
     }
 
-    /// Current virtual time.
-    #[cfg(test)]
-    fn now(&self) -> SimTime {
-        self.sched.now
-    }
-
-    fn step(&mut self, horizon: SimTime) -> bool {
-        if self.sched.heap.peek().is_none_or(|top| top.at > horizon) {
-            return false;
+    /// Run until the event calendar is empty; the clock ends at the
+    /// last executed event.
+    pub fn run(&mut self) {
+        while let Some(ev) = self.sched.heap.pop() {
+            self.sched.now = ev.at;
+            self.sched.clock.advance_to(ev.at);
+            (ev.run)(&mut self.state, &mut self.sched);
         }
-        let ev = self.sched.heap.pop().expect("peeked event must pop");
-        self.sched.now = ev.at;
-        self.sched.clock.advance_to(ev.at);
-        (ev.run)(&mut self.state, &mut self.sched);
-        self.executed += 1;
-        true
-    }
-
-    /// Run until the event calendar is empty. Returns the number of
-    /// events executed.
-    pub fn run(&mut self) -> u64 {
-        self.run_until(SimTime::MAX)
-    }
-
-    /// Run events with timestamps `<= horizon`; the clock ends at the last
-    /// executed event (or `horizon` if nothing was pending beyond it).
-    /// Returns the number of events executed by this call.
-    pub(crate) fn run_until(&mut self, horizon: SimTime) -> u64 {
-        let before = self.executed;
-        while self.step(horizon) {}
-        if horizon != SimTime::MAX && self.sched.now < horizon {
-            self.sched.now = horizon;
-            self.sched.clock.advance_to(horizon);
-        }
-        self.executed - before
     }
 
     /// Consume the simulation, returning the final state.
@@ -193,6 +150,21 @@ impl<S> Simulation<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<S> Simulation<S> {
+        /// A simulation on a fresh clock of its own.
+        fn new(state: S) -> Self {
+            Self::with_clock(state, VirtualClock::new())
+        }
+
+        fn state(&self) -> &S {
+            &self.state
+        }
+
+        fn now(&self) -> SimTime {
+            self.sched.now
+        }
+    }
 
     #[test]
     fn events_fire_in_time_order() {
@@ -254,19 +226,6 @@ mod tests {
             });
         sim.run();
         assert_eq!(*sim.state(), 0);
-    }
-
-    #[test]
-    fn run_until_horizon() {
-        let mut sim = Simulation::new(0u32);
-        sim.scheduler().at(SimTime::from_secs(1), |s: &mut u32, _| *s += 1);
-        sim.scheduler().at(SimTime::from_secs(10), |s: &mut u32, _| *s += 100);
-        let ran = sim.run_until(SimTime::from_secs(5));
-        assert_eq!(ran, 1);
-        assert_eq!(*sim.state(), 1);
-        assert_eq!(sim.now(), SimTime::from_secs(5));
-        sim.run();
-        assert_eq!(*sim.state(), 101);
     }
 
     #[test]

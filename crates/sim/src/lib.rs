@@ -11,8 +11,7 @@
 //!   clock used by components that only need "what time is it?"
 //!   (object-store lifecycle expiry, rate limiters, container deadlines).
 //! * [`engine`] — a classic event-calendar discrete-event engine:
-//!   schedule closures at future instants, run to quiescence or a
-//!   horizon.
+//!   schedule closures at future instants, run to quiescence.
 //!
 //! The statistics toolkit (online mean/variance, histograms,
 //! time-bucketed series, percentiles) that used to live here moved to

@@ -3,18 +3,18 @@
 //! All RAI components speak [`SimTime`] rather than `std::time::Instant`
 //! so that a whole semester of course traffic can be replayed under the
 //! discrete-event engine. The representation is a plain `u64` count of
-//! milliseconds since the simulation epoch, which keeps the types `Copy`,
-//! totally ordered, and hashable.
+//! milliseconds since the simulation epoch, which keeps the types `Copy`
+//! and totally ordered.
 
 use std::fmt;
-use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Mul, Sub};
 
 /// An instant in virtual time, in milliseconds since the simulation epoch.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SimTime(u64);
 
 /// A span of virtual time, in milliseconds.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {
@@ -141,13 +141,6 @@ impl Sub<SimDuration> for SimTime {
     }
 }
 
-impl Sub<SimTime> for SimTime {
-    type Output = SimDuration;
-    fn sub(self, rhs: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(rhs.0))
-    }
-}
-
 impl Add for SimDuration {
     type Output = SimDuration;
     fn add(self, rhs: SimDuration) -> SimDuration {
@@ -168,12 +161,6 @@ impl Sub for SimDuration {
     }
 }
 
-impl SubAssign for SimDuration {
-    fn sub_assign(&mut self, rhs: SimDuration) {
-        self.0 = self.0.saturating_sub(rhs.0);
-    }
-}
-
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
     fn mul(self, rhs: u64) -> SimDuration {
@@ -188,22 +175,9 @@ impl Mul<f64> for SimDuration {
     }
 }
 
-impl Div<u64> for SimDuration {
-    type Output = SimDuration;
-    fn div(self, rhs: u64) -> SimDuration {
-        SimDuration(self.0 / rhs)
-    }
-}
-
 impl fmt::Debug for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "t+{}", SimDuration(self.0))
-    }
-}
-
-impl fmt::Display for SimTime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(self, f)
     }
 }
 
@@ -254,9 +228,10 @@ mod tests {
     fn arithmetic_behaves() {
         let t = SimTime::from_secs(10) + SimDuration::from_secs(5);
         assert_eq!(t, SimTime::from_secs(15));
-        assert_eq!(t - SimTime::from_secs(10), SimDuration::from_secs(5));
-        // Saturating: subtracting a later time yields zero, not underflow.
-        assert_eq!(SimTime::ZERO - SimTime::from_secs(1), SimDuration::ZERO);
+        assert_eq!(t - SimDuration::from_secs(5), SimTime::from_secs(10));
+        // Saturating: stepping back past the epoch lands on it, not
+        // underflow.
+        assert_eq!(SimTime::ZERO - SimDuration::from_secs(1), SimTime::ZERO);
     }
 
     #[test]
@@ -295,7 +270,6 @@ mod tests {
     #[test]
     fn scalar_ops() {
         assert_eq!(SimDuration::SECOND * 30, SimDuration::from_secs(30));
-        assert_eq!(SimDuration::from_secs(30) / 3, SimDuration::from_secs(10));
         assert_eq!(SimDuration::SECOND * 2.5, SimDuration::from_millis(2_500));
     }
 }

@@ -4,7 +4,7 @@
 //! the stats toolkit itself.
 
 use proptest::prelude::*;
-use rai_sim::{SimTime, Simulation};
+use rai_sim::{SimTime, Simulation, VirtualClock};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -13,14 +13,13 @@ proptest! {
     /// scheduling order, and every event fires exactly once.
     #[test]
     fn events_fire_in_time_order(times in prop::collection::vec(0u64..1_000_000, 0..60)) {
-        let mut sim = Simulation::new(Vec::<u64>::new());
+        let mut sim = Simulation::with_clock(Vec::<u64>::new(), VirtualClock::new());
         for &t in &times {
             sim.scheduler().at(SimTime::from_millis(t), move |log: &mut Vec<u64>, _| {
                 log.push(t);
             });
         }
-        let executed = sim.run();
-        prop_assert_eq!(executed as usize, times.len());
+        sim.run();
         let log = sim.into_state();
         let mut sorted = times.clone();
         sorted.sort_unstable();
@@ -30,7 +29,7 @@ proptest! {
     /// The clock never goes backwards while running.
     #[test]
     fn clock_is_monotone(times in prop::collection::vec(0u64..100_000, 1..40)) {
-        let mut sim = Simulation::new(Vec::<SimTime>::new());
+        let mut sim = Simulation::with_clock(Vec::<SimTime>::new(), VirtualClock::new());
         for &t in &times {
             sim.scheduler().at(SimTime::from_millis(t), |log: &mut Vec<SimTime>, sched| {
                 log.push(sched.now());

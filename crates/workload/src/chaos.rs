@@ -13,7 +13,7 @@
 
 use rai_auth::Credentials;
 use rai_broker::{dead_letter_topic, Subscription};
-use rai_cluster::{InstanceId, InstanceType, WorkerPool};
+use rai_cluster::InstanceType;
 use rai_core::protocol::{routes, JobRequest};
 use rai_core::{Fnv1a, PendingJob, ProjectDir, RaiSystem, SubmitMode, SystemConfig};
 use rai_faults::{FaultKind, FaultPlan};
@@ -131,22 +131,31 @@ pub struct ChaosResult {
 impl ChaosResult {
     /// The no-lost-submissions guarantee, as one checkable statement.
     pub fn verify(&self) -> Result<(), String> {
-        if !self.lost.is_empty() {
-            return Err(format!("lost submissions: {:?}", self.lost));
-        }
-        if !self.duplicated.is_empty() {
-            return Err(format!("double-counted submissions: {:?}", self.duplicated));
-        }
-        let accounted = self.terminal.len() + self.dead_lettered.len();
-        if accounted < self.accepted.len() {
-            return Err(format!(
-                "{} accepted but only {} accounted for",
-                self.accepted.len(),
-                accounted
-            ));
-        }
-        Ok(())
+        verify_accounting(&self.accepted, &self.terminal, &self.dead_lettered, &self.duplicated, &self.lost)
     }
+}
+
+/// The audit rule both course results check: nothing lost, nothing
+/// double-counted, and every accepted job accounted for by a terminal
+/// row or a dead letter.
+pub(crate) fn verify_accounting(
+    accepted: &[u64],
+    terminal: &[u64],
+    dead_lettered: &[u64],
+    duplicated: &[u64],
+    lost: &[u64],
+) -> Result<(), String> {
+    if !lost.is_empty() {
+        return Err(format!("lost submissions: {lost:?}"));
+    }
+    if !duplicated.is_empty() {
+        return Err(format!("double-counted submissions: {duplicated:?}"));
+    }
+    let accounted = terminal.len() + dead_lettered.len();
+    if accounted < accepted.len() {
+        return Err(format!("{} accepted but only {accounted} accounted for", accepted.len()));
+    }
+    Ok(())
 }
 
 /// One life of the round-structured course, shared by [`run_chaos`]
@@ -165,10 +174,8 @@ pub(crate) struct Course<'a> {
     /// Audit tap on the dead-letter topic.
     dead_sub: Subscription,
     pub(crate) system: RaiSystem,
-    /// A billing pool mirroring the worker fleet, so instance deaths
-    /// show up in cost and failure accounting.
-    pub(crate) pool: WorkerPool,
-    instance_ids: Vec<InstanceId>,
+    /// Whether each worker's instance is still up; a death clears its
+    /// slot for good.
     alive: Vec<bool>,
     /// Scheduled instance deaths still to come.
     pub(crate) deaths: VecDeque<SimTime>,
@@ -181,23 +188,17 @@ pub(crate) struct Course<'a> {
 
 impl<'a> Course<'a> {
     /// Tap the dead-letter topic (before any job can reach it) and
-    /// provision the fleet; the plan's instance deaths count from the
-    /// moment the fleet is up.
+    /// wait out the fleet's provisioning; the plan's instance deaths
+    /// count from the moment the fleet is up.
     pub(crate) fn deploy(config: &'a ChaosConfig, system: RaiSystem) -> Self {
         let dead_sub = system
             .broker()
             .subscribe(&dead_letter_topic(routes::TASK_TOPIC, routes::TASK_CHANNEL), "audit");
-        let clock = system.clock();
-        let pool = WorkerPool::new(clock.clone());
-        let instance_ids = pool.launch(InstanceType::p2(), config.workers);
-        clock.advance(InstanceType::p2().provision_latency);
-        let start = clock.now();
+        let start = system.clock().advance(InstanceType::p2().provision_latency);
         Course {
             config,
             pendings: Vec::new(),
             dead_sub,
-            pool,
-            instance_ids,
             alive: vec![true; config.workers],
             deaths: config.plan.instance_deaths.iter().map(|d| start + *d).collect(),
             accepted: Vec::new(),
@@ -216,8 +217,8 @@ impl<'a> Course<'a> {
     }
 
     /// Kill fleet instances whose scheduled death time has passed: the
-    /// pool stops billing them, their worker releases its claims (the
-    /// un-acked job redelivers elsewhere) and stops taking work.
+    /// worker releases its claims (the un-acked job redelivers
+    /// elsewhere) and stops taking work.
     fn apply_due_deaths(&mut self) {
         while let Some(&at) = self.deaths.front() {
             if self.system.clock().now() < at {
@@ -226,7 +227,6 @@ impl<'a> Course<'a> {
             self.deaths.pop_front();
             let Some(victim) = self.alive.iter().position(|a| *a) else { continue };
             self.alive[victim] = false;
-            self.pool.fail(self.instance_ids[victim]);
             self.system.workers_mut()[victim].crash_recover();
             self.system.fault_injector().note_injected(FaultKind::InstanceDeath);
         }
@@ -405,7 +405,7 @@ pub fn run_chaos(config: &ChaosConfig) -> ChaosResult {
         dead_lettered: audit.dead_lettered,
         duplicated: audit.duplicated,
         lost: audit.lost,
-        instances_failed: course.pool.stats().failed,
+        instances_failed: course.alive.iter().filter(|up| !**up).count(),
         injected,
         fingerprint: audit.fingerprint,
         metrics: report.metrics,

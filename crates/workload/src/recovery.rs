@@ -24,8 +24,7 @@
 //!   fingerprint is **byte-identical** to an uninterrupted same-seed
 //!   run.
 
-use crate::chaos::{ChaosConfig, Course};
-use rai_cluster::InstanceType;
+use crate::chaos::{verify_accounting, ChaosConfig, Course};
 use rai_core::{RaiSystem, RecoveryReport, SystemConfig};
 use rai_faults::{DiskFault, DiskFaultProfile};
 use rai_sim::VirtualClock;
@@ -135,24 +134,7 @@ impl RecoveryResult {
     /// The crash-consistency guarantee as one checkable statement:
     /// nothing lost, nothing double-counted, everything accounted.
     pub fn verify(&self) -> Result<(), String> {
-        if !self.lost.is_empty() {
-            return Err(format!("lost submissions across restart: {:?}", self.lost));
-        }
-        if !self.duplicated.is_empty() {
-            return Err(format!(
-                "double-counted submissions after re-publish: {:?}",
-                self.duplicated
-            ));
-        }
-        let accounted = self.terminal.len() + self.dead_lettered.len();
-        if accounted < self.accepted.len() {
-            return Err(format!(
-                "{} accepted but only {} accounted for",
-                self.accepted.len(),
-                accounted
-            ));
-        }
-        Ok(())
+        verify_accounting(&self.accepted, &self.terminal, &self.dead_lettered, &self.duplicated, &self.lost)
     }
 }
 
@@ -195,7 +177,6 @@ pub fn run_recovery(config: &RecoveryConfig) -> RecoveryResult {
         let kill_time = course.system.clock().now();
         let remaining_deaths = course.deaths.iter().copied().filter(|t| *t > kill_time).collect();
         let injector = Some(course.system.fault_injector().clone());
-        let pre_kill_failed = course.pool.stats().failed;
         let (accepted, rejected) = (std::mem::take(&mut course.accepted), course.rejected);
         drop(course);
         // The crash chews on the unsynced log tails (or doesn't, for a
@@ -235,11 +216,6 @@ pub fn run_recovery(config: &RecoveryConfig) -> RecoveryResult {
         course.deaths = remaining_deaths;
         course.accepted = accepted;
         course.rejected = rejected;
-        // Pre-seed the failure ledger with the first life's losses.
-        for _ in 0..pre_kill_failed {
-            let extra = course.pool.launch(InstanceType::p2(), 1);
-            course.pool.fail(extra[0]);
-        }
         // Finish the killed round — re-published jobs and any the kill
         // left queued run to completion — then resume the rest.
         course.drive(None);

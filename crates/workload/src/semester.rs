@@ -16,7 +16,6 @@ use rai_telemetry::{duration_micros, GaugeSeries, JobTrace, LogHistogram, Metric
 use rai_store::StoreUsage;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
 use std::time::Duration;
@@ -180,27 +179,28 @@ impl SemesterResult {
 
 struct SemState {
     system: RaiSystem,
-    creds: HashMap<String, rai_auth::Credentials>,
+    /// Each team's credentials, indexed like `roster.teams`.
+    creds: Vec<rai_auth::Credentials>,
     pool: WorkerPool,
     schedule: PhaseSchedule,
     policy: FleetPolicy,
-    autoscaler: ReactiveAutoscaler,
+    /// The reactive policy's controller; `None` under the others.
+    autoscaler: Option<ReactiveAutoscaler>,
     roster: TeamRoster,
     rng: StdRng,
     deadline: SimTime,
     window_start: SimTime,
-    // Queue of submissions accepted but not yet dispatched: job ids in
-    // FIFO order (the broker holds the actual messages).
-    waiting: VecDeque<u64>,
+    /// Submissions accepted but not yet popped, with their submit
+    /// times, in arrival order: the broker's FIFO order, so its length
+    /// is the queue depth.
+    pending: VecDeque<(PendingJob, SimTime)>,
     in_flight: usize,
-    pending: HashMap<u64, (PendingJob, SimTime)>,
     next_worker: usize,
     // Metrics.
     full_timeline: TimeSeries,
     window_timeline: TimeSeries,
     waits: LogHistogram,
     pressure: Pressure,
-    total: u64,
     failures: u64,
 }
 
@@ -214,7 +214,7 @@ impl SemState {
             },
             // Reactive: only instances past their provisioning latency
             // take jobs, one at a time.
-            FleetPolicy::Reactive { .. } => self.pool.ready_instances().len(),
+            FleetPolicy::Reactive { .. } => self.pool.ready_count(),
         }
     }
 }
@@ -230,8 +230,8 @@ struct Pressure {
 }
 
 impl Pressure {
-    fn sample(&mut self, now: SimTime, waiting: usize, in_flight: usize) {
-        self.depth.record(now, waiting as u64);
+    fn sample(&mut self, now: SimTime, depth: usize, in_flight: usize) {
+        self.depth.record(now, depth as u64);
         self.in_flight.record(now, in_flight as u64);
     }
 }
@@ -242,28 +242,33 @@ impl Pressure {
 fn dispatch(state: &mut SemState, sched: &mut Sched<'_>) {
     let now = sched.now();
     loop {
-        // The broker is FIFO, so the head of `waiting` is what the next
-        // worker will pop; at most one job per worker.
+        // The broker is FIFO, so the head of `pending` is what the next
+        // worker will pop; at most one job per worker. A job leaves
+        // `pending` when its task is popped, and pop order is commit
+        // order.
         let n_workers = state.system.workers_mut().len();
         let budget = state
             .capacity(now)
             .saturating_sub(state.in_flight)
-            .min(state.waiting.len())
+            .min(state.pending.len())
             .min(n_workers);
         if budget == 0 {
             return;
         }
         let mut popped = Vec::with_capacity(budget);
+        let mut jobs = Vec::with_capacity(budget);
         for _ in 0..budget {
-            let expect_id = state.waiting.pop_front().expect("bounded by len");
+            let job = state.pending.pop_front().expect("bounded by len");
             let wi = state.next_worker % n_workers;
             state.next_worker = state.next_worker.wrapping_add(1);
             let task = state.system.workers_mut()[wi]
                 .pop_task()
                 .expect("broker held a queued job");
-            debug_assert_eq!(task.job_id(), expect_id);
+            debug_assert_eq!(task.job_id(), job.0.job_id);
             popped.push((wi, task));
+            jobs.push(job);
         }
+        let mut jobs = jobs.into_iter();
         // Between commits: book the finished job and schedule its
         // worker's release. The tally is dropped unsettled: the event
         // engine owns the clock and, with no fault plan, nothing crashes.
@@ -271,10 +276,8 @@ fn dispatch(state: &mut SemState, sched: &mut Sched<'_>) {
             let StepEvent::Done(outcome) = event else {
                 unreachable!("semester jobs neither crash nor idle")
             };
-            let (pending, submitted_at) = state
-                .pending
-                .remove(&outcome.job_id)
-                .expect("every queued job has a pending entry");
+            let (pending, submitted_at) = jobs.next().expect("one popped job per commit");
+            debug_assert_eq!(pending.job_id, outcome.job_id);
             state
                 .waits
                 .record_micros(duration_micros(now.duration_since(submitted_at)));
@@ -284,10 +287,10 @@ fn dispatch(state: &mut SemState, sched: &mut Sched<'_>) {
             // Drain the log stream so the ephemeral topic is GC'd.
             let _ = pending.wait(Duration::from_millis(50));
             state.in_flight += 1;
-            state.pressure.sample(now, state.waiting.len(), state.in_flight);
+            state.pressure.sample(now, state.pending.len(), state.in_flight);
             sched.after(outcome.service_time, |state: &mut SemState, sched: &mut Sched<'_>| {
                 state.in_flight -= 1;
-                state.pressure.sample(sched.now(), state.waiting.len(), state.in_flight);
+                state.pressure.sample(sched.now(), state.pending.len(), state.in_flight);
                 dispatch(state, sched);
             });
             ControlFlow::Continue(())
@@ -297,30 +300,24 @@ fn dispatch(state: &mut SemState, sched: &mut Sched<'_>) {
 
 fn submit_event(state: &mut SemState, sched: &mut Sched<'_>, team_idx: usize, mode: SubmitMode) {
     let now = sched.now();
-    let team = state.roster.teams[team_idx].clone();
+    let team = &state.roster.teams[team_idx];
     let project = match mode {
         SubmitMode::Run => team.project_at(now, state.deadline, &mut state.rng),
         SubmitMode::Submit => team.final_project(),
     };
-    // Team credentials were registered up front.
-    let Some(creds) = state.creds.get(&team.name).cloned() else {
-        return;
-    };
-    let Ok(pending) = state.system.begin_submit(&creds, &project, mode) else {
+    let Ok(pending) = state.system.begin_submit(&state.creds[team_idx], &project, mode) else {
         state.failures += 1;
         return;
     };
-    state.total += 1;
     state.full_timeline.record(now);
     if now >= state.window_start {
         state.window_timeline.record(now);
     }
-    state.waiting.push_back(pending.job_id);
-    state.pending.insert(pending.job_id, (pending, now));
+    state.pending.push_back((pending, now));
     dispatch(state, sched);
     // Sample after dispatch: the series holds the *resting* depth, so a
     // non-zero bucket means capacity was saturated, not merely touched.
-    state.pressure.sample(now, state.waiting.len(), state.in_flight);
+    state.pressure.sample(now, state.pending.len(), state.in_flight);
 }
 
 /// Run the semester.
@@ -336,15 +333,10 @@ pub fn run_semester(config: &SemesterConfig) -> SemesterResult {
         clock.clone(),
     );
     let roster = TeamRoster::generate(config.teams, config.students, config.seed);
-    let mut creds_by_team = HashMap::new();
-    for team in &roster.teams {
-        let creds = system.register_team(&team.name, &[]);
-        creds_by_team.insert(team.name.clone(), creds);
-    }
+    let creds = roster.teams.iter().map(|team| system.register_team(&team.name, &[])).collect();
 
     let deadline = SimTime::ZERO + SimDuration::from_days(config.duration_days);
     let window_start = deadline - SimDuration::from_days(config.window_days);
-    let pool = WorkerPool::new(clock.clone());
     let schedule = PhaseSchedule::paper_semester();
 
     // Pre-sample every team's submission instants.
@@ -367,21 +359,20 @@ pub fn run_semester(config: &SemesterConfig) -> SemesterResult {
 
     let state = SemState {
         system,
-        creds: creds_by_team,
-        pool: pool.clone(),
+        creds,
+        pool: WorkerPool::new(clock.clone()),
         schedule: schedule.clone(),
         policy: config.fleet.clone(),
         autoscaler: match config.fleet {
-            FleetPolicy::Reactive { min, max } => ReactiveAutoscaler::new(min, max),
-            _ => ReactiveAutoscaler::paper_bounds(),
+            FleetPolicy::Reactive { min, max } => Some(ReactiveAutoscaler::new(min, max)),
+            _ => None,
         },
         roster,
         rng: StdRng::seed_from_u64(config.seed ^ 0xF00D),
         deadline,
         window_start,
-        waiting: VecDeque::new(),
+        pending: VecDeque::new(),
         in_flight: 0,
-        pending: HashMap::new(),
         next_worker: 0,
         full_timeline: TimeSeries::new(SimTime::ZERO, SimDuration::HOUR),
         window_timeline: TimeSeries::new(window_start, SimDuration::HOUR),
@@ -390,7 +381,6 @@ pub fn run_semester(config: &SemesterConfig) -> SemesterResult {
             depth: GaugeSeries::new(SimTime::ZERO, SimDuration::HOUR),
             in_flight: GaugeSeries::new(SimTime::ZERO, SimDuration::HOUR),
         },
-        total: 0,
         failures: 0,
     };
 
@@ -422,20 +412,15 @@ pub fn run_semester(config: &SemesterConfig) -> SemesterResult {
             // Periodic control loop: observe queue + fleet, scale, and
             // retry dispatch (new instances may just have become ready).
             let control = |state: &mut SemState, sched: &mut Sched<'_>| {
-                let now = sched.now();
-                let action = state.autoscaler.decide(
-                    now,
-                    state.waiting.len(),
-                    state.pool.live_count(),
-                );
-                match action {
+                let live = state.pool.live_count();
+                let autoscaler = state.autoscaler.as_mut().expect("the reactive policy has one");
+                match autoscaler.decide(sched.now(), state.pending.len(), live) {
                     ScaleAction::Out(n) => {
                         state.pool.launch(InstanceType::p2(), n);
                     }
                     ScaleAction::In(n) => {
                         // Never terminate busier than idle capacity.
-                        let ready = state.pool.ready_instances().len();
-                        let idle = ready.saturating_sub(state.in_flight);
+                        let idle = state.pool.ready_count().saturating_sub(state.in_flight);
                         state.pool.terminate_n(n.min(idle));
                     }
                     ScaleAction::Hold => {}
@@ -455,7 +440,7 @@ pub fn run_semester(config: &SemesterConfig) -> SemesterResult {
     }
 
     sim.run();
-    let state = sim.into_state();
+    let mut state = sim.into_state();
     // Terminate the fleet at semester end so billing stops.
     state.pool.terminate_n(usize::MAX / 2);
 
@@ -478,7 +463,7 @@ pub fn run_semester(config: &SemesterConfig) -> SemesterResult {
     // gauge reads the trace store they leave empty.
     let report = state.system.report();
     SemesterResult {
-        total_submissions: state.total,
+        total_submissions: state.full_timeline.total(),
         failures: state.failures,
         window_submissions: state.window_timeline.total(),
         full_timeline: state.full_timeline,
@@ -491,7 +476,7 @@ pub fn run_semester(config: &SemesterConfig) -> SemesterResult {
         // The course is over, so its traces are moved out, not copied.
         traces: state.system.telemetry().take_job_traces(),
         store: report.store,
-        cost_cents: state.pool.stats().cost_cents,
+        cost_cents: state.pool.cost_cents(),
         final_standings: standings,
         log_bytes,
     }

@@ -118,3 +118,22 @@ fn submissions_collection_schema() {
         assert!(row.get(field).is_some(), "missing field {field}: {row}");
     }
 }
+
+#[test]
+fn two_instance_deaths_in_one_round_fail_two_workers() {
+    // Both deaths fall due at the same round boundary: each takes a
+    // different live worker, both are counted, and the course still
+    // accounts for every submission, run after run.
+    let run = || {
+        let mut config = ChaosConfig::quick(31);
+        let at = rai::sim::SimDuration::from_mins(8);
+        config.plan.instance_deaths = vec![at, at];
+        run_chaos(&config)
+    };
+    let result = run();
+    assert_eq!(result.instances_failed, 2, "two distinct workers died");
+    let deaths = result.injected.iter().find(|(kind, _)| kind == "instance_death");
+    assert_eq!(deaths.map(|(_, n)| *n), Some(2), "injected: {:?}", result.injected);
+    result.verify().expect("nothing lost, nothing double-counted");
+    assert_eq!(run().fingerprint, result.fingerprint, "same seed, same bytes");
+}
