@@ -2,12 +2,15 @@
 //! topic and channel are deleted if there are no producers and
 //! consumers."
 //!
-//! Without that garbage collection every job leaks a `log_${job_id}`
-//! topic (plus its undelivered backlog — the three blocks a worker
-//! publishes per job: accepted, the output, url + end); over tens of
-//! thousands of submissions the broker's topic table grows without
-//! bound. This binary runs the same job stream with and without
-//! subscribers draining the log topics and reports broker growth.
+//! A job's `log_${job_id}` topic lives exactly as long as its reader:
+//! the client's subscription creates it and the subscription's drop
+//! collects it, and a worker's publish to a topic nobody reads is
+//! dropped. This binary runs the same job stream — three blocks a job
+//! (accepted, the output, url + end) — against both kinds of client:
+//! one that subscribes, drains and drops, and one that vanished and
+//! never subscribes. Were publishing to create the topic, the second
+//! would leave a topic and its three undeliverable blocks per job;
+//! both must leave the topic table empty.
 //!
 //! It counts topic-table entries. That a collected topic also gives
 //! its *bytes* back — nothing else holds its state — is the tier-1
@@ -28,10 +31,9 @@ fn run(drain: bool) -> (usize, usize) {
     let broker = Broker::default();
     for job_id in 0..JOBS {
         let topic = routes::log_topic(job_id);
-        // The GC'd path subscribes first (as the real client does) and
-        // drops the subscription after End; the leaky path never
-        // subscribes, emulating a worker publishing logs for a client
-        // that vanished, with no producer/consumer-based deletion.
+        // The draining client subscribes first (as the real client
+        // does) and drops the subscription after End; the vanished
+        // client never subscribes, so its topic is never created.
         let sub = drain.then(|| broker.subscribe_ephemeral(&topic, routes::LOG_CHANNEL));
         let mut output = String::new();
         for line in 0..LOG_LINES {
@@ -54,18 +56,18 @@ fn run(drain: bool) -> (usize, usize) {
 }
 
 fn main() {
-    rai_bench::header("ephemeral log-topic GC vs unbounded topic table");
-    let (gc_topics, gc_depth) = run(true);
-    let (leak_topics, leak_depth) = run(false);
-    println!("  {:<28} {:>10} {:>16}", "policy", "topics", "retained msgs");
-    println!("  {:<28} {:>10} {:>16}", "GC on last unsubscribe", gc_topics, gc_depth);
-    println!("  {:<28} {:>10} {:>16}", "no GC (leak)", leak_topics, leak_depth);
+    rai_bench::header("ephemeral log topics: drained vs vanished clients");
+    let (drained_topics, drained_depth) = run(true);
+    let (vanished_topics, vanished_depth) = run(false);
+    println!("  {:<34} {:>10} {:>16}", "client", "topics", "retained msgs");
+    println!("  {:<34} {:>10} {:>16}", "subscribes, drains, drops", drained_topics, drained_depth);
+    println!("  {:<34} {:>10} {:>16}", "vanished (never subscribes)", vanished_topics, vanished_depth);
 
     rai_bench::header("paper vs measured");
     println!(
-        "  after {JOBS} jobs the GC'd broker holds {gc_topics} topics; without deletion it holds {leak_topics} \
-         topics and {leak_depth} undeliverable messages"
+        "  after {JOBS} jobs the broker holds {drained_topics} topics behind draining clients and \
+         {vanished_topics} topics ({vanished_depth} undeliverable messages) behind vanished ones"
     );
-    assert_eq!(gc_topics, 0, "all ephemeral topics must be collected");
-    assert_eq!(leak_topics as u64, JOBS, "every job leaks one topic without GC");
+    assert_eq!((drained_topics, drained_depth), (0, 0), "every drained log topic is collected");
+    assert_eq!((vanished_topics, vanished_depth), (0, 0), "no reader, no topic");
 }

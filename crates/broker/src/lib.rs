@@ -14,13 +14,18 @@
 //!   channel and messages are load-balanced among them;
 //! * `log_${job_id}` — per-job ephemeral topics for streaming
 //!   stdout/stderr back to the client; "both the topic and channel are
-//!   deleted if there are no producers and consumers";
-//! * conditional consumption — a worker may *requeue* a message it
-//!   cannot accept (resource constraints), which redelivers it with an
-//!   incremented attempt counter;
-//! * messages published before any channel exists are held in a topic
-//!   backlog and drained into the first channel created (so log lines
-//!   emitted before the client finishes subscribing are not lost).
+//!   deleted if there are no producers and consumers". Only the
+//!   client's subscription creates one, and the client subscribes
+//!   before it publishes its task, so no frame precedes its reader; a
+//!   frame for a topic with no reader (its client gone) is dropped;
+//! * redelivery — a consumer that drops its subscription (a crashed
+//!   worker) or holds a claim past the message timeout loses it, and
+//!   the message is redelivered with an incremented attempt counter,
+//!   or dead-lettered once it reaches the attempt cap;
+//! * messages published to a durable topic before any channel exists
+//!   are held in a topic backlog and drained into the first channel
+//!   created (NSQ's buffering: jobs queued before a worker subscribes,
+//!   dead letters before an auditor does).
 //!
 //! The broker is a live, thread-safe component (parking_lot mutexes +
 //! condvars), exercised with real threads in its tests and benches, and
@@ -30,10 +35,9 @@
 
 pub mod broker;
 pub mod message;
-pub mod queue;
+mod queue;
 
 pub use broker::{dead_letter_topic, Broker, BrokerConfig, PublishError, Subscription};
 /// A message body: shared, so a consumer keeps one without copying it.
 pub use bytes::Bytes;
 pub use message::MessageId;
-pub use queue::RecvError;

@@ -13,7 +13,7 @@ impl std::fmt::Display for MessageId {
 }
 
 /// A message as delivered to a consumer.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct Message {
     /// Unique id (per broker).
     pub id: MessageId,

@@ -13,32 +13,13 @@ use crate::message::{Message, MessageId};
 use parking_lot::{Condvar, Mutex};
 use rai_sim::{SimDuration, SimTime, VirtualClock};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::AtomicUsize;
 use std::time::{Duration, Instant};
-
-/// Error from a blocking receive.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RecvError {
-    /// No message arrived within the timeout.
-    Timeout,
-    /// The channel (or its topic) was deleted.
-    Closed,
-}
-
-impl std::fmt::Display for RecvError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RecvError::Timeout => write!(f, "recv timed out"),
-            RecvError::Closed => write!(f, "channel closed"),
-        }
-    }
-}
-
-impl std::error::Error for RecvError {}
 
 /// Result of an operation that may both requeue messages and push some
 /// over the attempt cap. Dead messages are handed back to the caller
-/// (the broker), which owns routing them to the dead-letter topic.
+/// (the broker), which owns counting the requeues and routing the dead
+/// to the dead-letter topic.
 #[derive(Debug, Default)]
 pub(crate) struct Requeued {
     /// Messages returned to the ready queue.
@@ -52,7 +33,6 @@ pub(crate) struct ChannelQueue {
     /// message id → (subscriber id, message, delivery sim-time) awaiting
     /// ack. The timestamp drives NSQ-style message-timeout redelivery.
     pub(crate) in_flight: HashMap<MessageId, (u64, Message, SimTime)>,
-    pub(crate) closed: bool,
 }
 
 pub(crate) struct ChannelState {
@@ -65,11 +45,6 @@ pub(crate) struct ChannelState {
     /// Redeliveries allowed per message before it dead-letters;
     /// 0 disables the cap.
     pub(crate) max_attempts: u32,
-    // Counters for stats.
-    pub(crate) enqueued: AtomicU64,
-    pub(crate) acked: AtomicU64,
-    pub(crate) requeued: AtomicU64,
-    pub(crate) dead_lettered: AtomicU64,
 }
 
 impl ChannelState {
@@ -79,68 +54,51 @@ impl ChannelState {
             queue: Mutex::new(ChannelQueue {
                 ready: VecDeque::new(),
                 in_flight: HashMap::new(),
-                closed: false,
             }),
             available: Condvar::new(),
             subscribers: AtomicUsize::new(0),
             clock,
             max_attempts,
-            enqueued: AtomicU64::new(0),
-            acked: AtomicU64::new(0),
-            requeued: AtomicU64::new(0),
-            dead_lettered: AtomicU64::new(0),
         }
     }
 
     /// Push a message to the ready queue and wake one consumer.
     pub(crate) fn enqueue(&self, msg: Message) {
-        {
-            let mut q = self.queue.lock();
-            q.ready.push_back(msg);
-        }
-        self.enqueued.fetch_add(1, Ordering::Relaxed);
+        self.queue.lock().ready.push_back(msg);
         self.available.notify_one();
     }
 
-    /// Blocking pop with timeout; the popped message moves to the
-    /// in-flight table under `subscriber`. The timeout bounds the
-    /// wall-clock wait as a whole, however many wake-ups find the ready
-    /// queue empty; the claim itself is stamped in sim time.
-    pub(crate) fn recv_timeout(
-        &self,
-        subscriber: u64,
-        timeout: Duration,
-    ) -> Result<Message, RecvError> {
+    /// Pop the next ready message into the in-flight table under
+    /// `subscriber`, stamped in sim time.
+    fn claim(&self, q: &mut ChannelQueue, subscriber: u64) -> Option<Message> {
+        let mut msg = q.ready.pop_front()?;
+        msg.attempts += 1;
+        q.in_flight.insert(msg.id, (subscriber, msg.clone(), self.clock.now()));
+        Some(msg)
+    }
+
+    /// Blocking pop with timeout; `None` once the timeout runs out. The
+    /// timeout bounds the wall-clock wait as a whole, however many
+    /// wake-ups find the ready queue empty.
+    pub(crate) fn recv_timeout(&self, subscriber: u64, timeout: Duration) -> Option<Message> {
         // When the first wait began; taken only once a wait is due.
         let mut started = None;
         let mut q = self.queue.lock();
         loop {
-            if q.closed {
-                return Err(RecvError::Closed);
-            }
-            if let Some(mut msg) = q.ready.pop_front() {
-                msg.attempts += 1;
-                q.in_flight.insert(msg.id, (subscriber, msg.clone(), self.clock.now()));
-                return Ok(msg);
+            if let Some(msg) = self.claim(&mut q, subscriber) {
+                return Some(msg);
             }
             let now = Instant::now();
             let left = timeout.saturating_sub(now.duration_since(*started.get_or_insert(now)));
             if left.is_zero() || self.available.wait_for(&mut q, left).timed_out() {
-                return Err(RecvError::Timeout);
+                return None;
             }
         }
     }
 
     /// Non-blocking pop.
     pub(crate) fn try_recv(&self, subscriber: u64) -> Option<Message> {
-        let mut q = self.queue.lock();
-        if q.closed {
-            return None;
-        }
-        let mut msg = q.ready.pop_front()?;
-        msg.attempts += 1;
-        q.in_flight.insert(msg.id, (subscriber, msg.clone(), self.clock.now()));
-        Some(msg)
+        self.claim(&mut self.queue.lock(), subscriber)
     }
 
     /// Acknowledge an in-flight message. Returns `false` if it was not
@@ -150,42 +108,9 @@ impl ChannelState {
         match q.in_flight.get(&id) {
             Some((owner, _, _)) if *owner == subscriber => {
                 q.in_flight.remove(&id);
-                self.acked.fetch_add(1, Ordering::Relaxed);
                 true
             }
             _ => false,
-        }
-    }
-
-    /// Whether a message at `attempts` deliveries has exhausted its
-    /// redelivery budget.
-    fn over_cap(&self, attempts: u32) -> bool {
-        self.max_attempts > 0 && attempts >= self.max_attempts
-    }
-
-    /// Return an in-flight message to the back of the ready queue (a
-    /// worker declining a job it has no capacity for), or dead-letter
-    /// it if it has hit the attempt cap. Returns `None` if it was not
-    /// in flight for this subscriber.
-    pub fn requeue(&self, subscriber: u64, id: MessageId) -> Option<Requeued> {
-        let mut q = self.queue.lock();
-        match q.in_flight.get(&id) {
-            Some((owner, _, _)) if *owner == subscriber => {
-                let (_, msg, _) = q.in_flight.remove(&id).expect("checked above");
-                let mut out = Requeued::default();
-                if self.over_cap(msg.attempts) {
-                    out.dead.push(msg);
-                    drop(q);
-                } else {
-                    q.ready.push_back(msg);
-                    out.requeued = 1;
-                    drop(q);
-                    self.requeued.fetch_add(1, Ordering::Relaxed);
-                    self.available.notify_one();
-                }
-                Some(out)
-            }
-            _ => None,
         }
     }
 
@@ -228,7 +153,7 @@ impl ChannelState {
         let mut out = Requeued::default();
         for id in ids {
             let (_, msg, _) = q.in_flight.remove(id).expect("listed by caller");
-            if self.over_cap(msg.attempts) {
+            if self.max_attempts > 0 && msg.attempts >= self.max_attempts {
                 out.dead.push(msg);
             } else {
                 q.ready.push_back(msg);
@@ -236,18 +161,9 @@ impl ChannelState {
             }
         }
         if out.requeued > 0 {
-            self.requeued.fetch_add(out.requeued as u64, Ordering::Relaxed);
             self.available.notify_all();
         }
         out
-    }
-
-    /// Close the channel, waking all blocked consumers with `Closed`.
-    pub(crate) fn close(&self) {
-        let mut q = self.queue.lock();
-        q.closed = true;
-        drop(q);
-        self.available.notify_all();
     }
 
     /// Ready-queue depth.
@@ -301,35 +217,9 @@ mod tests {
     }
 
     #[test]
-    fn requeue_increments_attempts() {
-        let (ch, _clock) = chan(0);
-        ch.enqueue(msg(1));
-        let m = ch.try_recv(1).unwrap();
-        assert_eq!(m.attempts, 1);
-        let r = ch.requeue(1, m.id).expect("owned");
-        assert_eq!(r.requeued, 1);
-        let m2 = ch.try_recv(1).unwrap();
-        assert_eq!(m2.attempts, 2);
-    }
-
-    #[test]
     fn recv_times_out() {
         let (ch, _clock) = chan(0);
-        assert_eq!(
-            ch.recv_timeout(1, Duration::from_millis(5)),
-            Err(RecvError::Timeout)
-        );
-    }
-
-    #[test]
-    fn close_wakes_blocked_consumer() {
-        let (ch, _clock) = chan(0);
-        let ch = std::sync::Arc::new(ch);
-        let ch2 = ch.clone();
-        let t = std::thread::spawn(move || ch2.recv_timeout(1, Duration::from_secs(10)));
-        std::thread::sleep(Duration::from_millis(20));
-        ch.close();
-        assert_eq!(t.join().unwrap(), Err(RecvError::Closed));
+        assert!(ch.recv_timeout(1, Duration::from_millis(5)).is_none());
     }
 
     #[test]
@@ -354,7 +244,7 @@ mod tests {
             q.ready.pop_front();
         }
         let (result, waited) = t.join().unwrap();
-        assert_eq!(result, Err(RecvError::Timeout));
+        assert!(result.is_none());
         assert!(waited < Duration::from_millis(800), "parked {waited:?} on a 300 ms timeout");
     }
 
@@ -405,10 +295,10 @@ mod tests {
     fn attempt_cap_dead_letters_on_requeue() {
         let (ch, _clock) = chan(2);
         ch.enqueue(msg(1));
-        let m = ch.try_recv(1).unwrap(); // attempt 1
-        assert_eq!(ch.requeue(1, m.id).unwrap().requeued, 1);
-        let m = ch.try_recv(1).unwrap(); // attempt 2 == cap
-        let r = ch.requeue(1, m.id).unwrap();
+        let _m = ch.try_recv(1).unwrap(); // attempt 1
+        assert_eq!(ch.requeue_all_for(1).requeued, 1);
+        let _m = ch.try_recv(1).unwrap(); // attempt 2 == cap
+        let r = ch.requeue_all_for(1);
         assert_eq!(r.requeued, 0);
         assert_eq!(r.dead.len(), 1);
         assert_eq!(r.dead[0].attempts, 2);

@@ -12,7 +12,7 @@ enum Op {
     Publish(u8),
     Recv,
     AckOldest,
-    RequeueOldest,
+    ExpireClaims,
 }
 
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
@@ -21,7 +21,7 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
             any::<u8>().prop_map(Op::Publish),
             Just(Op::Recv),
             Just(Op::AckOldest),
-            Just(Op::RequeueOldest),
+            Just(Op::ExpireClaims),
         ],
         0..120,
     )
@@ -31,10 +31,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Reference model: `ready` is a FIFO of bodies, `in_flight` a FIFO
-    /// of (id, body). The broker must match it op for op.
+    /// of (id, body) in claim order; an expiry returns every claim to
+    /// the back of `ready` in id order. The broker must match it op
+    /// for op.
     #[test]
     fn single_channel_matches_fifo_model(ops in arb_ops()) {
-        let broker = Broker::default();
+        let clock = VirtualClock::new();
+        let broker = Broker::with_clock(BrokerConfig::default(), clock.clone());
+        let timeout = SimDuration::from_secs(60);
         let sub = broker.subscribe("t", "ch");
         let mut model_ready: VecDeque<u8> = VecDeque::new();
         let mut model_in_flight: VecDeque<(MessageId, u8)> = VecDeque::new();
@@ -60,16 +64,17 @@ proptest! {
                     Some((id, _)) => prop_assert!(sub.ack(id)),
                     None => prop_assert!(!sub.ack(MessageId(u64::MAX))),
                 },
-                Op::RequeueOldest => {
-                    if let Some((id, body)) = model_in_flight.pop_front() {
-                        prop_assert!(sub.requeue(id));
-                        model_ready.push_back(body);
-                    }
+                Op::ExpireClaims => {
+                    clock.advance(timeout);
+                    prop_assert_eq!(broker.reclaim_expired(timeout), model_in_flight.len());
+                    let mut expired: Vec<_> = model_in_flight.drain(..).collect();
+                    expired.sort();
+                    model_ready.extend(expired.into_iter().map(|(_, body)| body));
                 }
             }
             // Depth invariants hold after every operation.
-            prop_assert_eq!(sub.depth(), model_ready.len());
             let stats = broker.topic_stats("t").expect("topic exists");
+            prop_assert_eq!(stats.depth, model_ready.len());
             prop_assert_eq!(stats.in_flight, model_in_flight.len());
         }
     }
@@ -99,13 +104,15 @@ proptest! {
         let stats = broker.topic_stats("t").expect("topic exists");
         prop_assert_eq!(stats.depth, 0);
         prop_assert_eq!(stats.in_flight, 0);
-        prop_assert_eq!(stats.acked, (bodies.len() * channels) as u64);
+        prop_assert_eq!(broker.stats().acked, (bodies.len() * channels) as u64);
     }
 
     /// Attempt counters increment exactly once per delivery.
     #[test]
     fn attempts_track_deliveries(requeues in 0u32..6) {
-        let broker = Broker::default();
+        let clock = VirtualClock::new();
+        let broker = Broker::with_clock(BrokerConfig::default(), clock.clone());
+        let timeout = SimDuration::from_secs(60);
         let sub = broker.subscribe("t", "ch");
         broker.publish("t", &b"x"[..]).expect("publish");
         for expected in 1..=requeues + 1 {
@@ -114,13 +121,14 @@ proptest! {
             if expected == requeues + 1 {
                 sub.ack(m.id);
             } else {
-                sub.requeue(m.id);
+                clock.advance(timeout);
+                prop_assert_eq!(broker.reclaim_expired(timeout), 1);
             }
         }
         prop_assert!(sub.try_recv().is_none());
     }
 
-    /// Attempt cap: a message that is always requeued is delivered
+    /// Attempt cap: a message whose every claim expires is delivered
     /// exactly `cap` times and then routed to the dead-letter topic —
     /// and exhaustion order is publish order, so the dead-letter
     /// channel replays the poison stream faithfully.
@@ -129,7 +137,9 @@ proptest! {
         bodies in prop::collection::vec(any::<u8>(), 1..40),
         cap in 1u32..5,
     ) {
-        let broker = Broker::new(BrokerConfig { max_attempts: cap });
+        let clock = VirtualClock::new();
+        let broker = Broker::with_clock(BrokerConfig { max_attempts: cap }, clock.clone());
+        let timeout = SimDuration::from_secs(60);
         let sub = broker.subscribe("t", "ch");
         let audit = broker.subscribe(&dead_letter_topic("t", "ch"), "audit");
         for b in &bodies {
@@ -137,11 +147,19 @@ proptest! {
         }
 
         let mut deliveries: HashMap<MessageId, u32> = HashMap::new();
-        while let Some(m) = sub.try_recv() {
-            let d = deliveries.entry(m.id).or_insert(0);
-            *d += 1;
-            prop_assert_eq!(m.attempts, *d, "attempts counts deliveries");
-            prop_assert!(sub.requeue(m.id));
+        loop {
+            let mut claimed = 0;
+            while let Some(m) = sub.try_recv() {
+                let d = deliveries.entry(m.id).or_insert(0);
+                *d += 1;
+                prop_assert_eq!(m.attempts, *d, "attempts counts deliveries");
+                claimed += 1;
+            }
+            if claimed == 0 {
+                break;
+            }
+            clock.advance(timeout);
+            broker.reclaim_expired(timeout);
         }
 
         prop_assert_eq!(deliveries.len(), bodies.len());
@@ -151,7 +169,7 @@ proptest! {
         let t = broker.topic_stats("t").expect("topic exists");
         prop_assert_eq!(t.depth, 0);
         prop_assert_eq!(t.in_flight, 0);
-        prop_assert_eq!(t.dead_lettered, bodies.len() as u64);
+        prop_assert_eq!(broker.stats().dead_lettered, bodies.len() as u64);
 
         let mut dead = Vec::new();
         while let Some(m) = audit.try_recv() {

@@ -13,7 +13,7 @@ use crate::protocol::{block_lines, routes, FrameLine, JobKind, JobRequest, Tag};
 use crate::spec::{BuildSpec, SpecError, DEFAULT_BUILD_YML, FINAL_SUBMISSION_YML};
 use rai_archive::FileTree;
 use rai_auth::{sign_request, Credentials};
-use rai_broker::{Broker, Bytes, PublishError, RecvError, Subscription};
+use rai_broker::{Broker, Bytes, PublishError, Subscription};
 use rai_db::{doc, Database};
 use rai_store::{ObjectStore, StoreError};
 use std::borrow::Cow;
@@ -388,9 +388,8 @@ impl PendingJob {
         let mut log = Transcript { blocks: Vec::with_capacity(4), lines: 0 };
         let (mut build_url, mut internal) = (None, None);
         loop {
-            let msg = match self.subscription.recv_timeout(timeout) {
-                Ok(m) => m,
-                Err(RecvError::Timeout) | Err(RecvError::Closed) => return Err(SubmitError::Timeout),
+            let Some(msg) = self.subscription.recv_timeout(timeout) else {
+                return Err(SubmitError::Timeout);
             };
             self.subscription.ack(msg.id);
             let body = msg.body_str();
@@ -496,7 +495,7 @@ impl RaiClient {
         Ok(text)
     }
 
-    /// Steps ①–⑤: package, upload, enqueue, subscribe. Returns the
+    /// Steps ①–⑤: package, upload, subscribe, enqueue. Returns the
     /// pending job to wait on.
     pub fn begin_submit(&self, project: &ProjectDir, mode: SubmitMode) -> Result<PendingJob, SubmitError> {
         // ① Project and build-file checks.
@@ -569,6 +568,14 @@ impl RaiClient {
         );
         let encoded = request.encode();
 
+        // ⑤ Subscribe to the job's ephemeral log topic before the push:
+        // only this subscription creates the topic, and no frame the
+        // worker emits can precede its reader. A rejected push drops
+        // it, and the topic with it.
+        let subscription = self
+            .broker
+            .subscribe_ephemeral(&routes::log_topic(job_id), routes::LOG_CHANNEL);
+
         // Durability point: journal the accepted submission *before*
         // publishing and force it to stable storage. If the process
         // dies with the request queued (or about to be), recovery
@@ -606,12 +613,6 @@ impl RaiClient {
             );
         }
         published?;
-
-        // ⑤ Subscribe to the ephemeral log topic. (The topic backlog
-        // holds any frames the worker emitted before we got here.)
-        let subscription = self
-            .broker
-            .subscribe_ephemeral(&routes::log_topic(job_id), routes::LOG_CHANNEL);
         Ok(PendingJob {
             job_id,
             subscription,

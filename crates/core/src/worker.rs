@@ -1392,20 +1392,20 @@ mod tests {
     ];
 
     /// Submit the sample project, run it on `worker`, and return how
-    /// many messages its log topic carried (counted before the client
-    /// drains it) with the receipt.
+    /// many messages its log topic holds (its ready depth before the
+    /// client drains it) with the receipt.
     fn submit_and_count(
         rig: &Rig,
         client: &RaiClient,
         worker: &mut Worker,
         mode: SubmitMode,
-    ) -> (u64, crate::client::SubmitReceipt) {
+    ) -> (usize, crate::client::SubmitReceipt) {
         let project = ProjectDir::sample_cuda_project().with_final_artifacts();
         let pending = client.begin_submit(&project, mode).unwrap();
         worker.step().expect("job runs");
         let topic = routes::log_topic(pending.job_id);
-        let published = rig.broker.topic_stats(&topic).expect("live until drained").published;
-        (published, pending.wait(Duration::from_millis(500)).unwrap())
+        let depth = rig.broker.topic_stats(&topic).expect("live until drained").depth;
+        (depth, pending.wait(Duration::from_millis(500)).unwrap())
     }
 
     #[test]

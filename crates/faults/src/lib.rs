@@ -69,8 +69,9 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// Stable label used as the `kind` value of
-    /// `rai_faults_injected_total{kind=...}`.
+    /// Stable label: the kind's key in
+    /// [`FaultInjector::injected_counts`], which the chaos course
+    /// reports by kind.
     pub(crate) fn label(self) -> &'static str {
         match self {
             FaultKind::StorePut => "store_put",
@@ -217,8 +218,8 @@ struct InjectorInner {
     /// Per-kind draw counters: each `should_fail` consult consumes one
     /// draw, so the decision stream is stable for a given call order.
     draws: [AtomicU64; 4],
-    /// Injected-fault counts by kind label, for the
-    /// `faults_injected_total{kind}` collector.
+    /// Injected-fault counts by kind label. `RaiSystem::report` stores
+    /// their sum, unlabelled, as `rai_faults_injected_total`.
     injected: Mutex<BTreeMap<&'static str, u64>>,
 }
 

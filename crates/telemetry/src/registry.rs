@@ -121,8 +121,10 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Overwrite with an absolute value — used by pull-style collectors
-    /// that mirror an existing cumulative counter into the registry.
+    /// Overwrite with an absolute value: `RaiSystem::report` copies the
+    /// cumulative counts the broker, store, db, WAL and fault injector
+    /// keep into the registry. A counter stored this way counts up
+    /// only if its source does.
     pub fn store(&self, n: u64) {
         self.0.store(n, Ordering::Relaxed);
     }

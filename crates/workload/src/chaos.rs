@@ -15,7 +15,7 @@ use rai_auth::Credentials;
 use rai_broker::{dead_letter_topic, Subscription};
 use rai_cluster::InstanceType;
 use rai_core::protocol::{routes, JobRequest};
-use rai_core::{Fnv1a, PendingJob, ProjectDir, RaiSystem, SubmitMode, SystemConfig};
+use rai_core::{Fnv1a, ProjectDir, RaiSystem, SubmitMode, SystemConfig};
 use rai_faults::{FaultKind, FaultPlan};
 use rai_sim::{SimDuration, SimTime, VirtualClock};
 use rai_telemetry::{JobTrace, MetricsSnapshot};
@@ -164,13 +164,12 @@ pub(crate) fn verify_accounting(
 /// life of the process) — so "recovered run equals uninterrupted run"
 /// compares the same loop and the same audit.
 ///
-/// Field order is drop order: a kill drops the log subscriptions, then
-/// the audit tap, then the deployment.
+/// Field order is drop order: a kill drops the audit tap, then the
+/// deployment. The course reads no transcript: each job's
+/// `PendingJob` drops as `begin_submit` returns, taking its log topic
+/// with it, and the broker drops the frames a worker publishes there.
 pub(crate) struct Course<'a> {
     config: &'a ChaosConfig,
-    /// Log subscriptions, kept alive until the end so late frames from
-    /// redelivered attempts land somewhere.
-    pendings: Vec<PendingJob>,
     /// Audit tap on the dead-letter topic.
     dead_sub: Subscription,
     pub(crate) system: RaiSystem,
@@ -197,7 +196,6 @@ impl<'a> Course<'a> {
         let start = system.clock().advance(InstanceType::p2().provision_latency);
         Course {
             config,
-            pendings: Vec::new(),
             dead_sub,
             alive: vec![true; config.workers],
             deaths: config.plan.instance_deaths.iter().map(|d| start + *d).collect(),
@@ -244,10 +242,7 @@ impl<'a> Course<'a> {
             let project = ProjectDir::cuda_project_with_perf(ms, 0.92, 1024).with_final_artifacts();
             let mode = if round == config.rounds - 1 { SubmitMode::Submit } else { SubmitMode::Run };
             match self.system.begin_submit(cred, &project, mode) {
-                Ok(pending) => {
-                    self.accepted.push(pending.job_id);
-                    self.pendings.push(pending);
-                }
+                Ok(pending) => self.accepted.push(pending.job_id),
                 Err(_) => self.rejected += 1,
             }
         }
@@ -302,7 +297,6 @@ impl<'a> Course<'a> {
     pub(crate) fn finish(&mut self) -> AuditOutcome {
         self.drive(None);
         self.system.sync_wals();
-        self.pendings.clear();
         // Dead letters, in arrival order. At-least-once re-publish can
         // (rarely) dead-letter the same job in both lives of a claim;
         // the audit counts the first appearance.

@@ -4,7 +4,6 @@
 //! these operations need to happen in order and be robust to failures."
 
 use rai::archive::{fnv, write_container};
-use rai::broker::RecvError;
 use rai::core::client::{ProjectDir, SubmitMode, UPLOAD_BUCKET};
 use rai::core::protocol::routes;
 use rai::core::system::{RaiSystem, SystemConfig};
@@ -195,12 +194,23 @@ fn client_timeout_when_no_workers_exist() {
 }
 
 #[test]
-fn broker_closed_channel_reports_to_consumer() {
-    let sys = system();
-    let sub = sys.broker().subscribe("doomed-topic", "ch");
-    assert!(sys.broker().delete_topic("doomed-topic"));
-    assert_eq!(
-        sub.recv_timeout(Duration::from_millis(50)),
-        Err(RecvError::Closed)
-    );
+fn a_client_that_stops_reading_leaves_no_log_topic() {
+    // The student's client goes away before the worker runs the job:
+    // the job still runs and records, and its log frames, which
+    // nobody will read, are dropped rather than parked in a topic that
+    // no subscription would ever collect.
+    let mut sys = system();
+    let creds = sys.register_team("vanished", &[]);
+    let pending = sys
+        .client_for(&creds)
+        .begin_submit(&ProjectDir::sample_cuda_project(), SubmitMode::Run)
+        .unwrap();
+    let log_topic = routes::log_topic(pending.job_id);
+    drop(pending);
+    let outcomes = sys.drain();
+    assert_eq!(outcomes.len(), 1);
+    assert!(outcomes[0].success);
+    assert!(sys.broker().topic_stats(&log_topic).is_none(), "{log_topic} left behind");
+    let stats = sys.broker().stats();
+    assert_eq!((stats.topics, stats.depth), (1, 0), "only the task topic, drained");
 }

@@ -314,3 +314,32 @@ fn a_report_carries_the_component_series() {
     assert!(replayed > 0, "the recovery replayed the db log");
     assert_report_is_the_components(&system);
 }
+
+#[test]
+fn broker_counters_only_count_up() {
+    // A job's log topic is collected when its client drops the
+    // subscription; the traffic it carried stays in the exported
+    // totals.
+    let mut system = RaiSystem::new(SystemConfig { rate_limit: None, ..Default::default() });
+    let creds = system.register_team("observed", &["ada"]);
+    let pending = system
+        .begin_submit(&creds, &ProjectDir::sample_cuda_project(), rai::core::client::SubmitMode::Run)
+        .expect("accepted");
+    system.drain();
+    let log_topic = rai::core::protocol::routes::log_topic(pending.job_id);
+    let blocks = system.broker().topic_stats(&log_topic).expect("held by its client").depth as u64;
+    assert!(blocks >= 3, "accepted | output | url+end, got {blocks}");
+    let counter = |report: &rai::core::system::SystemReport, name| {
+        report.metrics.counter(name, &[]).expect("reported")
+    };
+    let held = system.report();
+    assert!(pending.wait(std::time::Duration::from_millis(500)).expect("ends").success);
+    let collected = system.report();
+    assert!(system.broker().topic_stats(&log_topic).is_none(), "collected");
+    for name in [names::BROKER_PUBLISHED_TOTAL, names::BROKER_ACKED_TOTAL] {
+        assert!(counter(&collected, name) >= counter(&held, name), "{name} went down");
+    }
+    // The task and every log block, each published once and acked once.
+    assert_eq!(counter(&collected, names::BROKER_PUBLISHED_TOTAL), 1 + blocks);
+    assert_eq!(counter(&collected, names::BROKER_ACKED_TOTAL), 1 + blocks);
+}
