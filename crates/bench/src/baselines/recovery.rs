@@ -85,7 +85,8 @@ fn run_seed(seed: u64) -> SeedReport {
         .verify()
         .expect("zero lost / zero duplicated across the chaos restart");
     let report = chaos.recovery.expect("a recovery happened");
-    assert_eq!(report.db.malformed_dropped, 0, "clean crash corrupts nothing");
+    let malformed = (report.db.malformed_dropped, report.store.malformed_dropped);
+    assert_eq!(malformed, (0, 0), "clean crash corrupts nothing");
     assert!(
         !chaos.dead_lettered.is_empty(),
         "seed {seed}: quick plan should dead-letter its poison jobs"
@@ -100,10 +101,13 @@ fn run_seed(seed: u64) -> SeedReport {
     dirty
         .verify()
         .expect("zero lost / zero duplicated after the dirty crash");
+    let damage = dirty.recovery.expect("a recovery happened");
+    let (db, store) = (damage.db.stats, damage.store.stats);
+    let dirty_corrupt_dropped = db.corrupt_dropped + store.corrupt_dropped;
+    let dirty_torn_bytes = db.torn_bytes + store.torn_bytes;
     if !dirty.disk_faults.is_empty() {
         assert!(
-            dirty.db_wal.corrupt_dropped + dirty.store_wal.corrupt_dropped > 0
-                || dirty.db_wal.torn_bytes + dirty.store_wal.torn_bytes > 0,
+            dirty_corrupt_dropped > 0 || dirty_torn_bytes > 0,
             "seed {seed}: injected faults {:?} left no trace in the replay ledger",
             dirty.disk_faults
         );
@@ -139,8 +143,8 @@ fn run_seed(seed: u64) -> SeedReport {
         chaos_db_replayed: report.db.stats.replayed,
         chaos_store_replayed: report.store.stats.replayed,
         dirty_disk_faults: dirty.disk_faults.len(),
-        dirty_corrupt_dropped: dirty.db_wal.corrupt_dropped + dirty.store_wal.corrupt_dropped,
-        dirty_torn_bytes: dirty.db_wal.torn_bytes + dirty.store_wal.torn_bytes,
+        dirty_corrupt_dropped,
+        dirty_torn_bytes,
         dirty_terminal: dirty.terminal.len(),
         dirty_dead_lettered: dirty.dead_lettered.len(),
         compactions: compact_base.db_wal.compactions + compact_base.store_wal.compactions,

@@ -46,10 +46,8 @@ impl RequiredFileReport {
 }
 
 /// Weighted grade for one team (paper §VII: 30/20/10/40).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug)]
 pub struct GradeReport {
-    /// Team name.
-    pub(crate) team: String,
     /// Performance component (0–30).
     pub performance: f64,
     /// Functionality and correctness component (0–20).
@@ -201,7 +199,6 @@ impl Grader {
     #[allow(clippy::too_many_arguments)]
     pub fn grade(
         &self,
-        team: &str,
         measured_secs: f64,
         accuracy: f64,
         accuracy_target: f64,
@@ -211,7 +208,6 @@ impl Grader {
         written_report: f64,
     ) -> GradeReport {
         GradeReport {
-            team: team.to_string(),
             performance: Self::performance_points(measured_secs, perf_full_at, perf_zero_at),
             correctness: Self::correctness_points(accuracy, accuracy_target),
             code_quality: code_quality.clamp(0.0, 10.0),
@@ -284,12 +280,12 @@ mod tests {
         let db = Database::new();
         let store = ObjectStore::new(rai_sim::VirtualClock::new());
         let g = Grader::new(db, store, Arc::new(ImageRegistry::course_default()));
-        let r = g.grade("t", 0.5, 0.93, 0.9, 1.0, 120.0, 9.0, 36.0);
+        let r = g.grade(0.5, 0.93, 0.9, 1.0, 120.0, 9.0, 36.0);
         assert_eq!(r.performance, 30.0);
         assert_eq!(r.correctness, 20.0);
         assert_eq!(r.total(), 95.0);
         // Clamping of manual scores.
-        let r2 = g.grade("t", 0.5, 0.93, 0.9, 1.0, 120.0, 99.0, 99.0);
+        let r2 = g.grade(0.5, 0.93, 0.9, 1.0, 120.0, 99.0, 99.0);
         assert_eq!(r2.code_quality, 10.0);
         assert_eq!(r2.written_report, 40.0);
     }

@@ -22,9 +22,6 @@ pub struct BuildSpec {
     /// `resources.gpus` — optional machine requirement (the paper names
     /// this as the expected future extension; supported here).
     pub gpus: Option<u32>,
-    /// `resources.network` — parsed and ignored: no container reaches
-    /// the network.
-    pub network: bool,
 }
 
 /// Spec validation errors.
@@ -101,7 +98,7 @@ commands:
 
 impl BuildSpec {
     /// Parse and validate a build file. The file is read straight into
-    /// the spec: only the five fields are kept, each scalar borrowed
+    /// the spec: only the four fields are kept, each scalar borrowed
     /// from the text until it is, and the errors are the ones the
     /// YAML document would give, YAML errors first.
     pub fn parse(text: &str) -> Result<BuildSpec, SpecError> {
@@ -126,7 +123,7 @@ impl BuildSpec {
 }
 
 /// Where a node of a build file sits, as far as the spec tells places
-/// apart: the five fields, the sections and the root that lead to
+/// apart: the four fields, the sections and the root that lead to
 /// them, and everywhere else.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Field {
@@ -140,7 +137,6 @@ enum Field {
     Command(usize),
     Resources,
     Gpus,
-    Network,
     Other,
 }
 
@@ -172,7 +168,6 @@ struct Fields<'a> {
     /// The first command that is not a non-empty scalar.
     bad_command: Option<usize>,
     gpus: Option<i64>,
-    network: Option<bool>,
 }
 
 impl<'a> Fields<'a> {
@@ -190,7 +185,6 @@ impl<'a> Fields<'a> {
             image: self.image.expect("checked").into_owned(),
             build: self.build,
             gpus: self.gpus.map(|g| g.max(0) as u32),
-            network: self.network.unwrap_or(false),
         })
     }
 
@@ -261,11 +255,6 @@ impl<'a> Consumer<'a> for Fields<'a> {
                     self.gpus = Some(g);
                 }
             }
-            Field::Network => {
-                if let Scalar::Bool(b) = value {
-                    self.network = Some(b);
-                }
-            }
             _ => {}
         }
     }
@@ -289,7 +278,6 @@ impl<'a> Consumer<'a> for Fields<'a> {
             (Field::Rai, "image") => Field::Image,
             (Field::Commands, "build") => Field::Build,
             (Field::Resources, "gpus") => Field::Gpus,
-            (Field::Resources, "network") => Field::Network,
             _ => Field::Other,
         }
     }
@@ -361,7 +349,6 @@ mod tests {
         let text = "rai:\n  version: 0.1\n  image: webgpu/rai:root\nresources:\n  gpus: 2\n  network: true\ncommands:\n  build:\n    - make\n";
         let s = BuildSpec::parse(text).unwrap();
         assert_eq!(s.gpus, Some(2));
-        assert!(s.network);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::interactive::{InteractiveSession, SessionBroker, SessionError};
 use crate::ranking::RankingBoard;
 use crate::ratelimit::{RateDecision, RateLimiter};
 use crate::worker::{
-    ClaimedJob, ExecutedJob, JobOutcome, PoppedTask, StepEvent, Worker, WorkerConfig,
+    ClaimedJob, JobOutcome, PoppedTask, StepEvent, Worker, WorkerConfig,
 };
 use parking_lot::RwLock;
 use rai_auth::{Credentials, CredentialRegistry, KeyGenerator};
@@ -21,7 +21,7 @@ use rai_sandbox::ImageRegistry;
 use rai_sim::{SimDuration, VirtualClock};
 use rai_store::{LifecycleRule, ObjectStore, StoreRecovery, StoreUsage};
 use rai_telemetry::{component, names, stage, MetricsSnapshot, Telemetry};
-use rai_wal::{DurabilityConfig, LogBackend, Wal};
+use rai_wal::{DurabilityConfig, MemDisk, Wal};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -46,7 +46,7 @@ pub struct SystemConfig {
     /// Tuning for the write-ahead logs behind the database and the
     /// object store. Whether they exist is chosen by constructor, not
     /// here: [`RaiSystem::with_clock_durable`] and
-    /// [`RaiSystem::recover_with_clock`] attach them to the backends
+    /// [`RaiSystem::recover_with_clock`] attach them to the disks
     /// they are given, [`RaiSystem::with_clock`] runs in memory and
     /// never reads this (DESIGN.md §14).
     pub durability: DurabilityConfig,
@@ -136,21 +136,21 @@ impl RaiSystem {
     }
 
     /// Stand up a *durable* deployment: every committed database and
-    /// store mutation is journaled to the supplied log backends, and
+    /// store mutation is journaled to the supplied disks, and
     /// [`RaiSystem::recover_with_clock`] can rebuild the deployment
     /// from them after a crash (DESIGN.md §14).
     pub fn with_clock_durable(
         config: SystemConfig,
         clock: VirtualClock,
-        db_log: Arc<dyn LogBackend>,
-        store_log: Arc<dyn LogBackend>,
+        db_disk: Arc<MemDisk>,
+        store_disk: Arc<MemDisk>,
     ) -> Self {
         let store = ObjectStore::new(clock.clone());
         let db = Database::new();
         // Attach before the first mutation so the logs cover the whole
         // history — bucket creation and index builds included.
-        db.attach_wal(Wal::open(db_log, config.durability));
-        store.attach_wal(Wal::open(store_log, config.durability));
+        db.attach_wal(Wal::open(db_disk, config.durability));
+        store.attach_wal(Wal::open(store_disk, config.durability));
         Self::finish_deploy(config, clock, db, store, None)
     }
 
@@ -173,13 +173,13 @@ impl RaiSystem {
     pub fn recover_with_clock(
         config: SystemConfig,
         clock: VirtualClock,
-        db_log: Arc<dyn LogBackend>,
-        store_log: Arc<dyn LogBackend>,
+        db_disk: Arc<MemDisk>,
+        store_disk: Arc<MemDisk>,
         injector: Option<FaultInjector>,
     ) -> (Self, RecoveryReport) {
-        let (db, db_recovery) = Database::recover(Wal::open(db_log, config.durability));
+        let (db, db_recovery) = Database::recover(Wal::open(db_disk, config.durability));
         let (store, store_recovery) =
-            ObjectStore::recover(clock.clone(), Wal::open(store_log, config.durability));
+            ObjectStore::recover(clock.clone(), Wal::open(store_disk, config.durability));
         let system = Self::finish_deploy(config, clock, db, store, injector);
         // Job ids resume after the highest journaled intent so
         // post-recovery submissions never collide with replayed ones.
@@ -502,14 +502,15 @@ impl RaiSystem {
 
     /// One scheduling round over already-popped tasks (DESIGN.md §12):
     /// run each claim tail on the worker that popped it, in pop order;
-    /// execute every claim; then commit in claim order, handing each
-    /// event to `visit`. Who pops is the caller's policy; claim and
+    /// then, in claim order, execute each claim and commit it, handing
+    /// each event to `visit`. Who pops is the caller's policy; claim and
     /// commit are the only phases that touch broker/store/db, so commit
-    /// order is the fault-draw order.
+    /// order is the fault-draw order, and since execute is pure it does
+    /// not matter when it runs before its own commit.
     ///
     /// `visit` runs between commits. Returning `Break` cuts the round
-    /// short — the process dies here: the remaining executions are
-    /// dropped with their claims neither acked nor released.
+    /// short — the process dies here: the remaining claims are dropped
+    /// unexecuted, neither acked nor released.
     ///
     /// The round never moves the clock. A driver that owns the clock
     /// passes the tally to [`RaiSystem::settle`]; one whose clock an
@@ -523,13 +524,9 @@ impl RaiSystem {
             .into_iter()
             .map(|(wi, p)| (wi, self.workers[wi].claim_popped(p)))
             .collect();
-        let executed: Vec<(usize, ExecutedJob)> = claimed
-            .into_iter()
-            .map(|(wi, claimed)| (wi, Worker::execute(claimed)))
-            .collect();
         let mut tally = RoundTally::default();
-        for (wi, executed) in executed {
-            let event = self.workers[wi].commit(executed);
+        for (wi, claimed) in claimed {
+            let event = self.workers[wi].commit(Worker::execute(claimed));
             match &event {
                 StepEvent::Idle => unreachable!("commit always seals its claim"),
                 StepEvent::Done(outcome) => tally.advance += outcome.service_time,
@@ -893,22 +890,12 @@ mod tests {
     }
 
     #[test]
-    fn a_round_executes_every_claim_before_the_first_commit() {
-        use crate::worker::phase_log;
+    fn a_round_commits_in_pop_order_as_back_to_back_steps() {
         let summary = |o: &JobOutcome| (o.job_id, o.success, o.service_time, o.measured_secs);
 
+        // One round: outcomes in pop order (worker i popped job i).
         let (mut system, ids) = queue_four();
-        phase_log::take();
         let outcomes = system.drive_until(|_| false);
-        let log = phase_log::take();
-        // One round: four executes, then four commits, both in pop
-        // order (worker i popped job i).
-        let expect: Vec<(&str, u64)> = ids
-            .iter()
-            .map(|id| ("execute", *id))
-            .chain(ids.iter().map(|id| ("commit", *id)))
-            .collect();
-        assert_eq!(log, expect);
         assert_eq!(outcomes.iter().map(|o| o.job_id).collect::<Vec<_>>(), ids);
         assert_eq!(system.db().collection("submissions").read().len(), 4);
 

@@ -651,8 +651,6 @@ impl Worker {
                 }
             }
         };
-        #[cfg(test)]
-        phase_log::record("execute", job.request.job_id);
         ExecutedJob { job, output, run, outcome }
     }
 
@@ -664,8 +662,6 @@ impl Worker {
     /// broker/store/db, so commit order *is* the fault-draw order.
     pub fn commit(&mut self, executed: ExecutedJob) -> StepEvent {
         let ExecutedJob { mut job, output, run, outcome } = executed;
-        #[cfg(test)]
-        phase_log::record("commit", job.request.job_id);
         let log_topic = routes::log_topic(job.request.job_id);
         // Flush the execute phase's buffered effects first, in the
         // order a single pass would have produced them: the output
@@ -902,27 +898,6 @@ fn publish_frames<'a>(
     let bytes: usize = frames.into_iter().map(|f| f.encode_into(&mut block)).sum();
     let _ = broker.publish_ephemeral(log_topic, block);
     bytes as u64
-}
-
-/// Per-thread record of `(phase, job_id)` in call order, so a test can
-/// see how a round driver sequenced the otherwise unobservable (pure)
-/// execute phase against the commits.
-#[cfg(test)]
-pub(crate) mod phase_log {
-    use std::cell::RefCell;
-
-    thread_local! {
-        static LOG: RefCell<Vec<(&'static str, u64)>> = const { RefCell::new(Vec::new()) };
-    }
-
-    pub(crate) fn record(phase: &'static str, job_id: u64) {
-        LOG.with(|log| log.borrow_mut().push((phase, job_id)));
-    }
-
-    /// Drain this thread's record.
-    pub(crate) fn take() -> Vec<(&'static str, u64)> {
-        LOG.with(|log| std::mem::take(&mut *log.borrow_mut()))
-    }
 }
 
 #[cfg(test)]

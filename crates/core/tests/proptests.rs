@@ -275,10 +275,6 @@ fn reference_spec(text: &str) -> Result<BuildSpec, SpecError> {
             .path(&["resources", "gpus"])
             .and_then(Yaml::as_i64)
             .map(|g| g.max(0) as u32),
-        network: doc
-            .path(&["resources", "network"])
-            .and_then(Yaml::as_bool)
-            .unwrap_or(false),
     })
 }
 

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use rai_db::{doc, Collection, Database, DbRecord, Document, FieldName, FindOptions, Value};
-use rai_wal::{decode_segment, DurabilityConfig, LogBackend, MemDisk, ReplayStats, Wal};
+use rai_wal::{decode_segment, DurabilityConfig, MemDisk, ReplayStats, Wal};
 use std::sync::Arc;
 
 /// Scalars, over small domains so a literal filter actually hits —

@@ -324,15 +324,8 @@ impl Container {
     /// Run one command. Returns its result; the container's status,
     /// elapsed time and log are updated.
     pub fn run_command(&mut self, cmd: &str) -> CmdResult {
-        if let ContainerStatus::Killed(_) = self.status {
-            return CmdResult {
-                exit_code: 137,
-                duration: SimDuration::ZERO,
-                killed: match self.status {
-                    ContainerStatus::Killed(r) => Some(r),
-                    _ => None,
-                },
-            };
+        if let ContainerStatus::Killed(reason) = self.status {
+            return CmdResult { exit_code: 137, duration: SimDuration::ZERO, killed: Some(reason) };
         }
         let mut result = execute(self, cmd);
         // Centralized lifetime enforcement: any command (including ones

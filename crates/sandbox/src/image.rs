@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A container base image.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Image {
     /// Full name, e.g. `webgpu/rai:root`.
     pub name: String,
@@ -21,53 +21,45 @@ pub struct Image {
     pub(crate) rootfs: FileTree,
     /// Download size in bytes (drives first-pull latency).
     pub(crate) size_bytes: u64,
-    /// Tools available inside (consulted by the command interpreter).
-    pub(crate) tools: Vec<String>,
 }
 
 /// Image resolution errors.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub enum ImageError {
-    /// Image is not on the instructor whitelist.
+    /// Image is not on the instructor whitelist (or not in the
+    /// repository at all).
     NotWhitelisted(String),
-    /// Image does not exist in the repository at all.
-    NotFound(String),
 }
 
 impl std::fmt::Display for ImageError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ImageError::NotWhitelisted(n) => write!(f, "image {n:?} is not whitelisted"),
-            ImageError::NotFound(n) => write!(f, "image {n:?} not found in repository"),
         }
     }
 }
 
 impl std::error::Error for ImageError {}
 
-/// The image repository plus whitelist, shared by all workers. An
-/// image never changes once added, so the registry hands out shared
-/// handles: a job's claim clones the `Arc`, not the layer list.
+/// The image repository, each image marked whitelisted or not, shared
+/// by all workers. An image never changes once added, so the registry
+/// hands out shared handles: a job's claim clones the `Arc`, not the
+/// layer list.
 #[derive(Clone, Debug, Default)]
 pub struct ImageRegistry {
-    images: BTreeMap<String, Arc<Image>>,
-    whitelist: Vec<String>,
+    /// Every image by name, with whether students may pick it.
+    images: BTreeMap<String, (Arc<Image>, bool)>,
 }
 
 /// Modeled network bandwidth for image pulls (100 MB/s).
 const PULL_BYTES_PER_MS: u64 = 100 * 1024 * 1024 / 1000;
 
 impl ImageRegistry {
-    /// An empty registry.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// The registry used for the Applied Parallel Programming course:
     /// the default `webgpu/rai:root` image (CUDA + cuDNN + frameworks +
     /// the HDF5 course data) and a couple of whitelisted alternates.
     pub fn course_default() -> Self {
-        let mut reg = Self::new();
+        let mut reg = Self::default();
         let mut rootfs = FileTree::new();
         // Course data volume: a small test split, the full evaluation
         // set, and the fixed pre-trained model weights.
@@ -80,58 +72,52 @@ impl ImageRegistry {
         rootfs
             .insert("data/model.hdf5", make_hdf5_stub("model", 0))
             .expect("static path");
-        let tools = [
-            "echo", "cmake", "make", "nvprof", "time", "cp", "nvcc", "g++", "cudnn", "tensorflow",
-            "torch7",
-        ];
-        reg.add_image(Image {
-            name: "webgpu/rai:root".into(),
-            rootfs: rootfs.clone(),
-            size_bytes: 4 * 1024 * 1024 * 1024, // CUDA images are huge
-            tools: tools.iter().map(|s| s.to_string()).collect(),
-        });
-        reg.add_image(Image {
-            name: "webgpu/rai:cuda8".into(),
-            rootfs: rootfs.clone(),
-            size_bytes: 3 * 1024 * 1024 * 1024,
-            tools: tools.iter().map(|s| s.to_string()).collect(),
-        });
+        reg.add(
+            Image {
+                name: "webgpu/rai:root".into(),
+                rootfs: rootfs.clone(),
+                size_bytes: 4 * 1024 * 1024 * 1024, // CUDA images are huge
+            },
+            true,
+        );
+        reg.add(
+            Image {
+                name: "webgpu/rai:cuda8".into(),
+                rootfs: rootfs.clone(),
+                size_bytes: 3 * 1024 * 1024 * 1024,
+            },
+            true,
+        );
         // Exists in the repo but NOT whitelisted (tests the deny path).
-        reg.add_unlisted_image(Image {
-            name: "malicious/miner:latest".into(),
-            rootfs: FileTree::new(),
-            size_bytes: 100 * 1024 * 1024,
-            tools: vec!["echo".into()],
-        });
+        reg.add(
+            Image {
+                name: "malicious/miner:latest".into(),
+                rootfs: FileTree::new(),
+                size_bytes: 100 * 1024 * 1024,
+            },
+            false,
+        );
         reg
     }
 
-    /// Add an image and whitelist it.
-    pub(crate) fn add_image(&mut self, image: Image) {
-        self.whitelist.push(image.name.clone());
-        self.add_unlisted_image(image);
-    }
-
-    /// Add an image to the repository without whitelisting it.
-    pub(crate) fn add_unlisted_image(&mut self, image: Image) {
-        self.images.insert(image.name.clone(), Arc::new(image));
+    /// Add an image to the repository, whitelisted or not.
+    fn add(&mut self, image: Image, whitelisted: bool) {
+        self.images.insert(image.name.clone(), (Arc::new(image), whitelisted));
     }
 
     /// Resolve a student-requested image, enforcing the whitelist. The
     /// handle derefs to `&Image` wherever one is wanted.
     pub fn resolve(&self, name: &str) -> Result<&Arc<Image>, ImageError> {
-        if !self.whitelist.iter().any(|w| w == name) {
-            return Err(ImageError::NotWhitelisted(name.to_string()));
+        match self.images.get(name) {
+            Some((image, true)) => Ok(image),
+            _ => Err(ImageError::NotWhitelisted(name.to_string())),
         }
-        self.images
-            .get(name)
-            .ok_or_else(|| ImageError::NotFound(name.to_string()))
     }
 
     /// Time to pull an image that is not cached on the worker.
     pub fn pull_latency(&self, name: &str) -> SimDuration {
         match self.images.get(name) {
-            Some(img) => SimDuration::from_millis(img.size_bytes / PULL_BYTES_PER_MS),
+            Some((img, _)) => SimDuration::from_millis(img.size_bytes / PULL_BYTES_PER_MS),
             None => SimDuration::ZERO,
         }
     }
@@ -160,7 +146,7 @@ mod tests {
         let reg = ImageRegistry::course_default();
         let img = reg.resolve("webgpu/rai:root").unwrap();
         assert!(img.rootfs.contains("data/test10.hdf5"));
-        assert!(img.tools.iter().any(|t| t == "nvprof"));
+        assert_eq!(img.name, "webgpu/rai:root");
     }
 
     #[test]
@@ -174,13 +160,6 @@ mod tests {
             reg.resolve("nonexistent:tag"),
             Err(ImageError::NotWhitelisted("nonexistent:tag".into()))
         );
-    }
-
-    #[test]
-    fn whitelisted_but_missing_is_not_found() {
-        let mut reg = ImageRegistry::new();
-        reg.whitelist.push("ghost:1".into());
-        assert_eq!(reg.resolve("ghost:1"), Err(ImageError::NotFound("ghost:1".into())));
     }
 
     #[test]

@@ -257,7 +257,7 @@ pub(crate) fn chunk_entry_len(len: usize) -> usize {
 // ---- reading back ----------------------------------------------------
 
 /// One bucket inside a [`StoreRecord::SnapshotStore`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct SnapBucket<'a> {
     /// Bucket name.
     pub(crate) name: &'a str,
@@ -270,7 +270,7 @@ pub(crate) struct SnapBucket<'a> {
 /// One committed store mutation, decoded from the payload it borrows:
 /// names and chunk bytes are views of it, an object is the record the
 /// store will keep.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub(crate) enum StoreRecord<'a> {
     /// [`write_create_bucket`].
     CreateBucket {

@@ -38,10 +38,10 @@
 
 mod dedup;
 mod journal;
-pub mod lifecycle;
-pub mod object;
-pub mod store;
+mod lifecycle;
+mod object;
+mod store;
 
 pub use lifecycle::LifecycleRule;
-pub use object::ObjectMeta;
+pub use object::{ObjectMeta, StoredObject};
 pub use store::{ObjectStore, StoreError, StoreRecovery, StoreUsage};

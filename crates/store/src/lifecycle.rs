@@ -23,7 +23,7 @@ impl LifecycleRule {
     }
 
     /// Whether an object with the given timestamps is expired at `now`.
-    pub fn is_expired(&self, uploaded_at: SimTime, last_used: SimTime, now: SimTime) -> bool {
+    pub(crate) fn is_expired(&self, uploaded_at: SimTime, last_used: SimTime, now: SimTime) -> bool {
         match self {
             LifecycleRule::Keep => false,
             LifecycleRule::AfterUpload(ttl) => now.duration_since(uploaded_at) > *ttl,

@@ -12,23 +12,15 @@ use std::collections::BTreeMap;
 pub struct ObjectMeta {
     /// Key within its bucket.
     pub key: String,
-    /// Payload size in bytes.
-    pub size: u64,
     /// FNV-1a etag of the payload.
     pub etag: String,
-    /// Upload time.
-    pub uploaded_at: SimTime,
-    /// Last get/put time (drives last-use lifecycle rules).
-    pub last_used: SimTime,
     /// User-supplied metadata (e.g. `team`, `submission=final`).
     pub user: BTreeMap<String, String>,
 }
 
-/// An object plus its payload, reassembled from its chunks on read.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// An object's payload, reassembled from its chunks on read.
+#[derive(Debug, PartialEq, Eq)]
 pub struct StoredObject {
-    /// Metadata.
-    pub meta: ObjectMeta,
     /// Payload.
     pub data: Bytes,
 }
@@ -47,7 +39,7 @@ const REF_BYTES: usize = 12;
 /// as journaled metadata follows its count, so the journal writes both
 /// from the block as they stand (`crate::journal`). The public
 /// [`ObjectMeta`] is a view built on read.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct ObjRecord {
     pub(crate) uploaded_at: SimTime,
     pub(crate) last_used: SimTime,
@@ -168,21 +160,13 @@ impl ObjRecord {
         // into a `Vec` to sort what is already sorted.
         let mut user = BTreeMap::new();
         user.extend(self.pairs().map(|(k, v)| (k.to_string(), v.to_string())));
-        ObjectMeta {
-            key: key.to_string(),
-            size: self.size,
-            etag: self.etag().to_string(),
-            uploaded_at: self.uploaded_at,
-            last_used: self.last_used,
-            user,
-        }
+        ObjectMeta { key: key.to_string(), etag: self.etag().to_string(), user }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rai_sim::SimTime;
 
     #[test]
     fn meta_etag_matches_archive_etag() {
@@ -190,10 +174,7 @@ mod tests {
         // which uses rai_archive::fnv — one hash construction end to end.
         let meta = ObjectMeta {
             key: "k".into(),
-            size: 3,
             etag: rai_archive::fnv::etag(b"abc"),
-            uploaded_at: SimTime::ZERO,
-            last_used: SimTime::ZERO,
             user: BTreeMap::new(),
         };
         assert_eq!(meta.etag.len(), 16);

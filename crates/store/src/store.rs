@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Store errors.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub enum StoreError {
     /// Bucket does not exist.
     NoSuchBucket(String),
@@ -504,10 +504,6 @@ pub struct StoreUsage {
     pub delta_puts: u64,
     /// Get operations.
     pub gets: u64,
-    /// Explicit deletes.
-    pub deletes: u64,
-    /// Objects removed by lifecycle sweeps.
-    pub expired: u64,
 }
 
 /// The S3-like object store.
@@ -773,21 +769,18 @@ impl ObjectStore {
         let now = self.inner.clock.now();
         let mut state = self.write_state();
         let rec = state.object(bucket, key)?;
+        let size = rec.size;
         // Records and chunks share this lock, so every chunk a resident
         // record references is resident.
-        let data = assemble_refs(rec.refs(), rec.size, |d| state.chunks.data(d))
+        let data = assemble_refs(rec.refs(), size, |d| state.chunks.data(d))
             .expect("resident records always resolve");
-        let out = StoredObject {
-            meta: ObjectMeta { last_used: now, ..rec.meta(key) },
-            data: Bytes::from(data),
-        };
         if let Some(w) = self.inner.wal.get() {
             // `last_used` drives lifecycle expiry, so reads are
             // journaled too (as a metadata touch, not the payload).
-            w.append_with(|o| journal::write_touch(o, bucket, key, now.as_millis(), out.meta.size));
+            w.append_with(|o| journal::write_touch(o, bucket, key, now.as_millis(), size));
         }
-        state.touch(bucket, key, now, out.meta.size);
-        Ok(out)
+        state.touch(bucket, key, now, size);
+        Ok(StoredObject { data: Bytes::from(data) })
     }
 
     /// Metadata only, without touching `last_used`.
@@ -913,8 +906,6 @@ impl ObjectStore {
             puts: c.puts,
             delta_puts: c.delta_puts,
             gets: c.gets,
-            deletes: c.deletes,
-            expired: c.expired,
         }
     }
 
@@ -956,10 +947,7 @@ impl ObjectStore {
         let mut recovery = StoreRecovery::default();
         let mut state = StoreState::default();
         recovery.stats = wal.replay_each(|payload| match StoreRecord::decode(payload) {
-            Some(rec) => {
-                recovery.objects_dropped += state.apply(rec);
-                recovery.applied += 1;
-            }
+            Some(rec) => recovery.objects_dropped += state.apply(rec),
             None => recovery.malformed_dropped += 1,
         });
         // Chunks no surviving manifest references (a snapshot's, whose
@@ -992,13 +980,11 @@ impl ObjectStore {
 
 /// What [`ObjectStore::recover`] reconstructed and what it had to
 /// drop.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct StoreRecovery {
     /// Framing-layer replay statistics (records, corruption, torn
     /// bytes).
     pub stats: rai_wal::ReplayStats,
-    /// Logical records applied.
-    pub(crate) applied: u64,
     /// Records whose payload failed to decode (dropped, counted).
     pub malformed_dropped: u64,
     /// Objects discarded because their chunk bytes were lost with a
@@ -1043,8 +1029,7 @@ mod tests {
         let etag = s.put("uploads", "team1/proj.tar", &b"bytes"[..], []).unwrap();
         let obj = s.get("uploads", "team1/proj.tar").unwrap();
         assert_eq!(obj.data.as_ref(), b"bytes");
-        assert_eq!(obj.meta.etag, etag);
-        assert_eq!(obj.meta.size, 5);
+        assert_eq!(s.head("uploads", "team1/proj.tar").unwrap().etag, etag);
     }
 
     #[test]
@@ -1115,7 +1100,6 @@ mod tests {
             pairs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
         assert_eq!(expected["team"], "rust");
         assert_eq!(s.head("uploads", "k").unwrap().user, expected);
-        assert_eq!(s.get("uploads", "k").unwrap().meta.user, expected);
         assert_eq!(s.list("uploads", "").unwrap()[0].user, expected);
         // The block ends with the pairs, once each, in key order.
         let state = s.inner.state.read();
@@ -1197,7 +1181,6 @@ mod tests {
         assert_eq!(s.sweep_lifecycle(), 1);
         assert!(s.get("builds", "old").is_err());
         assert!(s.get("builds", "new").is_ok());
-        assert_eq!(s.usage().expired, 1);
     }
 
     #[test]
@@ -1235,7 +1218,6 @@ mod tests {
         let u = s.usage();
         assert_eq!(u.puts, 2);
         assert_eq!(u.gets, 1);
-        assert_eq!(u.deletes, 1);
         assert_eq!(u.bytes_uploaded, 150);
         assert_eq!(u.bytes_downloaded, 100);
         assert_eq!(u.bytes_stored, 100);
@@ -1316,7 +1298,7 @@ mod tests {
         // First upload must carry everything.
         let etag = s.put_delta("keep", "a", &manifest, &chunks, []).unwrap();
         assert_eq!(s.get("keep", "a").unwrap().data.as_ref(), &payload[..]);
-        assert_eq!(s.get("keep", "a").unwrap().meta.etag, etag);
+        assert_eq!(s.head("keep", "a").unwrap().etag, etag);
         // Second upload of the same content: manifest only.
         s.put_delta("keep", "b", &manifest, &[], []).unwrap();
         assert_eq!(s.get("keep", "b").unwrap().data.as_ref(), &payload[..]);
@@ -1484,13 +1466,16 @@ mod tests {
         ObjectStore::recover(clock, wal)
     }
 
-    fn fingerprint(s: &ObjectStore) -> (StoreUsage, Vec<(String, Vec<ObjectMeta>)>) {
-        let listings = ["builds", "keep", "uploads"]
-            .iter()
-            .filter(|b| s.has_bucket(b))
-            .map(|b| (b.to_string(), s.list(b, "").unwrap()))
-            .collect();
-        (s.usage(), listings)
+    /// Replay reproduced everything: the usage counters, every
+    /// bucket's rule and every object record — timestamps, size and
+    /// packed block — by key.
+    fn assert_same_state(a: &ObjectStore, b: &ObjectStore) {
+        assert_eq!(a.usage(), b.usage());
+        let (a, b) = (a.inner.state.read(), b.inner.state.read());
+        assert_eq!(a.buckets.keys().collect::<Vec<_>>(), b.buckets.keys().collect::<Vec<_>>());
+        for (x, y) in a.buckets.values().zip(b.buckets.values()) {
+            assert_eq!((x.rule, &x.objects), (y.rule, &y.objects));
+        }
     }
 
     #[test]
@@ -1519,8 +1504,7 @@ mod tests {
         assert_eq!(recovery.stats.corrupt_dropped, 0);
         assert_eq!(recovery.malformed_dropped, 0);
         assert_eq!(recovery.objects_dropped, 0);
-        assert!(recovery.applied > 0);
-        assert_eq!(fingerprint(&r), fingerprint(&s), "replayed state must be identical");
+        assert_same_state(&r, &s);
         assert_eq!(
             r.get("keep", "copy").unwrap().data.as_ref(),
             &payload[..],
@@ -1531,7 +1515,7 @@ mod tests {
         r.put("keep", "after", &b"post-recovery"[..], []).unwrap();
         r.sync_wal();
         let (r2, _) = reopen(&disk, VirtualClock::new());
-        assert_eq!(fingerprint(&r2), fingerprint(&r));
+        assert_same_state(&r2, &r);
         assert_eq!(r2.get("keep", "after").unwrap().data.as_ref(), b"post-recovery");
     }
 
@@ -1582,7 +1566,7 @@ mod tests {
         let (r, recovery) = reopen(&disk, VirtualClock::new());
         assert_eq!(recovery.stats.corrupt_dropped, 0);
         assert_eq!((recovery.malformed_dropped, recovery.objects_dropped), (0, 0));
-        assert_eq!(fingerprint(&r), fingerprint(&s));
+        assert_same_state(&r, &s);
         for key in ["a", "b", "c", "shared"] {
             assert!(r.get("keep", key).unwrap().data == s.get("keep", key).unwrap().data, "{key}");
         }
@@ -1617,7 +1601,7 @@ mod tests {
         );
         let (r, recovery) = reopen(&disk, VirtualClock::new());
         assert_eq!(recovery.objects_dropped, 0);
-        assert_eq!(fingerprint(&r), fingerprint(&s));
+        assert_same_state(&r, &s);
         assert_eq!(
             r.get("keep", "hot").unwrap().data,
             s.get("keep", "hot").unwrap().data
@@ -1706,7 +1690,7 @@ mod tests {
         assert_eq!(recovery.stats.corrupt_dropped, 0);
         assert_eq!(recovery.malformed_dropped, 0);
         assert_eq!(recovery.objects_dropped, 0);
-        assert_eq!(fingerprint(&r), fingerprint(&s));
+        assert_same_state(&r, &s);
         assert_eq!(r.get("keep", "reborn").unwrap().data.as_ref(), &payload[..]);
     }
 
@@ -1732,7 +1716,7 @@ mod tests {
         assert_eq!(recovery.malformed_dropped, 1, "the retired record is counted, not applied");
         assert_eq!(recovery.stats.corrupt_dropped, 0, "its frame was intact");
         assert_eq!(recovery.objects_dropped, 0);
-        assert_eq!(fingerprint(&r), fingerprint(&s));
+        assert_same_state(&r, &s);
         assert!(!r.has_chunks(&[0xFEED_FACE]).unwrap()[0], "nothing of it was installed");
         assert_eq!(r.get("keep", "before").unwrap().data.as_ref(), &before[..]);
         assert_eq!(r.get("keep", "after").unwrap().data.as_ref(), &after[..]);

@@ -11,7 +11,7 @@ use bytes::Bytes;
 use rai_archive::chunk::{chunk_bytes, Chunk, ChunkManifest, ChunkRef, ChunkerParams};
 use rai_sim::{SimDuration, VirtualClock};
 use rai_store::{LifecycleRule, ObjectMeta, ObjectStore, StoreError, StoreUsage};
-use rai_wal::{DurabilityConfig, LogBackend, MemDisk, Wal};
+use rai_wal::{DurabilityConfig, MemDisk, Wal};
 use std::sync::Arc;
 
 /// Non-repeating payload, so every chunk gets a distinct digest.

@@ -58,7 +58,7 @@ fn a_semester_shaped_object_is_two_blocks_and_head_keeps_none() {
     let head = s.head("builds", "team-07/0000002a-build.tar.bz2").unwrap();
     assert_eq!(head.user.len(), 3);
     assert_eq!(head.user["source"], "team-07/0000002a.tar.bz2");
-    assert_eq!((head.size, &head.etag), (448, &manifest.etag));
+    assert_eq!(head.etag, manifest.etag);
     assert!(LIVE_BLOCKS.load(Ordering::Relaxed) > before, "the view owns its strings");
     drop(head);
     assert_eq!(LIVE_BLOCKS.load(Ordering::Relaxed), before, "head left something in the store");

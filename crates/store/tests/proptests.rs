@@ -8,9 +8,9 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use rai_archive::chunk::{chunk_bytes, Chunk, ChunkerParams};
-use rai_sim::{SimDuration, VirtualClock};
+use rai_sim::{SimDuration, SimTime, VirtualClock};
 use rai_store::{LifecycleRule, ObjectMeta, ObjectStore, StoreUsage};
-use rai_wal::{DurabilityConfig, LogBackend, MemDisk, Wal};
+use rai_wal::{DurabilityConfig, MemDisk, Wal};
 
 fn store() -> ObjectStore {
     let s = ObjectStore::new(VirtualClock::new());
@@ -295,7 +295,6 @@ proptest! {
                     payloads.iter().any(|p| p[..] == data[..]),
                     "{}/{}: {} bytes it never held", bucket, meta.key, data.len()
                 );
-                prop_assert_eq!(meta.size, data.len() as u64);
                 listed += 1;
             }
         }
@@ -348,6 +347,14 @@ fn arb_meta() -> impl Strategy<Value = Vec<(String, String)>> {
     prop::collection::vec((arb_text(), arb_text()), 0..8)
 }
 
+/// What the model keeps of an object: what `head` answers, the payload
+/// `get` answers, and the last use its one-month rule reads.
+struct Kept {
+    meta: ObjectMeta,
+    payload: Vec<u8>,
+    last_used: SimTime,
+}
+
 #[derive(Clone, Debug)]
 enum MetaOp {
     Put(u8, Vec<u8>, Vec<(String, String)>),
@@ -377,7 +384,8 @@ proptest! {
     /// What the store keeps per object is a packed record; what it
     /// answers with is the `ObjectMeta` a map-keeping store would: after
     /// every step, and on the far side of a compaction and a recovery,
-    /// `head`, `list` and `get` equal the model exactly.
+    /// `head`, `list` and `get` equal the model exactly, and a sweep
+    /// expires what a month without use expires in the model.
     #[test]
     fn object_metadata_matches_the_model(ops in prop::collection::vec(arb_meta_op(), 1..30)) {
         let config =
@@ -388,7 +396,7 @@ proptest! {
         let mut s = ObjectStore::new(VirtualClock::new());
         s.attach_wal(open());
         s.create_bucket("uploads", rule).unwrap();
-        let mut model: BTreeMap<String, ObjectMeta> = BTreeMap::new();
+        let mut model: BTreeMap<String, Kept> = BTreeMap::new();
         let key_of = |k: u8| format!("team-{}/obj-{k}", k % 2);
 
         for op in &ops {
@@ -406,21 +414,21 @@ proptest! {
                     prop_assert_eq!(&etag, &rai_archive::fnv::etag(payload));
                     let expected = ObjectMeta {
                         key: key.clone(),
-                        size: payload.len() as u64,
                         etag,
-                        uploaded_at: now,
-                        last_used: now,
                         // Of two pairs with one key the later wins.
                         user: meta.iter().cloned().collect(),
                     };
-                    model.insert(key, expected);
+                    model.insert(key, Kept { meta: expected, payload: payload.clone(), last_used: now });
                 }
                 MetaOp::Get(k) => {
                     let key = key_of(*k);
-                    if let Some(expected) = model.get_mut(&key) {
-                        expected.last_used = now;
+                    if let Some(kept) = model.get_mut(&key) {
+                        kept.last_used = now;
                     }
-                    prop_assert_eq!(s.get("uploads", &key).ok().map(|o| o.meta), model.get(&key).cloned());
+                    prop_assert_eq!(
+                        s.get("uploads", &key).ok().map(|o| o.data.to_vec()),
+                        model.get(&key).map(|kept| kept.payload.clone())
+                    );
                 }
                 MetaOp::Delete(k) => {
                     let key = key_of(*k);
@@ -430,7 +438,8 @@ proptest! {
                     s.clock().advance(SimDuration::from_days(*days));
                     let now = s.clock().now();
                     let before = model.len();
-                    model.retain(|_, m| !rule.is_expired(m.uploaded_at, m.last_used, now));
+                    let month = SimDuration::from_days(30);
+                    model.retain(|_, kept| now.duration_since(kept.last_used) <= month);
                     prop_assert_eq!(s.sweep_lifecycle() as usize, before - model.len());
                 }
                 MetaOp::Recover(compact) => {
@@ -444,13 +453,17 @@ proptest! {
                     s = recovered;
                 }
             }
-            let all: Vec<ObjectMeta> = model.values().cloned().collect();
+            let all: Vec<ObjectMeta> = model.values().map(|kept| kept.meta.clone()).collect();
             prop_assert_eq!(s.list("uploads", "").unwrap(), all);
-            let team0: Vec<ObjectMeta> =
-                model.values().filter(|m| m.key.starts_with("team-0/")).cloned().collect();
+            let team0: Vec<ObjectMeta> = model
+                .values()
+                .map(|kept| kept.meta.clone())
+                .filter(|m| m.key.starts_with("team-0/"))
+                .collect();
             prop_assert_eq!(s.list("uploads", "team-0/").unwrap(), team0);
             for k in 0..6 {
-                prop_assert_eq!(s.head("uploads", &key_of(k)).ok(), model.get(&key_of(k)).cloned());
+                let expected = model.get(&key_of(k)).map(|kept| kept.meta.clone());
+                prop_assert_eq!(s.head("uploads", &key_of(k)).ok(), expected);
             }
         }
     }

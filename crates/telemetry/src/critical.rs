@@ -31,7 +31,6 @@ pub mod segment {
 pub(crate) struct PathSegment {
     pub(crate) stage: &'static str,
     pub(crate) component: &'static str,
-    pub(crate) attempt: u32,
     pub(crate) start: SimTime,
     pub(crate) end: SimTime,
     /// Work on a non-final attempt: it was redone after a crash.
@@ -94,7 +93,6 @@ pub(crate) fn critical_path(trace: &JobTrace) -> Option<CriticalPath> {
                 PathSegment {
                     stage: label,
                     component: component::BROKER,
-                    attempt: root.attempt,
                     start: cursor,
                     end: root.start,
                     wasted,
@@ -115,7 +113,6 @@ pub(crate) fn critical_path(trace: &JobTrace) -> Option<CriticalPath> {
                     PathSegment {
                         stage: segment::OTHER,
                         component: component::WORKER,
-                        attempt: root.attempt,
                         start: cursor,
                         end: child.start,
                         wasted,
@@ -129,7 +126,6 @@ pub(crate) fn critical_path(trace: &JobTrace) -> Option<CriticalPath> {
                     PathSegment {
                         stage: child.stage(),
                         component: child.component(),
-                        attempt: child.attempt,
                         start: cursor.max(child.start),
                         end: child.end,
                         wasted,
@@ -144,7 +140,6 @@ pub(crate) fn critical_path(trace: &JobTrace) -> Option<CriticalPath> {
                 PathSegment {
                     stage: segment::OTHER,
                     component: component::WORKER,
-                    attempt: root.attempt,
                     start: cursor,
                     end: root.end,
                     wasted,
@@ -336,17 +331,15 @@ mod tests {
         // waited until 20 s.
         assert_eq!(retry[0].duration(), SimDuration::from_secs(12));
         assert!(retry[0].wasted);
-        // Attempt-1 work is flagged wasted, attempt-2 work is not.
-        assert!(path
+        // Attempt-1 work (between the queue wait and the retry wait) is
+        // flagged wasted, attempt-2 work (after the retry wait) is not.
+        let (first, second): (Vec<_>, Vec<_>) = path
             .segments
             .iter()
-            .filter(|s| s.attempt == 1 && s.stage != segment::QUEUE_WAIT)
-            .all(|s| s.wasted));
-        assert!(path
-            .segments
-            .iter()
-            .filter(|s| s.attempt == 2 && s.stage != segment::RETRY_WAIT)
-            .all(|s| !s.wasted));
+            .filter(|s| s.stage != segment::QUEUE_WAIT && s.stage != segment::RETRY_WAIT)
+            .partition(|s| s.end <= retry[0].start);
+        assert!(!first.is_empty() && first.iter().all(|s| s.wasted));
+        assert!(!second.is_empty() && second.iter().all(|s| !s.wasted));
     }
 
     #[test]

@@ -134,12 +134,11 @@ impl LogHistogram {
         self.counts.iter().take(idx + 1).sum()
     }
 
-    /// The standard latency summary: count, mean, min/max, p50/p95/p99/p99.9.
+    /// The standard latency summary: count, mean, max, p50/p95/p99/p99.9.
     pub fn summary(&self) -> LatencySummary {
         LatencySummary {
             count: self.count,
             mean_micros: self.mean_micros(),
-            min_micros: self.min_micros,
             max_micros: self.max_micros,
             p50_micros: self.quantile_micros(0.50),
             p95_micros: self.quantile_micros(0.95),
@@ -177,7 +176,6 @@ impl LogHistogram {
 pub struct LatencySummary {
     pub count: u64,
     pub(crate) mean_micros: u64,
-    pub(crate) min_micros: u64,
     pub max_micros: u64,
     pub p50_micros: u64,
     pub(crate) p95_micros: u64,
@@ -276,7 +274,6 @@ mod tests {
         assert!(s.p99_micros <= s.p999_micros);
         assert!(s.p999_micros <= s.max_micros);
         assert_eq!(s.max_micros, 1_000_000);
-        assert_eq!(s.min_micros, 1000);
         // p50 within 3.2% above the true median.
         let true_median = 500_000f64;
         assert!(s.p50_micros as f64 >= true_median);

@@ -602,9 +602,9 @@ mod reference {
         roots.sort_by_key(|r| r.span.attempt);
         let mut segments = Vec::new();
         let mut cursor = start;
-        let mut push = |stage, component, attempt, start: SimTime, end: SimTime, wasted| {
+        let mut push = |stage, component, start: SimTime, end: SimTime, wasted| {
             if end > start {
-                segments.push(PathSegment { stage, component, attempt, start, end, wasted });
+                segments.push(PathSegment { stage, component, start, end, wasted });
             }
         };
         for root in &roots {
@@ -614,7 +614,7 @@ mod reference {
                     roots.iter().any(|r| r.span.attempt > 0 && r.span.attempt < root_span.attempt);
                 let (label, wasted) =
                     if retry { (segment::RETRY_WAIT, true) } else { (segment::QUEUE_WAIT, false) };
-                push(label, component::BROKER, root_span.attempt, cursor, root_span.start, wasted);
+                push(label, component::BROKER, cursor, root_span.start, wasted);
                 cursor = root_span.start;
             }
             let wasted = root_span.attempt > 0 && root_span.attempt < final_attempt;
@@ -622,20 +622,19 @@ mod reference {
             children.sort_by_key(|c| (c.span.start, c.id));
             for child in children {
                 let (stage, component) = (child.span.stage(), child.span.component());
-                let TraceSpan { attempt, start, end, .. } = child.span;
+                let TraceSpan { start, end, .. } = child.span;
                 if start > cursor {
-                    push(segment::OTHER, component::WORKER, attempt, cursor, start, wasted);
+                    push(segment::OTHER, component::WORKER, cursor, start, wasted);
                     cursor = start;
                 }
                 if end > cursor {
-                    push(stage, component, attempt, cursor.max(start), end, wasted);
+                    push(stage, component, cursor.max(start), end, wasted);
                     cursor = end;
                 }
             }
             if root_span.end > cursor {
-                let (attempt, end) = (root_span.attempt, root_span.end);
-                push(segment::OTHER, component::WORKER, attempt, cursor, end, wasted);
-                cursor = end;
+                push(segment::OTHER, component::WORKER, cursor, root_span.end, wasted);
+                cursor = root_span.end;
             }
         }
         Some(CriticalPath { start, end, segments })

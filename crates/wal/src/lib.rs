@@ -39,12 +39,11 @@
 //! so later intact records still replay. Replay never panics on
 //! corrupt input.
 //!
-//! ## Backends
+//! ## The disk
 //!
-//! [`LogBackend`] abstracts the disk: [`FileBackend`] uses real files
-//! (bins, integration tests); [`MemDisk`] is a deterministic simulated
-//! disk that tracks the synced prefix of each segment and can apply
-//! seeded [`DiskFault`]s to the unsynced tail at a crash, which keeps
+//! A log lies on a [`MemDisk`]: a deterministic simulated disk that
+//! tracks the synced prefix of each segment and can apply seeded
+//! [`DiskFault`]s to the unsynced tail at a crash, which keeps
 //! crash/recovery proptests byte-reproducible.
 //!
 //! ## Record payloads
@@ -59,11 +58,10 @@ pub mod codec;
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-pub use rai_faults::{DiskFault, DiskFaultProfile};
+use rai_faults::{DiskFault, DiskFaultProfile};
 
 /// Sanity bound on a single record payload. A decoded length above
 /// this is treated as corruption, not allocation advice, so no writer
@@ -138,8 +136,8 @@ fn record_crc(len_le: [u8; 4], payload: &[u8]) -> u32 {
 /// Frame, at the end of `out`, the payload `write` appends there: an
 /// 8-byte header is reserved first and patched with `len` and `crc`
 /// once the payload is in place, so nothing is copied. The one framing
-/// routine — [`encode_record`], [`Wal::append_with`] and
-/// [`Wal::compact`] all frame through it. Returns the framed length.
+/// routine — [`Wal::append_with`] and [`Wal::compact`] both frame
+/// through it. Returns the framed length.
 fn frame_into(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) -> usize {
     let start = out.len();
     out.extend_from_slice(&[0; HEADER_BYTES]);
@@ -158,15 +156,8 @@ fn frame_into(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) -> usize {
     out.len() - start
 }
 
-/// Frame one payload as `[len][crc][payload]`.
-pub fn encode_record(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_BYTES + payload.len());
-    frame_into(&mut out, |out| out.extend_from_slice(payload));
-    out
-}
-
 /// What replay recovered and what it discarded.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ReplayStats {
     /// Records decoded with a valid CRC.
     pub replayed: u64,
@@ -229,7 +220,7 @@ pub(crate) const FSYNC_EVERY: u64 = 8;
 /// Sizing of a [`Wal`], threaded from `SystemConfig` down into each
 /// component's log. Whether a component journals at all is not decided
 /// here: a component with a `Wal` attached does, one without does not.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct DurabilityConfig {
     /// Rotate the active segment once it reaches this many bytes.
     pub segment_bytes: u64,
@@ -254,26 +245,6 @@ impl DurabilityConfig {
     }
 }
 
-/// Pluggable storage under a [`Wal`]: numbered append-only segments.
-///
-/// Implementations must tolerate ids they have never seen (`append`
-/// creates, `read_segment`/`segment_len` of a missing id are empty/0,
-/// `remove_segment`/`sync` of a missing id are no-ops).
-pub trait LogBackend: Send + Sync {
-    /// Existing segment ids, ascending.
-    fn list_segments(&self) -> Vec<u64>;
-    /// Current length of a segment in bytes (0 if absent).
-    fn segment_len(&self, id: u64) -> u64;
-    /// Full contents of a segment (empty if absent).
-    fn read_segment(&self, id: u64) -> Vec<u8>;
-    /// Append bytes to a segment, creating it if needed.
-    fn append(&self, id: u64, bytes: &[u8]);
-    /// Make everything appended to the segment so far durable.
-    fn sync(&self, id: u64);
-    /// Delete a segment.
-    fn remove_segment(&self, id: u64);
-}
-
 #[derive(Default)]
 struct SegmentBuf {
     data: Vec<u8>,
@@ -281,20 +252,17 @@ struct SegmentBuf {
     synced: usize,
 }
 
-#[derive(Default)]
-struct MemDiskInner {
-    segments: BTreeMap<u64, SegmentBuf>,
-    /// Fsync calls observed, for batching assertions in tests.
-    syncs: u64,
-}
-
 /// Deterministic in-memory "disk". Tracks the synced prefix of every
 /// segment so a simulated crash ([`MemDisk::crash_with`]) can damage
 /// exactly the bytes a real power cut could: the unsynced tail of the
 /// active segment.
+///
+/// Ids it has never seen are tolerated: `append` creates the segment,
+/// `read_segment` / `segment_len` of a missing id are empty / 0, and
+/// `remove_segment` / `sync` of one are no-ops.
 #[derive(Clone, Default)]
 pub struct MemDisk {
-    inner: Arc<Mutex<MemDiskInner>>,
+    segments: Arc<Mutex<BTreeMap<u64, SegmentBuf>>>,
 }
 
 impl MemDisk {
@@ -305,13 +273,7 @@ impl MemDisk {
 
     /// Total bytes across all segments.
     pub fn total_bytes(&self) -> u64 {
-        self.inner.lock().segments.values().map(|s| s.data.len() as u64).sum()
-    }
-
-    /// Number of fsync calls the disk has served.
-    #[cfg(test)]
-    fn sync_count(&self) -> u64 {
-        self.inner.lock().syncs
+        self.segments.lock().values().map(|s| s.data.len() as u64).sum()
     }
 
     /// Simulate a clean process kill: the OS survives, so even unsynced
@@ -323,8 +285,8 @@ impl MemDisk {
     /// segment. The synced prefix is durable by contract and is never
     /// damaged. Returns the faults applied.
     pub fn crash_with(&self, profile: &DiskFaultProfile, crash_index: u64) -> Vec<DiskFault> {
-        let mut inner = self.inner.lock();
-        let Some((_, seg)) = inner.segments.iter_mut().next_back() else {
+        let mut segments = self.segments.lock();
+        let Some((_, seg)) = segments.iter_mut().next_back() else {
             return Vec::new();
         };
         let tail_len = (seg.data.len() - seg.synced) as u64;
@@ -351,102 +313,37 @@ impl MemDisk {
         }
         faults
     }
-}
 
-impl LogBackend for MemDisk {
-    fn list_segments(&self) -> Vec<u64> {
-        self.inner.lock().segments.keys().copied().collect()
+    /// Existing segment ids, ascending.
+    pub fn list_segments(&self) -> Vec<u64> {
+        self.segments.lock().keys().copied().collect()
     }
 
+    /// Current length of a segment in bytes.
     fn segment_len(&self, id: u64) -> u64 {
-        self.inner.lock().segments.get(&id).map_or(0, |s| s.data.len() as u64)
+        self.segments.lock().get(&id).map_or(0, |s| s.data.len() as u64)
     }
 
-    fn read_segment(&self, id: u64) -> Vec<u8> {
-        self.inner.lock().segments.get(&id).map_or_else(Vec::new, |s| s.data.clone())
+    /// Full contents of a segment.
+    pub fn read_segment(&self, id: u64) -> Vec<u8> {
+        self.segments.lock().get(&id).map_or_else(Vec::new, |s| s.data.clone())
     }
 
-    fn append(&self, id: u64, bytes: &[u8]) {
-        self.inner.lock().segments.entry(id).or_default().data.extend_from_slice(bytes);
+    /// Append bytes to a segment, creating it if needed.
+    pub fn append(&self, id: u64, bytes: &[u8]) {
+        self.segments.lock().entry(id).or_default().data.extend_from_slice(bytes);
     }
 
-    fn sync(&self, id: u64) {
-        let mut inner = self.inner.lock();
-        inner.syncs += 1;
-        if let Some(seg) = inner.segments.get_mut(&id) {
+    /// Make everything appended to the segment so far durable.
+    pub fn sync(&self, id: u64) {
+        if let Some(seg) = self.segments.lock().get_mut(&id) {
             seg.synced = seg.data.len();
         }
     }
 
+    /// Delete a segment.
     fn remove_segment(&self, id: u64) {
-        self.inner.lock().segments.remove(&id);
-    }
-}
-
-/// Real-file backend: one `<id:016x>.wal` file per segment under a
-/// directory. Used by bins and integration tests; the simulated
-/// [`MemDisk`] is preferred wherever determinism matters.
-pub struct FileBackend {
-    dir: PathBuf,
-}
-
-impl FileBackend {
-    /// Backend rooted at `dir`, which is created if missing.
-    pub fn new(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        Ok(FileBackend { dir })
-    }
-
-    fn path(&self, id: u64) -> PathBuf {
-        self.dir.join(format!("{id:016x}.wal"))
-    }
-}
-
-impl LogBackend for FileBackend {
-    fn list_segments(&self) -> Vec<u64> {
-        let mut ids = Vec::new();
-        if let Ok(entries) = std::fs::read_dir(&self.dir) {
-            for entry in entries.flatten() {
-                let name = entry.file_name();
-                let name = name.to_string_lossy();
-                if let Some(hex) = name.strip_suffix(".wal") {
-                    if let Ok(id) = u64::from_str_radix(hex, 16) {
-                        ids.push(id);
-                    }
-                }
-            }
-        }
-        ids.sort_unstable();
-        ids
-    }
-
-    fn segment_len(&self, id: u64) -> u64 {
-        std::fs::metadata(self.path(id)).map_or(0, |m| m.len())
-    }
-
-    fn read_segment(&self, id: u64) -> Vec<u8> {
-        std::fs::read(self.path(id)).unwrap_or_default()
-    }
-
-    fn append(&self, id: u64, bytes: &[u8]) {
-        use std::io::Write as _;
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.path(id))
-            .expect("wal: open segment for append");
-        file.write_all(bytes).expect("wal: append to segment");
-    }
-
-    fn sync(&self, id: u64) {
-        if let Ok(file) = std::fs::File::open(self.path(id)) {
-            let _ = file.sync_all();
-        }
-    }
-
-    fn remove_segment(&self, id: u64) {
-        let _ = std::fs::remove_file(self.path(id));
+        self.segments.lock().remove(&id);
     }
 }
 
@@ -472,13 +369,11 @@ struct WalCounters {
     bytes: AtomicU64,
     fsync_batches: AtomicU64,
     replayed: AtomicU64,
-    corrupt_dropped: AtomicU64,
-    torn_bytes: AtomicU64,
     compactions: AtomicU64,
 }
 
 /// Point-in-time counters for telemetry and reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct WalStats {
     /// Records appended.
     pub appends: u64,
@@ -488,22 +383,14 @@ pub struct WalStats {
     pub fsync_batches: u64,
     /// Records recovered across all [`Wal::replay`] calls.
     pub replayed: u64,
-    /// Corrupt records dropped on replay.
-    pub corrupt_dropped: u64,
-    /// Torn-tail bytes truncated on replay.
-    pub torn_bytes: u64,
     /// Compactions performed.
     pub compactions: u64,
-    /// Live segments.
-    pub segments: u64,
     /// Total framed bytes in live segments.
     pub log_bytes: u64,
-    /// Framed bytes of the last compaction snapshot.
-    pub(crate) snapshot_bytes: u64,
 }
 
 struct WalInner {
-    backend: Arc<dyn LogBackend>,
+    disk: Arc<MemDisk>,
     config: DurabilityConfig,
     state: Mutex<WalState>,
     counters: WalCounters,
@@ -516,18 +403,8 @@ pub struct Wal {
     inner: Arc<WalInner>,
 }
 
-impl std::fmt::Debug for Wal {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = self.inner.state.lock();
-        f.debug_struct("Wal")
-            .field("active", &state.active)
-            .field("log_bytes", &state.log_bytes)
-            .finish_non_exhaustive()
-    }
-}
-
 /// The outcome of [`Wal::replay`].
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Replay {
     /// Intact record payloads, in append order.
     pub records: Vec<Vec<u8>>,
@@ -536,16 +413,16 @@ pub struct Replay {
 }
 
 impl Wal {
-    /// Open a log over `backend`. Appends always start a fresh segment
+    /// Open a log on `disk`. Appends always start a fresh segment
     /// (max existing id + 1) so recovery never writes after a
     /// possibly-torn tail.
-    pub fn open(backend: Arc<dyn LogBackend>, config: DurabilityConfig) -> Self {
-        let ids = backend.list_segments();
-        let log_bytes = ids.iter().map(|&id| backend.segment_len(id)).sum();
+    pub fn open(disk: Arc<MemDisk>, config: DurabilityConfig) -> Self {
+        let ids = disk.list_segments();
+        let log_bytes = ids.iter().map(|&id| disk.segment_len(id)).sum();
         let active = ids.last().map_or(0, |&id| id + 1);
         Wal {
             inner: Arc::new(WalInner {
-                backend,
+                disk,
                 config,
                 state: Mutex::new(WalState {
                     active,
@@ -569,14 +446,14 @@ impl Wal {
     /// Append one record whose payload `write` appends to the buffer it
     /// is handed, as [`Wal::append`] does: the record is framed where
     /// it is encoded, in a buffer the log keeps for the next append, and
-    /// reaches the backend in one call. `write` runs under the log's
+    /// reaches the disk in one call. `write` runs under the log's
     /// lock, so it must not use this log.
     pub fn append_with(&self, write: impl FnOnce(&mut Vec<u8>)) {
         let mut state = self.inner.state.lock();
         let state = &mut *state;
         state.frame.clear();
         let framed = frame_into(&mut state.frame, write) as u64;
-        self.inner.backend.append(state.active, &state.frame);
+        self.inner.disk.append(state.active, &state.frame);
         self.bound_frame(state);
         state.active_len += framed;
         state.log_bytes += framed;
@@ -614,25 +491,23 @@ impl Wal {
         if state.unsynced_records == 0 {
             return;
         }
-        self.inner.backend.sync(state.active);
+        self.inner.disk.sync(state.active);
         state.unsynced_records = 0;
         self.inner.counters.fsync_batches.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Replay every live segment in id order, handing each intact
     /// record's payload to `each` as a view into the segment it lies in,
-    /// and accounting damage as [`decode_segment`] does. Accumulates
-    /// into the shared counters.
+    /// and accounting damage as [`decode_segment`] does. Adds the
+    /// records replayed to the shared `replayed` counter; the damage is
+    /// the caller's to report.
     pub fn replay_each(&self, mut each: impl FnMut(&[u8])) -> ReplayStats {
         let mut stats = ReplayStats::default();
-        for id in self.inner.backend.list_segments() {
-            let bytes = self.inner.backend.read_segment(id);
+        for id in self.inner.disk.list_segments() {
+            let bytes = self.inner.disk.read_segment(id);
             decode_each(&bytes, &mut stats, &mut each);
         }
-        let c = &self.inner.counters;
-        c.replayed.fetch_add(stats.replayed, Ordering::Relaxed);
-        c.corrupt_dropped.fetch_add(stats.corrupt_dropped, Ordering::Relaxed);
-        c.torn_bytes.fetch_add(stats.torn_bytes, Ordering::Relaxed);
+        self.inner.counters.replayed.fetch_add(stats.replayed, Ordering::Relaxed);
         stats
     }
 
@@ -661,7 +536,7 @@ impl Wal {
     pub fn compact(&self, snapshot: impl IntoIterator<Item = Vec<u8>>) {
         let mut state = self.inner.state.lock();
         let state = &mut *state;
-        let old_ids = self.inner.backend.list_segments();
+        let old_ids = self.inner.disk.list_segments();
         let mut id = state.active + 1;
         let mut seg_len = 0u64;
         let mut written = 0u64;
@@ -669,18 +544,18 @@ impl Wal {
             state.frame.clear();
             let framed = frame_into(&mut state.frame, |out| out.extend_from_slice(&payload)) as u64;
             if seg_len > 0 && seg_len + framed > self.inner.config.segment_bytes.max(1) {
-                self.inner.backend.sync(id);
+                self.inner.disk.sync(id);
                 id += 1;
                 seg_len = 0;
             }
-            self.inner.backend.append(id, &state.frame);
+            self.inner.disk.append(id, &state.frame);
             seg_len += framed;
             written += framed;
         }
         self.bound_frame(state);
-        self.inner.backend.sync(id);
+        self.inner.disk.sync(id);
         for old in old_ids {
-            self.inner.backend.remove_segment(old);
+            self.inner.disk.remove_segment(old);
         }
         state.active = id + 1;
         state.active_len = 0;
@@ -690,28 +565,16 @@ impl Wal {
         self.inner.counters.compactions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Current counters plus log geometry.
+    /// Current counters plus the live log's size.
     pub fn stats(&self) -> WalStats {
         let c = &self.inner.counters;
-        let (segments, log_bytes, snapshot_bytes) = {
-            let state = self.inner.state.lock();
-            (
-                self.inner.backend.list_segments().len() as u64,
-                state.log_bytes,
-                state.snapshot_bytes,
-            )
-        };
         WalStats {
             appends: c.appends.load(Ordering::Relaxed),
             bytes: c.bytes.load(Ordering::Relaxed),
             fsync_batches: c.fsync_batches.load(Ordering::Relaxed),
             replayed: c.replayed.load(Ordering::Relaxed),
-            corrupt_dropped: c.corrupt_dropped.load(Ordering::Relaxed),
-            torn_bytes: c.torn_bytes.load(Ordering::Relaxed),
             compactions: c.compactions.load(Ordering::Relaxed),
-            segments,
-            log_bytes,
-            snapshot_bytes,
+            log_bytes: self.inner.state.lock().log_bytes,
         }
     }
 }
@@ -724,6 +587,13 @@ mod tests {
         let disk = MemDisk::new();
         let wal = Wal::open(Arc::new(disk.clone()), config);
         (wal, disk)
+    }
+
+    /// `payload` framed as `[len][crc][payload]`, spelled out apart
+    /// from the framing routine the log uses.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let len = (payload.len() as u32).to_le_bytes();
+        [&len[..], &record_crc(len, payload).to_le_bytes(), payload].concat()
     }
 
     /// The fold slicing-by-8 replaced: one table lookup per byte.
@@ -763,7 +633,7 @@ mod tests {
                 out.extend_from_slice(&p[..p.len() / 2]);
                 out.extend_from_slice(&p[p.len() / 2..]);
             });
-            expected.extend_from_slice(&encode_record(p));
+            expected.extend_from_slice(&framed(p));
         }
         let written: Vec<u8> =
             disk.list_segments().into_iter().flat_map(|id| disk.read_segment(id)).collect();
@@ -826,18 +696,17 @@ mod tests {
     #[test]
     fn fsync_batches_every_eighth_record() {
         let config = DurabilityConfig { segment_bytes: 1 << 20, ..DurabilityConfig::default() };
-        let (wal, disk) = mem_wal(config);
+        let (wal, _disk) = mem_wal(config);
         for i in 0..2 * FSYNC_EVERY {
             wal.append(&i.to_le_bytes());
         }
-        assert_eq!(disk.sync_count(), 2);
         assert_eq!(wal.stats().fsync_batches, 2);
         // An explicit sync with nothing pending is a no-op.
         wal.sync();
-        assert_eq!(disk.sync_count(), 2);
+        assert_eq!(wal.stats().fsync_batches, 2);
         wal.append(b"x");
         wal.sync();
-        assert_eq!(disk.sync_count(), 3);
+        assert_eq!(wal.stats().fsync_batches, 3);
     }
 
     #[test]
@@ -879,7 +748,7 @@ mod tests {
     fn insane_length_stops_without_panicking() {
         let mut records = Vec::new();
         let mut stats = ReplayStats::default();
-        let mut bytes = encode_record(b"ok");
+        let mut bytes = framed(b"ok");
         let mut bad = (MAX_RECORD + 1).to_le_bytes().to_vec();
         bad.extend_from_slice(&[0u8; 12]);
         bytes.extend_from_slice(&bad);
@@ -947,23 +816,5 @@ mod tests {
         assert!(
             replay.records.len() < 9 + FSYNC_EVERY as usize || replay.stats.corrupt_dropped > 0
         );
-    }
-
-    #[test]
-    fn file_backend_round_trips() {
-        let dir = std::env::temp_dir().join(format!("rai-wal-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let backend = Arc::new(FileBackend::new(&dir).expect("temp dir"));
-        let config = DurabilityConfig { segment_bytes: 64, ..DurabilityConfig::default() };
-        let wal = Wal::open(backend.clone(), config);
-        for i in 0..20u64 {
-            wal.append(format!("file-{i}").as_bytes());
-        }
-        wal.sync();
-        let reopened = Wal::open(backend, config);
-        let replay = reopened.replay();
-        assert_eq!(replay.records.len(), 20);
-        assert_eq!(replay.stats.corrupt_dropped, 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -5,19 +5,23 @@
 //! corruption is never silently accepted as different content.
 
 use proptest::prelude::*;
-use rai_wal::{decode_segment, encode_record, DurabilityConfig, MemDisk, ReplayStats, Wal};
+use rai_wal::{decode_segment, DurabilityConfig, MemDisk, ReplayStats, Wal};
 use std::sync::Arc;
 
 fn arb_payloads() -> impl Strategy<Value = Vec<Vec<u8>>> {
     prop::collection::vec(prop::collection::vec(any::<u8>(), 0..64), 1..20)
 }
 
+/// The bytes a log holds after `payloads` are appended to it: one
+/// segment that never rotates, framed as the log frames every record.
 fn encode_all(payloads: &[Vec<u8>]) -> Vec<u8> {
-    let mut buf = Vec::new();
+    let disk = MemDisk::new();
+    let config = DurabilityConfig { segment_bytes: u64::MAX, ..DurabilityConfig::default() };
+    let wal = Wal::open(Arc::new(disk.clone()), config);
     for p in payloads {
-        buf.extend_from_slice(&encode_record(p));
+        wal.append(p);
     }
-    buf
+    disk.list_segments().into_iter().flat_map(|id| disk.read_segment(id)).collect()
 }
 
 fn decode_all(bytes: &[u8]) -> (Vec<Vec<u8>>, ReplayStats) {

@@ -318,8 +318,9 @@ mod tests {
         let report = result.recovery.unwrap();
         assert!(report.db.stats.replayed > 0);
         assert!(report.store.stats.replayed > 0);
-        assert_eq!(report.db.malformed_dropped, 0, "clean crash corrupts nothing");
-        assert_eq!(result.db_wal.corrupt_dropped, 0);
+        let malformed = (report.db.malformed_dropped, report.store.malformed_dropped);
+        assert_eq!(malformed, (0, 0), "clean crash corrupts nothing");
+        assert_eq!(report.db.stats.corrupt_dropped, 0);
     }
 
     #[test]
@@ -365,7 +366,8 @@ mod tests {
                 checked_any_faults = true;
                 // Torn/corrupt damage shows up in the replay ledger,
                 // not as lost submissions.
-                let stats = [&result.db_wal, &result.store_wal];
+                let report = result.recovery.expect("a recovery happened");
+                let stats = [report.db.stats, report.store.stats];
                 assert!(
                     stats.iter().any(|s| s.corrupt_dropped > 0 || s.torn_bytes > 0),
                     "seed {seed}: faults {:?} left no trace in replay stats",

@@ -58,7 +58,7 @@ fn main() {
         );
 
         // 4. Grade: automated performance+correctness, manual quality+report.
-        let report = grader.grade(&sub.team, min_secs, 0.92, 0.90, 1.0, 120.0, 8.5, 34.0);
+        let report = grader.grade(min_secs, 0.92, 0.90, 1.0, 120.0, 8.5, 34.0);
         println!(
             "           grade: perf {:.1}/30 correctness {:.1}/20 quality {:.1}/10 report {:.1}/40 = {:.1}/100",
             report.performance,

@@ -57,7 +57,7 @@ fn roster_to_grades() {
             "recorded {} vs rerun {best}",
             sub.recorded_secs
         );
-        let report = grader.grade(&sub.team, best, 0.92, 0.90, 0.6, 60.0, 8.0, 32.0);
+        let report = grader.grade(best, 0.92, 0.90, 0.6, 60.0, 8.0, 32.0);
         totals.push((sub.team.clone(), report.total()));
     }
     // Faster teams earn at least as much as slower ones.

@@ -15,7 +15,7 @@ use rai::core::system::{RaiSystem, SystemConfig};
 use rai::db::doc;
 use rai::sim::{SimDuration, VirtualClock};
 use rai_faults::DiskFaultProfile;
-use rai_wal::{DurabilityConfig, LogBackend, MemDisk};
+use rai_wal::{DurabilityConfig, MemDisk};
 use std::sync::Arc;
 
 /// FNV-1a 64 over every segment of `disks` in order: its id, its length
