@@ -183,25 +183,6 @@ impl FileTree {
         Some(data)
     }
 
-    /// Remove every file under the directory prefix `dir` (e.g. `"build"`
-    /// removes `build/a` and `build/x/y`). Returns how many were removed.
-    pub fn remove_dir(&mut self, dir: &str) -> usize {
-        let Ok(norm) = normalized(dir) else { return 0 };
-        let prefix = [norm, "/"].concat();
-        let doomed: Vec<String> = self
-            .files
-            .keys()
-            .filter(|k| k.starts_with(&prefix) || *k == norm)
-            .cloned()
-            .collect();
-        for k in &doomed {
-            if let Some(data) = self.files.remove(k) {
-                self.bytes -= data.len() as u64;
-            }
-        }
-        doomed.len()
-    }
-
     /// Number of files.
     pub fn len(&self) -> usize {
         self.files.len()
@@ -323,16 +304,6 @@ impl FileTree {
     }
 }
 
-impl FromIterator<(String, Bytes)> for FileTree {
-    fn from_iter<T: IntoIterator<Item = (String, Bytes)>>(iter: T) -> Self {
-        let mut t = FileTree::new();
-        for (k, v) in iter {
-            t.insert(&k, v).expect("valid path in FromIterator");
-        }
-        t
-    }
-}
-
 /// A file's bytes read as text: borrowed when they are valid UTF-8,
 /// else a copy with each invalid sequence replaced by U+FFFD — exactly
 /// [`String::from_utf8_lossy`], but valid bytes (what sources, build
@@ -396,16 +367,6 @@ mod tests {
         assert_eq!(t.get("main.cu").unwrap().as_ref(), b"v2");
         assert_eq!(t.len(), 1);
         assert_eq!(t.total_size(), 2);
-    }
-
-    #[test]
-    fn remove_dir_prefix_only() {
-        let mut t = FileTree::new()
-            .with("build/a.o", &b"x"[..])
-            .with("build/deep/b.o", &b"y"[..])
-            .with("builder", &b"z"[..]);
-        assert_eq!(t.remove_dir("build"), 2);
-        assert!(t.contains("builder"), "sibling with shared name prefix survives");
     }
 
     #[test]
@@ -478,13 +439,15 @@ mod tests {
         }
         assert_eq!(t.total_size(), MAX_TREE_BYTES);
         assert_eq!(t.insert("last", &b"x"[..]), Err(TreeError::NoSpace));
-        assert_eq!(t.remove_dir("copy1"), 1);
+        assert_eq!(t.remove("copy1").map(|data| data.len()), Some(1 << 20));
         t.insert("last", &b"x"[..]).unwrap();
 
         // A mount is all or nothing, and what it overwrites is freed
         // before it is counted.
-        let half: FileTree =
-            (0..MAX_ENTRIES / 2).map(|i| (format!("f{i}"), Bytes::from_static(b"x"))).collect();
+        let mut half = FileTree::new();
+        for i in 0..MAX_ENTRIES / 2 {
+            half.insert(format!("f{i}"), &b"x"[..]).unwrap();
+        }
         let mut t = FileTree::new();
         t.mount("a", &half).unwrap();
         t.mount("b", &half).unwrap();
@@ -527,13 +490,5 @@ mod tests {
         let back = FileTree::from_disk(&dir).expect("read tree");
         assert_eq!(back, tree, "hidden files and target/ skipped");
         std::fs::remove_dir_all(&dir).expect("cleanup");
-    }
-
-    #[test]
-    fn from_iterator() {
-        let t: FileTree = vec![("a".to_string(), Bytes::from_static(b"1"))]
-            .into_iter()
-            .collect();
-        assert!(t.contains("a"));
     }
 }

@@ -4,7 +4,6 @@ use crate::keys::Credentials;
 use crate::roster::RosterEntry;
 
 /// A rendered e-mail ready for the (simulated) mailer.
-#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KeyEmail {
     /// Recipient address.
     pub to: String,

@@ -15,10 +15,10 @@ use rand::SeedableRng;
 /// shape of the keys in the paper.
 const KEY_ALPHABET: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-";
 /// Key length from Listing 3.
-pub(crate) const KEY_LEN: usize = 26;
+const KEY_LEN: usize = 26;
 
 /// A student's (or team's) credential triple.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Credentials {
     /// `RAI_USER_NAME`.
     pub user_name: String,

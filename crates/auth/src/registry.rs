@@ -7,7 +7,7 @@ use crate::signing::HmacKey;
 use std::collections::HashMap;
 
 /// Authentication failure.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub enum AuthError {
     /// Access key is not registered (not in the course).
     UnknownAccessKey(String),
@@ -29,11 +29,11 @@ impl std::fmt::Display for AuthError {
     }
 }
 
-impl std::error::Error for AuthError {}
-
+/// What the registry keeps of issued credentials, under their access
+/// key: the user name `authenticate` answers with, and the secret
+/// scheduled once into an HMAC key (the plaintext is not kept).
 struct Entry {
-    creds: Credentials,
-    /// The secret key, scheduled once at registration.
+    user_name: String,
     key: HmacKey,
     revoked: bool,
 }
@@ -53,15 +53,9 @@ impl CredentialRegistry {
     /// Register newly issued credentials (replacing any previous entry
     /// for the same access key).
     pub fn register(&mut self, creds: Credentials) {
-        let key = HmacKey::new(creds.secret_key.as_bytes());
-        self.by_access_key.insert(
-            creds.access_key.clone(),
-            Entry {
-                creds,
-                key,
-                revoked: false,
-            },
-        );
+        let Credentials { user_name, access_key, secret_key } = creds;
+        let key = HmacKey::new(secret_key.as_bytes());
+        self.by_access_key.insert(access_key, Entry { user_name, key, revoked: false });
     }
 
     /// Revoke an access key; returns whether it existed.
@@ -96,7 +90,7 @@ impl CredentialRegistry {
                 access_key: access_key.to_string(),
             });
         }
-        Ok(&entry.creds.user_name)
+        Ok(&entry.user_name)
     }
 }
 

@@ -3,7 +3,6 @@
 //! (paper §VI).
 
 /// One roster row.
-#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RosterEntry {
     /// Student's first name.
     pub(crate) first_name: String,
@@ -26,14 +25,13 @@ impl RosterEntry {
 }
 
 /// A parsed class roster.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Roster {
     /// Entries in file order.
     pub entries: Vec<RosterEntry>,
 }
 
 /// Roster parse error.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug)]
 pub enum RosterError {
     /// A line did not have exactly three fields.
     BadLine { line: usize, content: String },
@@ -58,8 +56,6 @@ impl std::fmt::Display for RosterError {
         }
     }
 }
-
-impl std::error::Error for RosterError {}
 
 impl Roster {
     /// Parse CSV text. Blank lines and `#` comments are skipped; an
@@ -115,15 +111,6 @@ impl Roster {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Render back to CSV (header included).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("firstname,lastname,userid\n");
-        for e in &self.entries {
-            out.push_str(&format!("{},{},{}\n", e.first_name, e.last_name, e.user_id));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -166,12 +153,5 @@ mod tests {
             Roster::parse("A,B,x\nC,D,x\n"),
             Err(RosterError::DuplicateUserId { line: 2, .. })
         ));
-    }
-
-    #[test]
-    fn csv_round_trip() {
-        let r = Roster::parse(SAMPLE).unwrap();
-        let again = Roster::parse(&r.to_csv()).unwrap();
-        assert_eq!(r, again);
     }
 }

@@ -12,7 +12,6 @@ const BLOCK: usize = 64;
 /// and outer padded blocks. Scheduling costs the two compressions (and,
 /// for a key over 64 bytes, the hash of the key) that every MAC under
 /// the key would otherwise repeat.
-#[derive(Clone)]
 pub(crate) struct HmacKey {
     inner: Sha256,
     outer: Sha256,

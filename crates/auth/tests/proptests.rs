@@ -1,5 +1,5 @@
 //! Property tests for authentication: MAC soundness over arbitrary
-//! inputs, profile round-trips, roster round-trips.
+//! inputs, profile round-trips, roster parsing.
 
 use proptest::prelude::*;
 use rai_auth::{
@@ -103,7 +103,7 @@ proptest! {
     }
 
     #[test]
-    fn roster_round_trips(
+    fn roster_keeps_every_row_in_order(
         rows in prop::collection::vec(
             ("[A-Z][a-z]{1,8}", "[A-Z][a-z]{1,8}", "[a-z][a-z0-9]{1,10}"),
             0..20,
@@ -112,17 +112,16 @@ proptest! {
         // Unique user ids.
         let mut seen = std::collections::HashSet::new();
         let mut csv = String::new();
-        let mut expected = 0;
+        let mut expected = Vec::new();
         for (f, l, u) in &rows {
             if seen.insert(u.clone()) {
                 csv.push_str(&format!("{f},{l},{u}\n"));
-                expected += 1;
+                expected.push(u.as_str());
             }
         }
         let roster = Roster::parse(&csv).expect("valid roster");
-        prop_assert_eq!(roster.len(), expected);
-        let again = Roster::parse(&roster.to_csv()).expect("round trip");
-        prop_assert_eq!(again, roster);
+        let ids: Vec<&str> = roster.entries.iter().map(|e| e.user_id.as_str()).collect();
+        prop_assert_eq!(ids, expected);
     }
 
     #[test]

@@ -22,7 +22,7 @@ Grace,Hopper,ghopper
     let mut first_email_body = String::new();
     for entry in &roster.entries {
         let creds = keygen.generate(&entry.user_id);
-        let mail = render_key_email(&entry.clone(), &creds, "illinois.edu");
+        let mail = render_key_email(entry, &creds, "illinois.edu");
         println!("To: {}\nSubject: {}\n", mail.to, mail.subject);
         if first_email_body.is_empty() {
             first_email_body = mail.body.clone();

@@ -398,19 +398,11 @@ impl PendingJob {
                 match frame.tag {
                     Tag::Out => {
                         log.lines += 1;
-                        // The timer is read from the unescaped text; an
-                        // escape never makes or breaks the marker. Most
+                        // The timer is read from the unescaped text. Most
                         // lines hold no `=`, which a loop over their few
                         // bytes rules out sooner than a searcher.
-                        if frame.raw.bytes().any(|b| b == b'=')
-                            && rai_sandbox::exec::after_elapsed(frame.raw).is_some()
-                        {
-                            let text = frame.text();
-                            if let Some(rest) = rai_sandbox::exec::after_elapsed(&text) {
-                                if let Some(v) = rest.split_whitespace().next() {
-                                    internal = v.parse().ok().or(internal);
-                                }
-                            }
+                        if frame.raw.bytes().any(|b| b == b'=') {
+                            internal = rai_sandbox::exec::internal_timer(&frame.text()).or(internal);
                         }
                     }
                     Tag::Err | Tag::Status => log.lines += 1,
@@ -704,10 +696,9 @@ mod tests {
             for frame in decode_block(&String::from_utf8_lossy(body)) {
                 match frame {
                     LogFrame::Out(line) => {
-                        if let Some(rest) = rai_sandbox::exec::after_elapsed(&line) {
-                            if let Some(v) = rest.split_whitespace().next() {
-                                internal = v.parse().ok().or(internal);
-                            }
+                        let rest = line.split("elapsed = ").nth(1);
+                        if let Some(v) = rest.and_then(|rest| rest.split_whitespace().next()) {
+                            internal = v.parse().ok().or(internal);
                         }
                         log.push(line);
                     }

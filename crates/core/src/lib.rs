@@ -18,7 +18,8 @@
 //! * `ratelimit` — "each student can only submit a job every 30
 //!   seconds" (§V "Container Execution");
 //! * [`worker`] — the worker agent, steps ①–⑥ (§V "Worker
-//!   Operations"), including multi-job in-flight configuration;
+//!   Operations"): one claim at a time, with `max_in_flight` modelling
+//!   only the contention noise of co-scheduled jobs;
 //! * [`ranking`] — the competition ranking with anonymized views (§VI
 //!   "Competition Ranking");
 //! * [`grading`] — instructor utilities: required-file checks, bulk

@@ -91,8 +91,6 @@ pub struct JobOutcome {
 /// holding an unacked message.
 #[derive(Clone, Debug)]
 pub struct CrashReport {
-    /// Pipeline point where the fault landed.
-    pub point: CrashPoint,
     /// Death vs freeze (a freeze holds its claim until the broker's
     /// message timeout reclaims it).
     pub(crate) kind: CrashKind,
@@ -160,9 +158,9 @@ impl Attempt {
         u32::try_from(self.attempt.max(1)).unwrap_or(u32::MAX)
     }
 
-    /// This attempt dying at `point` with everything so far wasted.
-    fn crashed(&self, point: CrashPoint, kind: CrashKind) -> CrashReport {
-        CrashReport { point, kind, wasted: self.service_time }
+    /// This attempt dying with everything so far wasted.
+    fn crashed(&self, kind: CrashKind) -> CrashReport {
+        CrashReport { kind, wasted: self.service_time }
     }
 }
 
@@ -181,7 +179,7 @@ enum Halt {
         outcome: &'static str,
     },
     /// An injected crash/stall landed.
-    Crashed { kind: CrashKind, point: CrashPoint },
+    Crashed(CrashKind),
 }
 
 /// A job claimed from the broker with its claim-phase work done.
@@ -535,7 +533,7 @@ impl Worker {
             let pulling = LogFrame::Status(format!("pulling image {}...", image.name));
             job.log_bytes += publish_frames(&self.broker, &log_topic, &[pulling]);
             let before_pull = job.service_time;
-            job.service_time += self.images.pull_latency(&image.name);
+            job.service_time += image.pull_latency();
             self.cached_images.insert(image.name.clone());
             self.note_stage(&job, stage::PULLED, component::SANDBOX, before_pull, job.service_time);
             self.telemetry.counter(names::SANDBOX_IMAGE_PULLS_TOTAL, &[]).inc();
@@ -543,7 +541,7 @@ impl Worker {
 
         // ④ Download the project archive and mount it.
         if let Some(kind) = self.crash_decision_at(&job, CrashPoint::Fetch) {
-            return halted(job, Halt::Crashed { kind, point: CrashPoint::Fetch });
+            return halted(job, Halt::Crashed(kind));
         }
         let before_fetch = job.service_time;
         let fetched = rai_faults::retry(self.op_seed(job.request.job_id, attempt, 1), |_| {
@@ -611,7 +609,7 @@ impl Worker {
                 crash_upload,
             } => 'run: {
                 if let Some(kind) = crash_build {
-                    break 'run ExecOutcome::Halt(Halt::Crashed { kind, point: CrashPoint::Build });
+                    break 'run ExecOutcome::Halt(Halt::Crashed(kind));
                 }
                 let mut container = Container::create(&image, limits);
                 container.mount("/src", &project);
@@ -631,7 +629,7 @@ impl Worker {
                 run = Some(RunFacts { from, to: job.service_time });
 
                 if let Some(kind) = crash_upload {
-                    break 'run ExecOutcome::Halt(Halt::Crashed { kind, point: CrashPoint::Upload });
+                    break 'run ExecOutcome::Halt(Halt::Crashed(kind));
                 }
                 // The pure half of ⑥: archive /build, chunking it as
                 // it is written. The store conversation happens at
@@ -679,7 +677,7 @@ impl Worker {
         // Failure to persist it is a crash: the message stays unacked
         // and redelivers to a (hopefully healthier) attempt.
         let sealed = match outcome {
-            ExecOutcome::Halt(Halt::Crashed { kind, point }) => Err(job.crashed(point, kind)),
+            ExecOutcome::Halt(Halt::Crashed(kind)) => Err(job.crashed(kind)),
             ExecOutcome::Halt(Halt::Reject { user, outcome }) => {
                 match self.record_submission(&job, &user, None, SimDuration::ZERO, false, true) {
                     Ok(backoff) => {
@@ -689,7 +687,7 @@ impl Worker {
                         self.note_outcome(&job, outcome);
                         Ok((false, None))
                     }
-                    Err(_) => Err(job.crashed(CrashPoint::Record, CrashKind::Crash)),
+                    Err(_) => Err(job.crashed(CrashKind::Crash)),
                 }
             }
             ExecOutcome::Built {
@@ -755,13 +753,13 @@ impl Worker {
                         }
                     });
                 let Ok(backoff) = recorded else {
-                    break 'built Err(job.crashed(CrashPoint::Record, CrashKind::Crash));
+                    break 'built Err(job.crashed(CrashKind::Crash));
                 };
                 let before_record = job.service_time;
                 job.service_time += backoff;
                 self.note_stage(&job, stage::RECORDED, component::DB, before_record, job.service_time);
                 if let Some(kind) = self.crash_decision_at(&job, CrashPoint::Ack) {
-                    break 'built Err(job.crashed(CrashPoint::Ack, kind));
+                    break 'built Err(job.crashed(kind));
                 }
                 self.mark(&job, stage::GRADED, component::WORKER, job.service_time);
                 self.note_outcome(&job, if success { "ok" } else { "failed" });
@@ -1281,11 +1279,11 @@ mod tests {
         let project = ProjectDir::sample_cuda_project().with_final_artifacts();
         let pending = client.begin_submit(&project, SubmitMode::Submit).unwrap();
 
-        let StepEvent::Crashed(report) = worker.try_step() else {
+        let StepEvent::Crashed(_) = worker.try_step() else {
             panic!("attempt 1 should crash");
         };
-        assert_eq!(report.point, CrashPoint::Ack);
-        // Side effects of attempt 1 already landed...
+        // It crashed after its record: side effects of attempt 1
+        // already landed...
         assert_eq!(rig.db.collection("submissions").read().len(), 1);
         assert_eq!(rig.db.collection("rankings").read().len(), 1);
 
@@ -1329,8 +1327,9 @@ mod tests {
             .unwrap();
         for _ in 0..3 {
             match worker.try_step() {
-                StepEvent::Crashed(r) => {
-                    assert_eq!(r.point, CrashPoint::Build);
+                StepEvent::Crashed(_) => {
+                    // Before its record: every attempt leaves no row.
+                    assert_eq!(rig.db.collection("submissions").read().len(), 0);
                     worker.crash_recover();
                 }
                 other => panic!("poison job should crash every attempt, got {other:?}"),
@@ -1553,9 +1552,8 @@ mod tests {
             .begin_submit(&ProjectDir::sample_cuda_project(), SubmitMode::Run)
             .unwrap();
         let audit = rig.broker.subscribe_ephemeral(&routes::log_topic(pending.job_id), "audit");
-        let StepEvent::Crashed(report) = worker.try_step() else { panic!("attempt 1 should crash") };
-        assert_eq!(report.point, CrashPoint::Upload);
-        // The build ran, so the student has its output — accepted,
+        let StepEvent::Crashed(_) = worker.try_step() else { panic!("attempt 1 should crash") };
+        // It crashed at upload. The build ran, so the student has its output — accepted,
         // pulling image, the block — but no url and no end yet.
         let bodies: Vec<String> = std::iter::from_fn(|| audit.try_recv())
             .map(|m| m.body_str().into_owned())
@@ -1565,6 +1563,7 @@ mod tests {
         assert_eq!(output.len(), LISTING1_OUTPUT.len());
         assert_eq!(output[0], LogFrame::Out("Building project".into()));
         assert!(!bodies.iter().any(|b| b.contains("end ")));
+        assert_eq!(rig.db.collection("submissions").read().len(), 0, "no row before the record");
     }
 
     #[test]

@@ -50,7 +50,7 @@ fn to_unit(draw: u64) -> f64 {
 }
 
 /// The operations a [`FaultInjector`] can make fail.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy)]
 pub enum FaultKind {
     /// `ObjectStore::put` returns `Unavailable`.
     StorePut,
@@ -100,7 +100,7 @@ impl FaultKind {
 /// Named points in a worker's job pipeline where a crash or stall can
 /// be injected. Each sits at a boundary chosen to exercise a distinct
 /// recovery path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub enum CrashPoint {
     /// Before the project archive is fetched from the store.
     Fetch,
@@ -108,10 +108,6 @@ pub enum CrashPoint {
     Build,
     /// After the run, before `/build` is uploaded.
     Upload,
-    /// Internal: the database record could not be persisted even after
-    /// retries; the worker gives up without acking so the message
-    /// redelivers. Never chosen by the injector directly.
-    Record,
     /// After upload and database record, before the broker ack — the
     /// idempotency stress case: redelivery reprocesses a job whose
     /// side effects already landed.
@@ -119,7 +115,7 @@ pub enum CrashPoint {
 }
 
 /// How an injected worker fault manifests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashKind {
     /// Process death: the subscription drops, in-flight claims are
     /// requeued immediately, and a supervisor restarts the worker.
@@ -129,20 +125,10 @@ pub enum CrashKind {
     Stall,
 }
 
-impl CrashKind {
-    /// Stable label for logs and metrics.
-    pub fn label(self) -> &'static str {
-        match self {
-            CrashKind::Crash => "crash",
-            CrashKind::Stall => "stall",
-        }
-    }
-}
-
 /// A declarative, seeded description of the faults to inject over a
 /// run. All probabilities are per-operation (or per job attempt for
 /// crash/stall) in `[0, 1]`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct FaultPlan {
     /// Seed from which every fault decision derives.
     pub seed: u64,
@@ -230,14 +216,6 @@ pub struct FaultInjector {
     inner: Arc<InjectorInner>,
 }
 
-impl std::fmt::Debug for FaultInjector {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FaultInjector")
-            .field("plan", &self.inner.plan)
-            .finish_non_exhaustive()
-    }
-}
-
 impl FaultInjector {
     /// An injector executing `plan`.
     pub fn new(plan: FaultPlan) -> Self {
@@ -308,8 +286,7 @@ impl FaultInjector {
         } else {
             return None;
         };
-        // Pick which pipeline point the fault lands on (Record is
-        // internal and never selected).
+        // Pick which pipeline point the fault lands on.
         let points = [CrashPoint::Fetch, CrashPoint::Build, CrashPoint::Upload, CrashPoint::Ack];
         let pick = mix(&[plan.seed, 0xBEEF, job_id, attempt]) as usize % points.len();
         if points[pick] == point {
@@ -376,7 +353,7 @@ pub enum DiskFault {
 /// they draw from their own key space and never touch the four shared
 /// [`FaultInjector`] draw counters, so enabling disk faults does not
 /// perturb the store/db/broker fault streams.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct DiskFaultProfile {
     /// Seed from which every disk-fault decision derives.
     pub seed: u64,
@@ -429,7 +406,7 @@ impl DiskFaultProfile {
 }
 
 /// Most calls [`retry`] makes, the first included.
-pub(crate) const RETRY_MAX_ATTEMPTS: u32 = 4;
+const RETRY_MAX_ATTEMPTS: u32 = 4;
 
 /// Backoff before the second attempt; it doubles per attempt after.
 const RETRY_BASE: SimDuration = SimDuration::from_millis(500);
@@ -438,7 +415,6 @@ const RETRY_BASE: SimDuration = SimDuration::from_millis(500);
 const RETRY_CAP: SimDuration = SimDuration::from_secs(30);
 
 /// Outcome of [`retry`]: the final result plus what the retrying cost.
-#[derive(Debug)]
 pub struct Retried<T, E> {
     /// Result of the last attempt.
     pub result: Result<T, E>,

@@ -2,12 +2,13 @@
 //!
 //! Executes the `rai-build.yml` command vocabulary deterministically
 //! against a container's in-memory filesystem, charging simulated time
-//! and memory. The vocabulary covers everything in the paper's listings
-//! (`echo`, `cmake`, `make`, program execution, `nvprof`,
-//! `/usr/bin/time`, `cp -r`) plus the obvious student variations
-//! (`ls`, `cat`, `mkdir`, `rm`) and the *denied* network tools.
+//! and memory. The vocabulary is what courses issue: the paper's
+//! listings (`echo`, `cmake`, `make`, program execution, `nvprof
+//! [--export-profile FILE]`, `/usr/bin/time`, `cp -r`), `time`, `cat`,
+//! `grep`, `sleep` and `true`, and the *denied* network tools. Anything
+//! else is `sh: <name>: command not found`, exit 127.
 
-use crate::container::{Container, KillReason, LogStream, WORKDIR};
+use crate::container::{Container, KillReason, LogStream};
 use crate::decimal::{Clock, Fixed4, Millis};
 use crate::image::hdf5_item_count;
 use crate::perf::{ExecMode, PerfSpec};
@@ -18,7 +19,6 @@ use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 
 /// Outcome of one command.
-#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CmdResult {
     /// Process exit code (0 = success; 137 = killed).
     pub exit_code: i32,
@@ -55,10 +55,10 @@ impl CmdResult {
 }
 
 /// Marker prefix for "compiled binaries" in the container filesystem.
-pub(crate) const BINARY_MAGIC: &str = "RAIBIN\n";
+const BINARY_MAGIC: &str = "RAIBIN\n";
 
 /// Where `cmake` writes the Makefile and `make` reads it: `Makefile`
-/// in [`WORKDIR`].
+/// in [`WORKDIR`](crate::container::WORKDIR).
 const MAKEFILE: &str = "build/Makefile";
 
 /// What `make` reserves for a binary: the magic, `// `, a directive
@@ -70,10 +70,17 @@ const BINARY_BYTES: usize = 128;
 /// queries in elapsed = X.XXX s`, see `run_program`).
 const ELAPSED: &[u8] = b"elapsed = ";
 
+/// A program's internal timer, read from one of its output lines: the
+/// first word after the line's first `elapsed = `, in seconds. The
+/// worker's report and the client's receipt both read it here.
+pub fn internal_timer(line: &str) -> Option<f64> {
+    after_elapsed(line)?.split_whitespace().next()?.parse().ok()
+}
+
 /// The text after the first `elapsed = ` of an output line, up to the
 /// next one: exactly `line.split("elapsed = ").nth(1)`, found from the
 /// line's `=` bytes instead of a substring searcher built per line.
-pub fn after_elapsed(line: &str) -> Option<&str> {
+fn after_elapsed(line: &str) -> Option<&str> {
     // The `=` is the needle's ninth byte.
     let start = find_from(line, ELAPSED, 8, 0)? + ELAPSED.len();
     let end = find_from(line, ELAPSED, 8, start).unwrap_or(line.len());
@@ -144,7 +151,7 @@ const WORDS: usize = 8;
 /// of `cmd` (empty when `start == end`), and only a quote mark *inside*
 /// it (`a"b c"d`) makes quote removal splice an owned one. The line is
 /// read a run of word bytes at a time, sliced once where a word ends.
-pub fn shell_words(cmd: &str) -> Vec<Cow<'_, str>> {
+pub(crate) fn shell_words(cmd: &str) -> Vec<Cow<'_, str>> {
     let bytes = cmd.as_bytes();
     let mut words = Vec::with_capacity(WORDS);
     let (mut start, mut end) = (0, 0);
@@ -210,15 +217,16 @@ pub fn shell_words(cmd: &str) -> Vec<Cow<'_, str>> {
     words
 }
 
-/// Words printed with `sep` between them, straight into whatever the
-/// formatter writes to (`echo`'s line, `ls`'s listing).
-struct Joined<'a, W>(&'a [W], &'a str);
+/// Words printed with a space between them, straight into whatever
+/// the formatter writes to (`echo`'s line, the command `nvprof`
+/// profiles).
+struct Joined<'a, W>(&'a [W]);
 
 impl<W: AsRef<str>> fmt::Display for Joined<'_, W> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (i, word) in self.0.iter().enumerate() {
             if i > 0 {
-                f.write_str(self.1)?;
+                f.write_str(" ")?;
             }
             f.write_str(word.as_ref())?;
         }
@@ -234,7 +242,7 @@ const NETWORK_TOOLS: &[&str] = &[
 /// Split a command line on top-level `&&`, honouring quotes (students
 /// write `cmake /src && make` in their build files). The pieces are
 /// trimmed slices of `cmd`.
-pub fn split_chain(cmd: &str) -> impl Iterator<Item = &str> {
+pub(crate) fn split_chain(cmd: &str) -> impl Iterator<Item = &str> {
     let mut rest = Some(cmd);
     std::iter::from_fn(move || {
         let tail = rest?;
@@ -317,30 +325,10 @@ fn dispatch(container: &mut Container, words: &[Cow<'_, str>], depth: usize) -> 
         "nvprof" => run_nvprof(container, args, depth),
         "/usr/bin/time" | "time" => run_time(container, args, depth),
         "cp" => run_cp(container, args),
-        "ls" => run_ls(container, args),
         "cat" => run_cat(container, args),
-        "mkdir" => CmdResult::ok(SimDuration::MILLI), // dirs are implicit
-        "rm" => run_rm(container, args),
         "grep" => run_grep(container, args),
-        "head" => run_head(container, args),
-        "wc" => run_wc(container, args),
-        "pwd" => {
-            container.log(LogStream::Stdout, format_args!("/{WORKDIR}"));
-            CmdResult::ok(SimDuration::MILLI)
-        }
-        "env" => {
-            for line in [
-                "PATH=/usr/local/cuda/bin:/usr/bin:/bin",
-                "CUDA_HOME=/usr/local/cuda",
-                "HOME=/root",
-            ] {
-                container.log(LogStream::Stdout, format_args!("{line}"));
-            }
-            CmdResult::ok(SimDuration::MILLI)
-        }
-        "true" | ":" => CmdResult::ok(SimDuration::MILLI),
-        "false" => CmdResult::fail(1, SimDuration::MILLI),
-        "sleep" => run_sleep(container, args),
+        "true" => CmdResult::ok(SimDuration::MILLI),
+        "sleep" => run_sleep(args),
         t if NETWORK_TOOLS.contains(&t) => {
             container.log(
                 LogStream::Stderr,
@@ -364,20 +352,19 @@ fn is_program_invocation(argv0: &str) -> bool {
 }
 
 fn run_echo(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
-    container.log(LogStream::Stdout, format_args!("{}", Joined(args, " ")));
+    container.log(LogStream::Stdout, format_args!("{}", Joined(args)));
     CmdResult::ok(SimDuration::MILLI)
 }
 
-fn run_sleep(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
+fn run_sleep(args: &[Cow<'_, str>]) -> CmdResult {
     let secs: f64 = args.first().and_then(|a| a.parse().ok()).unwrap_or(0.0);
-    let _ = container;
     CmdResult::ok(SimDuration::from_secs_f64(secs))
 }
 
 /// `cmake <srcdir>`: requires `CMakeLists.txt`, records the executable
 /// target, and "generates a Makefile" in the working directory.
 fn run_cmake(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
-    let srcdir = args.iter().find(|a| !a.starts_with('-')).map_or("/src", |a| a);
+    let srcdir = args.first().map_or("/src", |a| a);
     let src = container.resolve_path(srcdir);
     let lists_path = [&src, "/CMakeLists.txt"].concat();
     let Some(lists) = container.fs.get(&lists_path).cloned() else {
@@ -623,8 +610,8 @@ fn run_program(container: &mut Container, words: &[Cow<'_, str>]) -> CmdResult {
         return CmdResult::fail(1, SimDuration::from_millis(60));
     }
 
-    let scale = container.program_time_scale();
-    let duration = SimDuration::from_secs_f64(spec.runtime_ms(items) * scale / 1000.0);
+    let duration =
+        SimDuration::from_secs_f64(spec.runtime_ms(items) * container.time_dilation / 1000.0);
     if let Some(kill) = container.charge(duration, spec.memory_bytes) {
         if kill == KillReason::OutOfMemory {
             container.log(LogStream::Stderr, format_args!("Killed"));
@@ -653,21 +640,15 @@ fn run_nvprof(container: &mut Container, args: &[Cow<'_, str>], depth: usize) ->
     }
     let mut profile_out: Option<&str> = None;
     let mut rest = args;
-    while let Some(first) = rest.first() {
-        if first == "--export-profile" {
-            profile_out = rest.get(1).map(|file| file.as_ref());
-            rest = &rest[2.min(rest.len())..];
-        } else if first.starts_with("--") {
-            rest = &rest[1..];
-        } else {
-            break;
-        }
+    if rest.first().is_some_and(|first| first == "--export-profile") {
+        profile_out = rest.get(1).map(|file| file.as_ref());
+        rest = &rest[2.min(rest.len())..];
     }
     if rest.is_empty() {
         container.log(LogStream::Stderr, format_args!("nvprof: no application specified"));
         return CmdResult::fail(1, SimDuration::MILLI);
     }
-    let application = Joined(rest, " ");
+    let application = Joined(rest);
     container.log(LogStream::Stderr, format_args!("==PROF== Profiling application: {application}"));
     let inner = dispatch(container, rest, depth + 1);
     if inner.killed.is_some() {
@@ -732,8 +713,8 @@ fn no_space(container: &mut Container, who: &str, path: &str, duration: SimDurat
 
 /// `cp [-r] <src> <dst>`.
 fn run_cp(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
-    let recursive = args.iter().any(|a| a == "-r" || a == "-R" || a == "-a");
-    let paths: Vec<&str> = args.iter().map(|a| a.as_ref()).filter(|a| !a.starts_with('-')).collect();
+    let recursive = args.iter().any(|a| a == "-r");
+    let paths: Vec<&str> = args.iter().map(|a| a.as_ref()).filter(|&a| a != "-r").collect();
     if paths.len() != 2 {
         container.log(LogStream::Stderr, format_args!("cp: expected source and destination"));
         return CmdResult::fail(1, SimDuration::MILLI);
@@ -782,31 +763,9 @@ fn run_cp(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
     CmdResult::ok(SimDuration::from_millis(5 + sub.total_size() / (200 * 1024)))
 }
 
-fn run_ls(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
-    let dir = args
-        .iter()
-        .find(|a| !a.starts_with('-'))
-        .map_or(Cow::Borrowed(WORKDIR), |a| container.resolve_path(a));
-    let prefix = [&dir, "/"].concat();
-    let mut names: Vec<String> = Vec::new();
-    for path in container.fs.paths() {
-        if let Some(rest) = path.strip_prefix(&prefix) {
-            let first = rest.split('/').next().unwrap_or(rest);
-            if !names.iter().any(|n| n == first) {
-                names.push(first.to_string());
-            }
-        } else if path == dir {
-            names.push(dir.rsplit('/').next().unwrap_or(&dir).to_string());
-        }
-    }
-    names.sort();
-    container.log(LogStream::Stdout, format_args!("{}", Joined(&names, "  ")));
-    CmdResult::ok(SimDuration::MILLI)
-}
-
 fn run_cat(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
     let mut code = 0;
-    for a in args.iter().filter(|a| !a.starts_with('-')) {
+    for a in args {
         let path = container.resolve_path(a);
         match container.fs.get(&path).cloned() {
             Some(data) => {
@@ -823,18 +782,13 @@ fn run_cat(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
             }
         }
     }
-    CmdResult {
-        exit_code: code,
-        duration: SimDuration::MILLI,
-        killed: None,
-    }
+    CmdResult::fail(code, SimDuration::MILLI)
 }
 
 /// `grep <pattern> <files…>`: substring match, exit 1 when nothing
 /// matches (students grep build logs and sources).
 fn run_grep(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
-    let positional: Vec<&str> = args.iter().map(|a| a.as_ref()).filter(|a| !a.starts_with('-')).collect();
-    let Some((pattern, files)) = positional.split_first() else {
+    let Some((pattern, files)) = args.split_first() else {
         container.log(LogStream::Stderr, format_args!("usage: grep PATTERN [FILE]..."));
         return CmdResult::fail(2, SimDuration::MILLI);
     };
@@ -843,7 +797,7 @@ fn run_grep(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
         let path = container.resolve_path(file);
         match container.fs.get(&path).cloned() {
             Some(data) => {
-                for line in text(&data).lines().filter(|l| l.contains(pattern)) {
+                for line in text(&data).lines().filter(|l| l.contains(pattern.as_ref())) {
                     matched = true;
                     container.log(LogStream::Stdout, format_args!("{line}"));
                 }
@@ -860,81 +814,10 @@ fn run_grep(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
     CmdResult::fail(i32::from(!matched), SimDuration::MILLI)
 }
 
-/// `head [-n N] <file>`.
-fn run_head(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
-    let mut n = 10usize;
-    let mut file = None;
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        if a == "-n" {
-            n = iter.next().and_then(|v| v.parse().ok()).unwrap_or(10);
-        } else if !a.starts_with('-') {
-            file = Some(a.as_ref());
-        }
-    }
-    let Some(file) = file else {
-        return CmdResult::fail(1, SimDuration::MILLI);
-    };
-    let path = container.resolve_path(file);
-    match container.fs.get(&path).cloned() {
-        Some(data) => {
-            for line in text(&data).lines().take(n) {
-                container.log(LogStream::Stdout, format_args!("{line}"));
-            }
-            CmdResult::ok(SimDuration::MILLI)
-        }
-        None => {
-            container.log(
-                LogStream::Stderr,
-                format_args!("head: cannot open '{file}' for reading"),
-            );
-            CmdResult::fail(1, SimDuration::MILLI)
-        }
-    }
-}
-
-/// `wc -l <file>`: line count (the only wc mode students use here).
-fn run_wc(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
-    let Some(file) = args.iter().find(|a| !a.starts_with('-')) else {
-        return CmdResult::fail(1, SimDuration::MILLI);
-    };
-    let path = container.resolve_path(file);
-    match container.fs.get(&path).cloned() {
-        Some(data) => {
-            let lines = text(&data).lines().count();
-            container.log(LogStream::Stdout, format_args!("{lines} {file}"));
-            CmdResult::ok(SimDuration::MILLI)
-        }
-        None => {
-            container.log(LogStream::Stderr, format_args!("wc: {file}: No such file or directory"));
-            CmdResult::fail(1, SimDuration::MILLI)
-        }
-    }
-}
-
-fn run_rm(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
-    let recursive = args.iter().any(|a| matches!(a.as_ref(), "-r" | "-R" | "-rf" | "-fr"));
-    let mut code = 0;
-    for a in args.iter().filter(|a| !a.starts_with('-')) {
-        let p = container.resolve_path(a);
-        if container.fs.remove(&p).is_some() {
-            continue;
-        }
-        if recursive && container.fs.remove_dir(&p) > 0 {
-            continue;
-        }
-        container.log(
-            LogStream::Stderr,
-            format_args!("rm: cannot remove '/{p}': No such file or directory"),
-        );
-        code = 1;
-    }
-    CmdResult::fail(code, SimDuration::MILLI)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::container::WORKDIR;
     use proptest::prelude::*;
 
     /// The tokeniser this module shipped until the borrowed one

@@ -39,13 +39,11 @@ impl std::fmt::Display for ImageError {
     }
 }
 
-impl std::error::Error for ImageError {}
-
 /// The image repository, each image marked whitelisted or not, shared
 /// by all workers. An image never changes once added, so the registry
 /// hands out shared handles: a job's claim clones the `Arc`, not the
 /// layer list.
-#[derive(Clone, Debug, Default)]
+#[derive(Default)]
 pub struct ImageRegistry {
     /// Every image by name, with whether students may pick it.
     images: BTreeMap<String, (Arc<Image>, bool)>,
@@ -53,6 +51,13 @@ pub struct ImageRegistry {
 
 /// Modeled network bandwidth for image pulls (100 MB/s).
 const PULL_BYTES_PER_MS: u64 = 100 * 1024 * 1024 / 1000;
+
+impl Image {
+    /// Time to pull this image onto a worker that does not cache it.
+    pub fn pull_latency(&self) -> SimDuration {
+        SimDuration::from_millis(self.size_bytes / PULL_BYTES_PER_MS)
+    }
+}
 
 impl ImageRegistry {
     /// The registry used for the Applied Parallel Programming course:
@@ -114,13 +119,6 @@ impl ImageRegistry {
         }
     }
 
-    /// Time to pull an image that is not cached on the worker.
-    pub fn pull_latency(&self, name: &str) -> SimDuration {
-        match self.images.get(name) {
-            Some((img, _)) => SimDuration::from_millis(img.size_bytes / PULL_BYTES_PER_MS),
-            None => SimDuration::ZERO,
-        }
-    }
 }
 
 /// A recognizable stand-in for the course's HDF5 files: a tiny header
@@ -165,8 +163,8 @@ mod tests {
     #[test]
     fn pull_latency_scales_with_size() {
         let reg = ImageRegistry::course_default();
-        let big = reg.pull_latency("webgpu/rai:root");
-        let small = reg.pull_latency("malicious/miner:latest");
+        let big = reg.resolve("webgpu/rai:root").unwrap().pull_latency();
+        let small = reg.resolve("webgpu/rai:cuda8").unwrap().pull_latency();
         assert!(big > small);
         assert!(big >= SimDuration::from_secs(30), "4GB at 100MB/s ≈ 40s, got {big}");
     }

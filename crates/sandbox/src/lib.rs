@@ -7,10 +7,10 @@
 //! maximum lifetime. This crate reproduces that runtime as a
 //! deterministic simulation:
 //!
-//! * [`image`] — base-image registry with the instructor's whitelist,
+//! * `image` — base-image registry with the instructor's whitelist,
 //!   preloaded `/data` volumes (test datasets, model weights) and a pull
 //!   latency model;
-//! * [`limits`] — the paper's resource limits: 8 GB of memory and the
+//! * `limits` — the paper's resource limits: 8 GB of memory and the
 //!   lifetime (1 hour for a job); no container reaches the network;
 //! * `perf` — the performance model: student sources carry a
 //!   `rai:perf` directive (mode, full-dataset runtime, accuracy, memory
@@ -20,25 +20,31 @@
 //! * `decimal` — how the interpreter prints numbers: simulated time
 //!   and a program's accuracy from the integers they are, byte for byte
 //!   what `format!` printed;
-//! * [`exec`] — the build-command interpreter (`echo`, `cmake`, `make`,
-//!   `nvprof`, `/usr/bin/time`, `cp -r`, program invocation), charging
-//!   simulated time/memory and enforcing the limits;
-//! * [`container`] — container lifecycle (create → run commands →
+//! * [`exec`] — the build-command interpreter for the commands courses
+//!   issue (`echo`, `cmake`, `make`, program invocation, `nvprof
+//!   [--export-profile FILE]`, `time` and `/usr/bin/time`, `cp -r`,
+//!   `cat`, `grep`, `sleep`, `true`, and the denied network tools),
+//!   charging simulated time/memory and enforcing the limits; any other
+//!   command is not found (exit 127);
+//! * `container` — container lifecycle (create → run commands →
 //!   destroy), mounts, GPU attachment, the job's output (one buffer of
 //!   lines, capped at [`MAX_OUTPUT_BYTES`]) and the execution report the
 //!   worker ships back.
 
 #![forbid(unsafe_code)]
 
-pub mod container;
+mod container;
 mod decimal;
 pub mod exec;
-pub mod image;
-pub mod limits;
+mod image;
+mod limits;
 mod perf;
+#[cfg(test)]
+mod proptests;
 
 pub use container::{
-    Container, ContainerStatus, JobOutput, LogLine, LogStream, OutputLine, MAX_OUTPUT_BYTES,
+    Container, ContainerStatus, ExecutionReport, JobOutput, KillReason, LogLine, LogStream,
+    OutputLine, MAX_OUTPUT_BYTES,
 };
-pub use image::{Image, ImageRegistry};
+pub use image::{Image, ImageError, ImageRegistry};
 pub use limits::ResourceLimits;

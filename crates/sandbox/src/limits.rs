@@ -8,13 +8,12 @@
 use rai_sim::SimDuration;
 
 /// Maximum resident memory of any container: the paper's 8 GB.
-pub const MEMORY_BYTES: u64 = 8 * 1024 * 1024 * 1024;
+pub(crate) const MEMORY_BYTES: u64 = 8 * 1024 * 1024 * 1024;
 
 /// Resource limits applied to a container.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ResourceLimits {
     /// Maximum container lifetime (wall clock inside the simulation).
-    pub max_lifetime: SimDuration,
+    pub(crate) max_lifetime: SimDuration,
     /// Number of GPUs visible inside the container.
     pub gpus: u32,
 }

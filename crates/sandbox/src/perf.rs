@@ -46,7 +46,7 @@ pub(crate) struct PerfSpec {
 }
 
 /// Items in the full dataset (`/data/testfull.hdf5`).
-pub(crate) const FULL_DATASET_ITEMS: u64 = 10_000;
+const FULL_DATASET_ITEMS: u64 = 10_000;
 
 impl Default for PerfSpec {
     /// The provided serial baseline: ~30 minutes on the full dataset.

@@ -3,11 +3,12 @@
 //! worker, never escape the filesystem sandbox, and always respect the
 //! resource limits.
 
+use crate::container::{Container, ContainerStatus, ExecutionReport, KillReason};
+use crate::exec::{shell_words, split_chain};
+use crate::image::ImageRegistry;
+use crate::limits::{ResourceLimits, MEMORY_BYTES};
 use proptest::prelude::*;
 use rai_archive::FileTree;
-use rai_sandbox::container::{ExecutionReport, KillReason};
-use rai_sandbox::exec::{shell_words, split_chain};
-use rai_sandbox::{Container, ContainerStatus, ImageRegistry, ResourceLimits};
 
 fn container() -> Container {
     let reg = ImageRegistry::course_default();
@@ -95,7 +96,7 @@ proptest! {
         let report = run_with_mem_mb(mem_mb);
         let fits = mem_mb
             .checked_mul(1024 * 1024)
-            .is_some_and(|bytes| bytes <= rai_sandbox::limits::MEMORY_BYTES);
+            .is_some_and(|bytes| bytes <= MEMORY_BYTES);
         if fits {
             prop_assert!(report.success(), "{mem_mb}MB fits under the cap");
         } else {

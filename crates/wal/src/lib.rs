@@ -501,11 +501,14 @@ impl Wal {
     /// and accounting damage as [`decode_segment`] does. Adds the
     /// records replayed to the shared `replayed` counter; the damage is
     /// the caller's to report.
+    ///
+    /// Segments are decoded in place, under the disk's lock, so `each`
+    /// must not touch this log's disk: recovery rebuilds in-memory state
+    /// before the service it rebuilds attaches the log.
     pub fn replay_each(&self, mut each: impl FnMut(&[u8])) -> ReplayStats {
         let mut stats = ReplayStats::default();
-        for id in self.inner.disk.list_segments() {
-            let bytes = self.inner.disk.read_segment(id);
-            decode_each(&bytes, &mut stats, &mut each);
+        for segment in self.inner.disk.segments.lock().values() {
+            decode_each(&segment.data, &mut stats, &mut each);
         }
         self.inner.counters.replayed.fetch_add(stats.replayed, Ordering::Relaxed);
         stats

@@ -114,15 +114,6 @@ impl Yaml {
             _ => None,
         }
     }
-
-    /// [`Yaml::scalar_to_string`] by value: a string scalar is moved
-    /// out, not cloned.
-    pub fn into_scalar_string(self) -> Option<String> {
-        match self {
-            Yaml::Str(s) => Some(s),
-            other => other.scalar_to_string(),
-        }
-    }
 }
 
 /// A scalar as the parser reads it, before anyone keeps it: a plain
@@ -152,7 +143,7 @@ impl<'a> Scalar<'a> {
         }
     }
 
-    /// The scalar as [`Yaml::into_scalar_string`] renders it, borrowed
+    /// The scalar as [`Yaml::scalar_to_string`] renders it, borrowed
     /// where the text is.
     pub fn into_string(self) -> Cow<'a, str> {
         match self {
