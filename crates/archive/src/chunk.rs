@@ -43,7 +43,7 @@ const fn splitmix64(seed: u64) -> u64 {
 /// `log2(avg)` bits of a mixed window of the rolling hash are zero, so
 /// chunk sizes are roughly geometric with mean `avg` (clamped to
 /// `[min, max]`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ChunkerParams {
     /// No boundary before this many bytes.
     pub min: usize,
@@ -102,15 +102,9 @@ impl ChunkerParams {
     }
 }
 
-impl Default for ChunkerParams {
-    fn default() -> Self {
-        Self::DEFAULT
-    }
-}
-
 /// Reference to one chunk inside a manifest: content digest plus
 /// length. The digest is the chunk's identity in the store.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ChunkRef {
     /// FNV-1a digest of the chunk bytes.
     pub digest: u64,
@@ -119,7 +113,7 @@ pub struct ChunkRef {
 }
 
 /// One materialized chunk: digest plus the bytes themselves.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Chunk {
     /// FNV-1a digest of `data`.
     pub digest: u64,
@@ -134,7 +128,7 @@ pub struct Chunk {
 /// same value [`crate::fnv::etag`] returns for the concatenation), so a
 /// manifest-stored object keeps the etag a plain whole-object store
 /// would have produced.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ChunkManifest {
     /// Ordered chunk references.
     pub chunks: Vec<ChunkRef>,

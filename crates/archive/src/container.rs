@@ -25,7 +25,6 @@ const MAGIC: &[u8; 8] = b"RAIAR1\0\0";
 /// Entry kind. Only regular files exist today; the discriminant is kept
 /// explicit so that the format can grow (symlinks, exec bits) without a
 /// magic bump.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub(crate) enum EntryKind {
     /// A regular file.
@@ -33,7 +32,7 @@ pub(crate) enum EntryKind {
 }
 
 /// Error reading or writing an archive.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq)]
 pub enum ArchiveError {
     /// Wrong magic bytes.
     BadMagic,
@@ -67,8 +66,6 @@ impl std::fmt::Display for ArchiveError {
         }
     }
 }
-
-impl std::error::Error for ArchiveError {}
 
 // Framing bytes: the magic and entry count ahead of the entries, per
 // entry its path length, kind, data length and checksum, and the
@@ -230,12 +227,12 @@ impl<'a> Reader<'a> {
 
 /// Deserialize a container back into a [`FileTree`], verifying every
 /// checksum. Copies `buf` once into a shared buffer and reads that
-/// ([`read_container_shared`]).
-pub fn read_container(buf: &[u8]) -> Result<FileTree, ArchiveError> {
-    read_container_shared(&Bytes::copy_from_slice(buf))
+/// ([`restore_shared`]).
+pub fn restore(buf: &[u8]) -> Result<FileTree, ArchiveError> {
+    restore_shared(&Bytes::copy_from_slice(buf))
 }
 
-/// [`read_container`] over a shared buffer: the files of the returned
+/// [`restore`] over a shared buffer: the files of the returned
 /// tree are views of `buf` — no file bytes are copied, and the tree
 /// keeps `buf`'s buffer alive.
 ///
@@ -243,7 +240,7 @@ pub fn read_container(buf: &[u8]) -> Result<FileTree, ArchiveError> {
 /// pass, but the verdict is the two-pass one: the whole-archive
 /// checksum is judged first, so a trailer mismatch outranks whatever
 /// the parse made of the damaged bytes.
-pub fn read_container_shared(buf: &Bytes) -> Result<FileTree, ArchiveError> {
+pub fn restore_shared(buf: &Bytes) -> Result<FileTree, ArchiveError> {
     if buf.len() < MAGIC.len() + 4 + 8 {
         return Err(ArchiveError::Truncated);
     }
@@ -317,14 +314,14 @@ mod tests {
     fn round_trip() {
         let t = sample_tree();
         let bytes = write_container(&t);
-        let back = read_container(&bytes).unwrap();
+        let back = restore(&bytes).unwrap();
         assert_eq!(back, t);
     }
 
     #[test]
     fn empty_tree_round_trips() {
         let t = FileTree::new();
-        assert_eq!(read_container(&write_container(&t)).unwrap(), t);
+        assert_eq!(restore(&write_container(&t)).unwrap(), t);
     }
 
     #[test]
@@ -335,7 +332,7 @@ mod tests {
             let mut corrupted = bytes.clone();
             corrupted[pos] ^= 0x40;
             assert!(
-                read_container(&corrupted).is_err(),
+                restore(&corrupted).is_err(),
                 "bit flip at {pos} went undetected"
             );
         }
@@ -345,7 +342,7 @@ mod tests {
     fn detects_truncation() {
         let bytes = write_container(&sample_tree());
         for cut in [4, bytes.len() / 2, bytes.len() - 1] {
-            assert!(read_container(&bytes[..cut]).is_err(), "cut at {cut}");
+            assert!(restore(&bytes[..cut]).is_err(), "cut at {cut}");
         }
     }
 
@@ -359,7 +356,7 @@ mod tests {
         h.update(&bytes[..body_len]);
         let digest = h.digest().to_le_bytes();
         bytes[body_len..].copy_from_slice(&digest);
-        assert_eq!(read_container(&bytes), Err(ArchiveError::BadMagic));
+        assert_eq!(restore(&bytes), Err(ArchiveError::BadMagic));
     }
 
     #[test]
@@ -376,14 +373,14 @@ mod tests {
         let trailer = fnv::hash(&bytes);
         bytes.extend_from_slice(&trailer.to_le_bytes());
         assert_eq!(bytes.len(), 48);
-        assert_eq!(read_container(&bytes), Err(ArchiveError::Truncated));
+        assert_eq!(restore(&bytes), Err(ArchiveError::Truncated));
     }
 
     #[test]
     fn shared_read_hands_out_views_of_the_container() {
         let t = sample_tree();
         let container = Bytes::from(write_container(&t));
-        let back = read_container_shared(&container).unwrap();
+        let back = restore_shared(&container).unwrap();
         assert_eq!(back, t);
         let span = container.as_ptr_range();
         for (path, data) in back.iter() {

@@ -8,7 +8,7 @@ pub const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 pub(crate) const PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Incremental FNV-1a hasher.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy)]
 pub struct Fnv1a(u64);
 
 impl Default for Fnv1a {
@@ -36,7 +36,7 @@ impl Fnv1a {
     }
 
     /// Fold one byte into the state: the step every multi-chain loop
-    /// is built from (see [`update_all`]).
+    /// is built from (see `update_all`).
     #[inline(always)]
     pub fn push(&mut self, byte: u8) {
         self.0 = (self.0 ^ byte as u64).wrapping_mul(PRIME);
@@ -57,7 +57,7 @@ impl Fnv1a {
 /// locals for the loop and written back once, so none of them is stored
 /// to memory per byte. The container codec folds an entry checksum and
 /// the trailer this way.
-pub fn update_all<const N: usize>(chains: &mut [Fnv1a; N], bytes: &[u8]) {
+pub(crate) fn update_all<const N: usize>(chains: &mut [Fnv1a; N], bytes: &[u8]) {
     let mut held = *chains;
     for &byte in bytes {
         for chain in &mut held {
@@ -75,7 +75,7 @@ pub fn update_all<const N: usize>(chains: &mut [Fnv1a; N], bytes: &[u8]) {
 /// The four chains fold *different* bytes, but that is no obstacle to
 /// interleaving them: what bounds a chain is the latency of each step
 /// waiting on the last, and steps of independent chains do not wait
-/// on each other, whatever bytes they read ([`update_all`] overlaps
+/// on each other, whatever bytes they read (`update_all` overlaps
 /// chains over the same bytes the same way). The lanes live on the
 /// stack; `done` is called once per part, not in part order.
 pub fn hash_lanes<'a, T>(

@@ -2,13 +2,13 @@
 //! round-trips over arbitrary data, corruption detection, and the
 //! one-pass producers against the two-pass programs they replace.
 
-use proptest::prelude::*;
-use rai_archive::fnv::{self, Fnv1a};
-use rai_archive::tree::normalize;
-use rai_archive::{
-    chunk_shared, container_len, read_container, restore, write_container,
-    write_container_chunked, ArchiveError, Bytes, ChunkerParams, FileTree,
+use crate::fnv::{self, Fnv1a};
+use crate::tree::normalize;
+use crate::{
+    chunk_shared, container_len, restore, write_container, write_container_chunked, ArchiveError,
+    Bytes, ChunkerParams, FileTree,
 };
+use proptest::prelude::*;
 
 fn arb_tree() -> impl Strategy<Value = FileTree> {
     let path = proptest::string::string_regex("[a-z][a-z0-9_.]{0,8}(/[a-z][a-z0-9_.]{0,8}){0,3}")
@@ -29,7 +29,7 @@ proptest! {
 
     #[test]
     fn container_round_trips(tree in arb_tree()) {
-        prop_assert_eq!(read_container(&write_container(&tree)).unwrap(), tree);
+        prop_assert_eq!(restore(&write_container(&tree)).unwrap(), tree);
     }
 
     #[test]
@@ -43,7 +43,7 @@ proptest! {
         // Either the flip is detected, or (never) silently accepted as a
         // *different* tree. Equal output is allowed only if the bytes are
         // equal, which they are not.
-        match read_container(&corrupted) {
+        match restore(&corrupted) {
             Err(_) => {}
             Ok(t) => prop_assert_eq!(t, tree, "corruption silently changed content"),
         }
@@ -64,11 +64,11 @@ proptest! {
     }
 }
 
-fn arb_chunker_params() -> impl Strategy<Value = rai_archive::ChunkerParams> {
+fn arb_chunker_params() -> impl Strategy<Value = crate::ChunkerParams> {
     // avg must be a power of two; min and max bracket it.
     (2u32..10, 1usize..=64, 1usize..=8).prop_map(|(exp, min, mul)| {
         let avg = 1usize << exp;
-        rai_archive::ChunkerParams {
+        crate::ChunkerParams {
             min: min.min(avg),
             avg,
             max: avg * mul,
@@ -84,13 +84,13 @@ proptest! {
         data in prop::collection::vec(any::<u8>(), 0..8192),
         params in arb_chunker_params(),
     ) {
-        let (manifest, chunks) = rai_archive::chunk_bytes(&data, params);
+        let (manifest, chunks) = crate::chunk::chunk_bytes(&data, params);
         let map: std::collections::BTreeMap<_, _> =
             chunks.iter().map(|c| (c.digest, c.data.clone())).collect();
-        let back = rai_archive::chunk::assemble(&manifest, |d| map.get(&d).cloned());
+        let back = crate::chunk::assemble(&manifest, |d| map.get(&d).cloned());
         prop_assert_eq!(back.as_deref(), Some(&data[..]));
         prop_assert_eq!(manifest.total_len, data.len() as u64);
-        prop_assert_eq!(&manifest.etag, &rai_archive::fnv::etag(&data));
+        prop_assert_eq!(&manifest.etag, &crate::fnv::etag(&data));
     }
 
     #[test]
@@ -98,8 +98,8 @@ proptest! {
         data in prop::collection::vec(any::<u8>(), 0..8192),
         params in arb_chunker_params(),
     ) {
-        let (a, _) = rai_archive::chunk_bytes(&data, params);
-        let (b, _) = rai_archive::chunk_bytes(&data, params);
+        let (a, _) = crate::chunk::chunk_bytes(&data, params);
+        let (b, _) = crate::chunk::chunk_bytes(&data, params);
         prop_assert_eq!(a, b);
     }
 
@@ -108,7 +108,7 @@ proptest! {
         data in prop::collection::vec(any::<u8>(), 0..8192),
         params in arb_chunker_params(),
     ) {
-        let (manifest, _) = rai_archive::chunk_bytes(&data, params);
+        let (manifest, _) = crate::chunk::chunk_bytes(&data, params);
         let mut total = 0u64;
         for (i, c) in manifest.chunks.iter().enumerate() {
             prop_assert!((c.len as usize) <= params.max, "chunk {} over max", i);
@@ -122,10 +122,10 @@ proptest! {
     }
 }
 
-/// `read_container` as two passes over the bytes: the whole-archive
+/// `restore` as two passes over the bytes: the whole-archive
 /// checksum first, the entries only once it holds. The fused reader
 /// must return exactly this for every input.
-fn read_container_two_pass(buf: &[u8]) -> Result<FileTree, ArchiveError> {
+fn restore_two_pass(buf: &[u8]) -> Result<FileTree, ArchiveError> {
     fn take<'a>(rest: &mut &'a [u8], n: u64) -> Result<&'a [u8], ArchiveError> {
         if n > rest.len() as u64 {
             return Err(ArchiveError::Truncated);
@@ -276,7 +276,7 @@ proptest! {
     #[test]
     fn text_equals_lossy_decode(pieces in prop::collection::vec(arb_utf8_piece(), 0..24)) {
         let bytes = pieces.concat();
-        let got = rai_archive::text(&bytes);
+        let got = crate::text(&bytes);
         prop_assert_eq!(&got, &String::from_utf8_lossy(&bytes));
         let borrowed = matches!(got, std::borrow::Cow::Borrowed(_));
         prop_assert_eq!(borrowed, std::str::from_utf8(&bytes).is_ok(), "borrowed iff valid");
@@ -316,7 +316,7 @@ proptest! {
             let trailer = fnv::hash(&bytes[..body]).to_le_bytes();
             bytes[body..].copy_from_slice(&trailer);
         }
-        prop_assert_eq!(read_container(&bytes), read_container_two_pass(&bytes));
+        prop_assert_eq!(restore(&bytes), restore_two_pass(&bytes));
     }
 }
 

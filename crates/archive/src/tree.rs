@@ -21,7 +21,7 @@ pub struct FileTree {
 }
 
 /// Error inserting an invalid path.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq)]
 pub struct InvalidPath(pub String);
 
 impl std::fmt::Display for InvalidPath {
@@ -30,12 +30,12 @@ impl std::fmt::Display for InvalidPath {
     }
 }
 
-impl std::error::Error for InvalidPath {}
-
 /// Why a tree refused a write.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq)]
 pub enum TreeError {
-    /// The path is not one a tree holds (see [`normalize`]).
+    /// The path is not one a tree holds: empty, with a `.`, `..` or
+    /// empty component, a backslash or NUL, or longer than
+    /// [`MAX_PATH_BYTES`] once a leading `/` is stripped.
     Path(InvalidPath),
     /// The write would take the tree past [`MAX_ENTRIES`] files or
     /// [`MAX_TREE_BYTES`] bytes.
@@ -57,8 +57,6 @@ impl std::fmt::Display for TreeError {
     }
 }
 
-impl std::error::Error for TreeError {}
-
 /// Longest normalized path a tree holds, in bytes: Linux's `PATH_MAX`.
 /// The container format's own limit is 65 535 (a `u16` length); a tree
 /// that never holds more is one every container writer can write.
@@ -78,7 +76,7 @@ pub const MAX_TREE_BYTES: u64 = 64 << 20;
 /// Validate and normalize a path: strips a leading `/`, rejects empty
 /// paths, `.`/`..` components, backslashes, empty components and
 /// normal forms longer than [`MAX_PATH_BYTES`].
-pub fn normalize(path: &str) -> Result<String, InvalidPath> {
+pub(crate) fn normalize(path: &str) -> Result<String, InvalidPath> {
     normalized(path).map(str::to_string)
 }
 

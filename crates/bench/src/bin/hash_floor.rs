@@ -7,7 +7,8 @@
 //! source-like text and random bytes) the bin alternates one
 //! `fnv::hash` over the tree's container with each pass — the fused
 //! writer `write_container_chunked`, `write_container`, `chunk_shared`
-//! and `read_container_shared` — for 21 rounds, keeps each one's
+//! and `restore_shared` (its row keeps the label
+//! `read_container_shared`) — for 21 rounds, keeps each one's
 //! fastest round and prints its ratio to the chain. It exits non-zero
 //! if any pass costs more than `CEILING` chains. Each timed round
 //! follows a pause and an untimed one, so the bin takes ≈ 3 s.
@@ -23,7 +24,7 @@
 //! ```
 
 use rai_archive::{
-    chunk_shared, fnv, read_container_shared, write_container, write_container_chunked, Bytes,
+    chunk_shared, fnv, restore_shared, write_container, write_container_chunked, Bytes,
     ChunkerParams, FileTree,
 };
 use rai_auth::hmac_sha256;
@@ -118,7 +119,7 @@ fn main() {
             time(|| drop(black_box(write_container_chunked(black_box(&tree))))),
             time(|| drop(black_box(write_container(black_box(&tree))))),
             time(|| drop(black_box(chunk_shared(black_box(&container), params)))),
-            time(|| drop(black_box(read_container_shared(black_box(&container))))),
+            time(|| drop(black_box(restore_shared(black_box(&container))))),
             time(|| {
                 black_box(hmac_sha256(key, black_box(&container)));
             }),

@@ -8,8 +8,8 @@
 //! field: fingerprints, accepted/terminal/dead-letter/republish counts,
 //! replayed-record counts, corruption drops, compaction counts;
 //! `cargo test` holds the committed file to the same rendering. This
-//! bin prints the report, writes the file, and measures the replay
-//! wall clock (printed to stdout only — wall time is a host fact).
+//! bin prints the report, writes the file, and times one replay
+//! (printed to stdout only — wall time is a host fact).
 //!
 //! ```text
 //! cargo run --release -p rai-bench --bin recovery_report
@@ -18,33 +18,17 @@
 //! The JSON schema is documented in EXPERIMENTS.md.
 
 use rai_bench::baselines::{Recovery, SeedReport, KILL, SEEDS};
-use rai_workload::recovery::{run_recovery, RecoveryConfig, RecoveryResult};
+use rai_workload::recovery::{run_recovery, RecoveryConfig};
 
-/// Time one recovery in isolation and print it: the fault-free course
-/// killed at the pinned point.
+/// Time one recovery and print it: the fault-free course killed at the
+/// pinned point, timed around the one `recover_with_clock` call.
 fn replay_wall(seed: u64) {
-    // The killed run's logs are rebuilt inside run_recovery; timing the
-    // whole killed run vs the uninterrupted run would mix workload wall
-    // into the number. Instead, time N recovered runs against N
-    // uninterrupted ones and attribute the difference to recovery
-    // (replay + re-publish + re-drive of the killed round).
-    let cfg = RecoveryConfig::clean(seed, KILL);
-    let base_cfg = RecoveryConfig { kill: None, ..cfg.clone() };
-    const N: u32 = 5;
-    let time = |c: &RecoveryConfig| -> (f64, RecoveryResult) {
-        let start = std::time::Instant::now();
-        let mut last = None;
-        for _ in 0..N {
-            last = Some(run_recovery(c));
-        }
-        (start.elapsed().as_secs_f64() * 1e3 / f64::from(N), last.expect("ran"))
-    };
-    let (uninterrupted_ms, _) = time(&base_cfg);
-    let (killed_ms, result) = time(&cfg);
+    let result = run_recovery(&RecoveryConfig::clean(seed, KILL));
     let report = result.recovery.expect("recovery happened");
+    let wall = result.replay_wall.expect("recovery happened");
     println!(
         "  replay wall (seed {seed}): {:.2} ms over {} records (host fact, not gated)",
-        (killed_ms - uninterrupted_ms).max(0.0),
+        wall.as_secs_f64() * 1e3,
         report.db.stats.replayed + report.store.stats.replayed
     );
 }

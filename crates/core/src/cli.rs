@@ -13,7 +13,7 @@ use rai_auth::Credentials;
 use rai_archive::FileTree;
 
 /// A parsed client invocation.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq)]
 pub enum CliCommand {
     /// `rai [-p <dir>]` — development run.
     Run {
@@ -40,16 +40,14 @@ pub enum CliCommand {
 }
 
 /// Argv parse error.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CliError(pub String);
+#[derive(Debug, PartialEq)]
+pub struct CliError(String);
 
 impl std::fmt::Display for CliError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "rai: {}", self.0)
     }
 }
-
-impl std::error::Error for CliError {}
 
 /// Usage text.
 pub const USAGE: &str = "\

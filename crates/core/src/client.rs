@@ -10,7 +10,9 @@
 
 use crate::delta::{DeltaUploader, PreparedUpload};
 use crate::protocol::{block_lines, routes, FrameLine, JobKind, JobRequest, Tag};
-use crate::spec::{BuildSpec, SpecError, DEFAULT_BUILD_YML, FINAL_SUBMISSION_YML};
+use crate::spec::{
+    BuildSpec, SpecError, DEFAULT_BUILD_YML, FINAL_SUBMISSION_FILES, FINAL_SUBMISSION_YML,
+};
 use rai_archive::FileTree;
 use rai_auth::{sign_request, Credentials};
 use rai_broker::{Broker, Bytes, PublishError, Subscription};
@@ -72,7 +74,7 @@ pub(crate) fn is_upload_key(key: &str, team: &str, job_id: u64) -> bool {
 pub type SubmitMode = JobKind;
 
 /// A student project directory.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ProjectDir {
     /// The files.
     pub tree: FileTree,
@@ -165,7 +167,7 @@ impl ProjectDir {
 }
 
 /// Submit-time failures.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug)]
 pub enum SubmitError {
     /// Project tree was empty.
     EmptyProject,
@@ -204,8 +206,6 @@ impl std::fmt::Display for SubmitError {
     }
 }
 
-impl std::error::Error for SubmitError {}
-
 impl From<SpecError> for SubmitError {
     fn from(e: SpecError) -> Self {
         SubmitError::Spec(e)
@@ -225,7 +225,7 @@ impl From<PublishError> for SubmitError {
 }
 
 /// Completed-job receipt, assembled from the log stream.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct SubmitReceipt {
     /// Job id.
     pub job_id: u64,
@@ -246,7 +246,6 @@ pub struct SubmitReceipt {
 /// and nothing after `End` is. A frame with an unknown tag is stdout,
 /// an escaped frame reads unescaped, and a body that is not UTF-8 reads
 /// lossily. `Debug` prints the lines.
-#[derive(Clone)]
 pub struct Transcript {
     blocks: Vec<Bytes>,
     lines: usize,
@@ -495,15 +494,9 @@ impl RaiClient {
             return Err(SubmitError::EmptyProject);
         }
         if mode == SubmitMode::Submit {
-            // "The submission required the presence of the USAGE … and
-            // report.pdf" (paper §V).
-            for required in ["USAGE", "report.pdf"] {
-                if !project.tree.contains(required) {
-                    return Err(SubmitError::MissingRequiredFile(match required {
-                        "USAGE" => "USAGE",
-                        _ => "report.pdf",
-                    }));
-                }
+            let missing = FINAL_SUBMISSION_FILES.into_iter().find(|name| !project.tree.contains(name));
+            if let Some(name) = missing {
+                return Err(SubmitError::MissingRequiredFile(name));
             }
         }
         let build_yml = Self::effective_build_yml(project, mode)?;
@@ -767,7 +760,6 @@ mod tests {
             prop_assert_eq!(&lines, &expected.0);
             prop_assert_eq!(receipt.log.len(), expected.0.len());
             prop_assert_eq!(format!("{:?}", receipt.log), format!("{:?}", expected.0));
-            prop_assert_eq!(format!("{:?}", receipt.log.clone()), format!("{:?}", expected.0));
             prop_assert_eq!(receipt.success, expected.1);
             prop_assert_eq!(receipt.build_url, expected.2);
             prop_assert_eq!(receipt.internal_timer_secs.map(f64::to_bits), expected.3.map(f64::to_bits));

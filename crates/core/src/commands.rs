@@ -4,7 +4,7 @@
 //! output the command-line client prints.
 
 use crate::ranking::RankingBoard;
-use rai_db::{doc, Database, FindOptions, Value};
+use rai_db::{doc, Database, Document, FindOptions, Value};
 
 /// `rai rankings` — the leaderboard as `team` sees it (own team named,
 /// others anonymized).
@@ -26,69 +26,39 @@ pub(crate) fn rankings(board: &RankingBoard, team: &str) -> String {
     out
 }
 
-/// One row of `rai history`.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) struct HistoryEntry {
-    /// Job id.
-    pub(crate) job_id: u64,
-    /// `run` or `submit`.
-    pub(crate) kind: String,
-    /// Whether it succeeded.
-    pub(crate) success: bool,
-    /// Student-visible runtime, if a program ran.
-    pub(crate) internal_secs: Option<f64>,
-    /// Worker that executed it.
-    pub(crate) worker: String,
-}
-
-/// Query a team's submission history from the metadata database,
-/// newest first.
-pub(crate) fn history(db: &Database, team: &str, limit: usize) -> Vec<HistoryEntry> {
-    db.collection("submissions")
-        .read()
-        .find_with(
-            &doc! { "team" => team },
-            &FindOptions::sort_desc("job_id").limit(limit),
-        )
-        .into_iter()
-        .filter_map(|d| {
-            Some(HistoryEntry {
-                job_id: d.get("job_id")?.as_i64()? as u64,
-                kind: d.get("kind")?.as_str()?.to_string(),
-                success: d.get("success")?.as_bool()?,
-                internal_secs: match d.get("internal_secs") {
-                    Some(Value::Null) | None => None,
-                    Some(v) => v.as_f64(),
-                },
-                worker: d.get("worker")?.as_str()?.to_string(),
-            })
-        })
-        .collect()
-}
-
-/// `rai history` — rendered.
+/// `rai history` — a team's submissions from the metadata database,
+/// newest first, one table row per document that holds every column.
 pub(crate) fn history_text(db: &Database, team: &str, limit: usize) -> String {
-    let rows = history(db, team, limit);
-    if rows.is_empty() {
-        return format!("no submissions for team {team:?}\n");
-    }
+    let docs = db
+        .collection("submissions")
+        .read()
+        .find_with(&doc! { "team" => team }, &FindOptions::sort_desc("job_id").limit(limit));
     let mut out = format!(
         "{:<12} {:<8} {:<6} {:>10} {:<12}\n",
         "job", "kind", "ok", "runtime", "worker"
     );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<12} {:<8} {:<6} {:>10} {:<12}\n",
-            format!("{:08x}", r.job_id),
-            r.kind,
-            r.success,
-            r.internal_secs
-                .map(|s| format!("{s:.3}s"))
-                .unwrap_or_else(|| "-".to_string()),
-            r.worker
-        ));
+    let header = out.len();
+    for row in docs.iter().filter_map(history_row) {
+        out.push_str(&row);
+    }
+    if out.len() == header {
+        return format!("no submissions for team {team:?}\n");
     }
     out
+}
+
+/// One `rai history` row: job id, `run` or `submit`, success, the
+/// student-visible runtime if a program ran, and the worker.
+fn history_row(d: &Document) -> Option<String> {
+    let runtime = d.get("internal_secs").and_then(Value::as_f64);
+    Some(format!(
+        "{:<12} {:<8} {:<6} {:>10} {:<12}\n",
+        format!("{:08x}", d.get("job_id")?.as_i64()? as u64),
+        d.get("kind")?.as_str()?,
+        d.get("success")?.as_bool()?,
+        runtime.map(|s| format!("{s:.3}s")).unwrap_or_else(|| "-".to_string()),
+        d.get("worker")?.as_str()?
+    ))
 }
 
 #[cfg(test)]
@@ -128,14 +98,16 @@ mod tests {
     #[test]
     fn history_newest_first_with_limit() {
         let sys = populated();
-        let rows = history(sys.db(), "alpha", 10);
-        assert_eq!(rows.len(), 2);
-        assert!(rows[0].job_id > rows[1].job_id, "newest first");
-        assert_eq!(rows[0].kind, "submit");
-        assert_eq!(rows[1].kind, "run");
-        assert!(rows.iter().all(|r| r.success));
-        assert_eq!(history(sys.db(), "alpha", 1).len(), 1);
-        assert!(history(sys.db(), "nobody", 5).is_empty());
+        let text = history_text(sys.db(), "alpha", 10);
+        let rows: Vec<Vec<&str>> =
+            text.lines().skip(1).map(|l| l.split_whitespace().collect()).collect();
+        assert_eq!(rows.len(), 2, "{text}");
+        let job = |row: &[&str]| u64::from_str_radix(row[0], 16).expect("hex job id");
+        assert!(job(&rows[0]) > job(&rows[1]), "newest first:\n{text}");
+        assert_eq!((rows[0][1], rows[1][1]), ("submit", "run"));
+        assert!(rows.iter().all(|r| r[2] == "true"));
+        assert_eq!(history_text(sys.db(), "alpha", 1).lines().count(), 2, "header and one row");
+        assert_eq!(history_text(sys.db(), "nobody", 5), "no submissions for team \"nobody\"\n");
     }
 
     #[test]

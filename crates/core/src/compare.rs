@@ -7,7 +7,7 @@
 use std::fmt;
 
 /// The five dimensions of Table I.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, PartialEq)]
 pub enum Dimension {
     /// Can students reconfigure the environment (toolchains, build
     /// systems, profilers)?
@@ -45,7 +45,6 @@ impl Dimension {
 }
 
 /// A row of Table I.
-#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SystemProfile {
     /// System name.
     pub name: &'static str,
@@ -146,7 +145,7 @@ mod tests {
     #[test]
     fn matches_paper_cells() {
         let rows = table1();
-        let get = |name: &str| rows.iter().find(|r| r.name == name).unwrap().clone();
+        let get = |name: &str| rows.iter().find(|r| r.name == name).unwrap();
         // Spot-check the ✓/✗ cells of Table I.
         assert!(!get("Student-Provided").supports(Dimension::Accessibility));
         assert!(!get("Student-Provided").supports(Dimension::TestingUniformity));

@@ -25,7 +25,7 @@ pub const TARGETS: [(&str, &str); 10] = [
 ];
 
 /// Release channel, mapped from the repository branch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy)]
 pub enum Channel {
     /// `master` — stable.
     Stable,
@@ -44,7 +44,6 @@ impl Channel {
 }
 
 /// One cross-compiled client binary.
-#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ClientBinary {
     /// Target OS.
     pub(crate) os: &'static str,

@@ -25,7 +25,6 @@ use std::collections::HashSet;
 /// its upload in the execute phase and commits it in the commit phase
 /// (DESIGN.md §12), so store traffic — and with it the fault-draw
 /// stream — stays in claim order.
-#[derive(Clone, Debug)]
 pub struct PreparedUpload {
     manifest: ChunkManifest,
     chunks: Vec<Chunk>,

@@ -11,7 +11,7 @@
 //!   written report 40% — the last two human-graded).
 
 use crate::client::BUILD_BUCKET;
-use crate::spec::BuildSpec;
+use crate::spec::{BuildSpec, FINAL_SUBMISSION_FILES};
 use rai_archive::{restore_shared, FileTree};
 use rai_db::{doc, Database};
 use rai_sandbox::{Container, ImageRegistry, ResourceLimits};
@@ -21,7 +21,6 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// A downloaded final submission.
-#[derive(Clone, Debug)]
 pub struct FinalSubmission {
     /// Team name.
     pub team: String,
@@ -32,7 +31,6 @@ pub struct FinalSubmission {
 }
 
 /// Which required files a submission is missing.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RequiredFileReport {
     /// Missing file names (empty = compliant).
     pub(crate) missing: Vec<&'static str>,
@@ -46,7 +44,6 @@ impl RequiredFileReport {
 }
 
 /// Weighted grade for one team (paper §VII: 30/20/10/40).
-#[derive(Debug)]
 pub struct GradeReport {
     /// Performance component (0–30).
     pub performance: f64,
@@ -128,15 +125,10 @@ impl Grader {
     /// Check the paper's required final-submission files against the
     /// submitted source snapshot.
     pub fn check_required_files(submission_code: &FileTree) -> RequiredFileReport {
-        let mut missing = Vec::new();
-        for name in ["USAGE", "report.pdf"] {
-            if !submission_code.contains(name) {
-                missing.push(match name {
-                    "USAGE" => "USAGE",
-                    _ => "report.pdf",
-                });
-            }
-        }
+        let mut missing: Vec<&'static str> = FINAL_SUBMISSION_FILES
+            .into_iter()
+            .filter(|name| !submission_code.contains(name))
+            .collect();
         let has_source = submission_code
             .paths()
             .any(|p| [".cu", ".cpp", ".cc", ".c"].iter().any(|s| p.ends_with(s)));

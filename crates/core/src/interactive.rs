@@ -20,7 +20,7 @@ const SESSION_IMAGE: &str = "webgpu/rai:root";
 const SESSION_LIFETIME: SimDuration = SimDuration::from_hours(8);
 
 /// Why a session could not be opened.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq)]
 pub enum SessionError {
     /// Caller is not an authorized instructor.
     NotAuthorized,
@@ -28,21 +28,8 @@ pub enum SessionError {
     Image(String),
 }
 
-impl std::fmt::Display for SessionError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SessionError::NotAuthorized => {
-                write!(f, "interactive sessions require instructor authorization")
-            }
-            SessionError::Image(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for SessionError {}
-
 /// Output of one interactive command.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct ExecOutput {
     /// Exit code.
     pub exit_code: i32,
@@ -58,7 +45,6 @@ pub struct InteractiveSession {
 }
 
 /// Grants and opens sessions. Holds the set of instructor access keys.
-#[derive(Clone, Default)]
 pub(crate) struct SessionBroker {
     instructors: HashSet<String>,
     images: Arc<ImageRegistry>,
@@ -78,11 +64,6 @@ impl SessionBroker {
         self.instructors.insert(access_key.to_string());
     }
 
-    /// Whether a key may open sessions.
-    pub(crate) fn is_instructor(&self, access_key: &str) -> bool {
-        self.instructors.contains(access_key)
-    }
-
     /// Open a session: whitelist-checked image, one persistent
     /// container, `/src` mounted from `project`.
     pub(crate) fn open(
@@ -90,7 +71,7 @@ impl SessionBroker {
         access_key: &str,
         project: &FileTree,
     ) -> Result<InteractiveSession, SessionError> {
-        if !self.is_instructor(access_key) {
+        if !self.instructors.contains(access_key) {
             return Err(SessionError::NotAuthorized);
         }
         let image =

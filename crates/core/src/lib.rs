@@ -20,16 +20,17 @@
 //! * [`worker`] — the worker agent, steps ①–⑥ (§V "Worker
 //!   Operations"): one claim at a time, with `max_in_flight` modelling
 //!   only the contention noise of co-scheduled jobs;
-//! * [`ranking`] — the competition ranking with anonymized views (§VI
-//!   "Competition Ranking");
+//! * `ranking` — the competition ranking ([`RankingBoard`]) with
+//!   anonymized views (§VI "Competition Ranking");
 //! * [`grading`] — instructor utilities: required-file checks, bulk
 //!   download, re-run-and-take-minimum, grade reports (§VI, §VII
 //!   "Project Grading");
 //! * [`delivery`] — the cross-compiled client delivery matrix (§VII
 //!   "RAI Client Delivery", Fig. 3);
 //! * [`compare`] — the qualitative feature model behind Table I;
-//! * [`interactive`] — instructor-gated interactive sessions, the
-//!   paper's §VIII future work, implemented;
+//! * `interactive` — instructor-gated interactive sessions
+//!   ([`InteractiveSession`]), the paper's §VIII future work,
+//!   implemented;
 //! * [`delta`] — the client side of the store's delta-upload protocol
 //!   ([`DeltaUploader`]), shared by [`client`] and [`worker`] so
 //!   resubmissions ship only new chunks (DESIGN.md §10);
@@ -45,9 +46,11 @@ pub mod compare;
 pub mod delta;
 pub mod delivery;
 pub mod grading;
-pub mod interactive;
+mod interactive;
+#[cfg(test)]
+mod proptests;
 pub mod protocol;
-pub mod ranking;
+mod ranking;
 mod ratelimit;
 pub mod spec;
 pub mod system;
@@ -57,8 +60,10 @@ pub mod worker;
 /// crates with no `rai-archive` edge (`rai-workload`) shares it.
 pub use rai_archive::fnv::Fnv1a;
 
-pub use client::{PendingJob, ProjectDir, RaiClient, SubmitMode, SubmitReceipt};
+pub use client::{ProjectDir, RaiClient, SubmitMode, SubmitReceipt};
 pub use delta::DeltaUploader;
+pub use interactive::{ExecOutput, InteractiveSession, SessionError};
+pub use ranking::{RankEntry, RankingBoard};
 pub use spec::BuildSpec;
 pub use system::{RaiSystem, RecoveryReport, SystemConfig};
 pub use worker::Worker;

@@ -2,9 +2,9 @@
 //! (or attacker) can feed the system parses or fails cleanly, and the
 //! wire formats round-trip.
 
+use crate::protocol::{decode_block, push_output, JobKind, JobRequest, LogFrame};
+use crate::spec::{BuildSpec, SpecError, DEFAULT_BUILD_YML, SUPPORTED_VERSION};
 use proptest::prelude::*;
-use rai_core::protocol::{decode_block, push_output, JobKind, JobRequest, LogFrame};
-use rai_core::spec::{BuildSpec, SpecError, DEFAULT_BUILD_YML, SUPPORTED_VERSION};
 use rai_yaml::Yaml;
 
 fn arb_request() -> impl Strategy<Value = JobRequest> {
@@ -268,7 +268,6 @@ fn reference_spec(text: &str) -> Result<BuildSpec, SpecError> {
         }
     }
     Ok(BuildSpec {
-        version,
         image,
         build,
         gpus: doc
@@ -380,11 +379,11 @@ proptest! {
     }
 
     #[test]
-    fn signing_payload_is_injective_in_team_and_key(req in arb_request(), other_team in "[a-zA-Z0-9 _-]{1,20}") {
+    fn signing_payload_is_injective_in_team_and_key(mut req in arb_request(), other_team in "[a-zA-Z0-9 _-]{1,20}") {
         prop_assume!(other_team != req.team);
-        let mut changed = req.clone();
-        changed.team = other_team;
-        prop_assert_ne!(req.signing_payload(), changed.signing_payload());
+        let before = req.signing_payload();
+        req.team = other_team;
+        prop_assert_ne!(before, req.signing_payload());
     }
 
     #[test]
@@ -404,7 +403,7 @@ proptest! {
         prop_assert_eq!(frame.encode_into(&mut block), frame.encode().len());
         let line = block[at..].trim_start_matches('\n');
         prop_assert!(!line.contains('\n'), "one frame, one line: {line:?}");
-        prop_assert_eq!(LogFrame::decode(line), frame.clone());
+        prop_assert_eq!(LogFrame::decode(line), frame);
         // ...and the line is `encode()` itself unless framing had a
         // line break to escape.
         let text_breaks = frame.encode().contains('\n');

@@ -38,7 +38,7 @@ pub mod routes {
 }
 
 /// Submission kind.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum JobKind {
     /// Development run (`rai`), uses the student's build file.
     Run,
@@ -67,7 +67,7 @@ impl JobKind {
 }
 
 /// A job request as published on `rai/tasks`.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct JobRequest {
     /// Client-chosen unique job id.
     pub job_id: u64,
@@ -188,7 +188,7 @@ fn split_lines(body: &str) -> impl Iterator<Item = &str> {
 }
 
 /// Frames published on the per-job log topic.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq)]
 pub enum LogFrame {
     /// Container stdout line.
     Out(String),
@@ -232,8 +232,10 @@ impl LogFrame {
 
     /// Parse a frame line; unknown prefixes decode as stdout (forward
     /// compatibility with older clients, as the paper's two-branch
-    /// release flow requires).
-    pub fn decode(line: &str) -> LogFrame {
+    /// release flow requires). The client reads frames in place
+    /// ([`FrameLine`]); this owned decoding is the tests' reference.
+    #[cfg(test)]
+    pub(crate) fn decode(line: &str) -> LogFrame {
         let frame = FrameLine::read(line);
         match frame.tag {
             Tag::Out => LogFrame::Out(frame.text().into_owned()),
@@ -246,7 +248,6 @@ impl LogFrame {
 }
 
 /// What a frame line says it is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Tag {
     Out,
     Err,
@@ -256,9 +257,8 @@ pub(crate) enum Tag {
 }
 
 /// A frame line read where it lies: its tag and its text, still
-/// escaped when `escaped` — the one reading of a frame that
-/// [`LogFrame::decode`] and the client's transcript share.
-#[derive(Clone, Copy, Debug)]
+/// escaped when `escaped` — the one reading of a frame, which the
+/// client's transcript and the tests' owned decoding share.
 pub(crate) struct FrameLine<'l> {
     pub(crate) tag: Tag,
     /// The text after the tag, as written.
@@ -351,8 +351,9 @@ fn unescape(text: &str) -> String {
 
 /// The frames of a block, in order; each line is borrowed from `body`
 /// and decoded in turn. `End` terminates: nothing after it is yielded.
-/// An empty body holds no frame.
-pub fn decode_block(body: &str) -> impl Iterator<Item = LogFrame> + '_ {
+/// An empty body holds no frame. The tests' reference reader of a block.
+#[cfg(test)]
+pub(crate) fn decode_block(body: &str) -> impl Iterator<Item = LogFrame> + '_ {
     let mut lines = block_lines(body);
     let mut ended = false;
     std::iter::from_fn(move || {

@@ -9,7 +9,6 @@ use rai_db::{doc, Database, FindOptions};
 use rai_telemetry::Histogram;
 
 /// One row of the leaderboard as shown to a student.
-#[derive(Clone, Debug, PartialEq)]
 pub struct RankEntry {
     /// 1-based rank.
     pub rank: usize,
@@ -23,7 +22,6 @@ pub struct RankEntry {
 }
 
 /// Read-side ranking utilities over the `rankings` collection.
-#[derive(Clone)]
 pub struct RankingBoard {
     db: Database,
 }

@@ -14,7 +14,7 @@ pub(crate) struct RateLimiter {
 }
 
 /// Result of a rate-limit check.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq)]
 pub(crate) enum RateDecision {
     /// Allowed; the attempt is recorded.
     Allowed,

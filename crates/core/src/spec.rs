@@ -8,24 +8,22 @@ use rai_yaml::{parse_with, Consumer, Scalar};
 use std::borrow::Cow;
 
 /// The client/spec version this implementation understands.
-pub const SUPPORTED_VERSION: f64 = 0.1;
+pub(crate) const SUPPORTED_VERSION: f64 = 0.1;
 
 /// A parsed, validated build specification.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct BuildSpec {
-    /// `rai.version` — client version the file targets.
-    pub version: f64,
     /// `rai.image` — Docker base image (whitelist enforced worker-side).
     pub image: String,
     /// `commands.build` — the commands run in the container, in order.
     pub build: Vec<String>,
     /// `resources.gpus` — optional machine requirement (the paper names
     /// this as the expected future extension; supported here).
-    pub gpus: Option<u32>,
+    pub(crate) gpus: Option<u32>,
 }
 
 /// Spec validation errors.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub enum SpecError {
     /// YAML did not parse.
     Yaml(String),
@@ -61,8 +59,6 @@ impl std::fmt::Display for SpecError {
     }
 }
 
-impl std::error::Error for SpecError {}
-
 /// Paper Listing 1 — the default build file used "when a student-written
 /// rai-build.yml is not found".
 pub const DEFAULT_BUILD_YML: &str = "\
@@ -96,9 +92,16 @@ commands:
       /data/model.hdf5 10000
 ";
 
+/// The files a final submission must hold besides its source: "the
+/// submission required the presence of the USAGE … and report.pdf"
+/// (paper §V). The client refuses a final submission without them,
+/// and the grading tools report them missing.
+pub(crate) const FINAL_SUBMISSION_FILES: [&str; 2] = ["USAGE", "report.pdf"];
+
 impl BuildSpec {
     /// Parse and validate a build file. The file is read straight into
-    /// the spec: only the four fields are kept, each scalar borrowed
+    /// the spec: only the image, the commands and the GPU count are
+    /// kept (the version is checked, not kept), each scalar borrowed
     /// from the text until it is, and the errors are the ones the
     /// YAML document would give, YAML errors first.
     pub fn parse(text: &str) -> Result<BuildSpec, SpecError> {
@@ -108,7 +111,7 @@ impl BuildSpec {
     /// Validate a build file as [`parse`](Self::parse) does, keeping
     /// nothing: what the client checks before it uploads.
     pub(crate) fn check(text: &str) -> Result<(), SpecError> {
-        Fields::read(text, false)?.check(text).map(drop)
+        Fields::read(text, false)?.check(text)
     }
 
     /// The Listing 1 default spec.
@@ -125,7 +128,7 @@ impl BuildSpec {
 /// Where a node of a build file sits, as far as the spec tells places
 /// apart: the four fields, the sections and the root that lead to
 /// them, and everywhere else.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 enum Field {
     Root,
     Rai,
@@ -179,18 +182,17 @@ impl<'a> Fields<'a> {
 
     /// The spec, or the first check the file fails.
     fn into_spec(self, text: &str) -> Result<BuildSpec, SpecError> {
-        let version = self.check(text)?;
+        self.check(text)?;
         Ok(BuildSpec {
-            version,
             image: self.image.expect("checked").into_owned(),
             build: self.build,
             gpus: self.gpus.map(|g| g.max(0) as u32),
         })
     }
 
-    /// The version, or the first check the file fails, in the order the
-    /// checks have always run.
-    fn check(&self, text: &str) -> Result<f64, SpecError> {
+    /// The first check the file fails, in the order the checks have
+    /// always run.
+    fn check(&self, text: &str) -> Result<(), SpecError> {
         if !self.rai {
             return Err(SpecError::MissingRaiSection);
         }
@@ -217,7 +219,7 @@ impl<'a> Fields<'a> {
         if let Some(i) = self.bad_command {
             return Err(SpecError::BadCommand(i));
         }
-        Ok(version)
+        Ok(())
     }
 
     /// The command at `i` is not a non-empty scalar.
@@ -321,7 +323,6 @@ mod tests {
     #[test]
     fn default_spec_matches_listing_1() {
         let s = BuildSpec::default_spec();
-        assert_eq!(s.version, 0.1);
         assert_eq!(s.image, "webgpu/rai:root");
         assert_eq!(s.build.len(), 5);
         assert_eq!(s.build[0], "echo \"Building project\"");

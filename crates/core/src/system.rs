@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Deployment configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct SystemConfig {
     /// Worker count. Each worker runs one job at a time on a K80-speed
     /// GPU ([`WorkerConfig::default`]).
@@ -66,7 +66,7 @@ impl Default for SystemConfig {
 }
 
 /// What crash recovery replayed from the two write-ahead logs.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Debug)]
 pub struct RecoveryReport {
     /// Database replay outcome.
     pub db: rai_db::DbRecovery,
@@ -75,7 +75,6 @@ pub struct RecoveryReport {
 }
 
 /// Aggregate usage numbers (paper §VII "Resource Usage").
-#[derive(Clone, Debug)]
 pub struct SystemReport {
     /// File-server usage.
     pub store: StoreUsage,
@@ -106,7 +105,7 @@ const MESSAGE_TIMEOUT: SimDuration = SimDuration::from_mins(10);
 
 /// What the commits of one [`RaiSystem::run_round`] left for
 /// [`RaiSystem::settle`].
-#[derive(Debug, Default)]
+#[derive(Default)]
 #[must_use = "a driver that owns the clock settles the round"]
 pub struct RoundTally {
     /// Summed service time (or wasted time, for crashes) of the
@@ -901,8 +900,11 @@ mod tests {
 
         // The round is four back-to-back steps, regrouped.
         let (mut stepped, _) = queue_four();
-        let steps: Vec<JobOutcome> =
-            stepped.workers_mut().iter_mut().map(|w| w.step().expect("one job each")).collect();
+        let step = |w: &mut Worker| match w.try_step() {
+            StepEvent::Done(outcome) => outcome,
+            other => panic!("one job each, got {other:?}"),
+        };
+        let steps: Vec<JobOutcome> = stepped.workers_mut().iter_mut().map(step).collect();
         assert_eq!(
             outcomes.iter().map(summary).collect::<Vec<_>>(),
             steps.iter().map(summary).collect::<Vec<_>>()

@@ -55,7 +55,6 @@ use std::sync::Arc;
 /// Worker configuration. Every worker runs its containers under the
 /// paper's limits ([`ResourceLimits::default`]) and retries store and
 /// database operations with [`rai_faults::retry`].
-#[derive(Clone, Debug)]
 pub struct WorkerConfig {
     /// Identifier recorded with each submission (e.g. `p2-worker-07`).
     pub worker_id: String,
@@ -74,7 +73,7 @@ impl Default for WorkerConfig {
 
 /// What processing one job produced (consumed by the discrete-event
 /// driver to advance virtual time).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct JobOutcome {
     /// Job id.
     pub job_id: u64,
@@ -89,7 +88,7 @@ pub struct JobOutcome {
 
 /// An injected mid-job failure: the worker died (or froze) while
 /// holding an unacked message.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct CrashReport {
     /// Death vs freeze (a freeze holds its claim until the broker's
     /// message timeout reclaims it).
@@ -100,7 +99,7 @@ pub struct CrashReport {
 }
 
 /// What one scheduling step of the worker produced.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub enum StepEvent {
     /// Queue empty.
     Idle,
@@ -329,26 +328,10 @@ impl Worker {
         }
     }
 
-    /// Pop and fully process one task message. Returns `None` when the
-    /// queue is empty or the job crashed mid-flight (in which case the
-    /// worker restarts immediately and the message redelivers).
-    /// Fault-aware drivers should use [`Worker::try_step`] instead.
-    pub fn step(&mut self) -> Option<JobOutcome> {
-        match self.try_step() {
-            StepEvent::Idle => None,
-            StepEvent::Done(outcome) => Some(outcome),
-            StepEvent::Crashed(_) => {
-                self.crash_recover();
-                None
-            }
-        }
-    }
-
-    /// Pop one task message and run it, reporting crashes instead of
-    /// hiding them. A crashed job's message is left unacked: a `Crash`
-    /// releases it when [`Worker::crash_recover`] drops the old
-    /// subscription; a `Stall` holds it until the broker's message
-    /// timeout (`reclaim_expired`) fires.
+    /// Pop one task message and run it. A crashed job's message is left
+    /// unacked: a `Crash` releases it when [`Worker::crash_recover`]
+    /// drops the old subscription; a `Stall` holds it until the
+    /// broker's message timeout (`reclaim_expired`) fires.
     ///
     /// Claim → execute → commit back to back; the round
     /// ([`crate::RaiSystem::run_round`]) runs the same phases regrouped
@@ -937,6 +920,15 @@ mod tests {
         }
     }
 
+    /// The outcome of a job that ran to its terminal state: a rig
+    /// with no crash planned fails on anything else.
+    fn done(event: StepEvent) -> JobOutcome {
+        match event {
+            StepEvent::Done(outcome) => outcome,
+            other => panic!("expected a finished job, got {other:?}"),
+        }
+    }
+
     fn client_and_worker(rig: &Rig, team: &str) -> (RaiClient, Worker) {
         let creds = KeyGenerator::from_seed(99).generate(team);
         rig.registry.write().register(creds.clone());
@@ -965,7 +957,7 @@ mod tests {
         let pending = client
             .begin_submit(&ProjectDir::sample_cuda_project(), SubmitMode::Run)
             .unwrap();
-        let outcome = worker.step().expect("worker should pick up the job");
+        let outcome = done(worker.try_step());
         assert!(outcome.success);
         let receipt = pending.wait(Duration::from_millis(500)).unwrap();
         assert!(receipt.success);
@@ -986,7 +978,7 @@ mod tests {
         let (client, mut worker) = client_and_worker(&rig, "gpu-gophers");
         let project = ProjectDir::sample_cuda_project().with_final_artifacts();
         let pending = client.begin_submit(&project, SubmitMode::Submit).unwrap();
-        worker.step().unwrap();
+        done(worker.try_step());
         let receipt = pending.wait(Duration::from_millis(500)).unwrap();
         assert!(receipt.success, "log: {:#?}", receipt.log);
         // Enforced Listing 2: full dataset + submission_code copy.
@@ -1012,7 +1004,7 @@ mod tests {
         for _ in 0..2 {
             let project = ProjectDir::sample_cuda_project().with_final_artifacts();
             let pending = client.begin_submit(&project, SubmitMode::Submit).unwrap();
-            worker.step().unwrap();
+            done(worker.try_step());
             pending.wait(Duration::from_millis(500)).unwrap();
         }
         assert_eq!(rig.db.collection("rankings").read().len(), 1, "one row per team");
@@ -1042,7 +1034,7 @@ mod tests {
         let pending = client
             .begin_submit(&ProjectDir::sample_cuda_project(), SubmitMode::Run)
             .unwrap();
-        let outcome = worker.step().unwrap();
+        let outcome = done(worker.try_step());
         assert!(!outcome.success);
         let receipt = pending.wait(Duration::from_millis(500)).unwrap();
         assert!(!receipt.success);
@@ -1065,7 +1057,7 @@ mod tests {
             )
             .unwrap();
         let pending = client.begin_submit(&project, SubmitMode::Run).unwrap();
-        let outcome = worker.step().unwrap();
+        let outcome = done(worker.try_step());
         assert!(!outcome.success);
         let receipt = pending.wait(Duration::from_millis(500)).unwrap();
         assert!(receipt.log.iter().any(|l| l.contains("not whitelisted")));
@@ -1081,7 +1073,7 @@ mod tests {
             .insert("main.cu", &b"RAI_SYNTAX_ERROR\n"[..])
             .unwrap();
         let pending = client.begin_submit(&project, SubmitMode::Run).unwrap();
-        let outcome = worker.step().unwrap();
+        let outcome = done(worker.try_step());
         assert!(!outcome.success);
         let receipt = pending.wait(Duration::from_millis(500)).unwrap();
         assert!(!receipt.success);
@@ -1095,12 +1087,12 @@ mod tests {
         let p1 = client
             .begin_submit(&ProjectDir::sample_cuda_project(), SubmitMode::Run)
             .unwrap();
-        let first = worker.step().unwrap();
+        let first = done(worker.try_step());
         p1.wait(Duration::from_millis(500)).unwrap();
         let p2 = client
             .begin_submit(&ProjectDir::sample_cuda_project(), SubmitMode::Run)
             .unwrap();
-        let second = worker.step().unwrap();
+        let second = done(worker.try_step());
         p2.wait(Duration::from_millis(500)).unwrap();
         // First job pays the multi-GB image pull; the second doesn't.
         assert!(first.service_time > second.service_time + SimDuration::from_secs(20));
@@ -1110,7 +1102,7 @@ mod tests {
     fn worker_step_on_empty_queue_is_none() {
         let rig = rig();
         let (_client, mut worker) = client_and_worker(&rig, "team-a");
-        assert!(worker.step().is_none());
+        assert!(matches!(worker.try_step(), StepEvent::Idle));
     }
 
     #[test]
@@ -1122,7 +1114,7 @@ mod tests {
         let pending = client
             .begin_submit(&ProjectDir::sample_cuda_project(), SubmitMode::Run)
             .unwrap();
-        assert!(worker.step().expect("job runs").success);
+        assert!(done(worker.try_step()).success);
         let trace = worker.telemetry.job_trace(pending.job_id).expect("the job is traced");
         assert!(trace.is_monotone());
         for stage in [stage::DEQUEUED, stage::PULLED, stage::FETCHED, stage::RAN, stage::GRADED] {
@@ -1151,7 +1143,7 @@ mod tests {
             );
             let project = ProjectDir::sample_cuda_project().with_final_artifacts();
             client.begin_submit(&project, SubmitMode::Submit).unwrap();
-            worker.step().expect("job runs").measured_secs.expect("program ran")
+            done(worker.try_step()).measured_secs.expect("program ran")
         };
         let (alone, crowded) = (measured_with(1), measured_with(4));
         assert_eq!(alone, 0.505, "a single slot measures the program, nothing else");
@@ -1167,7 +1159,7 @@ mod tests {
         rig.broker
             .publish(routes::TASK_TOPIC, &b"totally not a job"[..])
             .unwrap();
-        assert!(worker.step().is_none());
+        assert!(matches!(worker.try_step(), StepEvent::Idle));
         // Message was acked, not requeued.
         let stats = rig.broker.topic_stats(routes::TASK_TOPIC).unwrap();
         assert_eq!(stats.depth, 0);
@@ -1205,7 +1197,7 @@ mod tests {
             rai_auth::sign_request(&creds.secret_key, &creds.access_key, &request.signing_payload());
         rig.broker.publish(routes::TASK_TOPIC, request.encode()).unwrap();
 
-        assert!(!worker.step().expect("the job is claimed").success);
+        assert!(!done(worker.try_step()).success);
         let counted = telemetry
             .snapshot()
             .counter(names::JOBS_TOTAL, &[("kind", "run"), ("outcome", outcome)]);
@@ -1248,7 +1240,7 @@ mod tests {
         // One store fault after the client's upload: the worker's fetch
         // hits it and retries.
         rig.store.inject_faults(1);
-        let outcome = worker.step().expect("job still completes");
+        let outcome = done(worker.try_step());
         assert!(outcome.success);
         pending.wait(Duration::from_millis(500)).unwrap();
         let retried = telemetry.snapshot().counter_total(names::RETRIES_TOTAL);
@@ -1337,7 +1329,7 @@ mod tests {
         }
         // Attempt cap reached: the message moved to the dead-letter
         // topic instead of the ready queue.
-        assert!(worker.step().is_none(), "queue is empty for the worker");
+        assert!(matches!(worker.try_step(), StepEvent::Idle), "queue is empty for the worker");
         let msg = dead.try_recv().expect("poison job dead-lettered");
         assert!(JobRequest::decode(&msg.body_str()).is_some());
         dead.ack(msg.id);
@@ -1376,7 +1368,7 @@ mod tests {
     ) -> (usize, crate::client::SubmitReceipt) {
         let project = ProjectDir::sample_cuda_project().with_final_artifacts();
         let pending = client.begin_submit(&project, mode).unwrap();
-        worker.step().expect("job runs");
+        done(worker.try_step());
         let topic = routes::log_topic(pending.job_id);
         let depth = rig.broker.topic_stats(&topic).expect("live until drained").depth;
         (depth, pending.wait(Duration::from_millis(500)).unwrap())
@@ -1460,7 +1452,7 @@ mod tests {
         // A second channel on the log topic sees a copy of every message.
         let topic = routes::log_topic(pending.job_id);
         let audit = rig.broker.subscribe_ephemeral(&topic, "audit");
-        worker.step().expect("job runs");
+        done(worker.try_step());
         let bodies: Vec<String> = std::iter::from_fn(|| audit.try_recv())
             .map(|m| m.body_str().into_owned())
             .collect();
@@ -1501,7 +1493,7 @@ mod tests {
         let pending = client.begin_submit(&project, SubmitMode::Run).unwrap();
         let topic = routes::log_topic(pending.job_id);
         let audit = rig.broker.subscribe_ephemeral(&topic, "audit");
-        assert!(worker.step().expect("job runs").success, "the exit status is the commands'");
+        assert!(done(worker.try_step()).success, "the exit status is the commands'");
 
         // What the worker itself says around the output — accepted,
         // pulling image, truncated, url, end — fits in this.

@@ -28,7 +28,7 @@ impl std::fmt::Display for DbError {
 impl std::error::Error for DbError {}
 
 /// What [`Database::recover`] rebuilt and what it discarded.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Default)]
 pub struct DbRecovery {
     /// Raw WAL replay accounting (CRC drops, torn bytes).
     pub stats: rai_wal::ReplayStats,

@@ -62,7 +62,8 @@ impl Image {
 impl ImageRegistry {
     /// The registry used for the Applied Parallel Programming course:
     /// the default `webgpu/rai:root` image (CUDA + cuDNN + frameworks +
-    /// the HDF5 course data) and a couple of whitelisted alternates.
+    /// the HDF5 course data), the one image students may pick, and one
+    /// image that is not whitelisted.
     pub fn course_default() -> Self {
         let mut reg = Self::default();
         let mut rootfs = FileTree::new();
@@ -80,16 +81,8 @@ impl ImageRegistry {
         reg.add(
             Image {
                 name: "webgpu/rai:root".into(),
-                rootfs: rootfs.clone(),
+                rootfs,
                 size_bytes: 4 * 1024 * 1024 * 1024, // CUDA images are huge
-            },
-            true,
-        );
-        reg.add(
-            Image {
-                name: "webgpu/rai:cuda8".into(),
-                rootfs: rootfs.clone(),
-                size_bytes: 3 * 1024 * 1024 * 1024,
             },
             true,
         );
@@ -164,8 +157,9 @@ mod tests {
     fn pull_latency_scales_with_size() {
         let reg = ImageRegistry::course_default();
         let big = reg.resolve("webgpu/rai:root").unwrap().pull_latency();
-        let small = reg.resolve("webgpu/rai:cuda8").unwrap().pull_latency();
-        assert!(big > small);
+        let sized = |size_bytes| Image { name: "sized".into(), rootfs: FileTree::new(), size_bytes };
+        assert!(sized(3 << 30).pull_latency() < big);
+        assert!(sized(8 << 30).pull_latency() > big);
         assert!(big >= SimDuration::from_secs(30), "4GB at 100MB/s ≈ 40s, got {big}");
     }
 

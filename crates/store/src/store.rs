@@ -980,7 +980,7 @@ impl ObjectStore {
 
 /// What [`ObjectStore::recover`] reconstructed and what it had to
 /// drop.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct StoreRecovery {
     /// Framing-layer replay statistics (records, corruption, torn
     /// bytes).

@@ -157,7 +157,7 @@ fn frame_into(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) -> usize {
 }
 
 /// What replay recovered and what it discarded.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Default)]
 pub struct ReplayStats {
     /// Records decoded with a valid CRC.
     pub replayed: u64,

@@ -31,6 +31,7 @@ use rai_sim::VirtualClock;
 use rai_telemetry::MetricsSnapshot;
 use rai_wal::{DurabilityConfig, MemDisk, WalStats};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Where in the run the process dies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -120,6 +121,10 @@ pub struct RecoveryResult {
     pub republished: u64,
     /// What replay reported, when a recovery happened.
     pub recovery: Option<RecoveryReport>,
+    /// Host time the one `RaiSystem::recover_with_clock` call took,
+    /// when a recovery happened: a host fact, in no fingerprint and no
+    /// committed file.
+    pub replay_wall: Option<Duration>,
     /// Disk faults injected at the kill.
     pub disk_faults: Vec<DiskFault>,
     /// Final db-log statistics (appends, replays, corruption drops…).
@@ -161,7 +166,7 @@ pub fn run_recovery(config: &RecoveryConfig) -> RecoveryResult {
     course.run_rounds(&creds, 0..kill.map_or(chaos.rounds, |k| k.round));
 
     let mut republished = 0;
-    let mut recovery = None;
+    let (mut recovery, mut replay_wall) = (None, None);
     let mut disk_faults = Vec::new();
     if let Some(kill) = kill {
         course.submit_round(&creds, kill.round);
@@ -197,6 +202,7 @@ pub fn run_recovery(config: &RecoveryConfig) -> RecoveryResult {
         // The clock and the fault injector's draw state are the
         // *world*, not process memory — the world does not rewind when
         // a service restarts.
+        let replay_start = Instant::now();
         let (mut system, report) = RaiSystem::recover_with_clock(
             sys_config,
             VirtualClock::starting_at(kill_time),
@@ -204,6 +210,7 @@ pub fn run_recovery(config: &RecoveryConfig) -> RecoveryResult {
             Arc::new(store_disk),
             injector,
         );
+        replay_wall = Some(replay_start.elapsed());
         recovery = Some(report);
         // Re-register teams in their original order: the key generator
         // is deterministic in (seed, order), so the journaled job
@@ -234,6 +241,7 @@ pub fn run_recovery(config: &RecoveryConfig) -> RecoveryResult {
         killed: kill.is_some(),
         republished,
         recovery,
+        replay_wall,
         disk_faults,
         db_wal: system.db().wal().expect("durable deployment").stats(),
         store_wal: system.store().wal().expect("durable deployment").stats(),

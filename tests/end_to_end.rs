@@ -33,10 +33,17 @@ fn student_lifecycle_run_then_final() {
     // The dev run used the small dataset: fast.
     assert!(r2.internal_timer_secs.unwrap() < 0.2);
 
-    // Final submission without required files is rejected client-side.
+    // Final submission without required files is rejected client-side,
+    // naming the first file it lacks.
     match sys.submit_final(&creds, &fixed) {
         Err(SubmitError::MissingRequiredFile("USAGE")) => {}
         other => panic!("expected missing USAGE, got {other:?}"),
+    }
+    let mut usage_only = fixed.clone();
+    usage_only.tree.insert("USAGE", &b"make; ./ece408\n"[..]).unwrap();
+    match sys.submit_final(&creds, &usage_only) {
+        Err(SubmitError::MissingRequiredFile("report.pdf")) => {}
+        other => panic!("expected missing report.pdf, got {other:?}"),
     }
 
     // With the report attached it lands on the leaderboard.

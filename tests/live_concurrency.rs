@@ -6,7 +6,7 @@ use parking_lot::RwLock;
 use rai::auth::{CredentialRegistry, KeyGenerator};
 use rai::broker::Broker;
 use rai::core::client::{ProjectDir, RaiClient, SubmitMode, BUILD_BUCKET, UPLOAD_BUCKET};
-use rai::core::worker::{Worker, WorkerConfig};
+use rai::core::worker::{StepEvent, Worker, WorkerConfig};
 use rai::db::{doc, Database};
 use rai::sandbox::ImageRegistry;
 use rai::sim::VirtualClock;
@@ -64,9 +64,10 @@ fn threaded_workers_and_clients() {
         worker_handles.push(std::thread::spawn(move || {
             let mut processed = 0u64;
             while !stop.load(Ordering::Relaxed) {
-                match worker.step() {
-                    Some(_) => processed += 1,
-                    None => std::thread::sleep(Duration::from_millis(1)),
+                match worker.try_step() {
+                    StepEvent::Done(_) => processed += 1,
+                    StepEvent::Idle => std::thread::sleep(Duration::from_millis(1)),
+                    StepEvent::Crashed(report) => panic!("no fault is planned: {report:?}"),
                 }
             }
             processed
