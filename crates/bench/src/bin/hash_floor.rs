@@ -19,6 +19,12 @@
 //! back to the scalar kernel (≈ 2.7 chains) fails the bin; on any other
 //! CPU the line is only printed.
 //!
+//! Its last row prices `rai_wal::crc32`, the checksum every journal
+//! record is framed with, over the same container. On a CPU with the
+//! carry-less multiplier it runs there at ≈ 0.04 chains, and a silent
+//! fall back to the tables (≈ 0.5 chains) fails the bin against
+//! `CRC_CEILING`; on any other CPU the line is only printed.
+//!
 //! ```text
 //! cargo run --release -p rai-bench --bin hash_floor
 //! ```
@@ -28,6 +34,7 @@ use rai_archive::{
     ChunkerParams, FileTree,
 };
 use rai_auth::hmac_sha256;
+use rai_wal::crc32;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -36,6 +43,9 @@ const FILE_BYTES: usize = 64 * 1024;
 const ROUNDS: usize = 21;
 /// Most a pass may cost, in chains over the same bytes.
 const CEILING: f64 = 1.3;
+/// Most the record checksum may cost, in chains, on the carry-less
+/// multiplier.
+const CRC_CEILING: f64 = 0.15;
 /// The pause before each round. The fused writer runs near the most
 /// instructions a core retires per cycle while one chain waits on its
 /// multiplies, so load from other tenants of the machine slows the
@@ -91,6 +101,19 @@ fn sha_extensions() -> bool {
     }
 }
 
+/// Whether this CPU has what `rai-wal`'s record checksum selects its
+/// carry-less-multiply kernel on.
+fn carry_less_multiplier() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        is_x86_feature_detected!("pclmulqdq")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
 fn time(pass: impl FnOnce()) -> Duration {
     let start = Instant::now();
     pass();
@@ -109,6 +132,7 @@ fn main() {
         "chunk_shared",
         "read_container_shared",
         "hmac_sha256",
+        "crc32",
     ];
     let key = b"tU08PuKhtR9qozBNn33RcH7p5A";
     let round = || {
@@ -123,9 +147,12 @@ fn main() {
             time(|| {
                 black_box(hmac_sha256(key, black_box(&container)));
             }),
+            time(|| {
+                black_box(crc32(black_box(&container)));
+            }),
         ]
     };
-    let mut best = [Duration::MAX; 6];
+    let mut best = [Duration::MAX; 7];
     for _ in 0..ROUNDS {
         // Each round is timed after a pause and an untimed warm-up
         // round, so the rounds spread over ≈ 2 s and start with the
@@ -145,18 +172,29 @@ fn main() {
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
     println!("  {:<26} {:>8.3} ms   1.00 chain", "fnv::hash", ms(chain));
     let mut over = Vec::new();
-    let sha_extensions = sha_extensions();
+    let (sha_extensions, clmul) = (sha_extensions(), carry_less_multiplier());
     for (name, t) in names.iter().zip(passes) {
         let ratio = t.as_secs_f64() / chain.as_secs_f64();
-        let gated = *name != "hmac_sha256" || sha_extensions;
-        let note = if gated { "" } else { "   (no SHA extensions: not held to the ceiling)" };
+        let ceiling = match *name {
+            "hmac_sha256" if !sha_extensions => Err("no SHA extensions"),
+            "crc32" if !clmul => Err("no carry-less multiplier"),
+            "crc32" => Ok(CRC_CEILING),
+            _ => Ok(CEILING),
+        };
+        let note = match ceiling {
+            Ok(_) => String::new(),
+            Err(why) => format!("   ({why}: not held to a ceiling)"),
+        };
         println!("  {name:<26} {:>8.3} ms   {ratio:.2} chains{note}", ms(t));
-        if gated && ratio > CEILING {
-            over.push(format!("{name} costs {ratio:.2} chains"));
+        match ceiling {
+            Ok(ceiling) if ratio > ceiling => {
+                over.push(format!("{name} costs {ratio:.2} chains, over its {ceiling}"))
+            }
+            _ => {}
         }
     }
     if !over.is_empty() {
-        eprintln!("over the {CEILING} ceiling: {}", over.join(", "));
+        eprintln!("over the ceiling: {}", over.join(", "));
         std::process::exit(1);
     }
 }

@@ -176,9 +176,16 @@ impl RaiSystem {
         store_disk: Arc<MemDisk>,
         injector: Option<FaultInjector>,
     ) -> (Self, RecoveryReport) {
-        let (db, db_recovery) = Database::recover(Wal::open(db_disk, config.durability));
-        let (store, store_recovery) =
-            ObjectStore::recover(clock.clone(), Wal::open(store_disk, config.durability));
+        // The two logs lie on two disks and rebuild two states that
+        // share nothing, so they replay side by side; each replay is
+        // still one thread over one disk, and comes out the same.
+        let ((db, db_recovery), (store, store_recovery)) = std::thread::scope(|scope| {
+            let store = scope.spawn(|| {
+                ObjectStore::recover(clock.clone(), Wal::open(store_disk, config.durability))
+            });
+            let db = Database::recover(Wal::open(db_disk, config.durability));
+            (db, store.join().expect("the store's replay does not panic"))
+        });
         let system = Self::finish_deploy(config, clock, db, store, injector);
         // Job ids resume after the highest journaled intent so
         // post-recovery submissions never collide with replayed ones.
@@ -186,8 +193,7 @@ impl RaiSystem {
             .db
             .collection("intents")
             .read()
-            .find(&doc! {})
-            .iter()
+            .scan()
             .filter_map(|row| row.get("job_id").and_then(rai_db::Value::as_i64))
             .max()
             .unwrap_or(0);
@@ -315,8 +321,9 @@ impl RaiSystem {
     pub(crate) fn pending_intents(&self) -> Vec<(u64, String)> {
         let intents = self.db.collection("intents");
         let submissions = self.db.collection("submissions");
+        let submissions = submissions.read();
         let mut out: Vec<(u64, String)> = Vec::new();
-        for row in intents.read().find(&doc! {}) {
+        for row in intents.read().scan() {
             let Some(id) = row.get("job_id").and_then(rai_db::Value::as_i64) else { continue };
             let Some(state) = row.get("state").and_then(rai_db::Value::as_str) else { continue };
             let Some(req) = row.get("req").and_then(rai_db::Value::as_str) else { continue };
@@ -325,11 +332,7 @@ impl RaiSystem {
             if state != "pending" && state != "published" {
                 continue;
             }
-            if submissions
-                .read()
-                .find_one(&doc! { "job_id" => id })
-                .is_some()
-            {
+            if submissions.count(&doc! { "job_id" => id }) > 0 {
                 continue;
             }
             out.push((id as u64, req.to_string()));

@@ -4,7 +4,7 @@
 use crate::index::Index;
 use crate::journal::{self, JournalSink};
 use crate::query::matches;
-use crate::update::apply_update;
+use crate::update::{apply_update, can_move};
 use crate::value::{Document, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -122,21 +122,6 @@ impl Collection {
         for (field, idx) in self.indexes.iter_mut() {
             if let Some(v) = doc.get_path(field) {
                 idx.remove(v, id);
-            }
-        }
-    }
-
-    fn reindex(&mut self, id: DocId, before: &Document, after: &Document) {
-        for (field, idx) in self.indexes.iter_mut() {
-            let old = before.get_path(field);
-            let new = after.get_path(field);
-            if old != new {
-                if let Some(v) = old {
-                    idx.remove(v, id);
-                }
-                if let Some(v) = new {
-                    idx.insert(v, id);
-                }
             }
         }
     }
@@ -428,12 +413,21 @@ impl Collection {
         self.updates.fetch_add(1, Ordering::Relaxed);
         match self.first_matching_id(query) {
             Some(id) => {
+                // The document is updated where it lies. Only an index
+                // whose path a `$set` path can move lets go of it first
+                // and takes it back under its new value.
                 let doc = self.docs.get_mut(&id).expect("id found above");
-                let before = doc.clone();
+                let moved = |(field, _): &(&String, &mut Index)| can_move(update, field);
+                for (field, idx) in self.indexes.iter_mut().filter(moved) {
+                    if let Some(v) = doc.get_path(field) {
+                        idx.remove(v, id);
+                    }
+                }
                 let modified = apply_update(update, doc);
-                if modified {
-                    let after = doc.clone();
-                    self.reindex(id, &before, &after);
+                for (field, idx) in self.indexes.iter_mut().filter(moved) {
+                    if let Some(v) = doc.get_path(field) {
+                        idx.insert(v, id);
+                    }
                 }
                 UpdateResult {
                     matched: 1,

@@ -1,17 +1,14 @@
 //! The update engine: `{"$set": {path: value, …}}`, the one update the
 //! system issues.
 
-use crate::value::Document;
+use crate::value::{Document, FieldName, Value};
 
 /// Apply `update`'s `$set` to `doc`, field by dotted path. Returns
 /// `true` if the document changed. Anything else in `update` — another
 /// `$`-key, a bare field — is not an instruction and changes nothing.
 pub fn apply_update(update: &Document, doc: &mut Document) -> bool {
-    let Some(fields) = update.get("$set").and_then(|spec| spec.as_doc()) else {
-        return false;
-    };
     let mut changed = false;
-    for (path, value) in fields.iter() {
+    for (path, value) in set_fields(update) {
         let slot = doc.entry_path(path.clone());
         if slot != value {
             *slot = value.clone();
@@ -19,6 +16,25 @@ pub fn apply_update(update: &Document, doc: &mut Document) -> bool {
         }
     }
     changed
+}
+
+/// The `(path, value)` pairs of `update`'s `$set`; none without one.
+fn set_fields(update: &Document) -> impl Iterator<Item = (&FieldName, &Value)> {
+    update.get("$set").and_then(Value::as_doc).into_iter().flat_map(Document::iter)
+}
+
+/// Whether `update`'s `$set` can move the value at the dotted path
+/// `read`: it writes a path that [`overlaps`] it.
+pub(crate) fn can_move(update: &Document, read: &str) -> bool {
+    set_fields(update).any(|(set, _)| overlaps(read, set))
+}
+
+/// Whether writing `set` can move the value at the dotted path `read`:
+/// the same path, or one a prefix of the other up to a dot (a write
+/// inside the value, or over a document the value lies in).
+fn overlaps(read: &str, set: &str) -> bool {
+    let (short, long) = if read.len() <= set.len() { (read, set) } else { (set, read) };
+    long.strip_prefix(short).is_some_and(|rest| rest.is_empty() || rest.starts_with('.'))
 }
 
 #[cfg(test)]
@@ -35,6 +51,16 @@ mod tests {
         // Setting to the same value reports no change.
         assert!(!apply_update(&doc! { "$set" => doc!{ "b" => 2 } }, &mut d));
         assert_eq!(d.get("a"), Some(&Value::Int(1)));
+    }
+
+    #[test]
+    fn a_set_path_overlaps_the_paths_it_can_move() {
+        for (read, set) in [("a", "a"), ("a", "a.b"), ("a.b", "a"), ("a.b.c", "a.b")] {
+            assert!(overlaps(read, set), "{read} / {set}");
+        }
+        for (read, set) in [("a", "ab"), ("ab", "a"), ("a.b", "a.c"), ("a.bc", "a.b"), ("b", "a")] {
+            assert!(!overlaps(read, set), "{read} / {set}");
+        }
     }
 
     #[test]

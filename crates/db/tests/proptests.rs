@@ -49,6 +49,69 @@ fn arb_doc() -> impl Strategy<Value = Document> {
     })
 }
 
+/// The two paths the update-sequence test indexes: a top-level field
+/// and a dotted one.
+const INDEXED_PATHS: [&str; 2] = ["a", "m.x"];
+
+/// A document that, two times in three, has an `m` as well.
+fn arb_nested_doc() -> impl Strategy<Value = Document> {
+    (arb_doc(), 0u8..3, arb_m()).prop_map(|(mut d, with_m, m)| {
+        if with_m > 0 {
+            d.insert("m", m);
+        }
+        d
+    })
+}
+
+/// What `m` holds: a scalar, or a document with some of `x` and `y`.
+fn arb_m() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        arb_value(),
+        (any::<bool>(), arb_field_value(), any::<bool>(), arb_value()).prop_map(
+            |(with_x, x, with_y, y)| {
+                let mut m = Document::new();
+                if with_x {
+                    m.insert("x", x);
+                }
+                if with_y {
+                    m.insert("y", y);
+                }
+                Value::Doc(m)
+            }
+        ),
+    ]
+}
+
+/// One `update_one` call: a query on an indexed path or not, a `$set`
+/// of one to three paths that may move either index, and whether it
+/// upserts. One step in four sets the queried path to the literal it
+/// matched, which leaves that indexed value where it is.
+fn arb_update_step() -> impl Strategy<Value = (Document, Document, bool)> {
+    let path = prop_oneof![Just("a"), Just("b"), Just("m"), Just("m.x"), Just("m.y")];
+    let set = prop::collection::vec(
+        (path, prop_oneof![arb_field_value(), arb_field_value(), arb_field_value(), arb_m()]),
+        1..4,
+    );
+    (
+        prop_oneof![Just("a"), Just("b"), Just("m.x")],
+        arb_value(),
+        set,
+        any::<bool>(),
+        0u8..4,
+    )
+        .prop_map(|(field, literal, set, upsert, same)| {
+            let mut fields = Document::new();
+            if same == 0 {
+                fields.insert(field, literal.clone());
+            } else {
+                for (path, value) in set {
+                    fields.insert(path, value);
+                }
+            }
+            (doc! { field => literal }, doc! { "$set" => fields }, upsert)
+        })
+}
+
 /// A random query over the same field universe: one literal.
 fn arb_query() -> impl Strategy<Value = Document> {
     (prop_oneof![Just("a"), Just("b"), Just("c")], arb_value())
@@ -182,6 +245,58 @@ proptest! {
         // After mutation, queries still agree.
         for probe in [doc! {}, doc! { "a" => new_val }, query] {
             prop_assert_eq!(plain.find(&probe), indexed.find(&probe));
+        }
+    }
+
+    #[test]
+    fn indexes_stay_consistent_through_update_sequences(
+        docs in prop::collection::vec(arb_nested_doc(), 0..12),
+        steps in prop::collection::vec(arb_update_step(), 1..12),
+    ) {
+        let mut plain = Collection::new();
+        let mut indexed = Collection::new();
+        indexed.create_index("a");
+        indexed.create_index("m.x");
+        for d in &docs {
+            plain.insert_one(d.clone());
+            indexed.insert_one(d.clone());
+        }
+        // Every value either indexed path ever held: a stale entry
+        // under one shows up as a candidate the rebuilt index lacks.
+        let mut seen: Vec<Value> = Vec::new();
+        for (query, update, upsert) in steps {
+            for d in plain.scan() {
+                for path in INDEXED_PATHS {
+                    if let Some(v) = d.get_path(path).filter(|v| !seen.contains(v)) {
+                        seen.push(v.clone());
+                    }
+                }
+            }
+            let r1 = plain.update_one(&query, &update, upsert);
+            let r2 = indexed.update_one(&query, &update, upsert);
+            prop_assert_eq!(r1, r2);
+
+            // The same documents as a collection whose indexes were
+            // built from scratch. No step deletes, so re-inserting in
+            // `_id` order hands out the same `_id`s.
+            let mut rebuilt = Collection::new();
+            for d in indexed.scan() {
+                rebuilt.insert_one(d.clone());
+            }
+            for path in INDEXED_PATHS {
+                rebuilt.create_index(path);
+            }
+            prop_assert_eq!(rebuilt.find(&doc! {}), plain.find(&doc! {}));
+            for path in INDEXED_PATHS {
+                for literal in seen.iter().chain([&Value::Int(0)]) {
+                    let probe = doc! { path => literal.clone() };
+                    prop_assert_eq!(indexed.candidate_count(&probe), rebuilt.candidate_count(&probe));
+                    prop_assert_eq!(indexed.find(&probe), plain.find(&probe));
+                }
+                let sorted = FindOptions::sort_asc(path);
+                prop_assert_eq!(indexed.find_with(&doc! {}, &sorted), plain.find_with(&doc! {}, &sorted));
+            }
+            prop_assert_eq!(indexed.find(&query), plain.find(&query));
         }
     }
 

@@ -52,7 +52,7 @@
 //! holds the primitive writers and the checked reader both journaling
 //! crates build their logical records from.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod codec;
 
@@ -104,9 +104,59 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
     tables
 }
 
-/// Fold `bytes` into a running CRC-32 state: eight bytes a step, the
-/// byte-at-a-time table for the tail.
+/// Fold `bytes` into a running CRC-32 state on the fastest kernel this
+/// CPU runs for that length. Every kernel computes the same function.
 fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
+    match Kernel::detect(bytes.len()) {
+        Kernel::Table => crc32_table(state, bytes),
+        // SAFETY: `Clmul` is only returned by `Kernel::detect`, after
+        // `is_x86_feature_detected!` reported `pclmulqdq`, the one
+        // feature `clmul::update` enables beyond the x86-64 baseline.
+        #[cfg(target_arch = "x86_64")]
+        #[allow(unsafe_code)]
+        Kernel::Clmul => unsafe { clmul::update(state, bytes) },
+    }
+}
+
+/// The CRC-32 (IEEE) of `bytes`: the checksum every record is framed
+/// with, over `len || payload`.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    crc32_update(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
+}
+
+/// Which fold a CRC update runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kernel {
+    /// [`crc32_table`]: every CPU, every length.
+    Table,
+    /// [`clmul::update`]: on at least [`CLMUL_MIN_BYTES`], where the
+    /// CPU has the carry-less multiplier.
+    #[cfg(target_arch = "x86_64")]
+    Clmul,
+}
+
+/// Shortest input the carry-less kernel takes: one step of its four
+/// 16-byte lanes. From there up it beats the tables on the 2-core
+/// reference host, ≈ 3× at 64 bytes and ≈ 13× at 64 KiB.
+const CLMUL_MIN_BYTES: usize = 64;
+
+impl Kernel {
+    /// The kernel for `len` bytes on this CPU. `std` asks the CPU once
+    /// per process and caches the answer, so this is a load and a test.
+    #[inline]
+    fn detect(len: usize) -> Kernel {
+        #[cfg(target_arch = "x86_64")]
+        if len >= CLMUL_MIN_BYTES && is_x86_feature_detected!("pclmulqdq") {
+            return Kernel::Clmul;
+        }
+        let _ = len;
+        Kernel::Table
+    }
+}
+
+/// Fold `bytes` into a running CRC-32 state through the tables: eight
+/// bytes a step, the byte-at-a-time table for the tail.
+fn crc32_table(state: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut c = state;
     let mut words = bytes.chunks_exact(8);
@@ -127,6 +177,88 @@ fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
         c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c
+}
+
+/// The CRC on the carry-less multiplier (Gopal et al., "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ Instruction",
+/// Intel, 2009), for the reflected polynomial the tables are built
+/// from. Four 128-bit lanes fold 64 bytes a step, each lane multiplied
+/// forward by x^512 mod P; the lanes then fold into one by x^128 mod P,
+/// the remaining 16-byte blocks fold into it the same way, the 128-bit
+/// remainder reduces to 64 bits and a Barrett reduction takes it to the
+/// 32-bit state. The tables take the last `len % 16` bytes.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use super::crc32_table;
+    use std::arch::x86_64::*;
+
+    /// x^(4·128+32) and x^(4·128−32) mod P, bit-reflected and shifted
+    /// left by one, as are `K3`–`K5`: one fold across four lanes.
+    const K1: i64 = 0x1_5444_2bd4;
+    const K2: i64 = 0x1_c6e4_1596;
+    /// x^(128+32) and x^(128−32) mod P: one fold across one lane.
+    const K3: i64 = 0x1_7519_97d0;
+    const K4: i64 = 0x0_ccaa_009e;
+    /// x^64 mod P: the 96-to-64-bit step.
+    const K5: i64 = 0x1_63cd_6124;
+    /// P itself and ⌊x^64 / P⌋, bit-reflected: Barrett's two constants.
+    const P_X: i64 = 0x1_db71_0641;
+    const U_PRIME: i64 = 0x1_f701_1641;
+
+    /// `acc` multiplied forward by the distance `keys` encodes, into
+    /// `next`.
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold(acc: __m128i, next: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(acc, keys, 0x00);
+        let hi = _mm_clmulepi64_si128(acc, keys, 0x11);
+        _mm_xor_si128(_mm_xor_si128(next, lo), hi)
+    }
+
+    /// One 16-byte block, least significant byte first.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    fn load(block: &[u8; 16]) -> __m128i {
+        let (lo, hi) = block.split_at(8);
+        let word = |half: &[u8]| i64::from_le_bytes(half.try_into().expect("eight bytes"));
+        _mm_set_epi64x(word(hi), word(lo))
+    }
+
+    /// Fold `bytes`, at least [`super::CLMUL_MIN_BYTES`] of them, into a
+    /// running CRC-32 state.
+    #[target_feature(enable = "pclmulqdq")]
+    pub(super) fn update(state: u32, bytes: &[u8]) -> u32 {
+        let (blocks, tail) = bytes.as_chunks::<16>();
+        let (first, rest) = blocks.split_first_chunk::<4>().expect("at least 64 bytes");
+        let mut lanes = first.map(|block| load(&block));
+        lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi32_si128(state as i32));
+        let mut quads = rest.chunks_exact(4);
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        for quad in &mut quads {
+            for (lane, block) in lanes.iter_mut().zip(quad) {
+                *lane = fold(*lane, load(block), k1k2);
+            }
+        }
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let [a, b, c, d] = lanes;
+        let mut x = fold(fold(fold(a, b, k3k4), c, k3k4), d, k3k4);
+        for block in quads.remainder() {
+            x = fold(x, load(block), k3k4);
+        }
+        // 128 bits to 96, then 96 to 64.
+        let low32 = _mm_set_epi32(0, 0, 0, -1);
+        x = _mm_xor_si128(_mm_clmulepi64_si128(x, k3k4, 0x10), _mm_srli_si128(x, 8));
+        x = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5), 0x00),
+            _mm_srli_si128(x, 4),
+        );
+        // Barrett: T1 = (R mod x^32)·µ, T2 = (T1 mod x^32)·P, and the
+        // state is bits 32..64 of R ⊕ T2 (reflected, so the high half).
+        let pu = _mm_set_epi64x(U_PRIME, P_X);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), pu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), pu, 0x00);
+        let c = _mm_cvtsi128_si32(_mm_srli_si128(_mm_xor_si128(x, t2), 4)) as u32;
+        crc32_table(c, tail)
+    }
 }
 
 fn record_crc(len_le: [u8; 4], payload: &[u8]) -> u32 {
@@ -599,26 +731,35 @@ mod tests {
         [&len[..], &record_crc(len, payload).to_le_bytes(), payload].concat()
     }
 
-    /// The fold slicing-by-8 replaced: one table lookup per byte.
+    /// The fold the tables and the carry-less kernel replaced: one
+    /// table lookup per byte.
     fn crc32_bytewise(state: u32, bytes: &[u8]) -> u32 {
         bytes.iter().fold(state, |c, &b| CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8))
     }
 
     #[test]
-    fn sliced_crc_equals_the_bytewise_fold() {
-        assert_eq!(crc32_update(0xFFFF_FFFF, b"123456789") ^ 0xFFFF_FFFF, 0xCBF4_3926);
+    fn every_crc_kernel_equals_the_bytewise_fold() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         let buf: Vec<u8> =
-            (0..4096u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
-        // Every length 0–63 at every alignment 0–8, from two states.
+            (0..64 * 1024u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        // Every length 0–600 at every offset 0–15, from two states:
+        // both sides of the switch at `CLMUL_MIN_BYTES`, and every count
+        // of 64-byte steps, 16-byte blocks and tail bytes up to ten
+        // steps.
+        // The tables are called directly too, so they stay tested on a
+        // CPU that would always pick the carry-less kernel here.
         for state in [0xFFFF_FFFF, 0x1234_5678] {
-            for offset in 0..=8 {
-                for len in 0..64 {
+            for offset in 0..16 {
+                for len in 0..=600 {
                     let bytes = &buf[offset..offset + len];
-                    let sliced = crc32_update(state, bytes);
-                    assert_eq!(sliced, crc32_bytewise(state, bytes), "{offset}+{len}");
+                    let expected = crc32_bytewise(state, bytes);
+                    assert_eq!(crc32_table(state, bytes), expected, "table {offset}+{len}");
+                    assert_eq!(crc32_update(state, bytes), expected, "{offset}+{len}");
                 }
             }
-            assert_eq!(crc32_update(state, &buf), crc32_bytewise(state, &buf));
+            let expected = crc32_bytewise(state, &buf);
+            assert_eq!(crc32_table(state, &buf), expected);
+            assert_eq!(crc32_update(state, &buf), expected);
         }
     }
 

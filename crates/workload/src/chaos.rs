@@ -327,19 +327,22 @@ fn audit_terminal_state(
     accepted: &[u64],
     dead_lettered: Vec<u64>,
 ) -> AuditOutcome {
-    let mut rows_per_id: BTreeMap<u64, u64> = BTreeMap::new();
+    // One pass over the rows where they lie, in `_id` order: how many
+    // rows each job id has, and the first of them — the row a point
+    // lookup by job id returns.
     let submissions = system.db().collection("submissions");
-    let all_rows = submissions.read().find(&rai_db::doc! {});
-    for row in &all_rows {
+    let rows = submissions.read();
+    let mut rows_per_id: BTreeMap<u64, (u64, &rai_db::Document)> = BTreeMap::new();
+    for row in rows.scan() {
         if let Some(id) = row.get("job_id").and_then(rai_db::Value::as_i64) {
-            *rows_per_id.entry(id as u64).or_insert(0) += 1;
+            rows_per_id.entry(id as u64).or_insert((0, row)).0 += 1;
         }
     }
     let dead_set: BTreeSet<u64> = dead_lettered.iter().copied().collect();
     let terminal: Vec<u64> = rows_per_id.keys().copied().collect();
     let duplicated: Vec<u64> = rows_per_id
         .iter()
-        .filter(|(_, n)| **n > 1)
+        .filter(|(_, (n, _))| *n > 1)
         .map(|(id, _)| *id)
         .collect();
     let lost: Vec<u64> = accepted
@@ -353,11 +356,7 @@ fn audit_terminal_state(
     // + standings. Presigned URLs are deliberately excluded (their
     // secret is process-global, not seed-derived).
     let mut fp = Fnv1a::new();
-    for id in rows_per_id.keys() {
-        let row = submissions
-            .read()
-            .find_one(&rai_db::doc! { "job_id" => *id })
-            .expect("counted above");
+    for (id, (_, row)) in &rows_per_id {
         fp.update(&id.to_le_bytes());
         fp.update(row.get("team").and_then(rai_db::Value::as_str).unwrap_or("").as_bytes());
         fp.update(row.get("kind").and_then(rai_db::Value::as_str).unwrap_or("").as_bytes());
