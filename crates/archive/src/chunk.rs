@@ -296,7 +296,7 @@ impl Cutter {
         let manifest = ChunkManifest {
             chunks: self.refs,
             total_len: payload.len() as u64,
-            etag: format!("{etag:016x}"),
+            etag: crate::fnv::etag_of(etag),
         };
         debug_assert_eq!(
             manifest.chunks.iter().map(|r| u64::from(r.len)).sum::<u64>(),

@@ -132,7 +132,13 @@ pub fn hash(bytes: &[u8]) -> u64 {
 
 /// Render a digest as the hex "etag" format used by the object store.
 pub fn etag(bytes: &[u8]) -> String {
-    format!("{:016x}", hash(bytes))
+    etag_of(hash(bytes))
+}
+
+/// The etag of a payload whose digest is `digest`: its sixteen hex
+/// digits.
+pub(crate) fn etag_of(digest: u64) -> String {
+    crate::digits::hex(digest, 16).as_str().to_string()
 }
 
 #[cfg(test)]

@@ -9,6 +9,8 @@
 //!   by the client (project dir), the sandbox (mounted volumes) and the
 //!   grading tools (downloaded submissions).
 //! * [`fnv`] — FNV-1a hashing used for content checksums.
+//! * [`digits`] — the hex and decimal digits of etags, keys, topics
+//!   and URLs, written without the formatter.
 //! * `container` — the tar-like entry container with per-entry and
 //!   whole-archive checksums: [`write_container`] (or
 //!   [`write_container_chunked`], which chunks it as it writes) on the
@@ -26,6 +28,7 @@
 
 pub mod chunk;
 mod container;
+pub mod digits;
 pub mod fnv;
 pub mod tree;
 

@@ -30,4 +30,4 @@ pub use email::{render_key_email, KeyEmail};
 pub use keys::{Credentials, KeyGenerator};
 pub use registry::{AuthError, CredentialRegistry};
 pub use roster::{Roster, RosterEntry, RosterError};
-pub use signing::{hmac_sha256, sign_request, verify_request};
+pub use signing::{hmac_sha256, sign_request, verify_request, HmacKey};

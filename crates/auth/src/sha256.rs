@@ -259,13 +259,24 @@ pub(crate) fn hex(digest: &[u8]) -> String {
     out
 }
 
+const NIBBLES: &[u8; 16] = b"0123456789abcdef";
+
 /// Append `digest` to `out` as lowercase hex.
 pub(crate) fn push_hex(out: &mut String, digest: &[u8]) {
-    const NIBBLES: &[u8; 16] = b"0123456789abcdef";
     for b in digest {
         out.push(NIBBLES[usize::from(b >> 4)] as char);
         out.push(NIBBLES[usize::from(b & 0xf)] as char);
     }
+}
+
+/// A SHA-256 digest's lowercase hex, on the stack.
+pub(crate) fn hex_digits(digest: &[u8; 32]) -> [u8; 64] {
+    let mut out = [0u8; 64];
+    for (pair, b) in out.chunks_exact_mut(2).zip(digest) {
+        pair[0] = NIBBLES[usize::from(b >> 4)];
+        pair[1] = NIBBLES[usize::from(b & 0xf)];
+    }
+    out
 }
 
 /// `compress` as it was before it rolled its schedule and unrolled its

@@ -4,22 +4,27 @@
 //! request string with `RAI_SECRET_KEY`; workers verify against the
 //! registry before running anything.
 
-use crate::sha256::{hex, push_hex, sha256, Sha256};
+use crate::sha256::{hex, hex_digits, sha256, Sha256};
+
+/// The canonical request's version line.
+const VERSION: &str = "rai-v1\n";
 
 const BLOCK: usize = 64;
 
 /// A key scheduled for HMAC-SHA256: the hasher states after its inner
 /// and outer padded blocks. Scheduling costs the two compressions (and,
 /// for a key over 64 bytes, the hash of the key) that every MAC under
-/// the key would otherwise repeat.
-pub(crate) struct HmacKey {
+/// the key would otherwise repeat, so a signer that holds its secret
+/// (the registry per credential, a client per team) schedules it once.
+#[derive(Clone)]
+pub struct HmacKey {
     inner: Sha256,
     outer: Sha256,
 }
 
 impl HmacKey {
     /// Schedule `key`.
-    pub(crate) fn new(key: &[u8]) -> Self {
+    pub fn new(key: &[u8]) -> Self {
         let mut key_block = [0u8; BLOCK];
         if key.len() > BLOCK {
             key_block[..32].copy_from_slice(&sha256(key));
@@ -38,19 +43,31 @@ impl HmacKey {
         HmacKey { inner, outer }
     }
 
-    /// HMAC-SHA256 of `message` under this key.
-    pub(crate) fn mac(&self, message: &[u8]) -> [u8; 32] {
+    /// HMAC-SHA256 of the message `parts` make in order, under this
+    /// key.
+    fn mac_parts(&self, parts: &[&[u8]]) -> [u8; 32] {
         let mut inner = self.inner.clone();
-        inner.update(message);
+        for part in parts {
+            inner.update(part);
+        }
         let inner_digest = inner.finalize();
         let mut outer = self.outer.clone();
         outer.update(&inner_digest);
         outer.finalize()
     }
 
-    /// [`sign_request`] under this key.
-    pub(crate) fn sign(&self, access_key: &str, body: &[u8]) -> String {
-        hex(&self.mac(canonical_request(access_key, body).as_bytes()))
+    /// HMAC-SHA256 of `message` under this key.
+    pub(crate) fn mac(&self, message: &[u8]) -> [u8; 32] {
+        self.mac_parts(&[message])
+    }
+
+    /// [`sign_request`] under this key: the MAC of the canonical
+    /// request `rai-v1 \n access_key \n body-hash`, fed to the hasher
+    /// piece by piece.
+    pub fn sign(&self, access_key: &str, body: &[u8]) -> String {
+        let body_hash = hex_digits(&sha256(body));
+        let parts = [VERSION.as_bytes(), access_key.as_bytes(), b"\n", &body_hash];
+        hex(&self.mac_parts(&parts))
     }
 
     /// [`verify_request`] under this key.
@@ -76,8 +93,11 @@ pub fn verify_request(secret_key: &str, access_key: &str, body: &[u8], signature
     HmacKey::new(secret_key.as_bytes()).verify(access_key, body, signature)
 }
 
+/// The canonical request [`HmacKey::sign`] MACs, whole: the tests'
+/// reference.
+#[cfg(test)]
 fn canonical_request(access_key: &str, body: &[u8]) -> String {
-    const VERSION: &str = "rai-v1\n";
+    use crate::sha256::push_hex;
     let mut out = String::with_capacity(VERSION.len() + access_key.len() + 1 + 64);
     out.push_str(VERSION);
     out.push_str(access_key);
@@ -153,6 +173,16 @@ mod tests {
         assert!(!verify_request("tU08PuKhtR9qozBNn33RcH7p5A", "BsqJuFUI2ZtK4g1aLXf-OjmML6", b"tampered", &sig));
         assert!(!verify_request("tU08PuKhtR9qozBNn33RcH7p5A", "other-key", b"job body", &sig));
         assert!(!verify_request("tU08PuKhtR9qozBNn33RcH7p5A", "BsqJuFUI2ZtK4g1aLXf-OjmML6", b"job body", &sig[..10]));
+    }
+
+    #[test]
+    fn a_signature_is_the_mac_of_the_whole_canonical_request() {
+        let key = HmacKey::new(b"tU08PuKhtR9qozBNn33RcH7p5A");
+        for (access_key, body) in [("BsqJuFUI2ZtK4g1aLXf-OjmML6", &b"job body"[..]), ("", b""), ("a\nb", &[0xFF; 200])] {
+            let whole = hex(&key.mac(canonical_request(access_key, body).as_bytes()));
+            assert_eq!(key.sign(access_key, body), whole);
+            assert_eq!(sign_request("tU08PuKhtR9qozBNn33RcH7p5A", access_key, body), whole);
+        }
     }
 
     #[test]

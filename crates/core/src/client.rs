@@ -13,8 +13,9 @@ use crate::protocol::{block_lines, routes, FrameLine, JobKind, JobRequest, Tag};
 use crate::spec::{
     BuildSpec, SpecError, DEFAULT_BUILD_YML, FINAL_SUBMISSION_FILES, FINAL_SUBMISSION_YML,
 };
+use rai_archive::digits::hex;
 use rai_archive::FileTree;
-use rai_auth::{sign_request, Credentials};
+use rai_auth::{Credentials, HmacKey};
 use rai_broker::{Broker, Bytes, PublishError, Subscription};
 use rai_db::{doc, Database};
 use rai_store::{ObjectStore, StoreError};
@@ -31,28 +32,50 @@ const CLIENT_RETRY_ATTEMPTS: u32 = 4;
 /// Bucket workers upload `/build` outputs to.
 pub const BUILD_BUCKET: &str = "rai-builds";
 
-/// Write the object key of `team`'s upload for job `job_id`:
-/// `{team}/{job_id:08x}.tar.bz2`, the team's spaces written as dashes.
-/// The one derivation of it: the client stores a job's upload under
-/// this key ([`upload_key`]), and the worker runs a job only from it
-/// ([`is_upload_key`]).
-fn write_upload_key(out: &mut impl std::fmt::Write, team: &str, job_id: u64) -> std::fmt::Result {
+/// Write the object key a job of `team` stores under:
+/// `{team}/{job_id:08x}{suffix}`, the team's spaces written as dashes.
+/// The one derivation of both keys a job names: the client stores a
+/// job's upload under it with suffix `.tar.bz2` ([`upload_key`]), the
+/// worker runs a job only from that key ([`is_upload_key`]) and stores
+/// its `/build` under suffix `-build.tar.bz2` ([`build_key`]).
+fn write_job_key(
+    out: &mut impl std::fmt::Write,
+    team: &str,
+    job_id: u64,
+    suffix: &str,
+) -> std::fmt::Result {
     let mut words = team.split(' ');
     out.write_str(words.next().unwrap_or_default())?;
     for word in words {
         out.write_str("-")?;
         out.write_str(word)?;
     }
-    write!(out, "/{job_id:08x}.tar.bz2")
+    out.write_str("/")?;
+    out.write_str(hex(job_id, 8).as_str())?;
+    out.write_str(suffix)
+}
+
+/// The key `team`'s job `job_id` is stored under with `suffix`.
+fn job_key(team: &str, job_id: u64, suffix: &str) -> String {
+    // `/`, at least eight hex digits and the suffix.
+    let mut key = String::with_capacity(team.len() + 9 + suffix.len());
+    write_job_key(&mut key, team, job_id, suffix).expect("writing to a String cannot fail");
+    key
 }
 
 /// The object key the client uploads job `job_id` of `team` under.
 fn upload_key(team: &str, job_id: u64) -> String {
-    // `/`, eight hex digits and `.tar.bz2`.
-    let mut key = String::with_capacity(team.len() + 17);
-    write_upload_key(&mut key, team, job_id).expect("writing to a String cannot fail");
-    key
+    job_key(team, job_id, UPLOAD_SUFFIX)
 }
+
+/// The object key the worker uploads the `/build` of job `job_id` of
+/// `team` under.
+pub(crate) fn build_key(team: &str, job_id: u64) -> String {
+    job_key(team, job_id, "-build.tar.bz2")
+}
+
+/// What follows the job id in an upload's key.
+const UPLOAD_SUFFIX: &str = ".tar.bz2";
 
 /// Whether `key` is the object key of `team`'s upload for job `job_id`,
 /// compared as the key is written, without building it.
@@ -66,7 +89,7 @@ pub(crate) fn is_upload_key(key: &str, team: &str, job_id: u64) -> bool {
         }
     }
     let mut rest = Expect(key);
-    write_upload_key(&mut rest, team, job_id).is_ok() && rest.0.is_empty()
+    write_job_key(&mut rest, team, job_id, UPLOAD_SUFFIX).is_ok() && rest.0.is_empty()
 }
 
 /// Development run vs final submission: the client's name for the
@@ -428,6 +451,9 @@ impl PendingJob {
 /// The student-side client.
 pub struct RaiClient {
     creds: Credentials,
+    /// The secret key, scheduled once for every request this client
+    /// signs.
+    key: HmacKey,
     team: String,
     broker: Broker,
     store: ObjectStore,
@@ -448,6 +474,7 @@ impl RaiClient {
         next_job_id: Arc<AtomicU64>,
     ) -> Self {
         RaiClient {
+            key: HmacKey::new(creds.secret_key.as_bytes()),
             creds,
             team: team.to_string(),
             broker,
@@ -466,7 +493,6 @@ impl RaiClient {
     }
 
     /// The credentials in use.
-    #[cfg(test)]
     pub(crate) fn credentials(&self) -> &Credentials {
         &self.creds
     }
@@ -546,11 +572,7 @@ impl RaiClient {
             build_yml,
             kind: mode,
         };
-        request.signature = sign_request(
-            &self.creds.secret_key,
-            &self.creds.access_key,
-            &request.signing_payload(),
-        );
+        request.signature = self.key.sign(&self.creds.access_key, &request.signing_payload());
         let encoded = request.encode();
 
         // ⑤ Subscribe to the job's ephemeral log topic before the push:
@@ -575,10 +597,12 @@ impl RaiClient {
             });
             db.sync_wal();
         }
+        // One body for every attempt: a retry publishes the same bytes.
+        let body = Bytes::from(encoded);
         let mut attempts = 0;
         let published = loop {
             attempts += 1;
-            match self.broker.publish(routes::TASK_TOPIC, encoded.clone()) {
+            match self.broker.publish(routes::TASK_TOPIC, body.clone()) {
                 Ok(_) => break Ok(()),
                 Err(PublishError::Unavailable { .. }) if attempts < CLIENT_RETRY_ATTEMPTS => {
                     continue

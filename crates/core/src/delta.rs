@@ -15,7 +15,6 @@
 use rai_archive::chunk::{chunk_shared, chunk_views, Chunk, ChunkManifest, ChunkerParams};
 use rai_archive::{write_container_chunked, Bytes, FileTree};
 use rai_store::{ObjectStore, StoreError};
-use std::collections::HashSet;
 
 /// A payload already split into its chunk manifest, ready to commit.
 ///
@@ -128,13 +127,18 @@ impl DeltaUploader {
         user_meta: impl IntoIterator<Item = (&'m str, &'m str)> + Clone,
     ) -> Result<DeltaReceipt, StoreError> {
         let PreparedUpload { manifest, chunks } = prepared;
-        // The distinct chunks, in first-occurrence manifest order, so
-        // they pair with the probe's answers by position.
-        let distinct: Vec<&Chunk> = {
-            let mut seen = HashSet::with_capacity(chunks.len());
-            chunks.iter().filter(|c| seen.insert(c.digest)).collect()
+        // The positions of the distinct chunks, in first-occurrence
+        // manifest order, so they pair with the probe's answers: sorted
+        // by digest, the first of each digest kept, then put back in
+        // manifest order. No digest is hashed.
+        let distinct: Vec<usize> = {
+            let mut at: Vec<usize> = (0..chunks.len()).collect();
+            at.sort_unstable_by_key(|&i| (chunks[i].digest, i));
+            at.dedup_by_key(|i| chunks[*i].digest);
+            at.sort_unstable();
+            at
         };
-        let digests: Vec<u64> = distinct.iter().map(|c| c.digest).collect();
+        let digests: Vec<u64> = distinct.iter().map(|&i| chunks[i].digest).collect();
 
         let attempt = || {
             let resident = store.has_chunks(&digests)?;
@@ -142,7 +146,7 @@ impl DeltaUploader {
                 .iter()
                 .zip(resident)
                 .filter(|(_, resident)| !resident)
-                .map(|(c, _)| *c)
+                .map(|(&i, _)| &chunks[i])
                 .collect();
             let to_send = request_body(&missing);
             store.put_delta(bucket, key, manifest, &to_send, user_meta.clone())?;
@@ -179,6 +183,7 @@ mod tests {
     use rai_archive::chunk::ChunkRef;
     use rai_sim::VirtualClock;
     use rai_store::LifecycleRule;
+    use std::collections::HashSet;
 
     fn store() -> ObjectStore {
         let s = ObjectStore::new(VirtualClock::new());

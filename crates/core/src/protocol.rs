@@ -19,7 +19,6 @@
 
 use rai_yaml::emit::{push_int_entry, push_str_entry, read_int_entry, read_str_entry};
 use std::borrow::Cow;
-use std::io::Write;
 
 /// Well-known queue routes.
 pub mod routes {
@@ -28,9 +27,10 @@ pub mod routes {
     /// Channel all workers share on the task topic.
     pub const TASK_CHANNEL: &str = "tasks";
 
-    /// Per-job ephemeral log topic (`log_${job_id}`).
+    /// Per-job ephemeral log topic (`log_${job_id}`): `log_` and at
+    /// least eight hex digits.
     pub fn log_topic(job_id: u64) -> String {
-        format!("log_{job_id:08x}")
+        ["log_", rai_archive::digits::hex(job_id, 8).as_str()].concat()
     }
 
     /// The single channel on a log topic.
@@ -99,9 +99,10 @@ impl JobRequest {
             self.kind.as_str(),
             &self.build_yml,
         ];
-        // 20 digits hold any job id.
-        let mut out = Vec::with_capacity(20 + fields.iter().map(|f| 1 + f.len()).sum::<usize>());
-        write!(out, "{}", self.job_id).expect("writing to a Vec cannot fail");
+        let job_id = rai_archive::digits::decimal(self.job_id);
+        let job_id = job_id.as_str().as_bytes();
+        let mut out = Vec::with_capacity(job_id.len() + fields.iter().map(|f| 1 + f.len()).sum::<usize>());
+        out.extend_from_slice(job_id);
         for field in fields {
             out.push(b'\n');
             out.extend_from_slice(field.as_bytes());

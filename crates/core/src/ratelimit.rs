@@ -36,15 +36,18 @@ impl RateLimiter {
     pub(crate) fn check(&self, key: &str) -> RateDecision {
         let now = self.clock.now();
         let mut seen = self.last_seen.lock();
-        if let Some(&last) = seen.get(key) {
-            let since = now.duration_since(last);
-            if since < self.min_interval {
-                return RateDecision::Denied {
-                    retry_after: self.min_interval - since,
-                };
-            }
+        // One lookup; a key is copied only the first time it is seen.
+        let Some(last) = seen.get_mut(key) else {
+            seen.insert(key.to_string(), now);
+            return RateDecision::Allowed;
+        };
+        let since = now.duration_since(*last);
+        if since < self.min_interval {
+            return RateDecision::Denied {
+                retry_after: self.min_interval - since,
+            };
         }
-        seen.insert(key.to_string(), now);
+        *last = now;
         RateDecision::Allowed
     }
 }

@@ -12,7 +12,7 @@ use crate::ratelimit::{RateDecision, RateLimiter};
 use crate::worker::{
     ClaimedJob, JobOutcome, PoppedTask, StepEvent, Worker, WorkerConfig,
 };
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use rai_auth::{Credentials, CredentialRegistry, KeyGenerator};
 use rai_broker::{Broker, BrokerConfig};
 use rai_faults::{CrashKind, FaultInjector, FaultPlan};
@@ -22,6 +22,7 @@ use rai_sim::{SimDuration, VirtualClock};
 use rai_store::{LifecycleRule, ObjectStore, StoreRecovery, StoreUsage};
 use rai_telemetry::{component, names, stage, MetricsSnapshot, Telemetry};
 use rai_wal::{DurabilityConfig, MemDisk, Wal};
+use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -89,6 +90,9 @@ pub struct RaiSystem {
     store: ObjectStore,
     db: Database,
     registry: Arc<RwLock<CredentialRegistry>>,
+    /// One client per team, under its access key, built the first time
+    /// [`RaiSystem::client_for`] is asked for its credentials.
+    clients: Mutex<HashMap<String, Arc<RaiClient>>>,
     images: Arc<ImageRegistry>,
     workers: Vec<Worker>,
     rate_limiter: Option<RateLimiter>,
@@ -279,6 +283,7 @@ impl RaiSystem {
             store,
             db,
             registry,
+            clients: Mutex::new(HashMap::new()),
             images,
             workers,
             rate_limiter,
@@ -391,8 +396,25 @@ impl RaiSystem {
         self.sessions.open(&creds.access_key, project)
     }
 
-    /// A client handle for previously issued credentials.
-    pub fn client_for(&self, creds: &Credentials) -> RaiClient {
+    /// A client handle for previously issued credentials: one per
+    /// team, built — its secret scheduled — the first time it is asked
+    /// for, and handed out again for exactly the credentials it was
+    /// built from. Credentials that differ in any field get a client of
+    /// their own, which replaces the old one; a recovered deployment
+    /// starts with none.
+    pub fn client_for(&self, creds: &Credentials) -> Arc<RaiClient> {
+        let mut clients = self.clients.lock();
+        match clients.get(&creds.access_key) {
+            Some(client) if client.credentials() == creds => client.clone(),
+            _ => {
+                let client = Arc::new(self.new_client(creds));
+                clients.insert(creds.access_key.clone(), client.clone());
+                client
+            }
+        }
+    }
+
+    fn new_client(&self, creds: &Credentials) -> RaiClient {
         let mut client = RaiClient::new(
             creds.clone(),
             &creds.user_name,
@@ -452,7 +474,7 @@ impl RaiSystem {
 
     /// Accept one submission without driving it — the one acceptance
     /// path, so the rate limit is checked here: package, upload and
-    /// publish through a fresh client for `creds`, then open the job's
+    /// publish through the team's client for `creds`, then open the job's
     /// trace. Attempt 0 is the client's submit subtree (worker attempts
     /// start at 1); the client uploads and publishes in one step, so
     /// submit and enqueue share a timestamp.
@@ -1020,6 +1042,79 @@ mod tests {
             recovered.db().collection("submissions").read().find(&doc! {}).len(),
             rows_before + 1
         );
+    }
+
+    #[test]
+    fn a_client_serves_only_the_credentials_it_was_built_from() {
+        let mut system = RaiSystem::new(SystemConfig { rate_limit: None, ..Default::default() });
+        let creds = system.register_team("keyed", &[]);
+        let client = system.client_for(&creds);
+        assert!(Arc::ptr_eq(&client, &system.client_for(&creds)), "one client per team");
+        assert_eq!(client.credentials(), &creds);
+
+        // Credentials that differ in any one field get a client of their
+        // own, built from them; the team's own then get theirs again.
+        let variants = [
+            Credentials { user_name: "other".into(), ..creds.clone() },
+            Credentials { access_key: "A".repeat(26), ..creds.clone() },
+            Credentials { secret_key: "S".repeat(26), ..creds.clone() },
+        ];
+        for variant in &variants {
+            let other = system.client_for(variant);
+            assert!(!Arc::ptr_eq(&other, &client), "{variant:?}");
+            assert_eq!(other.credentials(), variant);
+            assert_eq!(system.client_for(&creds).credentials(), &creds, "{variant:?}");
+        }
+
+        // A client signs with its own secret: a wrong one is refused at
+        // the worker, the team's own still passes.
+        let p = ProjectDir::sample_cuda_project();
+        assert!(!system.submit(&variants[2], &p).unwrap().success);
+        assert!(system.submit(&creds, &p).unwrap().success);
+        let rows = system.db().collection("submissions");
+        let users: Vec<_> = rows.read().scan().map(|row| row.get("user").cloned()).collect();
+        assert_eq!(users, [Some("auth-rejected".into()), Some("keyed".into())]);
+    }
+
+    #[test]
+    fn a_recovered_deployment_signs_with_the_reissued_credentials() {
+        let (db_disk, store_disk) = (rai_wal::MemDisk::new(), rai_wal::MemDisk::new());
+        let config = SystemConfig {
+            rate_limit: None,
+            durability: rai_wal::DurabilityConfig::durable(),
+            ..Default::default()
+        };
+        let clock = VirtualClock::new();
+        let mut system = RaiSystem::with_clock_durable(
+            config.clone(),
+            clock.clone(),
+            Arc::new(db_disk.clone()),
+            Arc::new(store_disk.clone()),
+        );
+        let first = system.register_team("first", &[]);
+        system.register_team("second", &[]);
+        let p = ProjectDir::sample_cuda_project();
+        assert!(system.submit(&first, &p).unwrap().success);
+        system.sync_wals();
+        drop(system);
+
+        let (mut recovered, _) = RaiSystem::recover_with_clock(
+            config,
+            VirtualClock::starting_at(clock.now()),
+            Arc::new(db_disk),
+            Arc::new(store_disk),
+            None,
+        );
+        assert!(recovered.clients.lock().is_empty(), "a recovered deployment holds no client");
+        // Re-registered out of order, the teams get other credentials.
+        recovered.reregister_team("second");
+        let reissued = recovered.reregister_team("first");
+        assert_ne!(reissued, first);
+        assert!(!recovered.submit(&first, &p).unwrap().success, "the old key is not registered");
+        let receipt = recovered.submit(&reissued, &p).unwrap();
+        assert!(receipt.success, "signed with the re-issued key, acting for its team");
+        let row = recovered.db().collection("submissions").read().find_one(&doc! { "job_id" => receipt.job_id });
+        assert_eq!(row.and_then(|row| row.get("user").cloned()), Some("first".into()));
     }
 
     #[test]

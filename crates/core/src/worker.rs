@@ -34,23 +34,24 @@
 //! `/build` upload overwrites the same key, the submission row is an
 //! upsert keyed on `job_id`), so redelivered work records exactly once.
 
-use crate::client::{is_upload_key, BUILD_BUCKET, UPLOAD_BUCKET};
+use crate::client::{build_key, is_upload_key, BUILD_BUCKET, UPLOAD_BUCKET};
 use crate::delta::{DeltaUploader, PreparedUpload};
 use crate::protocol::{push_output, routes, JobKind, JobRequest, LogFrame};
 use crate::spec::BuildSpec;
 use rai_archive::{restore_shared, FileTree};
 use rai_auth::CredentialRegistry;
-use rai_broker::{Broker, MessageId, Subscription};
+use rai_broker::{Broker, Bytes, MessageId, Subscription};
 use rai_db::{doc, Database, DbError, Document, Value};
 use rai_faults::{CrashKind, CrashPoint, FaultInjector, FaultPlan};
 use rai_sandbox::{Container, Image, ImageRegistry, LogStream, ResourceLimits};
 use rai_sim::{SimDuration, SimTime};
+use rai_telemetry::registry::{Counter, HistogramHandle};
 use rai_telemetry::{component, names, stage, Telemetry};
 use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Worker configuration. Every worker runs its containers under the
 /// paper's limits ([`ResourceLimits::default`]) and retries store and
@@ -138,6 +139,8 @@ struct Attempt {
     /// Broker message backing this attempt; acked at the terminal row.
     msg_id: MessageId,
     request: JobRequest,
+    /// The job's log topic, named once at the claim.
+    log_topic: String,
     /// Broker delivery count, from 1.
     attempt: u64,
     /// Claim-time clock: every stage span of this attempt is stamped
@@ -168,6 +171,68 @@ impl Attempt {
 /// team and upload.
 const AUTH_REJECTED: &str = "auth-rejected";
 
+/// How a job ended, as `rai_jobs_total` labels it.
+#[derive(Clone, Copy)]
+enum Outcome {
+    Ok,
+    Failed,
+    AuthRejected,
+    BadSpec,
+    ImageRejected,
+    FetchFailed,
+}
+
+impl Outcome {
+    const COUNT: usize = 6;
+
+    fn as_str(self) -> &'static str {
+        match self {
+            Outcome::Ok => "ok",
+            Outcome::Failed => "failed",
+            Outcome::AuthRejected => AUTH_REJECTED,
+            Outcome::BadSpec => "bad-spec",
+            Outcome::ImageRejected => "image-rejected",
+            Outcome::FetchFailed => "fetch-failed",
+        }
+    }
+}
+
+/// The lifecycle stages a worker times into `rai_job_stage_seconds`.
+#[derive(Clone, Copy)]
+enum Timed {
+    Pulled,
+    Fetched,
+    Ran,
+    Uploaded,
+    Recorded,
+}
+
+impl Timed {
+    const COUNT: usize = 5;
+
+    fn stage(self) -> &'static str {
+        match self {
+            Timed::Pulled => stage::PULLED,
+            Timed::Fetched => stage::FETCHED,
+            Timed::Ran => stage::RAN,
+            Timed::Uploaded => stage::UPLOADED,
+            Timed::Recorded => stage::RECORDED,
+        }
+    }
+}
+
+/// The series a worker records on every job, each looked up in the
+/// registry the first time the worker records it — so a series is
+/// still exposed only once it holds a sample — and forgotten when the
+/// worker's telemetry is replaced.
+#[derive(Default)]
+struct Series {
+    stage_seconds: [OnceLock<HistogramHandle>; Timed::COUNT],
+    total_seconds: OnceLock<HistogramHandle>,
+    /// By job kind (`JobKind as usize`), then outcome.
+    jobs: [[OnceLock<Counter>; Outcome::COUNT]; 2],
+}
+
 /// An attempt that ends before its build output exists; claim and
 /// execute both pass it through to [`Worker::commit`] untouched.
 enum Halt {
@@ -175,7 +240,7 @@ enum Halt {
     /// fetch failure); commit records the terminal row and acks.
     Reject {
         user: String,
-        outcome: &'static str,
+        outcome: Outcome,
     },
     /// An injected crash/stall landed.
     Crashed(CrashKind),
@@ -267,7 +332,11 @@ pub struct Worker {
     cached_images: HashSet<String>,
     rng: StdRng,
     telemetry: Telemetry,
+    series: Series,
     injector: FaultInjector,
+    /// The block that opens every job's log, `job accepted by
+    /// {worker_id}`, and its accounted bytes: written once.
+    accepted: (Bytes, u64),
 }
 
 impl Worker {
@@ -285,6 +354,9 @@ impl Worker {
         let subscription = broker.subscribe(routes::TASK_TOPIC, routes::TASK_CHANNEL);
         let rng = StdRng::seed_from_u64(config.noise_seed);
         let telemetry = Telemetry::new(store.clock().clone());
+        let mut accepted = String::new();
+        let accepted_bytes = LogFrame::Status(format!("job accepted by {}", config.worker_id))
+            .encode_into(&mut accepted) as u64;
         Worker {
             config,
             broker,
@@ -296,7 +368,9 @@ impl Worker {
             cached_images: HashSet::new(),
             rng,
             telemetry,
+            series: Series::default(),
             injector: FaultInjector::new(FaultPlan::none(0)),
+            accepted: (Bytes::from(accepted), accepted_bytes),
         }
     }
 
@@ -304,6 +378,7 @@ impl Worker {
     /// now on: stage timings and job traces.
     pub(crate) fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
+        self.series = Series::default();
     }
 
     /// Consult `injector` for crash/stall decisions, per job attempt,
@@ -380,12 +455,17 @@ impl Worker {
     }
 
     /// Count a finished job and record its end-to-end service time.
-    fn note_outcome(&self, job: &Attempt, outcome: &str) {
-        self.telemetry
-            .counter(names::JOBS_TOTAL, &[("kind", job.request.kind.as_str()), ("outcome", outcome)])
+    fn note_outcome(&self, job: &Attempt, outcome: Outcome) {
+        let kind = job.request.kind;
+        self.series.jobs[kind as usize][outcome as usize]
+            .get_or_init(|| {
+                let labels = [("kind", kind.as_str()), ("outcome", outcome.as_str())];
+                self.telemetry.counter(names::JOBS_TOTAL, &labels)
+            })
             .inc();
-        self.telemetry
-            .histogram(names::JOB_TOTAL_SECONDS, &[], 0.0, 30.0, 40)
+        self.series
+            .total_seconds
+            .get_or_init(|| self.telemetry.histogram(names::JOB_TOTAL_SECONDS, &[], 0.0, 30.0, 40))
             .record(job.service_time.as_secs_f64());
     }
 
@@ -403,15 +483,18 @@ impl Worker {
     fn note_stage(
         &self,
         job: &Attempt,
-        stage_name: &'static str,
+        timed: Timed,
         comp: &'static str,
         from: SimDuration,
         to: SimDuration,
     ) {
         let (start, end) = (job.started + from, job.started + to);
-        self.telemetry.trace_span(job.request.job_id, job.tag(), stage_name, comp, start, end);
-        self.telemetry
-            .histogram(names::JOB_STAGE_SECONDS, &[("stage", stage_name)], 0.0, 5.0, 24)
+        self.telemetry.trace_span(job.request.job_id, job.tag(), timed.stage(), comp, start, end);
+        self.series.stage_seconds[timed as usize]
+            .get_or_init(|| {
+                let labels = [("stage", timed.stage())];
+                self.telemetry.histogram(names::JOB_STAGE_SECONDS, &labels, 0.0, 5.0, 24)
+            })
             .record((to.saturating_sub(from)).as_secs_f64());
     }
 
@@ -442,12 +525,9 @@ impl Worker {
     /// up to the sandbox, serially against shared services.
     pub fn claim_popped(&mut self, popped: PoppedTask) -> ClaimedJob {
         let PoppedTask { msg_id, request, attempt } = popped;
-        let log_topic = routes::log_topic(request.job_id);
-        // Bytes of log traffic this job generates (the paper reports
-        // 25 GB of logs and metadata across the semester).
-        let accepted = LogFrame::Status(format!("job accepted by {}", self.config.worker_id));
         let mut job = Attempt {
             msg_id,
+            log_topic: routes::log_topic(request.job_id),
             request,
             attempt,
             // All stage timestamps are `started + accumulated service
@@ -460,11 +540,15 @@ impl Worker {
         };
         // Delivery from the broker opens this attempt's subtree.
         self.mark(&job, stage::DEQUEUED, component::BROKER, SimDuration::ZERO);
-        job.log_bytes += publish_frames(&self.broker, &log_topic, &[accepted]);
-        let reject = |broker: &Broker, reason: String| {
+        // Bytes of log traffic this job generates (the paper reports
+        // 25 GB of logs and metadata across the semester).
+        let (accepted, accepted_bytes) = &self.accepted;
+        let _ = self.broker.publish_ephemeral(&job.log_topic, accepted.clone());
+        job.log_bytes += accepted_bytes;
+        let reject = |broker: &Broker, log_topic: &str, reason: String| {
             publish_frames(
                 broker,
-                &log_topic,
+                log_topic,
                 &[LogFrame::Err(reason), LogFrame::End { success: false }],
             )
         };
@@ -487,11 +571,12 @@ impl Worker {
         let user = match auth {
             Ok(u) => u,
             Err(e) => {
-                job.log_bytes += reject(&self.broker, format!("authentication failed: {e}"));
+                let reason = format!("authentication failed: {e}");
+                job.log_bytes += reject(&self.broker, &job.log_topic, reason);
                 // The recorded row carries the rejection in place of a
                 // user name — there is no authenticated user to name.
                 let user = AUTH_REJECTED.to_string();
-                return halted(job, Halt::Reject { user, outcome: AUTH_REJECTED });
+                return halted(job, Halt::Reject { user, outcome: Outcome::AuthRejected });
             }
         };
 
@@ -499,8 +584,8 @@ impl Worker {
         let spec = match BuildSpec::parse(&job.request.build_yml) {
             Ok(s) => s,
             Err(e) => {
-                job.log_bytes += reject(&self.broker, e.to_string());
-                return halted(job, Halt::Reject { user, outcome: "bad-spec" });
+                job.log_bytes += reject(&self.broker, &job.log_topic, e.to_string());
+                return halted(job, Halt::Reject { user, outcome: Outcome::BadSpec });
             }
         };
 
@@ -508,17 +593,17 @@ impl Worker {
         let image = match self.images.resolve(&spec.image) {
             Ok(img) => img.clone(),
             Err(e) => {
-                job.log_bytes += reject(&self.broker, e.to_string());
-                return halted(job, Halt::Reject { user, outcome: "image-rejected" });
+                job.log_bytes += reject(&self.broker, &job.log_topic, e.to_string());
+                return halted(job, Halt::Reject { user, outcome: Outcome::ImageRejected });
             }
         };
         if !self.cached_images.contains(&image.name) {
             let pulling = LogFrame::Status(format!("pulling image {}...", image.name));
-            job.log_bytes += publish_frames(&self.broker, &log_topic, &[pulling]);
+            job.log_bytes += publish_frames(&self.broker, &job.log_topic, &[pulling]);
             let before_pull = job.service_time;
             job.service_time += image.pull_latency();
             self.cached_images.insert(image.name.clone());
-            self.note_stage(&job, stage::PULLED, component::SANDBOX, before_pull, job.service_time);
+            self.note_stage(&job, Timed::Pulled, component::SANDBOX, before_pull, job.service_time);
             self.telemetry.counter(names::SANDBOX_IMAGE_PULLS_TOTAL, &[]).inc();
         }
 
@@ -539,14 +624,15 @@ impl Worker {
         {
             Ok(tree) => tree,
             Err(e) => {
-                job.log_bytes += reject(&self.broker, format!("failed to fetch project: {e}"));
-                return halted(job, Halt::Reject { user, outcome: "fetch-failed" });
+                let reason = format!("failed to fetch project: {e}");
+                job.log_bytes += reject(&self.broker, &job.log_topic, reason);
+                return halted(job, Halt::Reject { user, outcome: Outcome::FetchFailed });
             }
         };
         // Transfer latency: 100 MB/s from the file server. The span
         // covers backoff + transfer — everything the store fetch cost.
         job.service_time += SimDuration::from_millis(project.total_size() / (100 * 1024) + 1);
-        self.note_stage(&job, stage::FETCHED, component::STORE, before_fetch, job.service_time);
+        self.note_stage(&job, Timed::Fetched, component::STORE, before_fetch, job.service_time);
 
         let mut limits = ResourceLimits::default();
         if let Some(gpus) = spec.gpus {
@@ -617,15 +703,10 @@ impl Worker {
                 // The pure half of ⑥: archive /build, chunking it as
                 // it is written. The store conversation happens at
                 // commit.
-                let build_key = format!(
-                    "{}/{:08x}-build.tar.bz2",
-                    job.request.team.replace(' ', "-"),
-                    job.request.job_id
-                );
                 ExecOutcome::Built {
                     user,
                     prepared: PreparedUpload::archive(&report.build_dir),
-                    build_key,
+                    build_key: build_key(&job.request.team, job.request.job_id),
                     success: report.success(),
                     measured: report.internal_timer_secs(),
                     elapsed: report.elapsed,
@@ -643,17 +724,16 @@ impl Worker {
     /// broker/store/db, so commit order *is* the fault-draw order.
     pub fn commit(&mut self, executed: ExecutedJob) -> StepEvent {
         let ExecutedJob { mut job, output, run, outcome } = executed;
-        let log_topic = routes::log_topic(job.request.job_id);
         // Flush the execute phase's buffered effects first, in the
         // order a single pass would have produced them: the output
         // block (publishing is faultable, and best-effort like every
         // log publish), then the spans.
         if !output.is_empty() {
-            let _ = self.broker.publish_ephemeral(&log_topic, output);
+            let _ = self.broker.publish_ephemeral(&job.log_topic, output);
         }
         if let Some(run) = &run {
             self.mark(&job, stage::BUILT, component::SANDBOX, run.from);
-            self.note_stage(&job, stage::RAN, component::SANDBOX, run.from, run.to);
+            self.note_stage(&job, Timed::Ran, component::SANDBOX, run.from, run.to);
         }
 
         // `Ok((success, measured))` once the terminal row has landed.
@@ -662,11 +742,11 @@ impl Worker {
         let sealed = match outcome {
             ExecOutcome::Halt(Halt::Crashed(kind)) => Err(job.crashed(kind)),
             ExecOutcome::Halt(Halt::Reject { user, outcome }) => {
-                match self.record_submission(&job, &user, None, SimDuration::ZERO, false, true) {
+                match self.record_submission(&job, user, None, SimDuration::ZERO, false, true) {
                     Ok(backoff) => {
                         let before_record = job.service_time;
                         job.service_time += backoff;
-                        self.note_stage(&job, stage::RECORDED, component::DB, before_record, job.service_time);
+                        self.note_stage(&job, Timed::Recorded, component::DB, before_record, job.service_time);
                         self.note_outcome(&job, outcome);
                         Ok((false, None))
                     }
@@ -721,13 +801,13 @@ impl Worker {
                     Err(_) => prepared.bytes_logical(),
                 };
                 job.service_time += SimDuration::from_millis(wire_bytes / (100 * 1024) + 1);
-                self.note_stage(&job, stage::UPLOADED, component::STORE, before_upload, job.service_time);
+                self.note_stage(&job, Timed::Uploaded, component::STORE, before_upload, job.service_time);
                 let closing = [build_url, Some(LogFrame::End { success })];
-                job.log_bytes += publish_frames(&self.broker, &log_topic, closing.iter().flatten());
+                job.log_bytes += publish_frames(&self.broker, &job.log_topic, closing.iter().flatten());
 
                 // ⑦ Record the submission metadata.
                 let recorded = self
-                    .record_submission(&job, &user, measured, elapsed, success, false)
+                    .record_submission(&job, user, measured, elapsed, success, false)
                     .and_then(|backoff| {
                         if job.request.kind == JobKind::Submit && success {
                             Ok(backoff + self.record_ranking(&job.request, measured, elapsed, &build_key)?)
@@ -740,12 +820,12 @@ impl Worker {
                 };
                 let before_record = job.service_time;
                 job.service_time += backoff;
-                self.note_stage(&job, stage::RECORDED, component::DB, before_record, job.service_time);
+                self.note_stage(&job, Timed::Recorded, component::DB, before_record, job.service_time);
                 if let Some(kind) = self.crash_decision_at(&job, CrashPoint::Ack) {
                     break 'built Err(job.crashed(kind));
                 }
                 self.mark(&job, stage::GRADED, component::WORKER, job.service_time);
-                self.note_outcome(&job, if success { "ok" } else { "failed" });
+                self.note_outcome(&job, if success { Outcome::Ok } else { Outcome::Failed });
                 Ok((success, measured))
             }
         };
@@ -780,12 +860,12 @@ impl Worker {
     /// of a `rejected` request replaces only a row of its own team, and
     /// one whose key was not proven to act for its team
     /// ([`AUTH_REJECTED`]) speaks for no team: it lands only where no
-    /// row holds its job id. Returns the retry backoff to fold into the
-    /// job's service time.
+    /// row holds its job id. The row takes `user` as it is handed over.
+    /// Returns the retry backoff to fold into the job's service time.
     fn record_submission(
         &self,
         job: &Attempt,
-        user: &str,
+        user: String,
         measured_secs: Option<f64>,
         wall: SimDuration,
         success: bool,
@@ -807,9 +887,11 @@ impl Worker {
                 return Ok(guarded.backoff);
             }
         }
+        // The query and the update are handed over: an upsert's new
+        // row takes their fields instead of a copy of each.
         rows.update_one(
-            &key,
-            &doc! { "$set" => doc!{
+            key,
+            doc! { "$set" => doc!{
                 "team" => request.team.as_str(),
                 "user" => user,
                 "kind" => request.kind.as_str(),
@@ -842,8 +924,8 @@ impl Worker {
         self.note_retries(guarded.attempts);
         guarded.result?;
         self.db.collection("rankings").write().update_one(
-            &doc! { "team" => request.team.as_str() },
-            &doc! { "$set" => doc!{
+            doc! { "team" => request.team.as_str() },
+            doc! { "$set" => doc!{
                 "runtime_secs" => secs,
                 "time_cmd_secs" => wall.as_secs_f64(),
                 "job_id" => request.job_id,

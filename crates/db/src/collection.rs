@@ -4,8 +4,9 @@
 use crate::index::Index;
 use crate::journal::{self, JournalSink};
 use crate::query::matches;
-use crate::update::{apply_update, can_move};
+use crate::update::{apply_update, apply_update_cow, can_move};
 use crate::value::{Document, Value};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -406,24 +407,34 @@ impl Collection {
     /// nothing matches (upsert). On upsert the query's fields seed the
     /// new document — this is how RAI's ranking table
     /// does "overwrite existing timing records" per team.
-    pub fn update_one(&mut self, query: &Document, update: &Document, upsert: bool) -> UpdateResult {
+    ///
+    /// The query and the update are each lent (`&doc`) or handed over
+    /// (`doc`): an upsert's new row is a handed-over query, and takes a
+    /// handed-over update's `$set` values, where a lent one is copied.
+    pub fn update_one<'q, 'u>(
+        &mut self,
+        query: impl Into<Cow<'q, Document>>,
+        update: impl Into<Cow<'u, Document>>,
+        upsert: bool,
+    ) -> UpdateResult {
+        let (query, update) = (query.into(), update.into());
         if let Some(j) = &self.journal {
-            j.append(|out, coll| journal::write_update_one(out, coll, query, update, upsert));
+            j.append(|out, coll| journal::write_update_one(out, coll, &query, &update, upsert));
         }
         self.updates.fetch_add(1, Ordering::Relaxed);
-        match self.first_matching_id(query) {
+        match self.first_matching_id(&query) {
             Some(id) => {
                 // The document is updated where it lies. Only an index
                 // whose path a `$set` path can move lets go of it first
                 // and takes it back under its new value.
                 let doc = self.docs.get_mut(&id).expect("id found above");
-                let moved = |(field, _): &(&String, &mut Index)| can_move(update, field);
+                let moved = |(field, _): &(&String, &mut Index)| can_move(&update, field);
                 for (field, idx) in self.indexes.iter_mut().filter(moved) {
                     if let Some(v) = doc.get_path(field) {
                         idx.remove(v, id);
                     }
                 }
-                let modified = apply_update(update, doc);
+                let modified = apply_update(&update, doc);
                 for (field, idx) in self.indexes.iter_mut().filter(moved) {
                     if let Some(v) = doc.get_path(field) {
                         idx.insert(v, id);
@@ -436,8 +447,8 @@ impl Collection {
                 }
             }
             None if upsert => {
-                let mut seed = query.clone();
-                apply_update(update, &mut seed);
+                let mut seed = query.into_owned();
+                apply_update_cow(update, &mut seed);
                 // The enclosing update_one was already journaled as one
                 // record; the upsert insert must not journal again.
                 let id = self.insert_one_inner(seed);

@@ -134,7 +134,7 @@ impl Database {
                 self.collection(&coll).write().insert_many(docs);
             }
             DbRecord::UpdateOne { coll, query, update, upsert } => {
-                self.collection(&coll).write().update_one(&query, &update, upsert);
+                self.collection(&coll).write().update_one(query, update, upsert);
             }
             DbRecord::DeleteMany { coll, query } => {
                 self.collection(&coll).write().delete_many(&query);

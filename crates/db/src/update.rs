@@ -2,20 +2,43 @@
 //! system issues.
 
 use crate::value::{Document, FieldName, Value};
+use std::borrow::Cow;
 
 /// Apply `update`'s `$set` to `doc`, field by dotted path. Returns
-/// `true` if the document changed. Anything else in `update` — another
-/// `$`-key, a bare field — is not an instruction and changes nothing.
+/// `true` if the document changed — a field set to a new value, or one
+/// (or a document on its path) that was not there. Anything else in
+/// `update` — another `$`-key, a bare field — is not an instruction and
+/// changes nothing.
 pub fn apply_update(update: &Document, doc: &mut Document) -> bool {
-    let mut changed = false;
-    for (path, value) in set_fields(update) {
-        let slot = doc.entry_path(path.clone());
-        if slot != value {
-            *slot = value.clone();
-            changed = true;
-        }
+    set_fields(update).fold(false, |changed, (path, value)| {
+        set(doc, path.clone(), Cow::Borrowed(value)) | changed
+    })
+}
+
+/// [`apply_update`] of an update handed over: its `$set` values are
+/// moved into `doc`, not copied; a borrowed one is copied as
+/// [`apply_update`] copies it.
+pub(crate) fn apply_update_cow(update: Cow<'_, Document>, doc: &mut Document) -> bool {
+    let mut update = match update {
+        Cow::Borrowed(update) => return apply_update(update, doc),
+        Cow::Owned(update) => update,
+    };
+    let Some(Value::Doc(fields)) = update.0.remove("$set") else { return false };
+    fields.0.into_iter().fold(false, |changed, (path, value)| {
+        set(doc, path, Cow::Owned(value)) | changed
+    })
+}
+
+/// Set the value at the dotted `path` of `doc`; whether that changed
+/// the document.
+fn set(doc: &mut Document, path: FieldName, value: Cow<'_, Value>) -> bool {
+    let (slot, created) = doc.entry_path_created(path);
+    if created || *slot != *value {
+        *slot = value.into_owned();
+        true
+    } else {
+        false
     }
-    changed
 }
 
 /// The `(path, value)` pairs of `update`'s `$set`; none without one.
@@ -51,6 +74,34 @@ mod tests {
         // Setting to the same value reports no change.
         assert!(!apply_update(&doc! { "$set" => doc!{ "b" => 2 } }, &mut d));
         assert_eq!(d.get("a"), Some(&Value::Int(1)));
+    }
+
+    #[test]
+    fn a_set_that_adds_fields_reports_a_change() {
+        let mut d = doc! { "a" => 1 };
+        let update = doc! { "$set" => doc!{ "x" => Value::Null, "m.y" => Value::Null } };
+        assert!(apply_update(&update, &mut d), "two fields were added");
+        assert_eq!(d, doc! { "a" => 1, "m" => doc!{ "y" => Value::Null }, "x" => Value::Null });
+        assert!(!apply_update(&update, &mut d), "the same set again changes nothing");
+
+        // A path through a field that is not a document replaces it.
+        let mut d = doc! { "m" => 5 };
+        assert!(apply_update(&doc! { "$set" => doc!{ "m.y" => Value::Null } }, &mut d));
+        assert_eq!(d, doc! { "m" => doc!{ "y" => Value::Null } });
+
+        // Handed over, the same answers and the same documents.
+        for (before, update) in [
+            (doc! { "a" => 1 }, update.clone()),
+            (doc! { "m" => 5 }, doc! { "$set" => doc!{ "m.y" => Value::Null } }),
+            (doc! { "a" => 1 }, doc! { "$set" => doc!{ "a" => 1 } }),
+            (doc! { "a" => 1 }, doc! { "$set" => doc!{ "a" => 2, "b.c" => "x" } }),
+            (doc! { "a" => 1 }, doc! { "$set" => 7 }),
+        ] {
+            let (mut borrowed, mut owned) = (before.clone(), before);
+            let changed = apply_update(&update, &mut borrowed);
+            assert_eq!(apply_update_cow(Cow::Owned(update.clone()), &mut owned), changed, "{update}");
+            assert_eq!(owned, borrowed, "{update}");
+        }
     }
 
     #[test]

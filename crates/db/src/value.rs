@@ -94,6 +94,22 @@ impl fmt::Display for FieldName {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Document(pub BTreeMap<FieldName, Value>);
 
+/// A document lent: the calls that take a query or an update either
+/// lent or handed over ([`crate::Collection::update_one`]) copy what
+/// they keep of a lent one.
+impl<'a> From<&'a Document> for Cow<'a, Document> {
+    fn from(doc: &'a Document) -> Self {
+        Cow::Borrowed(doc)
+    }
+}
+
+/// A document handed over: what is kept of it is moved, not copied.
+impl From<Document> for Cow<'_, Document> {
+    fn from(doc: Document) -> Self {
+        Cow::Owned(doc)
+    }
+}
+
 impl Value {
     /// Type rank for cross-type ordering: Null < Bool < numbers <
     /// strings < arrays < documents.
@@ -243,12 +259,24 @@ impl Document {
     /// A field this creates is named by its segment of `path`, borrowed
     /// where `path` is.
     pub fn entry_path(&mut self, path: impl Into<FieldName>) -> &mut Value {
-        let (mut head, mut tail) = path.into().split_first();
+        self.entry_path_created(path.into()).0
+    }
+
+    /// [`Document::entry_path`], and whether it created anything: the
+    /// field (as `Null`), a document on its path, or a document in
+    /// place of a value on its path that was not one.
+    pub(crate) fn entry_path_created(&mut self, path: FieldName) -> (&mut Value, bool) {
+        let (mut head, mut tail) = path.split_first();
         let mut cur = &mut self.0;
+        let mut created = false;
         while let Some(rest) = tail {
-            let slot = cur.entry(head).or_insert_with(|| Value::Doc(Document::new()));
+            let slot = cur.entry(head).or_insert_with(|| {
+                created = true;
+                Value::Doc(Document::new())
+            });
             if !matches!(slot, Value::Doc(_)) {
                 *slot = Value::Doc(Document::new());
+                created = true;
             }
             match slot {
                 Value::Doc(d) => cur = &mut d.0,
@@ -256,7 +284,11 @@ impl Document {
             }
             (head, tail) = rest.split_first();
         }
-        cur.entry(head).or_insert(Value::Null)
+        let slot = cur.entry(head).or_insert_with(|| {
+            created = true;
+            Value::Null
+        });
+        (slot, created)
     }
 
     /// Number of top-level fields.

@@ -26,6 +26,16 @@ struct ChunkEntry {
 /// sequence. Iteration order is therefore per-process random and
 /// nothing may observe it — [`ChunkStore::snapshot_chunks`], the one
 /// ordered view, sorts.
+/// What taking a reference on a chunk found.
+pub(crate) enum Take {
+    /// Resident already: one more reference on bytes of length `len`.
+    Hit { len: usize },
+    /// Not resident: admitted from the bytes given, with one reference.
+    Admitted,
+    /// Neither resident nor given: no reference taken.
+    Missing,
+}
+
 #[derive(Default)]
 pub(crate) struct ChunkStore {
     chunks: HashMap<u64, ChunkEntry>,
@@ -43,30 +53,36 @@ impl ChunkStore {
         self.chunks.get(&digest).map(|e| &e.data)
     }
 
-    /// The resident chunk's length, if resident.
-    pub(crate) fn resident_len(&self, digest: u64) -> Option<usize> {
-        self.data(digest).map(Bytes::len)
-    }
-
-    /// Take one reference on `digest`. If the chunk is already
-    /// resident this is a dedup hit and `data` is ignored; otherwise
-    /// `data` must carry the bytes, or `Err(())` is returned and no
-    /// reference is taken. Returns `Ok(true)` on a dedup hit.
-    pub(crate) fn retain(&mut self, digest: u64, data: Option<&Bytes>) -> Result<bool, ()> {
+    /// Take one reference on `digest`, in one probe. If the chunk is
+    /// already resident this is a dedup hit and `data` is ignored;
+    /// otherwise `data` is admitted as its bytes, or, if there are
+    /// none, the chunk is missing and no reference is taken.
+    pub(crate) fn take(&mut self, digest: u64, data: Option<&Bytes>) -> Take {
         match self.chunks.entry(digest) {
             Entry::Occupied(mut e) => {
-                e.get_mut().refs += 1;
-                Ok(true)
+                let e = e.get_mut();
+                e.refs += 1;
+                Take::Hit { len: e.data.len() }
             }
             Entry::Vacant(v) => {
-                let Some(data) = data else { return Err(()) };
+                let Some(data) = data else { return Take::Missing };
                 self.physical_bytes += data.len() as u64;
                 v.insert(ChunkEntry {
                     data: data.clone(),
                     refs: 1,
                 });
-                Ok(false)
+                Take::Admitted
             }
+        }
+    }
+
+    /// [`ChunkStore::take`], answering `Ok(true)` on a dedup hit,
+    /// `Ok(false)` on an admission and `Err(())` for a missing chunk.
+    pub(crate) fn retain(&mut self, digest: u64, data: Option<&Bytes>) -> Result<bool, ()> {
+        match self.take(digest, data) {
+            Take::Hit { .. } => Ok(true),
+            Take::Admitted => Ok(false),
+            Take::Missing => Err(()),
         }
     }
 
@@ -187,7 +203,7 @@ mod tests {
         assert_eq!(cs.retain(3, None), Err(()), "absent bytes: the object must be dropped");
         cs.prune_unreferenced();
         assert!(cs.contains(1) && !cs.contains(2), "the prune frees true orphans only");
-        assert_eq!((cs.physical_bytes(), cs.resident_len(1)), (2, Some(2)));
+        assert_eq!((cs.physical_bytes(), cs.data(1).map(Bytes::len)), (2, Some(2)));
         cs.release(1);
         assert!(!cs.contains(1), "exactly one ref after restore");
     }

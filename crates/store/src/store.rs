@@ -10,7 +10,7 @@
 //! re-uploads is stored once; `has_chunks` lets clients discover
 //! which chunks the store already holds and upload only the rest.
 
-use crate::dedup::ChunkStore;
+use crate::dedup::{ChunkStore, Take};
 use crate::journal::{self, SnapBucket, SnapCounters, StoreRecord};
 use crate::lifecycle::LifecycleRule;
 use crate::object::{ObjRecord, ObjectMeta, StoredObject};
@@ -19,10 +19,11 @@ use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use rai_archive::chunk::{
     assemble_refs, chunk_shared, Chunk, ChunkManifest, ChunkRef, ChunkerParams,
 };
+use rai_archive::digits::{decimal, hex};
 use rai_archive::fnv::{self, Fnv1a};
 use rai_sim::{SimTime, VirtualClock};
 use rai_wal::{Wal, MAX_RECORD};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -144,66 +145,61 @@ struct StoreInner {
     wal: OnceLock<Wal>,
 }
 
-/// Decide, once per manifest reference and before anything mutates,
-/// where its bytes come from: `Some(bytes)` when the request carried
-/// the chunk (the last copy wins if it carried several), `None` when it
-/// dedups against the copy `resident` reports the length of; a
-/// reference that is neither fails the request with
-/// [`StoreError::MissingChunks`]. `verify` runs the delta-protocol
-/// checks first: provided bytes hash to their claimed digest — checked
-/// only for non-resident chunks, the ones that would actually be
-/// written, four at a time ([`fnv::hash_lanes`]); the rest dedup
-/// against the stored copy — then every reference's length agrees with
-/// the bytes it will read back: the carried copy's and, since a
-/// resident copy is the one kept, the resident copy's too.
-fn resolve(
-    refs: impl ExactSizeIterator<Item = ChunkRef>,
-    provided: &[Chunk],
-    verify: bool,
-    resident: impl Fn(u64) -> Option<usize>,
-) -> Result<Vec<Option<&Bytes>>, StoreError> {
-    let mismatch = |reason| Err(StoreError::DeltaMismatch { reason });
-    // Keyed hasher: the digests are the uploader's to choose.
-    let mut carried: HashMap<u64, (&Bytes, Option<usize>)> = HashMap::with_capacity(provided.len());
-    // Each provided chunk is looked up once, as the hash lanes pull it.
-    let fresh = provided.iter().filter(|c| {
-        let stored = resident(c.digest);
-        carried.insert(c.digest, (&c.data, stored));
-        stored.is_none()
-    });
-    let mut sound = true;
-    if verify {
+/// The chunks a put carried, by digest — of several copies of one, the
+/// last one given — and what the admission pass found of each digest,
+/// which decides whose bytes [`Carried::hash_true`] hashes. The digests
+/// are the uploader's to choose, so the map has std's keyed hasher.
+struct Carried<'p> {
+    chunks: &'p [Chunk],
+    /// Each carried digest's last copy, by position, and what the pass
+    /// found of it.
+    copies: HashMap<u64, (usize, Seen)>,
+}
+
+/// What the admission pass found of a carried digest.
+#[derive(Clone, Copy, PartialEq)]
+enum Seen {
+    /// No reference reached it (yet).
+    Unreached,
+    /// A reference found it resident.
+    Resident,
+    /// A reference admitted it from the carried copy.
+    Admitted,
+}
+
+/// What an admission took: how many references were dedup hits, and
+/// (when a journal records the put) the chunks it newly admitted.
+struct Admission<'p> {
+    hits: u64,
+    admitted: Vec<(u64, &'p Bytes)>,
+}
+
+impl<'p> Carried<'p> {
+    fn new(chunks: &'p [Chunk]) -> Self {
+        let mut copies = HashMap::with_capacity(chunks.len());
+        for (at, c) in chunks.iter().enumerate() {
+            copies.insert(c.digest, (at, Seen::Unreached));
+        }
+        Carried { chunks, copies }
+    }
+
+    /// Whether every carried chunk that was not resident before the put
+    /// hashes to its claimed digest — each copy of it, four at a time
+    /// ([`fnv::hash_lanes`]), in the order they were carried. The rest
+    /// dedup against the stored copy. A digest no reference reached is
+    /// looked up in `resident`, which must answer as the arena stood
+    /// before the put.
+    fn hash_true(&self, resident: impl Fn(u64) -> bool) -> bool {
+        let fresh = self.chunks.iter().filter(|c| match self.copies[&c.digest].1 {
+            Seen::Admitted => true,
+            Seen::Resident => false,
+            Seen::Unreached => !resident(c.digest),
+        });
+        let mut sound = true;
         let claims = fresh.map(|c| (c.digest, &c.data[..]));
         fnv::hash_lanes(claims, |claimed, digest| sound &= claimed == digest);
-    } else {
-        // Replay: its own log is trusted, only the lookups run.
-        fresh.for_each(drop);
+        sound
     }
-    if !sound {
-        return mismatch("chunk bytes do not match claimed digest");
-    }
-    let mut sources = Vec::with_capacity(refs.len());
-    let mut missing = Vec::new();
-    for r in refs {
-        let (source, stored) = match carried.get(&r.digest) {
-            Some(&(data, stored)) => (Some(data), stored),
-            None => (None, resident(r.digest)),
-        };
-        // A wrong length outranks a missing chunk wherever the two sit
-        // in the manifest: it returns at once, `missing` at the end.
-        let lengths = [source.map(|data| data.len()), stored];
-        if verify && lengths.into_iter().flatten().any(|n| n as u64 != u64::from(r.len)) {
-            return mismatch("chunk length disagrees with manifest");
-        }
-        if source.is_none() && stored.is_none() {
-            missing.push(r.digest);
-        }
-        sources.push(source);
-    }
-    if !missing.is_empty() {
-        return Err(StoreError::MissingChunks { missing });
-    }
-    Ok(sources)
 }
 
 impl StoreState {
@@ -224,26 +220,98 @@ impl StoreState {
         }
     }
 
-    /// The chunks an install of `record` will newly admit — the first
-    /// reference to each non-resident digest, in manifest order: the
-    /// bytes its `Put` record must carry. `sources` is [`resolve`]'s
-    /// answer for the record's references.
-    fn newly_admitted<'s>(
-        &'s self,
-        record: &'s ObjRecord,
-        sources: &'s [Option<&'s Bytes>],
-    ) -> impl Iterator<Item = (u64, &'s [u8])> + 's {
-        // Built on the first new chunk: a put that dedups throughout
-        // needs none.
-        let mut seen: Option<HashSet<u64>> = None;
-        let refs = record.refs();
-        let n = refs.len();
-        refs.zip(sources)
-            .filter(move |(r, _)| {
-                !self.chunks.contains(r.digest)
-                    && seen.get_or_insert_with(|| HashSet::with_capacity(n)).insert(r.digest)
-            })
-            .map(|(r, source)| (r.digest, &source.expect("new chunk was provided")[..]))
+    /// Take one reference on each chunk `record` references, in
+    /// manifest order, probing the arena once per reference: a
+    /// resident chunk is a dedup hit, one `carried` holds is admitted
+    /// from that copy, and any other is missing. With `verify` the
+    /// delta protocol's checks run too, in their precedence: a carried
+    /// chunk the arena did not hold must hash to its claimed digest;
+    /// then every reference must state the length of the bytes it will
+    /// read back — the carried copy's and, since a resident copy is the
+    /// one kept, the resident copy's — which outranks a missing chunk
+    /// wherever the two sit; then none may be missing
+    /// ([`StoreError::MissingChunks`] lists every unresolved reference,
+    /// in manifest order). A refused admission gives back every
+    /// reference it took, so the arena is as it was.
+    ///
+    /// With `journal`, the admission lists the chunks it newly
+    /// admitted — the first reference to each digest the arena did not
+    /// hold, in manifest order: the bytes the put's `Put` record
+    /// carries.
+    fn admit<'p>(
+        &mut self,
+        record: &ObjRecord,
+        carried: &mut Carried<'p>,
+        verify: bool,
+        journal: bool,
+    ) -> Result<Admission<'p>, StoreError> {
+        let mut admission = Admission { hits: 0, admitted: Vec::new() };
+        let mut missing = Vec::new();
+        let (mut taken, mut wrong_length) = (0, false);
+        for r in record.refs() {
+            let states = |n: usize| !verify || n as u64 == u64::from(r.len);
+            let copy = carried.copies.get_mut(&r.digest);
+            let data = copy.as_ref().map(|&&mut (at, _)| &carried.chunks[at].data);
+            if !data.is_none_or(|data| states(data.len())) {
+                wrong_length = true;
+                break;
+            }
+            let taking = self.chunks.take(r.digest, data);
+            taken += 1;
+            let seen = match taking {
+                Take::Hit { len } if !states(len) => {
+                    wrong_length = true;
+                    break;
+                }
+                Take::Hit { .. } => {
+                    admission.hits += 1;
+                    Seen::Resident
+                }
+                Take::Admitted => {
+                    if journal {
+                        admission.admitted.push((r.digest, data.expect("admitted from a copy")));
+                    }
+                    Seen::Admitted
+                }
+                Take::Missing => {
+                    missing.push(r.digest);
+                    continue;
+                }
+            };
+            if let Some((_, first)) = copy {
+                if *first == Seen::Unreached {
+                    *first = seen;
+                }
+            }
+        }
+        let refusal = if wrong_length {
+            Some(StoreError::DeltaMismatch { reason: "chunk length disagrees with manifest" })
+        } else {
+            (!missing.is_empty()).then_some(StoreError::MissingChunks { missing })
+        };
+        if refusal.is_some() {
+            self.give_back(record.refs().take(taken));
+        }
+        if verify && !carried.hash_true(|digest| self.chunks.contains(digest)) {
+            if refusal.is_none() {
+                self.give_back(record.refs());
+            }
+            return Err(StoreError::DeltaMismatch { reason: "chunk bytes do not match claimed digest" });
+        }
+        match refusal {
+            Some(refusal) => Err(refusal),
+            None => Ok(admission),
+        }
+    }
+
+    /// Release the references an admission took on `refs`: every one
+    /// but the missing, which took none and are not resident.
+    fn give_back(&mut self, refs: impl Iterator<Item = ChunkRef>) {
+        for r in refs {
+            if self.chunks.contains(r.digest) {
+                self.chunks.release(r.digest);
+            }
+        }
     }
 
     // ---- transitions: one body each, run by the live API and by replay
@@ -263,25 +331,22 @@ impl StoreState {
         self.counters.bytes_wire += wire_bytes;
     }
 
-    /// Put `record` under `bucket/key`, which must exist; `sources` is
-    /// [`resolve`]'s answer for the manifest it was packed from. New
-    /// references are taken before the previous object's are released,
-    /// so an overwrite never frees chunks the new manifest shares with
-    /// the old.
+    /// Put `record` under `bucket/key`, which must exist, once
+    /// [`StoreState::admit`] took its references, `hits` of them dedup
+    /// hits. The new references are taken before the previous object's
+    /// are released, so an overwrite never frees chunks the new
+    /// manifest shares with the old.
     fn install(
         &mut self,
         bucket: &str,
         key: Box<str>,
         record: ObjRecord,
-        sources: &[Option<&Bytes>],
+        hits: u64,
         wire_bytes: u64,
         delta: bool,
     ) {
         self.count_put(record.size, wire_bytes, delta);
-        for (r, source) in record.refs().zip(sources) {
-            let hit = self.chunks.retain(r.digest, *source).expect("availability resolved by caller");
-            self.counters.dedup_hits += u64::from(hit);
-        }
+        self.counters.dedup_hits += hits;
         let b = self.buckets.get_mut(bucket).expect("bucket checked by caller");
         if let Some(prev) = b.objects.insert(key, record) {
             self.release(&prev);
@@ -437,22 +502,23 @@ impl StoreState {
                     .into_iter()
                     .map(|(digest, data)| Chunk { digest, data: Bytes::copy_from_slice(data) })
                     .collect();
-                // Atomicity, as in put_delta: every reference resolves
-                // before anything mutates. A miss means the bytes rode a
-                // WAL record that was dropped as corrupt — the object
-                // is unreadable and must not be installed.
-                let sources = if self.buckets.contains_key(bucket) {
-                    resolve(object.refs(), &carried, false, |d| self.chunks.resident_len(d)).ok()
+                // Atomicity, as in put_delta: a reference that does not
+                // resolve gives back what the admission took. A miss
+                // means the bytes rode a WAL record that was dropped as
+                // corrupt — the object is unreadable and must not be
+                // installed.
+                let admission = if self.buckets.contains_key(bucket) {
+                    self.admit(&object, &mut Carried::new(&carried), false, false).ok()
                 } else {
                     None
                 };
-                let Some(sources) = sources else {
+                let Some(admission) = admission else {
                     // The operation happened historically: the
                     // cumulative counters say so without the object.
                     self.count_put(object.size, wire_bytes, delta);
                     return 1;
                 };
-                self.install(bucket, key.into(), object, &sources, wire_bytes, delta);
+                self.install(bucket, key.into(), object, admission.hits, wire_bytes, delta);
             }
             StoreRecord::Touch { bucket, key, time_millis, size } => {
                 self.touch(bucket, key, SimTime::from_millis(time_millis), size);
@@ -652,9 +718,9 @@ impl ObjectStore {
     /// attached — admission order and log order agree.
     ///
     /// `delta` marks a delta upload: `provided` is any subset of the
-    /// manifest's chunks in any order and [`resolve`] runs the protocol
-    /// checks. Otherwise `provided` is the chunker's own output, which
-    /// pairs with the manifest positionally and needs none.
+    /// manifest's chunks in any order and the admission runs the
+    /// protocol checks. Otherwise `provided` is the chunker's own
+    /// output, which holds every chunk of the manifest and needs none.
     ///
     /// The store keeps the object as one record packed from `manifest`
     /// and `pairs`; only a journal's `Put` record owns a manifest.
@@ -673,23 +739,16 @@ impl ObjectStore {
         if !state.buckets.contains_key(bucket) {
             return Err(StoreError::NoSuchBucket(bucket.to_string()));
         }
-        let sources: Vec<Option<&Bytes>> = if delta {
-            let refs = manifest.chunks.iter().copied();
-            resolve(refs, provided, true, |d| state.chunks.resident_len(d))?
-        } else {
-            let digests = manifest.chunks.iter().map(|r| r.digest);
-            debug_assert!(digests.eq(provided.iter().map(|c| c.digest)));
-            provided.iter().map(|c| Some(&c.data)).collect()
-        };
-        let now = self.inner.clock.now();
-        let record = ObjRecord::new(now, manifest, pairs);
-        if let Some(w) = self.inner.wal.get() {
+        let record = ObjRecord::new(self.inner.clock.now(), manifest, pairs);
+        let wal = self.inner.wal.get();
+        let admission = state.admit(&record, &mut Carried::new(provided), delta, wal.is_some())?;
+        if let Some(w) = wal {
+            let new_chunks = admission.admitted.iter().map(|&(digest, data)| (digest, &data[..]));
             w.append_with(|out| {
-                let new_chunks = state.newly_admitted(&record, &sources);
                 journal::write_put(out, bucket, key, &record, new_chunks, wire_bytes, delta);
             });
         }
-        state.install(bucket, key.into(), record, &sources, wire_bytes, delta);
+        state.install(bucket, key.into(), record, admission.hits, wire_bytes, delta);
         Ok(())
     }
 
@@ -819,8 +878,9 @@ impl ObjectStore {
     /// hands the client for the `/build` archive — downloadable without
     /// credentials, like an S3 presigned GET.
     pub fn presign(&self, bucket: &str, key: &str, expires_at: rai_sim::SimTime) -> String {
-        let sig = self.presign_signature(bucket, key, expires_at);
-        format!("rai-s3://{bucket}/{key}?expires={}&sig={sig:016x}", expires_at.as_millis())
+        let sig = hex(self.presign_signature(bucket, key, expires_at), 16);
+        let expires = decimal(expires_at.as_millis());
+        ["rai-s3://", bucket, "/", key, "?expires=", expires.as_str(), "&sig=", sig.as_str()].concat()
     }
 
     fn presign_signature(&self, bucket: &str, key: &str, expires_at: rai_sim::SimTime) -> u64 {

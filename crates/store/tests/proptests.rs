@@ -1,15 +1,18 @@
 //! Property tests for the content-addressed store: model-based
 //! put/get/delete round-trips, dedup idempotence under re-upload, the
 //! physical-never-exceeds-logical invariant of the chunk arena, live
-//! state equal to its own replay, and recovery from a damaged log.
+//! state equal to its own replay, recovery from a damaged log, and
+//! lying delta uploads answered as the protocol's model answers them,
+//! with nothing left behind.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use rai_archive::chunk::{chunk_bytes, Chunk, ChunkerParams};
+use rai_archive::chunk::{chunk_bytes, Chunk, ChunkManifest, ChunkRef, ChunkerParams};
+use rai_archive::{fnv, Bytes};
 use rai_sim::{SimDuration, SimTime, VirtualClock};
-use rai_store::{LifecycleRule, ObjectMeta, ObjectStore, StoreUsage};
+use rai_store::{LifecycleRule, ObjectMeta, ObjectStore, StoreError, StoreUsage};
 use rai_wal::{DurabilityConfig, MemDisk, Wal};
 
 fn store() -> ObjectStore {
@@ -464,6 +467,195 @@ proptest! {
             for k in 0..6 {
                 let expected = model.get(&key_of(k)).map(|kept| kept.meta.clone());
                 prop_assert_eq!(s.head("uploads", &key_of(k)).ok(), expected);
+            }
+        }
+    }
+}
+
+// ---- lying delta uploads against a model of the protocol -------------
+
+/// How one `put_delta` lies, at `at` (taken modulo what it lies about).
+#[derive(Clone, Debug)]
+enum Lie {
+    /// A carried chunk's bytes no longer hash to its digest.
+    WrongDigest(usize),
+    /// A reference states a length one off (the total agrees with it).
+    WrongLength(usize, bool),
+    /// A chunk the upload should carry is left out.
+    Dropped(usize),
+    /// A carried chunk is sent twice.
+    Duplicated(usize),
+    /// No lie.
+    Truthful,
+}
+
+fn arb_lie() -> impl Strategy<Value = Lie> {
+    prop_oneof![
+        any::<usize>().prop_map(Lie::WrongDigest),
+        (any::<usize>(), any::<bool>()).prop_map(|(at, longer)| Lie::WrongLength(at, longer)),
+        any::<usize>().prop_map(Lie::Dropped),
+        any::<usize>().prop_map(Lie::Duplicated),
+        Just(Lie::Truthful),
+    ]
+}
+
+/// One delta upload: its references into the chunk pool, whether it
+/// also carries the chunks the store already holds, and its lies — two
+/// of them, sometimes, so that which one outranks the other shows.
+type Upload = (Vec<usize>, bool, Vec<Lie>);
+
+fn arb_upload() -> impl Strategy<Value = Upload> {
+    let lies = prop::collection::vec(arb_lie(), 1..3);
+    (prop::collection::vec(any::<usize>(), 1..10), any::<bool>(), lies)
+}
+
+/// The request `refs` into `pool` make, carrying the chunks `resident`
+/// lacks (all of them with `carry_resident`), with `lies` told.
+fn request(
+    pool: &[Chunk],
+    resident: &HashMap<u64, usize>,
+    (refs, carry_resident, lies): &Upload,
+) -> (ChunkManifest, Vec<Chunk>) {
+    let picked: Vec<&Chunk> = refs.iter().map(|i| &pool[i % pool.len()]).collect();
+    let mut manifest = ChunkManifest {
+        chunks: picked.iter().map(|c| ChunkRef { digest: c.digest, len: c.data.len() as u32 }).collect(),
+        total_len: picked.iter().map(|c| c.data.len() as u64).sum(),
+        etag: "model".into(),
+    };
+    let mut provided: Vec<Chunk> = Vec::new();
+    for c in picked {
+        let sent = provided.iter().any(|p| p.digest == c.digest);
+        if !sent && (*carry_resident || !resident.contains_key(&c.digest)) {
+            provided.push(c.clone());
+        }
+    }
+    for lie in lies {
+        tell(lie, &mut manifest, &mut provided);
+    }
+    (manifest, provided)
+}
+
+/// Tell `lie` in a request.
+fn tell(lie: &Lie, manifest: &mut ChunkManifest, provided: &mut Vec<Chunk>) {
+    match *lie {
+        Lie::WrongDigest(at) if !provided.is_empty() => {
+            let at = at % provided.len();
+            let mut bytes = provided[at].data.to_vec();
+            bytes[0] ^= 0x5A;
+            provided[at].data = Bytes::from(bytes);
+        }
+        Lie::WrongLength(at, longer) => {
+            let at = at % manifest.chunks.len();
+            let r = &mut manifest.chunks[at];
+            if longer || r.len == 1 {
+                (r.len, manifest.total_len) = (r.len + 1, manifest.total_len + 1);
+            } else {
+                (r.len, manifest.total_len) = (r.len - 1, manifest.total_len - 1);
+            }
+        }
+        Lie::Dropped(at) if !provided.is_empty() => {
+            provided.remove(at % provided.len());
+        }
+        Lie::Duplicated(at) if !provided.is_empty() => {
+            let copy = provided[at % provided.len()].clone();
+            provided.push(copy);
+        }
+        _ => {}
+    }
+}
+
+/// The protocol's answer to a delta upload, from the chunk lengths the
+/// store holds: a carried chunk the store lacks must hash to its digest;
+/// then every reference must state the length of the carried copy (the
+/// last one sent) and of the resident one; then each reference that is
+/// neither carried nor resident is missing, in manifest order.
+fn model_answer(
+    resident: &HashMap<u64, usize>,
+    manifest: &ChunkManifest,
+    provided: &[Chunk],
+) -> Result<(), StoreError> {
+    let forged = |c: &&Chunk| !resident.contains_key(&c.digest) && fnv::hash(&c.data) != c.digest;
+    if provided.iter().any(|c| forged(&c)) {
+        return Err(StoreError::DeltaMismatch { reason: "chunk bytes do not match claimed digest" });
+    }
+    let mut missing = Vec::new();
+    for r in &manifest.chunks {
+        let carried = provided.iter().rev().find(|c| c.digest == r.digest).map(|c| c.data.len());
+        let stored = resident.get(&r.digest).copied();
+        if [carried, stored].into_iter().flatten().any(|n| n != r.len as usize) {
+            return Err(StoreError::DeltaMismatch { reason: "chunk length disagrees with manifest" });
+        }
+        if carried.is_none() && stored.is_none() {
+            missing.push(r.digest);
+        }
+    }
+    if missing.is_empty() {
+        Ok(())
+    } else {
+        Err(StoreError::MissingChunks { missing })
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A delta upload is admitted in one pass that takes each reference
+    /// as it probes it, so a lie found late meets references already
+    /// taken. Whatever the lie and wherever it sits, the answer is the
+    /// model's — the refusal's kind and every missing reference — and a
+    /// refused put leaves usage, listing and every object's bytes as
+    /// they were; an accepted one reads back.
+    #[test]
+    fn a_lying_delta_gets_the_models_answer_and_changes_nothing_it_refuses(
+        payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..48), 2..10),
+        seeded in prop::collection::vec(prop::collection::vec(any::<usize>(), 1..6), 0..4),
+        uploads in prop::collection::vec(arb_upload(), 1..12),
+    ) {
+        let mut pool: Vec<Chunk> = payloads
+            .into_iter()
+            .map(|bytes| Chunk { digest: fnv::hash(&bytes), data: Bytes::from(bytes) })
+            .collect();
+        pool.sort_by_key(|c| c.digest);
+        pool.dedup_by_key(|c| c.digest);
+
+        let s = store();
+        let mut resident: HashMap<u64, usize> = HashMap::new();
+        let mut objects: BTreeMap<String, Vec<u8>> = BTreeMap::new();
+        let truthful = seeded.into_iter().map(|refs| (refs, false, vec![Lie::Truthful]));
+        let lying = uploads.into_iter().map(|upload| (upload, true));
+        let all = truthful.map(|upload| (upload, false)).chain(lying);
+        for (n, (upload, checked)) in all.enumerate() {
+            let (manifest, provided) = request(&pool, &resident, &upload);
+            let expected = model_answer(&resident, &manifest, &provided);
+            let (usage, listing) = (s.usage(), s.list("keep", "").unwrap());
+            let key = format!("put-{n:02}");
+            let answer = s.put_delta("keep", &key, &manifest, &provided, []).map(drop);
+            if checked {
+                prop_assert_eq!(&answer, &expected, "{:?}", upload);
+            } else {
+                prop_assert!(answer.is_ok());
+            }
+            match answer {
+                Ok(()) => {
+                    let mut payload = Vec::new();
+                    for r in &manifest.chunks {
+                        let chunk = pool.iter().find(|c| c.digest == r.digest).expect("from the pool");
+                        payload.extend_from_slice(&chunk.data);
+                        resident.entry(r.digest).or_insert(chunk.data.len());
+                    }
+                    objects.insert(key, payload);
+                }
+                Err(_) => {
+                    prop_assert_eq!(s.usage(), usage, "a refused put changed usage");
+                    prop_assert_eq!(s.list("keep", "").unwrap(), listing, "a refused put changed the listing");
+                    let digests: Vec<u64> = manifest.chunks.iter().map(|r| r.digest).collect();
+                    let held: Vec<bool> = digests.iter().map(|d| resident.contains_key(d)).collect();
+                    prop_assert_eq!(s.has_chunks(&digests).unwrap(), held, "a refused put left chunks behind");
+                }
+            }
+            for (key, payload) in &objects {
+                let stored = s.get("keep", key).unwrap().data;
+                prop_assert_eq!(stored.as_ref(), &payload[..], "{}", key);
             }
         }
     }

@@ -234,6 +234,9 @@ struct TraceStoreInner {
 /// the store keeps the most recent window rather than all of them.
 pub(crate) const DEFAULT_TRACE_CAPACITY: usize = 16_384;
 
+/// Spans a job that runs once, on a warm worker, records.
+const CLEAN_JOB_SPANS: usize = 9;
+
 /// Tombstones retained per trace capacity (evicted ids remembered so
 /// late events are dropped, not resurrected).
 const TOMBSTONES_PER_CAPACITY: usize = 4;
@@ -277,28 +280,34 @@ impl TraceStore {
     ) {
         let span = TraceSpan::new(stage, component, attempt, start.min(end), end.max(start));
         let mut inner = self.inner.lock();
+        // A job with a trace was never tombstoned (only an evicted
+        // job's trace is, as it goes), so a span of a job already
+        // traced costs one lookup.
+        if let Some(trace) = inner.traces.get_mut(&job_id) {
+            trace.spans.push(span);
+            if stage == stage::GRADED {
+                // The job is over: give back the list's slack, if a
+                // retry or a pull left it any.
+                trace.spans.shrink_to_fit();
+            }
+            return;
+        }
         if inner.tombstones.contains(&job_id) {
             inner.dropped_late += 1;
             return;
         }
-        if !inner.traces.contains_key(&job_id) {
-            if inner.order.len() == inner.capacity {
-                if let Some(evicted) = inner.order.pop_front() {
-                    inner.traces.remove(&evicted);
-                    inner.tombstone(evicted);
-                }
+        if inner.order.len() == inner.capacity {
+            if let Some(evicted) = inner.order.pop_front() {
+                inner.traces.remove(&evicted);
+                inner.tombstone(evicted);
             }
-            inner.order.push_back(job_id);
-            inner
-                .traces
-                .insert(job_id, JobTrace { job_id, spans: Vec::new() });
         }
-        let trace = inner.traces.get_mut(&job_id).expect("just inserted");
-        trace.spans.push(span);
-        if stage == stage::GRADED {
-            // The job is over: give back the list's doubling slack.
-            trace.spans.shrink_to_fit();
-        }
+        inner.order.push_back(job_id);
+        // Room for a clean job's spans: submit, enqueue, then dequeue,
+        // fetch, build, run, upload, record and grade.
+        let mut spans = Vec::with_capacity(CLEAN_JOB_SPANS);
+        spans.push(span);
+        inner.traces.insert(job_id, JobTrace { job_id, spans });
     }
 
     /// Copy of one job's trace.
