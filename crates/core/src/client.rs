@@ -458,9 +458,11 @@ pub struct RaiClient {
     broker: Broker,
     store: ObjectStore,
     next_job_id: Arc<AtomicU64>,
-    /// Durable deployments journal a submission intent here before
-    /// publishing, so a crash between "accepted" and "queued" is
-    /// recoverable (DESIGN.md §14).
+    /// Durable deployments journal each accepted submission here as
+    /// one `{job_id, req}` intent before publishing, so a crash
+    /// between "accepted" and "queued" is recoverable; only a refused
+    /// publish writes again, to mark its intent `rejected` and sync the
+    /// mark (DESIGN.md §14).
     intents: Option<Database>,
 }
 
@@ -591,8 +593,6 @@ impl RaiClient {
         if let Some(db) = &self.intents {
             db.collection("intents").write().insert_one(doc! {
                 "job_id" => job_id as i64,
-                "team" => self.team.as_str(),
-                "state" => "pending",
                 "req" => encoded.as_str(),
             });
             db.sync_wal();
@@ -610,16 +610,17 @@ impl RaiClient {
                 Err(e) => break Err(e),
             }
         };
-        if let Some(db) = &self.intents {
-            // "rejected" intents surfaced an error to the student and
-            // are never re-published; "published" ones are in the
-            // at-least-once pipeline.
-            let state = if published.is_ok() { "published" } else { "rejected" };
+        if let (Err(_), Some(db)) = (&published, &self.intents) {
+            // A refused publish surfaced an error to the student: the
+            // mark keeps recovery from re-publishing it, so it is synced
+            // before the error is returned, like the intent it marks.
+            // Every other intent is in the at-least-once pipeline.
             db.collection("intents").write().update_one(
                 &doc! { "job_id" => job_id as i64 },
-                &doc! { "$set" => doc! { "state" => state } },
+                &doc! { "$set" => doc! { "rejected" => true } },
                 false,
             );
+            db.sync_wal();
         }
         published?;
         Ok(PendingJob {

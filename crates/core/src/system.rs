@@ -166,7 +166,9 @@ impl RaiSystem {
     /// deterministic in seed + order), re-subscribes any audit taps,
     /// and calls [`RaiSystem::republish_pending`] to re-enqueue
     /// accepted submissions that never reached a terminal row — the
-    /// at-least-once path that makes a mid-run kill recoverable.
+    /// at-least-once path that makes a mid-run kill recoverable. Job
+    /// ids resume after the highest journaled intent, a rejected one
+    /// included, so no id is handed out twice.
     ///
     /// `injector` carries over the *environment's* fault state: the
     /// injector's draw counters model the outside world (which doesn't
@@ -191,8 +193,9 @@ impl RaiSystem {
             (db, store.join().expect("the store's replay does not panic"))
         });
         let system = Self::finish_deploy(config, clock, db, store, injector);
-        // Job ids resume after the highest journaled intent so
-        // post-recovery submissions never collide with replayed ones.
+        // Job ids resume after the highest journaled intent (rejected
+        // ones too) so post-recovery submissions never collide with
+        // replayed ones.
         let max_seen = system
             .db
             .collection("intents")
@@ -237,11 +240,6 @@ impl RaiSystem {
         rankings.write().create_index("team");
         rankings.write().create_index("runtime_secs");
         db.collection("teams").write().create_index("team");
-        if db.wal().is_some() {
-            // The recovery path scans intents by job_id (one point
-            // lookup per accepted submission).
-            db.collection("intents").write().create_index("job_id");
-        }
         let registry = Arc::new(RwLock::new(CredentialRegistry::new()));
         let images = Arc::new(ImageRegistry::course_default());
         let telemetry = Telemetry::new(clock.clone());
@@ -319,24 +317,23 @@ impl RaiSystem {
         creds
     }
 
-    /// Journaled submission intents with no terminal submissions row,
-    /// in job-id (= original publish) order: `(job_id, encoded
-    /// request)`. These are the accepted submissions a crash left
-    /// in flight.
+    /// Journaled submission intents with no terminal submissions row
+    /// and no `rejected` mark, in job-id (= original publish) order:
+    /// `(job_id, encoded request)`. These are the accepted submissions
+    /// a crash left in flight.
     pub(crate) fn pending_intents(&self) -> Vec<(u64, String)> {
         let intents = self.db.collection("intents");
         let submissions = self.db.collection("submissions");
         let submissions = submissions.read();
         let mut out: Vec<(u64, String)> = Vec::new();
         for row in intents.read().scan() {
-            let Some(id) = row.get("job_id").and_then(rai_db::Value::as_i64) else { continue };
-            let Some(state) = row.get("state").and_then(rai_db::Value::as_str) else { continue };
-            let Some(req) = row.get("req").and_then(rai_db::Value::as_str) else { continue };
-            // "rejected" intents surfaced a visible error to the
+            // A rejected intent surfaced a visible error to the
             // student; everything else is at-least-once territory.
-            if state != "pending" && state != "published" {
+            if row.get("rejected").is_some() {
                 continue;
             }
+            let Some(id) = row.get("job_id").and_then(rai_db::Value::as_i64) else { continue };
+            let Some(req) = row.get("req").and_then(rai_db::Value::as_str) else { continue };
             if submissions.count(&doc! { "job_id" => id }) > 0 {
                 continue;
             }
@@ -1171,5 +1168,94 @@ mod tests {
             1
         );
         assert!(recovered.pending_intents().is_empty());
+    }
+
+    /// Refuse one publish on a durable deployment, let `crash` damage
+    /// what the logs had not synced, recover with a broker that takes
+    /// publishes again, and check that the refusal stays refused.
+    fn a_refusal_outlives(crash: impl FnOnce(&rai_wal::MemDisk)) {
+        let (db_disk, store_disk) = (rai_wal::MemDisk::new(), rai_wal::MemDisk::new());
+        let config = SystemConfig {
+            rate_limit: None,
+            durability: rai_wal::DurabilityConfig::durable(),
+            ..Default::default()
+        };
+        let refusing = SystemConfig {
+            fault_plan: FaultPlan { broker_publish: 1.0, ..FaultPlan::none(7) },
+            ..config.clone()
+        };
+        let clock = VirtualClock::new();
+        let mut system = RaiSystem::with_clock_durable(
+            refusing,
+            clock.clone(),
+            Arc::new(db_disk.clone()),
+            Arc::new(store_disk.clone()),
+        );
+        let creds = system.register_team("t", &[]);
+        let p = ProjectDir::sample_cuda_project();
+        let refused = system.begin_submit(&creds, &p, SubmitMode::Run);
+        assert!(matches!(refused, Err(SubmitError::Publish(_))), "every publish is refused");
+        let intents = system.db().collection("intents");
+        let ids: Vec<_> = intents
+            .read()
+            .scan()
+            .filter_map(|row| row.get("job_id").and_then(rai_db::Value::as_i64))
+            .collect();
+        let [refused_id] = ids[..] else { panic!("one intent journaled, found {ids:?}") };
+        drop(intents);
+        drop(system);
+        crash(&db_disk);
+
+        // The broker takes publishes again after the restart.
+        let (mut recovered, _) = RaiSystem::recover_with_clock(
+            config,
+            VirtualClock::starting_at(clock.now()),
+            Arc::new(db_disk),
+            Arc::new(store_disk),
+            None,
+        );
+        let creds = recovered.reregister_team("t");
+        assert!(recovered.pending_intents().is_empty(), "the student saw the refusal");
+        assert_eq!(recovered.republish_pending(), 0);
+        let receipt = recovered.submit(&creds, &p).unwrap();
+        assert!(receipt.success);
+        assert!(receipt.job_id > refused_id as u64, "{} reuses the refused id", receipt.job_id);
+    }
+
+    #[test]
+    fn a_refused_publish_is_never_republished_and_keeps_its_id() {
+        a_refusal_outlives(rai_wal::MemDisk::crash_clean);
+    }
+
+    #[test]
+    fn a_refusal_outlives_a_torn_log_tail() {
+        // A mark left unsynced is torn away here, and recovery would
+        // run the job its student was told had failed.
+        let tear = rai_faults::DiskFaultProfile { seed: 1, torn_tail: 1.0, bit_flip: 0.0, short_read: 0.0 };
+        a_refusal_outlives(|disk| drop(disk.crash_with(&tear, 0)));
+    }
+
+    #[test]
+    fn an_intent_row_is_its_job_id_and_request_and_a_refusal_marks_it() {
+        let (accepted, refused) = (["_id", "job_id", "req"].as_slice(), &["_id", "job_id", "rejected", "req"]);
+        for (broker_publish, want) in [(0.0, accepted), (1.0, refused)] {
+            let mut system = RaiSystem::with_clock_durable(
+                SystemConfig {
+                    rate_limit: None,
+                    durability: rai_wal::DurabilityConfig::durable(),
+                    fault_plan: FaultPlan { broker_publish, ..FaultPlan::none(7) },
+                    ..Default::default()
+                },
+                VirtualClock::new(),
+                Arc::new(rai_wal::MemDisk::new()),
+                Arc::new(rai_wal::MemDisk::new()),
+            );
+            let creds = system.register_team("t", &[]);
+            let _ = system.begin_submit(&creds, &ProjectDir::sample_cuda_project(), SubmitMode::Run);
+            let intents = system.db().collection("intents");
+            let rows = intents.read();
+            let fields: Vec<Vec<&str>> = rows.scan().map(|row| row.0.keys().map(|k| &**k).collect()).collect();
+            assert_eq!(fields, [want], "publish refusal rate {broker_publish}");
+        }
     }
 }

@@ -121,10 +121,6 @@ pub(crate) struct SnapCounters {
     pub(crate) delta_puts: u64,
     /// Get operations.
     pub(crate) gets: u64,
-    /// Explicit deletes.
-    pub(crate) deletes: u64,
-    /// Lifecycle expirations.
-    pub(crate) expired: u64,
     /// Dedup hits in the chunk arena.
     pub(crate) dedup_hits: u64,
 }
@@ -224,8 +220,6 @@ pub(crate) fn write_snapshot<'s, B, O, C>(
         c.puts,
         c.delta_puts,
         c.gets,
-        c.deletes,
-        c.expired,
         c.dedup_hits,
     ] {
         put_u64(out, v);
@@ -418,7 +412,7 @@ impl<'a> StoreRecord<'a> {
                     buckets.push(SnapBucket { name, rule, objects });
                 }
                 let chunks = read_chunks(&mut r)?;
-                let mut vals = [0u64; 9];
+                let mut vals = [0u64; 7];
                 for v in &mut vals {
                     *v = r.u64()?;
                 }
@@ -432,9 +426,7 @@ impl<'a> StoreRecord<'a> {
                         puts: vals[3],
                         delta_puts: vals[4],
                         gets: vals[5],
-                        deletes: vals[6],
-                        expired: vals[7],
-                        dedup_hits: vals[8],
+                        dedup_hits: vals[6],
                     },
                 }
             }

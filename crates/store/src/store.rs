@@ -365,7 +365,6 @@ impl StoreState {
     }
 
     fn remove(&mut self, bucket: &str, key: &str) {
-        self.counters.deletes += 1;
         if let Some(rec) = self.buckets.get_mut(bucket).and_then(|b| b.objects.remove(key)) {
             self.release(&rec);
         }
@@ -393,7 +392,6 @@ impl StoreState {
         for record in &released {
             self.release(record);
         }
-        self.counters.expired += released.len() as u64;
         released.len() as u64
     }
 
@@ -768,7 +766,8 @@ impl ObjectStore {
     }
 
     /// Upload (or overwrite) an object as a manifest plus only the
-    /// chunks the store does not already hold; returns the etag.
+    /// chunks the store does not already hold; its etag is the
+    /// manifest's.
     ///
     /// `provided` may carry any subset of the manifest's chunks; every
     /// referenced chunk must either be provided or already resident,
@@ -796,7 +795,7 @@ impl ObjectStore {
         manifest: &ChunkManifest,
         provided: &[Chunk],
         user_meta: impl IntoIterator<Item = (&'m str, &'m str)>,
-    ) -> Result<String, StoreError> {
+    ) -> Result<(), StoreError> {
         if self.take_fault() || self.injected_fault(rai_faults::FaultKind::StorePut) {
             return Err(StoreError::Unavailable);
         }
@@ -814,8 +813,7 @@ impl ObjectStore {
         let provided_bytes: u64 = provided.iter().map(|c| c.data.len() as u64).sum();
         let wire: u64 = provided_bytes + manifest.encoded_len();
 
-        self.commit_put(bucket, key, manifest, provided, true, pairs, wire)?;
-        Ok(manifest.etag.clone())
+        self.commit_put(bucket, key, manifest, provided, true, pairs, wire)
     }
 
     /// Download an object, reassembled from its chunks. Refreshes its
@@ -1219,9 +1217,11 @@ mod tests {
         );
         let value = "v".repeat(MAX_USER_META_BYTES - 3);
         for bucket in ["keep", "nope"] {
-            let refused = Err(StoreError::MetadataTooLarge);
-            assert_eq!(s.put_delta(bucket, "k", &manifest, &chunks, [("team", value.as_str())]), refused);
-            assert_eq!(s.put(bucket, "k", payload.clone(), [("team", value.as_str())]), refused);
+            let refused = StoreError::MetadataTooLarge;
+            let delta = s.put_delta(bucket, "k", &manifest, &chunks, [("team", value.as_str())]);
+            assert_eq!(delta.unwrap_err(), refused);
+            let put = s.put(bucket, "k", payload.clone(), [("team", value.as_str())]);
+            assert_eq!(put.unwrap_err(), refused);
         }
         assert_eq!((s.usage(), s.head("keep", "k").unwrap()), before);
 
@@ -1356,9 +1356,9 @@ mod tests {
         let payload = varied(5000, 1);
         let (manifest, chunks) = chunk_bytes(&payload, ChunkerParams::DEFAULT);
         // First upload must carry everything.
-        let etag = s.put_delta("keep", "a", &manifest, &chunks, []).unwrap();
+        s.put_delta("keep", "a", &manifest, &chunks, []).unwrap();
         assert_eq!(s.get("keep", "a").unwrap().data.as_ref(), &payload[..]);
-        assert_eq!(s.head("keep", "a").unwrap().etag, etag);
+        assert_eq!(s.head("keep", "a").unwrap().etag, manifest.etag);
         // Second upload of the same content: manifest only.
         s.put_delta("keep", "b", &manifest, &[], []).unwrap();
         assert_eq!(s.get("keep", "b").unwrap().data.as_ref(), &payload[..]);

@@ -412,7 +412,8 @@ proptest! {
                         s.put("uploads", &key, payload.clone(), pairs).unwrap()
                     } else {
                         let (manifest, chunks) = chunk_bytes(payload, ChunkerParams::for_len(payload.len()));
-                        s.put_delta("uploads", &key, &manifest, &chunks, pairs).unwrap()
+                        s.put_delta("uploads", &key, &manifest, &chunks, pairs).unwrap();
+                        manifest.etag
                     };
                     prop_assert_eq!(&etag, &rai_archive::fnv::etag(payload));
                     let expected = ObjectMeta {
@@ -629,7 +630,7 @@ proptest! {
             let expected = model_answer(&resident, &manifest, &provided);
             let (usage, listing) = (s.usage(), s.list("keep", "").unwrap());
             let key = format!("put-{n:02}");
-            let answer = s.put_delta("keep", &key, &manifest, &provided, []).map(drop);
+            let answer = s.put_delta("keep", &key, &manifest, &provided, []);
             if checked {
                 prop_assert_eq!(&answer, &expected, "{:?}", upload);
             } else {

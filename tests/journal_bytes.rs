@@ -39,9 +39,10 @@ fn image_digest(disks: &[&MemDisk]) -> u64 {
 }
 
 /// The digest [`image_digest`] gives the logs the history below leaves,
-/// computed with the journal code as it was before records were framed
-/// where they are encoded.
-const JOURNAL_IMAGE_DIGEST: u64 = 0x46e5_a34a_58bc_b682;
+/// computed when the intent ledger came down to one `{job_id, req}`
+/// record per accepted submission and the store snapshot to seven
+/// counters.
+const JOURNAL_IMAGE_DIGEST: u64 = 0x6098_e9a1_13e8_0080;
 
 /// Small segments and thresholds, so the history rotates segments and
 /// compacts both logs at most round boundaries.
