@@ -17,7 +17,8 @@
 
 use crate::chunk::{Chunk, ChunkManifest, ChunkerParams, Cutter};
 use crate::fnv::{self, Fnv1a};
-use crate::tree::{normalize, FileTree, TreeError};
+use crate::tree::{normalized, FileTree, Files, MAX_ENTRIES, MAX_TREE_BYTES};
+use std::collections::btree_map::Entry;
 use bytes::Bytes;
 
 const MAGIC: &[u8; 8] = b"RAIAR1\0\0";
@@ -256,20 +257,20 @@ pub fn restore_shared(buf: &Bytes) -> Result<FileTree, ArchiveError> {
 }
 
 /// Parse the body under `r` (a prefix of `shared`) into a tree whose
-/// files are views of `shared`.
+/// files are views of `shared`. Each path is copied once, into the key
+/// it becomes, and probed once.
 fn read_entries(r: &mut Reader<'_>, shared: &Bytes) -> Result<FileTree, ArchiveError> {
     if r.take(MAGIC.len())? != MAGIC {
         return Err(ArchiveError::BadMagic);
     }
     let count = r.u32()?;
-    let mut tree = FileTree::new();
+    let (mut files, mut bytes) = (Files::new(), 0);
     for _ in 0..count {
         let mut entry = Fnv1a::new();
         let path_len = r.u16()? as usize;
         let path_bytes = r.take_into(path_len, &mut entry)?;
         let path = std::str::from_utf8(path_bytes).map_err(|_| ArchiveError::BadPath)?;
-        let norm = normalize(path).map_err(|_| ArchiveError::BadPath)?;
-        if norm != path {
+        if normalized(path) != Ok(path) {
             return Err(ArchiveError::BadPath);
         }
         let kind = r.take(1)?[0];
@@ -284,19 +285,21 @@ fn read_entries(r: &mut Reader<'_>, shared: &Bytes) -> Result<FileTree, ArchiveE
         if entry.digest() != r.u64()? {
             return Err(ArchiveError::ChecksumMismatch { context: "entry" });
         }
-        if tree.contains(&norm) {
-            return Err(ArchiveError::DuplicatePath(norm));
+        let len = files.len();
+        let Entry::Vacant(slot) = files.entry(path.to_string()) else {
+            return Err(ArchiveError::DuplicatePath(path.to_string()));
+        };
+        bytes += data_len as u64;
+        if len + 1 > MAX_ENTRIES || bytes > MAX_TREE_BYTES {
+            return Err(ArchiveError::TooLarge);
         }
-        tree.insert(&norm, shared.slice(data_at..data_at + data_len)).map_err(|e| match e {
-            TreeError::NoSpace => ArchiveError::TooLarge,
-            TreeError::Path(_) => ArchiveError::BadPath,
-        })?;
+        slot.insert(shared.slice(data_at..data_at + data_len));
     }
     if r.pos != r.buf.len() {
         // Trailing garbage between last entry and trailer.
         return Err(ArchiveError::ChecksumMismatch { context: "length" });
     }
-    Ok(tree)
+    Ok(FileTree::from_files(files, bytes))
 }
 
 #[cfg(test)]

@@ -7,17 +7,48 @@ use bytes::Bytes;
 use std::borrow::Cow;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::ops::Bound;
+use std::sync::Arc;
 
 /// Normalized, ordered path → file contents map. Directories are
 /// implicit (a file at `src/main.cu` implies `src/`). Paths are
 /// `/`-separated, relative, with no `.`/`..` components. A tree holds
 /// at most [`MAX_ENTRIES`] files and [`MAX_TREE_BYTES`] bytes of them.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// The map is shared: a clone is a reference count, and the first
+/// write to a tree whose map another clone holds copies the map for
+/// the writer alone. A container mounts a project, and keeps its
+/// image's files, by such a clone (`rai_sandbox::Container`).
+#[derive(Clone, Default)]
 pub struct FileTree {
-    files: BTreeMap<String, Bytes>,
+    /// `None` until the first write: an empty tree allocates nothing.
+    files: Option<Arc<Files>>,
     /// Sum of the file sizes, kept as files come and go.
     bytes: u64,
+}
+
+/// What a tree holds: path → contents.
+pub(crate) type Files = BTreeMap<String, Bytes>;
+
+/// The map of every tree that has none of its own.
+static NO_FILES: Files = BTreeMap::new();
+
+impl PartialEq for FileTree {
+    fn eq(&self, other: &Self) -> bool {
+        match (&self.files, &other.files) {
+            (Some(a), Some(b)) if Arc::ptr_eq(a, b) => true,
+            _ => self.bytes == other.bytes && self.map() == other.map(),
+        }
+    }
+}
+
+impl Eq for FileTree {}
+
+impl fmt::Debug for FileTree {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FileTree").field("files", self.map()).field("bytes", &self.bytes).finish()
+    }
 }
 
 /// Error inserting an invalid path.
@@ -80,9 +111,12 @@ pub(crate) fn normalize(path: &str) -> Result<String, InvalidPath> {
     normalized(path).map(str::to_string)
 }
 
-/// [`normalize`] without the copy: a valid path's normal form is the
-/// path itself less its leading `/`, so lookups borrow it.
-fn normalized(path: &str) -> Result<&str, InvalidPath> {
+/// A path's normal form, borrowed: a valid path's normal form is the
+/// path itself less its leading `/`, so lookups borrow it. Refuses what
+/// a tree refuses to hold: an empty path, a `.`, `..` or empty
+/// component, a backslash or NUL, or a normal form longer than
+/// [`MAX_PATH_BYTES`].
+pub fn normalized(path: &str) -> Result<&str, InvalidPath> {
     let trimmed = path.strip_prefix('/').unwrap_or(path);
     let bounded = !trimmed.is_empty() && trimmed.len() <= MAX_PATH_BYTES;
     if bounded && components_valid(trimmed.as_bytes()) {
@@ -90,6 +124,13 @@ fn normalized(path: &str) -> Result<&str, InvalidPath> {
     } else {
         Err(InvalidPath(path.to_string()))
     }
+}
+
+/// The key a lookup of `path` probes: the path less its leading `/`.
+/// Every key is a valid normal form, so a path [`normalized`] refuses
+/// matches none, and a lookup need not validate it first.
+fn key_of(path: &str) -> &str {
+    path.strip_prefix('/').unwrap_or(path)
 }
 
 /// Whether no `/`-separated component of `path` is empty, `.` or `..`
@@ -110,8 +151,25 @@ fn components_valid(path: &[u8]) -> bool {
 
 impl FileTree {
     /// An empty tree.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        FileTree { files: None, bytes: 0 }
+    }
+
+    /// A tree of `files`, whose sizes add up to `bytes`.
+    pub(crate) fn from_files(files: Files, bytes: u64) -> Self {
+        let files = (!files.is_empty()).then(|| Arc::new(files));
+        FileTree { files, bytes }
+    }
+
+    /// The map, read.
+    fn map(&self) -> &Files {
+        self.files.as_deref().unwrap_or(&NO_FILES)
+    }
+
+    /// The map, to write: this tree's own, copied first if another
+    /// clone holds it too.
+    fn map_mut(&mut self) -> &mut Files {
+        Arc::make_mut(self.files.get_or_insert_with(Default::default))
     }
 
     /// Insert (or overwrite) a file. The path is normalized; invalid
@@ -135,13 +193,15 @@ impl FileTree {
             }
         };
         let data = data.into();
-        let len = self.files.len();
-        let entry = self.files.entry(key);
+        let bytes = self.bytes;
+        let files = self.map_mut();
+        let len = files.len();
+        let entry = files.entry(key);
         let (entries, replaced) = match &entry {
             Entry::Occupied(e) => (len, e.get().len()),
             Entry::Vacant(_) => (len + 1, 0),
         };
-        let bytes = self.bytes - replaced as u64 + data.len() as u64;
+        let bytes = bytes - replaced as u64 + data.len() as u64;
         if entries > MAX_ENTRIES || bytes > MAX_TREE_BYTES {
             return Err(TreeError::NoSpace);
         }
@@ -166,7 +226,7 @@ impl FileTree {
 
     /// Fetch a file's contents.
     pub fn get(&self, path: &str) -> Option<&Bytes> {
-        self.files.get(normalized(path).ok()?)
+        self.map().get(key_of(path))
     }
 
     /// Whether a file exists at `path`.
@@ -176,19 +236,23 @@ impl FileTree {
 
     /// Remove a file, returning its contents if present.
     pub fn remove(&mut self, path: &str) -> Option<Bytes> {
-        let data = self.files.remove(normalized(path).ok()?)?;
+        let key = key_of(path);
+        if !self.map().contains_key(key) {
+            return None;
+        }
+        let data = self.map_mut().remove(key)?;
         self.bytes -= data.len() as u64;
         Some(data)
     }
 
     /// Number of files.
     pub fn len(&self) -> usize {
-        self.files.len()
+        self.map().len()
     }
 
     /// Whether the tree has no files.
     pub fn is_empty(&self) -> bool {
-        self.files.is_empty()
+        self.map().is_empty()
     }
 
     /// Sum of file sizes in bytes.
@@ -198,63 +262,76 @@ impl FileTree {
 
     /// Iterate `(path, contents)` in path order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Bytes)> {
-        self.files.iter().map(|(k, v)| (k.as_str(), v))
+        self.map().iter().map(|(k, v)| (k.as_str(), v))
     }
 
     /// Paths in order.
     pub fn paths(&self) -> impl Iterator<Item = &str> {
-        self.files.keys().map(|k| k.as_str())
+        self.map().keys().map(|k| k.as_str())
     }
 
     /// A sub-tree of all files under `dir`, with the prefix stripped.
     pub fn subtree(&self, dir: &str) -> FileTree {
-        let mut out = FileTree::new();
-        let Ok(norm) = normalized(dir) else { return out };
+        let Ok(norm) = normalized(dir) else { return FileTree::new() };
+        let mut files = Files::new();
+        let mut bytes = 0;
         for (rest, v) in self.under(norm) {
-            out.files.insert(rest.to_string(), v.clone());
-            out.bytes += v.len() as u64;
+            files.insert(rest.to_string(), v.clone());
+            bytes += v.len() as u64;
         }
-        out
+        FileTree::from_files(files, bytes)
     }
 
-    /// The files under the directory `norm` (a normalized path), each
-    /// with its path past `norm/`: a walk of the key range that starts
-    /// with `norm`, where keys under `norm/` sort together with the
-    /// likes of `norm.x` and `normal`.
-    fn under<'a>(&'a self, norm: &'a str) -> impl Iterator<Item = (&'a str, &'a Bytes)> {
-        self.files
-            .range::<str, _>((Bound::Included(norm), Bound::Unbounded))
-            .take_while(move |(k, _)| k.starts_with(norm))
-            .filter_map(move |(k, v)| Some((k[norm.len()..].strip_prefix('/')?, v)))
+    /// The files under the directory `norm` — a normalized path, or
+    /// `""` for the whole tree — each with its path past `norm/`, in
+    /// path order: a walk of the key range that starts with `norm`,
+    /// where keys under `norm/` sort together with the likes of
+    /// `norm.x` and `normal`.
+    pub fn under<'a>(&'a self, norm: &'a str) -> impl Iterator<Item = (&'a str, &'a Bytes)> {
+        // The whole tree is tested for by length: comparing two empty
+        // slices calls `bcmp` with a length of 0, which costs ≈ 130 ns
+        // on the reference host, more than the rest of a walk.
+        let whole = norm.is_empty();
+        let (from, skip) =
+            if whole { (Bound::Unbounded, 0) } else { (Bound::Included(norm), norm.len() + 1) };
+        self.map()
+            .range::<str, _>((from, Bound::Unbounded))
+            .take_while(move |(k, _)| whole || k.starts_with(norm))
+            .filter(move |(k, _)| whole || k.as_bytes().get(norm.len()) == Some(&b'/'))
+            .map(move |(k, v)| (&k[skip..], v))
     }
 
-    /// Graft `other` into this tree under the directory `dir`
-    /// (the inverse of [`FileTree::subtree`]): `mount("src", t)` places
-    /// `t`'s `main.cu` at `src/main.cu`. All or nothing: a joined path
-    /// longer than [`MAX_PATH_BYTES`], or a result past [`MAX_ENTRIES`]
-    /// or [`MAX_TREE_BYTES`], refuses the mount before any file is
-    /// placed.
+    /// Graft a copy of `other` into this tree under the directory
+    /// `dir` (the inverse of [`FileTree::subtree`]): `mount("src", t)`
+    /// places `t`'s `main.cu` at `src/main.cu`, under a key of its own.
+    /// All or nothing: a joined path longer than [`MAX_PATH_BYTES`], or
+    /// a result past [`MAX_ENTRIES`] or [`MAX_TREE_BYTES`], refuses the
+    /// mount before any file is placed. A container's `/src` is not
+    /// grafted: it keeps the caller's tree by reference
+    /// (`rai_sandbox::Container::mount`); this is the flat form it is
+    /// tested against.
     pub fn mount(&mut self, dir: &str, other: &FileTree) -> Result<(), TreeError> {
         let norm = normalized(dir)?;
-        if let Some(k) = other.files.keys().find(|k| norm.len() + 1 + k.len() > MAX_PATH_BYTES) {
+        if let Some(k) = other.paths().find(|k| norm.len() + 1 + k.len() > MAX_PATH_BYTES) {
             return Err(InvalidPath([norm, "/", k].concat()).into());
         }
         // The files `other` overwrites: those already under `dir/` with
         // a path `other` holds too.
         let (mut overwritten, mut freed) = (0, 0);
         for (rest, v) in self.under(norm) {
-            if other.files.contains_key(rest) {
+            if other.map().contains_key(rest) {
                 overwritten += 1;
                 freed += v.len() as u64;
             }
         }
-        let entries = self.files.len() + other.files.len() - overwritten;
+        let entries = self.len() + other.len() - overwritten;
         let bytes = self.bytes - freed + other.bytes;
         if entries > MAX_ENTRIES || bytes > MAX_TREE_BYTES {
             return Err(TreeError::NoSpace);
         }
-        for (k, v) in &other.files {
-            self.files.insert([norm, "/", k].concat(), v.clone());
+        let files = self.map_mut();
+        for (k, v) in other.iter() {
+            files.insert([norm, "/", k].concat(), v.clone());
         }
         self.bytes = bytes;
         Ok(())

@@ -256,6 +256,33 @@ mod tests {
     }
 
     #[test]
+    fn every_rerun_reads_the_submitted_code() {
+        let grader = Grader::new(
+            Database::new(),
+            ObjectStore::new(rai_sim::VirtualClock::new()),
+            Arc::new(ImageRegistry::course_default()),
+        );
+        let submitted = || ProjectDir::cuda_project_with_perf(470.0, 0.93, 1024).with_final_artifacts().tree;
+        let code = submitted();
+        // A container that overwrites the mounted kernel with a file
+        // that has no directive (a 30-minute CPU build) writes into
+        // itself, not into the code it mounted.
+        let image = grader.images.resolve("webgpu/rai:root").unwrap();
+        let mut container = Container::create(image, ResourceLimits::default());
+        container.mount("/src", &code);
+        assert_eq!(container.run_command("cp /src/CMakeLists.txt /src/main.cu").exit_code, 0);
+        assert!(container.destroy().build_dir.is_empty());
+        assert_eq!(code, submitted());
+        // Every rerun mounts the one tree and reads the 470 ms kernel.
+        for seed in 0..5 {
+            let run = grader.rerun_min_time(&code, 1, seed).unwrap();
+            assert_eq!(run, grader.rerun_min_time(&submitted(), 1, seed).unwrap(), "seed {seed}");
+            assert!((0.5..0.56).contains(&run), "seed {seed}: {run}");
+        }
+        assert_eq!(grader.rerun_min_time(&code, 5, 42), grader.rerun_min_time(&submitted(), 5, 42));
+    }
+
+    #[test]
     fn grading_scale() {
         assert_eq!(Grader::performance_points(0.4, 1.0, 120.0), 30.0);
         assert_eq!(Grader::performance_points(120.0, 1.0, 120.0), 0.0);

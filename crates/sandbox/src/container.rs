@@ -3,10 +3,10 @@
 
 use crate::exec::{execute, CmdResult};
 use crate::image::Image;
+use crate::layers::{Layers, Resolved};
 use crate::limits::{ResourceLimits, MEMORY_BYTES};
 use rai_archive::FileTree;
 use rai_sim::SimDuration;
-use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 
 /// Why a container was killed.
@@ -224,10 +224,14 @@ const TRUNCATED: &str = "… output truncated";
 /// The working directory (normalized, no leading slash): `/build`.
 pub(crate) const WORKDIR: &str = "build";
 
-/// A running (simulated) container.
+/// A running (simulated) container. Its filesystem is the paper's
+/// layers: the image's files and the project mounted at `/src`, both
+/// held by reference and never written, under one upper layer that
+/// every write lands in and whose `/build` is the report's build tree
+/// (see `layers`). Starting, mounting and ending a job copy no path.
 pub struct Container {
-    /// The merged filesystem: image rootfs + mounted volumes + workdir.
-    pub(crate) fs: FileTree,
+    /// The merged filesystem: image rootfs, the volume, the upper layer.
+    pub(crate) fs: Layers,
     /// Resource limits in force.
     pub(crate) limits: ResourceLimits,
     status: ContainerStatus,
@@ -244,7 +248,7 @@ impl Container {
     /// directory, per the paper.
     pub fn create(image: &Image, limits: ResourceLimits) -> Self {
         Container {
-            fs: image.rootfs.clone(),
+            fs: Layers::new(&image.rootfs),
             limits,
             status: ContainerStatus::Created,
             output: JobOutput::with_room(),
@@ -260,35 +264,29 @@ impl Container {
         self.time_dilation = dilation.max(1.0);
     }
 
-    /// Mount a read-only volume at an absolute path (e.g. `/src`). A
-    /// volume with a file whose path under the mount point would pass
-    /// [`rai_archive::tree::MAX_PATH_BYTES`] is not mounted; the log
+    /// Mount a read-only volume at an absolute path (`/src`; a mount
+    /// point is the deployment's, never a student's). The container
+    /// keeps `tree` by reference: no file is copied, and a write under
+    /// the mount point lands in the container's own upper layer, so
+    /// `tree` and every other container that mounts it read what it
+    /// held. A volume with a file whose path under the mount point
+    /// would pass [`rai_archive::tree::MAX_PATH_BYTES`], or that would
+    /// take the filesystem past its bounds, is not mounted; the log
     /// says so and the commands run without it.
-    pub fn mount(&mut self, path: &str, tree: &FileTree) {
-        if let Err(e) = self.fs.mount(path.trim_start_matches('/'), tree) {
+    pub fn mount(&mut self, path: &'static str, tree: &FileTree) {
+        if let Err(e) = self.fs.mount(path, tree) {
             self.log(LogStream::Stderr, format_args!("mount: {path} not mounted: {e}"));
         }
     }
 
     /// Resolve a command-line path against the container filesystem:
-    /// absolute paths strip the leading `/`; `./x` and bare names are
-    /// relative to the working directory. An absolute path resolves to
-    /// a slice of itself.
-    pub(crate) fn resolve_path<'a>(&self, arg: &'a str) -> Cow<'a, str> {
+    /// an absolute path less its leading `/`; `./x` and bare names
+    /// relative to the working directory. Either is a slice of `arg`.
+    pub(crate) fn resolve_path<'a>(&self, arg: &'a str) -> Resolved<'a> {
         match arg.strip_prefix('/') {
-            Some(abs) => Cow::Borrowed(abs),
-            None => {
-                let rel = arg.strip_prefix("./").unwrap_or(arg);
-                Cow::Owned(self.in_workdir(rel))
-            }
+            Some(abs) => Resolved::Root(abs),
+            None => Resolved::Work(arg.strip_prefix("./").unwrap_or(arg)),
         }
-    }
-
-    /// `name` under the working directory, as a filesystem path. One
-    /// exact allocation (`format!` sizes a path this short at zero and
-    /// grows it twice).
-    pub(crate) fn in_workdir(&self, name: &str) -> String {
-        [WORKDIR, "/", name].concat()
     }
 
     /// Write a line of output: a literal is copied, anything else is
@@ -353,11 +351,11 @@ impl Container {
 
     /// Destroy the container and produce the execution report ("after
     /// the execution is complete, the worker creates a .tar.bz2 of the
-    /// container's /build directory").
+    /// container's /build directory"): the upper layer's `/build`,
+    /// handed over as it stands.
     pub fn destroy(self) -> ExecutionReport {
-        let build_dir = self.fs.subtree(WORKDIR);
-        let Container { status, output, elapsed, .. } = self;
-        ExecutionReport { status, output, elapsed, build_dir }
+        let Container { fs, status, output, elapsed, .. } = self;
+        ExecutionReport { status, output, elapsed, build_dir: fs.into_build() }
     }
 
     /// The output so far (interactive sessions read each command's
@@ -544,6 +542,25 @@ mod tests {
     }
 
     #[test]
+    fn a_volume_is_read_only() {
+        // A build that writes under /src writes into its own container:
+        // it reads its write back, and neither the mounted tree nor a
+        // second container mounting it sees the write.
+        let project = gpu_project();
+        let lines = |c: Container| -> Vec<String> { owned_log(c.destroy()).into_iter().map(|l| l.text).collect() };
+        let mut c = make_container(&project, ResourceLimits::default());
+        assert_eq!(c.run_command("cp /src/CMakeLists.txt /src/main.cu").exit_code, 0);
+        assert_eq!(c.run_command("cat /src/main.cu").exit_code, 0);
+        let report = c.destroy();
+        assert!(report.lines().any(|l| l.text.starts_with("cmake_minimum_required")));
+        assert!(report.build_dir.is_empty(), "a write under /src is not in /build");
+        assert_eq!(project, gpu_project());
+        let mut other = make_container(&project, ResourceLimits::default());
+        assert_eq!(other.run_command("cat /src/main.cu").exit_code, 0);
+        assert_eq!(lines(other)[1], "__global__ void forward() {}");
+    }
+
+    #[test]
     fn cpu_baseline_takes_half_hour_on_full_dataset() {
         let tree = project("no directive here");
         let mut c = make_container(&tree, ResourceLimits::default());
@@ -653,9 +670,9 @@ mod tests {
             "false",
         ] {
             let mut c = make_container(&gpu_project(), ResourceLimits::default());
-            let before = c.fs.clone();
+            let before = c.fs.flat();
             assert_eq!(c.run_command(cmd).exit_code, 127, "{cmd}");
-            assert_eq!(c.fs, before, "{cmd}");
+            assert_eq!(c.fs.flat(), before, "{cmd}");
             let name = cmd.split(' ').next().unwrap();
             let log = owned_log(c.destroy());
             assert_eq!(log, [LogLine { stream: LogStream::Stderr, text: format!("sh: {name}: command not found") }]);
@@ -678,14 +695,15 @@ mod tests {
         // the whole volume out; a target name past it fails the link.
         let too_deep = FileTree::new().with(&"m".repeat(max - 3), &b"x"[..]);
         let mut mounted = make_container(&too_deep, ResourceLimits::default());
-        assert!(mounted.fs.subtree("src").is_empty());
-        mounted.fs.insert("src/CMakeLists.txt", format!("add_executable({long})")).unwrap();
-        mounted.fs.insert("src/main.cu", &b"int main(){}"[..]).unwrap();
+        assert!(mounted.fs.subtree(Resolved::Root("src")).is_empty());
+        let lists = Resolved::Root("src/CMakeLists.txt");
+        mounted.fs.insert(lists, format!("add_executable({long})")).unwrap();
+        mounted.fs.insert(Resolved::Root("src/main.cu"), &b"int main(){}"[..]).unwrap();
         assert_eq!(mounted.run_command("cmake /src").exit_code, 0);
         assert_eq!(mounted.run_command("make").exit_code, 2);
         // So does one that is no file name at all (the worker used to
         // panic on both).
-        mounted.fs.insert("src/CMakeLists.txt", &b"add_executable(..)"[..]).unwrap();
+        mounted.fs.insert(lists, &b"add_executable(..)"[..]).unwrap();
         assert_eq!(mounted.run_command("cmake /src").exit_code, 0);
         assert_eq!(mounted.run_command("make").exit_code, 2);
 
@@ -744,7 +762,7 @@ mod tests {
         // one says so and exits 1; the worker is none the wiser.
         let fill = |c: &mut Container| {
             let mut i = 0;
-            while c.fs.insert(format!("build/f{i}"), &b"x"[..]).is_ok() {
+            while c.fs.insert(Resolved::Root(&format!("build/f{i}")), &b"x"[..]).is_ok() {
                 i += 1;
             }
             assert_eq!(c.fs.len(), MAX_ENTRIES);

@@ -11,12 +11,14 @@
 use crate::container::{Container, KillReason, LogStream};
 use crate::decimal::{Clock, Fixed4, Millis};
 use crate::image::hdf5_item_count;
+use crate::layers::Resolved;
 use crate::perf::{ExecMode, PerfSpec};
 use rai_archive::text;
 use rai_archive::tree::{TreeError, MAX_PATH_BYTES};
 use rai_sim::SimDuration;
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
+use std::ops::Deref;
 
 /// Outcome of one command.
 pub struct CmdResult {
@@ -59,7 +61,7 @@ const BINARY_MAGIC: &str = "RAIBIN\n";
 
 /// Where `cmake` writes the Makefile and `make` reads it: `Makefile`
 /// in [`WORKDIR`](crate::container::WORKDIR).
-const MAKEFILE: &str = "build/Makefile";
+const MAKEFILE: Resolved<'static> = Resolved::Work("Makefile");
 
 /// What `make` reserves for a binary: the magic, `// `, a directive
 /// whose numbers print in up to 20 characters each, and the newline.
@@ -145,15 +147,66 @@ fn ends_word(s: &str, at: usize) -> bool {
 /// --export-profile FILE ./prog ARG ARG` is six.
 const WORDS: usize = 8;
 
+/// A command line's words: up to [`WORDS`] of them in place, a longer
+/// line's all in a `Vec`. Read as a slice.
+pub(crate) struct Words<'a> {
+    inline: [Cow<'a, str>; WORDS],
+    len: usize,
+    spilled: Vec<Cow<'a, str>>,
+}
+
+impl<'a> Words<'a> {
+    fn push(&mut self, word: Cow<'a, str>) {
+        if self.len < WORDS {
+            self.inline[self.len] = word;
+            self.len += 1;
+            return;
+        }
+        if self.spilled.is_empty() {
+            self.spilled.extend(self.inline.iter_mut().map(std::mem::take));
+        }
+        self.spilled.push(word);
+    }
+}
+
+impl<'a> Deref for Words<'a> {
+    type Target = [Cow<'a, str>];
+
+    fn deref(&self) -> &Self::Target {
+        if self.spilled.is_empty() {
+            &self.inline[..self.len]
+        } else {
+            &self.spilled
+        }
+    }
+}
+
+#[cfg(test)]
+impl fmt::Debug for Words<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+#[cfg(test)]
+impl<'a, T> PartialEq<Vec<T>> for Words<'a>
+where
+    Cow<'a, str>: PartialEq<T>,
+{
+    fn eq(&self, other: &Vec<T>) -> bool {
+        self[..] == other[..]
+    }
+}
+
 /// Split a command line into words, honouring single/double quotes.
 /// A word borrows from `cmd` while its characters are contiguous there
 /// (`make`, `"Building project"`): it is kept as the span `start..end`
 /// of `cmd` (empty when `start == end`), and only a quote mark *inside*
 /// it (`a"b c"d`) makes quote removal splice an owned one. The line is
 /// read a run of word bytes at a time, sliced once where a word ends.
-pub(crate) fn shell_words(cmd: &str) -> Vec<Cow<'_, str>> {
+pub(crate) fn shell_words(cmd: &str) -> Words<'_> {
     let bytes = cmd.as_bytes();
-    let mut words = Vec::with_capacity(WORDS);
+    let mut words = Words { inline: Default::default(), len: 0, spilled: Vec::new() };
     let (mut start, mut end) = (0, 0);
     let mut spliced: Option<String> = None;
     let mut in_single = false;
@@ -365,9 +418,9 @@ fn run_sleep(args: &[Cow<'_, str>]) -> CmdResult {
 /// target, and "generates a Makefile" in the working directory.
 fn run_cmake(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
     let srcdir = args.first().map_or("/src", |a| a);
-    let src = container.resolve_path(srcdir);
-    let lists_path = [&src, "/CMakeLists.txt"].concat();
-    let Some(lists) = container.fs.get(&lists_path).cloned() else {
+    let [head, src] = container.resolve_path(srcdir).pieces();
+    let lists_path = [head, src, "/CMakeLists.txt"].concat();
+    let Some(lists) = container.fs.get(Resolved::Root(&lists_path)).cloned() else {
         container.log(
             LogStream::Stderr,
             format_args!("CMake Error: The source directory \"{srcdir}\" does not appear to contain CMakeLists.txt."),
@@ -376,7 +429,7 @@ fn run_cmake(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
     };
     let lists = text(&lists);
     let target = parse_add_executable(&lists).unwrap_or("a.out");
-    let makefile = ["# generated by rai cmake\nSRCDIR=", &src, "\nTARGET=", target, "\n"].concat();
+    let makefile = ["# generated by rai cmake\nSRCDIR=", head, src, "\nTARGET=", target, "\n"].concat();
     if container.fs.insert(MAKEFILE, makefile.into_bytes()).is_err() {
         return no_space(container, "cmake", "Makefile", SimDuration::from_millis(120));
     }
@@ -416,19 +469,20 @@ fn run_make(container: &mut Container, _args: &[Cow<'_, str>]) -> CmdResult {
     let srcdir = extract_var(&makefile, "SRCDIR=").unwrap_or("src");
     let target = extract_var(&makefile, "TARGET=").unwrap_or("a.out");
 
-    // One pass over the sources reads each as text once: its length,
-    // its markers and, until one is found, its directive. Only a marked
-    // source's path is copied, for the diagnostic that names it.
-    // (`str::contains` of a short needle is a SIMD scan; a course-sized
-    // source holds the bytes any one-byte probe would look for.)
-    let is_source = |path: &str| {
-        let in_srcdir = path.strip_prefix(srcdir).is_some_and(|p| p.starts_with('/'));
-        in_srcdir && [".cu", ".cpp", ".cc", ".c"].iter().any(|s| path.ends_with(s))
-    };
+    // One ordered walk of the files under `SRCDIR` (a path as the tree
+    // keeps it, or there is none) reads each source as text once: its
+    // length, its markers and, until one is found, its directive. Only
+    // a marked source's path is copied, for the diagnostic that names
+    // it. (`str::contains` of a short needle is a SIMD scan; a
+    // course-sized source holds the bytes any one-byte probe would
+    // look for.)
+    let is_source = |path: &str| [".cu", ".cpp", ".cc", ".c"].iter().any(|s| path.ends_with(s));
+    // A path the tree keeps has no leading `/` to strip.
+    let kept = if srcdir.starts_with('/') { "" } else { srcdir };
     let mut spec = None;
     let sources: Vec<Source> = container
         .fs
-        .iter()
+        .walk(Resolved::Root(kept))
         .filter(|(path, _)| is_source(path))
         .map(|(path, data)| {
             let text = text(data);
@@ -440,7 +494,7 @@ fn run_make(container: &mut Container, _args: &[Cow<'_, str>]) -> CmdResult {
             Source {
                 len: text.len(),
                 syntax_error,
-                path: marked.then(|| path.to_string()),
+                path: marked.then(|| [srcdir, "/", path].concat()),
             }
         })
         .collect();
@@ -495,7 +549,7 @@ fn run_make(container: &mut Container, _args: &[Cow<'_, str>]) -> CmdResult {
     binary.push('\n');
     // The target name is the student's (`add_executable`): one the
     // filesystem refuses fails the link, not the worker.
-    match container.fs.insert(container.in_workdir(target), binary.into_bytes()) {
+    match container.fs.insert(Resolved::Work(target), binary.into_bytes()) {
         Ok(()) => {}
         Err(TreeError::NoSpace) => return no_space(container, "/usr/bin/ld", target, duration),
         Err(TreeError::Path(_)) => {
@@ -548,7 +602,7 @@ pub(crate) fn to_line_end(text: &str) -> &str {
 /// Run a compiled program (`./ece408 /data/test10.hdf5 /data/model.hdf5`).
 fn run_program(container: &mut Container, words: &[Cow<'_, str>]) -> CmdResult {
     let prog_path = container.resolve_path(&words[0]);
-    let Some(bin) = container.fs.get(&prog_path).cloned() else {
+    let Some(bin) = container.fs.get(prog_path).cloned() else {
         container.log(
             LogStream::Stderr,
             format_args!("sh: {}: No such file or directory", words[0]),
@@ -575,7 +629,7 @@ fn run_program(container: &mut Container, words: &[Cow<'_, str>]) -> CmdResult {
     for arg in &words[1..] {
         if arg.ends_with(".hdf5") {
             let path = container.resolve_path(arg);
-            match container.fs.get(&path) {
+            match container.fs.get(path) {
                 Some(data) => {
                     if items.is_none() {
                         if let Some(n) = hdf5_item_count(data).filter(|&n| n > 0) {
@@ -733,16 +787,15 @@ fn run_cp(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
         container.log(LogStream::Stderr, format_args!("cp: cannot create '{}': {reason}", paths[1]));
         CmdResult::fail(1, SimDuration::MILLI)
     };
-    if let Some(data) = container.fs.get(&src).cloned() {
+    if let Some(data) = container.fs.get(src).cloned() {
         // Single file copy.
-        return match container.fs.insert(&*dst, data) {
+        return match container.fs.insert(dst, data) {
             Ok(()) => CmdResult::ok(SimDuration::from_millis(5)),
             Err(e) => cannot_create(container, e),
         };
     }
     // Directory copy.
-    let sub = container.fs.subtree(&src);
-    if sub.is_empty() {
+    if container.fs.walk(src).next().is_none() {
         container.log(
             LogStream::Stderr,
             format_args!("cp: cannot stat '{}': No such file or directory", paths[0]),
@@ -756,18 +809,18 @@ fn run_cp(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
         );
         return CmdResult::fail(1, SimDuration::MILLI);
     }
-    if let Err(e) = container.fs.mount(&dst, &sub) {
-        return cannot_create(container, e);
+    match container.fs.copy_dir(src, dst) {
+        // Copy latency: 200 MB/s.
+        Ok(copied) => CmdResult::ok(SimDuration::from_millis(5 + copied / (200 * 1024))),
+        Err(e) => cannot_create(container, e),
     }
-    // Copy latency: 200 MB/s.
-    CmdResult::ok(SimDuration::from_millis(5 + sub.total_size() / (200 * 1024)))
 }
 
 fn run_cat(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
     let mut code = 0;
     for a in args {
         let path = container.resolve_path(a);
-        match container.fs.get(&path).cloned() {
+        match container.fs.get(path).cloned() {
             Some(data) => {
                 for line in text(&data).lines() {
                     container.log(LogStream::Stdout, format_args!("{line}"));
@@ -795,7 +848,7 @@ fn run_grep(container: &mut Container, args: &[Cow<'_, str>]) -> CmdResult {
     let mut matched = false;
     for file in files {
         let path = container.resolve_path(file);
-        match container.fs.get(&path).cloned() {
+        match container.fs.get(path).cloned() {
             Some(data) => {
                 for line in text(&data).lines().filter(|l| l.contains(pattern.as_ref())) {
                     matched = true;
@@ -1016,6 +1069,6 @@ mod tests {
         assert_eq!(extract_var(m, "SRCDIR="), Some("src"));
         assert_eq!(extract_var(m, "TARGET="), Some("ece408"));
         assert_eq!(extract_var(m, "MISSING="), None);
-        assert_eq!(MAKEFILE, [WORKDIR, "/Makefile"].concat());
+        assert_eq!(MAKEFILE.pieces().concat(), [WORKDIR, "/Makefile"].concat());
     }
 }

@@ -26,6 +26,9 @@
 //!   `cat`, `grep`, `sleep`, `true`, and the denied network tools),
 //!   charging simulated time/memory and enforcing the limits; any other
 //!   command is not found (exit 127);
+//! * `layers` — the container's filesystem: the image's files and the
+//!   `/src` volume by reference under one upper layer that every write
+//!   lands in, `/build` kept as the tree the container hands over;
 //! * `container` — container lifecycle (create → run commands →
 //!   destroy), mounts, GPU attachment, the job's output (one buffer of
 //!   lines, capped at [`MAX_OUTPUT_BYTES`]) and the execution report the
@@ -37,6 +40,7 @@ mod container;
 mod decimal;
 pub mod exec;
 mod image;
+mod layers;
 mod limits;
 mod perf;
 #[cfg(test)]

@@ -6,6 +6,7 @@
 use crate::container::{Container, ContainerStatus, ExecutionReport, KillReason};
 use crate::exec::{shell_words, split_chain};
 use crate::image::ImageRegistry;
+use crate::layers::Resolved;
 use crate::limits::{ResourceLimits, MEMORY_BYTES};
 use proptest::prelude::*;
 use rai_archive::FileTree;
@@ -88,7 +89,7 @@ proptest! {
         let mut c = container();
         c.mount("/src", &tree);
         let mounted_path = format!("src/{name}");
-        prop_assert!(c.fs.contains(&mounted_path));
+        prop_assert!(c.fs.get(Resolved::Root(&mounted_path)).is_some());
     }
 
     #[test]

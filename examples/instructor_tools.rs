@@ -87,4 +87,11 @@ fn main() {
     }
     let artifacts = session.close();
     println!("  session artifacts: {} files in /build", artifacts.len());
+    // The session built in its own /build and left the code it mounted
+    // at /src as it was downloaded.
+    for artifact in ["Makefile", "ece408"] {
+        assert!(artifacts.contains(artifact), "/build has no {artifact}: {artifacts:?}");
+    }
+    let downloaded = submissions.last().expect("submissions downloaded").tree.subtree("submission_code");
+    assert_eq!(slow_code, downloaded, "the session changed the code it mounted");
 }

@@ -19,6 +19,7 @@
 //! allocates while it counts.
 
 use rai::archive::chunk::{chunk_bytes, ChunkManifest, ChunkerParams};
+use rai::archive::{restore_shared, write_container, Bytes, FileTree};
 use rai::broker::Broker;
 use rai::core::client::{ProjectDir, RaiClient, SubmitMode, UPLOAD_BUCKET};
 use rai::core::protocol::{push_output, routes, JobKind, JobRequest, LogFrame};
@@ -107,10 +108,14 @@ fn kept_per_item(n: u64, each: impl FnMut(u64)) -> (f64, f64) {
 }
 
 /// Allocations and requested bytes allowed per submission. Measured
-/// (EXPERIMENTS.md, "Both journals at the size of their readers"):
-/// 138 / 20 101 B at this commit, 140 / 20 133 B at its parent — a
-/// delta upload's answer is no copy of the etag its caller sent.
-/// Before that ("A job's bookkeeping done once"): 140 / 20 165 B,
+/// (EXPERIMENTS.md, "The container as the paper's layers"): 121 /
+/// 18 503 B at this commit, 138 / 20 101 B at its parent — a job's
+/// container keeps the image's files and the project by reference and
+/// hands its `/build` over, a restored tree copies each path once, and
+/// a command's words sit on the stack. Before that ("Both journals at
+/// the size of their readers"): 138 / 20 101 B, 140 / 20 133 B at its
+/// parent — a delta upload's answer is no copy of the etag its caller
+/// sent. Before that ("A job's bookkeeping done once"): 140 / 20 165 B,
 /// 175 / 23 434 B at its parent — a team's client is built
 /// once and holds its scheduled key, a signature is written from the
 /// request's parts without its canonical text, a put is admitted in one
@@ -176,15 +181,17 @@ fn kept_per_item(n: u64, each: impl FnMut(u64)) -> (f64, f64) {
 /// set, the claim takes the popped request instead of a copy, and the
 /// end-of-course copies of every trace and every row are gone. The same
 /// in the debug profile tier-1 runs this test in and in release. Both
-/// gates are 3 % above the 138 / 20 101 B measurement.
-const BUDGET: (u64, u64) = (142, 20_704);
+/// gates are 3 % above the 121 / 18 503 B measurement.
+const BUDGET: (u64, u64) = (124, 19_058);
 
 /// Allocations and requested bytes allowed per submission of the
 /// benchmark's `durable_chaos` course (960 submissions on a WAL-backed
 /// deployment, killed mid-run with damaged log tails, recovered and
-/// resumed). Measured (EXPERIMENTS.md, "Both journals at the size of
-/// their readers"): 175.2 / 31 115 B at this commit, 193.0 / 34 537 B
-/// at its parent — an accepted submission journals its intent once,
+/// resumed). Measured (EXPERIMENTS.md, "The container as the paper's
+/// layers"): 153.3 / 29 435 B at this commit, 175.2 / 31 115 B at its
+/// parent — the same container, restore and words. Before that ("Both
+/// journals at the size of their readers"): 175.2 / 31 115 B,
+/// 193.0 / 34 537 B at its parent — an accepted submission journals its intent once,
 /// with no state to mark after its publish, and the intents table
 /// keeps no index. Before that ("A job's bookkeeping done
 /// once"): 193.0 / 34 574 B, 239.2 / 38 866 B at its
@@ -206,9 +213,9 @@ const BUDGET: (u64, u64) = (142, 20_704);
 /// names and object record straight into a frame the log reuses, where
 /// it was copied into an owned record, encoded into a `Vec` and framed
 /// into another, and replay decodes views of the segment instead of a
-/// copy of every payload. Both gates are 3 % above the 175.2 /
-/// 31 115 B measurement.
-const DURABLE_BUDGET: (f64, f64) = (180.5, 32_048.0);
+/// copy of every payload. Both gates are 3 % above the 153.3 /
+/// 29 435 B measurement.
+const DURABLE_BUDGET: (f64, f64) = (157.9, 30_318.0);
 
 /// Peak live heap allowed per submission over the same course, in
 /// bytes and blocks. Measured: 2 538 B in 14.8 blocks at this commit,
@@ -233,16 +240,29 @@ const TRACE_BUDGET: (f64, f64) = (324.0, 1.05);
 
 /// Allocations allowed for one Listing 1 job in the sandbox alone
 /// (`create` + `mount` + `run_script` + `destroy` of the sample
-/// project). Measured: 31 at this commit, 60 at its parent, 63 before
-/// that, 165 before that — what is left is the output's two buffers,
-/// the 3 files written with their paths and bytes, the image's and
-/// `/build`'s tree copies (a key each), one word vector per command,
-/// `make`'s list of sources and the two paths a program run is looked
-/// up by. Where the parent kept a `String` per log line (16), copied
-/// each path it inserted (3), copied every source's path and listed the
-/// sources twice (2), and built the directive apart from the binary.
-/// The gate is 3 % above the 31 measurement.
-const SANDBOX_JOB_BUDGET: u64 = 31;
+/// project). Measured: 15 at this commit, 31 at its parent, 60 before
+/// that, 63 before that, 165 before that — what is left is the
+/// output's two buffers, the 3 files `/build` gets (each its key, its
+/// text and the shared handle on it), `/build`'s map (a node and its
+/// shared handle), `make`'s list of sources and the path `cmake` looks
+/// `CMakeLists.txt` up by. Where the parent copied the image's files
+/// into the container (4) and the project's under `src/` (3), copied
+/// `/build` out of it (4), built a word vector per command (5) and
+/// joined `build/` to the two paths a program run is looked up by.
+/// The gate is the 15 measurement.
+const SANDBOX_JOB_BUDGET: u64 = 15;
+
+/// Allocations allowed to create a container, mount a project and
+/// destroy it with no command run: the output's two buffers, whatever
+/// the project holds (9 for the 3-file project and 62 for a 49-file
+/// tree at the parent, which copied every path in and `/build` out).
+const LIFECYCLE_BUDGET: u64 = 2;
+
+/// Allocations `restore_shared` may make past one per file of the
+/// 3-file project: its map's node and the map's shared handle. 5 in
+/// all (7 at the parent, which normalized each path into a copy and
+/// inserted a second); a wider tree adds the nodes its map grows to.
+const RESTORE_FIXED_BUDGET: u64 = 2;
 
 /// Allocations allowed for the client's check of a build file, the
 /// copy it returns included: the copy, and a folded command's text.
@@ -434,6 +454,48 @@ fn request_path_stays_inside_its_allocation_budget() {
         job_calls <= SANDBOX_JOB_BUDGET,
         "{job_calls} allocations per sandbox job exceed the budget {SANDBOX_JOB_BUDGET}"
     );
+    // Starting, mounting and ending a job copy no path: with no
+    // command run, a container costs the same for the 3-file project
+    // and for a 49-file tree.
+    let mut wide = project.tree.clone();
+    for i in 0..46 {
+        wide.insert(format!("lib/k{i:02}.cu"), &b"__global__ void k() {}\n"[..]).expect("valid path");
+    }
+    let lifecycle = |tree: &FileTree| {
+        let (report, calls, _) = counted(|| {
+            let mut container = Container::create(image, ResourceLimits::default());
+            container.mount("/src", tree);
+            container.destroy()
+        });
+        assert!(report.output.is_empty(), "{:#?}", report.output);
+        calls
+    };
+    let (narrow_calls, wide_calls) = (lifecycle(&project.tree), lifecycle(&wide));
+    println!(
+        "sandbox: {narrow_calls} allocations to create, mount and destroy for {} files, {wide_calls} for {}",
+        project.tree.len(),
+        wide.len()
+    );
+    assert!(
+        narrow_calls == wide_calls && wide_calls <= LIFECYCLE_BUDGET,
+        "create + mount + destroy: {narrow_calls} allocations for {} files, {wide_calls} for {}",
+        project.tree.len(),
+        wide.len()
+    );
+    // A restored tree's keys are the only copies of its paths: the
+    // project costs its map's one node and shared handle past them,
+    // and a wide tree the nodes its map grows to.
+    let restored_calls = |tree: &FileTree| {
+        let container = Bytes::from(write_container(tree));
+        let (restored, calls, _) = counted(|| restore_shared(&container).expect("restores"));
+        assert_eq!(&restored, tree);
+        println!("restore_shared: {calls} allocations for {} files", tree.len());
+        calls
+    };
+    let calls = restored_calls(&project.tree);
+    assert!(calls <= project.tree.len() as u64 + RESTORE_FIXED_BUDGET, "{calls} allocations to restore the project");
+    let calls = restored_calls(&wide);
+    assert!(calls < 2 * wide.len() as u64, "{calls} allocations to restore {} files", wide.len());
 
     // A job's text, call by call (DESIGN.md §11 "Request path" and
     // "Output path"): the client's check of the build file, the
