@@ -89,6 +89,13 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
 /// changes the condition under another lock, or none, can find the
 /// count at zero while a thread is about to park, and that thread then
 /// sleeps out its timeout.
+///
+/// Its one product user is `rai-broker`, which keeps all of its state
+/// behind one mutex and wakes every blocked receive through one
+/// condvar: each notifier changes a queue under that mutex and calls
+/// `notify_all` while it still holds it. (`rai-exec`'s pool, which no
+/// product path reaches, notifies after pushing under another lock; its
+/// waits are short polls.)
 pub struct Condvar {
     inner: std::sync::Condvar,
     waiters: AtomicUsize,

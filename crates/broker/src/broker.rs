@@ -3,16 +3,14 @@
 //! statistics.
 
 use crate::message::{Message, MessageId};
-use crate::queue::{ChannelState, Requeued};
+use crate::queue::{Channel, Requeued};
 use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Condvar, Mutex};
 use rai_faults::{FaultInjector, FaultKind};
 use rai_sim::{SimDuration, VirtualClock};
-use std::collections::HashMap;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Maximum ready-queue depth per channel; publishing beyond this
 /// returns [`PublishError::ChannelFull`]. RAI uses this as crude
@@ -70,69 +68,145 @@ impl std::fmt::Display for PublishError {
 
 impl std::error::Error for PublishError {}
 
-struct TopicState {
-    name: String,
+/// A topic: its channels and the backlog it holds until the first
+/// channel appears. Channels are kept in creation order and never
+/// removed (a topic is collected whole), so a subscription keeps its
+/// channel's position.
+struct Topic {
     ephemeral: bool,
-    channels: Mutex<HashMap<String, Arc<ChannelState>>>,
+    channels: Vec<Channel>,
     /// Messages published before the first channel existed.
-    backlog: Mutex<VecDeque<Message>>,
+    backlog: VecDeque<Message>,
 }
 
-impl TopicState {
-    /// Channel count and the live gauges: ready messages (backlog
-    /// included) and unacknowledged deliveries.
-    fn gauges(&self) -> (usize, TopicStats) {
-        let channels = self.channels.lock();
-        let mut s = TopicStats { depth: self.backlog.lock().len(), in_flight: 0 };
-        for ch in channels.values() {
-            s.depth += ch.depth();
-            s.in_flight += ch.in_flight_count();
+impl Topic {
+    fn new(ephemeral: bool) -> Self {
+        // A log topic has one channel, and a durable topic a few.
+        Topic { ephemeral, channels: Vec::with_capacity(1), backlog: VecDeque::new() }
+    }
+
+    /// Hand `msg` to every channel, or to the backlog while there is
+    /// none.
+    fn deliver(&mut self, name: &str, msg: Message) -> Result<(), PublishError> {
+        if self.channels.is_empty() {
+            if self.backlog.len() >= MAX_BACKLOG {
+                return Err(PublishError::BacklogFull { topic: name.to_string() });
+            }
+            self.backlog.push_back(msg);
+            return Ok(());
         }
-        (channels.len(), s)
+        // NSQ semantics: every channel receives a copy — but the "copy"
+        // is a shallow `Bytes` handle on one shared allocation, so
+        // fan-out cost is per-channel bookkeeping, never a payload
+        // memcpy (dead-letter republish rides the same handle). Depth
+        // is checked across all channels first so a publish is
+        // all-or-nothing.
+        if let Some(ch) = self.channels.iter().find(|ch| ch.ready.len() >= MAX_CHANNEL_DEPTH) {
+            return Err(PublishError::ChannelFull {
+                topic: name.to_string(),
+                channel: ch.name.clone(),
+            });
+        }
+        for ch in &mut self.channels {
+            ch.ready.push_back(msg.clone());
+        }
+        Ok(())
+    }
+
+    /// The live gauges: ready messages (backlog included) and
+    /// unacknowledged deliveries.
+    fn gauges(&self) -> TopicStats {
+        let mut s = TopicStats { depth: self.backlog.len(), in_flight: 0 };
+        for ch in &self.channels {
+            s.depth += ch.ready.len();
+            s.in_flight += ch.in_flight.len();
+        }
+        s
+    }
+}
+
+/// Everything the broker holds, as plain data behind its one lock.
+#[derive(Default)]
+struct State {
+    /// Topic table. A subscription shares its topic's key.
+    topics: HashMap<Arc<str>, Topic>,
+    /// The last message and subscriber ids handed out: ids start at 1.
+    last_message_id: u64,
+    last_subscriber_id: u64,
+    /// Broker-wide counters. They outlive the topics that moved them
+    /// (a collected log topic takes nothing with it), so they only
+    /// count up.
+    published: u64,
+    acked: u64,
+    requeued: u64,
+    dead_lettered: u64,
+}
+
+impl State {
+    /// Publish `body` to `topic`, creating it as a durable topic if it
+    /// is not there. Every publish takes a message id, even one that is
+    /// dropped or refused.
+    fn publish(
+        &mut self,
+        topic: &str,
+        body: Bytes,
+        ephemeral: bool,
+    ) -> Result<MessageId, PublishError> {
+        self.last_message_id += 1;
+        let id = MessageId(self.last_message_id);
+        let msg = Message { id, body, attempts: 0 };
+        match self.topics.get_mut(topic) {
+            Some(t) => t.deliver(topic, msg)?,
+            // Only a subscription creates an ephemeral topic: a frame
+            // for a topic nobody reads (its client gone, or never
+            // there) is dropped, not parked where nothing collects it.
+            None if ephemeral => return Ok(id),
+            None => {
+                let mut t = Topic::new(false);
+                t.deliver(topic, msg)?;
+                self.topics.insert(topic.into(), t);
+            }
+        }
+        self.published += 1;
+        Ok(id)
+    }
+
+    /// Count the requeues of `topic`'s channel at `channel` and route
+    /// the messages that exhausted their attempt cap to its dead-letter
+    /// topic. Internal publishes are never fault-injected and ignore
+    /// back-pressure errors: losing a dead letter to a full queue is
+    /// strictly worse than exceeding a depth limit.
+    fn settle(&mut self, topic: &str, channel: usize, r: Requeued) {
+        self.requeued += r.requeued as u64;
+        if r.dead.is_empty() {
+            return;
+        }
+        let dead_topic = dead_letter_topic(topic, &self.topics[topic].channels[channel].name);
+        self.dead_lettered += r.dead.len() as u64;
+        for msg in r.dead {
+            let _ = self.publish(&dead_topic, msg.body, false);
+        }
     }
 }
 
 struct BrokerInner {
     config: BrokerConfig,
     clock: VirtualClock,
-    /// Topic table. A `RwLock` so the hot paths — publish and
-    /// subscription receives — share a read lock and contend only on
-    /// the per-topic/per-channel locks; the write lock is taken once
-    /// per topic lifetime (creation and GC).
-    topics: RwLock<HashMap<String, Arc<TopicState>>>,
-    next_message_id: AtomicU64,
-    next_subscriber_id: AtomicU64,
     /// Deployment wiring: set at most once.
     injector: OnceLock<FaultInjector>,
-    /// Broker-wide counters. They outlive the topics that moved them
-    /// (a collected log topic takes nothing with it), so they only
-    /// count up.
-    published: AtomicU64,
-    acked: AtomicU64,
-    requeued: AtomicU64,
-    dead_lettered: AtomicU64,
+    /// The broker's one lock. Every public operation takes it once, so
+    /// there is no lock order, and a subscription joins, and the last
+    /// one leaves, a topic in one step.
+    state: Mutex<State>,
+    /// Wakes blocked receives, whatever their channel. Every notifier
+    /// holds `state` and calls `notify_all`: a `notify_one` could wake
+    /// a receiver of another channel and leave this one asleep.
+    available: Condvar,
 }
 
 impl BrokerInner {
-    fn topic(&self, name: &str, ephemeral: bool) -> Arc<TopicState> {
-        if let Some(t) = self.topics.read().get(name) {
-            return t.clone();
-        }
-        let mut topics = self.topics.write();
-        topics
-            .entry(name.to_string())
-            .or_insert_with(|| {
-                Arc::new(TopicState {
-                    name: name.to_string(),
-                    ephemeral,
-                    channels: Mutex::new(HashMap::new()),
-                    backlog: Mutex::new(VecDeque::new()),
-                })
-            })
-            .clone()
-    }
-
-    fn publish_raw(
+    /// Roll the publish fault (when `faultable`), then publish.
+    fn publish(
         &self,
         topic: &str,
         body: Bytes,
@@ -143,71 +217,10 @@ impl BrokerInner {
         if faultable && self.injector.get().is_some_and(fails) {
             return Err(PublishError::Unavailable { topic: topic.to_string() });
         }
-        let id = MessageId(self.next_message_id.fetch_add(1, Ordering::Relaxed));
-        let t = if ephemeral {
-            // Only a subscription creates an ephemeral topic: a frame
-            // for a topic nobody reads (its client gone, or never
-            // there) is dropped, not parked where nothing collects it.
-            let Some(t) = self.topics.read().get(topic).cloned() else { return Ok(id) };
-            t
-        } else {
-            self.topic(topic, false)
-        };
-        let msg = Message {
-            id,
-            body,
-            attempts: 0,
-        };
-        let channels = t.channels.lock();
-        if channels.is_empty() {
-            // Hold in the backlog until the first channel appears.
-            let mut backlog = t.backlog.lock();
-            if backlog.len() >= MAX_BACKLOG {
-                return Err(PublishError::BacklogFull {
-                    topic: topic.to_string(),
-                });
-            }
-            backlog.push_back(msg);
-        } else {
-            // NSQ semantics: every channel receives a copy — but the
-            // "copy" is a shallow `Bytes` handle on one shared
-            // allocation, so fan-out cost is per-channel bookkeeping,
-            // never a payload memcpy (dead-letter republish rides the
-            // same handle). Depth is checked across all channels first
-            // so a publish is all-or-nothing.
-            for ch in channels.values() {
-                if ch.depth() >= MAX_CHANNEL_DEPTH {
-                    return Err(PublishError::ChannelFull {
-                        topic: topic.to_string(),
-                        channel: ch.name.clone(),
-                    });
-                }
-            }
-            for ch in channels.values() {
-                ch.enqueue(msg.clone());
-            }
-        }
-        self.published.fetch_add(1, Ordering::Relaxed);
+        let mut state = self.state.lock();
+        let id = state.publish(topic, body, ephemeral)?;
+        self.available.notify_all();
         Ok(id)
-    }
-
-    /// Count the requeues of `topic/channel` and route the messages
-    /// that exhausted their attempt cap to its dead-letter topic.
-    /// Internal publishes are never fault-injected and ignore
-    /// back-pressure errors: losing a dead letter to a full queue is
-    /// strictly worse than exceeding a depth limit.
-    fn settle(&self, topic: &str, channel: &ChannelState, r: &Requeued) {
-        if r.requeued > 0 {
-            self.requeued.fetch_add(r.requeued as u64, Ordering::Relaxed);
-        }
-        if r.dead.is_empty() {
-            return;
-        }
-        let dead_topic = dead_letter_topic(topic, &channel.name);
-        for msg in &r.dead {
-            let _ = self.publish_raw(&dead_topic, msg.body.clone(), false, false);
-        }
-        self.dead_lettered.fetch_add(r.dead.len() as u64, Ordering::Relaxed);
     }
 }
 
@@ -237,14 +250,9 @@ impl Broker {
             inner: Arc::new(BrokerInner {
                 config,
                 clock,
-                topics: RwLock::new(HashMap::new()),
-                next_message_id: AtomicU64::new(1),
-                next_subscriber_id: AtomicU64::new(1),
                 injector: OnceLock::new(),
-                published: AtomicU64::new(0),
-                acked: AtomicU64::new(0),
-                requeued: AtomicU64::new(0),
-                dead_lettered: AtomicU64::new(0),
+                state: Mutex::default(),
+                available: Condvar::new(),
             }),
         }
     }
@@ -259,7 +267,7 @@ impl Broker {
 
     /// Publish to a durable topic (created on first use).
     pub fn publish(&self, topic: &str, body: impl Into<Bytes>) -> Result<MessageId, PublishError> {
-        self.inner.publish_raw(topic, body.into(), false, true)
+        self.inner.publish(topic, body.into(), false, true)
     }
 
     /// Publish to a durable topic bypassing fault injection. This is
@@ -272,7 +280,7 @@ impl Broker {
         topic: &str,
         body: impl Into<Bytes>,
     ) -> Result<MessageId, PublishError> {
-        self.inner.publish_raw(topic, body.into(), false, false)
+        self.inner.publish(topic, body.into(), false, false)
     }
 
     /// Publish to an ephemeral topic, which only
@@ -285,7 +293,7 @@ impl Broker {
         topic: &str,
         body: impl Into<Bytes>,
     ) -> Result<MessageId, PublishError> {
-        self.inner.publish_raw(topic, body.into(), true, true)
+        self.inner.publish(topic, body.into(), true, true)
     }
 
     /// Subscribe to `topic/channel`, creating both as needed. Multiple
@@ -303,49 +311,42 @@ impl Broker {
     }
 
     fn subscribe_inner(&self, topic: &str, channel: &str, ephemeral: bool) -> Subscription {
-        let t = self.inner.topic(topic, ephemeral);
-        let ch = {
-            let mut channels = t.channels.lock();
-            let is_new_first_channel = channels.is_empty();
-            let ch = channels
-                .entry(channel.to_string())
-                .or_insert_with(|| {
-                    Arc::new(ChannelState::new(
-                        channel,
-                        self.inner.clock.clone(),
-                        self.inner.config.max_attempts,
-                    ))
-                })
-                .clone();
-            if is_new_first_channel {
-                // Drain the topic backlog into the first channel.
-                let mut backlog = t.backlog.lock();
-                while let Some(m) = backlog.pop_front() {
-                    ch.enqueue(m);
-                }
+        let mut guard = self.inner.state.lock();
+        let state = &mut *guard;
+        let key = match state.topics.get_key_value(topic) {
+            Some((key, _)) => key.clone(),
+            None => {
+                let key: Arc<str> = topic.into();
+                state.topics.insert(key.clone(), Topic::new(ephemeral));
+                key
             }
-            ch
         };
-        ch.subscribers.fetch_add(1, Ordering::SeqCst);
-        let id = self.inner.next_subscriber_id.fetch_add(1, Ordering::Relaxed);
-        Subscription {
-            broker: self.inner.clone(),
-            topic: t,
-            channel: ch,
-            subscriber_id: id,
-        }
+        let t = state.topics.get_mut(topic).expect("listed above");
+        let channel = match t.channels.iter().position(|ch| ch.name == channel) {
+            Some(i) => i,
+            None => {
+                // The backlog fills only while the topic has no
+                // channel, so the first channel takes it whole.
+                t.channels.push(Channel::new(channel, std::mem::take(&mut t.backlog)));
+                t.channels.len() - 1
+            }
+        };
+        t.channels[channel].subscribers += 1;
+        state.last_subscriber_id += 1;
+        let subscriber_id = state.last_subscriber_id;
+        drop(guard);
+        Subscription { broker: self.inner.clone(), topic: key, channel, subscriber_id }
     }
 
     /// Whether a topic currently exists.
     #[cfg(test)]
     fn has_topic(&self, name: &str) -> bool {
-        self.inner.topics.read().contains_key(name)
+        self.inner.state.lock().topics.contains_key(name)
     }
 
     /// A live topic's gauges.
     pub fn topic_stats(&self, name: &str) -> Option<TopicStats> {
-        let t = self.inner.topics.read().get(name)?.clone();
-        Some(t.gauges().1)
+        Some(self.inner.state.lock().topics.get(name)?.gauges())
     }
 
     /// Requeue every in-flight message claimed more than `timeout` of
@@ -359,42 +360,50 @@ impl Broker {
     /// deterministic. Returns how many messages went back to ready
     /// queues.
     pub fn reclaim_expired(&self, timeout: SimDuration) -> usize {
-        // Collected first: dead-letter routing below publishes, which
-        // takes the topic table again.
-        let mut claimed: Vec<(Arc<TopicState>, Arc<ChannelState>)> = Vec::new();
-        for t in self.inner.topics.read().values() {
-            for ch in t.channels.lock().values() {
-                if ch.in_flight_count() > 0 {
-                    claimed.push((t.clone(), ch.clone()));
+        let inner = &*self.inner;
+        let now = inner.clock.now();
+        let mut guard = inner.state.lock();
+        let state = &mut *guard;
+        // Listed first: dead-letter routing below publishes, which may
+        // add a topic to the table.
+        let mut claimed: Vec<(Arc<str>, usize)> = Vec::new();
+        for (name, t) in &state.topics {
+            for (i, ch) in t.channels.iter().enumerate() {
+                if !ch.in_flight.is_empty() {
+                    claimed.push((name.clone(), i));
                 }
             }
         }
-        claimed.sort_by(|(ta, ca), (tb, cb)| (&ta.name, &ca.name).cmp(&(&tb.name, &cb.name)));
+        let topics = &state.topics;
+        claimed.sort_by(|(ta, ca), (tb, cb)| {
+            (ta, &topics[ta].channels[*ca].name).cmp(&(tb, &topics[tb].channels[*cb].name))
+        });
         let mut n = 0;
-        for (t, ch) in claimed {
-            let r = ch.reclaim_expired(timeout);
-            self.inner.settle(&t.name, &ch, &r);
+        for (topic, i) in claimed {
+            let ch = &mut state.topics.get_mut(&topic).expect("listed above").channels[i];
+            let r = ch.reclaim_expired(now, timeout, inner.config.max_attempts);
             n += r.requeued;
+            state.settle(&topic, i, r);
         }
+        inner.available.notify_all();
         n
     }
 
     /// Whole-broker statistics snapshot: the broker-wide counters and
     /// one pass over the live topics for the gauges.
     pub fn stats(&self) -> BrokerStats {
-        let inner = &self.inner;
-        let topics = inner.topics.read();
+        let state = self.inner.state.lock();
         let mut s = BrokerStats {
-            topics: topics.len(),
-            published: inner.published.load(Ordering::Relaxed),
-            acked: inner.acked.load(Ordering::Relaxed),
-            requeued: inner.requeued.load(Ordering::Relaxed),
-            dead_lettered: inner.dead_lettered.load(Ordering::Relaxed),
+            topics: state.topics.len(),
+            published: state.published,
+            acked: state.acked,
+            requeued: state.requeued,
+            dead_lettered: state.dead_lettered,
             ..Default::default()
         };
-        for t in topics.values() {
-            let (channels, live) = t.gauges();
-            s.channels += channels;
+        for t in state.topics.values() {
+            let live = t.gauges();
+            s.channels += t.channels.len();
             s.depth += live.depth;
             s.in_flight += live.in_flight;
         }
@@ -442,56 +451,77 @@ pub struct BrokerStats {
 /// consumers".
 pub struct Subscription {
     broker: Arc<BrokerInner>,
-    topic: Arc<TopicState>,
-    channel: Arc<ChannelState>,
+    /// The topic's key, shared with the table.
+    topic: Arc<str>,
+    /// The channel's position in its topic.
+    channel: usize,
     subscriber_id: u64,
 }
 
 impl Subscription {
+    /// This subscription's channel. Its topic is listed: it is
+    /// collected only when its last subscription drops.
+    fn channel<'s>(&self, state: &'s mut State) -> &'s mut Channel {
+        let t = state.topics.get_mut(&self.topic).expect("a subscribed topic is listed");
+        &mut t.channels[self.channel]
+    }
+
     /// Blocking receive; `None` once `timeout` passes with nothing to
     /// deliver. The returned message is in flight until
-    /// [`Subscription::ack`].
+    /// [`Subscription::ack`]. The timeout bounds the wall-clock wait as
+    /// a whole, however many wake-ups find the channel empty.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Message> {
-        self.channel.recv_timeout(self.subscriber_id, timeout)
+        let broker = &*self.broker;
+        // When the first wait began; taken only once a wait is due.
+        let mut started = None;
+        let mut state = broker.state.lock();
+        loop {
+            if let Some(msg) = self.channel(&mut state).claim(self.subscriber_id, &broker.clock) {
+                return Some(msg);
+            }
+            let now = Instant::now();
+            let left = timeout.saturating_sub(now.duration_since(*started.get_or_insert(now)));
+            if left.is_zero() || broker.available.wait_for(&mut state, left).timed_out() {
+                return None;
+            }
+        }
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<Message> {
-        self.channel.try_recv(self.subscriber_id)
+        self.channel(&mut self.broker.state.lock()).claim(self.subscriber_id, &self.broker.clock)
     }
 
     /// Acknowledge (complete) an in-flight message. Returns `false` if
     /// it was not in flight for this subscription.
     pub fn ack(&self, id: MessageId) -> bool {
-        let acked = self.channel.ack(self.subscriber_id, id);
-        if acked {
-            self.broker.acked.fetch_add(1, Ordering::Relaxed);
-        }
+        let mut state = self.broker.state.lock();
+        let acked = self.channel(&mut state).ack(self.subscriber_id, id);
+        state.acked += u64::from(acked);
         acked
     }
 }
 
 impl Drop for Subscription {
     fn drop(&mut self) {
-        let r = self.channel.requeue_all_for(self.subscriber_id);
-        self.broker.settle(&self.topic.name, &self.channel, &r);
-        let remaining = self.channel.subscribers.fetch_sub(1, Ordering::SeqCst) - 1;
-        if remaining == 0 && self.topic.ephemeral {
-            // GC the ephemeral topic if *no channel* has subscribers.
-            // A channel nobody holds has no receiver to wake, so the
-            // topic is unlisted and freed with its last handle.
-            let unused = || {
-                let channels = self.topic.channels.lock();
-                channels.values().all(|ch| ch.subscribers.load(Ordering::SeqCst) == 0)
-            };
-            if unused() {
-                let mut topics = self.broker.topics.write();
-                // Re-check under the topics lock: a new subscriber may
-                // have raced in via a fresh `subscribe` call.
-                if unused() && topics.get(&self.topic.name).is_some_and(|t| Arc::ptr_eq(t, &self.topic)) {
-                    topics.remove(&self.topic.name);
-                }
-            }
+        let broker = &*self.broker;
+        let mut guard = broker.state.lock();
+        let state = &mut *guard;
+        let t = state.topics.get_mut(&self.topic).expect("a subscribed topic is listed");
+        let ch = &mut t.channels[self.channel];
+        let r = ch.requeue_all_for(self.subscriber_id, broker.config.max_attempts);
+        ch.subscribers -= 1;
+        // An ephemeral topic goes once *no channel* has subscribers. A
+        // channel nobody holds has no receiver to wake, so its messages
+        // go with the topic.
+        let unused = t.ephemeral && t.channels.iter().all(|ch| ch.subscribers == 0);
+        let moved = r.requeued > 0 || !r.dead.is_empty();
+        state.settle(&self.topic, self.channel, r);
+        if unused {
+            state.topics.remove(&self.topic);
+        }
+        if moved {
+            broker.available.notify_all();
         }
     }
 }
@@ -500,6 +530,7 @@ impl Drop for Subscription {
 mod tests {
     use super::*;
     use rai_faults::FaultPlan;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn single_publisher_single_consumer() {
@@ -662,6 +693,85 @@ mod tests {
     }
 
     #[test]
+    fn a_wake_on_the_shared_condvar_reaches_its_channel() {
+        // Two receivers park on different topics, and each message is
+        // published only once the previous one was received, two to a
+        // topic in turn: a publish often finds both parked with the
+        // other topic's receiver first in line. A `notify_one` would
+        // wake that one, and this message's receiver would sleep out
+        // its 10 s timeout.
+        const ROUNDS: usize = 1_000;
+        let b = Broker::default();
+        let (received, next) = std::sync::mpsc::channel();
+        let receivers: Vec<_> = ["a", "b"]
+            .into_iter()
+            .map(|topic| {
+                let sub = b.subscribe(topic, "ch");
+                let received = received.clone();
+                std::thread::spawn(move || {
+                    for _ in 0..ROUNDS {
+                        let m = sub.recv_timeout(Duration::from_secs(10)).expect("woken, not timed out");
+                        sub.ack(m.id);
+                        received.send(topic).unwrap();
+                    }
+                })
+            })
+            .collect();
+        drop(received);
+        let start = Instant::now();
+        for i in 0..2 * ROUNDS {
+            let topic = ["a", "b"][i / 2 % 2];
+            b.publish(topic, &b"ping"[..]).unwrap();
+            assert_eq!(next.recv().unwrap(), topic);
+        }
+        for r in receivers {
+            r.join().unwrap();
+        }
+        assert!(start.elapsed() < Duration::from_secs(5), "took {:?}", start.elapsed());
+    }
+
+    #[test]
+    fn recv_times_out() {
+        let b = Broker::default();
+        let sub = b.subscribe("t", "ch");
+        assert!(sub.recv_timeout(Duration::from_millis(5)).is_none());
+    }
+
+    #[test]
+    fn empty_wake_ups_do_not_restart_the_timeout() {
+        // A publish to another topic wakes the parked receiver to an
+        // empty channel every 100 ms for 1 s; its 300 ms timeout still
+        // runs out at 300 ms, not 300 ms after the last wake-up.
+        let b = Broker::default();
+        let sub = b.subscribe("t", "ch");
+        let _other = b.subscribe("u", "ch");
+        let start = Instant::now();
+        let t = std::thread::spawn(move || {
+            let result = sub.recv_timeout(Duration::from_millis(300));
+            (result.is_none(), start.elapsed())
+        });
+        for _ in 0..10 {
+            std::thread::sleep(Duration::from_millis(100));
+            b.publish("u", &b"elsewhere"[..]).unwrap();
+        }
+        let (timed_out, waited) = t.join().unwrap();
+        assert!(timed_out);
+        assert!(waited < Duration::from_millis(800), "parked {waited:?} on a 300 ms timeout");
+    }
+
+    #[test]
+    fn reclaim_is_sim_time_not_wall_time() {
+        let b = Broker::default();
+        let sub = b.subscribe("t", "ch");
+        b.publish("t", &b"x"[..]).unwrap();
+        let _taken = sub.try_recv().unwrap();
+        // Wall-clock time passes but sim time does not: no reclaim.
+        std::thread::sleep(Duration::from_millis(15));
+        assert_eq!(b.reclaim_expired(SimDuration::from_millis(1)), 0);
+        assert_eq!(b.topic_stats("t").unwrap().in_flight, 1);
+    }
+
+    #[test]
     fn stats_aggregate() {
         let b = Broker::default();
         let s1 = b.subscribe("rai", "tasks");
@@ -808,10 +918,10 @@ mod tests {
         b.publish_ephemeral("log_j", &b"line"[..]).unwrap();
         let m = sub.try_recv().unwrap();
         assert!(sub.ack(m.id));
-        let topic = Arc::downgrade(&b.inner.topics.read()["log_j"]);
+        let topic = Arc::downgrade(b.inner.state.lock().topics.get_key_value("log_j").unwrap().0);
         drop(sub);
         assert!(!b.has_topic("log_j"));
-        assert!(topic.upgrade().is_none(), "something still holds the dead topic's state");
+        assert!(topic.upgrade().is_none(), "something still holds the dead topic's key");
     }
 
     #[test]

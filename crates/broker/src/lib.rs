@@ -27,9 +27,10 @@
 //!   created (NSQ's buffering: jobs queued before a worker subscribes,
 //!   dead letters before an auditor does).
 //!
-//! The broker is a live, thread-safe component (parking_lot mutexes +
-//! condvars), exercised with real threads in its tests and benches, and
-//! driven single-threaded from the discrete-event simulation.
+//! The broker is a live, thread-safe component: all of its state sits
+//! behind one mutex, and one condvar wakes its blocked receives. It is
+//! exercised with real threads in its tests and benches, and driven
+//! single-threaded from the discrete-event simulation.
 
 #![forbid(unsafe_code)]
 

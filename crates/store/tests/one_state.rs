@@ -3,12 +3,20 @@
 //! `StoreState`, every mutation is one transition on it, and replay
 //! runs the same transitions. A second lock around any of that state
 //! brings back a lock order to document, a window in which the parts
-//! disagree, and a reason to spell each mutation twice.
+//! disagree, and a reason to spell each mutation twice. The broker is
+//! the same: topics, channels, queues and counters are one `State`
+//! behind one mutex, and one condvar wakes its blocked receives.
 
 const STORE: &str = include_str!("../src/store.rs");
 const DEDUP: &str = include_str!("../src/dedup.rs");
 const DATABASE: &str = include_str!("../../db/src/database.rs");
 const BROKER: &str = include_str!("../../broker/src/broker.rs");
+const QUEUE: &str = include_str!("../../broker/src/queue.rs");
+
+/// `source` above its test module.
+fn product(source: &str) -> &str {
+    source.split("\n#[cfg(test)]\nmod tests").next().expect("split yields a first part")
+}
 
 #[test]
 fn store_state_sits_behind_exactly_one_lock() {
@@ -35,4 +43,17 @@ fn deployment_wiring_is_write_once_not_an_option_in_a_lock() {
         }
         assert!(source.contains("OnceLock<"), "{file} holds its wiring in a `OnceLock`");
     }
+}
+
+#[test]
+fn broker_state_sits_behind_one_mutex_and_one_condvar() {
+    let sources = [("broker.rs", product(BROKER)), ("queue.rs", product(QUEUE))];
+    for (file, source) in sources {
+        for gone in ["RwLock", "Atomic"] {
+            assert!(!source.contains(gone), "{file} names `{gone}`: broker state is plain data under its mutex");
+        }
+    }
+    let count = |needle: &str| sources.iter().map(|(_, source)| source.matches(needle).count()).sum::<usize>();
+    assert_eq!(count("Mutex<"), 1, "the broker holds a lock that is not its state lock");
+    assert_eq!(count("Condvar::new()"), 1, "the broker wakes its receives on more than one condvar");
 }

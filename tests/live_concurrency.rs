@@ -119,3 +119,35 @@ fn threaded_workers_and_clients() {
     // Uploads + build outputs both landed.
     assert_eq!(store.usage().puts, 2 * (CLIENTS * JOBS_PER_CLIENT) as u64);
 }
+
+/// A live ephemeral subscription receives every frame published to it,
+/// while another subscription on the same log topic comes and goes as
+/// fast as it can: the other's drop may collect the topic only once no
+/// subscription is left on it, never one that is still joining.
+#[test]
+fn a_live_log_subscription_gets_every_frame_through_subscription_churn() {
+    const ROUNDS: u64 = 100_000;
+    let broker = Broker::default();
+    let done = Arc::new(AtomicBool::new(false));
+    let churn = {
+        let (broker, done) = (broker.clone(), done.clone());
+        std::thread::spawn(move || {
+            while !done.load(Ordering::Relaxed) {
+                drop(broker.subscribe_ephemeral("log_x", "churn"));
+            }
+        })
+    };
+    let mut lost = 0;
+    for _ in 0..ROUNDS {
+        let sub = broker.subscribe_ephemeral("log_x", "reader");
+        broker.publish_ephemeral("log_x", &b"frame"[..]).expect("no fault is planned");
+        match sub.try_recv() {
+            Some(m) => assert!(sub.ack(m.id)),
+            None => lost += 1,
+        }
+    }
+    done.store(true, Ordering::Relaxed);
+    churn.join().expect("churn thread");
+    assert_eq!(lost, 0, "{lost} of {ROUNDS} frames lost to a live subscription");
+    assert_eq!(broker.stats().topics, 0, "the log topic is collected");
+}
