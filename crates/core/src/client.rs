@@ -591,7 +591,7 @@ impl RaiClient {
         // finds the intent, sees no terminal submissions row, and
         // re-publishes — zero lost submissions (DESIGN.md §14).
         if let Some(db) = &self.intents {
-            db.collection("intents").write().insert_one(doc! {
+            db.write().intents.insert_one(doc! {
                 "job_id" => job_id as i64,
                 "req" => encoded.as_str(),
             });
@@ -615,7 +615,7 @@ impl RaiClient {
             // mark keeps recovery from re-publishing it, so it is synced
             // before the error is returned, like the intent it marks.
             // Every other intent is in the at-least-once pipeline.
-            db.collection("intents").write().update_one(
+            db.write().intents.update_one(
                 &doc! { "job_id" => job_id as i64 },
                 &doc! { "$set" => doc! { "rejected" => true } },
                 false,

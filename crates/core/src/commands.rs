@@ -30,8 +30,8 @@ pub(crate) fn rankings(board: &RankingBoard, team: &str) -> String {
 /// newest first, one table row per document that holds every column.
 pub(crate) fn history_text(db: &Database, team: &str, limit: usize) -> String {
     let docs = db
-        .collection("submissions")
         .read()
+        .submissions
         .find_with(&doc! { "team" => team }, &FindOptions::sort_desc("job_id").limit(limit));
     let mut out = format!(
         "{:<12} {:<8} {:<6} {:>10} {:<12}\n",

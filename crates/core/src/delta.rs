@@ -181,6 +181,7 @@ fn request_body(missing: &[&Chunk]) -> Vec<Chunk> {
 mod tests {
     use super::*;
     use rai_archive::chunk::ChunkRef;
+    use rai_faults::{FaultInjector, FaultKind, FaultPlan};
     use rai_sim::VirtualClock;
     use rai_store::LifecycleRule;
     use std::collections::HashSet;
@@ -413,10 +414,19 @@ mod tests {
     fn unavailable_surfaces_to_caller() {
         let s = store();
         let up = DeltaUploader::new();
-        s.inject_faults(1);
+        // A plan whose first store read (the upload's probe) fails and
+        // whose next one passes.
+        let plan = (0..)
+            .map(|seed| FaultPlan { store_get: 0.5, ..FaultPlan::none(seed) })
+            .find(|plan| {
+                let probe = FaultInjector::new(plan.clone());
+                [true, false].iter().all(|&f| probe.should_fail(FaultKind::StoreGet) == f)
+            })
+            .expect("a seed fails its first draw and passes the next");
+        s.set_fault_injector(FaultInjector::new(plan));
         let err = up.upload(&s, "b", "k", &payload(1000, 5), []).unwrap_err();
         assert_eq!(err, StoreError::Unavailable);
-        // Next attempt succeeds (budget exhausted).
+        // The next attempt's probe passes.
         assert!(up.upload(&s, "b", "k", &payload(1000, 5), []).is_ok());
     }
 

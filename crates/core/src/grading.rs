@@ -78,7 +78,7 @@ impl Grader {
     /// Query the ranking database for final submissions and download
     /// each team's build archive from the file server.
     pub fn download_final_submissions(&self) -> Vec<FinalSubmission> {
-        let rows = self.db.collection("rankings").read().find(&doc! {});
+        let rows = self.db.read().rankings.find(&doc! {});
         let mut out = Vec::new();
         for row in rows {
             let (Some(team), Some(secs), Some(key)) = (

@@ -277,6 +277,18 @@ fn reference_spec(text: &str) -> Result<BuildSpec, SpecError> {
     })
 }
 
+/// The case `build_spec_accepts_generated_valid_files` once shrank to,
+/// before its commands had to start with a letter: a plain `.0` is the
+/// float 0, so the command the spec keeps is `0.0`, as the reference's
+/// is.
+#[test]
+fn a_float_command_parses_as_the_reference_does() {
+    let yml = "rai:\n  version: 0.1\n  image: a\ncommands:\n  build:\n    - .0\n";
+    assert_eq!(BuildSpec::parse(yml), reference_spec(yml));
+    let spec = BuildSpec::parse(yml).expect("a float scalar is a command");
+    assert_eq!((spec.image.as_str(), spec.build), ("a", vec!["0.0".to_string()]));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -483,8 +495,8 @@ proptest! {
     fn build_spec_accepts_generated_valid_files(
         image in "[a-z][a-z0-9/:.-]{0,20}",
         // Commands start with a letter so YAML plain-scalar type
-        // inference cannot reinterpret them (e.g. `.0` parses as a
-        // float, which the spec layer rightly rejects as a command).
+        // inference cannot reinterpret them (`.0` parses as a float,
+        // which the spec layer keeps as the command `0.0`).
         commands in prop::collection::vec("[a-zA-Z][a-zA-Z0-9 ./_-]{0,39}", 1..10),
     ) {
         let mut yml = format!("rai:\n  version: 0.1\n  image: {image}\ncommands:\n  build:\n");

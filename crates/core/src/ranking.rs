@@ -35,8 +35,8 @@ impl RankingBoard {
     /// Full standings: `(team, runtime_secs)` fastest-first.
     pub fn standings(&self) -> Vec<(String, f64)> {
         self.db
-            .collection("rankings")
             .read()
+            .rankings
             .find_with(&doc! {}, &FindOptions::sort_asc("runtime_secs"))
             .into_iter()
             .filter_map(|d| {
@@ -100,10 +100,9 @@ mod tests {
     fn board_with(teams: &[(&str, f64)]) -> RankingBoard {
         let db = Database::new();
         {
-            let coll = db.collection("rankings");
-            let mut w = coll.write();
+            let mut tables = db.write();
             for (team, rt) in teams {
-                w.insert_one(doc! { "team" => *team, "runtime_secs" => *rt, "time_cmd_secs" => rt * 1.02 });
+                tables.rankings.insert_one(doc! { "team" => *team, "runtime_secs" => *rt, "time_cmd_secs" => rt * 1.02 });
             }
         }
         RankingBoard::new(db)
@@ -166,8 +165,8 @@ mod tests {
         let b = board_with(&[("a", 1.0)]);
         let row = b
             .db
-            .collection("rankings")
             .read()
+            .rankings
             .find_one(&doc! { "team" => "a" })
             .unwrap();
         assert!(matches!(row.get("time_cmd_secs"), Some(Value::Float(_))));

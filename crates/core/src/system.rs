@@ -198,8 +198,8 @@ impl RaiSystem {
         // replayed ones.
         let max_seen = system
             .db
-            .collection("intents")
             .read()
+            .intents
             .scan()
             .filter_map(|row| row.get("job_id").and_then(rai_db::Value::as_i64))
             .max()
@@ -235,11 +235,13 @@ impl RaiSystem {
         // attempt (keyed by job_id), one rankings upsert per final
         // submission (keyed by team), leaderboard reads sorted by
         // runtime_secs, and team lookups at registration.
-        db.collection("submissions").write().create_index("job_id");
-        let rankings = db.collection("rankings");
-        rankings.write().create_index("team");
-        rankings.write().create_index("runtime_secs");
-        db.collection("teams").write().create_index("team");
+        {
+            let mut tables = db.write();
+            tables.submissions.create_index("job_id");
+            tables.rankings.create_index("team");
+            tables.rankings.create_index("runtime_secs");
+            tables.teams.create_index("team");
+        }
         let registry = Arc::new(RwLock::new(CredentialRegistry::new()));
         let images = Arc::new(ImageRegistry::course_default());
         let telemetry = Telemetry::new(clock.clone());
@@ -297,7 +299,7 @@ impl RaiSystem {
     pub fn register_team(&mut self, team: &str, members: &[&str]) -> Credentials {
         let creds = self.keygen.generate(team);
         self.registry.write().register(creds.clone());
-        self.db.collection("teams").write().insert_one(doc! {
+        self.db.write().teams.insert_one(doc! {
             "team" => team,
             "members" => members.iter().map(|m| m.to_string()).collect::<Vec<_>>(),
             "access_key" => creds.access_key.as_str(),
@@ -322,11 +324,9 @@ impl RaiSystem {
     /// `(job_id, encoded request)`. These are the accepted submissions
     /// a crash left in flight.
     pub(crate) fn pending_intents(&self) -> Vec<(u64, String)> {
-        let intents = self.db.collection("intents");
-        let submissions = self.db.collection("submissions");
-        let submissions = submissions.read();
+        let tables = self.db.read();
         let mut out: Vec<(u64, String)> = Vec::new();
-        for row in intents.read().scan() {
+        for row in tables.intents.scan() {
             // A rejected intent surfaced a visible error to the
             // student; everything else is at-least-once territory.
             if row.get("rejected").is_some() {
@@ -334,7 +334,7 @@ impl RaiSystem {
             }
             let Some(id) = row.get("job_id").and_then(rai_db::Value::as_i64) else { continue };
             let Some(req) = row.get("req").and_then(rai_db::Value::as_str) else { continue };
-            if submissions.count(&doc! { "job_id" => id }) > 0 {
+            if tables.submissions.count(&doc! { "job_id" => id }) > 0 {
                 continue;
             }
             out.push((id as u64, req.to_string()));
@@ -368,9 +368,9 @@ impl RaiSystem {
         self.store.sync_wal();
     }
 
-    /// Compact both logs if their size warrants it (quiesced points
-    /// only — e.g. between submission rounds). Returns (db, store)
-    /// compaction flags.
+    /// Compact both logs if their size warrants it, each under the state
+    /// lock every append to it is made under (the drivers call it
+    /// between submission rounds). Returns (db, store) compaction flags.
     pub fn maybe_compact(&self) -> (bool, bool) {
         (self.db.maybe_compact(), self.store.maybe_compact())
     }
@@ -705,8 +705,8 @@ mod tests {
             .expect("submission should succeed");
         assert!(receipt.success);
         assert!(receipt.log.iter().any(|l| l.contains("Building project")));
-        assert_eq!(system.db().collection("submissions").read().len(), 1);
-        assert_eq!(system.db().collection("teams").read().len(), 1);
+        assert_eq!(system.db().read().submissions.len(), 1);
+        assert_eq!(system.db().read().teams.len(), 1);
     }
 
     #[test]
@@ -780,7 +780,7 @@ mod tests {
             system.submit(&creds, &ProjectDir::sample_cuda_project()).unwrap();
         }
         let report = system.report();
-        assert_eq!(system.db().collection("submissions").read().len(), 3);
+        assert_eq!(system.db().read().submissions.len(), 3);
         // 3 project uploads + 3 build-output uploads.
         assert_eq!(report.store.puts, 6);
         assert!(report.store.bytes_uploaded > 0);
@@ -859,7 +859,7 @@ mod tests {
         }
         system.drain();
         // Every accepted submission reached exactly one terminal row.
-        assert_eq!(system.db().collection("submissions").read().len(), submitted);
+        assert_eq!(system.db().read().submissions.len(), submitted);
         let tasks = system
             .broker()
             .topic_stats(crate::protocol::routes::TASK_TOPIC)
@@ -918,7 +918,7 @@ mod tests {
         let (mut system, ids) = queue_four();
         let outcomes = system.drive_until(|_| false);
         assert_eq!(outcomes.iter().map(|o| o.job_id).collect::<Vec<_>>(), ids);
-        assert_eq!(system.db().collection("submissions").read().len(), 4);
+        assert_eq!(system.db().read().submissions.len(), 4);
 
         // The round is four back-to-back steps, regrouped.
         let (mut stepped, _) = queue_four();
@@ -959,7 +959,7 @@ mod tests {
         system.settle(tally);
         // The committed prefix landed; the tail's claims are neither
         // acked nor released, and the clock moved by the prefix only.
-        assert_eq!(system.db().collection("submissions").read().len(), 2);
+        assert_eq!(system.db().read().submissions.len(), 2);
         assert_eq!(task_queue(&system), (0, 2));
         assert_eq!(system.clock().now(), started + committed);
 
@@ -972,9 +972,9 @@ mod tests {
         let rest = system.drain();
         assert_eq!(rest.iter().map(|o| o.job_id).collect::<Vec<_>>(), ids[2..]);
         assert_eq!(task_queue(&system), (0, 0));
-        let rows = system.db().collection("submissions");
+        let tables = system.db().read();
         for id in ids {
-            assert_eq!(rows.read().find(&doc! { "job_id" => id as i64 }).len(), 1, "job {id}");
+            assert_eq!(tables.submissions.find(&doc! { "job_id" => id as i64 }).len(), 1, "job {id}");
         }
     }
 
@@ -999,7 +999,7 @@ mod tests {
             assert!(system.submit(&creds, &ProjectDir::sample_cuda_project()).unwrap().success);
         }
         system.sync_wals();
-        let rows_before = system.db().collection("submissions").read().find(&doc! {}).len();
+        let rows_before = system.db().read().submissions.find(&doc! {}).len();
         let usage_before = system.store().usage();
         let at = clock.now();
         drop(system);
@@ -1018,7 +1018,7 @@ mod tests {
         assert_eq!(report.db.malformed_dropped, 0);
         assert_eq!(report.store.objects_dropped, 0);
         assert_eq!(
-            recovered.db().collection("submissions").read().find(&doc! {}).len(),
+            recovered.db().read().submissions.find(&doc! {}).len(),
             rows_before
         );
         let usage_after = recovered.store().usage();
@@ -1036,7 +1036,7 @@ mod tests {
         let receipt = recovered.submit(&creds2, &ProjectDir::sample_cuda_project()).unwrap();
         assert!(receipt.success);
         assert_eq!(
-            recovered.db().collection("submissions").read().find(&doc! {}).len(),
+            recovered.db().read().submissions.find(&doc! {}).len(),
             rows_before + 1
         );
     }
@@ -1068,8 +1068,7 @@ mod tests {
         let p = ProjectDir::sample_cuda_project();
         assert!(!system.submit(&variants[2], &p).unwrap().success);
         assert!(system.submit(&creds, &p).unwrap().success);
-        let rows = system.db().collection("submissions");
-        let users: Vec<_> = rows.read().scan().map(|row| row.get("user").cloned()).collect();
+        let users: Vec<_> = system.db().read().submissions.scan().map(|row| row.get("user").cloned()).collect();
         assert_eq!(users, [Some("auth-rejected".into()), Some("keyed".into())]);
     }
 
@@ -1110,7 +1109,7 @@ mod tests {
         assert!(!recovered.submit(&first, &p).unwrap().success, "the old key is not registered");
         let receipt = recovered.submit(&reissued, &p).unwrap();
         assert!(receipt.success, "signed with the re-issued key, acting for its team");
-        let row = recovered.db().collection("submissions").read().find_one(&doc! { "job_id" => receipt.job_id });
+        let row = recovered.db().read().submissions.find_one(&doc! { "job_id" => receipt.job_id });
         assert_eq!(row.and_then(|row| row.get("user").cloned()), Some("first".into()));
     }
 
@@ -1161,8 +1160,8 @@ mod tests {
         assert_eq!(
             recovered
                 .db()
-                .collection("submissions")
                 .read()
+                .submissions
                 .find(&doc! { "job_id" => job_id as i64 })
                 .len(),
             1
@@ -1195,14 +1194,14 @@ mod tests {
         let p = ProjectDir::sample_cuda_project();
         let refused = system.begin_submit(&creds, &p, SubmitMode::Run);
         assert!(matches!(refused, Err(SubmitError::Publish(_))), "every publish is refused");
-        let intents = system.db().collection("intents");
-        let ids: Vec<_> = intents
+        let ids: Vec<_> = system
+            .db()
             .read()
+            .intents
             .scan()
             .filter_map(|row| row.get("job_id").and_then(rai_db::Value::as_i64))
             .collect();
         let [refused_id] = ids[..] else { panic!("one intent journaled, found {ids:?}") };
-        drop(intents);
         drop(system);
         crash(&db_disk);
 
@@ -1252,9 +1251,8 @@ mod tests {
             );
             let creds = system.register_team("t", &[]);
             let _ = system.begin_submit(&creds, &ProjectDir::sample_cuda_project(), SubmitMode::Run);
-            let intents = system.db().collection("intents");
-            let rows = intents.read();
-            let fields: Vec<Vec<&str>> = rows.scan().map(|row| row.0.keys().map(|k| &**k).collect()).collect();
+            let tables = system.db().read();
+            let fields: Vec<Vec<&str>> = tables.intents.scan().map(|row| row.0.keys().map(|k| &**k).collect()).collect();
             assert_eq!(fields, [want], "publish refusal rate {broker_publish}");
         }
     }

@@ -875,8 +875,8 @@ impl Worker {
         let guarded = rai_faults::retry(self.op_seed(request.job_id, 0, 3), |_| self.db.guard());
         self.note_retries(guarded.attempts);
         guarded.result?;
-        let submissions = self.db.collection("submissions");
-        let mut rows = submissions.write();
+        let mut tables = self.db.write();
+        let rows = &mut tables.submissions;
         let key = doc! { "job_id" => request.job_id };
         if rejected {
             let own = |row: &Document| {
@@ -923,7 +923,7 @@ impl Worker {
         let guarded = rai_faults::retry(self.op_seed(request.job_id, 0, 4), |_| self.db.guard());
         self.note_retries(guarded.attempts);
         guarded.result?;
-        self.db.collection("rankings").write().update_one(
+        self.db.write().rankings.update_one(
             doc! { "team" => request.team.as_str() },
             doc! { "$set" => doc!{
                 "runtime_secs" => secs,
@@ -969,7 +969,7 @@ mod tests {
     use crate::client::{ProjectDir, RaiClient, SubmitMode};
     use rai_archive::write_container;
     use rai_auth::KeyGenerator;
-    use rai_faults::FaultPlan;
+    use rai_faults::{FaultKind, FaultPlan};
     use rai_sim::VirtualClock;
     use rai_store::{LifecycleRule, ObjectStore};
     use std::sync::atomic::AtomicU64;
@@ -1048,10 +1048,9 @@ mod tests {
         assert!(receipt.build_url.is_some());
         assert!(receipt.internal_timer_secs.is_some());
         // Submission recorded in the database.
-        let subs = rig.db.collection("submissions");
-        assert_eq!(subs.read().len(), 1);
+        assert_eq!(rig.db.read().submissions.len(), 1);
         // Run (not submit): no ranking entry.
-        assert_eq!(rig.db.collection("rankings").read().len(), 0);
+        assert_eq!(rig.db.read().rankings.len(), 0);
     }
 
     #[test]
@@ -1068,8 +1067,7 @@ mod tests {
         // ~505ms for the 470ms spec.
         let secs = receipt.internal_timer_secs.unwrap();
         assert!((0.4..0.7).contains(&secs), "got {secs}");
-        let rankings = rig.db.collection("rankings");
-        let row = rankings.read().find_one(&doc! { "team" => "gpu-gophers" }).unwrap();
+        let row = rig.db.read().rankings.find_one(&doc! { "team" => "gpu-gophers" }).unwrap();
         assert!(row.get("runtime_secs").unwrap().as_f64().unwrap() > 0.0);
         assert!(row.get("time_cmd_secs").unwrap().as_f64().is_some());
         // The /build archive includes the submitted source snapshot.
@@ -1089,8 +1087,8 @@ mod tests {
             done(worker.try_step());
             pending.wait(Duration::from_millis(500)).unwrap();
         }
-        assert_eq!(rig.db.collection("rankings").read().len(), 1, "one row per team");
-        assert_eq!(rig.db.collection("submissions").read().len(), 2);
+        assert_eq!(rig.db.read().rankings.len(), 1, "one row per team");
+        assert_eq!(rig.db.read().submissions.len(), 2);
     }
 
     #[test]
@@ -1284,7 +1282,7 @@ mod tests {
             .snapshot()
             .counter(names::JOBS_TOTAL, &[("kind", "run"), ("outcome", outcome)]);
         assert_eq!(counted, Some(1), "rejected as {outcome}");
-        let row = rig.db.collection("submissions").read().find_one(&doc! { "job_id" => 1u64 });
+        let row = rig.db.read().submissions.find_one(&doc! { "job_id" => 1u64 });
         assert_eq!(row.expect("terminal row").get("success"), Some(&Value::Bool(false)));
         let stats = rig.broker.topic_stats(routes::TASK_TOPIC).unwrap();
         assert_eq!((stats.depth, stats.in_flight), (0, 0), "acked, not requeued");
@@ -1319,9 +1317,17 @@ mod tests {
         let pending = client
             .begin_submit(&ProjectDir::sample_cuda_project(), SubmitMode::Run)
             .unwrap();
-        // One store fault after the client's upload: the worker's fetch
-        // hits it and retries.
-        rig.store.inject_faults(1);
+        // A fault plan attached after the client's upload, whose first
+        // store read fails and whose next three pass: the worker's fetch
+        // hits the fault and retries.
+        let plan = (0..)
+            .map(|seed| FaultPlan { store_get: 0.5, ..FaultPlan::none(seed) })
+            .find(|plan| {
+                let probe = FaultInjector::new(plan.clone());
+                [true, false, false, false].iter().all(|&f| probe.should_fail(FaultKind::StoreGet) == f)
+            })
+            .expect("a seed fails its first draw and passes three");
+        rig.store.set_fault_injector(FaultInjector::new(plan));
         let outcome = done(worker.try_step());
         assert!(outcome.success);
         pending.wait(Duration::from_millis(500)).unwrap();
@@ -1358,8 +1364,8 @@ mod tests {
         };
         // It crashed after its record: side effects of attempt 1
         // already landed...
-        assert_eq!(rig.db.collection("submissions").read().len(), 1);
-        assert_eq!(rig.db.collection("rankings").read().len(), 1);
+        assert_eq!(rig.db.read().submissions.len(), 1);
+        assert_eq!(rig.db.read().rankings.len(), 1);
 
         // ...the restart releases the claim and attempt 2 reprocesses.
         worker.crash_recover();
@@ -1370,12 +1376,12 @@ mod tests {
         pending.wait(Duration::from_millis(500)).unwrap();
 
         // Exactly one terminal row per job / per team, no duplicates.
-        assert_eq!(rig.db.collection("submissions").read().len(), 1);
-        assert_eq!(rig.db.collection("rankings").read().len(), 1);
+        assert_eq!(rig.db.read().submissions.len(), 1);
+        assert_eq!(rig.db.read().rankings.len(), 1);
         let row = rig
             .db
-            .collection("submissions")
             .read()
+            .submissions
             .find_one(&doc! { "job_id" => 1 })
             .unwrap();
         assert_eq!(row.get("success"), Some(&Value::Bool(true)));
@@ -1403,7 +1409,7 @@ mod tests {
             match worker.try_step() {
                 StepEvent::Crashed(_) => {
                     // Before its record: every attempt leaves no row.
-                    assert_eq!(rig.db.collection("submissions").read().len(), 0);
+                    assert_eq!(rig.db.read().submissions.len(), 0);
                     worker.crash_recover();
                 }
                 other => panic!("poison job should crash every attempt, got {other:?}"),
@@ -1415,7 +1421,7 @@ mod tests {
         let msg = dead.try_recv().expect("poison job dead-lettered");
         assert!(JobRequest::decode(&msg.body_str()).is_some());
         dead.ack(msg.id);
-        assert_eq!(rig.db.collection("submissions").read().len(), 0, "never reached a record");
+        assert_eq!(rig.db.read().submissions.len(), 0, "never reached a record");
     }
 
     /// The 16 lines Listing 1 prints for the sample project, as the
@@ -1546,7 +1552,7 @@ mod tests {
         let frames: Vec<LogFrame> = bodies.iter().flat_map(|b| crate::protocol::decode_block(b)).collect();
         assert_eq!(frames.len(), 2 + LISTING1_OUTPUT.len() + 2);
         let frame_bytes: usize = frames.iter().map(|f| f.encode().len()).sum();
-        let row = rig.db.collection("submissions").read().find_one(&doc! { "job_id" => 1u64 }).unwrap();
+        let row = rig.db.read().submissions.find_one(&doc! { "job_id" => 1u64 }).unwrap();
         assert_eq!(row.get("log_bytes"), Some(&Value::from(frame_bytes as u64)));
         // The line separators — fifteen in the output block, one in
         // the closing block — are framing: carried, not counted.
@@ -1601,7 +1607,7 @@ mod tests {
         assert_eq!((fit.as_ref(), note.as_ref()), (line.as_str(), "[stderr] … output truncated"));
         assert!(cut.len() < line.len() && line.starts_with(cut.as_ref()), "{cut:?}");
 
-        let row = rig.db.collection("submissions").read().find_one(&doc! { "job_id" => 1u64 }).unwrap();
+        let row = rig.db.read().submissions.find_one(&doc! { "job_id" => 1u64 }).unwrap();
         let log_bytes = row.get("log_bytes").and_then(Value::as_i64).expect("counted") as usize;
         assert!(bodies[2].len() / 2 < log_bytes && log_bytes <= MAX_OUTPUT_BYTES + WORKER_FRAMES, "{log_bytes}");
     }
@@ -1637,7 +1643,7 @@ mod tests {
         assert_eq!(output.len(), LISTING1_OUTPUT.len());
         assert_eq!(output[0], LogFrame::Out("Building project".into()));
         assert!(!bodies.iter().any(|b| b.contains("end ")));
-        assert_eq!(rig.db.collection("submissions").read().len(), 0, "no row before the record");
+        assert_eq!(rig.db.read().submissions.len(), 0, "no row before the record");
     }
 
     #[test]

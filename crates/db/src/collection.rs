@@ -2,14 +2,14 @@
 //! planner that routes an indexed literal through its secondary index.
 
 use crate::index::Index;
-use crate::journal::{self, JournalSink};
+use crate::journal;
 use crate::query::matches;
 use crate::update::{apply_update, apply_update_cow, can_move};
 use crate::value::{Document, Value};
+use rai_wal::Wal;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Document identifier (stored in the document as `_id`).
 pub type DocId = u64;
@@ -98,11 +98,11 @@ pub struct Collection {
     inserts: AtomicU64,
     queries: AtomicU64,
     updates: AtomicU64,
-    /// Durability hook: when attached, every committed mutation appends
-    /// a logical [`DbRecord`](crate::DbRecord) before applying. `None`
-    /// (the default) is the preserved zero-overhead in-memory
-    /// configuration.
-    journal: Option<Arc<JournalSink>>,
+    /// Durability hook: the table's name and the database's WAL. When
+    /// attached, every committed mutation appends a logical
+    /// [`DbRecord`](crate::DbRecord) before applying. `None` (the
+    /// default) is the preserved zero-overhead in-memory configuration.
+    journal: Option<(&'static str, Wal)>,
 }
 
 impl Collection {
@@ -146,24 +146,30 @@ impl Collection {
         }
     }
 
-    /// Attach (or detach) the durability sink. Set by
-    /// [`Database`](crate::Database) when a WAL is configured; replay
-    /// runs with the sink detached so recovery never re-journals.
-    pub(crate) fn set_journal(&mut self, journal: Option<Arc<JournalSink>>) {
-        self.journal = journal;
+    /// Journal this table's mutations to `wal` as table `name`. Set by
+    /// [`Database`](crate::Database) when a WAL is attached; replay runs
+    /// before it is, so recovery never re-journals.
+    pub(crate) fn set_journal(&mut self, name: &'static str, wal: Wal) {
+        self.journal = Some((name, wal));
+    }
+
+    /// Append one record when a journal is attached: `write` is one of
+    /// the journal's writers, handed the log's frame and the table's
+    /// name.
+    fn journal(&self, write: impl FnOnce(&mut Vec<u8>, &str)) {
+        if let Some((name, wal)) = &self.journal {
+            wal.append_with(|out| write(out, name));
+        }
     }
 
     /// Insert a document, assigning and returning its `_id`.
     pub fn insert_one(&mut self, doc: Document) -> DocId {
-        if let Some(j) = &self.journal {
-            j.append(|out, coll| journal::write_insert_one(out, coll, &doc));
-        }
+        self.journal(|out, coll| journal::write_insert_one(out, coll, &doc));
         self.insert_one_inner(doc)
     }
 
-    /// The journal-free insert: what [`Collection::insert_one`],
-    /// [`Collection::insert_many`] and upsert each run once their own
-    /// record is journaled.
+    /// The journal-free insert: what [`Collection::insert_one`] and
+    /// upsert each run once their own record is journaled.
     fn insert_one_inner(&mut self, mut doc: Document) -> DocId {
         self.inserts.fetch_add(1, Ordering::Relaxed);
         self.next_id += 1;
@@ -174,13 +180,9 @@ impl Collection {
         id
     }
 
-    /// Insert many documents, journaled as one record.
+    /// Insert many documents, each journaled as its `insert_one`.
     pub fn insert_many(&mut self, docs: impl IntoIterator<Item = Document>) -> Vec<DocId> {
-        let docs: Vec<Document> = docs.into_iter().collect();
-        if let Some(j) = &self.journal {
-            j.append(|out, coll| journal::write_insert_many(out, coll, &docs));
-        }
-        docs.into_iter().map(|doc| self.insert_one_inner(doc)).collect()
+        docs.into_iter().map(|doc| self.insert_one(doc)).collect()
     }
 
     /// Build a secondary index on a dotted path (also indexes existing
@@ -189,9 +191,7 @@ impl Collection {
         if self.indexes.contains_key(field) {
             return;
         }
-        if let Some(j) = &self.journal {
-            j.append(|out, coll| journal::write_create_index(out, coll, field));
-        }
+        self.journal(|out, coll| journal::write_create_index(out, coll, field));
         let mut idx = Index::new();
         for (id, doc) in &self.docs {
             if let Some(v) = doc.get_path(field) {
@@ -232,7 +232,7 @@ impl Collection {
 
     /// Restore from a compaction snapshot: documents land under their
     /// recorded `_id`s and every index is rebuilt. Replay's alone, so
-    /// the collection is journal-detached and nothing is re-journaled.
+    /// the table has no journal yet and nothing is re-journaled.
     pub(crate) fn restore(&mut self, next_id: u64, indexes: Vec<String>, docs: Vec<Document>) {
         self.docs.clear();
         self.indexes.clear();
@@ -418,9 +418,7 @@ impl Collection {
         upsert: bool,
     ) -> UpdateResult {
         let (query, update) = (query.into(), update.into());
-        if let Some(j) = &self.journal {
-            j.append(|out, coll| journal::write_update_one(out, coll, &query, &update, upsert));
-        }
+        self.journal(|out, coll| journal::write_update_one(out, coll, &query, &update, upsert));
         self.updates.fetch_add(1, Ordering::Relaxed);
         match self.first_matching_id(&query) {
             Some(id) => {
@@ -464,9 +462,7 @@ impl Collection {
 
     /// Delete every matching document; returns how many were removed.
     pub fn delete_many(&mut self, query: &Document) -> usize {
-        if let Some(j) = &self.journal {
-            j.append(|out, coll| journal::write_delete_many(out, coll, query));
-        }
+        self.journal(|out, coll| journal::write_delete_many(out, coll, query));
         self.updates.fetch_add(1, Ordering::Relaxed);
         let ids = self.matching_ids(query);
         for id in &ids {

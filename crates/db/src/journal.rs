@@ -12,15 +12,13 @@
 //! verbatim.
 //!
 //! Every record layout is spelled once, by one writer below: the
-//! collection mutators write through them from the documents and names
-//! they were handed, straight into the log's frame
+//! collection mutators write through them from the documents and the
+//! table name they were handed, straight into the log's frame
 //! ([`rai_wal::Wal::append_with`]), and [`DbRecord::encode`] calls the
 //! same ones.
 
 use crate::value::{Document, Value};
 use rai_wal::codec::{put_str, put_u32, put_u64, Reader};
-use rai_wal::Wal;
-use std::sync::Arc;
 
 // ---- value codec -----------------------------------------------------
 
@@ -122,13 +120,6 @@ pub(crate) fn write_insert_one(out: &mut Vec<u8>, coll: &str, doc: &Document) {
     encode_doc(doc, out);
 }
 
-/// 2 — `insert_many`, same pre-`_id` convention.
-pub(crate) fn write_insert_many(out: &mut Vec<u8>, coll: &str, docs: &[Document]) {
-    out.push(2);
-    put_str(out, coll);
-    encode_docs(docs.iter(), out);
-}
-
 /// 4 — `update_one(query, update, upsert)`.
 pub(crate) fn write_update_one(
     out: &mut Vec<u8>,
@@ -180,9 +171,10 @@ pub(crate) fn write_snapshot_collection<'a>(
 // ---- logical records -------------------------------------------------
 
 /// One committed database mutation, as journaled to the WAL. Each
-/// record's leading tag byte is fixed for good: 3 (`update_many`) and 7
-/// (`drop_collection`) are retired with their mutators and decode, like
-/// any unknown tag, to `None`.
+/// record's leading tag byte is fixed for good: 2 (`insert_many`, which
+/// journals the `insert_one` records it is), 3 (`update_many`) and 7
+/// (`drop_collection`) are retired and decode, like any unknown tag, to
+/// `None`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DbRecord {
     /// `insert_one` — `doc` is the document *before* `_id` assignment.
@@ -191,13 +183,6 @@ pub enum DbRecord {
         coll: String,
         /// Document as the caller passed it.
         doc: Document,
-    },
-    /// `insert_many`, same pre-`_id` convention.
-    InsertMany {
-        /// Target collection.
-        coll: String,
-        /// Documents as the caller passed them.
-        docs: Vec<Document>,
     },
     /// `update_one(query, update, upsert)`.
     UpdateOne {
@@ -245,7 +230,6 @@ impl DbRecord {
         let mut out = Vec::new();
         match self {
             DbRecord::InsertOne { coll, doc } => write_insert_one(&mut out, coll, doc),
-            DbRecord::InsertMany { coll, docs } => write_insert_many(&mut out, coll, docs),
             DbRecord::UpdateOne { coll, query, update, upsert } => {
                 write_update_one(&mut out, coll, query, update, *upsert);
             }
@@ -267,7 +251,6 @@ impl DbRecord {
         let coll = r.str()?.to_string();
         let rec = match tag {
             1 => DbRecord::InsertOne { coll, doc: decode_doc(&mut r)? },
-            2 => DbRecord::InsertMany { coll, docs: decode_docs(&mut r)? },
             4 => DbRecord::UpdateOne {
                 coll,
                 query: decode_doc(&mut r)?,
@@ -291,29 +274,6 @@ impl DbRecord {
     }
 }
 
-/// A collection's journaling hook: knows the collection's name and the
-/// database's shared WAL. Held by [`Collection`](crate::Collection) as
-/// `Option<Arc<JournalSink>>` — `None` (the default) is the preserved
-/// zero-overhead in-memory configuration.
-pub struct JournalSink {
-    wal: Wal,
-    coll: String,
-}
-
-impl JournalSink {
-    /// Sink journaling `coll`'s mutations to `wal`.
-    pub fn new(wal: Wal, coll: &str) -> Arc<Self> {
-        Arc::new(JournalSink { wal, coll: coll.to_string() })
-    }
-
-    /// Append one record for this sink's collection: `write` is one of
-    /// the writers above, handed the log's frame and the collection's
-    /// name.
-    pub(crate) fn append(&self, write: impl FnOnce(&mut Vec<u8>, &str)) {
-        self.wal.append_with(|out| write(out, &self.coll));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,10 +286,7 @@ mod tests {
                 coll: "submissions".into(),
                 doc: doc! { "job_id" => 7, "ok" => true, "secs" => 1.25 },
             },
-            DbRecord::InsertMany {
-                coll: "teams".into(),
-                docs: vec![doc! { "team" => "a" }, doc! { "nested" => doc!{ "x" => 1 } }],
-            },
+            DbRecord::InsertOne { coll: "teams".into(), doc: doc! { "nested" => doc!{ "x" => 1 } } },
             DbRecord::UpdateOne {
                 coll: "rankings".into(),
                 query: doc! { "team" => "b" },
@@ -375,9 +332,13 @@ mod tests {
         let mut bytes = DbRecord::CreateIndex { coll: "c".into(), field: "f".into() }.encode();
         bytes.push(0);
         assert_eq!(DbRecord::decode(&bytes), None);
-        // A retired tag over a payload that parsed while the tag lived.
+        // Retired tags over payloads that parsed while the tags lived.
         let mut retired = vec![7];
         put_str(&mut retired, "c");
         assert_eq!(DbRecord::decode(&retired), None);
+        let mut insert_many = vec![2];
+        put_str(&mut insert_many, "c");
+        put_u32(&mut insert_many, 0);
+        assert_eq!(DbRecord::decode(&insert_many), None);
     }
 }

@@ -15,26 +15,28 @@
 //! * sort / limit cursors;
 //! * secondary indexes consulted automatically for a literal's point
 //!   lookup and for a sort they cover;
-//! * a thread-safe [`Database`] of named [`Collection`]s, journaled to a
-//!   WAL when one is attached.
+//! * a thread-safe [`Database`]: the four [`Tables`] RAI writes behind
+//!   one lock, journaled to a WAL when one is attached.
 //!
 //! ```
 //! use rai_db::{doc, Database, FindOptions, Value};
 //!
 //! let db = Database::new();
-//! let rankings = db.collection("rankings");
-//! rankings.write().create_index("runtime_s");
+//! let mut tables = db.write();
+//! tables.rankings.create_index("runtime_s");
 //! for (team, runtime_s) in [("gpu-gophers", 0.47), ("warp-nine", 0.61), ("cache-money", 0.52)] {
-//!     rankings.write().update_one(
+//!     tables.rankings.update_one(
 //!         &doc! { "team" => team },
 //!         &doc! { "$set" => doc!{ "runtime_s" => runtime_s, "final" => true } },
 //!         true,
 //!     );
 //! }
-//! let top = rankings.read().find_with(&doc! { "final" => true }, &FindOptions::sort_asc("runtime_s").limit(2));
+//! drop(tables);
+//! let rankings = &db.read().rankings;
+//! let top = rankings.find_with(&doc! { "final" => true }, &FindOptions::sort_asc("runtime_s").limit(2));
 //! assert_eq!(top.len(), 2);
 //! assert_eq!(top[0].get_path("team"), Some(&Value::from("gpu-gophers")));
-//! assert_eq!(rankings.read().find(&doc! { "team" => "warp-nine" }).len(), 1);
+//! assert_eq!(rankings.find(&doc! { "team" => "warp-nine" }).len(), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -48,7 +50,7 @@ pub mod update;
 pub mod value;
 
 pub use collection::{Collection, CollectionStats, DocId, FindOptions, SortOrder};
-pub use database::{Database, DbError, DbRecovery};
+pub use database::{Database, DbError, DbRecovery, Tables};
 pub use journal::DbRecord;
 pub use query::matches;
 pub use update::apply_update;

@@ -4,7 +4,7 @@
 //! recover to documents the collections held.
 
 use proptest::prelude::*;
-use rai_db::{doc, Collection, Database, DbRecord, Document, FieldName, FindOptions, Value};
+use rai_db::{doc, Collection, Database, DbRecord, Document, FieldName, FindOptions, Tables, Value};
 use rai_wal::{decode_segment, DurabilityConfig, MemDisk, ReplayStats, Wal};
 use std::sync::Arc;
 
@@ -477,8 +477,18 @@ proptest! {
 
 // ---- a damaged log recovers ----------------------------------------------
 
-/// The collections a history writes.
-const COLLS: [&str; 2] = ["runs", "ranks"];
+/// The tables a history writes.
+const COLLS: [&str; 2] = ["submissions", "rankings"];
+
+/// Table `c` of [`COLLS`].
+fn table(tables: &Tables, c: usize) -> &Collection {
+    if c == 0 { &tables.submissions } else { &tables.rankings }
+}
+
+/// [`table`], mutably.
+fn table_mut(tables: &mut Tables, c: usize) -> &mut Collection {
+    if c == 0 { &mut tables.submissions } else { &mut tables.rankings }
+}
 
 /// One step of a durable history. Every document is `{ k, v }` (plus its
 /// `_id`): inserts write one, an upsert `$set`s `v` on the first `k`
@@ -511,22 +521,22 @@ fn arb_db_op() -> impl Strategy<Value = DbOp> {
 }
 
 fn run_db_op(db: &Database, op: &DbOp) {
-    let coll = |c: usize| db.collection(COLLS[c]);
     match op {
         DbOp::Insert(c, k, v) => {
-            coll(*c).write().insert_one(doc! { "k" => *k, "v" => *v });
+            table_mut(&mut db.write(), *c).insert_one(doc! { "k" => *k, "v" => *v });
         }
         DbOp::InsertMany(c, rows) => {
-            coll(*c).write().insert_many(rows.iter().map(|&(k, v)| doc! { "k" => k, "v" => v }));
+            let rows = rows.iter().map(|&(k, v)| doc! { "k" => k, "v" => v });
+            table_mut(&mut db.write(), *c).insert_many(rows);
         }
         DbOp::Upsert(c, k, v) => {
             let set = doc! { "$set" => doc!{ "v" => *v } };
-            coll(*c).write().update_one(&doc! { "k" => *k }, &set, true);
+            table_mut(&mut db.write(), *c).update_one(&doc! { "k" => *k }, &set, true);
         }
         DbOp::Delete(c, k) => {
-            coll(*c).write().delete_many(&doc! { "k" => *k });
+            table_mut(&mut db.write(), *c).delete_many(&doc! { "k" => *k });
         }
-        DbOp::Index(c) => coll(*c).write().create_index("k"),
+        DbOp::Index(c) => table_mut(&mut db.write(), *c).create_index("k"),
         DbOp::Sync => db.sync_wal(),
         DbOp::Compact => {
             db.maybe_compact();
@@ -593,8 +603,8 @@ proptest! {
         let mut fields: Vec<(&str, Document)> = Vec::new();
         for op in &ops {
             run_db_op(&live, op);
-            for name in COLLS {
-                for d in live.collection(name).read().scan() {
+            for (c, name) in COLLS.into_iter().enumerate() {
+                for d in table(&live.read(), c).scan() {
                     let mut bare = d.clone();
                     bare.0.remove("_id");
                     for (seen, d) in [(&mut held, d.clone()), (&mut fields, bare)] {
@@ -641,8 +651,10 @@ proptest! {
         let (r, recovery) = Database::recover(Wal::open(Arc::new(damaged), config));
         prop_assert_eq!(recovery.stats.replayed, survived.len() as u64);
         prop_assert!(recovery.applied + recovery.malformed_dropped <= recovery.stats.replayed);
-        for name in r.collection_names() {
-            for d in r.collection(&name).read().scan() {
+        let tables = r.read();
+        prop_assert!(tables.teams.is_empty() && tables.intents.is_empty(), "no record names them");
+        for (c, name) in COLLS.into_iter().enumerate() {
+            for d in table(&tables, c).scan() {
                 let mut bare = d.clone();
                 bare.0.remove("_id");
                 prop_assert!(

@@ -134,8 +134,6 @@ struct StoreInner {
     /// lock. A host fact: surfaced in reports and telemetry, never in
     /// fingerprints.
     lock_wait_micros: AtomicU64,
-    /// Remaining operations that should fail (fault injection).
-    faults: AtomicU64,
     /// Probability-driven fault injection (chaos runs). Deployment
     /// wiring, like `wal`: set at most once, before traffic flows.
     injector: OnceLock<rai_faults::FaultInjector>,
@@ -599,7 +597,6 @@ impl ObjectStore {
                 clock,
                 state: RwLock::new(state),
                 lock_wait_micros: AtomicU64::new(0),
-                faults: AtomicU64::new(0),
                 injector: OnceLock::new(),
                 wal: OnceLock::new(),
             }),
@@ -654,27 +651,13 @@ impl ObjectStore {
         self.read_state().buckets.contains_key(name)
     }
 
-    /// Make the next `n` data operations (put/get) fail with
-    /// [`StoreError::Unavailable`] — chaos testing for the paper's
+    /// Attach a seeded fault injector: each put/get fails with
+    /// [`StoreError::Unavailable`] per the injector's plan (`store_put`
+    /// / `store_get` probabilities) — chaos testing for the paper's
     /// "robust to failures" requirement.
-    pub fn inject_faults(&self, n: u64) {
-        self.inner.faults.store(n, Ordering::SeqCst);
-    }
-
-    /// Attach a seeded fault injector: each put/get additionally fails
-    /// with [`StoreError::Unavailable`] per the injector's plan
-    /// (`store_put` / `store_get` probabilities). Coexists with the
-    /// [`ObjectStore::inject_faults`] budget, which always fires first.
     /// Deployment wiring: a second injector panics.
     pub fn set_fault_injector(&self, injector: rai_faults::FaultInjector) {
         assert!(self.inner.injector.set(injector).is_ok(), "store fault injector is wired once");
-    }
-
-    fn take_fault(&self) -> bool {
-        self.inner
-            .faults
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-            .is_ok()
     }
 
     fn injected_fault(&self, kind: rai_faults::FaultKind) -> bool {
@@ -699,7 +682,7 @@ impl ObjectStore {
         data: impl Into<Bytes>,
         user_meta: impl IntoIterator<Item = (&'m str, &'m str)>,
     ) -> Result<String, StoreError> {
-        if self.take_fault() || self.injected_fault(rai_faults::FaultKind::StorePut) {
+        if self.injected_fault(rai_faults::FaultKind::StorePut) {
             return Err(StoreError::Unavailable);
         }
         let pairs = upload_pairs(user_meta)?;
@@ -758,7 +741,7 @@ impl ObjectStore {
     /// Pure presence checks answer under the shared half of the state
     /// lock, one guard per call.
     pub fn has_chunks(&self, digests: &[u64]) -> Result<Vec<bool>, StoreError> {
-        if self.take_fault() || self.injected_fault(rai_faults::FaultKind::StoreGet) {
+        if self.injected_fault(rai_faults::FaultKind::StoreGet) {
             return Err(StoreError::Unavailable);
         }
         let state = self.read_state();
@@ -796,7 +779,7 @@ impl ObjectStore {
         provided: &[Chunk],
         user_meta: impl IntoIterator<Item = (&'m str, &'m str)>,
     ) -> Result<(), StoreError> {
-        if self.take_fault() || self.injected_fault(rai_faults::FaultKind::StorePut) {
+        if self.injected_fault(rai_faults::FaultKind::StorePut) {
             return Err(StoreError::Unavailable);
         }
         let declared: u64 = manifest.chunks.iter().map(|r| r.len as u64).sum();
@@ -820,7 +803,7 @@ impl ObjectStore {
     /// `last_used` stamp (which is what makes the paper's "one month
     /// after the last use" policy work).
     pub fn get(&self, bucket: &str, key: &str) -> Result<StoredObject, StoreError> {
-        if self.take_fault() || self.injected_fault(rai_faults::FaultKind::StoreGet) {
+        if self.injected_fault(rai_faults::FaultKind::StoreGet) {
             return Err(StoreError::Unavailable);
         }
         let now = self.inner.clock.now();
@@ -1021,8 +1004,10 @@ impl ObjectStore {
     /// warrants it (per [`rai_wal::DurabilityConfig`]) — or into as
     /// many as it takes to keep each under [`rai_wal::MAX_RECORD`]: chunk
     /// bytes that do not fit ride `SnapshotChunks` records ahead of it.
-    /// Call only at quiesced points — the snapshot must not interleave
-    /// with concurrent mutations. Returns whether a compaction ran.
+    /// Runs under the state lock every append is made under — its read
+    /// half, held from the snapshot through the deletion of the old
+    /// segments — so no mutation interleaves with it. Returns whether a
+    /// compaction ran.
     pub fn maybe_compact(&self) -> bool {
         let Some(wal) = self.inner.wal.get() else {
             return false;
@@ -1469,18 +1454,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_injection_fails_then_recovers() {
-        let s = store();
-        s.put("keep", "k", &b"v"[..], []).unwrap();
-        s.inject_faults(2);
-        assert_eq!(s.get("keep", "k"), Err(StoreError::Unavailable));
-        assert_eq!(s.put("keep", "k2", &b"v"[..], []), Err(StoreError::Unavailable));
-        // Budget exhausted: service recovers.
-        assert!(s.get("keep", "k").is_ok());
-        assert!(s.put("keep", "k2", &b"v"[..], []).is_ok());
-    }
-
-    #[test]
     fn seeded_injector_fails_ops_reproducibly() {
         let run = || {
             let s = store();
@@ -1491,16 +1464,25 @@ mod tests {
             }));
             let mut outcomes = Vec::new();
             for i in 0..100 {
-                outcomes.push(s.put("keep", &format!("k{i}"), &b"v"[..], []).is_err());
-                outcomes.push(s.get("keep", &format!("k{i}")).is_err());
+                let put = s.put("keep", &format!("k{i}"), &b"v"[..], []);
+                assert!(matches!(put, Ok(_) | Err(StoreError::Unavailable)), "{put:?}");
+                outcomes.push(put.is_err());
+                // A get fails by its own draw, or finds no object where
+                // its put failed.
+                let get = s.get("keep", &format!("k{i}"));
+                assert!(matches!(get, Ok(_) | Err(StoreError::Unavailable | StoreError::NoSuchKey { .. })), "{get:?}");
+                outcomes.push(get == Err(StoreError::Unavailable));
             }
             outcomes
         };
         let a = run();
         let b = run();
         assert_eq!(a, b, "same seed, same fault stream");
-        assert!(a.iter().any(|&e| e), "p=0.2 over 200 ops should fire");
-        assert!(a.iter().any(|&e| !e), "and should not fire every time");
+        for (first, op) in [(0, "put"), (1, "get")] {
+            let failed: Vec<bool> = a.iter().skip(first).step_by(2).copied().collect();
+            assert!(failed.contains(&true), "p=0.2 over 100 {op}s should fire");
+            assert!(failed.contains(&false), "and should not fire every time: the service recovers");
+        }
     }
 
     fn durable_store(config: rai_wal::DurabilityConfig) -> (ObjectStore, rai_wal::MemDisk) {

@@ -5,7 +5,9 @@
 //! brings back a lock order to document, a window in which the parts
 //! disagree, and a reason to spell each mutation twice. The broker is
 //! the same: topics, channels, queues and counters are one `State`
-//! behind one mutex, and one condvar wakes its blocked receives.
+//! behind one mutex, and one condvar wakes its blocked receives. And
+//! the database: its four tables are fields of one `Tables` behind one
+//! `RwLock`, and no name makes a table.
 
 const STORE: &str = include_str!("../src/store.rs");
 const DEDUP: &str = include_str!("../src/dedup.rs");
@@ -56,4 +58,15 @@ fn broker_state_sits_behind_one_mutex_and_one_condvar() {
     let count = |needle: &str| sources.iter().map(|(_, source)| source.matches(needle).count()).sum::<usize>();
     assert_eq!(count("Mutex<"), 1, "the broker holds a lock that is not its state lock");
     assert_eq!(count("Condvar::new()"), 1, "the broker wakes its receives on more than one condvar");
+}
+
+#[test]
+fn database_tables_sit_behind_exactly_one_lock() {
+    let source = product(DATABASE);
+    for gone in ["BTreeMap<String", "Arc<RwLock<Collection>>", "fn collection("] {
+        assert!(!source.contains(gone), "database.rs names `{gone}`: the tables are fields, not names");
+    }
+    assert_eq!(source.matches("RwLock<Tables>").count(), 1, "database.rs declares the tables' lock once");
+    let locks = source.matches("RwLock<").count() + source.matches("Mutex<").count();
+    assert_eq!(locks, 1, "database.rs holds a lock that is not the tables' lock");
 }

@@ -26,9 +26,9 @@
 //! [`Wal::compact`] snapshots live state into new, higher-numbered
 //! segments and then deletes every older segment. Replay order is by
 //! segment id, so a snapshot followed by later appends replays in the
-//! same order it was written. Compaction runs only at quiesced points
-//! (between scenario rounds); crash injection never interleaves with
-//! it.
+//! same order it was written. Compaction runs under the state lock
+//! every append is made under (the store's, the database's), so no
+//! append interleaves with it; crash injection never does either.
 //!
 //! ## Recovery
 //!
@@ -665,9 +665,10 @@ impl Wal {
     /// Replace the entire log with `snapshot` records: they are written
     /// (and synced) into fresh, higher-numbered segments, then every
     /// older segment is deleted. Replay order is preserved because
-    /// segments replay in id order. Must run at a quiesced point — the
-    /// caller guarantees no concurrent appends and no crash injection
-    /// while compaction is in flight.
+    /// segments replay in id order. Must run under the state lock every
+    /// append is made under — the caller holds it from the snapshot
+    /// through this call, so no append lands between the two — and with
+    /// no crash while compacting.
     pub fn compact(&self, snapshot: impl IntoIterator<Item = Vec<u8>>) {
         let mut state = self.inner.state.lock();
         let state = &mut *state;

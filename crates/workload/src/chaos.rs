@@ -330,8 +330,8 @@ fn audit_terminal_state(
     // One pass over the rows where they lie, in `_id` order: how many
     // rows each job id has, and the first of them — the row a point
     // lookup by job id returns.
-    let submissions = system.db().collection("submissions");
-    let rows = submissions.read();
+    let tables = system.db().read();
+    let rows = &tables.submissions;
     let mut rows_per_id: BTreeMap<u64, (u64, &rai_db::Document)> = BTreeMap::new();
     for row in rows.scan() {
         if let Some(id) = row.get("job_id").and_then(rai_db::Value::as_i64) {

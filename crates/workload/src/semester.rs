@@ -453,9 +453,7 @@ pub fn run_semester(config: &SemesterConfig) -> SemesterResult {
     // The log tally reads the submissions table where it lives: one
     // counted read, no row copied.
     let log_bytes = {
-        let coll = state.system.db().collection("submissions");
-        let rows = coll.read();
-        rows.scan()
+        state.system.db().read().submissions.scan()
             .filter_map(|row| row.get("log_bytes").and_then(rai_db::Value::as_i64))
             .sum::<i64>() as u64
     };

@@ -25,8 +25,8 @@ struct Standing {
 
 fn standing(sys: &RaiSystem, b: &Graded) -> Standing {
     Standing {
-        row: sys.db().collection("submissions").read().find_one(&doc! { "job_id" => b.job_id }),
-        ranking: sys.db().collection("rankings").read().find_one(&doc! { "team" => "team-b" }),
+        row: sys.db().read().submissions.find_one(&doc! { "job_id" => b.job_id }),
+        ranking: sys.db().read().rankings.find_one(&doc! { "team" => "team-b" }),
         upload: sys.store().get(UPLOAD_BUCKET, &b.upload_key).expect("team-b's upload").data.to_vec(),
     }
 }
@@ -50,7 +50,7 @@ fn course() -> (RaiSystem, Credentials, String, Graded) {
     let ran = sys.submit(&a, &ProjectDir::sample_cuda_project()).expect("team-a runs");
     assert!(ran.success);
     let key_of = |job_id: u64| {
-        let row = sys.db().collection("submissions").read().find_one(&doc! { "job_id" => job_id });
+        let row = sys.db().read().submissions.find_one(&doc! { "job_id" => job_id });
         match row.expect("a row per job").get("upload_key") {
             Some(Value::Str(key)) => key.clone(),
             other => panic!("upload_key {other:?}"),
@@ -85,7 +85,7 @@ fn publish(sys: &mut RaiSystem, request: &JobRequest) -> Option<Document> {
     let outcomes = sys.drain();
     assert_eq!(outcomes.len(), 1);
     assert!(!outcomes[0].success, "the forged job is rejected");
-    sys.db().collection("submissions").read().find_one(&doc! { "job_id" => request.job_id })
+    sys.db().read().submissions.find_one(&doc! { "job_id" => request.job_id })
 }
 
 /// Publish a final submission signed with `creds`, for `team` from
@@ -123,7 +123,7 @@ fn a_teams_key_cannot_run_another_teams_upload() {
     assert_rejected(&row);
     assert_eq!(standing(&sys, &b), before);
     // team-a is not ranked with team-b's code either.
-    let ranked = sys.db().collection("rankings").read().find_one(&doc! { "team" => "team-a" });
+    let ranked = sys.db().read().rankings.find_one(&doc! { "team" => "team-a" });
     assert_eq!(ranked, None);
 }
 

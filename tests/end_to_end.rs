@@ -52,13 +52,13 @@ fn student_lifecycle_run_then_final() {
     assert_eq!(sys.rankings().rank_of("lifecycle"), Some(1));
 
     // Database has all three submissions, one ranking row.
-    assert_eq!(sys.db().collection("submissions").read().len(), 3);
-    assert_eq!(sys.db().collection("rankings").read().len(), 1);
+    assert_eq!(sys.db().read().submissions.len(), 3);
+    assert_eq!(sys.db().read().rankings.len(), 1);
     // The failed build is recorded as unsuccessful.
     assert_eq!(
         sys.db()
-            .collection("submissions")
             .read()
+            .submissions
             .count(&doc! { "success" => false }),
         1
     );
@@ -106,7 +106,7 @@ fn forged_signature_is_rejected_by_workers() {
     assert!(legit.success);
     assert!(!attack.success, "forged job must be rejected");
     // The attack never reached the ranking table.
-    assert_eq!(sys.db().collection("rankings").read().len(), 0);
+    assert_eq!(sys.db().read().rankings.len(), 0);
 }
 
 #[test]

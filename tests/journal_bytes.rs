@@ -39,10 +39,10 @@ fn image_digest(disks: &[&MemDisk]) -> u64 {
 }
 
 /// The digest [`image_digest`] gives the logs the history below leaves,
-/// computed when the intent ledger came down to one `{job_id, req}`
-/// record per accepted submission and the store snapshot to seven
-/// counters.
-const JOURNAL_IMAGE_DIGEST: u64 = 0x6098_e9a1_13e8_0080;
+/// computed when `insert_many` came to journal one `insert_one` record
+/// per document and the history's extra records moved onto the `teams`
+/// table.
+const JOURNAL_IMAGE_DIGEST: u64 = 0xfde3_bb8c_7638_27b3;
 
 /// Small segments and thresholds, so the history rotates segments and
 /// compacts both logs at most round boundaries.
@@ -99,10 +99,13 @@ fn a_durable_history_leaves_the_journal_bytes_it_always_has() {
     // Records the submission path does not write: many-document
     // inserts, an index build, deletes, a store delete and a sweep
     // that expires.
-    let notes = system.db().collection("notes");
-    notes.write().insert_many([doc! { "n" => 1, "s" => "a: b" }, doc! { "n" => 2, "x" => 0.5 }]);
-    notes.write().create_index("n");
-    notes.write().delete_many(&doc! { "n" => 1 });
+    {
+        let mut tables = system.db().write();
+        let teams = &mut tables.teams;
+        teams.insert_many([doc! { "n" => 1, "s" => "a: b" }, doc! { "n" => 2, "x" => 0.5 }]);
+        teams.create_index("n");
+        teams.delete_many(&doc! { "n" => 1 });
+    }
     let uploads = system.store().list(UPLOAD_BUCKET, "").expect("bucket");
     system.store().delete(UPLOAD_BUCKET, &uploads[0].key).expect("listed");
     system.clock().advance(SimDuration::from_days(40));

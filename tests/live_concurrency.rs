@@ -110,7 +110,7 @@ fn threaded_workers_and_clients() {
     assert_eq!(total_processed as usize, CLIENTS * JOBS_PER_CLIENT);
     // Every job recorded exactly once; queue fully drained.
     assert_eq!(
-        db.collection("submissions").read().count(&doc! {}),
+        db.read().submissions.count(&doc! {}),
         CLIENTS * JOBS_PER_CLIENT
     );
     let stats = broker.topic_stats("rai").expect("task topic");
@@ -150,4 +150,63 @@ fn a_live_log_subscription_gets_every_frame_through_subscription_churn() {
     churn.join().expect("churn thread");
     assert_eq!(lost, 0, "{lost} of {ROUNDS} frames lost to a live subscription");
     assert_eq!(broker.stats().topics, 0, "the log topic is collected");
+}
+
+/// A compaction racing writes loses nothing: one thread writes rows to
+/// two tables while another compacts the journal as often as its
+/// thresholds allow, and the database recovered from the disk holds
+/// every row the live one does. A compaction snapshots the tables and
+/// replaces the log under the lock every write journals under, so no
+/// write can land between a table's snapshot and the deletion of the
+/// segments its record went to.
+#[test]
+fn a_compaction_racing_writes_loses_no_row() {
+    const RUNS: usize = 10;
+    const SUBMISSIONS: i64 = 5_000;
+    const RANKINGS: i64 = 715;
+    let config = rai_wal::DurabilityConfig {
+        segment_bytes: 16 << 10,
+        compact_min_bytes: 1 << 10,
+        compact_factor: 2,
+    };
+    let mut compactions = 0;
+    for run in 0..RUNS {
+        let disk = rai_wal::MemDisk::new();
+        let db = Database::new();
+        db.attach_wal(rai_wal::Wal::open(Arc::new(disk.clone()), config));
+        let (started, done) = (AtomicBool::new(false), AtomicBool::new(false));
+        compactions += std::thread::scope(|scope| {
+            let compactor = scope.spawn(|| {
+                started.store(true, Ordering::Relaxed);
+                let mut compactions = 0u64;
+                while !done.load(Ordering::Relaxed) {
+                    compactions += u64::from(db.maybe_compact());
+                }
+                compactions
+            });
+            while !started.load(Ordering::Relaxed) {
+                std::thread::yield_now();
+            }
+            for i in 0..SUBMISSIONS {
+                db.write().submissions.insert_one(doc! { "job_id" => i });
+                if i % 7 == 0 {
+                    db.write().rankings.insert_one(doc! { "team" => i });
+                }
+                // Between two writes the compactor can take the lock.
+                std::thread::yield_now();
+            }
+            done.store(true, Ordering::Relaxed);
+            compactor.join().expect("compactor thread")
+        });
+        db.sync_wal();
+        let live = {
+            let tables = db.read();
+            (tables.submissions.len(), tables.rankings.len())
+        };
+        assert_eq!(live, (SUBMISSIONS as usize, RANKINGS as usize));
+        let (recovered, recovery) = Database::recover(rai_wal::Wal::open(Arc::new(disk), config));
+        let tables = recovered.read();
+        assert_eq!((tables.submissions.len(), tables.rankings.len()), live, "run {run}: {recovery:?}");
+    }
+    assert!(compactions > RUNS as u64, "the log compacted {compactions} times under the writes");
 }

@@ -7,11 +7,33 @@ use rai::archive::{fnv, write_container};
 use rai::core::client::{ProjectDir, SubmitMode, UPLOAD_BUCKET};
 use rai::core::protocol::routes;
 use rai::core::system::{RaiSystem, SystemConfig};
+use rai::telemetry::names;
+use rai_faults::{FaultInjector, FaultKind, FaultPlan};
 use std::time::Duration;
 
 fn system() -> RaiSystem {
     RaiSystem::new(SystemConfig {
         rate_limit: None,
+        ..Default::default()
+    })
+}
+
+/// A deployment whose file server fails the reads `fails` marks (`true`
+/// for a 503), in order, and serves the eight after them; writes never
+/// fail. A read is a download or an upload's chunk probe. The plan is
+/// the first seed whose draws come out that way.
+fn system_failing_reads(fails: &[bool]) -> RaiSystem {
+    let draws = [fails, &[false; 8]].concat();
+    let fault_plan = (0..)
+        .map(|seed| FaultPlan { store_get: 0.5, ..FaultPlan::none(seed) })
+        .find(|plan| {
+            let probe = FaultInjector::new(plan.clone());
+            draws.iter().all(|&f| probe.should_fail(FaultKind::StoreGet) == f)
+        })
+        .expect("a seed draws the pattern");
+    RaiSystem::new(SystemConfig {
+        rate_limit: None,
+        fault_plan,
         ..Default::default()
     })
 }
@@ -43,7 +65,8 @@ fn crashed_worker_job_is_redelivered() {
 
 #[test]
 fn file_server_outage_fails_job_without_wedging_the_queue() {
-    let mut sys = system();
+    // The upload's probe is served; the four fetches after it 503.
+    let mut sys = system_failing_reads(&[false, true, true, true, true]);
     let creds = sys.register_team("unlucky", &[]);
     let client = sys.client_for(&creds);
     let pending = client
@@ -52,7 +75,6 @@ fn file_server_outage_fails_job_without_wedging_the_queue() {
 
     // The file server 503s for longer than the worker's retry budget
     // (4 attempts with sim-time backoff), so the fetch fails for real.
-    sys.store().inject_faults(4);
     let outcomes = sys.drain();
     assert_eq!(outcomes.len(), 1);
     assert!(!outcomes[0].success, "job fails cleanly");
@@ -62,6 +84,7 @@ fn file_server_outage_fails_job_without_wedging_the_queue() {
         .log
         .iter()
         .any(|l| l.contains("failed to fetch project")));
+    assert_eq!(sys.fault_injector().injected_counts(), [("store_get", 4)]);
 
     // The next submission works: no stuck state.
     let receipt = sys.submit(&creds, &ProjectDir::sample_cuda_project()).unwrap();
@@ -70,7 +93,8 @@ fn file_server_outage_fails_job_without_wedging_the_queue() {
 
 #[test]
 fn brief_file_server_blip_is_retried_transparently() {
-    let mut sys = system();
+    // The upload's probe is served; the first fetch 503s.
+    let mut sys = system_failing_reads(&[false, true]);
     let creds = sys.register_team("lucky", &[]);
     let client = sys.client_for(&creds);
     let pending = client
@@ -79,16 +103,18 @@ fn brief_file_server_blip_is_retried_transparently() {
 
     // A single 503 sits within the worker's retry budget: the job
     // succeeds, paying only backoff in sim time.
-    sys.store().inject_faults(1);
     let outcomes = sys.drain();
     assert_eq!(outcomes.len(), 1);
     assert!(outcomes[0].success, "one 503 is absorbed by retry");
     assert!(pending.wait(Duration::from_millis(500)).unwrap().success);
+    assert_eq!(sys.fault_injector().injected_counts(), [("store_get", 1)]);
+    let retried = sys.telemetry().snapshot().counter_total(names::RETRIES_TOTAL);
+    assert_eq!(retried, 1, "the worker's fetch retried");
 }
 
 #[test]
 fn client_upload_rides_out_file_server_blips() {
-    let mut sys = system();
+    let mut sys = system_failing_reads(&[true, true]);
     let creds = sys.register_team("patient", &[]);
     let client = sys.client_for(&creds);
     let project = ProjectDir::sample_cuda_project();
@@ -96,10 +122,10 @@ fn client_upload_rides_out_file_server_blips() {
     // Two 503s land on the client's upload conversation. It chunked
     // the container once, up front; each retry repeats only the store
     // round trips, and the third attempt goes through.
-    sys.store().inject_faults(2);
     let before = sys.store().usage();
     let pending = client.begin_submit(&project, SubmitMode::Run).unwrap();
     let usage = sys.store().usage();
+    assert_eq!(sys.fault_injector().injected_counts(), [("store_get", 2)]);
     assert_eq!(usage.puts - before.puts, 1, "failed attempts stored nothing");
     assert_eq!(usage.objects - before.objects, 1);
     let uploads = sys.store().list(UPLOAD_BUCKET, "").unwrap();
@@ -173,7 +199,7 @@ fn replayed_job_message_executes_but_cannot_double_rank() {
     // Replay still verifies (same bytes) and runs, but the ranking table
     // keeps one row per team — the overwrite semantics make replays
     // idempotent rather than rank-inflating.
-    assert_eq!(sys.db().collection("rankings").read().len(), 1);
+    assert_eq!(sys.db().read().rankings.len(), 1);
     assert_eq!(sys.rankings().standings().len(), 1);
 }
 

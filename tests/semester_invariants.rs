@@ -112,8 +112,7 @@ fn submissions_collection_schema() {
     });
     let creds = sys.register_team("schema", &[]);
     sys.submit(&creds, &ProjectDir::sample_cuda_project()).unwrap();
-    let coll = sys.db().collection("submissions");
-    let row = coll.read().find_one(&doc! { "team" => "schema" }).unwrap();
+    let row = sys.db().read().submissions.find_one(&doc! { "team" => "schema" }).unwrap();
     for field in ["job_id", "user", "kind", "success", "wall_secs", "worker", "upload_key"] {
         assert!(row.get(field).is_some(), "missing field {field}: {row}");
     }
