@@ -25,6 +25,13 @@
 //! fall back to the tables (≈ 0.5 chains) fails the bin against
 //! `CRC_CEILING`; on any other CPU the line is only printed.
 //!
+//! A last row prices one integer key's hash under the hasher of the
+//! tables every job probes (`rai_sim::IntMap`, the chunk index among
+//! them) against std's SipHash-1-3 on the same keys, over `KEYS`
+//! keys a round. The multiply-add-shift hash reads ≈ 0.12 SipHash
+//! (0.9 against 7.3 ns a key on the 2-core reference host); a silent
+//! fall back to SipHash (≈ 1) fails the bin against `KEY_CEILING`.
+//!
 //! ```text
 //! cargo run --release -p rai-bench --bin hash_floor
 //! ```
@@ -34,7 +41,10 @@ use rai_archive::{
     ChunkerParams, FileTree,
 };
 use rai_auth::hmac_sha256;
+use rai_sim::IntMap;
 use rai_wal::crc32;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -46,6 +56,11 @@ const CEILING: f64 = 1.3;
 /// Most the record checksum may cost, in chains, on the carry-less
 /// multiplier.
 const CRC_CEILING: f64 = 0.15;
+/// Integer keys hashed per round by each of the two key hashers.
+const KEYS: u64 = 1 << 16;
+/// Most one integer key's hash in the product's tables may cost, in
+/// SipHash-1-3 hashes of the same key.
+const KEY_CEILING: f64 = 0.5;
 /// The pause before each round. The fused writer runs near the most
 /// instructions a core retires per cycle while one chain waits on its
 /// multiplies, so load from other tenants of the machine slows the
@@ -114,6 +129,11 @@ fn carry_less_multiplier() -> bool {
     }
 }
 
+/// Every key's hash under `hasher`, folded so none is optimised away.
+fn hash_keys(hasher: &impl BuildHasher, keys: &[u64]) -> u64 {
+    keys.iter().fold(0, |acc, k| acc ^ hasher.hash_one(k))
+}
+
 fn time(pass: impl FnOnce()) -> Duration {
     let start = Instant::now();
     pass();
@@ -135,6 +155,8 @@ fn main() {
         "crc32",
     ];
     let key = b"tU08PuKhtR9qozBNn33RcH7p5A";
+    let keys: Vec<u64> = (1..=KEYS).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
+    let (product, siphash) = (*IntMap::<u64, ()>::default().hasher(), RandomState::new());
     let round = || {
         [
             time(|| {
@@ -150,9 +172,15 @@ fn main() {
             time(|| {
                 black_box(crc32(black_box(&container)));
             }),
+            time(|| {
+                black_box(hash_keys(&siphash, black_box(&keys)));
+            }),
+            time(|| {
+                black_box(hash_keys(&product, black_box(&keys)));
+            }),
         ]
     };
-    let mut best = [Duration::MAX; 7];
+    let mut best = [Duration::MAX; 9];
     for _ in 0..ROUNDS {
         // Each round is timed after a pause and an untimed warm-up
         // round, so the rounds spread over ≈ 2 s and start with the
@@ -163,7 +191,7 @@ fn main() {
             *b = (*b).min(t);
         }
     }
-    let [chain, passes @ ..] = best;
+    let [chain, passes @ .., siphash, product] = best;
 
     rai_bench::header(&format!(
         "hash floor — {} B container, fastest of {ROUNDS} rounds",
@@ -192,6 +220,17 @@ fn main() {
             }
             _ => {}
         }
+    }
+    let ratio = product.as_secs_f64() / siphash.as_secs_f64();
+    let ns = |d: Duration| d.as_secs_f64() * 1e9 / KEYS as f64;
+    println!(
+        "  {:<26} {:>8.2} ns/key   {ratio:.2} SipHash-1-3 ({:.2} ns/key)",
+        "IntMap key hash",
+        ns(product),
+        ns(siphash)
+    );
+    if ratio > KEY_CEILING {
+        over.push(format!("IntMap key hash costs {ratio:.2} SipHash-1-3, over its {KEY_CEILING}"));
     }
     if !over.is_empty() {
         eprintln!("over the ceiling: {}", over.join(", "));

@@ -11,8 +11,8 @@
 //! expires).
 
 use crate::message::{Message, MessageId};
-use rai_sim::{SimDuration, SimTime, VirtualClock};
-use std::collections::{HashMap, VecDeque};
+use rai_sim::{IntMap, SimDuration, SimTime, VirtualClock};
+use std::collections::VecDeque;
 
 /// Result of an operation that may both requeue messages and push some
 /// over the attempt cap. Dead messages are handed back to the caller
@@ -31,7 +31,7 @@ pub(crate) struct Channel {
     pub(crate) ready: VecDeque<Message>,
     /// message id → (subscriber id, message, delivery sim-time) awaiting
     /// ack. The timestamp drives NSQ-style message-timeout redelivery.
-    pub(crate) in_flight: HashMap<MessageId, (u64, Message, SimTime)>,
+    pub(crate) in_flight: IntMap<MessageId, (u64, Message, SimTime)>,
     pub(crate) subscribers: usize,
 }
 
@@ -39,7 +39,7 @@ impl Channel {
     /// A channel whose ready queue starts as `ready` (the topic's
     /// backlog, for its first channel).
     pub(crate) fn new(name: &str, ready: VecDeque<Message>) -> Self {
-        Channel { name: name.to_string(), ready, in_flight: HashMap::new(), subscribers: 0 }
+        Channel { name: name.to_string(), ready, in_flight: IntMap::default(), subscribers: 0 }
     }
 
     /// Pop the next ready message into the in-flight table under

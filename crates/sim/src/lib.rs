@@ -12,6 +12,13 @@
 //!   (object-store lifecycle expiry, rate limiters, container deadlines).
 //! * [`engine`] — a classic event-calendar discrete-event engine:
 //!   schedule closures at future instants, run to quiescence.
+//! * [`hash`] — [`UniversalState`], the keyed, strongly universal
+//!   multiply-add-shift hash of the integer-keyed tables every job
+//!   probes ([`IntMap`], [`IntSet`]): two multiplies a key, an eighth
+//!   of std's SipHash-1-3. Each map draws a secret key of its own, so
+//!   whoever chooses keys without seeing it — a student choosing
+//!   chunk digests — cannot pile them into one probe sequence; the
+//!   module doc gives the adversary model.
 //!
 //! The statistics toolkit (online mean/variance, histograms,
 //! time-bucketed series, percentiles) that used to live here moved to
@@ -22,8 +29,10 @@
 
 pub mod clock;
 pub mod engine;
+pub mod hash;
 pub mod time;
 
 pub use clock::VirtualClock;
 pub use engine::{Scheduler, Simulation};
+pub use hash::{IntMap, IntSet, UniversalState};
 pub use time::{SimDuration, SimTime};

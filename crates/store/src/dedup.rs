@@ -9,7 +9,8 @@
 //! safe in the presence of cross-object sharing (DESIGN.md §10).
 
 use bytes::Bytes;
-use std::collections::hash_map::{Entry, HashMap};
+use rai_sim::IntMap;
+use std::collections::hash_map::Entry;
 
 struct ChunkEntry {
     data: Bytes,
@@ -20,12 +21,12 @@ struct ChunkEntry {
 /// total. It has no lock of its own: it is a field of the store's one
 /// state (`store.rs`) and is read and written under that state's lock.
 ///
-/// The index is a hash map under std's default *keyed* hasher: digests
-/// are FNV values of student-supplied bytes, so an unkeyed or identity
-/// hasher would let one upload aim every chunk at a single probe
-/// sequence. Iteration order is therefore per-process random and
-/// nothing may observe it — [`ChunkStore::snapshot_chunks`], the one
-/// ordered view, sorts.
+/// The index is an [`IntMap`]: keyed and strongly universal, with a
+/// secret key of its own. Digests are FNV values of student-supplied
+/// bytes, so an unkeyed or identity hasher would let one upload aim
+/// every chunk at a single probe sequence. Iteration order is therefore
+/// per-map random and nothing may observe it —
+/// [`ChunkStore::snapshot_chunks`], the one ordered view, sorts.
 /// What taking a reference on a chunk found.
 pub(crate) enum Take {
     /// Resident already: one more reference on bytes of length `len`.
@@ -38,7 +39,7 @@ pub(crate) enum Take {
 
 #[derive(Default)]
 pub(crate) struct ChunkStore {
-    chunks: HashMap<u64, ChunkEntry>,
+    chunks: IntMap<u64, ChunkEntry>,
     physical_bytes: u64,
 }
 
@@ -231,20 +232,32 @@ mod tests {
 
     #[test]
     fn crafted_digests_cannot_degrade_the_index() {
-        // 100 000 digests agreeing in their low 20 bits and their top
-        // byte — the bits an unkeyed or identity hasher would bucket
-        // and tag by, so every one would share a probe sequence and
-        // the batch would go quadratic (minutes, not milliseconds).
-        // Under the keyed hasher they cost what scattered digests cost.
+        // Batches of 100 000 digests, each aimed at a weak hasher. The
+        // first agrees in its low 20 bits and its top byte — the bits
+        // an unkeyed or identity hasher would bucket and tag by. The
+        // others are aimed at a multiply: a 64-bit product keeps a
+        // key's trailing zeros, so multiples of 2^32, or keys that
+        // differ only in their top 17 bits, would all land in bucket 0
+        // under x·a mod 2^64. Any of them sharing one probe sequence
+        // would go quadratic (minutes, not milliseconds); under the
+        // keyed hasher each costs what scattered digests cost.
         const N: u64 = 100_000;
         let crafted: Vec<u64> = (0..N).map(|i| 0xAB00_0000_000C_0FFE | (i << 20)).collect();
         assert!(crafted.iter().all(|d| d & 0xF_FFFF == 0xC0FFE && d >> 56 == 0xAB));
+        let batches = [
+            ("low 20 bits and top byte fixed", crafted),
+            ("multiples of 2^32", (1..=N).map(|i| i << 32).collect()),
+            ("top 17 bits only", (1..=N).map(|i| i << 47).collect()),
+        ];
         let scattered: Vec<u64> =
             (1..=N).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
-        let (crafted, scattered) = (churn_seconds(&crafted), churn_seconds(&scattered));
-        assert!(
-            crafted < scattered * 20.0,
-            "crafted batch took {crafted:.3}s against {scattered:.3}s scattered"
-        );
+        let scattered = churn_seconds(&scattered);
+        for (name, digests) in batches {
+            let crafted = churn_seconds(&digests);
+            assert!(
+                crafted < scattered * 20.0,
+                "{name}: crafted batch took {crafted:.3}s against {scattered:.3}s scattered"
+            );
+        }
     }
 }

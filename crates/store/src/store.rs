@@ -21,9 +21,9 @@ use rai_archive::chunk::{
 };
 use rai_archive::digits::{decimal, hex};
 use rai_archive::fnv::{self, Fnv1a};
-use rai_sim::{SimTime, VirtualClock};
+use rai_sim::{IntMap, SimTime, VirtualClock};
 use rai_wal::{Wal, MAX_RECORD};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -146,12 +146,12 @@ struct StoreInner {
 /// The chunks a put carried, by digest — of several copies of one, the
 /// last one given — and what the admission pass found of each digest,
 /// which decides whose bytes [`Carried::hash_true`] hashes. The digests
-/// are the uploader's to choose, so the map has std's keyed hasher.
+/// are the uploader's to choose, so the map is keyed: an [`IntMap`].
 struct Carried<'p> {
     chunks: &'p [Chunk],
     /// Each carried digest's last copy, by position, and what the pass
     /// found of it.
-    copies: HashMap<u64, (usize, Seen)>,
+    copies: IntMap<u64, (usize, Seen)>,
 }
 
 /// What the admission pass found of a carried digest.
@@ -174,7 +174,7 @@ struct Admission<'p> {
 
 impl<'p> Carried<'p> {
     fn new(chunks: &'p [Chunk]) -> Self {
-        let mut copies = HashMap::with_capacity(chunks.len());
+        let mut copies = IntMap::with_capacity_and_hasher(chunks.len(), Default::default());
         for (at, c) in chunks.iter().enumerate() {
             copies.insert(c.digest, (at, Seen::Unreached));
         }

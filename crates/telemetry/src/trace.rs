@@ -18,8 +18,8 @@
 //! Chrome export — work it out where they read it.
 
 use parking_lot::Mutex;
-use rai_sim::{SimDuration, SimTime};
-use std::collections::{HashMap, HashSet, VecDeque};
+use rai_sim::{IntMap, IntSet, SimDuration, SimTime};
+use std::collections::VecDeque;
 
 /// Canonical stage names, in pipeline order.
 pub mod stage {
@@ -222,10 +222,10 @@ pub struct TraceStore {
 
 #[derive(Debug)]
 struct TraceStoreInner {
-    traces: HashMap<u64, JobTrace>,
+    traces: IntMap<u64, JobTrace>,
     order: VecDeque<u64>,
     capacity: usize,
-    tombstones: HashSet<u64>,
+    tombstones: IntSet<u64>,
     tombstone_order: VecDeque<u64>,
     dropped_late: u64,
 }
@@ -255,10 +255,10 @@ impl TraceStore {
     pub(crate) fn with_capacity(capacity: usize) -> Self {
         TraceStore {
             inner: Mutex::new(TraceStoreInner {
-                traces: HashMap::new(),
+                traces: IntMap::default(),
                 order: VecDeque::new(),
                 capacity: capacity.max(1),
-                tombstones: HashSet::new(),
+                tombstones: IntSet::default(),
                 tombstone_order: VecDeque::new(),
                 dropped_late: 0,
             }),
@@ -353,6 +353,7 @@ impl TraceStoreInner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn trace_records_lifecycle_in_order() {

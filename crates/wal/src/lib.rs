@@ -653,13 +653,14 @@ impl Wal {
         Replay { records, stats }
     }
 
-    /// True when the log has outgrown the last snapshot by the
-    /// configured factor (and the minimum size).
+    /// True when the log exceeds the configured multiple of the last
+    /// snapshot (and the minimum size). A log just compacted is its
+    /// snapshot, so at factor 1 it waits for the next append.
     pub fn should_compact(&self) -> bool {
         let state = self.inner.state.lock();
         state.log_bytes >= self.inner.config.compact_min_bytes
             && state.log_bytes
-                >= self.inner.config.compact_factor.max(1) * state.snapshot_bytes.max(1)
+                > self.inner.config.compact_factor.max(1) * state.snapshot_bytes.max(1)
     }
 
     /// Replace the entire log with `snapshot` records: they are written
@@ -924,6 +925,21 @@ mod tests {
         );
         // Every pre-compaction segment is gone.
         assert!(disk.list_segments().len() <= 2);
+    }
+
+    #[test]
+    fn a_log_compacts_only_once_it_exceeds_its_snapshot() {
+        let config =
+            DurabilityConfig { segment_bytes: 64, compact_min_bytes: 1, compact_factor: 1 };
+        let (wal, _disk) = mem_wal(config);
+        for i in 0..10u64 {
+            wal.append(format!("record-{i}").as_bytes());
+        }
+        assert!(wal.should_compact());
+        wal.compact(vec![b"snap-a".to_vec(), b"snap-b".to_vec()]);
+        assert!(!wal.should_compact(), "a log just compacted is its snapshot, not past it");
+        wal.append(b"tail");
+        assert!(wal.should_compact(), "one append takes the log past its snapshot");
     }
 
     #[test]
